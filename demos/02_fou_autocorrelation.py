@@ -11,7 +11,7 @@ import numpy as np
 from foulim import fou
 from foulim.paths import TimeGrid
 
-# spectral evaluation of rho and its power-law tail
+# closed-form rho and its power-law tail
 for H in (0.4, 0.6, 0.75, 0.9):
     s = np.geomspace(10.0, 100.0, 13)
     r = fou.rho(s, H)

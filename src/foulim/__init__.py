@@ -19,7 +19,7 @@ from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction, Regime, ScalingRegime
 from .fou import FouConfig
 from .hermite import HermiteSpec, SharedNoise
-from .paths import HurstParam, SamplePath, TimeGrid
+from .paths import SamplePath, TimeGrid
 from .streams import stream
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "ChaosFunction",
     "FouConfig",
     "HermiteSpec",
-    "HurstParam",
     "Regime",
     "SamplePath",
     "ScalingRegime",

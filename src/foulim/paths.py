@@ -1,4 +1,4 @@
-"""Uniform time grids, sample paths and the Hurst parameter."""
+"""Uniform time grids, sample paths, and the Hurst and scale parameters."""
 
 from __future__ import annotations
 
@@ -6,37 +6,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["HurstParam", "TimeGrid", "SamplePath", "as_hurst"]
-
-
-@dataclass(frozen=True)
-class HurstParam:
-    """Hurst parameter in (0, 1).
-
-    H = 1/2 is the classical Markov case; the scaling theory implemented
-    here treats it only as a sanity regime, which ``is_classical`` flags.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 < self.value < 1.0:
-            raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.value}")
-
-    @property
-    def is_classical(self) -> bool:
-        return self.value == 0.5
-
-    def __float__(self) -> float:
-        return self.value
+__all__ = ["TimeGrid", "SamplePath", "as_hurst", "as_eps"]
 
 
 def as_hurst(H) -> float:
-    """Coerce a float or HurstParam to a validated float."""
+    """Coerce H to a float in (0, 1)."""
     h = float(H)
     if not 0.0 < h < 1.0:
         raise ValueError(f"Hurst parameter must lie in (0, 1), got {h}")
     return h
+
+
+def as_eps(eps) -> float:
+    """Coerce the fast time scale eps to a float in (0, 1]."""
+    e = float(eps)
+    if not 0.0 < e <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {e}")
+    return e
 
 
 @dataclass(frozen=True)

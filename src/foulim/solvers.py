@@ -18,7 +18,7 @@ from scipy.signal import lfilter
 from . import chaos, fgn, fou
 from .chaos import ChaosFunction
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
-from .paths import SamplePath, TimeGrid, as_hurst
+from .paths import SamplePath, TimeGrid, as_eps, as_hurst
 from .streams import stream
 
 __all__ = [
@@ -59,8 +59,7 @@ class MultiscaleConfig:
 
     def __post_init__(self):
         as_hurst(self.H)
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
+        as_eps(self.eps)
         if self.grid.dt > self.eps / fou.MIN_STEPS_PER_EPS * (1 + 1e-12):
             raise ValueError("grid.dt must be <= eps/10 to resolve the fast scale")
 
@@ -113,14 +112,6 @@ def young_integrate(x0, f, Z: SamplePath) -> SamplePath:
     for k in range(len(dZ)):
         x[k + 1] = x[k] + f(x[k]) * dZ[k]
     return SamplePath(Z.grid, x)
-
-
-def _young_batch(x0: np.ndarray, f, dZ: np.ndarray, g_bar: float, h, dt: float) -> np.ndarray:
-    """Vectorized left-point step for dx = f(x)dZ + g_bar h(x)dt; returns endpoints."""
-    x = np.array(x0, dtype=float)
-    for k in range(dZ.shape[1]):
-        x = x + f(x) * dZ[:, k] + g_bar * h(x) * dt
-    return x
 
 
 def solve_limit_young(x0, f, h, g_bar: float, Z: SamplePath) -> SamplePath:
@@ -285,9 +276,11 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
             "the finest grid; choose commensurate scales"
         )
     blocks = [int(round(r)) for r in ratios]
+    # whole blocks of every eps grid: round both lengths up to a common multiple
+    unit = math.lcm(*blocks)
     burn = 10.0 * eps_arr[0]
-    n_burn_m = int(round(burn / dt_master))
-    n_main_m = int(round(T / dt_master))
+    n_burn_m = unit * math.ceil(round(burn / dt_master) / unit)
+    n_main_m = unit * math.ceil(round(T / dt_master) / unit)
 
     # reporting indices on [0, T] per eps grid
     report_times = grid.times()

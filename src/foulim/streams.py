@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "replica_stream"]
+__all__ = ["stream"]
 
 
 def _name_tag(name: str) -> int:
@@ -34,8 +34,3 @@ def stream(master_seed: int, name: str, index: int = 0) -> np.random.Generator:
         raise ValueError("stream index must be non-negative")
     ss = np.random.SeedSequence(entropy=(master_seed, _name_tag(name), index))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def replica_stream(master_seed: int, name: str, replica: int) -> np.random.Generator:
-    """Stream owned by one Monte Carlo replica of a named experiment."""
-    return stream(master_seed, name, replica)

@@ -115,8 +115,14 @@ def test_alpha_consistency_identities():
 
 
 def test_scaling_alpha_domain():
-    with pytest.raises(ValueError):
-        chaos.classify_regime(2, 0.6).alpha(1.0)
+    # eps lies in (0, 1]; at eps = 1 only the boundary scaling is undefined
+    for eps in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            chaos.classify_regime(2, 0.6).alpha(eps)
+    assert chaos.classify_regime(2, 0.6).alpha(1.0) == 1.0
+    assert chaos.classify_regime(1, 0.8).alpha(1.0) == 1.0
+    with pytest.raises(ValueError, match=r"\|ln eps\| = 0"):
+        chaos.classify_regime(2, 0.75).alpha(1.0)
 
 
 def test_limit_covariance_examples():

@@ -74,9 +74,12 @@ def test_sample_fou_csv(tmp_path):
     assert len(lines) == 1 + 2 * 101
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_hermite_sample_runs(tmp_path):
+    # xi_window 40 truncates an estimated 23.8% of the kernel mass, below
+    # the sampler's 25% warning threshold
     out = tmp_path / "herm"
-    assert run(["hermite-sample", "--H", "0.7", "--m", "2", "--xi-window", "30",
+    assert run(["hermite-sample", "--H", "0.7", "--m", "2", "--xi-window", "40",
                 "--n-xi", "2000", "--n-steps", "50", "--replicas", "2",
                 "--seed", "4", "--out", str(out)]) == 0
     lines = (tmp_path / "herm.csv").read_text().splitlines()
@@ -124,8 +127,7 @@ def test_numerical_failures_exit_2(monkeypatch, capsys):
             raise exc
         return raiser
 
-    for exc in (fou.QuadratureError("quadrature did not converge"),
-                fgn.SamplerInfeasibleError("embedding failed"),
+    for exc in (fgn.SamplerInfeasibleError("embedding failed"),
                 FloatingPointError("slow variable exceeded 1e+08")):
         monkeypatch.setattr(fou, "rho", fail(exc))
         assert run(["rho", "--H", "0.6", "--n-points", "3"]) == 2
@@ -134,6 +136,41 @@ def test_numerical_failures_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(fou, "rho", fail(TypeError("bad operand")))
     with pytest.raises(TypeError):
         run(["rho", "--H", "0.6", "--n-points", "3"])
+
+
+@pytest.mark.parametrize("H", [0.05, 0.1, 0.2, 0.3])
+def test_constants_degenerate_wiener_constant(tmp_path, H):
+    # G = He_1 at H < 1/2: int rho = 0, so A_self vanishes
+    out = tmp_path / "const"
+    assert run(["constants", "--H", str(H), "--coeffs", "0,1", "--format", "json",
+                "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "const.json").read_text())
+    assert doc["regime"] == "short_range"
+    assert abs(doc["A_self"]) <= 1e-4
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_kinetic_scan_non_commensurate_block_lengths(tmp_path, H):
+    # eps grids of 10, 3 and 1 master steps: lengths must split into whole blocks
+    out = tmp_path / "kin"
+    assert run(["kinetic-scan", "--H", str(H), "--eps-list", "0.1,0.03,0.01",
+                "--replicas", "50", "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "kin.json").read_text())
+    assert doc["identity_defect_max"] < 1e-6
+    assert len(doc["table"]["rows"]) == 3
+
+
+@pytest.mark.parametrize("coeffs, H, rc", [("0,0,1", 0.6, 0), ("0,1", 0.8, 0),
+                                           ("0,0,1", 0.75, 2)])
+def test_chaos_alpha_at_eps_one(tmp_path, capsys, coeffs, H, rc):
+    # eps = 1 is in the domain; only the boundary scaling, with |ln eps| = 0, fails
+    out = tmp_path / "chaos"
+    assert run(["chaos", "--H", str(H), "--coeffs", coeffs, "--eps", "1",
+                "--format", "json", "--out", str(out)]) == rc
+    if rc == 0:
+        assert json.loads((tmp_path / "chaos.json").read_text())["alpha"] == 1.0
+    else:
+        assert "error:" in capsys.readouterr().err
 
 
 def test_clt_scan_json_summary(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -49,6 +50,64 @@ def rho_double_integral_oracle(s, H):
     return sig2 * H * (2 * H - 1) * val
 
 
+def rho_spectral_oracle(s, H):
+    """Spectral route, valid on both sides of H = 1/2.
+
+    rho(s) = (2 sin(pi H) / pi) int_0^inf cos(s x) x^{1-2H} / (1 + x^2) dx:
+    the substitution x = u^{1/(2-2H)} absorbs the power on [0, 1], and
+    the oscillatory tail uses the Fourier-weight rule (so s >= 0.25).
+    """
+    q = 2.0 - 2.0 * H
+    near, _ = integrate.quad(
+        lambda u: np.cos(s * u ** (1.0 / q)) / (1.0 + u ** (2.0 / q)) / q,
+        0.0, 1.0, epsabs=1e-12, limit=200,
+    )
+    far, _ = integrate.quad(
+        lambda x: x ** (1.0 - 2.0 * H) / (1.0 + x * x), 1.0, np.inf,
+        weight="cos", wvar=s, epsabs=1e-12, limit=400,
+    )
+    return 2.0 * np.sin(np.pi * H) / np.pi * (near + far)
+
+
+def rho_mpmath(s, H):
+    """Closed-form rho in 40-digit arithmetic (no series switch).
+
+    rho(s) = [(e^{-s} G + s^{2H+1}/(2H+1) 1F1(1; 2H+2; -s) + e^s Gamma(2H+1, s)) / 2
+              - s^{2H}] / G,  G = Gamma(2H+1).
+    """
+    if s == 0.0:
+        return mpmath.mpf(1)
+    with mpmath.workdps(40):
+        s, h = mpmath.mpf(s), mpmath.mpf(H)
+        g = mpmath.gamma(2 * h + 1)
+        a = (mpmath.exp(-s) * g
+             + s ** (2 * h + 1) / (2 * h + 1) * mpmath.hyp1f1(1, 2 * h + 2, -s)
+             + mpmath.exp(s) * mpmath.gammainc(2 * h + 1, s))
+        return (a / 2 - s ** (2 * h)) / g
+
+
+def rho_power_integral_mpmath(m, H):
+    """int_0^inf rho^m by tanh-sinh quadrature of the 20-digit closed form.
+
+    The closed form is integrated up to s = 200 and the asymptotic series,
+    with twenty terms, beyond; there its truncation error is below 1e-40.
+    """
+    with mpmath.workdps(20):
+        h = mpmath.mpf(H)
+
+        def series(s):
+            term, total = mpmath.mpf(1), mpmath.mpf(0)
+            for k in range(1, 21):
+                term *= (2 * h - 2 * k + 2) * (2 * h - 2 * k + 1)
+                total += term * s ** (2 * h - 2 * k)
+            return total / mpmath.gamma(2 * h + 1)
+
+        head = mpmath.quad(lambda s: rho_mpmath(s, H) ** m,
+                           [0, 1e-6, 0.01, 0.1, 1, 3, 10, 30, 100, 200])
+        tail = mpmath.quad(lambda s: series(s) ** m, [200, 1000, mpmath.inf])
+        return float(head + tail)
+
+
 def test_stationary_sigma_classical_case():
     assert fou.stationary_sigma(0.5) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
@@ -78,6 +137,23 @@ def test_rho_against_double_integral_oracle():
             assert fou.rho(s, H) == pytest.approx(
                 rho_double_integral_oracle(s, H), abs=2e-6
             )
+
+
+def test_rho_against_spectral_oracle():
+    for H in (0.2, 0.4, 0.7, 0.9):
+        for s in (0.5, 2.0, 10.0, 40.0):
+            assert fou.rho(s, H) == pytest.approx(rho_spectral_oracle(s, H), abs=1e-9)
+
+
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.7, 0.95, 0.99])
+def test_rho_against_mpmath_closed_form(H):
+    # lags on both sides of the series switch at s = 30
+    s = np.concatenate([[0.0, 1e-8], np.geomspace(1e-4, 29.9, 30),
+                        [30.0, 30.1], np.geomspace(31.0, 1000.0, 15)])
+    ref = np.array([float(rho_mpmath(v, H)) for v in s])
+    assert np.max(np.abs(fou.rho(s, H) - ref)) <= 1e-12
+    if H == 0.5:
+        np.testing.assert_array_equal(fou.rho(s, H), np.exp(-s))
 
 
 def test_rho_decay_slope():
@@ -114,6 +190,24 @@ def test_rho_power_integral_m2_oracle_and_stability():
     assert val == pytest.approx(head + tail, rel=0.01)
     for s_max in (500.0, 2000.0):
         assert fou.rho_power_integral(m, H, s_max) == pytest.approx(val, rel=0.01)
+
+
+@pytest.mark.parametrize("m, H", [(2, 0.6), (3, 0.7)])
+def test_rho_power_integral_against_mpmath(m, H):
+    assert fou.rho_power_integral(m, H) == pytest.approx(
+        rho_power_integral_mpmath(m, H), rel=1e-8
+    )
+
+
+def test_rho_integral_vanishes_below_half():
+    # the spectral density |x|^{1-2H}/(1+x^2) vanishes at 0 for H < 1/2
+    for H in np.linspace(0.05, 0.45, 9):
+        assert abs(fou.rho_power_integral(1, H)) <= 1e-6
+
+
+def test_rho_power_integral_needs_the_series_range():
+    with pytest.raises(ValueError, match="s_max"):
+        fou.rho_power_integral(2, 0.6, s_max=10.0)
 
 
 def test_rho_power_integral_divergent_regime_raises():

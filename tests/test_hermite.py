@@ -235,10 +235,12 @@ def test_sample_hermite_errors():
         hermite.sample_hermite(TimeGrid(1.0, 50), spec, small)
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_hermite_values_deterministic_in_noise():
+    # xi_window 40 stays below the sampler's 25% kernel-truncation warning
     grid = TimeGrid(1.0, 100)
-    spec = HermiteSpec(0.7, 2, 30.0, 2000)
-    noise = sample_shared_noise(30.0, 1.0, 2000, stream(8, "det"))
+    spec = HermiteSpec(0.7, 2, 40.0, 2000)
+    noise = sample_shared_noise(40.0, 1.0, 2000, stream(8, "det"))
     a = hermite.hermite_values(grid, spec, noise)
     b = hermite.hermite_values(grid, spec, noise)
     np.testing.assert_array_equal(a, b)
