@@ -276,11 +276,11 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
             "the finest grid; choose commensurate scales"
         )
     blocks = [int(round(r)) for r in ratios]
-    # whole blocks of every eps grid: round both lengths up to a common multiple
-    unit = math.lcm(*blocks)
     burn = 10.0 * eps_arr[0]
-    n_burn_m = unit * math.ceil(round(burn / dt_master) / unit)
-    n_main_m = unit * math.ceil(round(T / dt_master) / unit)
+    n_burn_m = int(round(burn / dt_master))
+    # main length: at least ceil(N / b) whole blocks on every eps grid
+    n_steps = int(round(T / dt_master))
+    n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
 
     # reporting indices on [0, T] per eps grid
     report_times = grid.times()
@@ -291,7 +291,11 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         out = np.empty((count, len(eps_arr), 2, len(report_times)))
         for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
             dt = b * dt_master
-            agg = dB.reshape(count, -1, b).sum(axis=2)
+            # drop the leading n_burn_m % b burn-in steps so that main-grid
+            # point 0 sits on a block edge, and the trailing partial block
+            lead = n_burn_m % b
+            n_blocks = (n_burn_m + n_main_m - lead) // b
+            agg = dB[:, lead : lead + b * n_blocks].reshape(count, -1, b).sum(axis=2)
             n_burn = n_burn_m // b
             a = np.exp(-dt / eps)
             y = lfilter([sigma / eps**h], [1.0, -a], agg, axis=1)
