@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from foulim import acceptance, cli, fgn, fou, solvers
-from foulim.paths import TimeGrid
+from foulim import acceptance, cli, fgn, fou
 
 
 def run(args):
@@ -164,24 +163,20 @@ def test_kinetic_scan_non_commensurate_block_lengths(tmp_path, H):
 def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
     # blocks of 19, 17, 13, 11, 7 and 1 master steps: the lengths stay near
     # T / dt_master instead of growing to a common multiple of the blocks
-    eps_list = [0.19, 0.17, 0.13, 0.11, 0.07, 0.01]
-    grid = TimeGrid(1.0, 50)
-    dB_lengths = []
+    lengths = []
     sample = fgn.sample_fgn_batch
 
     def spy(n, *args, **kwargs):
-        dB_lengths.append(n)
+        lengths.append(n)
         return sample(n, *args, **kwargs)
 
     monkeypatch.setattr(fgn, "sample_fgn_batch", spy)
-    res = solvers.kinetic_error_scan(0.3, eps_list, grid, 20, master_seed=3)
-    # 10 * 0.19 burn-in plus T rounded up to whole 19-step blocks, at dt = 1e-4
-    assert dB_lengths == [19000 + 10013]
-    assert res.meta["identity_defect_max"] < 1e-6
     out = tmp_path / "kin"
     assert run(["kinetic-scan", "--H", "0.3", "--eps-list",
-                ",".join(map(str, eps_list)), "--replicas", "20",
+                "0.19,0.17,0.13,0.11,0.07,0.01", "--replicas", "20",
                 "--format", "json", "--out", str(out)]) == 0
+    # 10 * 0.19 of burn-in plus T rounded up to whole 19-step blocks, dt = 1e-4
+    assert set(lengths) == {19000 + 10013}
     doc = json.loads((tmp_path / "kin.json").read_text())
     assert doc["identity_defect_max"] < 1e-6
     assert len(doc["table"]["rows"]) == 6
