@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from . import chaos, fgn, fou, harness, hermite, solvers
-from .chaos import ChaosFunction, Regime
+from .chaos import ChaosFunction
 from .paths import TimeGrid
 from .streams import stream
 
@@ -409,11 +409,9 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        from .paths import SamplePath
-
-        Z = SamplePath(grid, grid.times() ** 2)
-        x = solvers.young_integrate(1.0, lambda u: u, Z)
-        errs.append(abs(x.values[-1] - np.exp(1.0)))
+        x = solvers.solve_limit_young(1.0, lambda u: u, lambda u: 0.0 * u, 0.0,
+                                      grid, grid.times() ** 2)
+        errs.append(abs(x[-1] - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     d1, d2 = orders[1] - orders[0], orders[2] - orders[1]
     order_limit = float(orders[2] + d2 * d2 / (d1 - d2))
@@ -427,17 +425,12 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     grid = TimeGrid(t, 2000)
 
     def heun_chunk(offset, count):
-        out = np.empty(count)
-        for k in range(count):
-            rng = stream(seed, "acc11", offset + k)
-            W = np.concatenate([[0.0], np.cumsum(rng.standard_normal(grid.n_steps))])
-            from .paths import SamplePath
-
-            path = SamplePath(grid, W * np.sqrt(grid.dt))
-            x = solvers.solve_limit_stratonovich(
-                1.0, lambda u: u, lambda u: 0.0 * u, 0.0, c, path)
-            out[k] = np.log(x.values[-1])
-        return out
+        dW = np.stack([stream(seed, "acc11", offset + k).standard_normal(grid.n_steps)
+                       for k in range(count)])
+        W = np.concatenate([np.zeros((count, 1)), np.cumsum(dW, axis=1)], axis=1)
+        x = solvers.solve_limit_stratonovich(
+            1.0, lambda u: u, lambda u: 0.0 * u, 0.0, c, grid, W * np.sqrt(grid.dt))
+        return np.log(x[:, -1])
 
     logs = harness.run_replicated(n_rep, heun_chunk, threads)
     lv = harness.fsum_variance(logs)

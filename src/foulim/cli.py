@@ -113,14 +113,13 @@ def _path_rows(times, matrix):
 
 def _cmd_sample_fbm(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
-    mats = []
-    for r in range(args.replicas):
-        rng = stream(args.seed, "cli-fbm", r)
-        mats.append(fgn.sample_fbm(grid, args.H, rng).values)
+    rngs = [stream(args.seed, "cli-fbm", r) for r in range(args.replicas)]
+    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, args.H, rngs)
+    mat = np.concatenate([np.zeros((len(rngs), 1)), np.cumsum(incs, axis=1)], axis=1)
     params = dict(H=args.H, horizon=args.horizon, n_steps=args.n_steps,
                   replicas=args.replicas, seed=args.seed)
     _echo(args, "sample-fbm", params)
-    _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mats),
+    _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mat),
                 {"command": "sample-fbm", **params})
     return 0
 
@@ -348,36 +347,35 @@ def _cmd_homogenize(args) -> int:
 
 
 def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed):
-    """Samples of the limit-equation endpoint at time t.
+    """Samples of the endpoint x_t of dx = f(x) dU + g_bar h(x) dt.
 
-    Uses the scalar chain rule: for the driver endpoint U (c W_t or
-    c~ Z_t), the Young/Stratonovich solution with drift g_bar h is the
-    flow of (f, g_bar h); with h = 0 it is the flow of f evaluated at U.
-    For nonzero h the Heun/left-point limit solvers are used instead.
+    The driver is U = c W in the short-range (and boundary) regime and
+    U = sign(a_m) c Z^{H*,m} in the long-range regime.  With h = 0 the
+    scalar chain rule makes x_t the flow of f evaluated at U_t.  For
+    nonzero h the batched Heun solver runs on U's paths: in one
+    dimension it converges to the Stratonovich solution for Brownian U
+    and to the Young solution for the Hermite U (H* > 1/2).
     """
     regime = chaos.classify_regime(G.hermite_rank, H)
-    rng = stream(seed, "limit-endpoint")
     c = chaos.c_constant(G, H)
+    zero_h = _is_zero_map(h)
     if regime.kind is Regime.LONG_RANGE:
         m = G.hermite_rank
         spec = hermite.HermiteSpec(regime.h_star, m, 60.0 * t, 12000)
         grid = TimeGrid(t, 400)
-        z = hermite.hermite_ensemble(grid, spec, seed, n, "limit-endpoint-z")[:, 0]
-        u = np.sign(G.coefficients[m]) * c * z
+        z = hermite.hermite_ensemble(grid, spec, seed, n, "limit-endpoint-z",
+                                     report_idx=np.arange(grid.n_steps + 1))
+        U = np.sign(G.coefficients[m]) * c * z
     else:
-        u = c * np.sqrt(t) * rng.standard_normal(n)
-    if _is_zero_map(h):
-        return solvers.flow_map_1d(f, x0, u)
-    # general case: integrate the limit equation per replica
-    grid = TimeGrid(t, 4000)
-    out = np.empty(n)
-    for r in range(n):
-        W = np.concatenate([[0.0], np.cumsum(rng.standard_normal(grid.n_steps))]) * np.sqrt(grid.dt)
-        from .paths import SamplePath
-
-        path = SamplePath(grid, W)
-        out[r] = solvers.solve_limit_stratonovich(x0, f, h, g_bar, c, path).values[-1]
-    return out
+        rng = stream(seed, "limit-endpoint")
+        if zero_h:
+            return solvers.flow_map_1d(f, x0, c * np.sqrt(t) * rng.standard_normal(n))
+        grid = TimeGrid(t, 4000)
+        W = np.cumsum(rng.standard_normal((n, grid.n_steps)), axis=1) * np.sqrt(grid.dt)
+        U = c * np.concatenate([np.zeros((n, 1)), W], axis=1)
+    if zero_h:
+        return solvers.flow_map_1d(f, x0, U[:, -1])
+    return solvers.solve_limit_stratonovich(x0, f, h, g_bar, 1.0, grid, U)[:, -1]
 
 
 def _is_zero_map(h) -> bool:

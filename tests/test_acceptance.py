@@ -18,8 +18,6 @@ discussed in the README's verification section.
 
 import os
 
-import pytest
-
 from foulim import acceptance
 
 SEED = acceptance.MASTER_SEED

@@ -1,11 +1,12 @@
 import argparse
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from foulim import acceptance, cli, fgn, fou
+from foulim import acceptance, cli, fgn, fou, output
+from foulim.paths import TimeGrid
+from foulim.streams import stream
 
 
 def run(args):
@@ -23,6 +24,21 @@ def test_chaos_subcommand_boundary_classification(tmp_path):
     assert doc["regime"] == "boundary"
     assert "ln" in doc["alpha_formula"]
     assert doc["schema_version"] == 1
+
+
+def test_sample_fbm_bytes_match_per_replica_paths(tmp_path):
+    # one batched fGN call over the per-replica streams writes the same
+    # bytes as sampling each replica's fBM path on its own
+    H, n_steps, seed = 0.35, 100, 123
+    rc = run(["sample-fbm", "--H", str(H), "--n-steps", str(n_steps),
+              "--replicas", "4", "--seed", str(seed), "--out", str(tmp_path / "b")])
+    assert rc == 0
+    grid = TimeGrid(1.0, n_steps)
+    rows = [(r, t, v) for r in range(4)
+            for t, v in zip(grid.times(),
+                            fgn.sample_fbm(grid, H, stream(seed, "cli-fbm", r)).values)]
+    output.write_csv(str(tmp_path / "ref.csv"), ["replica", "t", "value"], rows)
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_sample_fbm_deterministic_and_config_round_trip(tmp_path):
@@ -217,3 +233,18 @@ def test_config_echo_contents(tmp_path):
     text = (tmp_path / "echo.config").read_text()
     assert "[run]" in text and "command = rho" in text
     assert "s_max" in text
+
+
+@pytest.mark.parametrize("H", ["0.6", "0.85"])
+def test_homogenize_with_drift_runs_the_limit_solver(tmp_path, H):
+    out = tmp_path / "hom"
+    rc = run(["homogenize", "--H", H, "--coeffs", "0,0,1", "--hfun", "sin2",
+              "--gfun", "cos", "--replicas", "30", "--seed", "5",
+              "--format", "json", "--out", str(out)])
+    assert rc in (0, 2)  # 2 is a rejected KS test, not an error
+    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert doc["regime"] == ("short_range" if H == "0.6" else "long_range")
+    assert doc["g_bar"] == pytest.approx(np.exp(-0.5))
+    assert 0.0 <= doc["ks_pvalue"] <= 1.0
+    assert np.isfinite(doc["endpoint_mean"]) and np.isfinite(doc["endpoint_variance"])
+    assert rc == (0 if doc["pass"] else 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from foulim import chaos, fgn, fou, hermite
+from foulim import fgn, fou, hermite
 from foulim.hermite import HermiteSpec, sample_shared_noise
 from foulim.paths import TimeGrid
 from foulim.streams import stream

@@ -3,7 +3,7 @@ import pytest
 
 from foulim import acceptance, chaos, fgn, fou, harness, solvers
 from foulim.chaos import ChaosFunction
-from foulim.paths import SamplePath, TimeGrid
+from foulim.paths import TimeGrid
 from foulim.streams import stream
 
 H1 = ChaosFunction.from_coefficients([0, 1.0])
@@ -16,18 +16,17 @@ def _zero(x):
 
 def test_young_additive_case():
     grid = TimeGrid(1.0, 100)
-    Z = SamplePath(grid, np.sin(grid.times()))
-    x = solvers.young_integrate(2.0, lambda u: np.ones_like(u), Z)
-    np.testing.assert_allclose(x.values, 2.0 + Z.values - Z.values[0], rtol=1e-14)
+    Z = np.sin(grid.times())
+    x = solvers.solve_limit_young(2.0, lambda u: np.ones_like(u), _zero, 0.0, grid, Z)
+    np.testing.assert_allclose(x, 2.0 + Z - Z[0], rtol=1e-14)
 
 
 def test_young_smooth_driver_exponential_order():
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        Z = SamplePath(grid, grid.times() ** 2)
-        x = solvers.young_integrate(1.0, lambda u: u, Z)
-        errs.append(abs(x.values[-1] - np.exp(1.0)))
+        x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, grid.times() ** 2)
+        errs.append(abs(x[-1] - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     # first-order scheme: dyadic orders increase toward 1
     assert np.all(np.diff(orders) > 0)
@@ -40,52 +39,101 @@ def test_young_smooth_driver_exponential_order():
 
 def test_young_fbm_driver_matches_chain_rule():
     grid = TimeGrid(1.0, 4000)
-    Z = fgn.sample_fbm(grid, 0.8, stream(1, "yfbm"))
-    x = solvers.young_integrate(1.0, lambda u: u, Z)
-    exact = np.exp(Z.values - Z.values[0])
-    assert np.max(np.abs(x.values - exact)) < 0.02 * np.max(exact)
+    Z = fgn.sample_fbm(grid, 0.8, stream(1, "yfbm")).values
+    x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
+    exact = np.exp(Z - Z[0])
+    assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
 
 def test_limit_young_drift_only_is_ode_flow():
     grid = TimeGrid(1.0, 2000)
-    Z = SamplePath(grid, np.zeros(2001))
-    x = solvers.solve_limit_young(1.0, _zero, lambda u: u, 0.7, Z)
-    assert x.values[-1] == pytest.approx(np.exp(0.7), rel=1e-3)
+    x = solvers.solve_limit_young(1.0, _zero, lambda u: u, 0.7, grid, np.zeros(2001))
+    assert x[-1] == pytest.approx(np.exp(0.7), rel=1e-3)
 
 
 def test_limit_young_exponential_closed_form():
     grid = TimeGrid(1.0, 4000)
-    Z = fgn.sample_fbm(grid, 0.8, stream(2, "ly"))
-    x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, Z)
-    exact = np.exp(Z.values)
-    assert np.max(np.abs(x.values - exact)) < 0.02 * np.max(exact)
+    Z = fgn.sample_fbm(grid, 0.8, stream(2, "ly")).values
+    x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
+    exact = np.exp(Z)
+    assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
 
 def test_limit_young_degenerate_constants():
     grid = TimeGrid(1.0, 100)
-    Z = SamplePath(grid, np.zeros(101))  # c = 0 folded into the driver
-    x = solvers.solve_limit_young(0.3, lambda u: u, lambda u: u, 0.0, Z)
-    np.testing.assert_allclose(x.values, 0.3)
+    Z = np.zeros(101)  # c = 0 folded into the driver
+    x = solvers.solve_limit_young(0.3, lambda u: u, lambda u: u, 0.0, grid, Z)
+    np.testing.assert_allclose(x, 0.3)
+
+
+def test_limit_solvers_reject_driver_off_grid():
+    grid = TimeGrid(1.0, 100)
+    with pytest.raises(ValueError, match="101"):
+        solvers.solve_limit_young(0.0, _zero, _zero, 0.0, grid, np.zeros((3, 100)))
+    with pytest.raises(ValueError, match="101"):
+        solvers.solve_limit_stratonovich(0.0, _zero, _zero, 0.0, 1.0, grid, np.zeros(102))
+
+
+def _young_loop(x0, f, h, g_bar, dt, Z):
+    x = [x0]
+    for dz in np.diff(Z):
+        x.append(x[-1] + f(x[-1]) * dz + g_bar * h(x[-1]) * dt)
+    return np.array(x)
+
+
+def _heun_loop(x0, f, h, g_bar, c, dt, W):
+    x = [x0]
+    for dw in np.diff(W):
+        xk = x[-1]
+        pred = xk + c * f(xk) * dw + g_bar * h(xk) * dt
+        x.append(xk + 0.5 * (c * f(xk) + c * f(pred)) * dw
+                 + 0.5 * (g_bar * h(xk) + g_bar * h(pred)) * dt)
+    return np.array(x)
+
+
+def test_batched_limit_solvers_match_one_row_calls():
+    grid = TimeGrid(1.0, 500)
+    Z = np.stack([fgn.sample_fbm(grid, 0.7, stream(7, "batch", r)).values
+                  for r in range(5)])
+    f = lambda u: np.sin(u) + 2.0
+    h = lambda u: np.cos(u)
+    young = solvers.solve_limit_young(0.4, f, h, 0.6, grid, Z)
+    heun = solvers.solve_limit_stratonovich(0.4, f, h, 0.6, 0.8, grid, Z)
+    assert young.shape == heun.shape == Z.shape
+    for r in range(5):
+        one = Z[r : r + 1]
+        np.testing.assert_allclose(
+            young[r : r + 1], solvers.solve_limit_young(0.4, f, h, 0.6, grid, one),
+            rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            heun[r : r + 1],
+            solvers.solve_limit_stratonovich(0.4, f, h, 0.6, 0.8, grid, one),
+            rtol=0, atol=1e-14)
+        # the scalar per-replica loops are the reference
+        np.testing.assert_allclose(young[r], _young_loop(0.4, f, h, 0.6, grid.dt, Z[r]),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, 0.6, 0.8, grid.dt, Z[r]),
+                                   rtol=0, atol=1e-14)
 
 
 def test_stratonovich_deterministic_when_c_zero():
     grid = TimeGrid(1.0, 1000)
-    W = SamplePath(grid, stream(3, "w0").standard_normal(1001).cumsum() * 0.0)
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, 0.5, 0.0, W)
-    assert x.values[-1] == pytest.approx(np.exp(0.5), rel=1e-4)
+    W = stream(3, "w0").standard_normal(1001).cumsum() * 0.0
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, 0.5, 0.0, grid, W)
+    assert x[-1] == pytest.approx(np.exp(0.5), rel=1e-4)
 
 
 def test_stratonovich_additive_matches_quadrature():
     grid = TimeGrid(1.0, 2000)
     incs = stream(4, "wa").standard_normal(2000) * np.sqrt(grid.dt)
-    W = SamplePath(grid, np.concatenate([[0.0], np.cumsum(incs)]))
+    W = np.concatenate([[0.0], np.cumsum(incs)])
     c, g_bar = 0.7, 0.3
     h = lambda u: np.cos(u)
-    x = solvers.solve_limit_stratonovich(0.2, lambda u: np.ones_like(u), h, g_bar, c, W)
+    x = solvers.solve_limit_stratonovich(0.2, lambda u: np.ones_like(u), h, g_bar, c, grid, W)
     # additive noise: x_t = x0 + c W_t + g_bar int h(x_s) ds
-    drift = g_bar * grid.dt * np.cumsum(np.cos(x.values[:-1]))
-    expect = 0.2 + c * W.values[1:] + drift
-    assert np.max(np.abs(x.values[1:] - expect)) < 5e-3
+    drift = g_bar * grid.dt * np.cumsum(np.cos(x[:-1]))
+    expect = 0.2 + c * W[1:] + drift
+    assert np.max(np.abs(x[1:] - expect)) < 5e-3
 
 
 def test_stratonovich_no_ito_correction():
@@ -93,33 +141,30 @@ def test_stratonovich_no_ito_correction():
     # not drift by -c^2 t/2 as the Ito reading would
     grid = TimeGrid(1.0, 2000)
     c, g_bar = 0.8, 0.4
-    resid = []
-    for i in range(200):
-        incs = stream(5, "strat", i).standard_normal(2000) * np.sqrt(grid.dt)
-        W = SamplePath(grid, np.concatenate([[0.0], np.cumsum(incs)]))
-        x = solvers.solve_limit_stratonovich(
-            1.0, lambda u: u, lambda u: u, g_bar, c, W)
-        resid.append(np.log(x.values[-1]) - c * W.values[-1] - g_bar)
-    resid = np.array(resid)
+    incs = np.stack([stream(5, "strat", i).standard_normal(2000) for i in range(200)])
+    W = np.concatenate([np.zeros((200, 1)), np.cumsum(incs, axis=1)], axis=1)
+    W *= np.sqrt(grid.dt)
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, g_bar, c, grid, W)
+    resid = np.log(x[:, -1]) - c * W[:, -1] - g_bar
     assert abs(resid.mean()) < 0.01
     assert abs(resid.mean()) < 0.1 * c**2 / 2
 
 
-def test_rough_lift_properties():
-    grid = TimeGrid(1.0, 50)
-    a = 1.7
-    lin = solvers.rough_lift_1d(SamplePath(grid, a * grid.times()))
-    assert lin.lift(10, 30) == pytest.approx(
-        0.5 * a**2 * (grid.times()[30] - grid.times()[10]) ** 2
-    )
-    const = solvers.rough_lift_1d(SamplePath(grid, np.full(51, 2.0)))
-    assert const.lift(0, 50) == 0.0
-    Z = fgn.sample_fbm(grid, 0.4, stream(6, "lift"))
-    drv = solvers.rough_lift_1d(Z)
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        i, k, j = sorted(rng.choice(51, size=3, replace=False))
-        assert drv.chen_defect(i, k, j) == pytest.approx(0.0, abs=1e-14)
+@pytest.mark.parametrize("a2", [1.0, -1.0])
+def test_long_range_limit_is_driven_by_the_hermite_path(a2):
+    # additive noise and constant drift: Heun is exact, so the limit endpoint
+    # is x0 + g_bar t + sign(a_2) c Z_t with Z the Hermite path itself
+    from foulim import cli, hermite
+
+    H, t, x0, seed, n = 0.85, 1.0, 0.3, 17, 6
+    one = cli._F_PRESETS["one"]
+    G = ChaosFunction.from_coefficients([0, 0, a2])
+    x = cli._limit_endpoint_samples(G, H, t, x0, one, one, 1.0, n, seed)
+    regime = chaos.classify_regime(2, H)
+    spec = hermite.HermiteSpec(regime.h_star, 2, 60.0 * t, 12000)
+    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec, seed, n, "limit-endpoint-z")[:, 0]
+    expect = x0 + t + np.sign(a2) * chaos.c_constant(G, H) * z
+    np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12)
 
 
 def test_flow_map_exponential():
@@ -212,3 +257,17 @@ def test_inverse_flow_of_sin2_round_trips_flow_map():
     u = np.linspace(-12.0, 12.0, 49)
     x = solvers.flow_map_1d(lambda z: np.sin(z) + 2.0, 0.0, u)
     assert acceptance._inverse_flow_sin2(x) == pytest.approx(u, abs=1e-8)
+
+
+def test_kinetic_read_interpolates_between_grid_points():
+    # a linear-in-time array read at the 50-point report grid off the grid
+    dt = 3e-4
+    t_grid = dt * np.arange(3400)
+    a, b = np.array([[0.7], [-1.3]]), np.array([[2.5], [0.4]])
+    times = TimeGrid(1.0, 50).times()
+    out = solvers._read_on_grid(a + b * t_grid, times, dt)
+    np.testing.assert_allclose(out, a + b * times, rtol=0, atol=1e-12)
+    # on-grid times read their grid point bit for bit
+    vals = stream(8, "read").standard_normal((3, 201))
+    on = TimeGrid(1.0, 20).times()
+    assert np.array_equal(solvers._read_on_grid(vals, on, 1.0 / 200), vals[:, ::10])
