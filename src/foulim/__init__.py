@@ -3,7 +3,8 @@ functionals of the fractional Ornstein-Uhlenbeck process.
 
 Subpackages by responsibility:
 
-- fgn: exact fractional Gaussian noise / fBM sampling (circulant embedding)
+- fgn: the circulant-embedding engine for stationary Gaussian sequences,
+  exact fractional Gaussian noise / fBM on it
 - fou: the stationary rescaled fOU, its autocorrelation and scale integrals
 - chaos: Hermite expansions, scaling regimes, limit constants
 - hermite: Hermite processes (fBM, Rosenblatt, ...) and the coupled

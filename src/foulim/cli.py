@@ -403,6 +403,13 @@ def _cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_parser(sub, command: str, seed_default: int = 0) -> argparse.ArgumentParser:
     """A subcommand parser carrying its own copy of the common options.
 
@@ -412,7 +419,7 @@ def _add_parser(sub, command: str, seed_default: int = 0) -> argparse.ArgumentPa
     """
     sp = sub.add_parser(command)
     sp.add_argument("--seed", type=int, default=seed_default, help="master seed")
-    sp.add_argument("--replicas", type=int, default=1)
+    sp.add_argument("--replicas", type=_positive_int, default=1)
     sp.add_argument("--out", type=str, default=None,
                     help="output path prefix (writes <out>.csv/.json/.config)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -1,11 +1,13 @@
-"""Exact sampling of fractional Gaussian noise and fractional Brownian motion.
+"""Exact sampling of stationary Gaussian sequences, fGN and fBM.
 
-The default sampler is circulant embedding (Davies & Harte 1987, in the
-form given by Dieker 2004): exact in law and O(n log n).  If the
-embedding produces genuinely negative eigenvalues the sampler falls back
-to a dense Cholesky factor of the Toeplitz covariance, capped at
-n <= 4096.  Exactness matters here because everything downstream reads
-rates off exponents.
+One circulant-embedding engine (Davies & Harte 1987, in the form given
+by Dieker 2004) samples any stationary Gaussian sequence from its
+autocovariance, exact in law and O(n log n).  Where the minimal
+embedding has negative eigenvalues beyond rounding level it is doubled,
+extending the autocovariance to the longer range, until it has none
+(Wood & Chan 1994); past a fixed length the sampler raises.  fGN is one
+caller, the stationary fOU of ``fou`` the other.  Exactness matters here
+because everything downstream reads rates off exponents.
 
 The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
 0.5*(t^{2H} + s^{2H} - |t-s|^{2H}).
@@ -14,12 +16,13 @@ The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import integrate
 
 from .paths import SamplePath, TimeGrid, as_hurst
 
 __all__ = [
     "SamplerInfeasibleError",
+    "sample_stationary_batch",
     "fbm_covariance",
     "fgn_autocovariance",
     "sample_fgn",
@@ -28,14 +31,16 @@ __all__ = [
     "mvn_normalizer",
 ]
 
-DENSE_FALLBACK_MAX_N = 4096
-# eigenvalues more negative than this (relative to the max) mean the
-# embedding genuinely failed rather than accumulated rounding noise
-NEGATIVE_EIG_TOL = 1e-10
+# clipping the negative eigenvalues moves every lag of the sampled
+# autocovariance by at most their sum over the circulant length; the
+# embedding is doubled until that is below this fraction of the variance
+NEGATIVE_EIG_TOL = 1e-13
+# the embedding is doubled up to this many lags (a circulant of twice that)
+MAX_EMBEDDING_LAGS = 2**20
 
 
 class SamplerInfeasibleError(RuntimeError):
-    """Circulant embedding failed and n is too large for the dense fallback."""
+    """No circulant embedding up to MAX_EMBEDDING_LAGS lags is usable."""
 
 
 def fbm_covariance(t, s, H) -> np.ndarray | float:
@@ -60,37 +65,48 @@ def fgn_autocovariance(lags, H, dt: float = 1.0) -> np.ndarray:
     return g * dt ** (2 * h)
 
 
-_eig_cache: dict[tuple[float, int], np.ndarray] = {}
-_chol_cache: dict[tuple[float, int], np.ndarray] = {}
+def _embedding_eigenvalues(acov, n: int) -> tuple[int, np.ndarray]:
+    """Half-length m >= n and eigenvalues of the first usable circulant embedding.
+
+    The circulant of length 2m holds acov(0..m) and its mirror image;
+    m doubles from n until its negative eigenvalues sum to at most
+    NEGATIVE_EIG_TOL * 2m * acov(0), and those left are clipped.
+    """
+    m = n
+    while m <= MAX_EMBEDDING_LAGS:
+        g = acov(np.arange(m + 1))
+        lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
+        if -lam[lam < 0].sum() <= NEGATIVE_EIG_TOL * 2 * m * g[0]:
+            return m, np.clip(lam, 0.0, None)
+        m *= 2
+    raise SamplerInfeasibleError(
+        f"no usable circulant embedding of {n} lags up to the cap of "
+        f"{MAX_EMBEDDING_LAGS} lags; the autocovariance may not be positive definite"
+    )
 
 
-def _embedding_eigenvalues(H: float, n: int) -> np.ndarray | None:
-    """FFT eigenvalues of the circulant embedding, or None if infeasible."""
-    key = (H, n)
-    if key in _eig_cache:
-        return _eig_cache[key]
-    g = fgn_autocovariance(np.arange(n + 1), H)
-    circ = np.concatenate([g, g[-2:0:-1]])  # length 2n, symmetric
-    lam = np.fft.fft(circ).real
-    neg = lam.min()
-    if neg < -NEGATIVE_EIG_TOL * lam.max():
-        return None
-    lam = np.clip(lam, 0.0, None)
-    _eig_cache[key] = lam
-    return lam
+def sample_stationary_batch(acov, n: int, rngs) -> np.ndarray:
+    """One stationary Gaussian sequence of n + 1 values per generator in ``rngs``.
 
-
-def _dense_factor(H: float, n: int) -> np.ndarray:
-    key = (H, n)
-    if key not in _chol_cache:
-        if n > DENSE_FALLBACK_MAX_N:
-            raise SamplerInfeasibleError(
-                f"circulant embedding failed for H={H}, n={n} and n exceeds "
-                f"the dense fallback cap {DENSE_FALLBACK_MAX_N}"
-            )
-        gamma = fgn_autocovariance(np.arange(n), H)
-        _chol_cache[key] = linalg.cholesky(linalg.toeplitz(gamma), lower=True)
-    return _chol_cache[key]
+    ``acov`` maps an integer lag array 0..m to the autocovariance there;
+    it is read on lags 0..n, and beyond when the embedding is doubled.
+    Returns shape (len(rngs), n + 1), exact in law.  Each row consumes
+    exactly 2m standard normals from its own stream (m the embedding
+    half-length, which depends on acov and n only), so results are
+    independent of batching.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1 lags")
+    m, lam = _embedding_eigenvalues(acov, n)
+    size = 2 * m
+    raw = np.stack([rng.standard_normal(size) for rng in rngs])
+    W = np.empty((len(raw), size), dtype=complex)
+    W[:, 0] = np.sqrt(lam[0] / size) * raw[:, 0]
+    W[:, m] = np.sqrt(lam[m] / size) * raw[:, 1]
+    half = np.sqrt(lam[1:m] / (2 * size))
+    W[:, 1:m] = half * (raw[:, 2 : m + 1] + 1j * raw[:, m + 1 : size])
+    W[:, m + 1 :] = np.conj(W[:, m - 1 : 0 : -1])
+    return np.fft.fft(W, axis=1).real[:, : n + 1]
 
 
 def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:
@@ -98,28 +114,17 @@ def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:
 
     Returns an array of shape (len(rngs), n) with the exact joint law of
     fBM increments on spacing dt.  Each row consumes exactly 2n standard
-    normals from its own stream, so results are independent of batching.
+    normals from its own stream (the minimal fGN embedding has no
+    negative eigenvalues, so it is never doubled), so results are
+    independent of batching.
     """
     h = as_hurst(H)
     if n < 1:
         raise ValueError("need n >= 1 increments")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rngs = list(rngs)
-    raw = np.stack([rng.standard_normal(2 * n) for rng in rngs])
-    lam = _embedding_eigenvalues(h, n)
-    if lam is None:
-        L = _dense_factor(h, n)
-        return raw[:, :n] @ L.T * dt**h
-
-    m = 2 * n
-    W = np.empty((len(rngs), m), dtype=complex)
-    W[:, 0] = np.sqrt(lam[0] / m) * raw[:, 0]
-    W[:, n] = np.sqrt(lam[n] / m) * raw[:, 1]
-    half = np.sqrt(lam[1:n] / (2 * m))
-    W[:, 1:n] = half * (raw[:, 2 : n + 1] + 1j * raw[:, n + 1 : 2 * n])
-    W[:, n + 1 :] = np.conj(W[:, n - 1 : 0 : -1])
-    return np.fft.fft(W, axis=1).real[:, :n] * dt**h
+    incs = sample_stationary_batch(lambda k: fgn_autocovariance(k, h), n, rngs)
+    return incs[:, :n] * dt**h
 
 
 def sample_fgn(n: int, dt: float, H, rng: np.random.Generator) -> np.ndarray:

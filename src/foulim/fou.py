@@ -9,6 +9,11 @@ rho decays only algebraically, rho(s) ~ sigma^2 H(2H-1) s^{2H-2} for
 H != 1/2 (Cheridito, Kawaguchi & Maejima 2003), which is what drives all
 the scaling-regime behaviour downstream.
 
+The sampler draws the process on a grid directly as a stationary
+Gaussian sequence with autocovariance rho(k dt/eps), on the circulant
+embedding engine of ``fgn``: exact in law at every resolution, with no
+burn-in.
+
 rho is evaluated in closed form, through the incomplete gamma and
 Kummer functions, below s = 30 and by the asymptotic series of
 Cheridito, Kawaguchi & Maejima beyond; both hold on either side of
@@ -20,14 +25,12 @@ independent cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.signal import lfilter
 
 from . import fgn
-from .paths import SamplePath, TimeGrid, as_eps, as_hurst
+from .paths import TimeGrid, as_eps, as_hurst
 from .streams import stream
 
 __all__ = [
@@ -38,7 +41,7 @@ __all__ = [
     "rho_asymptote_constant",
     "rho_power_integral",
     "variance_growth",
-    "sample_fou",
+    "sample_fou_batch",
     "sample_fou_ensemble",
 ]
 
@@ -205,27 +208,17 @@ def variance_growth(m: int, H, t: float, eps: float) -> float:
 
 @dataclass(frozen=True)
 class FouConfig:
-    """Configuration of the rescaled stationary fOU sampler.
+    """Configuration of the rescaled stationary fOU sampler: Hurst index and scale eps.
 
-    sigma defaults to the value that makes the stationary variance 1;
-    burn_in is the pre-horizon relaxation length in units of eps (the
-    residual initialization bias is e^{-burn_in}).
+    The noise amplitude is stationary_sigma(H), so the stationary law is N(0, 1).
     """
 
     H: float
     eps: float
-    sigma: float | None = None
-    burn_in: float = 10.0
 
     def __post_init__(self):
         as_hurst(self.H)
         as_eps(self.eps)
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", stationary_sigma(self.H))
-        elif self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
 
 def _check_resolution(dt: float, eps: float):
@@ -236,75 +229,16 @@ def _check_resolution(dt: float, eps: float):
         )
 
 
-# terms of the zeta series in _grid_variance_ratio; the k-th term is
-# O((dt/eps / 2 pi)^k), below 1e-17 of the leading one from k = 20 for dt <= eps/10
-_POLYLOG_SERIES_TERMS = 24
+def sample_fou_batch(grid: TimeGrid, cfg: FouConfig, rngs) -> np.ndarray:
+    """One stationary fOU path on the grid per generator in ``rngs``.
 
-
-@lru_cache(maxsize=256)
-def _grid_variance_ratio(H, step: float) -> float:
-    """Stationary variance of the exponential-Euler fOU chain, relative to the fOU's.
-
-    The chain y_{k+1} = a y_k + (sigma/eps^H) dB_k, a = e^{-step},
-    step = dt/eps, driven by exact fGN increments dB_k, has stationary
-    variance (sigma/eps^H)^2 sum_{i,j>=0} a^{i+j} gamma(i-j).  With the
-    fGN autocovariance gamma the double sum collapses to
-
-        sigma^2 step^{2H} (1 - a) Li_{-2H}(a) / (a (1 + a)),
-
-    and Li_{-2H}(e^{-step}) = Gamma(1+2H) step^{-1-2H}
-    + sum_k zeta(-2H-k) (-step)^k / k!  (convergent for step < 2 pi).
-    Dividing by the continuous-time variance sigma^2 H Gamma(2H) gives
-    1 + step + O(step^2): +1% at dt = eps/100.
+    Returns shape (len(rngs), n_steps + 1): stationary Gaussian sequences
+    with autocovariance rho(k dt/eps), exact in law.  Requires
+    grid.dt <= eps/10, which the Riemann sums downstream rely on.
     """
-    h = as_hurst(H)
-    k = np.arange(_POLYLOG_SERIES_TERMS)
-    series = np.sum(special.zeta(-2.0 * h - k) * (-step) ** k / special.factorial(k))
-    a = np.exp(-step)
-    prefactor = 2.0 * -np.expm1(-step) / (step * a * (1.0 + a))
-    return float(prefactor * (1.0 + step ** (1.0 + 2.0 * h) / special.gamma(1.0 + 2.0 * h) * series))
-
-
-def _chain_coefficients(dt: float, cfg: FouConfig) -> tuple[float, float]:
-    """Decay a and noise gain of the grid chain y_{k+1} = a y_k + gain dB_k.
-
-    The gain is sigma/eps^H rescaled by _grid_variance_ratio, so the
-    chain's stationary marginal is exactly the fOU's N(0, (sigma/sigma_H)^2),
-    sigma_H = stationary_sigma(H), at every resolution dt/eps.
-    """
-    step = dt / cfg.eps
-    gain = cfg.sigma / cfg.eps ** float(cfg.H) / np.sqrt(_grid_variance_ratio(cfg.H, step))
-    return float(np.exp(-step)), float(gain)
-
-
-def _fou_from_increments(dB: np.ndarray, dt: float, cfg: FouConfig, n_burn: int) -> np.ndarray:
-    """Exponential-Euler recursion y_{k+1} = e^{-dt/eps} y_k + gain dB_k."""
-    a, gain = _chain_coefficients(dt, cfg)
-    y = lfilter([gain], [1.0, -a], dB, axis=-1)
-    out = y[..., n_burn:]
-    # prepend the state at t=0 (end of burn-in); y starts from 0 there if no burn-in
-    if n_burn == 0:
-        lead = np.zeros(out.shape[:-1] + (1,))
-    else:
-        lead = y[..., n_burn - 1 : n_burn]
-    return np.concatenate([lead, out], axis=-1)
-
-
-def sample_fou(grid: TimeGrid, cfg: FouConfig, rng: np.random.Generator) -> SamplePath:
-    """Stationary fOU path on the grid.
-
-    Runs the exponential-Euler update over burn_in*eps of pre-horizon
-    time, driven by exact fGN increments, then returns the segment on
-    [0, horizon].  The noise gain is normalized so the stationary marginal
-    is exact at the grid resolution.  Requires grid.dt <= eps/10.
-    """
-    dt = grid.dt
-    _check_resolution(dt, cfg.eps)
-    n_burn = int(np.ceil(cfg.burn_in * cfg.eps / dt))
-    n_total = n_burn + grid.n_steps
-    dB = fgn.sample_fgn(n_total, dt, cfg.H, rng)
-    values = _fou_from_increments(dB, dt, cfg, n_burn)
-    return SamplePath(grid, values)
+    _check_resolution(grid.dt, cfg.eps)
+    step = grid.dt / cfg.eps
+    return fgn.sample_stationary_batch(lambda k: rho(k * step, cfg.H), grid.n_steps, rngs)
 
 
 def sample_fou_ensemble(
@@ -321,10 +255,5 @@ def sample_fou_ensemble(
     so any contiguous block of replicas can be generated independently and
     the result never depends on batching.
     """
-    dt = grid.dt
-    _check_resolution(dt, cfg.eps)
-    n_burn = int(np.ceil(cfg.burn_in * cfg.eps / dt))
-    n_total = n_burn + grid.n_steps
     rngs = [stream(master_seed, name, replica_offset + i) for i in range(n_replicas)]
-    dB = fgn.sample_fgn_batch(n_total, dt, cfg.H, rngs)
-    return _fou_from_increments(dB, dt, cfg, n_burn)
+    return sample_fou_batch(grid, cfg, rngs)

@@ -140,16 +140,17 @@ def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray, stderrs: np.ndarra
     sig = np.clip(se / v, 1e-12, None)  # delta method
     w = 1.0 / sig**2
 
-    def wls(yy):
-        xm = np.average(x, weights=w)
-        ym = np.average(yy, weights=w)
-        return float(np.sum(w * (x - xm) * (yy - ym)) / np.sum(w * (x - xm) ** 2))
+    xm = np.average(x, weights=w)
 
-    slope = wls(y)
-    rng = stream(seed, "slope-bootstrap")
-    draws = np.empty(BOOTSTRAP_DRAWS)
-    for b in range(BOOTSTRAP_DRAWS):
-        draws[b] = wls(y + sig * rng.standard_normal(len(y)))
+    def wls(yy):
+        """Slope of each row of yy (the last axis runs over the points)."""
+        ym = np.average(yy, axis=-1, weights=w)[..., None]
+        return np.sum(w * (x - xm) * (yy - ym), axis=-1) / np.sum(w * (x - xm) ** 2)
+
+    slope = float(wls(y))
+    # one row of normals per bootstrap draw, in the order a per-draw loop takes them
+    noise = stream(seed, "slope-bootstrap").standard_normal((BOOTSTRAP_DRAWS, len(y)))
+    draws = wls(y + sig * noise)
     lo, hi = np.percentile(draws, [2.5, 97.5])
     return slope, (float(lo), float(hi))
 
@@ -385,16 +386,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             stream(master_seed, "l2-noise", offset + k).standard_normal(n_xi)
             for k in range(count)
         ]) * np.sqrt(dxi)
-        u = W @ A_lim.T  # (count, n_s)
-        if m == 1:
-            series = u * ds
-        elif m == 2:
-            q = (W * W) @ (A_lim * A_lim).T
-            series = (u * u - q) * ds
-        else:
-            q = (W * W) @ (A_lim * A_lim).T
-            r = (W**3) @ (A_lim**3).T
-            series = (u**3 - 3 * q * u + 2 * r) * ds
+        series = hermite._offdiag_series(A_lim, m, W) * ds  # (count, n_s)
         K = chaos.K_normalizer(hs, m)
         Z_t = series.sum(axis=1) * K / math.factorial(m)
         out = np.empty((count, len(eps_arr)))

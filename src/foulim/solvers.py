@@ -207,7 +207,7 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
 def solve_slow_fast(cfg: MultiscaleConfig, rng: np.random.Generator) -> SamplePath:
     """One path of the slow variable driven by a fresh stationary fOU."""
     fine = TimeGrid(cfg.grid.horizon, 2 * cfg.grid.n_steps)
-    y = fou.sample_fou(fine, fou.FouConfig(cfg.H, cfg.eps), rng).values
+    y = fou.sample_fou_batch(fine, fou.FouConfig(cfg.H, cfg.eps), [rng])[0]
     return SamplePath(cfg.grid, _solve_slow_fast_from_y(cfg, y))
 
 

@@ -10,10 +10,10 @@ itself resolvable at N = 2000 (short range: Var u = V_eps = 3.026 against
 the limit c^2 = 3.131, excess kurtosis ~1.2, KS p = 0.0065), so there the
 driver u = phi^{-1}(x_1) is checked against its exact finite-eps mean 0
 and variance V_eps within 3 SE each; the eps = 0.02 KS p-values are
-reported in the details.  Criterion 6's short-range branch is
-near-critical (true excess kurtosis ~0.3 at the pinned eps = 0.005
-against a 0.2 gate) and passes under the pinned master seed; both are
-discussed in the README's verification section.
+reported in the details.  Criterion 6's short-range branch gates the
+excess kurtosis estimate on its exact finite-eps value (0.308 at the
+pinned eps = 0.005) within 3 influence-function SE; both are discussed
+in the README's verification section.
 """
 
 import os

@@ -116,25 +116,38 @@ def test_domain_errors_exit_2(tmp_path, capsys):
                for line in err.splitlines()), err
 
 
+# the required arguments of every subcommand but verify
+REQUIRED_ARGS = {
+    "sample-fbm": ["--H", "0.5"], "sample-fou": ["--H", "0.5", "--eps", "0.1"],
+    "rho": ["--H", "0.5"], "chaos": ["--H", "0.5", "--coeffs", "0,1"],
+    "constants": ["--H", "0.5", "--coeffs", "0,1"], "hermite-sample": ["--H", "0.7"],
+    "clt-scan": ["--H", "0.6", "--coeffs", "0,0,1"],
+    "l2-hermite": ["--H", "0.8", "--coeffs", "0,1"], "kinetic-scan": ["--H", "0.7"],
+    "homogenize": ["--H", "0.6", "--coeffs", "0,0,1"],
+}
+
+
 def test_seed_defaults_per_subcommand():
     # argparse parents share Action objects: a default set for one
     # subcommand must not leak into the others
     parser = cli._build_parser()
-    required = {
-        "sample-fbm": ["--H", "0.5"], "sample-fou": ["--H", "0.5", "--eps", "0.1"],
-        "rho": ["--H", "0.5"], "chaos": ["--H", "0.5", "--coeffs", "0,1"],
-        "constants": ["--H", "0.5", "--coeffs", "0,1"], "hermite-sample": ["--H", "0.7"],
-        "clt-scan": ["--H", "0.6", "--coeffs", "0,0,1"],
-        "l2-hermite": ["--H", "0.8", "--coeffs", "0,1"], "kinetic-scan": ["--H", "0.7"],
-        "homogenize": ["--H", "0.6", "--coeffs", "0,0,1"],
-    }
     subactions = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
-    assert set(subactions.choices) == set(required) | {"verify"}
-    for command, argv in required.items():
+    assert set(subactions.choices) == set(REQUIRED_ARGS) | {"verify"}
+    for command, argv in REQUIRED_ARGS.items():
         assert parser.parse_args([command, *argv]).seed == 0, command
     assert parser.parse_args(["verify"]).seed == acceptance.MASTER_SEED
     assert parser.parse_args(["verify", "--seed", "5"]).seed == 5
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS) + ["verify"])
+def test_non_positive_replicas_is_a_usage_error(command, tmp_path, capsys):
+    for replicas in ("0", "-3"):
+        argv = [command, *REQUIRED_ARGS.get(command, []), "--replicas", replicas,
+                "--out", str(tmp_path / "x")]
+        assert run(argv) == 1
+        assert "--replicas: must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_numerical_failures_exit_2(monkeypatch, capsys):

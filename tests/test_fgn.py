@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from conftest import engine_covariance
 from foulim import fgn
 from foulim.paths import TimeGrid
 from foulim.streams import stream
@@ -98,22 +99,31 @@ def test_batch_matches_single_stream_draws():
     np.testing.assert_array_equal(batch, singles)
 
 
-def test_dense_fallback_agrees_with_toeplitz_factor(monkeypatch):
-    H, n = 0.8, 64
-    monkeypatch.setattr(fgn, "_embedding_eigenvalues", lambda h, m: None)
-    fgn._chol_cache.clear()
-    z = fgn.sample_fgn(n, 0.5, H, stream(4, "dense"))
-    # the fallback is L @ z with L the Cholesky factor; check the factor
-    L = fgn._dense_factor(H, n)
-    gamma = fgn.fgn_autocovariance(np.arange(n), H)
-    np.testing.assert_allclose(L @ L.T, linalg.toeplitz(gamma), atol=1e-10)
-    assert z.shape == (n,)
+@pytest.mark.parametrize("H", [0.05, 0.5, 0.95])
+def test_fgn_sampler_covariance_is_exact(H):
+    n = 64
+    cov = engine_covariance(lambda k: fgn.fgn_autocovariance(k, H), n)
+    gamma = fgn.fgn_autocovariance(np.arange(n + 1), H)
+    np.testing.assert_allclose(cov, linalg.toeplitz(gamma), rtol=0, atol=1e-12)
 
 
-def test_sampler_infeasible_error(monkeypatch):
-    monkeypatch.setattr(fgn, "_embedding_eigenvalues", lambda h, m: None)
-    with pytest.raises(fgn.SamplerInfeasibleError):
-        fgn.sample_fgn(fgn.DENSE_FALLBACK_MAX_N + 1, 1.0, 0.9, stream(0, "big"))
+@pytest.mark.parametrize("H", [0.001, 0.2, 0.5, 0.8, 0.999])
+def test_fgn_embedding_is_never_doubled(H):
+    for n in (1, 2, 17, 256, 4097):
+        m, _ = fgn._embedding_eigenvalues(lambda k: fgn.fgn_autocovariance(k, H), n)
+        assert m == n
+
+
+def test_non_positive_definite_autocovariance_raises_at_the_cap():
+    calls = []
+
+    def acov(k):  # |correlation| 1.2 > 1 at every nonzero lag: no process has it
+        calls.append(len(k) - 1)
+        return np.where(k == 0, 1.0, 1.2)
+
+    with pytest.raises(fgn.SamplerInfeasibleError, match="cap"):
+        fgn.sample_stationary_batch(acov, 3, [stream(0, "npd")])
+    assert calls[0] == 3 and calls[-1] <= fgn.MAX_EMBEDDING_LAGS < 2 * calls[-1]
 
 
 def test_mvn_normalizer_closed_form():

@@ -1,11 +1,12 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from foulim import fou
+from conftest import engine_covariance
+from foulim import fgn, fou
 from foulim.paths import TimeGrid
 from foulim.streams import stream
 
@@ -288,7 +289,7 @@ def test_sample_fou_holder_diagnostic():
 def test_sample_fou_under_resolved_raises():
     grid = TimeGrid(1.0, 50)  # dt = 0.02 > eps/10
     with pytest.raises(ValueError, match="under-resolved"):
-        fou.sample_fou(grid, fou.FouConfig(0.7, 0.1), stream(0, "x"))
+        fou.sample_fou_batch(grid, fou.FouConfig(0.7, 0.1), [stream(0, "x")])
 
 
 def test_fou_config_validation():
@@ -296,42 +297,63 @@ def test_fou_config_validation():
         fou.FouConfig(0.7, 1.5)
     with pytest.raises(ValueError):
         fou.FouConfig(1.2, 0.5)
-    cfg = fou.FouConfig(0.6, 0.5)
-    assert cfg.sigma == pytest.approx(fou.stationary_sigma(0.6))
 
 
-def chain_variance_oracle(H, step, a, gain, dt):
-    """Stationary variance of y_{k+1} = a y_k + gain dB_k by direct summation.
+def implied_autocovariance(H, step, n):
+    """Autocovariance on lags 0..n of the circulant the fOU sampler draws from.
 
-    Var = gain^2 (gamma(0) + 2 sum_{k>=1} a^k gamma(k)) / (1 - a^2) over the
-    fGN autocovariance gamma, truncated where a^k < 1e-20.  gamma(k) is
-    formed as k^{2H}/2 * (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))),
-    which keeps the second difference accurate at large lags.
+    The first n + 1 entries of ifft(lambda), lambda the (clipped)
+    eigenvalues of the embedding the engine settles on.
     """
-    k = np.arange(1, int(np.ceil(46.0 / step)) + 1, dtype=float)
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1 is exact
-        g = 0.5 * k ** (2 * H) * (np.expm1(2 * H * np.log1p(1.0 / k))
-                                  + np.expm1(2 * H * np.log1p(-1.0 / k)))
-    s = 1.0 + 2.0 * math.fsum(a**k * g)
-    return gain**2 * dt ** (2 * H) * s / (1.0 - a * a)
+    m, lam = fgn._embedding_eigenvalues(lambda k: fou.rho(k * step, H), n)
+    return m, np.fft.ifft(lam).real[: n + 1]
+
+
+@pytest.mark.parametrize("H, step, n, padded", [
+    (0.3, 1 / 10, 1000, False),
+    (0.7, 1 / 50, 2000, False),
+    (0.85, 1 / 50, 100, True),
+    (0.85, 1 / 50, 500, True),
+    (0.95, 1 / 100, 5000, True),
+    (0.99, 1 / 200, 2, True),
+])
+def test_fou_embedding_reproduces_rho(H, step, n, padded):
+    m, acov = implied_autocovariance(H, step, n)
+    assert (m > n) == padded
+    np.testing.assert_allclose(acov, fou.rho(np.arange(n + 1) * step, H), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("H", [0.3, 0.6, 0.85])
 @pytest.mark.parametrize("step", [1 / 10, 1 / 50, 1 / 100])
-def test_grid_chain_stationary_variance_is_exact(H, step):
-    eps = 0.05
-    dt = step * eps
-    cfg = fou.FouConfig(H, eps)
-    a, gain = fou._chain_coefficients(dt, cfg)
-    assert a == pytest.approx(np.exp(-step), rel=1e-15)
-    assert chain_variance_oracle(H, step, a, gain, dt) == pytest.approx(1.0, abs=1e-12)
-    # the oracle does see the O(dt/eps) bias of the unnormalized gain sigma/eps^H
-    raw = chain_variance_oracle(H, step, a, cfg.sigma / eps**H, dt)
-    assert raw - 1.0 == pytest.approx(step, rel=0.1)
+def test_fou_sampler_covariance_is_exact(H, step):
+    # at H = 0.85 the embedding is doubled once (step 1/50) and twice (1/100)
+    n = 500
+    lags = np.arange(n + 1)
+    cov = engine_covariance(lambda k: fou.rho(k * step, H), n)
+    exact = fou.rho((lags[:, None] - lags[None, :]) * step, H)
+    np.testing.assert_allclose(cov, exact, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(H=st.floats(0.01, 0.99), inv_step=st.floats(10.0, 200.0), n=st.integers(1, 5000))
+def test_fou_embedding_reproduces_rho_property(H, inv_step, n):
+    step = 1.0 / inv_step
+    _, acov = implied_autocovariance(H, step, n)
+    np.testing.assert_allclose(acov, fou.rho(np.arange(n + 1) * step, H), rtol=0, atol=1e-12)
+
+
+def test_sample_fou_rows_do_not_depend_on_batching():
+    grid, cfg = TimeGrid(0.02, 100), fou.FouConfig(0.85, 0.01)  # a padded embedding
+    whole = fou.sample_fou_ensemble(grid, cfg, 3, 5, "batch")
+    parts = [fou.sample_fou_ensemble(grid, cfg, 3, 2, "batch"),
+             fou.sample_fou_ensemble(grid, cfg, 3, 3, "batch", replica_offset=2)]
+    np.testing.assert_array_equal(whole, np.concatenate(parts))
+    single = fou.sample_fou_batch(grid, cfg, [stream(3, "batch", 4)])
+    np.testing.assert_array_equal(whole[4:], single)
 
 
 def test_sample_fou_centred_he2_at_coarse_resolution():
-    # dt = eps/10, where the unnormalized gain gave E[He_2(y)] = +0.10
+    # dt = eps/10, the coarsest resolution the sampler accepts
     eps = 0.1
     grid = TimeGrid(0.1, 10)
     for H in (0.3, 0.85):

@@ -4,6 +4,7 @@ import pytest
 from foulim import chaos, fou, harness
 from foulim.chaos import ChaosFunction
 from foulim.paths import SamplePath, TimeGrid
+from foulim.streams import stream
 
 H1 = ChaosFunction.from_coefficients([0, 1.0])
 H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
@@ -176,3 +177,28 @@ def test_fit_loglog_slope_recovers_power_law():
     slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, 0.01 * values, 0)
     assert slope == pytest.approx(-1.5, abs=0.02)
     assert lo < -1.5 < hi
+
+
+def bootstrap_ci_by_loop(inv_eps, values, stderrs, seed):
+    """The slope CI with one weighted LSQ fit per bootstrap draw."""
+    x, y = np.log(inv_eps), np.log(values)
+    sig = np.clip(stderrs / values, 1e-12, None)
+    w = 1.0 / sig**2
+
+    def wls(yy):
+        xm, ym = np.average(x, weights=w), np.average(yy, weights=w)
+        return np.sum(w * (x - xm) * (yy - ym)) / np.sum(w * (x - xm) ** 2)
+
+    rng = stream(seed, "slope-bootstrap")
+    draws = [wls(y + sig * rng.standard_normal(len(y))) for _ in range(harness.BOOTSTRAP_DRAWS)]
+    return np.percentile(draws, [2.5, 97.5])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_fit_loglog_slope_ci_matches_per_draw_loop(seed):
+    eps = np.array([0.1, 0.05, 0.02, 0.01])
+    values = np.array([0.31, 0.22, 0.12, 0.09])
+    stderrs = np.array([0.02, 0.01, 0.015, 0.006])
+    _, ci = harness.fit_loglog_slope(1 / eps, values, stderrs, seed)
+    np.testing.assert_allclose(ci, bootstrap_ci_by_loop(1 / eps, values, stderrs, seed),
+                               rtol=0, atol=1e-12)
