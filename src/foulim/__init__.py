@@ -7,8 +7,8 @@ Subpackages by responsibility:
   exact fractional Gaussian noise / fBM on it
 - fou: the stationary rescaled fOU, its autocorrelation and scale integrals
 - chaos: Hermite expansions, scaling regimes, limit constants
-- hermite: Hermite processes (fBM, Rosenblatt, ...) and the coupled
-  Wiener-kernel construction of the fOU
+- hermite: Hermite processes (fBM, Rosenblatt, ...) and the Wiener
+  kernel of the fOU
 - harness: replica ensembles, variance scans, distributional diagnostics
 - solvers: slow/fast systems, Young and Stratonovich limit equations,
   the kinetic (second-order) coupling
@@ -19,8 +19,8 @@ Subpackages by responsibility:
 from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction, Regime, ScalingRegime
 from .fou import FouConfig
-from .hermite import HermiteSpec, SharedNoise
-from .paths import SamplePath, TimeGrid
+from .hermite import HermiteSpec
+from .paths import TimeGrid
 from .streams import stream
 
 __version__ = "0.1.0"
@@ -30,9 +30,7 @@ __all__ = [
     "FouConfig",
     "HermiteSpec",
     "Regime",
-    "SamplePath",
     "ScalingRegime",
-    "SharedNoise",
     "TimeGrid",
     "chaos",
     "fgn",

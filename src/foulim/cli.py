@@ -111,7 +111,7 @@ def _path_rows(times, matrix):
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_sample_fbm(args) -> int:
+def _cmd_fbm_paths(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
     rngs = [stream(args.seed, "cli-fbm", r) for r in range(args.replicas)]
     incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, args.H, rngs)
@@ -200,16 +200,18 @@ def _cmd_constants(args) -> int:
 def _cmd_hermite_sample(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
     spec = hermite.HermiteSpec(args.H, args.m, args.xi_window, args.n_xi)
-    mats = []
-    for r in range(args.replicas):
-        rng = stream(args.seed, "cli-hermite", r)
-        noise = hermite.sample_shared_noise(spec.xi_window, grid.horizon, spec.n_xi, rng)
-        mats.append(hermite.hermite_values(grid, spec, noise))
+    every_step = np.arange(grid.n_steps + 1)
+
+    def make_chunk(offset, count):
+        return hermite.hermite_ensemble(grid, spec, args.seed, count, "cli-hermite",
+                                        every_step, offset)
+
+    mat = harness.run_replicated(args.replicas, make_chunk, args.threads)
     params = dict(H=args.H, m=args.m, xi_window=args.xi_window, n_xi=args.n_xi,
                   horizon=args.horizon, n_steps=args.n_steps,
                   replicas=args.replicas, seed=args.seed)
     _echo(args, "hermite-sample", params)
-    _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mats),
+    _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mat),
                 {"command": "hermite-sample", **params})
     return 0
 
@@ -444,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=int, default=256)
-    sp.set_defaults(func=_cmd_sample_fbm)
+    sp.set_defaults(func=_cmd_fbm_paths)
 
     sp = _add_parser(sub, "sample-fou")
     sp.add_argument("--H", type=float, required=True)

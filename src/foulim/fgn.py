@@ -10,24 +10,24 @@ caller, the stationary fOU of ``fou`` the other.  Exactness matters here
 because everything downstream reads rates off exponents.
 
 The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
-0.5*(t^{2H} + s^{2H} - |t-s|^{2H}).
+0.5*(t^{2H} + s^{2H} - |t-s|^{2H}); a path is the cumulative sum of a
+``sample_fgn_batch`` row.  The Mandelbrot-Van Ness normalizer c1(H) of
+the moving-average representation is evaluated in closed form.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
-from .paths import SamplePath, TimeGrid, as_hurst
+from .paths import as_hurst
 
 __all__ = [
     "SamplerInfeasibleError",
     "sample_stationary_batch",
     "fbm_covariance",
     "fgn_autocovariance",
-    "sample_fgn",
     "sample_fgn_batch",
-    "sample_fbm",
     "mvn_normalizer",
 ]
 
@@ -127,31 +127,17 @@ def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:
     return incs[:, :n] * dt**h
 
 
-def sample_fgn(n: int, dt: float, H, rng: np.random.Generator) -> np.ndarray:
-    """n increments of fBM on spacing dt, exact in law."""
-    return sample_fgn_batch(n, dt, H, [rng])[0]
-
-
-def sample_fbm(grid: TimeGrid, H, rng: np.random.Generator) -> SamplePath:
-    """Fractional Brownian motion on the grid, started at 0."""
-    incs = sample_fgn(grid.n_steps, grid.dt, H, rng)
-    values = np.concatenate([[0.0], np.cumsum(incs)])
-    return SamplePath(grid, values)
-
-
 def mvn_normalizer(H) -> float:
     """Moving-average normalizer c1(H) for the two-sided representation.
 
     c1(H)^2 = int_{-inf}^0 ((1-s)^{H-1/2} - (-s)^{H-1/2})^2 ds + 1/(2H),
     the L2 norm of the Mandelbrot-Van Ness kernel at t = 1, so that
     B_t = (1/c1) int ((t-s)_+^{H-1/2} - (-s)_+^{H-1/2}) dW_s has unit
-    variance at t = 1.
+    variance at t = 1.  The integral has the closed form
+    c1(H)^2 = Gamma(H+1/2)^2 / (Gamma(2H+1) sin(pi H)) on all of (0, 1)
+    (Mandelbrot & Van Ness 1968).
     """
     h = as_hurst(H)
-    a = h - 0.5
-
-    def body(x):
-        return ((1.0 + x) ** a - x**a) ** 2
-
-    tail, _ = integrate.quad(body, 0.0, np.inf, limit=400)
-    return float(np.sqrt(tail + 1.0 / (2.0 * h)))
+    return float(
+        special.gamma(h + 0.5) / np.sqrt(special.gamma(2.0 * h + 1.0) * np.sin(np.pi * h))
+    )

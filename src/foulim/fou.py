@@ -40,7 +40,6 @@ __all__ = [
     "rho",
     "rho_asymptote_constant",
     "rho_power_integral",
-    "variance_growth",
     "sample_fou_batch",
     "sample_fou_ensemble",
 ]
@@ -188,22 +187,6 @@ def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
         1.0 / -tail_exp + second * s_max**-2.0 / (2.0 - tail_exp)
     )
     return head + tail
-
-
-def variance_growth(m: int, H, t: float, eps: float) -> float:
-    """Predicted order of (int_0^{t/eps} int_0^{t/eps} |rho|^m)^{1/2}.
-
-    sqrt(t/eps * int rho^m), sqrt((t/eps)|ln eps|) or (t/eps)^{H*(m)}
-    depending on the regime of H*(m).
-    """
-    h = as_hurst(H)
-    hs = _h_star(m, h)
-    tau = t / eps
-    if abs(hs - 0.5) <= 1e-12:
-        return float(np.sqrt(tau * abs(np.log(eps))))
-    if hs < 0.5:
-        return float(np.sqrt(tau * rho_power_integral(m, h)))
-    return float(tau**hs)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from scipy import stats
 
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
-from .paths import SamplePath, TimeGrid, as_hurst
+from .paths import TimeGrid, as_hurst
 from .streams import stream
 
 __all__ = [
@@ -31,14 +31,12 @@ __all__ = [
     "run_replicated",
     "fsum_mean",
     "fsum_variance",
-    "functional_integral",
     "functional_values",
     "fit_loglog_slope",
     "variance_scan",
     "clt_diagnostics",
     "joint_covariance_check",
     "l2_convergence_hermite",
-    "moment_bound_check",
 ]
 
 CHUNK_SIZE = 250
@@ -98,15 +96,6 @@ def fsum_variance(x, ddof: int = 1) -> float:
     return math.fsum(((x - mu) ** 2).tolist()) / (len(x) - ddof)
 
 
-def functional_integral(G, y: SamplePath, alpha: float = 1.0) -> SamplePath:
-    """Path t -> alpha * int_0^t G(y_s) ds by the cumulative trapezoid rule."""
-    gy = np.asarray(G(y.values), dtype=float)
-    dt = y.grid.dt
-    inner = 0.5 * (gy[1:] + gy[:-1])
-    vals = alpha * dt * np.concatenate([[0.0], np.cumsum(inner)])
-    return SamplePath(y.grid, vals)
-
-
 def functional_values(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) -> np.ndarray:
     """Endpoint alpha * int_0^T G(y) for each replica row of y_matrix."""
     gy = np.asarray(G(y_matrix), dtype=float)
@@ -115,6 +104,7 @@ def functional_values(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) ->
 
 
 def _functional_cumulative(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) -> np.ndarray:
+    """Paths t -> alpha * int_0^t G(y_s) ds per replica row (cumulative trapezoid)."""
     gy = np.asarray(G(y_matrix), dtype=float)
     inner = 0.5 * (gy[:, 1:] + gy[:, :-1])
     out = np.empty_like(gy)
@@ -408,45 +398,3 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
         meta={"monotone_decreasing": monotone, "statistic": "coupled_l2_distance",
               "limit_coefficient": lam, "hermite_order": m, "h_star": hs},
     )
-
-
-def moment_bound_check(G: ChaosFunction, p: float, H, t: float, eps_list,
-                       n_replicas: int, master_seed: int = 0,
-                       dt_ratio: float = 50.0, threads: int = 1) -> dict:
-    """p-th moment of int_0^t G(y^eps) against the regime bound shape.
-
-    The ratio ||int G||_p / bound(eps) must stay bounded across eps, with
-    bound sqrt(eps t int|rho|^m), sqrt(eps t |ln eps|) or
-    t^{H*} eps^{1-H*} per regime.
-    """
-    if p <= 2:
-        raise ValueError("moment order p must exceed 2")
-    h = as_hurst(H)
-    m = G.hermite_rank
-    regime = chaos.classify_regime(m, h)
-    eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
-    ratios = np.empty(len(eps_arr))
-    moments = np.empty(len(eps_arr))
-    for i, eps in enumerate(eps_arr):
-        x = _fou_endpoint_samples(
-            G, h, t, eps, n_replicas, master_seed, f"mom-eps{i}", dt_ratio, 1.0,
-            threads,
-        )
-        mom = fsum_mean(np.abs(x) ** p) ** (1.0 / p)
-        if regime.kind is Regime.SHORT_RANGE:
-            bound = np.sqrt(eps * t * fou.rho_power_integral(m, h))
-        elif regime.kind is Regime.BOUNDARY:
-            bound = np.sqrt(eps * t * abs(np.log(eps)))
-        else:
-            bound = t**regime.h_star * eps ** (1.0 - regime.h_star)
-        moments[i] = mom
-        ratios[i] = mom / bound
-    return {
-        "eps": eps_arr,
-        "p": p,
-        "moments": moments,
-        "ratios": ratios,
-        "ratio_spread": float(ratios.max() / ratios.min()),
-        "regime": regime.kind.value,
-        "n": n_replicas,
-    }

@@ -12,37 +12,31 @@ enters through exact per-cell averages, and the off-diagonal sums reduce
 to power sums of the per-time projections u_s = sum_i a_s[i] W_i, which
 keeps the cost at O(n_s * n_xi) for every m <= 3.
 
-The same noise grid carries the Wiener representation of the fast fOU,
+``ghat`` is the moving-average kernel of the fast fOU,
 y^eps_t = eps^{-1/2} int ghat((t-s)/eps) dW_s (Taqqu's moving-average
-framework), which is what makes L2 (not merely weak) convergence of the
-scaled functionals toward the Hermite limits directly measurable on
-coupled samples.
+framework).  ``harness.l2_convergence_hermite`` builds both the fOU and
+the Hermite limit from one white noise on a shared cell grid, which is
+what makes L2 (not merely weak) convergence of the scaled functionals
+toward the Hermite limits directly measurable on coupled samples.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from . import chaos, fou
-from .paths import SamplePath, TimeGrid, as_hurst
+from .paths import TimeGrid, as_hurst
+from .streams import stream
 
 __all__ = [
     "HermiteSpec",
-    "SharedNoise",
-    "sample_shared_noise",
-    "hermite_kernel",
-    "sample_hermite",
-    "hermite_values",
     "hermite_ensemble",
     "ghat",
-    "fou_kernel_h_eps",
-    "sample_fou_from_kernel",
-    "fou_values_from_kernel",
-    "kernel_l2_distance",
     "truncation_bias_estimate",
 ]
 
@@ -81,51 +75,6 @@ class HermiteSpec:
     def kernel_exponent(self) -> float:
         """(H-1)/m - 1/2, the power on each factor (s - xi)_+."""
         return (self.H - 1.0) / self.m - 0.5
-
-
-@dataclass
-class SharedNoise:
-    """White-noise increments on a uniform xi grid covering [-xi_window, T].
-
-    increments[i] ~ N(0, dxi) independent, attached to cell
-    [edges[i], edges[i+1]).
-    """
-
-    edges: np.ndarray = field(repr=False)
-    increments: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.increments) != len(self.edges) - 1:
-            raise ValueError("need one increment per grid cell")
-
-    @property
-    def dxi(self) -> float:
-        return float(self.edges[1] - self.edges[0])
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-
-def sample_shared_noise(
-    xi_window: float, horizon: float, n_xi: int, rng: np.random.Generator
-) -> SharedNoise:
-    edges = np.linspace(-xi_window, horizon, n_xi + 1)
-    dxi = edges[1] - edges[0]
-    incs = rng.standard_normal(n_xi) * np.sqrt(dxi)
-    return SharedNoise(edges, incs)
-
-
-def hermite_kernel(s: float, xi, H: float, m: int) -> float:
-    """prod_j (s - xi_j)_+^{(H-1)/m - 1/2}; zero once any xi_j >= s."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape[-1] != m:
-        raise ValueError(f"expected {m} coordinates, got {xi.shape[-1]}")
-    b = (H - 1.0) / m - 0.5
-    d = s - xi
-    if np.any(d <= 0.0):
-        return 0.0
-    return float(np.prod(d**b))
 
 
 def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, b: float) -> np.ndarray:
@@ -210,9 +159,7 @@ def _exact_variances(A_hat: np.ndarray, m: int, ds: float) -> np.ndarray:
     return 6.0 * (full - 3.0 * pair + 2.0 * triple)
 
 
-_norm_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=8)  # each entry holds n_steps * n_xi floats
 def _sampler_arrays(grid: TimeGrid, spec: HermiteSpec):
     """Kernel matrix and per-time normalization for a (grid, spec) pair.
 
@@ -221,11 +168,18 @@ def _sampler_arrays(grid: TimeGrid, spec: HermiteSpec):
     the multiple integral is matched exactly at second order,
     Var(Z_t) = t^{2H}, absorbing the cell-projection and window losses
     that plain K/m! scaling would leave (those vanish only at impractical
-    resolutions for m >= 2).
+    resolutions for m >= 2).  Both arrays are cached and must not be
+    modified; when a pair is built, it warns if the xi window cuts off
+    more than a quarter of the kernel mass.
     """
-    key = (spec.H, spec.m, spec.xi_window, spec.n_xi, grid.horizon, grid.n_steps)
-    if key in _norm_cache:
-        return _norm_cache[key]
+    bias = truncation_bias_estimate(spec, grid.horizon)
+    if bias > 0.25:
+        warnings.warn(
+            f"xi_window={spec.xi_window} truncates an estimated {bias:.1%} of the "
+            "raw kernel mass; the variance is renormalized exactly but the "
+            "correlation shape may be distorted",
+            stacklevel=3,
+        )
     edges = np.linspace(-spec.xi_window, grid.horizon, spec.n_xi + 1)
     dxi = edges[1] - edges[0]
     s_mid = grid.times()[:-1] + 0.5 * grid.dt
@@ -234,32 +188,7 @@ def _sampler_arrays(grid: TimeGrid, spec: HermiteSpec):
     t = grid.times()
     scale = np.zeros(grid.n_steps + 1)
     scale[1:] = t[1:] ** spec.H / np.sqrt(V[1:])
-    _norm_cache[key] = (A_hat, scale)
     return A_hat, scale
-
-
-def hermite_values(grid: TimeGrid, spec: HermiteSpec, noise: SharedNoise) -> np.ndarray:
-    """Values of Z^{H,m} on the grid for one noise realization."""
-    if noise.edges[0] > -spec.xi_window + 1e-12 or noise.edges[-1] < grid.horizon - 1e-12:
-        raise ValueError("noise grid does not cover [-xi_window, horizon]")
-    if len(noise.increments) != spec.n_xi:
-        raise ValueError("noise resolution does not match spec.n_xi")
-    bias = truncation_bias_estimate(spec, grid.horizon)
-    if bias > 0.25:
-        warnings.warn(
-            f"xi_window={spec.xi_window} truncates an estimated {bias:.1%} of the "
-            "raw kernel mass; the variance is renormalized exactly but the "
-            "correlation shape may be distorted",
-            stacklevel=2,
-        )
-    A_hat, scale = _sampler_arrays(grid, spec)
-    N = noise.increments / np.sqrt(noise.dxi)
-    series = _offdiag_series(A_hat, spec.m, N)
-    return np.concatenate([[0.0], np.cumsum(series * grid.dt)]) * scale
-
-
-def sample_hermite(grid: TimeGrid, spec: HermiteSpec, noise: SharedNoise) -> SamplePath:
-    return SamplePath(grid, hermite_values(grid, spec, noise))
 
 
 def hermite_ensemble(
@@ -275,10 +204,13 @@ def hermite_ensemble(
 
     Row i is driven by the noise of stream (master_seed, name,
     replica_offset + i); report_idx selects grid indices (default: the
-    endpoint only).
+    endpoint only).  A row is reproducible for a fixed chunking, but not
+    bit-identical across chunkings: the projections are one matrix
+    product over all rows, whose rounding depends on the row count, so
+    the same replica drawn in chunks of different sizes moves in the
+    last few ulps.  Callers that promise bit-identical output fix the
+    chunk size, as ``harness.run_replicated`` does.
     """
-    from .streams import stream
-
     if report_idx is None:
         report_idx = np.array([grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
@@ -367,76 +299,3 @@ def ghat(v, H) -> np.ndarray | float:
         out[a : a + _EVAL_CHUNK] = _ghat_shape(blk, h)
     out = amp * out.reshape(v_arr.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def fou_kernel_h_eps(t, s, eps: float, H) -> np.ndarray | float:
-    """Wiener kernel h_eps(t, s) of the rescaled stationary fOU.
-
-    y^eps_t = int_R h_eps(t, s) dW_s with
-    h_eps(t, s) = eps^{-1/2} ghat((t - s)/eps); zero for s >= t.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return ghat((t - s) / eps, H) / np.sqrt(eps)
-
-
-def fou_values_from_kernel(
-    times: np.ndarray, eps: float, H, noise: SharedNoise
-) -> np.ndarray:
-    """y^eps at the given times as a discrete convolution of the noise."""
-    h = as_hurst(H)
-    lags = (times[:, None] - noise.midpoints[None, :]) / eps
-    M = ghat(lags, h) / np.sqrt(eps)
-    return M @ noise.increments
-
-
-def sample_fou_from_kernel(grid: TimeGrid, eps: float, H, noise: SharedNoise) -> SamplePath:
-    """Stationary fOU path built from shared white noise.
-
-    Coupled to sample_hermite through the same SharedNoise; requires the
-    noise resolution to resolve the fast scale (dxi <= eps/10).
-    """
-    if noise.dxi > eps / fou.MIN_STEPS_PER_EPS * (1 + 1e-12):
-        raise ValueError(
-            f"under-resolved fast scale: noise dxi={noise.dxi:.3g} > eps/10"
-        )
-    return SamplePath(grid, fou_values_from_kernel(grid.times(), eps, H, noise))
-
-
-def kernel_l2_distance(
-    eps: float,
-    H,
-    m: int,
-    t: float = 1.0,
-    xi_lo: float = -30.0,
-    n_xi: int = 2000,
-    n_s: int = 200,
-) -> float:
-    """Discretized L2(R^m) distance between the scaled fOU kernel and its limit.
-
-    Compares eps^{H*(m)-1} int_0^t prod_i h_eps(s, u_i) ds against
-    C(H)^m int_0^t prod_i (s - u_i)_+^{H-3/2} ds on a uniform u lattice.
-    The distance must decrease as eps -> 0 (kernel L2 convergence).
-    """
-    h = as_hurst(H)
-    if m not in (1, 2):
-        raise ValueError("kernel distance check supports m in {1, 2}")
-    hs = chaos.h_star(m, h)
-    s_grid = (np.arange(n_s) + 0.5) * (t / n_s)
-    ds = t / n_s
-    edges = np.linspace(xi_lo, t, n_xi + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    dxi = edges[1] - edges[0]
-    Heps = ghat((s_grid[:, None] - mids[None, :]) / eps, h) / np.sqrt(eps)
-    P = _cell_averaged_kernel(s_grid, edges, h - 1.5)
-    C = fou.kernel_amplitude(h)
-    if m == 1:
-        diff = eps ** (hs - 1.0) * (Heps.T @ np.full(n_s, ds)) - C * (
-            P.T @ np.full(n_s, ds)
-        )
-        return float(np.sqrt(np.sum(diff**2) * dxi))
-    Aeps = eps ** (hs - 1.0) * (Heps.T * ds) @ Heps
-    A0 = C**2 * (P.T * ds) @ P
-    return float(np.sqrt(np.sum((Aeps - A0) ** 2) * dxi * dxi))

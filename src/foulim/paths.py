@@ -1,12 +1,12 @@
-"""Uniform time grids, sample paths, and the Hurst and scale parameters."""
+"""Uniform time grids and the Hurst and scale parameters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeGrid", "SamplePath", "as_hurst", "as_eps"]
+__all__ = ["TimeGrid", "as_hurst", "as_eps"]
 
 
 def as_hurst(H) -> float:
@@ -47,25 +47,3 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-
-@dataclass
-class SamplePath:
-    """One realization of a process on a uniform grid (n_steps + 1 values)."""
-
-    grid: TimeGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_steps + 1,):
-            raise ValueError(
-                f"path length {self.values.shape} does not match grid "
-                f"({self.grid.n_steps + 1} points)"
-            )
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)

@@ -27,12 +27,11 @@ from scipy.signal import lfilter
 from . import chaos, fgn, fou
 from .chaos import ChaosFunction
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
-from .paths import SamplePath, TimeGrid, as_eps, as_hurst
+from .paths import TimeGrid, as_eps, as_hurst
 from .streams import stream
 
 __all__ = [
     "MultiscaleConfig",
-    "solve_slow_fast",
     "solve_slow_fast_endpoints",
     "solve_limit_young",
     "solve_limit_stratonovich",
@@ -202,13 +201,6 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
             )
         out[..., k + 1] = x
     return out
-
-
-def solve_slow_fast(cfg: MultiscaleConfig, rng: np.random.Generator) -> SamplePath:
-    """One path of the slow variable driven by a fresh stationary fOU."""
-    fine = TimeGrid(cfg.grid.horizon, 2 * cfg.grid.n_steps)
-    y = fou.sample_fou_batch(fine, fou.FouConfig(cfg.H, cfg.eps), [rng])[0]
-    return SamplePath(cfg.grid, _solve_slow_fast_from_y(cfg, y))
 
 
 def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,

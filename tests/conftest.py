@@ -4,12 +4,6 @@ import numpy as np
 import pytest
 
 
-def kurtosis(x):
-    x = np.asarray(x, dtype=float)
-    z = (x - x.mean()) / x.std()
-    return float((z**4).mean() - 3.0)
-
-
 class UnitVectorGenerator:
     """Stands in for a Generator: its standard normals are the j-th unit vector.
 
@@ -34,6 +28,14 @@ def engine_covariance(acov, n):
     m, _ = fgn._embedding_eigenvalues(acov, n)
     A = fgn.sample_stationary_batch(acov, n, [UnitVectorGenerator(j) for j in range(2 * m)])
     return A.T @ A
+
+
+def fbm_paths(grid, H, rngs):
+    """fBM paths on ``grid``, one row per generator, started at 0."""
+    from foulim import fgn
+
+    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, rngs)
+    return np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import fbm_paths
 from foulim import acceptance, cli, fgn, fou, output
 from foulim.paths import TimeGrid
 from foulim.streams import stream
@@ -36,7 +37,7 @@ def test_sample_fbm_bytes_match_per_replica_paths(tmp_path):
     grid = TimeGrid(1.0, n_steps)
     rows = [(r, t, v) for r in range(4)
             for t, v in zip(grid.times(),
-                            fgn.sample_fbm(grid, H, stream(seed, "cli-fbm", r)).values)]
+                            fbm_paths(grid, H, [stream(seed, "cli-fbm", r)])[0])]
     output.write_csv(str(tmp_path / "ref.csv"), ["replica", "t", "value"], rows)
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -100,6 +101,16 @@ def test_hermite_sample_runs(tmp_path):
                 "--seed", "4", "--out", str(out)]) == 0
     lines = (tmp_path / "herm.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 51
+
+
+def test_hermite_sample_bytes_independent_of_threads(tmp_path):
+    # 300 replicas span two fixed-size chunks, so two threads really split them
+    args = ["hermite-sample", "--H", "0.7", "--m", "2", "--xi-window", "40",
+            "--n-xi", "600", "--n-steps", "20", "--replicas", "300", "--seed", "5"]
+    for threads in ("1", "2"):
+        assert run(args + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"1.{ext}").read_bytes() == (tmp_path / f"2.{ext}").read_bytes()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

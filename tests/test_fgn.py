@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from conftest import engine_covariance
+from conftest import engine_covariance, fbm_paths
 from foulim import fgn
 from foulim.paths import TimeGrid
 from foulim.streams import stream
@@ -47,14 +47,14 @@ def test_fgn_autocovariance_lag_values():
 def test_fgn_lag1_autocorrelation_monte_carlo():
     # single long path, empirical lag-1 autocorrelation
     for H, target in ((0.75, 2**1.5 / 2 - 1), (0.25, 2**-0.5 - 1)):
-        x = fgn.sample_fgn(100_000, 1.0, H, stream(11, f"lag1-{H}"))
+        x = fgn.sample_fgn_batch(100_000, 1.0, H, [stream(11, f"lag1-{H}")])[0]
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert r1 == pytest.approx(target, abs=0.01)
 
 
 def test_fgn_brownian_case_iid():
     dt = 0.25
-    x = fgn.sample_fgn(50_000, dt, 0.5, stream(3, "bm"))
+    x = fgn.sample_fgn_batch(50_000, dt, 0.5, [stream(3, "bm")])[0]
     assert x.var() == pytest.approx(dt, rel=0.02)
     assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 0.02
     # variance-ratio test: blocks of 4 behave like sums of 4 iid terms
@@ -64,9 +64,7 @@ def test_fgn_brownian_case_iid():
 
 def test_fbm_path_normalization_and_variance():
     grid = TimeGrid(1.0, 16)
-    vals = np.stack([
-        fgn.sample_fbm(grid, 0.7, stream(5, "fbm", i)).values for i in range(20_000)
-    ])
+    vals = fbm_paths(grid, 0.7, [stream(5, "fbm", i) for i in range(20_000)])
     assert np.all(vals[:, 0] == 0.0)
     assert vals[:, -1].var() == pytest.approx(1.0, abs=0.03)
     times = grid.times()
@@ -93,8 +91,8 @@ def test_fbm_empirical_covariance_matrix():
 def test_batch_matches_single_stream_draws():
     n, dt, H = 64, 0.1, 0.6
     batch = fgn.sample_fgn_batch(n, dt, H, [stream(2, "b", i) for i in range(3)])
-    singles = np.stack([
-        fgn.sample_fgn(n, dt, H, stream(2, "b", i)) for i in range(3)
+    singles = np.concatenate([
+        fgn.sample_fgn_batch(n, dt, H, [stream(2, "b", i)]) for i in range(3)
     ])
     np.testing.assert_array_equal(batch, singles)
 
@@ -126,10 +124,34 @@ def test_non_positive_definite_autocovariance_raises_at_the_cap():
     assert calls[0] == 3 and calls[-1] <= fgn.MAX_EMBEDDING_LAGS < 2 * calls[-1]
 
 
+def _mvn_normalizer_oracle(H):
+    """c1(H) by 40-digit quadrature of its defining integral.
+
+    int_0^inf ((1+x)^a - x^a)^2 dx, a = H - 1/2, is taken in u = log x,
+    with the difference written x^a expm1(a log1p(1/x)) for x > 1 so the
+    cancellation in the tail costs no digits; plain quadrature on
+    [0, inf) is off by up to 4e-4 at H = 0.05 and 0.95.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a = mp.mpf(H) - mp.mpf(1) / 2
+
+        def body(u):
+            x = mp.exp(u)
+            d = x**a * mp.expm1(a * mp.log1p(1 / x)) if u > 0 else (1 + x) ** a - x**a
+            return d * d * x
+
+        tail = mp.quad(body, [-mp.inf, -200, -50, -10, 0, 10, 50, 200, mp.inf])
+        return float(mp.sqrt(tail + 1 / (2 * mp.mpf(H))))
+
+
 def test_mvn_normalizer_closed_form():
-    # c1(H)^2 = (H-1/2)^2 B(H-1/2, 2-2H) / (H(2H-1)) for H > 1/2
     from scipy import special
 
+    for H in (0.05, 0.3, 0.5, 0.7, 0.95):
+        assert fgn.mvn_normalizer(H) == pytest.approx(_mvn_normalizer_oracle(H), rel=1e-12)
+    # c1(H)^2 = (H-1/2)^2 B(H-1/2, 2-2H) / (H(2H-1)) for H > 1/2
     for H in (0.6, 0.75, 0.9):
         c1 = fgn.mvn_normalizer(H)
         closed = np.sqrt(

@@ -218,21 +218,6 @@ def test_rho_power_integral_divergent_regime_raises():
         fou.rho_power_integral(2, 0.75)  # H*(2) = 1/2 exactly
 
 
-def test_variance_growth_branches():
-    t, eps = 1.0, 0.01
-    # short range: sqrt(t/eps * int rho^m)
-    v = fou.variance_growth(2, 0.6, t, eps)
-    assert v == pytest.approx(
-        np.sqrt(t / eps * fou.rho_power_integral(2, 0.6)), rel=1e-12
-    )
-    # boundary: sqrt((t/eps)|ln eps|)
-    v = fou.variance_growth(2, 0.75, t, eps)
-    assert v == pytest.approx(np.sqrt(t / eps * abs(np.log(eps))), rel=1e-12)
-    # long range: (t/eps)^{H*}
-    v = fou.variance_growth(1, 0.9, t, eps)
-    assert v == pytest.approx((t / eps) ** 0.9, rel=1e-12)
-
-
 def test_double_integral_rescaling_identity():
     # int_0^t int_0^t |rho^eps|^m = eps^2 int_0^{t/eps} int_0^{t/eps} |rho|^m
     H, m, t, eps = 0.7, 2, 0.5, 0.1

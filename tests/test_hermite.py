@@ -3,22 +3,9 @@ import pytest
 from scipy import integrate, stats
 
 from foulim import fgn, fou, hermite
-from foulim.hermite import HermiteSpec, sample_shared_noise
+from foulim.hermite import HermiteSpec
 from foulim.paths import TimeGrid
 from foulim.streams import stream
-
-
-def test_hermite_kernel_positive_part_and_symmetry():
-    assert hermite.hermite_kernel(1.0, [0.5, 1.2], 0.7, 2) == 0.0
-    a = hermite.hermite_kernel(1.0, [0.3, -0.6], 0.7, 2)
-    b = hermite.hermite_kernel(1.0, [-0.6, 0.3], 0.7, 2)
-    assert a == pytest.approx(b, rel=1e-14)
-    # m = 1 exponent is H - 3/2
-    H = 0.8
-    v = hermite.hermite_kernel(1.0, [0.0], H, 1)
-    assert v == pytest.approx(1.0 ** (H - 1.5))
-    u = hermite.hermite_kernel(1.25, [0.25], H, 1)
-    assert u == pytest.approx(1.0 ** (H - 1.5))
 
 
 def test_ghat_isometry_unit_variance():
@@ -51,10 +38,12 @@ def test_ghat_requires_long_memory_H():
 
 
 def test_h_eps_kernel_zero_for_future_and_isometry():
-    assert hermite.fou_kernel_h_eps(1.0, 1.5, 0.1, 0.7) == 0.0
+    # h_eps(t, s) = eps^{-1/2} ghat((t - s)/eps) vanishes for s > t, and
+    # int_R h_eps(t, s)^2 ds = int_0^inf ghat^2 = 1 at any eps
+    assert hermite.ghat(-5.0, 0.7) == 0.0
     eps, H = 0.1, 0.7
     val, _ = integrate.quad(
-        lambda s: hermite.fou_kernel_h_eps(2.0, s, eps, H) ** 2, -np.inf, 2.0,
+        lambda s: (hermite.ghat((2.0 - s) / eps, H) / np.sqrt(eps)) ** 2, -np.inf, 2.0,
         limit=400,
     )
     assert val == pytest.approx(1.0, abs=1e-3)
@@ -92,17 +81,6 @@ def test_fou_from_kernel_variance_autocorr_and_law():
     # the endpoint has the construction's exact law N(0, sum Mk[-1]^2 dxi)
     ks = stats.kstest(vals[:, -1], "norm", args=(0.0, np.sqrt((Mk[-1] ** 2).sum() * dxi)))
     assert ks.pvalue > 0.01
-    # the public single-path constructor agrees with the matrix route
-    noise = hermite.SharedNoise(edges, stream(5, "fk", 0).standard_normal(n_xi)
-                                * np.sqrt(dxi))
-    path = hermite.sample_fou_from_kernel(grid, eps, H, noise)
-    np.testing.assert_allclose(path.values, vals[0], rtol=1e-10)
-
-
-def test_sample_fou_from_kernel_resolution_guard():
-    noise = sample_shared_noise(5.0, 1.0, 100, stream(0, "n"))
-    with pytest.raises(ValueError, match="under-resolved"):
-        hermite.sample_fou_from_kernel(TimeGrid(1.0, 10), 0.05, 0.8, noise)
 
 
 def test_hermite_m1_matches_fbm_law():
@@ -205,32 +183,18 @@ def test_chaos_orthogonality_across_orders():
     assert abs(corr) < 3.0 / np.sqrt(n)
 
 
-def test_kernel_l2_convergence_monotone():
-    for m in (1, 2):
-        d = [
-            hermite.kernel_l2_distance(eps, 0.8, m, t=1.0, xi_lo=-20.0,
-                                       n_xi=1200, n_s=160)
-            for eps in (0.2, 0.1, 0.05)
-        ]
-        assert d[0] > d[1] > d[2], d
-
-
 def test_truncation_bias_estimate_and_warning():
     spec = HermiteSpec(0.7, 2, 2.0, 500)
     bias = hermite.truncation_bias_estimate(spec, 1.0)
     assert bias > 0.25
-    noise = sample_shared_noise(2.0, 1.0, 500, stream(1, "w"))
+    hermite._sampler_arrays.cache_clear()  # the warning fires when the kernel is built
     with pytest.warns(UserWarning, match="truncates"):
-        hermite.hermite_values(TimeGrid(1.0, 50), spec, noise)
+        hermite.hermite_ensemble(TimeGrid(1.0, 50), spec, 1, 2, "w")
 
 
 def test_sample_hermite_errors():
     with pytest.raises(ValueError, match="order not supported"):
         HermiteSpec(0.7, 4, 50.0, 1000)
-    spec = HermiteSpec(0.7, 2, 50.0, 1000)
-    small = sample_shared_noise(10.0, 1.0, 1000, stream(2, "w"))
-    with pytest.raises(ValueError, match="does not cover"):
-        hermite.sample_hermite(TimeGrid(1.0, 50), spec, small)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -238,8 +202,30 @@ def test_hermite_values_deterministic_in_noise():
     # xi_window 40 stays below the sampler's 25% kernel-truncation warning
     grid = TimeGrid(1.0, 100)
     spec = HermiteSpec(0.7, 2, 40.0, 2000)
-    noise = sample_shared_noise(40.0, 1.0, 2000, stream(8, "det"))
-    a = hermite.hermite_values(grid, spec, noise)
-    b = hermite.hermite_values(grid, spec, noise)
+    every_step = np.arange(grid.n_steps + 1)
+    hermite._sampler_arrays.cache_clear()
+    a = hermite.hermite_ensemble(grid, spec, 8, 1, "det", every_step)
+    b = hermite.hermite_ensemble(grid, spec, 8, 1, "det", every_step)
     np.testing.assert_array_equal(a, b)
-    assert a[0] == 0.0
+    assert a[0, 0] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:xi_window")
+def test_hermite_ensemble_rows_agree_across_chunkings():
+    # each row is a matrix product over the chunk, so its rounding moves
+    # with the chunk size; the values agree to a few ulps, not bit for bit
+    grid = TimeGrid(1.0, 100)
+    every_step = np.arange(grid.n_steps + 1)
+    for m in (1, 2, 3):
+        spec = HermiteSpec(0.8, m, 40.0, 2000)
+        whole = hermite.hermite_ensemble(grid, spec, 6, 5, "chunks", every_step)
+        rows = np.concatenate([
+            hermite.hermite_ensemble(grid, spec, 6, 1, "chunks", every_step, r)
+            for r in range(5)
+        ])
+        split = np.concatenate([
+            hermite.hermite_ensemble(grid, spec, 6, 2, "chunks", every_step, 0),
+            hermite.hermite_ensemble(grid, spec, 6, 3, "chunks", every_step, 2),
+        ])
+        np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(split, whole, rtol=0, atol=1e-13)

@@ -1,10 +1,12 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and every
+helper in ``tests/conftest.py`` is used by some test file.
 
 A static scan with ``ast``: a module-level or local import binds a name,
 and the name must then be read somewhere in the same file.  Skipped:
 ``from __future__`` imports, names a module re-exports through
 ``__all__``, and ``__init__.py`` files, whose imports are the package's
-surface.
+surface.  A conftest function is used when a test file reads its name,
+or names it as a parameter (a fixture).
 """
 
 import ast
@@ -17,6 +19,7 @@ FILES = sorted(
     p for d in (ROOT / "src" / "foulim", ROOT / "tests")
     for p in d.glob("*.py") if p.name != "__init__.py"
 )
+TEST_FILES = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +66,32 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_helpers(conftest: str, tests: list[str]) -> list[str]:
+    """Module-level functions of ``conftest`` that none of ``tests`` reads."""
+    read = set()
+    for source in tests:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.arg):
+                read.add(node.arg)
+    return sorted(node.name for node in ast.parse(conftest).body
+                  if isinstance(node, ast.FunctionDef) and node.name not in read)
+
+
+def test_helper_scanner_flags_only_unread_functions():
+    conftest = (
+        "def used(x):\n    return x\n"
+        "def fixture_like():\n    return 1\n"
+        "def unused():\n    return used(2)\n"
+        "class Kept:\n    pass\n"
+    )
+    tests = ["from conftest import used\ndef test_a(fixture_like):\n    used(1)\n"]
+    assert unread_helpers(conftest, tests) == ["unused"]
+
+
+def test_every_conftest_helper_is_used():
+    conftest = (ROOT / "tests" / "conftest.py").read_text()
+    assert unread_helpers(conftest, [p.read_text() for p in TEST_FILES]) == []

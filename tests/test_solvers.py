@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from foulim import acceptance, chaos, fgn, fou, harness, solvers
+from conftest import fbm_paths
+from foulim import acceptance, chaos, fou, harness, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import stream
@@ -39,7 +40,7 @@ def test_young_smooth_driver_exponential_order():
 
 def test_young_fbm_driver_matches_chain_rule():
     grid = TimeGrid(1.0, 4000)
-    Z = fgn.sample_fbm(grid, 0.8, stream(1, "yfbm")).values
+    Z = fbm_paths(grid, 0.8, [stream(1, "yfbm")])[0]
     x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
     exact = np.exp(Z - Z[0])
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
@@ -53,7 +54,7 @@ def test_limit_young_drift_only_is_ode_flow():
 
 def test_limit_young_exponential_closed_form():
     grid = TimeGrid(1.0, 4000)
-    Z = fgn.sample_fbm(grid, 0.8, stream(2, "ly")).values
+    Z = fbm_paths(grid, 0.8, [stream(2, "ly")])[0]
     x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
     exact = np.exp(Z)
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
@@ -93,8 +94,7 @@ def _heun_loop(x0, f, h, g_bar, c, dt, W):
 
 def test_batched_limit_solvers_match_one_row_calls():
     grid = TimeGrid(1.0, 500)
-    Z = np.stack([fgn.sample_fbm(grid, 0.7, stream(7, "batch", r)).values
-                  for r in range(5)])
+    Z = fbm_paths(grid, 0.7, [stream(7, "batch", r) for r in range(5)])
     f = lambda u: np.sin(u) + 2.0
     h = lambda u: np.cos(u)
     young = solvers.solve_limit_young(0.4, f, h, 0.6, grid, Z)
@@ -220,7 +220,7 @@ def test_slow_fast_blowup_guard():
         x0=5.0, grid=TimeGrid(1.0, 100), alpha_override=50.0,
     )
     with pytest.raises(FloatingPointError, match="blew up"):
-        solvers.solve_slow_fast(cfg, stream(0, "blow"))
+        solvers.solve_slow_fast_endpoints(cfg, 1, 0, "blow")
 
 
 def test_grid_refinement_stability():
