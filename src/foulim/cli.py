@@ -40,6 +40,10 @@ class UsageError(Exception):
     pass
 
 
+# subcommands that report a sample variance or standard error
+_STATISTICS_COMMANDS = {"clt-scan", "l2-hermite", "kinetic-scan", "homogenize"}
+
+
 # domain and numerical failures exit 2 with an "error:" line (FloatingPointError
 # is the slow/fast blow-up guard); anything else, such as a TypeError, is a
 # programming error and stays a traceback
@@ -223,14 +227,10 @@ def _cmd_clt_scan(args) -> int:
         G, args.H, args.t, eps_list, args.replicas, args.seed,
         dt_ratio=args.dt_ratio, threads=args.threads,
     )
-    finest = scan.eps_values[-1]
     if args.replicas >= 1000:
-        samples = harness._fou_endpoint_samples(
-            G, args.H, args.t, finest, args.replicas, args.seed,
-            f"vscan-eps{len(scan.eps_values) - 1}", args.dt_ratio,
-            chaos.classify_regime(G.hermite_rank, args.H).alpha(finest), args.threads,
-        )
-        diag = harness.clt_diagnostics(samples)
+        # the scan's own raw integrals at the finest eps, scaled by alpha there
+        alpha = chaos.classify_regime(G.hermite_rank, args.H).alpha(scan.eps_values[-1])
+        diag = harness.clt_diagnostics(alpha * scan.meta["finest_samples"])
     else:
         diag = {"note": "replicas < 1000: distributional diagnostics skipped"}
     regime = scan.meta["regime"]
@@ -559,6 +559,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_help()
             return 1
+        if args.command in _STATISTICS_COMMANDS and args.replicas < 2:
+            raise UsageError(f"--replicas: {args.command} needs at least 2")
         if args.threads is None:
             args.threads = _default_threads()
         if getattr(args, "n_steps", 0) is None and args.command == "sample-fou":

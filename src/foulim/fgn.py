@@ -5,9 +5,11 @@ by Dieker 2004) samples any stationary Gaussian sequence from its
 autocovariance, exact in law and O(n log n).  Where the minimal
 embedding has negative eigenvalues beyond rounding level it is doubled,
 extending the autocovariance to the longer range, until it has none
-(Wood & Chan 1994); past a fixed length the sampler raises.  fGN is one
-caller, the stationary fOU of ``fou`` the other.  Exactness matters here
-because everything downstream reads rates off exponents.
+(Wood & Chan 1994); past a fixed length the sampler raises.  The
+random spectrum of each row is Hermitian, so only its first half is
+built and ``numpy.fft.hfft`` turns it into the real sequence.  fGN is
+one caller, the stationary fOU of ``fou`` the other.  Exactness matters
+here because everything downstream reads rates off exponents.
 
 The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
 0.5*(t^{2H} + s^{2H} - |t-s|^{2H}); a path is the cumulative sum of a
@@ -94,19 +96,26 @@ def sample_stationary_batch(acov, n: int, rngs) -> np.ndarray:
     exactly 2m standard normals from its own stream (m the embedding
     half-length, which depends on acov and n only), so results are
     independent of batching.
+
+    Of the Hermitian spectrum W of length 2m only W[0..m] is assembled,
+    and its real-output FFT is taken: ``np.fft.hfft(W, n=2m)``, which
+    equals the real part of the complex FFT of the whole W to rounding.
+    hfft is an unnormalized inverse real FFT of conj(W), so conj(W) is
+    assembled in place and transformed directly, bit for bit as hfft.
     """
     if n < 1:
         raise ValueError("need n >= 1 lags")
     m, lam = _embedding_eigenvalues(acov, n)
     size = 2 * m
     raw = np.stack([rng.standard_normal(size) for rng in rngs])
-    W = np.empty((len(raw), size), dtype=complex)
-    W[:, 0] = np.sqrt(lam[0] / size) * raw[:, 0]
-    W[:, m] = np.sqrt(lam[m] / size) * raw[:, 1]
+    W_conj = np.empty((len(raw), m + 1), dtype=complex)
+    W_conj.real[:, 0] = np.sqrt(lam[0] / size) * raw[:, 0]
+    W_conj.real[:, m] = np.sqrt(lam[m] / size) * raw[:, 1]
+    W_conj.imag[:, [0, m]] = 0.0
     half = np.sqrt(lam[1:m] / (2 * size))
-    W[:, 1:m] = half * (raw[:, 2 : m + 1] + 1j * raw[:, m + 1 : size])
-    W[:, m + 1 :] = np.conj(W[:, m - 1 : 0 : -1])
-    return np.fft.fft(W, axis=1).real[:, : n + 1]
+    W_conj.real[:, 1:m] = half * raw[:, 2 : m + 1]
+    W_conj.imag[:, 1:m] = -half * raw[:, m + 1 : size]
+    return np.fft.irfft(W_conj, n=size, axis=1, norm="forward")[:, : n + 1]
 
 
 def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:

@@ -92,6 +92,10 @@ def fsum_mean(x) -> float:
 
 def fsum_variance(x, ddof: int = 1) -> float:
     x = np.asarray(x, dtype=float)
+    if len(x) <= ddof:
+        raise ValueError(
+            f"variance with ddof={ddof} needs more than {ddof} samples, got {len(x)}"
+        )
     mu = fsum_mean(x)
     return math.fsum(((x - mu) ** 2).tolist()) / (len(x) - ddof)
 
@@ -169,7 +173,9 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
     raw ("unscaled", the slope source: expected log-log slope against
     log(1/eps) is -1 in the short-range regime and 2H*(m)-2 in the
     long-range one) and multiplied by alpha(eps)^2, which must stabilize
-    in every regime.
+    in every regime.  meta["finest_samples"] holds the raw integrals at
+    the finest eps, so callers can run diagnostics on them without
+    drawing that scale again.
     """
     h = as_hurst(H)
     eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
@@ -201,6 +207,7 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
             "regime": regime.kind.value,
             "h_star": regime.h_star,
             "statistic": "var_unscaled_integral",
+            "finest_samples": x,
         },
     )
 

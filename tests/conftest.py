@@ -30,6 +30,27 @@ def engine_covariance(acov, n):
     return A.T @ A
 
 
+def full_spectrum_reference(acov, n, rngs):
+    """fgn.sample_stationary_batch built the long way, as an oracle.
+
+    Assembles the whole Hermitian spectrum W of length 2m, mirroring
+    W[m+1..2m-1] from W[1..m-1], and takes the real part of its complex
+    FFT; the same normals in the same order as the engine.
+    """
+    from foulim import fgn
+
+    m, lam = fgn._embedding_eigenvalues(acov, n)
+    size = 2 * m
+    raw = np.stack([rng.standard_normal(size) for rng in rngs])
+    W = np.empty((len(raw), size), dtype=complex)
+    W[:, 0] = np.sqrt(lam[0] / size) * raw[:, 0]
+    W[:, m] = np.sqrt(lam[m] / size) * raw[:, 1]
+    half = np.sqrt(lam[1:m] / (2 * size))
+    W[:, 1:m] = half * (raw[:, 2 : m + 1] + 1j * raw[:, m + 1 : size])
+    W[:, m + 1 :] = np.conj(W[:, m - 1 : 0 : -1])
+    return np.fft.fft(W, axis=1).real[:, : n + 1]
+
+
 def fbm_paths(grid, H, rngs):
     """fBM paths on ``grid``, one row per generator, started at 0."""
     from foulim import fgn

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import fbm_paths
-from foulim import acceptance, cli, fgn, fou, output
+from foulim import acceptance, chaos, cli, fgn, fou, harness, output
+from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import stream
 
@@ -272,3 +273,39 @@ def test_homogenize_with_drift_runs_the_limit_solver(tmp_path, H):
     assert 0.0 <= doc["ks_pvalue"] <= 1.0
     assert np.isfinite(doc["endpoint_mean"]) and np.isfinite(doc["endpoint_variance"])
     assert rc == (0 if doc["pass"] else 2)
+
+
+@pytest.mark.parametrize("command", ["clt-scan", "homogenize", "kinetic-scan", "l2-hermite"])
+@pytest.mark.parametrize("replicas", [None, "1"])
+def test_statistics_commands_need_two_replicas(command, replicas, tmp_path, capsys):
+    # --replicas defaults to 1, which leaves no sample variance to report
+    argv = [command, *REQUIRED_ARGS[command], "--out", str(tmp_path / "x")]
+    if replicas is not None:
+        argv += ["--replicas", replicas]
+    assert run(argv) == 1
+    assert f"--replicas: {command} needs at least 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatch):
+    rows = []
+    sample = fou.sample_fou_ensemble
+
+    def spy(grid, cfg, master_seed, n_replicas, *args, **kwargs):
+        rows.append(n_replicas)
+        return sample(grid, cfg, master_seed, n_replicas, *args, **kwargs)
+
+    monkeypatch.setattr(fou, "sample_fou_ensemble", spy)
+    out = tmp_path / "scan"
+    assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
+                "--replicas", "1000", "--seed", "8", "--format", "json",
+                "--out", str(out)]) == 0
+    # every (eps, replica) stream is drawn once: no extra pass at the finest eps
+    assert sum(rows) == 1000 * 3
+    monkeypatch.setattr(fou, "sample_fou_ensemble", sample)
+    G = ChaosFunction.from_coefficients([0, 0, 1])
+    alpha = chaos.classify_regime(2, 0.6).alpha(0.05)
+    oracle = harness.clt_diagnostics(harness._fou_endpoint_samples(
+        G, 0.6, 1.0, 0.05, 1000, 8, "vscan-eps2", 50.0, alpha))
+    diag = json.loads((tmp_path / "scan.json").read_text())["diagnostics_at_finest_eps"]
+    assert diag == pytest.approx(oracle, rel=1e-12, abs=0)

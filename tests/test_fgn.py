@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from conftest import engine_covariance, fbm_paths
-from foulim import fgn
+from conftest import engine_covariance, fbm_paths, full_spectrum_reference
+from foulim import fgn, fou
 from foulim.paths import TimeGrid
 from foulim.streams import stream
 
@@ -94,6 +94,28 @@ def test_batch_matches_single_stream_draws():
     singles = np.concatenate([
         fgn.sample_fgn_batch(n, dt, H, [stream(2, "b", i)]) for i in range(3)
     ])
+    np.testing.assert_array_equal(batch, singles)
+
+
+# (label, acov, n, embedding half-length): fGN, and the fOU on TimeGrid(1, 500)
+# at eps = 0.1, whose embedding is doubled once at H = 0.85
+HALF_SPECTRUM_CASES = [
+    *[(f"fgn-{H}", lambda k, H=H: fgn.fgn_autocovariance(k, H), 300, 300)
+      for H in (0.2, 0.5, 0.9)],
+    *[(f"fou-{H}", lambda k, H=H: fou.rho(k * 0.02, H), 500, m)
+      for H, m in ((0.6, 500), (0.85, 1000))],
+]
+
+
+@pytest.mark.parametrize("label, acov, n, m", HALF_SPECTRUM_CASES,
+                         ids=[c[0] for c in HALF_SPECTRUM_CASES])
+def test_half_spectrum_engine_matches_full_spectrum_reference(label, acov, n, m):
+    assert fgn._embedding_eigenvalues(acov, n)[0] == m
+    batch = fgn.sample_stationary_batch(acov, n, [stream(4, label, i) for i in range(5)])
+    ref = full_spectrum_reference(acov, n, [stream(4, label, i) for i in range(5)])
+    np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-13)
+    singles = np.concatenate([fgn.sample_stationary_batch(acov, n, [stream(4, label, i)])
+                              for i in range(5)])
     np.testing.assert_array_equal(batch, singles)
 
 

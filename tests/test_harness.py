@@ -159,6 +159,13 @@ def test_fsum_aggregation():
     assert harness.fsum_variance(x) == pytest.approx(np.var(x, ddof=1), rel=1e-10)
 
 
+def test_fsum_variance_needs_more_samples_than_ddof():
+    for x, ddof in (([], 1), ([2.0], 1), ([1.0, 2.0], 2)):
+        with pytest.raises(ValueError, match="needs more than"):
+            harness.fsum_variance(x, ddof)
+    assert harness.fsum_variance([1.0, 3.0]) == 2.0
+
+
 def test_scan_result_requires_decreasing_eps():
     with pytest.raises(ValueError, match="strictly decreasing"):
         harness.ScanResult(np.array([0.1, 0.2]), np.ones(2), np.ones(2), 10)
