@@ -20,7 +20,7 @@ from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction, Regime, ScalingRegime
 from .fou import FouConfig
 from .hermite import HermiteSpec
-from .paths import TimeGrid
+from .paths import FoulimError, TimeGrid
 from .streams import stream
 
 __version__ = "0.1.0"
@@ -28,6 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChaosFunction",
     "FouConfig",
+    "FoulimError",
     "HermiteSpec",
     "Regime",
     "ScalingRegime",

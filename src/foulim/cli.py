@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
-from .paths import TimeGrid
+from .paths import FoulimError, TimeGrid
 from .streams import stream
 
 __all__ = ["main"]
@@ -44,14 +44,15 @@ class UsageError(Exception):
 _STATISTICS_COMMANDS = {"clt-scan", "l2-hermite", "kinetic-scan", "homogenize"}
 
 
-# domain and numerical failures exit 2 with an "error:" line (FloatingPointError
-# is the slow/fast blow-up guard); anything else, such as a TypeError, is a
-# programming error and stays a traceback
+# domain and numerical failures exit 2 with an "error:" line (FoulimError is
+# the base of the package's own, such as the slow/fast blow-up guard);
+# anything else, such as a TypeError, is a programming error and stays a
+# traceback
 _NUMERICAL_ERRORS = (
     ValueError,
     OSError,
     FloatingPointError,
-    fgn.SamplerInfeasibleError,
+    FoulimError,
 )
 
 

@@ -7,9 +7,13 @@ embedding has negative eigenvalues beyond rounding level it is doubled,
 extending the autocovariance to the longer range, until it has none
 (Wood & Chan 1994); past a fixed length the sampler raises.  The
 random spectrum of each row is Hermitian, so only its first half is
-built and ``numpy.fft.hfft`` turns it into the real sequence.  fGN is
-one caller, the stationary fOU of ``fou`` the other.  Exactness matters
-here because everything downstream reads rates off exponents.
+built and ``numpy.fft.hfft`` turns it into the real sequence.  Rows
+stream through the engine in row blocks of a fixed byte budget
+(``stationary_blocks``), so memory per call is O(block * m) however
+many rows are drawn; ``sample_stationary_batch`` collects the blocks
+into one array.  fGN is one caller, the stationary fOU of ``fou`` the
+other.  Exactness matters here because everything downstream reads
+rates off exponents.
 
 The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
 0.5*(t^{2H} + s^{2H} - |t-s|^{2H}); a path is the cumulative sum of a
@@ -22,10 +26,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .paths import as_hurst
+from .paths import FoulimError, as_hurst
 
 __all__ = [
     "SamplerInfeasibleError",
+    "stationary_blocks",
     "sample_stationary_batch",
     "fbm_covariance",
     "fgn_autocovariance",
@@ -39,9 +44,13 @@ __all__ = [
 NEGATIVE_EIG_TOL = 1e-13
 # the embedding is doubled up to this many lags (a circulant of twice that)
 MAX_EMBEDDING_LAGS = 2**20
+# rows go through the engine in blocks of this many bytes of normals (13
+# rows at m = 5000): with the half spectrum, the FFT output and the caller's
+# reduction the block stays within a few MB, near the size of an L2 cache
+BLOCK_BYTES = 2**20
 
 
-class SamplerInfeasibleError(RuntimeError):
+class SamplerInfeasibleError(FoulimError, RuntimeError):
     """No circulant embedding up to MAX_EMBEDDING_LAGS lags is usable."""
 
 
@@ -87,15 +96,19 @@ def _embedding_eigenvalues(acov, n: int) -> tuple[int, np.ndarray]:
     )
 
 
-def sample_stationary_batch(acov, n: int, rngs) -> np.ndarray:
-    """One stationary Gaussian sequence of n + 1 values per generator in ``rngs``.
+def stationary_blocks(acov, n: int, rngs):
+    """Stationary Gaussian sequences of n + 1 values, in consecutive row blocks.
 
     ``acov`` maps an integer lag array 0..m to the autocovariance there;
     it is read on lags 0..n, and beyond when the embedding is doubled.
-    Returns shape (len(rngs), n + 1), exact in law.  Each row consumes
-    exactly 2m standard normals from its own stream (m the embedding
-    half-length, which depends on acov and n only), so results are
-    independent of batching.
+    Returns an iterator of arrays of shape (rows, n + 1), one row per
+    generator in the sequence ``rngs`` and in its order, exact in law.
+    Each row consumes exactly 2m standard normals from its own stream (m
+    the embedding half-length, which depends on acov and n only), so
+    results are independent of batching and blocking.  The embedding is
+    computed, and its errors raised, on the call; rows are drawn as the
+    iterator is consumed, BLOCK_BYTES of normals at a time, through two
+    buffers (normals, half spectrum) allocated once per call.
 
     Of the Hermitian spectrum W of length 2m only W[0..m] is assembled,
     and its real-output FFT is taken: ``np.fft.hfft(W, n=2m)``, which
@@ -106,16 +119,38 @@ def sample_stationary_batch(acov, n: int, rngs) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1 lags")
     m, lam = _embedding_eigenvalues(acov, n)
+    return _blocks(m, lam, n, rngs)
+
+
+def _blocks(m: int, lam: np.ndarray, n: int, rngs):
+    """The row blocks of ``stationary_blocks`` for the embedding (m, lam)."""
     size = 2 * m
-    raw = np.stack([rng.standard_normal(size) for rng in rngs])
-    W_conj = np.empty((len(raw), m + 1), dtype=complex)
-    W_conj.real[:, 0] = np.sqrt(lam[0] / size) * raw[:, 0]
-    W_conj.real[:, m] = np.sqrt(lam[m] / size) * raw[:, 1]
+    rows = max(1, min(len(rngs), BLOCK_BYTES // (8 * size)))
+    raw = np.empty((rows, size))
+    W_conj = np.empty((rows, m + 1), dtype=complex)
     W_conj.imag[:, [0, m]] = 0.0
+    edge0, edge_m = np.sqrt(lam[0] / size), np.sqrt(lam[m] / size)
     half = np.sqrt(lam[1:m] / (2 * size))
-    W_conj.real[:, 1:m] = half * raw[:, 2 : m + 1]
-    W_conj.imag[:, 1:m] = -half * raw[:, m + 1 : size]
-    return np.fft.irfft(W_conj, n=size, axis=1, norm="forward")[:, : n + 1]
+    for start in range(0, len(rngs), rows):
+        block = rngs[start : start + rows]
+        k = len(block)
+        for i, rng in enumerate(block):
+            raw[i] = rng.standard_normal(size)
+        W_conj.real[:k, 0] = edge0 * raw[:k, 0]
+        W_conj.real[:k, m] = edge_m * raw[:k, 1]
+        np.multiply(half, raw[:k, 2 : m + 1], out=W_conj.real[:k, 1:m])
+        np.multiply(-half, raw[:k, m + 1 : size], out=W_conj.imag[:k, 1:m])
+        yield np.fft.irfft(W_conj[:k], n=size, axis=1, norm="forward")[:, : n + 1]
+
+
+def sample_stationary_batch(acov, n: int, rngs) -> np.ndarray:
+    """All rows of ``stationary_blocks(acov, n, rngs)`` in one (len(rngs), n + 1) array."""
+    out = np.empty((len(rngs), n + 1))
+    start = 0
+    for block in stationary_blocks(acov, n, rngs):
+        out[start : start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:

@@ -12,7 +12,10 @@ the scaling-regime behaviour downstream.
 The sampler draws the process on a grid directly as a stationary
 Gaussian sequence with autocovariance rho(k dt/eps), on the circulant
 embedding engine of ``fgn``: exact in law at every resolution, with no
-burn-in.
+burn-in.  ``sample_fou_blocks`` hands the paths over in the engine's row
+blocks, for callers that reduce each block before drawing the next;
+``sample_fou_batch`` and ``sample_fou_ensemble`` collect them into one
+matrix.
 
 rho is evaluated in closed form, through the incomplete gamma and
 Kummer functions, below s = 30 and by the asymptotic series of
@@ -40,7 +43,9 @@ __all__ = [
     "rho",
     "rho_asymptote_constant",
     "rho_power_integral",
+    "sample_fou_blocks",
     "sample_fou_batch",
+    "ensemble_streams",
     "sample_fou_ensemble",
 ]
 
@@ -212,16 +217,40 @@ def _check_resolution(dt: float, eps: float):
         )
 
 
-def sample_fou_batch(grid: TimeGrid, cfg: FouConfig, rngs) -> np.ndarray:
-    """One stationary fOU path on the grid per generator in ``rngs``.
-
-    Returns shape (len(rngs), n_steps + 1): stationary Gaussian sequences
-    with autocovariance rho(k dt/eps), exact in law.  Requires
-    grid.dt <= eps/10, which the Riemann sums downstream rely on.
-    """
+def _autocovariance(grid: TimeGrid, cfg: FouConfig):
+    """rho(k dt/eps) on integer lags k, after checking dt <= eps/10."""
     _check_resolution(grid.dt, cfg.eps)
     step = grid.dt / cfg.eps
-    return fgn.sample_stationary_batch(lambda k: rho(k * step, cfg.H), grid.n_steps, rngs)
+    return lambda k: rho(k * step, cfg.H)
+
+
+def sample_fou_blocks(grid: TimeGrid, cfg: FouConfig, rngs):
+    """Stationary fOU paths on the grid, one per generator in ``rngs``, in row blocks.
+
+    An iterator of arrays of shape (rows, n_steps + 1), in the order of
+    ``rngs``: stationary Gaussian sequences with autocovariance
+    rho(k dt/eps), exact in law, from ``fgn.stationary_blocks``.  A
+    caller that reduces each block before taking the next holds only
+    one block of paths.  Requires grid.dt <= eps/10, which the Riemann
+    sums downstream rely on.
+    """
+    return fgn.stationary_blocks(_autocovariance(grid, cfg), grid.n_steps, rngs)
+
+
+def sample_fou_batch(grid: TimeGrid, cfg: FouConfig, rngs) -> np.ndarray:
+    """All paths of ``sample_fou_blocks`` in one (len(rngs), n_steps + 1) array."""
+    return fgn.sample_stationary_batch(_autocovariance(grid, cfg), grid.n_steps, rngs)
+
+
+def ensemble_streams(master_seed: int, name: str, n_replicas: int,
+                     replica_offset: int = 0) -> list:
+    """Generators of replicas replica_offset .. replica_offset + n_replicas - 1.
+
+    Replica i is driven by the stream (master_seed, name, i), so any
+    contiguous block of replicas can be generated independently and the
+    result never depends on batching.
+    """
+    return [stream(master_seed, name, replica_offset + i) for i in range(n_replicas)]
 
 
 def sample_fou_ensemble(
@@ -234,9 +263,8 @@ def sample_fou_ensemble(
 ) -> np.ndarray:
     """Matrix of stationary fOU paths, one replica per row.
 
-    Replica i is driven by the stream (master_seed, name, replica_offset+i),
-    so any contiguous block of replicas can be generated independently and
-    the result never depends on batching.
+    Row i is ``sample_fou_batch`` of the stream of replica
+    replica_offset + i (see ``ensemble_streams``).
     """
-    rngs = [stream(master_seed, name, replica_offset + i) for i in range(n_replicas)]
-    return sample_fou_batch(grid, cfg, rngs)
+    return sample_fou_batch(
+        grid, cfg, ensemble_streams(master_seed, name, n_replicas, replica_offset))

@@ -2,9 +2,12 @@
 
 Everything here is replica-parallel with a fixed chunking policy:
 replica i always draws from stream (master_seed, name, i) and chunks have
-a fixed size, so results are bit-identical for any worker count.  Scalar
-aggregation goes through math.fsum (compensated), keeping reduction
-reassociation out of the reported statistics.
+a fixed size, so results are bit-identical for any worker count.  Within
+a chunk, the fOU scans take their paths block by block from
+``fou.sample_fou_blocks`` and reduce each block to its per-replica
+scalars before the next is drawn, so no chunk-sized path matrix is ever
+built.  Scalar aggregation goes through math.fsum (compensated), keeping
+reduction reassociation out of the reported statistics.
 
 Slopes of log statistic against log(1/eps) are fitted by
 inverse-variance-weighted least squares, with a parametric bootstrap
@@ -158,8 +161,9 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
     cfg = fou.FouConfig(h, eps)
 
     def make_chunk(offset, count):
-        y = fou.sample_fou_ensemble(grid, cfg, master_seed, count, name, offset)
-        return functional_values(G, y, grid.dt, alpha)
+        rngs = fou.ensemble_streams(master_seed, name, count, offset)
+        return np.concatenate([functional_values(G, y, grid.dt, alpha)
+                               for y in fou.sample_fou_blocks(grid, cfg, rngs)])
 
     return run_replicated(n_replicas, make_chunk, threads)
 
@@ -283,14 +287,18 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     regimes = [chaos.classify_regime(G.hermite_rank, h) for G in G_list]
     alphas = [r.alpha(eps) for r in regimes]
 
-    def make_chunk(offset, count):
-        y = fou.sample_fou_ensemble(grid, cfg, master_seed, count, "joint-cov", offset)
+    def block_columns(y):
         cols = []
         for G, a in zip(G_list, alphas):
             X = _functional_cumulative(G, y, grid.dt, a)
             cols.append(X[:, it])
             cols.append(X[:, i_s])
         return np.stack(cols, axis=1)
+
+    def make_chunk(offset, count):
+        rngs = fou.ensemble_streams(master_seed, "joint-cov", count, offset)
+        return np.concatenate([block_columns(y)
+                               for y in fou.sample_fou_blocks(grid, cfg, rngs)])
 
     data = run_replicated(n_replicas, make_chunk, threads)
     n_g = len(G_list)

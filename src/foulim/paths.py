@@ -1,4 +1,4 @@
-"""Uniform time grids and the Hurst and scale parameters."""
+"""Uniform time grids, the Hurst and scale parameters, and the package error base."""
 
 from __future__ import annotations
 
@@ -6,7 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeGrid", "as_hurst", "as_eps"]
+__all__ = ["FoulimError", "TimeGrid", "as_hurst", "as_eps"]
+
+
+class FoulimError(Exception):
+    """Base of the package's numerical failures; the CLI exits 2 on them."""
 
 
 def as_hurst(H) -> float:

@@ -27,10 +27,11 @@ from scipy.signal import lfilter
 from . import chaos, fgn, fou
 from .chaos import ChaosFunction
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
-from .paths import TimeGrid, as_eps, as_hurst
+from .paths import FoulimError, TimeGrid, as_eps, as_hurst
 from .streams import stream
 
 __all__ = [
+    "BlowUpError",
     "MultiscaleConfig",
     "solve_slow_fast_endpoints",
     "solve_limit_young",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e8
+
+
+class BlowUpError(FoulimError, FloatingPointError):
+    """The slow variable of a slow/fast system exceeded BLOWUP_GUARD."""
 
 
 @dataclass(frozen=True)
@@ -172,30 +177,26 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
 
     y has shape (..., 2*n_steps + 1): values at every half-step, so the
     classical RK4 stages see the fast variable at t, t + dt/2 and t + dt.
+    G(y) and g(y) are evaluated once on all of y; each stage reads its
+    column.
     """
     alpha = cfg.alpha()
-    f, h, G, g = cfg.f, cfg.h, cfg.G, cfg.g
+    f, h = cfg.f, cfg.h
+    Gy, gy = cfg.G(y), cfg.g(y)
     dt = cfg.grid.dt
     n = cfg.grid.n_steps
     x = np.full(y.shape[:-1], float(cfg.x0))
     out = np.empty(y.shape[:-1] + (n + 1,))
     out[..., 0] = x
+
+    def rhs(col):
+        G_col, g_col = Gy[..., col], gy[..., col]
+        return lambda u: alpha * f(u) * G_col + h(u) * g_col
+
     for k in range(n):
-        y0 = y[..., 2 * k]
-        yh = y[..., 2 * k + 1]
-        y1 = y[..., 2 * k + 2]
-
-        def rhs(u, yv):
-            return alpha * f(u) * G(yv) + h(u) * g(yv)
-
-        x = _rk4_step(
-            x, dt,
-            lambda u: rhs(u, y0),
-            lambda u: rhs(u, yh),
-            lambda u: rhs(u, y1),
-        )
+        x = _rk4_step(x, dt, rhs(2 * k), rhs(2 * k + 1), rhs(2 * k + 2))
         if np.any(np.abs(x) > BLOWUP_GUARD):
-            raise FloatingPointError(
+            raise BlowUpError(
                 f"slow variable exceeded {BLOWUP_GUARD:g} at step {k + 1}; "
                 "the system blew up"
             )

@@ -289,20 +289,21 @@ def test_statistics_commands_need_two_replicas(command, replicas, tmp_path, caps
 
 def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatch):
     rows = []
-    sample = fou.sample_fou_ensemble
+    sample = fou.sample_fou_blocks
 
-    def spy(grid, cfg, master_seed, n_replicas, *args, **kwargs):
-        rows.append(n_replicas)
-        return sample(grid, cfg, master_seed, n_replicas, *args, **kwargs)
+    def spy(*args, **kwargs):
+        for block in sample(*args, **kwargs):
+            rows.append(len(block))
+            yield block
 
-    monkeypatch.setattr(fou, "sample_fou_ensemble", spy)
+    monkeypatch.setattr(fou, "sample_fou_blocks", spy)
     out = tmp_path / "scan"
     assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
                 "--replicas", "1000", "--seed", "8", "--format", "json",
                 "--out", str(out)]) == 0
     # every (eps, replica) stream is drawn once: no extra pass at the finest eps
     assert sum(rows) == 1000 * 3
-    monkeypatch.setattr(fou, "sample_fou_ensemble", sample)
+    monkeypatch.setattr(fou, "sample_fou_blocks", sample)
     G = ChaosFunction.from_coefficients([0, 0, 1])
     alpha = chaos.classify_regime(2, 0.6).alpha(0.05)
     oracle = harness.clt_diagnostics(harness._fou_endpoint_samples(

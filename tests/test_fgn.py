@@ -119,6 +119,29 @@ def test_half_spectrum_engine_matches_full_spectrum_reference(label, acov, n, m)
     np.testing.assert_array_equal(batch, singles)
 
 
+# (label, acov, n): fGN at H 0.3, and the fOU at H 0.85, eps 0.1, dt = eps/50,
+# whose embedding is doubled
+BLOCK_CASES = [
+    ("fgn-0.3", lambda k: fgn.fgn_autocovariance(k, 0.3), 2000),
+    ("fou-0.85", lambda k: fou.rho(k * 0.02, 0.85), 500),
+]
+
+
+@pytest.mark.parametrize("label, acov, n", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
+def test_blocked_engine_rows_equal_one_row_calls(label, acov, n):
+    m, _ = fgn._embedding_eigenvalues(acov, n)
+    block = fgn.BLOCK_BYTES // (8 * 2 * m)
+    assert block > 1
+    singles = np.concatenate([fgn.sample_stationary_batch(acov, n, [stream(6, label, i)])
+                              for i in range(3 * block + 2)])
+    for rows in (1, block - 1, block, block + 1, 3 * block + 2):
+        rngs = [stream(6, label, i) for i in range(rows)]
+        sizes = [len(b) for b in fgn.stationary_blocks(acov, n, rngs)]
+        assert sizes == [block] * (rows // block) + ([rows % block] if rows % block else [])
+        batch = fgn.sample_stationary_batch(acov, n, [stream(6, label, i) for i in range(rows)])
+        np.testing.assert_array_equal(batch, singles[:rows])
+
+
 @pytest.mark.parametrize("H", [0.05, 0.5, 0.95])
 def test_fgn_sampler_covariance_is_exact(H):
     n = 64

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,22 @@ def test_fit_loglog_slope_ci_matches_per_draw_loop(seed):
     _, ci = harness.fit_loglog_slope(1 / eps, values, stderrs, seed)
     np.testing.assert_allclose(ci, bootstrap_ci_by_loop(1 / eps, values, stderrs, seed),
                                rtol=0, atol=1e-12)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_endpoint_samples_memory_does_not_grow_with_replicas():
+    # eps = 0.01, dt = eps/50: 5001-point paths, a 10,000-point embedding;
+    # each block of paths is reduced before the next is drawn, so neither the
+    # 250-replica chunk nor four of them ever hold a chunk-sized path matrix
+    peaks = [_traced_peak_mb(lambda n=n: harness._fou_endpoint_samples(
+        H2, 0.6, 1.0, 0.01, n, 3, "mem", 50.0, 1.0)) for n in (250, 1000)]
+    assert max(peaks) < 10.0
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.05)

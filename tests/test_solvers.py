@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fbm_paths
-from foulim import acceptance, chaos, fou, harness, solvers
+from foulim import acceptance, chaos, fgn, fou, harness, solvers
 from foulim.chaos import ChaosFunction
-from foulim.paths import TimeGrid
+from foulim.paths import FoulimError, TimeGrid
 from foulim.streams import stream
 
 H1 = ChaosFunction.from_coefficients([0, 1.0])
@@ -221,6 +221,51 @@ def test_slow_fast_blowup_guard():
     )
     with pytest.raises(FloatingPointError, match="blew up"):
         solvers.solve_slow_fast_endpoints(cfg, 1, 0, "blow")
+
+
+def test_slow_fast_errors_are_foulim_errors():
+    assert issubclass(fgn.SamplerInfeasibleError, FoulimError)
+    cfg = solvers.MultiscaleConfig(
+        f=lambda u: 1.0 + u**2, h=_zero, G=H1, g=_zero, H=0.7, eps=0.1,
+        x0=5.0, grid=TimeGrid(1.0, 100), alpha_override=50.0,
+    )
+    with pytest.raises(FoulimError) as info:
+        solvers.solve_slow_fast_endpoints(cfg, 1, 0, "blow")
+    assert type(info.value) is solvers.BlowUpError
+
+
+def _per_stage_rk4_endpoints(cfg, y):
+    """Slow/fast RK4 endpoints with G and g evaluated anew at every stage."""
+    alpha, dt = cfg.alpha(), cfg.grid.dt
+
+    def rhs(u, yv):
+        return alpha * cfg.f(u) * cfg.G(yv) + cfg.h(u) * cfg.g(yv)
+
+    x = np.full(len(y), float(cfg.x0))
+    for k in range(cfg.grid.n_steps):
+        y0, yh, y1 = y[:, 2 * k], y[:, 2 * k + 1], y[:, 2 * k + 2]
+        k1 = rhs(x, y0)
+        k2 = rhs(x + 0.5 * dt * k1, yh)
+        k3 = rhs(x + 0.5 * dt * k2, yh)
+        k4 = rhs(x + dt * k3, y1)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("hfun, gfun", [
+    (_zero, _zero),
+    (lambda u: np.sin(u) + 2.0, np.cos),
+])
+def test_slow_fast_solver_matches_per_stage_evaluation(hfun, gfun):
+    eps, n_steps = 0.02, 500
+    cfg = solvers.MultiscaleConfig(
+        f=lambda u: np.sin(u) + 2.0, h=hfun, G=H2, g=gfun, H=0.85, eps=eps, x0=0.0,
+        grid=TimeGrid(1.0, n_steps),
+    )
+    y = fou.sample_fou_ensemble(TimeGrid(1.0, 2 * n_steps), fou.FouConfig(0.85, eps),
+                                12, 40, "stages")
+    np.testing.assert_array_equal(solvers.solve_slow_fast_endpoints(cfg, 40, 12, "stages"),
+                                  _per_stage_rk4_endpoints(cfg, y))
 
 
 def test_grid_refinement_stability():
