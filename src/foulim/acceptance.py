@@ -76,10 +76,10 @@ def crit_2_fou_stationarity_decay(seed, suite, threads=1) -> CriterionResult:
     n_rep = 40_000 if suite == "full" else 4000
     H, eps = 0.75, 0.05
     grid = TimeGrid(0.1, int(round(0.1 / (eps / 100.0))))
+    sampler = fou.path_sampler(grid, fou.FouConfig(H, eps))
 
     def make_chunk(offset, count):
-        return fou.sample_fou_ensemble(grid, fou.FouConfig(H, eps), seed, count,
-                                       "acc2", offset)
+        return sampler.batch(fou.ensemble_streams(seed, "acc2", count, offset))
 
     y = harness.run_replicated(n_rep, make_chunk, threads)
     var_end = harness.fsum_variance(y[:, -1])

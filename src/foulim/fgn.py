@@ -7,13 +7,13 @@ embedding has negative eigenvalues beyond rounding level it is doubled,
 extending the autocovariance to the longer range, until it has none
 (Wood & Chan 1994); past a fixed length the sampler raises.  The
 random spectrum of each row is Hermitian, so only its first half is
-built and ``numpy.fft.hfft`` turns it into the real sequence.  Rows
-stream through the engine in row blocks of a fixed byte budget
-(``stationary_blocks``), so memory per call is O(block * m) however
-many rows are drawn; ``sample_stationary_batch`` collects the blocks
-into one array.  fGN is one caller, the stationary fOU of ``fou`` the
-other.  Exactness matters here because everything downstream reads
-rates off exponents.
+built and ``numpy.fft.hfft`` turns it into the real sequence.  A
+``StationarySampler`` computes the embedding once; rows then stream
+through it in row blocks of a fixed byte budget (``blocks``), so memory
+per call is O(block * m) however many rows are drawn, and ``batch``
+collects the blocks into one array.  fGN is one caller, the stationary
+fOU of ``fou`` the other.  Exactness matters here because everything
+downstream reads rates off exponents.
 
 The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
 0.5*(t^{2H} + s^{2H} - |t-s|^{2H}); a path is the cumulative sum of a
@@ -30,8 +30,7 @@ from .paths import FoulimError, as_hurst
 
 __all__ = [
     "SamplerInfeasibleError",
-    "stationary_blocks",
-    "sample_stationary_batch",
+    "StationarySampler",
     "fbm_covariance",
     "fgn_autocovariance",
     "sample_fgn_batch",
@@ -96,19 +95,17 @@ def _embedding_eigenvalues(acov, n: int) -> tuple[int, np.ndarray]:
     )
 
 
-def stationary_blocks(acov, n: int, rngs):
-    """Stationary Gaussian sequences of n + 1 values, in consecutive row blocks.
+class StationarySampler:
+    """Stationary Gaussian sequences of n + 1 values from one circulant embedding.
 
     ``acov`` maps an integer lag array 0..m to the autocovariance there;
     it is read on lags 0..n, and beyond when the embedding is doubled.
-    Returns an iterator of arrays of shape (rows, n + 1), one row per
-    generator in the sequence ``rngs`` and in its order, exact in law.
-    Each row consumes exactly 2m standard normals from its own stream (m
-    the embedding half-length, which depends on acov and n only), so
-    results are independent of batching and blocking.  The embedding is
-    computed, and its errors raised, on the call; rows are drawn as the
-    iterator is consumed, BLOCK_BYTES of normals at a time, through two
-    buffers (normals, half spectrum) allocated once per call.
+    The embedding is computed, and its errors raised, once on
+    construction; every call of ``blocks`` or ``batch`` then draws one
+    row per generator in the sequence ``rngs`` and in its order, exact
+    in law.  Each row consumes exactly 2m standard normals from its own
+    stream (m the embedding half-length, which depends on acov and n
+    only), so results are independent of batching and blocking.
 
     Of the Hermitian spectrum W of length 2m only W[0..m] is assembled,
     and its real-output FFT is taken: ``np.fft.hfft(W, n=2m)``, which
@@ -116,41 +113,46 @@ def stationary_blocks(acov, n: int, rngs):
     hfft is an unnormalized inverse real FFT of conj(W), so conj(W) is
     assembled in place and transformed directly, bit for bit as hfft.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 lags")
-    m, lam = _embedding_eigenvalues(acov, n)
-    return _blocks(m, lam, n, rngs)
 
+    def __init__(self, acov, n: int):
+        if n < 1:
+            raise ValueError("need n >= 1 lags")
+        self.n = n
+        self.m, self.lam = _embedding_eigenvalues(acov, n)
 
-def _blocks(m: int, lam: np.ndarray, n: int, rngs):
-    """The row blocks of ``stationary_blocks`` for the embedding (m, lam)."""
-    size = 2 * m
-    rows = max(1, min(len(rngs), BLOCK_BYTES // (8 * size)))
-    raw = np.empty((rows, size))
-    W_conj = np.empty((rows, m + 1), dtype=complex)
-    W_conj.imag[:, [0, m]] = 0.0
-    edge0, edge_m = np.sqrt(lam[0] / size), np.sqrt(lam[m] / size)
-    half = np.sqrt(lam[1:m] / (2 * size))
-    for start in range(0, len(rngs), rows):
-        block = rngs[start : start + rows]
-        k = len(block)
-        for i, rng in enumerate(block):
-            raw[i] = rng.standard_normal(size)
-        W_conj.real[:k, 0] = edge0 * raw[:k, 0]
-        W_conj.real[:k, m] = edge_m * raw[:k, 1]
-        np.multiply(half, raw[:k, 2 : m + 1], out=W_conj.real[:k, 1:m])
-        np.multiply(-half, raw[:k, m + 1 : size], out=W_conj.imag[:k, 1:m])
-        yield np.fft.irfft(W_conj[:k], n=size, axis=1, norm="forward")[:, : n + 1]
+    def blocks(self, rngs):
+        """An iterator of (rows, n + 1) blocks, BLOCK_BYTES of normals each.
 
+        Rows are drawn as it is consumed, through two buffers (normals,
+        half spectrum) of its own, so concurrent calls share only lam.
+        """
+        m, lam, n = self.m, self.lam, self.n
+        size = 2 * m
+        rows = max(1, min(len(rngs), BLOCK_BYTES // (8 * size)))
+        raw = np.empty((rows, size))
+        W_conj = np.empty((rows, m + 1), dtype=complex)
+        W_conj.imag[:, [0, m]] = 0.0
+        edge0, edge_m = np.sqrt(lam[0] / size), np.sqrt(lam[m] / size)
+        half = np.sqrt(lam[1:m] / (2 * size))
+        for start in range(0, len(rngs), rows):
+            block = rngs[start : start + rows]
+            k = len(block)
+            for i, rng in enumerate(block):
+                raw[i] = rng.standard_normal(size)
+            W_conj.real[:k, 0] = edge0 * raw[:k, 0]
+            W_conj.real[:k, m] = edge_m * raw[:k, 1]
+            np.multiply(half, raw[:k, 2 : m + 1], out=W_conj.real[:k, 1:m])
+            np.multiply(-half, raw[:k, m + 1 : size], out=W_conj.imag[:k, 1:m])
+            yield np.fft.irfft(W_conj[:k], n=size, axis=1, norm="forward")[:, : n + 1]
 
-def sample_stationary_batch(acov, n: int, rngs) -> np.ndarray:
-    """All rows of ``stationary_blocks(acov, n, rngs)`` in one (len(rngs), n + 1) array."""
-    out = np.empty((len(rngs), n + 1))
-    start = 0
-    for block in stationary_blocks(acov, n, rngs):
-        out[start : start + len(block)] = block
-        start += len(block)
-    return out
+    def batch(self, rngs) -> np.ndarray:
+        """All rows of ``blocks(rngs)`` in one (len(rngs), n + 1) array."""
+        out = np.empty((len(rngs), self.n + 1))
+        start = 0
+        for block in self.blocks(rngs):
+            out[start : start + len(block)] = block
+            start += len(block)
+        return out
 
 
 def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:
@@ -167,7 +169,7 @@ def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:
         raise ValueError("need n >= 1 increments")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    incs = sample_stationary_batch(lambda k: fgn_autocovariance(k, h), n, rngs)
+    incs = StationarySampler(lambda k: fgn_autocovariance(k, h), n).batch(rngs)
     return incs[:, :n] * dt**h
 
 

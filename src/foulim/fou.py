@@ -12,10 +12,10 @@ the scaling-regime behaviour downstream.
 The sampler draws the process on a grid directly as a stationary
 Gaussian sequence with autocovariance rho(k dt/eps), on the circulant
 embedding engine of ``fgn``: exact in law at every resolution, with no
-burn-in.  ``sample_fou_blocks`` hands the paths over in the engine's row
-blocks, for callers that reduce each block before drawing the next;
-``sample_fou_batch`` and ``sample_fou_ensemble`` collect them into one
-matrix.
+burn-in.  ``path_sampler`` builds the engine for one (grid, scale) once;
+its ``blocks`` hand the paths over in row blocks, for callers that
+reduce each block before drawing the next, and its ``batch`` and
+``sample_fou_ensemble`` collect them into one matrix.
 
 rho is evaluated in closed form, through the incomplete gamma and
 Kummer functions, below s = 30 and by the asymptotic series of
@@ -43,8 +43,7 @@ __all__ = [
     "rho",
     "rho_asymptote_constant",
     "rho_power_integral",
-    "sample_fou_blocks",
-    "sample_fou_batch",
+    "path_sampler",
     "ensemble_streams",
     "sample_fou_ensemble",
 ]
@@ -217,29 +216,18 @@ def _check_resolution(dt: float, eps: float):
         )
 
 
-def _autocovariance(grid: TimeGrid, cfg: FouConfig):
-    """rho(k dt/eps) on integer lags k, after checking dt <= eps/10."""
+def path_sampler(grid: TimeGrid, cfg: FouConfig) -> fgn.StationarySampler:
+    """The sampler of stationary fOU paths on the grid, its embedding computed once.
+
+    Its rows are stationary Gaussian sequences of n_steps + 1 values
+    with autocovariance rho(k dt/eps), exact in law: ``blocks(rngs)``
+    hands them over in row blocks, for callers that reduce each block
+    before taking the next, and ``batch(rngs)`` in one matrix.  Requires
+    grid.dt <= eps/10, which the Riemann sums downstream rely on.
+    """
     _check_resolution(grid.dt, cfg.eps)
     step = grid.dt / cfg.eps
-    return lambda k: rho(k * step, cfg.H)
-
-
-def sample_fou_blocks(grid: TimeGrid, cfg: FouConfig, rngs):
-    """Stationary fOU paths on the grid, one per generator in ``rngs``, in row blocks.
-
-    An iterator of arrays of shape (rows, n_steps + 1), in the order of
-    ``rngs``: stationary Gaussian sequences with autocovariance
-    rho(k dt/eps), exact in law, from ``fgn.stationary_blocks``.  A
-    caller that reduces each block before taking the next holds only
-    one block of paths.  Requires grid.dt <= eps/10, which the Riemann
-    sums downstream rely on.
-    """
-    return fgn.stationary_blocks(_autocovariance(grid, cfg), grid.n_steps, rngs)
-
-
-def sample_fou_batch(grid: TimeGrid, cfg: FouConfig, rngs) -> np.ndarray:
-    """All paths of ``sample_fou_blocks`` in one (len(rngs), n_steps + 1) array."""
-    return fgn.sample_stationary_batch(_autocovariance(grid, cfg), grid.n_steps, rngs)
+    return fgn.StationarySampler(lambda k: rho(k * step, cfg.H), grid.n_steps)
 
 
 def ensemble_streams(master_seed: int, name: str, n_replicas: int,
@@ -263,8 +251,8 @@ def sample_fou_ensemble(
 ) -> np.ndarray:
     """Matrix of stationary fOU paths, one replica per row.
 
-    Row i is ``sample_fou_batch`` of the stream of replica
+    Row i is the ``path_sampler`` row of the stream of replica
     replica_offset + i (see ``ensemble_streams``).
     """
-    return sample_fou_batch(
-        grid, cfg, ensemble_streams(master_seed, name, n_replicas, replica_offset))
+    return path_sampler(grid, cfg).batch(
+        ensemble_streams(master_seed, name, n_replicas, replica_offset))

@@ -3,11 +3,12 @@
 Everything here is replica-parallel with a fixed chunking policy:
 replica i always draws from stream (master_seed, name, i) and chunks have
 a fixed size, so results are bit-identical for any worker count.  Within
-a chunk, the fOU scans take their paths block by block from
-``fou.sample_fou_blocks`` and reduce each block to its per-replica
-scalars before the next is drawn, so no chunk-sized path matrix is ever
-built.  Scalar aggregation goes through math.fsum (compensated), keeping
-reduction reassociation out of the reported statistics.
+a chunk, the fOU scans take their paths block by block from one
+``fou.path_sampler`` per scale, built before the chunks, and reduce each
+block to its per-replica scalars before the next is drawn, so no
+chunk-sized path matrix is ever built.  Scalar aggregation goes through
+math.fsum (compensated), keeping reduction reassociation out of the
+reported statistics.
 
 Slopes of log statistic against log(1/eps) are fitted by
 inverse-variance-weighted least squares, with a parametric bootstrap
@@ -22,11 +23,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
-from .paths import TimeGrid, as_hurst
+from .paths import TimeGrid, as_eps_list, as_hurst
 from .streams import stream
 
 __all__ = [
@@ -158,12 +160,12 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
     """Replica samples of alpha * int_0^t G(y^eps) ds."""
     n_steps = max(int(round(t / (eps / dt_ratio))), 1)
     grid = TimeGrid(t, n_steps)
-    cfg = fou.FouConfig(h, eps)
+    sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
 
     def make_chunk(offset, count):
         rngs = fou.ensemble_streams(master_seed, name, count, offset)
         return np.concatenate([functional_values(G, y, grid.dt, alpha)
-                               for y in fou.sample_fou_blocks(grid, cfg, rngs)])
+                               for y in sampler.blocks(rngs)])
 
     return run_replicated(n_replicas, make_chunk, threads)
 
@@ -182,7 +184,7 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
     drawing that scale again.
     """
     h = as_hurst(H)
-    eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
+    eps_arr = as_eps_list(eps_list)
     if len(eps_arr) < 3:
         raise ValueError("variance scan needs at least 3 eps values")
     regime = chaos.classify_regime(G.hermite_rank, h)
@@ -281,7 +283,7 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     horizon = max(t, s)
     n_steps = max(int(round(horizon / (eps / dt_ratio))), 1)
     grid = TimeGrid(horizon, n_steps)
-    cfg = fou.FouConfig(h, eps)
+    sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
     it = int(round(t / grid.dt))
     i_s = int(round(s / grid.dt))
     regimes = [chaos.classify_regime(G.hermite_rank, h) for G in G_list]
@@ -297,8 +299,7 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
 
     def make_chunk(offset, count):
         rngs = fou.ensemble_streams(master_seed, "joint-cov", count, offset)
-        return np.concatenate([block_columns(y)
-                               for y in fou.sample_fou_blocks(grid, cfg, rngs)])
+        return np.concatenate([block_columns(y) for y in sampler.blocks(rngs)])
 
     data = run_replicated(n_replicas, make_chunk, threads)
     n_g = len(G_list)
@@ -334,17 +335,61 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     return report
 
 
+def _lag_profile_kernels(h: float, t: float, eps_arr: np.ndarray, dt_ratio: float,
+                         xi_window_factor: float):
+    """Aligned grid and kernel matrices of ``l2_convergence_hermite``.
+
+    Returns (fine, n_xi, A_lim, fou_kernels): the limit's TimeGrid of
+    n_fine steps dxi, the number of noise cells dxi*[-n_w, n_fine], the
+    (n_fine, n_xi) limit kernel, and a (grid, M) pair per eps.  Entry
+    (row, cell j) depends only on the lag n_w + (fine index of the row) - j,
+    so each matrix is a set of windows of one profile over the lags
+    n_w + n_fine down to 1 - n_fine; fine index i starts at n_fine - i.
+    """
+    n_fine = max(int(round(t * dt_ratio / eps_arr[-1])), 1)
+    fine = TimeGrid(t, n_fine)
+    dxi = fine.dt
+    n_w = int(round(xi_window_factor * t / dxi))
+    n_xi = n_w + n_fine
+    lags = n_w + n_fine - np.arange(n_xi + n_fine, dtype=float)
+
+    def windows(profile, fine_idx):
+        return sliding_window_view(profile, n_xi)[n_fine - fine_idx]
+
+    # the limit kernel (s - xi)_+^{H - 3/2} averaged over each cell, s at
+    # mid-cell: Z^{H*(m),m} has exponent Hhat - 3/2, Hhat = (H*(m)-1)/m + 1 = H
+    p = h - 0.5
+    cell = (np.clip(lags + 0.5, 0.0, None) ** p - np.clip(lags - 0.5, 0.0, None) ** p)
+    A_lim = windows(dxi ** (p - 1.0) / p * cell, np.arange(n_fine))
+    fou_kernels = []
+    for eps in eps_arr:
+        # every r-th fine point, r the largest divisor of n_fine with r dxi <= eps/dt_ratio
+        r = max((k for k in range(1, n_fine + 1)
+                 if n_fine % k == 0 and k * dxi <= eps / dt_ratio * (1.0 + 1e-12)),
+                default=1)
+        profile = hermite.ghat((lags - 0.5) * (dxi / eps), h) / np.sqrt(eps)
+        fou_kernels.append((TimeGrid(t, n_fine // r),
+                            windows(profile, r * np.arange(n_fine // r + 1))))
+    return fine, n_xi, A_lim, fou_kernels
+
+
 def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
                            n_replicas: int, master_seed: int = 0,
                            dt_ratio: float = 20.0, xi_window_factor: float = 30.0,
-                           n_limit_steps: int = 400, threads: int = 1) -> ScanResult:
+                           threads: int = 1) -> ScanResult:
     """Coupled L2 distance between the scaled integral and its Hermite limit.
 
-    Every replica owns one white noise; for each eps the fOU is built
-    from that noise through its Wiener kernel, and the limit
-    c_m (m!/K) C^m Z^{H*(m),m} is built from the same noise, so the
-    distance ||X^eps_t - limit_t||_{L2(Omega)} is measured on coupled
-    samples and must decrease as eps -> 0.
+    Every replica owns one white noise on cells of width dxi = t/n_fine,
+    n_fine = round(t dt_ratio / min eps), reaching back
+    xi_window_factor * t before 0.  For each eps the fOU is built from
+    that noise through its Wiener kernel ghat on every r-th fine point,
+    r the largest divisor of n_fine with r dxi <= eps/dt_ratio, and the
+    limit c_m (m!/K) C^m Z^{H*(m),m} is built from the same noise on the
+    fine cells, so the distance ||X^eps_t - limit_t||_{L2(Omega)} is
+    measured on coupled samples and must decrease as eps -> 0.  On this
+    aligned grid each kernel matrix is a set of windows of one 1-D lag
+    profile (``_lag_profile_kernels``), so ghat and the cell averages
+    are evaluated on n_xi + n_fine lags per kernel.
     """
     h = as_hurst(H)
     m = G.hermite_rank
@@ -354,59 +399,31 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             f"coupled Hermite comparison requires the long-range regime; "
             f"H*(m) = {regime.h_star:.3f}"
         )
-    eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
-    eps_min = eps_arr[-1]
-    dxi = eps_min / dt_ratio
-    xi_window = xi_window_factor * t
-    n_xi = int(round((xi_window + t) / dxi))
-    edges = np.linspace(-xi_window, t, n_xi + 1)
-    dxi = edges[1] - edges[0]
-    mids = 0.5 * (edges[:-1] + edges[1:])
-
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {t}")
+    eps_arr = as_eps_list(eps_list)
+    fine, n_xi, A_lim, fou_kernels = _lag_profile_kernels(
+        h, t, eps_arr, dt_ratio, xi_window_factor)
     hs = regime.h_star
-    lam = (G.coefficients[m] * math.factorial(m) / chaos.K_normalizer(hs, m)
-           * fou.kernel_amplitude(h) ** m)
-
-    # limit-process machinery on a fixed s grid; the kernel exponent of
-    # Z^{H*(m),m} is Hhat - 3/2 with Hhat = (H*(m)-1)/m + 1 = H
-    s_mid = (np.arange(n_limit_steps) + 0.5) * (t / n_limit_steps)
-    ds = t / n_limit_steps
-    A_lim = hermite._cell_averaged_kernel(s_mid, edges, h - 1.5)
-
-    # fOU kernel matrices, one per eps
-    M_fou = []
-    grids = []
-    for eps in eps_arr:
-        n_steps = max(int(round(t / (eps / dt_ratio))), 1)
-        grid = TimeGrid(t, n_steps)
-        M = hermite.ghat((grid.times()[:, None] - mids[None, :]) / eps, h) / np.sqrt(eps)
-        M_fou.append(M)
-        grids.append(grid)
-
-    sq_dists = np.zeros(len(eps_arr))
-    sq_sq = np.zeros(len(eps_arr))
+    K = chaos.K_normalizer(hs, m)
+    lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
 
     def make_chunk(offset, count):
-        W = np.stack([
-            stream(master_seed, "l2-noise", offset + k).standard_normal(n_xi)
-            for k in range(count)
-        ]) * np.sqrt(dxi)
-        series = hermite._offdiag_series(A_lim, m, W) * ds  # (count, n_s)
-        K = chaos.K_normalizer(hs, m)
-        Z_t = series.sum(axis=1) * K / math.factorial(m)
+        W = np.empty((count, n_xi))
+        for k in range(count):
+            W[k] = stream(master_seed, "l2-noise", offset + k).standard_normal(n_xi)
+        W *= np.sqrt(fine.dt)
+        series = hermite._offdiag_series(A_lim, m, W)
+        Z_t = series.sum(axis=1) * fine.dt * K / math.factorial(m)
         out = np.empty((count, len(eps_arr)))
-        for i, eps in enumerate(eps_arr):
-            y = W @ M_fou[i].T
-            X = functional_values(G, y, grids[i].dt, eps ** (hs - 1.0))
+        for i, (grid, M) in enumerate(fou_kernels):
+            X = functional_values(G, W @ M.T, grid.dt, eps_arr[i] ** (hs - 1.0))
             out[:, i] = (X - lam * Z_t) ** 2
         return out
 
     sq = run_replicated(n_replicas, make_chunk, threads)
-    dists = np.array([np.sqrt(fsum_mean(sq[:, i])) for i in range(len(eps_arr))])
-    se = np.array([
-        0.5 * np.std(sq[:, i], ddof=1) / np.sqrt(n_replicas) / dists[i]
-        for i in range(len(eps_arr))
-    ])
+    dists = np.array([np.sqrt(fsum_mean(col)) for col in sq.T])
+    se = 0.5 * np.std(sq, axis=0, ddof=1) / np.sqrt(n_replicas) / dists
     monotone = bool(np.all(np.diff(dists) < 0))
     return ScanResult(
         eps_arr, dists, se, n_replicas,

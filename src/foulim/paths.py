@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FoulimError", "TimeGrid", "as_hurst", "as_eps"]
+__all__ = ["FoulimError", "TimeGrid", "as_hurst", "as_eps", "as_eps_list"]
 
 
 class FoulimError(Exception):
@@ -27,6 +27,14 @@ def as_eps(eps) -> float:
     if not 0.0 < e <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {e}")
     return e
+
+
+def as_eps_list(eps_list) -> np.ndarray:
+    """The distinct scales of eps_list, each checked by ``as_eps``, largest first."""
+    scales = sorted({as_eps(e) for e in eps_list}, reverse=True)
+    if not scales:
+        raise ValueError("need at least one eps")
+    return np.asarray(scales)
 
 
 @dataclass(frozen=True)

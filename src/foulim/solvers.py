@@ -27,7 +27,7 @@ from scipy.signal import lfilter
 from . import chaos, fgn, fou
 from .chaos import ChaosFunction
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
-from .paths import FoulimError, TimeGrid, as_eps, as_hurst
+from .paths import FoulimError, TimeGrid, as_eps, as_eps_list, as_hurst
 from .streams import stream
 
 __all__ = [
@@ -209,10 +209,10 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
                               threads: int = 1) -> np.ndarray:
     """Replica endpoints x^eps_T for the distributional limit checks."""
     fine = TimeGrid(cfg.grid.horizon, 2 * cfg.grid.n_steps)
-    fcfg = fou.FouConfig(cfg.H, cfg.eps)
+    sampler = fou.path_sampler(fine, fou.FouConfig(cfg.H, cfg.eps))
 
     def make_chunk(offset, count):
-        y = fou.sample_fou_ensemble(fine, fcfg, master_seed, count, name, offset)
+        y = sampler.batch(fou.ensemble_streams(master_seed, name, count, offset))
         return _solve_slow_fast_from_y(cfg, y)[:, -1]
 
     return run_replicated(n_replicas, make_chunk, threads)
@@ -253,7 +253,7 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     defect and the Hoelder-seminorm slope at gamma = holder_gamma_factor*H.
     """
     h = as_hurst(H)
-    eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
+    eps_arr = as_eps_list(eps_list)
     T = grid.horizon
     sigma = fou.stationary_sigma(h)
     # master spacing: finest dt refined until every eps grid sits on it

@@ -22,16 +22,16 @@ class UnitVectorGenerator:
 
 
 def engine_covariance(acov, n):
-    """Exact covariance of fgn.sample_stationary_batch(acov, n, .) output."""
+    """Exact covariance of fgn.StationarySampler(acov, n) output."""
     from foulim import fgn
 
-    m, _ = fgn._embedding_eigenvalues(acov, n)
-    A = fgn.sample_stationary_batch(acov, n, [UnitVectorGenerator(j) for j in range(2 * m)])
+    sampler = fgn.StationarySampler(acov, n)
+    A = sampler.batch([UnitVectorGenerator(j) for j in range(2 * sampler.m)])
     return A.T @ A
 
 
 def full_spectrum_reference(acov, n, rngs):
-    """fgn.sample_stationary_batch built the long way, as an oracle.
+    """fgn.StationarySampler(acov, n).batch(rngs) built the long way, as an oracle.
 
     Assembles the whole Hermitian spectrum W of length 2m, mirroring
     W[m+1..2m-1] from W[1..m-1], and takes the real part of its complex

@@ -128,6 +128,26 @@ def test_domain_errors_exit_2(tmp_path, capsys):
                for line in err.splitlines()), err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["l2-hermite", "--eps-list", "0,0.1,0.2"], "eps must lie in (0, 1]"),
+    (["l2-hermite", "--eps-list", "0.2,0.1,-0.05"], "eps must lie in (0, 1]"),
+    (["l2-hermite", "--eps-list", "2,1,0.5"], "eps must lie in (0, 1]"),
+    (["l2-hermite", "--t", "0"], "horizon must be positive"),
+    (["kinetic-scan", "--eps-list", "2,1,0.5"], "eps must lie in (0, 1]"),
+    (["kinetic-scan", "--eps-list", "0,0.1,0.2"], "eps must lie in (0, 1]"),
+], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
+        "kinetic-above-one", "kinetic-zero"])
+def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
+    command = argv[0]
+    args = [command, *REQUIRED_ARGS[command], *argv[1:], "--replicas", "2",
+            "--out", str(tmp_path / "x")]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and message in line
+               for line in err.splitlines()), err
+    assert not list(tmp_path.iterdir())
+
+
 # the required arguments of every subcommand but verify
 REQUIRED_ARGS = {
     "sample-fbm": ["--H", "0.5"], "sample-fou": ["--H", "0.5", "--eps", "0.1"],
@@ -289,21 +309,28 @@ def test_statistics_commands_need_two_replicas(command, replicas, tmp_path, caps
 
 def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatch):
     rows = []
-    sample = fou.sample_fou_blocks
+    make_sampler = fou.path_sampler
 
-    def spy(*args, **kwargs):
-        for block in sample(*args, **kwargs):
-            rows.append(len(block))
-            yield block
+    def spy(grid, cfg):
+        sampler = make_sampler(grid, cfg)
+        blocks = sampler.blocks
 
-    monkeypatch.setattr(fou, "sample_fou_blocks", spy)
+        def counted(rngs):
+            for block in blocks(rngs):
+                rows.append(len(block))
+                yield block
+
+        sampler.blocks = counted
+        return sampler
+
+    monkeypatch.setattr(fou, "path_sampler", spy)
     out = tmp_path / "scan"
     assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
                 "--replicas", "1000", "--seed", "8", "--format", "json",
                 "--out", str(out)]) == 0
     # every (eps, replica) stream is drawn once: no extra pass at the finest eps
     assert sum(rows) == 1000 * 3
-    monkeypatch.setattr(fou, "sample_fou_blocks", sample)
+    monkeypatch.setattr(fou, "path_sampler", make_sampler)
     G = ChaosFunction.from_coefficients([0, 0, 1])
     alpha = chaos.classify_regime(2, 0.6).alpha(0.05)
     oracle = harness.clt_diagnostics(harness._fou_endpoint_samples(

@@ -111,10 +111,10 @@ HALF_SPECTRUM_CASES = [
                          ids=[c[0] for c in HALF_SPECTRUM_CASES])
 def test_half_spectrum_engine_matches_full_spectrum_reference(label, acov, n, m):
     assert fgn._embedding_eigenvalues(acov, n)[0] == m
-    batch = fgn.sample_stationary_batch(acov, n, [stream(4, label, i) for i in range(5)])
+    batch = fgn.StationarySampler(acov, n).batch([stream(4, label, i) for i in range(5)])
     ref = full_spectrum_reference(acov, n, [stream(4, label, i) for i in range(5)])
     np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-13)
-    singles = np.concatenate([fgn.sample_stationary_batch(acov, n, [stream(4, label, i)])
+    singles = np.concatenate([fgn.StationarySampler(acov, n).batch([stream(4, label, i)])
                               for i in range(5)])
     np.testing.assert_array_equal(batch, singles)
 
@@ -129,16 +129,16 @@ BLOCK_CASES = [
 
 @pytest.mark.parametrize("label, acov, n", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
 def test_blocked_engine_rows_equal_one_row_calls(label, acov, n):
-    m, _ = fgn._embedding_eigenvalues(acov, n)
-    block = fgn.BLOCK_BYTES // (8 * 2 * m)
+    sampler = fgn.StationarySampler(acov, n)  # one embedding serves every call
+    block = fgn.BLOCK_BYTES // (8 * 2 * sampler.m)
     assert block > 1
-    singles = np.concatenate([fgn.sample_stationary_batch(acov, n, [stream(6, label, i)])
+    singles = np.concatenate([sampler.batch([stream(6, label, i)])
                               for i in range(3 * block + 2)])
     for rows in (1, block - 1, block, block + 1, 3 * block + 2):
         rngs = [stream(6, label, i) for i in range(rows)]
-        sizes = [len(b) for b in fgn.stationary_blocks(acov, n, rngs)]
+        sizes = [len(b) for b in sampler.blocks(rngs)]
         assert sizes == [block] * (rows // block) + ([rows % block] if rows % block else [])
-        batch = fgn.sample_stationary_batch(acov, n, [stream(6, label, i) for i in range(rows)])
+        batch = sampler.batch([stream(6, label, i) for i in range(rows)])
         np.testing.assert_array_equal(batch, singles[:rows])
 
 
@@ -165,7 +165,7 @@ def test_non_positive_definite_autocovariance_raises_at_the_cap():
         return np.where(k == 0, 1.0, 1.2)
 
     with pytest.raises(fgn.SamplerInfeasibleError, match="cap"):
-        fgn.sample_stationary_batch(acov, 3, [stream(0, "npd")])
+        fgn.StationarySampler(acov, 3)
     assert calls[0] == 3 and calls[-1] <= fgn.MAX_EMBEDDING_LAGS < 2 * calls[-1]
 
 

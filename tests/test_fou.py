@@ -274,7 +274,7 @@ def test_sample_fou_holder_diagnostic():
 def test_sample_fou_under_resolved_raises():
     grid = TimeGrid(1.0, 50)  # dt = 0.02 > eps/10
     with pytest.raises(ValueError, match="under-resolved"):
-        fou.sample_fou_batch(grid, fou.FouConfig(0.7, 0.1), [stream(0, "x")])
+        fou.path_sampler(grid, fou.FouConfig(0.7, 0.1))
 
 
 def test_fou_config_validation():
@@ -333,7 +333,7 @@ def test_sample_fou_rows_do_not_depend_on_batching():
     parts = [fou.sample_fou_ensemble(grid, cfg, 3, 2, "batch"),
              fou.sample_fou_ensemble(grid, cfg, 3, 3, "batch", replica_offset=2)]
     np.testing.assert_array_equal(whole, np.concatenate(parts))
-    single = fou.sample_fou_batch(grid, cfg, [stream(3, "batch", 4)])
+    single = fou.path_sampler(grid, cfg).batch([stream(3, "batch", 4)])
     np.testing.assert_array_equal(whole[4:], single)
 
 

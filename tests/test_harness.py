@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from foulim import chaos, fou, harness
+from foulim import chaos, fgn, fou, harness, hermite
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import stream
@@ -95,6 +95,57 @@ def test_l2_convergence_single_chaos_m2():
     )
     assert scan.meta["monotone_decreasing"]
     assert scan.values[-1] < scan.values[0]
+
+
+@pytest.mark.parametrize("eps_list, n_steps", [
+    ([0.2, 0.1, 0.05], [100, 200, 400]),    # round(t dt_ratio / eps) steps each
+    ([0.3, 0.13, 0.05], [80, 200, 400]),    # non-commensurate: strides 5, 2 and 1
+])
+def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps):
+    h, t, dt_ratio = 0.8, 1.0, 20.0
+    fine, n_xi, A_lim, kernels = harness._lag_profile_kernels(
+        h, t, np.array(eps_list), dt_ratio, 30.0)
+    n_fine, dxi = fine.n_steps, fine.dt
+    assert (n_fine, n_xi) == (400, 12_400)
+    # the dense construction: cells dxi*[-n_w, n_fine], every entry evaluated
+    edges = np.linspace(-(n_xi - n_fine) * dxi, t, n_xi + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    A = hermite._cell_averaged_kernel((np.arange(n_fine) + 0.5) * dxi, edges, h - 1.5)
+    # far cells of the dense A difference two powers of ~30 and keep ~1e-11
+    # of relative rounding, so compare on the scale of the matrix
+    np.testing.assert_array_equal(A_lim == 0, A == 0)
+    np.testing.assert_allclose(A_lim, A, rtol=0, atol=1e-12 * np.abs(A).max())
+    assert [grid.n_steps for grid, _ in kernels] == n_steps
+    for eps, (grid, M) in zip(eps_list, kernels):
+        assert grid.dt <= eps / dt_ratio * (1 + 1e-12)
+        assert n_fine % grid.n_steps == 0
+        dense = hermite.ghat((grid.times()[:, None] - mids[None, :]) / eps, h) / np.sqrt(eps)
+        np.testing.assert_allclose(M, dense, rtol=1e-12, atol=0)
+
+
+def test_l2_convergence_bit_identical_across_threads():
+    # 300 replicas: two chunks of 250 and 50
+    runs = [harness.l2_convergence_hermite(H2, 0.85, 1.0, [0.3, 0.13, 0.05], 300, 4,
+                                           threads=threads) for threads in (1, 2)]
+    np.testing.assert_array_equal(runs[0].values, runs[1].values)
+    np.testing.assert_array_equal(runs[0].stderrs, runs[1].stderrs)
+
+
+def test_each_embedding_is_computed_once_per_scale(monkeypatch):
+    calls = []
+    compute = fgn._embedding_eigenvalues
+
+    def spy(acov, n):
+        calls.append(n)
+        return compute(acov, n)
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", spy)
+    # 600 replicas: three chunks per scale
+    harness.variance_scan(H2, 0.7, 0.2, [0.2, 0.1, 0.05, 0.025], 600, 3, dt_ratio=10.0)
+    assert calls == [10, 20, 40, 80]
+    calls.clear()
+    harness.joint_covariance_check([H1, H2], 0.7, 0.2, 0.1, 0.05, 600, 3, dt_ratio=10.0)
+    assert calls == [40]
 
 
 def test_gaussian_moment_constant_for_linear_functional():

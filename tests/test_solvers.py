@@ -15,6 +15,23 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
+    calls = []
+    compute = fgn._embedding_eigenvalues
+
+    def spy(acov, n):
+        calls.append(n)
+        return compute(acov, n)
+
+    monkeypatch.setattr(fgn, "_embedding_eigenvalues", spy)
+    cfg = solvers.MultiscaleConfig(
+        f=lambda u: np.ones_like(np.asarray(u, dtype=float)), h=_zero,
+        G=H1, g=_zero, H=0.7, eps=0.1, x0=0.0, grid=TimeGrid(0.2, 20),
+    )
+    solvers.solve_slow_fast_endpoints(cfg, 600, 3)  # three chunks
+    assert calls == [40]
+
+
 def test_young_additive_case():
     grid = TimeGrid(1.0, 100)
     Z = np.sin(grid.times())
