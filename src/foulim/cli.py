@@ -327,6 +327,7 @@ def _cmd_homogenize(args) -> int:
     c = chaos.c_constant(G, args.H)
     limit = _limit_endpoint_samples(
         G, args.H, args.t, args.x0, f, h, g_bar, args.replicas, args.seed + 1,
+        args.threads,
     )
     ks = _stats.ks_2samp(endpoints, limit)
     summary = {
@@ -349,15 +350,18 @@ def _cmd_homogenize(args) -> int:
     return 0 if summary["pass"] else 2
 
 
-def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed):
+def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed, threads=1):
     """Samples of the endpoint x_t of dx = f(x) dU + g_bar h(x) dt.
 
     The driver is U = c W in the short-range (and boundary) regime and
-    U = sign(a_m) c Z^{H*,m} in the long-range regime.  With h = 0 the
-    scalar chain rule makes x_t the flow of f evaluated at U_t.  For
-    nonzero h the batched Heun solver runs on U's paths: in one
-    dimension it converges to the Stratonovich solution for Brownian U
-    and to the Young solution for the Hermite U (H* > 1/2).
+    U = sign(a_m) c Z^{H*,m} in the long-range regime.  The Hermite paths
+    are drawn in the fixed replica chunks of ``harness.run_replicated``
+    on ``threads`` workers, so the noise of only one chunk per worker is
+    held at a time and the output does not depend on the worker count.
+    With h = 0 the scalar chain rule makes x_t the flow of f evaluated
+    at U_t.  For nonzero h the batched Heun solver runs on U's paths: in
+    one dimension it converges to the Stratonovich solution for Brownian
+    U and to the Young solution for the Hermite U (H* > 1/2).
     """
     regime = chaos.classify_regime(G.hermite_rank, H)
     c = chaos.c_constant(G, H)
@@ -366,8 +370,13 @@ def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed):
         m = G.hermite_rank
         spec = hermite.HermiteSpec(regime.h_star, m, 60.0 * t, 12000)
         grid = TimeGrid(t, 400)
-        z = hermite.hermite_ensemble(grid, spec, seed, n, "limit-endpoint-z",
-                                     report_idx=np.arange(grid.n_steps + 1))
+        every_step = np.arange(grid.n_steps + 1)
+
+        def make_chunk(offset, count):
+            return hermite.hermite_ensemble(grid, spec, seed, count, "limit-endpoint-z",
+                                            every_step, offset)
+
+        z = harness.run_replicated(n, make_chunk, threads)
         U = np.sign(G.coefficients[m]) * c * z
     else:
         rng = stream(seed, "limit-endpoint")

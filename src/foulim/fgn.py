@@ -145,9 +145,14 @@ class StationarySampler:
             np.multiply(-half, raw[:k, m + 1 : size], out=W_conj.imag[:k, 1:m])
             yield np.fft.irfft(W_conj[:k], n=size, axis=1, norm="forward")[:, : n + 1]
 
-    def batch(self, rngs) -> np.ndarray:
-        """All rows of ``blocks(rngs)`` in one (len(rngs), n + 1) array."""
-        out = np.empty((len(rngs), self.n + 1))
+    def batch(self, rngs, out=None) -> np.ndarray:
+        """All rows of ``blocks(rngs)`` in one (len(rngs), n + 1) array.
+
+        The rows are written into ``out`` when it is given, an array of
+        that shape in any layout (say, the transpose of a time-major one).
+        """
+        if out is None:
+            out = np.empty((len(rngs), self.n + 1))
         start = 0
         for block in self.blocks(rngs):
             out[start : start + len(block)] = block

@@ -410,8 +410,8 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
 
     def make_chunk(offset, count):
         W = np.empty((count, n_xi))
-        for k in range(count):
-            W[k] = stream(master_seed, "l2-noise", offset + k).standard_normal(n_xi)
+        for k, row in enumerate(W):
+            stream(master_seed, "l2-noise", offset + k).standard_normal(out=row)
         W *= np.sqrt(fine.dt)
         series = hermite._offdiag_series(A_lim, m, W)
         Z_t = series.sum(axis=1) * fine.dt * K / math.factorial(m)

@@ -26,11 +26,12 @@ Hermite limits directly measurable on coupled samples.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import chaos, fou
 from .paths import TimeGrid, as_hurst
@@ -45,6 +46,12 @@ __all__ = [
 
 # ghat switches from Kummer's transformed form, which holds e^v, at this v
 _KUMMER_MAX_V = 700.0
+# the window tail in truncation_bias_estimate: a 24-node Gauss-Legendre
+# rule on this many geometric panels per decade, out to _TAIL_FAR
+# times the larger of window and horizon
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_TAIL_PANELS_PER_DECADE = 2
+_TAIL_FAR = 1e8
 
 
 @dataclass(frozen=True)
@@ -80,15 +87,20 @@ def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, b: float) -> np.ndar
     """Exact cell averages of (s - xi)_+^b, shape (len(s), n_cells).
 
     Integrating the power analytically per cell keeps the integrable
-    singularity at xi -> s- from polluting the quadrature.
+    singularity at xi -> s- from polluting the quadrature.  The matrix is
+    built in place, with one temporary of its size.
     """
     lo = edges[:-1]
     hi = edges[1:]
-    dxi = hi - lo
     p = b + 1.0
-    top = np.clip(s[:, None] - lo[None, :], 0.0, None) ** p
-    bot = np.clip(s[:, None] - hi[None, :], 0.0, None) ** p
-    return (top - bot) / (p * dxi[None, :])
+    out = np.subtract.outer(s, lo)
+    bot = np.subtract.outer(s, hi)
+    for arr in (out, bot):
+        np.clip(arr, 0.0, None, out=arr)
+        np.power(arr, p, out=arr)
+    out -= bot
+    out /= p * (hi - lo)
+    return out
 
 
 def _offdiag_series(A_hat: np.ndarray, m: int, N: np.ndarray) -> np.ndarray:
@@ -182,7 +194,8 @@ def _sampler_arrays(grid: TimeGrid, spec: HermiteSpec):
     edges = np.linspace(-spec.xi_window, grid.horizon, spec.n_xi + 1)
     dxi = edges[1] - edges[0]
     s_mid = grid.times()[:-1] + 0.5 * grid.dt
-    A_hat = _cell_averaged_kernel(s_mid, edges, spec.kernel_exponent) * np.sqrt(dxi)
+    A_hat = _cell_averaged_kernel(s_mid, edges, spec.kernel_exponent)
+    A_hat *= np.sqrt(dxi)
     V = _exact_variances(A_hat, spec.m, grid.dt)
     t = grid.times()
     scale = np.zeros(grid.n_steps + 1)
@@ -214,10 +227,9 @@ def hermite_ensemble(
         report_idx = np.array([grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
     A_hat, scale = _sampler_arrays(grid, spec)
-    N = np.stack([
-        stream(master_seed, name, replica_offset + i).standard_normal(spec.n_xi)
-        for i in range(n_replicas)
-    ])
+    N = np.empty((n_replicas, spec.n_xi))
+    for i, row in enumerate(N):
+        stream(master_seed, name, replica_offset + i).standard_normal(out=row)
     series = _offdiag_series(A_hat, spec.m, N)
     cum = np.concatenate(
         [np.zeros((n_replicas, 1)), np.cumsum(series * grid.dt, axis=1)], axis=1
@@ -229,18 +241,30 @@ def truncation_bias_estimate(spec: HermiteSpec, horizon: float) -> float:
     """Estimated relative variance loss from truncating xi at -xi_window.
 
     Union bound: m times the one-coordinate tail share of the kernel's
-    L2 norm (the tail decays like |xi|^{2b}, b the kernel exponent).
+    L2 norm.  With u = -xi and p = b + 1 (b the kernel exponent) the tail
+    is int_L^inf ((u+T)^p - u^p)^2/p^2 du, whose integrand decays only
+    like u^{2p-2} = u^{2(H-1)/m - 1}.  An adaptive rule on the infinite
+    range loses most of that mass for wide windows, so the tail is summed
+    by Gauss-Legendre on geometric panels from L out to U = 1e8 max(L, T)
+    and completed beyond U in closed form from the first two terms of
+    its expansion in T/u, which leave a relative error of (T/U)^2.
     """
-    b = spec.kernel_exponent
+    p = spec.kernel_exponent + 1.0
     L = spec.xi_window
     T = horizon
-
-    def marginal(xi):
-        return (((T - xi) ** (b + 1.0) - (-xi) ** (b + 1.0)) / (b + 1.0)) ** 2
-
-    tail, _ = integrate.quad(marginal, -np.inf, -L, limit=200)
-    full = _kernel_marginal_norm_sq(b, T)
-    return float(min(1.0, spec.m * tail / full))
+    U = _TAIL_FAR * max(L, T)
+    n_panels = math.ceil(_TAIL_PANELS_PER_DECADE * math.log10(U / L))
+    edges = np.geomspace(L, U, n_panels + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    u = lo + half * (1.0 + _GL_X)
+    # (u+T)^p - u^p without cancelling the two large powers
+    diff = u**p * np.expm1(p * np.log1p(T / u)) / p
+    near = float(np.sum(half * _GL_W * diff**2))
+    e = 2.0 * p - 1.0  # < 0
+    far = T**2 * U**e / -e + (p - 1.0) * T**3 * U ** (e - 1.0) / (1.0 - e)
+    full = _kernel_marginal_norm_sq(p - 1.0, T)
+    return float(min(1.0, spec.m * (near + far) / full))
 
 
 def _kernel_marginal_norm_sq(b: float, T: float) -> float:

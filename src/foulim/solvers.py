@@ -6,7 +6,9 @@ process, H* > 1/2) in the long-range regime.  Its two solvers, the
 left-point Young scheme and the Heun-Stratonovich scheme, are batched:
 each takes a driver matrix of shape (n_replicas, n_steps + 1) and steps
 every replica at once.  The slow/fast RK4 solver is batched the same
-way over fOU paths.
+way over fOU paths, which it keeps time-major so that every stage reads
+one contiguous row.  The kinetic scan reduces its fGN row block by row
+block, like the fOU scans of ``harness``.
 
 Scalar state only: in one dimension the rough-driver solution obeys the
 classical chain rule (the symmetric second-order lift carries no extra
@@ -177,21 +179,30 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
 
     y has shape (..., 2*n_steps + 1): values at every half-step, so the
     classical RK4 stages see the fast variable at t, t + dt/2 and t + dt.
-    G(y) and g(y) are evaluated once on all of y; each stage reads its
-    column.
+    G(y) and g(y) are evaluated once on all of y, time-major, so each
+    stage reads one contiguous row (y is copied unless it is the
+    transpose of a C-ordered time-major array); where g(y) is
+    identically zero its term h(x) g(y), which would add only zeros, is
+    dropped.
     """
     alpha = cfg.alpha()
     f, h = cfg.f, cfg.h
-    Gy, gy = cfg.G(y), cfg.g(y)
+    y_t = np.ascontiguousarray(np.moveaxis(y, -1, 0))
+    Gy, gy = cfg.G(y_t), cfg.g(y_t)
     dt = cfg.grid.dt
     n = cfg.grid.n_steps
     x = np.full(y.shape[:-1], float(cfg.x0))
-    out = np.empty(y.shape[:-1] + (n + 1,))
-    out[..., 0] = x
+    out = np.empty((n + 1,) + y.shape[:-1])
+    out[0] = x
 
-    def rhs(col):
-        G_col, g_col = Gy[..., col], gy[..., col]
-        return lambda u: alpha * f(u) * G_col + h(u) * g_col
+    if np.any(gy):
+        def rhs(k):
+            G_k, g_k = Gy[k], gy[k]
+            return lambda u: alpha * f(u) * G_k + h(u) * g_k
+    else:
+        def rhs(k):
+            G_k = Gy[k]
+            return lambda u: alpha * f(u) * G_k
 
     for k in range(n):
         x = _rk4_step(x, dt, rhs(2 * k), rhs(2 * k + 1), rhs(2 * k + 2))
@@ -200,8 +211,8 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
                 f"slow variable exceeded {BLOWUP_GUARD:g} at step {k + 1}; "
                 "the system blew up"
             )
-        out[..., k + 1] = x
-    return out
+        out[k + 1] = x
+    return np.moveaxis(out, 0, -1)
 
 
 def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
@@ -212,7 +223,9 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
     sampler = fou.path_sampler(fine, fou.FouConfig(cfg.H, cfg.eps))
 
     def make_chunk(offset, count):
-        y = sampler.batch(fou.ensemble_streams(master_seed, name, count, offset))
+        # the paths are stored time-major, the layout the RK4 stages read
+        y = np.empty((fine.n_steps + 1, count)).T
+        sampler.batch(fou.ensemble_streams(master_seed, name, count, offset), out=y)
         return _solve_slow_fast_from_y(cfg, y)[:, -1]
 
     return run_replicated(n_replicas, make_chunk, threads)
@@ -251,6 +264,13 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     reporting-grid pairs of the replica-L2 error, whose log-log slope
     against log(1/eps) is H.  meta carries the max identity
     defect and the Hoelder-seminorm slope at gamma = holder_gamma_factor*H.
+
+    The fGN comes from one ``fgn.StationarySampler`` built per scan.
+    Within each replica chunk its row blocks are reduced, one after the
+    other, to their (rows, n_eps, 2, n_report) readings: block
+    aggregation, the recursion, the cumulative sums and the reads on the
+    reporting grid all act on one block, so no chunk-sized fGN matrix is
+    built, and every row is the same as from a whole-chunk draw.
     """
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
@@ -274,37 +294,43 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     # main length: at least ceil(N / b) whole blocks on every eps grid
     n_steps = int(round(T / dt_master))
     n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
+    n_total = n_burn_m + n_main_m
+    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h), n_total)
+    inc_scale = dt_master**h
 
     report_times = grid.times()
 
-    def make_chunk(offset, count):
-        rngs = [stream(master_seed, "kinetic", offset + k) for k in range(count)]
-        dB = fgn.sample_fgn_batch(n_burn_m + n_main_m, dt_master, h, rngs)
-        out = np.empty((count, len(eps_arr), 2, len(report_times)))
+    def readings(dB):
+        """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from fGN rows."""
+        rows = len(dB)
+        out = np.empty((rows, len(eps_arr), 2, len(report_times)))
         for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
             dt = b * dt_master
             # drop the leading n_burn_m % b burn-in steps so that main-grid
             # point 0 sits on a block edge, and the trailing partial block
             lead = n_burn_m % b
-            n_blocks = (n_burn_m + n_main_m - lead) // b
-            agg = dB[:, lead : lead + b * n_blocks].reshape(count, -1, b).sum(axis=2)
+            n_blocks = (n_total - lead) // b
+            agg = dB[:, lead : lead + b * n_blocks].reshape(rows, -1, b).sum(axis=2)
             n_burn = n_burn_m // b
             a = np.exp(-dt / eps)
             y = lfilter([sigma / eps**h], [1.0, -a], agg, axis=1)
             # states at main-grid points 0..n_main (y_k = state after k-th step)
-            y_main = np.concatenate(
-                [y[:, n_burn - 1 : n_burn], y[:, n_burn:]], axis=1
-            )
-            B_main = np.concatenate(
-                [np.zeros((count, 1)), np.cumsum(agg[:, n_burn:], axis=1)], axis=1
-            )
+            y_main = y[:, n_burn - 1 :]
+            B_main = np.zeros((rows, y_main.shape[1]))
+            np.cumsum(agg[:, n_burn:], axis=1, out=B_main[:, 1:])
             # exponential left-point integral of y on [0, t_k]
-            X = eps ** (h - 1.0) * eps * (1.0 - a) * np.concatenate(
-                [np.zeros((count, 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1
-            )
-            out[:, i, 0, :] = _read_on_grid(X - sigma * B_main, report_times, dt)
+            X = np.zeros_like(B_main)
+            np.cumsum(y_main[:, :-1], axis=1, out=X[:, 1:])
+            X *= eps ** (h - 1.0) * eps * (1.0 - a)
+            X -= sigma * B_main
+            out[:, i, 0, :] = _read_on_grid(X, report_times, dt)
             out[:, i, 1, :] = _read_on_grid(eps**h * y_main, report_times, dt)  # eps * v
         return out
+
+    def make_chunk(offset, count):
+        rngs = [stream(master_seed, "kinetic", offset + k) for k in range(count)]
+        return np.concatenate([readings(block[:, :n_total] * inc_scale)
+                               for block in sampler.blocks(rngs)])
 
     data = run_replicated(n_replicas, make_chunk, threads)
     diff = data[:, :, 0, :]   # X - sigma*B at reporting times

@@ -225,13 +225,13 @@ def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
     # blocks of 19, 17, 13, 11, 7 and 1 master steps: the lengths stay near
     # T / dt_master instead of growing to a common multiple of the blocks
     lengths = []
-    sample = fgn.sample_fgn_batch
 
-    def spy(n, *args, **kwargs):
-        lengths.append(n)
-        return sample(n, *args, **kwargs)
+    class Spy(fgn.StationarySampler):
+        def __init__(self, acov, n):
+            lengths.append(n)
+            super().__init__(acov, n)
 
-    monkeypatch.setattr(fgn, "sample_fgn_batch", spy)
+    monkeypatch.setattr(fgn, "StationarySampler", Spy)
     out = tmp_path / "kin"
     assert run(["kinetic-scan", "--H", "0.3", "--eps-list",
                 "0.19,0.17,0.13,0.11,0.07,0.01", "--replicas", "20",
@@ -293,6 +293,21 @@ def test_homogenize_with_drift_runs_the_limit_solver(tmp_path, H):
     assert 0.0 <= doc["ks_pvalue"] <= 1.0
     assert np.isfinite(doc["endpoint_mean"]) and np.isfinite(doc["endpoint_variance"])
     assert rc == (0 if doc["pass"] else 2)
+
+
+@pytest.mark.parametrize("hfun", ["zero", "one"])
+def test_long_range_homogenize_is_thread_invariant(tmp_path, hfun):
+    # 300 replicas: the Hermite limit is drawn in a full chunk and a partial
+    # one, on one or two workers
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"hom{threads}"
+        assert run(["homogenize", "--H", "0.85", "--coeffs", "0,0,1", "--hfun", hfun,
+                    "--replicas", "300", "--seed", "9", "--threads", threads,
+                    "--out", str(out)]) in (0, 2)
+        files.append([(tmp_path / f"hom{threads}.{ext}").read_bytes()
+                      for ext in ("csv", "json")])
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("command", ["clt-scan", "homogenize", "kinetic-scan", "l2-hermite"])

@@ -202,6 +202,43 @@ def test_truncation_bias_estimate_and_warning():
         hermite.hermite_ensemble(TimeGrid(1.0, 50), spec, 1, 2, "w")
 
 
+def _window_tail_40_digits(p, a, T):
+    """int_a^inf ((u+T)^p - u^p)^2/p^2 du by mpmath (at the working precision).
+
+    Quadrature in log u up to max(a, 1000 T), and beyond it the binomial
+    series of ((1+x)^p - 1)^2, x = T/u, integrated term by term.
+    """
+    U = max(a, 1000 * T)
+    f = lambda u: (((u + T) ** p - u ** p) / p) ** 2
+    head = 0
+    if U > a:
+        head = mpmath.quad(lambda s: mpmath.exp(s) * f(mpmath.exp(s)),
+                           mpmath.linspace(mpmath.log(a), mpmath.log(U), 8))
+    binom = [mpmath.binomial(p, j) for j in range(1, 41)]
+    far = 0
+    for k in range(2, 41):
+        c = sum(binom[i - 1] * binom[k - i - 1] for i in range(1, k))
+        far += c * T ** k * U ** (2 * p - k + 1) / (k - 2 * p - 1)
+    return head + far / p ** 2
+
+
+@pytest.mark.parametrize("H, m", [(0.7, 2), (0.85, 2), (0.9, 3)])
+def test_truncation_bias_estimate_matches_40_digit_oracle(H, m):
+    # m times the tail share of the kernel marginal beyond the window, capped
+    # at 1; the whole marginal is int_0^T (v^p/p)^2 dv plus the tail from 0.
+    # An adaptive rule on (-inf, -L) read 0.0199 at L = 1e5 and -3e-9 at 1e6
+    # for H = 0.7, m = 2 (the oracle: 0.022805 and 0.011430)
+    T = 1.0
+    with mpmath.workdps(40):
+        p = (mpmath.mpf(H) - 1) / m + mpmath.mpf(1) / 2
+        full = (T ** (2 * p + 1) / (p * p * (2 * p + 1))
+                + _window_tail_40_digits(p, mpmath.mpf("1e-30"), T))
+        for L in (40.0, 1e4, 1e5, 1e6):
+            oracle = min(1.0, float(m * _window_tail_40_digits(p, mpmath.mpf(L), T) / full))
+            est = hermite.truncation_bias_estimate(HermiteSpec(H, m, L, 10), T)
+            assert est == pytest.approx(oracle, rel=1e-6, abs=0)
+
+
 def test_sample_hermite_errors():
     with pytest.raises(ValueError, match="order not supported"):
         HermiteSpec(0.7, 4, 50.0, 1000)

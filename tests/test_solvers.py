@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from conftest import fbm_paths
 from foulim import acceptance, chaos, fgn, fou, harness, solvers
@@ -184,6 +188,47 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
     np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12)
 
 
+def _hermite_limit_args(n, seed=23):
+    from foulim import cli
+
+    G = ChaosFunction.from_coefficients([0, 0, -1.0])
+    return (G, 0.85, 1.0, 0.0, cli._F_PRESETS["sin2"], cli._F_PRESETS["zero"], 0.0,
+            n, seed)
+
+
+def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
+    # 300 replicas, a full chunk and a partial one: with the flow map
+    # replaced by the identity the samples are sign(a_2) c Z_t, and each
+    # chunk's rows agree with one call over all replicas to rounding
+    from foulim import cli, hermite
+
+    monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
+    G, H, t, *_, n, seed = _hermite_limit_args(300)
+    regime = chaos.classify_regime(2, H)
+    spec = hermite.HermiteSpec(regime.h_star, 2, 60.0 * t, 12000)
+    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec, seed, n, "limit-endpoint-z")[:, 0]
+    expect = -chaos.c_constant(G, H) * z
+    for threads in (1, 2):
+        u = cli._limit_endpoint_samples(*_hermite_limit_args(300), threads)
+        np.testing.assert_allclose(u, expect, rtol=0, atol=1e-13)
+
+
+def test_limit_endpoint_samples_memory_is_chunked():
+    # 600 replicas of 12,000 noise cells: drawn in one call, the noise, its
+    # square and the squared kernel took 157 MB traced; in 250-replica
+    # chunks the noise of one chunk is held at a time
+    from foulim import cli
+
+    cli._limit_endpoint_samples(*_hermite_limit_args(2))  # warm the kernel cache
+    tracemalloc.start()
+    try:
+        cli._limit_endpoint_samples(*_hermite_limit_args(600))
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 120.0
+
+
 def test_flow_map_exponential():
     u = np.array([-1.0, 0.0, 0.5, 2.0])
     out = solvers.flow_map_1d(lambda x: x, 1.5, u)
@@ -333,3 +378,87 @@ def test_kinetic_read_interpolates_between_grid_points():
     vals = stream(8, "read").standard_normal((3, 201))
     on = TimeGrid(1.0, 20).times()
     assert np.array_equal(solvers._read_on_grid(vals, on, 1.0 / 200), vals[:, ::10])
+
+
+def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, dt_ratio=100.0):
+    """Readings of kinetic_error_scan drawn the whole-chunk way, as a reference.
+
+    Each 250-replica chunk samples its whole fGN matrix with
+    sample_fgn_batch and reduces it eps by eps; returns the
+    (replicas, n_eps, 2, n_report) array of X - sigma B and eps v.
+    """
+    eps_arr = np.asarray(eps_list, dtype=float)
+    sigma = fou.stationary_sigma(H)
+    dt_min = eps_arr[-1] / dt_ratio
+    for k in range(1, 101):
+        dt_master = dt_min / k
+        ratios = eps_arr / dt_ratio / dt_master
+        if np.all(np.abs(ratios - np.round(ratios)) < 1e-9):
+            break
+    blocks = [int(round(r)) for r in ratios]
+    n_burn_m = int(round(10.0 * eps_arr[0] / dt_master))
+    n_steps = int(round(grid.horizon / dt_master))
+    n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
+    times = grid.times()
+
+    def make_chunk(offset, count):
+        rngs = [stream(seed, "kinetic", offset + k) for k in range(count)]
+        dB = fgn.sample_fgn_batch(n_burn_m + n_main_m, dt_master, H, rngs)
+        out = np.empty((count, len(eps_arr), 2, len(times)))
+        for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
+            dt = b * dt_master
+            lead = n_burn_m % b
+            n_blocks = (n_burn_m + n_main_m - lead) // b
+            agg = dB[:, lead : lead + b * n_blocks].reshape(count, -1, b).sum(axis=2)
+            n_burn = n_burn_m // b
+            a = np.exp(-dt / eps)
+            y = lfilter([sigma / eps**H], [1.0, -a], agg, axis=1)
+            y_main = np.concatenate([y[:, n_burn - 1 : n_burn], y[:, n_burn:]], axis=1)
+            B_main = np.concatenate(
+                [np.zeros((count, 1)), np.cumsum(agg[:, n_burn:], axis=1)], axis=1)
+            X = eps ** (H - 1.0) * eps * (1.0 - a) * np.concatenate(
+                [np.zeros((count, 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1)
+            out[:, i, 0, :] = solvers._read_on_grid(X - sigma * B_main, times, dt)
+            out[:, i, 1, :] = solvers._read_on_grid(eps**H * y_main, times, dt)
+        return out
+
+    return harness.run_replicated(n_replicas, make_chunk)
+
+
+@pytest.mark.parametrize("eps_list", [
+    [0.1, 0.05, 0.02, 0.01],   # the CLI default
+    [0.1, 0.03, 0.01],         # blocks of 10, 3 and 1 master steps
+    [0.07, 0.05, 0.03],        # coprime blocks of 7, 5 and 3
+])
+def test_streamed_kinetic_scan_matches_whole_chunk_reference(eps_list, monkeypatch):
+    # 260 replicas: a full 250-replica chunk and a partial one, each
+    # streamed in row blocks of a few rows
+    grid = TimeGrid(1.0, 20)
+    captured = []
+    run = solvers.run_replicated
+
+    def spy(*args, **kwargs):
+        captured.append(run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(solvers, "run_replicated", spy)
+    ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 260, 41)
+    scans = [solvers.kinetic_error_scan(0.7, eps_list, grid, 260, 41, threads=t)
+             for t in (1, 2)]
+    for data in captured:
+        np.testing.assert_array_equal(data, ref)
+    np.testing.assert_array_equal(scans[0].values, scans[1].values)
+    assert scans[0].meta["identity_defect_max"] < 1e-6
+
+
+def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
+    # one 250-replica chunk of 20,000-step fGN is 40 MB, and the
+    # whole-chunk reduction held about a dozen arrays of that size
+    # (221 MB traced at 400 replicas); streamed, only row blocks are held
+    tracemalloc.start()
+    try:
+        solvers.kinetic_error_scan(0.7, [0.1, 0.05, 0.02, 0.01], TimeGrid(1.0, 50), 400, 3)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 40.0
