@@ -31,7 +31,7 @@ for H, label in ((0.6, "short range -> Stratonovich/Wiener"),
     c = chaos.c_constant(H2, H)
     regime = chaos.classify_regime(2, H)
     if regime.kind is chaos.Regime.LONG_RANGE:
-        spec = hermite.HermiteSpec(regime.h_star, 2, 50.0, 8000)
+        spec = hermite.HermiteSpec(regime.h_star, 2)
         u = c * hermite.hermite_ensemble(TimeGrid(1.0, 200), spec, 1, N, "demo-h")[:, 0]
     else:
         u = c * stream(1, "demo-w").standard_normal(N)

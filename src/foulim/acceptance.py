@@ -206,7 +206,7 @@ def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
     )
     kurt_x, se_x = harness.excess_kurtosis_with_se(x_lr)
 
-    spec = hermite.HermiteSpec(hs, 2, 50.0, 8000)
+    spec = hermite.HermiteSpec(hs, 2)
     zgrid = TimeGrid(1.0, 200)
 
     def make_chunk(offset, count):
@@ -234,29 +234,35 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
     details = {}
     passed = True
 
-    def z_matrix(m, n_xi, window, tag, n):
-        spec = hermite.HermiteSpec(H, m, window, n_xi)
-
+    def z_matrix(spec, tag, n):
         def make_chunk(offset, count):
             return hermite.hermite_ensemble(grid, spec, seed, count, tag,
                                             report_idx, offset)
 
         return harness.run_replicated(n, make_chunk, threads)
 
+    def correlation(cov):
+        sd = np.sqrt(np.diag(cov))
+        return cov / np.outer(sd, sd)
+
     # m = 2 runs at twice the replicas: its variance estimator is heavy
     # tailed (excess kurtosis ~ 6), so SE(Var) ~ sqrt(8/N)
-    for m, n_xi, window, n in ((1, 12_000, 100.0, n_rep),
-                               (2, 12_000, 40.0, 2 * n_rep)):
-        Z = z_matrix(m, n_xi, window, f"acc7-m{m}", n)
+    for m, n in ((1, n_rep), (2, 2 * n_rep)):
+        spec = hermite.HermiteSpec(H, m)
+        Z = z_matrix(spec, f"acc7-m{m}", n)
         var1 = harness.fsum_variance(Z[:, -1])
         times = grid.times()[report_idx]
         emp = Z.T @ Z / n
         theory = fgn.fbm_covariance(times[:, None], times[None, :], H)
         var_entry = (np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n
         zmax = float(np.max(np.abs((emp - theory) / np.sqrt(var_entry))))
+        # the sampler's own correlation-shape error, from its exact covariance
+        exact = hermite.exact_covariance(grid, spec, times)
+        shape = float(np.max(np.abs(correlation(exact) - correlation(theory))))
         details[f"m{m}_var_Z1"] = var1
         details[f"m{m}_cov_zmax"] = zmax
-        passed &= abs(var1 - 1.0) <= 0.03 and zmax < 5.0
+        details[f"m{m}_exact_shape_error"] = shape
+        passed &= abs(var1 - 1.0) <= 0.03 and zmax < 5.0 and shape <= 0.01
         if m == 1:
             def fbm_chunk(offset, count):
                 rngs = [stream(seed, "acc7-fbm", offset + k) for k in range(count)]
@@ -390,7 +396,7 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     details["c_short_range"] = c_sr
     details["c_long_range"] = c_lr
     hs = chaos.h_star(2, 0.85)
-    spec = hermite.HermiteSpec(hs, 2, 50.0, 8000)
+    spec = hermite.HermiteSpec(hs, 2)
     zgrid = TimeGrid(1.0, 200)
     passed = True
 

@@ -26,38 +26,17 @@ __all__ = [
     "Regime",
     "ScalingRegime",
     "ChaosFunction",
-    "LimitSpec",
-    "hermite_poly",
-    "chaos_coefficients",
     "hermite_rank",
     "h_star",
-    "h_star_inverse",
     "scaling_alpha",
     "classify_regime",
     "limit_covariance_A",
     "c_constant",
     "K_normalizer",
-    "limit_spec",
     "gaussian_expectation",
 ]
 
 BOUNDARY_TIE_TOL = 1e-12
-DEFAULT_TRUNCATION = 30
-COEFF_SNAP_REL = 1e-12
-
-
-def hermite_poly(m: int, x):
-    """He_m(x) by the three-term recurrence He_{m+1} = x He_m - m He_{m-1}."""
-    if m < 0:
-        raise ValueError("Hermite order must be non-negative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if m == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = x.copy()
-    for k in range(1, m):
-        prev, cur = cur, x * cur - k * prev
-    return float(cur) if cur.ndim == 0 else cur
 
 
 def _quad_nodes(n_nodes: int):
@@ -71,47 +50,6 @@ def gaussian_expectation(G, n_nodes: int = 200) -> float:
     """E[G(X)] for X ~ N(0,1) by Gauss-Hermite quadrature."""
     x, w = _quad_nodes(n_nodes)
     return float(w @ np.asarray(G(x), dtype=float))
-
-
-def chaos_coefficients(G, K: int, n_nodes: int | None = None) -> np.ndarray:
-    """Hermite coefficients c_0..c_K of an evaluable map G.
-
-    c_k = <G, He_k>_{L2(mu)} / k!, by Gauss-Hermite quadrature with at
-    least 2K + 32 nodes.  Coefficients below 1e-12 * ||G|| are snapped
-    to zero.
-    """
-    if K < 0:
-        raise ValueError("truncation order K must be non-negative")
-    if n_nodes is None:
-        n_nodes = 2 * K + 32
-    n_nodes = max(n_nodes, 2 * K + 32)
-    x, w = _quad_nodes(n_nodes)
-    gx = np.asarray(G(x), dtype=float)
-    if not np.all(np.isfinite(gx)):
-        raise ValueError("not square-integrable: G is not finite on the quadrature nodes")
-    norm_sq = float(w @ gx**2)
-    # divergence probe: for G in L2(mu) the quadrature norm has converged at
-    # this resolution; a growing norm means the tails are not integrable
-    x2, w2 = _quad_nodes(n_nodes + 32)
-    norm_sq_fine = float(w2 @ np.asarray(G(x2), dtype=float) ** 2)
-    if not np.isfinite(norm_sq) or not np.isfinite(norm_sq_fine) \
-            or norm_sq_fine > 2.0 * norm_sq + 1e-300:
-        raise ValueError("not square-integrable: quadrature norm diverged")
-    coeffs = np.empty(K + 1)
-    he_prev = np.ones_like(x)
-    he_cur = x.copy()
-    for k in range(K + 1):
-        if k == 0:
-            he = he_prev
-        elif k == 1:
-            he = he_cur
-        else:
-            he_prev, he_cur = he_cur, x * he_cur - (k - 1) * he_prev
-            he = he_cur
-        coeffs[k] = (w @ (gx * he)) / special.factorial(k)
-    snap = COEFF_SNAP_REL * np.sqrt(norm_sq)
-    coeffs[np.abs(coeffs) < snap] = 0.0
-    return coeffs
 
 
 def hermite_rank(coeffs, tol: float = 1e-12) -> int:
@@ -135,13 +73,6 @@ def h_star(m: int, H) -> float:
     if m < 1:
         raise ValueError("Hermite rank m must be >= 1")
     return m * (as_hurst(H) - 1.0) + 1.0
-
-
-def h_star_inverse(m: int, H) -> float:
-    """Inverse map Hhat(m) = (H - 1)/m + 1, so h_star(m, Hhat(m)) = H."""
-    if m < 1:
-        raise ValueError("Hermite rank m must be >= 1")
-    return (as_hurst(H) - 1.0) / m + 1.0
 
 
 class Regime(enum.Enum):
@@ -193,12 +124,10 @@ class ChaosFunction:
     """A centred L2(mu) function given by its Hermite coefficients.
 
     coefficients[k] is c_k in G = sum c_k He_k; c_0 must vanish.
-    lp_integrability is the user-declared p > 2 for moment-bound checks.
     """
 
     coefficients: np.ndarray
     hermite_rank: int
-    lp_integrability: float | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
@@ -210,20 +139,13 @@ class ChaosFunction:
             raise ValueError("not centred: c_0 must be 0")
         if c[m] == 0.0 or np.any(c[1:m] != 0.0):
             raise ValueError("declared Hermite rank does not match coefficients")
-        if self.lp_integrability is not None and self.lp_integrability <= 2:
-            raise ValueError("lp_integrability must exceed 2")
 
     @classmethod
-    def from_coefficients(cls, coeffs, lp: float | None = None, tol: float = 1e-12):
+    def from_coefficients(cls, coeffs, tol: float = 1e-12):
         c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
         rank = hermite_rank(c, tol)  # raises on non-centred / zero input
         c[:rank] = 0.0
-        return cls(c, rank, lp)
-
-    @classmethod
-    def from_function(cls, G, K: int = DEFAULT_TRUNCATION, lp: float | None = None,
-                      n_nodes: int | None = None):
-        return cls.from_coefficients(chaos_coefficients(G, K, n_nodes), lp)
+        return cls(c, rank)
 
     def __call__(self, x):
         return np.polynomial.hermite_e.hermeval(x, self.coefficients)
@@ -236,15 +158,6 @@ class ChaosFunction:
         """||G||^2_{L2(mu)} = sum c_k^2 k! (Parseval)."""
         k = np.arange(len(self.coefficients))
         return float(np.sum(self.coefficients**2 * special.factorial(k)))
-
-    def tail_energy_ratio(self) -> float:
-        """Share of the last retained coefficient in the chaos energy."""
-        K = self.truncation_order
-        total = self.l2_norm_sq()
-        if total == 0.0:
-            return 0.0
-        return float(self.coefficients[K] ** 2 * special.factorial(K) / total)
-
 
 def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H, K: int | None = None,
                        s_max: float = 1000.0) -> tuple[float, float]:
@@ -335,22 +248,3 @@ def c_constant(G: ChaosFunction, H) -> float:
         return float(np.sqrt(2.0 * special.factorial(m) * cm**2))
     A, _ = limit_covariance_A(G, G, h)
     return float(np.sqrt(2.0 * A))
-
-
-@dataclass(frozen=True)
-class LimitSpec:
-    """What the scaled integral converges to: a Wiener or Hermite process."""
-
-    kind: str  # "wiener" | "hermite"
-    variance_constant: float
-    self_similarity_exponent: float
-    hermite_order: int | None = None
-
-
-def limit_spec(G: ChaosFunction, H) -> LimitSpec:
-    h = as_hurst(H)
-    regime = classify_regime(G.hermite_rank, h)
-    c = c_constant(G, h)
-    if regime.kind is Regime.LONG_RANGE:
-        return LimitSpec("hermite", c**2, regime.h_star, G.hermite_rank)
-    return LimitSpec("wiener", c**2, 0.5, None)

@@ -204,7 +204,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_hermite_sample(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
-    spec = hermite.HermiteSpec(args.H, args.m, args.xi_window, args.n_xi)
+    spec = hermite.HermiteSpec(args.H, args.m)
     every_step = np.arange(grid.n_steps + 1)
 
     def make_chunk(offset, count):
@@ -212,8 +212,7 @@ def _cmd_hermite_sample(args) -> int:
                                         every_step, offset)
 
     mat = harness.run_replicated(args.replicas, make_chunk, args.threads)
-    params = dict(H=args.H, m=args.m, xi_window=args.xi_window, n_xi=args.n_xi,
-                  horizon=args.horizon, n_steps=args.n_steps,
+    params = dict(H=args.H, m=args.m, horizon=args.horizon, n_steps=args.n_steps,
                   replicas=args.replicas, seed=args.seed)
     _echo(args, "hermite-sample", params)
     _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mat),
@@ -368,7 +367,7 @@ def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed, threads=1):
     zero_h = _is_zero_map(h)
     if regime.kind is Regime.LONG_RANGE:
         m = G.hermite_rank
-        spec = hermite.HermiteSpec(regime.h_star, m, 60.0 * t, 12000)
+        spec = hermite.HermiteSpec(regime.h_star, m)
         grid = TimeGrid(t, 400)
         every_step = np.arange(grid.n_steps + 1)
 
@@ -486,8 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = _add_parser(sub, "hermite-sample")
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--xi-window", type=float, default=50.0)
-    sp.add_argument("--n-xi", type=int, default=4000)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=int, default=200)
     sp.set_defaults(func=_cmd_hermite_sample)

@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
 from . import chaos, fou, hermite
@@ -335,61 +334,37 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     return report
 
 
-def _lag_profile_kernels(h: float, t: float, eps_arr: np.ndarray, dt_ratio: float,
-                         xi_window_factor: float):
-    """Aligned grid and kernel matrices of ``l2_convergence_hermite``.
+def _fou_kernels(h: float, fine: TimeGrid, eps_arr: np.ndarray,
+                dt_ratio: float) -> list[tuple[TimeGrid, np.ndarray]]:
+    """A (grid, M) pair per eps: the fOU's Wiener kernel on the cells of fine.
 
-    Returns (fine, n_xi, A_lim, fou_kernels): the limit's TimeGrid of
-    n_fine steps dxi, the number of noise cells dxi*[-n_w, n_fine], the
-    (n_fine, n_xi) limit kernel, and a (grid, M) pair per eps.  Entry
-    (row, cell j) depends only on the lag n_w + (fine index of the row) - j,
-    so each matrix is a set of windows of one profile over the lags
-    n_w + n_fine down to 1 - n_fine; fine index i starts at n_fine - i.
+    grid takes every r-th point of fine, r the largest divisor of n_fine
+    with r dt <= eps/dt_ratio, and M is ``hermite._fou_kernel`` there.
     """
-    n_fine = max(int(round(t * dt_ratio / eps_arr[-1])), 1)
-    fine = TimeGrid(t, n_fine)
-    dxi = fine.dt
-    n_w = int(round(xi_window_factor * t / dxi))
-    n_xi = n_w + n_fine
-    lags = n_w + n_fine - np.arange(n_xi + n_fine, dtype=float)
-
-    def windows(profile, fine_idx):
-        return sliding_window_view(profile, n_xi)[n_fine - fine_idx]
-
-    # the limit kernel (s - xi)_+^{H - 3/2} averaged over each cell, s at
-    # mid-cell: Z^{H*(m),m} has exponent Hhat - 3/2, Hhat = (H*(m)-1)/m + 1 = H
-    p = h - 0.5
-    cell = (np.clip(lags + 0.5, 0.0, None) ** p - np.clip(lags - 0.5, 0.0, None) ** p)
-    A_lim = windows(dxi ** (p - 1.0) / p * cell, np.arange(n_fine))
-    fou_kernels = []
+    n_fine = fine.n_steps
+    out = []
     for eps in eps_arr:
-        # every r-th fine point, r the largest divisor of n_fine with r dxi <= eps/dt_ratio
         r = max((k for k in range(1, n_fine + 1)
-                 if n_fine % k == 0 and k * dxi <= eps / dt_ratio * (1.0 + 1e-12)),
+                 if n_fine % k == 0 and k * fine.dt <= eps / dt_ratio * (1.0 + 1e-12)),
                 default=1)
-        profile = hermite.ghat((lags - 0.5) * (dxi / eps), h) / np.sqrt(eps)
-        fou_kernels.append((TimeGrid(t, n_fine // r),
-                            windows(profile, r * np.arange(n_fine // r + 1))))
-    return fine, n_xi, A_lim, fou_kernels
+        out.append((TimeGrid(fine.horizon, n_fine // r), hermite._fou_kernel(fine, h, eps, r)))
+    return out
 
 
 def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
                            n_replicas: int, master_seed: int = 0,
-                           dt_ratio: float = 20.0, xi_window_factor: float = 30.0,
-                           threads: int = 1) -> ScanResult:
+                           dt_ratio: float = 20.0, threads: int = 1) -> ScanResult:
     """Coupled L2 distance between the scaled integral and its Hermite limit.
 
-    Every replica owns one white noise on cells of width dxi = t/n_fine,
-    n_fine = round(t dt_ratio / min eps), reaching back
-    xi_window_factor * t before 0.  For each eps the fOU is built from
-    that noise through its Wiener kernel ghat on every r-th fine point,
-    r the largest divisor of n_fine with r dxi <= eps/dt_ratio, and the
-    limit c_m (m!/K) C^m Z^{H*(m),m} is built from the same noise on the
-    fine cells, so the distance ||X^eps_t - limit_t||_{L2(Omega)} is
-    measured on coupled samples and must decrease as eps -> 0.  On this
-    aligned grid each kernel matrix is a set of windows of one 1-D lag
-    profile (``_lag_profile_kernels``), so ghat and the cell averages
-    are evaluated on n_xi + n_fine lags per kernel.
+    Every replica owns one white noise on the cells of the Hermite
+    engine (``hermite._engine``) for the fine grid of n_fine =
+    round(t dt_ratio / min eps) steps.  The limit c_m (m!/K) C^m
+    Z^{H*(m),m} is the engine's Wick series on the fine grid, scaled by
+    K/m!, and for each eps the fOU is built from the same noise through
+    its Wiener kernel ghat at the cell midpoints (``_fou_kernels``), so
+    the distance ||X^eps_t - limit_t||_{L2(Omega)} is measured on
+    coupled samples and must decrease as eps -> 0.  No cell is cut off,
+    so every fOU row has unit variance to the midpoint rule's accuracy.
     """
     h = as_hurst(H)
     m = G.hermite_rank
@@ -402,22 +377,22 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     if not 0.0 < t < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {t}")
     eps_arr = as_eps_list(eps_list)
-    fine, n_xi, A_lim, fou_kernels = _lag_profile_kernels(
-        h, t, eps_arr, dt_ratio, xi_window_factor)
+    fine = TimeGrid(t, max(int(round(t * dt_ratio / eps_arr[-1])), 1))
     hs = regime.h_star
+    A_lim, var_lim, _, _ = hermite._engine(fine, hermite.HermiteSpec(hs, m))
+    fou_kernels = _fou_kernels(h, fine, eps_arr, dt_ratio)
     K = chaos.K_normalizer(hs, m)
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
 
     def make_chunk(offset, count):
-        W = np.empty((count, n_xi))
-        for k, row in enumerate(W):
+        N = np.empty((count, A_lim.shape[1]))
+        for k, row in enumerate(N):
             stream(master_seed, "l2-noise", offset + k).standard_normal(out=row)
-        W *= np.sqrt(fine.dt)
-        series = hermite._offdiag_series(A_lim, m, W)
+        series = hermite._wick_power(N @ A_lim.T, var_lim, m)
         Z_t = series.sum(axis=1) * fine.dt * K / math.factorial(m)
         out = np.empty((count, len(eps_arr)))
         for i, (grid, M) in enumerate(fou_kernels):
-            X = functional_values(G, W @ M.T, grid.dt, eps_arr[i] ** (hs - 1.0))
+            X = functional_values(G, N @ M.T, grid.dt, eps_arr[i] ** (hs - 1.0))
             out[:, i] = (X - lam * Z_t) ** 2
         return out
 

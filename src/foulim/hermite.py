@@ -7,30 +7,37 @@ region, of the time-integrated product kernel
 
 scaled by K(H,m)/m! with K from the unit-variance normalization
 (m = 1 recovers the Mandelbrot-Van Ness fBM, m = 2 the Rosenblatt
-process).  The white noise lives on a uniform grid of cells; the kernel
-enters through exact per-cell averages, and the off-diagonal sums reduce
-to power sums of the per-time projections u_s = sum_i a_s[i] W_i, which
-keeps the cost at O(n_s * n_xi) for every m <= 3.
+process).  One engine serves every caller.  The white noise lives on
+graded cells: width dt, aligned with the time grid, on [-T, T], then
+widths growing geometrically (x1.05) out to -1e30, so no noise window
+is cut off (1,863 cells at 200 steps, 2,277 at 400).  The kernel at the
+midpoint of step s enters through its exact per-cell averages times
+sqrt(width), a_s, and the step's term is the Wick form of the multiple
+integral of a_s^{(x)m}, I_m = ||a_s||^m He_m(u_s/||a_s||) with
+u_s = sum_i a_s[i] N_i (u_s itself for m = 1).  Its discrete covariance
+is exact in one line, m! ds^2 sum_{s<j, s'<k} ((A A^T)^m)_{ss'}
+(``exact_covariance``), and the cost is O(n_s * n_cells) for every m.
 
 ``ghat`` is the moving-average kernel of the fast fOU,
 y^eps_t = eps^{-1/2} int ghat((t-s)/eps) dW_s (Taqqu's moving-average
 framework).  It is a confluent hypergeometric function in closed form,
 ghat(v) = C(H) v^{H-1/2}/(H-1/2) 1F1(1; H+1/2; -v), evaluated through
 ``scipy.special.hyp1f1`` to about 1e-14 relative on all of H in (1/2, 1).
-``harness.l2_convergence_hermite`` builds both the fOU and the Hermite
-limit from one white noise on a shared cell grid, which is what makes L2
-(not merely weak) convergence of the scaled functionals toward the
-Hermite limits directly measurable on coupled samples.
+``harness.l2_convergence_hermite`` builds both the fOU (through ghat at
+the cell midpoints) and the Hermite limit from one white noise on the
+engine's cells, which is what makes L2 (not merely weak) convergence of
+the scaled functionals toward the Hermite limits directly measurable on
+coupled samples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from . import chaos, fou
@@ -40,18 +47,15 @@ from .streams import stream
 __all__ = [
     "HermiteSpec",
     "hermite_ensemble",
+    "exact_covariance",
     "ghat",
-    "truncation_bias_estimate",
 ]
 
 # ghat switches from Kummer's transformed form, which holds e^v, at this v
 _KUMMER_MAX_V = 700.0
-# the window tail in truncation_bias_estimate: a 24-node Gauss-Legendre
-# rule on this many geometric panels per decade, out to _TAIL_FAR
-# times the larger of window and horizon
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-_TAIL_PANELS_PER_DECADE = 2
-_TAIL_FAR = 1e8
+# noise cells below -T grow by this ratio until they reach this distance
+_CELL_GROWTH = 1.05
+_FAR_EDGE = 1e30
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,6 @@ class HermiteSpec:
 
     H: float
     m: int
-    xi_window: float
-    n_xi: int
 
     def __post_init__(self):
         if not 0.5 < self.H < 1.0:
@@ -72,15 +74,30 @@ class HermiteSpec:
             raise ValueError(
                 f"order not supported: m={self.m} exceeds cap {chaos.MAX_HERMITE_ORDER}"
             )
-        if self.xi_window <= 0:
-            raise ValueError("xi_window must be positive")
-        if self.n_xi < 2:
-            raise ValueError("n_xi must be at least 2")
 
     @property
     def kernel_exponent(self) -> float:
         """(H-1)/m - 1/2, the power on each factor (s - xi)_+."""
         return (self.H - 1.0) / self.m - 0.5
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_edges(grid: TimeGrid) -> np.ndarray:
+    """Ascending edges of the noise cells of a time grid (cached, read-only).
+
+    The last 2n cells have width dt and edges k dt, k = -n..n; below
+    them the widths are dt 1.05^k, k = 1, 2, ..., until the first edge
+    at or beyond -1e30.
+    """
+    n, dt = grid.n_steps, grid.dt
+    near = dt * np.arange(-n, n + 1)
+    g = _CELL_GROWTH
+    n_far = math.ceil(math.log1p((_FAR_EDGE + near[0]) * (g - 1.0) / (dt * g))
+                      / math.log(g))
+    far = near[0] - np.cumsum(dt * g ** np.arange(1, n_far + 1))
+    edges = np.concatenate([far[::-1], near])
+    edges.flags.writeable = False
+    return edges
 
 
 def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, b: float) -> np.ndarray:
@@ -103,104 +120,54 @@ def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, b: float) -> np.ndar
     return out
 
 
-def _offdiag_series(A_hat: np.ndarray, m: int, N: np.ndarray) -> np.ndarray:
-    """Off-diagonal m-fold sums per time step.
+@functools.lru_cache(maxsize=8)  # each entry holds n_steps * n_cells floats
+def _engine(grid: TimeGrid, spec: HermiteSpec):
+    """Kernel, step variances, per-time scale and raw covariance of a (grid, spec).
 
-    A_hat[s, i] is the cell-averaged kernel times sqrt(dxi); N holds unit
-    normals, shape (..., n_xi).  Row s of the result is the strictly
-    off-diagonal contraction sum_{i1 != ... != im} prod A_hat[s, i_j] N_{i_j},
-    reduced to power sums of u = A_hat N (elementary symmetric identities),
-    which is the discrete multiple Wiener-Ito integral of the rank-one
-    kernel at time s.
+    Returns (A, var, scale, C).  A[s, i] is the cell-averaged kernel of
+    step s times sqrt(width of cell i), and var[s] = ||A[s]||^2 is the
+    variance of u_s = A[s] . N.  C is the exact covariance of the
+    cumulative Wick series (``_series_covariance``), and scale[k] =
+    t_k^H / sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H}, absorbing the
+    discretization loss that plain K/m! scaling would leave.  The arrays
+    are cached, so they are read-only.
     """
-    u = N @ A_hat.T
-    if m == 1:
-        return u
-    q = (N * N) @ (A_hat * A_hat).T
-    if m == 2:
-        return u * u - q
-    r = (N**3) @ (A_hat**3).T
-    return u**3 - 3.0 * q * u + 2.0 * r
-
-
-def _prefix_diag(P: np.ndarray) -> np.ndarray:
-    """D[k] = sum_{s < k, s' < k} P[s, s'] for k = 0..n (symmetric P)."""
-    n = P.shape[0]
-    D = np.empty(n + 1)
-    D[0] = 0.0
-    for k in range(n):
-        D[k + 1] = D[k] + 2.0 * P[k, :k].sum() + P[k, k]
-    return D
-
-
-def _exact_variances(A_hat: np.ndarray, m: int, ds: float) -> np.ndarray:
-    """Exact Var of the cumulative off-diagonal series at every grid point.
-
-    Uses Gram-matrix identities in the (small) time dimension, e.g. for
-    m = 2: Var = 2*(sum_{s,s'} ds^2 Gamma^2 - sum_i c[i]^2) with
-    Gamma = A_hat A_hat^T and c the running column sums of ds*A_hat^2.
-    """
-    n_s = A_hat.shape[0]
-    G = A_hat @ A_hat.T
-    if m == 1:
-        return _prefix_diag(ds * ds * G)
-    A2 = A_hat * A_hat
-    if m == 2:
-        full = _prefix_diag(ds * ds * G * G)
-        c = np.zeros(A_hat.shape[1])
-        diag = np.empty(n_s + 1)
-        diag[0] = 0.0
-        for k in range(n_s):
-            row = A2[k]
-            diag[k + 1] = diag[k] + 2.0 * ds * (c @ row) + ds * ds * (row @ row)
-            c += ds * row
-        return 2.0 * (full - diag)
-    # m = 3: subtract the two coincidence patterns (i=j!=k and i=j=k)
-    Q = A2 @ A2.T
-    full = _prefix_diag(ds * ds * G**3)
-    pair = _prefix_diag(ds * ds * Q * G)
-    A3 = A2 * A_hat
-    d = np.zeros(A_hat.shape[1])
-    triple = np.empty(n_s + 1)
-    triple[0] = 0.0
-    for k in range(n_s):
-        row = A3[k]
-        triple[k + 1] = triple[k] + 2.0 * ds * (d @ row) + ds * ds * (row @ row)
-        d += ds * row
-    return 6.0 * (full - 3.0 * pair + 2.0 * triple)
-
-
-@functools.lru_cache(maxsize=8)  # each entry holds n_steps * n_xi floats
-def _sampler_arrays(grid: TimeGrid, spec: HermiteSpec):
-    """Kernel matrix and per-time normalization for a (grid, spec) pair.
-
-    Returns (A_hat, scale) where scale[k] maps the cumulative raw series
-    at grid point k to the unit-variance-at-1 Hermite process: the law of
-    the multiple integral is matched exactly at second order,
-    Var(Z_t) = t^{2H}, absorbing the cell-projection and window losses
-    that plain K/m! scaling would leave (those vanish only at impractical
-    resolutions for m >= 2).  Both arrays are cached and must not be
-    modified; when a pair is built, it warns if the xi window cuts off
-    more than a quarter of the kernel mass.
-    """
-    bias = truncation_bias_estimate(spec, grid.horizon)
-    if bias > 0.25:
-        warnings.warn(
-            f"xi_window={spec.xi_window} truncates an estimated {bias:.1%} of the "
-            "raw kernel mass; the variance is renormalized exactly but the "
-            "correlation shape may be distorted",
-            stacklevel=3,
-        )
-    edges = np.linspace(-spec.xi_window, grid.horizon, spec.n_xi + 1)
-    dxi = edges[1] - edges[0]
+    edges = _cell_edges(grid)
     s_mid = grid.times()[:-1] + 0.5 * grid.dt
-    A_hat = _cell_averaged_kernel(s_mid, edges, spec.kernel_exponent)
-    A_hat *= np.sqrt(dxi)
-    V = _exact_variances(A_hat, spec.m, grid.dt)
-    t = grid.times()
+    A = _cell_averaged_kernel(s_mid, edges, spec.kernel_exponent)
+    A *= np.sqrt(np.diff(edges))
+    gram = A @ A.T
+    C = _series_covariance(gram, spec.m, grid.dt)
     scale = np.zeros(grid.n_steps + 1)
-    scale[1:] = t[1:] ** spec.H / np.sqrt(V[1:])
-    return A_hat, scale
+    scale[1:] = grid.times()[1:] ** spec.H / np.sqrt(np.diag(C)[1:])
+    out = (A, np.diag(gram).copy(), scale, C)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _series_covariance(gram: np.ndarray, m: int, ds: float) -> np.ndarray:
+    """Covariance of the cumulative series sum_{s<k} ds :u_s^m: at k = 0..n.
+
+    With gram = A A^T the step terms have E[:u_s^m: :u_s'^m:] =
+    m! gram[s, s']^m, so C[j, k] = m! ds^2 sum_{s<j, s'<k} gram[s, s']^m.
+    """
+    n = gram.shape[0]
+    C = np.zeros((n + 1, n + 1))
+    C[1:, 1:] = (math.factorial(m) * ds * ds * gram**m).cumsum(0).cumsum(1)
+    return C
+
+
+def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
+    """The Wick power :u^m: = var^{m/2} He_m(u / sqrt(var)) of u ~ N(0, var).
+
+    By the recurrence :u^{k+1}: = u :u^k: - k var :u^{k-1}:, so m = 1
+    returns u itself.
+    """
+    prev, cur = np.ones_like(u), u
+    for k in range(1, m):
+        prev, cur = cur, u * cur - k * var * prev
+    return cur
 
 
 def hermite_ensemble(
@@ -212,7 +179,7 @@ def hermite_ensemble(
     report_idx=None,
     replica_offset: int = 0,
 ) -> np.ndarray:
-    """Replica matrix of Z^{H,m} values (kernel matrices built once).
+    """Replica matrix of Z^{H,m} values (the engine is built once per grid and spec).
 
     Row i is driven by the noise of stream (master_seed, name,
     replica_offset + i); report_idx selects grid indices (default: the
@@ -226,55 +193,58 @@ def hermite_ensemble(
     if report_idx is None:
         report_idx = np.array([grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
-    A_hat, scale = _sampler_arrays(grid, spec)
-    N = np.empty((n_replicas, spec.n_xi))
+    A, var, scale, _ = _engine(grid, spec)
+    N = np.empty((n_replicas, A.shape[1]))
     for i, row in enumerate(N):
         stream(master_seed, name, replica_offset + i).standard_normal(out=row)
-    series = _offdiag_series(A_hat, spec.m, N)
+    series = _wick_power(N @ A.T, var, spec.m)
     cum = np.concatenate(
         [np.zeros((n_replicas, 1)), np.cumsum(series * grid.dt, axis=1)], axis=1
     )
     return cum[:, report_idx] * scale[report_idx]
 
 
-def truncation_bias_estimate(spec: HermiteSpec, horizon: float) -> float:
-    """Estimated relative variance loss from truncating xi at -xi_window.
+def exact_covariance(grid: TimeGrid, spec: HermiteSpec, times) -> np.ndarray:
+    """Exact covariance matrix of ``hermite_ensemble``'s values at grid times.
 
-    Union bound: m times the one-coordinate tail share of the kernel's
-    L2 norm.  With u = -xi and p = b + 1 (b the kernel exponent) the tail
-    is int_L^inf ((u+T)^p - u^p)^2/p^2 du, whose integrand decays only
-    like u^{2p-2} = u^{2(H-1)/m - 1}.  An adaptive rule on the infinite
-    range loses most of that mass for wide windows, so the tail is summed
-    by Gauss-Legendre on geometric panels from L out to U = 1e8 max(L, T)
-    and completed beyond U in closed form from the first two terms of
-    its expansion in T/u, which leave a relative error of (T/U)^2.
+    Its diagonal is t^{2H}; its off-diagonal departure from the fBM
+    covariance is the sampler's own correlation-shape error.
     """
-    p = spec.kernel_exponent + 1.0
-    L = spec.xi_window
-    T = horizon
-    U = _TAIL_FAR * max(L, T)
-    n_panels = math.ceil(_TAIL_PANELS_PER_DECADE * math.log10(U / L))
-    edges = np.geomspace(L, U, n_panels + 1)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    u = lo + half * (1.0 + _GL_X)
-    # (u+T)^p - u^p without cancelling the two large powers
-    diff = u**p * np.expm1(p * np.log1p(T / u)) / p
-    near = float(np.sum(half * _GL_W * diff**2))
-    e = 2.0 * p - 1.0  # < 0
-    far = T**2 * U**e / -e + (p - 1.0) * T**3 * U ** (e - 1.0) / (1.0 - e)
-    full = _kernel_marginal_norm_sq(p - 1.0, T)
-    return float(min(1.0, spec.m * (near + far) / full))
-
-
-def _kernel_marginal_norm_sq(b: float, T: float) -> float:
-    # ||int_0^T (s-xi)_+^b ds||^2_{L2(dxi)} = J(b) * T^{2b+3} * 2/((2b+2)(2b+3))
-    J = chaos._kernel_pair_integral(b)
-    e = 2.0 * b + 1.0
-    return J * T ** (e + 2.0) * 2.0 * (1.0 / (e + 1.0) - 1.0 / (e + 2.0))
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    idx = np.rint(t / grid.dt).astype(int)
+    if np.any(idx < 0) or np.any(idx > grid.n_steps) \
+            or not np.allclose(idx * grid.dt, t, rtol=0.0, atol=1e-9 * grid.dt):
+        raise ValueError("times must be points of the grid")
+    _, _, scale, C = _engine(grid, spec)
+    return scale[idx, None] * C[np.ix_(idx, idx)] * scale[idx]
 
 
 # ----------------------------------------------------------------- fOU kernel
+
+
+def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> np.ndarray:
+    """Wiener kernel of y^eps at every stride-th point of fine, on fine's cells.
+
+    Row k, cell i holds eps^{-1/2} ghat((t_k - c_i)/eps) sqrt(w_i), with
+    t_k = k stride dt, c_i the midpoint and w_i the width of cell i, so
+    y^eps_{t_k} = M[k] . N for the unit normals N of the cells.  On the
+    uniform cells an entry depends only on the lag t_k - c_i, so that
+    block is a set of windows of one lag profile; the geometric cells
+    are evaluated dense.
+    """
+    edges = _cell_edges(fine)
+    n, dt = fine.n_steps, fine.dt
+    n_far = len(edges) - 1 - 2 * n
+    rows = stride * np.arange(n // stride + 1)
+    far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
+    M = np.empty((len(rows), len(edges) - 1))
+    M[:, :n_far] = ghat((rows[:, None] * dt - far_mid) / eps, H)
+    # uniform cell j's midpoint lies (r + n - j - 1/2) dt before fine point r:
+    # profile entry n - r + j
+    profile = ghat((2 * n - 0.5 - np.arange(3 * n)) * (dt / eps), H)
+    M[:, n_far:] = sliding_window_view(profile, 2 * n)[n - rows]
+    M *= np.sqrt(np.diff(edges) / eps)
+    return M
 
 
 def ghat(v, H) -> np.ndarray | float:

@@ -8,56 +8,18 @@ from foulim.chaos import ChaosFunction, Regime
 K_07_2 = 0.13604952819057495  # frozen, cross-checked against the Beta closed form
 
 
-def test_hermite_poly_base_cases():
-    x = np.linspace(-3, 3, 7)
-    np.testing.assert_array_equal(chaos.hermite_poly(0, x), np.ones_like(x))
-    np.testing.assert_array_equal(chaos.hermite_poly(1, x), x)
-    assert chaos.hermite_poly(2, 0.0) == -1.0
-
-
-def test_hermite_poly_matches_numpy_basis():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=20)
-    for m in range(11):
-        coeffs = np.zeros(m + 1)
-        coeffs[m] = 1.0
-        np.testing.assert_allclose(
-            chaos.hermite_poly(m, x),
-            np.polynomial.hermite_e.hermeval(x, coeffs),
-            rtol=1e-12,
-        )
-
-
 def test_hermite_orthogonality_under_quadrature():
+    # <He_j, He_k> = k! delta_jk, the convention l2_norm_sq relies on
     x, w = np.polynomial.hermite_e.hermegauss(80)
     w = w / np.sqrt(2 * np.pi)
+    basis = np.eye(11)
     for j in range(11):
         for k in range(j, 11):
-            inner = w @ (chaos.hermite_poly(j, x) * chaos.hermite_poly(k, x))
+            he_j = np.polynomial.hermite_e.hermeval(x, basis[j])
+            he_k = np.polynomial.hermite_e.hermeval(x, basis[k])
+            inner = w @ (he_j * he_k)
             target = special.factorial(k) if j == k else 0.0
             assert inner == pytest.approx(target, abs=1e-8 * special.factorial(k) + 1e-10)
-
-
-def test_chaos_coefficients_cubic():
-    c = chaos.chaos_coefficients(lambda x: x**3, K=5)
-    np.testing.assert_allclose(c, [0, 3, 0, 1, 0, 0], atol=1e-10)
-
-
-def test_chaos_coefficients_h2():
-    c = chaos.chaos_coefficients(lambda x: x**2 - 1, K=4)
-    np.testing.assert_allclose(c, [0, 0, 1, 0, 0], atol=1e-10)
-
-
-def test_chaos_coefficients_sign_function():
-    # c_1 = E|x| = sqrt(2/pi); even coefficients vanish by symmetry
-    c = chaos.chaos_coefficients(np.sign, K=8, n_nodes=400)
-    assert c[1] == pytest.approx(np.sqrt(2 / np.pi), abs=5e-3)
-    np.testing.assert_allclose(c[::2], 0.0, atol=1e-10)
-
-
-def test_chaos_coefficients_rejects_non_l2():
-    with pytest.raises(ValueError, match="square-integrable"):
-        chaos.chaos_coefficients(lambda x: np.exp(x**2), K=4)
 
 
 def test_parseval_for_polynomials():
@@ -66,14 +28,6 @@ def test_parseval_for_polynomials():
     w = w / np.sqrt(2 * np.pi)
     norm_quad = w @ G(x) ** 2
     assert G.l2_norm_sq() == pytest.approx(norm_quad, rel=1e-10)
-
-
-def test_coefficient_round_trip():
-    rng = np.random.default_rng(3)
-    c = np.concatenate([[0.0], rng.normal(size=10) * 0.5])
-    G = ChaosFunction.from_coefficients(c)
-    back = chaos.chaos_coefficients(G, K=10)
-    np.testing.assert_allclose(back, c, atol=1e-10)
 
 
 def test_hermite_rank_cases():
@@ -89,9 +43,10 @@ def test_h_star_values_and_inverse():
     assert chaos.h_star(1, 0.37) == pytest.approx(0.37)
     assert chaos.h_star(2, 0.75) == pytest.approx(0.5)
     assert chaos.h_star(3, 0.9) == pytest.approx(0.7)
+    # Hhat = (H - 1)/m + 1 is the kernel exponent's Hurst index: H*(m) inverts it
     for m in (1, 2, 5):
         for H in (0.3, 0.6, 0.9):
-            assert chaos.h_star(m, chaos.h_star_inverse(m, H)) == pytest.approx(H)
+            assert chaos.h_star(m, (H - 1.0) / m + 1.0) == pytest.approx(H)
 
 
 def test_scaling_alpha_three_branches():
@@ -223,30 +178,19 @@ def test_chaos_function_validation():
         ChaosFunction.from_coefficients([0.5, 1.0])
     with pytest.raises(ValueError):
         ChaosFunction(np.array([0.0, 0.0, 1.0]), hermite_rank=1)
-    G = ChaosFunction.from_coefficients([0, 0, 1.0], lp=4.0)
+    G = ChaosFunction.from_coefficients([0, 0, 1.0])
     assert G.hermite_rank == 2
-    assert G.lp_integrability == 4.0
-    with pytest.raises(ValueError):
-        ChaosFunction.from_coefficients([0, 1.0], lp=2.0)
+    with pytest.raises(ValueError, match="does not match"):
+        ChaosFunction(np.array([0.0, 1.0, 1.0]), hermite_rank=2)
 
 
 def test_chaos_function_evaluation_and_tail():
     G = ChaosFunction.from_coefficients([0, 0, 1.0])
     x = np.array([-1.0, 0.0, 2.0])
     np.testing.assert_allclose(G(x), x**2 - 1.0)
-    assert G.tail_energy_ratio() == pytest.approx(1.0)  # single term
-
-
-def test_limit_spec_kinds():
-    H1 = ChaosFunction.from_coefficients([0, 1.0])
-    H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
-    spec = chaos.limit_spec(H2, 0.6)
-    assert spec.kind == "wiener"
-    assert spec.self_similarity_exponent == 0.5
-    spec = chaos.limit_spec(H1, 0.8)
-    assert spec.kind == "hermite"
-    assert spec.self_similarity_exponent == pytest.approx(0.8)
-    assert spec.hermite_order == 1
+    # the tail of the coefficient vector: trailing zeros are kept
+    assert G.truncation_order == 2
+    assert ChaosFunction.from_coefficients([0, 1.0, 0, 0]).truncation_order == 3
 
 
 def test_gaussian_expectation():

@@ -94,20 +94,24 @@ def test_sample_fou_csv(tmp_path):
 
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_hermite_sample_runs(tmp_path):
-    # xi_window 40 truncates an estimated 23.8% of the kernel mass, below
-    # the sampler's 25% warning threshold
     out = tmp_path / "herm"
-    assert run(["hermite-sample", "--H", "0.7", "--m", "2", "--xi-window", "40",
-                "--n-xi", "2000", "--n-steps", "50", "--replicas", "2",
-                "--seed", "4", "--out", str(out)]) == 0
+    assert run(["hermite-sample", "--H", "0.7", "--m", "2", "--n-steps", "50",
+                "--replicas", "2", "--seed", "4", "--out", str(out)]) == 0
     lines = (tmp_path / "herm.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 51
+    # the noise cells are fixed by the grid: a config echo that still sets
+    # a noise window is a usage error
+    echo = (tmp_path / "herm.config").read_text()
+    assert "xi" not in echo
+    old = tmp_path / "old.config"
+    old.write_text(echo.rstrip("\n") + "\nxi_window = 40.0\nn_xi = 2000\n")
+    assert run(["hermite-sample", "--config", str(old)]) == 1
 
 
 def test_hermite_sample_bytes_independent_of_threads(tmp_path):
     # 300 replicas span two fixed-size chunks, so two threads really split them
-    args = ["hermite-sample", "--H", "0.7", "--m", "2", "--xi-window", "40",
-            "--n-xi", "600", "--n-steps", "20", "--replicas", "300", "--seed", "5"]
+    args = ["hermite-sample", "--H", "0.7", "--m", "2", "--n-steps", "20",
+            "--replicas", "300", "--seed", "5"]
     for threads in ("1", "2"):
         assert run(args + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
     for ext in ("csv", "json"):

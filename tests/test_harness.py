@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,30 +98,60 @@ def test_l2_convergence_single_chaos_m2():
     assert scan.values[-1] < scan.values[0]
 
 
+@pytest.mark.parametrize("H", [0.8, 0.9])
+def test_l2_fou_kernel_rows_have_unit_variance(H, monkeypatch):
+    # each row of each fOU kernel l2-hermite builds is y^eps at a grid
+    # point, of variance sum_i M[k, i]^2 = 1; noise cut off at a finite
+    # window loses the slow ghat^2 tail, most of all at H 0.9
+    built = []
+    build = harness._fou_kernels
+
+    def spy(*args):
+        built.extend(build(*args))
+        return built[-len(args[2]):]
+
+    monkeypatch.setattr(harness, "_fou_kernels", spy)
+    harness.l2_convergence_hermite(H1, H, 1.0, [0.2, 0.1, 0.05, 0.025], 2, 0)
+    assert len(built) == 4
+    for _, M in built:
+        assert np.max(np.abs((M * M).sum(axis=1) - 1.0)) < 2e-3
+
+
 @pytest.mark.parametrize("eps_list, n_steps", [
     ([0.2, 0.1, 0.05], [100, 200, 400]),    # round(t dt_ratio / eps) steps each
     ([0.3, 0.13, 0.05], [80, 200, 400]),    # non-commensurate: strides 5, 2 and 1
 ])
 def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps):
+    # the fOU kernels, whose uniform block is windows of one lag profile,
+    # against ghat at every midpoint of the graded cells; the limit
+    # kernel's cell averages against 30-digit quadrature
     h, t, dt_ratio = 0.8, 1.0, 20.0
-    fine, n_xi, A_lim, kernels = harness._lag_profile_kernels(
-        h, t, np.array(eps_list), dt_ratio, 30.0)
-    n_fine, dxi = fine.n_steps, fine.dt
-    assert (n_fine, n_xi) == (400, 12_400)
-    # the dense construction: cells dxi*[-n_w, n_fine], every entry evaluated
-    edges = np.linspace(-(n_xi - n_fine) * dxi, t, n_xi + 1)
+    fine = TimeGrid(t, 400)
+    edges = hermite._cell_edges(fine)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    A = hermite._cell_averaged_kernel((np.arange(n_fine) + 0.5) * dxi, edges, h - 1.5)
-    # far cells of the dense A difference two powers of ~30 and keep ~1e-11
-    # of relative rounding, so compare on the scale of the matrix
-    np.testing.assert_array_equal(A_lim == 0, A == 0)
-    np.testing.assert_allclose(A_lim, A, rtol=0, atol=1e-12 * np.abs(A).max())
+    w = np.diff(edges)
+    kernels = harness._fou_kernels(h, fine, np.array(eps_list), dt_ratio)
     assert [grid.n_steps for grid, _ in kernels] == n_steps
     for eps, (grid, M) in zip(eps_list, kernels):
         assert grid.dt <= eps / dt_ratio * (1 + 1e-12)
-        assert n_fine % grid.n_steps == 0
-        dense = hermite.ghat((grid.times()[:, None] - mids[None, :]) / eps, h) / np.sqrt(eps)
+        assert fine.n_steps % grid.n_steps == 0
+        dense = hermite.ghat((grid.times()[:, None] - mids) / eps, h) * np.sqrt(w / eps)
         np.testing.assert_allclose(M, dense, rtol=1e-12, atol=0)
+    A = hermite._engine(fine, hermite.HermiteSpec(h, 1))[0]
+    n_far = len(w) - 2 * fine.n_steps
+    with mpmath.workdps(30):
+        for s in (0, 137, 399):
+            s_mid = (s + 0.5) * fine.dt
+            # the far end, the cells nearest -T, and the cells around s_mid
+            for i in (0, 700, n_far - 1, n_far, n_far + 400 + s - 1, n_far + 400 + s):
+                lo, hi = mpmath.mpf(edges[i]), mpmath.mpf(edges[i + 1])
+                avg = mpmath.quad(lambda x: (s_mid - x) ** (h - 1.5),
+                                  [lo, min(hi, mpmath.mpf(s_mid))]) / (hi - lo)
+                assert A[s, i] == pytest.approx(float(avg * mpmath.sqrt(hi - lo)), rel=1e-9)
+    # cells after a step's midpoint carry no kernel, every other cell does
+    future = np.triu(np.ones((400, 400), dtype=bool), 1)
+    np.testing.assert_array_equal(A[:, n_far + 400:] == 0.0, future)
+    assert np.all(A[:, :n_far + 400] > 0.0)
 
 
 def test_l2_convergence_bit_identical_across_threads():

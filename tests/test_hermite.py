@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -95,7 +99,7 @@ def test_fou_from_kernel_variance_autocorr_and_law():
 
 def test_hermite_m1_matches_fbm_law():
     grid = TimeGrid(1.0, 200)
-    spec = HermiteSpec(0.7, 1, 100.0, 10_000)
+    spec = HermiteSpec(0.7, 1)
     Z = hermite.hermite_ensemble(grid, spec, 3, 4000, "m1",
                                  report_idx=np.array([50, 100, 200]))
     tt = grid.times()[np.array([50, 100, 200])]
@@ -112,7 +116,7 @@ def test_hermite_m1_matches_fbm_law():
 
 def test_hermite_m2_variance_and_covariance():
     grid = TimeGrid(1.0, 300)
-    spec = HermiteSpec(0.7, 2, 40.0, 8000)
+    spec = HermiteSpec(0.7, 2)
     idx = np.array([75, 150, 225, 300])
     Z = hermite.hermite_ensemble(grid, spec, 9, 10_000, "m2", idx)
     # the per-time normalization is exact in expectation; assert at 3 sigma
@@ -127,36 +131,79 @@ def test_hermite_m2_variance_and_covariance():
     assert np.max(np.abs(emp - thr) / se) < 5.0
 
 
-def test_exact_variance_identities_brute_force():
-    # Gram-matrix prefix formulas vs direct enumeration of the discrete
-    # off-diagonal second moments, small configuration, all orders
-    rng = np.random.default_rng(4)
-    n_s, n_xi, ds = 12, 40, 0.1
-    A = rng.uniform(0.0, 1.0, size=(n_s, n_xi)) ** 2
-    for m in (1, 2, 3):
-        V = hermite._exact_variances(A, m, ds)
-        # brute force at the final time
-        T = np.zeros((n_xi,) * m)
-        for s in range(n_s):
-            outer = A[s]
-            t = outer
-            for _ in range(m - 1):
-                t = np.multiply.outer(t, outer)
-            T += ds * t
-        idx = np.indices(T.shape)
-        distinct = np.ones(T.shape, dtype=bool)
-        for a in range(m):
-            for b in range(a + 1, m):
-                distinct &= idx[a] != idx[b]
-        import math as _math
+def _wick_tensor_series(A, m, ds, N):
+    """sum_s ds I_m(A[s]^{(x)m}) by enumerating every index tuple.
 
-        brute = _math.factorial(m) * np.sum((T * distinct) ** 2)
-        assert V[-1] == pytest.approx(brute, rel=1e-10)
+    The discrete Wick product of N_{i_1} ... N_{i_m} is prod_i He_{c_i}(N_i),
+    c_i the number of times cell i occurs in the tuple.
+    """
+    n_xi = A.shape[1]
+    total = 0.0
+    for tup in itertools.product(range(n_xi), repeat=m):
+        counts = np.bincount(tup, minlength=n_xi)
+        wick = np.prod([np.polynomial.hermite_e.hermeval(N[i], np.eye(c + 1)[c])
+                        for i, c in enumerate(counts) if c])
+        total += ds * np.prod(A[:, list(tup)], axis=1).sum() * wick
+    return total
+
+
+def test_exact_variance_identities_brute_force():
+    # the Wick power of u_s = A[s] . N is the discrete multiple integral
+    # of the tensor A[s]^{(x)m}; its covariance is m! times the tensor
+    # inner product, T_k = sum_{s<k} ds A[s]^{(x)m} enumerated in full
+    rng = np.random.default_rng(4)
+    n_s, n_xi, ds = 5, 6, 0.1
+    A = rng.uniform(0.0, 1.0, size=(n_s, n_xi)) ** 2
+    var = (A * A).sum(axis=1)
+    for m in (1, 2, 3):
+        for N in rng.normal(size=(3, n_xi)):
+            series = hermite._wick_power(A @ N, var, m).sum() * ds
+            assert series == pytest.approx(_wick_tensor_series(A, m, ds, N), rel=1e-10)
+        C = hermite._series_covariance(A @ A.T, m, ds)
+        tensors = [np.zeros((n_xi,) * m)]
+        for s in range(n_s):
+            t = A[s]
+            for _ in range(m - 1):
+                t = np.multiply.outer(t, A[s])
+            tensors.append(tensors[-1] + ds * t)
+        brute = np.array([[math.factorial(m) * np.sum(Tj * Tk) for Tk in tensors]
+                          for Tj in tensors])
+        np.testing.assert_allclose(C, brute, rtol=1e-12, atol=0)
+
+
+def test_exact_covariance_diagonal_and_shape():
+    # the sampler's covariance: t^{2H} on the diagonal by construction, and
+    # within 1.2% of the fBM correlation shape at criterion 7's eight times
+    # (0.013%, 0.87% and 1.10% for m = 1, 2, 3)
+    grid = TimeGrid(1.0, 200)
+    tt = grid.times()[25::25]
+    for m in (1, 2, 3):
+        spec = HermiteSpec(0.7, m)
+        C = hermite.exact_covariance(grid, spec, tt)
+        np.testing.assert_allclose(np.diag(C), tt**1.4, rtol=1e-12)
+        thr = fgn.fbm_covariance(tt[:, None], tt[None, :], 0.7)
+        corr = C / np.outer(tt**0.7, tt**0.7)
+        assert np.max(np.abs(corr - thr / np.outer(tt**0.7, tt**0.7))) < 0.012
+    with pytest.raises(ValueError, match="points of the grid"):
+        hermite.exact_covariance(grid, spec, [0.5, 0.5001])
+
+
+def test_graded_cells():
+    # width dt on [-T, T] aligned with the grid, then x1.05 out to -1e30
+    for n, count in ((200, 1863), (400, 2277)):
+        grid = TimeGrid(1.0, n)
+        edges = hermite._cell_edges(grid)
+        w = np.diff(edges)
+        assert len(w) == count
+        np.testing.assert_allclose(edges[-2 * n - 1:], grid.dt * np.arange(-n, n + 1),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w[:-2 * n][:-1] / w[:-2 * n][1:], 1.05, rtol=1e-9)
+        assert edges[0] <= -1e30 < edges[1]
 
 
 def test_hermite_self_similarity_and_stationary_increments():
     grid = TimeGrid(1.0, 256)
-    spec = HermiteSpec(0.75, 2, 40.0, 8000)
+    spec = HermiteSpec(0.75, 2)
     idx = np.array([64, 128, 192, 256])
     Z = hermite.hermite_ensemble(grid, spec, 13, 8000, "ss", idx)
     var1 = Z[:, -1].var()
@@ -174,97 +221,52 @@ def test_hermite_self_similarity_and_stationary_increments():
 def test_chaos_orthogonality_across_orders():
     # Z^{H,2} and Z^{H',1} on the same noise are uncorrelated
     grid = TimeGrid(1.0, 200)
-    spec2 = HermiteSpec(0.7, 2, 40.0, 6000)
-    spec1 = HermiteSpec(0.8, 1, 40.0, 6000)
     n = 4000
     z2 = np.empty(n)
     z1 = np.empty(n)
-    A2, s2 = hermite._sampler_arrays(grid, spec2)
-    A1, s1 = hermite._sampler_arrays(grid, spec1)
+    A2, v2, s2, _ = hermite._engine(grid, HermiteSpec(0.7, 2))
+    A1, v1, s1, _ = hermite._engine(grid, HermiteSpec(0.8, 1))
     for i in range(0, n, 500):
         N = np.stack([
-            stream(15, "orth", i + k).standard_normal(6000) for k in range(500)
+            stream(15, "orth", i + k).standard_normal(A2.shape[1]) for k in range(500)
         ])
-        ser2 = hermite._offdiag_series(A2, 2, N)
-        ser1 = hermite._offdiag_series(A1, 1, N)
+        ser2 = hermite._wick_power(N @ A2.T, v2, 2)
+        ser1 = hermite._wick_power(N @ A1.T, v1, 1)
         z2[i : i + 500] = ser2.sum(axis=1) * grid.dt * s2[-1]
         z1[i : i + 500] = ser1.sum(axis=1) * grid.dt * s1[-1]
     corr = np.mean(z2 * z1) / (z2.std() * z1.std())
     assert abs(corr) < 3.0 / np.sqrt(n)
 
 
-def test_truncation_bias_estimate_and_warning():
-    spec = HermiteSpec(0.7, 2, 2.0, 500)
-    bias = hermite.truncation_bias_estimate(spec, 1.0)
-    assert bias > 0.25
-    hermite._sampler_arrays.cache_clear()  # the warning fires when the kernel is built
-    with pytest.warns(UserWarning, match="truncates"):
-        hermite.hermite_ensemble(TimeGrid(1.0, 50), spec, 1, 2, "w")
-
-
-def _window_tail_40_digits(p, a, T):
-    """int_a^inf ((u+T)^p - u^p)^2/p^2 du by mpmath (at the working precision).
-
-    Quadrature in log u up to max(a, 1000 T), and beyond it the binomial
-    series of ((1+x)^p - 1)^2, x = T/u, integrated term by term.
-    """
-    U = max(a, 1000 * T)
-    f = lambda u: (((u + T) ** p - u ** p) / p) ** 2
-    head = 0
-    if U > a:
-        head = mpmath.quad(lambda s: mpmath.exp(s) * f(mpmath.exp(s)),
-                           mpmath.linspace(mpmath.log(a), mpmath.log(U), 8))
-    binom = [mpmath.binomial(p, j) for j in range(1, 41)]
-    far = 0
-    for k in range(2, 41):
-        c = sum(binom[i - 1] * binom[k - i - 1] for i in range(1, k))
-        far += c * T ** k * U ** (2 * p - k + 1) / (k - 2 * p - 1)
-    return head + far / p ** 2
-
-
-@pytest.mark.parametrize("H, m", [(0.7, 2), (0.85, 2), (0.9, 3)])
-def test_truncation_bias_estimate_matches_40_digit_oracle(H, m):
-    # m times the tail share of the kernel marginal beyond the window, capped
-    # at 1; the whole marginal is int_0^T (v^p/p)^2 dv plus the tail from 0.
-    # An adaptive rule on (-inf, -L) read 0.0199 at L = 1e5 and -3e-9 at 1e6
-    # for H = 0.7, m = 2 (the oracle: 0.022805 and 0.011430)
-    T = 1.0
-    with mpmath.workdps(40):
-        p = (mpmath.mpf(H) - 1) / m + mpmath.mpf(1) / 2
-        full = (T ** (2 * p + 1) / (p * p * (2 * p + 1))
-                + _window_tail_40_digits(p, mpmath.mpf("1e-30"), T))
-        for L in (40.0, 1e4, 1e5, 1e6):
-            oracle = min(1.0, float(m * _window_tail_40_digits(p, mpmath.mpf(L), T) / full))
-            est = hermite.truncation_bias_estimate(HermiteSpec(H, m, L, 10), T)
-            assert est == pytest.approx(oracle, rel=1e-6, abs=0)
+def test_spec_is_exponent_and_order():
+    assert [f.name for f in dataclasses.fields(HermiteSpec)] == ["H", "m"]
+    assert HermiteSpec(0.7, 2).kernel_exponent == pytest.approx(-0.65)
 
 
 def test_sample_hermite_errors():
     with pytest.raises(ValueError, match="order not supported"):
-        HermiteSpec(0.7, 4, 50.0, 1000)
+        HermiteSpec(0.7, 4)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_hermite_values_deterministic_in_noise():
-    # xi_window 40 stays below the sampler's 25% kernel-truncation warning
     grid = TimeGrid(1.0, 100)
-    spec = HermiteSpec(0.7, 2, 40.0, 2000)
+    spec = HermiteSpec(0.7, 2)
     every_step = np.arange(grid.n_steps + 1)
-    hermite._sampler_arrays.cache_clear()
+    hermite._engine.cache_clear()
     a = hermite.hermite_ensemble(grid, spec, 8, 1, "det", every_step)
     b = hermite.hermite_ensemble(grid, spec, 8, 1, "det", every_step)
     np.testing.assert_array_equal(a, b)
     assert a[0, 0] == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:xi_window")
 def test_hermite_ensemble_rows_agree_across_chunkings():
     # each row is a matrix product over the chunk, so its rounding moves
     # with the chunk size; the values agree to a few ulps, not bit for bit
     grid = TimeGrid(1.0, 100)
     every_step = np.arange(grid.n_steps + 1)
     for m in (1, 2, 3):
-        spec = HermiteSpec(0.8, m, 40.0, 2000)
+        spec = HermiteSpec(0.8, m)
         whole = hermite.hermite_ensemble(grid, spec, 6, 5, "chunks", every_step)
         rows = np.concatenate([
             hermite.hermite_ensemble(grid, spec, 6, 1, "chunks", every_step, r)

@@ -182,7 +182,7 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
     G = ChaosFunction.from_coefficients([0, 0, a2])
     x = cli._limit_endpoint_samples(G, H, t, x0, one, one, 1.0, n, seed)
     regime = chaos.classify_regime(2, H)
-    spec = hermite.HermiteSpec(regime.h_star, 2, 60.0 * t, 12000)
+    spec = hermite.HermiteSpec(regime.h_star, 2)
     z = hermite.hermite_ensemble(TimeGrid(t, 400), spec, seed, n, "limit-endpoint-z")[:, 0]
     expect = x0 + t + np.sign(a2) * chaos.c_constant(G, H) * z
     np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12)
@@ -205,7 +205,7 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
     monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
     G, H, t, *_, n, seed = _hermite_limit_args(300)
     regime = chaos.classify_regime(2, H)
-    spec = hermite.HermiteSpec(regime.h_star, 2, 60.0 * t, 12000)
+    spec = hermite.HermiteSpec(regime.h_star, 2)
     z = hermite.hermite_ensemble(TimeGrid(t, 400), spec, seed, n, "limit-endpoint-z")[:, 0]
     expect = -chaos.c_constant(G, H) * z
     for threads in (1, 2):
@@ -214,9 +214,8 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
 
 
 def test_limit_endpoint_samples_memory_is_chunked():
-    # 600 replicas of 12,000 noise cells: drawn in one call, the noise, its
-    # square and the squared kernel took 157 MB traced; in 250-replica
-    # chunks the noise of one chunk is held at a time
+    # 600 replicas, drawn in one call, once took 157 MB traced; in
+    # 250-replica chunks the noise of one chunk is held at a time
     from foulim import cli
 
     cli._limit_endpoint_samples(*_hermite_limit_args(2))  # warm the kernel cache
