@@ -8,13 +8,13 @@ import numpy as np
 
 from foulim import fgn
 from foulim.paths import TimeGrid
-from foulim.streams import stream
+from foulim.streams import keys
 
 grid = TimeGrid(horizon=1.0, n_steps=256)
 
 for H in (0.3, 0.5, 0.7):
-    rngs = [stream(0, f"demo-fbm-{H}", i) for i in range(4000)]
-    paths = np.cumsum(fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, rngs), axis=1)
+    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, keys(0, f"demo-fbm-{H}", 0, 4000))
+    paths = np.cumsum(incs, axis=1)
     t = grid.times()[1:]
     emp = paths.T @ paths / len(paths)
     theory = fgn.fbm_covariance(t[:, None], t[None, :], H)
@@ -24,7 +24,7 @@ for H in (0.3, 0.5, 0.7):
 
 # increments: positively correlated for H > 1/2, negatively below
 for H, label in ((0.75, "long memory"), (0.25, "anti-persistent")):
-    x = fgn.sample_fgn_batch(100_000, 1.0, H, [stream(0, "demo-fgn")])[0]
+    x = fgn.sample_fgn_batch(100_000, 1.0, H, keys(0, "demo-fgn"))[0]
     r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
     expect = 0.5 * (2 ** (2 * H) - 2)
     print(f"H={H} ({label}): lag-1 autocorrelation {r1:+.4f} "

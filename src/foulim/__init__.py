@@ -3,6 +3,7 @@ functionals of the fractional Ornstein-Uhlenbeck process.
 
 Subpackages by responsibility:
 
+- streams: named Philox streams, their keys in one vectorized pass
 - fgn: the circulant-embedding engine for stationary Gaussian sequences,
   exact fractional Gaussian noise / fBM on it
 - fou: the stationary rescaled fOU, its autocorrelation and scale integrals

@@ -20,7 +20,7 @@ from scipy import linalg, stats
 from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
 from .paths import TimeGrid
-from .streams import stream
+from .streams import keys, normals, stream
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -58,8 +58,8 @@ def crit_1_fbm_exactness(seed, suite, threads=1) -> CriterionResult:
     passed = True
     for H in (0.3, 0.5, 0.7):
         def make_chunk(offset, count, H=H):
-            rngs = [stream(seed, f"acc1-H{H}", offset + k) for k in range(count)]
-            incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, rngs)
+            incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H,
+                                        keys(seed, f"acc1-H{H}", offset, count))
             vals = np.concatenate([np.zeros((count, 1)), np.cumsum(incs, axis=1)], axis=1)
             return vals
 
@@ -79,7 +79,7 @@ def crit_2_fou_stationarity_decay(seed, suite, threads=1) -> CriterionResult:
     sampler = fou.path_sampler(grid, fou.FouConfig(H, eps))
 
     def make_chunk(offset, count):
-        return sampler.batch(fou.ensemble_streams(seed, "acc2", count, offset))
+        return sampler.batch(keys(seed, "acc2", offset, count))
 
     y = harness.run_replicated(n_rep, make_chunk, threads)
     var_end = harness.fsum_variance(y[:, -1])
@@ -265,8 +265,8 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
         passed &= abs(var1 - 1.0) <= 0.03 and zmax < 5.0 and shape <= 0.01
         if m == 1:
             def fbm_chunk(offset, count):
-                rngs = [stream(seed, "acc7-fbm", offset + k) for k in range(count)]
-                incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, rngs)
+                incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H,
+                                            keys(seed, "acc7-fbm", offset, count))
                 return np.cumsum(incs, axis=1)[:, -1]
 
             b1 = harness.run_replicated(n_rep, fbm_chunk, threads)
@@ -452,8 +452,7 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     grid = TimeGrid(t, 2000)
 
     def heun_chunk(offset, count):
-        dW = np.stack([stream(seed, "acc11", offset + k).standard_normal(grid.n_steps)
-                       for k in range(count)])
+        dW = normals(keys(seed, "acc11", offset, count), np.empty((count, grid.n_steps)))
         W = np.concatenate([np.zeros((count, 1)), np.cumsum(dW, axis=1)], axis=1)
         x = solvers.solve_limit_stratonovich(
             1.0, lambda u: u, lambda u: 0.0 * u, 0.0, c, grid, W * np.sqrt(grid.dt))

@@ -148,7 +148,33 @@ class ChaosFunction:
         return cls(c, rank)
 
     def __call__(self, x):
-        return np.polynomial.hermite_e.hermeval(x, self.coefficients)
+        """G(x) by the recurrence He_1 = x, He_{k+1} = x He_k - k He_{k-1}.
+
+        c_0 = 0 adds nothing and orders below the rank are skipped in the
+        sum; the top order is scaled in its own buffer, so G = He_2 costs
+        two passes over x.
+        """
+        y = np.asarray(x, dtype=float)
+        c = self.coefficients
+        top = len(c) - 1
+        prev, cur = None, y  # He_{k-1} and He_k; He_0 = 1 stays implicit
+        out = None
+        for k in range(1, top + 1):
+            if k > 1:
+                nxt = y * cur
+                nxt -= (k - 1) * prev if k > 2 else 1.0
+                prev, cur = cur, nxt
+            if c[k] == 0.0:
+                continue
+            if out is not None:
+                out += c[k] * cur
+            elif k == top and cur is not y:
+                out = cur
+                if c[k] != 1.0:
+                    out *= c[k]
+            else:
+                out = c[k] * cur
+        return out
 
     @property
     def truncation_order(self) -> int:

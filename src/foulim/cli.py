@@ -17,7 +17,7 @@ import numpy as np
 from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
 from .paths import FoulimError, TimeGrid
-from .streams import stream
+from .streams import keys, stream
 
 __all__ = ["main"]
 
@@ -118,9 +118,9 @@ def _path_rows(times, matrix):
 
 def _cmd_fbm_paths(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
-    rngs = [stream(args.seed, "cli-fbm", r) for r in range(args.replicas)]
-    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, args.H, rngs)
-    mat = np.concatenate([np.zeros((len(rngs), 1)), np.cumsum(incs, axis=1)], axis=1)
+    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, args.H,
+                                keys(args.seed, "cli-fbm", 0, args.replicas))
+    mat = np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
     params = dict(H=args.H, horizon=args.horizon, n_steps=args.n_steps,
                   replicas=args.replicas, seed=args.seed)
     _echo(args, "sample-fbm", params)

@@ -11,9 +11,11 @@ built and ``numpy.fft.hfft`` turns it into the real sequence.  A
 ``StationarySampler`` computes the embedding once; rows then stream
 through it in row blocks of a fixed byte budget (``blocks``), so memory
 per call is O(block * m) however many rows are drawn, and ``batch``
-collects the blocks into one array.  fGN is one caller, the stationary
-fOU of ``fou`` the other.  Exactness matters here because everything
-downstream reads rates off exponents.
+collects the blocks into one array.  Each row is addressed by its
+Philox key (a row of ``streams.keys``), and a block's normals are drawn
+from its keys by ``streams.normals``, so no Generator is built per row.
+fGN is one caller, the stationary fOU of ``fou`` the other.  Exactness
+matters here because everything downstream reads rates off exponents.
 
 The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
 0.5*(t^{2H} + s^{2H} - |t-s|^{2H}); a path is the cumulative sum of a
@@ -27,6 +29,7 @@ import numpy as np
 from scipy import special
 
 from .paths import FoulimError, as_hurst
+from .streams import normals
 
 __all__ = [
     "SamplerInfeasibleError",
@@ -102,9 +105,9 @@ class StationarySampler:
     it is read on lags 0..n, and beyond when the embedding is doubled.
     The embedding is computed, and its errors raised, once on
     construction; every call of ``blocks`` or ``batch`` then draws one
-    row per generator in the sequence ``rngs`` and in its order, exact
-    in law.  Each row consumes exactly 2m standard normals from its own
-    stream (m the embedding half-length, which depends on acov and n
+    row per Philox key in the (rows, 2) array ``keys`` and in its order,
+    exact in law.  Each row consumes exactly 2m standard normals from its
+    own stream (m the embedding half-length, which depends on acov and n
     only), so results are independent of batching and blocking.
 
     Of the Hermitian spectrum W of length 2m only W[0..m] is assembled,
@@ -120,50 +123,55 @@ class StationarySampler:
         self.n = n
         self.m, self.lam = _embedding_eigenvalues(acov, n)
 
-    def blocks(self, rngs):
+    def blocks(self, keys):
         """An iterator of (rows, n + 1) blocks, BLOCK_BYTES of normals each.
 
         Rows are drawn as it is consumed, through two buffers (normals,
         half spectrum) of its own, so concurrent calls share only lam.
         """
-        m, lam, n = self.m, self.lam, self.n
-        size = 2 * m
-        rows = max(1, min(len(rngs), BLOCK_BYTES // (8 * size)))
+        size = 2 * self.m
+        rows = max(1, min(len(keys), BLOCK_BYTES // (8 * size)))
         raw = np.empty((rows, size))
-        W_conj = np.empty((rows, m + 1), dtype=complex)
-        W_conj.imag[:, [0, m]] = 0.0
-        edge0, edge_m = np.sqrt(lam[0] / size), np.sqrt(lam[m] / size)
-        half = np.sqrt(lam[1:m] / (2 * size))
-        for start in range(0, len(rngs), rows):
-            block = rngs[start : start + rows]
+        W_conj = np.empty((rows, self.m + 1), dtype=complex)
+        for start in range(0, len(keys), rows):
+            block = keys[start : start + rows]
             k = len(block)
-            for i, rng in enumerate(block):
-                raw[i] = rng.standard_normal(size)
-            W_conj.real[:k, 0] = edge0 * raw[:k, 0]
-            W_conj.real[:k, m] = edge_m * raw[:k, 1]
-            np.multiply(half, raw[:k, 2 : m + 1], out=W_conj.real[:k, 1:m])
-            np.multiply(-half, raw[:k, m + 1 : size], out=W_conj.imag[:k, 1:m])
-            yield np.fft.irfft(W_conj[:k], n=size, axis=1, norm="forward")[:, : n + 1]
+            yield self._rows_from_normals(normals(block, raw[:k]), W_conj[:k])
 
-    def batch(self, rngs, out=None) -> np.ndarray:
-        """All rows of ``blocks(rngs)`` in one (len(rngs), n + 1) array.
+    def _rows_from_normals(self, raw: np.ndarray, W_conj: np.ndarray) -> np.ndarray:
+        """The engine's linear map: (k, 2m) standard normals to (k, n + 1) rows.
+
+        W_conj is a (k, m + 1) complex buffer that receives conj(W).
+        """
+        m, lam = self.m, self.lam
+        size = 2 * m
+        half = np.sqrt(lam[1:m] / (2 * size))
+        W_conj.real[:, 0] = np.sqrt(lam[0] / size) * raw[:, 0]
+        W_conj.real[:, m] = np.sqrt(lam[m] / size) * raw[:, 1]
+        W_conj.imag[:, [0, m]] = 0.0
+        np.multiply(half, raw[:, 2 : m + 1], out=W_conj.real[:, 1:m])
+        np.multiply(-half, raw[:, m + 1 : size], out=W_conj.imag[:, 1:m])
+        return np.fft.irfft(W_conj, n=size, axis=1, norm="forward")[:, : self.n + 1]
+
+    def batch(self, keys, out=None) -> np.ndarray:
+        """All rows of ``blocks(keys)`` in one (len(keys), n + 1) array.
 
         The rows are written into ``out`` when it is given, an array of
         that shape in any layout (say, the transpose of a time-major one).
         """
         if out is None:
-            out = np.empty((len(rngs), self.n + 1))
+            out = np.empty((len(keys), self.n + 1))
         start = 0
-        for block in self.blocks(rngs):
+        for block in self.blocks(keys):
             out[start : start + len(block)] = block
             start += len(block)
         return out
 
 
-def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:
-    """Sample one fGN vector of length n per generator in ``rngs``.
+def sample_fgn_batch(n: int, dt: float, H, keys) -> np.ndarray:
+    """Sample one fGN vector of length n per Philox key in ``keys``.
 
-    Returns an array of shape (len(rngs), n) with the exact joint law of
+    Returns an array of shape (len(keys), n) with the exact joint law of
     fBM increments on spacing dt.  Each row consumes exactly 2n standard
     normals from its own stream (the minimal fGN embedding has no
     negative eigenvalues, so it is never doubled), so results are
@@ -174,7 +182,7 @@ def sample_fgn_batch(n: int, dt: float, H, rngs) -> np.ndarray:
         raise ValueError("need n >= 1 increments")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    incs = StationarySampler(lambda k: fgn_autocovariance(k, h), n).batch(rngs)
+    incs = StationarySampler(lambda k: fgn_autocovariance(k, h), n).batch(keys)
     return incs[:, :n] * dt**h
 
 

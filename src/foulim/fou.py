@@ -15,7 +15,10 @@ embedding engine of ``fgn``: exact in law at every resolution, with no
 burn-in.  ``path_sampler`` builds the engine for one (grid, scale) once;
 its ``blocks`` hand the paths over in row blocks, for callers that
 reduce each block before drawing the next, and its ``batch`` and
-``sample_fou_ensemble`` collect them into one matrix.
+``sample_fou_ensemble`` collect them into one matrix.  Replica i of an
+ensemble is the row of stream (master_seed, name, i), passed to the
+sampler as its Philox key from ``streams.keys``, so any contiguous
+range of replicas is drawn on its own and batching never changes a row.
 
 rho is evaluated in closed form, through the incomplete gamma and
 Kummer functions, below s = 30 and by the asymptotic series of
@@ -34,7 +37,7 @@ from scipy import special
 
 from . import fgn
 from .paths import TimeGrid, as_eps, as_hurst
-from .streams import stream
+from .streams import keys
 
 __all__ = [
     "FouConfig",
@@ -44,7 +47,6 @@ __all__ = [
     "rho_asymptote_constant",
     "rho_power_integral",
     "path_sampler",
-    "ensemble_streams",
     "sample_fou_ensemble",
 ]
 
@@ -220,25 +222,15 @@ def path_sampler(grid: TimeGrid, cfg: FouConfig) -> fgn.StationarySampler:
     """The sampler of stationary fOU paths on the grid, its embedding computed once.
 
     Its rows are stationary Gaussian sequences of n_steps + 1 values
-    with autocovariance rho(k dt/eps), exact in law: ``blocks(rngs)``
-    hands them over in row blocks, for callers that reduce each block
-    before taking the next, and ``batch(rngs)`` in one matrix.  Requires
-    grid.dt <= eps/10, which the Riemann sums downstream rely on.
+    with autocovariance rho(k dt/eps), exact in law, one per row of a
+    ``streams.keys`` array: ``blocks(keys)`` hands them over in row
+    blocks, for callers that reduce each block before taking the next,
+    and ``batch(keys)`` in one matrix.  Requires grid.dt <= eps/10,
+    which the Riemann sums downstream rely on.
     """
     _check_resolution(grid.dt, cfg.eps)
     step = grid.dt / cfg.eps
     return fgn.StationarySampler(lambda k: rho(k * step, cfg.H), grid.n_steps)
-
-
-def ensemble_streams(master_seed: int, name: str, n_replicas: int,
-                     replica_offset: int = 0) -> list:
-    """Generators of replicas replica_offset .. replica_offset + n_replicas - 1.
-
-    Replica i is driven by the stream (master_seed, name, i), so any
-    contiguous block of replicas can be generated independently and the
-    result never depends on batching.
-    """
-    return [stream(master_seed, name, replica_offset + i) for i in range(n_replicas)]
 
 
 def sample_fou_ensemble(
@@ -251,8 +243,7 @@ def sample_fou_ensemble(
 ) -> np.ndarray:
     """Matrix of stationary fOU paths, one replica per row.
 
-    Row i is the ``path_sampler`` row of the stream of replica
-    replica_offset + i (see ``ensemble_streams``).
+    Row i is the ``path_sampler`` row of the stream (master_seed, name,
+    replica_offset + i).
     """
-    return path_sampler(grid, cfg).batch(
-        ensemble_streams(master_seed, name, n_replicas, replica_offset))
+    return path_sampler(grid, cfg).batch(keys(master_seed, name, replica_offset, n_replicas))

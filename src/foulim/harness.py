@@ -2,13 +2,16 @@
 
 Everything here is replica-parallel with a fixed chunking policy:
 replica i always draws from stream (master_seed, name, i) and chunks have
-a fixed size, so results are bit-identical for any worker count.  Within
-a chunk, the fOU scans take their paths block by block from one
-``fou.path_sampler`` per scale, built before the chunks, and reduce each
-block to its per-replica scalars before the next is drawn, so no
-chunk-sized path matrix is ever built.  Scalar aggregation goes through
-math.fsum (compensated), keeping reduction reassociation out of the
-reported statistics.
+a fixed size, so results are bit-identical for any worker count.  A
+chunk derives the Philox keys of its replicas in one ``streams.keys``
+call and hands them to the samplers.  Within a chunk, the fOU scans take
+their paths block by block from one ``fou.path_sampler`` per scale,
+built before the chunks, and reduce each block to its per-replica
+scalars before the next is drawn, so no chunk-sized path matrix is ever
+built.  The trapezoid integral of G(y) is the row sum less half the two
+end values, with no array of interval averages.  Scalar aggregation
+goes through math.fsum (compensated), keeping reduction reassociation
+out of the reported statistics.
 
 Slopes of log statistic against log(1/eps) are fitted by
 inverse-variance-weighted least squares, with a parametric bootstrap
@@ -28,7 +31,7 @@ from scipy import stats
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
 from .paths import TimeGrid, as_eps_list, as_hurst
-from .streams import stream
+from .streams import keys, normals, stream
 
 __all__ = [
     "ScanResult",
@@ -105,10 +108,12 @@ def fsum_variance(x, ddof: int = 1) -> float:
 
 
 def functional_values(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) -> np.ndarray:
-    """Endpoint alpha * int_0^T G(y) for each replica row of y_matrix."""
+    """Endpoint alpha * int_0^T G(y) for each replica row of y_matrix.
+
+    The trapezoid rule as the row sum less half of its two end values.
+    """
     gy = np.asarray(G(y_matrix), dtype=float)
-    inner = 0.5 * (gy[:, 1:] + gy[:, :-1])
-    return alpha * dt * inner.sum(axis=1)
+    return alpha * dt * (gy.sum(axis=1) - 0.5 * (gy[:, 0] + gy[:, -1]))
 
 
 def _functional_cumulative(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) -> np.ndarray:
@@ -162,9 +167,9 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
     sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
 
     def make_chunk(offset, count):
-        rngs = fou.ensemble_streams(master_seed, name, count, offset)
+        chunk_keys = keys(master_seed, name, offset, count)
         return np.concatenate([functional_values(G, y, grid.dt, alpha)
-                               for y in sampler.blocks(rngs)])
+                               for y in sampler.blocks(chunk_keys)])
 
     return run_replicated(n_replicas, make_chunk, threads)
 
@@ -297,8 +302,8 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
         return np.stack(cols, axis=1)
 
     def make_chunk(offset, count):
-        rngs = fou.ensemble_streams(master_seed, "joint-cov", count, offset)
-        return np.concatenate([block_columns(y) for y in sampler.blocks(rngs)])
+        chunk_keys = keys(master_seed, "joint-cov", offset, count)
+        return np.concatenate([block_columns(y) for y in sampler.blocks(chunk_keys)])
 
     data = run_replicated(n_replicas, make_chunk, threads)
     n_g = len(G_list)
@@ -385,9 +390,8 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
 
     def make_chunk(offset, count):
-        N = np.empty((count, A_lim.shape[1]))
-        for k, row in enumerate(N):
-            stream(master_seed, "l2-noise", offset + k).standard_normal(out=row)
+        N = normals(keys(master_seed, "l2-noise", offset, count),
+                    np.empty((count, A_lim.shape[1])))
         series = hermite._wick_power(N @ A_lim.T, var_lim, m)
         Z_t = series.sum(axis=1) * fine.dt * K / math.factorial(m)
         out = np.empty((count, len(eps_arr)))

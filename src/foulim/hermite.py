@@ -42,7 +42,7 @@ from scipy import special
 
 from . import chaos, fou
 from .paths import TimeGrid, as_hurst
-from .streams import stream
+from .streams import keys, normals
 
 __all__ = [
     "HermiteSpec",
@@ -194,9 +194,8 @@ def hermite_ensemble(
         report_idx = np.array([grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
     A, var, scale, _ = _engine(grid, spec)
-    N = np.empty((n_replicas, A.shape[1]))
-    for i, row in enumerate(N):
-        stream(master_seed, name, replica_offset + i).standard_normal(out=row)
+    N = normals(keys(master_seed, name, replica_offset, n_replicas),
+                np.empty((n_replicas, A.shape[1])))
     series = _wick_power(N @ A.T, var, spec.m)
     cum = np.concatenate(
         [np.zeros((n_replicas, 1)), np.cumsum(series * grid.dt, axis=1)], axis=1

@@ -30,7 +30,7 @@ from . import chaos, fgn, fou
 from .chaos import ChaosFunction
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
 from .paths import FoulimError, TimeGrid, as_eps, as_eps_list, as_hurst
-from .streams import stream
+from .streams import keys
 
 __all__ = [
     "BlowUpError",
@@ -225,7 +225,7 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
     def make_chunk(offset, count):
         # the paths are stored time-major, the layout the RK4 stages read
         y = np.empty((fine.n_steps + 1, count)).T
-        sampler.batch(fou.ensemble_streams(master_seed, name, count, offset), out=y)
+        sampler.batch(keys(master_seed, name, offset, count), out=y)
         return _solve_slow_fast_from_y(cfg, y)[:, -1]
 
     return run_replicated(n_replicas, make_chunk, threads)
@@ -270,7 +270,10 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     other, to their (rows, n_eps, 2, n_report) readings: block
     aggregation, the recursion, the cumulative sums and the reads on the
     reporting grid all act on one block, so no chunk-sized fGN matrix is
-    built, and every row is the same as from a whole-chunk draw.
+    built, and every row is the same as from a whole-chunk draw.  The
+    pairwise second moments come from one Gram matrix of the readings,
+    and the Hoelder seminorms are taken a block of replicas at a time, so
+    no (replicas, n_report + 1, n_report + 1) array is built either.
     """
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
@@ -328,9 +331,9 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         return out
 
     def make_chunk(offset, count):
-        rngs = [stream(master_seed, "kinetic", offset + k) for k in range(count)]
+        chunk_keys = keys(master_seed, "kinetic", offset, count)
         return np.concatenate([readings(block[:, :n_total] * inc_scale)
-                               for block in sampler.blocks(rngs)])
+                               for block in sampler.blocks(chunk_keys)])
 
     data = run_replicated(n_replicas, make_chunk, threads)
     diff = data[:, :, 0, :]   # X - sigma*B at reporting times
@@ -346,19 +349,24 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     gam = holder_gamma_factor * h
     lag = np.abs(report_times[:, None] - report_times[None, :])
     np.fill_diagonal(lag, np.inf)
+    lag_gam = lag**gam
+    # replicas per block of the Hoelder reduction, which holds (rows, n_rep, n_rep)
+    rows = max(1, fgn.BLOCK_BYTES // (8 * n_rep * n_rep))
+    semi = np.empty(n_replicas)
     for i in range(len(eps_arr)):
-        d = diff[:, i, :]
-        pair_sq = np.mean(
-            (d[:, :, None] - d[:, None, :]) ** 2, axis=0
-        )  # (n_rep, n_rep) pairwise second moments
+        d = np.ascontiguousarray(diff[:, i, :])
+        # pairwise second moments E d_j^2 + E d_k^2 - 2 E[d_j d_k] from one Gram matrix
+        gram = d.T @ d / n_replicas
+        sq = np.diag(gram)
+        pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
         k_flat = np.argmax(pair_sq)
         sup_err[i] = np.sqrt(pair_sq.ravel()[k_flat])
         worst = (d[:, k_flat // n_rep] - d[:, k_flat % n_rep]) ** 2
         sup_se[i] = 0.5 * np.std(worst, ddof=1) / np.sqrt(len(worst)) / sup_err[i]
-        semi = np.max(
-            np.abs(d[:, :, None] - d[:, None, :]) / lag[None, :, :] ** gam,
-            axis=(1, 2),
-        )
+        for a in range(0, n_replicas, rows):
+            blk = d[a : a + rows]
+            semi[a : a + rows] = np.max(
+                np.abs(blk[:, :, None] - blk[:, None, :]) / lag_gam, axis=(1, 2))
         holder[i] = fsum_mean(semi)
     slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, sup_se, master_seed)
     h_slope, h_ci = fit_loglog_slope(

@@ -4,44 +4,35 @@ import numpy as np
 import pytest
 
 
-class UnitVectorGenerator:
-    """Stands in for a Generator: its standard normals are the j-th unit vector.
-
-    A linear sampler fed one such generator per coordinate returns the
-    columns of its linear map A, so A A^T is the exact covariance of its
-    output.
-    """
-
-    def __init__(self, j):
-        self.j = j
-
-    def standard_normal(self, size):
-        e = np.zeros(size)
-        e[self.j] = 1.0
-        return e
-
-
 def engine_covariance(acov, n):
-    """Exact covariance of fgn.StationarySampler(acov, n) output."""
+    """Exact covariance of fgn.StationarySampler(acov, n) output.
+
+    The engine maps each row's 2m standard normals linearly to its
+    values; applied to the identity block, that map returns its own
+    matrix A, and A^T A is the covariance.
+    """
     from foulim import fgn
 
     sampler = fgn.StationarySampler(acov, n)
-    A = sampler.batch([UnitVectorGenerator(j) for j in range(2 * sampler.m)])
+    size = 2 * sampler.m
+    A = sampler._rows_from_normals(np.eye(size), np.empty((size, sampler.m + 1), dtype=complex))
     return A.T @ A
 
 
-def full_spectrum_reference(acov, n, rngs):
-    """fgn.StationarySampler(acov, n).batch(rngs) built the long way, as an oracle.
+def full_spectrum_reference(acov, n, keys):
+    """fgn.StationarySampler(acov, n).batch(keys) built the long way, as an oracle.
 
-    Assembles the whole Hermitian spectrum W of length 2m, mirroring
-    W[m+1..2m-1] from W[1..m-1], and takes the real part of its complex
-    FFT; the same normals in the same order as the engine.
+    Draws each row from a Generator of its own Philox key, assembles the
+    whole Hermitian spectrum W of length 2m, mirroring W[m+1..2m-1] from
+    W[1..m-1], and takes the real part of its complex FFT; the same
+    normals in the same order as the engine.
     """
     from foulim import fgn
 
     m, lam = fgn._embedding_eigenvalues(acov, n)
     size = 2 * m
-    raw = np.stack([rng.standard_normal(size) for rng in rngs])
+    raw = np.stack([np.random.Generator(np.random.Philox(key=k)).standard_normal(size)
+                    for k in keys])
     W = np.empty((len(raw), size), dtype=complex)
     W[:, 0] = np.sqrt(lam[0] / size) * raw[:, 0]
     W[:, m] = np.sqrt(lam[m] / size) * raw[:, 1]
@@ -51,11 +42,11 @@ def full_spectrum_reference(acov, n, rngs):
     return np.fft.fft(W, axis=1).real[:, : n + 1]
 
 
-def fbm_paths(grid, H, rngs):
-    """fBM paths on ``grid``, one row per generator, started at 0."""
+def fbm_paths(grid, H, keys):
+    """fBM paths on ``grid``, one row per Philox key, started at 0."""
     from foulim import fgn
 
-    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, rngs)
+    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, keys)
     return np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
 
 

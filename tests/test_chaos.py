@@ -8,6 +8,28 @@ from foulim.chaos import ChaosFunction, Regime
 K_07_2 = 0.13604952819057495  # frozen, cross-checked against the Beta closed form
 
 
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_recurrence_evaluation_matches_hermeval(degree):
+    y = np.linspace(-8.0, 8.0, 1601).reshape(1, -1)
+    rng = np.random.default_rng(degree)
+    for rank in range(1, degree + 1):
+        c = np.zeros(degree + 1)
+        c[rank:] = rng.standard_normal(degree + 1 - rank)
+        for top in (c[degree], 1.0):  # the top term scaled in place, or not at all
+            c[degree] = top
+            G = ChaosFunction.from_coefficients(c)
+            ref = np.polynomial.hermite_e.hermeval(y, G.coefficients)
+            np.testing.assert_allclose(G(y), ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+    # a scalar stays a scalar; the input is never written
+    G = ChaosFunction.from_coefficients([0, 0.5, 1.0, 0, 0.25])
+    assert G(1.5) == pytest.approx(np.polynomial.hermite_e.hermeval(1.5, G.coefficients),
+                                   rel=1e-14)
+    y0 = y.copy()
+    G(y)
+    np.testing.assert_array_equal(y, y0)
+
+
 def test_hermite_orthogonality_under_quadrature():
     # <He_j, He_k> = k! delta_jk, the convention l2_norm_sq relies on
     x, w = np.polynomial.hermite_e.hermegauss(80)

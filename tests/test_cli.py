@@ -8,7 +8,7 @@ from conftest import fbm_paths
 from foulim import acceptance, chaos, cli, fgn, fou, harness, output
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
-from foulim.streams import stream
+from foulim.streams import keys
 
 
 def run(args):
@@ -38,7 +38,7 @@ def test_sample_fbm_bytes_match_per_replica_paths(tmp_path):
     grid = TimeGrid(1.0, n_steps)
     rows = [(r, t, v) for r in range(4)
             for t, v in zip(grid.times(),
-                            fbm_paths(grid, H, [stream(seed, "cli-fbm", r)])[0])]
+                            fbm_paths(grid, H, keys(seed, "cli-fbm", r))[0])]
     output.write_csv(str(tmp_path / "ref.csv"), ["replica", "t", "value"], rows)
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -334,8 +334,8 @@ def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatc
         sampler = make_sampler(grid, cfg)
         blocks = sampler.blocks
 
-        def counted(rngs):
-            for block in blocks(rngs):
+        def counted(keys):
+            for block in blocks(keys):
                 rows.append(len(block))
                 yield block
 

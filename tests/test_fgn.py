@@ -5,7 +5,7 @@ from scipy import linalg
 from conftest import engine_covariance, fbm_paths, full_spectrum_reference
 from foulim import fgn, fou
 from foulim.paths import TimeGrid
-from foulim.streams import stream
+from foulim.streams import keys
 
 
 def test_covariance_examples():
@@ -47,14 +47,14 @@ def test_fgn_autocovariance_lag_values():
 def test_fgn_lag1_autocorrelation_monte_carlo():
     # single long path, empirical lag-1 autocorrelation
     for H, target in ((0.75, 2**1.5 / 2 - 1), (0.25, 2**-0.5 - 1)):
-        x = fgn.sample_fgn_batch(100_000, 1.0, H, [stream(11, f"lag1-{H}")])[0]
+        x = fgn.sample_fgn_batch(100_000, 1.0, H, keys(11, f"lag1-{H}"))[0]
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert r1 == pytest.approx(target, abs=0.01)
 
 
 def test_fgn_brownian_case_iid():
     dt = 0.25
-    x = fgn.sample_fgn_batch(50_000, dt, 0.5, [stream(3, "bm")])[0]
+    x = fgn.sample_fgn_batch(50_000, dt, 0.5, keys(3, "bm"))[0]
     assert x.var() == pytest.approx(dt, rel=0.02)
     assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 0.02
     # variance-ratio test: blocks of 4 behave like sums of 4 iid terms
@@ -64,7 +64,7 @@ def test_fgn_brownian_case_iid():
 
 def test_fbm_path_normalization_and_variance():
     grid = TimeGrid(1.0, 16)
-    vals = fbm_paths(grid, 0.7, [stream(5, "fbm", i) for i in range(20_000)])
+    vals = fbm_paths(grid, 0.7, keys(5, "fbm", 0, 20_000))
     assert np.all(vals[:, 0] == 0.0)
     assert vals[:, -1].var() == pytest.approx(1.0, abs=0.03)
     times = grid.times()
@@ -78,8 +78,7 @@ def test_fbm_path_normalization_and_variance():
 def test_fbm_empirical_covariance_matrix():
     grid = TimeGrid(1.0, 16)
     H = 0.3
-    rngs = [stream(9, "cov", i) for i in range(20_000)]
-    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, rngs)
+    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, keys(9, "cov", 0, 20_000))
     paths = np.cumsum(incs, axis=1)
     times = grid.times()[1:]
     emp = paths.T @ paths / len(paths)
@@ -90,9 +89,9 @@ def test_fbm_empirical_covariance_matrix():
 
 def test_batch_matches_single_stream_draws():
     n, dt, H = 64, 0.1, 0.6
-    batch = fgn.sample_fgn_batch(n, dt, H, [stream(2, "b", i) for i in range(3)])
+    batch = fgn.sample_fgn_batch(n, dt, H, keys(2, "b", 0, 3))
     singles = np.concatenate([
-        fgn.sample_fgn_batch(n, dt, H, [stream(2, "b", i)]) for i in range(3)
+        fgn.sample_fgn_batch(n, dt, H, keys(2, "b", i)) for i in range(3)
     ])
     np.testing.assert_array_equal(batch, singles)
 
@@ -111,10 +110,10 @@ HALF_SPECTRUM_CASES = [
                          ids=[c[0] for c in HALF_SPECTRUM_CASES])
 def test_half_spectrum_engine_matches_full_spectrum_reference(label, acov, n, m):
     assert fgn._embedding_eigenvalues(acov, n)[0] == m
-    batch = fgn.StationarySampler(acov, n).batch([stream(4, label, i) for i in range(5)])
-    ref = full_spectrum_reference(acov, n, [stream(4, label, i) for i in range(5)])
+    batch = fgn.StationarySampler(acov, n).batch(keys(4, label, 0, 5))
+    ref = full_spectrum_reference(acov, n, keys(4, label, 0, 5))
     np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-13)
-    singles = np.concatenate([fgn.StationarySampler(acov, n).batch([stream(4, label, i)])
+    singles = np.concatenate([fgn.StationarySampler(acov, n).batch(keys(4, label, i))
                               for i in range(5)])
     np.testing.assert_array_equal(batch, singles)
 
@@ -132,13 +131,12 @@ def test_blocked_engine_rows_equal_one_row_calls(label, acov, n):
     sampler = fgn.StationarySampler(acov, n)  # one embedding serves every call
     block = fgn.BLOCK_BYTES // (8 * 2 * sampler.m)
     assert block > 1
-    singles = np.concatenate([sampler.batch([stream(6, label, i)])
+    singles = np.concatenate([sampler.batch(keys(6, label, i))
                               for i in range(3 * block + 2)])
     for rows in (1, block - 1, block, block + 1, 3 * block + 2):
-        rngs = [stream(6, label, i) for i in range(rows)]
-        sizes = [len(b) for b in sampler.blocks(rngs)]
+        sizes = [len(b) for b in sampler.blocks(keys(6, label, 0, rows))]
         assert sizes == [block] * (rows // block) + ([rows % block] if rows % block else [])
-        batch = sampler.batch([stream(6, label, i) for i in range(rows)])
+        batch = sampler.batch(keys(6, label, 0, rows))
         np.testing.assert_array_equal(batch, singles[:rows])
 
 

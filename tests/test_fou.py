@@ -8,7 +8,7 @@ from scipy import integrate
 from conftest import engine_covariance
 from foulim import fgn, fou
 from foulim.paths import TimeGrid
-from foulim.streams import stream
+from foulim.streams import keys
 
 SIGMA_075 = 1.2265828778062045  # frozen from the double-integral oracle
 
@@ -333,7 +333,7 @@ def test_sample_fou_rows_do_not_depend_on_batching():
     parts = [fou.sample_fou_ensemble(grid, cfg, 3, 2, "batch"),
              fou.sample_fou_ensemble(grid, cfg, 3, 3, "batch", replica_offset=2)]
     np.testing.assert_array_equal(whole, np.concatenate(parts))
-    single = fou.path_sampler(grid, cfg).batch([stream(3, "batch", 4)])
+    single = fou.path_sampler(grid, cfg).batch(keys(3, "batch", 4))
     np.testing.assert_array_equal(whole[4:], single)
 
 

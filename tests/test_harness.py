@@ -14,6 +14,16 @@ H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
 H3 = ChaosFunction.from_coefficients([0, 0, 0, 1.0])
 
 
+@pytest.mark.parametrize("G", [ChaosFunction.from_coefficients([0, 0.3, -1.0, 0.5]), np.cos],
+                         ids=["chaos", "cos"])
+def test_functional_values_match_the_interval_trapezoid(G):
+    y = np.random.default_rng(4).standard_normal((7, 501))
+    gy = G(y)
+    ref = 0.7 * 0.002 * (0.5 * (gy[:, 1:] + gy[:, :-1])).sum(axis=1)
+    np.testing.assert_allclose(harness.functional_values(G, y, 0.002, 0.7), ref,
+                               rtol=1e-13, atol=0)
+
+
 def test_functional_integral_constant_path():
     grid = TimeGrid(2.0, 40)
     y = np.full((1, 41), 3.0)

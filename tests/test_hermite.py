@@ -10,7 +10,7 @@ from scipy import integrate, stats
 from foulim import fgn, fou, hermite
 from foulim.hermite import HermiteSpec
 from foulim.paths import TimeGrid
-from foulim.streams import stream
+from foulim.streams import keys, stream
 
 
 def test_ghat_isometry_unit_variance():
@@ -108,8 +108,8 @@ def test_hermite_m1_matches_fbm_law():
     se = np.sqrt((np.outer(np.diag(thr), np.diag(thr)) + thr**2) / len(Z))
     assert np.max(np.abs(emp - thr) / se) < 5.0
     # two-sample KS against the circulant-embedding fBM endpoint
-    rngs = [stream(3, "m1-fbm", i) for i in range(4000)]
-    b = np.cumsum(fgn.sample_fgn_batch(grid.n_steps, grid.dt, 0.7, rngs), axis=1)
+    b = np.cumsum(fgn.sample_fgn_batch(grid.n_steps, grid.dt, 0.7, keys(3, "m1-fbm", 0, 4000)),
+                  axis=1)
     ks = stats.ks_2samp(Z[:, -1], b[:, -1])
     assert ks.pvalue > 0.01
 

@@ -9,7 +9,7 @@ from conftest import fbm_paths
 from foulim import acceptance, chaos, fgn, fou, harness, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import FoulimError, TimeGrid
-from foulim.streams import stream
+from foulim.streams import keys, stream
 
 H1 = ChaosFunction.from_coefficients([0, 1.0])
 H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
@@ -61,7 +61,7 @@ def test_young_smooth_driver_exponential_order():
 
 def test_young_fbm_driver_matches_chain_rule():
     grid = TimeGrid(1.0, 4000)
-    Z = fbm_paths(grid, 0.8, [stream(1, "yfbm")])[0]
+    Z = fbm_paths(grid, 0.8, keys(1, "yfbm"))[0]
     x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
     exact = np.exp(Z - Z[0])
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
@@ -75,7 +75,7 @@ def test_limit_young_drift_only_is_ode_flow():
 
 def test_limit_young_exponential_closed_form():
     grid = TimeGrid(1.0, 4000)
-    Z = fbm_paths(grid, 0.8, [stream(2, "ly")])[0]
+    Z = fbm_paths(grid, 0.8, keys(2, "ly"))[0]
     x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
     exact = np.exp(Z)
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
@@ -115,7 +115,7 @@ def _heun_loop(x0, f, h, g_bar, c, dt, W):
 
 def test_batched_limit_solvers_match_one_row_calls():
     grid = TimeGrid(1.0, 500)
-    Z = fbm_paths(grid, 0.7, [stream(7, "batch", r) for r in range(5)])
+    Z = fbm_paths(grid, 0.7, keys(7, "batch", 0, 5))
     f = lambda u: np.sin(u) + 2.0
     h = lambda u: np.cos(u)
     young = solvers.solve_limit_young(0.4, f, h, 0.6, grid, Z)
@@ -401,8 +401,8 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, dt_ratio=100.
     times = grid.times()
 
     def make_chunk(offset, count):
-        rngs = [stream(seed, "kinetic", offset + k) for k in range(count)]
-        dB = fgn.sample_fgn_batch(n_burn_m + n_main_m, dt_master, H, rngs)
+        dB = fgn.sample_fgn_batch(n_burn_m + n_main_m, dt_master, H,
+                                  keys(seed, "kinetic", offset, count))
         out = np.empty((count, len(eps_arr), 2, len(times)))
         for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
             dt = b * dt_master
@@ -461,3 +461,48 @@ def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 40.0
+
+
+def _pairwise_statistics(data, times, h, gamma_factor=0.5):
+    """sup pair L2 error and mean Hoelder seminorm per eps, from the full
+    (replicas, n_report, n_report) pairwise arrays, as a reference."""
+    lag = np.abs(times[:, None] - times[None, :])
+    np.fill_diagonal(lag, np.inf)
+    sup, holder = [], []
+    for i in range(data.shape[1]):
+        d = data[:, i, 0, :]
+        pair = d[:, :, None] - d[:, None, :]
+        sup.append(np.sqrt(np.max(np.mean(pair**2, axis=0))))
+        holder.append(np.mean(np.max(np.abs(pair) / lag ** (gamma_factor * h), axis=(1, 2))))
+    return np.array(sup), np.array(holder)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_kinetic_scan_statistics_match_the_pairwise_formula(H, monkeypatch):
+    grid = TimeGrid(1.0, 50)
+    captured = []
+    run = solvers.run_replicated
+
+    def spy(*args, **kwargs):
+        captured.append(run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(solvers, "run_replicated", spy)
+    scan = solvers.kinetic_error_scan(H, [0.1, 0.05, 0.02, 0.01], grid, 300, 6)
+    sup, holder = _pairwise_statistics(captured[0], grid.times(), H)
+    np.testing.assert_allclose(scan.values, sup, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(scan.meta["holder_seminorm"], holder, rtol=1e-10, atol=0)
+
+
+def test_kinetic_scan_reduction_memory_does_not_grow_with_replicas():
+    # the pairwise reduction held (replicas, 51, 51) arrays: 18.4 MB traced
+    # at 400 replicas against 6.0 MB at 100
+    peaks = {}
+    for n in (100, 400):
+        tracemalloc.start()
+        try:
+            solvers.kinetic_error_scan(0.7, [0.1, 0.05, 0.02, 0.01], TimeGrid(1.0, 50), n, 3)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] < 1.5 * peaks[100]
