@@ -19,12 +19,10 @@ from scipy import linalg, stats
 
 from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
-from .paths import TimeGrid
+from .paths import MASTER_SEED, TimeGrid
 from .streams import keys, normals, stream
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
-
-MASTER_SEED = 20240917
 
 H2 = ChaosFunction.from_coefficients([0.0, 0.0, 1.0])
 H1 = ChaosFunction.from_coefficients([0.0, 1.0])

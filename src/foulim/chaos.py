@@ -55,9 +55,14 @@ def gaussian_expectation(G, n_nodes: int = 200) -> float:
 def hermite_rank(coeffs, tol: float = 1e-12) -> int:
     """Smallest k >= 1 with |c_k| sqrt(k!) above tol.
 
-    Requires c_0 within tol of zero (centred function).
+    Requires a non-empty list of finite coefficients with c_0 within tol
+    of zero (centred function).
     """
     c = np.asarray(coeffs, dtype=float)
+    if c.size == 0:
+        raise ValueError("need at least one Hermite coefficient")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"Hermite coefficients must be finite, got {c.tolist()}")
     if abs(c[0]) > tol:
         raise ValueError(f"not centred: c_0 = {c[0]:.3g} exceeds tol {tol:.3g}")
     k = np.arange(len(c))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
-from .paths import FoulimError, TimeGrid
+from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
 from .streams import keys, stream
 
 __all__ = ["main"]
@@ -69,7 +69,19 @@ def _chaos_from_args(args) -> ChaosFunction:
 
 
 def _default_threads() -> int:
-    return max(1, int(os.environ.get(THREADS_ENV, "1")))
+    text = os.environ.get(THREADS_ENV, "1")
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"${THREADS_ENV} must be a positive integer, got {text!r}")
+    return value
+
+
+def _check_dt_ratio(dt_ratio: float) -> None:
+    if not 0.0 < dt_ratio < np.inf:
+        raise ValueError(f"--dt-ratio must be positive and finite, got {dt_ratio}")
 
 
 def _echo(args, command: str, params: dict) -> None:
@@ -223,6 +235,7 @@ def _cmd_hermite_sample(args) -> int:
 def _cmd_clt_scan(args) -> int:
     G = _chaos_from_args(args)
     eps_list = _parse_floats(args.eps_list)
+    _check_dt_ratio(args.dt_ratio)
     scan = harness.variance_scan(
         G, args.H, args.t, eps_list, args.replicas, args.seed,
         dt_ratio=args.dt_ratio, threads=args.threads,
@@ -315,9 +328,11 @@ def _cmd_homogenize(args) -> int:
     h = _F_PRESETS[args.hfun]
     g = _G_PRESETS[args.gfun]
     g_bar = chaos.gaussian_expectation(g) if args.gfun != "zero" else 0.0
-    n_steps = max(int(round(args.t / (args.eps / args.dt_ratio))), 1)
+    eps = as_eps(args.eps)
+    _check_dt_ratio(args.dt_ratio)
+    n_steps = max(int(round(args.t / (eps / args.dt_ratio))), 1)
     cfg = solvers.MultiscaleConfig(
-        f, h, G, g, args.H, args.eps, args.x0, TimeGrid(args.t, n_steps), args.seed,
+        f, h, G, g, args.H, eps, args.x0, TimeGrid(args.t, n_steps), args.seed,
     )
     endpoints = solvers.solve_slow_fast_endpoints(
         cfg, args.replicas, args.seed, threads=args.threads,
@@ -436,14 +451,12 @@ def _add_parser(sub, command: str, seed_default: int = 0) -> argparse.ArgumentPa
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--config", type=str, default=None,
                     help="read parameters from a config echo file")
-    sp.add_argument("--threads", type=int, default=None,
+    sp.add_argument("--threads", type=_positive_int, default=None,
                     help=f"worker threads (default ${THREADS_ENV} or 1)")
     return sp
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .acceptance import MASTER_SEED
-
     p = argparse.ArgumentParser(
         prog="foulim",
         description="Sampling and Monte Carlo verification for fractional "
@@ -571,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads is None:
             args.threads = _default_threads()
         if getattr(args, "n_steps", 0) is None and args.command == "sample-fou":
-            args.n_steps = max(int(round(args.horizon / (args.eps / 50.0))), 1)
+            args.n_steps = max(int(round(args.horizon / (as_eps(args.eps) / 50.0))), 1)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
@@ -248,6 +247,8 @@ def clt_diagnostics(samples) -> dict:
     (kurtosis by the influence-function estimate, the rest normal-theory),
     plus the KS statistic against N(0, sample variance).
     """
+    from scipy import stats
+
     x = np.asarray(samples, dtype=float)
     n = len(x)
     if n < 1000:

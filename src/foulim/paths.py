@@ -1,4 +1,5 @@
-"""Uniform time grids, the Hurst and scale parameters, and the package error base."""
+"""Uniform time grids, the Hurst and scale parameters, the package error base
+and the master seed of the acceptance suite."""
 
 from __future__ import annotations
 
@@ -6,7 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FoulimError", "TimeGrid", "as_hurst", "as_eps", "as_eps_list"]
+__all__ = ["FoulimError", "MASTER_SEED", "TimeGrid", "as_hurst", "as_eps", "as_eps_list"]
+
+# the pinned seed of `foulim verify`; kept here so that the CLI parser reads
+# it without importing the acceptance suite and its scipy modules
+MASTER_SEED = 20240917
 
 
 class FoulimError(Exception):

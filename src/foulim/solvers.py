@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import chaos, fgn, fou
 from .chaos import ChaosFunction
@@ -275,6 +274,8 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     and the Hoelder seminorms are taken a block of replicas at a time, so
     no (replicas, n_report + 1, n_report + 1) array is built either.
     """
+    from scipy.signal import lfilter
+
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
     T = grid.horizon

@@ -59,6 +59,12 @@ def test_hermite_rank_cases():
         chaos.hermite_rank([0.5, 1.0])
     with pytest.raises(ValueError, match="zero function"):
         chaos.hermite_rank([0.0, 0.0])
+    with pytest.raises(ValueError, match="at least one"):
+        chaos.hermite_rank([])
+    # a NaN is neither centred nor zero: it must not read as "zero function"
+    for coeffs in ([0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            chaos.hermite_rank(coeffs)
 
 
 def test_h_star_values_and_inverse():

@@ -139,8 +139,17 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["l2-hermite", "--t", "0"], "horizon must be positive"),
     (["kinetic-scan", "--eps-list", "2,1,0.5"], "eps must lie in (0, 1]"),
     (["kinetic-scan", "--eps-list", "0,0.1,0.2"], "eps must lie in (0, 1]"),
+    (["homogenize", "--eps", "0"], "eps must lie in (0, 1]"),
+    (["homogenize", "--eps", "nan"], "eps must lie in (0, 1]"),
+    (["homogenize", "--dt-ratio", "0"], "--dt-ratio must be positive and finite, got 0.0"),
+    (["clt-scan", "--dt-ratio", "nan"], "--dt-ratio must be positive and finite, got nan"),
+    (["clt-scan", "--dt-ratio", "inf"], "--dt-ratio must be positive and finite, got inf"),
+    (["clt-scan", "--dt-ratio", "-5"], "--dt-ratio must be positive and finite, got -5.0"),
+    (["sample-fou", "--eps", "0"], "eps must lie in (0, 1]"),
 ], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
-        "kinetic-above-one", "kinetic-zero"])
+        "kinetic-above-one", "kinetic-zero", "homogenize-eps-zero", "homogenize-eps-nan",
+        "homogenize-dt-ratio-zero", "clt-dt-ratio-nan", "clt-dt-ratio-inf",
+        "clt-dt-ratio-negative", "sample-fou-eps-zero"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], "--replicas", "2",
@@ -183,6 +192,42 @@ def test_non_positive_replicas_is_a_usage_error(command, tmp_path, capsys):
                 "--out", str(tmp_path / "x")]
         assert run(argv) == 1
         assert "--replicas: must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_non_positive_threads_is_a_usage_error(threads, tmp_path, capsys):
+    argv = ["rho", "--H", "0.6", "--threads", threads, "--out", str(tmp_path / "x")]
+    assert run(argv) == 1
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_bad_threads_environment_is_a_usage_error(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.THREADS_ENV, value)
+    assert run(["rho", "--H", "0.6", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: $FOULIM_THREADS must be a positive integer, got {value!r}" in err
+    assert not list(tmp_path.iterdir())
+    # an explicit --threads does not read the variable
+    assert run(["rho", "--H", "0.6", "--threads", "1", "--out", str(tmp_path / "x")]) == 0
+
+
+@pytest.mark.parametrize("command", ["constants", "chaos", "clt-scan", "l2-hermite",
+                                     "homogenize"])
+@pytest.mark.parametrize("coeffs, message", [
+    ("", "need at least one Hermite coefficient"),
+    ("0,nan", "Hermite coefficients must be finite"),
+    ("0,inf,1", "Hermite coefficients must be finite"),
+], ids=["empty", "nan", "inf"])
+def test_bad_coefficients_exit_2(command, coeffs, message, tmp_path, capsys):
+    argv = [command, *REQUIRED_ARGS[command], "--coeffs", coeffs, "--replicas", "2",
+            "--out", str(tmp_path / "x")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and message in line
+               for line in err.splitlines()), err
     assert not list(tmp_path.iterdir())
 
 

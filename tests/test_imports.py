@@ -13,9 +13,18 @@ name or an attribute of that spelling is loaded, or imported, anywhere
 in ``src``, ``tests`` or ``demos``.  A name in a module's ``__all__`` is
 read in the same sense in ``src`` (outside ``__init__.py``), ``demos``
 or ``bench``: reads from tests alone do not keep an export alive.
+
+The CLI also keeps an import budget: a fresh interpreter that imports
+``foulim.cli`` and runs a subcommand that computes no statistic loads
+numpy and ``scipy.special`` but none of the heavier SciPy modules or the
+acceptance suite.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,3 +200,31 @@ def test_every_export_is_read_outside_tests():
     unread = {p.name: unread_exports(p.read_text(), readers) for p in PACKAGE_FILES
               if p.name != "__init__.py"}
     assert {name: names for name, names in unread.items() if names} == KNOWN_UNREAD_EXPORTS
+
+
+# modules a `foulim` process without a statistics subcommand must not load
+OVER_BUDGET = ["scipy.stats", "scipy.signal", "scipy.linalg", "scipy.integrate",
+               "scipy.optimize", "foulim.acceptance"]
+
+BUDGET_SCRIPT = """
+import json, sys
+from foulim import cli
+out = sys.argv[1]
+codes = [cli.main(["rho", "--H", "0.6", "--out", out + "/rho"]),
+         cli.main(["constants", "--H", "0.6", "--coeffs", "0,0,1", "--out", out + "/c"]),
+         cli.main(["--help"])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_cli_loads_no_heavy_scipy_module(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", BUDGET_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    loaded = set(report["modules"])
+    assert {"numpy", "scipy.special", "foulim.cli"} <= loaded
+    assert sorted(loaded.intersection(OVER_BUDGET)) == []
