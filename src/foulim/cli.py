@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
-from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
+from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps, as_horizon
 from .streams import keys, stream
 
 __all__ = ["main"]
@@ -154,6 +154,8 @@ def _cmd_sample_fou(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    if not 0.0 <= args.s_max < np.inf:
+        raise ValueError(f"--s-max must be finite and >= 0, got {args.s_max}")
     s = np.linspace(0.0, args.s_max, args.n_points)
     vals = fou.rho(s, args.H)
     params = dict(H=args.H, s_max=args.s_max, n_points=args.n_points)
@@ -330,7 +332,7 @@ def _cmd_homogenize(args) -> int:
     g_bar = chaos.gaussian_expectation(g) if args.gfun != "zero" else 0.0
     eps = as_eps(args.eps)
     _check_dt_ratio(args.dt_ratio)
-    n_steps = max(int(round(args.t / (eps / args.dt_ratio))), 1)
+    n_steps = max(int(round(as_horizon(args.t) / (eps / args.dt_ratio))), 1)
     cfg = solvers.MultiscaleConfig(
         f, h, G, g, args.H, eps, args.x0, TimeGrid(args.t, n_steps), args.seed,
     )
@@ -480,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = _add_parser(sub, "rho")
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--s-max", type=float, default=50.0)
-    sp.add_argument("--n-points", type=int, default=101)
+    sp.add_argument("--n-points", type=_positive_int, default=101)
     sp.set_defaults(func=_cmd_rho)
 
     sp = _add_parser(sub, "chaos")
@@ -584,7 +586,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads is None:
             args.threads = _default_threads()
         if getattr(args, "n_steps", 0) is None and args.command == "sample-fou":
-            args.n_steps = max(int(round(args.horizon / (as_eps(args.eps) / 50.0))), 1)
+            T, eps = as_horizon(args.horizon), as_eps(args.eps)
+            args.n_steps = max(int(round(T / (eps / 50.0))), 1)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

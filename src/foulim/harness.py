@@ -29,7 +29,7 @@ import numpy as np
 
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
-from .paths import TimeGrid, as_eps_list, as_hurst
+from .paths import TimeGrid, as_eps_list, as_horizon, as_hurst
 from .streams import keys, normals, stream
 
 __all__ = [
@@ -161,7 +161,7 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
                           master_seed: int, name: str, dt_ratio: float,
                           alpha: float, threads: int = 1) -> np.ndarray:
     """Replica samples of alpha * int_0^t G(y^eps) ds."""
-    n_steps = max(int(round(t / (eps / dt_ratio))), 1)
+    n_steps = max(int(round(as_horizon(t) / (eps / dt_ratio))), 1)
     grid = TimeGrid(t, n_steps)
     sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
 
@@ -286,7 +286,7 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     """
     h = as_hurst(H)
     horizon = max(t, s)
-    n_steps = max(int(round(horizon / (eps / dt_ratio))), 1)
+    n_steps = max(int(round(as_horizon(horizon) / (eps / dt_ratio))), 1)
     grid = TimeGrid(horizon, n_steps)
     sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
     it = int(round(t / grid.dt))
@@ -380,10 +380,8 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             f"coupled Hermite comparison requires the long-range regime; "
             f"H*(m) = {regime.h_star:.3f}"
         )
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {t}")
     eps_arr = as_eps_list(eps_list)
-    fine = TimeGrid(t, max(int(round(t * dt_ratio / eps_arr[-1])), 1))
+    fine = TimeGrid(t, max(int(round(as_horizon(t) * dt_ratio / eps_arr[-1])), 1))
     hs = regime.h_star
     A_lim, var_lim, _, _ = hermite._engine(fine, hermite.HermiteSpec(hs, m))
     fou_kernels = _fou_kernels(h, fine, eps_arr, dt_ratio)

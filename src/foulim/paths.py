@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FoulimError", "MASTER_SEED", "TimeGrid", "as_hurst", "as_eps", "as_eps_list"]
+__all__ = ["FoulimError", "MASTER_SEED", "TimeGrid", "as_hurst", "as_eps", "as_eps_list",
+           "as_horizon"]
 
 # the pinned seed of `foulim verify`; kept here so that the CLI parser reads
 # it without importing the acceptance suite and its scipy modules
@@ -42,6 +43,14 @@ def as_eps_list(eps_list) -> np.ndarray:
     return np.asarray(scales)
 
 
+def as_horizon(t) -> float:
+    """Coerce a time horizon to a positive, finite float (before it sets a step count)."""
+    T = float(t)
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
+    return T
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid 0 = t_0 < t_1 < ... < t_n = horizon with t_k = k*dt."""
@@ -51,8 +60,7 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        as_horizon(self.horizon)
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.t0 != 0.0:

@@ -230,8 +230,9 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
     return run_replicated(n_replicas, make_chunk, threads)
 
 
-def _read_on_grid(values: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
-    """values[..., k] (grid point k*dt) read at ``times`` by linear interpolation.
+def _grid_reader(times: np.ndarray, dt: float):
+    """A map reading values[..., k] (grid point k*dt) at ``times`` by linear
+    interpolation, its indices and weights computed once.
 
     A time within 1e-9 steps of a grid point reads that point exactly
     (weight 0 on its neighbour), so on-grid reads are bit-exact.
@@ -241,8 +242,8 @@ def _read_on_grid(values: np.ndarray, times: np.ndarray, dt: float) -> np.ndarra
     on_grid = np.abs(pos - near) < 1e-9
     lo = np.where(on_grid, near, np.floor(pos)).astype(int)
     w = np.where(on_grid, 0.0, pos - lo)
-    hi = np.minimum(lo + 1, values.shape[-1] - 1)
-    return (1.0 - w) * values[..., lo] + w * values[..., hi]
+    return lambda values: ((1.0 - w) * values[..., lo]
+                           + w * values[..., np.minimum(lo + 1, values.shape[-1] - 1)])
 
 
 def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
@@ -264,12 +265,16 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     against log(1/eps) is H.  meta carries the max identity
     defect and the Hoelder-seminorm slope at gamma = holder_gamma_factor*H.
 
-    The fGN comes from one ``fgn.StationarySampler`` built per scan.
-    Within each replica chunk its row blocks are reduced, one after the
-    other, to their (rows, n_eps, 2, n_report) readings: block
-    aggregation, the recursion, the cumulative sums and the reads on the
-    reporting grid all act on one block, so no chunk-sized fGN matrix is
-    built, and every row is the same as from a whole-chunk draw.  The
+    The fGN comes from one ``fgn.StationarySampler`` built per scan (at
+    its fast 5-smooth length).  Within each replica chunk its row blocks
+    are reduced, one after the other, to their (rows, n_eps, 2, n_report)
+    readings.  A block becomes one prefix sum S of B on the master grid;
+    each eps takes its block increments as the differences of the strided
+    view S[lead::b], and B on its main grid is that view itself, so no
+    block sums or scaled copies are formed.  The recursion (unit gain) and
+    one cumulative sum C of y follow; y, C and B are read on the
+    reporting grid first and scaled by sigma after.  So no chunk-sized fGN
+    matrix is built, and every row is the same as from a whole-chunk draw.  The
     pairwise second moments come from one Gram matrix of the readings,
     and the Hoelder seminorms are taken a block of replicas at a time, so
     no (replicas, n_report + 1, n_report + 1) array is built either.
@@ -300,41 +305,34 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
     n_total = n_burn_m + n_main_m
     sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h), n_total)
-    inc_scale = dt_master**h
-
     report_times = grid.times()
+    reads = [_grid_reader(report_times, b * dt_master) for b in blocks]
 
     def readings(dB):
-        """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from fGN rows."""
-        rows = len(dB)
-        out = np.empty((rows, len(eps_arr), 2, len(report_times)))
-        for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
-            dt = b * dt_master
-            # drop the leading n_burn_m % b burn-in steps so that main-grid
-            # point 0 sits on a block edge, and the trailing partial block
-            lead = n_burn_m % b
-            n_blocks = (n_total - lead) // b
-            agg = dB[:, lead : lead + b * n_blocks].reshape(rows, -1, b).sum(axis=2)
+        """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from
+        unit-spacing fGN rows, through the prefix sums S of B on the master grid."""
+        S = np.zeros((len(dB), n_total + 1))
+        np.cumsum(dB[:, :n_total], axis=1, out=S[:, 1:])
+        S *= dt_master**h
+        out = np.empty((len(S), len(eps_arr), 2, len(report_times)))
+        for i, (eps, b, read) in enumerate(zip(eps_arr, blocks, reads)):
             n_burn = n_burn_m // b
-            a = np.exp(-dt / eps)
-            y = lfilter([sigma / eps**h], [1.0, -a], agg, axis=1)
-            # states at main-grid points 0..n_main (y_k = state after k-th step)
-            y_main = y[:, n_burn - 1 :]
-            B_main = np.zeros((rows, y_main.shape[1]))
-            np.cumsum(agg[:, n_burn:], axis=1, out=B_main[:, 1:])
-            # exponential left-point integral of y on [0, t_k]
-            X = np.zeros_like(B_main)
-            np.cumsum(y_main[:, :-1], axis=1, out=X[:, 1:])
-            X *= eps ** (h - 1.0) * eps * (1.0 - a)
-            X -= sigma * B_main
-            out[:, i, 0, :] = _read_on_grid(X, report_times, dt)
-            out[:, i, 1, :] = _read_on_grid(eps**h * y_main, report_times, dt)  # eps * v
+            a = np.exp(-b * dt_master / eps)
+            # blocks from master point n_burn_m % b, so that main-grid point 0
+            # (master point n_burn_m) is a block edge; y is y^eps / (sigma
+            # eps^-H), y_k the state after the k-th block, and C its left-point
+            # sums on main-grid points 0..n_main
+            y = lfilter([1.0], [1.0, -a], np.diff(S[:, n_burn_m % b :: b]), axis=1)
+            C = np.zeros((len(S), y.shape[1] - n_burn + 1))
+            np.cumsum(y[:, n_burn - 1 : -1], axis=1, out=C[:, 1:])
+            B = read(S[:, n_burn_m::b]) - S[:, n_burn_m, None]
+            out[:, i, 0, :] = sigma * ((1.0 - a) * read(C) - B)
+            out[:, i, 1, :] = sigma * read(y[:, n_burn - 1 :])
         return out
 
     def make_chunk(offset, count):
         chunk_keys = keys(master_seed, "kinetic", offset, count)
-        return np.concatenate([readings(block[:, :n_total] * inc_scale)
-                               for block in sampler.blocks(chunk_keys)])
+        return np.concatenate([readings(block) for block in sampler.blocks(chunk_keys)])
 
     data = run_replicated(n_replicas, make_chunk, threads)
     diff = data[:, :, 0, :]   # X - sigma*B at reporting times

@@ -146,10 +146,21 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["clt-scan", "--dt-ratio", "inf"], "--dt-ratio must be positive and finite, got inf"),
     (["clt-scan", "--dt-ratio", "-5"], "--dt-ratio must be positive and finite, got -5.0"),
     (["sample-fou", "--eps", "0"], "eps must lie in (0, 1]"),
+    # a non-finite horizon is rejected before it becomes a step count
+    (["clt-scan", "--t", "inf"], "horizon must be positive and finite, got inf"),
+    (["homogenize", "--t", "nan"], "horizon must be positive and finite, got nan"),
+    (["sample-fou", "--horizon", "nan"], "horizon must be positive and finite, got nan"),
+    (["kinetic-scan", "--t", "nan"], "horizon must be positive and finite, got nan"),
+    (["hermite-sample", "--horizon", "nan"], "horizon must be positive and finite, got nan"),
+    (["l2-hermite", "--t", "inf"], "horizon must be positive and finite, got inf"),
+    (["rho", "--s-max", "nan"], "--s-max must be finite and >= 0, got nan"),
+    (["rho", "--s-max", "-1"], "--s-max must be finite and >= 0, got -1.0"),
 ], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
         "kinetic-above-one", "kinetic-zero", "homogenize-eps-zero", "homogenize-eps-nan",
         "homogenize-dt-ratio-zero", "clt-dt-ratio-nan", "clt-dt-ratio-inf",
-        "clt-dt-ratio-negative", "sample-fou-eps-zero"])
+        "clt-dt-ratio-negative", "sample-fou-eps-zero", "clt-horizon-inf",
+        "homogenize-horizon-nan", "sample-fou-horizon-nan", "kinetic-horizon-nan",
+        "hermite-horizon-nan", "l2-horizon-inf", "rho-s-max-nan", "rho-s-max-negative"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], "--replicas", "2",
@@ -192,6 +203,14 @@ def test_non_positive_replicas_is_a_usage_error(command, tmp_path, capsys):
                 "--out", str(tmp_path / "x")]
         assert run(argv) == 1
         assert "--replicas: must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n_points", ["0", "-2"])
+def test_non_positive_rho_points_is_a_usage_error(n_points, tmp_path, capsys):
+    argv = ["rho", "--H", "0.6", "--n-points", n_points, "--out", str(tmp_path / "x")]
+    assert run(argv) == 1
+    assert "--n-points: must be a positive integer" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -401,3 +420,33 @@ def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatc
         G, 0.6, 1.0, 0.05, 1000, 8, "vscan-eps2", 50.0, alpha))
     diag = json.loads((tmp_path / "scan.json").read_text())["diagnostics_at_finest_eps"]
     assert diag == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+# a tiny run of every subcommand but verify (whose report carries timings)
+CONFIG_RUNS = {
+    "sample-fbm": ["--n-steps", "16", "--replicas", "2"],
+    "sample-fou": ["--eps", "0.2", "--horizon", "0.2", "--n-steps", "20", "--replicas", "2"],
+    "rho": ["--s-max", "2", "--n-points", "5"],
+    "chaos": ["--eps", "0.1"],
+    "constants": ["--coeffs", "0,0,1"],
+    "hermite-sample": ["--n-steps", "20", "--replicas", "2"],
+    "clt-scan": ["--eps-list", "0.2,0.1,0.05", "--replicas", "10"],
+    "l2-hermite": ["--eps-list", "0.2,0.1", "--replicas", "4"],
+    # blocks of 10, 3 and 1 master steps: the padded circulant length
+    "kinetic-scan": ["--eps-list", "0.1,0.03,0.01", "--n-report", "10", "--replicas", "4"],
+    "homogenize": ["--eps", "0.1", "--replicas", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+def test_config_round_trip_writes_the_same_bytes(command, tmp_path):
+    # re-running from the emitted .config reproduces CSV and JSON byte for byte
+    assert set(CONFIG_RUNS) == set(REQUIRED_ARGS)
+    first = tmp_path / "first"
+    rc = run([command, *REQUIRED_ARGS[command], *CONFIG_RUNS[command], "--seed", "7",
+              "--out", str(first)])
+    assert (tmp_path / "first.config").exists()
+    again = tmp_path / "again"
+    assert run(["--config", f"{first}.config", "--out", str(again)]) == rc
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"again.{ext}").read_bytes() == (tmp_path / f"first.{ext}").read_bytes()

@@ -140,9 +140,10 @@ def test_blocked_engine_rows_equal_one_row_calls(label, acov, n):
         np.testing.assert_array_equal(batch, singles[:rows])
 
 
-@pytest.mark.parametrize("H", [0.05, 0.5, 0.95])
-def test_fgn_sampler_covariance_is_exact(H):
-    n = 64
+# n = 67 is not 5-smooth: its embedding is padded to m = 72
+@pytest.mark.parametrize("H, n", [(0.05, 64), (0.5, 64), (0.95, 64), (0.7, 67)],
+                         ids=["0.05", "0.5", "0.95", "0.7-n67"])
+def test_fgn_sampler_covariance_is_exact(H, n):
     cov = engine_covariance(lambda k: fgn.fgn_autocovariance(k, H), n)
     gamma = fgn.fgn_autocovariance(np.arange(n + 1), H)
     np.testing.assert_allclose(cov, linalg.toeplitz(gamma), rtol=0, atol=1e-12)
@@ -150,9 +151,10 @@ def test_fgn_sampler_covariance_is_exact(H):
 
 @pytest.mark.parametrize("H", [0.001, 0.2, 0.5, 0.8, 0.999])
 def test_fgn_embedding_is_never_doubled(H):
-    for n in (1, 2, 17, 256, 4097):
+    # m is the smallest 5-smooth length >= n, a fast FFT length, and no more
+    for n, smooth in ((1, 1), (2, 2), (17, 18), (67, 72), (256, 256), (4097, 4320)):
         m, _ = fgn._embedding_eigenvalues(lambda k: fgn.fgn_autocovariance(k, H), n)
-        assert m == n
+        assert m == smooth
 
 
 def test_non_positive_definite_autocovariance_raises_at_the_cap():

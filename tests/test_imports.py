@@ -203,7 +203,7 @@ def test_every_export_is_read_outside_tests():
 
 
 # modules a `foulim` process without a statistics subcommand must not load
-OVER_BUDGET = ["scipy.stats", "scipy.signal", "scipy.linalg", "scipy.integrate",
+OVER_BUDGET = ["scipy.fft", "scipy.stats", "scipy.signal", "scipy.linalg", "scipy.integrate",
                "scipy.optimize", "foulim.acceptance"]
 
 BUDGET_SCRIPT = """

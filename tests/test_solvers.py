@@ -371,20 +371,25 @@ def test_kinetic_read_interpolates_between_grid_points():
     t_grid = dt * np.arange(3400)
     a, b = np.array([[0.7], [-1.3]]), np.array([[2.5], [0.4]])
     times = TimeGrid(1.0, 50).times()
-    out = solvers._read_on_grid(a + b * t_grid, times, dt)
+    out = solvers._grid_reader(times, dt)(a + b * t_grid)
     np.testing.assert_allclose(out, a + b * times, rtol=0, atol=1e-12)
     # on-grid times read their grid point bit for bit
     vals = stream(8, "read").standard_normal((3, 201))
     on = TimeGrid(1.0, 20).times()
-    assert np.array_equal(solvers._read_on_grid(vals, on, 1.0 / 200), vals[:, ::10])
+    assert np.array_equal(solvers._grid_reader(on, 1.0 / 200)(vals), vals[:, ::10])
 
 
-def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, dt_ratio=100.0):
+def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="prefix",
+                              dt_ratio=100.0):
     """Readings of kinetic_error_scan drawn the whole-chunk way, as a reference.
 
-    Each 250-replica chunk samples its whole fGN matrix with
-    sample_fgn_batch and reduces it eps by eps; returns the
-    (replicas, n_eps, 2, n_report) array of X - sigma B and eps v.
+    Each 250-replica chunk samples its whole fGN matrix in one batch and
+    reduces it eps by eps; returns the (replicas, n_eps, 2, n_report)
+    array of X - sigma B and eps v.  ``reduction="prefix"`` reads every
+    eps grid off one prefix sum of B, as the scan does; ``"blocks"`` is
+    the independent long way: block sums of the scaled increments by
+    reshape, B and X by their own cumulative sums, scaled before they
+    are read.
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     sigma = fou.stationary_sigma(H)
@@ -397,38 +402,56 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, dt_ratio=100.
     blocks = [int(round(r)) for r in ratios]
     n_burn_m = int(round(10.0 * eps_arr[0] / dt_master))
     n_steps = int(round(grid.horizon / dt_master))
-    n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
+    n_total = n_burn_m + max(b * math.ceil(n_steps / b) for b in blocks)
+    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, H), n_total)
     times = grid.times()
 
+    def prefix(dB, eps, b, a, dt, n_burn):
+        S = np.concatenate([np.zeros((len(dB), 1)), np.cumsum(dB, axis=1)], axis=1)
+        S *= dt_master**H
+        y = lfilter([1.0], [1.0, -a], np.diff(S[:, n_burn_m % b :: b]), axis=1)
+        C = np.concatenate([np.zeros((len(S), 1)),
+                            np.cumsum(y[:, n_burn - 1 : -1], axis=1)], axis=1)
+        read = solvers._grid_reader(times, dt)
+        B = read(S[:, n_burn_m::b]) - S[:, n_burn_m, None]
+        return (sigma * ((1.0 - a) * read(C) - B), sigma * read(y[:, n_burn - 1 :]))
+
+    def block_sums(dB, eps, b, a, dt, n_burn):
+        lead = n_burn_m % b
+        n_blocks = (n_total - lead) // b
+        agg = (dB[:, lead : lead + b * n_blocks] * dt_master**H).reshape(
+            len(dB), -1, b).sum(axis=2)
+        y = lfilter([sigma / eps**H], [1.0, -a], agg, axis=1)
+        y_main = y[:, n_burn - 1 :]
+        B_main = np.concatenate(
+            [np.zeros((len(dB), 1)), np.cumsum(agg[:, n_burn:], axis=1)], axis=1)
+        X = eps**H * (1.0 - a) * np.concatenate(
+            [np.zeros((len(dB), 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1)
+        read = solvers._grid_reader(times, dt)
+        return read(X - sigma * B_main), read(eps**H * y_main)
+
+    read = {"prefix": prefix, "blocks": block_sums}[reduction]
+
     def make_chunk(offset, count):
-        dB = fgn.sample_fgn_batch(n_burn_m + n_main_m, dt_master, H,
-                                  keys(seed, "kinetic", offset, count))
+        dB = sampler.batch(keys(seed, "kinetic", offset, count))[:, :n_total]
         out = np.empty((count, len(eps_arr), 2, len(times)))
         for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
             dt = b * dt_master
-            lead = n_burn_m % b
-            n_blocks = (n_burn_m + n_main_m - lead) // b
-            agg = dB[:, lead : lead + b * n_blocks].reshape(count, -1, b).sum(axis=2)
-            n_burn = n_burn_m // b
-            a = np.exp(-dt / eps)
-            y = lfilter([sigma / eps**H], [1.0, -a], agg, axis=1)
-            y_main = np.concatenate([y[:, n_burn - 1 : n_burn], y[:, n_burn:]], axis=1)
-            B_main = np.concatenate(
-                [np.zeros((count, 1)), np.cumsum(agg[:, n_burn:], axis=1)], axis=1)
-            X = eps ** (H - 1.0) * eps * (1.0 - a) * np.concatenate(
-                [np.zeros((count, 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1)
-            out[:, i, 0, :] = solvers._read_on_grid(X - sigma * B_main, times, dt)
-            out[:, i, 1, :] = solvers._read_on_grid(eps**H * y_main, times, dt)
+            out[:, i, 0, :], out[:, i, 1, :] = read(dB, eps, b, np.exp(-dt / eps), dt,
+                                                    n_burn_m // b)
         return out
 
     return harness.run_replicated(n_replicas, make_chunk)
 
 
-@pytest.mark.parametrize("eps_list", [
+KINETIC_EPS_LISTS = [
     [0.1, 0.05, 0.02, 0.01],   # the CLI default
     [0.1, 0.03, 0.01],         # blocks of 10, 3 and 1 master steps
     [0.07, 0.05, 0.03],        # coprime blocks of 7, 5 and 3
-])
+]
+
+
+@pytest.mark.parametrize("eps_list", KINETIC_EPS_LISTS)
 def test_streamed_kinetic_scan_matches_whole_chunk_reference(eps_list, monkeypatch):
     # 260 replicas: a full 250-replica chunk and a partial one, each
     # streamed in row blocks of a few rows
@@ -448,6 +471,18 @@ def test_streamed_kinetic_scan_matches_whole_chunk_reference(eps_list, monkeypat
         np.testing.assert_array_equal(data, ref)
     np.testing.assert_array_equal(scans[0].values, scans[1].values)
     assert scans[0].meta["identity_defect_max"] < 1e-6
+
+
+@pytest.mark.parametrize("eps_list", KINETIC_EPS_LISTS)
+def test_prefix_sum_readings_match_block_sums(eps_list):
+    # the scan's prefix-sum readings against block sums by reshape, on the
+    # same draws: equal to rounding, with the on-grid identity intact
+    grid = TimeGrid(1.0, 20)
+    ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 30, 43, reduction="blocks")
+    new = _whole_chunk_kinetic_data(0.7, eps_list, grid, 30, 43)
+    np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12 * np.max(np.abs(new)))
+    scan = solvers.kinetic_error_scan(0.7, eps_list, grid, 30, 43)
+    assert scan.meta["identity_defect_max"] < 1e-12
 
 
 def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
