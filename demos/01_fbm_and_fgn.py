@@ -6,14 +6,16 @@ checks the empirical covariance against 0.5*(t^2H + s^2H - |t-s|^2H).
 
 import numpy as np
 
-from foulim import fgn
+from foulim import fgn, harness
 from foulim.paths import TimeGrid
 from foulim.streams import keys
 
 grid = TimeGrid(horizon=1.0, n_steps=256)
 
 for H in (0.3, 0.5, 0.7):
-    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, keys(0, f"demo-fbm-{H}", 0, 4000))
+    # replica i reads stream (0, name, i); run_replicated hands each chunk its keys
+    incs = harness.run_replicated(
+        4000, 0, f"demo-fbm-{H}", lambda k: fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, k))
     paths = np.cumsum(incs, axis=1)
     t = grid.times()[1:]
     emp = paths.T @ paths / len(paths)

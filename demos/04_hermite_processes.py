@@ -7,7 +7,7 @@ carries heavy positive excess kurtosis.
 
 import numpy as np
 
-from foulim import fgn, hermite
+from foulim import fgn, harness, hermite
 from foulim.hermite import HermiteSpec
 from foulim.paths import TimeGrid
 
@@ -20,7 +20,8 @@ thr = fgn.fbm_covariance(tt[:, None], tt[None, :], 0.7)
 # the sampler's exact covariance shows its own correlation-shape error
 for m in (1, 2, 3):
     spec = HermiteSpec(H=0.7, m=m)
-    Z = hermite.hermite_ensemble(grid, spec, 0, 4000, f"demo-z{m}", idx)
+    Z = harness.run_replicated(4000, 0, f"demo-z{m}",
+                               lambda k: hermite.hermite_ensemble(grid, spec, k, idx))
     x = Z[:, -1]
     z = (x - x.mean()) / x.std()
     emp = Z.T @ Z / len(Z)
@@ -31,6 +32,7 @@ for m in (1, 2, 3):
 
 # self-similarity: lambda^H Z_{t/lambda} has the law of Z_t
 spec = HermiteSpec(H=0.7, m=2)
-Z = hermite.hermite_ensemble(grid, spec, 1, 4000, "demo-ss", idx)
+Z = harness.run_replicated(4000, 1, "demo-ss",
+                           lambda k: hermite.hermite_ensemble(grid, spec, k, idx))
 print(f"\nself-similarity (m=2): Var(2^H Z_1/2)={4**0.7 * Z[:, 1].var():.4f} "
       f"vs Var(Z_1)={Z[:, -1].var():.4f}")

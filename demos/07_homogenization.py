@@ -11,7 +11,7 @@ flow of f evaluated at the driver endpoint, which this demo uses.
 import numpy as np
 from scipy import stats
 
-from foulim import chaos, hermite, solvers
+from foulim import chaos, harness, hermite, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import stream
@@ -32,7 +32,9 @@ for H, label in ((0.6, "short range -> Stratonovich/Wiener"),
     regime = chaos.classify_regime(2, H)
     if regime.kind is chaos.Regime.LONG_RANGE:
         spec = hermite.HermiteSpec(regime.h_star, 2)
-        u = c * hermite.hermite_ensemble(TimeGrid(1.0, 200), spec, 1, N, "demo-h")[:, 0]
+        zgrid = TimeGrid(1.0, 200)
+        u = c * harness.run_replicated(
+            N, 1, "demo-h", lambda k: hermite.hermite_ensemble(zgrid, spec, k)[:, 0])
     else:
         u = c * stream(1, "demo-w").standard_normal(N)
     x_lim = solvers.flow_map_1d(f, 0.0, u)

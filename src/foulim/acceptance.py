@@ -20,7 +20,7 @@ from scipy import linalg, stats
 from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
 from .paths import MASTER_SEED, TimeGrid
-from .streams import keys, normals, stream
+from .streams import normals, stream
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -55,13 +55,11 @@ def crit_1_fbm_exactness(seed, suite, threads=1) -> CriterionResult:
     details = {}
     passed = True
     for H in (0.3, 0.5, 0.7):
-        def make_chunk(offset, count, H=H):
-            incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H,
-                                        keys(seed, f"acc1-H{H}", offset, count))
-            vals = np.concatenate([np.zeros((count, 1)), np.cumsum(incs, axis=1)], axis=1)
-            return vals
+        def make_chunk(chunk_keys, H=H):
+            incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, chunk_keys)
+            return np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
 
-        values = harness.run_replicated(n_rep, make_chunk, threads)
+        values = harness.run_replicated(n_rep, seed, f"acc1-H{H}", make_chunk, threads)
         zmax = _cov_zscore_max(values, grid, H)
         details[f"zmax_H{H}"] = zmax
         passed &= zmax < 5.0
@@ -75,11 +73,7 @@ def crit_2_fou_stationarity_decay(seed, suite, threads=1) -> CriterionResult:
     H, eps = 0.75, 0.05
     grid = TimeGrid(0.1, int(round(0.1 / (eps / 100.0))))
     sampler = fou.path_sampler(grid, fou.FouConfig(H, eps))
-
-    def make_chunk(offset, count):
-        return sampler.batch(keys(seed, "acc2", offset, count))
-
-    y = harness.run_replicated(n_rep, make_chunk, threads)
+    y = harness.run_replicated(n_rep, seed, "acc2", sampler.batch, threads)
     var_end = harness.fsum_variance(y[:, -1])
     s = np.geomspace(10.0, 100.0, 21)
     r = fou.rho(s, H)
@@ -206,12 +200,9 @@ def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
 
     spec = hermite.HermiteSpec(hs, 2)
     zgrid = TimeGrid(1.0, 200)
-
-    def make_chunk(offset, count):
-        return hermite.hermite_ensemble(zgrid, spec, seed + 2, count, "acc6-z",
-                                        replica_offset=offset)[:, 0]
-
-    z = harness.run_replicated(n_rep, make_chunk, threads)
+    z = harness.run_replicated(n_rep, seed + 2, "acc6-z",
+                               lambda k: hermite.hermite_ensemble(zgrid, spec, k)[:, 0],
+                               threads)
     kurt_z, se_z = harness.excess_kurtosis_with_se(z)
     se = np.hypot(se_x, se_z)
     details.update({
@@ -233,11 +224,9 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
     passed = True
 
     def z_matrix(spec, tag, n):
-        def make_chunk(offset, count):
-            return hermite.hermite_ensemble(grid, spec, seed, count, tag,
-                                            report_idx, offset)
-
-        return harness.run_replicated(n, make_chunk, threads)
+        return harness.run_replicated(
+            n, seed, tag, lambda k: hermite.hermite_ensemble(grid, spec, k, report_idx),
+            threads)
 
     def correlation(cov):
         sd = np.sqrt(np.diag(cov))
@@ -262,12 +251,11 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
         details[f"m{m}_exact_shape_error"] = shape
         passed &= abs(var1 - 1.0) <= 0.03 and zmax < 5.0 and shape <= 0.01
         if m == 1:
-            def fbm_chunk(offset, count):
-                incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, H,
-                                            keys(seed, "acc7-fbm", offset, count))
-                return np.cumsum(incs, axis=1)[:, -1]
-
-            b1 = harness.run_replicated(n_rep, fbm_chunk, threads)
+            b1 = harness.run_replicated(
+                n_rep, seed, "acc7-fbm",
+                lambda k: np.cumsum(fgn.sample_fgn_batch(grid.n_steps, grid.dt, H, k),
+                                    axis=1)[:, -1],
+                threads)
             ks = stats.ks_2samp(Z[:, -1], b1)
             details["m1_ks_pvalue"] = float(ks.pvalue)
             passed &= ks.pvalue > 0.01
@@ -400,14 +388,12 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
 
     for k, eps in enumerate((0.02, 0.01)):
         s = seed + 10 * k
-
-        def z_chunk(offset, count, s=s):
-            return hermite.hermite_ensemble(zgrid, spec, s + 2, count,
-                                            "acc10-z", replica_offset=offset)[:, 0]
-
+        z = harness.run_replicated(
+            n_rep, s + 2, "acc10-z",
+            lambda chunk_keys: hermite.hermite_ensemble(zgrid, spec, chunk_keys)[:, 0], threads)
         limit_drivers = {
             "short_range": c_sr * stream(s, "acc10-w").standard_normal(n_rep),
-            "long_range": c_lr * harness.run_replicated(n_rep, z_chunk, threads),
+            "long_range": c_lr * z,
         }
         for label, H, offset in (("short_range", 0.6, 0), ("long_range", 0.85, 1)):
             x = _homogenize_endpoints(H, eps, n_rep, s + offset, threads)
@@ -449,14 +435,14 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     c, t = 0.8, 1.0
     grid = TimeGrid(t, 2000)
 
-    def heun_chunk(offset, count):
-        dW = normals(keys(seed, "acc11", offset, count), np.empty((count, grid.n_steps)))
-        W = np.concatenate([np.zeros((count, 1)), np.cumsum(dW, axis=1)], axis=1)
+    def heun_chunk(chunk_keys):
+        dW = normals(chunk_keys, np.empty((len(chunk_keys), grid.n_steps)))
+        W = np.concatenate([np.zeros((len(dW), 1)), np.cumsum(dW, axis=1)], axis=1)
         x = solvers.solve_limit_stratonovich(
             1.0, lambda u: u, lambda u: 0.0 * u, 0.0, c, grid, W * np.sqrt(grid.dt))
         return np.log(x[:, -1])
 
-    logs = harness.run_replicated(n_rep, heun_chunk, threads)
+    logs = harness.run_replicated(n_rep, seed, "acc11", heun_chunk, threads)
     lv = harness.fsum_variance(logs)
     details["heun_log_variance"] = lv
     details["c_sq_t"] = c * c * t

@@ -17,7 +17,7 @@ import numpy as np
 from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
 from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps, as_horizon
-from .streams import keys, stream
+from .streams import stream
 
 __all__ = ["main"]
 
@@ -130,8 +130,9 @@ def _path_rows(times, matrix):
 
 def _cmd_fbm_paths(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
-    incs = fgn.sample_fgn_batch(grid.n_steps, grid.dt, args.H,
-                                keys(args.seed, "cli-fbm", 0, args.replicas))
+    incs = harness.run_replicated(
+        args.replicas, args.seed, "cli-fbm",
+        lambda k: fgn.sample_fgn_batch(grid.n_steps, grid.dt, args.H, k), args.threads)
     mat = np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
     params = dict(H=args.H, horizon=args.horizon, n_steps=args.n_steps,
                   replicas=args.replicas, seed=args.seed)
@@ -142,9 +143,12 @@ def _cmd_fbm_paths(args) -> int:
 
 
 def _cmd_sample_fou(args) -> int:
+    if args.n_steps is None:
+        args.n_steps = max(int(round(as_horizon(args.horizon) / (as_eps(args.eps) / 50.0))), 1)
     grid = TimeGrid(args.horizon, args.n_steps)
-    cfg = fou.FouConfig(args.H, args.eps)
-    mat = fou.sample_fou_ensemble(grid, cfg, args.seed, args.replicas, "cli-fou")
+    sampler = fou.path_sampler(grid, fou.FouConfig(args.H, args.eps))
+    mat = harness.run_replicated(args.replicas, args.seed, "cli-fou", sampler.batch,
+                                 args.threads)
     params = dict(H=args.H, eps=args.eps, horizon=args.horizon,
                   n_steps=args.n_steps, replicas=args.replicas, seed=args.seed)
     _echo(args, "sample-fou", params)
@@ -220,12 +224,9 @@ def _cmd_hermite_sample(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
     spec = hermite.HermiteSpec(args.H, args.m)
     every_step = np.arange(grid.n_steps + 1)
-
-    def make_chunk(offset, count):
-        return hermite.hermite_ensemble(grid, spec, args.seed, count, "cli-hermite",
-                                        every_step, offset)
-
-    mat = harness.run_replicated(args.replicas, make_chunk, args.threads)
+    mat = harness.run_replicated(
+        args.replicas, args.seed, "cli-hermite",
+        lambda k: hermite.hermite_ensemble(grid, spec, k, every_step), args.threads)
     params = dict(H=args.H, m=args.m, horizon=args.horizon, n_steps=args.n_steps,
                   replicas=args.replicas, seed=args.seed)
     _echo(args, "hermite-sample", params)
@@ -331,19 +332,19 @@ def _cmd_homogenize(args) -> int:
     g = _G_PRESETS[args.gfun]
     g_bar = chaos.gaussian_expectation(g) if args.gfun != "zero" else 0.0
     eps = as_eps(args.eps)
+    if not np.isfinite(args.x0):
+        raise ValueError(f"--x0 must be finite, got {args.x0}")
     _check_dt_ratio(args.dt_ratio)
     n_steps = max(int(round(as_horizon(args.t) / (eps / args.dt_ratio))), 1)
-    cfg = solvers.MultiscaleConfig(
-        f, h, G, g, args.H, eps, args.x0, TimeGrid(args.t, n_steps), args.seed,
-    )
+    cfg = solvers.MultiscaleConfig(f, h, G, g, args.H, eps, args.x0, TimeGrid(args.t, n_steps))
     endpoints = solvers.solve_slow_fast_endpoints(
         cfg, args.replicas, args.seed, threads=args.threads,
     )
     regime = chaos.classify_regime(G.hermite_rank, args.H)
     c = chaos.c_constant(G, args.H)
     limit = _limit_endpoint_samples(
-        G, args.H, args.t, args.x0, f, h, g_bar, args.replicas, args.seed + 1,
-        args.threads,
+        G, args.H, args.t, args.x0, f, None if args.hfun == "zero" else h, g_bar,
+        args.replicas, args.seed + 1, args.threads,
     )
     ks = _stats.ks_2samp(endpoints, limit)
     summary = {
@@ -374,41 +375,33 @@ def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed, threads=1):
     are drawn in the fixed replica chunks of ``harness.run_replicated``
     on ``threads`` workers, so the noise of only one chunk per worker is
     held at a time and the output does not depend on the worker count.
-    With h = 0 the scalar chain rule makes x_t the flow of f evaluated
-    at U_t.  For nonzero h the batched Heun solver runs on U's paths: in
-    one dimension it converges to the Stratonovich solution for Brownian
-    U and to the Young solution for the Hermite U (H* > 1/2).
+    h is None for h = 0: the scalar chain rule then makes x_t the flow
+    of f evaluated at U_t, so only U_t is drawn.  For nonzero h the
+    batched Heun solver runs on U's paths: in one dimension it converges
+    to the Stratonovich solution for Brownian U and to the Young solution
+    for the Hermite U (H* > 1/2).
     """
     regime = chaos.classify_regime(G.hermite_rank, H)
     c = chaos.c_constant(G, H)
-    zero_h = _is_zero_map(h)
     if regime.kind is Regime.LONG_RANGE:
         m = G.hermite_rank
         spec = hermite.HermiteSpec(regime.h_star, m)
         grid = TimeGrid(t, 400)
-        every_step = np.arange(grid.n_steps + 1)
-
-        def make_chunk(offset, count):
-            return hermite.hermite_ensemble(grid, spec, seed, count, "limit-endpoint-z",
-                                            every_step, offset)
-
-        z = harness.run_replicated(n, make_chunk, threads)
+        report_idx = None if h is None else np.arange(grid.n_steps + 1)
+        z = harness.run_replicated(
+            n, seed, "limit-endpoint-z",
+            lambda k: hermite.hermite_ensemble(grid, spec, k, report_idx), threads)
         U = np.sign(G.coefficients[m]) * c * z
     else:
         rng = stream(seed, "limit-endpoint")
-        if zero_h:
+        if h is None:
             return solvers.flow_map_1d(f, x0, c * np.sqrt(t) * rng.standard_normal(n))
         grid = TimeGrid(t, 4000)
         W = np.cumsum(rng.standard_normal((n, grid.n_steps)), axis=1) * np.sqrt(grid.dt)
         U = c * np.concatenate([np.zeros((n, 1)), W], axis=1)
-    if zero_h:
+    if h is None:
         return solvers.flow_map_1d(f, x0, U[:, -1])
     return solvers.solve_limit_stratonovich(x0, f, h, g_bar, 1.0, grid, U)[:, -1]
-
-
-def _is_zero_map(h) -> bool:
-    probe = np.array([-1.7, 0.3, 2.9])
-    return bool(np.all(np.asarray(h(probe)) == 0.0))
 
 
 def _cmd_verify(args) -> int:
@@ -585,9 +578,6 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--replicas: {args.command} needs at least 2")
         if args.threads is None:
             args.threads = _default_threads()
-        if getattr(args, "n_steps", 0) is None and args.command == "sample-fou":
-            T, eps = as_horizon(args.horizon), as_eps(args.eps)
-            args.n_steps = max(int(round(T / (eps / 50.0))), 1)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

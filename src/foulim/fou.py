@@ -14,10 +14,9 @@ Gaussian sequence with autocovariance rho(k dt/eps), on the circulant
 embedding engine of ``fgn``: exact in law at every resolution, with no
 burn-in.  ``path_sampler`` builds the engine for one (grid, scale) once;
 its ``blocks`` hand the paths over in row blocks, for callers that
-reduce each block before drawing the next, and its ``batch`` and
-``sample_fou_ensemble`` collect them into one matrix.  Replica i of an
-ensemble is the row of stream (master_seed, name, i), passed to the
-sampler as its Philox key from ``streams.keys``, so any contiguous
+reduce each block before drawing the next, and its ``batch`` collects
+them into one matrix.  The sampler takes one Philox key per row, the
+keys that ``harness.run_replicated`` hands each replica chunk, so any
 range of replicas is drawn on its own and batching never changes a row.
 
 rho is evaluated in closed form, through the incomplete gamma and
@@ -37,7 +36,6 @@ from scipy import special
 
 from . import fgn
 from .paths import TimeGrid, as_eps, as_hurst
-from .streams import keys
 
 __all__ = [
     "FouConfig",
@@ -47,7 +45,6 @@ __all__ = [
     "rho_asymptote_constant",
     "rho_power_integral",
     "path_sampler",
-    "sample_fou_ensemble",
 ]
 
 # resolve the relaxation time: dt <= eps / MIN_STEPS_PER_EPS
@@ -232,18 +229,3 @@ def path_sampler(grid: TimeGrid, cfg: FouConfig) -> fgn.StationarySampler:
     step = grid.dt / cfg.eps
     return fgn.StationarySampler(lambda k: rho(k * step, cfg.H), grid.n_steps)
 
-
-def sample_fou_ensemble(
-    grid: TimeGrid,
-    cfg: FouConfig,
-    master_seed: int,
-    n_replicas: int,
-    name: str = "fou",
-    replica_offset: int = 0,
-) -> np.ndarray:
-    """Matrix of stationary fOU paths, one replica per row.
-
-    Row i is the ``path_sampler`` row of the stream (master_seed, name,
-    replica_offset + i).
-    """
-    return path_sampler(grid, cfg).batch(keys(master_seed, name, replica_offset, n_replicas))

@@ -1,17 +1,19 @@
 """Monte Carlo verification harness for the scaling-limit claims.
 
-Everything here is replica-parallel with a fixed chunking policy:
-replica i always draws from stream (master_seed, name, i) and chunks have
-a fixed size, so results are bit-identical for any worker count.  A
-chunk derives the Philox keys of its replicas in one ``streams.keys``
-call and hands them to the samplers.  Within a chunk, the fOU scans take
-their paths block by block from one ``fou.path_sampler`` per scale,
-built before the chunks, and reduce each block to its per-replica
+Everything here is replica-parallel with a fixed chunking policy, owned
+by ``run_replicated``: replica i of an ensemble named ``name`` always
+draws from stream (master_seed, name, i), and chunks have a fixed size,
+so results are bit-identical for any worker count.  ``run_replicated``
+derives the Philox keys of every replica with one ``streams.keys`` call
+and hands each chunk its slice; a chunk function is a pure function of
+those keys and passes them on to the samplers.  Within a chunk, the fOU
+scans take their paths block by block from one ``fou.path_sampler`` per
+scale, built before the chunks, and reduce each block to its per-replica
 scalars before the next is drawn, so no chunk-sized path matrix is ever
 built.  The trapezoid integral of G(y) is the row sum less half the two
-end values, with no array of interval averages.  Scalar aggregation
-goes through math.fsum (compensated), keeping reduction reassociation
-out of the reported statistics.
+end values, with no array of interval averages.  Scalar aggregation goes
+through math.fsum (compensated), keeping reduction reassociation out of
+the reported statistics.
 
 Slopes of log statistic against log(1/eps) are fitted by
 inverse-variance-weighted least squares, with a parametric bootstrap
@@ -47,6 +49,8 @@ __all__ = [
 
 CHUNK_SIZE = 250
 BOOTSTRAP_DRAWS = 1000
+# l2_convergence_hermite's finest fOU grid has dt = min(eps) / L2_DT_RATIO
+L2_DT_RATIO = 20.0
 
 
 @dataclass
@@ -71,23 +75,23 @@ class ScanResult:
             raise ValueError("eps_values must be strictly decreasing")
 
 
-def run_replicated(n_replicas: int, make_chunk, threads: int = 1,
-                   chunk_size: int = CHUNK_SIZE) -> np.ndarray:
-    """Concatenate make_chunk(offset, count) over fixed-size replica chunks.
+def run_replicated(n_replicas: int, master_seed: int, name: str, make_chunk,
+                   threads: int = 1, chunk_size: int = CHUNK_SIZE) -> np.ndarray:
+    """Concatenate make_chunk(chunk_keys) over fixed-size replica chunks.
 
-    make_chunk must be a pure function of (offset, count); the chunking is
-    independent of the worker count, so the output is too.
+    Replica i of the ensemble reads stream (master_seed, name, i): the
+    keys of all replicas come from one ``streams.keys`` call, and each
+    chunk gets its (count, 2) slice.  make_chunk must be a pure function
+    of its keys; the chunking is independent of the worker count, so the
+    output is too.
     """
-    bounds = [(a, min(a + chunk_size, n_replicas)) for a in range(0, n_replicas, chunk_size)]
-    parts: list = [None] * len(bounds)
+    replica_keys = keys(master_seed, name, 0, n_replicas)
+    chunks = [replica_keys[a : a + chunk_size] for a in range(0, n_replicas, chunk_size)]
     if threads <= 1:
-        for k, (a, b) in enumerate(bounds):
-            parts[k] = make_chunk(a, b - a)
+        parts = [make_chunk(k) for k in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(make_chunk, a, b - a): k for k, (a, b) in enumerate(bounds)}
-            for fut in futures:
-                parts[futures[fut]] = fut.result()
+            parts = list(pool.map(make_chunk, chunks))
     return np.concatenate(parts, axis=0)
 
 
@@ -165,12 +169,11 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
     grid = TimeGrid(t, n_steps)
     sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
 
-    def make_chunk(offset, count):
-        chunk_keys = keys(master_seed, name, offset, count)
+    def make_chunk(chunk_keys):
         return np.concatenate([functional_values(G, y, grid.dt, alpha)
                                for y in sampler.blocks(chunk_keys)])
 
-    return run_replicated(n_replicas, make_chunk, threads)
+    return run_replicated(n_replicas, master_seed, name, make_chunk, threads)
 
 
 def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
@@ -302,11 +305,9 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
             cols.append(X[:, i_s])
         return np.stack(cols, axis=1)
 
-    def make_chunk(offset, count):
-        chunk_keys = keys(master_seed, "joint-cov", offset, count)
-        return np.concatenate([block_columns(y) for y in sampler.blocks(chunk_keys)])
-
-    data = run_replicated(n_replicas, make_chunk, threads)
+    data = run_replicated(
+        n_replicas, master_seed, "joint-cov",
+        lambda k: np.concatenate([block_columns(y) for y in sampler.blocks(k)]), threads)
     n_g = len(G_list)
     report = {"eps": eps, "t": t, "s": s, "n": n_replicas, "pairs": []}
     for i in range(n_g):
@@ -340,18 +341,18 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     return report
 
 
-def _fou_kernels(h: float, fine: TimeGrid, eps_arr: np.ndarray,
-                dt_ratio: float) -> list[tuple[TimeGrid, np.ndarray]]:
+def _fou_kernels(h: float, fine: TimeGrid,
+                eps_arr: np.ndarray) -> list[tuple[TimeGrid, np.ndarray]]:
     """A (grid, M) pair per eps: the fOU's Wiener kernel on the cells of fine.
 
     grid takes every r-th point of fine, r the largest divisor of n_fine
-    with r dt <= eps/dt_ratio, and M is ``hermite._fou_kernel`` there.
+    with r dt <= eps/L2_DT_RATIO, and M is ``hermite._fou_kernel`` there.
     """
     n_fine = fine.n_steps
     out = []
     for eps in eps_arr:
         r = max((k for k in range(1, n_fine + 1)
-                 if n_fine % k == 0 and k * fine.dt <= eps / dt_ratio * (1.0 + 1e-12)),
+                 if n_fine % k == 0 and k * fine.dt <= eps / L2_DT_RATIO * (1.0 + 1e-12)),
                 default=1)
         out.append((TimeGrid(fine.horizon, n_fine // r), hermite._fou_kernel(fine, h, eps, r)))
     return out
@@ -359,12 +360,12 @@ def _fou_kernels(h: float, fine: TimeGrid, eps_arr: np.ndarray,
 
 def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
                            n_replicas: int, master_seed: int = 0,
-                           dt_ratio: float = 20.0, threads: int = 1) -> ScanResult:
+                           threads: int = 1) -> ScanResult:
     """Coupled L2 distance between the scaled integral and its Hermite limit.
 
     Every replica owns one white noise on the cells of the Hermite
     engine (``hermite._engine``) for the fine grid of n_fine =
-    round(t dt_ratio / min eps) steps.  The limit c_m (m!/K) C^m
+    round(t L2_DT_RATIO / min eps) steps.  The limit c_m (m!/K) C^m
     Z^{H*(m),m} is the engine's Wick series on the fine grid, scaled by
     K/m!, and for each eps the fOU is built from the same noise through
     its Wiener kernel ghat at the cell midpoints (``_fou_kernels``), so
@@ -381,16 +382,16 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             f"H*(m) = {regime.h_star:.3f}"
         )
     eps_arr = as_eps_list(eps_list)
-    fine = TimeGrid(t, max(int(round(as_horizon(t) * dt_ratio / eps_arr[-1])), 1))
+    fine = TimeGrid(t, max(int(round(as_horizon(t) * L2_DT_RATIO / eps_arr[-1])), 1))
     hs = regime.h_star
     A_lim, var_lim, _, _ = hermite._engine(fine, hermite.HermiteSpec(hs, m))
-    fou_kernels = _fou_kernels(h, fine, eps_arr, dt_ratio)
+    fou_kernels = _fou_kernels(h, fine, eps_arr)
     K = chaos.K_normalizer(hs, m)
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
 
-    def make_chunk(offset, count):
-        N = normals(keys(master_seed, "l2-noise", offset, count),
-                    np.empty((count, A_lim.shape[1])))
+    def make_chunk(chunk_keys):
+        count = len(chunk_keys)
+        N = normals(chunk_keys, np.empty((count, A_lim.shape[1])))
         series = hermite._wick_power(N @ A_lim.T, var_lim, m)
         Z_t = series.sum(axis=1) * fine.dt * K / math.factorial(m)
         out = np.empty((count, len(eps_arr)))
@@ -399,7 +400,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             out[:, i] = (X - lam * Z_t) ** 2
         return out
 
-    sq = run_replicated(n_replicas, make_chunk, threads)
+    sq = run_replicated(n_replicas, master_seed, "l2-noise", make_chunk, threads)
     dists = np.array([np.sqrt(fsum_mean(col)) for col in sq.T])
     se = 0.5 * np.std(sq, axis=0, ddof=1) / np.sqrt(n_replicas) / dists
     monotone = bool(np.all(np.diff(dists) < 0))

@@ -17,6 +17,9 @@ integral of a_s^{(x)m}, I_m = ||a_s||^m He_m(u_s/||a_s||) with
 u_s = sum_i a_s[i] N_i (u_s itself for m = 1).  Its discrete covariance
 is exact in one line, m! ds^2 sum_{s<j, s'<k} ((A A^T)^m)_{ss'}
 (``exact_covariance``), and the cost is O(n_s * n_cells) for every m.
+``hermite_ensemble`` draws one row of cell noise per Philox key it is
+given; ensembles take their keys chunk by chunk from
+``harness.run_replicated``.
 
 ``ghat`` is the moving-average kernel of the fast fOU,
 y^eps_t = eps^{-1/2} int ghat((t-s)/eps) dW_s (Taqqu's moving-average
@@ -42,7 +45,7 @@ from scipy import special
 
 from . import chaos, fou
 from .paths import TimeGrid, as_hurst
-from .streams import keys, normals
+from .streams import normals
 
 __all__ = [
     "HermiteSpec",
@@ -170,20 +173,13 @@ def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
     return cur
 
 
-def hermite_ensemble(
-    grid: TimeGrid,
-    spec: HermiteSpec,
-    master_seed: int,
-    n_replicas: int,
-    name: str = "hermite",
-    report_idx=None,
-    replica_offset: int = 0,
-) -> np.ndarray:
+def hermite_ensemble(grid: TimeGrid, spec: HermiteSpec, keys: np.ndarray,
+                     report_idx=None) -> np.ndarray:
     """Replica matrix of Z^{H,m} values (the engine is built once per grid and spec).
 
-    Row i is driven by the noise of stream (master_seed, name,
-    replica_offset + i); report_idx selects grid indices (default: the
-    endpoint only).  A row is reproducible for a fixed chunking, but not
+    Row i is driven by the noise of the stream whose Philox key is
+    keys[i]; report_idx selects grid indices (default: the endpoint
+    only).  A row is reproducible for a fixed chunking, but not
     bit-identical across chunkings: the projections are one matrix
     product over all rows, whose rounding depends on the row count, so
     the same replica drawn in chunks of different sizes moves in the
@@ -194,11 +190,10 @@ def hermite_ensemble(
         report_idx = np.array([grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
     A, var, scale, _ = _engine(grid, spec)
-    N = normals(keys(master_seed, name, replica_offset, n_replicas),
-                np.empty((n_replicas, A.shape[1])))
+    N = normals(keys, np.empty((len(keys), A.shape[1])))
     series = _wick_power(N @ A.T, var, spec.m)
     cum = np.concatenate(
-        [np.zeros((n_replicas, 1)), np.cumsum(series * grid.dt, axis=1)], axis=1
+        [np.zeros((len(keys), 1)), np.cumsum(series * grid.dt, axis=1)], axis=1
     )
     return cum[:, report_idx] * scale[report_idx]
 

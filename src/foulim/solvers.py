@@ -29,7 +29,6 @@ from . import chaos, fgn, fou
 from .chaos import ChaosFunction
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
 from .paths import FoulimError, TimeGrid, as_eps, as_eps_list, as_hurst
-from .streams import keys
 
 __all__ = [
     "BlowUpError",
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e8
+# kinetic_error_scan: the finest eps grid has dt = min(eps) / KINETIC_DT_RATIO,
+# and the Hoelder seminorm is taken at gamma = HOLDER_GAMMA_FACTOR * H
+KINETIC_DT_RATIO = 100.0
+HOLDER_GAMMA_FACTOR = 0.5
 
 
 class BlowUpError(FoulimError, FloatingPointError):
@@ -53,8 +56,7 @@ class MultiscaleConfig:
     """Slow/fast system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
 
     f is assumed C^3-bounded, h C^2-bounded, g bounded (not enforced).
-    alpha defaults to the scaling of G's regime; alpha_override replaces
-    it (e.g. for sanity regimes outside the theory's parameter range).
+    alpha is the scaling of G's regime.
     """
 
     f: object
@@ -65,8 +67,6 @@ class MultiscaleConfig:
     eps: float
     x0: float
     grid: TimeGrid
-    seed: int = 0
-    alpha_override: float | None = None
 
     def __post_init__(self):
         as_hurst(self.H)
@@ -75,8 +75,6 @@ class MultiscaleConfig:
             raise ValueError("grid.dt must be <= eps/10 to resolve the fast scale")
 
     def alpha(self) -> float:
-        if self.alpha_override is not None:
-            return self.alpha_override
         return chaos.classify_regime(self.G.hermite_rank, self.H).alpha(self.eps)
 
 
@@ -205,9 +203,10 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
 
     for k in range(n):
         x = _rk4_step(x, dt, rhs(2 * k), rhs(2 * k + 1), rhs(2 * k + 2))
-        if np.any(np.abs(x) > BLOWUP_GUARD):
+        # written so that a NaN state fails the guard too
+        if not np.all(np.abs(x) <= BLOWUP_GUARD):
             raise BlowUpError(
-                f"slow variable exceeded {BLOWUP_GUARD:g} at step {k + 1}; "
+                f"slow variable exceeded {BLOWUP_GUARD:g} or became NaN at step {k + 1}; "
                 "the system blew up"
             )
         out[k + 1] = x
@@ -221,13 +220,13 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
     fine = TimeGrid(cfg.grid.horizon, 2 * cfg.grid.n_steps)
     sampler = fou.path_sampler(fine, fou.FouConfig(cfg.H, cfg.eps))
 
-    def make_chunk(offset, count):
+    def make_chunk(chunk_keys):
         # the paths are stored time-major, the layout the RK4 stages read
-        y = np.empty((fine.n_steps + 1, count)).T
-        sampler.batch(keys(master_seed, name, offset, count), out=y)
+        y = np.empty((fine.n_steps + 1, len(chunk_keys))).T
+        sampler.batch(chunk_keys, out=y)
         return _solve_slow_fast_from_y(cfg, y)[:, -1]
 
-    return run_replicated(n_replicas, make_chunk, threads)
+    return run_replicated(n_replicas, master_seed, name, make_chunk, threads)
 
 
 def _grid_reader(times: np.ndarray, dt: float):
@@ -247,14 +246,12 @@ def _grid_reader(times: np.ndarray, dt: float):
 
 
 def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
-                       master_seed: int = 0, dt_ratio: float = 100.0,
-                       holder_gamma_factor: float = 0.5,
-                       threads: int = 1) -> ScanResult:
+                       master_seed: int = 0, threads: int = 1) -> ScanResult:
     """Convergence rate of X^eps = eps^{H-1} int_0^t y^eps ds toward sigma B^H.
 
     Couples every eps to the same underlying fBM per replica (increments
-    aggregated from one master grid of spacing min(eps)/dt_ratio).  The
-    integral uses the exponential left-point rule, under which
+    aggregated from one master grid of spacing min(eps)/KINETIC_DT_RATIO).
+    The integral uses the exponential left-point rule, under which
 
         X_{s,t} - sigma B_{s,t} = -eps (v_t - v_s),   v = eps^{H-1} y,
 
@@ -262,8 +259,9 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     at the reporting times by linear interpolation, under which the
     identity still holds.  The reported statistic is the sup over
     reporting-grid pairs of the replica-L2 error, whose log-log slope
-    against log(1/eps) is H.  meta carries the max identity
-    defect and the Hoelder-seminorm slope at gamma = holder_gamma_factor*H.
+    against log(1/eps) is H.  meta carries the max identity defect,
+    taken from the origin t = 0 where X - sigma B and its readings are
+    zero, and the Hoelder-seminorm slope at gamma = HOLDER_GAMMA_FACTOR*H.
 
     The fGN comes from one ``fgn.StationarySampler`` built per scan (at
     its fast 5-smooth length).  Within each replica chunk its row blocks
@@ -286,10 +284,10 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     T = grid.horizon
     sigma = fou.stationary_sigma(h)
     # master spacing: finest dt refined until every eps grid sits on it
-    dt_min = eps_arr[-1] / dt_ratio
+    dt_min = eps_arr[-1] / KINETIC_DT_RATIO
     for k in range(1, 101):
         dt_master = dt_min / k
-        ratios = eps_arr / dt_ratio / dt_master
+        ratios = eps_arr / KINETIC_DT_RATIO / dt_master
         if np.all(np.abs(ratios - np.round(ratios)) < 1e-9):
             break
     else:
@@ -330,22 +328,21 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
             out[:, i, 1, :] = sigma * read(y[:, n_burn - 1 :])
         return out
 
-    def make_chunk(offset, count):
-        chunk_keys = keys(master_seed, "kinetic", offset, count)
-        return np.concatenate([readings(block) for block in sampler.blocks(chunk_keys)])
-
-    data = run_replicated(n_replicas, make_chunk, threads)
+    data = run_replicated(
+        n_replicas, master_seed, "kinetic",
+        lambda k: np.concatenate([readings(block) for block in sampler.blocks(k)]), threads)
     diff = data[:, :, 0, :]   # X - sigma*B at reporting times
     epsv = data[:, :, 1, :]   # eps * v at reporting times
 
-    # identity defect: X_{s,t} - sigma B_{s,t} + eps(v_t - v_s) == 0 on-grid
-    defect = np.max(np.abs((diff - diff[:, :, :1]) + (epsv - epsv[:, :, :1])))
+    # identity defect: X_t - sigma B_t + eps(v_t - v_0) == 0 on-grid, with
+    # X_0 = B_0 = 0, so a reading taken from a shifted origin shows
+    defect = np.max(np.abs(diff + (epsv - epsv[:, :, :1])))
 
     n_rep = len(report_times)
     sup_err = np.empty(len(eps_arr))
     sup_se = np.empty(len(eps_arr))
     holder = np.empty(len(eps_arr))
-    gam = holder_gamma_factor * h
+    gam = HOLDER_GAMMA_FACTOR * h
     lag = np.abs(report_times[:, None] - report_times[None, :])
     np.fill_diagonal(lag, np.inf)
     lag_gam = lag**gam

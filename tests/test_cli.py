@@ -118,6 +118,26 @@ def test_hermite_sample_bytes_independent_of_threads(tmp_path):
         assert (tmp_path / f"1.{ext}").read_bytes() == (tmp_path / f"2.{ext}").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["sample-fbm", "sample-fou"])
+def test_sample_bytes_independent_of_threads(command, tmp_path, monkeypatch):
+    # 300 replicas span two fixed-size chunks, handed to the requested workers
+    workers = []
+    run_replicated = harness.run_replicated
+
+    def spy(n, seed, name, make_chunk, threads=1):
+        workers.append(threads)
+        return run_replicated(n, seed, name, make_chunk, threads)
+
+    monkeypatch.setattr(harness, "run_replicated", spy)
+    args = [command, *REQUIRED_ARGS[command], "--n-steps", "100", "--replicas", "300",
+            "--seed", "5"]
+    for threads in ("1", "2"):
+        assert run(args + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    assert workers == [1, 2]
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"1.{ext}").read_bytes() == (tmp_path / f"2.{ext}").read_bytes()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(["no-such-command"]) == 1
     assert run(["sample-fbm"]) == 1  # missing required --H
@@ -155,12 +175,16 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["l2-hermite", "--t", "inf"], "horizon must be positive and finite, got inf"),
     (["rho", "--s-max", "nan"], "--s-max must be finite and >= 0, got nan"),
     (["rho", "--s-max", "-1"], "--s-max must be finite and >= 0, got -1.0"),
+    # a non-finite initial state is rejected before the slow/fast solve
+    (["homogenize", "--x0", "nan"], "--x0 must be finite, got nan"),
+    (["homogenize", "--x0", "inf"], "--x0 must be finite, got inf"),
 ], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
         "kinetic-above-one", "kinetic-zero", "homogenize-eps-zero", "homogenize-eps-nan",
         "homogenize-dt-ratio-zero", "clt-dt-ratio-nan", "clt-dt-ratio-inf",
         "clt-dt-ratio-negative", "sample-fou-eps-zero", "clt-horizon-inf",
         "homogenize-horizon-nan", "sample-fou-horizon-nan", "kinetic-horizon-nan",
-        "hermite-horizon-nan", "l2-horizon-inf", "rho-s-max-nan", "rho-s-max-negative"])
+        "hermite-horizon-nan", "l2-horizon-inf", "rho-s-max-nan", "rho-s-max-negative",
+        "homogenize-x0-nan", "homogenize-x0-inf"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], "--replicas", "2",

@@ -7,7 +7,7 @@ import pytest
 from foulim import chaos, fgn, fou, harness, hermite
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
-from foulim.streams import stream
+from foulim.streams import keys, stream
 
 H1 = ChaosFunction.from_coefficients([0, 1.0])
 H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
@@ -38,7 +38,7 @@ def test_ergodic_average_of_noncentred_function():
     grid = TimeGrid(1.0, 2000)
     sds = []
     for eps, name in ((0.05, "erg1"), (0.01, "erg2")):
-        y = fou.sample_fou_ensemble(grid, fou.FouConfig(0.7, eps), 4, 600, name)
+        y = fou.path_sampler(grid, fou.FouConfig(0.7, eps)).batch(keys(4, name, 0, 600))
         vals = harness.functional_values(g, y, grid.dt)
         assert vals.mean() == pytest.approx(g_bar, abs=0.03)
         sds.append(vals.std())
@@ -128,19 +128,19 @@ def test_l2_fou_kernel_rows_have_unit_variance(H, monkeypatch):
 
 
 @pytest.mark.parametrize("eps_list, n_steps", [
-    ([0.2, 0.1, 0.05], [100, 200, 400]),    # round(t dt_ratio / eps) steps each
+    ([0.2, 0.1, 0.05], [100, 200, 400]),    # round(t L2_DT_RATIO / eps) steps each
     ([0.3, 0.13, 0.05], [80, 200, 400]),    # non-commensurate: strides 5, 2 and 1
 ])
 def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps):
     # the fOU kernels, whose uniform block is windows of one lag profile,
     # against ghat at every midpoint of the graded cells; the limit
     # kernel's cell averages against 30-digit quadrature
-    h, t, dt_ratio = 0.8, 1.0, 20.0
+    h, t, dt_ratio = 0.8, 1.0, harness.L2_DT_RATIO
     fine = TimeGrid(t, 400)
     edges = hermite._cell_edges(fine)
     mids = 0.5 * (edges[:-1] + edges[1:])
     w = np.diff(edges)
-    kernels = harness._fou_kernels(h, fine, np.array(eps_list), dt_ratio)
+    kernels = harness._fou_kernels(h, fine, np.array(eps_list))
     assert [grid.n_steps for grid, _ in kernels] == n_steps
     for eps, (grid, M) in zip(eps_list, kernels):
         assert grid.dt <= eps / dt_ratio * (1 + 1e-12)
@@ -192,7 +192,7 @@ def test_each_embedding_is_computed_once_per_scale(monkeypatch):
 def test_gaussian_moment_constant_for_linear_functional():
     # G = He_1: the integral is Gaussian, so E|X|^4 / (E X^2)^2 = 3
     grid = TimeGrid(1.0, 1000)
-    y = fou.sample_fou_ensemble(grid, fou.FouConfig(0.8, 0.05), 15, 6000, "gm")
+    y = fou.path_sampler(grid, fou.FouConfig(0.8, 0.05)).batch(keys(15, "gm", 0, 6000))
     x = harness.functional_values(H1, y, grid.dt)
     ratio = np.mean(x**4) / np.mean(x**2) ** 2
     assert ratio == pytest.approx(3.0, abs=0.25)
@@ -221,7 +221,7 @@ def test_holder_moment_diagnostic():
     # E|X_t - X_s|^2 ~ |t-s|^{2 max(H*, 1/2)} at small lags (long-range case)
     eps, H = 0.05, 0.8
     grid = TimeGrid(1.0, 400)
-    y = fou.sample_fou_ensemble(grid, fou.FouConfig(H, eps), 19, 1500, "hm")
+    y = fou.path_sampler(grid, fou.FouConfig(H, eps)).batch(keys(19, "hm", 0, 1500))
     X = harness._functional_cumulative(H1, y, grid.dt, eps ** (H - 1.0))
     lags = np.array([20, 40, 80, 160])
     mom = [np.mean((X[:, 200 + k] - X[:, 200]) ** 2) for k in lags]
@@ -237,13 +237,26 @@ def test_reproducibility_bitwise():
 
 
 def test_threaded_run_matches_serial():
-    def chunk(offset, count):
-        rng = np.random.default_rng(1000 + offset)
-        return rng.standard_normal((count, 3))
+    def chunk(chunk_keys):
+        rng = np.random.default_rng(chunk_keys[0])
+        return rng.standard_normal((len(chunk_keys), 3))
 
-    serial = harness.run_replicated(1000, chunk, threads=1)
-    threaded = harness.run_replicated(1000, chunk, threads=4)
+    serial = harness.run_replicated(1000, 5, "threads", chunk, threads=1)
+    threaded = harness.run_replicated(1000, 5, "threads", chunk, threads=4)
     np.testing.assert_array_equal(serial, threaded)
+
+
+def test_run_replicated_hands_each_chunk_the_keys_of_its_replicas():
+    # replica i reads stream (seed, name, i), whatever the chunk it lands in
+    chunks = []
+
+    def record(chunk_keys):
+        chunks.append(chunk_keys)
+        return chunk_keys
+
+    got = harness.run_replicated(7, 11, "keyed", record, chunk_size=3)
+    assert [len(k) for k in chunks] == [3, 3, 1]
+    np.testing.assert_array_equal(got, keys(11, "keyed", 0, 7))
 
 
 def test_fsum_aggregation():

@@ -100,7 +100,7 @@ def test_fou_from_kernel_variance_autocorr_and_law():
 def test_hermite_m1_matches_fbm_law():
     grid = TimeGrid(1.0, 200)
     spec = HermiteSpec(0.7, 1)
-    Z = hermite.hermite_ensemble(grid, spec, 3, 4000, "m1",
+    Z = hermite.hermite_ensemble(grid, spec, keys(3, "m1", 0, 4000),
                                  report_idx=np.array([50, 100, 200]))
     tt = grid.times()[np.array([50, 100, 200])]
     emp = Z.T @ Z / len(Z)
@@ -118,7 +118,7 @@ def test_hermite_m2_variance_and_covariance():
     grid = TimeGrid(1.0, 300)
     spec = HermiteSpec(0.7, 2)
     idx = np.array([75, 150, 225, 300])
-    Z = hermite.hermite_ensemble(grid, spec, 9, 10_000, "m2", idx)
+    Z = hermite.hermite_ensemble(grid, spec, keys(9, "m2", 0, 10_000), idx)
     # the per-time normalization is exact in expectation; assert at 3 sigma
     # of the (heavy-tailed) variance estimator
     x = Z[:, -1]
@@ -205,7 +205,7 @@ def test_hermite_self_similarity_and_stationary_increments():
     grid = TimeGrid(1.0, 256)
     spec = HermiteSpec(0.75, 2)
     idx = np.array([64, 128, 192, 256])
-    Z = hermite.hermite_ensemble(grid, spec, 13, 8000, "ss", idx)
+    Z = hermite.hermite_ensemble(grid, spec, keys(13, "ss", 0, 8000), idx)
     var1 = Z[:, -1].var()
     for lam, col in ((2.0, 1), (4.0, 0)):
         scaled = lam**0.75 * Z[:, col]
@@ -254,8 +254,8 @@ def test_hermite_values_deterministic_in_noise():
     spec = HermiteSpec(0.7, 2)
     every_step = np.arange(grid.n_steps + 1)
     hermite._engine.cache_clear()
-    a = hermite.hermite_ensemble(grid, spec, 8, 1, "det", every_step)
-    b = hermite.hermite_ensemble(grid, spec, 8, 1, "det", every_step)
+    a = hermite.hermite_ensemble(grid, spec, keys(8, "det"), every_step)
+    b = hermite.hermite_ensemble(grid, spec, keys(8, "det"), every_step)
     np.testing.assert_array_equal(a, b)
     assert a[0, 0] == 0.0
 
@@ -267,14 +267,14 @@ def test_hermite_ensemble_rows_agree_across_chunkings():
     every_step = np.arange(grid.n_steps + 1)
     for m in (1, 2, 3):
         spec = HermiteSpec(0.8, m)
-        whole = hermite.hermite_ensemble(grid, spec, 6, 5, "chunks", every_step)
+        whole = hermite.hermite_ensemble(grid, spec, keys(6, "chunks", 0, 5), every_step)
         rows = np.concatenate([
-            hermite.hermite_ensemble(grid, spec, 6, 1, "chunks", every_step, r)
+            hermite.hermite_ensemble(grid, spec, keys(6, "chunks", r), every_step)
             for r in range(5)
         ])
         split = np.concatenate([
-            hermite.hermite_ensemble(grid, spec, 6, 2, "chunks", every_step, 0),
-            hermite.hermite_ensemble(grid, spec, 6, 3, "chunks", every_step, 2),
+            hermite.hermite_ensemble(grid, spec, keys(6, "chunks", 0, 2), every_step),
+            hermite.hermite_ensemble(grid, spec, keys(6, "chunks", 2, 3), every_step),
         ])
         np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-13)
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-13)

@@ -14,6 +14,10 @@ in ``src``, ``tests`` or ``demos``.  A name in a module's ``__all__`` is
 read in the same sense in ``src`` (outside ``__init__.py``), ``demos``
 or ``bench``: reads from tests alone do not keep an export alive.
 
+The replica-to-stream policy lives in one place: inside ``src/foulim``
+only ``harness.run_replicated``, which hands every chunk its keys, and
+``streams.stream`` call ``streams.keys``.
+
 The CLI also keeps an import budget: a fresh interpreter that imports
 ``foulim.cli`` and runs a subcommand that computes no statistic loads
 numpy and ``scipy.special`` but none of the heavier SciPy modules or the
@@ -228,3 +232,43 @@ def test_cli_loads_no_heavy_scipy_module(tmp_path):
     loaded = set(report["modules"])
     assert {"numpy", "scipy.special", "foulim.cli"} <= loaded
     assert sorted(loaded.intersection(OVER_BUDGET)) == []
+
+
+# the functions of the package that may call streams.keys, per file
+KEYS_CALLERS = {"harness.py": {"run_replicated"}, "streams.py": {"stream"}}
+
+
+def keys_callers(source: str) -> set[str]:
+    """Names of the functions in ``source`` that call ``keys`` or
+    ``streams.keys`` ("<module>" for a call outside any function)."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if ((isinstance(f, ast.Name) and f.id == "keys")
+                        or (isinstance(f, ast.Attribute) and f.attr == "keys"
+                            and isinstance(f.value, ast.Name) and f.value.id == "streams")):
+                    callers.add(owner)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_keys_scanner_flags_a_closure_that_derives_its_keys():
+    src = (
+        "from . import streams\nfrom .streams import keys\n"
+        "def scan(seed, n, params):\n"
+        "    def make_chunk(offset, count):\n"
+        "        return keys(seed, 'x', offset, count)\n"
+        "    return streams.keys(seed, 'y', 0, n), params.keys()\n"
+    )
+    assert keys_callers(src) == {"make_chunk", "scan"}
+
+
+def test_only_run_replicated_and_stream_derive_keys():
+    callers = {p.name: keys_callers(p.read_text()) for p in PACKAGE_FILES}
+    assert {name: found for name, found in callers.items() if found} == KEYS_CALLERS

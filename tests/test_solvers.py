@@ -183,7 +183,8 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
     x = cli._limit_endpoint_samples(G, H, t, x0, one, one, 1.0, n, seed)
     regime = chaos.classify_regime(2, H)
     spec = hermite.HermiteSpec(regime.h_star, 2)
-    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec, seed, n, "limit-endpoint-z")[:, 0]
+    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec,
+                                 keys(seed, "limit-endpoint-z", 0, n))[:, 0]
     expect = x0 + t + np.sign(a2) * chaos.c_constant(G, H) * z
     np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12)
 
@@ -192,8 +193,7 @@ def _hermite_limit_args(n, seed=23):
     from foulim import cli
 
     G = ChaosFunction.from_coefficients([0, 0, -1.0])
-    return (G, 0.85, 1.0, 0.0, cli._F_PRESETS["sin2"], cli._F_PRESETS["zero"], 0.0,
-            n, seed)
+    return (G, 0.85, 1.0, 0.0, cli._F_PRESETS["sin2"], None, 0.0, n, seed)
 
 
 def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
@@ -206,7 +206,8 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
     G, H, t, *_, n, seed = _hermite_limit_args(300)
     regime = chaos.classify_regime(2, H)
     spec = hermite.HermiteSpec(regime.h_star, 2)
-    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec, seed, n, "limit-endpoint-z")[:, 0]
+    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec,
+                                 keys(seed, "limit-endpoint-z", 0, n))[:, 0]
     expect = -chaos.c_constant(G, H) * z
     for threads in (1, 2):
         u = cli._limit_endpoint_samples(*_hermite_limit_args(300), threads)
@@ -251,7 +252,7 @@ def test_slow_fast_reduces_to_functional_integral():
         G=H1, g=_zero, H=0.8, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
     )
     fine = TimeGrid(1.0, 2 * n_steps)
-    y = fou.sample_fou_ensemble(fine, fou.FouConfig(0.8, eps), 33, 50, "c1")
+    y = fou.path_sampler(fine, fou.FouConfig(0.8, eps)).batch(keys(33, "c1", 0, 50))
     x = solvers._solve_slow_fast_from_y(cfg, y)
     X = harness._functional_cumulative(H1, y, fine.dt, cfg.alpha())
     assert np.max(np.abs(x[:, -1] - X[:, -1])) < 0.01
@@ -267,7 +268,6 @@ def test_slow_fast_ergodic_drift_only():
         cfg = solvers.MultiscaleConfig(
             f=_zero, h=lambda u: np.ones_like(np.asarray(u, dtype=float)),
             G=H1, g=g, H=0.7, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
-            alpha_override=0.0,
         )
         end = solvers.solve_slow_fast_endpoints(cfg, 400, 35, name)
         assert end.mean() == pytest.approx(g_bar, abs=0.03)
@@ -275,21 +275,26 @@ def test_slow_fast_ergodic_drift_only():
     assert ends[1] < ends[0]
 
 
+def _blowup_config(f=lambda u: 50.0 * (1.0 + u**2)):
+    return solvers.MultiscaleConfig(f=f, h=_zero, G=H1, g=_zero, H=0.7, eps=0.1,
+                                    x0=5.0, grid=TimeGrid(1.0, 100))
+
+
 def test_slow_fast_blowup_guard():
-    cfg = solvers.MultiscaleConfig(
-        f=lambda u: 1.0 + u**2, h=_zero, G=H1, g=_zero, H=0.7, eps=0.1,
-        x0=5.0, grid=TimeGrid(1.0, 100), alpha_override=50.0,
-    )
     with pytest.raises(FloatingPointError, match="blew up"):
-        solvers.solve_slow_fast_endpoints(cfg, 1, 0, "blow")
+        solvers.solve_slow_fast_endpoints(_blowup_config(), 1, 0, "blow")
+
+
+def test_slow_fast_blowup_guard_catches_nan():
+    # NaN compares False with the guard, so only an all-finite check sees it
+    nan_f = lambda u: np.full_like(np.asarray(u, dtype=float), np.nan)
+    with pytest.raises(solvers.BlowUpError, match="at step 1;"):
+        solvers.solve_slow_fast_endpoints(_blowup_config(nan_f), 3, 0, "nan")
 
 
 def test_slow_fast_errors_are_foulim_errors():
     assert issubclass(fgn.SamplerInfeasibleError, FoulimError)
-    cfg = solvers.MultiscaleConfig(
-        f=lambda u: 1.0 + u**2, h=_zero, G=H1, g=_zero, H=0.7, eps=0.1,
-        x0=5.0, grid=TimeGrid(1.0, 100), alpha_override=50.0,
-    )
+    cfg = _blowup_config()
     with pytest.raises(FoulimError) as info:
         solvers.solve_slow_fast_endpoints(cfg, 1, 0, "blow")
     assert type(info.value) is solvers.BlowUpError
@@ -323,8 +328,8 @@ def test_slow_fast_solver_matches_per_stage_evaluation(hfun, gfun):
         f=lambda u: np.sin(u) + 2.0, h=hfun, G=H2, g=gfun, H=0.85, eps=eps, x0=0.0,
         grid=TimeGrid(1.0, n_steps),
     )
-    y = fou.sample_fou_ensemble(TimeGrid(1.0, 2 * n_steps), fou.FouConfig(0.85, eps),
-                                12, 40, "stages")
+    y = fou.path_sampler(TimeGrid(1.0, 2 * n_steps), fou.FouConfig(0.85, eps)).batch(
+        keys(12, "stages", 0, 40))
     np.testing.assert_array_equal(solvers.solve_slow_fast_endpoints(cfg, 40, 12, "stages"),
                                   _per_stage_rk4_endpoints(cfg, y))
 
@@ -350,6 +355,20 @@ def test_kinetic_identity_and_slope():
     assert slope == pytest.approx(0.7, abs=0.2)
     # errors shrink monotonically
     assert np.all(np.diff(scan.values) < 0)
+
+
+def test_kinetic_identity_defect_sees_a_shifted_origin(monkeypatch):
+    # a constant added to every reading cancels in differences of readings;
+    # the defect is taken from t = 0, where X - sigma B is zero
+    reader = solvers._grid_reader
+
+    def shifted(times, dt):
+        read = reader(times, dt)
+        return lambda values: read(values) + 1.0
+
+    monkeypatch.setattr(solvers, "_grid_reader", shifted)
+    scan = solvers.kinetic_error_scan(0.7, [0.1, 0.05, 0.025], TimeGrid(1.0, 20), 20, 39)
+    assert scan.meta["identity_defect_max"] > 1e-6
 
 
 def test_kinetic_incommensurate_scales_rejected():
@@ -379,8 +398,7 @@ def test_kinetic_read_interpolates_between_grid_points():
     assert np.array_equal(solvers._grid_reader(on, 1.0 / 200)(vals), vals[:, ::10])
 
 
-def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="prefix",
-                              dt_ratio=100.0):
+def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="prefix"):
     """Readings of kinetic_error_scan drawn the whole-chunk way, as a reference.
 
     Each 250-replica chunk samples its whole fGN matrix in one batch and
@@ -393,6 +411,7 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="pr
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     sigma = fou.stationary_sigma(H)
+    dt_ratio = solvers.KINETIC_DT_RATIO
     dt_min = eps_arr[-1] / dt_ratio
     for k in range(1, 101):
         dt_master = dt_min / k
@@ -432,16 +451,16 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="pr
 
     read = {"prefix": prefix, "blocks": block_sums}[reduction]
 
-    def make_chunk(offset, count):
-        dB = sampler.batch(keys(seed, "kinetic", offset, count))[:, :n_total]
-        out = np.empty((count, len(eps_arr), 2, len(times)))
+    def make_chunk(chunk_keys):
+        dB = sampler.batch(chunk_keys)[:, :n_total]
+        out = np.empty((len(dB), len(eps_arr), 2, len(times)))
         for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
             dt = b * dt_master
             out[:, i, 0, :], out[:, i, 1, :] = read(dB, eps, b, np.exp(-dt / eps), dt,
                                                     n_burn_m // b)
         return out
 
-    return harness.run_replicated(n_replicas, make_chunk)
+    return harness.run_replicated(n_replicas, seed, "kinetic", make_chunk)
 
 
 KINETIC_EPS_LISTS = [
@@ -498,17 +517,18 @@ def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
     assert peak < 40.0
 
 
-def _pairwise_statistics(data, times, h, gamma_factor=0.5):
+def _pairwise_statistics(data, times, h):
     """sup pair L2 error and mean Hoelder seminorm per eps, from the full
     (replicas, n_report, n_report) pairwise arrays, as a reference."""
     lag = np.abs(times[:, None] - times[None, :])
     np.fill_diagonal(lag, np.inf)
+    lag_gam = lag ** (solvers.HOLDER_GAMMA_FACTOR * h)
     sup, holder = [], []
     for i in range(data.shape[1]):
         d = data[:, i, 0, :]
         pair = d[:, :, None] - d[:, None, :]
         sup.append(np.sqrt(np.max(np.mean(pair**2, axis=0))))
-        holder.append(np.mean(np.max(np.abs(pair) / lag ** (gamma_factor * h), axis=(1, 2))))
+        holder.append(np.mean(np.max(np.abs(pair) / lag_gam, axis=(1, 2))))
     return np.array(sup), np.array(holder)
 
 

@@ -77,8 +77,9 @@ def test_cli_maps_a_stream_domain_error_to_exit_2(tmp_path, capsys):
 def _chunked(monkeypatch, module, chunk_size):
     """Make ``module.run_replicated`` chunk by chunk_size."""
     run = harness.run_replicated
-    monkeypatch.setattr(module, "run_replicated",
-                        lambda n, make, threads=1: run(n, make, threads, chunk_size))
+    monkeypatch.setattr(
+        module, "run_replicated",
+        lambda n, seed, name, make, threads=1: run(n, seed, name, make, threads, chunk_size))
 
 
 @PROPERTY
@@ -116,20 +117,24 @@ def test_path_sampler_batch_offset_chunk_and_thread_invariance(n, offset, cut):
 def test_hermite_ensemble_offset_chunk_and_thread_invariance(n, offset, cut, threads):
     grid, spec = TimeGrid(1.0, 40), HermiteSpec(0.7, 2)
     idx = np.arange(0, 41, 10)
-    whole = hermite.hermite_ensemble(grid, spec, 9, n, "inv", idx, offset)
+    whole = hermite.hermite_ensemble(grid, spec, streams.keys(9, "inv", offset, n), idx)
     cut = min(cut, n)
     parts = np.concatenate([
-        hermite.hermite_ensemble(grid, spec, 9, cut, "inv", idx, offset),
-        hermite.hermite_ensemble(grid, spec, 9, n - cut, "inv", idx, offset + cut)])
+        hermite.hermite_ensemble(grid, spec, streams.keys(9, "inv", offset, cut), idx),
+        hermite.hermite_ensemble(grid, spec, streams.keys(9, "inv", offset + cut, n - cut),
+                                 idx)])
     # the projections are one matrix product per call, whose rounding
     # depends on its row count
     np.testing.assert_allclose(parts, whole, rtol=1e-13, atol=1e-13)
 
-    def make_chunk(a, count):
-        return hermite.hermite_ensemble(grid, spec, 9, count, "inv", idx, offset + a)
+    def make_chunk(chunk_keys):
+        return hermite.hermite_ensemble(grid, spec, chunk_keys, idx)
 
-    np.testing.assert_array_equal(harness.run_replicated(n, make_chunk, threads, 5),
-                                  harness.run_replicated(n, make_chunk, 1, 5))
+    runs = [harness.run_replicated(n, 9, "inv", make_chunk, t, 5) for t in (threads, 1)]
+    np.testing.assert_array_equal(runs[0], runs[1])
+    # run_replicated's chunks read replicas 0..n-1 of the stream family
+    np.testing.assert_allclose(runs[0], hermite.hermite_ensemble(
+        grid, spec, streams.keys(9, "inv", 0, n), idx), rtol=1e-13, atol=1e-13)
 
 
 @PROPERTY
