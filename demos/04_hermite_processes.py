@@ -8,7 +8,7 @@ carries heavy positive excess kurtosis.
 import numpy as np
 
 from foulim import fgn, harness, hermite
-from foulim.hermite import HermiteSpec
+from foulim.hermite import HermiteEngine, HermiteSpec
 from foulim.paths import TimeGrid
 
 grid = TimeGrid(1.0, 200)
@@ -16,23 +16,23 @@ idx = np.array([50, 100, 200])
 tt = grid.times()[idx]
 thr = fgn.fbm_covariance(tt[:, None], tt[None, :], 0.7)
 
-# one engine for every order: the noise cells are fixed by the grid, and
+# the same noise cells for every order (they are fixed by the grid), and
 # the sampler's exact covariance shows its own correlation-shape error
 for m in (1, 2, 3):
-    spec = HermiteSpec(H=0.7, m=m)
+    engine = HermiteEngine(grid, HermiteSpec(H=0.7, m=m))
     Z = harness.run_replicated(4000, 0, f"demo-z{m}",
-                               lambda k: hermite.hermite_ensemble(grid, spec, k, idx))
+                               lambda k: hermite.hermite_ensemble(engine, k, idx))
     x = Z[:, -1]
     z = (x - x.mean()) / x.std()
     emp = Z.T @ Z / len(Z)
-    exact = hermite.exact_covariance(grid, spec, tt)
+    exact = hermite.exact_covariance(engine, tt)
     print(f"m={m}: Var(Z_1)={x.var():.4f}, excess kurtosis {np.mean(z**4) - 3:+.3f}, "
           f"max cov rel err {np.max(np.abs(emp / thr - 1)):.3f} "
           f"(exact {np.max(np.abs(exact / thr - 1)):.4f})")
 
 # self-similarity: lambda^H Z_{t/lambda} has the law of Z_t
-spec = HermiteSpec(H=0.7, m=2)
+engine = HermiteEngine(grid, HermiteSpec(H=0.7, m=2))
 Z = harness.run_replicated(4000, 1, "demo-ss",
-                           lambda k: hermite.hermite_ensemble(grid, spec, k, idx))
+                           lambda k: hermite.hermite_ensemble(engine, k, idx))
 print(f"\nself-similarity (m=2): Var(2^H Z_1/2)={4**0.7 * Z[:, 1].var():.4f} "
       f"vs Var(Z_1)={Z[:, -1].var():.4f}")

@@ -31,10 +31,10 @@ for H, label in ((0.6, "short range -> Stratonovich/Wiener"),
     c = chaos.c_constant(H2, H)
     regime = chaos.classify_regime(2, H)
     if regime.kind is chaos.Regime.LONG_RANGE:
-        spec = hermite.HermiteSpec(regime.h_star, 2)
-        zgrid = TimeGrid(1.0, 200)
+        engine = hermite.HermiteEngine(TimeGrid(1.0, 200),
+                                       hermite.HermiteSpec(regime.h_star, 2))
         u = c * harness.run_replicated(
-            N, 1, "demo-h", lambda k: hermite.hermite_ensemble(zgrid, spec, k)[:, 0])
+            N, 1, "demo-h", lambda k: hermite.hermite_ensemble(engine, k)[:, 0])
     else:
         u = c * stream(1, "demo-w").standard_normal(N)
     x_lim = solvers.flow_map_1d(f, 0.0, u)

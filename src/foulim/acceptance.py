@@ -198,10 +198,9 @@ def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
     )
     kurt_x, se_x = harness.excess_kurtosis_with_se(x_lr)
 
-    spec = hermite.HermiteSpec(hs, 2)
-    zgrid = TimeGrid(1.0, 200)
+    engine = hermite.HermiteEngine(TimeGrid(1.0, 200), hermite.HermiteSpec(hs, 2))
     z = harness.run_replicated(n_rep, seed + 2, "acc6-z",
-                               lambda k: hermite.hermite_ensemble(zgrid, spec, k)[:, 0],
+                               lambda k: hermite.hermite_ensemble(engine, k)[:, 0],
                                threads)
     kurt_z, se_z = harness.excess_kurtosis_with_se(z)
     se = np.hypot(se_x, se_z)
@@ -223,9 +222,9 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
     details = {}
     passed = True
 
-    def z_matrix(spec, tag, n):
+    def z_matrix(engine, tag, n):
         return harness.run_replicated(
-            n, seed, tag, lambda k: hermite.hermite_ensemble(grid, spec, k, report_idx),
+            n, seed, tag, lambda k: hermite.hermite_ensemble(engine, k, report_idx),
             threads)
 
     def correlation(cov):
@@ -235,8 +234,8 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
     # m = 2 runs at twice the replicas: its variance estimator is heavy
     # tailed (excess kurtosis ~ 6), so SE(Var) ~ sqrt(8/N)
     for m, n in ((1, n_rep), (2, 2 * n_rep)):
-        spec = hermite.HermiteSpec(H, m)
-        Z = z_matrix(spec, f"acc7-m{m}", n)
+        engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(H, m))
+        Z = z_matrix(engine, f"acc7-m{m}", n)
         var1 = harness.fsum_variance(Z[:, -1])
         times = grid.times()[report_idx]
         emp = Z.T @ Z / n
@@ -244,7 +243,7 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
         var_entry = (np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n
         zmax = float(np.max(np.abs((emp - theory) / np.sqrt(var_entry))))
         # the sampler's own correlation-shape error, from its exact covariance
-        exact = hermite.exact_covariance(grid, spec, times)
+        exact = hermite.exact_covariance(engine, times)
         shape = float(np.max(np.abs(correlation(exact) - correlation(theory))))
         details[f"m{m}_var_Z1"] = var1
         details[f"m{m}_cov_zmax"] = zmax
@@ -382,15 +381,14 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     details["c_short_range"] = c_sr
     details["c_long_range"] = c_lr
     hs = chaos.h_star(2, 0.85)
-    spec = hermite.HermiteSpec(hs, 2)
-    zgrid = TimeGrid(1.0, 200)
+    engine = hermite.HermiteEngine(TimeGrid(1.0, 200), hermite.HermiteSpec(hs, 2))
     passed = True
 
     for k, eps in enumerate((0.02, 0.01)):
         s = seed + 10 * k
         z = harness.run_replicated(
             n_rep, s + 2, "acc10-z",
-            lambda chunk_keys: hermite.hermite_ensemble(zgrid, spec, chunk_keys)[:, 0], threads)
+            lambda chunk_keys: hermite.hermite_ensemble(engine, chunk_keys)[:, 0], threads)
         limit_drivers = {
             "short_range": c_sr * stream(s, "acc10-w").standard_normal(n_rep),
             "long_range": c_lr * z,

@@ -118,11 +118,10 @@ def _emit_table(args, header, rows, summary: dict) -> None:
 
 
 def _path_rows(times, matrix):
-    rows = []
+    """(replica, t, value) rows of a path matrix, yielded as they are written."""
     for r, row in enumerate(matrix):
         for t, v in zip(times, row):
-            rows.append((r, t, v))
-    return rows
+            yield r, t, v
 
 
 # ------------------------------------------------------------------ commands
@@ -222,11 +221,11 @@ def _cmd_constants(args) -> int:
 
 def _cmd_hermite_sample(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
-    spec = hermite.HermiteSpec(args.H, args.m)
+    engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(args.H, args.m))
     every_step = np.arange(grid.n_steps + 1)
     mat = harness.run_replicated(
         args.replicas, args.seed, "cli-hermite",
-        lambda k: hermite.hermite_ensemble(grid, spec, k, every_step), args.threads)
+        lambda k: hermite.hermite_ensemble(engine, k, every_step), args.threads)
     params = dict(H=args.H, m=args.m, horizon=args.horizon, n_steps=args.n_steps,
                   replicas=args.replicas, seed=args.seed)
     _echo(args, "hermite-sample", params)
@@ -385,12 +384,12 @@ def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed, threads=1):
     c = chaos.c_constant(G, H)
     if regime.kind is Regime.LONG_RANGE:
         m = G.hermite_rank
-        spec = hermite.HermiteSpec(regime.h_star, m)
         grid = TimeGrid(t, 400)
+        engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(regime.h_star, m))
         report_idx = None if h is None else np.arange(grid.n_steps + 1)
         z = harness.run_replicated(
             n, seed, "limit-endpoint-z",
-            lambda k: hermite.hermite_ensemble(grid, spec, k, report_idx), threads)
+            lambda k: hermite.hermite_ensemble(engine, k, report_idx), threads)
         U = np.sign(G.coefficients[m]) * c * z
     else:
         rng = stream(seed, "limit-endpoint")
@@ -557,7 +556,8 @@ def _apply_config(argv: list[str]) -> list[str]:
     for key, val in params.items():
         opt = "--" + key.replace("_", "-")
         if opt not in rest:
-            merged.extend([opt, val])
+            # joined, so that a value such as -1e-05 is not read as an option
+            merged.append(f"{opt}={val}")
     merged.extend(rest)
     return merged
 

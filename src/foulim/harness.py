@@ -364,7 +364,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     """Coupled L2 distance between the scaled integral and its Hermite limit.
 
     Every replica owns one white noise on the cells of the Hermite
-    engine (``hermite._engine``) for the fine grid of n_fine =
+    engine (``hermite._kernel``) for the fine grid of n_fine =
     round(t L2_DT_RATIO / min eps) steps.  The limit c_m (m!/K) C^m
     Z^{H*(m),m} is the engine's Wick series on the fine grid, scaled by
     K/m!, and for each eps the fOU is built from the same noise through
@@ -372,6 +372,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     the distance ||X^eps_t - limit_t||_{L2(Omega)} is measured on
     coupled samples and must decrease as eps -> 0.  No cell is cut off,
     so every fOU row has unit variance to the midpoint rule's accuracy.
+    The kernel matrices are built on the call and freed when it returns.
     """
     h = as_hurst(H)
     m = G.hermite_rank
@@ -384,7 +385,9 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     eps_arr = as_eps_list(eps_list)
     fine = TimeGrid(t, max(int(round(as_horizon(t) * L2_DT_RATIO / eps_arr[-1])), 1))
     hs = regime.h_star
-    A_lim, var_lim, _, _ = hermite._engine(fine, hermite.HermiteSpec(hs, m))
+    # only the engine's kernel and step variances, not its covariance
+    A_lim = hermite._kernel(fine, hermite.HermiteSpec(hs, m))
+    var_lim = np.diag(A_lim @ A_lim.T).copy()
     fou_kernels = _fou_kernels(h, fine, eps_arr)
     K = chaos.K_normalizer(hs, m)
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m

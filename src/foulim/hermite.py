@@ -17,6 +17,8 @@ integral of a_s^{(x)m}, I_m = ||a_s||^m He_m(u_s/||a_s||) with
 u_s = sum_i a_s[i] N_i (u_s itself for m = 1).  Its discrete covariance
 is exact in one line, m! ds^2 sum_{s<j, s'<k} ((A A^T)^m)_{ss'}
 (``exact_covariance``), and the cost is O(n_s * n_cells) for every m.
+A ``HermiteEngine`` holds them for one (grid, spec), built once per
+operation and handed to every chunk, as with ``fou.path_sampler``.
 ``hermite_ensemble`` draws one row of cell noise per Philox key it is
 given; ensembles take their keys chunk by chunk from
 ``harness.run_replicated``.
@@ -35,7 +37,6 @@ coupled samples.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,11 +45,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from . import chaos, fou
+from .fgn import BLOCK_BYTES
 from .paths import TimeGrid, as_hurst
 from .streams import normals
 
 __all__ = [
     "HermiteSpec",
+    "HermiteEngine",
     "hermite_ensemble",
     "exact_covariance",
     "ghat",
@@ -84,9 +87,8 @@ class HermiteSpec:
         return (self.H - 1.0) / self.m - 0.5
 
 
-@functools.lru_cache(maxsize=8)
 def _cell_edges(grid: TimeGrid) -> np.ndarray:
-    """Ascending edges of the noise cells of a time grid (cached, read-only).
+    """Ascending edges of the noise cells of a time grid.
 
     The last 2n cells have width dt and edges k dt, k = -n..n; below
     them the widths are dt 1.05^k, k = 1, 2, ..., until the first edge
@@ -98,55 +100,60 @@ def _cell_edges(grid: TimeGrid) -> np.ndarray:
     n_far = math.ceil(math.log1p((_FAR_EDGE + near[0]) * (g - 1.0) / (dt * g))
                       / math.log(g))
     far = near[0] - np.cumsum(dt * g ** np.arange(1, n_far + 1))
-    edges = np.concatenate([far[::-1], near])
-    edges.flags.writeable = False
-    return edges
+    return np.concatenate([far[::-1], near])
 
 
 def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, b: float) -> np.ndarray:
     """Exact cell averages of (s - xi)_+^b, shape (len(s), n_cells).
 
     Integrating the power analytically per cell keeps the integrable
-    singularity at xi -> s- from polluting the quadrature.  The matrix is
-    built in place, with one temporary of its size.
+    singularity at xi -> s- from polluting the quadrature.  The
+    antiderivative (s - e)_+^{b+1} is taken at every edge e once, a
+    block of rows at a time, and cell i is its difference between edges
+    i and i + 1, so the result is the only array of its size.
     """
-    lo = edges[:-1]
-    hi = edges[1:]
     p = b + 1.0
-    out = np.subtract.outer(s, lo)
-    bot = np.subtract.outer(s, hi)
-    for arr in (out, bot):
-        np.clip(arr, 0.0, None, out=arr)
-        np.power(arr, p, out=arr)
-    out -= bot
-    out /= p * (hi - lo)
+    out = np.empty((len(s), len(edges) - 1))
+    rows = max(1, BLOCK_BYTES // (8 * len(edges)))
+    for a in range(0, len(s), rows):
+        P = np.clip(np.subtract.outer(s[a : a + rows], edges), 0.0, None)
+        np.power(P, p, out=P)
+        np.subtract(P[:, :-1], P[:, 1:], out=out[a : a + rows])
+    out /= p * np.diff(edges)
     return out
 
 
-@functools.lru_cache(maxsize=8)  # each entry holds n_steps * n_cells floats
-def _engine(grid: TimeGrid, spec: HermiteSpec):
-    """Kernel, step variances, per-time scale and raw covariance of a (grid, spec).
-
-    Returns (A, var, scale, C).  A[s, i] is the cell-averaged kernel of
-    step s times sqrt(width of cell i), and var[s] = ||A[s]||^2 is the
-    variance of u_s = A[s] . N.  C is the exact covariance of the
-    cumulative Wick series (``_series_covariance``), and scale[k] =
-    t_k^H / sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H}, absorbing the
-    discretization loss that plain K/m! scaling would leave.  The arrays
-    are cached, so they are read-only.
-    """
+def _kernel(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
+    """The engine's kernel: A[s, i] is the cell-averaged kernel of step s
+    times sqrt(width of cell i), so u_s = A[s] . N has variance ||A[s]||^2."""
     edges = _cell_edges(grid)
     s_mid = grid.times()[:-1] + 0.5 * grid.dt
     A = _cell_averaged_kernel(s_mid, edges, spec.kernel_exponent)
     A *= np.sqrt(np.diff(edges))
-    gram = A @ A.T
-    C = _series_covariance(gram, spec.m, grid.dt)
-    scale = np.zeros(grid.n_steps + 1)
-    scale[1:] = grid.times()[1:] ** spec.H / np.sqrt(np.diag(C)[1:])
-    out = (A, np.diag(gram).copy(), scale, C)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return A
+
+
+class HermiteEngine:
+    """Kernel, step variances, per-time scale and raw covariance of a (grid, spec).
+
+    Built once per operation by the caller and handed to every chunk.  A
+    (n_steps x n_cells) is ``_kernel`` and var[s] = ||A[s]||^2.  C is the
+    exact covariance of the cumulative Wick series (``_series_covariance``),
+    and scale[k] = t_k^H / sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H},
+    absorbing the discretization loss that plain K/m! scaling would
+    leave.  The arrays are read-only, so concurrent chunks share them.
+    """
+
+    def __init__(self, grid: TimeGrid, spec: HermiteSpec):
+        self.grid, self.spec = grid, spec
+        self.A = _kernel(grid, spec)
+        gram = self.A @ self.A.T
+        self.var = np.diag(gram).copy()
+        self.C = _series_covariance(gram, spec.m, grid.dt)
+        self.scale = np.zeros(grid.n_steps + 1)
+        self.scale[1:] = grid.times()[1:] ** spec.H / np.sqrt(np.diag(self.C)[1:])
+        for arr in (self.A, self.var, self.C, self.scale):
+            arr.flags.writeable = False
 
 
 def _series_covariance(gram: np.ndarray, m: int, ds: float) -> np.ndarray:
@@ -173,9 +180,9 @@ def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
     return cur
 
 
-def hermite_ensemble(grid: TimeGrid, spec: HermiteSpec, keys: np.ndarray,
+def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
                      report_idx=None) -> np.ndarray:
-    """Replica matrix of Z^{H,m} values (the engine is built once per grid and spec).
+    """Replica matrix of Z^{H,m} values on the engine's grid.
 
     Row i is driven by the noise of the stream whose Philox key is
     keys[i]; report_idx selects grid indices (default: the endpoint
@@ -187,30 +194,29 @@ def hermite_ensemble(grid: TimeGrid, spec: HermiteSpec, keys: np.ndarray,
     chunk size, as ``harness.run_replicated`` does.
     """
     if report_idx is None:
-        report_idx = np.array([grid.n_steps])
+        report_idx = np.array([engine.grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
-    A, var, scale, _ = _engine(grid, spec)
-    N = normals(keys, np.empty((len(keys), A.shape[1])))
-    series = _wick_power(N @ A.T, var, spec.m)
+    N = normals(keys, np.empty((len(keys), engine.A.shape[1])))
+    series = _wick_power(N @ engine.A.T, engine.var, engine.spec.m)
     cum = np.concatenate(
-        [np.zeros((len(keys), 1)), np.cumsum(series * grid.dt, axis=1)], axis=1
+        [np.zeros((len(keys), 1)), np.cumsum(series * engine.grid.dt, axis=1)], axis=1
     )
-    return cum[:, report_idx] * scale[report_idx]
+    return cum[:, report_idx] * engine.scale[report_idx]
 
 
-def exact_covariance(grid: TimeGrid, spec: HermiteSpec, times) -> np.ndarray:
+def exact_covariance(engine: HermiteEngine, times) -> np.ndarray:
     """Exact covariance matrix of ``hermite_ensemble``'s values at grid times.
 
     Its diagonal is t^{2H}; its off-diagonal departure from the fBM
     covariance is the sampler's own correlation-shape error.
     """
+    grid = engine.grid
     t = np.atleast_1d(np.asarray(times, dtype=float))
     idx = np.rint(t / grid.dt).astype(int)
     if np.any(idx < 0) or np.any(idx > grid.n_steps) \
             or not np.allclose(idx * grid.dt, t, rtol=0.0, atol=1e-9 * grid.dt):
         raise ValueError("times must be points of the grid")
-    _, _, scale, C = _engine(grid, spec)
-    return scale[idx, None] * C[np.ix_(idx, idx)] * scale[idx]
+    return engine.scale[idx, None] * engine.C[np.ix_(idx, idx)] * engine.scale[idx]
 
 
 # ----------------------------------------------------------------- fOU kernel
@@ -224,7 +230,7 @@ def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> np.ndarray
     y^eps_{t_k} = M[k] . N for the unit normals N of the cells.  On the
     uniform cells an entry depends only on the lag t_k - c_i, so that
     block is a set of windows of one lag profile; the geometric cells
-    are evaluated dense.
+    are evaluated dense, a block of rows at a time, straight into M.
     """
     edges = _cell_edges(fine)
     n, dt = fine.n_steps, fine.dt
@@ -232,7 +238,9 @@ def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> np.ndarray
     rows = stride * np.arange(n // stride + 1)
     far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
     M = np.empty((len(rows), len(edges) - 1))
-    M[:, :n_far] = ghat((rows[:, None] * dt - far_mid) / eps, H)
+    block = max(1, BLOCK_BYTES // (8 * n_far))
+    for a in range(0, len(rows), block):
+        M[a : a + block, :n_far] = ghat((rows[a : a + block, None] * dt - far_mid) / eps, H)
     # uniform cell j's midpoint lies (r + n - j - 1/2) dt before fine point r:
     # profile entry n - r + j
     profile = ghat((2 * n - 0.5 - np.arange(3 * n)) * (dt / eps), H)

@@ -7,7 +7,8 @@ left-point Young scheme and the Heun-Stratonovich scheme, are batched:
 each takes a driver matrix of shape (n_replicas, n_steps + 1) and steps
 every replica at once.  The slow/fast RK4 solver is batched the same
 way over fOU paths, which it keeps time-major so that every stage reads
-one contiguous row.  The kinetic scan reduces its fGN row block by row
+one contiguous row, and it evaluates G and g on them a block of time
+rows at a time.  The kinetic scan reduces its fGN row block by row
 block, like the fOU scans of ``harness``.
 
 Scalar state only: in one dimension the rough-driver solution obeys the
@@ -176,41 +177,42 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
 
     y has shape (..., 2*n_steps + 1): values at every half-step, so the
     classical RK4 stages see the fast variable at t, t + dt/2 and t + dt.
-    G(y) and g(y) are evaluated once on all of y, time-major, so each
-    stage reads one contiguous row (y is copied unless it is the
-    transpose of a C-ordered time-major array); where g(y) is
-    identically zero its term h(x) g(y), which would add only zeros, is
-    dropped.
+    G(y) and g(y) are evaluated time-major on blocks of time rows of
+    about BLOCK_BYTES (copied unless y is the transpose of a C-ordered
+    time-major array), so each stage reads one contiguous row and no
+    array of y's size is built; where a block's g(y) is zero its term
+    h(x) g(y) is dropped.  Returns x at the endpoint.
     """
     alpha = cfg.alpha()
     f, h = cfg.f, cfg.h
-    y_t = np.ascontiguousarray(np.moveaxis(y, -1, 0))
-    Gy, gy = cfg.G(y_t), cfg.g(y_t)
+    y_t = np.moveaxis(y, -1, 0)
     dt = cfg.grid.dt
     n = cfg.grid.n_steps
     x = np.full(y.shape[:-1], float(cfg.x0))
-    out = np.empty((n + 1,) + y.shape[:-1])
-    out[0] = x
+    steps = max(1, fgn.BLOCK_BYTES // (16 * max(x.size, 1)))
 
-    if np.any(gy):
-        def rhs(k):
-            G_k, g_k = Gy[k], gy[k]
-            return lambda u: alpha * f(u) * G_k + h(u) * g_k
-    else:
-        def rhs(k):
-            G_k = Gy[k]
-            return lambda u: alpha * f(u) * G_k
+    for k0 in range(0, n, steps):
+        rows = np.ascontiguousarray(y_t[2 * k0 : 2 * min(k0 + steps, n) + 1])
+        Gy, gy = cfg.G(rows), cfg.g(rows)
+        if np.any(gy):
+            def rhs(j):
+                G_j, g_j = Gy[j], gy[j]
+                return lambda u: alpha * f(u) * G_j + h(u) * g_j
+        else:
+            def rhs(j):
+                G_j = Gy[j]
+                return lambda u: alpha * f(u) * G_j
 
-    for k in range(n):
-        x = _rk4_step(x, dt, rhs(2 * k), rhs(2 * k + 1), rhs(2 * k + 2))
-        # written so that a NaN state fails the guard too
-        if not np.all(np.abs(x) <= BLOWUP_GUARD):
-            raise BlowUpError(
-                f"slow variable exceeded {BLOWUP_GUARD:g} or became NaN at step {k + 1}; "
-                "the system blew up"
-            )
-        out[k + 1] = x
-    return np.moveaxis(out, 0, -1)
+        for k in range(k0, min(k0 + steps, n)):
+            j = 2 * (k - k0)
+            x = _rk4_step(x, dt, rhs(j), rhs(j + 1), rhs(j + 2))
+            # written so that a NaN state fails the guard too
+            if not np.all(np.abs(x) <= BLOWUP_GUARD):
+                raise BlowUpError(
+                    f"slow variable exceeded {BLOWUP_GUARD:g} or became NaN at step {k + 1}; "
+                    "the system blew up"
+                )
+    return x
 
 
 def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
@@ -224,7 +226,7 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
         # the paths are stored time-major, the layout the RK4 stages read
         y = np.empty((fine.n_steps + 1, len(chunk_keys))).T
         sampler.batch(chunk_keys, out=y)
-        return _solve_slow_fast_from_y(cfg, y)[:, -1]
+        return _solve_slow_fast_from_y(cfg, y)
 
     return run_replicated(n_replicas, master_seed, name, make_chunk, threads)
 

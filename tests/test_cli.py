@@ -1,8 +1,12 @@
 import argparse
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fbm_paths
 from foulim import acceptance, chaos, cli, fgn, fou, harness, output
@@ -474,3 +478,87 @@ def test_config_round_trip_writes_the_same_bytes(command, tmp_path):
     assert run(["--config", f"{first}.config", "--out", str(again)]) == rc
     for ext in ("csv", "json"):
         assert (tmp_path / f"again.{ext}").read_bytes() == (tmp_path / f"first.{ext}").read_bytes()
+
+
+def _float(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+def _text(values):
+    """A comma-separated list of floats, each written so it parses back exactly."""
+    return ",".join(repr(v) for v in values)
+
+
+def _eps_list(lo, hi, size):
+    return st.lists(_float(lo, hi), min_size=size, max_size=size, unique=True).map(
+        lambda v: _text(sorted(v, reverse=True)))
+
+
+# centred: c_0 = 0
+_COEFF = st.one_of(st.just(0.0), _float(0.1, 2.0), _float(-2.0, -0.1))
+_COEFFS = st.lists(_COEFF, min_size=1, max_size=3).filter(any).map(lambda c: _text([0.0] + c))
+# off the rank 1 and 2 boundaries H*(q) = 1/2, where the A series diverges
+_H = st.floats(0.05, 0.95).filter(lambda h: h not in (0.5, 0.75))
+_H_LONG = st.floats(0.55, 0.95)
+_COMMON = {"--seed": st.integers(0, 2**31 - 1), "--replicas": st.integers(2, 3)}
+# tiny valid configurations over the benchmark's H range: every fast
+# scale resolved (dt_ratio >= 20), kinetic lists commensurate, l2-hermite
+# and hermite-sample long range
+CONFIG_SPACES = {
+    "sample-fbm": {"--H": _H, "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 16)},
+    "sample-fou": {"--H": _H, "--eps": _float(0.05, 1), "--horizon": _float(0.05, 0.3)},
+    "rho": {"--H": _H, "--s-max": _float(0, 5), "--n-points": st.integers(1, 6)},
+    "chaos": {"--H": _H, "--coeffs": _COEFFS, "--eps": _float(0, 1)},
+    "constants": {"--H": _H, "--coeffs": _COEFFS},
+    "hermite-sample": {"--H": _H_LONG, "--m": st.integers(1, 3),
+                       "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 20)},
+    "clt-scan": {"--H": _H, "--coeffs": _COEFFS, "--t": _float(0.1, 0.3),
+                 "--eps-list": _eps_list(0.1, 1, 3), "--dt-ratio": _float(20, 40)},
+    "l2-hermite": {"--H": _H_LONG, "--coeffs": _COEFF.filter(bool).map(
+                       lambda c: _text([0.0, c])),
+                   "--t": _float(0.1, 0.5), "--eps-list": _eps_list(0.1, 0.5, 2)},
+    "kinetic-scan": {"--H": _H, "--t": _float(0.1, 0.5),
+                     "--eps-list": st.sampled_from(["0.2,0.1,0.05", "0.1,0.04,0.02",
+                                                    "0.1,0.03,0.02"]),
+                     "--n-report": st.integers(2, 8)},
+    "homogenize": {"--H": _H, "--coeffs": _COEFFS, "--eps": _float(0.05, 0.2),
+                   "--t": _float(0.1, 0.3), "--x0": _float(-1, 1),
+                   "--f": st.sampled_from(sorted(cli._F_PRESETS)),
+                   "--hfun": st.sampled_from(sorted(cli._F_PRESETS)),
+                   "--gfun": st.sampled_from(sorted(cli._G_PRESETS)),
+                   "--dt-ratio": _float(20, 40)},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_SPACES))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_config_round_trip_over_random_configurations(command, data):
+    # any valid configuration, re-run from its .config echo, writes the
+    # same CSV, JSON and .config bytes, floats included; like --out,
+    # --format is an output option that the echo does not carry
+    assert set(CONFIG_SPACES) == set(CONFIG_RUNS)
+    opts = data.draw(st.fixed_dictionaries({**CONFIG_SPACES[command], **_COMMON}))
+    fmt = ["--format", data.draw(st.sampled_from(["csv", "json"]))]
+    argv = [command] + [f"{opt}={val}" for opt, val in opts.items()] + fmt
+    with tempfile.TemporaryDirectory() as tmp:
+        first, again = f"{tmp}/first", f"{tmp}/again"
+        rc = run(argv + ["--out", first])
+        assert rc in (0, 2) and os.path.exists(f"{first}.json"), argv
+        assert run(["--config", f"{first}.config", *fmt, "--out", again]) == rc
+        for ext in ("csv", "json", "config"):
+            assert os.path.exists(f"{first}.{ext}") == os.path.exists(f"{again}.{ext}")
+            if os.path.exists(f"{first}.{ext}"):
+                with open(f"{first}.{ext}", "rb") as a, open(f"{again}.{ext}", "rb") as b:
+                    assert a.read() == b.read(), (argv, ext)
+
+
+def test_config_echo_of_a_negative_exponent_value_is_read_back(tmp_path):
+    # the echo writes x0 = -1.0000000000000001e-05, which argparse took for
+    # an option when passed as a separate token
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["homogenize", *REQUIRED_ARGS["homogenize"], "--x0=-1e-05", "--eps", "0.1",
+                "--replicas", "2", "--out", str(first)]) in (0, 2)
+    assert "x0 = -1.0000000000000001e-05" in (tmp_path / "first.config").read_text()
+    assert run(["--config", f"{first}.config", "--out", str(again)]) in (0, 2)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()

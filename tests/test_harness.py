@@ -147,7 +147,7 @@ def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps):
         assert fine.n_steps % grid.n_steps == 0
         dense = hermite.ghat((grid.times()[:, None] - mids) / eps, h) * np.sqrt(w / eps)
         np.testing.assert_allclose(M, dense, rtol=1e-12, atol=0)
-    A = hermite._engine(fine, hermite.HermiteSpec(h, 1))[0]
+    A = hermite._kernel(fine, hermite.HermiteSpec(h, 1))
     n_far = len(w) - 2 * fine.n_steps
     with mpmath.workdps(30):
         for s in (0, 137, 399):
@@ -328,3 +328,25 @@ def test_endpoint_samples_memory_does_not_grow_with_replicas():
         H2, 0.6, 1.0, 0.01, n, 3, "mem", 50.0, 1.0)) for n in (250, 1000)]
     assert max(peaks) < 10.0
     assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
+
+
+def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
+    # at eps 0.1, 0.05, 0.02 the fine grid has 1000 steps and 3495 noise
+    # cells; the kernels are the 1000-row limit kernel and the fOU kernels
+    # at strides 5, 2 and 1 (201 + 501 + 1001 rows), 75.6 MB.  A 250-replica
+    # chunk and the kernel build add 16.1 MB to them (the far-cell ghat
+    # block once added 54 MB), bounded here at that plus 25%; the engine
+    # cache kept the limit kernel after the call
+    fine = TimeGrid(1.0, 1000)
+    n_cells = len(hermite._cell_edges(fine)) - 1
+    kernels_mb = 8 * n_cells * (1000 + 201 + 501 + 1001) / 1e6
+    harness.l2_convergence_hermite(H1, 0.8, 1.0, [0.2, 0.1], 2, 9)  # imports only
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        harness.l2_convergence_hermite(H1, 0.8, 1.0, [0.1, 0.05, 0.02], 250, 9)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 1e6 < kernels_mb + 1.25 * 16.1
+    assert (after - before) / 1e6 < 1.0

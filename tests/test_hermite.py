@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from foulim import fgn, fou, hermite
-from foulim.hermite import HermiteSpec
+from foulim.hermite import HermiteEngine, HermiteSpec
 from foulim.paths import TimeGrid
 from foulim.streams import keys, stream
 
@@ -99,8 +99,8 @@ def test_fou_from_kernel_variance_autocorr_and_law():
 
 def test_hermite_m1_matches_fbm_law():
     grid = TimeGrid(1.0, 200)
-    spec = HermiteSpec(0.7, 1)
-    Z = hermite.hermite_ensemble(grid, spec, keys(3, "m1", 0, 4000),
+    engine = HermiteEngine(grid, HermiteSpec(0.7, 1))
+    Z = hermite.hermite_ensemble(engine, keys(3, "m1", 0, 4000),
                                  report_idx=np.array([50, 100, 200]))
     tt = grid.times()[np.array([50, 100, 200])]
     emp = Z.T @ Z / len(Z)
@@ -116,9 +116,9 @@ def test_hermite_m1_matches_fbm_law():
 
 def test_hermite_m2_variance_and_covariance():
     grid = TimeGrid(1.0, 300)
-    spec = HermiteSpec(0.7, 2)
+    engine = HermiteEngine(grid, HermiteSpec(0.7, 2))
     idx = np.array([75, 150, 225, 300])
-    Z = hermite.hermite_ensemble(grid, spec, keys(9, "m2", 0, 10_000), idx)
+    Z = hermite.hermite_ensemble(engine, keys(9, "m2", 0, 10_000), idx)
     # the per-time normalization is exact in expectation; assert at 3 sigma
     # of the (heavy-tailed) variance estimator
     x = Z[:, -1]
@@ -178,14 +178,14 @@ def test_exact_covariance_diagonal_and_shape():
     grid = TimeGrid(1.0, 200)
     tt = grid.times()[25::25]
     for m in (1, 2, 3):
-        spec = HermiteSpec(0.7, m)
-        C = hermite.exact_covariance(grid, spec, tt)
+        engine = HermiteEngine(grid, HermiteSpec(0.7, m))
+        C = hermite.exact_covariance(engine, tt)
         np.testing.assert_allclose(np.diag(C), tt**1.4, rtol=1e-12)
         thr = fgn.fbm_covariance(tt[:, None], tt[None, :], 0.7)
         corr = C / np.outer(tt**0.7, tt**0.7)
         assert np.max(np.abs(corr - thr / np.outer(tt**0.7, tt**0.7))) < 0.012
     with pytest.raises(ValueError, match="points of the grid"):
-        hermite.exact_covariance(grid, spec, [0.5, 0.5001])
+        hermite.exact_covariance(engine, [0.5, 0.5001])
 
 
 def test_graded_cells():
@@ -201,11 +201,31 @@ def test_graded_cells():
         assert edges[0] <= -1e30 < edges[1]
 
 
+@pytest.mark.parametrize("block_bytes", [hermite.BLOCK_BYTES, 8_000])
+def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
+    # the cell averages and the far-cell block of an fOU kernel, built a
+    # row block at a time (one row at 8 kB), against their whole-array
+    # forms bit for bit
+    monkeypatch.setattr(hermite, "BLOCK_BYTES", block_bytes)
+    grid = TimeGrid(1.0, 200)
+    edges = hermite._cell_edges(grid)
+    s = grid.times()[:-1] + 0.5 * grid.dt
+    p = HermiteSpec(0.7, 2).kernel_exponent + 1.0
+    lo, hi = (np.clip(np.subtract.outer(s, e), 0.0, None) ** p for e in (edges[:-1], edges[1:]))
+    np.testing.assert_array_equal(hermite._cell_averaged_kernel(s, edges, p - 1.0),
+                                  (lo - hi) / (p * np.diff(edges)))
+    n_far = len(edges) - 1 - 2 * grid.n_steps
+    t = grid.times()[::2]
+    far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
+    far = hermite.ghat((t[:, None] - far_mid) / 0.1, 0.8) * np.sqrt(np.diff(edges) / 0.1)[:n_far]
+    np.testing.assert_array_equal(hermite._fou_kernel(grid, 0.8, 0.1, 2)[:, :n_far], far)
+
+
 def test_hermite_self_similarity_and_stationary_increments():
     grid = TimeGrid(1.0, 256)
-    spec = HermiteSpec(0.75, 2)
+    engine = HermiteEngine(grid, HermiteSpec(0.75, 2))
     idx = np.array([64, 128, 192, 256])
-    Z = hermite.hermite_ensemble(grid, spec, keys(13, "ss", 0, 8000), idx)
+    Z = hermite.hermite_ensemble(engine, keys(13, "ss", 0, 8000), idx)
     var1 = Z[:, -1].var()
     for lam, col in ((2.0, 1), (4.0, 0)):
         scaled = lam**0.75 * Z[:, col]
@@ -224,16 +244,16 @@ def test_chaos_orthogonality_across_orders():
     n = 4000
     z2 = np.empty(n)
     z1 = np.empty(n)
-    A2, v2, s2, _ = hermite._engine(grid, HermiteSpec(0.7, 2))
-    A1, v1, s1, _ = hermite._engine(grid, HermiteSpec(0.8, 1))
+    e2 = HermiteEngine(grid, HermiteSpec(0.7, 2))
+    e1 = HermiteEngine(grid, HermiteSpec(0.8, 1))
     for i in range(0, n, 500):
         N = np.stack([
-            stream(15, "orth", i + k).standard_normal(A2.shape[1]) for k in range(500)
+            stream(15, "orth", i + k).standard_normal(e2.A.shape[1]) for k in range(500)
         ])
-        ser2 = hermite._wick_power(N @ A2.T, v2, 2)
-        ser1 = hermite._wick_power(N @ A1.T, v1, 1)
-        z2[i : i + 500] = ser2.sum(axis=1) * grid.dt * s2[-1]
-        z1[i : i + 500] = ser1.sum(axis=1) * grid.dt * s1[-1]
+        ser2 = hermite._wick_power(N @ e2.A.T, e2.var, 2)
+        ser1 = hermite._wick_power(N @ e1.A.T, e1.var, 1)
+        z2[i : i + 500] = ser2.sum(axis=1) * grid.dt * e2.scale[-1]
+        z1[i : i + 500] = ser1.sum(axis=1) * grid.dt * e1.scale[-1]
     corr = np.mean(z2 * z1) / (z2.std() * z1.std())
     assert abs(corr) < 3.0 / np.sqrt(n)
 
@@ -251,11 +271,9 @@ def test_sample_hermite_errors():
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_hermite_values_deterministic_in_noise():
     grid = TimeGrid(1.0, 100)
-    spec = HermiteSpec(0.7, 2)
     every_step = np.arange(grid.n_steps + 1)
-    hermite._engine.cache_clear()
-    a = hermite.hermite_ensemble(grid, spec, keys(8, "det"), every_step)
-    b = hermite.hermite_ensemble(grid, spec, keys(8, "det"), every_step)
+    a, b = (hermite.hermite_ensemble(HermiteEngine(grid, HermiteSpec(0.7, 2)), keys(8, "det"),
+                                     every_step) for _ in range(2))
     np.testing.assert_array_equal(a, b)
     assert a[0, 0] == 0.0
 
@@ -266,15 +284,15 @@ def test_hermite_ensemble_rows_agree_across_chunkings():
     grid = TimeGrid(1.0, 100)
     every_step = np.arange(grid.n_steps + 1)
     for m in (1, 2, 3):
-        spec = HermiteSpec(0.8, m)
-        whole = hermite.hermite_ensemble(grid, spec, keys(6, "chunks", 0, 5), every_step)
+        engine = HermiteEngine(grid, HermiteSpec(0.8, m))
+        whole = hermite.hermite_ensemble(engine, keys(6, "chunks", 0, 5), every_step)
         rows = np.concatenate([
-            hermite.hermite_ensemble(grid, spec, keys(6, "chunks", r), every_step)
+            hermite.hermite_ensemble(engine, keys(6, "chunks", r), every_step)
             for r in range(5)
         ])
         split = np.concatenate([
-            hermite.hermite_ensemble(grid, spec, keys(6, "chunks", 0, 2), every_step),
-            hermite.hermite_ensemble(grid, spec, keys(6, "chunks", 2, 3), every_step),
+            hermite.hermite_ensemble(engine, keys(6, "chunks", 0, 2), every_step),
+            hermite.hermite_ensemble(engine, keys(6, "chunks", 2, 3), every_step),
         ])
         np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-13)
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-13)

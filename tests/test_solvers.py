@@ -182,9 +182,8 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
     G = ChaosFunction.from_coefficients([0, 0, a2])
     x = cli._limit_endpoint_samples(G, H, t, x0, one, one, 1.0, n, seed)
     regime = chaos.classify_regime(2, H)
-    spec = hermite.HermiteSpec(regime.h_star, 2)
-    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec,
-                                 keys(seed, "limit-endpoint-z", 0, n))[:, 0]
+    engine = hermite.HermiteEngine(TimeGrid(t, 400), hermite.HermiteSpec(regime.h_star, 2))
+    z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
     expect = x0 + t + np.sign(a2) * chaos.c_constant(G, H) * z
     np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12)
 
@@ -205,9 +204,8 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
     monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
     G, H, t, *_, n, seed = _hermite_limit_args(300)
     regime = chaos.classify_regime(2, H)
-    spec = hermite.HermiteSpec(regime.h_star, 2)
-    z = hermite.hermite_ensemble(TimeGrid(t, 400), spec,
-                                 keys(seed, "limit-endpoint-z", 0, n))[:, 0]
+    engine = hermite.HermiteEngine(TimeGrid(t, 400), hermite.HermiteSpec(regime.h_star, 2))
+    z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
     expect = -chaos.c_constant(G, H) * z
     for threads in (1, 2):
         u = cli._limit_endpoint_samples(*_hermite_limit_args(300), threads)
@@ -216,10 +214,12 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
 
 def test_limit_endpoint_samples_memory_is_chunked():
     # 600 replicas, drawn in one call, once took 157 MB traced; in
-    # 250-replica chunks the noise of one chunk is held at a time
+    # 250-replica chunks the noise of one chunk is held at a time.  The
+    # Hermite engine is built inside every call, so its kernel counts too
+    # (16.4 MB traced in all)
     from foulim import cli
 
-    cli._limit_endpoint_samples(*_hermite_limit_args(2))  # warm the kernel cache
+    cli._limit_endpoint_samples(*_hermite_limit_args(2))  # warm the imports only
     tracemalloc.start()
     try:
         cli._limit_endpoint_samples(*_hermite_limit_args(600))
@@ -255,7 +255,7 @@ def test_slow_fast_reduces_to_functional_integral():
     y = fou.path_sampler(fine, fou.FouConfig(0.8, eps)).batch(keys(33, "c1", 0, 50))
     x = solvers._solve_slow_fast_from_y(cfg, y)
     X = harness._functional_cumulative(H1, y, fine.dt, cfg.alpha())
-    assert np.max(np.abs(x[:, -1] - X[:, -1])) < 0.01
+    assert np.max(np.abs(x - X[:, -1])) < 0.01
 
 
 def test_slow_fast_ergodic_drift_only():
@@ -298,6 +298,97 @@ def test_slow_fast_errors_are_foulim_errors():
     with pytest.raises(FoulimError) as info:
         solvers.solve_slow_fast_endpoints(cfg, 1, 0, "blow")
     assert type(info.value) is solvers.BlowUpError
+
+
+def _whole_array_rk4_endpoints(cfg, y):
+    """The slow/fast RK4 on whole arrays, as a reference: G(y) and g(y) on
+    all of time-major y at once, and the whole trajectory kept."""
+    alpha = cfg.alpha()
+    f, h = cfg.f, cfg.h
+    y_t = np.ascontiguousarray(np.moveaxis(y, -1, 0))
+    Gy, gy = cfg.G(y_t), cfg.g(y_t)
+    dt = cfg.grid.dt
+    n = cfg.grid.n_steps
+    x = np.full(y.shape[:-1], float(cfg.x0))
+    out = np.empty((n + 1,) + y.shape[:-1])
+    out[0] = x
+
+    if np.any(gy):
+        def rhs(k):
+            G_k, g_k = Gy[k], gy[k]
+            return lambda u: alpha * f(u) * G_k + h(u) * g_k
+    else:
+        def rhs(k):
+            G_k = Gy[k]
+            return lambda u: alpha * f(u) * G_k
+
+    def rk4_step(x, rhs_now, rhs_half, rhs_next):
+        k1 = rhs_now(x)
+        k2 = rhs_half(x + 0.5 * dt * k1)
+        k3 = rhs_half(x + 0.5 * dt * k2)
+        k4 = rhs_next(x + dt * k3)
+        return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    for k in range(n):
+        x = rk4_step(x, rhs(2 * k), rhs(2 * k + 1), rhs(2 * k + 2))
+        if not np.all(np.abs(x) <= solvers.BLOWUP_GUARD):
+            raise solvers.BlowUpError(f"slow variable exceeded at step {k + 1}")
+        out[k + 1] = x
+    return np.moveaxis(out, 0, -1)[..., -1]
+
+
+def _sin2(u):
+    return np.sin(u) + 2.0
+
+
+@pytest.mark.parametrize("block_bytes", [fgn.BLOCK_BYTES, 16 * 30 * 7])
+@pytest.mark.parametrize("hfun, gfun", [(_zero, _zero), (_sin2, np.cos)])
+def test_blocked_rk4_is_bit_identical_to_whole_array_rk4(hfun, gfun, block_bytes,
+                                                          monkeypatch):
+    # 7 steps per block at 30 replicas: 500 steps end in a partial block
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", block_bytes)
+    cfg = solvers.MultiscaleConfig(f=_sin2, h=hfun, G=H2, g=gfun, H=0.85, eps=0.02,
+                                   x0=0.3, grid=TimeGrid(1.0, 500))
+    y = fou.path_sampler(TimeGrid(1.0, 1000), fou.FouConfig(0.85, 0.02)).batch(
+        keys(5, "blocked", 0, 30))
+    ref = _whole_array_rk4_endpoints(cfg, y)
+    np.testing.assert_array_equal(solvers._solve_slow_fast_from_y(cfg, y), ref)
+    # time-major storage, as the chunks of solve_slow_fast_endpoints hold it
+    y_t = np.ascontiguousarray(y.T).T
+    np.testing.assert_array_equal(solvers._solve_slow_fast_from_y(cfg, y_t), ref)
+
+
+@pytest.mark.parametrize("block_bytes", [fgn.BLOCK_BYTES, 16 * 30 * 7])
+def test_blocked_rk4_blows_up_at_the_whole_array_step(block_bytes, monkeypatch):
+    # dx = alpha (1 + x^2) y dt with y near 3 passes the guard in a late block
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", block_bytes)
+    cfg = solvers.MultiscaleConfig(f=lambda u: 1.0 + u**2, h=_zero, G=H1, g=_zero, H=0.7,
+                                   eps=0.1, x0=0.0, grid=TimeGrid(1.0, 400))
+    y = 3.0 + fou.path_sampler(TimeGrid(1.0, 800), fou.FouConfig(0.7, 0.1)).batch(
+        keys(6, "blow", 0, 30))
+    steps = []
+    for solve in (_whole_array_rk4_endpoints, solvers._solve_slow_fast_from_y):
+        with pytest.raises(solvers.BlowUpError) as info:
+            solve(cfg, y)
+        steps.append(int(str(info.value).split("at step ")[1].split(";")[0]))
+    assert steps[0] == steps[1] > 7
+
+
+def test_slow_fast_chunk_memory_stays_near_its_paths():
+    # one 250-replica chunk at eps 0.01 holds 10,001 x 250 time-major
+    # paths, 20 MB; G(y), g(y) and the trajectory were three more arrays
+    # of about that size (70.2 MB traced), now G and g are held a block of
+    # time rows at a time (24.4 MB traced)
+    cfg = solvers.MultiscaleConfig(f=_sin2, h=_zero, G=H2, g=_zero, H=0.6, eps=0.01,
+                                   x0=0.0, grid=TimeGrid(1.0, 5000))
+    y_mb = 8 * 10_001 * 250 / 1e6
+    tracemalloc.start()
+    try:
+        solvers.solve_slow_fast_endpoints(cfg, 250, 4, "mem")
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * y_mb
 
 
 def _per_stage_rk4_endpoints(cfg, y):

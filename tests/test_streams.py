@@ -115,26 +115,25 @@ def test_path_sampler_batch_offset_chunk_and_thread_invariance(n, offset, cut):
 @given(n=st.integers(1, 12), offset=st.integers(0, 1000), cut=st.integers(0, 12),
        threads=st.sampled_from([1, 2]))
 def test_hermite_ensemble_offset_chunk_and_thread_invariance(n, offset, cut, threads):
-    grid, spec = TimeGrid(1.0, 40), HermiteSpec(0.7, 2)
+    engine = hermite.HermiteEngine(TimeGrid(1.0, 40), HermiteSpec(0.7, 2))
     idx = np.arange(0, 41, 10)
-    whole = hermite.hermite_ensemble(grid, spec, streams.keys(9, "inv", offset, n), idx)
+    whole = hermite.hermite_ensemble(engine, streams.keys(9, "inv", offset, n), idx)
     cut = min(cut, n)
     parts = np.concatenate([
-        hermite.hermite_ensemble(grid, spec, streams.keys(9, "inv", offset, cut), idx),
-        hermite.hermite_ensemble(grid, spec, streams.keys(9, "inv", offset + cut, n - cut),
-                                 idx)])
+        hermite.hermite_ensemble(engine, streams.keys(9, "inv", offset, cut), idx),
+        hermite.hermite_ensemble(engine, streams.keys(9, "inv", offset + cut, n - cut), idx)])
     # the projections are one matrix product per call, whose rounding
     # depends on its row count
     np.testing.assert_allclose(parts, whole, rtol=1e-13, atol=1e-13)
 
     def make_chunk(chunk_keys):
-        return hermite.hermite_ensemble(grid, spec, chunk_keys, idx)
+        return hermite.hermite_ensemble(engine, chunk_keys, idx)
 
     runs = [harness.run_replicated(n, 9, "inv", make_chunk, t, 5) for t in (threads, 1)]
     np.testing.assert_array_equal(runs[0], runs[1])
     # run_replicated's chunks read replicas 0..n-1 of the stream family
     np.testing.assert_allclose(runs[0], hermite.hermite_ensemble(
-        grid, spec, streams.keys(9, "inv", 0, n), idx), rtol=1e-13, atol=1e-13)
+        engine, streams.keys(9, "inv", 0, n), idx), rtol=1e-13, atol=1e-13)
 
 
 @PROPERTY
