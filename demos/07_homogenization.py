@@ -5,7 +5,9 @@ As eps -> 0 the endpoint law approaches the limit equation's endpoint:
 a Stratonovich SDE driven by c W in the short-range regime, a Young
 equation driven by the (non-Gaussian) Rosenblatt process above the
 boundary.  For scalar states with no drift the limit endpoint is the
-flow of f evaluated at the driver endpoint, which this demo uses.
+flow of f evaluated at the driver endpoint, which this demo uses on
+both sides: h = g = None solves the slow/fast system by the same flow,
+at the Simpson integral of alpha G(y^eps).
 """
 
 import numpy as np
@@ -18,14 +20,13 @@ from foulim.streams import stream
 
 H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
 f = lambda x: np.sin(x) + 2.0
-zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
 N = 800
 eps = 0.02
 
 for H, label in ((0.6, "short range -> Stratonovich/Wiener"),
                  (0.85, "long range -> Young/Rosenblatt")):
     n_steps = int(round(1.0 / (eps / 50)))
-    cfg = solvers.MultiscaleConfig(f=f, h=zero, G=H2, g=zero, H=H, eps=eps,
+    cfg = solvers.MultiscaleConfig(f=f, h=None, G=H2, g=None, H=H, eps=eps,
                                    x0=0.0, grid=TimeGrid(1.0, n_steps))
     x_eps = solvers.solve_slow_fast_endpoints(cfg, N, 0)
     c = chaos.c_constant(H2, H)

@@ -301,13 +301,8 @@ def crit_9_kinetic_rate(seed, suite, threads=1) -> CriterionResult:
 
 def _homogenize_endpoints(H, eps, n_rep, seed, threads):
     n_steps = int(round(1.0 / (eps / 50.0)))
-    cfg = solvers.MultiscaleConfig(
-        f=lambda x: np.sin(x) + 2.0,
-        h=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        G=H2,
-        g=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        H=H, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
-    )
+    cfg = solvers.MultiscaleConfig(f=lambda x: np.sin(x) + 2.0, h=None, G=H2, g=None,
+                                   H=H, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps))
     return solvers.solve_slow_fast_endpoints(cfg, n_rep, seed, threads=threads)
 
 
@@ -345,10 +340,10 @@ def _finite_eps_driver_variance(H, eps, alpha) -> float:
 def _driver_moment_zscores(x, H, eps) -> dict:
     """z-scores of the driver u = phi^{-1}(x_1) against its exact finite-eps moments.
 
-    With h = 0 the slow equation is solved by x_t = phi(u_t) with
-    u_t = alpha int_0^t He_2(y^eps_s) ds, so E u_1 = 0 and Var u_1 = V_eps
-    hold exactly at every eps.  The variance is compared in units of its
-    influence-function standard error.
+    With h = 0 the slow equation is solved by x_t = phi(u_t), u_t = alpha int_0^t
+    He_2(y^eps_s) ds, so E u_1 = 0 and Var u_1 = V_eps exactly at every eps; the
+    solver takes phi at a Simpson u, so this checks the sampler and that quadrature.
+    The variance is in units of its influence-function standard error.
     """
     u = _inverse_flow_sin2(x)
     n = len(u)
@@ -371,8 +366,8 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # the finite-eps gap lies below what N = 2000 resolves.  At the pinned
     # eps = 0.02 that gap is resolvable (short range: Var u = V_eps = 3.026
     # against c^2 = 3.131, excess kurtosis ~1.2), so there the driver
-    # u = phi^{-1}(x_1) is checked against its exact finite-eps mean and
-    # variance, and the limit-law KS p-values are only reported.
+    # u = phi^{-1}(x_1), the endpoints' Simpson driver, is checked against its
+    # exact finite-eps mean and variance; the limit-law KS p-values are reported.
     n_rep = 2000 if suite == "full" else 600
     f = lambda x: np.sin(x) + 2.0
     details = {}

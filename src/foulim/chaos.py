@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from . import fou
-from .paths import as_eps, as_hurst
+from .paths import FoulimError, as_eps, as_hurst
 
 __all__ = [
     "Regime",
@@ -261,7 +261,7 @@ def K_normalizer(H_target: float, m: int) -> float:
 def c_constant(G: ChaosFunction, H) -> float:
     """Homogenization constant c >= 0 for the limit equation.
 
-    short range:  c^2 = 2 sum_k c_k^2 k! int_0^inf rho^k
+    short range:  c^2 = 2 sum_k c_k^2 k! int_0^inf rho^k, 0 for a rounding-size A < 0
     boundary:     c^2 = 2 m! c_m^2
     long range:   c = |c_m| (m!/K(H*(m), m)) C(H)^m, the coefficient of
                   the unit-variance Hermite process in the limit.
@@ -278,4 +278,6 @@ def c_constant(G: ChaosFunction, H) -> float:
     if regime.kind is Regime.BOUNDARY:
         return float(np.sqrt(2.0 * special.factorial(m) * cm**2))
     A, _ = limit_covariance_A(G, G, h)
-    return float(np.sqrt(2.0 * A))
+    if A < -1e-12:  # A = 0 exactly for He_1 at H < 1/2, where it can round below 0
+        raise FoulimError(f"limit covariance A = {A:g} is negative beyond rounding at H={h}")
+    return float(np.sqrt(2.0 * max(A, 0.0)))

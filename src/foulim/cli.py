@@ -208,7 +208,7 @@ def _cmd_constants(args) -> int:
     if regime.kind is Regime.LONG_RANGE:
         summary["K_normalizer"] = chaos.K_normalizer(regime.h_star, G.hermite_rank)
         summary["kernel_amplitude"] = fou.kernel_amplitude(args.H)
-    else:
+    elif regime.kind is Regime.SHORT_RANGE:
         A, tail = chaos.limit_covariance_A(G, G, args.H)
         summary["A_self"] = A
         summary["A_truncation_tail"] = tail
@@ -327,9 +327,10 @@ def _cmd_homogenize(args) -> int:
 
     G = _chaos_from_args(args)
     f = _F_PRESETS[args.f]
-    h = _F_PRESETS[args.hfun]
     g = _G_PRESETS[args.gfun]
     g_bar = chaos.gaussian_expectation(g) if args.gfun != "zero" else 0.0
+    # with either factor zero the drift h(x) g(y) is absent: both sides take the flow of f
+    h, g = (None, None) if "zero" in (args.hfun, args.gfun) else (_F_PRESETS[args.hfun], g)
     eps = as_eps(args.eps)
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
@@ -342,7 +343,7 @@ def _cmd_homogenize(args) -> int:
     regime = chaos.classify_regime(G.hermite_rank, args.H)
     c = chaos.c_constant(G, args.H)
     limit = _limit_endpoint_samples(
-        G, args.H, args.t, args.x0, f, None if args.hfun == "zero" else h, g_bar,
+        G, args.H, args.t, args.x0, f, h, g_bar,
         args.replicas, args.seed + 1, args.threads,
     )
     ks = _stats.ks_2samp(endpoints, limit)

@@ -26,8 +26,8 @@ given; ensembles take their keys chunk by chunk from
 ``ghat`` is the moving-average kernel of the fast fOU,
 y^eps_t = eps^{-1/2} int ghat((t-s)/eps) dW_s (Taqqu's moving-average
 framework).  It is a confluent hypergeometric function in closed form,
-ghat(v) = C(H) v^{H-1/2}/(H-1/2) 1F1(1; H+1/2; -v), evaluated through
-``scipy.special.hyp1f1`` to about 1e-14 relative on all of H in (1/2, 1).
+ghat(v) = C(H) v^{H-1/2}/(H-1/2) 1F1(1; H+1/2; -v), by ``scipy.special.hyp1f1``
+up to v = 700 and Watson's series beyond, within about 1e-14 for H in (1/2, 1).
 ``harness.l2_convergence_hermite`` builds both the fOU (through ghat at
 the cell midpoints) and the Hermite limit from one white noise on the
 engine's cells, which is what makes L2 (not merely weak) convergence of
@@ -57,8 +57,9 @@ __all__ = [
     "ghat",
 ]
 
-# ghat switches from Kummer's transformed form, which holds e^v, at this v
+# ghat: Kummer's transformed form (it holds e^v) up to this v, Watson's series beyond
 _KUMMER_MAX_V = 700.0
+_WATSON_TERMS = 10
 # noise cells below -T grow by this ratio until they reach this distance
 _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
@@ -258,21 +259,28 @@ def ghat(v, H) -> np.ndarray | float:
     int_0^inf ghat^2 = 1 (unit stationary variance via the Wiener
     isometry).  Up to v = 700 it is evaluated in Kummer's transformed
     form v^q/q e^{-v} 1F1(q; q+1; v), whose series has positive terms;
-    beyond, where e^v overflows, 1F1(1; b; -v) with b = fl(q + 1) is
-    divided by b - 1 rather than by q, which cancels the rounding of b
-    in its tail (b - 1)/v.  Both stay within about 1e-14 of a 40-digit
+    beyond, where e^v overflows, by ten terms of Watson's series
+    v^{q-1} sum_k (1-q)_k v^{-k} (the dropped ones are below 1e-21), by
+    Horner's rule in place.  Both stay within about 1e-14 of a 40-digit
     evaluation for all H in (1/2, 1).  Requires H > 1/2.
     """
     h = as_hurst(H)
     amp = fou.kernel_amplitude(h)  # raises for H <= 1/2
     v_arr = np.clip(np.asarray(v, dtype=float), 0.0, None)
     q = h - 0.5
-    b = q + 1.0
     flat = v_arr.ravel()
     near = flat <= _KUMMER_MAX_V
-    vn, vf = flat[near], flat[~near]
+    vn = flat[near]
     out = np.empty_like(flat)
-    out[near] = vn**q / q * np.exp(-vn) * special.hyp1f1(q, b, vn)
-    out[~near] = vf**q / (b - 1.0) * special.hyp1f1(1.0, b, -vf)
+    out[near] = vn**q / q * np.exp(-vn) * special.hyp1f1(q, q + 1.0, vn)
+    poch = np.cumprod(1.0 - q + np.arange(_WATSON_TERMS - 1))  # (1-q)_k, k = 1..9
+    x = np.reciprocal(flat[~near])
+    series = poch[-1] * x
+    for coef in poch[-2::-1]:
+        series += coef
+        series *= x
+    series += 1.0
+    series *= np.power(x, 1.0 - q, out=x)
+    out[~near] = series
     out = amp * out.reshape(v_arr.shape)
     return float(out) if out.ndim == 0 else out

@@ -8,8 +8,9 @@ each takes a driver matrix of shape (n_replicas, n_steps + 1) and steps
 every replica at once.  The slow/fast RK4 solver is batched the same
 way over fOU paths, which it keeps time-major so that every stage reads
 one contiguous row, and it evaluates G and g on them a block of time
-rows at a time.  The kinetic scan reduces its fGN row block by row
-block, like the fOU scans of ``harness``.
+rows at a time; without the drift h(x) g(y) the system is solved by its
+exact flow at u = alpha int G(y) (Simpson's rule) instead.  The kinetic
+scan reduces its fGN row block by row block, like ``harness``'s scans.
 
 Scalar state only: in one dimension the rough-driver solution obeys the
 classical chain rule (the symmetric second-order lift carries no extra
@@ -57,7 +58,8 @@ class MultiscaleConfig:
     """Slow/fast system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
 
     f is assumed C^3-bounded, h C^2-bounded, g bounded (not enforced).
-    alpha is the scaling of G's regime.
+    h or g None means the drift term h(x) g(y) is absent, and the system
+    is solved by its exact flow.  alpha is the scaling of G's regime.
     """
 
     f: object
@@ -144,22 +146,30 @@ def flow_map_1d(f, x0: float, u_values) -> np.ndarray:
     In one dimension the Young and Stratonovich solutions of
     dx = f(x) dU (no drift) are the flow of f evaluated at the driver
     increment, so this is the exact solution map for driver endpoints.
+    Raises BlowUpError if f is not finite, |phi| reaches BLOWUP_GUARD or a step fails.
     """
     from scipy.integrate import solve_ivp
 
+    def rhs(_, x):
+        dx = np.atleast_1d(f(x[0]))
+        if not np.all(np.isfinite(dx)):
+            raise BlowUpError(f"the flow blew up: f({x[0]:g}) is not finite")
+        return dx
+
+    def guard(_, x):
+        return abs(x[0]) - BLOWUP_GUARD
+    guard.terminal = True
+
     u = np.asarray(u_values, dtype=float)
     out = np.empty(u.shape)
-    for lo, hi, mask in (
-        (0.0, float(u.max(initial=0.0)), u >= 0),
-        (0.0, float(u.min(initial=0.0)), u < 0),
-    ):
+    for end, mask in ((float(u.max(initial=0.0)), u >= 0),
+                      (float(u.min(initial=0.0)), u < 0)):
         if not np.any(mask):
             continue
-        span = (lo, hi if hi != lo else lo + 1e-12)
-        sol = solve_ivp(
-            lambda _, x: np.atleast_1d(f(x[0])), span, [x0],
-            dense_output=True, rtol=1e-10, atol=1e-12,
-        )
+        sol = solve_ivp(rhs, (0.0, end if end != 0.0 else 1e-12), [x0], events=guard,
+                        dense_output=True, rtol=1e-10, atol=1e-12)
+        if sol.status != 0:  # 1: |phi| reached BLOWUP_GUARD at sol.t[-1]; -1: a step failed
+            raise BlowUpError(f"the flow blew up at u = {sol.t[-1]:g} of {end:g}: {sol.message}")
         out[mask] = sol.sol(u[mask])[0]
     return out
 
@@ -180,8 +190,7 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
     G(y) and g(y) are evaluated time-major on blocks of time rows of
     about BLOCK_BYTES (copied unless y is the transpose of a C-ordered
     time-major array), so each stage reads one contiguous row and no
-    array of y's size is built; where a block's g(y) is zero its term
-    h(x) g(y) is dropped.  Returns x at the endpoint.
+    array of y's size is built.  Returns x at the endpoint.
     """
     alpha = cfg.alpha()
     f, h = cfg.f, cfg.h
@@ -194,14 +203,10 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
     for k0 in range(0, n, steps):
         rows = np.ascontiguousarray(y_t[2 * k0 : 2 * min(k0 + steps, n) + 1])
         Gy, gy = cfg.G(rows), cfg.g(rows)
-        if np.any(gy):
-            def rhs(j):
-                G_j, g_j = Gy[j], gy[j]
-                return lambda u: alpha * f(u) * G_j + h(u) * g_j
-        else:
-            def rhs(j):
-                G_j = Gy[j]
-                return lambda u: alpha * f(u) * G_j
+
+        def rhs(j):
+            G_j, g_j = Gy[j], gy[j]
+            return lambda u: alpha * f(u) * G_j + h(u) * g_j
 
         for k in range(k0, min(k0 + steps, n)):
             j = 2 * (k - k0)
@@ -215,12 +220,26 @@ def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
     return x
 
 
+def _flow_driver(cfg: MultiscaleConfig, sampler, keys) -> np.ndarray:
+    """u = alpha int_0^T G(y) dt per key by Simpson's rule, dt/6 (1, 4, 2, ..., 4, 1)
+    on the half-step grid (RK4's quadrature of a pure-time ODE), one row block of
+    ``sampler`` at a time; each row is summed alone, so u ignores the blocking."""
+    w = np.full(2 * cfg.grid.n_steps + 1, 2.0)
+    w[1::2], w[[0, -1]] = 4.0, 1.0
+    w *= cfg.alpha() * cfg.grid.dt / 6.0
+    return np.concatenate([(cfg.G(block) * w).sum(axis=1) for block in sampler.blocks(keys)])
+
+
 def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
                               master_seed: int, name: str = "slowfast",
                               threads: int = 1) -> np.ndarray:
-    """Replica endpoints x^eps_T for the distributional limit checks."""
+    """Replica endpoints x^eps_T: RK4 with drift, the exact flow without."""
     fine = TimeGrid(cfg.grid.horizon, 2 * cfg.grid.n_steps)
     sampler = fou.path_sampler(fine, fou.FouConfig(cfg.H, cfg.eps))
+    if cfg.h is None or cfg.g is None:
+        u = run_replicated(n_replicas, master_seed, name,
+                           lambda k: _flow_driver(cfg, sampler, k), threads)
+        return flow_map_1d(cfg.f, cfg.x0, u)
 
     def make_chunk(chunk_keys):
         # the paths are stored time-major, the layout the RK4 stages read

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from foulim import chaos, fou
 from foulim.chaos import ChaosFunction, Regime
+from foulim.paths import FoulimError
 
 K_07_2 = 0.13604952819057495  # frozen, cross-checked against the Beta closed form
 
@@ -144,6 +147,19 @@ def test_c_constant_short_range_and_boundary():
     assert c**2 == pytest.approx(4.0 * fou.rho_power_integral(2, 0.6), rel=1e-10)
     c = chaos.c_constant(H2, 0.75)
     assert c**2 == pytest.approx(4.0, rel=1e-12)
+
+
+def test_c_constant_is_zero_for_a_rounding_size_negative_A(monkeypatch):
+    # He_1 at H = 0.001: A = int rho = 0 exactly, computed as -4.8e-15; the
+    # square root of 2A was NaN with a RuntimeWarning
+    H1 = ChaosFunction.from_coefficients([0, 1.0])
+    assert chaos.limit_covariance_A(H1, H1, 0.001)[0] < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chaos.c_constant(H1, 0.001) == 0.0
+    monkeypatch.setattr(chaos, "limit_covariance_A", lambda *a: (-1e-9, 0.0))
+    with pytest.raises(FoulimError, match="negative beyond rounding"):
+        chaos.c_constant(H1, 0.3)
 
 
 def test_K_normalizer_m1_against_brute_quadrature():

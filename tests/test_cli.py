@@ -295,15 +295,31 @@ def test_numerical_failures_exit_2(monkeypatch, capsys):
         run(["rho", "--H", "0.6", "--n-points", "3"])
 
 
-@pytest.mark.parametrize("H", [0.05, 0.1, 0.2, 0.3])
+@pytest.mark.parametrize("H", [0.001, 0.05, 0.1, 0.2, 0.3])
 def test_constants_degenerate_wiener_constant(tmp_path, H):
-    # G = He_1 at H < 1/2: int rho = 0, so A_self vanishes
+    # G = He_1 at H < 1/2: int rho = 0, so A_self vanishes; at H = 0.001 it
+    # comes out as -4.8e-15, whose c was NaN
     out = tmp_path / "const"
     assert run(["constants", "--H", str(H), "--coeffs", "0,1", "--format", "json",
                 "--out", str(out)]) == 0
     doc = json.loads((tmp_path / "const.json").read_text())
     assert doc["regime"] == "short_range"
     assert abs(doc["A_self"]) <= 1e-4
+    assert doc["c"] == np.sqrt(2.0 * max(doc["A_self"], 0.0))
+
+
+@pytest.mark.parametrize("H, coeffs, c", [(0.75, "0,0,1", 2.0), (0.5, "0,1,0.5", np.sqrt(2.0))])
+def test_constants_at_the_boundary_report_c_without_A(tmp_path, H, coeffs, c):
+    # H*(rank) = 1/2: the A series diverges, and c = sqrt(2 m!) |c_m|; this
+    # exited 2 ("not a CLT component") when A was computed in every regime
+    # but the long-range one
+    out = tmp_path / "const"
+    assert run(["constants", "--H", str(H), "--coeffs", coeffs, "--format", "json",
+                "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "const.json").read_text())
+    assert doc["regime"] == "boundary"
+    assert doc["c"] == pytest.approx(c, rel=1e-15)
+    assert "A_self" not in doc
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])
@@ -391,15 +407,17 @@ def test_homogenize_with_drift_runs_the_limit_solver(tmp_path, H):
     assert rc == (0 if doc["pass"] else 2)
 
 
-@pytest.mark.parametrize("hfun", ["zero", "one"])
-def test_long_range_homogenize_is_thread_invariant(tmp_path, hfun):
+@pytest.mark.parametrize("hfun, gfun", [pytest.param("zero", "zero", id="zero"),
+                                        pytest.param("one", "cos", id="one")])
+def test_long_range_homogenize_is_thread_invariant(tmp_path, hfun, gfun):
     # 300 replicas: the Hermite limit is drawn in a full chunk and a partial
-    # one, on one or two workers
+    # one, on one or two workers; without drift both sides take the flow,
+    # with it RK4 and the Heun limit solver
     files = []
     for threads in ("1", "2"):
         out = tmp_path / f"hom{threads}"
         assert run(["homogenize", "--H", "0.85", "--coeffs", "0,0,1", "--hfun", hfun,
-                    "--replicas", "300", "--seed", "9", "--threads", threads,
+                    "--gfun", gfun, "--replicas", "300", "--seed", "9", "--threads", threads,
                     "--out", str(out)]) in (0, 2)
         files.append([(tmp_path / f"hom{threads}.{ext}").read_bytes()
                       for ext in ("csv", "json")])
@@ -497,8 +515,7 @@ def _eps_list(lo, hi, size):
 # centred: c_0 = 0
 _COEFF = st.one_of(st.just(0.0), _float(0.1, 2.0), _float(-2.0, -0.1))
 _COEFFS = st.lists(_COEFF, min_size=1, max_size=3).filter(any).map(lambda c: _text([0.0] + c))
-# off the rank 1 and 2 boundaries H*(q) = 1/2, where the A series diverges
-_H = st.floats(0.05, 0.95).filter(lambda h: h not in (0.5, 0.75))
+_H = st.floats(0.05, 0.95)
 _H_LONG = st.floats(0.55, 0.95)
 _COMMON = {"--seed": st.integers(0, 2**31 - 1), "--replicas": st.integers(2, 3)}
 # tiny valid configurations over the benchmark's H range: every fast

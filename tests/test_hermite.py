@@ -32,17 +32,21 @@ def test_ghat_tail_slope():
 
 def test_ghat_matches_40_digit_oracle():
     # C(H) v^q/q 1F1(1; q+1; -v), q = H - 1/2, at 40 digits on {0} and
-    # [1e-14, 1e7], with points on both sides of the switch at v = 700;
-    # H near 1/2 is where a float q + 1 loses the tail (q + 1 - 1)/v
-    v = np.concatenate([np.geomspace(1e-14, 1e7, 120),
+    # [1e-14, 1e32], with points on both sides of the switch at v = 700;
+    # H near 1/2 is where a float q + 1 loses the tail (q + 1 - 1)/v.
+    # Beyond the switch Watson's series is within a few ulps
+    v = np.concatenate([np.geomspace(1e-14, 1e7, 120), np.geomspace(1e7, 1e32, 26)[1:],
                         [1.0, 39.9, 40.5, 699.999, 700.0, 700.001]])
+    far = v > 700.0
     with mpmath.workdps(40):
         for H in (0.500001, 0.501, 0.6, 0.99, 0.999999):
             q = mpmath.mpf(H) - mpmath.mpf(1) / 2
             oracle = fou.kernel_amplitude(H) * np.array(
                 [float(mpmath.mpf(x) ** q / q * mpmath.hyp1f1(1, q + 1, -mpmath.mpf(x)))
                  for x in v])
-            np.testing.assert_allclose(hermite.ghat(v, H), oracle, rtol=1e-10, atol=0)
+            got = hermite.ghat(v, H)
+            np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(got[far], oracle[far], rtol=2e-15, atol=0)
             assert hermite.ghat(0.0, H) == 0.0
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,10 @@ H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
 
 def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _sin2(u):
+    return np.sin(u) + 2.0
 
 
 def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
@@ -235,6 +240,89 @@ def test_flow_map_exponential():
     np.testing.assert_allclose(out, 1.5 * np.exp(u), rtol=1e-8)
 
 
+def test_flow_map_raises_at_a_finite_u_blow_up():
+    # phi = tan(50 u + arctan 5) passes 1e8 near u = 0.0039; before the
+    # guard the map returned [6.7, 21.1, 5.7e66] here without an error
+    f = lambda x: 50.0 * (1.0 + x**2)
+    with pytest.raises(solvers.BlowUpError, match="blew up"):
+        solvers.flow_map_1d(f, 5.0, [0.001, 0.003, 0.01])
+    np.testing.assert_allclose(solvers.flow_map_1d(f, 5.0, [0.001, 0.003, -0.01]),
+                               np.tan(50.0 * np.array([0.001, 0.003, -0.01]) + np.arctan(5.0)),
+                               rtol=1e-7)
+
+
+def test_flow_map_raises_at_once_on_a_non_finite_f():
+    # f = NaN did not return within 60 s before the right-hand side was checked
+    start = time.perf_counter()
+    with pytest.raises(solvers.BlowUpError, match="blew up"):
+        solvers.flow_map_1d(lambda x: np.nan, 0.0, [0.5, -0.5])
+    assert time.perf_counter() - start < 1.0
+
+
+def _flow_config(H, eps, f=_sin2, x0=0.0, drift=None, G=H2):
+    """The drift-free system at dt = eps/50; ``drift`` = (h, g) takes RK4."""
+    h, g = drift or (None, None)
+    return solvers.MultiscaleConfig(f=f, h=h, G=G, g=g, H=H, eps=eps, x0=x0,
+                                    grid=TimeGrid(1.0, int(round(50 / eps))))
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.01])
+@pytest.mark.parametrize("H, tol", [(0.6, 1e-4), (0.85, 1e-6)])
+def test_flow_path_agrees_with_rk4_on_the_same_keys(H, tol, eps):
+    # Simpson's u and the exact flow against RK4 with zero h and g callables:
+    # max |difference| 3.3e-5 to 3.5e-5 (H 0.6) and 2.0e-7 to 2.7e-7 (H 0.85)
+    # at an endpoint sd of about 3
+    flow = solvers.solve_slow_fast_endpoints(_flow_config(H, eps), 300, 5)
+    rk4 = solvers.solve_slow_fast_endpoints(_flow_config(H, eps, drift=(_zero, _zero)), 300, 5)
+    assert flow.std() > 2.5
+    assert np.max(np.abs(flow - rk4)) <= tol
+
+
+def test_flow_driver_is_bit_identical_across_row_blocks(monkeypatch):
+    cfg = _flow_config(0.85, 0.02)
+    sampler = fou.path_sampler(TimeGrid(1.0, 2 * cfg.grid.n_steps), fou.FouConfig(0.85, 0.02))
+    k = keys(7, "flow-blocks", 0, 30)
+    whole = solvers._flow_driver(cfg, sampler, k)
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", 16 * 30 * 7)
+    np.testing.assert_array_equal(solvers._flow_driver(cfg, sampler, k), whole)
+
+
+def test_homogenize_without_drift_is_byte_identical_across_threads(tmp_path):
+    from foulim import cli
+
+    base = ["homogenize", "--H", "0.7", "--coeffs", "0,0,1", "--hfun", "zero", "--gfun", "cos",
+            "--eps", "0.05", "--replicas", "300", "--seed", "8"]
+    for threads in (1, 2):
+        assert cli.main(base + ["--threads", str(threads),
+                                "--out", str(tmp_path / f"t{threads}")]) in (0, 2)
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"t1.{ext}").read_bytes() == (tmp_path / f"t2.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("f", [lambda u: 50.0 * (1.0 + u**2), lambda u: np.nan * u])
+def test_flow_path_blows_up_within_a_second(f):
+    cfg = _flow_config(0.7, 0.1, f=f, x0=5.0, G=H1)
+    start = time.perf_counter()
+    with pytest.raises(solvers.BlowUpError, match="blew up"):
+        solvers.solve_slow_fast_endpoints(cfg, 3, 0, "blow")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_flow_path_builds_no_chunk_path_matrix():
+    # a 250-replica chunk at eps 0.01 has 10,001 x 250 paths, 20 MB, which
+    # RK4 holds (24.4 MB traced); the flow path reduces each row block of
+    # the sampler as it is drawn (3.1 MB traced)
+    cfg = _flow_config(0.6, 0.01)
+    solvers.solve_slow_fast_endpoints(cfg, 2, 4, "mem")  # warm the imports
+    tracemalloc.start()
+    try:
+        solvers.solve_slow_fast_endpoints(cfg, 250, 4, "mem")
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * 10_001 * 250 / 1e6
+
+
 def test_multiscale_config_validation():
     with pytest.raises(ValueError, match="resolve the fast scale"):
         solvers.MultiscaleConfig(
@@ -335,10 +423,6 @@ def _whole_array_rk4_endpoints(cfg, y):
             raise solvers.BlowUpError(f"slow variable exceeded at step {k + 1}")
         out[k + 1] = x
     return np.moveaxis(out, 0, -1)[..., -1]
-
-
-def _sin2(u):
-    return np.sin(u) + 2.0
 
 
 @pytest.mark.parametrize("block_bytes", [fgn.BLOCK_BYTES, 16 * 30 * 7])
