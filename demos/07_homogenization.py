@@ -25,9 +25,8 @@ eps = 0.02
 
 for H, label in ((0.6, "short range -> Stratonovich/Wiener"),
                  (0.85, "long range -> Young/Rosenblatt")):
-    n_steps = int(round(1.0 / (eps / 50)))
     cfg = solvers.MultiscaleConfig(f=f, h=None, G=H2, g=None, H=H, eps=eps,
-                                   x0=0.0, grid=TimeGrid(1.0, n_steps))
+                                   x0=0.0, grid=TimeGrid.with_step(1.0, eps / 50))
     x_eps = solvers.solve_slow_fast_endpoints(cfg, N, 0)
     c = chaos.c_constant(H2, H)
     regime = chaos.classify_regime(2, H)

@@ -37,10 +37,8 @@ class CriterionResult:
     seconds: float = 0.0
 
 
-def _cov_zscore_max(values: np.ndarray, grid: TimeGrid, H: float) -> float:
-    """Max |z| of the empirical path covariance against the fBM covariance."""
-    times = grid.times()[1:]
-    X = values[:, 1:]
+def _cov_zscore_max(X: np.ndarray, times: np.ndarray, H: float) -> float:
+    """Max |z| of the empirical covariance of X's columns against fBM's at those times."""
     n = len(X)
     emp = X.T @ X / n
     theory = fgn.fbm_covariance(times[:, None], times[None, :], H)
@@ -60,7 +58,7 @@ def crit_1_fbm_exactness(seed, suite, threads=1) -> CriterionResult:
             return np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
 
         values = harness.run_replicated(n_rep, seed, f"acc1-H{H}", make_chunk, threads)
-        zmax = _cov_zscore_max(values, grid, H)
+        zmax = _cov_zscore_max(values[:, 1:], grid.times()[1:], H)  # B_0 = 0 is not random
         details[f"zmax_H{H}"] = zmax
         passed &= zmax < 5.0
     return CriterionResult(1, "fbm covariance exactness (5 SE)", passed, details)
@@ -71,7 +69,7 @@ def crit_2_fou_stationarity_decay(seed, suite, threads=1) -> CriterionResult:
     # variance estimator's own noise (SE ~ 0.7%) well inside the 3% band
     n_rep = 40_000 if suite == "full" else 4000
     H, eps = 0.75, 0.05
-    grid = TimeGrid(0.1, int(round(0.1 / (eps / 100.0))))
+    grid = TimeGrid.with_step(0.1, eps / 100.0)
     sampler = fou.path_sampler(grid, fou.FouConfig(H, eps))
     y = harness.run_replicated(n_rep, seed, "acc2", sampler.batch, threads)
     var_end = harness.fsum_variance(y[:, -1])
@@ -95,11 +93,6 @@ def crit_3_degenerate_constant(seed, suite, threads=1) -> CriterionResult:
                            details)
 
 
-def _slope_ci_hits(scan: harness.ScanResult, target: float, tol: float) -> bool:
-    lo, hi = scan.slope_ci
-    return lo <= target + tol and hi >= target - tol
-
-
 def crit_4_scaling_regimes(seed, suite, threads=1) -> CriterionResult:
     if suite == "full":
         n_rep, eps_list = 10_000, [0.1, 0.05, 0.02, 0.01]
@@ -109,11 +102,11 @@ def crit_4_scaling_regimes(seed, suite, threads=1) -> CriterionResult:
     sr = harness.variance_scan(H2, 0.6, 1.0, eps_list, n_rep, seed, threads=threads)
     details["short_range_slope"] = sr.slope
     details["short_range_ci"] = sr.slope_ci
-    ok_sr = _slope_ci_hits(sr, -1.0, 0.1)
+    ok_sr = harness.slope_ci_hits(sr.slope_ci, -1.0)
     lr = harness.variance_scan(H1, 0.8, 1.0, eps_list, n_rep, seed + 1, threads=threads)
     details["long_range_slope"] = lr.slope
     details["long_range_ci"] = lr.slope_ci
-    ok_lr = _slope_ci_hits(lr, 2 * 0.8 - 2.0, 0.1)
+    ok_lr = harness.slope_ci_hits(lr.slope_ci, 2 * 0.8 - 2.0)
     bd = harness.variance_scan(H2, 0.75, 1.0, eps_list, n_rep, seed + 2, threads=threads)
     # flatness asserted on the scale the integral lemma bounds (the square
     # root of the double correlation integral); the variance-scale ratio
@@ -158,8 +151,8 @@ def _he2_integral_kurtosis(H, eps, dt_ratio=10.0) -> float:
     and W the trapezoid weights, its excess kurtosis is
     12 tr(M^4) / tr(M^2)^2.  At dt = eps/10 it is within 2e-4 of dt = eps/20.
     """
-    n = int(round(1.0 / (eps / dt_ratio)))
-    dt = 1.0 / n
+    grid = TimeGrid.with_step(1.0, eps / dt_ratio)
+    n, dt = grid.n_steps, grid.dt
     w = np.full(n + 1, dt)
     w[[0, -1]] = dt / 2.0
     sw = np.sqrt(w)
@@ -238,10 +231,8 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
         Z = z_matrix(engine, f"acc7-m{m}", n)
         var1 = harness.fsum_variance(Z[:, -1])
         times = grid.times()[report_idx]
-        emp = Z.T @ Z / n
+        zmax = _cov_zscore_max(Z, times, H)
         theory = fgn.fbm_covariance(times[:, None], times[None, :], H)
-        var_entry = (np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n
-        zmax = float(np.max(np.abs((emp - theory) / np.sqrt(var_entry))))
         # the sampler's own correlation-shape error, from its exact covariance
         exact = hermite.exact_covariance(engine, times)
         shape = float(np.max(np.abs(correlation(exact) - correlation(theory))))
@@ -293,16 +284,16 @@ def crit_9_kinetic_rate(seed, suite, threads=1) -> CriterionResult:
         details[f"H{H}_slope"] = slope_vs_logeps
         details[f"H{H}_ci"] = ci
         details[f"H{H}_identity_defect"] = scan.meta["identity_defect_max"]
-        passed &= ci[0] <= H + 0.1 and ci[1] >= H - 0.1
+        passed &= harness.slope_ci_hits(ci, H)
         passed &= scan.meta["identity_defect_max"] < 1e-6
     return CriterionResult(9, "kinetic coupling rate eps^H and on-grid identity",
                            passed, details)
 
 
 def _homogenize_endpoints(H, eps, n_rep, seed, threads):
-    n_steps = int(round(1.0 / (eps / 50.0)))
     cfg = solvers.MultiscaleConfig(f=lambda x: np.sin(x) + 2.0, h=None, G=H2, g=None,
-                                   H=H, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps))
+                                   H=H, eps=eps, x0=0.0,
+                                   grid=TimeGrid.with_step(1.0, eps / 50.0))
     return solvers.solve_slow_fast_endpoints(cfg, n_rep, seed, threads=threads)
 
 

@@ -37,37 +37,37 @@ __all__ = [
 ]
 
 BOUNDARY_TIE_TOL = 1e-12
+# coefficient energies |c_k| sqrt(k!) at or below this count as zero
+RANK_TOL = 1e-12
+GAUSS_HERMITE_NODES = 200
 
 
-def _quad_nodes(n_nodes: int):
-    # probabilists' Gauss-Hermite rule normalized to the Gaussian measure
-    # (scipy's implementation stays stable at large node counts)
-    x, w = special.roots_hermitenorm(n_nodes)
-    return x, w / np.sqrt(2.0 * np.pi)
+def gaussian_expectation(G) -> float:
+    """E[G(X)] for X ~ N(0,1) by the probabilists' Gauss-Hermite rule.
+
+    scipy's rule stays stable at large node counts; its weights are
+    normalized to the Gaussian measure.
+    """
+    x, w = special.roots_hermitenorm(GAUSS_HERMITE_NODES)
+    return float((w / np.sqrt(2.0 * np.pi)) @ np.asarray(G(x), dtype=float))
 
 
-def gaussian_expectation(G, n_nodes: int = 200) -> float:
-    """E[G(X)] for X ~ N(0,1) by Gauss-Hermite quadrature."""
-    x, w = _quad_nodes(n_nodes)
-    return float(w @ np.asarray(G(x), dtype=float))
+def hermite_rank(coeffs) -> int:
+    """Smallest k >= 1 with |c_k| sqrt(k!) above RANK_TOL.
 
-
-def hermite_rank(coeffs, tol: float = 1e-12) -> int:
-    """Smallest k >= 1 with |c_k| sqrt(k!) above tol.
-
-    Requires a non-empty list of finite coefficients with c_0 within tol
-    of zero (centred function).
+    Requires a non-empty list of finite coefficients with c_0 within
+    RANK_TOL of zero (centred function).
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0:
         raise ValueError("need at least one Hermite coefficient")
     if not np.all(np.isfinite(c)):
         raise ValueError(f"Hermite coefficients must be finite, got {c.tolist()}")
-    if abs(c[0]) > tol:
-        raise ValueError(f"not centred: c_0 = {c[0]:.3g} exceeds tol {tol:.3g}")
+    if abs(c[0]) > RANK_TOL:
+        raise ValueError(f"not centred: c_0 = {c[0]:.3g} exceeds tol {RANK_TOL:.3g}")
     k = np.arange(len(c))
     energy = np.abs(c) * np.sqrt(special.factorial(k))
-    nz = np.nonzero(energy[1:] > tol)[0]
+    nz = np.nonzero(energy[1:] > RANK_TOL)[0]
     if len(nz) == 0:
         raise ValueError("zero function: all Hermite coefficients below tol")
     return int(nz[0] + 1)
@@ -146,9 +146,9 @@ class ChaosFunction:
             raise ValueError("declared Hermite rank does not match coefficients")
 
     @classmethod
-    def from_coefficients(cls, coeffs, tol: float = 1e-12):
+    def from_coefficients(cls, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
-        rank = hermite_rank(c, tol)  # raises on non-centred / zero input
+        rank = hermite_rank(c)  # raises on non-centred / zero input
         c[:rank] = 0.0
         return cls(c, rank)
 
@@ -190,21 +190,19 @@ class ChaosFunction:
         k = np.arange(len(self.coefficients))
         return float(np.sum(self.coefficients**2 * special.factorial(k)))
 
-def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H, K: int | None = None,
-                       s_max: float = 1000.0) -> tuple[float, float]:
+def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, float]:
     """Limit covariance constant A^{ij} of the Wiener components.
 
     A^{ij} = int_0^inf E(G_i(y_s) G_j(y_0)) ds
            = sum_q c_{i,q} c_{j,q} q! int_0^inf rho(r)^q dr,
-    summed over q >= max(rank_i, rank_j) up to the truncation order.
+    summed over q >= max(rank_i, rank_j) up to the lower truncation order.
     Returns (value, truncation_tail_bound).  Every contributing order
     must lie in the short-range regime; otherwise this is not a CLT
     component and the call raises.
     """
     h = as_hurst(H)
     q0 = max(Gi.hermite_rank, Gj.hermite_rank)
-    if K is None:
-        K = min(Gi.truncation_order, Gj.truncation_order)
+    K = min(Gi.truncation_order, Gj.truncation_order)
     ci = Gi.coefficients
     cj = Gj.coefficients
     total = 0.0
@@ -218,7 +216,7 @@ def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H, K: int | None = 
             raise ValueError(
                 f"not a CLT component: chaos order q={q} has H*(q) >= 1/2 at H={h}"
             )
-        term = a * b * special.factorial(q) * fou.rho_power_integral(q, h, s_max)
+        term = a * b * special.factorial(q) * fou.rho_power_integral(q, h)
         total += term
         last_term = abs(term)
     # crude geometric bound on the dropped orders, reported not asserted

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
-from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps, as_horizon
+from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
 from .streams import stream
 
 __all__ = ["main"]
@@ -84,37 +84,35 @@ def _check_dt_ratio(dt_ratio: float) -> None:
         raise ValueError(f"--dt-ratio must be positive and finite, got {dt_ratio}")
 
 
-def _echo(args, command: str, params: dict) -> None:
-    text = output.config_echo(command, params)
-    if args.out:
-        with open(f"{args.out}.config", "w") as fh:
-            fh.write(text)
-    else:
-        sys.stderr.write(text)
+# what the config echo leaves out of the parsed namespace: the subcommand,
+# which names the echo's section, and the options that say only where the
+# output goes or how many workers make it, never what it holds
+_NOT_ECHOED = {"command", "func", "out", "config", "threads"}
 
 
-def _emit_table(args, header, rows, summary: dict) -> None:
+def _emit(args, header, rows, summary=None) -> None:
+    """Write a run's config echo, table and summary, all through ``output``.
+
+    The echo lists the parsed options but those in _NOT_ECHOED, and so
+    does a summary left as None.  A JSON run carries its table in the summary.
+    With --out they go to <out>.config, <out>.csv and <out>.json;
+    without it the echo goes to stderr and the table (CSV) or the
+    summary (JSON) to stdout.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    summary = {"command": args.command, **(params if summary is None else summary)}
+
+    def target(ext, stream):
+        return f"{args.out}.{ext}" if args.out else stream
+
+    output.write_config(target("config", sys.stderr), args.command, params)
     if args.format == "csv":
+        output.write_csv(target("csv", sys.stdout), header, rows)
         if args.out:
-            output.write_csv(f"{args.out}.csv", header, rows)
             output.write_json(f"{args.out}.json", summary)
-        else:
-            import csv as _csv
-
-            w = _csv.writer(sys.stdout, quoting=_csv.QUOTE_MINIMAL, lineterminator="\n")
-            w.writerow(header)
-            for row in rows:
-                w.writerow([output.fmt(v) for v in row])
     else:
-        payload = dict(summary)
-        payload["table"] = {"header": header, "rows": [[output.fmt(v) for v in r] for r in rows]}
-        if args.out:
-            output.write_json(f"{args.out}.json", payload)
-        else:
-            import json as _json
-
-            _json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=str)
-            sys.stdout.write("\n")
+        summary["table"] = {"header": header, "rows": [[output.fmt(v) for v in r] for r in rows]}
+        output.write_json(target("json", sys.stdout), summary)
 
 
 def _path_rows(times, matrix):
@@ -122,6 +120,13 @@ def _path_rows(times, matrix):
     for r, row in enumerate(matrix):
         for t, v in zip(times, row):
             yield r, t, v
+
+
+def _scan_table(scan):
+    """Header and (eps, statistic, stderr, n) rows of a scan's result."""
+    rows = [(e, v, se, scan.n_replicas)
+            for e, v, se in zip(scan.eps_values, scan.values, scan.stderrs)]
+    return ["eps", "statistic", "stderr", "n"], rows
 
 
 # ------------------------------------------------------------------ commands
@@ -133,26 +138,18 @@ def _cmd_fbm_paths(args) -> int:
         args.replicas, args.seed, "cli-fbm",
         lambda k: fgn.sample_fgn_batch(grid.n_steps, grid.dt, args.H, k), args.threads)
     mat = np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
-    params = dict(H=args.H, horizon=args.horizon, n_steps=args.n_steps,
-                  replicas=args.replicas, seed=args.seed)
-    _echo(args, "sample-fbm", params)
-    _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mat),
-                {"command": "sample-fbm", **params})
+    _emit(args, ["replica", "t", "value"], _path_rows(grid.times(), mat))
     return 0
 
 
 def _cmd_sample_fou(args) -> int:
-    if args.n_steps is None:
-        args.n_steps = max(int(round(as_horizon(args.horizon) / (as_eps(args.eps) / 50.0))), 1)
-    grid = TimeGrid(args.horizon, args.n_steps)
+    grid = (TimeGrid(args.horizon, args.n_steps) if args.n_steps is not None
+            else TimeGrid.with_step(args.horizon, as_eps(args.eps) / 50.0))
+    args.n_steps = grid.n_steps  # the echo records the step count the run took
     sampler = fou.path_sampler(grid, fou.FouConfig(args.H, args.eps))
     mat = harness.run_replicated(args.replicas, args.seed, "cli-fou", sampler.batch,
                                  args.threads)
-    params = dict(H=args.H, eps=args.eps, horizon=args.horizon,
-                  n_steps=args.n_steps, replicas=args.replicas, seed=args.seed)
-    _echo(args, "sample-fou", params)
-    _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mat),
-                {"command": "sample-fou", **params})
+    _emit(args, ["replica", "t", "value"], _path_rows(grid.times(), mat))
     return 0
 
 
@@ -160,10 +157,7 @@ def _cmd_rho(args) -> int:
     if not 0.0 <= args.s_max < np.inf:
         raise ValueError(f"--s-max must be finite and >= 0, got {args.s_max}")
     s = np.linspace(0.0, args.s_max, args.n_points)
-    vals = fou.rho(s, args.H)
-    params = dict(H=args.H, s_max=args.s_max, n_points=args.n_points)
-    _echo(args, "rho", params)
-    _emit_table(args, ["s", "rho"], list(zip(s, vals)), {"command": "rho", **params})
+    _emit(args, ["s", "rho"], zip(s, fou.rho(s, args.H)))
     return 0
 
 
@@ -176,7 +170,6 @@ def _cmd_chaos(args) -> int:
         Regime.LONG_RANGE: f"eps^({regime.h_star - 1.0:.17g})",
     }
     summary = {
-        "command": "chaos",
         "H": args.H,
         "coefficients": list(G.coefficients),
         "hermite_rank": G.hermite_rank,
@@ -186,10 +179,7 @@ def _cmd_chaos(args) -> int:
     }
     if args.eps is not None:
         summary["alpha"] = regime.alpha(args.eps)
-    params = dict(H=args.H, coeffs=args.coeffs, eps=args.eps)
-    _echo(args, "chaos", params)
-    rows = [(k, c) for k, c in enumerate(G.coefficients)]
-    _emit_table(args, ["order", "coefficient"], rows, summary)
+    _emit(args, ["order", "coefficient"], enumerate(G.coefficients), summary)
     return 0
 
 
@@ -197,7 +187,6 @@ def _cmd_constants(args) -> int:
     G = _chaos_from_args(args)
     regime = chaos.classify_regime(G.hermite_rank, args.H)
     summary = {
-        "command": "constants",
         "H": args.H,
         "hermite_rank": G.hermite_rank,
         "h_star": regime.h_star,
@@ -212,10 +201,8 @@ def _cmd_constants(args) -> int:
         A, tail = chaos.limit_covariance_A(G, G, args.H)
         summary["A_self"] = A
         summary["A_truncation_tail"] = tail
-    params = dict(H=args.H, coeffs=args.coeffs)
-    _echo(args, "constants", params)
     rows = [(k, v) for k, v in summary.items() if isinstance(v, (int, float))]
-    _emit_table(args, ["constant", "value"], rows, summary)
+    _emit(args, ["constant", "value"], rows, summary)
     return 0
 
 
@@ -226,11 +213,7 @@ def _cmd_hermite_sample(args) -> int:
     mat = harness.run_replicated(
         args.replicas, args.seed, "cli-hermite",
         lambda k: hermite.hermite_ensemble(engine, k, every_step), args.threads)
-    params = dict(H=args.H, m=args.m, horizon=args.horizon, n_steps=args.n_steps,
-                  replicas=args.replicas, seed=args.seed)
-    _echo(args, "hermite-sample", params)
-    _emit_table(args, ["replica", "t", "value"], _path_rows(grid.times(), mat),
-                {"command": "hermite-sample", **params})
+    _emit(args, ["replica", "t", "value"], _path_rows(grid.times(), mat))
     return 0
 
 
@@ -251,24 +234,17 @@ def _cmd_clt_scan(args) -> int:
     regime = scan.meta["regime"]
     expected = {"short_range": -1.0, "boundary": -1.0,
                 "long_range": 2.0 * scan.meta["h_star"] - 2.0}[regime]
-    lo, hi = scan.slope_ci
     summary = {
-        "command": "clt-scan",
         "regime": regime,
         "h_star": scan.meta["h_star"],
         "slope_vs_log_inv_eps": scan.slope,
-        "slope_ci": [lo, hi],
+        "slope_ci": list(scan.slope_ci),
         "expected_slope": expected,
-        "slope_pass": bool(lo <= expected + 0.1 and hi >= expected - 0.1),
+        "slope_pass": harness.slope_ci_hits(scan.slope_ci, expected),
         "scaled_flatness": scan.meta["scaled_flatness"],
         "diagnostics_at_finest_eps": diag,
     }
-    params = dict(H=args.H, coeffs=args.coeffs, t=args.t, eps_list=args.eps_list,
-                  replicas=args.replicas, seed=args.seed, dt_ratio=args.dt_ratio)
-    _echo(args, "clt-scan", params)
-    rows = list(zip(scan.eps_values, scan.values, scan.stderrs,
-                    [scan.n_replicas] * len(scan.eps_values)))
-    _emit_table(args, ["eps", "statistic", "stderr", "n"], rows, summary)
+    _emit(args, *_scan_table(scan), summary)
     return 0
 
 
@@ -279,19 +255,13 @@ def _cmd_l2_hermite(args) -> int:
         G, args.H, args.t, eps_list, args.replicas, args.seed, threads=args.threads,
     )
     summary = {
-        "command": "l2-hermite",
         "monotone_decreasing": scan.meta["monotone_decreasing"],
         "limit_coefficient": scan.meta["limit_coefficient"],
         "h_star": scan.meta["h_star"],
         "pass": bool(scan.meta["monotone_decreasing"]
                      and scan.values[-1] < 0.5 * scan.values[0]),
     }
-    params = dict(H=args.H, coeffs=args.coeffs, t=args.t, eps_list=args.eps_list,
-                  replicas=args.replicas, seed=args.seed)
-    _echo(args, "l2-hermite", params)
-    rows = list(zip(scan.eps_values, scan.values, scan.stderrs,
-                    [scan.n_replicas] * len(scan.eps_values)))
-    _emit_table(args, ["eps", "statistic", "stderr", "n"], rows, summary)
+    _emit(args, *_scan_table(scan), summary)
     return 0
 
 
@@ -303,22 +273,16 @@ def _cmd_kinetic_scan(args) -> int:
     )
     lo, hi = scan.slope_ci
     summary = {
-        "command": "kinetic-scan",
         "H": args.H,
         "slope_vs_log_eps": -scan.slope,
         "slope_ci_vs_log_eps": [-hi, -lo],
         "expected_slope": args.H,
-        "slope_pass": bool(-hi <= args.H + 0.1 and -lo >= args.H - 0.1),
+        "slope_pass": harness.slope_ci_hits((-hi, -lo), args.H),
         "identity_defect_max": scan.meta["identity_defect_max"],
         "holder_slope_vs_log_eps": -scan.meta["holder_slope"],
         "holder_gamma": scan.meta["holder_gamma"],
     }
-    params = dict(H=args.H, t=args.t, eps_list=args.eps_list, n_report=args.n_report,
-                  replicas=args.replicas, seed=args.seed)
-    _echo(args, "kinetic-scan", params)
-    rows = list(zip(scan.eps_values, scan.values, scan.stderrs,
-                    [scan.n_replicas] * len(scan.eps_values)))
-    _emit_table(args, ["eps", "statistic", "stderr", "n"], rows, summary)
+    _emit(args, *_scan_table(scan), summary)
     return 0
 
 
@@ -335,8 +299,8 @@ def _cmd_homogenize(args) -> int:
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
     _check_dt_ratio(args.dt_ratio)
-    n_steps = max(int(round(as_horizon(args.t) / (eps / args.dt_ratio))), 1)
-    cfg = solvers.MultiscaleConfig(f, h, G, g, args.H, eps, args.x0, TimeGrid(args.t, n_steps))
+    grid = TimeGrid.with_step(args.t, eps / args.dt_ratio)
+    cfg = solvers.MultiscaleConfig(f, h, G, g, args.H, eps, args.x0, grid)
     endpoints = solvers.solve_slow_fast_endpoints(
         cfg, args.replicas, args.seed, threads=args.threads,
     )
@@ -348,7 +312,6 @@ def _cmd_homogenize(args) -> int:
     )
     ks = _stats.ks_2samp(endpoints, limit)
     summary = {
-        "command": "homogenize",
         "regime": regime.kind.value,
         "c": c,
         "g_bar": g_bar,
@@ -358,14 +321,8 @@ def _cmd_homogenize(args) -> int:
         "endpoint_mean": harness.fsum_mean(endpoints),
         "endpoint_variance": harness.fsum_variance(endpoints),
     }
-    params = dict(H=args.H, coeffs=args.coeffs, eps=args.eps, t=args.t, x0=args.x0,
-                  f=args.f, hfun=args.hfun, gfun=args.gfun,
-                  replicas=args.replicas, seed=args.seed, dt_ratio=args.dt_ratio)
-    _echo(args, "homogenize", params)
-    rows = [(r, v) for r, v in enumerate(endpoints)]
-    _emit_table(args, ["replica", "endpoint"], rows, summary)
+    _emit(args, ["replica", "endpoint"], enumerate(endpoints), summary)
     return 0 if summary["pass"] else 2
-
 
 def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed, threads=1):
     """Samples of the endpoint x_t of dx = f(x) dU + g_bar h(x) dt.
@@ -416,8 +373,8 @@ def _cmd_verify(args) -> int:
     print(f"suite={args.suite} passed={report['passed']}"
           f" total={report['seconds']:.1f}s")
     if args.out:
-        output.write_json(f"{args.out}.json", report)
-        _echo(args, "verify", dict(suite=args.suite, seed=args.seed))
+        rows = [(r["number"], r["name"], r["passed"], r["seconds"]) for r in report["criteria"]]
+        _emit(args, ["criterion", "name", "passed", "seconds"], rows, report)
     return 0 if report["passed"] else 2
 
 
@@ -431,16 +388,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_parser(sub, command: str, seed_default: int = 0) -> argparse.ArgumentParser:
+def _add_parser(sub, command: str, func, samples: bool = False,
+                seed_default: int = 0) -> argparse.ArgumentParser:
     """A subcommand parser carrying its own copy of the common options.
 
     argparse parent parsers share their Action objects between children,
     so a per-subcommand default set through a parent would leak into
-    every other subcommand; each subcommand builds its own instead.
+    every other subcommand; each subcommand builds its own instead.  Only
+    the subcommands that draw samples take --replicas.
     """
     sp = sub.add_parser(command)
+    sp.set_defaults(func=func)
     sp.add_argument("--seed", type=int, default=seed_default, help="master seed")
-    sp.add_argument("--replicas", type=_positive_int, default=1)
+    if samples:
+        sp.add_argument("--replicas", type=_positive_int, default=1)
     sp.add_argument("--out", type=str, default=None,
                     help="output path prefix (writes <out>.csv/.json/.config)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -459,67 +420,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command")
 
-    sp = _add_parser(sub, "sample-fbm")
+    sp = _add_parser(sub, "sample-fbm", _cmd_fbm_paths, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=int, default=256)
-    sp.set_defaults(func=_cmd_fbm_paths)
 
-    sp = _add_parser(sub, "sample-fou")
+    sp = _add_parser(sub, "sample-fou", _cmd_sample_fou, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=int, default=None)
-    sp.set_defaults(func=_cmd_sample_fou)
 
-    sp = _add_parser(sub, "rho")
+    sp = _add_parser(sub, "rho", _cmd_rho)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--s-max", type=float, default=50.0)
     sp.add_argument("--n-points", type=_positive_int, default=101)
-    sp.set_defaults(func=_cmd_rho)
 
-    sp = _add_parser(sub, "chaos")
+    sp = _add_parser(sub, "chaos", _cmd_chaos)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True,
                     help="comma-separated Hermite coefficients c_0,c_1,...")
     sp.add_argument("--eps", type=float, default=None)
-    sp.set_defaults(func=_cmd_chaos)
 
-    sp = _add_parser(sub, "constants")
+    sp = _add_parser(sub, "constants", _cmd_constants)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
-    sp.set_defaults(func=_cmd_constants)
 
-    sp = _add_parser(sub, "hermite-sample")
+    sp = _add_parser(sub, "hermite-sample", _cmd_hermite_sample, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=int, default=200)
-    sp.set_defaults(func=_cmd_hermite_sample)
 
-    sp = _add_parser(sub, "clt-scan")
+    sp = _add_parser(sub, "clt-scan", _cmd_clt_scan, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02")
     sp.add_argument("--dt-ratio", type=float, default=50.0)
-    sp.set_defaults(func=_cmd_clt_scan)
 
-    sp = _add_parser(sub, "l2-hermite")
+    sp = _add_parser(sub, "l2-hermite", _cmd_l2_hermite, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.2,0.1,0.05")
-    sp.set_defaults(func=_cmd_l2_hermite)
 
-    sp = _add_parser(sub, "kinetic-scan")
+    sp = _add_parser(sub, "kinetic-scan", _cmd_kinetic_scan, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02,0.01")
     sp.add_argument("--n-report", type=int, default=50)
-    sp.set_defaults(func=_cmd_kinetic_scan)
 
-    sp = _add_parser(sub, "homogenize")
+    sp = _add_parser(sub, "homogenize", _cmd_homogenize, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--eps", type=float, default=0.02)
@@ -529,12 +481,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hfun", choices=sorted(_F_PRESETS), default="zero")
     sp.add_argument("--gfun", choices=sorted(_G_PRESETS), default="zero")
     sp.add_argument("--dt-ratio", type=float, default=50.0)
-    sp.set_defaults(func=_cmd_homogenize)
 
     # the gate runs from the pinned suite seed unless explicitly overridden
-    sp = _add_parser(sub, "verify", seed_default=MASTER_SEED)
+    sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED)
     sp.add_argument("--suite", choices=["quick", "full"], default="quick")
-    sp.set_defaults(func=_cmd_verify)
 
     return p
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
-from .paths import TimeGrid, as_eps_list, as_horizon, as_hurst
+from .paths import TimeGrid, as_eps_list, as_hurst
 from .streams import keys, normals, stream
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "fsum_variance",
     "functional_values",
     "fit_loglog_slope",
+    "slope_ci_hits",
     "variance_scan",
     "clt_diagnostics",
     "joint_covariance_check",
@@ -49,6 +50,8 @@ __all__ = [
 
 CHUNK_SIZE = 250
 BOOTSTRAP_DRAWS = 1000
+# a slope passes when its 95% CI comes within this of the expected slope
+SLOPE_CI_TOL = 0.1
 # l2_convergence_hermite's finest fOU grid has dt = min(eps) / L2_DT_RATIO
 L2_DT_RATIO = 20.0
 
@@ -161,12 +164,17 @@ def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray, stderrs: np.ndarra
     return slope, (float(lo), float(hi))
 
 
+def slope_ci_hits(ci, target: float) -> bool:
+    """Whether a slope CI (lo, hi) comes within SLOPE_CI_TOL of the target slope."""
+    lo, hi = ci
+    return bool(lo <= target + SLOPE_CI_TOL and hi >= target - SLOPE_CI_TOL)
+
+
 def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
                           master_seed: int, name: str, dt_ratio: float,
                           alpha: float, threads: int = 1) -> np.ndarray:
     """Replica samples of alpha * int_0^t G(y^eps) ds."""
-    n_steps = max(int(round(as_horizon(t) / (eps / dt_ratio))), 1)
-    grid = TimeGrid(t, n_steps)
+    grid = TimeGrid.with_step(t, eps / dt_ratio)
     sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
 
     def make_chunk(chunk_keys):
@@ -289,8 +297,7 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     """
     h = as_hurst(H)
     horizon = max(t, s)
-    n_steps = max(int(round(as_horizon(horizon) / (eps / dt_ratio))), 1)
-    grid = TimeGrid(horizon, n_steps)
+    grid = TimeGrid.with_step(horizon, eps / dt_ratio)
     sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
     it = int(round(t / grid.dt))
     i_s = int(round(s / grid.dt))
@@ -365,7 +372,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
 
     Every replica owns one white noise on the cells of the Hermite
     engine (``hermite._kernel``) for the fine grid of n_fine =
-    round(t L2_DT_RATIO / min eps) steps.  The limit c_m (m!/K) C^m
+    round(t / (min eps / L2_DT_RATIO)) steps.  The limit c_m (m!/K) C^m
     Z^{H*(m),m} is the engine's Wick series on the fine grid, scaled by
     K/m!, and for each eps the fOU is built from the same noise through
     its Wiener kernel ghat at the cell midpoints (``_fou_kernels``), so
@@ -383,7 +390,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             f"H*(m) = {regime.h_star:.3f}"
         )
     eps_arr = as_eps_list(eps_list)
-    fine = TimeGrid(t, max(int(round(as_horizon(t) * L2_DT_RATIO / eps_arr[-1])), 1))
+    fine = TimeGrid.with_step(t, eps_arr[-1] / L2_DT_RATIO)
     hs = regime.h_star
     # only the engine's kernel and step variances, not its covariance
     A_lim = hermite._kernel(fine, hermite.HermiteSpec(hs, m))

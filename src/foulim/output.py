@@ -3,14 +3,15 @@
 All floats are written with 17 significant digits so that re-ingesting
 an emitted file reproduces the run bit-exactly.  CSV files have a fixed
 header row and column order per schema; JSON summaries carry a
-schema-version field.
+schema-version field.  Every writer takes a path or an open text stream,
+so a file and standard output get the same bytes.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
-import io
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ __all__ = [
     "fmt",
     "write_csv",
     "write_json",
-    "config_echo",
+    "write_config",
     "read_config",
 ]
 
@@ -38,9 +39,16 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def _opened(target):
+    """An open text stream as it is, or the file a path names, opened for writing."""
+    if hasattr(target, "write"):
+        return contextlib.nullcontext(target)
+    return open(target, "w", newline="")
+
+
+def write_csv(target, header: list[str], rows) -> None:
     """RFC-style CSV with a fixed header and column order."""
-    with open(path, "w", newline="") as fh:
+    with _opened(target) as fh:
         w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -64,10 +72,10 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path, payload: dict) -> None:
+def write_json(target, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(_jsonable(payload))
-    with open(path, "w") as fh:
+    with _opened(target) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -78,14 +86,13 @@ def _parser() -> configparser.ConfigParser:
     return cp
 
 
-def config_echo(command: str, params: dict) -> str:
+def write_config(target, command: str, params: dict) -> None:
     """Key-value echo of a run, re-ingestible through --config."""
     cp = _parser()
     cp["run"] = {"command": command}
     cp[command] = {k: fmt(v) for k, v in sorted(params.items()) if v is not None}
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
+    with _opened(target) as fh:
+        cp.write(fh)
 
 
 def read_config(path) -> tuple[str, dict]:

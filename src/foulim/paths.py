@@ -57,14 +57,16 @@ class TimeGrid:
 
     horizon: float
     n_steps: int
-    t0: float = 0.0
 
     def __post_init__(self):
         as_horizon(self.horizon)
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        if self.t0 != 0.0:
-            raise ValueError("grids start at t0 = 0")
+
+    @classmethod
+    def with_step(cls, horizon, step: float) -> TimeGrid:
+        """The grid on [0, horizon] of round(horizon / step) steps, at least one."""
+        return cls(horizon, max(int(round(as_horizon(horizon) / step)), 1))
 
     @property
     def dt(self) -> float:

@@ -378,6 +378,9 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
         k_flat = np.argmax(pair_sq)
         sup_err[i] = np.sqrt(pair_sq.ravel()[k_flat])
+        if not sup_err[i] > 0.0:
+            raise FoulimError(f"kinetic error vanishes at H={h}, eps={eps_arr[i]}: "
+                              "no rate can be fitted to it")
         worst = (d[:, k_flat // n_rep] - d[:, k_flat % n_rep]) ** 2
         sup_se[i] = 0.5 * np.std(worst, ddof=1) / np.sqrt(len(worst)) / sup_err[i]
         for a in range(0, n_replicas, rows):

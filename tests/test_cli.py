@@ -191,7 +191,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "homogenize-x0-nan", "homogenize-x0-inf"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
-    args = [command, *REQUIRED_ARGS[command], *argv[1:], "--replicas", "2",
+    args = [command, *REQUIRED_ARGS[command], *argv[1:], *_two_replicas(command),
             "--out", str(tmp_path / "x")]
     assert run(args) == 2
     err = capsys.readouterr().err
@@ -209,6 +209,13 @@ REQUIRED_ARGS = {
     "l2-hermite": ["--H", "0.8", "--coeffs", "0,1"], "kinetic-scan": ["--H", "0.7"],
     "homogenize": ["--H", "0.6", "--coeffs", "0,0,1"],
 }
+# the subcommands that draw samples, the only ones that take --replicas
+SAMPLING = {"sample-fbm", "sample-fou", "hermite-sample", "clt-scan", "l2-hermite",
+            "kinetic-scan", "homogenize"}
+
+
+def _two_replicas(command):
+    return ["--replicas", "2"] if command in SAMPLING else []
 
 
 def test_seed_defaults_per_subcommand():
@@ -224,13 +231,24 @@ def test_seed_defaults_per_subcommand():
     assert parser.parse_args(["verify", "--seed", "5"]).seed == 5
 
 
-@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS) + ["verify"])
+@pytest.mark.parametrize("command", sorted(SAMPLING))
 def test_non_positive_replicas_is_a_usage_error(command, tmp_path, capsys):
     for replicas in ("0", "-3"):
-        argv = [command, *REQUIRED_ARGS.get(command, []), "--replicas", replicas,
+        argv = [command, *REQUIRED_ARGS[command], "--replicas", replicas,
                 "--out", str(tmp_path / "x")]
         assert run(argv) == 1
         assert "--replicas: must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["chaos", "constants", "rho", "verify"])
+def test_replicas_on_a_command_that_draws_nothing_is_a_usage_error(command, tmp_path,
+                                                                   capsys):
+    # these never read --replicas, so they do not take it
+    argv = [command, *REQUIRED_ARGS.get(command, []), "--replicas", "5",
+            "--out", str(tmp_path / "x")]
+    assert run(argv) == 1
+    assert "unrecognized arguments: --replicas 5" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -269,7 +287,7 @@ def test_bad_threads_environment_is_a_usage_error(value, tmp_path, monkeypatch, 
     ("0,inf,1", "Hermite coefficients must be finite"),
 ], ids=["empty", "nan", "inf"])
 def test_bad_coefficients_exit_2(command, coeffs, message, tmp_path, capsys):
-    argv = [command, *REQUIRED_ARGS[command], "--coeffs", coeffs, "--replicas", "2",
+    argv = [command, *REQUIRED_ARGS[command], "--coeffs", coeffs, *_two_replicas(command),
             "--out", str(tmp_path / "x")]
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -517,7 +535,8 @@ _COEFF = st.one_of(st.just(0.0), _float(0.1, 2.0), _float(-2.0, -0.1))
 _COEFFS = st.lists(_COEFF, min_size=1, max_size=3).filter(any).map(lambda c: _text([0.0] + c))
 _H = st.floats(0.05, 0.95)
 _H_LONG = st.floats(0.55, 0.95)
-_COMMON = {"--seed": st.integers(0, 2**31 - 1), "--replicas": st.integers(2, 3)}
+_COMMON = {"--seed": st.integers(0, 2**31 - 1), "--format": st.sampled_from(["csv", "json"])}
+_SAMPLING_COMMON = {**_COMMON, "--replicas": st.integers(2, 3)}
 # tiny valid configurations over the benchmark's H range: every fast
 # scale resolved (dt_ratio >= 20), kinetic lists commensurate, l2-hermite
 # and hermite-sample long range
@@ -551,23 +570,63 @@ CONFIG_SPACES = {
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_config_round_trip_over_random_configurations(command, data):
-    # any valid configuration, re-run from its .config echo, writes the
-    # same CSV, JSON and .config bytes, floats included; like --out,
-    # --format is an output option that the echo does not carry
+    # any valid configuration, re-run from its .config echo alone, writes
+    # the same CSV, JSON and .config bytes, floats and --format included
     assert set(CONFIG_SPACES) == set(CONFIG_RUNS)
-    opts = data.draw(st.fixed_dictionaries({**CONFIG_SPACES[command], **_COMMON}))
-    fmt = ["--format", data.draw(st.sampled_from(["csv", "json"]))]
-    argv = [command] + [f"{opt}={val}" for opt, val in opts.items()] + fmt
+    common = _SAMPLING_COMMON if command in SAMPLING else _COMMON
+    opts = data.draw(st.fixed_dictionaries({**CONFIG_SPACES[command], **common}))
+    argv = [command] + [f"{opt}={val}" for opt, val in opts.items()]
     with tempfile.TemporaryDirectory() as tmp:
         first, again = f"{tmp}/first", f"{tmp}/again"
         rc = run(argv + ["--out", first])
         assert rc in (0, 2) and os.path.exists(f"{first}.json"), argv
-        assert run(["--config", f"{first}.config", *fmt, "--out", again]) == rc
+        assert run(["--config", f"{first}.config", "--out", again]) == rc
         for ext in ("csv", "json", "config"):
             assert os.path.exists(f"{first}.{ext}") == os.path.exists(f"{again}.{ext}")
             if os.path.exists(f"{first}.{ext}"):
                 with open(f"{first}.{ext}", "rb") as a, open(f"{again}.{ext}", "rb") as b:
                     assert a.read() == b.read(), (argv, ext)
+
+
+def test_json_to_stdout_is_the_json_file(tmp_path, capsys):
+    # one writer serves --out and stdout: both carry schema_version and the table
+    argv = ["rho", "--H", "0.6", "--s-max", "2", "--n-points", "3", "--format", "json"]
+    assert run(argv) == 0
+    printed = capsys.readouterr()
+    assert json.loads(printed.out)["schema_version"] == output.SCHEMA_VERSION
+    assert "format = json" in printed.err
+    assert run(argv + ["--out", str(tmp_path / "rho")]) == 0
+    assert printed.out == (tmp_path / "rho.json").read_text()
+
+
+def test_csv_to_stdout_is_the_csv_file(tmp_path, capsys):
+    argv = ["chaos", "--H", "0.7", "--coeffs", "0,1,0.5"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert run(argv + ["--out", str(tmp_path / "chaos")]) == 0
+    assert printed == (tmp_path / "chaos.csv").read_text()
+
+
+def test_json_run_rerun_from_its_config_alone_writes_json(tmp_path):
+    # the echo records --format, so the re-run writes the JSON table again, not a CSV
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["rho", "--H", "0.6", "--n-points", "4", "--format", "json",
+                "--out", str(first)]) == 0
+    assert "format = json" in (tmp_path / "first.config").read_text()
+    assert run(["--config", f"{first}.config", "--out", str(again)]) == 0
+    assert not (tmp_path / "again.csv").exists()
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+
+def test_kinetic_scan_at_a_tiny_hurst_parameter_exits_2(tmp_path, capsys):
+    # at H = 5e-324 the kinetic error comes out 0; dividing by it warned
+    # "invalid value encountered in scalar divide" before the fit failed
+    argv = ["kinetic-scan", "--H", "5e-324", "--replicas", "4", "--out", str(tmp_path / "x")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: kinetic error vanishes at H=5e-324, eps=0.1" in err
+    assert "RuntimeWarning" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_echo_of_a_negative_exponent_value_is_read_back(tmp_path):

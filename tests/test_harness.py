@@ -350,3 +350,21 @@ def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
         tracemalloc.stop()
     assert (peak - before) / 1e6 < kernels_mb + 1.25 * 16.1
     assert (after - before) / 1e6 < 1.0
+
+
+@pytest.mark.parametrize("horizon, step, n", [(1.0, 0.02 / 50, 2500), (0.1, 0.05 / 100, 200),
+                                              (1.0, 0.3, 3), (1.0, 5.0, 1)])
+def test_time_grid_with_step_rounds_to_at_least_one_step(horizon, step, n):
+    assert TimeGrid.with_step(horizon, step) == TimeGrid(horizon, n)
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0])
+def test_time_grid_with_step_rejects_a_bad_horizon_before_rounding(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        TimeGrid.with_step(horizon, 0.01)
+
+
+def test_slope_ci_hits_within_its_tolerance():
+    assert harness.slope_ci_hits((-1.09, -1.05), -1.0)
+    assert not harness.slope_ci_hits((-1.3, -1.11), -1.0)
+    assert not harness.slope_ci_hits((-0.89, -0.5), -1.0)
