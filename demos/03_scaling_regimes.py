@@ -18,9 +18,9 @@ for G, H, label, expected in (
     (H2, 0.75, "boundary    (H*=0.5)", None),
     (H1, 0.80, "long range  (H*=0.8)", 2 * 0.8 - 2),
 ):
-    regime, alpha = chaos.scaling_alpha(0.01, G.hermite_rank, H)
+    regime = chaos.classify_regime(G.hermite_rank, H)
     print(f"G rank {G.hermite_rank}, H={H}: {label}, "
-          f"regime={regime.kind.value}, alpha(0.01)={alpha:.3f}")
+          f"regime={regime.kind.value}, alpha(0.01)={regime.alpha(0.01):.3f}")
     scan = harness.variance_scan(G, H, 1.0, [0.1, 0.05, 0.02], 2000, 1)
     if expected is not None:
         print(f"  unscaled Var slope vs log(1/eps): {scan.slope:+.3f} "

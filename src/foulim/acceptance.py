@@ -20,7 +20,7 @@ from scipy import linalg, stats
 from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
 from .paths import MASTER_SEED, TimeGrid
-from .streams import normals, stream
+from .streams import normals
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -290,13 +290,6 @@ def crit_9_kinetic_rate(seed, suite, threads=1) -> CriterionResult:
                            passed, details)
 
 
-def _homogenize_endpoints(H, eps, n_rep, seed, threads):
-    cfg = solvers.MultiscaleConfig(f=lambda x: np.sin(x) + 2.0, h=None, G=H2, g=None,
-                                   H=H, eps=eps, x0=0.0,
-                                   grid=TimeGrid.with_step(1.0, eps / 50.0))
-    return solvers.solve_slow_fast_endpoints(cfg, n_rep, seed, threads=threads)
-
-
 def _inverse_flow_sin2(x) -> np.ndarray:
     """Driver value u = phi^{-1}(x) = int_0^x dz / (2 + sin z) of the flow of sin + 2.
 
@@ -361,27 +354,15 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # exact finite-eps mean and variance; the limit-law KS p-values are reported.
     n_rep = 2000 if suite == "full" else 600
     f = lambda x: np.sin(x) + 2.0
-    details = {}
-    c_sr = chaos.c_constant(H2, 0.6)
-    c_lr = chaos.c_constant(H2, 0.85)
-    details["c_short_range"] = c_sr
-    details["c_long_range"] = c_lr
-    hs = chaos.h_star(2, 0.85)
-    engine = hermite.HermiteEngine(TimeGrid(1.0, 200), hermite.HermiteSpec(hs, 2))
+    details = {"c_short_range": chaos.c_constant(H2, 0.6),
+               "c_long_range": chaos.c_constant(H2, 0.85)}
     passed = True
 
     for k, eps in enumerate((0.02, 0.01)):
         s = seed + 10 * k
-        z = harness.run_replicated(
-            n_rep, s + 2, "acc10-z",
-            lambda chunk_keys: hermite.hermite_ensemble(engine, chunk_keys)[:, 0], threads)
-        limit_drivers = {
-            "short_range": c_sr * stream(s, "acc10-w").standard_normal(n_rep),
-            "long_range": c_lr * z,
-        }
         for label, H, offset in (("short_range", 0.6, 0), ("long_range", 0.85, 1)):
-            x = _homogenize_endpoints(H, eps, n_rep, s + offset, threads)
-            lim = solvers.flow_map_1d(f, 0.0, limit_drivers[label])
+            x, lim = solvers.homogenize(H2, H, eps, f, None, None, n_rep, s + offset,
+                                        threads=threads)
             ks = stats.ks_2samp(x, lim)
             details[f"{label}_ks_pvalue_eps{eps}"] = float(ks.pvalue)
             if k == 0:
@@ -423,7 +404,7 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
         dW = normals(chunk_keys, np.empty((len(chunk_keys), grid.n_steps)))
         W = np.concatenate([np.zeros((len(dW), 1)), np.cumsum(dW, axis=1)], axis=1)
         x = solvers.solve_limit_stratonovich(
-            1.0, lambda u: u, lambda u: 0.0 * u, 0.0, c, grid, W * np.sqrt(grid.dt))
+            1.0, lambda u: u, lambda u: 0.0 * u, 0.0, grid, c * W * np.sqrt(grid.dt))
         return np.log(x[:, -1])
 
     logs = harness.run_replicated(n_rep, seed, "acc11", heun_chunk, threads)

@@ -28,7 +28,6 @@ __all__ = [
     "ChaosFunction",
     "hermite_rank",
     "h_star",
-    "scaling_alpha",
     "classify_regime",
     "limit_covariance_A",
     "c_constant",
@@ -118,12 +117,6 @@ def classify_regime(m: int, H) -> ScalingRegime:
     return ScalingRegime(kind, hs)
 
 
-def scaling_alpha(eps: float, m: int, H) -> tuple[ScalingRegime, float]:
-    """Regime of (m, H) and the scaling constant alpha(eps) for it."""
-    regime = classify_regime(m, H)
-    return regime, regime.alpha(eps)
-
-
 @dataclass(frozen=True)
 class ChaosFunction:
     """A centred L2(mu) function given by its Hermite coefficients.
@@ -184,11 +177,6 @@ class ChaosFunction:
     @property
     def truncation_order(self) -> int:
         return len(self.coefficients) - 1
-
-    def l2_norm_sq(self) -> float:
-        """||G||^2_{L2(mu)} = sum c_k^2 k! (Parseval)."""
-        k = np.arange(len(self.coefficients))
-        return float(np.sum(self.coefficients**2 * special.factorial(k)))
 
 def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, float]:
     """Limit covariance constant A^{ij} of the Wiener components.

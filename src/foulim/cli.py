@@ -17,7 +17,6 @@ import numpy as np
 from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
 from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
-from .streams import stream
 
 __all__ = ["main"]
 
@@ -290,31 +289,21 @@ def _cmd_homogenize(args) -> int:
     from scipy import stats as _stats
 
     G = _chaos_from_args(args)
-    f = _F_PRESETS[args.f]
-    g = _G_PRESETS[args.gfun]
-    g_bar = chaos.gaussian_expectation(g) if args.gfun != "zero" else 0.0
-    # with either factor zero the drift h(x) g(y) is absent: both sides take the flow of f
-    h, g = (None, None) if "zero" in (args.hfun, args.gfun) else (_F_PRESETS[args.hfun], g)
-    eps = as_eps(args.eps)
+    # a zero factor passes None: the drift h(x) g(y) is then absent
+    h = None if args.hfun == "zero" else _F_PRESETS[args.hfun]
+    g = None if args.gfun == "zero" else _G_PRESETS[args.gfun]
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
     _check_dt_ratio(args.dt_ratio)
-    grid = TimeGrid.with_step(args.t, eps / args.dt_ratio)
-    cfg = solvers.MultiscaleConfig(f, h, G, g, args.H, eps, args.x0, grid)
-    endpoints = solvers.solve_slow_fast_endpoints(
-        cfg, args.replicas, args.seed, threads=args.threads,
-    )
-    regime = chaos.classify_regime(G.hermite_rank, args.H)
-    c = chaos.c_constant(G, args.H)
-    limit = _limit_endpoint_samples(
-        G, args.H, args.t, args.x0, f, h, g_bar,
-        args.replicas, args.seed + 1, args.threads,
+    endpoints, limit = solvers.homogenize(
+        G, args.H, args.eps, _F_PRESETS[args.f], h, g, args.replicas, args.seed,
+        args.t, args.x0, args.dt_ratio, args.threads,
     )
     ks = _stats.ks_2samp(endpoints, limit)
     summary = {
-        "regime": regime.kind.value,
-        "c": c,
-        "g_bar": g_bar,
+        "regime": chaos.classify_regime(G.hermite_rank, args.H).kind.value,
+        "c": chaos.c_constant(G, args.H),
+        "g_bar": chaos.gaussian_expectation(_G_PRESETS[args.gfun]),
         "ks_statistic": float(ks.statistic),
         "ks_pvalue": float(ks.pvalue),
         "pass": bool(ks.pvalue > 0.01),
@@ -324,55 +313,22 @@ def _cmd_homogenize(args) -> int:
     _emit(args, ["replica", "endpoint"], enumerate(endpoints), summary)
     return 0 if summary["pass"] else 2
 
-def _limit_endpoint_samples(G, H, t, x0, f, h, g_bar, n, seed, threads=1):
-    """Samples of the endpoint x_t of dx = f(x) dU + g_bar h(x) dt.
-
-    The driver is U = c W in the short-range (and boundary) regime and
-    U = sign(a_m) c Z^{H*,m} in the long-range regime.  The Hermite paths
-    are drawn in the fixed replica chunks of ``harness.run_replicated``
-    on ``threads`` workers, so the noise of only one chunk per worker is
-    held at a time and the output does not depend on the worker count.
-    h is None for h = 0: the scalar chain rule then makes x_t the flow
-    of f evaluated at U_t, so only U_t is drawn.  For nonzero h the
-    batched Heun solver runs on U's paths: in one dimension it converges
-    to the Stratonovich solution for Brownian U and to the Young solution
-    for the Hermite U (H* > 1/2).
-    """
-    regime = chaos.classify_regime(G.hermite_rank, H)
-    c = chaos.c_constant(G, H)
-    if regime.kind is Regime.LONG_RANGE:
-        m = G.hermite_rank
-        grid = TimeGrid(t, 400)
-        engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(regime.h_star, m))
-        report_idx = None if h is None else np.arange(grid.n_steps + 1)
-        z = harness.run_replicated(
-            n, seed, "limit-endpoint-z",
-            lambda k: hermite.hermite_ensemble(engine, k, report_idx), threads)
-        U = np.sign(G.coefficients[m]) * c * z
-    else:
-        rng = stream(seed, "limit-endpoint")
-        if h is None:
-            return solvers.flow_map_1d(f, x0, c * np.sqrt(t) * rng.standard_normal(n))
-        grid = TimeGrid(t, 4000)
-        W = np.cumsum(rng.standard_normal((n, grid.n_steps)), axis=1) * np.sqrt(grid.dt)
-        U = c * np.concatenate([np.zeros((n, 1)), W], axis=1)
-    if h is None:
-        return solvers.flow_map_1d(f, x0, U[:, -1])
-    return solvers.solve_limit_stratonovich(x0, f, h, g_bar, 1.0, grid, U)[:, -1]
-
 
 def _cmd_verify(args) -> int:
     from . import acceptance
 
     report = acceptance.run_all(suite=args.suite, seed=args.seed,
                                 threads=args.threads)
+    # a JSON report without --out takes stdout, so the status lines go to stderr
+    to_stdout = args.format == "json" and not args.out
+    lines = sys.stderr if to_stdout else sys.stdout
     for res in report["criteria"]:
         status = "PASS" if res["passed"] else "FAIL"
         print(f"[{status}] criterion {res['number']:2d} {res['name']}"
-              f" ({res['seconds']:.1f}s)")
+              f" ({res['seconds']:.1f}s)", file=lines)
     print(f"suite={args.suite} passed={report['passed']}"
-          f" total={report['seconds']:.1f}s")
-    if args.out:
+          f" total={report['seconds']:.1f}s", file=lines)
+    if args.out or to_stdout:
         rows = [(r["number"], r["name"], r["passed"], r["seconds"]) for r in report["criteria"]]
         _emit(args, ["criterion", "name", "passed", "seconds"], rows, report)
     return 0 if report["passed"] else 2

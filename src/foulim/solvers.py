@@ -4,8 +4,11 @@ The limit equation dx = f(x) dZ + g_bar h(x) dt is driven by Z = c W
 (Brownian) in the short-range regime and by Z = c Z^{H*,m} (a Hermite
 process, H* > 1/2) in the long-range regime.  Its two solvers, the
 left-point Young scheme and the Heun-Stratonovich scheme, are batched:
-each takes a driver matrix of shape (n_replicas, n_steps + 1) and steps
-every replica at once.  The slow/fast RK4 solver is batched the same
+each takes a driver matrix of shape (n_replicas, n_steps + 1), c folded
+in, and steps every replica at once.  ``homogenize`` is the one place
+that samples both sides of the homogenization limit, the slow/fast
+endpoints and the limit equation's, every replica's driver drawn from
+its own keyed stream inside a ``run_replicated`` chunk.  The slow/fast RK4 solver is batched the same
 way over fOU paths, which it keeps time-major so that every stage reads
 one contiguous row, and it evaluates G and g on them a block of time
 rows at a time; without the drift h(x) g(y) the system is solved by its
@@ -27,15 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chaos, fgn, fou
-from .chaos import ChaosFunction
+from . import chaos, fgn, fou, hermite
+from .chaos import ChaosFunction, Regime
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
 from .paths import FoulimError, TimeGrid, as_eps, as_eps_list, as_hurst
+from .streams import normals
 
 __all__ = [
     "BlowUpError",
     "MultiscaleConfig",
     "solve_slow_fast_endpoints",
+    "homogenize",
     "solve_limit_young",
     "solve_limit_stratonovich",
     "flow_map_1d",
@@ -114,9 +119,8 @@ def solve_limit_young(x0, f, h, g_bar: float, grid: TimeGrid, Z) -> np.ndarray:
     return np.moveaxis(x, 0, -1)
 
 
-def solve_limit_stratonovich(x0, f, h, g_bar: float, c: float, grid: TimeGrid,
-                             W) -> np.ndarray:
-    """Heun (midpoint-predictor) scheme for dx = c f(x) o dW + g_bar h(x)dt.
+def solve_limit_stratonovich(x0, f, h, g_bar: float, grid: TimeGrid, W) -> np.ndarray:
+    """Heun (midpoint-predictor) scheme for dx = f(x) o dW + g_bar h(x)dt.
 
     W holds driver values of shape (n_replicas, n_steps + 1) on ``grid``
     (a single path is the one-row case); every replica is stepped at
@@ -124,17 +128,18 @@ def solve_limit_stratonovich(x0, f, h, g_bar: float, c: float, grid: TimeGrid,
     Brownian W; the predictor-corrector average makes the scheme
     consistent with the Stratonovich integral (no Ito correction), and
     in one dimension it converges to the Young solution for a driver of
-    Hoelder regularity > 1/2.
+    Hoelder regularity > 1/2.  As for the Young scheme, the caller folds
+    the homogenization constant c into W's scaling.
     """
     dW, x = _stepping_arrays(x0, grid, W)
     dt = grid.dt
     for k in range(grid.n_steps):
         xk, dw = x[k], dW[k]
-        diff_k, drift_k = c * f(xk), g_bar * h(xk)
+        diff_k, drift_k = f(xk), g_bar * h(xk)
         pred = xk + diff_k * dw + drift_k * dt
         x[k + 1] = (
             xk
-            + 0.5 * (diff_k + c * f(pred)) * dw
+            + 0.5 * (diff_k + f(pred)) * dw
             + 0.5 * (drift_k + g_bar * h(pred)) * dt
         )
     return np.moveaxis(x, 0, -1)
@@ -248,6 +253,70 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
         return _solve_slow_fast_from_y(cfg, y)
 
     return run_replicated(n_replicas, master_seed, name, make_chunk, threads)
+
+
+def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray:
+    """Endpoints x_t of dx = f(x) dU + g_bar h(x) dt, n replicas from ``seed``.
+
+    U = c W in the short-range and boundary regimes, W from stream
+    (seed, "limit-endpoint", i); U = sign(a_m) c Z^{H*,m} in the long-range
+    regime, the 400-step Hermite path of (seed, "limit-endpoint-z", i).
+    Each ``run_replicated`` chunk is solved before the next is drawn.  With
+    h None the scalar chain rule makes x_t the flow of f at U_t, so only U_t
+    is kept (W takes one step); otherwise the batched Heun solver runs on
+    U's path (W takes 4000 steps), converging to the Stratonovich solution
+    for Brownian U and to the Young one for the Hermite U (H* > 1/2).
+    """
+    regime = chaos.classify_regime(G.hermite_rank, H)
+    c = chaos.c_constant(G, H)
+    if regime.kind is Regime.LONG_RANGE:
+        m = G.hermite_rank
+        name, grid = "limit-endpoint-z", TimeGrid(t, 400)
+        scale = np.sign(G.coefficients[m]) * c
+        engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(regime.h_star, m))
+        report_idx = None if h is None else np.arange(grid.n_steps + 1)
+
+        def driver(chunk_keys):
+            return hermite.hermite_ensemble(engine, chunk_keys, report_idx)
+    else:
+        name, grid = "limit-endpoint", TimeGrid(t, 1 if h is None else 4000)
+        scale = c * np.sqrt(grid.dt)
+
+        def driver(chunk_keys):
+            W = np.zeros((len(chunk_keys), grid.n_steps + 1))
+            np.cumsum(normals(chunk_keys, W[:, 1:]), axis=1, out=W[:, 1:])
+            return W
+
+    def solve_chunk(chunk_keys):
+        U = driver(chunk_keys)
+        U *= scale
+        if h is not None:
+            U = solve_limit_stratonovich(x0, f, h, g_bar, grid, U)
+        return U[:, -1].copy()  # a view would keep the chunk's paths alive
+
+    x = run_replicated(n, seed, name, solve_chunk, threads)
+    return x if h is not None else flow_map_1d(f, x0, x)
+
+
+def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float = 1.0,
+               x0: float = 0.0, dt_ratio: float = 50.0,
+               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints x^eps_t of the slow/fast system and x_t of its limit equation.
+
+    The system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is
+    solved at dt = eps / dt_ratio from streams (master_seed, "slowfast", i);
+    the limit dx = f(x) dU + g_bar h(x) dt, g_bar = E g(N(0, 1)), is
+    sampled by ``_limit_endpoints`` from master_seed + 1.  h or g None
+    means the drift h(x) g(y) is absent, and both sides take the flow of f.
+    """
+    eps = as_eps(eps)
+    cfg = MultiscaleConfig(f, h, G, g, H, eps, x0, TimeGrid.with_step(t, eps / dt_ratio))
+    x_eps = solve_slow_fast_endpoints(cfg, n_replicas, master_seed, threads=threads)
+    drift = h is not None and g is not None
+    x_lim = _limit_endpoints(G, H, t, x0, f, h if drift else None,
+                             chaos.gaussian_expectation(g) if drift else 0.0,
+                             n_replicas, master_seed + 1, threads)
+    return x_eps, x_lim
 
 
 def _grid_reader(times: np.ndarray, dt: float):

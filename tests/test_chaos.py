@@ -34,7 +34,7 @@ def test_recurrence_evaluation_matches_hermeval(degree):
 
 
 def test_hermite_orthogonality_under_quadrature():
-    # <He_j, He_k> = k! delta_jk, the convention l2_norm_sq relies on
+    # <He_j, He_k> = k! delta_jk, the convention Parseval's sum c_k^2 k! relies on
     x, w = np.polynomial.hermite_e.hermegauss(80)
     w = w / np.sqrt(2 * np.pi)
     basis = np.eye(11)
@@ -52,7 +52,8 @@ def test_parseval_for_polynomials():
     x, w = np.polynomial.hermite_e.hermegauss(120)
     w = w / np.sqrt(2 * np.pi)
     norm_quad = w @ G(x) ** 2
-    assert G.l2_norm_sq() == pytest.approx(norm_quad, rel=1e-10)
+    parseval = sum(c**2 * special.factorial(k) for k, c in enumerate(G.coefficients))
+    assert parseval == pytest.approx(norm_quad, rel=1e-10)
 
 
 def test_hermite_rank_cases():
@@ -81,15 +82,15 @@ def test_h_star_values_and_inverse():
 
 
 def test_scaling_alpha_three_branches():
-    regime, a = chaos.scaling_alpha(0.01, 4, 0.8)  # H*(4) = 0.2
+    regime = chaos.classify_regime(4, 0.8)  # H*(4) = 0.2
     assert regime.kind is Regime.SHORT_RANGE
-    assert a == pytest.approx(10.0)
-    regime, a = chaos.scaling_alpha(np.exp(-1.0), 2, 0.75)  # boundary
+    assert regime.alpha(0.01) == pytest.approx(10.0)
+    regime = chaos.classify_regime(2, 0.75)  # boundary
     assert regime.kind is Regime.BOUNDARY
-    assert a == pytest.approx(np.sqrt(np.e))
-    regime, a = chaos.scaling_alpha(0.01, 3, 0.9)  # H* = 0.7
+    assert regime.alpha(np.exp(-1.0)) == pytest.approx(np.sqrt(np.e))
+    regime = chaos.classify_regime(3, 0.9)  # H* = 0.7
     assert regime.kind is Regime.LONG_RANGE
-    assert a == pytest.approx(0.01 ** (-0.3), rel=1e-12)
+    assert regime.alpha(0.01) == pytest.approx(0.01 ** (-0.3), rel=1e-12)
 
 
 def test_alpha_consistency_identities():

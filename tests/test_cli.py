@@ -599,6 +599,25 @@ def test_json_to_stdout_is_the_json_file(tmp_path, capsys):
     assert printed.out == (tmp_path / "rho.json").read_text()
 
 
+def test_verify_json_without_out_prints_only_the_report(tmp_path, monkeypatch, capsys):
+    # a stub report stands in for the suite; stdout must be exactly the JSON
+    # report that --out writes, and the status lines go to stderr
+    report = {"suite": "quick", "seed": 3, "passed": True, "seconds": 0.5,
+              "criteria": [{"number": 1, "name": "stub", "passed": True,
+                            "details": {"z": 0.25}, "seconds": 0.5}]}
+    monkeypatch.setattr(acceptance, "run_all", lambda **kw: dict(report))
+    argv = ["verify", "--suite", "quick", "--seed", "3", "--format", "json"]
+    assert run(argv) == 0
+    printed = capsys.readouterr()
+    doc = json.loads(printed.out)
+    assert doc["command"] == "verify" and doc["criteria"] == report["criteria"]
+    assert "[PASS] criterion  1 stub" in printed.err
+    assert "suite=quick passed=True" in printed.err
+    assert run(argv + ["--out", str(tmp_path / "rep")]) == 0
+    assert printed.out == (tmp_path / "rep.json").read_text()
+    assert "[PASS] criterion  1 stub" in capsys.readouterr().out
+
+
 def test_csv_to_stdout_is_the_csv_file(tmp_path, capsys):
     argv = ["chaos", "--H", "0.7", "--coeffs", "0,1,0.5"]
     assert run(argv) == 0

@@ -16,7 +16,9 @@ or ``bench``: reads from tests alone do not keep an export alive.
 
 The replica-to-stream policy lives in one place: inside ``src/foulim``
 only ``harness.run_replicated``, which hands every chunk its keys, and
-``streams.stream`` call ``streams.keys``.
+``streams.stream`` call ``streams.keys``, and only
+``harness.fit_loglog_slope`` (its bootstrap draws) calls ``streams.stream``,
+so every Monte Carlo draw goes through ``run_replicated``.
 
 The CLI also keeps an import budget: a fresh interpreter that imports
 ``foulim.cli`` and runs a subcommand that computes no statistic loads
@@ -236,26 +238,28 @@ def test_cli_loads_no_heavy_scipy_module(tmp_path):
 
 # the functions of the package that may call streams.keys, per file
 KEYS_CALLERS = {"harness.py": {"run_replicated"}, "streams.py": {"stream"}}
+# ... and streams.stream: every Monte Carlo draw goes through run_replicated's keys
+STREAM_CALLERS = {"harness.py": {"fit_loglog_slope"}}
 
 
-def keys_callers(source: str) -> set[str]:
-    """Names of the functions in ``source`` that call ``keys`` or
-    ``streams.keys`` ("<module>" for a call outside any function)."""
-    callers = set()
+def callers(source: str, name: str) -> set[str]:
+    """Names of the functions in ``source`` that call ``name`` or
+    ``streams.<name>`` ("<module>" for a call outside any function)."""
+    found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 f = child.func
-                if ((isinstance(f, ast.Name) and f.id == "keys")
-                        or (isinstance(f, ast.Attribute) and f.attr == "keys"
+                if ((isinstance(f, ast.Name) and f.id == name)
+                        or (isinstance(f, ast.Attribute) and f.attr == name
                             and isinstance(f.value, ast.Name) and f.value.id == "streams")):
-                    callers.add(owner)
+                    found.add(owner)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else owner)
 
     visit(ast.parse(source), "<module>")
-    return callers
+    return found
 
 
 def test_keys_scanner_flags_a_closure_that_derives_its_keys():
@@ -266,9 +270,24 @@ def test_keys_scanner_flags_a_closure_that_derives_its_keys():
         "        return keys(seed, 'x', offset, count)\n"
         "    return streams.keys(seed, 'y', 0, n), params.keys()\n"
     )
-    assert keys_callers(src) == {"make_chunk", "scan"}
+    assert callers(src, "keys") == {"make_chunk", "scan"}
 
 
 def test_only_run_replicated_and_stream_derive_keys():
-    callers = {p.name: keys_callers(p.read_text()) for p in PACKAGE_FILES}
-    assert {name: found for name, found in callers.items() if found} == KEYS_CALLERS
+    found = {p.name: callers(p.read_text(), "keys") for p in PACKAGE_FILES}
+    assert {name: f for name, f in found.items() if f} == KEYS_CALLERS
+
+
+def test_stream_scanner_flags_a_draw_outside_run_replicated():
+    src = (
+        "from . import streams\nfrom .streams import stream\n"
+        "def limit(seed, n, out):\n"
+        "    rng = stream(seed, 'w')\n"
+        "    return streams.stream(seed, 'z').standard_normal(n), out.stream\n"
+    )
+    assert callers(src, "stream") == {"limit"}
+
+
+def test_only_the_slope_bootstrap_opens_a_single_stream():
+    found = {p.name: callers(p.read_text(), "stream") for p in PACKAGE_FILES}
+    assert {name: f for name, f in found.items() if f} == STREAM_CALLERS

@@ -98,7 +98,7 @@ def test_limit_solvers_reject_driver_off_grid():
     with pytest.raises(ValueError, match="101"):
         solvers.solve_limit_young(0.0, _zero, _zero, 0.0, grid, np.zeros((3, 100)))
     with pytest.raises(ValueError, match="101"):
-        solvers.solve_limit_stratonovich(0.0, _zero, _zero, 0.0, 1.0, grid, np.zeros(102))
+        solvers.solve_limit_stratonovich(0.0, _zero, _zero, 0.0, grid, np.zeros(102))
 
 
 def _young_loop(x0, f, h, g_bar, dt, Z):
@@ -108,12 +108,12 @@ def _young_loop(x0, f, h, g_bar, dt, Z):
     return np.array(x)
 
 
-def _heun_loop(x0, f, h, g_bar, c, dt, W):
+def _heun_loop(x0, f, h, g_bar, dt, W):
     x = [x0]
     for dw in np.diff(W):
         xk = x[-1]
-        pred = xk + c * f(xk) * dw + g_bar * h(xk) * dt
-        x.append(xk + 0.5 * (c * f(xk) + c * f(pred)) * dw
+        pred = xk + f(xk) * dw + g_bar * h(xk) * dt
+        x.append(xk + 0.5 * (f(xk) + f(pred)) * dw
                  + 0.5 * (g_bar * h(xk) + g_bar * h(pred)) * dt)
     return np.array(x)
 
@@ -124,7 +124,7 @@ def test_batched_limit_solvers_match_one_row_calls():
     f = lambda u: np.sin(u) + 2.0
     h = lambda u: np.cos(u)
     young = solvers.solve_limit_young(0.4, f, h, 0.6, grid, Z)
-    heun = solvers.solve_limit_stratonovich(0.4, f, h, 0.6, 0.8, grid, Z)
+    heun = solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, 0.8 * Z)
     assert young.shape == heun.shape == Z.shape
     for r in range(5):
         one = Z[r : r + 1]
@@ -133,19 +133,19 @@ def test_batched_limit_solvers_match_one_row_calls():
             rtol=0, atol=1e-14)
         np.testing.assert_allclose(
             heun[r : r + 1],
-            solvers.solve_limit_stratonovich(0.4, f, h, 0.6, 0.8, grid, one),
+            solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, 0.8 * one),
             rtol=0, atol=1e-14)
         # the scalar per-replica loops are the reference
         np.testing.assert_allclose(young[r], _young_loop(0.4, f, h, 0.6, grid.dt, Z[r]),
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, 0.6, 0.8, grid.dt, Z[r]),
+        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, 0.6, grid.dt, 0.8 * Z[r]),
                                    rtol=0, atol=1e-14)
 
 
 def test_stratonovich_deterministic_when_c_zero():
     grid = TimeGrid(1.0, 1000)
     W = stream(3, "w0").standard_normal(1001).cumsum() * 0.0
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, 0.5, 0.0, grid, W)
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, 0.5, grid, 0.0 * W)
     assert x[-1] == pytest.approx(np.exp(0.5), rel=1e-4)
 
 
@@ -155,7 +155,7 @@ def test_stratonovich_additive_matches_quadrature():
     W = np.concatenate([[0.0], np.cumsum(incs)])
     c, g_bar = 0.7, 0.3
     h = lambda u: np.cos(u)
-    x = solvers.solve_limit_stratonovich(0.2, lambda u: np.ones_like(u), h, g_bar, c, grid, W)
+    x = solvers.solve_limit_stratonovich(0.2, lambda u: np.ones_like(u), h, g_bar, grid, c * W)
     # additive noise: x_t = x0 + c W_t + g_bar int h(x_s) ds
     drift = g_bar * grid.dt * np.cumsum(np.cos(x[:-1]))
     expect = 0.2 + c * W[1:] + drift
@@ -170,22 +170,25 @@ def test_stratonovich_no_ito_correction():
     incs = np.stack([stream(5, "strat", i).standard_normal(2000) for i in range(200)])
     W = np.concatenate([np.zeros((200, 1)), np.cumsum(incs, axis=1)], axis=1)
     W *= np.sqrt(grid.dt)
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, g_bar, c, grid, W)
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, g_bar, grid, c * W)
     resid = np.log(x[:, -1]) - c * W[:, -1] - g_bar
     assert abs(resid.mean()) < 0.01
     assert abs(resid.mean()) < 0.1 * c**2 / 2
+
+
+def _one(x):
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
 @pytest.mark.parametrize("a2", [1.0, -1.0])
 def test_long_range_limit_is_driven_by_the_hermite_path(a2):
     # additive noise and constant drift: Heun is exact, so the limit endpoint
     # is x0 + g_bar t + sign(a_2) c Z_t with Z the Hermite path itself
-    from foulim import cli, hermite
+    from foulim import hermite
 
     H, t, x0, seed, n = 0.85, 1.0, 0.3, 17, 6
-    one = cli._F_PRESETS["one"]
     G = ChaosFunction.from_coefficients([0, 0, a2])
-    x = cli._limit_endpoint_samples(G, H, t, x0, one, one, 1.0, n, seed)
+    x = solvers._limit_endpoints(G, H, t, x0, _one, _one, 1.0, n, seed)
     regime = chaos.classify_regime(2, H)
     engine = hermite.HermiteEngine(TimeGrid(t, 400), hermite.HermiteSpec(regime.h_star, 2))
     z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
@@ -194,17 +197,15 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
 
 
 def _hermite_limit_args(n, seed=23):
-    from foulim import cli
-
     G = ChaosFunction.from_coefficients([0, 0, -1.0])
-    return (G, 0.85, 1.0, 0.0, cli._F_PRESETS["sin2"], None, 0.0, n, seed)
+    return (G, 0.85, 1.0, 0.0, _sin2, None, 0.0, n, seed)
 
 
 def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
     # 300 replicas, a full chunk and a partial one: with the flow map
     # replaced by the identity the samples are sign(a_2) c Z_t, and each
     # chunk's rows agree with one call over all replicas to rounding
-    from foulim import cli, hermite
+    from foulim import hermite
 
     monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
     G, H, t, *_, n, seed = _hermite_limit_args(300)
@@ -213,8 +214,18 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
     z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
     expect = -chaos.c_constant(G, H) * z
     for threads in (1, 2):
-        u = cli._limit_endpoint_samples(*_hermite_limit_args(300), threads)
+        u = solvers._limit_endpoints(*_hermite_limit_args(300), threads)
         np.testing.assert_allclose(u, expect, rtol=0, atol=1e-13)
+
+
+def _peak_traced_mb(func, *args) -> float:
+    """Peak traced allocation of func(*args) in MB."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_limit_endpoint_samples_memory_is_chunked():
@@ -222,16 +233,32 @@ def test_limit_endpoint_samples_memory_is_chunked():
     # 250-replica chunks the noise of one chunk is held at a time.  The
     # Hermite engine is built inside every call, so its kernel counts too
     # (16.4 MB traced in all)
-    from foulim import cli
+    solvers._limit_endpoints(*_hermite_limit_args(2))  # warm the imports only
+    assert _peak_traced_mb(solvers._limit_endpoints, *_hermite_limit_args(600)) < 120.0
 
-    cli._limit_endpoint_samples(*_hermite_limit_args(2))  # warm the imports only
-    tracemalloc.start()
-    try:
-        cli._limit_endpoint_samples(*_hermite_limit_args(600))
-        peak = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-    assert peak < 120.0
+
+@pytest.mark.parametrize("H", [0.6, 0.75])
+def test_short_range_limit_reads_one_keyed_stream_per_replica(H, monkeypatch):
+    # short range and boundary without drift: with the flow map replaced by
+    # the identity, row i is c sqrt(t) times the first normal of stream
+    # (seed, "limit-endpoint", i), whatever the worker count
+    monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
+    t, n, seed = 0.7, 300, 29
+    out = [solvers._limit_endpoints(H2, H, t, 0.0, _sin2, None, 0.0, n, seed, threads)
+           for threads in (1, 2)]
+    np.testing.assert_array_equal(out[0], out[1])
+    first = np.array([stream(seed, "limit-endpoint", i).standard_normal() for i in range(n)])
+    np.testing.assert_array_equal(out[0], chaos.c_constant(H2, H) * np.sqrt(t) * first)
+
+
+def test_brownian_limit_with_drift_holds_one_chunk():
+    # with drift every replica's 4000-step W is solved by Heun; drawn as one
+    # (600, 4000) matrix it took 77 MB traced.  In 250-replica chunks one
+    # chunk's path, increments and solution (8 MB each) are held at a time,
+    # 24 MB traced; a chunk whose endpoints kept its solution alive read 32 MB
+    args = (H2, 0.6, 1.0, 0.0, _sin2, np.cos, 0.5)
+    solvers._limit_endpoints(*args, 2, 3)  # warm the imports only
+    assert _peak_traced_mb(solvers._limit_endpoints, *args, 600, 3) < 30.0
 
 
 def test_flow_map_exponential():
