@@ -32,7 +32,7 @@ import numpy as np
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
 from .paths import TimeGrid, as_eps_list, as_hurst
-from .streams import keys, normals, stream
+from .streams import keys, stream
 
 __all__ = [
     "ScanResult",
@@ -348,23 +348,6 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     return report
 
 
-def _fou_kernels(h: float, fine: TimeGrid,
-                eps_arr: np.ndarray) -> list[tuple[TimeGrid, np.ndarray]]:
-    """A (grid, M) pair per eps: the fOU's Wiener kernel on the cells of fine.
-
-    grid takes every r-th point of fine, r the largest divisor of n_fine
-    with r dt <= eps/L2_DT_RATIO, and M is ``hermite._fou_kernel`` there.
-    """
-    n_fine = fine.n_steps
-    out = []
-    for eps in eps_arr:
-        r = max((k for k in range(1, n_fine + 1)
-                 if n_fine % k == 0 and k * fine.dt <= eps / L2_DT_RATIO * (1.0 + 1e-12)),
-                default=1)
-        out.append((TimeGrid(fine.horizon, n_fine // r), hermite._fou_kernel(fine, h, eps, r)))
-    return out
-
-
 def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
                            n_replicas: int, master_seed: int = 0,
                            threads: int = 1) -> ScanResult:
@@ -375,11 +358,13 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     round(t / (min eps / L2_DT_RATIO)) steps.  The limit c_m (m!/K) C^m
     Z^{H*(m),m} is the engine's Wick series on the fine grid, scaled by
     K/m!, and for each eps the fOU is built from the same noise through
-    its Wiener kernel ghat at the cell midpoints (``_fou_kernels``), so
-    the distance ||X^eps_t - limit_t||_{L2(Omega)} is measured on
-    coupled samples and must decrease as eps -> 0.  No cell is cut off,
-    so every fOU row has unit variance to the midpoint rule's accuracy.
-    The kernel matrices are built on the call and freed when it returns.
+    its Wiener kernel ghat at the cell midpoints (``hermite._fou_kernel``)
+    on every r-th fine point, r the largest divisor of n_fine with r dt
+    <= eps/L2_DT_RATIO, so the distance ||X^eps_t - limit_t||_{L2(Omega)}
+    is measured on coupled samples and must decrease as eps -> 0.  No
+    cell is cut off, so every fOU row has unit variance to the midpoint
+    rule's accuracy.  The kernels are projected together a block of noise
+    rows at a time (``hermite._projections``) and freed on return.
     """
     h = as_hurst(H)
     m = G.hermite_rank
@@ -391,23 +376,23 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
         )
     eps_arr = as_eps_list(eps_list)
     fine = TimeGrid.with_step(t, eps_arr[-1] / L2_DT_RATIO)
-    hs = regime.h_star
-    # only the engine's kernel and step variances, not its covariance
-    A_lim = hermite._kernel(fine, hermite.HermiteSpec(hs, m))
-    var_lim = np.diag(A_lim @ A_lim.T).copy()
-    fou_kernels = _fou_kernels(h, fine, eps_arr)
+    n_fine, hs = fine.n_steps, regime.h_star
+    strides = [max((k for k in range(1, n_fine + 1)
+                    if n_fine % k == 0 and k * fine.dt <= eps / L2_DT_RATIO * (1.0 + 1e-12)),
+                   default=1) for eps in eps_arr]
+    kernels = [hermite._kernel(fine, hermite.HermiteSpec(hs, m))]
+    kernels += [hermite._fou_kernel(fine, h, eps, r) for eps, r in zip(eps_arr, strides)]
+    var_lim = kernels[0].variances()
     K = chaos.K_normalizer(hs, m)
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
 
     def make_chunk(chunk_keys):
-        count = len(chunk_keys)
-        N = normals(chunk_keys, np.empty((count, A_lim.shape[1])))
-        series = hermite._wick_power(N @ A_lim.T, var_lim, m)
-        Z_t = series.sum(axis=1) * fine.dt * K / math.factorial(m)
-        out = np.empty((count, len(eps_arr)))
-        for i, (grid, M) in enumerate(fou_kernels):
-            X = functional_values(G, N @ M.T, grid.dt, eps_arr[i] ** (hs - 1.0))
-            out[:, i] = (X - lam * Z_t) ** 2
+        out = np.empty((len(chunk_keys), len(eps_arr)))
+        for start, (u, *ys) in hermite._projections(chunk_keys, kernels):
+            Z_t = hermite._wick_power(u, var_lim, m).sum(axis=1) * fine.dt * K / math.factorial(m)
+            for i, (y, eps, r) in enumerate(zip(ys, eps_arr, strides)):
+                X = functional_values(G, y, fine.horizon / (n_fine // r), eps ** (hs - 1.0))
+                out[start : start + len(u), i] = (X - lam * Z_t) ** 2
         return out
 
     sq = run_replicated(n_replicas, master_seed, "l2-noise", make_chunk, threads)

@@ -1,44 +1,42 @@
 """Hermite processes by discretized multiple Wiener-Ito integrals.
 
-Z^{H,m} is defined by an m-fold Wiener integral, over the off-diagonal
-region, of the time-integrated product kernel
+Z^{H,m} is the m-fold Wiener integral, over the off-diagonal region, of
+the time-integrated product kernel
 
     F_t(xi) = int_0^t prod_j (s - xi_j)_+^{(H-1)/m - 1/2} ds,
 
-scaled by K(H,m)/m! with K from the unit-variance normalization
-(m = 1 recovers the Mandelbrot-Van Ness fBM, m = 2 the Rosenblatt
-process).  One engine serves every caller.  The white noise lives on
-graded cells: width dt, aligned with the time grid, on [-T, T], then
-widths growing geometrically (x1.05) out to -1e30, so no noise window
-is cut off (1,863 cells at 200 steps, 2,277 at 400).  The kernel at the
-midpoint of step s enters through its exact per-cell averages times
-sqrt(width), a_s, and the step's term is the Wick form of the multiple
-integral of a_s^{(x)m}, I_m = ||a_s||^m He_m(u_s/||a_s||) with
-u_s = sum_i a_s[i] N_i (u_s itself for m = 1).  Its discrete covariance
-is exact in one line, m! ds^2 sum_{s<j, s'<k} ((A A^T)^m)_{ss'}
-(``exact_covariance``), and the cost is O(n_s * n_cells) for every m.
-A ``HermiteEngine`` holds them for one (grid, spec), built once per
-operation and handed to every chunk, as with ``fou.path_sampler``.
-``hermite_ensemble`` draws one row of cell noise per Philox key it is
-given; ensembles take their keys chunk by chunk from
-``harness.run_replicated``.
+scaled by K(H,m)/m! to unit variance (m = 1 is the Mandelbrot-Van Ness
+fBM, m = 2 the Rosenblatt process).  One engine serves every caller.
+The white noise lives on graded cells: 2n of width dt on [-T, T],
+aligned with the time grid, then n_far growing x1.05 out to -1e30, so
+no noise window is cut off (1,863 cells at 200 steps, 2,277 at 400).
+Step s enters through a_s, its kernel's exact cell averages times
+sqrt(width), as the Wick form ||a_s||^m He_m(u_s/||a_s||), u_s = a_s . N,
+of the multiple integral of a_s^{(x)m}.  A kernel is held dense on the
+uniform cells, and on the far cells, where it is smooth in the row time,
+at 20 Chebyshev rows that a barycentric matrix interpolates to every
+row.  The covariance is exact in one line, m! ds^2 sum_{s<j, s'<k}
+gram_{ss'}^m (``exact_covariance``), and a replica costs
+O(n_s * 2n + 20 * n_far) for every m.  A ``HermiteEngine`` holds all
+this for one (grid, spec), built once per operation and handed to every
+chunk; ``hermite_ensemble`` draws one row of cell noise per Philox key,
+a block of rows at a time, and ensembles take their keys chunk by chunk
+from ``harness.run_replicated``.
 
-``ghat`` is the moving-average kernel of the fast fOU,
-y^eps_t = eps^{-1/2} int ghat((t-s)/eps) dW_s (Taqqu's moving-average
-framework).  It is a confluent hypergeometric function in closed form,
-ghat(v) = C(H) v^{H-1/2}/(H-1/2) 1F1(1; H+1/2; -v), by ``scipy.special.hyp1f1``
-up to v = 700 and Watson's series beyond, within about 1e-14 for H in (1/2, 1).
-``harness.l2_convergence_hermite`` builds both the fOU (through ghat at
-the cell midpoints) and the Hermite limit from one white noise on the
-engine's cells, which is what makes L2 (not merely weak) convergence of
-the scaled functionals toward the Hermite limits directly measurable on
-coupled samples.
+``ghat`` is the moving-average kernel of the fast fOU, y^eps_t =
+eps^{-1/2} int ghat((t-s)/eps) dW_s, in closed form: ghat(v) = C(H)
+v^{H-1/2}/(H-1/2) 1F1(1; H+1/2; -v), by ``scipy.special.hyp1f1`` up to
+v = 700 and Watson's series beyond, within about 1e-14 for H in (1/2, 1).
+``harness.l2_convergence_hermite`` builds the fOU through it and the
+Hermite limit from one white noise on the engine's cells, which makes L2
+(not merely weak) convergence measurable on coupled samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,7 +44,7 @@ from scipy import special
 
 from . import chaos, fou
 from .fgn import BLOCK_BYTES
-from .paths import TimeGrid, as_hurst
+from .paths import FoulimError, TimeGrid, as_hurst
 from .streams import normals
 
 __all__ = [
@@ -63,6 +61,8 @@ _WATSON_TERMS = 10
 # noise cells below -T grow by this ratio until they reach this distance
 _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
+# Chebyshev rows of a far block: 16 leave a gram error of 1.6e-13, 20 (as 24) 3e-15
+_FAR_NODES = 20
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,11 @@ def _cell_edges(grid: TimeGrid) -> np.ndarray:
 
     The last 2n cells have width dt and edges k dt, k = -n..n; below
     them the widths are dt 1.05^k, k = 1, 2, ..., until the first edge
-    at or beyond -1e30.
+    at or beyond -1e30.  A step whose square underflows (C holds dt^2) is refused.
     """
     n, dt = grid.n_steps, grid.dt
+    if not dt * dt >= np.finfo(float).tiny:
+        raise FoulimError(f"time step {dt:g} is too small for the Hermite engine")
     near = dt * np.arange(-n, n + 1)
     g = _CELL_GROWTH
     n_far = math.ceil(math.log1p((_FAR_EDGE + near[0]) * (g - 1.0) / (dt * g))
@@ -104,69 +106,99 @@ def _cell_edges(grid: TimeGrid) -> np.ndarray:
     return np.concatenate([far[::-1], near])
 
 
-def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, b: float) -> np.ndarray:
-    """Exact cell averages of (s - xi)_+^b, shape (len(s), n_cells).
+class _CellKernel(NamedTuple):
+    """A kernel M on the noise cells: near (rows x 2n) is M on the uniform
+    cells; M's far block, smooth in the row time, is P far, with far
+    (nodes x n_far) at the nodes of ``_far_nodes`` and P (rows x nodes)."""
 
-    Integrating the power analytically per cell keeps the integrable
-    singularity at xi -> s- from polluting the quadrature.  The
-    antiderivative (s - e)_+^{b+1} is taken at every edge e once, a
-    block of rows at a time, and cell i is its difference between edges
-    i and i + 1, so the result is the only array of its size.
-    """
-    p = b + 1.0
-    out = np.empty((len(s), len(edges) - 1))
-    rows = max(1, BLOCK_BYTES // (8 * len(edges)))
-    for a in range(0, len(s), rows):
-        P = np.clip(np.subtract.outer(s[a : a + rows], edges), 0.0, None)
-        np.power(P, p, out=P)
-        np.subtract(P[:, :-1], P[:, 1:], out=out[a : a + rows])
-    out /= p * np.diff(edges)
-    return out
+    near: np.ndarray
+    far: np.ndarray
+    P: np.ndarray
+
+    def variances(self) -> np.ndarray:
+        """||M[r]||^2 for every row r."""
+        PG = self.P @ (self.far @ self.far.T)
+        return np.einsum("ij,ij->i", self.near, self.near) + np.einsum("ij,ij->i", PG, self.P)
 
 
-def _kernel(grid: TimeGrid, spec: HermiteSpec) -> np.ndarray:
-    """The engine's kernel: A[s, i] is the cell-averaged kernel of step s
-    times sqrt(width of cell i), so u_s = A[s] . N has variance ||A[s]||^2."""
+def _far_nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x, the ``_FAR_NODES`` Chebyshev points of the second kind on
+    [t[0], t[-1]], and the barycentric matrix P[r, j] = (w_j / (t_r - x_j))
+    / sum_k w_k / (t_r - x_k), w = (1/2, -1, 1, ..., 1/2), from x to t
+    (Berrut and Trefethen, SIAM Review 46 (2004) 501-517); x = t and P = I
+    when t has no more points than that."""
+    if len(t) <= _FAR_NODES:
+        return t, np.eye(len(t))
+    j = np.arange(_FAR_NODES)
+    x = 0.5 * (t[0] + t[-1]) - 0.5 * (t[-1] - t[0]) * np.cos(np.pi * j / (_FAR_NODES - 1))
+    w = (-1.0) ** j * np.where(j % (_FAR_NODES - 1) == 0, 0.5, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = w / np.subtract.outer(t, x)
+        P /= P.sum(axis=1, keepdims=True)
+    return x, np.nan_to_num(P, nan=1.0)  # t_r on x_j: inf / inf at j, 0 elsewhere
+
+
+def _cell_average(u, w, p: float):
+    """sqrt(w) times the average of (s - xi)^{p-1} over a cell of width w
+    ending u > 0 before s, u^p ((1 + w/u)^p - 1) / (p sqrt(w)), by log1p and
+    expm1, free of the antiderivative difference's cancellation (to 3e-12)."""
+    return u**p * np.expm1(p * np.log1p(w / u)) / (p * np.sqrt(w))
+
+
+def _kernel(grid: TimeGrid, spec: HermiteSpec) -> _CellKernel:
+    """The engine's kernel: M[s, i] is sqrt(width) times the exact average
+    over cell i of the kernel at step s's midpoint (so its singularity
+    needs no quadrature) and u_s = M[s] . N has variance ||M[s]||^2; near
+    is windows of one lag profile, an entry there depends only on the lag."""
     edges = _cell_edges(grid)
-    s_mid = grid.times()[:-1] + 0.5 * grid.dt
-    A = _cell_averaged_kernel(s_mid, edges, spec.kernel_exponent)
-    A *= np.sqrt(np.diff(edges))
-    return A
+    n, dt, p = grid.n_steps, grid.dt, spec.kernel_exponent + 1.0
+    n_far = len(edges) - 1 - 2 * n
+    # uniform cell j ends (r + n - j - 1/2) dt before step r's midpoint, profile
+    # entry n - 1 - r + j; the cell holding the midpoint is half covered, later ones 0
+    profile = np.concatenate([_cell_average((2 * n - 1.5 - np.arange(2 * n - 1)) * dt, dt, p),
+                              [(0.5 * dt) ** p / (p * math.sqrt(dt))], np.zeros(n - 1)])
+    near = sliding_window_view(profile, 2 * n)[n - 1 - np.arange(n)]
+    nodes, P = _far_nodes(grid.times()[:-1] + 0.5 * dt)
+    u = np.subtract.outer(nodes, edges[1 : n_far + 1])
+    return _CellKernel(near, _cell_average(u, np.diff(edges[: n_far + 1]), p), P)
 
 
 class HermiteEngine:
     """Kernel, step variances, per-time scale and raw covariance of a (grid, spec).
 
-    Built once per operation by the caller and handed to every chunk.  A
-    (n_steps x n_cells) is ``_kernel`` and var[s] = ||A[s]||^2.  C is the
-    exact covariance of the cumulative Wick series (``_series_covariance``),
-    and scale[k] = t_k^H / sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H},
-    absorbing the discretization loss that plain K/m! scaling would
-    leave.  The arrays are read-only, so concurrent chunks share them.
+    Built once per operation by the caller and handed to every chunk.
+    ``kernel`` is ``_kernel``, with gram near near^T + P (far far^T) P^T
+    and var its diagonal.  C is the exact covariance of the cumulative
+    Wick series (``_series_covariance``), and scale[k] = t_k^H /
+    sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H}, absorbing the
+    discretization loss that plain K/m! scaling would leave.  The arrays
+    are read-only, so concurrent chunks share them.
     """
 
     def __init__(self, grid: TimeGrid, spec: HermiteSpec):
         self.grid, self.spec = grid, spec
-        self.A = _kernel(grid, spec)
-        gram = self.A @ self.A.T
+        self.kernel = near, far, P = _kernel(grid, spec)
+        gram = near @ near.T + P @ (far @ far.T) @ P.T
         self.var = np.diag(gram).copy()
         self.C = _series_covariance(gram, spec.m, grid.dt)
         self.scale = np.zeros(grid.n_steps + 1)
         self.scale[1:] = grid.times()[1:] ** spec.H / np.sqrt(np.diag(self.C)[1:])
-        for arr in (self.A, self.var, self.C, self.scale):
+        for arr in (*self.kernel, self.var, self.C, self.scale):
             arr.flags.writeable = False
 
 
 def _series_covariance(gram: np.ndarray, m: int, ds: float) -> np.ndarray:
     """Covariance of the cumulative series sum_{s<k} ds :u_s^m: at k = 0..n.
 
-    With gram = A A^T the step terms have E[:u_s^m: :u_s'^m:] =
-    m! gram[s, s']^m, so C[j, k] = m! ds^2 sum_{s<j, s'<k} gram[s, s']^m.
+    With gram[s, s'] = E[u_s u_s'] the step terms have E[:u_s^m: :u_s'^m:]
+    = m! gram[s, s']^m, so C[j, k] = m! ds^2 sum_{s<j, s'<k} gram[s, s']^m,
+    built in place in C.
     """
     n = gram.shape[0]
     C = np.zeros((n + 1, n + 1))
-    C[1:, 1:] = (math.factorial(m) * ds * ds * gram**m).cumsum(0).cumsum(1)
-    return C
+    np.power(gram, m, out=C[1:, 1:])
+    C *= math.factorial(m) * ds * ds
+    return C.cumsum(0, out=C).cumsum(1, out=C)
 
 
 def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
@@ -181,6 +213,23 @@ def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
     return cur
 
 
+def _projections(keys: np.ndarray, kernels: list[_CellKernel]):
+    """(start, [N M^T for each kernel M]), N the cell noise of keys[start :
+    start + len(N)], drawn BLOCK_BYTES at a time into one buffer.  The far
+    cells of N are projected once, on the stacked node rows of all kernels."""
+    n_far = kernels[0].far.shape[1]
+    n_cells = n_far + kernels[0].near.shape[1]
+    far = np.concatenate([kern.far for kern in kernels])
+    cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
+    rows = max(1, min(len(keys), BLOCK_BYTES // (8 * n_cells)))
+    buf = np.empty((rows, n_cells))
+    for start in range(0, len(keys), rows):
+        N = normals(keys[start : start + rows], buf[: min(rows, len(keys) - start)])
+        far_proj = N[:, :n_far] @ far.T
+        yield start, [N[:, n_far:] @ kern.near.T + far_proj[:, a:b] @ kern.P.T
+                      for kern, a, b in zip(kernels, cuts, cuts[1:])]
+
+
 def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
                      report_idx=None) -> np.ndarray:
     """Replica matrix of Z^{H,m} values on the engine's grid.
@@ -188,21 +237,21 @@ def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
     Row i is driven by the noise of the stream whose Philox key is
     keys[i]; report_idx selects grid indices (default: the endpoint
     only).  A row is reproducible for a fixed chunking, but not
-    bit-identical across chunkings: the projections are one matrix
-    product over all rows, whose rounding depends on the row count, so
-    the same replica drawn in chunks of different sizes moves in the
-    last few ulps.  Callers that promise bit-identical output fix the
-    chunk size, as ``harness.run_replicated`` does.
+    bit-identical across chunkings: the projections are matrix products
+    over a ``_projections`` block, whose rounding depends on its row
+    count, so the same replica drawn in chunks of different sizes moves
+    in the last few ulps.  Callers that promise bit-identical output fix
+    the chunk size, as ``harness.run_replicated`` does.
     """
     if report_idx is None:
         report_idx = np.array([engine.grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
-    N = normals(keys, np.empty((len(keys), engine.A.shape[1])))
-    series = _wick_power(N @ engine.A.T, engine.var, engine.spec.m)
-    cum = np.concatenate(
-        [np.zeros((len(keys), 1)), np.cumsum(series * engine.grid.dt, axis=1)], axis=1
-    )
-    return cum[:, report_idx] * engine.scale[report_idx]
+    out = np.empty((len(keys), len(report_idx)))
+    for start, (u,) in _projections(keys, [engine.kernel]):
+        series = _wick_power(u, engine.var, engine.spec.m) * engine.grid.dt
+        cum = np.cumsum(np.pad(series, ((0, 0), (1, 0))), axis=1)  # Z at t_0 = 0 is 0
+        out[start : start + len(u)] = cum[:, report_idx] * engine.scale[report_idx]
+    return out
 
 
 def exact_covariance(engine: HermiteEngine, times) -> np.ndarray:
@@ -223,31 +272,27 @@ def exact_covariance(engine: HermiteEngine, times) -> np.ndarray:
 # ----------------------------------------------------------------- fOU kernel
 
 
-def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> np.ndarray:
+def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> _CellKernel:
     """Wiener kernel of y^eps at every stride-th point of fine, on fine's cells.
 
     Row k, cell i holds eps^{-1/2} ghat((t_k - c_i)/eps) sqrt(w_i), with
     t_k = k stride dt, c_i the midpoint and w_i the width of cell i, so
     y^eps_{t_k} = M[k] . N for the unit normals N of the cells.  On the
     uniform cells an entry depends only on the lag t_k - c_i, so that
-    block is a set of windows of one lag profile; the geometric cells
-    are evaluated dense, a block of rows at a time, straight into M.
+    block is a set of windows of one lag profile; on the geometric cells
+    ghat is evaluated at the node rows of ``_far_nodes`` only.
     """
     edges = _cell_edges(fine)
     n, dt = fine.n_steps, fine.dt
     n_far = len(edges) - 1 - 2 * n
     rows = stride * np.arange(n // stride + 1)
+    nodes, P = _far_nodes(rows * dt)
     far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
-    M = np.empty((len(rows), len(edges) - 1))
-    block = max(1, BLOCK_BYTES // (8 * n_far))
-    for a in range(0, len(rows), block):
-        M[a : a + block, :n_far] = ghat((rows[a : a + block, None] * dt - far_mid) / eps, H)
+    far = ghat((nodes[:, None] - far_mid) / eps, H) * np.sqrt(np.diff(edges[: n_far + 1]) / eps)
     # uniform cell j's midpoint lies (r + n - j - 1/2) dt before fine point r:
     # profile entry n - r + j
-    profile = ghat((2 * n - 0.5 - np.arange(3 * n)) * (dt / eps), H)
-    M[:, n_far:] = sliding_window_view(profile, 2 * n)[n - rows]
-    M *= np.sqrt(np.diff(edges) / eps)
-    return M
+    profile = ghat((2 * n - 0.5 - np.arange(3 * n)) * (dt / eps), H) * math.sqrt(dt / eps)
+    return _CellKernel(sliding_window_view(profile, 2 * n)[n - rows], far, P)
 
 
 def ghat(v, H) -> np.ndarray | float:

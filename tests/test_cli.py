@@ -182,13 +182,18 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     # a non-finite initial state is rejected before the slow/fast solve
     (["homogenize", "--x0", "nan"], "--x0 must be finite, got nan"),
     (["homogenize", "--x0", "inf"], "--x0 must be finite, got inf"),
+    # a step whose square underflows cannot carry the Hermite engine's covariance
+    (["hermite-sample", "--m", "2", "--horizon", "1e-300"], "too small for the Hermite engine"),
+    (["l2-hermite", "--t", "1e-300"], "too small for the Hermite engine"),
+    (["homogenize", "--H", "0.85", "--t", "1e-300"], "too small for the Hermite engine"),
 ], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
         "kinetic-above-one", "kinetic-zero", "homogenize-eps-zero", "homogenize-eps-nan",
         "homogenize-dt-ratio-zero", "clt-dt-ratio-nan", "clt-dt-ratio-inf",
         "clt-dt-ratio-negative", "sample-fou-eps-zero", "clt-horizon-inf",
         "homogenize-horizon-nan", "sample-fou-horizon-nan", "kinetic-horizon-nan",
         "hermite-horizon-nan", "l2-horizon-inf", "rho-s-max-nan", "rho-s-max-negative",
-        "homogenize-x0-nan", "homogenize-x0-inf"])
+        "homogenize-x0-nan", "homogenize-x0-inf", "hermite-tiny-horizon", "l2-tiny-horizon",
+        "homogenize-tiny-horizon"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], *_two_replicas(command),

@@ -113,41 +113,55 @@ def test_l2_fou_kernel_rows_have_unit_variance(H, monkeypatch):
     # each row of each fOU kernel l2-hermite builds is y^eps at a grid
     # point, of variance sum_i M[k, i]^2 = 1; noise cut off at a finite
     # window loses the slow ghat^2 tail, most of all at H 0.9
-    built = []
-    build = harness._fou_kernels
-
-    def spy(*args):
-        built.extend(build(*args))
-        return built[-len(args[2]):]
-
-    monkeypatch.setattr(harness, "_fou_kernels", spy)
+    built = _spy_fou_kernels(monkeypatch)
     harness.l2_convergence_hermite(H1, H, 1.0, [0.2, 0.1, 0.05, 0.025], 2, 0)
     assert len(built) == 4
-    for _, M in built:
-        assert np.max(np.abs((M * M).sum(axis=1) - 1.0)) < 2e-3
+    for _, kernel in built:
+        assert np.max(np.abs(kernel.variances() - 1.0)) < 2e-3
+
+
+def _spy_fou_kernels(monkeypatch):
+    """A list that receives (stride, kernel) for every fOU kernel built."""
+    built = []
+    build = hermite._fou_kernel
+
+    def spy(fine, H, eps, stride):
+        built.append((stride, build(fine, H, eps, stride)))
+        return built[-1][1]
+
+    monkeypatch.setattr(hermite, "_fou_kernel", spy)
+    return built
+
+
+def _dense(kernel):
+    """The whole kernel matrix, its far block interpolated from the node rows."""
+    return np.hstack([kernel.P @ kernel.far, kernel.near])
 
 
 @pytest.mark.parametrize("eps_list, n_steps", [
     ([0.2, 0.1, 0.05], [100, 200, 400]),    # round(t L2_DT_RATIO / eps) steps each
     ([0.3, 0.13, 0.05], [80, 200, 400]),    # non-commensurate: strides 5, 2 and 1
 ])
-def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps):
-    # the fOU kernels, whose uniform block is windows of one lag profile,
-    # against ghat at every midpoint of the graded cells; the limit
+def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps, monkeypatch):
+    # the fOU kernels l2-hermite builds, whose uniform block is windows of
+    # one lag profile and whose far block is interpolated from its node
+    # rows, against ghat at every midpoint of the graded cells; the limit
     # kernel's cell averages against 30-digit quadrature
     h, t, dt_ratio = 0.8, 1.0, harness.L2_DT_RATIO
     fine = TimeGrid(t, 400)
     edges = hermite._cell_edges(fine)
     mids = 0.5 * (edges[:-1] + edges[1:])
     w = np.diff(edges)
-    kernels = harness._fou_kernels(h, fine, np.array(eps_list))
-    assert [grid.n_steps for grid, _ in kernels] == n_steps
-    for eps, (grid, M) in zip(eps_list, kernels):
+    kernels = _spy_fou_kernels(monkeypatch)
+    harness.l2_convergence_hermite(H1, h, t, eps_list, 2, 0)
+    assert [fine.n_steps // stride for stride, _ in kernels] == n_steps
+    for eps, (stride, kernel) in zip(eps_list, kernels):
+        grid = TimeGrid(t, fine.n_steps // stride)
         assert grid.dt <= eps / dt_ratio * (1 + 1e-12)
         assert fine.n_steps % grid.n_steps == 0
         dense = hermite.ghat((grid.times()[:, None] - mids) / eps, h) * np.sqrt(w / eps)
-        np.testing.assert_allclose(M, dense, rtol=1e-12, atol=0)
-    A = hermite._kernel(fine, hermite.HermiteSpec(h, 1))
+        np.testing.assert_allclose(_dense(kernel), dense, rtol=1e-12, atol=0)
+    A = _dense(hermite._kernel(fine, hermite.HermiteSpec(h, 1)))
     n_far = len(w) - 2 * fine.n_steps
     with mpmath.workdps(30):
         for s in (0, 137, 399):
@@ -332,14 +346,18 @@ def test_endpoint_samples_memory_does_not_grow_with_replicas():
 
 def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
     # at eps 0.1, 0.05, 0.02 the fine grid has 1000 steps and 3495 noise
-    # cells; the kernels are the 1000-row limit kernel and the fOU kernels
-    # at strides 5, 2 and 1 (201 + 501 + 1001 rows), 75.6 MB.  A 250-replica
-    # chunk and the kernel build add 16.1 MB to them (the far-cell ghat
-    # block once added 54 MB), bounded here at that plus 25%; the engine
-    # cache kept the limit kernel after the call
+    # cells, 1495 of them far; the kernels are the 1000-row limit kernel and
+    # the fOU kernels at strides 5, 2 and 1 (201 + 501 + 1001 rows): their
+    # near blocks on the 2000 uniform cells and their interpolation
+    # matrices, 43.7 MB, and four far blocks at 20 node rows, 1.0 MB.  The
+    # kernel build and a 250-replica chunk, drawn in 37-row noise blocks,
+    # add 3.9 MB to them, bounded here at that plus 25% (the dense kernels
+    # took 75.6 MB, and a whole-chunk noise matrix added 16.1 MB to them);
+    # the engine cache kept the limit kernel after the call
     fine = TimeGrid(1.0, 1000)
-    n_cells = len(hermite._cell_edges(fine)) - 1
-    kernels_mb = 8 * n_cells * (1000 + 201 + 501 + 1001) / 1e6
+    n_far = len(hermite._cell_edges(fine)) - 1 - 2000
+    rows = 1000 + 201 + 501 + 1001
+    kernels_mb = 8 * (rows * (2000 + hermite._FAR_NODES) + 4 * hermite._FAR_NODES * n_far) / 1e6
     harness.l2_convergence_hermite(H1, 0.8, 1.0, [0.2, 0.1], 2, 9)  # imports only
     tracemalloc.start()
     try:
@@ -348,7 +366,7 @@ def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (peak - before) / 1e6 < kernels_mb + 1.25 * 16.1
+    assert (peak - before) / 1e6 < kernels_mb + 1.25 * 3.9
     assert (after - before) / 1e6 < 1.0
 
 

@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from foulim import fgn, fou, hermite
+from foulim import fgn, fou, hermite, streams
 from foulim.hermite import HermiteEngine, HermiteSpec
 from foulim.paths import TimeGrid
 from foulim.streams import keys, stream
@@ -205,24 +206,95 @@ def test_graded_cells():
         assert edges[0] <= -1e30 < edges[1]
 
 
+def _difference_form(s, edges, p):
+    """sqrt(w_i) times the average of (s - xi)_+^{p-1} over cell i, as the
+    difference of the antiderivative at its edges, for every s and cell."""
+    lo, hi = (np.clip(np.subtract.outer(s, e), 0.0, None) ** p for e in (edges[:-1], edges[1:]))
+    return (lo - hi) / (p * np.sqrt(np.diff(edges)))
+
+
 @pytest.mark.parametrize("block_bytes", [hermite.BLOCK_BYTES, 8_000])
 def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
-    # the cell averages and the far-cell block of an fOU kernel, built a
-    # row block at a time (one row at 8 kB), against their whole-array
-    # forms bit for bit
+    # the near block, windows of one lag profile, against the whole-array
+    # difference form of the cell averages; the far block of an fOU kernel
+    # at its node rows against ghat there, bit for bit; and projections of
+    # the cell noise a block of rows at a time (one row at 8 kB) against
+    # one product with the whole kernel
     monkeypatch.setattr(hermite, "BLOCK_BYTES", block_bytes)
     grid = TimeGrid(1.0, 200)
     edges = hermite._cell_edges(grid)
-    s = grid.times()[:-1] + 0.5 * grid.dt
-    p = HermiteSpec(0.7, 2).kernel_exponent + 1.0
-    lo, hi = (np.clip(np.subtract.outer(s, e), 0.0, None) ** p for e in (edges[:-1], edges[1:]))
-    np.testing.assert_array_equal(hermite._cell_averaged_kernel(s, edges, p - 1.0),
-                                  (lo - hi) / (p * np.diff(edges)))
     n_far = len(edges) - 1 - 2 * grid.n_steps
-    t = grid.times()[::2]
+    s = grid.times()[:-1] + 0.5 * grid.dt
+    spec = HermiteSpec(0.7, 2)
+    kernel = hermite._kernel(grid, spec)
+    dense = _difference_form(s, edges[n_far:], spec.kernel_exponent + 1.0)
+    np.testing.assert_allclose(kernel.near, dense, rtol=1e-12, atol=0)
+    x, _ = hermite._far_nodes(grid.times()[::2])
     far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
-    far = hermite.ghat((t[:, None] - far_mid) / 0.1, 0.8) * np.sqrt(np.diff(edges) / 0.1)[:n_far]
-    np.testing.assert_array_equal(hermite._fou_kernel(grid, 0.8, 0.1, 2)[:, :n_far], far)
+    far = hermite.ghat((x[:, None] - far_mid) / 0.1, 0.8) * np.sqrt(np.diff(edges) / 0.1)[:n_far]
+    np.testing.assert_array_equal(hermite._fou_kernel(grid, 0.8, 0.1, 2).far, far)
+    key_rows = keys(4, "blocks", 0, 9)
+    N = streams.normals(key_rows, np.empty((9, len(edges) - 1)))
+    whole = N @ np.hstack([kernel.P @ kernel.far, kernel.near]).T
+    blocks = [u for _, (u,) in hermite._projections(key_rows, [kernel])]
+    assert len(blocks) == (9 if block_bytes == 8_000 else 1)
+    np.testing.assert_allclose(np.concatenate(blocks), whole, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 19, 20, 21, 200, 400])
+def test_far_field_interpolation_matches_dense_kernels(n):
+    # the far block, held at _FAR_NODES Chebyshev rows and interpolated
+    # by P, against every row evaluated dense: the Hermite kernel's cell
+    # averages in the cancellation-free form (2e-15 measured) and in the
+    # difference form, which cancels to 3.1e-12 next to -T at H* 0.55, m 1;
+    # its gram; and ghat's rows of the fOU kernel.  With no more rows than
+    # nodes P is the identity
+    grid = TimeGrid(1.0, n)
+    edges = hermite._cell_edges(grid)
+    n_far = len(edges) - 1 - 2 * n
+    w = np.diff(edges)[:n_far]
+    s = grid.times()[:-1] + 0.5 * grid.dt
+    for H, m in itertools.product((0.55, 0.7, 0.99), (1, 2, 3)):
+        spec = HermiteSpec(H, m)
+        kernel = hermite._kernel(grid, spec)
+        if n <= hermite._FAR_NODES:
+            np.testing.assert_array_equal(kernel.P, np.eye(n))
+        far = kernel.P @ kernel.far
+        p = spec.kernel_exponent + 1.0
+        u = s[:, None] - edges[1 : n_far + 1]
+        exact = u**p * np.expm1(p * np.log1p(w / u)) / (p * np.sqrt(w))
+        np.testing.assert_allclose(far, exact, rtol=1e-12, atol=0)
+        dense = _difference_form(s, edges[: n_far + 1], p)
+        np.testing.assert_allclose(far, dense, rtol=1e-11, atol=0)
+        gram = dense @ dense.T
+        assert np.abs(far @ far.T - gram).max() <= 1e-14 * gram.max()
+    mids = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
+    for H, eps, stride in itertools.product((0.51, 0.75, 0.99), (0.01, 0.2), (1, 4)):
+        kernel = hermite._fou_kernel(grid, H, eps, stride)
+        rows = grid.times()[::stride]
+        if len(rows) <= hermite._FAR_NODES:
+            np.testing.assert_array_equal(kernel.P, np.eye(len(rows)))
+        dense = hermite.ghat((rows[:, None] - mids) / eps, H) * np.sqrt(w / eps)
+        np.testing.assert_allclose(kernel.P @ kernel.far, dense, rtol=1e-12, atol=0)
+
+
+def test_engine_and_ensemble_memory_is_the_near_block_and_one_noise_block():
+    # at 400 steps the near block is 400 x 800 (2.6 MB), gram and C 1.3 MB
+    # each, and a 57-row noise block (1 MiB) with its projections while
+    # 600 replicas are drawn brings the peak to 6.7 MB.  The dense
+    # 400 x 2277 kernel alone was 7.3 MB, and with the whole (600, 2277)
+    # noise matrix these calls traced 27.3 MB
+    hermite.hermite_ensemble(HermiteEngine(TimeGrid(1.0, 20), HermiteSpec(0.7, 2)),
+                             keys(1, "warm", 0, 3))  # imports only
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine = HermiteEngine(TimeGrid(1.0, 400), HermiteSpec(0.7, 2))
+        hermite.hermite_ensemble(engine, keys(3, "mem", 0, 600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 1e6 < 8.0
 
 
 def test_hermite_self_similarity_and_stationary_increments():
@@ -250,14 +322,12 @@ def test_chaos_orthogonality_across_orders():
     z1 = np.empty(n)
     e2 = HermiteEngine(grid, HermiteSpec(0.7, 2))
     e1 = HermiteEngine(grid, HermiteSpec(0.8, 1))
-    for i in range(0, n, 500):
-        N = np.stack([
-            stream(15, "orth", i + k).standard_normal(e2.A.shape[1]) for k in range(500)
-        ])
-        ser2 = hermite._wick_power(N @ e2.A.T, e2.var, 2)
-        ser1 = hermite._wick_power(N @ e1.A.T, e1.var, 1)
-        z2[i : i + 500] = ser2.sum(axis=1) * grid.dt * e2.scale[-1]
-        z1[i : i + 500] = ser1.sum(axis=1) * grid.dt * e1.scale[-1]
+    # row k of the noise is stream (15, "orth", k), projected on both kernels
+    for i, (u2, u1) in hermite._projections(keys(15, "orth", 0, n), [e2.kernel, e1.kernel]):
+        ser2 = hermite._wick_power(u2, e2.var, 2)
+        ser1 = hermite._wick_power(u1, e1.var, 1)
+        z2[i : i + len(u2)] = ser2.sum(axis=1) * grid.dt * e2.scale[-1]
+        z1[i : i + len(u1)] = ser1.sum(axis=1) * grid.dt * e1.scale[-1]
     corr = np.mean(z2 * z1) / (z2.std() * z1.std())
     assert abs(corr) < 3.0 / np.sqrt(n)
 
