@@ -10,6 +10,8 @@ Subpackages by responsibility:
 - chaos: Hermite expansions, scaling regimes, limit constants
 - hermite: Hermite processes (fBM, Rosenblatt, ...) and the Wiener
   kernel of the fOU
+- exact: exact finite-eps variances of the time integral of G(y^eps)
+  (loaded by ``clt-scan``, not here)
 - harness: replica ensembles, variance scans, distributional diagnostics
 - solvers: slow/fast systems, Young and Stratonovich limit equations,
   the kinetic (second-order) coupling

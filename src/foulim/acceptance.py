@@ -333,7 +333,7 @@ def _driver_moment_zscores(x, H, eps) -> dict:
     n = len(u)
     mean = harness.fsum_mean(u)
     var = harness.fsum_variance(u)
-    se_var = float(np.std((u - mean) ** 2, ddof=1) / np.sqrt(n))
+    se_var = harness.variance_stderr(u)
     alpha = chaos.classify_regime(2, H).alpha(eps)
     v_eps = _finite_eps_driver_variance(H, eps, alpha)
     return {

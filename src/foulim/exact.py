@@ -1,0 +1,105 @@
+"""Exact finite-eps variance of the time integral of G(y^eps).
+
+For a centred G = sum_k c_k He_k of the stationary fOU, Mehler's formula
+gives Cov(G(y_s), G(y_u)) = C(rho((u - s)/eps)), C(r) = sum_k c_k^2 k! r^k.
+The variance of int_0^t G(y^eps) ds is then one integral over the lag in
+continuous time, and one sum over lags for the trapezoid rule on the
+grid ``harness.variance_scan`` samples: O(n) per chaos order, exact up to
+rounding (and the quadrature, in continuous time).  Their ratio is the
+relative bias of the sampled variance, which sets how coarse a grid
+``clt-scan`` may sample on.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import special
+
+from . import fou
+from .paths import TimeGrid, as_eps, as_eps_list, as_horizon
+
+__all__ = [
+    "DT_RATIO_LADDER",
+    "trapezoid_lag_weights",
+    "trapezoid_variance",
+    "continuous_variance",
+    "bias_budget",
+    "coarsest_dt_ratio",
+]
+
+# the ratios eps/dt that clt-scan's --dt-ratio auto tries, coarsest first
+DT_RATIO_LADDER = (10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
+
+
+def _chaos_covariance(G, r: np.ndarray) -> np.ndarray:
+    """C(r) = sum_k c_k^2 k! r^k, by Horner's rule."""
+    c = G.coefficients
+    return np.polynomial.polynomial.polyval(r, c**2 * special.factorial(np.arange(len(c))))
+
+
+def trapezoid_lag_weights(n_steps: int) -> np.ndarray:
+    """S(l) = sum_i w_i w_{i+l}, l = 0..n, of the trapezoid weights (1/2, 1, ..., 1, 1/2).
+
+    In units of dt^2 on n steps: S(0) = n - 1/2, S(l) = n - l for
+    0 < l < n, S(n) = 1/4.
+    """
+    S = n_steps - np.arange(n_steps + 1, dtype=float)
+    S[0] -= 0.5
+    S[-1] = 0.25
+    return S
+
+
+def trapezoid_variance(G, H, t: float, eps: float, dt_ratio: float) -> float:
+    """Var(trapezoid integral of G(y^eps) over [0, t]) on the grid of step eps/dt_ratio.
+
+    The grid is ``TimeGrid.with_step(t, eps / dt_ratio)``, the one the
+    scan samples; the variance is
+    dt^2 [S(0) C(1) + 2 sum_{l >= 1} S(l) C(rho(l dt / eps))].
+    """
+    e = as_eps(eps)
+    grid = TimeGrid.with_step(t, e / dt_ratio)
+    S = trapezoid_lag_weights(grid.n_steps)
+    S[1:] *= 2.0
+    r = fou.rho(np.arange(grid.n_steps + 1) * (grid.dt / e), H)
+    return grid.dt**2 * float(S @ _chaos_covariance(G, r))
+
+
+def continuous_variance(G, H, t: float, eps: float) -> float:
+    """Var(int_0^t G(y^eps_s) ds) = 2 eps int_0^{t/eps} (t - eps u) C(rho(u)) du.
+
+    Gauss-Legendre on the geometric panels of ``fou.rho_power_integral``.
+    """
+    e, T = as_eps(eps), as_horizon(t)
+    u, w = fou._panel_rule(T / e)
+    return float(2.0 * e * np.sum(w * (T - e * u) * _chaos_covariance(G, fou.rho(u, H))))
+
+
+def bias_budget(n_replicas: int) -> float:
+    """A tenth of sqrt(2 / (n - 1)), the Gaussian relative SE of a sample variance.
+
+    Heavy tails only widen that SE, so the budget is conservative.
+    """
+    return 0.1 * float(np.sqrt(2.0 / (n_replicas - 1)))
+
+
+def coarsest_dt_ratio(G, H, t: float, eps_list, budget: float,
+                      ratios=DT_RATIO_LADDER) -> tuple[float, np.ndarray, np.ndarray, bool]:
+    """The first of ``ratios`` whose trapezoid variance is within budget at every eps.
+
+    A ratio counts only if each of its grids resolves the fast scale
+    (dt <= eps / fou.MIN_STEPS_PER_EPS, which rounding the step count can
+    break at 10).  When none does, the last ratio is taken.  Returns the
+    ratio, the exact trapezoid variances there (one per eps of
+    ``as_eps_list(eps_list)``), their relative biases against
+    ``continuous_variance`` and whether every |bias| is within budget.
+    """
+    eps_arr = as_eps_list(eps_list)
+    target = np.array([continuous_variance(G, H, t, e) for e in eps_arr])
+    for ratio in ratios:
+        var = np.array([trapezoid_variance(G, H, t, e, ratio) for e in eps_arr])
+        bias = var / target - 1.0
+        met = bool(np.max(np.abs(bias)) <= budget)
+        resolved = all(fou._resolves(TimeGrid.with_step(t, e / ratio).dt, e) for e in eps_arr)
+        if met and resolved:
+            break
+    return ratio, var, bias, met

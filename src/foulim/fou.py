@@ -149,17 +149,24 @@ def _h_star(m: int, h: float) -> float:
     return m * (h - 1.0) + 1.0
 
 
-def _rho_power_head(h: float, m: int, s_max: float) -> float:
-    """int_0^{s_max} rho(s)^m ds by 24-node Gauss-Legendre on fixed panels.
+def _panel_rule(s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 24-node Gauss-Legendre on fixed panels of [0, s_max].
 
-    One panel [0, 1e-10], then geometric panels up to s_max: they resolve
-    the s^{2H} cusp at 0 and the slow power-law decay alike.
+    One panel [0, a], then geometric panels from a up to s_max, with
+    a = 1e-10 min(s_max, 1): they resolve the s^{2H} cusp of rho at 0 and
+    its slow power-law decay alike.  Both come as (panels, 24) arrays.
     """
-    edges = np.concatenate([[0.0], np.geomspace(1e-10, s_max, _HEAD_PANELS + 1)])
+    a = 1e-10 * min(s_max, 1.0)
+    edges = np.concatenate([[0.0], np.geomspace(a, s_max, _HEAD_PANELS + 1)])
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
-    s = lo + half * (1.0 + _GL_X)
-    return float(np.sum(half * _GL_W * rho(s, h) ** m))
+    return lo + half * (1.0 + _GL_X), half * _GL_W
+
+
+def _rho_power_head(h: float, m: int, s_max: float) -> float:
+    """int_0^{s_max} rho(s)^m ds on the panels of ``_panel_rule``."""
+    s, w = _panel_rule(s_max)
+    return float(np.sum(w * rho(s, h) ** m))
 
 
 def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
@@ -207,8 +214,13 @@ class FouConfig:
         as_eps(self.eps)
 
 
+def _resolves(dt: float, eps: float) -> bool:
+    """Whether a step dt resolves the relaxation time: dt <= eps / MIN_STEPS_PER_EPS."""
+    return dt <= eps / MIN_STEPS_PER_EPS * (1.0 + 1e-12)
+
+
 def _check_resolution(dt: float, eps: float):
-    if dt > eps / MIN_STEPS_PER_EPS * (1.0 + 1e-12):
+    if not _resolves(dt, eps):
         raise ValueError(
             f"under-resolved fast scale: dt={dt:.3g} > eps/{MIN_STEPS_PER_EPS:.0f}"
             f"={eps / MIN_STEPS_PER_EPS:.3g}"

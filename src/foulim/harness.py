@@ -39,6 +39,7 @@ __all__ = [
     "run_replicated",
     "fsum_mean",
     "fsum_variance",
+    "variance_stderr",
     "functional_values",
     "fit_loglog_slope",
     "slope_ci_hits",
@@ -111,6 +112,17 @@ def fsum_variance(x, ddof: int = 1) -> float:
         )
     mu = fsum_mean(x)
     return math.fsum(((x - mu) ** 2).tolist()) / (len(x) - ddof)
+
+
+def variance_stderr(x) -> float:
+    """Influence-function standard error of the sample variance, std((x - mean)^2) / sqrt(n).
+
+    It holds for any law with a finite fourth moment, sqrt((mu_4 - sigma^4) / n);
+    the Gaussian v sqrt(2 / (n - 1)) is several times too narrow for the
+    heavy-tailed integrals of He_3.
+    """
+    x = np.asarray(x, dtype=float)
+    return float(np.std((x - fsum_mean(x)) ** 2, ddof=1) / np.sqrt(len(x)))
 
 
 def functional_values(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) -> np.ndarray:
@@ -193,7 +205,9 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
     raw ("unscaled", the slope source: expected log-log slope against
     log(1/eps) is -1 in the short-range regime and 2H*(m)-2 in the
     long-range one) and multiplied by alpha(eps)^2, which must stabilize
-    in every regime.  meta["finest_samples"] holds the raw integrals at
+    in every regime.  Each standard error is ``variance_stderr`` of that
+    eps's replicas, which holds for heavy-tailed integrals too.
+    meta["finest_samples"] holds the raw integrals at
     the finest eps, so callers can run diagnostics on them without
     drawing that scale again.
     """
@@ -212,7 +226,7 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
         )
         v = fsum_variance(x)
         var_raw[i] = v
-        se_raw[i] = v * np.sqrt(2.0 / (len(x) - 1))
+        se_raw[i] = variance_stderr(x)
         var_scaled[i] = v * regime.alpha(eps) ** 2
     slope, ci = fit_loglog_slope(1.0 / eps_arr, var_raw, se_raw, master_seed)
     flatness = float(np.max(np.abs(var_scaled / var_scaled.mean() - 1.0)))

@@ -401,9 +401,58 @@ def test_clt_scan_json_summary(tmp_path):
     assert doc["regime"] == "short_range"
     assert doc["expected_slope"] == -1.0
     assert "slope_ci" in doc and len(doc["slope_ci"]) == 2
+    # --dt-ratio auto: the coarsest rung, its exact bias within budget
+    assert doc["dt_ratio"] == 10.0 and doc["bias_budget_met"] is True
+    assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 399))
+    assert len(doc["trapezoid_bias"]) == 3
+    assert max(map(abs, doc["trapezoid_bias"])) <= doc["bias_budget"]
+    assert doc["slope_pass"] == harness.slope_ci_hits(doc["slope_ci"], doc["exact_slope"])
     lines = (tmp_path / "scan.csv").read_text().splitlines()
     assert lines[0] == "eps,statistic,stderr,n"
     assert len(lines) == 4
+
+
+def test_clt_scan_judges_the_boundary_slope_against_the_exact_one(tmp_path):
+    # He_2 at H 0.75: Var ~ eps log(1/eps), whose slope over these scales is
+    # -0.818, not the asymptotic -1
+    out = tmp_path / "scan"
+    assert run(["clt-scan", "--H", "0.75", "--coeffs", "0,0,1", "--eps-list",
+                "0.05,0.02,0.01", "--replicas", "300", "--seed", "4", "--format", "json",
+                "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "scan.json").read_text())
+    assert doc["regime"] == "boundary" and doc["expected_slope"] == -1.0
+    assert doc["exact_slope"] == pytest.approx(-0.8177, abs=5e-4)
+    assert doc["slope_pass"] == harness.slope_ci_hits(doc["slope_ci"], doc["exact_slope"])
+
+
+def test_clt_scan_reports_an_unmet_bias_budget_without_failing(tmp_path):
+    # at H 0.05 even dt = eps/400 leaves a +9% bias: the run takes 400 and says so
+    out = tmp_path / "scan"
+    assert run(["clt-scan", "--H", "0.05", "--coeffs", "0,0,1", "--t", "0.1",
+                "--replicas", "200", "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "scan.json").read_text())
+    assert doc["dt_ratio"] == 400.0 and doc["bias_budget_met"] is False
+    assert min(doc["trapezoid_bias"]) > doc["bias_budget"]
+
+
+def test_clt_scan_explicit_dt_ratio_keeps_its_meaning(tmp_path):
+    out = tmp_path / "scan"
+    argv = ["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
+            "--replicas", "50", "--seed", "6", "--out", str(out)]
+    assert run(argv + ["--dt-ratio", "50"]) == 0
+    G = ChaosFunction.from_coefficients([0, 0, 1])
+    scan = harness.variance_scan(G, 0.6, 1.0, [0.2, 0.1, 0.05], 50, 6, dt_ratio=50)
+    rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == [output.fmt(v) for v in scan.values]
+    assert json.loads((tmp_path / "scan.json").read_text())["dt_ratio"] == 50.0
+
+
+def test_clt_scan_dt_ratio_that_is_no_number_is_a_usage_error(tmp_path, capsys):
+    argv = ["clt-scan", *REQUIRED_ARGS["clt-scan"], "--replicas", "2", "--dt-ratio", "bogus",
+            "--out", str(tmp_path / "x")]
+    assert run(argv) == 1
+    assert "expected 'auto' or a number, got 'bogus'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_echo_contents(tmp_path):
@@ -485,9 +534,10 @@ def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatc
     monkeypatch.setattr(fou, "path_sampler", make_sampler)
     G = ChaosFunction.from_coefficients([0, 0, 1])
     alpha = chaos.classify_regime(2, 0.6).alpha(0.05)
+    doc = json.loads((tmp_path / "scan.json").read_text())
     oracle = harness.clt_diagnostics(harness._fou_endpoint_samples(
-        G, 0.6, 1.0, 0.05, 1000, 8, "vscan-eps2", 50.0, alpha))
-    diag = json.loads((tmp_path / "scan.json").read_text())["diagnostics_at_finest_eps"]
+        G, 0.6, 1.0, 0.05, 1000, 8, "vscan-eps2", doc["dt_ratio"], alpha))
+    diag = doc["diagnostics_at_finest_eps"]
     assert diag == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
@@ -543,7 +593,7 @@ _H_LONG = st.floats(0.55, 0.95)
 _COMMON = {"--seed": st.integers(0, 2**31 - 1), "--format": st.sampled_from(["csv", "json"])}
 _SAMPLING_COMMON = {**_COMMON, "--replicas": st.integers(2, 3)}
 # tiny valid configurations over the benchmark's H range: every fast
-# scale resolved (dt_ratio >= 20), kinetic lists commensurate, l2-hermite
+# scale resolved (dt_ratio >= 20 or auto), kinetic lists commensurate, l2-hermite
 # and hermite-sample long range
 CONFIG_SPACES = {
     "sample-fbm": {"--H": _H, "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 16)},
@@ -554,7 +604,8 @@ CONFIG_SPACES = {
     "hermite-sample": {"--H": _H_LONG, "--m": st.integers(1, 3),
                        "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 20)},
     "clt-scan": {"--H": _H, "--coeffs": _COEFFS, "--t": _float(0.1, 0.3),
-                 "--eps-list": _eps_list(0.1, 1, 3), "--dt-ratio": _float(20, 40)},
+                 "--eps-list": _eps_list(0.1, 1, 3),
+                 "--dt-ratio": st.one_of(st.just("auto"), _float(20, 40))},
     "l2-hermite": {"--H": _H_LONG, "--coeffs": _COEFF.filter(bool).map(
                        lambda c: _text([0.0, c])),
                    "--t": _float(0.1, 0.5), "--eps-list": _eps_list(0.1, 0.5, 2)},

@@ -57,6 +57,15 @@ def test_variance_scan_short_range_slope():
     assert scan.meta["regime"] == "short_range"
 
 
+def test_variance_scan_stderr_is_the_influence_function_se():
+    # the integral of He_3 is heavy-tailed at these scales: its variance's
+    # SE is 2-4x the Gaussian v sqrt(2 / (n - 1))
+    He3 = ChaosFunction.from_coefficients([0, 0, 0, 1.0])
+    scan = harness.variance_scan(He3, 0.7, 1.0, [0.2, 0.1, 0.05], 600, 5, dt_ratio=10.0)
+    assert scan.stderrs[-1] == harness.variance_stderr(scan.meta["finest_samples"])
+    assert np.all(scan.stderrs > 1.5 * scan.values * np.sqrt(2 / 599))
+
+
 def test_clt_diagnostics_gaussian_calibration():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(20_000)
