@@ -3,7 +3,8 @@ functionals of the fractional Ornstein-Uhlenbeck process.
 
 Subpackages by responsibility:
 
-- streams: named Philox streams, their keys in one vectorized pass
+- streams: named Philox streams, their keys in one vectorized pass and
+  their normals drawn row by row from those keys
 - fgn: the circulant-embedding engine for stationary Gaussian sequences,
   exact fractional Gaussian noise / fBM on it
 - fou: the stationary rescaled fOU, its autocorrelation and scale integrals
@@ -12,7 +13,8 @@ Subpackages by responsibility:
   kernel of the fOU
 - exact: exact finite-eps variances of the time integral of G(y^eps)
   (loaded by ``clt-scan``, not here)
-- harness: replica ensembles, variance scans, distributional diagnostics
+- harness: replica ensembles, the only caller of ``streams.keys``;
+  variance scans, log-log slopes, distributional diagnostics
 - solvers: slow/fast systems, Young and Stratonovich limit equations,
   the kinetic (second-order) coupling
 - cli: reproducible experiment runner (`foulim ...`)
@@ -24,7 +26,6 @@ from .chaos import ChaosFunction, Regime, ScalingRegime
 from .fou import FouConfig
 from .hermite import HermiteSpec
 from .paths import FoulimError, TimeGrid
-from .streams import stream
 
 __version__ = "0.1.0"
 
@@ -42,5 +43,4 @@ __all__ = [
     "harness",
     "hermite",
     "solvers",
-    "stream",
 ]

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import linalg, stats
 
-from . import chaos, fgn, fou, harness, hermite, solvers
+from . import chaos, exact, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
 from .paths import MASTER_SEED, TimeGrid
 from .streams import normals
@@ -306,27 +306,13 @@ def _inverse_flow_sin2(x) -> np.ndarray:
     )
 
 
-def _finite_eps_driver_variance(H, eps, alpha) -> float:
-    """Exact Var(alpha int_0^1 He_2(y^eps_s) ds) at a fixed eps.
-
-    Cov(He_2(y_s), He_2(y_t)) = 2 rho((t-s)/eps)^2, so the variance is
-    V_eps = 4 alpha^2 eps int_0^{1/eps} (1 - eps w) rho(w)^2 dw, here by
-    the trapezoid rule on [0, 10] plus a geometric grid beyond (relative
-    error below 1e-6 against a 4x finer grid at eps = 0.02).
-    """
-    w_max = 1.0 / eps
-    w = np.unique(np.concatenate([np.linspace(0.0, min(w_max, 10.0), 4001),
-                                  np.geomspace(min(w_max, 10.0), w_max, 1000)]))
-    r = fou.rho(w, H)
-    return float(4.0 * alpha**2 * eps * np.trapezoid((1.0 - eps * w) * r**2, w))
-
-
 def _driver_moment_zscores(x, H, eps) -> dict:
     """z-scores of the driver u = phi^{-1}(x_1) against its exact finite-eps moments.
 
     With h = 0 the slow equation is solved by x_t = phi(u_t), u_t = alpha int_0^t
-    He_2(y^eps_s) ds, so E u_1 = 0 and Var u_1 = V_eps exactly at every eps; the
-    solver takes phi at a Simpson u, so this checks the sampler and that quadrature.
+    He_2(y^eps_s) ds, so E u_1 = 0 and Var u_1 = V_eps exactly at every eps, V_eps
+    alpha^2 times ``exact.continuous_variance``; the solver takes phi at a Simpson
+    u, so this checks the sampler and that quadrature.
     The variance is in units of its influence-function standard error.
     """
     u = _inverse_flow_sin2(x)
@@ -335,7 +321,7 @@ def _driver_moment_zscores(x, H, eps) -> dict:
     var = harness.fsum_variance(u)
     se_var = harness.variance_stderr(u)
     alpha = chaos.classify_regime(2, H).alpha(eps)
-    v_eps = _finite_eps_driver_variance(H, eps, alpha)
+    v_eps = alpha**2 * exact.continuous_variance(H2, H, 1.0, eps)
     return {
         "mean_z": float(mean / np.sqrt(var / n)),
         "var": var,

@@ -223,7 +223,7 @@ def _check_resolution(dt: float, eps: float):
     if not _resolves(dt, eps):
         raise ValueError(
             f"under-resolved fast scale: dt={dt:.3g} > eps/{MIN_STEPS_PER_EPS:.0f}"
-            f"={eps / MIN_STEPS_PER_EPS:.3g}"
+            f"={eps / MIN_STEPS_PER_EPS:.3g}, too coarse to resolve the fast scale"
         )
 
 

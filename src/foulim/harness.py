@@ -16,9 +16,9 @@ through math.fsum (compensated), keeping reduction reassociation out of
 the reported statistics.
 
 Slopes of log statistic against log(1/eps) are fitted by
-inverse-variance-weighted least squares, with a parametric bootstrap
-confidence interval; acceptance checks consume the CI, not the point
-estimate.
+inverse-variance-weighted least squares, with the closed-form normal
+confidence interval of that fit; acceptance checks consume the CI, not
+the point estimate.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from . import chaos, fou, hermite
 from .chaos import ChaosFunction, Regime
 from .paths import TimeGrid, as_eps_list, as_hurst
-from .streams import keys, stream
+from .streams import keys
 
 __all__ = [
     "ScanResult",
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 250
-BOOTSTRAP_DRAWS = 1000
 # a slope passes when its 95% CI comes within this of the expected slope
 SLOPE_CI_TOL = 0.1
 # l2_convergence_hermite's finest fOU grid has dt = min(eps) / L2_DT_RATIO
@@ -61,8 +61,8 @@ L2_DT_RATIO = 20.0
 class ScanResult:
     """Statistic vs eps with standard errors and a fitted log-log slope.
 
-    slope is with respect to log(1/eps); slope_ci is the 95% parametric
-    bootstrap interval.  meta carries scan-specific extras.
+    slope is with respect to log(1/eps); slope_ci is its 95% normal
+    interval.  meta carries scan-specific extras.
     """
 
     eps_values: np.ndarray
@@ -144,13 +144,15 @@ def _functional_cumulative(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.
     return alpha * dt * out
 
 
-def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray, stderrs: np.ndarray,
-                     seed: int = 0) -> tuple[float, tuple[float, float]]:
-    """Weighted LSQ slope of log(values) vs log(inv_eps), bootstrap 95% CI.
+def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray,
+                     stderrs: np.ndarray) -> tuple[float, tuple[float, float]]:
+    """Weighted LSQ slope of log(values) vs log(inv_eps), with its 95% CI.
 
-    Weights are the inverse variances of log(values); the CI comes from a
-    parametric bootstrap that redraws each log-point from its normal
-    error model.
+    Weights w are the inverse variances of log(values).  The slope is
+    linear in log(values), so under their normal error model it is
+    N(slope, 1/D), D = sum w (x - x_w)^2, and the CI is
+    slope -+ ndtri(0.975) / sqrt(D): what a parametric bootstrap of the
+    fit estimates by sampling.
     """
     x = np.log(np.asarray(inv_eps, dtype=float))
     v = np.asarray(values, dtype=float)
@@ -162,18 +164,11 @@ def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray, stderrs: np.ndarra
     w = 1.0 / sig**2
 
     xm = np.average(x, weights=w)
-
-    def wls(yy):
-        """Slope of each row of yy (the last axis runs over the points)."""
-        ym = np.average(yy, axis=-1, weights=w)[..., None]
-        return np.sum(w * (x - xm) * (yy - ym), axis=-1) / np.sum(w * (x - xm) ** 2)
-
-    slope = float(wls(y))
-    # one row of normals per bootstrap draw, in the order a per-draw loop takes them
-    noise = stream(seed, "slope-bootstrap").standard_normal((BOOTSTRAP_DRAWS, len(y)))
-    draws = wls(y + sig * noise)
-    lo, hi = np.percentile(draws, [2.5, 97.5])
-    return slope, (float(lo), float(hi))
+    ym = np.average(y, weights=w)
+    D = np.sum(w * (x - xm) ** 2)
+    slope = float(np.sum(w * (x - xm) * (y - ym)) / D)
+    half = float(special.ndtri(0.975) / np.sqrt(D))
+    return slope, (slope - half, slope + half)
 
 
 def slope_ci_hits(ci, target: float) -> bool:
@@ -228,7 +223,7 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
         var_raw[i] = v
         se_raw[i] = variance_stderr(x)
         var_scaled[i] = v * regime.alpha(eps) ** 2
-    slope, ci = fit_loglog_slope(1.0 / eps_arr, var_raw, se_raw, master_seed)
+    slope, ci = fit_loglog_slope(1.0 / eps_arr, var_raw, se_raw)
     flatness = float(np.max(np.abs(var_scaled / var_scaled.mean() - 1.0)))
     sd_scaled = np.sqrt(var_scaled)
     sd_flatness = float(np.max(np.abs(sd_scaled / sd_scaled.mean() - 1.0)))
@@ -269,8 +264,9 @@ def clt_diagnostics(samples) -> dict:
     """Moment and distribution diagnostics of Monte Carlo samples.
 
     Mean, variance, skewness and excess kurtosis with standard errors
-    (kurtosis by the influence-function estimate, the rest normal-theory),
-    plus the KS statistic against N(0, sample variance).
+    (variance and kurtosis by their influence-function estimates, mean
+    and skewness normal-theory), plus the KS statistic against
+    N(0, sample variance).
     """
     from scipy import stats
 
@@ -290,7 +286,7 @@ def clt_diagnostics(samples) -> dict:
         "mean": mu,
         "se_mean": sd / np.sqrt(n),
         "variance": var,
-        "se_variance": var * np.sqrt(2.0 / (n - 1)),
+        "se_variance": variance_stderr(x),
         "skewness": skew,
         "se_skewness": np.sqrt(6.0 / n),
         "excess_kurtosis": kurt,

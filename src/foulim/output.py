@@ -55,28 +55,20 @@ def write_csv(target, header: list[str], rows) -> None:
             w.writerow([fmt(v) for v in row])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_to_json(obj):
+    """json.dump's hook for what it cannot encode: arrays as lists, numpy scalars as Python's."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(target, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(_jsonable(payload))
+    doc.update(payload)
     with _opened(target) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
 

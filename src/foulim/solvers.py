@@ -79,8 +79,7 @@ class MultiscaleConfig:
     def __post_init__(self):
         as_hurst(self.H)
         as_eps(self.eps)
-        if self.grid.dt > self.eps / fou.MIN_STEPS_PER_EPS * (1 + 1e-12):
-            raise ValueError("grid.dt must be <= eps/10 to resolve the fast scale")
+        fou._check_resolution(self.grid.dt, self.eps)
 
     def alpha(self) -> float:
         return chaos.classify_regime(self.G.hermite_rank, self.H).alpha(self.eps)
@@ -457,10 +456,8 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
             semi[a : a + rows] = np.max(
                 np.abs(blk[:, :, None] - blk[:, None, :]) / lag_gam, axis=(1, 2))
         holder[i] = fsum_mean(semi)
-    slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, sup_se, master_seed)
-    h_slope, h_ci = fit_loglog_slope(
-        1.0 / eps_arr, holder, np.maximum(1e-3 * holder, 1e-12), master_seed + 1
-    )
+    slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, sup_se)
+    h_slope, h_ci = fit_loglog_slope(1.0 / eps_arr, holder, np.maximum(1e-3 * holder, 1e-12))
     return ScanResult(
         eps_arr, sup_err, sup_se, n_replicas, slope, ci,
         meta={

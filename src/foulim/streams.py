@@ -16,7 +16,7 @@ indices at once, bit for bit as SeedSequence does it one index at a
 time, so an ensemble costs one vectorized pass instead of one
 SeedSequence, Philox and Generator per replica.  ``normals`` then fills
 a block with one row per key through a single generator whose state is
-reset to each key in turn; ``stream`` is the one-index Generator.
+reset to each key in turn.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["keys", "normals", "stream"]
+__all__ = ["keys", "normals"]
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): a pool
 # of 4 uint32 words, hashmix/mix multipliers, and the output hash
@@ -74,14 +74,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _shift_xor(np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y)
 
 
-def _seed_sequence_keys(entropy: list[np.ndarray]) -> np.ndarray:
-    """generate_state(2, uint64) of SeedSequence(entropy) for every column.
+def _seed_sequence_keys(prefix: list[int], idx: np.ndarray) -> np.ndarray:
+    """generate_state(2, uint64) of SeedSequence(prefix + [i]) for each i in idx.
 
-    entropy lists the assembled uint32 words in order, each a scalar
-    broadcast over all columns or a column vector.
+    prefix lists the leading uint32 words in order; idx holds the last
+    word, one per key.
     """
-    count = max(np.size(w) for w in entropy)
-    words = [np.broadcast_to(np.asarray(w, dtype=np.uint32), (count,)) for w in entropy]
+    count = len(idx)
+    words = [np.full(count, w, dtype=np.uint32) for w in prefix] + [idx]
     hashmix = _HashMix()
     zero = np.zeros(count, dtype=np.uint32)
     pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
@@ -108,7 +108,8 @@ def keys(master_seed: int, name: str, offset: int = 0, count: int = 1) -> np.nda
     Returns a (count, 2) uint64 array whose row i equals
     ``SeedSequence((master_seed, tag, offset + i)).generate_state(2, np.uint64)``
     bit for bit, computed for all indices in one pass.  Indices must
-    lie below 2**64.
+    lie below 2**32, where SeedSequence reads each as a single word;
+    2**32 keys alone would take 64 GiB.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
@@ -116,21 +117,10 @@ def keys(master_seed: int, name: str, offset: int = 0, count: int = 1) -> np.nda
         raise ValueError("stream index must be non-negative")
     if count < 0:
         raise ValueError("count must be non-negative")
-    if offset + count > 2**64:
-        raise ValueError("stream index must be below 2**64")
+    if offset + count > 2**32:
+        raise ValueError("stream index must be below 2**32")
     prefix = _words(int(master_seed)) + _words(_name_tag(name))
-    out = np.empty((count, 2), dtype=np.uint64)
-    # an index of one word below 2**32, of two from there on
-    split = min(max(2**32 - offset, 0), count)
-    if split:
-        idx = np.arange(offset, offset + split, dtype=np.uint64)
-        out[:split] = _seed_sequence_keys(prefix + [idx.astype(np.uint32)])
-    if split < count:
-        idx = np.arange(offset + split, offset + count, dtype=np.uint64)
-        lo = (idx & np.uint64(_MASK32)).astype(np.uint32)
-        hi = (idx >> np.uint64(32)).astype(np.uint32)
-        out[split:] = _seed_sequence_keys(prefix + [lo, hi])
-    return out
+    return _seed_sequence_keys(prefix, np.arange(offset, offset + count, dtype=np.uint32))
 
 
 def normals(key_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -138,8 +128,8 @@ def normals(key_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     One Philox and one Generator serve every row: the bit generator's
     state is reset to the row's key and a zero counter before the row is
-    drawn, so row i equals ``stream(...).standard_normal(out.shape[1])``
-    of the same stream.
+    drawn, so row i equals
+    ``Generator(Philox(key=key_rows[i])).standard_normal(out.shape[1])``.
     """
     if len(key_rows) != len(out):
         raise ValueError(f"{len(key_rows)} keys for {len(out)} rows")
@@ -153,12 +143,3 @@ def normals(key_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         bitgen.state = state
         gen.standard_normal(out=row)
     return out
-
-
-def stream(master_seed: int, name: str, index: int = 0) -> np.random.Generator:
-    """Return the generator for stream ``(master_seed, name, index)``.
-
-    The same triple always yields the same generator state; distinct
-    triples yield statistically independent streams.
-    """
-    return np.random.Generator(np.random.Philox(key=keys(master_seed, name, index)[0]))

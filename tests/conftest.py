@@ -42,6 +42,13 @@ def full_spectrum_reference(acov, n, keys):
     return np.fft.fft(W, axis=1).real[:, : n + 1]
 
 
+def stream(seed, name, index=0):
+    """The Generator of stream (seed, name, index): its Philox key from ``streams.keys``."""
+    from foulim.streams import keys
+
+    return np.random.Generator(np.random.Philox(key=keys(seed, name, index)[0]))
+
+
 def fbm_paths(grid, H, keys):
     """fBM paths on ``grid``, one row per Philox key, started at 0."""
     from foulim import fgn

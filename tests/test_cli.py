@@ -655,6 +655,19 @@ def test_json_to_stdout_is_the_json_file(tmp_path, capsys):
     assert printed.out == (tmp_path / "rho.json").read_text()
 
 
+def test_json_writes_numpy_values_as_their_python_equivalents(tmp_path):
+    payload = {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-3),
+               "flag": np.bool_(True), "bad": [np.nan, -np.inf], "arr": np.array([[1.5, np.inf]]),
+               "ints": np.arange(3), "nested": {"t": (np.float64(2.0), 1), "s": "x"}}
+    plain = {"f64": 0.1, "f32": float(np.float32(0.1)), "i64": -3, "flag": True,
+             "bad": [float("nan"), -float("inf")], "arr": [[1.5, float("inf")]],
+             "ints": [0, 1, 2], "nested": {"t": [2.0, 1], "s": "x"}}
+    output.write_json(tmp_path / "np.json", payload)
+    expected = json.dumps({"schema_version": output.SCHEMA_VERSION, **plain},
+                          indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "np.json").read_text() == expected
+
+
 def test_verify_json_without_out_prints_only_the_report(tmp_path, monkeypatch, capsys):
     # a stub report stands in for the suite; stdout must be exactly the JSON
     # report that --out writes, and the status lines go to stderr

@@ -7,7 +7,7 @@ import pytest
 from foulim import chaos, fgn, fou, harness, hermite
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
-from foulim.streams import keys, stream
+from foulim.streams import keys
 
 H1 = ChaosFunction.from_coefficients([0, 1.0])
 H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
@@ -304,34 +304,44 @@ def test_scan_result_requires_decreasing_eps():
 def test_fit_loglog_slope_recovers_power_law():
     eps = np.array([0.2, 0.1, 0.05, 0.02])
     values = 3.0 * eps**1.5
-    slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, 0.01 * values, 0)
+    slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, 0.01 * values)
     assert slope == pytest.approx(-1.5, abs=0.02)
     assert lo < -1.5 < hi
 
 
-def bootstrap_ci_by_loop(inv_eps, values, stderrs, seed):
-    """The slope CI with one weighted LSQ fit per bootstrap draw."""
-    x, y = np.log(inv_eps), np.log(values)
-    sig = np.clip(stderrs / values, 1e-12, None)
-    w = 1.0 / sig**2
+SLOPE_POINTS = (np.array([0.1, 0.05, 0.02, 0.01]), np.array([0.31, 0.22, 0.12, 0.09]),
+                np.array([0.02, 0.01, 0.015, 0.006]))
 
-    def wls(yy):
-        xm, ym = np.average(x, weights=w), np.average(yy, weights=w)
-        return np.sum(w * (x - xm) * (yy - ym)) / np.sum(w * (x - xm) ** 2)
 
-    rng = stream(seed, "slope-bootstrap")
-    draws = [wls(y + sig * rng.standard_normal(len(y))) for _ in range(harness.BOOTSTRAP_DRAWS)]
-    return np.percentile(draws, [2.5, 97.5])
+def test_fit_loglog_slope_ci_is_the_normal_interval_of_the_wls_slope():
+    eps, values, stderrs = SLOPE_POINTS
+    slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, stderrs)
+    # the slope of a weighted line through the points, by least squares
+    x, y = np.log(1 / eps), np.log(values)
+    w = (values / stderrs) ** 2
+    assert slope == pytest.approx(np.polyfit(x, y, 1, w=np.sqrt(w))[0], rel=1e-10)
+    D = np.sum(w * (x - np.average(x, weights=w)) ** 2)
+    half = 1.959963984540054 / np.sqrt(D)
+    np.testing.assert_allclose([lo, hi], [slope - half, slope + half], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
-def test_fit_loglog_slope_ci_matches_per_draw_loop(seed):
-    eps = np.array([0.1, 0.05, 0.02, 0.01])
-    values = np.array([0.31, 0.22, 0.12, 0.09])
-    stderrs = np.array([0.02, 0.01, 0.015, 0.006])
-    _, ci = harness.fit_loglog_slope(1 / eps, values, stderrs, seed)
-    np.testing.assert_allclose(ci, bootstrap_ci_by_loop(1 / eps, values, stderrs, seed),
-                               rtol=0, atol=1e-12)
+def test_fit_loglog_slope_ci_matches_a_parametric_bootstrap(seed):
+    # the oracle the closed form replaces: refit log-points redrawn from
+    # N(log v, (se / v)^2), 200,000 times, and take the 2.5/97.5 percentiles
+    eps, values, stderrs = SLOPE_POINTS
+    slope, ci = harness.fit_loglog_slope(1 / eps, values, stderrs)
+    x, y, sig = np.log(1 / eps), np.log(values), stderrs / values
+    w = 1.0 / sig**2
+    xc = x - np.average(x, weights=w)
+    y_draws = y + sig * np.random.default_rng(seed).standard_normal((200_000, len(y)))
+    y_draws -= np.average(y_draws, axis=1, weights=w)[:, None]
+    draws = y_draws @ (w * xc) / np.sum(w * xc**2)
+    sd = (ci[1] - slope) / 1.959963984540054
+    assert np.mean(draws) == pytest.approx(slope, abs=5 * sd / np.sqrt(len(draws)))
+    # a 2.5% quantile of n normal draws has SE sqrt(p (1 - p) / n) / phi(z_p) sd,
+    # 0.006 sd here: allow 5 of those
+    np.testing.assert_allclose(np.percentile(draws, [2.5, 97.5]), ci, rtol=0, atol=0.03 * sd)
 
 
 def _traced_peak_mb(fn):

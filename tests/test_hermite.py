@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from conftest import stream
 from foulim import fgn, fou, hermite, streams
 from foulim.hermite import HermiteEngine, HermiteSpec
 from foulim.paths import TimeGrid
-from foulim.streams import keys, stream
+from foulim.streams import keys
 
 
 def test_ghat_isometry_unit_variance():

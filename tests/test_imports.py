@@ -15,10 +15,8 @@ read in the same sense in ``src`` (outside ``__init__.py``), ``demos``
 or ``bench``: reads from tests alone do not keep an export alive.
 
 The replica-to-stream policy lives in one place: inside ``src/foulim``
-only ``harness.run_replicated``, which hands every chunk its keys, and
-``streams.stream`` call ``streams.keys``, and only
-``harness.fit_loglog_slope`` (its bootstrap draws) calls ``streams.stream``,
-so every Monte Carlo draw goes through ``run_replicated``.
+only ``harness.run_replicated``, which hands every chunk its keys, calls
+``streams.keys``, so every Monte Carlo draw goes through ``run_replicated``.
 
 The CLI also keeps an import budget: a fresh interpreter that imports
 ``foulim.cli`` and runs a subcommand that computes no statistic loads
@@ -237,9 +235,7 @@ def test_cli_loads_no_heavy_scipy_module(tmp_path):
 
 
 # the functions of the package that may call streams.keys, per file
-KEYS_CALLERS = {"harness.py": {"run_replicated"}, "streams.py": {"stream"}}
-# ... and streams.stream: every Monte Carlo draw goes through run_replicated's keys
-STREAM_CALLERS = {"harness.py": {"fit_loglog_slope"}}
+KEYS_CALLERS = {"harness.py": {"run_replicated"}}
 
 
 def callers(source: str, name: str) -> set[str]:
@@ -273,21 +269,6 @@ def test_keys_scanner_flags_a_closure_that_derives_its_keys():
     assert callers(src, "keys") == {"make_chunk", "scan"}
 
 
-def test_only_run_replicated_and_stream_derive_keys():
+def test_only_run_replicated_derives_keys():
     found = {p.name: callers(p.read_text(), "keys") for p in PACKAGE_FILES}
     assert {name: f for name, f in found.items() if f} == KEYS_CALLERS
-
-
-def test_stream_scanner_flags_a_draw_outside_run_replicated():
-    src = (
-        "from . import streams\nfrom .streams import stream\n"
-        "def limit(seed, n, out):\n"
-        "    rng = stream(seed, 'w')\n"
-        "    return streams.stream(seed, 'z').standard_normal(n), out.stream\n"
-    )
-    assert callers(src, "stream") == {"limit"}
-
-
-def test_only_the_slope_bootstrap_opens_a_single_stream():
-    found = {p.name: callers(p.read_text(), "stream") for p in PACKAGE_FILES}
-    assert {name: f for name, f in found.items() if f} == STREAM_CALLERS

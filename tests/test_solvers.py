@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from conftest import fbm_paths
+from conftest import fbm_paths, stream
 from foulim import acceptance, chaos, fgn, fou, harness, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import FoulimError, TimeGrid
-from foulim.streams import keys, stream
+from foulim.streams import keys
 
 H1 = ChaosFunction.from_coefficients([0, 1.0])
 H2 = ChaosFunction.from_coefficients([0, 0, 1.0])

@@ -1,6 +1,7 @@
 """Keyed streams: keys bit-exact against SeedSequence, rows drawn from keys,
 and chunk, offset and thread invariance of the ensemble APIs built on them."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stream
 from foulim import cli, fou, harness, hermite, solvers, streams
 from foulim.chaos import ChaosFunction
 from foulim.hermite import HermiteSpec
@@ -30,17 +32,25 @@ def test_keys_are_bit_exact_seed_sequence_states(seed, name, offset):
                                   _reference_keys(seed, name, offset, 7))
 
 
-@pytest.mark.parametrize("offset", [2**32 - 3, 2**40, 2**64 - 2])
-def test_keys_of_indices_beyond_one_word_match_seed_sequence(offset):
-    # ranges that start below 2**32 and end above it take both word counts
-    np.testing.assert_array_equal(streams.keys(5, "big", offset, 2),
-                                  _reference_keys(5, "big", offset, 2))
+@pytest.mark.parametrize("offset", [2**32 - 7, 2**32 - 1, 2**32])
+def test_keys_up_to_the_one_word_bound_match_seed_sequence(offset):
+    count = 2**32 - offset
+    np.testing.assert_array_equal(streams.keys(5, "big", offset, count),
+                                  _reference_keys(5, "big", offset, count))
     assert streams.keys(5, "big", offset, 0).shape == (0, 2)
 
 
 def test_keys_reject_what_seed_sequence_cannot_take():
-    with pytest.raises(ValueError, match="below 2\\*\\*64"):
-        streams.keys(0, "x", 2**64 - 1, 2)
+    # keys takes one-word indices only, and checks the range before it allocates
+    tracemalloc.start()
+    try:
+        for offset, count in ((2**32 - 1, 2), (2**32, 1), (0, 2**32 + 1), (2**64, 1)):
+            with pytest.raises(ValueError, match="below 2\\*\\*32"):
+                streams.keys(0, "x", offset, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
     with pytest.raises(ValueError, match="non-negative"):
         streams.keys(-1, "x")
     with pytest.raises(ValueError, match="non-negative"):
@@ -51,8 +61,7 @@ def test_rows_drawn_from_keys_equal_their_streams():
     k = streams.keys(2**40 + 3, "rows", 10, 6)
     out = streams.normals(k, np.empty((6, 333)))
     for i, row in enumerate(out):
-        np.testing.assert_array_equal(row, streams.stream(2**40 + 3, "rows", 10 + i)
-                                      .standard_normal(333))
+        np.testing.assert_array_equal(row, stream(2**40 + 3, "rows", 10 + i).standard_normal(333))
         # the stream before keyed streams: a Generator per SeedSequence
         ss = np.random.SeedSequence((2**40 + 3, streams._name_tag("rows"), 10 + i))
         np.testing.assert_array_equal(
@@ -96,7 +105,7 @@ def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
 
 
 @PROPERTY
-@given(n=st.integers(1, 30), offset=st.integers(0, 2**33), cut=st.integers(0, 30))
+@given(n=st.integers(1, 30), offset=st.integers(0, 2**32 - 30), cut=st.integers(0, 30))
 def test_path_sampler_batch_offset_chunk_and_thread_invariance(n, offset, cut):
     grid, cfg = TimeGrid(0.02, 100), fou.FouConfig(0.85, 0.01)  # a doubled embedding
     sampler = fou.path_sampler(grid, cfg)
