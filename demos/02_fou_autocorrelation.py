@@ -25,7 +25,7 @@ print("int_0^inf rho(s)^2 ds at H=0.6:", f"{fou.rho_power_integral(2, 0.6):.6f}"
 
 # sampled paths: stationarity of the marginal
 grid = TimeGrid(0.1, 200)
-sampler = fou.path_sampler(grid, fou.FouConfig(0.75, 0.05))
+sampler = fou.path_sampler(grid, 0.75, 0.05)
 y = harness.run_replicated(4000, 0, "demo-fou", sampler.batch)
 print(f"\nVar(y^eps_t) over replicas: {y[:, -1].var():.4f} (target 1)")
 print(f"mean: {y[:, -1].mean():+.4f} (target 0)")

@@ -10,8 +10,8 @@ log-log slope of the unscaled variance against 1/eps.
 from foulim import chaos, harness
 from foulim.chaos import ChaosFunction
 
-H1 = ChaosFunction.from_coefficients([0, 1.0])
-H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
+H1 = ChaosFunction([0, 1.0])
+H2 = ChaosFunction([0, 0, 1.0])
 
 for G, H, label, expected in (
     (H2, 0.60, "short range (H*=0.2)", -1.0),

@@ -8,7 +8,7 @@ carries heavy positive excess kurtosis.
 import numpy as np
 
 from foulim import fgn, harness, hermite
-from foulim.hermite import HermiteEngine, HermiteSpec
+from foulim.hermite import HermiteEngine
 from foulim.paths import TimeGrid
 
 grid = TimeGrid(1.0, 200)
@@ -19,7 +19,7 @@ thr = fgn.fbm_covariance(tt[:, None], tt[None, :], 0.7)
 # the same noise cells for every order (they are fixed by the grid), and
 # the sampler's exact covariance shows its own correlation-shape error
 for m in (1, 2, 3):
-    engine = HermiteEngine(grid, HermiteSpec(H=0.7, m=m))
+    engine = HermiteEngine(grid, 0.7, m)
     Z = harness.run_replicated(4000, 0, f"demo-z{m}",
                                lambda k: hermite.hermite_ensemble(engine, k, idx))
     x = Z[:, -1]
@@ -31,7 +31,7 @@ for m in (1, 2, 3):
           f"(exact {np.max(np.abs(exact / thr - 1)):.4f})")
 
 # self-similarity: lambda^H Z_{t/lambda} has the law of Z_t
-engine = HermiteEngine(grid, HermiteSpec(H=0.7, m=2))
+engine = HermiteEngine(grid, 0.7, 2)
 Z = harness.run_replicated(4000, 1, "demo-ss",
                            lambda k: hermite.hermite_ensemble(engine, k, idx))
 print(f"\nself-similarity (m=2): Var(2^H Z_1/2)={4**0.7 * Z[:, 1].var():.4f} "

@@ -9,7 +9,7 @@ makes that distance directly measurable replica by replica.
 from foulim import harness
 from foulim.chaos import ChaosFunction
 
-H1 = ChaosFunction.from_coefficients([0, 1.0])
+H1 = ChaosFunction([0, 1.0])
 
 scan = harness.l2_convergence_hermite(
     H1, H=0.8, t=1.0, eps_list=[0.2, 0.1, 0.05], n_replicas=500, master_seed=0,

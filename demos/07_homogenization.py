@@ -15,7 +15,7 @@ from scipy import stats
 from foulim import chaos, solvers
 from foulim.chaos import ChaosFunction
 
-H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
+H2 = ChaosFunction([0, 0, 1.0])
 f = lambda x: np.sin(x) + 2.0
 N = 800
 eps = 0.02

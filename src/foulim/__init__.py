@@ -15,7 +15,7 @@ Subpackages by responsibility:
   (loaded by ``clt-scan``, not here)
 - harness: replica ensembles, the only caller of ``streams.keys``;
   variance scans, log-log slopes, distributional diagnostics
-- solvers: slow/fast systems, Young and Stratonovich limit equations,
+- solvers: slow/fast systems, the Heun-Stratonovich limit-equation solver,
   the kinetic (second-order) coupling
 - cli: reproducible experiment runner (`foulim ...`)
 - acceptance: the release-gating check suite (`foulim verify`)
@@ -23,17 +23,13 @@ Subpackages by responsibility:
 
 from . import chaos, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction, Regime, ScalingRegime
-from .fou import FouConfig
-from .hermite import HermiteSpec
 from .paths import FoulimError, TimeGrid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChaosFunction",
-    "FouConfig",
     "FoulimError",
-    "HermiteSpec",
     "Regime",
     "ScalingRegime",
     "TimeGrid",

@@ -24,8 +24,8 @@ from .streams import normals
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
-H2 = ChaosFunction.from_coefficients([0.0, 0.0, 1.0])
-H1 = ChaosFunction.from_coefficients([0.0, 1.0])
+H2 = ChaosFunction([0.0, 0.0, 1.0])
+H1 = ChaosFunction([0.0, 1.0])
 
 
 @dataclass
@@ -70,7 +70,7 @@ def crit_2_fou_stationarity_decay(seed, suite, threads=1) -> CriterionResult:
     n_rep = 40_000 if suite == "full" else 4000
     H, eps = 0.75, 0.05
     grid = TimeGrid.with_step(0.1, eps / 100.0)
-    sampler = fou.path_sampler(grid, fou.FouConfig(H, eps))
+    sampler = fou.path_sampler(grid, H, eps)
     y = harness.run_replicated(n_rep, seed, "acc2", sampler.batch, threads)
     var_end = harness.fsum_variance(y[:, -1])
     s = np.geomspace(10.0, 100.0, 21)
@@ -191,7 +191,7 @@ def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
     )
     kurt_x, se_x = harness.excess_kurtosis_with_se(x_lr)
 
-    engine = hermite.HermiteEngine(TimeGrid(1.0, 200), hermite.HermiteSpec(hs, 2))
+    engine = hermite.HermiteEngine(TimeGrid(1.0, 200), hs, 2)
     z = harness.run_replicated(n_rep, seed + 2, "acc6-z",
                                lambda k: hermite.hermite_ensemble(engine, k)[:, 0],
                                threads)
@@ -227,7 +227,7 @@ def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
     # m = 2 runs at twice the replicas: its variance estimator is heavy
     # tailed (excess kurtosis ~ 6), so SE(Var) ~ sqrt(8/N)
     for m, n in ((1, n_rep), (2, 2 * n_rep)):
-        engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(H, m))
+        engine = hermite.HermiteEngine(grid, H, m)
         Z = z_matrix(engine, f"acc7-m{m}", n)
         var1 = harness.fsum_variance(Z[:, -1])
         times = grid.times()[report_idx]
@@ -364,22 +364,22 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
 
 def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     details = {}
-    # Young solver, smooth driver Z_t = t^2: dx = x dZ => x_T = x0 e^{T^2}.
-    # The error is a*dt + b*dt^2 with b < 0 here, so finite-dt dyadic orders
-    # approach 1 strictly from below; "observed order >= 1" is asserted on
-    # the dyadic order within 0.01 plus its Aitken limit within 1e-3.
+    # Heun solver, smooth driver Z_t = t^2: dx = x dZ => x_T = x0 e^{T^2}.
+    # A second-order scheme whose finite-dt dyadic orders approach 2 from
+    # below; "observed order >= 2" is asserted on the dyadic order within
+    # 0.01 plus its Aitken limit within 1e-3.
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        x = solvers.solve_limit_young(1.0, lambda u: u, lambda u: 0.0 * u, 0.0,
-                                      grid, grid.times() ** 2)
+        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: 0.0 * u, 0.0,
+                                             grid, grid.times() ** 2)
         errs.append(abs(x[-1] - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     d1, d2 = orders[1] - orders[0], orders[2] - orders[1]
     order_limit = float(orders[2] + d2 * d2 / (d1 - d2))
-    details["young_observed_order"] = float(orders[-1])
-    details["young_order_aitken_limit"] = order_limit
-    ok_young = orders[-1] >= 0.99 and order_limit >= 1.0 - 1e-3
+    details["heun_smooth_observed_order"] = float(orders[-1])
+    details["heun_smooth_order_aitken_limit"] = order_limit
+    ok_smooth = orders[-1] >= 1.99 and order_limit >= 2.0 - 1e-3
 
     # Heun-Stratonovich exponential: Var(log x_1) = c^2 t
     n_rep = 4000 if suite == "full" else 1500
@@ -398,7 +398,7 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     details["heun_log_variance"] = lv
     details["c_sq_t"] = c * c * t
     ok_heun = abs(lv / (c * c * t) - 1.0) <= 0.05
-    return CriterionResult(11, "solver closed-form oracles", ok_young and ok_heun,
+    return CriterionResult(11, "solver closed-form oracles", ok_smooth and ok_heun,
                            details)
 
 

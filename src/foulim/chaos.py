@@ -14,7 +14,7 @@ limit, and with which normalization alpha(eps).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -26,7 +26,6 @@ __all__ = [
     "Regime",
     "ScalingRegime",
     "ChaosFunction",
-    "hermite_rank",
     "h_star",
     "classify_regime",
     "limit_covariance_A",
@@ -49,27 +48,6 @@ def gaussian_expectation(G) -> float:
     """
     x, w = special.roots_hermitenorm(GAUSS_HERMITE_NODES)
     return float((w / np.sqrt(2.0 * np.pi)) @ np.asarray(G(x), dtype=float))
-
-
-def hermite_rank(coeffs) -> int:
-    """Smallest k >= 1 with |c_k| sqrt(k!) above RANK_TOL.
-
-    Requires a non-empty list of finite coefficients with c_0 within
-    RANK_TOL of zero (centred function).
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0:
-        raise ValueError("need at least one Hermite coefficient")
-    if not np.all(np.isfinite(c)):
-        raise ValueError(f"Hermite coefficients must be finite, got {c.tolist()}")
-    if abs(c[0]) > RANK_TOL:
-        raise ValueError(f"not centred: c_0 = {c[0]:.3g} exceeds tol {RANK_TOL:.3g}")
-    k = np.arange(len(c))
-    energy = np.abs(c) * np.sqrt(special.factorial(k))
-    nz = np.nonzero(energy[1:] > RANK_TOL)[0]
-    if len(nz) == 0:
-        raise ValueError("zero function: all Hermite coefficients below tol")
-    return int(nz[0] + 1)
 
 
 def h_star(m: int, H) -> float:
@@ -121,29 +99,31 @@ def classify_regime(m: int, H) -> ScalingRegime:
 class ChaosFunction:
     """A centred L2(mu) function given by its Hermite coefficients.
 
-    coefficients[k] is c_k in G = sum c_k He_k; c_0 must vanish.
+    coefficients[k] is c_k in G = sum c_k He_k.  They must be finite and
+    non-empty, with c_0 within RANK_TOL of zero (centred function).  The
+    Hermite rank is the smallest k >= 1 with |c_k| sqrt(k!) above
+    RANK_TOL, and the orders below it are set to zero.
     """
 
     coefficients: np.ndarray
-    hermite_rank: int
+    hermite_rank: int = field(init=False)
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        object.__setattr__(self, "coefficients", c)
-        m = self.hermite_rank
-        if not 1 <= m <= len(c) - 1:
-            raise ValueError("Hermite rank out of range of the coefficients")
-        if c[0] != 0.0:
-            raise ValueError("not centred: c_0 must be 0")
-        if c[m] == 0.0 or np.any(c[1:m] != 0.0):
-            raise ValueError("declared Hermite rank does not match coefficients")
-
-    @classmethod
-    def from_coefficients(cls, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
-        rank = hermite_rank(c)  # raises on non-centred / zero input
+        c = np.atleast_1d(np.asarray(self.coefficients, dtype=float)).copy()
+        if c.size == 0:
+            raise ValueError("need at least one Hermite coefficient")
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"Hermite coefficients must be finite, got {c.tolist()}")
+        if abs(c[0]) > RANK_TOL:
+            raise ValueError(f"not centred: c_0 = {c[0]:.3g} exceeds tol {RANK_TOL:.3g}")
+        energy = np.abs(c) * np.sqrt(special.factorial(np.arange(len(c))))
+        nz = np.nonzero(energy[1:] > RANK_TOL)[0]
+        if len(nz) == 0:
+            raise ValueError("zero function: all Hermite coefficients below tol")
+        rank = int(nz[0] + 1)
         c[:rank] = 0.0
-        return cls(c, rank)
+        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "hermite_rank", rank)
 
     def __call__(self, x):
         """G(x) by the recurrence He_1 = x, He_{k+1} = x He_k - k He_{k-1}.
@@ -215,6 +195,16 @@ def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, 
 MAX_HERMITE_ORDER = 3
 
 
+def _check_hermite_target(H: float, m: int) -> None:
+    """Raise unless Z^{H,m} is supported: H in (1/2, 1) and 1 <= m <= MAX_HERMITE_ORDER."""
+    if not 0.5 < H < 1.0:
+        raise ValueError("Hermite process exponent H must lie in (1/2, 1)")
+    if m < 1:
+        raise ValueError("order m must be >= 1")
+    if m > MAX_HERMITE_ORDER:
+        raise ValueError(f"order not supported: m={m} exceeds cap {MAX_HERMITE_ORDER}")
+
+
 def _kernel_pair_integral(b: float) -> float:
     """J(b) = int_0^inf u^b (1+u)^b du = Beta(b+1, -2b-1), for -1 < b < -1/2."""
     return float(special.beta(b + 1.0, -2.0 * b - 1.0))
@@ -230,12 +220,7 @@ def K_normalizer(H_target: float, m: int) -> float:
     _kernel_pair_integral.  Supports m <= 3.
     """
     h = float(H_target)
-    if not 0.5 < h < 1.0:
-        raise ValueError("Hermite process exponent must lie in (1/2, 1)")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > MAX_HERMITE_ORDER:
-        raise ValueError(f"order not supported: m={m} exceeds cap {MAX_HERMITE_ORDER}")
+    _check_hermite_target(h, m)
     b = (h - 1.0) / m - 0.5
     J = _kernel_pair_integral(b)
     e = m * (2.0 * b + 1.0)  # = 2H - 2 > -1

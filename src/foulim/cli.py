@@ -63,8 +63,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _chaos_from_args(args) -> ChaosFunction:
-    coeffs = _parse_floats(args.coeffs)
-    return ChaosFunction.from_coefficients(coeffs)
+    return ChaosFunction(_parse_floats(args.coeffs))
 
 
 def _default_threads() -> int:
@@ -155,7 +154,7 @@ def _cmd_sample_fou(args) -> int:
     grid = (TimeGrid(args.horizon, args.n_steps) if args.n_steps is not None
             else TimeGrid.with_step(args.horizon, as_eps(args.eps) / 50.0))
     args.n_steps = grid.n_steps  # the echo records the step count the run took
-    sampler = fou.path_sampler(grid, fou.FouConfig(args.H, args.eps))
+    sampler = fou.path_sampler(grid, args.H, args.eps)
     mat = harness.run_replicated(args.replicas, args.seed, "cli-fou", sampler.batch,
                                  args.threads)
     _emit(args, ["replica", "t", "value"], _path_rows(grid.times(), mat))
@@ -217,7 +216,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_hermite_sample(args) -> int:
     grid = TimeGrid(args.horizon, args.n_steps)
-    engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(args.H, args.m))
+    engine = hermite.HermiteEngine(grid, args.H, args.m)
     every_step = np.arange(grid.n_steps + 1)
     mat = harness.run_replicated(
         args.replicas, args.seed, "cli-hermite",

@@ -94,8 +94,14 @@ def _embedding_eigenvalues(acov, n: int) -> tuple[int, np.ndarray]:
     The circulant of length 2m holds acov(0..m) and its mirror image;
     m starts at the smallest 5-smooth length >= n, where the FFT is fast,
     and doubles until its negative eigenvalues sum to at most
-    NEGATIVE_EIG_TOL * 2m * acov(0), and those left are clipped.
+    NEGATIVE_EIG_TOL * 2m * acov(0), and those left are clipped.  More
+    than MAX_EMBEDDING_LAGS lags are refused before any embedding is tried.
     """
+    if n > MAX_EMBEDDING_LAGS:
+        size = n if n < 10**9 else f"~1e{len(str(n)) - 1}"  # n may exceed a float
+        raise SamplerInfeasibleError(
+            f"{size} lags exceed the circulant embedding cap of {MAX_EMBEDDING_LAGS} lags"
+        )
     m = _smooth_length(n)
     while m <= MAX_EMBEDDING_LAGS:
         g = acov(np.arange(m + 1))

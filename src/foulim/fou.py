@@ -29,8 +29,6 @@ independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -38,7 +36,6 @@ from . import fgn
 from .paths import TimeGrid, as_eps, as_hurst
 
 __all__ = [
-    "FouConfig",
     "stationary_sigma",
     "kernel_amplitude",
     "rho",
@@ -199,21 +196,6 @@ def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
     return head + tail
 
 
-@dataclass(frozen=True)
-class FouConfig:
-    """Configuration of the rescaled stationary fOU sampler: Hurst index and scale eps.
-
-    The noise amplitude is stationary_sigma(H), so the stationary law is N(0, 1).
-    """
-
-    H: float
-    eps: float
-
-    def __post_init__(self):
-        as_hurst(self.H)
-        as_eps(self.eps)
-
-
 def _resolves(dt: float, eps: float) -> bool:
     """Whether a step dt resolves the relaxation time: dt <= eps / MIN_STEPS_PER_EPS."""
     return dt <= eps / MIN_STEPS_PER_EPS * (1.0 + 1e-12)
@@ -227,8 +209,8 @@ def _check_resolution(dt: float, eps: float):
         )
 
 
-def path_sampler(grid: TimeGrid, cfg: FouConfig) -> fgn.StationarySampler:
-    """The sampler of stationary fOU paths on the grid, its embedding computed once.
+def path_sampler(grid: TimeGrid, H, eps) -> fgn.StationarySampler:
+    """The sampler of stationary fOU paths of (H, eps) on the grid, its embedding computed once.
 
     Its rows are stationary Gaussian sequences of n_steps + 1 values
     with autocovariance rho(k dt/eps), exact in law, one per row of a
@@ -237,7 +219,8 @@ def path_sampler(grid: TimeGrid, cfg: FouConfig) -> fgn.StationarySampler:
     and ``batch(keys)`` in one matrix.  Requires grid.dt <= eps/10,
     which the Riemann sums downstream rely on.
     """
-    _check_resolution(grid.dt, cfg.eps)
-    step = grid.dt / cfg.eps
-    return fgn.StationarySampler(lambda k: rho(k * step, cfg.H), grid.n_steps)
+    h, eps = as_hurst(H), as_eps(eps)
+    _check_resolution(grid.dt, eps)
+    step = grid.dt / eps
+    return fgn.StationarySampler(lambda k: rho(k * step, h), grid.n_steps)
 

@@ -182,7 +182,7 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
                           alpha: float, threads: int = 1) -> np.ndarray:
     """Replica samples of alpha * int_0^t G(y^eps) ds."""
     grid = TimeGrid.with_step(t, eps / dt_ratio)
-    sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
+    sampler = fou.path_sampler(grid, h, eps)
 
     def make_chunk(chunk_keys):
         return np.concatenate([functional_values(G, y, grid.dt, alpha)
@@ -308,7 +308,7 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     h = as_hurst(H)
     horizon = max(t, s)
     grid = TimeGrid.with_step(horizon, eps / dt_ratio)
-    sampler = fou.path_sampler(grid, fou.FouConfig(h, eps))
+    sampler = fou.path_sampler(grid, h, eps)
     it = int(round(t / grid.dt))
     i_s = int(round(s / grid.dt))
     regimes = [chaos.classify_regime(G.hermite_rank, h) for G in G_list]
@@ -390,7 +390,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     strides = [max((k for k in range(1, n_fine + 1)
                     if n_fine % k == 0 and k * fine.dt <= eps / L2_DT_RATIO * (1.0 + 1e-12)),
                    default=1) for eps in eps_arr]
-    kernels = [hermite._kernel(fine, hermite.HermiteSpec(hs, m))]
+    kernels = [hermite._kernel(fine, hs, m)]
     kernels += [hermite._fou_kernel(fine, h, eps, r) for eps, r in zip(eps_arr, strides)]
     var_lim = kernels[0].variances()
     K = chaos.K_normalizer(hs, m)

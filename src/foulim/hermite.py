@@ -18,7 +18,7 @@ at 20 Chebyshev rows that a barycentric matrix interpolates to every
 row.  The covariance is exact in one line, m! ds^2 sum_{s<j, s'<k}
 gram_{ss'}^m (``exact_covariance``), and a replica costs
 O(n_s * 2n + 20 * n_far) for every m.  A ``HermiteEngine`` holds all
-this for one (grid, spec), built once per operation and handed to every
+this for one (grid, H, m), built once per operation and handed to every
 chunk; ``hermite_ensemble`` draws one row of cell noise per Philox key,
 a block of rows at a time, and ensembles take their keys chunk by chunk
 from ``harness.run_replicated``.
@@ -35,7 +35,6 @@ Hermite limit from one white noise on the engine's cells, which makes L2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +47,6 @@ from .paths import FoulimError, TimeGrid, as_hurst
 from .streams import normals
 
 __all__ = [
-    "HermiteSpec",
     "HermiteEngine",
     "hermite_ensemble",
     "exact_covariance",
@@ -63,29 +61,6 @@ _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
 # Chebyshev rows of a far block: 16 leave a gram error of 1.6e-13, 20 (as 24) 3e-15
 _FAR_NODES = 20
-
-
-@dataclass(frozen=True)
-class HermiteSpec:
-    """Target Hermite process: exponent H in (1/2,1), order m in {1,2,3}."""
-
-    H: float
-    m: int
-
-    def __post_init__(self):
-        if not 0.5 < self.H < 1.0:
-            raise ValueError("Hermite process exponent H must lie in (1/2, 1)")
-        if self.m < 1:
-            raise ValueError("order m must be >= 1")
-        if self.m > chaos.MAX_HERMITE_ORDER:
-            raise ValueError(
-                f"order not supported: m={self.m} exceeds cap {chaos.MAX_HERMITE_ORDER}"
-            )
-
-    @property
-    def kernel_exponent(self) -> float:
-        """(H-1)/m - 1/2, the power on each factor (s - xi)_+."""
-        return (self.H - 1.0) / self.m - 0.5
 
 
 def _cell_edges(grid: TimeGrid) -> np.ndarray:
@@ -145,13 +120,16 @@ def _cell_average(u, w, p: float):
     return u**p * np.expm1(p * np.log1p(w / u)) / (p * np.sqrt(w))
 
 
-def _kernel(grid: TimeGrid, spec: HermiteSpec) -> _CellKernel:
-    """The engine's kernel: M[s, i] is sqrt(width) times the exact average
-    over cell i of the kernel at step s's midpoint (so its singularity
-    needs no quadrature) and u_s = M[s] . N has variance ||M[s]||^2; near
-    is windows of one lag profile, an entry there depends only on the lag."""
+def _kernel(grid: TimeGrid, H: float, m: int) -> _CellKernel:
+    """The kernel of Z^{H,m}, H in (1/2, 1) and 1 <= m <= MAX_HERMITE_ORDER:
+    M[s, i] is sqrt(width) times the exact average over cell i of the kernel
+    at step s's midpoint (so its singularity needs no quadrature) and u_s =
+    M[s] . N has variance ||M[s]||^2; near is windows of one lag profile, an
+    entry there depends only on the lag."""
+    chaos._check_hermite_target(H, m)
     edges = _cell_edges(grid)
-    n, dt, p = grid.n_steps, grid.dt, spec.kernel_exponent + 1.0
+    b = (H - 1.0) / m - 0.5  # the power on each factor (s - xi)_+
+    n, dt, p = grid.n_steps, grid.dt, b + 1.0
     n_far = len(edges) - 1 - 2 * n
     # uniform cell j ends (r + n - j - 1/2) dt before step r's midpoint, profile
     # entry n - 1 - r + j; the cell holding the midpoint is half covered, later ones 0
@@ -164,7 +142,7 @@ def _kernel(grid: TimeGrid, spec: HermiteSpec) -> _CellKernel:
 
 
 class HermiteEngine:
-    """Kernel, step variances, per-time scale and raw covariance of a (grid, spec).
+    """Kernel, step variances, per-time scale and raw covariance of Z^{H,m} on a grid.
 
     Built once per operation by the caller and handed to every chunk.
     ``kernel`` is ``_kernel``, with gram near near^T + P (far far^T) P^T
@@ -175,14 +153,14 @@ class HermiteEngine:
     are read-only, so concurrent chunks share them.
     """
 
-    def __init__(self, grid: TimeGrid, spec: HermiteSpec):
-        self.grid, self.spec = grid, spec
-        self.kernel = near, far, P = _kernel(grid, spec)
+    def __init__(self, grid: TimeGrid, H: float, m: int):
+        self.grid, self.H, self.m = grid, H, m
+        self.kernel = near, far, P = _kernel(grid, H, m)
         gram = near @ near.T + P @ (far @ far.T) @ P.T
         self.var = np.diag(gram).copy()
-        self.C = _series_covariance(gram, spec.m, grid.dt)
+        self.C = _series_covariance(gram, m, grid.dt)
         self.scale = np.zeros(grid.n_steps + 1)
-        self.scale[1:] = grid.times()[1:] ** spec.H / np.sqrt(np.diag(self.C)[1:])
+        self.scale[1:] = grid.times()[1:] ** H / np.sqrt(np.diag(self.C)[1:])
         for arr in (*self.kernel, self.var, self.C, self.scale):
             arr.flags.writeable = False
 
@@ -248,7 +226,7 @@ def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
     report_idx = np.asarray(report_idx, dtype=int)
     out = np.empty((len(keys), len(report_idx)))
     for start, (u,) in _projections(keys, [engine.kernel]):
-        series = _wick_power(u, engine.var, engine.spec.m) * engine.grid.dt
+        series = _wick_power(u, engine.var, engine.m) * engine.grid.dt
         cum = np.cumsum(np.pad(series, ((0, 0), (1, 0))), axis=1)  # Z at t_0 = 0 is 0
         out[start : start + len(u)] = cum[:, report_idx] * engine.scale[report_idx]
     return out

@@ -66,7 +66,11 @@ class TimeGrid:
     @classmethod
     def with_step(cls, horizon, step: float) -> TimeGrid:
         """The grid on [0, horizon] of round(horizon / step) steps, at least one."""
-        return cls(horizon, max(int(round(as_horizon(horizon) / step)), 1))
+        T = as_horizon(horizon)
+        if not (step > 0.0 and np.isfinite(T / step)):
+            raise ValueError(f"a step of {step:g} on a horizon of {T:g} "
+                             "gives no finite step count")
+        return cls(horizon, max(int(round(T / step)), 1))
 
     @property
     def dt(self) -> float:

@@ -2,10 +2,9 @@
 
 The limit equation dx = f(x) dZ + g_bar h(x) dt is driven by Z = c W
 (Brownian) in the short-range regime and by Z = c Z^{H*,m} (a Hermite
-process, H* > 1/2) in the long-range regime.  Its two solvers, the
-left-point Young scheme and the Heun-Stratonovich scheme, are batched:
-each takes a driver matrix of shape (n_replicas, n_steps + 1), c folded
-in, and steps every replica at once.  ``homogenize`` is the one place
+process, H* > 1/2) in the long-range regime.  Its solver, the
+Heun-Stratonovich scheme, is batched: it takes a driver matrix of shape
+(n_replicas, n_steps + 1), c folded in, and steps every replica at once.  ``homogenize`` is the one place
 that samples both sides of the homogenization limit, the slow/fast
 endpoints and the limit equation's, every replica's driver drawn from
 its own keyed stream inside a ``run_replicated`` chunk.  The slow/fast RK4 solver is batched the same
@@ -41,7 +40,6 @@ __all__ = [
     "MultiscaleConfig",
     "solve_slow_fast_endpoints",
     "homogenize",
-    "solve_limit_young",
     "solve_limit_stratonovich",
     "flow_map_1d",
     "kinetic_error_scan",
@@ -85,39 +83,6 @@ class MultiscaleConfig:
         return chaos.classify_regime(self.G.hermite_rank, self.H).alpha(self.eps)
 
 
-def _stepping_arrays(x0, grid: TimeGrid, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Increments of driver values Z (..., n_steps + 1) and the solution
-    buffer started at x0, both with the time axis first."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape[-1] != grid.n_steps + 1:
-        raise ValueError(
-            f"driver has {Z.shape[-1]} points per path, grid has {grid.n_steps + 1}"
-        )
-    dZ = np.moveaxis(np.diff(Z, axis=-1), -1, 0)
-    x = np.empty((grid.n_steps + 1,) + dZ.shape[1:])
-    x[0] = x0
-    return dZ, x
-
-
-def solve_limit_young(x0, f, h, g_bar: float, grid: TimeGrid, Z) -> np.ndarray:
-    """Left-point scheme for the limit Young equation dx = f(x)dZ + g_bar h(x)dt.
-
-    Z holds driver values of shape (n_replicas, n_steps + 1) on ``grid``
-    (a single path is the one-row case); every replica is stepped at
-    once and the solution comes back in Z's shape.  With h = 0 this is
-    the Young integral equation dx = f(x) dZ, whose grid error is
-    O(dt^{2*gamma-1}) for a gamma-Hoelder driver, gamma > 1/2.  The
-    homogenization constant c is expected to be folded into Z's scaling
-    by the caller.
-    """
-    dZ, x = _stepping_arrays(x0, grid, Z)
-    dt = grid.dt
-    for k in range(grid.n_steps):
-        xk = x[k]
-        x[k + 1] = xk + f(xk) * dZ[k] + g_bar * h(xk) * dt
-    return np.moveaxis(x, 0, -1)
-
-
 def solve_limit_stratonovich(x0, f, h, g_bar: float, grid: TimeGrid, W) -> np.ndarray:
     """Heun (midpoint-predictor) scheme for dx = f(x) o dW + g_bar h(x)dt.
 
@@ -127,10 +92,17 @@ def solve_limit_stratonovich(x0, f, h, g_bar: float, grid: TimeGrid, W) -> np.nd
     Brownian W; the predictor-corrector average makes the scheme
     consistent with the Stratonovich integral (no Ito correction), and
     in one dimension it converges to the Young solution for a driver of
-    Hoelder regularity > 1/2.  As for the Young scheme, the caller folds
-    the homogenization constant c into W's scaling.
+    Hoelder regularity > 1/2, at order 2 for a smooth one.  The caller
+    folds the homogenization constant c into W's scaling.
     """
-    dW, x = _stepping_arrays(x0, grid, W)
+    W = np.asarray(W, dtype=float)
+    if W.shape[-1] != grid.n_steps + 1:
+        raise ValueError(
+            f"driver has {W.shape[-1]} points per path, grid has {grid.n_steps + 1}"
+        )
+    dW = np.moveaxis(np.diff(W, axis=-1), -1, 0)  # time axis first
+    x = np.empty((grid.n_steps + 1,) + dW.shape[1:])
+    x[0] = x0
     dt = grid.dt
     for k in range(grid.n_steps):
         xk, dw = x[k], dW[k]
@@ -239,7 +211,7 @@ def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
                               threads: int = 1) -> np.ndarray:
     """Replica endpoints x^eps_T: RK4 with drift, the exact flow without."""
     fine = TimeGrid(cfg.grid.horizon, 2 * cfg.grid.n_steps)
-    sampler = fou.path_sampler(fine, fou.FouConfig(cfg.H, cfg.eps))
+    sampler = fou.path_sampler(fine, cfg.H, cfg.eps)
     if cfg.h is None or cfg.g is None:
         u = run_replicated(n_replicas, master_seed, name,
                            lambda k: _flow_driver(cfg, sampler, k), threads)
@@ -272,7 +244,7 @@ def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray
         m = G.hermite_rank
         name, grid = "limit-endpoint-z", TimeGrid(t, 400)
         scale = np.sign(G.coefficients[m]) * c
-        engine = hermite.HermiteEngine(grid, hermite.HermiteSpec(regime.h_star, m))
+        engine = hermite.HermiteEngine(grid, regime.h_star, m)
         report_idx = None if h is None else np.arange(grid.n_steps + 1)
 
         def driver(chunk_keys):

@@ -20,12 +20,12 @@ def test_recurrence_evaluation_matches_hermeval(degree):
         c[rank:] = rng.standard_normal(degree + 1 - rank)
         for top in (c[degree], 1.0):  # the top term scaled in place, or not at all
             c[degree] = top
-            G = ChaosFunction.from_coefficients(c)
+            G = ChaosFunction(c)
             ref = np.polynomial.hermite_e.hermeval(y, G.coefficients)
             np.testing.assert_allclose(G(y), ref, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(ref)))
     # a scalar stays a scalar; the input is never written
-    G = ChaosFunction.from_coefficients([0, 0.5, 1.0, 0, 0.25])
+    G = ChaosFunction([0, 0.5, 1.0, 0, 0.25])
     assert G(1.5) == pytest.approx(np.polynomial.hermite_e.hermeval(1.5, G.coefficients),
                                    rel=1e-14)
     y0 = y.copy()
@@ -48,7 +48,7 @@ def test_hermite_orthogonality_under_quadrature():
 
 
 def test_parseval_for_polynomials():
-    G = ChaosFunction.from_coefficients([0.0, 2.0, -1.0, 0.5])
+    G = ChaosFunction([0.0, 2.0, -1.0, 0.5])
     x, w = np.polynomial.hermite_e.hermegauss(120)
     w = w / np.sqrt(2 * np.pi)
     norm_quad = w @ G(x) ** 2
@@ -57,18 +57,18 @@ def test_parseval_for_polynomials():
 
 
 def test_hermite_rank_cases():
-    assert chaos.hermite_rank([0, 0, 1.0]) == 2
-    assert chaos.hermite_rank([0, 3.0, 0, 1.0]) == 1
+    assert ChaosFunction([0, 0, 1.0]).hermite_rank == 2
+    assert ChaosFunction([0, 3.0, 0, 1.0]).hermite_rank == 1
     with pytest.raises(ValueError, match="not centred"):
-        chaos.hermite_rank([0.5, 1.0])
+        ChaosFunction([0.5, 1.0])
     with pytest.raises(ValueError, match="zero function"):
-        chaos.hermite_rank([0.0, 0.0])
+        ChaosFunction([0.0, 0.0])
     with pytest.raises(ValueError, match="at least one"):
-        chaos.hermite_rank([])
+        ChaosFunction([])
     # a NaN is neither centred nor zero: it must not read as "zero function"
     for coeffs in ([0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.inf]):
         with pytest.raises(ValueError, match="must be finite"):
-            chaos.hermite_rank(coeffs)
+            ChaosFunction(coeffs)
 
 
 def test_h_star_values_and_inverse():
@@ -113,9 +113,9 @@ def test_scaling_alpha_domain():
 
 
 def test_limit_covariance_examples():
-    H1 = ChaosFunction.from_coefficients([0, 1.0])
-    H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
-    H3 = ChaosFunction.from_coefficients([0, 0, 0, 1.0])
+    H1 = ChaosFunction([0, 1.0])
+    H2 = ChaosFunction([0, 0, 1.0])
+    H3 = ChaosFunction([0, 0, 0, 1.0])
     # degenerate Brownian limit at H < 1/2, m = 1
     A, _ = chaos.limit_covariance_A(H1, H1, 0.4)
     assert abs(A) < 0.01
@@ -128,14 +128,14 @@ def test_limit_covariance_examples():
 
 
 def test_limit_covariance_divergent_regime_raises():
-    H1 = ChaosFunction.from_coefficients([0, 1.0])
+    H1 = ChaosFunction([0, 1.0])
     with pytest.raises(ValueError, match="not a CLT component"):
         chaos.limit_covariance_A(H1, H1, 0.8)
 
 
 def test_c_constant_long_range_m1_equals_sigma():
     # for G = He_1 the limit is sigma * fBM, so c must equal sigma(H)
-    H1 = ChaosFunction.from_coefficients([0, 1.0])
+    H1 = ChaosFunction([0, 1.0])
     for H in (0.7, 0.8, 0.9):
         assert chaos.c_constant(H1, H) == pytest.approx(
             fou.stationary_sigma(H), rel=1e-9
@@ -143,7 +143,7 @@ def test_c_constant_long_range_m1_equals_sigma():
 
 
 def test_c_constant_short_range_and_boundary():
-    H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
+    H2 = ChaosFunction([0, 0, 1.0])
     c = chaos.c_constant(H2, 0.6)
     assert c**2 == pytest.approx(4.0 * fou.rho_power_integral(2, 0.6), rel=1e-10)
     c = chaos.c_constant(H2, 0.75)
@@ -153,7 +153,7 @@ def test_c_constant_short_range_and_boundary():
 def test_c_constant_is_zero_for_a_rounding_size_negative_A(monkeypatch):
     # He_1 at H = 0.001: A = int rho = 0 exactly, computed as -4.8e-15; the
     # square root of 2A was NaN with a RuntimeWarning
-    H1 = ChaosFunction.from_coefficients([0, 1.0])
+    H1 = ChaosFunction([0, 1.0])
     assert chaos.limit_covariance_A(H1, H1, 0.001)[0] < 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -220,22 +220,25 @@ def test_K_normalizer_errors():
 
 def test_chaos_function_validation():
     with pytest.raises(ValueError, match="not centred"):
-        ChaosFunction.from_coefficients([0.5, 1.0])
-    with pytest.raises(ValueError):
+        ChaosFunction([0.5, 1.0])
+    # the rank is read off the coefficients, never declared
+    with pytest.raises(TypeError):
         ChaosFunction(np.array([0.0, 0.0, 1.0]), hermite_rank=1)
-    G = ChaosFunction.from_coefficients([0, 0, 1.0])
+    # orders below the rank, within RANK_TOL of zero, are set to zero; the input is kept
+    c = np.array([1e-14, 1e-14, 1.0])
+    G = ChaosFunction(c)
     assert G.hermite_rank == 2
-    with pytest.raises(ValueError, match="does not match"):
-        ChaosFunction(np.array([0.0, 1.0, 1.0]), hermite_rank=2)
+    np.testing.assert_array_equal(G.coefficients, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(c, [1e-14, 1e-14, 1.0])
 
 
 def test_chaos_function_evaluation_and_tail():
-    G = ChaosFunction.from_coefficients([0, 0, 1.0])
+    G = ChaosFunction([0, 0, 1.0])
     x = np.array([-1.0, 0.0, 2.0])
     np.testing.assert_allclose(G(x), x**2 - 1.0)
     # the tail of the coefficient vector: trailing zeros are kept
     assert G.truncation_order == 2
-    assert ChaosFunction.from_coefficients([0, 1.0, 0, 0]).truncation_order == 3
+    assert ChaosFunction([0, 1.0, 0, 0]).truncation_order == 3
 
 
 def test_gaussian_expectation():

@@ -186,6 +186,10 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["hermite-sample", "--m", "2", "--horizon", "1e-300"], "too small for the Hermite engine"),
     (["l2-hermite", "--t", "1e-300"], "too small for the Hermite engine"),
     (["homogenize", "--H", "0.85", "--t", "1e-300"], "too small for the Hermite engine"),
+    # a step count that is not finite, or beyond the circulant embedding cap
+    (["clt-scan", "--dt-ratio", "1e308"], "gives no finite step count"),
+    (["homogenize", "--dt-ratio", "1e308"], "gives no finite step count"),
+    (["sample-fou", "--eps", "1e-300"], "exceed the circulant embedding cap"),
 ], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
         "kinetic-above-one", "kinetic-zero", "homogenize-eps-zero", "homogenize-eps-nan",
         "homogenize-dt-ratio-zero", "clt-dt-ratio-nan", "clt-dt-ratio-inf",
@@ -193,7 +197,8 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "homogenize-horizon-nan", "sample-fou-horizon-nan", "kinetic-horizon-nan",
         "hermite-horizon-nan", "l2-horizon-inf", "rho-s-max-nan", "rho-s-max-negative",
         "homogenize-x0-nan", "homogenize-x0-inf", "hermite-tiny-horizon", "l2-tiny-horizon",
-        "homogenize-tiny-horizon"])
+        "homogenize-tiny-horizon", "clt-dt-ratio-huge", "homogenize-dt-ratio-huge",
+        "sample-fou-eps-tiny"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], *_two_replicas(command),
@@ -440,7 +445,7 @@ def test_clt_scan_explicit_dt_ratio_keeps_its_meaning(tmp_path):
     argv = ["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
             "--replicas", "50", "--seed", "6", "--out", str(out)]
     assert run(argv + ["--dt-ratio", "50"]) == 0
-    G = ChaosFunction.from_coefficients([0, 0, 1])
+    G = ChaosFunction([0, 0, 1])
     scan = harness.variance_scan(G, 0.6, 1.0, [0.2, 0.1, 0.05], 50, 6, dt_ratio=50)
     rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == [output.fmt(v) for v in scan.values]
@@ -512,8 +517,8 @@ def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatc
     rows = []
     make_sampler = fou.path_sampler
 
-    def spy(grid, cfg):
-        sampler = make_sampler(grid, cfg)
+    def spy(grid, H, eps):
+        sampler = make_sampler(grid, H, eps)
         blocks = sampler.blocks
 
         def counted(keys):
@@ -532,7 +537,7 @@ def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatc
     # every (eps, replica) stream is drawn once: no extra pass at the finest eps
     assert sum(rows) == 1000 * 3
     monkeypatch.setattr(fou, "path_sampler", make_sampler)
-    G = ChaosFunction.from_coefficients([0, 0, 1])
+    G = ChaosFunction([0, 0, 1])
     alpha = chaos.classify_regime(2, 0.6).alpha(0.05)
     doc = json.loads((tmp_path / "scan.json").read_text())
     oracle = harness.clt_diagnostics(harness._fou_endpoint_samples(

@@ -11,9 +11,9 @@ from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
 
-He1 = ChaosFunction.from_coefficients([0, 1])
-He2 = ChaosFunction.from_coefficients([0, 0, 1])
-MIXED = ChaosFunction.from_coefficients([0, 0.5, -1.0, 0.3])
+He1 = ChaosFunction([0, 1])
+He2 = ChaosFunction([0, 0, 1])
+MIXED = ChaosFunction([0, 0.5, -1.0, 0.3])
 
 
 def _chaos_covariance_by_loop(G, r):
@@ -67,7 +67,7 @@ def test_trapezoid_variance_matches_monte_carlo_of_the_sampler():
     # He_2 at H 0.6, eps 0.1, dt = eps/10: the scan's own sampler and reduction
     t, eps, ratio, n = 1.0, 0.1, 10.0, 20_000
     grid = TimeGrid.with_step(t, eps / ratio)
-    y = fou.path_sampler(grid, fou.FouConfig(0.6, eps)).batch(keys(31, "exact-mc", 0, n))
+    y = fou.path_sampler(grid, 0.6, eps).batch(keys(31, "exact-mc", 0, n))
     x = harness.functional_values(He2, y, grid.dt)
     z = (harness.fsum_variance(x) - exact.trapezoid_variance(He2, 0.6, t, eps, ratio)) \
         / harness.variance_stderr(x)
@@ -95,7 +95,7 @@ def test_variance_stderr_matches_the_chi_square_fourth_moment():
 
 
 MC_PAIRS = [(He2, 0.6), (He2, 0.75), (He1, 0.8), (He2, 0.85),
-            (ChaosFunction.from_coefficients([0, 0, 0, 1]), 0.7)]
+            (ChaosFunction([0, 0, 0, 1]), 0.7)]
 
 
 @pytest.mark.parametrize("eps_list", [[0.1, 0.05, 0.02], [0.05, 0.02, 0.01]])

@@ -169,6 +169,17 @@ def test_non_positive_definite_autocovariance_raises_at_the_cap():
     assert calls[0] == 3 and calls[-1] <= fgn.MAX_EMBEDDING_LAGS < 2 * calls[-1]
 
 
+@pytest.mark.parametrize("n", [fgn.MAX_EMBEDDING_LAGS + 1, 10**300])
+def test_more_lags_than_the_cap_raise_before_any_embedding(n):
+    def acov(k):
+        raise AssertionError("no embedding may be tried")
+
+    with pytest.raises(fgn.SamplerInfeasibleError, match="exceed the circulant embedding cap") \
+            as info:
+        fgn.StationarySampler(acov, n)
+    assert "positive definite" not in str(info.value)
+
+
 def _mvn_normalizer_oracle(H):
     """c1(H) by 40-digit quadrature of its defining integral.
 

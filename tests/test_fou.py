@@ -233,7 +233,7 @@ def test_double_integral_rescaling_identity():
 def test_sample_fou_stationary_variance_and_law():
     H, eps = 0.7, 0.1
     grid = TimeGrid(0.05, 100)  # dt = eps/200
-    y = fou.path_sampler(grid, fou.FouConfig(H, eps)).batch(keys(21, "sv", 0, 10_000))
+    y = fou.path_sampler(grid, H, eps).batch(keys(21, "sv", 0, 10_000))
     endpoint = y[:, -1]
     assert endpoint.var() == pytest.approx(1.0, abs=0.03)
     from scipy import stats
@@ -245,7 +245,7 @@ def test_sample_fou_stationary_variance_and_law():
 def test_sample_fou_classical_autocorrelation():
     # eps = 1, H = 1/2: Markov OU, autocorrelation e^{-s} at s = 1
     grid = TimeGrid(2.0, 200)
-    y = fou.path_sampler(grid, fou.FouConfig(0.5, 1.0)).batch(keys(5, "ou", 0, 8000))
+    y = fou.path_sampler(grid, 0.5, 1.0).batch(keys(5, "ou", 0, 8000))
     k = int(round(1.0 / grid.dt))
     c = np.mean(y[:, 100] * y[:, 100 + k]) / np.mean(y[:, 100] ** 2)
     assert c == pytest.approx(np.exp(-1.0), abs=0.02)
@@ -254,7 +254,7 @@ def test_sample_fou_classical_autocorrelation():
 def test_sample_fou_matches_rho_at_scale_eps():
     H, eps = 0.75, 0.1
     grid = TimeGrid(0.3, 600)  # dt = eps/200
-    y = fou.path_sampler(grid, fou.FouConfig(H, eps)).batch(keys(77, "ac", 0, 4000))
+    y = fou.path_sampler(grid, H, eps).batch(keys(77, "ac", 0, 4000))
     for lag_time in (0.05, 0.1):
         k = int(round(lag_time / grid.dt))
         emp = np.mean(y[:, 200] * y[:, 200 + k])
@@ -264,7 +264,7 @@ def test_sample_fou_matches_rho_at_scale_eps():
 def test_sample_fou_holder_diagnostic():
     H, eps = 0.7, 0.1
     grid = TimeGrid(0.2, 400)
-    y = fou.path_sampler(grid, fou.FouConfig(H, eps)).batch(keys(31, "hold", 0, 2000))
+    y = fou.path_sampler(grid, H, eps).batch(keys(31, "hold", 0, 2000))
     lags = np.array([1, 2, 4, 8])
     mom = [np.sqrt(np.mean((y[:, 50 + k] - y[:, 50]) ** 2)) for k in lags]
     slope = np.polyfit(np.log(lags * grid.dt), np.log(mom), 1)[0]
@@ -274,14 +274,15 @@ def test_sample_fou_holder_diagnostic():
 def test_sample_fou_under_resolved_raises():
     grid = TimeGrid(1.0, 50)  # dt = 0.02 > eps/10
     with pytest.raises(ValueError, match="under-resolved"):
-        fou.path_sampler(grid, fou.FouConfig(0.7, 0.1))
+        fou.path_sampler(grid, 0.7, 0.1)
 
 
 def test_fou_config_validation():
-    with pytest.raises(ValueError):
-        fou.FouConfig(0.7, 1.5)
-    with pytest.raises(ValueError):
-        fou.FouConfig(1.2, 0.5)
+    grid = TimeGrid(1.0, 50)
+    with pytest.raises(ValueError, match="eps must lie"):
+        fou.path_sampler(grid, 0.7, 1.5)
+    with pytest.raises(ValueError, match="Hurst parameter"):
+        fou.path_sampler(grid, 1.2, 0.5)
 
 
 def implied_autocovariance(H, step, n):
@@ -328,8 +329,7 @@ def test_fou_embedding_reproduces_rho_property(H, inv_step, n):
 
 
 def test_sample_fou_rows_do_not_depend_on_batching():
-    grid, cfg = TimeGrid(0.02, 100), fou.FouConfig(0.85, 0.01)  # a padded embedding
-    sampler = fou.path_sampler(grid, cfg)
+    sampler = fou.path_sampler(TimeGrid(0.02, 100), 0.85, 0.01)  # a padded embedding
     whole = sampler.batch(keys(3, "batch", 0, 5))
     parts = [sampler.batch(keys(3, "batch", 0, 2)), sampler.batch(keys(3, "batch", 2, 3))]
     np.testing.assert_array_equal(whole, np.concatenate(parts))
@@ -346,7 +346,7 @@ def test_sample_fou_centred_he2_at_coarse_resolution():
     eps = 0.1
     grid = TimeGrid(0.1, 10)
     for H in (0.3, 0.85):
-        y = fou.path_sampler(grid, fou.FouConfig(H, eps)).batch(keys(41, "he2", 0, 8000))
+        y = fou.path_sampler(grid, H, eps).batch(keys(41, "he2", 0, 8000))
         he2 = y[:, -1] ** 2 - 1.0
         se = he2.std(ddof=1) / np.sqrt(len(he2))
         assert abs(he2.mean()) < 3.0 * se

@@ -9,12 +9,12 @@ from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
 
-H1 = ChaosFunction.from_coefficients([0, 1.0])
-H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
-H3 = ChaosFunction.from_coefficients([0, 0, 0, 1.0])
+H1 = ChaosFunction([0, 1.0])
+H2 = ChaosFunction([0, 0, 1.0])
+H3 = ChaosFunction([0, 0, 0, 1.0])
 
 
-@pytest.mark.parametrize("G", [ChaosFunction.from_coefficients([0, 0.3, -1.0, 0.5]), np.cos],
+@pytest.mark.parametrize("G", [ChaosFunction([0, 0.3, -1.0, 0.5]), np.cos],
                          ids=["chaos", "cos"])
 def test_functional_values_match_the_interval_trapezoid(G):
     y = np.random.default_rng(4).standard_normal((7, 501))
@@ -38,7 +38,7 @@ def test_ergodic_average_of_noncentred_function():
     grid = TimeGrid(1.0, 2000)
     sds = []
     for eps, name in ((0.05, "erg1"), (0.01, "erg2")):
-        y = fou.path_sampler(grid, fou.FouConfig(0.7, eps)).batch(keys(4, name, 0, 600))
+        y = fou.path_sampler(grid, 0.7, eps).batch(keys(4, name, 0, 600))
         vals = harness.functional_values(g, y, grid.dt)
         assert vals.mean() == pytest.approx(g_bar, abs=0.03)
         sds.append(vals.std())
@@ -60,7 +60,7 @@ def test_variance_scan_short_range_slope():
 def test_variance_scan_stderr_is_the_influence_function_se():
     # the integral of He_3 is heavy-tailed at these scales: its variance's
     # SE is 2-4x the Gaussian v sqrt(2 / (n - 1))
-    He3 = ChaosFunction.from_coefficients([0, 0, 0, 1.0])
+    He3 = ChaosFunction([0, 0, 0, 1.0])
     scan = harness.variance_scan(He3, 0.7, 1.0, [0.2, 0.1, 0.05], 600, 5, dt_ratio=10.0)
     assert scan.stderrs[-1] == harness.variance_stderr(scan.meta["finest_samples"])
     assert np.all(scan.stderrs > 1.5 * scan.values * np.sqrt(2 / 599))
@@ -170,7 +170,7 @@ def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps, monkeyp
         assert fine.n_steps % grid.n_steps == 0
         dense = hermite.ghat((grid.times()[:, None] - mids) / eps, h) * np.sqrt(w / eps)
         np.testing.assert_allclose(_dense(kernel), dense, rtol=1e-12, atol=0)
-    A = _dense(hermite._kernel(fine, hermite.HermiteSpec(h, 1)))
+    A = _dense(hermite._kernel(fine, h, 1))
     n_far = len(w) - 2 * fine.n_steps
     with mpmath.workdps(30):
         for s in (0, 137, 399):
@@ -215,7 +215,7 @@ def test_each_embedding_is_computed_once_per_scale(monkeypatch):
 def test_gaussian_moment_constant_for_linear_functional():
     # G = He_1: the integral is Gaussian, so E|X|^4 / (E X^2)^2 = 3
     grid = TimeGrid(1.0, 1000)
-    y = fou.path_sampler(grid, fou.FouConfig(0.8, 0.05)).batch(keys(15, "gm", 0, 6000))
+    y = fou.path_sampler(grid, 0.8, 0.05).batch(keys(15, "gm", 0, 6000))
     x = harness.functional_values(H1, y, grid.dt)
     ratio = np.mean(x**4) / np.mean(x**2) ** 2
     assert ratio == pytest.approx(3.0, abs=0.25)
@@ -226,7 +226,7 @@ def test_reduction_to_leading_chaos_term():
     # vanishes as eps -> 0 (the short-range remainder is swept out at rate
     # eps^{1-2(1-H*(2))} = eps^0.4 here, so the level at eps = 0.02 is still
     # ~50%; the contract is the decay, checked on coupled samples)
-    G_mix = ChaosFunction.from_coefficients([0, 0, 1.0, 0, 0.5])
+    G_mix = ChaosFunction([0, 0, 1.0, 0, 0.5])
     rels = []
     for eps in (0.2, 0.05, 0.0125):
         alpha = chaos.classify_regime(2, 0.85).alpha(eps)
@@ -244,7 +244,7 @@ def test_holder_moment_diagnostic():
     # E|X_t - X_s|^2 ~ |t-s|^{2 max(H*, 1/2)} at small lags (long-range case)
     eps, H = 0.05, 0.8
     grid = TimeGrid(1.0, 400)
-    y = fou.path_sampler(grid, fou.FouConfig(H, eps)).batch(keys(19, "hm", 0, 1500))
+    y = fou.path_sampler(grid, H, eps).batch(keys(19, "hm", 0, 1500))
     X = harness._functional_cumulative(H1, y, grid.dt, eps ** (H - 1.0))
     lags = np.array([20, 40, 80, 160])
     mom = [np.mean((X[:, 200 + k] - X[:, 200]) ** 2) for k in lags]
@@ -399,6 +399,12 @@ def test_time_grid_with_step_rounds_to_at_least_one_step(horizon, step, n):
 def test_time_grid_with_step_rejects_a_bad_horizon_before_rounding(horizon):
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
         TimeGrid.with_step(horizon, 0.01)
+
+
+@pytest.mark.parametrize("step", [1e-309, 0.0, -0.01, np.nan])
+def test_time_grid_with_step_rejects_a_step_count_that_is_not_finite(step):
+    with pytest.raises(ValueError, match="gives no finite step count"):
+        TimeGrid.with_step(1.0, step)
 
 
 def test_slope_ci_hits_within_its_tolerance():

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -10,7 +10,7 @@ from scipy import integrate, stats
 
 from conftest import stream
 from foulim import fgn, fou, hermite, streams
-from foulim.hermite import HermiteEngine, HermiteSpec
+from foulim.hermite import HermiteEngine
 from foulim.paths import TimeGrid
 from foulim.streams import keys
 
@@ -105,7 +105,7 @@ def test_fou_from_kernel_variance_autocorr_and_law():
 
 def test_hermite_m1_matches_fbm_law():
     grid = TimeGrid(1.0, 200)
-    engine = HermiteEngine(grid, HermiteSpec(0.7, 1))
+    engine = HermiteEngine(grid, 0.7, 1)
     Z = hermite.hermite_ensemble(engine, keys(3, "m1", 0, 4000),
                                  report_idx=np.array([50, 100, 200]))
     tt = grid.times()[np.array([50, 100, 200])]
@@ -122,7 +122,7 @@ def test_hermite_m1_matches_fbm_law():
 
 def test_hermite_m2_variance_and_covariance():
     grid = TimeGrid(1.0, 300)
-    engine = HermiteEngine(grid, HermiteSpec(0.7, 2))
+    engine = HermiteEngine(grid, 0.7, 2)
     idx = np.array([75, 150, 225, 300])
     Z = hermite.hermite_ensemble(engine, keys(9, "m2", 0, 10_000), idx)
     # the per-time normalization is exact in expectation; assert at 3 sigma
@@ -184,7 +184,7 @@ def test_exact_covariance_diagonal_and_shape():
     grid = TimeGrid(1.0, 200)
     tt = grid.times()[25::25]
     for m in (1, 2, 3):
-        engine = HermiteEngine(grid, HermiteSpec(0.7, m))
+        engine = HermiteEngine(grid, 0.7, m)
         C = hermite.exact_covariance(engine, tt)
         np.testing.assert_allclose(np.diag(C), tt**1.4, rtol=1e-12)
         thr = fgn.fbm_covariance(tt[:, None], tt[None, :], 0.7)
@@ -226,9 +226,8 @@ def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
     edges = hermite._cell_edges(grid)
     n_far = len(edges) - 1 - 2 * grid.n_steps
     s = grid.times()[:-1] + 0.5 * grid.dt
-    spec = HermiteSpec(0.7, 2)
-    kernel = hermite._kernel(grid, spec)
-    dense = _difference_form(s, edges[n_far:], spec.kernel_exponent + 1.0)
+    kernel = hermite._kernel(grid, 0.7, 2)
+    dense = _difference_form(s, edges[n_far:], (0.7 - 1.0) / 2 + 0.5)
     np.testing.assert_allclose(kernel.near, dense, rtol=1e-12, atol=0)
     x, _ = hermite._far_nodes(grid.times()[::2])
     far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
@@ -256,12 +255,11 @@ def test_far_field_interpolation_matches_dense_kernels(n):
     w = np.diff(edges)[:n_far]
     s = grid.times()[:-1] + 0.5 * grid.dt
     for H, m in itertools.product((0.55, 0.7, 0.99), (1, 2, 3)):
-        spec = HermiteSpec(H, m)
-        kernel = hermite._kernel(grid, spec)
+        kernel = hermite._kernel(grid, H, m)
         if n <= hermite._FAR_NODES:
             np.testing.assert_array_equal(kernel.P, np.eye(n))
         far = kernel.P @ kernel.far
-        p = spec.kernel_exponent + 1.0
+        p = (H - 1.0) / m + 0.5
         u = s[:, None] - edges[1 : n_far + 1]
         exact = u**p * np.expm1(p * np.log1p(w / u)) / (p * np.sqrt(w))
         np.testing.assert_allclose(far, exact, rtol=1e-12, atol=0)
@@ -285,12 +283,12 @@ def test_engine_and_ensemble_memory_is_the_near_block_and_one_noise_block():
     # 600 replicas are drawn brings the peak to 6.7 MB.  The dense
     # 400 x 2277 kernel alone was 7.3 MB, and with the whole (600, 2277)
     # noise matrix these calls traced 27.3 MB
-    hermite.hermite_ensemble(HermiteEngine(TimeGrid(1.0, 20), HermiteSpec(0.7, 2)),
+    hermite.hermite_ensemble(HermiteEngine(TimeGrid(1.0, 20), 0.7, 2),
                              keys(1, "warm", 0, 3))  # imports only
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        engine = HermiteEngine(TimeGrid(1.0, 400), HermiteSpec(0.7, 2))
+        engine = HermiteEngine(TimeGrid(1.0, 400), 0.7, 2)
         hermite.hermite_ensemble(engine, keys(3, "mem", 0, 600))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -300,7 +298,7 @@ def test_engine_and_ensemble_memory_is_the_near_block_and_one_noise_block():
 
 def test_hermite_self_similarity_and_stationary_increments():
     grid = TimeGrid(1.0, 256)
-    engine = HermiteEngine(grid, HermiteSpec(0.75, 2))
+    engine = HermiteEngine(grid, 0.75, 2)
     idx = np.array([64, 128, 192, 256])
     Z = hermite.hermite_ensemble(engine, keys(13, "ss", 0, 8000), idx)
     var1 = Z[:, -1].var()
@@ -321,8 +319,8 @@ def test_chaos_orthogonality_across_orders():
     n = 4000
     z2 = np.empty(n)
     z1 = np.empty(n)
-    e2 = HermiteEngine(grid, HermiteSpec(0.7, 2))
-    e1 = HermiteEngine(grid, HermiteSpec(0.8, 1))
+    e2 = HermiteEngine(grid, 0.7, 2)
+    e1 = HermiteEngine(grid, 0.8, 1)
     # row k of the noise is stream (15, "orth", k), projected on both kernels
     for i, (u2, u1) in hermite._projections(keys(15, "orth", 0, n), [e2.kernel, e1.kernel]):
         ser2 = hermite._wick_power(u2, e2.var, 2)
@@ -334,20 +332,32 @@ def test_chaos_orthogonality_across_orders():
 
 
 def test_spec_is_exponent_and_order():
-    assert [f.name for f in dataclasses.fields(HermiteSpec)] == ["H", "m"]
-    assert HermiteSpec(0.7, 2).kernel_exponent == pytest.approx(-0.65)
+    # the engine is built from the grid, the exponent and the order alone:
+    # no noise-window options
+    assert list(inspect.signature(HermiteEngine).parameters) == ["grid", "H", "m"]
+    engine = HermiteEngine(TimeGrid(1.0, 20), 0.7, 2)
+    assert (engine.H, engine.m) == (0.7, 2)
 
 
 def test_sample_hermite_errors():
+    grid = TimeGrid(1.0, 20)
     with pytest.raises(ValueError, match="order not supported"):
-        HermiteSpec(0.7, 4)
+        HermiteEngine(grid, 0.7, 4)
+    with pytest.raises(ValueError, match="order m must be >= 1"):
+        HermiteEngine(grid, 0.7, 0)
+    for H in (0.5, 1.0, 0.3):
+        with pytest.raises(ValueError, match=r"\(1/2, 1\)"):
+            HermiteEngine(grid, H, 1)
+    # the kernel alone, as harness.l2_convergence_hermite builds it, checks the same
+    with pytest.raises(ValueError, match="order not supported"):
+        hermite._kernel(grid, 0.7, 4)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_hermite_values_deterministic_in_noise():
     grid = TimeGrid(1.0, 100)
     every_step = np.arange(grid.n_steps + 1)
-    a, b = (hermite.hermite_ensemble(HermiteEngine(grid, HermiteSpec(0.7, 2)), keys(8, "det"),
+    a, b = (hermite.hermite_ensemble(HermiteEngine(grid, 0.7, 2), keys(8, "det"),
                                      every_step) for _ in range(2))
     np.testing.assert_array_equal(a, b)
     assert a[0, 0] == 0.0
@@ -359,7 +369,7 @@ def test_hermite_ensemble_rows_agree_across_chunkings():
     grid = TimeGrid(1.0, 100)
     every_step = np.arange(grid.n_steps + 1)
     for m in (1, 2, 3):
-        engine = HermiteEngine(grid, HermiteSpec(0.8, m))
+        engine = HermiteEngine(grid, 0.8, m)
         whole = hermite.hermite_ensemble(engine, keys(6, "chunks", 0, 5), every_step)
         rows = np.concatenate([
             hermite.hermite_ensemble(engine, keys(6, "chunks", r), every_step)

@@ -12,8 +12,8 @@ from foulim.chaos import ChaosFunction
 from foulim.paths import FoulimError, TimeGrid
 from foulim.streams import keys
 
-H1 = ChaosFunction.from_coefficients([0, 1.0])
-H2 = ChaosFunction.from_coefficients([0, 0, 1.0])
+H1 = ChaosFunction([0, 1.0])
+H2 = ChaosFunction([0, 0, 1.0])
 
 
 def _zero(x):
@@ -44,7 +44,7 @@ def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
 def test_young_additive_case():
     grid = TimeGrid(1.0, 100)
     Z = np.sin(grid.times())
-    x = solvers.solve_limit_young(2.0, lambda u: np.ones_like(u), _zero, 0.0, grid, Z)
+    x = solvers.solve_limit_stratonovich(2.0, lambda u: np.ones_like(u), _zero, 0.0, grid, Z)
     np.testing.assert_allclose(x, 2.0 + Z - Z[0], rtol=1e-14)
 
 
@@ -52,36 +52,37 @@ def test_young_smooth_driver_exponential_order():
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, grid.times() ** 2)
+        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, 0.0, grid,
+                                             grid.times() ** 2)
         errs.append(abs(x[-1] - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    # first-order scheme: dyadic orders increase toward 1
+    # Heun is second order: dyadic orders increase toward 2
     assert np.all(np.diff(orders) > 0)
-    assert orders[-1] > 0.99
-    # Aitken extrapolation of the order sequence reaches 1
+    assert orders[-1] > 1.99
+    # Aitken extrapolation of the order sequence reaches 2
     d1, d2 = orders[1] - orders[0], orders[2] - orders[1]
     order_limit = orders[2] + d2 * d2 / (d1 - d2)
-    assert order_limit >= 1.0 - 1e-3
+    assert order_limit >= 2.0 - 1e-3
 
 
 def test_young_fbm_driver_matches_chain_rule():
     grid = TimeGrid(1.0, 4000)
     Z = fbm_paths(grid, 0.8, keys(1, "yfbm"))[0]
-    x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, 0.0, grid, Z)
     exact = np.exp(Z - Z[0])
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
 
 def test_limit_young_drift_only_is_ode_flow():
     grid = TimeGrid(1.0, 2000)
-    x = solvers.solve_limit_young(1.0, _zero, lambda u: u, 0.7, grid, np.zeros(2001))
+    x = solvers.solve_limit_stratonovich(1.0, _zero, lambda u: u, 0.7, grid, np.zeros(2001))
     assert x[-1] == pytest.approx(np.exp(0.7), rel=1e-3)
 
 
 def test_limit_young_exponential_closed_form():
     grid = TimeGrid(1.0, 4000)
     Z = fbm_paths(grid, 0.8, keys(2, "ly"))[0]
-    x = solvers.solve_limit_young(1.0, lambda u: u, _zero, 0.0, grid, Z)
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, 0.0, grid, Z)
     exact = np.exp(Z)
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
@@ -89,23 +90,16 @@ def test_limit_young_exponential_closed_form():
 def test_limit_young_degenerate_constants():
     grid = TimeGrid(1.0, 100)
     Z = np.zeros(101)  # c = 0 folded into the driver
-    x = solvers.solve_limit_young(0.3, lambda u: u, lambda u: u, 0.0, grid, Z)
+    x = solvers.solve_limit_stratonovich(0.3, lambda u: u, lambda u: u, 0.0, grid, Z)
     np.testing.assert_allclose(x, 0.3)
 
 
 def test_limit_solvers_reject_driver_off_grid():
     grid = TimeGrid(1.0, 100)
     with pytest.raises(ValueError, match="101"):
-        solvers.solve_limit_young(0.0, _zero, _zero, 0.0, grid, np.zeros((3, 100)))
+        solvers.solve_limit_stratonovich(0.0, _zero, _zero, 0.0, grid, np.zeros((3, 100)))
     with pytest.raises(ValueError, match="101"):
         solvers.solve_limit_stratonovich(0.0, _zero, _zero, 0.0, grid, np.zeros(102))
-
-
-def _young_loop(x0, f, h, g_bar, dt, Z):
-    x = [x0]
-    for dz in np.diff(Z):
-        x.append(x[-1] + f(x[-1]) * dz + g_bar * h(x[-1]) * dt)
-    return np.array(x)
 
 
 def _heun_loop(x0, f, h, g_bar, dt, W):
@@ -120,25 +114,21 @@ def _heun_loop(x0, f, h, g_bar, dt, W):
 
 def test_batched_limit_solvers_match_one_row_calls():
     grid = TimeGrid(1.0, 500)
-    Z = fbm_paths(grid, 0.7, keys(7, "batch", 0, 5))
+    Z = 0.8 * fbm_paths(grid, 0.7, keys(7, "batch", 0, 5))
     f = lambda u: np.sin(u) + 2.0
     h = lambda u: np.cos(u)
-    young = solvers.solve_limit_young(0.4, f, h, 0.6, grid, Z)
-    heun = solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, 0.8 * Z)
-    assert young.shape == heun.shape == Z.shape
+    heun = solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, Z)
+    assert heun.shape == Z.shape
     for r in range(5):
-        one = Z[r : r + 1]
         np.testing.assert_allclose(
-            young[r : r + 1], solvers.solve_limit_young(0.4, f, h, 0.6, grid, one),
+            heun[r : r + 1], solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, Z[r : r + 1]),
             rtol=0, atol=1e-14)
+        # a single path is the one-row case
         np.testing.assert_allclose(
-            heun[r : r + 1],
-            solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, 0.8 * one),
+            heun[r], solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, Z[r]),
             rtol=0, atol=1e-14)
-        # the scalar per-replica loops are the reference
-        np.testing.assert_allclose(young[r], _young_loop(0.4, f, h, 0.6, grid.dt, Z[r]),
-                                   rtol=0, atol=1e-14)
-        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, 0.6, grid.dt, 0.8 * Z[r]),
+        # the scalar per-replica loop is the reference
+        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, 0.6, grid.dt, Z[r]),
                                    rtol=0, atol=1e-14)
 
 
@@ -187,17 +177,17 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
     from foulim import hermite
 
     H, t, x0, seed, n = 0.85, 1.0, 0.3, 17, 6
-    G = ChaosFunction.from_coefficients([0, 0, a2])
+    G = ChaosFunction([0, 0, a2])
     x = solvers._limit_endpoints(G, H, t, x0, _one, _one, 1.0, n, seed)
     regime = chaos.classify_regime(2, H)
-    engine = hermite.HermiteEngine(TimeGrid(t, 400), hermite.HermiteSpec(regime.h_star, 2))
+    engine = hermite.HermiteEngine(TimeGrid(t, 400), regime.h_star, 2)
     z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
     expect = x0 + t + np.sign(a2) * chaos.c_constant(G, H) * z
     np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12)
 
 
 def _hermite_limit_args(n, seed=23):
-    G = ChaosFunction.from_coefficients([0, 0, -1.0])
+    G = ChaosFunction([0, 0, -1.0])
     return (G, 0.85, 1.0, 0.0, _sin2, None, 0.0, n, seed)
 
 
@@ -210,7 +200,7 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
     monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
     G, H, t, *_, n, seed = _hermite_limit_args(300)
     regime = chaos.classify_regime(2, H)
-    engine = hermite.HermiteEngine(TimeGrid(t, 400), hermite.HermiteSpec(regime.h_star, 2))
+    engine = hermite.HermiteEngine(TimeGrid(t, 400), regime.h_star, 2)
     z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
     expect = -chaos.c_constant(G, H) * z
     for threads in (1, 2):
@@ -307,7 +297,7 @@ def test_flow_path_agrees_with_rk4_on_the_same_keys(H, tol, eps):
 
 def test_flow_driver_is_bit_identical_across_row_blocks(monkeypatch):
     cfg = _flow_config(0.85, 0.02)
-    sampler = fou.path_sampler(TimeGrid(1.0, 2 * cfg.grid.n_steps), fou.FouConfig(0.85, 0.02))
+    sampler = fou.path_sampler(TimeGrid(1.0, 2 * cfg.grid.n_steps), 0.85, 0.02)
     k = keys(7, "flow-blocks", 0, 30)
     whole = solvers._flow_driver(cfg, sampler, k)
     monkeypatch.setattr(fgn, "BLOCK_BYTES", 16 * 30 * 7)
@@ -367,7 +357,7 @@ def test_slow_fast_reduces_to_functional_integral():
         G=H1, g=_zero, H=0.8, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
     )
     fine = TimeGrid(1.0, 2 * n_steps)
-    y = fou.path_sampler(fine, fou.FouConfig(0.8, eps)).batch(keys(33, "c1", 0, 50))
+    y = fou.path_sampler(fine, 0.8, eps).batch(keys(33, "c1", 0, 50))
     x = solvers._solve_slow_fast_from_y(cfg, y)
     X = harness._functional_cumulative(H1, y, fine.dt, cfg.alpha())
     assert np.max(np.abs(x - X[:, -1])) < 0.01
@@ -460,7 +450,7 @@ def test_blocked_rk4_is_bit_identical_to_whole_array_rk4(hfun, gfun, block_bytes
     monkeypatch.setattr(fgn, "BLOCK_BYTES", block_bytes)
     cfg = solvers.MultiscaleConfig(f=_sin2, h=hfun, G=H2, g=gfun, H=0.85, eps=0.02,
                                    x0=0.3, grid=TimeGrid(1.0, 500))
-    y = fou.path_sampler(TimeGrid(1.0, 1000), fou.FouConfig(0.85, 0.02)).batch(
+    y = fou.path_sampler(TimeGrid(1.0, 1000), 0.85, 0.02).batch(
         keys(5, "blocked", 0, 30))
     ref = _whole_array_rk4_endpoints(cfg, y)
     np.testing.assert_array_equal(solvers._solve_slow_fast_from_y(cfg, y), ref)
@@ -475,7 +465,7 @@ def test_blocked_rk4_blows_up_at_the_whole_array_step(block_bytes, monkeypatch):
     monkeypatch.setattr(fgn, "BLOCK_BYTES", block_bytes)
     cfg = solvers.MultiscaleConfig(f=lambda u: 1.0 + u**2, h=_zero, G=H1, g=_zero, H=0.7,
                                    eps=0.1, x0=0.0, grid=TimeGrid(1.0, 400))
-    y = 3.0 + fou.path_sampler(TimeGrid(1.0, 800), fou.FouConfig(0.7, 0.1)).batch(
+    y = 3.0 + fou.path_sampler(TimeGrid(1.0, 800), 0.7, 0.1).batch(
         keys(6, "blow", 0, 30))
     steps = []
     for solve in (_whole_array_rk4_endpoints, solvers._solve_slow_fast_from_y):
@@ -530,7 +520,7 @@ def test_slow_fast_solver_matches_per_stage_evaluation(hfun, gfun):
         f=lambda u: np.sin(u) + 2.0, h=hfun, G=H2, g=gfun, H=0.85, eps=eps, x0=0.0,
         grid=TimeGrid(1.0, n_steps),
     )
-    y = fou.path_sampler(TimeGrid(1.0, 2 * n_steps), fou.FouConfig(0.85, eps)).batch(
+    y = fou.path_sampler(TimeGrid(1.0, 2 * n_steps), 0.85, eps).batch(
         keys(12, "stages", 0, 40))
     np.testing.assert_array_equal(solvers.solve_slow_fast_endpoints(cfg, 40, 12, "stages"),
                                   _per_stage_rk4_endpoints(cfg, y))

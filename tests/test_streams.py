@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import stream
 from foulim import cli, fou, harness, hermite, solvers, streams
 from foulim.chaos import ChaosFunction
-from foulim.hermite import HermiteSpec
 from foulim.paths import TimeGrid
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -94,7 +93,7 @@ def _chunked(monkeypatch, module, chunk_size):
 @PROPERTY
 @given(n=st.integers(2, 40), chunk=st.integers(1, 40), threads=st.sampled_from([1, 2]))
 def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
-    G = ChaosFunction.from_coefficients([0, 0, 1])
+    G = ChaosFunction([0, 0, 1])
     args = (G, 0.6, 0.5, [0.2, 0.1, 0.05], n, 17)
     ref = harness.variance_scan(*args, dt_ratio=20.0)
     with pytest.MonkeyPatch.context() as mp:
@@ -107,8 +106,7 @@ def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
 @PROPERTY
 @given(n=st.integers(1, 30), offset=st.integers(0, 2**32 - 30), cut=st.integers(0, 30))
 def test_path_sampler_batch_offset_chunk_and_thread_invariance(n, offset, cut):
-    grid, cfg = TimeGrid(0.02, 100), fou.FouConfig(0.85, 0.01)  # a doubled embedding
-    sampler = fou.path_sampler(grid, cfg)
+    sampler = fou.path_sampler(TimeGrid(0.02, 100), 0.85, 0.01)  # a doubled embedding
     whole = sampler.batch(streams.keys(3, "inv", offset, n))
     cut = min(cut, n)
     parts = [sampler.batch(streams.keys(3, "inv", offset, cut)),
@@ -124,7 +122,7 @@ def test_path_sampler_batch_offset_chunk_and_thread_invariance(n, offset, cut):
 @given(n=st.integers(1, 12), offset=st.integers(0, 1000), cut=st.integers(0, 12),
        threads=st.sampled_from([1, 2]))
 def test_hermite_ensemble_offset_chunk_and_thread_invariance(n, offset, cut, threads):
-    engine = hermite.HermiteEngine(TimeGrid(1.0, 40), HermiteSpec(0.7, 2))
+    engine = hermite.HermiteEngine(TimeGrid(1.0, 40), 0.7, 2)
     idx = np.arange(0, 41, 10)
     whole = hermite.hermite_ensemble(engine, streams.keys(9, "inv", offset, n), idx)
     cut = min(cut, n)
