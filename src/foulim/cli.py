@@ -44,13 +44,14 @@ _STATISTICS_COMMANDS = {"clt-scan", "l2-hermite", "kinetic-scan", "homogenize"}
 
 
 # domain and numerical failures exit 2 with an "error:" line (FoulimError is
-# the base of the package's own, such as the slow/fast blow-up guard);
-# anything else, such as a TypeError, is a programming error and stays a
-# traceback
+# the base of the package's own, such as the slow/fast blow-up guard), as
+# does a request larger than memory; anything else, such as a TypeError, is
+# a programming error and stays a traceback
 _NUMERICAL_ERRORS = (
     ValueError,
     OSError,
     FloatingPointError,
+    MemoryError,
     FoulimError,
 )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from . import fou
+from . import fgn, fou
 from .paths import TimeGrid, as_eps, as_eps_list, as_horizon
 
 __all__ = [
@@ -55,9 +55,16 @@ def trapezoid_variance(G, H, t: float, eps: float, dt_ratio: float) -> float:
     The grid is ``TimeGrid.with_step(t, eps / dt_ratio)``, the one the
     scan samples; the variance is
     dt^2 [S(0) C(1) + 2 sum_{l >= 1} S(l) C(rho(l dt / eps))].
+    A grid the sampler cannot embed raises SamplerInfeasibleError before
+    the O(n) arrays are allocated.
     """
     e = as_eps(eps)
     grid = TimeGrid.with_step(t, e / dt_ratio)
+    if grid.n_steps > fgn.MAX_EMBEDDING_LAGS:
+        raise fgn.SamplerInfeasibleError(
+            f"{grid.n_steps} steps exceed the circulant embedding cap of "
+            f"{fgn.MAX_EMBEDDING_LAGS} lags"
+        )
     S = trapezoid_lag_weights(grid.n_steps)
     S[1:] *= 2.0
     r = fou.rho(np.arange(grid.n_steps + 1) * (grid.dt / e), H)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fbm_paths
-from foulim import acceptance, chaos, cli, fgn, fou, harness, output
+from foulim import acceptance, chaos, cli, fgn, fou, harness, output, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -207,6 +207,33 @@ def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert any(line.startswith("error:") and message in line
                for line in err.splitlines()), err
+    assert not list(tmp_path.iterdir())
+
+
+def test_clt_scan_grid_beyond_the_embedding_cap_exits_2(monkeypatch, tmp_path, capsys):
+    # a cap of 1000 lags stands in for the real one: --dt-ratio 1e4 then asks
+    # for 1000 steps per unit eps at eps 0.1, as 1e8 does at the real cap
+    monkeypatch.setattr(fgn, "MAX_EMBEDDING_LAGS", 1000)
+    assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "4",
+                "--dt-ratio", "1e4", "--out", str(tmp_path / "x")]) == 2
+    assert "steps exceed the circulant embedding cap of 1000 lags" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _unable_to_allocate(*args, **kwargs):
+    raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["kinetic-scan", "--H", "0.7", "--n-report", "100000", "--replicas", "2"],
+     (solvers, "kinetic_error_scan")),
+    (["rho", "--H", "0.5", "--n-points", "1000000000"], (cli.np, "linspace")),
+], ids=["kinetic-scan", "rho"])
+def test_a_request_larger_than_memory_exits_2(argv, patch, monkeypatch, tmp_path, capsys):
+    # the allocation fails in a stand-in, so nothing of that size is asked for
+    monkeypatch.setattr(*patch, _unable_to_allocate)
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert "error: Unable to allocate 74.5 GiB" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from foulim import exact, fou, harness
+from foulim import exact, fgn, fou, harness
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -126,3 +126,14 @@ def test_auto_ratio_skips_a_grid_that_rounding_leaves_unresolved():
     ratio, _, _, met = exact.coarsest_dt_ratio(He1, 0.8, 1.0, [0.1, 0.03, 0.01],
                                                exact.bias_budget(1200))
     assert ratio == 20.0 and met
+
+
+def test_trapezoid_variance_refuses_a_grid_beyond_the_embedding_cap(monkeypatch):
+    # such a grid can never be sampled; it is refused before rho is evaluated
+    # or any array of its length is allocated
+    monkeypatch.setattr(fgn, "MAX_EMBEDDING_LAGS", 1000)
+    assert exact.trapezoid_variance(He2, 0.6, 1.0, 0.1, 100.0) > 0  # 1000 steps
+    monkeypatch.setattr(fou, "rho", lambda *args: pytest.fail("rho evaluated"))
+    with pytest.raises(fgn.SamplerInfeasibleError,
+                       match="1001 steps exceed the circulant embedding cap of 1000 lags"):
+        exact.trapezoid_variance(He2, 0.6, 1.0, 0.1, 100.1)

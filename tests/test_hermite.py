@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import stream
-from foulim import fgn, fou, hermite, streams
+from foulim import fgn, fou, harness, hermite, streams
 from foulim.hermite import HermiteEngine
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -85,8 +85,13 @@ def test_fou_from_kernel_variance_autocorr_and_law():
             stream(5, "fk", i + k).standard_normal(n_xi) for k in range(500)
         ]) * np.sqrt(dxi)
         vals[i : i + 500] = W @ Mk.T
-    var = vals[:, -1].var()
-    assert var == pytest.approx(1.0, abs=0.03)
+    # the construction's exact variance is 1 up to the window's tail, and the
+    # Monte Carlo variance matches it within 3 of its own standard errors
+    C2 = fou.kernel_amplitude(H) ** 2
+    tail = C2 * (window / eps) ** (2 * H - 2) / (2 - 2 * H)
+    exact_var = float((Mk[-1] ** 2).sum() * dxi)
+    assert 1.0 - tail < exact_var <= 1.0
+    assert abs(vals[:, -1].var() - exact_var) <= 3.0 * harness.variance_stderr(vals[:, -1])
     # autocorrelation at lag 0.1: the Monte Carlo must match the exact
     # second moment of the discretized construction, which itself matches
     # rho(lag/eps) up to the analytic window-tail bound
@@ -94,12 +99,9 @@ def test_fou_from_kernel_variance_autocorr_and_law():
     emp = np.mean(vals[:, 0] * vals[:, k])
     disc = float((Mk[0] * Mk[k]).sum() * dxi)
     assert emp == pytest.approx(disc, abs=0.055)  # ~3 SE at N=3000
-    C2 = fou.kernel_amplitude(H) ** 2
-    V = window / eps
-    tail = C2 * V ** (2 * H - 2) / (2 - 2 * H)
     assert abs(disc - fou.rho(0.1 / eps, H)) < tail + 0.01
-    # the endpoint has the construction's exact law N(0, sum Mk[-1]^2 dxi)
-    ks = stats.kstest(vals[:, -1], "norm", args=(0.0, np.sqrt((Mk[-1] ** 2).sum() * dxi)))
+    # the endpoint has the construction's exact law N(0, exact_var)
+    ks = stats.kstest(vals[:, -1], "norm", args=(0.0, np.sqrt(exact_var)))
     assert ks.pvalue > 0.01
 
 
@@ -327,8 +329,10 @@ def test_chaos_orthogonality_across_orders():
         ser1 = hermite._wick_power(u1, e1.var, 1)
         z2[i : i + len(u2)] = ser2.sum(axis=1) * grid.dt * e2.scale[-1]
         z1[i : i + len(u1)] = ser1.sum(axis=1) * grid.dt * e1.scale[-1]
-    corr = np.mean(z2 * z1) / (z2.std() * z1.std())
-    assert abs(corr) < 3.0 / np.sqrt(n)
+    # the standardized product is not unit-variance (Z^{H,2} is heavy
+    # tailed), so its mean is gated on its own standard error
+    prod = z2 * z1 / (z2.std() * z1.std())
+    assert abs(prod.mean()) < 3.0 * prod.std() / np.sqrt(n)
 
 
 def test_spec_is_exponent_and_order():

@@ -535,8 +535,9 @@ def test_grid_refinement_stability():
             H=0.6, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
         )
         ends.append(solvers.solve_slow_fast_endpoints(cfg, 300, 37, "grid"))
-    se = ends[0].std() / np.sqrt(len(ends[0]))
-    assert abs(ends[0].mean() - ends[1].mean()) < se
+    # the standard error of a difference of two means
+    se = np.hypot(ends[0].std(), ends[1].std()) / np.sqrt(len(ends[0]))
+    assert abs(ends[0].mean() - ends[1].mean()) < 3.0 * se
 
 
 def test_kinetic_identity_and_slope():
