@@ -40,9 +40,8 @@ class CriterionResult:
 def _cov_zscore_max(X: np.ndarray, times: np.ndarray, H: float) -> float:
     """Max |z| of the empirical covariance of X's columns against fBM's at those times.
 
-    Each entry is the mean of the products X_i X_j over replicas, and its
-    standard error is that of a mean, from the same products: Isserlis'
-    Gaussian formula would be wrong for the Rosenblatt process (m = 2).
+    Each entry's SE is that of a mean of the products X_i X_j, from those
+    products: Isserlis' Gaussian formula is wrong for m = 2.
     """
     n = len(X)
     emp = X.T @ X / n

@@ -61,10 +61,8 @@ def trapezoid_variance(G, H, t: float, eps: float, dt_ratio: float) -> float:
     e = as_eps(eps)
     grid = TimeGrid.with_step(t, e / dt_ratio)
     if grid.n_steps > fgn.MAX_EMBEDDING_LAGS:
-        raise fgn.SamplerInfeasibleError(
-            f"{grid.n_steps} steps exceed the circulant embedding cap of "
-            f"{fgn.MAX_EMBEDDING_LAGS} lags"
-        )
+        raise fgn.SamplerInfeasibleError(f"{grid.n_steps} steps exceed the circulant "
+                                         f"embedding cap of {fgn.MAX_EMBEDDING_LAGS} lags")
     S = trapezoid_lag_weights(grid.n_steps)
     S[1:] *= 2.0
     r = fou.rho(np.arange(grid.n_steps + 1) * (grid.dt / e), H)

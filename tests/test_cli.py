@@ -211,8 +211,8 @@ def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
 
 
 def test_clt_scan_grid_beyond_the_embedding_cap_exits_2(monkeypatch, tmp_path, capsys):
-    # a cap of 1000 lags stands in for the real one: --dt-ratio 1e4 then asks
-    # for 1000 steps per unit eps at eps 0.1, as 1e8 does at the real cap
+    # a cap of 1000 lags stands in for the real one, so --dt-ratio 1e4 (100,000
+    # steps at eps 0.1) is refused as 1e8 is at the real cap, before any sampling
     monkeypatch.setattr(fgn, "MAX_EMBEDDING_LAGS", 1000)
     assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "4",
                 "--dt-ratio", "1e4", "--out", str(tmp_path / "x")]) == 2
