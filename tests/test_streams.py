@@ -23,10 +23,12 @@ def _tag(seed, name):
     return int.from_bytes(digest, "little")
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
-@pytest.mark.parametrize("name", ["", "vscan-eps0", "acc1-H0.3"])
-@pytest.mark.parametrize("offset", [0, 123_457, 2**64 - 7])
-def test_key_rows_are_the_digest_of_seed_and_name_then_the_index(seed, name, offset):
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 2**40 + 3])
+@pytest.mark.parametrize("name", ["", "vscan-eps0", "kinetic", "acc1-H0.3"])
+@pytest.mark.parametrize("offset", [0, 1, 249, 123_457, 2**64 - 7])
+def test_keys_are_bit_exact_seed_sequence_states(seed, name, offset):
+    # one (seed, name) keys a sequence of Philox states indexed by offset;
+    # row i is bit-exactly the digest of seed and name, then offset + i
     k = streams.keys(seed, name, offset, 7)
     assert k.dtype == np.uint64 and k.shape == (7, 2)
     assert [int(w) for w in k[:, 0]] == [_tag(seed, name)] * 7
