@@ -6,7 +6,8 @@ a Stratonovich SDE driven by c W in the short-range regime, a Young
 equation driven by the (non-Gaussian) Rosenblatt process above the
 boundary.  For scalar states with no drift (h = g = None) both sides
 are the flow of f: the limit's at the driver endpoint, the slow/fast
-system's at the Simpson integral of alpha G(y^eps).
+system's at the trapezoid integral of alpha G(y^eps).  With a drift
+h(x) g(y) both sides are solved by one Heun scheme, dx = f(x) dU + h(x) dV.
 """
 
 import numpy as np

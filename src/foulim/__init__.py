@@ -15,7 +15,7 @@ Subpackages by responsibility:
   (loaded by ``clt-scan``, not here)
 - harness: replica ensembles, the only caller of ``streams.keys``;
   variance scans, log-log slopes, distributional diagnostics
-- solvers: slow/fast systems, the Heun-Stratonovich limit-equation solver,
+- solvers: one Heun solver for the slow/fast system and its limit equation,
   the kinetic (second-order) coupling
 - cli: reproducible experiment runner (`foulim ...`)
 - acceptance: the release-gating check suite (`foulim verify`)

@@ -317,10 +317,10 @@ def _inverse_flow_sin2(x) -> np.ndarray:
 def _driver_moment_zscores(x, H, eps) -> dict:
     """z-scores of the driver u = phi^{-1}(x_1) against its exact finite-eps moments.
 
-    With h = 0 the slow equation is solved by x_t = phi(u_t), u_t = alpha int_0^t
-    He_2(y^eps_s) ds, so E u_1 = 0 and Var u_1 = V_eps exactly at every eps, V_eps
-    alpha^2 times ``exact.continuous_variance``; the solver takes phi at a Simpson
-    u, so this checks the sampler and that quadrature.
+    With h = 0 the slow equation is solved by x_t = phi(u_t), u_t the trapezoid sum
+    of alpha He_2(y^eps) at dt = eps/50, so E u_1 = 0 and Var u_1 = V_eps exactly at
+    every eps, V_eps alpha^2 times ``exact.trapezoid_variance`` of that grid; this
+    checks the sampler and the flow.
     The variance is in units of its influence-function standard error.
     """
     u = _inverse_flow_sin2(x)
@@ -329,7 +329,7 @@ def _driver_moment_zscores(x, H, eps) -> dict:
     var = harness.fsum_variance(u)
     se_var = harness.variance_stderr(u)
     alpha = chaos.classify_regime(2, H).alpha(eps)
-    v_eps = alpha**2 * exact.continuous_variance(H2, H, 1.0, eps)
+    v_eps = alpha**2 * exact.trapezoid_variance(H2, H, 1.0, eps, 50.0)
     return {
         "mean_z": float(mean / np.sqrt(var / n)),
         "var": var,
@@ -343,7 +343,7 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # fixed eps, and at both pinned eps the finite-eps gap is one that
     # N = 2000 can resolve (long range: Var u = V_eps = 3.876 at eps 0.02 and
     # 3.968 at 0.01, against the limit c^2 = 4.239).  So at each eps the
-    # driver u = phi^{-1}(x_1), the endpoints' Simpson driver, is checked
+    # driver u = phi^{-1}(x_1), the endpoints' trapezoid driver, is checked
     # against its exact finite-eps mean and variance; the limit-law KS
     # p-values are reported.
     n_rep = 2000 if suite == "full" else 600
@@ -375,9 +375,9 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: 0.0 * u, 0.0,
-                                             grid, grid.times() ** 2)
-        errs.append(abs(x[-1] - np.exp(1.0)))
+        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: 0.0 * u,
+                                             np.diff(grid.times() ** 2), 0.0)
+        errs.append(abs(x - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     d1, d2 = orders[1] - orders[0], orders[2] - orders[1]
     order_limit = float(orders[2] + d2 * d2 / (d1 - d2))
@@ -393,9 +393,9 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     def heun_chunk(chunk_keys):
         dW = normals(chunk_keys, np.empty((len(chunk_keys), grid.n_steps)))
         W = np.concatenate([np.zeros((len(dW), 1)), np.cumsum(dW, axis=1)], axis=1)
-        x = solvers.solve_limit_stratonovich(
-            1.0, lambda u: u, lambda u: 0.0 * u, 0.0, grid, c * W * np.sqrt(grid.dt))
-        return np.log(x[:, -1])
+        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: 0.0 * u,
+                                             np.diff(c * W * np.sqrt(grid.dt)).T, 0.0)
+        return np.log(x)
 
     logs = harness.run_replicated(n_rep, seed, "acc11", heun_chunk, threads)
     lv = harness.fsum_variance(logs)

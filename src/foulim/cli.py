@@ -409,13 +409,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = _add_parser(sub, "sample-fbm", _cmd_fbm_paths, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--n-steps", type=int, default=256)
+    sp.add_argument("--n-steps", type=_positive_int, default=256)
 
     sp = _add_parser(sub, "sample-fou", _cmd_sample_fou, samples=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--n-steps", type=int, default=None)
+    sp.add_argument("--n-steps", type=_positive_int, default=None)
 
     sp = _add_parser(sub, "rho", _cmd_rho)
     sp.add_argument("--H", type=float, required=True)
@@ -434,9 +434,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = _add_parser(sub, "hermite-sample", _cmd_hermite_sample, samples=True)
     sp.add_argument("--H", type=float, required=True)
-    sp.add_argument("--m", type=int, default=2)
+    sp.add_argument("--m", type=_positive_int, default=2)
     sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--n-steps", type=int, default=200)
+    sp.add_argument("--n-steps", type=_positive_int, default=200)
 
     sp = _add_parser(sub, "clt-scan", _cmd_clt_scan, samples=True)
     sp.add_argument("--H", type=float, required=True)
@@ -457,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02,0.01")
-    sp.add_argument("--n-report", type=int, default=50)
+    sp.add_argument("--n-report", type=_positive_int, default=50)
 
     sp = _add_parser(sub, "homogenize", _cmd_homogenize, samples=True)
     sp.add_argument("--H", type=float, required=True)

@@ -173,14 +173,9 @@ class StationarySampler:
         np.multiply(-half, raw[:, m + 1 : size], out=W_conj.imag[:, 1:m])
         return np.fft.irfft(W_conj, n=size, axis=1, norm="forward", out=raw)[:, : self.n + 1]
 
-    def batch(self, keys, out=None) -> np.ndarray:
-        """All rows of ``blocks(keys)`` in one (len(keys), n + 1) array.
-
-        The rows are written into ``out`` when it is given, an array of
-        that shape in any layout (say, the transpose of a time-major one).
-        """
-        if out is None:
-            out = np.empty((len(keys), self.n + 1))
+    def batch(self, keys) -> np.ndarray:
+        """All rows of ``blocks(keys)`` in one (len(keys), n + 1) array."""
+        out = np.empty((len(keys), self.n + 1))
         start = 0
         for block in self.blocks(keys):
             out[start : start + len(block)] = block

@@ -1,18 +1,22 @@
 """Path-wise solvers for the slow/fast system and its limit equations.
 
-The limit equation dx = f(x) dZ + g_bar h(x) dt is driven by Z = c W
-(Brownian) in the short-range regime and by Z = c Z^{H*,m} (a Hermite
-process, H* > 1/2) in the long-range regime.  Its solver, the
-Heun-Stratonovich scheme, is batched: it takes a driver matrix of shape
-(n_replicas, n_steps + 1), c folded in, and steps every replica at once.  ``homogenize`` is the one place
-that samples both sides of the homogenization limit, the slow/fast
-endpoints and the limit equation's, every replica's driver drawn from
-its own keyed stream inside a ``run_replicated`` chunk.  The slow/fast RK4 solver is batched the same
-way over fOU paths, which it keeps time-major so that every stage reads
-one contiguous row, and it evaluates G and g on them a block of time
-rows at a time; without the drift h(x) g(y) the system is solved by its
-exact flow at u = alpha int G(y) (Simpson's rule) instead.  The kinetic
-scan reduces its fGN row block by row block, like ``harness``'s scans.
+Both sides of the homogenization limit are the one equation
+
+    dx = f(x) dU + h(x) dV,
+
+and one batched Heun (midpoint-predictor) scheme, ``solve_limit_stratonovich``,
+solves it from time-major increments of U and V, stepping every replica
+at once and keeping only the endpoints.  On the slow/fast side,
+dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt, the increments are
+the trapezoid integrals U = alpha int G(y^eps) and V = int g(y^eps) on the
+solver's own grid, built row block by row block from the fOU sampler.
+On the limit side dU = c dW in the short-range regime and c dZ^{H*,m} (a
+Hermite process, H* > 1/2) in the long-range one, and dV = g_bar dt.
+``homogenize`` is the one place that samples both sides, every replica's
+driver drawn from its own keyed stream inside a ``run_replicated`` chunk;
+without the drift h(x) g(y) both sides take the exact flow of f at
+the driver's endpoint instead.  The kinetic scan reduces its fGN row
+block by row block, like ``harness``'s scans.
 
 Scalar state only: in one dimension the rough-driver solution obeys the
 classical chain rule (the symmetric second-order lift carries no extra
@@ -25,20 +29,17 @@ Levy-area simulation and are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import chaos, fgn, fou, hermite
-from .chaos import ChaosFunction, Regime
+from . import chaos, fgn, fou, harness, hermite
+from .chaos import Regime
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
 from .paths import FoulimError, TimeGrid, as_eps, as_eps_list, as_hurst
 from .streams import normals
 
 __all__ = [
     "BlowUpError",
-    "MultiscaleConfig",
-    "solve_slow_fast_endpoints",
     "homogenize",
     "solve_limit_stratonovich",
     "flow_map_1d",
@@ -53,67 +54,33 @@ HOLDER_GAMMA_FACTOR = 0.5
 
 
 class BlowUpError(FoulimError, FloatingPointError):
-    """The slow variable of a slow/fast system exceeded BLOWUP_GUARD."""
+    """The solution of a slow/fast or limit equation exceeded BLOWUP_GUARD."""
 
 
-@dataclass(frozen=True)
-class MultiscaleConfig:
-    """Slow/fast system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
+def solve_limit_stratonovich(x0, f, h, dU, dV) -> np.ndarray:
+    """Endpoints of dx = f(x) dU + h(x) dV by the Heun (midpoint-predictor) scheme.
 
-    f is assumed C^3-bounded, h C^2-bounded, g bounded (not enforced).
-    h or g None means the drift term h(x) g(y) is absent, and the system
-    is solved by its exact flow.  alpha is the scaling of G's regime.
+    dU holds the driver's increments time-major, shape (n_steps,) or
+    (n_steps, n_replicas), and dV the drift's, broadcast to dU's shape
+    (a scalar g_bar * dt for the limit equation); every replica is
+    stepped at once and x at the last point comes back in the replica
+    shape.  Strong order 1/2 for a Brownian U; the predictor-corrector
+    average makes the scheme consistent with the Stratonovich integral
+    (no Ito correction), and in one dimension it converges to the Young
+    solution for a driver of Hoelder regularity > 1/2, at order 2 for a
+    smooth one.  Raises BlowUpError once |x| exceeds BLOWUP_GUARD or x is NaN.
     """
-
-    f: object
-    h: object
-    G: ChaosFunction
-    g: object
-    H: float
-    eps: float
-    x0: float
-    grid: TimeGrid
-
-    def __post_init__(self):
-        as_hurst(self.H)
-        as_eps(self.eps)
-        fou._check_resolution(self.grid.dt, self.eps)
-
-    def alpha(self) -> float:
-        return chaos.classify_regime(self.G.hermite_rank, self.H).alpha(self.eps)
-
-
-def solve_limit_stratonovich(x0, f, h, g_bar: float, grid: TimeGrid, W) -> np.ndarray:
-    """Heun (midpoint-predictor) scheme for dx = f(x) o dW + g_bar h(x)dt.
-
-    W holds driver values of shape (n_replicas, n_steps + 1) on ``grid``
-    (a single path is the one-row case); every replica is stepped at
-    once and the solution comes back in W's shape.  Strong order 1/2 for
-    Brownian W; the predictor-corrector average makes the scheme
-    consistent with the Stratonovich integral (no Ito correction), and
-    in one dimension it converges to the Young solution for a driver of
-    Hoelder regularity > 1/2, at order 2 for a smooth one.  The caller
-    folds the homogenization constant c into W's scaling.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.shape[-1] != grid.n_steps + 1:
-        raise ValueError(
-            f"driver has {W.shape[-1]} points per path, grid has {grid.n_steps + 1}"
-        )
-    dW = np.moveaxis(np.diff(W, axis=-1), -1, 0)  # time axis first
-    x = np.empty((grid.n_steps + 1,) + dW.shape[1:])
-    x[0] = x0
-    dt = grid.dt
-    for k in range(grid.n_steps):
-        xk, dw = x[k], dW[k]
-        diff_k, drift_k = f(xk), g_bar * h(xk)
-        pred = xk + diff_k * dw + drift_k * dt
-        x[k + 1] = (
-            xk
-            + 0.5 * (diff_k + f(pred)) * dw
-            + 0.5 * (drift_k + g_bar * h(pred)) * dt
-        )
-    return np.moveaxis(x, 0, -1)
+    dU = np.asarray(dU, dtype=float)
+    dV = np.broadcast_to(dV, dU.shape)
+    x = np.full(dU.shape[1:], float(x0))
+    for k, (du, dv) in enumerate(zip(dU, dV)):
+        f_k, h_k = f(x), h(x)
+        pred = x + f_k * du + h_k * dv
+        x = x + 0.5 * (f_k + f(pred)) * du + 0.5 * (h_k + h(pred)) * dv
+        if not np.abs(x).max() <= BLOWUP_GUARD:  # a NaN fails it too
+            raise BlowUpError(f"x exceeded {BLOWUP_GUARD:g} or became NaN at step {k + 1}; "
+                              "the system blew up")
+    return x
 
 
 def flow_map_1d(f, x0: float, u_values) -> np.ndarray:
@@ -150,92 +117,50 @@ def flow_map_1d(f, x0: float, u_values) -> np.ndarray:
     return out
 
 
-def _rk4_step(x, dt, rhs_now, rhs_half, rhs_next):
-    k1 = rhs_now(x)
-    k2 = rhs_half(x + 0.5 * dt * k1)
-    k3 = rhs_half(x + 0.5 * dt * k2)
-    k4 = rhs_next(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio=50.0,
+                         threads=1) -> np.ndarray:
+    """Endpoints x^eps_t of dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
 
-
-def _solve_slow_fast_from_y(cfg: MultiscaleConfig, y: np.ndarray) -> np.ndarray:
-    """RK4 on the random ODE; y sampled at twice the solver resolution.
-
-    y has shape (..., 2*n_steps + 1): values at every half-step, so the
-    classical RK4 stages see the fast variable at t, t + dt/2 and t + dt.
-    G(y) and g(y) are evaluated time-major on blocks of time rows of
-    about BLOCK_BYTES (copied unless y is the transpose of a C-ordered
-    time-major array), so each stage reads one contiguous row and no
-    array of y's size is built.  Returns x at the endpoint.
+    n replicas from streams (seed, "slowfast", i), at dt = eps / dt_ratio.
+    The system is dx = f(x) dU + h(x) dV with U = alpha int G(y^eps) and
+    V = int g(y^eps), whose trapezoid increments on the grid are written
+    time-major, row block by row block of the sampler, into one chunk's
+    (n_steps, rows) arrays; ``solve_limit_stratonovich`` steps them.
+    With h None the drift is absent and x_t is the flow of f at U_t, the
+    trapezoid integral ``harness._fou_endpoint_samples`` reduces each
+    row block to.
     """
-    alpha = cfg.alpha()
-    f, h = cfg.f, cfg.h
-    y_t = np.moveaxis(y, -1, 0)
-    dt = cfg.grid.dt
-    n = cfg.grid.n_steps
-    x = np.full(y.shape[:-1], float(cfg.x0))
-    steps = max(1, fgn.BLOCK_BYTES // (16 * max(x.size, 1)))
+    alpha = chaos.classify_regime(G.hermite_rank, H).alpha(eps)
+    if h is None:
+        return flow_map_1d(f, x0, harness._fou_endpoint_samples(
+            G, H, t, eps, n, seed, "slowfast", dt_ratio, alpha, threads))
+    grid = TimeGrid.with_step(t, eps / dt_ratio)
+    sampler = fou.path_sampler(grid, H, eps)
 
-    for k0 in range(0, n, steps):
-        rows = np.ascontiguousarray(y_t[2 * k0 : 2 * min(k0 + steps, n) + 1])
-        Gy, gy = cfg.G(rows), cfg.g(rows)
+    def solve_chunk(chunk_keys):
+        dU, dV = np.empty((2, grid.n_steps, len(chunk_keys)))
+        start = 0
+        for y in sampler.blocks(chunk_keys):
+            for d, fun, scale in ((dU, G, alpha), (dV, g, 1.0)):
+                v = fun(y)
+                d[:, start : start + len(y)] = ((0.5 * scale * grid.dt)
+                                                * (v[:, :-1] + v[:, 1:])).T
+            start += len(y)
+        return solve_limit_stratonovich(x0, f, h, dU, dV)
 
-        def rhs(j):
-            G_j, g_j = Gy[j], gy[j]
-            return lambda u: alpha * f(u) * G_j + h(u) * g_j
-
-        for k in range(k0, min(k0 + steps, n)):
-            j = 2 * (k - k0)
-            x = _rk4_step(x, dt, rhs(j), rhs(j + 1), rhs(j + 2))
-            # written so that a NaN state fails the guard too
-            if not np.all(np.abs(x) <= BLOWUP_GUARD):
-                raise BlowUpError(
-                    f"slow variable exceeded {BLOWUP_GUARD:g} or became NaN at step {k + 1}; "
-                    "the system blew up"
-                )
-    return x
-
-
-def _flow_driver(cfg: MultiscaleConfig, sampler, keys) -> np.ndarray:
-    """u = alpha int_0^T G(y) dt per key by Simpson's rule, dt/6 (1, 4, 2, ..., 4, 1)
-    on the half-step grid (RK4's quadrature of a pure-time ODE), one row block of
-    ``sampler`` at a time; each row is summed alone, so u ignores the blocking."""
-    w = np.full(2 * cfg.grid.n_steps + 1, 2.0)
-    w[1::2], w[[0, -1]] = 4.0, 1.0
-    w *= cfg.alpha() * cfg.grid.dt / 6.0
-    return np.concatenate([(cfg.G(block) * w).sum(axis=1) for block in sampler.blocks(keys)])
-
-
-def solve_slow_fast_endpoints(cfg: MultiscaleConfig, n_replicas: int,
-                              master_seed: int, name: str = "slowfast",
-                              threads: int = 1) -> np.ndarray:
-    """Replica endpoints x^eps_T: RK4 with drift, the exact flow without."""
-    fine = TimeGrid(cfg.grid.horizon, 2 * cfg.grid.n_steps)
-    sampler = fou.path_sampler(fine, cfg.H, cfg.eps)
-    if cfg.h is None or cfg.g is None:
-        u = run_replicated(n_replicas, master_seed, name,
-                           lambda k: _flow_driver(cfg, sampler, k), threads)
-        return flow_map_1d(cfg.f, cfg.x0, u)
-
-    def make_chunk(chunk_keys):
-        # the paths are stored time-major, the layout the RK4 stages read
-        y = np.empty((fine.n_steps + 1, len(chunk_keys))).T
-        sampler.batch(chunk_keys, out=y)
-        return _solve_slow_fast_from_y(cfg, y)
-
-    return run_replicated(n_replicas, master_seed, name, make_chunk, threads)
+    return run_replicated(n, seed, "slowfast", solve_chunk, threads)
 
 
 def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray:
-    """Endpoints x_t of dx = f(x) dU + g_bar h(x) dt, n replicas from ``seed``.
+    """Endpoints x_t of dx = f(x) dU + h(x) g_bar dt, n replicas from ``seed``.
 
     U = c W in the short-range and boundary regimes, W from stream
     (seed, "limit-endpoint", i); U = sign(a_m) c Z^{H*,m} in the long-range
     regime, the 400-step Hermite path of (seed, "limit-endpoint-z", i).
     Each ``run_replicated`` chunk is solved before the next is drawn.  With
     h None the scalar chain rule makes x_t the flow of f at U_t, so only U_t
-    is kept (W takes one step); otherwise the batched Heun solver runs on
-    U's path (W takes 4000 steps), converging to the Stratonovich solution
+    is kept (W takes one step); otherwise the Heun solver steps U's
+    increments (W takes 4000 steps), converging to the Stratonovich solution
     for Brownian U and to the Young one for the Hermite U (H* > 1/2).
     """
     regime = chaos.classify_regime(G.hermite_rank, H)
@@ -245,25 +170,25 @@ def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray
         name, grid = "limit-endpoint-z", TimeGrid(t, 400)
         scale = np.sign(G.coefficients[m]) * c
         engine = hermite.HermiteEngine(grid, regime.h_star, m)
-        report_idx = None if h is None else np.arange(grid.n_steps + 1)
 
-        def driver(chunk_keys):
-            return hermite.hermite_ensemble(engine, chunk_keys, report_idx)
+        def increments(chunk_keys):
+            if h is None:
+                return hermite.hermite_ensemble(engine, chunk_keys)  # Z_t alone
+            path = hermite.hermite_ensemble(engine, chunk_keys, np.arange(grid.n_steps + 1))
+            return np.diff(path, axis=1)
     else:
         name, grid = "limit-endpoint", TimeGrid(t, 1 if h is None else 4000)
         scale = c * np.sqrt(grid.dt)
 
-        def driver(chunk_keys):
-            W = np.zeros((len(chunk_keys), grid.n_steps + 1))
-            np.cumsum(normals(chunk_keys, W[:, 1:]), axis=1, out=W[:, 1:])
-            return W
+        def increments(chunk_keys):
+            return normals(chunk_keys, np.empty((len(chunk_keys), grid.n_steps)))
 
     def solve_chunk(chunk_keys):
-        U = driver(chunk_keys)
-        U *= scale
-        if h is not None:
-            U = solve_limit_stratonovich(x0, f, h, g_bar, grid, U)
-        return U[:, -1].copy()  # a view would keep the chunk's paths alive
+        dU = increments(chunk_keys)
+        dU *= scale
+        if h is None:
+            return dU[:, 0]  # one step: U_t itself
+        return solve_limit_stratonovich(x0, f, h, np.ascontiguousarray(dU.T), g_bar * grid.dt)
 
     x = run_replicated(n, seed, name, solve_chunk, threads)
     return x if h is not None else flow_map_1d(f, x0, x)
@@ -275,18 +200,20 @@ def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float =
     """Endpoints x^eps_t of the slow/fast system and x_t of its limit equation.
 
     The system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is
-    solved at dt = eps / dt_ratio from streams (master_seed, "slowfast", i);
-    the limit dx = f(x) dU + g_bar h(x) dt, g_bar = E g(N(0, 1)), is
-    sampled by ``_limit_endpoints`` from master_seed + 1.  h or g None
-    means the drift h(x) g(y) is absent, and both sides take the flow of f.
+    solved at dt = eps / dt_ratio from streams (master_seed, "slowfast", i)
+    by ``_slow_fast_endpoints``; the limit dx = f(x) dU + g_bar h(x) dt,
+    g_bar = E g(N(0, 1)), is sampled by ``_limit_endpoints`` from
+    master_seed + 1.  With the drift h(x) g(y) both sides are stepped by
+    ``solve_limit_stratonovich``; h or g None means it is absent, and both
+    sides take the flow of f.
     """
     eps = as_eps(eps)
-    cfg = MultiscaleConfig(f, h, G, g, H, eps, x0, TimeGrid.with_step(t, eps / dt_ratio))
-    x_eps = solve_slow_fast_endpoints(cfg, n_replicas, master_seed, threads=threads)
-    drift = h is not None and g is not None
-    x_lim = _limit_endpoints(G, H, t, x0, f, h if drift else None,
-                             chaos.gaussian_expectation(g) if drift else 0.0,
-                             n_replicas, master_seed + 1, threads)
+    if h is None or g is None:
+        h = g = None
+    x_eps = _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n_replicas, master_seed,
+                                 dt_ratio, threads)
+    g_bar = 0.0 if g is None else chaos.gaussian_expectation(g)
+    x_lim = _limit_endpoints(G, H, t, x0, f, h, g_bar, n_replicas, master_seed + 1, threads)
     return x_eps, x_lim
 
 

@@ -297,6 +297,25 @@ def test_non_positive_rho_points_is_a_usage_error(n_points, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, option", [
+    ("sample-fbm", "--n-steps"), ("sample-fou", "--n-steps"), ("hermite-sample", "--n-steps"),
+    ("hermite-sample", "--m"), ("kinetic-scan", "--n-report"),
+])
+def test_non_positive_counts_are_usage_errors(command, option, tmp_path, capsys):
+    for value in ("0", "-2"):
+        argv = [command, *REQUIRED_ARGS[command], option, value, "--out", str(tmp_path / "x")]
+        assert run(argv) == 1
+        assert f"{option}: must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_hermite_order_above_the_cap_is_a_domain_error(tmp_path, capsys):
+    argv = ["hermite-sample", *REQUIRED_ARGS["hermite-sample"], "--m", "4",
+            "--out", str(tmp_path / "x")]
+    assert run(argv) == 2
+    assert "exceeds cap 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_non_positive_threads_is_a_usage_error(threads, tmp_path, capsys):
     argv = ["rho", "--H", "0.6", "--threads", threads, "--out", str(tmp_path / "x")]
@@ -516,7 +535,7 @@ def test_homogenize_with_drift_runs_the_limit_solver(tmp_path, H):
 def test_long_range_homogenize_is_thread_invariant(tmp_path, hfun, gfun):
     # 300 replicas: the Hermite limit is drawn in a full chunk and a partial
     # one, on one or two workers; without drift both sides take the flow,
-    # with it RK4 and the Heun limit solver
+    # with it the Heun solver on both sides
     files = []
     for threads in ("1", "2"):
         out = tmp_path / f"hom{threads}"

@@ -20,8 +20,17 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _one(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
 def _sin2(u):
     return np.sin(u) + 2.0
+
+
+def _slow_fast(G, H, eps, f, h, g, n, seed, x0=0.0, t=1.0, dt_ratio=50.0, threads=1):
+    """Slow/fast endpoints at dt = eps / dt_ratio; h None takes the flow path."""
+    return solvers._slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio, threads)
 
 
 def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
@@ -33,28 +42,24 @@ def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
         return compute(acov, n)
 
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", spy)
-    cfg = solvers.MultiscaleConfig(
-        f=lambda u: np.ones_like(np.asarray(u, dtype=float)), h=_zero,
-        G=H1, g=_zero, H=0.7, eps=0.1, x0=0.0, grid=TimeGrid(0.2, 20),
-    )
-    solvers.solve_slow_fast_endpoints(cfg, 600, 3)  # three chunks
-    assert calls == [40]
+    _slow_fast(H1, 0.7, 0.1, _one, _zero, _zero, 600, 3, t=0.2, dt_ratio=10.0)  # three chunks
+    assert calls == [20]
 
 
 def test_young_additive_case():
     grid = TimeGrid(1.0, 100)
     Z = np.sin(grid.times())
-    x = solvers.solve_limit_stratonovich(2.0, lambda u: np.ones_like(u), _zero, 0.0, grid, Z)
-    np.testing.assert_allclose(x, 2.0 + Z - Z[0], rtol=1e-14)
+    x = solvers.solve_limit_stratonovich(2.0, _one, _zero, np.diff(Z), 0.0)
+    assert x == pytest.approx(2.0 + Z[-1] - Z[0], rel=1e-14)
 
 
 def test_young_smooth_driver_exponential_order():
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, 0.0, grid,
-                                             grid.times() ** 2)
-        errs.append(abs(x[-1] - np.exp(1.0)))
+        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero,
+                                             np.diff(grid.times() ** 2), 0.0)
+        errs.append(abs(x - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     # Heun is second order: dyadic orders increase toward 2
     assert np.all(np.diff(orders) > 0)
@@ -67,89 +72,98 @@ def test_young_smooth_driver_exponential_order():
 
 def test_young_fbm_driver_matches_chain_rule():
     grid = TimeGrid(1.0, 4000)
-    Z = fbm_paths(grid, 0.8, keys(1, "yfbm"))[0]
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, 0.0, grid, Z)
-    exact = np.exp(Z - Z[0])
+    Z = fbm_paths(grid, 0.8, keys(1, "yfbm", 0, 20))
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, np.diff(Z).T, 0.0)
+    exact = np.exp(Z[:, -1] - Z[:, 0])
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
 
 def test_limit_young_drift_only_is_ode_flow():
     grid = TimeGrid(1.0, 2000)
-    x = solvers.solve_limit_stratonovich(1.0, _zero, lambda u: u, 0.7, grid, np.zeros(2001))
-    assert x[-1] == pytest.approx(np.exp(0.7), rel=1e-3)
+    x = solvers.solve_limit_stratonovich(1.0, _zero, lambda u: u, np.zeros(2000),
+                                         0.7 * grid.dt)
+    assert x == pytest.approx(np.exp(0.7), rel=1e-3)
 
 
 def test_limit_young_exponential_closed_form():
     grid = TimeGrid(1.0, 4000)
-    Z = fbm_paths(grid, 0.8, keys(2, "ly"))[0]
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, 0.0, grid, Z)
-    exact = np.exp(Z)
+    Z = fbm_paths(grid, 0.8, keys(2, "ly", 0, 20))
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, np.diff(Z).T, 0.0)
+    exact = np.exp(Z[:, -1])
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
 
 def test_limit_young_degenerate_constants():
-    grid = TimeGrid(1.0, 100)
-    Z = np.zeros(101)  # c = 0 folded into the driver
-    x = solvers.solve_limit_stratonovich(0.3, lambda u: u, lambda u: u, 0.0, grid, Z)
-    np.testing.assert_allclose(x, 0.3)
+    dU = np.zeros(100)  # c = 0 folded into the driver
+    x = solvers.solve_limit_stratonovich(0.3, lambda u: u, lambda u: u, dU, 0.0)
+    assert x == 0.3
 
 
 def test_limit_solvers_reject_driver_off_grid():
-    grid = TimeGrid(1.0, 100)
-    with pytest.raises(ValueError, match="101"):
-        solvers.solve_limit_stratonovich(0.0, _zero, _zero, 0.0, grid, np.zeros((3, 100)))
-    with pytest.raises(ValueError, match="101"):
-        solvers.solve_limit_stratonovich(0.0, _zero, _zero, 0.0, grid, np.zeros(102))
+    # the drift's increments must lie on the driver's grid
+    with pytest.raises(ValueError, match="broadcast"):
+        solvers.solve_limit_stratonovich(0.0, _zero, _zero, np.zeros((100, 3)),
+                                         np.zeros((101, 3)))
+    with pytest.raises(ValueError, match="broadcast"):
+        solvers.solve_limit_stratonovich(0.0, _zero, _zero, np.zeros(100), np.zeros(102))
 
 
-def _heun_loop(x0, f, h, g_bar, dt, W):
-    x = [x0]
-    for dw in np.diff(W):
-        xk = x[-1]
-        pred = xk + f(xk) * dw + g_bar * h(xk) * dt
-        x.append(xk + 0.5 * (f(xk) + f(pred)) * dw
-                 + 0.5 * (g_bar * h(xk) + g_bar * h(pred)) * dt)
-    return np.array(x)
+def test_limit_solver_blows_up_on_a_smooth_driver():
+    # dx = (1 + x^2) dU, U_t = t: x = tan(t) passes the guard near t = pi/2
+    with pytest.raises(solvers.BlowUpError, match="blew up") as info:
+        solvers.solve_limit_stratonovich(0.0, lambda u: 1.0 + u**2, _zero,
+                                         np.full(400, 0.01), 0.0)
+    step = int(str(info.value).split("at step ")[1].split(";")[0])
+    assert 157 <= step <= 170
+
+
+def _heun_loop(x0, f, h, dU, dV):
+    """Heun's scheme for dx = f(x) dU + h(x) dV, one scalar step at a time."""
+    x = x0
+    for du, dv in zip(dU, dV):
+        pred = x + f(x) * du + h(x) * dv
+        x = x + 0.5 * (f(x) + f(pred)) * du + 0.5 * (h(x) + h(pred)) * dv
+    return x
 
 
 def test_batched_limit_solvers_match_one_row_calls():
     grid = TimeGrid(1.0, 500)
-    Z = 0.8 * fbm_paths(grid, 0.7, keys(7, "batch", 0, 5))
+    dU = np.diff(0.8 * fbm_paths(grid, 0.7, keys(7, "batch", 0, 5))).T
+    dV = 0.6 * grid.dt
     f = lambda u: np.sin(u) + 2.0
     h = lambda u: np.cos(u)
-    heun = solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, Z)
-    assert heun.shape == Z.shape
+    heun = solvers.solve_limit_stratonovich(0.4, f, h, dU, dV)
+    assert heun.shape == (5,)
     for r in range(5):
         np.testing.assert_allclose(
-            heun[r : r + 1], solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, Z[r : r + 1]),
+            heun[r : r + 1], solvers.solve_limit_stratonovich(0.4, f, h, dU[:, r : r + 1], dV),
             rtol=0, atol=1e-14)
         # a single path is the one-row case
         np.testing.assert_allclose(
-            heun[r], solvers.solve_limit_stratonovich(0.4, f, h, 0.6, grid, Z[r]),
+            heun[r], solvers.solve_limit_stratonovich(0.4, f, h, dU[:, r], dV),
             rtol=0, atol=1e-14)
         # the scalar per-replica loop is the reference
-        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, 0.6, grid.dt, Z[r]),
+        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, dU[:, r], np.full(500, dV)),
                                    rtol=0, atol=1e-14)
 
 
 def test_stratonovich_deterministic_when_c_zero():
     grid = TimeGrid(1.0, 1000)
-    W = stream(3, "w0").standard_normal(1001).cumsum() * 0.0
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, 0.5, grid, 0.0 * W)
-    assert x[-1] == pytest.approx(np.exp(0.5), rel=1e-4)
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, np.zeros(1000),
+                                         0.5 * grid.dt)
+    assert x == pytest.approx(np.exp(0.5), rel=1e-4)
 
 
 def test_stratonovich_additive_matches_quadrature():
+    # additive noise, linear drift: x_t = e^{g_bar t} x0 + c int e^{g_bar (t - s)} dW_s,
+    # the stochastic integral taken at the midpoints of the steps
     grid = TimeGrid(1.0, 2000)
-    incs = stream(4, "wa").standard_normal(2000) * np.sqrt(grid.dt)
-    W = np.concatenate([[0.0], np.cumsum(incs)])
+    dW = stream(4, "wa").standard_normal(2000) * np.sqrt(grid.dt)
     c, g_bar = 0.7, 0.3
-    h = lambda u: np.cos(u)
-    x = solvers.solve_limit_stratonovich(0.2, lambda u: np.ones_like(u), h, g_bar, grid, c * W)
-    # additive noise: x_t = x0 + c W_t + g_bar int h(x_s) ds
-    drift = g_bar * grid.dt * np.cumsum(np.cos(x[:-1]))
-    expect = 0.2 + c * W[1:] + drift
-    assert np.max(np.abs(x[1:] - expect)) < 5e-3
+    x = solvers.solve_limit_stratonovich(0.2, _one, lambda u: u, c * dW, g_bar * grid.dt)
+    mid = grid.times()[:-1] + 0.5 * grid.dt
+    expect = np.exp(g_bar) * 0.2 + c * np.sum(np.exp(g_bar * (1.0 - mid)) * dW)
+    assert abs(x - expect) < 1e-3
 
 
 def test_stratonovich_no_ito_correction():
@@ -157,17 +171,13 @@ def test_stratonovich_no_ito_correction():
     # not drift by -c^2 t/2 as the Ito reading would
     grid = TimeGrid(1.0, 2000)
     c, g_bar = 0.8, 0.4
-    incs = np.stack([stream(5, "strat", i).standard_normal(2000) for i in range(200)])
-    W = np.concatenate([np.zeros((200, 1)), np.cumsum(incs, axis=1)], axis=1)
-    W *= np.sqrt(grid.dt)
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, g_bar, grid, c * W)
-    resid = np.log(x[:, -1]) - c * W[:, -1] - g_bar
+    dW = np.stack([stream(5, "strat", i).standard_normal(2000) for i in range(200)], axis=1)
+    dW *= np.sqrt(grid.dt)
+    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, c * dW,
+                                         g_bar * grid.dt)
+    resid = np.log(x) - c * dW.sum(axis=0) - g_bar
     assert abs(resid.mean()) < 0.01
     assert abs(resid.mean()) < 0.1 * c**2 / 2
-
-
-def _one(x):
-    return np.ones_like(np.asarray(x, dtype=float))
 
 
 @pytest.mark.parametrize("a2", [1.0, -1.0])
@@ -244,8 +254,8 @@ def test_short_range_limit_reads_one_keyed_stream_per_replica(H, monkeypatch):
 def test_brownian_limit_with_drift_holds_one_chunk():
     # with drift every replica's 4000-step W is solved by Heun; drawn as one
     # (600, 4000) matrix it took 77 MB traced.  In 250-replica chunks one
-    # chunk's path, increments and solution (8 MB each) are held at a time,
-    # 24 MB traced; a chunk whose endpoints kept its solution alive read 32 MB
+    # chunk's increments and their time-major copy (8 MB each) are held at a
+    # time, 16 MB traced
     args = (H2, 0.6, 1.0, 0.0, _sin2, np.cos, 0.5)
     solvers._limit_endpoints(*args, 2, 3)  # warm the imports only
     assert _peak_traced_mb(solvers._limit_endpoints, *args, 600, 3) < 30.0
@@ -276,32 +286,26 @@ def test_flow_map_raises_at_once_on_a_non_finite_f():
     assert time.perf_counter() - start < 1.0
 
 
-def _flow_config(H, eps, f=_sin2, x0=0.0, drift=None, G=H2):
-    """The drift-free system at dt = eps/50; ``drift`` = (h, g) takes RK4."""
-    h, g = drift or (None, None)
-    return solvers.MultiscaleConfig(f=f, h=h, G=G, g=g, H=H, eps=eps, x0=x0,
-                                    grid=TimeGrid(1.0, int(round(50 / eps))))
-
-
 @pytest.mark.parametrize("eps", [0.02, 0.01])
-@pytest.mark.parametrize("H, tol", [(0.6, 1e-4), (0.85, 1e-6)])
-def test_flow_path_agrees_with_rk4_on_the_same_keys(H, tol, eps):
-    # Simpson's u and the exact flow against RK4 with zero h and g callables:
-    # max |difference| 3.3e-5 to 3.5e-5 (H 0.6) and 2.0e-7 to 2.7e-7 (H 0.85)
-    # at an endpoint sd of about 3
-    flow = solvers.solve_slow_fast_endpoints(_flow_config(H, eps), 300, 5)
-    rk4 = solvers.solve_slow_fast_endpoints(_flow_config(H, eps, drift=(_zero, _zero)), 300, 5)
+@pytest.mark.parametrize("H, tol", [(0.6, 2e-3), (0.85, 5e-4)])
+def test_flow_path_agrees_with_heun_on_the_same_keys(H, tol, eps):
+    # the exact flow at the trapezoid u against second-order Heun with zero h
+    # and g callables on the same increments: max |difference| 4.0e-4 to
+    # 8.9e-4 (H 0.6) and 3.7e-5 to 2.0e-4 (H 0.85) at an endpoint sd of about 3
+    flow = _slow_fast(H2, H, eps, _sin2, None, None, 300, 5)
+    heun = _slow_fast(H2, H, eps, _sin2, _zero, _zero, 300, 5)
     assert flow.std() > 2.5
-    assert np.max(np.abs(flow - rk4)) <= tol
+    assert np.max(np.abs(flow - heun)) <= tol
 
 
-def test_flow_driver_is_bit_identical_across_row_blocks(monkeypatch):
-    cfg = _flow_config(0.85, 0.02)
-    sampler = fou.path_sampler(TimeGrid(1.0, 2 * cfg.grid.n_steps), 0.85, 0.02)
-    k = keys(7, "flow-blocks", 0, 30)
-    whole = solvers._flow_driver(cfg, sampler, k)
-    monkeypatch.setattr(fgn, "BLOCK_BYTES", 16 * 30 * 7)
-    np.testing.assert_array_equal(solvers._flow_driver(cfg, sampler, k), whole)
+def test_flow_path_is_the_flow_map_of_the_trapezoid_driver(monkeypatch):
+    # bit for bit, and whatever the sampler's row blocks
+    H, eps, n, seed = 0.85, 0.02, 30, 7
+    alpha = chaos.classify_regime(2, H).alpha(eps)
+    ends = _slow_fast(H2, H, eps, _sin2, None, None, n, seed)
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", 1)  # one row per block
+    u = harness._fou_endpoint_samples(H2, H, 1.0, eps, n, seed, "slowfast", 50.0, alpha)
+    np.testing.assert_array_equal(ends, solvers.flow_map_1d(_sin2, 0.0, u))
 
 
 def test_homogenize_without_drift_is_byte_identical_across_threads(tmp_path):
@@ -318,49 +322,45 @@ def test_homogenize_without_drift_is_byte_identical_across_threads(tmp_path):
 
 @pytest.mark.parametrize("f", [lambda u: 50.0 * (1.0 + u**2), lambda u: np.nan * u])
 def test_flow_path_blows_up_within_a_second(f):
-    cfg = _flow_config(0.7, 0.1, f=f, x0=5.0, G=H1)
     start = time.perf_counter()
     with pytest.raises(solvers.BlowUpError, match="blew up"):
-        solvers.solve_slow_fast_endpoints(cfg, 3, 0, "blow")
+        _slow_fast(H1, 0.7, 0.1, f, None, None, 3, 0, x0=5.0)
     assert time.perf_counter() - start < 1.0
 
 
 def test_flow_path_builds_no_chunk_path_matrix():
-    # a 250-replica chunk at eps 0.01 has 10,001 x 250 paths, 20 MB, which
-    # RK4 holds (24.4 MB traced); the flow path reduces each row block of
-    # the sampler as it is drawn (3.1 MB traced)
-    cfg = _flow_config(0.6, 0.01)
-    solvers.solve_slow_fast_endpoints(cfg, 2, 4, "mem")  # warm the imports
-    tracemalloc.start()
-    try:
-        solvers.solve_slow_fast_endpoints(cfg, 250, 4, "mem")
-        peak = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * 8 * 10_001 * 250 / 1e6
+    # a 250-replica chunk at eps 0.01 has 5,001 x 250 paths, 10 MB; the flow
+    # path reduces each row block of the sampler as it is drawn (2.7 MB traced)
+    _slow_fast(H2, 0.6, 0.01, _sin2, None, None, 2, 4)  # warm the imports
+    assert _peak_traced_mb(_slow_fast, H2, 0.6, 0.01, _sin2, None, None, 250, 4) \
+        < 0.5 * 8 * 5_001 * 250 / 1e6
 
 
 def test_multiscale_config_validation():
-    with pytest.raises(ValueError, match="resolve the fast scale"):
-        solvers.MultiscaleConfig(
-            f=_zero, h=_zero, G=H1, g=_zero, H=0.7, eps=0.01, x0=0.0,
-            grid=TimeGrid(1.0, 50),
-        )
+    for h, g in ((None, None), (_zero, _zero)):
+        with pytest.raises(ValueError, match="resolve the fast scale"):
+            solvers.homogenize(H1, 0.7, 0.01, _zero, h, g, 1, 0, dt_ratio=5.0)
 
 
 def test_slow_fast_reduces_to_functional_integral():
-    # f = 1, h = 0: the slow variable is exactly the scaled time integral
-    eps = 0.05
-    n_steps = 400  # dt = eps/20
-    cfg = solvers.MultiscaleConfig(
-        f=lambda u: np.ones_like(np.asarray(u, dtype=float)), h=_zero,
-        G=H1, g=_zero, H=0.8, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
-    )
-    fine = TimeGrid(1.0, 2 * n_steps)
-    y = fou.path_sampler(fine, 0.8, eps).batch(keys(33, "c1", 0, 50))
-    x = solvers._solve_slow_fast_from_y(cfg, y)
-    X = harness._functional_cumulative(H1, y, fine.dt, cfg.alpha())
-    assert np.max(np.abs(x - X[:, -1])) < 0.01
+    # f = 1, h = 0: the slow variable is the scaled trapezoid integral of G(y)
+    eps, H = 0.05, 0.8
+    grid = TimeGrid.with_step(1.0, eps / 20.0)
+    alpha = chaos.classify_regime(1, H).alpha(eps)
+    y = fou.path_sampler(grid, H, eps).batch(keys(33, "slowfast", 0, 50))
+    x = _slow_fast(H1, H, eps, _one, _zero, _zero, 50, 33, dt_ratio=20.0)
+    np.testing.assert_allclose(x, harness.functional_values(H1, y, grid.dt, alpha),
+                               rtol=0, atol=1e-12)
+
+
+def test_slow_fast_drift_only_is_the_trapezoid_integral_of_g():
+    # f = 0, h = 1: x_t = x0 + int g(y), the trapezoid rule on the solver's grid
+    eps, H = 0.05, 0.7
+    grid = TimeGrid.with_step(1.0, eps / 20.0)
+    y = fou.path_sampler(grid, H, eps).batch(keys(34, "slowfast", 0, 50))
+    x = _slow_fast(H2, H, eps, _zero, _one, np.cos, 50, 34, x0=0.4, dt_ratio=20.0)
+    np.testing.assert_allclose(x, 0.4 + harness.functional_values(np.cos, y, grid.dt),
+                               rtol=0, atol=1e-12)
 
 
 def test_slow_fast_ergodic_drift_only():
@@ -368,146 +368,53 @@ def test_slow_fast_ergodic_drift_only():
     g = np.cos
     g_bar = chaos.gaussian_expectation(g)
     ends = []
-    for eps, name in ((0.05, "e1"), (0.01, "e2")):
-        n_steps = int(round(1.0 / (eps / 20)))
-        cfg = solvers.MultiscaleConfig(
-            f=_zero, h=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            G=H1, g=g, H=0.7, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
-        )
-        end = solvers.solve_slow_fast_endpoints(cfg, 400, 35, name)
+    for eps, seed in ((0.05, 35), (0.01, 36)):
+        end = _slow_fast(H1, 0.7, eps, _zero, _one, g, 400, seed, dt_ratio=20.0)
         assert end.mean() == pytest.approx(g_bar, abs=0.03)
         ends.append(end.std())
     assert ends[1] < ends[0]
 
 
-def _blowup_config(f=lambda u: 50.0 * (1.0 + u**2)):
-    return solvers.MultiscaleConfig(f=f, h=_zero, G=H1, g=_zero, H=0.7, eps=0.1,
-                                    x0=5.0, grid=TimeGrid(1.0, 100))
+def _blowup(f=lambda u: 50.0 * (1.0 + u**2), n=1, seed=0):
+    return _slow_fast(H1, 0.7, 0.1, f, _zero, _zero, n, seed, x0=5.0, dt_ratio=10.0)
 
 
 def test_slow_fast_blowup_guard():
     with pytest.raises(FloatingPointError, match="blew up"):
-        solvers.solve_slow_fast_endpoints(_blowup_config(), 1, 0, "blow")
+        _blowup()
 
 
 def test_slow_fast_blowup_guard_catches_nan():
     # NaN compares False with the guard, so only an all-finite check sees it
     nan_f = lambda u: np.full_like(np.asarray(u, dtype=float), np.nan)
     with pytest.raises(solvers.BlowUpError, match="at step 1;"):
-        solvers.solve_slow_fast_endpoints(_blowup_config(nan_f), 3, 0, "nan")
+        _blowup(nan_f, 3)
 
 
 def test_slow_fast_errors_are_foulim_errors():
     assert issubclass(fgn.SamplerInfeasibleError, FoulimError)
-    cfg = _blowup_config()
     with pytest.raises(FoulimError) as info:
-        solvers.solve_slow_fast_endpoints(cfg, 1, 0, "blow")
+        _blowup()
     assert type(info.value) is solvers.BlowUpError
 
 
-def _whole_array_rk4_endpoints(cfg, y):
-    """The slow/fast RK4 on whole arrays, as a reference: G(y) and g(y) on
-    all of time-major y at once, and the whole trajectory kept."""
-    alpha = cfg.alpha()
-    f, h = cfg.f, cfg.h
-    y_t = np.ascontiguousarray(np.moveaxis(y, -1, 0))
-    Gy, gy = cfg.G(y_t), cfg.g(y_t)
-    dt = cfg.grid.dt
-    n = cfg.grid.n_steps
-    x = np.full(y.shape[:-1], float(cfg.x0))
-    out = np.empty((n + 1,) + y.shape[:-1])
-    out[0] = x
-
-    if np.any(gy):
-        def rhs(k):
-            G_k, g_k = Gy[k], gy[k]
-            return lambda u: alpha * f(u) * G_k + h(u) * g_k
-    else:
-        def rhs(k):
-            G_k = Gy[k]
-            return lambda u: alpha * f(u) * G_k
-
-    def rk4_step(x, rhs_now, rhs_half, rhs_next):
-        k1 = rhs_now(x)
-        k2 = rhs_half(x + 0.5 * dt * k1)
-        k3 = rhs_half(x + 0.5 * dt * k2)
-        k4 = rhs_next(x + dt * k3)
-        return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    for k in range(n):
-        x = rk4_step(x, rhs(2 * k), rhs(2 * k + 1), rhs(2 * k + 2))
-        if not np.all(np.abs(x) <= solvers.BLOWUP_GUARD):
-            raise solvers.BlowUpError(f"slow variable exceeded at step {k + 1}")
-        out[k + 1] = x
-    return np.moveaxis(out, 0, -1)[..., -1]
-
-
-@pytest.mark.parametrize("block_bytes", [fgn.BLOCK_BYTES, 16 * 30 * 7])
-@pytest.mark.parametrize("hfun, gfun", [(_zero, _zero), (_sin2, np.cos)])
-def test_blocked_rk4_is_bit_identical_to_whole_array_rk4(hfun, gfun, block_bytes,
-                                                          monkeypatch):
-    # 7 steps per block at 30 replicas: 500 steps end in a partial block
-    monkeypatch.setattr(fgn, "BLOCK_BYTES", block_bytes)
-    cfg = solvers.MultiscaleConfig(f=_sin2, h=hfun, G=H2, g=gfun, H=0.85, eps=0.02,
-                                   x0=0.3, grid=TimeGrid(1.0, 500))
-    y = fou.path_sampler(TimeGrid(1.0, 1000), 0.85, 0.02).batch(
-        keys(5, "blocked", 0, 30))
-    ref = _whole_array_rk4_endpoints(cfg, y)
-    np.testing.assert_array_equal(solvers._solve_slow_fast_from_y(cfg, y), ref)
-    # time-major storage, as the chunks of solve_slow_fast_endpoints hold it
-    y_t = np.ascontiguousarray(y.T).T
-    np.testing.assert_array_equal(solvers._solve_slow_fast_from_y(cfg, y_t), ref)
-
-
-@pytest.mark.parametrize("block_bytes", [fgn.BLOCK_BYTES, 16 * 30 * 7])
-def test_blocked_rk4_blows_up_at_the_whole_array_step(block_bytes, monkeypatch):
-    # dx = alpha (1 + x^2) y dt with y near 3 passes the guard in a late block
-    monkeypatch.setattr(fgn, "BLOCK_BYTES", block_bytes)
-    cfg = solvers.MultiscaleConfig(f=lambda u: 1.0 + u**2, h=_zero, G=H1, g=_zero, H=0.7,
-                                   eps=0.1, x0=0.0, grid=TimeGrid(1.0, 400))
-    y = 3.0 + fou.path_sampler(TimeGrid(1.0, 800), 0.7, 0.1).batch(
-        keys(6, "blow", 0, 30))
-    steps = []
-    for solve in (_whole_array_rk4_endpoints, solvers._solve_slow_fast_from_y):
-        with pytest.raises(solvers.BlowUpError) as info:
-            solve(cfg, y)
-        steps.append(int(str(info.value).split("at step ")[1].split(";")[0]))
-    assert steps[0] == steps[1] > 7
+def test_slow_fast_endpoints_ignore_row_blocks_and_threads(monkeypatch):
+    # 260 replicas, a full chunk and a partial one; the increments of 1-row
+    # sampler blocks land in the same columns as those of whole blocks
+    args = (H2, 0.85, 0.02, _sin2, _sin2, np.cos, 260, 9)
+    ref = _slow_fast(*args, dt_ratio=25.0)
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", 1)  # one row per block
+    for threads in (1, 2):
+        np.testing.assert_array_equal(_slow_fast(*args, dt_ratio=25.0, threads=threads), ref)
 
 
 def test_slow_fast_chunk_memory_stays_near_its_paths():
-    # one 250-replica chunk at eps 0.01 holds 10,001 x 250 time-major
-    # paths, 20 MB; G(y), g(y) and the trajectory were three more arrays
-    # of about that size (70.2 MB traced), now G and g are held a block of
-    # time rows at a time (24.4 MB traced)
-    cfg = solvers.MultiscaleConfig(f=_sin2, h=_zero, G=H2, g=_zero, H=0.6, eps=0.01,
-                                   x0=0.0, grid=TimeGrid(1.0, 5000))
-    y_mb = 8 * 10_001 * 250 / 1e6
-    tracemalloc.start()
-    try:
-        solvers.solve_slow_fast_endpoints(cfg, 250, 4, "mem")
-        peak = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * y_mb
-
-
-def _per_stage_rk4_endpoints(cfg, y):
-    """Slow/fast RK4 endpoints with G and g evaluated anew at every stage."""
-    alpha, dt = cfg.alpha(), cfg.grid.dt
-
-    def rhs(u, yv):
-        return alpha * cfg.f(u) * cfg.G(yv) + cfg.h(u) * cfg.g(yv)
-
-    x = np.full(len(y), float(cfg.x0))
-    for k in range(cfg.grid.n_steps):
-        y0, yh, y1 = y[:, 2 * k], y[:, 2 * k + 1], y[:, 2 * k + 2]
-        k1 = rhs(x, y0)
-        k2 = rhs(x + 0.5 * dt * k1, yh)
-        k3 = rhs(x + 0.5 * dt * k2, yh)
-        k4 = rhs(x + dt * k3, y1)
-        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    # one 250-replica chunk at eps 0.01 holds the 5,000 x 250 time-major
+    # increments of U and V, 20 MB, and the sampler's row blocks (23.7 MB
+    # traced), never the chunk's paths
+    _slow_fast(H2, 0.6, 0.01, _sin2, _zero, _zero, 2, 4)  # warm the imports
+    peak = _peak_traced_mb(_slow_fast, H2, 0.6, 0.01, _sin2, _zero, _zero, 250, 4)
+    assert peak < 1.5 * 2 * 8 * 5_000 * 250 / 1e6
 
 
 @pytest.mark.parametrize("hfun, gfun", [
@@ -515,26 +422,23 @@ def _per_stage_rk4_endpoints(cfg, y):
     (lambda u: np.sin(u) + 2.0, np.cos),
 ])
 def test_slow_fast_solver_matches_per_stage_evaluation(hfun, gfun):
-    eps, n_steps = 0.02, 500
-    cfg = solvers.MultiscaleConfig(
-        f=lambda u: np.sin(u) + 2.0, h=hfun, G=H2, g=gfun, H=0.85, eps=eps, x0=0.0,
-        grid=TimeGrid(1.0, n_steps),
-    )
-    y = fou.path_sampler(TimeGrid(1.0, 2 * n_steps), 0.85, eps).batch(
-        keys(12, "stages", 0, 40))
-    np.testing.assert_array_equal(solvers.solve_slow_fast_endpoints(cfg, 40, 12, "stages"),
-                                  _per_stage_rk4_endpoints(cfg, y))
+    # G(y) and g(y) evaluated replica by replica, their trapezoid increments
+    # taken step by step and Heun run on scalars, against the batched solver
+    H, eps, t, ratio, n = 0.85, 0.02, 0.4, 25.0, 40
+    alpha = chaos.classify_regime(2, H).alpha(eps)
+    grid = TimeGrid.with_step(t, eps / ratio)
+    y = fou.path_sampler(grid, H, eps).batch(keys(12, "slowfast", 0, n))
+    ends = _slow_fast(H2, H, eps, _sin2, hfun, gfun, n, 12, t=t, dt_ratio=ratio)
+    for r in range(n):
+        Gy, gy = H2(y[r]), gfun(y[r])
+        dU = [0.5 * alpha * grid.dt * (Gy[k] + Gy[k + 1]) for k in range(grid.n_steps)]
+        dV = [0.5 * grid.dt * (gy[k] + gy[k + 1]) for k in range(grid.n_steps)]
+        assert ends[r] == pytest.approx(_heun_loop(0.0, _sin2, hfun, dU, dV), rel=0, abs=1e-14)
 
 
 def test_grid_refinement_stability():
-    eps = 0.05
-    ends = []
-    for n_steps in (200, 400):
-        cfg = solvers.MultiscaleConfig(
-            f=lambda u: np.sin(u) + 2.0, h=_zero, G=H2, g=_zero,
-            H=0.6, eps=eps, x0=0.0, grid=TimeGrid(1.0, n_steps),
-        )
-        ends.append(solvers.solve_slow_fast_endpoints(cfg, 300, 37, "grid"))
+    ends = [_slow_fast(H2, 0.6, 0.05, _sin2, _zero, _zero, 300, 37, dt_ratio=ratio)
+            for ratio in (10.0, 20.0)]
     # the standard error of a difference of two means
     se = np.hypot(ends[0].std(), ends[1].std()) / np.sqrt(len(ends[0]))
     assert abs(ends[0].mean() - ends[1].mean()) < 3.0 * se
