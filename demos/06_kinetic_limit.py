@@ -16,7 +16,8 @@ for H in (0.3, 0.7):
     print(f"H={H}:")
     for eps, err in zip(scan.eps_values, scan.values):
         print(f"  eps={eps:5.2f}: sup-pair L2 error {err:.4f}")
-    print(f"  log-log slope vs eps: {-scan.slope:.3f} (theory {H})")
+    print(f"  log-log slope vs eps: {-scan.slope:.3f} (theory {H}, "
+          f"exact on these grids {-scan.meta['exact_slope']:.3f})")
     print(f"  on-grid identity defect: {scan.meta['identity_defect_max']:.2e}")
     print(f"  Hoelder-seminorm slope at gamma={scan.meta['holder_gamma']:.2f}: "
           f"{-scan.meta['holder_slope']:.3f} (theory ~{H - scan.meta['holder_gamma']:.2f})")

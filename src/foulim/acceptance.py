@@ -291,6 +291,7 @@ def crit_9_kinetic_rate(seed, suite, threads=1) -> CriterionResult:
         ci = (-hi, -lo)
         details[f"H{H}_slope"] = slope_vs_logeps
         details[f"H{H}_ci"] = ci
+        details[f"H{H}_exact_slope_vs_log_eps"] = -scan.meta["exact_slope"]
         details[f"H{H}_identity_defect"] = scan.meta["identity_defect_max"]
         passed &= harness.slope_ci_hits(ci, H)
         passed &= scan.meta["identity_defect_max"] < 1e-6

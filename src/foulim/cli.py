@@ -9,12 +9,13 @@ acceptance failure (with a machine-readable report where applicable).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
-from . import chaos, fgn, fou, harness, hermite, output, solvers
+from . import chaos, exact, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
 from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
 
@@ -227,8 +228,6 @@ def _cmd_hermite_sample(args) -> int:
 
 
 def _cmd_clt_scan(args) -> int:
-    from . import exact
-
     G = _chaos_from_args(args)
     eps_list = _parse_floats(args.eps_list)
     if args.dt_ratio == "auto":
@@ -253,11 +252,8 @@ def _cmd_clt_scan(args) -> int:
     expected = {"short_range": -1.0, "boundary": -1.0,
                 "long_range": 2.0 * scan.meta["h_star"] - 2.0}[regime]
     # the least-squares slope the exact variances make over these scales,
-    # which the scan estimates; at the boundary it is not the asymptotic -1.
-    # Written out: np.polyfit's LAPACK call adds 0.6 MB to the peak RSS
-    x = np.log(1.0 / scan.eps_values)
-    x -= x.mean()
-    exact_slope = float(np.sum(x * np.log(exact_var)) / np.sum(x * x))
+    # which the scan estimates; at the boundary it is not the asymptotic -1
+    exact_slope = exact.loglog_slope(scan.eps_values, exact_var)
     summary = {
         "regime": regime,
         "h_star": scan.meta["h_star"],
@@ -306,6 +302,8 @@ def _cmd_kinetic_scan(args) -> int:
         "slope_vs_log_eps": -scan.slope,
         "slope_ci_vs_log_eps": [-hi, -lo],
         "expected_slope": args.H,
+        # the slope the exact chain covariance gives on these grids (not gated)
+        "exact_slope_vs_log_eps": -scan.meta["exact_slope"],
         "slope_pass": harness.slope_ci_hits((-hi, -lo), args.H),
         "identity_defect_max": scan.meta["identity_defect_max"],
         "holder_slope_vs_log_eps": -scan.meta["holder_slope"],
@@ -398,7 +396,14 @@ def _add_parser(sub, command: str, func, samples: bool = False,
     return sp
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first ``main`` call and reused by later ones.
+
+    Each parse fills a new namespace from the actions' defaults, and no
+    action or default is changed after the build, so one call's options
+    never reach the next.
+    """
     p = argparse.ArgumentParser(
         prog="foulim",
         description="Sampling and Monte Carlo verification for fractional "

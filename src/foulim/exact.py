@@ -1,13 +1,28 @@
-"""Exact finite-eps variance of the time integral of G(y^eps).
+"""Exact finite-eps second moments that the Monte Carlo scans estimate.
 
-For a centred G = sum_k c_k He_k of the stationary fOU, Mehler's formula
-gives Cov(G(y_s), G(y_u)) = C(rho((u - s)/eps)), C(r) = sum_k c_k^2 k! r^k.
+The variance of the time integral of G(y^eps): for a centred
+G = sum_k c_k He_k of the stationary fOU, Mehler's formula gives
+Cov(G(y_s), G(y_u)) = C(rho((u - s)/eps)), C(r) = sum_k c_k^2 k! r^k.
 The variance of int_0^t G(y^eps) ds is then one integral over the lag in
 continuous time, and one sum over lags for the trapezoid rule on the
 grid ``harness.variance_scan`` samples: O(n) per chaos order, exact up to
 rounding (and the quadrature, in continuous time).  Their ratio is the
 relative bias of the sampled variance, which sets how coarse a grid
 ``clt-scan`` may sample on.
+
+The covariance of the kinetic scan's chain: the exponential-Euler
+recursion y_k = a y_{k-1} + dB_k, a = e^{-r}, r = dt/eps, on fGN
+increments dB of spacing dt, is a filtered stationary sequence, so its
+stationary autocovariance in eps units is the Toeplitz sum
+
+    R(L) = r^{2H} / (1 - a^2) sum_m a^{|m|} gamma_H(L + m)
+
+over the unit-spacing fGN autocovariance gamma_H.  It is r a^L / (1 - a^2)
+at H = 1/2 and tends to H Gamma(2H) rho(L r) as r -> 0.  Read at the
+reporting times by the scan's linear interpolation, it gives every
+pairwise second moment behind ``solvers.kinetic_error_scan``'s statistic
+exactly (up to the e^{-10} remainder of the scan's burn-in), and so the
+sup over pairs that the scan's sample sup estimates.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from . import fgn, fou
-from .paths import TimeGrid, as_eps, as_eps_list, as_horizon
+from .paths import TimeGrid, as_eps, as_eps_list, as_horizon, as_hurst
 
 __all__ = [
     "DT_RATIO_LADDER",
@@ -25,6 +40,11 @@ __all__ = [
     "continuous_variance",
     "bias_budget",
     "coarsest_dt_ratio",
+    "loglog_slope",
+    "reading_weights",
+    "kinetic_chain_autocovariance",
+    "kinetic_reading_covariance",
+    "kinetic_sup_errors",
 ]
 
 # the ratios eps/dt that clt-scan's --dt-ratio auto tries, coarsest first
@@ -108,3 +128,70 @@ def coarsest_dt_ratio(G, H, t: float, eps_list, budget: float,
         if met and resolved:
             break
     return ratio, var, bias, met
+
+
+def loglog_slope(eps_values, values) -> float:
+    """Least-squares slope of log(values) against log(1/eps), as a scan fits it.
+
+    Written out: np.polyfit's LAPACK call adds 0.6 MB to the peak RSS.
+    """
+    x = np.log(1.0 / np.asarray(eps_values, dtype=float))
+    x -= x.mean()
+    return float(np.sum(x * np.log(values)) / np.sum(x * x))
+
+
+def reading_weights(times, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices lo and weights w that read grid point k*dt at ``times`` linearly.
+
+    A reading is (1 - w) v[lo] + w v[lo + 1].  A time within 1e-9 steps
+    of a grid point reads that point exactly (w = 0), so on-grid reads
+    are bit-exact.
+    """
+    pos = np.asarray(times, dtype=float) / dt
+    near = np.round(pos)
+    on_grid = np.abs(pos - near) < 1e-9
+    lo = np.where(on_grid, near, np.floor(pos)).astype(int)
+    return lo, np.where(on_grid, 0.0, pos - lo)
+
+
+def kinetic_chain_autocovariance(H, r: float, n_lags: int) -> np.ndarray:
+    """R(L), L = 0..n_lags-1, of the chain y_k = e^{-r} y_{k-1} + dB_k in eps units.
+
+    The sum over m is cut where a^{|m|} < e^{-45}, far below rounding,
+    and taken as one FFT convolution (numpy's, which the fGN engine has
+    already set up, at a 5-smooth length).
+    """
+    h = as_hurst(H)
+    reach = int(np.ceil(45.0 / r))
+    kernel = np.exp(-r * np.abs(np.arange(-reach, reach + 1)))
+    gamma = fgn.fgn_autocovariance(np.arange(-reach, n_lags + reach), h)
+    size = fgn._smooth_length(len(gamma) + 2 * reach)
+    conv = np.fft.irfft(np.fft.rfft(gamma, size) * np.fft.rfft(kernel, size), size)
+    return r ** (2.0 * h) / -np.expm1(-2.0 * r) * conv[2 * reach : 2 * reach + n_lags]
+
+
+def kinetic_reading_covariance(H, eps: float, times, dt_ratio: float) -> np.ndarray:
+    """Cov of sigma * y read at ``times`` on the grid of step eps/dt_ratio, y the
+    stationary chain of ``kinetic_chain_autocovariance`` with gain eps^H.
+
+    These are the scan's eps v readings; its error X - sigma B is minus
+    their increment from t = 0.
+    """
+    e = as_eps(eps)
+    lo, w = reading_weights(times, e / dt_ratio)
+    points = np.concatenate([lo, lo + 1])
+    R = kinetic_chain_autocovariance(H, 1.0 / dt_ratio, int(points.max()) + 1)
+    read = np.hstack([np.diag(1.0 - w), np.diag(w)])
+    scale = fou.stationary_sigma(H) ** 2 * e ** (2.0 * H)
+    return scale * (read @ R[np.abs(points[:, None] - points[None, :])] @ read.T)
+
+
+def kinetic_sup_errors(H, eps_list, times, dt_ratio: float) -> np.ndarray:
+    """sup over pairs j, k of sqrt(E(d_j - d_k)^2), d the readings of X - sigma B,
+    one per eps of ``as_eps_list(eps_list)``: the target of the kinetic scan."""
+    out = []
+    for e in as_eps_list(eps_list):
+        C = kinetic_reading_covariance(H, e, times, dt_ratio)
+        d = np.diag(C)
+        out.append(np.sqrt(np.max(d[:, None] + d[None, :] - 2.0 * C)))
+    return np.array(out)

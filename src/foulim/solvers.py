@@ -16,7 +16,10 @@ Hermite process, H* > 1/2) in the long-range one, and dV = g_bar dt.
 driver drawn from its own keyed stream inside a ``run_replicated`` chunk;
 without the drift h(x) g(y) both sides take the exact flow of f at
 the driver's endpoint instead.  The kinetic scan reduces its fGN row
-block by row block, like ``harness``'s scans.
+block by row block, like ``harness``'s scans, on grids of
+eps/fou.MIN_STEPS_PER_EPS, the package's one resolution rule: the exact
+covariance of its chain (``exact.kinetic_chain_autocovariance``) shows
+that a finer grid moves the slope it fits by less than 3e-4.
 
 Scalar state only: in one dimension the rough-driver solution obeys the
 classical chain rule (the symmetric second-order lift carries no extra
@@ -32,7 +35,7 @@ import math
 
 import numpy as np
 
-from . import chaos, fgn, fou, harness, hermite
+from . import chaos, exact, fgn, fou, harness, hermite
 from .chaos import Regime
 from .harness import ScanResult, fit_loglog_slope, fsum_mean, run_replicated
 from .paths import FoulimError, TimeGrid, as_eps, as_eps_list, as_hurst
@@ -47,10 +50,10 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e8
-# kinetic_error_scan: the finest eps grid has dt = min(eps) / KINETIC_DT_RATIO,
-# and the Hoelder seminorm is taken at gamma = HOLDER_GAMMA_FACTOR * H
-KINETIC_DT_RATIO = 100.0
+# kinetic_error_scan: the Hoelder seminorm is taken at gamma = HOLDER_GAMMA_FACTOR * H,
+# and each (n_report + 1)^2 array of its pairwise reduction must fit in PAIRWISE_BYTES
 HOLDER_GAMMA_FACTOR = 0.5
+PAIRWISE_BYTES = 2**24
 
 
 class BlowUpError(FoulimError, FloatingPointError):
@@ -219,16 +222,8 @@ def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float =
 
 def _grid_reader(times: np.ndarray, dt: float):
     """A map reading values[..., k] (grid point k*dt) at ``times`` by linear
-    interpolation, its indices and weights computed once.
-
-    A time within 1e-9 steps of a grid point reads that point exactly
-    (weight 0 on its neighbour), so on-grid reads are bit-exact.
-    """
-    pos = np.asarray(times, dtype=float) / dt
-    near = np.round(pos)
-    on_grid = np.abs(pos - near) < 1e-9
-    lo = np.where(on_grid, near, np.floor(pos)).astype(int)
-    w = np.where(on_grid, 0.0, pos - lo)
+    interpolation, its indices and weights (``exact.reading_weights``) computed once."""
+    lo, w = exact.reading_weights(times, dt)
     return lambda values: ((1.0 - w) * values[..., lo]
                            + w * values[..., np.minimum(lo + 1, values.shape[-1] - 1)])
 
@@ -238,7 +233,8 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     """Convergence rate of X^eps = eps^{H-1} int_0^t y^eps ds toward sigma B^H.
 
     Couples every eps to the same underlying fBM per replica (increments
-    aggregated from one master grid of spacing min(eps)/KINETIC_DT_RATIO).
+    aggregated from one master grid of spacing min(eps)/fou.MIN_STEPS_PER_EPS,
+    so that each eps grid has dt = eps/MIN_STEPS_PER_EPS).
     The integral uses the exponential left-point rule, under which
 
         X_{s,t} - sigma B_{s,t} = -eps (v_t - v_s),   v = eps^{H-1} y,
@@ -247,9 +243,14 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     at the reporting times by linear interpolation, under which the
     identity still holds.  The reported statistic is the sup over
     reporting-grid pairs of the replica-L2 error, whose log-log slope
-    against log(1/eps) is H.  meta carries the max identity defect,
-    taken from the origin t = 0 where X - sigma B and its readings are
-    zero, and the Hoelder-seminorm slope at gamma = HOLDER_GAMMA_FACTOR*H.
+    against log(1/eps) is H.  Its exact value on these grids,
+    ``exact.kinetic_sup_errors``, is 3-5% higher at 10 steps per eps
+    than at 100, by a factor that hardly depends on eps:
+    the exact slopes at 10 and at 100 steps per eps agree within 3e-4 for
+    H in [0.05, 0.95], so a finer grid would only cost time.  meta carries
+    those exact values and their least-squares slope, the max identity
+    defect, taken from the origin t = 0 where X - sigma B and its readings
+    are zero, and the Hoelder-seminorm slope at gamma = HOLDER_GAMMA_FACTOR*H.
 
     The fGN comes from one ``fgn.StationarySampler`` built per scan (at
     its fast 5-smooth length).  Within each replica chunk its row blocks
@@ -263,19 +264,25 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     matrix is built, and every row is the same as from a whole-chunk draw.  The
     pairwise second moments come from one Gram matrix of the readings,
     and the Hoelder seminorms are taken a block of replicas at a time, so
-    no (replicas, n_report + 1, n_report + 1) array is built either.
+    no (replicas, n_report + 1, n_report + 1) array is built either.  A
+    reporting grid whose (n_report + 1)^2 pairwise arrays would exceed
+    PAIRWISE_BYTES each raises ValueError before anything is drawn.
     """
-    from scipy.signal import lfilter
-
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
     T = grid.horizon
+    report_times = grid.times()
+    n_rep = len(report_times)
+    if 8 * n_rep**2 > PAIRWISE_BYTES:
+        raise ValueError(f"{n_rep} reporting times need {8 * n_rep**2:,} bytes per "
+                         f"pairwise array, over the budget of {PAIRWISE_BYTES:,}; "
+                         "report at fewer times")
     sigma = fou.stationary_sigma(h)
     # master spacing: finest dt refined until every eps grid sits on it
-    dt_min = eps_arr[-1] / KINETIC_DT_RATIO
+    dt_min = eps_arr[-1] / fou.MIN_STEPS_PER_EPS
     for k in range(1, 101):
         dt_master = dt_min / k
-        ratios = eps_arr / KINETIC_DT_RATIO / dt_master
+        ratios = eps_arr / fou.MIN_STEPS_PER_EPS / dt_master
         if np.all(np.abs(ratios - np.round(ratios)) < 1e-9):
             break
     else:
@@ -291,8 +298,8 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
     n_total = n_burn_m + n_main_m
     sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h), n_total)
-    report_times = grid.times()
     reads = [_grid_reader(report_times, b * dt_master) for b in blocks]
+    from scipy.signal import lfilter  # 0.6 s to import: only once the scan is accepted
 
     def readings(dB):
         """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from
@@ -326,7 +333,6 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     # X_0 = B_0 = 0, so a reading taken from a shifted origin shows
     defect = np.max(np.abs(diff + (epsv - epsv[:, :, :1])))
 
-    n_rep = len(report_times)
     sup_err = np.empty(len(eps_arr))
     sup_se = np.empty(len(eps_arr))
     holder = np.empty(len(eps_arr))
@@ -357,9 +363,12 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         holder[i] = fsum_mean(semi)
     slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, sup_se)
     h_slope, h_ci = fit_loglog_slope(1.0 / eps_arr, holder, np.maximum(1e-3 * holder, 1e-12))
+    exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times, fou.MIN_STEPS_PER_EPS)
     return ScanResult(
         eps_arr, sup_err, sup_se, n_replicas, slope, ci,
         meta={
+            "exact_values": exact_err,
+            "exact_slope": exact.loglog_slope(eps_arr, exact_err),
             "identity_defect_max": float(defect),
             "holder_seminorm": holder,
             "holder_gamma": gam,

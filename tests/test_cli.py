@@ -237,6 +237,17 @@ def test_a_request_larger_than_memory_exits_2(argv, patch, monkeypatch, tmp_path
     assert not list(tmp_path.iterdir())
 
 
+def test_kinetic_scan_refuses_too_many_reporting_times_before_drawing(monkeypatch,
+                                                                       tmp_path, capsys):
+    # 100,001 reporting times would need 80 GB per pairwise array
+    monkeypatch.setattr(fgn, "StationarySampler", None)
+    assert run(["kinetic-scan", "--H", "0.7", "--n-report", "100000", "--replicas", "2",
+                "--out", str(tmp_path / "x")]) == 2
+    assert ("error: 100001 reporting times need 80,001,600,008 bytes per pairwise array"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 # the required arguments of every subcommand but verify
 REQUIRED_ARGS = {
     "sample-fbm": ["--H", "0.5"], "sample-fou": ["--H", "0.5", "--eps", "0.1"],
@@ -266,6 +277,22 @@ def test_seed_defaults_per_subcommand():
         assert parser.parse_args([command, *argv]).seed == 0, command
     assert parser.parse_args(["verify"]).seed == acceptance.MASTER_SEED
     assert parser.parse_args(["verify", "--seed", "5"]).seed == 5
+
+
+def test_successive_calls_share_one_parser_and_leak_no_options(tmp_path):
+    # the parser is built once per process; each call still starts from the defaults
+    first, second, third = (tmp_path / name for name in ("first", "second", "third"))
+    assert run(["kinetic-scan", "--H", "0.3", "--n-report", "4", "--eps-list", "0.1,0.05",
+                "--replicas", "3", "--seed", "5", "--format", "json", "--out", str(first)]) == 0
+    assert run(["rho", "--H", "0.5", "--s-max", "2", "--n-points", "3",
+                "--out", str(second)]) == 0
+    assert run(["kinetic-scan", "--H", "0.3", "--replicas", "3",
+                "--eps-list", "0.1,0.05", "--out", str(third)]) == 0
+    assert cli._build_parser.cache_info().currsize == 1
+    echoes = [output.read_config(f"{p}.config") for p in (first, second, third)]
+    assert echoes[1] == ("rho", {"H": "0.5", "format": "csv", "n_points": "3",
+                                 "s_max": "2", "seed": "0"})
+    assert echoes[2][1] == {**echoes[0][1], "format": "csv", "n_report": "50", "seed": "0"}
 
 
 @pytest.mark.parametrize("command", sorted(SAMPLING))
@@ -422,8 +449,8 @@ def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
     assert run(["kinetic-scan", "--H", "0.3", "--eps-list",
                 "0.19,0.17,0.13,0.11,0.07,0.01", "--replicas", "20",
                 "--format", "json", "--out", str(out)]) == 0
-    # 10 * 0.19 of burn-in plus T rounded up to whole 19-step blocks, dt = 1e-4
-    assert set(lengths) == {19000 + 10013}
+    # 10 * 0.19 of burn-in plus T rounded up to whole 19-step blocks, dt = 1e-3
+    assert set(lengths) == {1900 + 1007}
     doc = json.loads((tmp_path / "kin.json").read_text())
     assert doc["identity_defect_max"] < 1e-6
     assert len(doc["table"]["rows"]) == 6

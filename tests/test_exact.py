@@ -137,3 +137,46 @@ def test_trapezoid_variance_refuses_a_grid_beyond_the_embedding_cap(monkeypatch)
     with pytest.raises(fgn.SamplerInfeasibleError,
                        match="1001 steps exceed the circulant embedding cap of 1000 lags"):
         exact.trapezoid_variance(He2, 0.6, 1.0, 0.1, 100.1)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.1, 0.01])
+def test_chain_autocovariance_at_half_is_geometric(r):
+    # at H = 1/2 the increments are white, so R(L) = r a^L / (1 - a^2)
+    a = math.exp(-r)
+    L = np.arange(int(5.0 / r))
+    np.testing.assert_allclose(exact.kinetic_chain_autocovariance(0.5, r, len(L)),
+                               r * a**L / (1.0 - a * a), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.7, 0.95])
+def test_chain_autocovariance_is_the_filtered_fgn_covariance(H):
+    # y = F dB with F lower-triangular Toeplitz in a^k: Cov(y) = F Gamma F^T,
+    # whose last row, 600 steps after a zero start, is the stationary R
+    r, n = 0.1, 600
+    a = math.exp(-r)
+    F = np.tril(toeplitz(a ** np.arange(n)))
+    cov = F @ toeplitz(fgn.fgn_autocovariance(np.arange(n), H)) @ F.T * r ** (2 * H)
+    R = exact.kinetic_chain_autocovariance(H, r, 100)
+    np.testing.assert_allclose(cov[-1, -1 : -101 : -1], R, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.7, 0.95])
+def test_chain_autocovariance_tends_to_the_fou_covariance(H):
+    # as r -> 0 the chain is the fOU of unit gain, whose variance is H Gamma(2H):
+    # R(L) -> H Gamma(2H) rho(L r), at first order in r
+    var = H * math.gamma(2 * H)
+    for r in (1e-2, 1e-3):
+        L = np.arange(int(5.0 / r))
+        err = exact.kinetic_chain_autocovariance(H, r, len(L)) - var * fou.rho(L * r, H)
+        assert np.max(np.abs(err)) < 1.1 * r * var
+
+
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_kinetic_exact_slope_is_the_same_at_ten_and_a_hundred_steps_per_eps(H):
+    # the finer grid raises the level by a nearly constant factor, not the slope
+    eps_list = [0.1, 0.05, 0.02, 0.01]
+    times = TimeGrid(1.0, 50).times()
+    errs = [exact.kinetic_sup_errors(H, eps_list, times, ratio) for ratio in (10.0, 100.0)]
+    slopes = [exact.loglog_slope(eps_list, e) for e in errs]
+    assert abs(slopes[0] - slopes[1]) <= 1e-3
+    assert np.all((errs[0] / errs[1] > 1.0) & (errs[0] / errs[1] < 1.05))

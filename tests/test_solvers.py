@@ -7,7 +7,7 @@ import pytest
 from scipy.signal import lfilter
 
 from conftest import fbm_paths, stream
-from foulim import acceptance, chaos, fgn, fou, harness, solvers
+from foulim import acceptance, chaos, exact, fgn, fou, harness, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import FoulimError, TimeGrid
 from foulim.streams import keys
@@ -508,7 +508,7 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="pr
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     sigma = fou.stationary_sigma(H)
-    dt_ratio = solvers.KINETIC_DT_RATIO
+    dt_ratio = fou.MIN_STEPS_PER_EPS
     dt_min = eps_arr[-1] / dt_ratio
     for k in range(1, 101):
         dt_master = dt_min / k
@@ -589,6 +589,31 @@ def test_streamed_kinetic_scan_matches_whole_chunk_reference(eps_list, monkeypat
     assert scans[0].meta["identity_defect_max"] < 1e-6
 
 
+def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
+    # the scan and its whole-chunk reference both take dt = eps / MIN_STEPS_PER_EPS
+    monkeypatch.setattr(fou, "MIN_STEPS_PER_EPS", 20.0)
+    lengths, captured = [], []
+    sampler, run = fgn.StationarySampler, solvers.run_replicated
+
+    class Spy(sampler):
+        def __init__(self, acov, n):
+            lengths.append(n)
+            super().__init__(acov, n)
+
+    def spy(*args, **kwargs):
+        captured.append(run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(fgn, "StationarySampler", Spy)
+    monkeypatch.setattr(solvers, "run_replicated", spy)
+    grid, eps_list = TimeGrid(1.0, 20), [0.1, 0.05]
+    ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 20, 45)
+    solvers.kinetic_error_scan(0.7, eps_list, grid, 20, 45)
+    # 10 * 0.1 of burn-in and a unit horizon at dt = 0.05 / 20
+    assert lengths == [800, 800]
+    np.testing.assert_array_equal(captured[0], ref)
+
+
 @pytest.mark.parametrize("eps_list", KINETIC_EPS_LISTS)
 def test_prefix_sum_readings_match_block_sums(eps_list):
     # the scan's prefix-sum readings against block sums by reshape, on the
@@ -602,16 +627,17 @@ def test_prefix_sum_readings_match_block_sums(eps_list):
 
 
 def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
-    # one 250-replica chunk of 20,000-step fGN is 40 MB, and the
-    # whole-chunk reduction held about a dozen arrays of that size
-    # (221 MB traced at 400 replicas); streamed, only row blocks are held
+    # one 250-replica chunk of 2,000-step fGN is 4 MB, and the whole-chunk
+    # reduction held about a dozen arrays of that size (221 MB traced at
+    # 400 replicas on the 20,000-step grid of 100 steps per eps); streamed,
+    # only row blocks are held (5.3 MB traced)
     tracemalloc.start()
     try:
         solvers.kinetic_error_scan(0.7, [0.1, 0.05, 0.02, 0.01], TimeGrid(1.0, 50), 400, 3)
         peak = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    assert peak < 40.0
+    assert peak < 12.0
 
 
 def _pairwise_statistics(data, times, h):
@@ -644,6 +670,40 @@ def test_kinetic_scan_statistics_match_the_pairwise_formula(H, monkeypatch):
     sup, holder = _pairwise_statistics(captured[0], grid.times(), H)
     np.testing.assert_allclose(scan.values, sup, rtol=1e-10, atol=0)
     np.testing.assert_allclose(scan.meta["holder_seminorm"], holder, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_kinetic_scan_readings_have_the_exact_chain_covariance(H, monkeypatch):
+    # every second moment of the eps v readings, a mean of products whose SE
+    # comes from those products, against exact.kinetic_reading_covariance
+    grid, eps_list = TimeGrid(1.0, 10), [0.1, 0.05, 0.02, 0.01]
+    captured = []
+    run = solvers.run_replicated
+
+    def spy(*args, **kwargs):
+        captured.append(run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(solvers, "run_replicated", spy)
+    scan = solvers.kinetic_error_scan(H, eps_list, grid, 1000, 6)
+    for i, eps in enumerate(eps_list):
+        v = captured[0][:, i, 1, :]
+        prod = v[:, :, None] * v[:, None, :]
+        se = prod.std(axis=0, ddof=1) / np.sqrt(len(v))
+        cov = exact.kinetic_reading_covariance(H, eps, grid.times(), fou.MIN_STEPS_PER_EPS)
+        assert np.max(np.abs(prod.mean(axis=0) - cov) / se) < 4.0, eps
+    np.testing.assert_allclose(
+        scan.meta["exact_values"],
+        exact.kinetic_sup_errors(H, eps_list, grid.times(), fou.MIN_STEPS_PER_EPS), rtol=0)
+    assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, scan.meta["exact_values"])
+
+
+def test_kinetic_scan_refuses_a_reporting_grid_over_the_pairwise_budget(monkeypatch):
+    # the (n_report + 1)^2 arrays are checked before the sampler is built
+    monkeypatch.setattr(fgn, "StationarySampler", None)
+    n_report = int(np.sqrt(solvers.PAIRWISE_BYTES / 8))  # 1448 at 16 MiB
+    with pytest.raises(ValueError, match="1449 reporting times need 16,796,808 bytes"):
+        solvers.kinetic_error_scan(0.7, [0.1], TimeGrid(1.0, n_report), 2, 0)
 
 
 def test_kinetic_scan_reduction_memory_does_not_grow_with_replicas():
