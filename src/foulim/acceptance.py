@@ -315,12 +315,12 @@ def _inverse_flow_sin2(x) -> np.ndarray:
     )
 
 
-def _driver_moment_zscores(x, H, eps) -> dict:
+def _driver_moment_zscores(x, H, eps, dt_ratio) -> dict:
     """z-scores of the driver u = phi^{-1}(x_1) against its exact finite-eps moments.
 
     With h = 0 the slow equation is solved by x_t = phi(u_t), u_t the trapezoid sum
-    of alpha He_2(y^eps) at dt = eps/50, so E u_1 = 0 and Var u_1 = V_eps exactly at
-    every eps, V_eps alpha^2 times ``exact.trapezoid_variance`` of that grid; this
+    of alpha He_2(y^eps) at dt = eps/dt_ratio, so E u_1 = 0 and Var u_1 = V_eps exactly
+    at every eps, V_eps alpha^2 times ``exact.trapezoid_variance`` of that grid; this
     checks the sampler and the flow.
     The variance is in units of its influence-function standard error.
     """
@@ -330,7 +330,7 @@ def _driver_moment_zscores(x, H, eps) -> dict:
     var = harness.fsum_variance(u)
     se_var = harness.variance_stderr(u)
     alpha = chaos.classify_regime(2, H).alpha(eps)
-    v_eps = alpha**2 * exact.trapezoid_variance(H2, H, 1.0, eps, 50.0)
+    v_eps = alpha**2 * exact.trapezoid_variance(H2, H, 1.0, eps, dt_ratio)
     return {
         "mean_z": float(mean / np.sqrt(var / n)),
         "var": var,
@@ -345,9 +345,11 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # N = 2000 can resolve (long range: Var u = V_eps = 3.876 at eps 0.02 and
     # 3.968 at 0.01, against the limit c^2 = 4.239).  So at each eps the
     # driver u = phi^{-1}(x_1), the endpoints' trapezoid driver, is checked
-    # against its exact finite-eps mean and variance; the limit-law KS
-    # p-values are reported.
+    # against its exact finite-eps mean and variance on the grid that
+    # ``exact.coarsest_dt_ratio`` picks for n_rep (eps/10 throughout); the
+    # limit-law KS p-values are reported.
     n_rep = 2000 if suite == "full" else 600
+    budget = exact.bias_budget(n_rep)
     f = lambda x: np.sin(x) + 2.0
     details = {"c_short_range": chaos.c_constant(H2, 0.6),
                "c_long_range": chaos.c_constant(H2, 0.85)}
@@ -356,10 +358,12 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     for k, eps in enumerate((0.02, 0.01)):
         s = seed + 10 * k
         for label, H, offset in (("short_range", 0.6, 0), ("long_range", 0.85, 1)):
+            ratio = exact.coarsest_dt_ratio(H2, H, 1.0, [eps], budget)[0]
             x, lim = solvers.homogenize(H2, H, eps, f, None, None, n_rep, s + offset,
-                                        threads=threads)
+                                        dt_ratio=ratio, threads=threads)
+            details[f"{label}_dt_ratio_eps{eps}"] = ratio
             details[f"{label}_ks_pvalue_eps{eps}"] = float(stats.ks_2samp(x, lim).pvalue)
-            for key, val in _driver_moment_zscores(x, H, eps).items():
+            for key, val in _driver_moment_zscores(x, H, eps, ratio).items():
                 details[f"{label}_{key}_eps{eps}"] = val
             passed &= (abs(details[f"{label}_mean_z_eps{eps}"]) <= 3.0
                        and abs(details[f"{label}_var_z_eps{eps}"]) <= 3.0)

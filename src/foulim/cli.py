@@ -80,7 +80,7 @@ def _default_threads() -> int:
 
 
 def _dt_ratio_arg(text: str):
-    """clt-scan's --dt-ratio: "auto" or a number (its range is checked by _check_dt_ratio)."""
+    """--dt-ratio: "auto" or a number (its range is checked by _dt_ratio_summary)."""
     if text == "auto":
         return text
     try:
@@ -89,9 +89,29 @@ def _dt_ratio_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
 
 
-def _check_dt_ratio(dt_ratio: float) -> None:
-    if not 0.0 < dt_ratio < np.inf:
-        raise ValueError(f"--dt-ratio must be positive and finite, got {dt_ratio}")
+_DT_RATIO_HELP = ("eps/dt, or auto: the coarsest of 10, 20, 50, 100, 200, 400 whose exact "
+                  "trapezoid bias is within a tenth of the variance's relative SE")
+
+
+def _dt_ratio_summary(args, G, eps_list) -> tuple[dict, np.ndarray]:
+    """The ratio eps/dt a run samples at, and the exact trapezoid variances there.
+
+    --dt-ratio auto takes ``exact.coarsest_dt_ratio`` over DT_RATIO_LADDER
+    at ``exact.bias_budget(--replicas)``; a number is taken as it is.  The
+    dict is the summary's dt_ratio, trapezoid_bias (one per eps),
+    bias_budget and bias_budget_met.
+    """
+    if args.dt_ratio == "auto":
+        ratios = exact.DT_RATIO_LADDER
+    else:
+        if not 0.0 < args.dt_ratio < np.inf:
+            raise ValueError(f"--dt-ratio must be positive and finite, got {args.dt_ratio}")
+        ratios = (args.dt_ratio,)
+    budget = exact.bias_budget(args.replicas)
+    dt_ratio, var, bias, met = exact.coarsest_dt_ratio(G, args.H, args.t, eps_list, budget,
+                                                       ratios)
+    return {"dt_ratio": dt_ratio, "trapezoid_bias": bias, "bias_budget": budget,
+            "bias_budget_met": met}, var
 
 
 # what the config echo leaves out of the parsed namespace: the subcommand,
@@ -230,17 +250,10 @@ def _cmd_hermite_sample(args) -> int:
 def _cmd_clt_scan(args) -> int:
     G = _chaos_from_args(args)
     eps_list = _parse_floats(args.eps_list)
-    if args.dt_ratio == "auto":
-        ratios = exact.DT_RATIO_LADDER
-    else:
-        _check_dt_ratio(args.dt_ratio)
-        ratios = (args.dt_ratio,)
-    budget = exact.bias_budget(args.replicas)
-    dt_ratio, exact_var, bias, met = exact.coarsest_dt_ratio(
-        G, args.H, args.t, eps_list, budget, ratios)
+    resolution, exact_var = _dt_ratio_summary(args, G, eps_list)
     scan = harness.variance_scan(
         G, args.H, args.t, eps_list, args.replicas, args.seed,
-        dt_ratio=dt_ratio, threads=args.threads,
+        dt_ratio=resolution["dt_ratio"], threads=args.threads,
     )
     if args.replicas >= 1000:
         # the scan's own raw integrals at the finest eps, scaled by alpha there
@@ -257,10 +270,7 @@ def _cmd_clt_scan(args) -> int:
     summary = {
         "regime": regime,
         "h_star": scan.meta["h_star"],
-        "dt_ratio": dt_ratio,
-        "trapezoid_bias": bias,
-        "bias_budget": budget,
-        "bias_budget_met": met,
+        **resolution,
         "slope_vs_log_inv_eps": scan.slope,
         "slope_ci": list(scan.slope_ci),
         "expected_slope": expected,
@@ -322,16 +332,17 @@ def _cmd_homogenize(args) -> int:
     g = None if args.gfun == "zero" else _G_PRESETS[args.gfun]
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
-    _check_dt_ratio(args.dt_ratio)
+    resolution, _ = _dt_ratio_summary(args, G, [args.eps])
     endpoints, limit = solvers.homogenize(
         G, args.H, args.eps, _F_PRESETS[args.f], h, g, args.replicas, args.seed,
-        args.t, args.x0, args.dt_ratio, args.threads,
+        args.t, args.x0, resolution["dt_ratio"], args.threads,
     )
     ks = _stats.ks_2samp(endpoints, limit)
     summary = {
         "regime": chaos.classify_regime(G.hermite_rank, args.H).kind.value,
         "c": chaos.c_constant(G, args.H),
         "g_bar": chaos.gaussian_expectation(_G_PRESETS[args.gfun]),
+        **resolution,
         "ks_statistic": float(ks.statistic),
         "ks_pvalue": float(ks.pvalue),
         "pass": bool(ks.pvalue > 0.01),
@@ -448,9 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02")
-    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto",
-                    help="eps/dt, or auto: the coarsest of 10, 20, 50, 100, 200, 400 whose "
-                         "exact trapezoid bias is within a tenth of the variance's relative SE")
+    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
 
     sp = _add_parser(sub, "l2-hermite", _cmd_l2_hermite, samples=True)
     sp.add_argument("--H", type=float, required=True)
@@ -473,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", choices=sorted(_F_PRESETS), default="sin2")
     sp.add_argument("--hfun", choices=sorted(_F_PRESETS), default="zero")
     sp.add_argument("--gfun", choices=sorted(_G_PRESETS), default="zero")
-    sp.add_argument("--dt-ratio", type=float, default=50.0)
+    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
 
     # the gate runs from the pinned suite seed unless explicitly overridden
     sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED)

@@ -8,7 +8,7 @@ continuous time, and one sum over lags for the trapezoid rule on the
 grid ``harness.variance_scan`` samples: O(n) per chaos order, exact up to
 rounding (and the quadrature, in continuous time).  Their ratio is the
 relative bias of the sampled variance, which sets how coarse a grid
-``clt-scan`` may sample on.
+``clt-scan`` and ``homogenize`` may sample on.
 
 The covariance of the kinetic scan's chain: the exponential-Euler
 recursion y_k = a y_{k-1} + dB_k, a = e^{-r}, r = dt/eps, on fGN
@@ -47,7 +47,7 @@ __all__ = [
     "kinetic_sup_errors",
 ]
 
-# the ratios eps/dt that clt-scan's --dt-ratio auto tries, coarsest first
+# the ratios eps/dt that --dt-ratio auto (clt-scan, homogenize) tries, coarsest first
 DT_RATIO_LADDER = (10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
 
 
@@ -116,13 +116,15 @@ def coarsest_dt_ratio(G, H, t: float, eps_list, budget: float,
     break at 10).  When none does, the last ratio is taken.  Returns the
     ratio, the exact trapezoid variances there (one per eps of
     ``as_eps_list(eps_list)``), their relative biases against
-    ``continuous_variance`` and whether every |bias| is within budget.
+    ``continuous_variance`` (0 where that is 0) and whether every |bias|
+    is within budget.
     """
     eps_arr = as_eps_list(eps_list)
     target = np.array([continuous_variance(G, H, t, e) for e in eps_arr])
     for ratio in ratios:
         var = np.array([trapezoid_variance(G, H, t, e, ratio) for e in eps_arr])
-        bias = var / target - 1.0
+        # a variance that underflows to 0 (a horizon such as 1e-300) has no bias
+        bias = np.divide(var, target, out=np.ones_like(var), where=target != 0.0) - 1.0
         met = bool(np.max(np.abs(bias)) <= budget)
         resolved = all(fou._resolves(TimeGrid.with_step(t, e / ratio).dt, e) for e in eps_arr)
         if met and resolved:

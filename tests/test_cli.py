@@ -533,6 +533,38 @@ def test_clt_scan_dt_ratio_that_is_no_number_is_a_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_homogenize_auto_dt_ratio_takes_the_coarsest_rung(tmp_path):
+    out = tmp_path / "hom"
+    assert run(["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "600",
+                "--seed", "3", "--format", "json", "--out", str(out)]) in (0, 2)
+    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert doc["dt_ratio"] == 10.0 and doc["bias_budget_met"] is True
+    assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 599))
+    assert len(doc["trapezoid_bias"]) == 1
+    assert 0.0 < doc["trapezoid_bias"][0] <= doc["bias_budget"]
+    assert "dt_ratio = auto" in (tmp_path / "hom.config").read_text()
+
+
+def test_homogenize_explicit_dt_ratio_keeps_its_meaning(tmp_path):
+    out = tmp_path / "hom"
+    assert run(["homogenize", "--H", "0.85", "--coeffs", "0,0,1", "--replicas", "40",
+                "--seed", "6", "--dt-ratio", "50", "--format", "json",
+                "--out", str(out)]) in (0, 2)
+    x, _ = solvers.homogenize(ChaosFunction([0, 0, 1]), 0.85, 0.02, cli._F_PRESETS["sin2"],
+                              None, None, 40, 6, dt_ratio=50)
+    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert [r[1] for r in doc["table"]["rows"]] == [output.fmt(v) for v in x]
+    assert doc["dt_ratio"] == 50.0
+
+
+def test_homogenize_dt_ratio_that_is_no_number_is_a_usage_error(tmp_path, capsys):
+    argv = ["homogenize", *REQUIRED_ARGS["homogenize"], "--replicas", "2", "--dt-ratio",
+            "bogus", "--out", str(tmp_path / "x")]
+    assert run(argv) == 1
+    assert "expected 'auto' or a number, got 'bogus'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_echo_contents(tmp_path):
     out = tmp_path / "echo"
     assert run(["rho", "--H", "0.6", "--s-max", "1.0", "--n-points", "3",
@@ -696,7 +728,7 @@ CONFIG_SPACES = {
                    "--f": st.sampled_from(sorted(cli._F_PRESETS)),
                    "--hfun": st.sampled_from(sorted(cli._F_PRESETS)),
                    "--gfun": st.sampled_from(sorted(cli._G_PRESETS)),
-                   "--dt-ratio": _float(20, 40)},
+                   "--dt-ratio": st.one_of(st.just("auto"), _float(20, 40))},
 }
 
 

@@ -436,6 +436,48 @@ def test_slow_fast_solver_matches_per_stage_evaluation(hfun, gfun):
         assert ends[r] == pytest.approx(_heun_loop(0.0, _sin2, hfun, dU, dV), rel=0, abs=1e-14)
 
 
+def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
+    ratios = []
+    slow_fast = solvers._slow_fast_endpoints
+
+    def spy(*args):
+        ratios.append(args[10])
+        return slow_fast(*args)
+
+    monkeypatch.setattr(solvers, "_slow_fast_endpoints", spy)
+    solvers.homogenize(H2, 0.85, 0.02, _sin2, None, None, 40, 2)
+    solvers.homogenize(H2, 0.05, 0.02, _sin2, None, None, 40, 2, t=0.1)
+    assert ratios == [10.0, exact.coarsest_dt_ratio(H2, 0.05, 0.1, [0.02],
+                                                    exact.bias_budget(40))[0]]
+    assert ratios[1] > 10.0
+
+
+@pytest.mark.parametrize("H", [0.6, 0.85])
+@pytest.mark.parametrize("hfun", [_one, _sin2], ids=["one", "sin2"])
+def test_heun_error_with_drift_at_the_auto_ratio_fits_the_bias_budget(monkeypatch, H, hfun):
+    # each trapezoid step stepped as it is and again on 8 equal substeps: the
+    # driver is piecewise linear, so the substep solve is the same driver
+    # solved more accurately.  At 600 replicas the relative variance gap
+    # (1.0e-3 to 1.2e-3 at H 0.6, 1.8e-4 to 2.1e-4 at 0.85) plus the exact
+    # trapezoid bias of the grid fits bias_budget(600) = 5.8e-3; the gap alone
+    # would exceed the budget beyond about 13,000 replicas at H 0.6 and
+    # 470,000 at H 0.85
+    eps, n = 0.02, 600
+    budget = exact.bias_budget(n)
+    ratio, _, bias, _ = exact.coarsest_dt_ratio(H2, H, 1.0, [eps], budget)
+    assert ratio == 10.0
+    heun, fine = solvers.solve_limit_stratonovich, []
+
+    def both(x0, f, h, dU, dV):
+        fine.append(heun(x0, f, h, np.repeat(dU / 8, 8, axis=0), np.repeat(dV / 8, 8, axis=0)))
+        return heun(x0, f, h, dU, dV)
+
+    monkeypatch.setattr(solvers, "solve_limit_stratonovich", both)
+    coarse = _slow_fast(H2, H, eps, _sin2, hfun, np.cos, n, 41, dt_ratio=ratio)
+    gap = abs(np.var(coarse) / np.var(np.concatenate(fine)) - 1.0)
+    assert gap + abs(bias[0]) <= budget
+
+
 def test_grid_refinement_stability():
     ends = [_slow_fast(H2, 0.6, 0.05, _sin2, _zero, _zero, 300, 37, dt_ratio=ratio)
             for ratio in (10.0, 20.0)]
