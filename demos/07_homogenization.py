@@ -9,7 +9,7 @@ are the flow of f: the limit's at the driver endpoint, the slow/fast
 system's at the trapezoid integral of alpha G(y^eps).  With a drift
 h(x) g(y) both sides are solved by one Heun scheme, dx = f(x) dU + h(x) dV.
 The fOU is sampled on the coarsest grid whose exact trapezoid bias fits
-the run's replica count (``exact.coarsest_dt_ratio``): dt = eps/10 here.
+the run's replica count (``exact.resolve_dt_ratio``): dt = eps/10 here.
 """
 
 import numpy as np

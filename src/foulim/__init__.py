@@ -11,8 +11,8 @@ Subpackages by responsibility:
 - chaos: Hermite expansions, scaling regimes, limit constants
 - hermite: Hermite processes (fBM, Rosenblatt, ...) and the Wiener
   kernel of the fOU
-- exact: exact finite-eps variances of the time integral of G(y^eps)
-  (loaded by ``clt-scan``, not here)
+- exact: the exact finite-eps variance and law of the time integral of
+  G(y^eps), and the one grid rule of its samplers (loaded by ``harness``)
 - harness: replica ensembles, the only caller of ``streams.keys``;
   variance scans, log-log slopes, distributional diagnostics
 - solvers: one Heun solver for the slow/fast system and its limit equation,

@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import stats
 
 from . import chaos, exact, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
@@ -105,15 +105,22 @@ def crit_4_scaling_regimes(seed, suite, threads=1) -> CriterionResult:
     else:
         n_rep, eps_list = 2000, [0.1, 0.05, 0.02]
     details = {}
-    sr = harness.variance_scan(H2, 0.6, 1.0, eps_list, n_rep, seed, threads=threads)
-    details["short_range_slope"] = sr.slope
-    details["short_range_ci"] = sr.slope_ci
+    scans = []
+    for k, (label, G, H) in enumerate((("short_range", H2, 0.6), ("long_range", H1, 0.8),
+                                       ("boundary", H2, 0.75))):
+        scan = harness.variance_scan(G, H, 1.0, eps_list, n_rep, seed + k, threads=threads)
+        # the slope's z against the exact finite-eps one, with the CI's
+        # half-width / 1.96 as its SE: reported, not gated
+        lo, hi = scan.slope_ci
+        z = (scan.slope - scan.meta["exact_slope"]) * 2.0 * stats.norm.ppf(0.975) / (hi - lo)
+        details.update({f"{label}_slope": scan.slope, f"{label}_ci": scan.slope_ci,
+                        f"{label}_exact_slope": scan.meta["exact_slope"],
+                        f"{label}_exact_slope_z": z,
+                        f"{label}_dt_ratio": scan.meta["resolution"]["dt_ratio"]})
+        scans.append(scan)
+    sr, lr, bd = scans
     ok_sr = harness.slope_ci_hits(sr.slope_ci, -1.0)
-    lr = harness.variance_scan(H1, 0.8, 1.0, eps_list, n_rep, seed + 1, threads=threads)
-    details["long_range_slope"] = lr.slope
-    details["long_range_ci"] = lr.slope_ci
     ok_lr = harness.slope_ci_hits(lr.slope_ci, 2 * 0.8 - 2.0)
-    bd = harness.variance_scan(H2, 0.75, 1.0, eps_list, n_rep, seed + 2, threads=threads)
     # flatness asserted on the scale the integral lemma bounds (the square
     # root of the double correlation integral); the variance-scale ratio
     # carries a genuine ~2/|ln eps| sub-leading term that puts it right at
@@ -125,76 +132,57 @@ def crit_4_scaling_regimes(seed, suite, threads=1) -> CriterionResult:
     return CriterionResult(4, "variance scaling regimes", passed, details)
 
 
-def _short_range_samples(seed, suite, threads, ctx) -> np.ndarray:
+def _short_range_samples(seed, suite, threads, ctx) -> tuple[np.ndarray, float, float]:
+    """The integrals of alpha He_2(y^eps) at H 0.6 of criteria 5 and 6, their eps and ratio."""
     key = ("sr_samples", suite)
     if key not in ctx:
         n_rep = 10_000 if suite == "full" else 2500
         eps = 0.005 if suite == "full" else 0.01
+        ratio = exact.resolve_dt_ratio(H2, 0.6, 1.0, [eps], n_rep)[0]["dt_ratio"]
         alpha = chaos.classify_regime(2, 0.6).alpha(eps)
-        ctx[key] = harness._fou_endpoint_samples(
-            H2, 0.6, 1.0, eps, n_rep, seed, "acc5", 100.0, alpha, threads,
-        )
-        ctx[key + ("eps",)] = eps
+        x = harness._fou_endpoint_samples(H2, 0.6, 1.0, eps, n_rep, seed, "acc5", ratio, alpha,
+                                          threads)
+        ctx[key] = x, eps, ratio
     return ctx[key]
 
 
 def crit_5_limit_covariance(seed, suite, threads=1, ctx=None) -> CriterionResult:
     ctx = {} if ctx is None else ctx
-    x = _short_range_samples(seed, suite, threads, ctx)
+    x, eps, ratio = _short_range_samples(seed, suite, threads, ctx)
     A, _ = chaos.limit_covariance_A(H2, H2, 0.6)
     var = harness.fsum_variance(x)
-    details = {"var_X": var, "2A": 2 * A, "ratio": var / (2 * A),
-               "eps": ctx[("sr_samples", suite, "eps")]}
+    details = {"var_X": var, "2A": 2 * A, "ratio": var / (2 * A), "eps": eps, "dt_ratio": ratio}
     passed = abs(var / (2 * A) - 1.0) <= 0.10
     return CriterionResult(5, "Wiener limit covariance 2A", passed, details)
 
 
-def _he2_integral_kurtosis(H, eps, dt_ratio=10.0) -> float:
-    """Exact excess kurtosis of int_0^1 He_2(y^eps_s) ds at a fixed eps.
-
-    The trapezoid sum Q = sum_i w_i He_2(y_i) is a centred Gaussian
-    quadratic form; with M = W^{1/2} R W^{1/2}, R_ij = rho((t_i - t_j)/eps)
-    and W the trapezoid weights, its excess kurtosis is
-    12 tr(M^4) / tr(M^2)^2.  At dt = eps/10 it is within 2e-4 of dt = eps/20.
-    """
-    grid = TimeGrid.with_step(1.0, eps / dt_ratio)
-    n, dt = grid.n_steps, grid.dt
-    w = np.full(n + 1, dt)
-    w[[0, -1]] = dt / 2.0
-    sw = np.sqrt(w)
-    M = sw[:, None] * linalg.toeplitz(fou.rho(np.arange(n + 1) * dt / eps, H)) * sw
-    M2 = M @ M
-    return float(12.0 * np.sum(M2 * M2) / np.sum(M * M) ** 2)
-
-
 def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
     ctx = {} if ctx is None else ctx
-    x = _short_range_samples(seed, suite, threads, ctx)
-    diag = harness.clt_diagnostics(x)
-    # the short-range limit is Gaussian, but at a fixed eps the integral
-    # still has the exact excess kurtosis kappa_eps (0.584 at eps = 0.01,
-    # 0.308 at 0.005): the estimate is gated on it, and the decrease
-    # along eps is the Gaussianization
-    eps_sr = ctx[("sr_samples", suite, "eps")]
-    kappa = {e: _he2_integral_kurtosis(0.6, e) for e in (0.01, 0.005)}
+    x, eps_sr, ratio = _short_range_samples(seed, suite, threads, ctx)
+    kurt, se_infl = harness.excess_kurtosis_with_se(x)
+    # the limit is Gaussian, but at a fixed eps the integral is a quadratic form
+    # with an exact excess kurtosis (0.584 at eps 0.01, 0.308 at 0.005) and SE of
+    # its estimate, which gate it; the decrease along eps is the Gaussianization
+    law = {e: exact.quadratic_form_kurtosis(exact.he2_trapezoid_spectrum(0.6, 1.0, e, ratio),
+                                            len(x))[1:] for e in (0.01, 0.005)}
+    kappa, se = law[eps_sr]
     details = {
-        "short_range_kurtosis": diag["excess_kurtosis"],
-        "short_range_kurtosis_se": diag["se_excess_kurtosis"],
-        "short_range_kurtosis_z": (diag["excess_kurtosis"] - kappa[eps_sr])
-                                  / diag["se_excess_kurtosis"],
-        "exact_kurtosis_eps0.01": kappa[0.01],
-        "exact_kurtosis_eps0.005": kappa[0.005],
+        "short_range_kurtosis": kurt,
+        "short_range_kurtosis_se": se,
+        "short_range_kurtosis_se_influence": se_infl,
+        "short_range_kurtosis_z": (kurt - kappa) / se,
+        "exact_kurtosis_eps0.01": law[0.01][0],
+        "exact_kurtosis_eps0.005": law[0.005][0],
+        "short_range_dt_ratio": ratio,
     }
-    ok_sr = abs(details["short_range_kurtosis_z"]) <= 3.0 and kappa[0.005] < kappa[0.01]
+    ok_sr = abs(details["short_range_kurtosis_z"]) <= 3.0 and law[0.005][0] < law[0.01][0]
 
-    n_rep = 10_000 if suite == "full" else 2500
-    eps = 0.02
-    H = 0.85
+    n_rep, H, eps = (10_000 if suite == "full" else 2500), 0.85, 0.02
     hs = chaos.h_star(2, H)  # 0.7
     alpha = chaos.classify_regime(2, H).alpha(eps)
-    x_lr = harness._fou_endpoint_samples(
-        H2, H, 1.0, eps, n_rep, seed + 1, "acc6", 50.0, alpha, threads,
-    )
+    ratio = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n_rep)[0]["dt_ratio"]
+    x_lr = harness._fou_endpoint_samples(H2, H, 1.0, eps, n_rep, seed + 1, "acc6", ratio, alpha,
+                                         threads)
     kurt_x, se_x = harness.excess_kurtosis_with_se(x_lr)
 
     engine = hermite.HermiteEngine(TimeGrid(1.0, 200), hs, 2)
@@ -205,8 +193,11 @@ def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
     se = np.hypot(se_x, se_z)
     details.update({
         "rosenblatt_kurtosis_integral": kurt_x,
+        "rosenblatt_kurtosis_integral_exact": exact.quadratic_form_kurtosis(
+            exact.he2_trapezoid_spectrum(H, 1.0, eps, ratio), n_rep)[1],
         "rosenblatt_kurtosis_direct": kurt_z,
         "match_se": se,
+        "rosenblatt_dt_ratio": ratio,
     })
     ok_lr = kurt_x > 0.3 and abs(kurt_x - kurt_z) <= 3.0 * se
     return CriterionResult(6, "Gaussian vs non-Gaussian limit shape",
@@ -315,14 +306,13 @@ def _inverse_flow_sin2(x) -> np.ndarray:
     )
 
 
-def _driver_moment_zscores(x, H, eps, dt_ratio) -> dict:
+def _driver_moment_zscores(x, H, eps, trapezoid_var) -> dict:
     """z-scores of the driver u = phi^{-1}(x_1) against its exact finite-eps moments.
 
-    With h = 0 the slow equation is solved by x_t = phi(u_t), u_t the trapezoid sum
-    of alpha He_2(y^eps) at dt = eps/dt_ratio, so E u_1 = 0 and Var u_1 = V_eps exactly
-    at every eps, V_eps alpha^2 times ``exact.trapezoid_variance`` of that grid; this
-    checks the sampler and the flow.
-    The variance is in units of its influence-function standard error.
+    With h = 0 the slow equation is solved by x_t = phi(u_t), u_t the trapezoid sum of
+    alpha He_2(y^eps), so E u_1 = 0 and Var u_1 = V_eps = alpha^2 ``trapezoid_var`` exactly
+    at every eps: this checks the sampler and the flow.  The variance is in units of
+    its influence-function standard error.
     """
     u = _inverse_flow_sin2(x)
     n = len(u)
@@ -330,7 +320,7 @@ def _driver_moment_zscores(x, H, eps, dt_ratio) -> dict:
     var = harness.fsum_variance(u)
     se_var = harness.variance_stderr(u)
     alpha = chaos.classify_regime(2, H).alpha(eps)
-    v_eps = alpha**2 * exact.trapezoid_variance(H2, H, 1.0, eps, dt_ratio)
+    v_eps = alpha**2 * trapezoid_var
     return {
         "mean_z": float(mean / np.sqrt(var / n)),
         "var": var,
@@ -341,15 +331,13 @@ def _driver_moment_zscores(x, H, eps, dt_ratio) -> dict:
 
 def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # The theorem is a limit in law as eps -> 0 and promises nothing at a
-    # fixed eps, and at both pinned eps the finite-eps gap is one that
-    # N = 2000 can resolve (long range: Var u = V_eps = 3.876 at eps 0.02 and
-    # 3.968 at 0.01, against the limit c^2 = 4.239).  So at each eps the
-    # driver u = phi^{-1}(x_1), the endpoints' trapezoid driver, is checked
-    # against its exact finite-eps mean and variance on the grid that
-    # ``exact.coarsest_dt_ratio`` picks for n_rep (eps/10 throughout); the
-    # limit-law KS p-values are reported.
+    # fixed eps, where N = 2000 resolves the finite-eps gap (long range:
+    # Var u = V_eps = 3.876 at eps 0.02 and 3.968 at 0.01, against the limit
+    # c^2 = 4.239).  So at each eps the driver u = phi^{-1}(x_1) is checked
+    # against its exact mean and variance on the grid of
+    # ``exact.resolve_dt_ratio`` (eps/10 throughout); the limit-law KS
+    # p-values are reported.
     n_rep = 2000 if suite == "full" else 600
-    budget = exact.bias_budget(n_rep)
     f = lambda x: np.sin(x) + 2.0
     details = {"c_short_range": chaos.c_constant(H2, 0.6),
                "c_long_range": chaos.c_constant(H2, 0.85)}
@@ -358,12 +346,13 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     for k, eps in enumerate((0.02, 0.01)):
         s = seed + 10 * k
         for label, H, offset in (("short_range", 0.6, 0), ("long_range", 0.85, 1)):
-            ratio = exact.coarsest_dt_ratio(H2, H, 1.0, [eps], budget)[0]
+            resolution, var = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n_rep)
+            ratio = resolution["dt_ratio"]
             x, lim = solvers.homogenize(H2, H, eps, f, None, None, n_rep, s + offset,
                                         dt_ratio=ratio, threads=threads)
             details[f"{label}_dt_ratio_eps{eps}"] = ratio
             details[f"{label}_ks_pvalue_eps{eps}"] = float(stats.ks_2samp(x, lim).pvalue)
-            for key, val in _driver_moment_zscores(x, H, eps, ratio).items():
+            for key, val in _driver_moment_zscores(x, H, eps, var[0]).items():
                 details[f"{label}_{key}_eps{eps}"] = val
             passed &= (abs(details[f"{label}_mean_z_eps{eps}"]) <= 3.0
                        and abs(details[f"{label}_var_z_eps{eps}"]) <= 3.0)

@@ -80,7 +80,7 @@ def _default_threads() -> int:
 
 
 def _dt_ratio_arg(text: str):
-    """--dt-ratio: "auto" or a number (its range is checked by _dt_ratio_summary)."""
+    """--dt-ratio: "auto" or a number (its range is checked by exact.resolve_dt_ratio)."""
     if text == "auto":
         return text
     try:
@@ -93,25 +93,9 @@ _DT_RATIO_HELP = ("eps/dt, or auto: the coarsest of 10, 20, 50, 100, 200, 400 wh
                   "trapezoid bias is within a tenth of the variance's relative SE")
 
 
-def _dt_ratio_summary(args, G, eps_list) -> tuple[dict, np.ndarray]:
-    """The ratio eps/dt a run samples at, and the exact trapezoid variances there.
-
-    --dt-ratio auto takes ``exact.coarsest_dt_ratio`` over DT_RATIO_LADDER
-    at ``exact.bias_budget(--replicas)``; a number is taken as it is.  The
-    dict is the summary's dt_ratio, trapezoid_bias (one per eps),
-    bias_budget and bias_budget_met.
-    """
-    if args.dt_ratio == "auto":
-        ratios = exact.DT_RATIO_LADDER
-    else:
-        if not 0.0 < args.dt_ratio < np.inf:
-            raise ValueError(f"--dt-ratio must be positive and finite, got {args.dt_ratio}")
-        ratios = (args.dt_ratio,)
-    budget = exact.bias_budget(args.replicas)
-    dt_ratio, var, bias, met = exact.coarsest_dt_ratio(G, args.H, args.t, eps_list, budget,
-                                                       ratios)
-    return {"dt_ratio": dt_ratio, "trapezoid_bias": bias, "bias_budget": budget,
-            "bias_budget_met": met}, var
+def _dt_ratio(args):
+    """--dt-ratio as ``exact.resolve_dt_ratio`` takes it: None for auto."""
+    return None if args.dt_ratio == "auto" else args.dt_ratio
 
 
 # what the config echo leaves out of the parsed namespace: the subcommand,
@@ -249,12 +233,8 @@ def _cmd_hermite_sample(args) -> int:
 
 def _cmd_clt_scan(args) -> int:
     G = _chaos_from_args(args)
-    eps_list = _parse_floats(args.eps_list)
-    resolution, exact_var = _dt_ratio_summary(args, G, eps_list)
-    scan = harness.variance_scan(
-        G, args.H, args.t, eps_list, args.replicas, args.seed,
-        dt_ratio=resolution["dt_ratio"], threads=args.threads,
-    )
+    scan = harness.variance_scan(G, args.H, args.t, _parse_floats(args.eps_list), args.replicas,
+                                 args.seed, dt_ratio=_dt_ratio(args), threads=args.threads)
     if args.replicas >= 1000:
         # the scan's own raw integrals at the finest eps, scaled by alpha there
         alpha = chaos.classify_regime(G.hermite_rank, args.H).alpha(scan.eps_values[-1])
@@ -264,18 +244,16 @@ def _cmd_clt_scan(args) -> int:
     regime = scan.meta["regime"]
     expected = {"short_range": -1.0, "boundary": -1.0,
                 "long_range": 2.0 * scan.meta["h_star"] - 2.0}[regime]
-    # the least-squares slope the exact variances make over these scales,
-    # which the scan estimates; at the boundary it is not the asymptotic -1
-    exact_slope = exact.loglog_slope(scan.eps_values, exact_var)
     summary = {
         "regime": regime,
         "h_star": scan.meta["h_star"],
-        **resolution,
+        **scan.meta["resolution"],
         "slope_vs_log_inv_eps": scan.slope,
         "slope_ci": list(scan.slope_ci),
         "expected_slope": expected,
-        "exact_slope": exact_slope,
-        "slope_pass": harness.slope_ci_hits(scan.slope_ci, exact_slope),
+        # the slope of the exact variances, which the scan estimates (not -1 at the boundary)
+        "exact_slope": scan.meta["exact_slope"],
+        "slope_pass": harness.slope_ci_hits(scan.slope_ci, scan.meta["exact_slope"]),
         "scaled_flatness": scan.meta["scaled_flatness"],
         "diagnostics_at_finest_eps": diag,
     }
@@ -332,7 +310,8 @@ def _cmd_homogenize(args) -> int:
     g = None if args.gfun == "zero" else _G_PRESETS[args.gfun]
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
-    resolution, _ = _dt_ratio_summary(args, G, [args.eps])
+    resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas,
+                                           _dt_ratio(args))
     endpoints, limit = solvers.homogenize(
         G, args.H, args.eps, _F_PRESETS[args.f], h, g, args.replicas, args.seed,
         args.t, args.x0, resolution["dt_ratio"], args.threads,
@@ -383,14 +362,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_parser(sub, command: str, func, samples: bool = False,
-                seed_default: int = 0) -> argparse.ArgumentParser:
+def _add_parser(sub, command: str, func, samples: bool = False, seed_default: int = 0,
+                hurst: bool = True) -> argparse.ArgumentParser:
     """A subcommand parser carrying its own copy of the common options.
 
     argparse parent parsers share their Action objects between children,
     so a per-subcommand default set through a parent would leak into
     every other subcommand; each subcommand builds its own instead.  Only
-    the subcommands that draw samples take --replicas.
+    the subcommands that draw samples take --replicas; all but verify take --H.
     """
     sp = sub.add_parser(command)
     sp.set_defaults(func=func)
@@ -404,6 +383,8 @@ def _add_parser(sub, command: str, func, samples: bool = False,
                     help="read parameters from a config echo file")
     sp.add_argument("--threads", type=_positive_int, default=None,
                     help=f"worker threads (default ${THREADS_ENV} or 1)")
+    if hurst:
+        sp.add_argument("--H", type=float, required=True)
     return sp
 
 
@@ -423,58 +404,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     sp = _add_parser(sub, "sample-fbm", _cmd_fbm_paths, samples=True)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=_positive_int, default=256)
 
     sp = _add_parser(sub, "sample-fou", _cmd_sample_fou, samples=True)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=_positive_int, default=None)
 
     sp = _add_parser(sub, "rho", _cmd_rho)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--s-max", type=float, default=50.0)
     sp.add_argument("--n-points", type=_positive_int, default=101)
 
     sp = _add_parser(sub, "chaos", _cmd_chaos)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True,
                     help="comma-separated Hermite coefficients c_0,c_1,...")
     sp.add_argument("--eps", type=float, default=None)
 
     sp = _add_parser(sub, "constants", _cmd_constants)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
 
     sp = _add_parser(sub, "hermite-sample", _cmd_hermite_sample, samples=True)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--m", type=_positive_int, default=2)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=_positive_int, default=200)
 
     sp = _add_parser(sub, "clt-scan", _cmd_clt_scan, samples=True)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02")
     sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
 
     sp = _add_parser(sub, "l2-hermite", _cmd_l2_hermite, samples=True)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.2,0.1,0.05")
 
     sp = _add_parser(sub, "kinetic-scan", _cmd_kinetic_scan, samples=True)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02,0.01")
     sp.add_argument("--n-report", type=_positive_int, default=50)
 
     sp = _add_parser(sub, "homogenize", _cmd_homogenize, samples=True)
-    sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--eps", type=float, default=0.02)
     sp.add_argument("--t", type=float, default=1.0)
@@ -485,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
 
     # the gate runs from the pinned suite seed unless explicitly overridden
-    sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED)
+    sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED, hurst=False)
     sp.add_argument("--suite", choices=["quick", "full"], default="quick")
 
     return p

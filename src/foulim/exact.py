@@ -7,8 +7,10 @@ The variance of int_0^t G(y^eps) ds is then one integral over the lag in
 continuous time, and one sum over lags for the trapezoid rule on the
 grid ``harness.variance_scan`` samples: O(n) per chaos order, exact up to
 rounding (and the quadrature, in continuous time).  Their ratio is the
-relative bias of the sampled variance, which sets how coarse a grid
-``clt-scan`` and ``homogenize`` may sample on.
+relative bias of the sampled variance: ``resolve_dt_ratio`` turns it into
+the one grid rule of every sampled integral of G(y^eps).  The trapezoid
+integral of He_2(y^eps) is a Gaussian quadratic form, whose spectrum gives
+its cumulants, its excess kurtosis and the SE of a sample's.
 
 The covariance of the kinetic scan's chain: the exponential-Euler
 recursion y_k = a y_{k-1} + dB_k, a = e^{-r}, r = dt/eps, on fGN
@@ -27,6 +29,8 @@ sup over pairs that the scan's sample sup estimates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -38,8 +42,9 @@ __all__ = [
     "trapezoid_lag_weights",
     "trapezoid_variance",
     "continuous_variance",
-    "bias_budget",
-    "coarsest_dt_ratio",
+    "resolve_dt_ratio",
+    "he2_trapezoid_spectrum",
+    "quadratic_form_kurtosis",
     "loglog_slope",
     "reading_weights",
     "kinetic_chain_autocovariance",
@@ -47,7 +52,7 @@ __all__ = [
     "kinetic_sup_errors",
 ]
 
-# the ratios eps/dt that --dt-ratio auto (clt-scan, homogenize) tries, coarsest first
+# the ratios eps/dt that resolve_dt_ratio tries, coarsest first
 DT_RATIO_LADDER = (10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
 
 
@@ -99,37 +104,80 @@ def continuous_variance(G, H, t: float, eps: float) -> float:
     return float(2.0 * e * np.sum(w * (T - e * u) * _chaos_covariance(G, fou.rho(u, H))))
 
 
-def bias_budget(n_replicas: int) -> float:
-    """A tenth of sqrt(2 / (n - 1)), the Gaussian relative SE of a sample variance.
+def resolve_dt_ratio(G, H, t: float, eps_list, n_replicas: int,
+                     dt_ratio: float | None = None) -> tuple[dict, np.ndarray]:
+    """The ratio eps/dt of n_replicas sampled integrals of G(y^eps), and its exact variances.
 
-    Heavy tails only widen that SE, so the budget is conservative.
-    """
-    return 0.1 * float(np.sqrt(2.0 / (n_replicas - 1)))
-
-
-def coarsest_dt_ratio(G, H, t: float, eps_list, budget: float,
-                      ratios=DT_RATIO_LADDER) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    """The first of ``ratios`` whose trapezoid variance is within budget at every eps.
-
-    A ratio counts only if each of its grids resolves the fast scale
+    None takes the first rung of DT_RATIO_LADDER whose trapezoid variance is
+    within the bias budget of ``continuous_variance`` at every eps of
+    ``as_eps_list(eps_list)``, and whose grids all resolve the fast scale
     (dt <= eps / fou.MIN_STEPS_PER_EPS, which rounding the step count can
-    break at 10).  When none does, the last ratio is taken.  Returns the
-    ratio, the exact trapezoid variances there (one per eps of
-    ``as_eps_list(eps_list)``), their relative biases against
-    ``continuous_variance`` (0 where that is 0) and whether every |bias|
-    is within budget.
+    break at 10); failing that, the last.  A positive finite number is taken
+    as it is.  The dict holds dt_ratio, trapezoid_bias (one relative bias per
+    eps, 0 where the variance is 0), bias_budget and bias_budget_met.  The
+    budget counts G's trapezoid bias alone, not the error of a solver
+    stepped on the same grid (``homogenize`` with a drift).
     """
+    if dt_ratio is not None and not 0.0 < dt_ratio < np.inf:
+        raise ValueError(f"--dt-ratio must be positive and finite, got {dt_ratio}")
+    if n_replicas < 2:
+        raise ValueError(f"a sample variance needs at least 2 replicas, got {n_replicas}")
+    # a tenth of sqrt(2 / (n - 1)), the Gaussian relative SE of a sample
+    # variance: heavy tails only widen that SE, so the budget is conservative
+    budget = 0.1 * float(np.sqrt(2.0 / (n_replicas - 1)))
     eps_arr = as_eps_list(eps_list)
     target = np.array([continuous_variance(G, H, t, e) for e in eps_arr])
-    for ratio in ratios:
+    for ratio in DT_RATIO_LADDER if dt_ratio is None else (dt_ratio,):
         var = np.array([trapezoid_variance(G, H, t, e, ratio) for e in eps_arr])
         # a variance that underflows to 0 (a horizon such as 1e-300) has no bias
         bias = np.divide(var, target, out=np.ones_like(var), where=target != 0.0) - 1.0
         met = bool(np.max(np.abs(bias)) <= budget)
-        resolved = all(fou._resolves(TimeGrid.with_step(t, e / ratio).dt, e) for e in eps_arr)
-        if met and resolved:
+        if met and all(fou._resolves(TimeGrid.with_step(t, e / ratio).dt, e) for e in eps_arr):
             break
-    return ratio, var, bias, met
+    return {"dt_ratio": ratio, "trapezoid_bias": bias, "bias_budget": budget,
+            "bias_budget_met": met}, var
+
+
+def he2_trapezoid_spectrum(H, t: float, eps: float, dt_ratio: float) -> np.ndarray:
+    """Eigenvalues lam of W^{1/2} R W^{1/2}, R_ij = rho(|t_i - t_j| / eps) and W the
+    trapezoid weights on the grid of step eps/dt_ratio: the trapezoid integral of
+    He_2(y^eps) over [0, t] is sum lam_k (e_k^2 - 1), e iid N(0, 1).  Dense, and one
+    ``eigvalsh``: about 1 s at 2,000 steps.
+    """
+    e = as_eps(eps)
+    grid = TimeGrid.with_step(t, e / dt_ratio)
+    idx = np.arange(grid.n_steps + 1)
+    sw = np.full(len(idx), np.sqrt(grid.dt))
+    sw[[0, -1]] *= np.sqrt(0.5)
+    M = fou.rho(idx * (grid.dt / e), H)[np.abs(idx[:, None] - idx[None, :])]
+    M *= sw
+    M *= sw[:, None]
+    return np.linalg.eigvalsh(M)
+
+
+def _central_moments(kappa: np.ndarray) -> np.ndarray:
+    """mu_n = sum_{k=1}^n C(n - 1, k - 1) kappa_k mu_{n-k}: moments from cumulants."""
+    mu = np.ones(len(kappa))
+    for n in range(1, len(kappa)):
+        mu[n] = sum(math.comb(n - 1, k - 1) * kappa[k] * mu[n - k] for k in range(1, n + 1))
+    return mu
+
+
+def quadratic_form_kurtosis(lam, n_samples: int) -> tuple[np.ndarray, float, float]:
+    """Cumulants kappa[j] = 2^{j-1} (j - 1)! sum lam^j (j = 2..8; kappa[0], kappa[1]
+    are 0), excess kurtosis and the delta-method SE of the sample excess kurtosis
+    of n_samples draws of u = sum lam_k (e_k^2 - 1): sqrt(E[IF^2] / n), IF the
+    influence function ``harness.excess_kurtosis_with_se`` takes on a sample.
+    """
+    kappa = np.zeros(9)
+    for j in range(2, 9):
+        kappa[j] = 2.0 ** (j - 1) * math.factorial(j - 1) * np.sum(np.asarray(lam) ** j)
+    # at unit variance IF = u^4 - mu_4 - 4 mu_3 u + b (u^2 - 1), b = -2 mu_4
+    mu = _central_moments(kappa / kappa[2] ** (np.arange(9) / 2.0))
+    b = -2.0 * mu[4]
+    var_if = (mu[8] - mu[4] ** 2 + b * b * (mu[4] - 1.0) + 2.0 * b * (mu[6] - mu[4])
+              + 16.0 * mu[3] ** 2 - 8.0 * mu[3] * mu[5] - 8.0 * b * mu[3] ** 2)
+    return kappa, float(kappa[4] / kappa[2] ** 2), float(np.sqrt(var_if / n_samples))
 
 
 def loglog_slope(eps_values, values) -> float:

@@ -142,10 +142,6 @@ def rho(s, H):
     return float(out) if out.ndim == 0 else out
 
 
-def _h_star(m: int, h: float) -> float:
-    return m * (h - 1.0) + 1.0
-
-
 def _panel_rule(s_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of 24-node Gauss-Legendre on fixed panels of [0, s_max].
 
@@ -181,7 +177,7 @@ def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
         raise ValueError(f"s_max must be at least {_RHO_SERIES_FROM:g}, where the tail series holds")
     if h == 0.5:
         return 1.0 / m  # exponential correlations: int e^{-ms} ds
-    hs = _h_star(m, h)
+    hs = m * (h - 1.0) + 1.0  # H*(m)
     if hs >= 0.5 - 1e-12:
         raise ValueError(
             f"divergent integral: H*(m) = {hs:.4f} >= 1/2 for m={m}, H={h}"

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from . import chaos, fou, hermite
+from . import chaos, exact, fou, hermite
 from .chaos import ChaosFunction, Regime
 from .paths import TimeGrid, as_eps_list, as_hurst
 from .streams import keys
@@ -192,7 +192,7 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
 
 
 def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
-                  master_seed: int = 0, dt_ratio: float = 50.0,
+                  master_seed: int = 0, dt_ratio: float | None = None,
                   threads: int = 1) -> ScanResult:
     """Variance of the time integral of G(y^eps) across scales.
 
@@ -202,6 +202,9 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
     long-range one) and multiplied by alpha(eps)^2, which must stabilize
     in every regime.  Each standard error is ``variance_stderr`` of that
     eps's replicas, which holds for heavy-tailed integrals too.
+    Each eps is sampled at the ratio eps/dt that ``exact.resolve_dt_ratio``
+    resolves dt_ratio to (None: the coarsest unbiased rung); meta["resolution"]
+    is its report, meta["exact_slope"] the slope of its exact variances.
     meta["finest_samples"] holds the raw integrals at
     the finest eps, so callers can run diagnostics on them without
     drawing that scale again.
@@ -210,23 +213,17 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
     eps_arr = as_eps_list(eps_list)
     if len(eps_arr) < 3:
         raise ValueError("variance scan needs at least 3 eps values")
+    resolution, exact_var = exact.resolve_dt_ratio(G, h, t, eps_arr, n_replicas, dt_ratio)
     regime = chaos.classify_regime(G.hermite_rank, h)
-    var_raw = np.empty(len(eps_arr))
-    se_raw = np.empty(len(eps_arr))
-    var_scaled = np.empty(len(eps_arr))
+    var_raw, se_raw = np.empty(len(eps_arr)), np.empty(len(eps_arr))
     for i, eps in enumerate(eps_arr):
-        x = _fou_endpoint_samples(
-            G, h, t, eps, n_replicas, master_seed, f"vscan-eps{i}", dt_ratio, 1.0,
-            threads,
-        )
-        v = fsum_variance(x)
-        var_raw[i] = v
-        se_raw[i] = variance_stderr(x)
-        var_scaled[i] = v * regime.alpha(eps) ** 2
+        x = _fou_endpoint_samples(G, h, t, eps, n_replicas, master_seed, f"vscan-eps{i}",
+                                  resolution["dt_ratio"], 1.0, threads)
+        var_raw[i], se_raw[i] = fsum_variance(x), variance_stderr(x)
     slope, ci = fit_loglog_slope(1.0 / eps_arr, var_raw, se_raw)
-    flatness = float(np.max(np.abs(var_scaled / var_scaled.mean() - 1.0)))
-    sd_scaled = np.sqrt(var_scaled)
-    sd_flatness = float(np.max(np.abs(sd_scaled / sd_scaled.mean() - 1.0)))
+    var_scaled = var_raw * np.array([regime.alpha(eps) ** 2 for eps in eps_arr])
+    flatness, sd_flatness = (float(np.max(np.abs(v / v.mean() - 1.0)))
+                             for v in (var_scaled, np.sqrt(var_scaled)))
     return ScanResult(
         eps_arr, var_raw, se_raw, n_replicas, slope, ci,
         meta={
@@ -235,7 +232,8 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
             "scaled_sd_flatness": sd_flatness,
             "regime": regime.kind.value,
             "h_star": regime.h_star,
-            "statistic": "var_unscaled_integral",
+            "resolution": resolution,
+            "exact_slope": exact.loglog_slope(eps_arr, exact_var),
             "finest_samples": x,
         },
     )
@@ -298,15 +296,18 @@ def clt_diagnostics(samples) -> dict:
 
 def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
                            n_replicas: int, master_seed: int = 0,
-                           dt_ratio: float = 50.0, threads: int = 1) -> dict:
+                           dt_ratio: float | None = None, threads: int = 1) -> dict:
     """Empirical covariance matrix of (X^{k,eps}_t, X^{k,eps}_s) vs theory.
 
     Wiener-Wiener pairs must match 2(t^s)A^{ij}; Wiener-Hermite cross
     pairs and Hermite-Hermite pairs of different rank must vanish.  All
-    components ride on the same fOU replicas.
+    components ride on the same fOU replicas, at the finest ratio eps/dt
+    that ``exact.resolve_dt_ratio`` gives any G over [0, max(t, s)].
     """
     h = as_hurst(H)
     horizon = max(t, s)
+    dt_ratio = max(exact.resolve_dt_ratio(G, h, horizon, [eps], n_replicas, dt_ratio)[0][
+        "dt_ratio"] for G in G_list)
     grid = TimeGrid.with_step(horizon, eps / dt_ratio)
     sampler = fou.path_sampler(grid, h, eps)
     it = int(round(t / grid.dt))
@@ -326,7 +327,7 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
         n_replicas, master_seed, "joint-cov",
         lambda k: np.concatenate([block_columns(y) for y in sampler.blocks(k)]), threads)
     n_g = len(G_list)
-    report = {"eps": eps, "t": t, "s": s, "n": n_replicas, "pairs": []}
+    report = {"eps": eps, "t": t, "s": s, "n": n_replicas, "dt_ratio": dt_ratio, "pairs": []}
     for i in range(n_g):
         for j in range(n_g):
             xi = data[:, 2 * i]       # X^i_t
@@ -411,6 +412,5 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     monotone = bool(np.all(np.diff(dists) < 0))
     return ScanResult(
         eps_arr, dists, se, n_replicas,
-        meta={"monotone_decreasing": monotone, "statistic": "coupled_l2_distance",
-              "limit_coefficient": lam, "hermite_order": m, "h_star": hs},
+        meta={"monotone_decreasing": monotone, "limit_coefficient": lam, "h_star": hs},
     )

@@ -125,7 +125,7 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
     """Endpoints x^eps_t of dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
 
     n replicas from streams (seed, "slowfast", i), at dt = eps / dt_ratio
-    (``homogenize`` passes the ratio of ``exact.coarsest_dt_ratio``).
+    (``homogenize`` passes the ratio of ``exact.resolve_dt_ratio``).
     The system is dx = f(x) dU + h(x) dV with U = alpha int G(y^eps) and
     V = int g(y^eps), whose trapezoid increments on the grid are written
     time-major, row block by row block of the sampler, into one chunk's
@@ -205,12 +205,11 @@ def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float =
 
     The system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is
     solved at dt = eps / dt_ratio from streams (master_seed, "slowfast", i)
-    by ``_slow_fast_endpoints``.  dt_ratio None takes the rung of
-    ``exact.coarsest_dt_ratio`` for G at ``exact.bias_budget(n_replicas)``:
-    the coarsest grid on which the exact trapezoid variance of int G(y^eps)
-    is within a tenth of the sample variance's relative SE of the
-    continuous one (eps/10 for He_2 at H 0.6 and 0.85, eps 0.02 and up to
-    2,000 replicas).  The limit dx = f(x) dU + g_bar h(x) dt,
+    by ``_slow_fast_endpoints``.  dt_ratio None takes the coarsest unbiased
+    ratio of ``exact.resolve_dt_ratio`` for G and n_replicas (eps/10 for He_2
+    at H 0.6 and 0.85, eps 0.02 and up to 2,000 replicas); with a drift,
+    Heun's own error is not in its budget, and alone exceeds it beyond about
+    13,000 replicas at H 0.6.  The limit dx = f(x) dU + g_bar h(x) dt,
     g_bar = E g(N(0, 1)), is sampled by ``_limit_endpoints`` from
     master_seed + 1.  With the drift h(x) g(y) both sides are stepped by
     ``solve_limit_stratonovich``; h or g None means it is absent, and both
@@ -218,7 +217,7 @@ def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float =
     """
     eps = as_eps(eps)
     if dt_ratio is None:
-        dt_ratio = exact.coarsest_dt_ratio(G, H, t, [eps], exact.bias_budget(n_replicas))[0]
+        dt_ratio = exact.resolve_dt_ratio(G, H, t, [eps], n_replicas)[0]["dt_ratio"]
     if h is None or g is None:
         h = g = None
     x_eps = _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n_replicas, master_seed,
@@ -252,11 +251,9 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     identity still holds.  The reported statistic is the sup over
     reporting-grid pairs of the replica-L2 error, whose log-log slope
     against log(1/eps) is H.  Its exact value on these grids,
-    ``exact.kinetic_sup_errors``, is 3-5% higher at 10 steps per eps
-    than at 100, by a factor that hardly depends on eps:
-    the exact slopes at 10 and at 100 steps per eps agree within 3e-4 for
-    H in [0.05, 0.95], so a finer grid would only cost time.  meta carries
-    those exact values and their least-squares slope, the max identity
+    ``exact.kinetic_sup_errors``, is 3-5% above that at 100 steps per eps,
+    a factor that moves the slope by under 3e-4 for H in [0.05, 0.95].  meta
+    carries those exact values and their least-squares slope, the max identity
     defect, taken from the origin t = 0 where X - sigma B and its readings
     are zero, and the Hoelder-seminorm slope at gamma = HOLDER_GAMMA_FACTOR*H.
 
@@ -370,7 +367,7 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
                 np.abs(blk[:, :, None] - blk[:, None, :]) / lag_gam, axis=(1, 2))
         holder[i] = fsum_mean(semi)
     slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, sup_se)
-    h_slope, h_ci = fit_loglog_slope(1.0 / eps_arr, holder, np.maximum(1e-3 * holder, 1e-12))
+    h_slope, _ = fit_loglog_slope(1.0 / eps_arr, holder, np.maximum(1e-3 * holder, 1e-12))
     exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times, fou.MIN_STEPS_PER_EPS)
     return ScanResult(
         eps_arr, sup_err, sup_se, n_replicas, slope, ci,
@@ -381,7 +378,5 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
             "holder_seminorm": holder,
             "holder_gamma": gam,
             "holder_slope": h_slope,
-            "holder_slope_ci": h_ci,
-            "statistic": "sup_pair_l2_error",
         },
     )

@@ -12,8 +12,8 @@ c^2 = 3.131, excess kurtosis ~1.2) and at eps = 0.01 as well (p below
 1% in 4 of master seeds 1-20), so the limit-law KS p-values are
 reported in the details, not gated.  Criterion 6's
 short-range branch gates the excess kurtosis estimate on its exact
-finite-eps value (0.308 at the pinned eps = 0.005) within 3
-influence-function SE; both are discussed in the README's verification
+finite-eps value (0.308 at the pinned eps = 0.005) within 3 exact
+delta-method SE; both are discussed in the README's verification
 section.
 """
 

@@ -102,30 +102,102 @@ MC_PAIRS = [(He2, 0.6), (He2, 0.75), (He1, 0.8), (He2, 0.85),
 @pytest.mark.parametrize("G, H", MC_PAIRS, ids=["He2-0.6", "He2-0.75", "He1-0.8",
                                                 "He2-0.85", "He3-0.7"])
 def test_auto_ratio_is_ten_where_paths_are_smooth(G, H, eps_list):
-    ratio, var, bias, met = exact.coarsest_dt_ratio(G, H, 1.0, eps_list,
-                                                    exact.bias_budget(1200))
-    assert ratio == 10.0 and met
-    assert np.max(np.abs(bias)) < 1e-3
+    resolution, var = exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200)
+    assert resolution["dt_ratio"] == 10.0 and resolution["bias_budget_met"]
+    assert np.max(np.abs(resolution["trapezoid_bias"])) < 1e-3
     assert var == pytest.approx([exact.trapezoid_variance(G, H, 1.0, e, 10.0)
                                  for e in eps_list], rel=1e-15)
 
 
 def test_auto_ratio_refines_for_rough_paths_and_caps_at_400():
-    budget = exact.bias_budget(1200)
-    ratio, _, bias, met = exact.coarsest_dt_ratio(He2, 0.3, 1.0, [0.1, 0.05, 0.02], budget)
-    assert ratio == 50.0 and met and np.all(bias > 0)
-    below = exact.coarsest_dt_ratio(He2, 0.3, 1.0, [0.1, 0.05, 0.02], budget, (20.0,))
-    assert not below[3] and np.max(below[2]) > budget
-    ratio, _, bias, met = exact.coarsest_dt_ratio(He2, 0.05, 1.0, [0.1, 0.05, 0.02], budget)
-    assert ratio == 400.0 and not met and np.min(bias) > budget
+    eps_list, budget = [0.1, 0.05, 0.02], 0.1 * math.sqrt(2 / 1199)
+    res = exact.resolve_dt_ratio(He2, 0.3, 1.0, eps_list, 1200)[0]
+    assert res["dt_ratio"] == 50.0 and res["bias_budget_met"]
+    assert np.all(res["trapezoid_bias"] > 0) and res["bias_budget"] == pytest.approx(budget)
+    below = exact.resolve_dt_ratio(He2, 0.3, 1.0, eps_list, 1200, 20.0)[0]
+    assert not below["bias_budget_met"] and np.max(below["trapezoid_bias"]) > budget
+    res = exact.resolve_dt_ratio(He2, 0.05, 1.0, eps_list, 1200)[0]
+    assert res["dt_ratio"] == 400.0 and not res["bias_budget_met"]
+    assert np.min(res["trapezoid_bias"]) > budget
 
 
 def test_auto_ratio_skips_a_grid_that_rounding_leaves_unresolved():
     # 1 / (0.03 / 10) = 333.3 rounds to 333 steps, dt = 0.003003 > eps / 10
     assert not fou._resolves(TimeGrid.with_step(1.0, 0.003).dt, 0.03)
-    ratio, _, _, met = exact.coarsest_dt_ratio(He1, 0.8, 1.0, [0.1, 0.03, 0.01],
-                                               exact.bias_budget(1200))
-    assert ratio == 20.0 and met
+    res = exact.resolve_dt_ratio(He1, 0.8, 1.0, [0.1, 0.03, 0.01], 1200)[0]
+    assert res["dt_ratio"] == 20.0 and res["bias_budget_met"]
+
+
+def test_resolved_ratio_reports_the_exact_bias_of_the_number_given():
+    resolution, var = exact.resolve_dt_ratio(He2, 0.6, 1.0, [0.1, 0.05], 1200, 37.0)
+    trapezoid = [exact.trapezoid_variance(He2, 0.6, 1.0, e, 37.0) for e in (0.1, 0.05)]
+    continuous = [exact.continuous_variance(He2, 0.6, 1.0, e) for e in (0.1, 0.05)]
+    np.testing.assert_array_equal(var, trapezoid)
+    assert resolution == {"dt_ratio": 37.0,
+                          "trapezoid_bias": pytest.approx(np.divide(trapezoid, continuous) - 1,
+                                                          rel=1e-15),
+                          "bias_budget": pytest.approx(0.1 * math.sqrt(2 / 1199), rel=1e-15),
+                          "bias_budget_met": True}
+    with pytest.raises(ValueError, match="at least 2 replicas, got 1"):
+        exact.resolve_dt_ratio(He2, 0.6, 1.0, [0.1], 1)
+
+
+@pytest.mark.parametrize("H, eps, ratio", [(0.6, 0.05, 10.0), (0.85, 0.1, 23.5),
+                                           (0.3, 0.2, 50.0)])
+def test_he2_spectrum_is_the_trapezoid_quadratic_form(H, eps, ratio):
+    lam = exact.he2_trapezoid_spectrum(H, 1.0, eps, ratio)
+    assert 2.0 * np.sum(lam**2) == pytest.approx(
+        exact.trapezoid_variance(He2, H, 1.0, eps, ratio), rel=1e-12)
+    grid = TimeGrid.with_step(1.0, eps / ratio)
+    sw = np.full(grid.n_steps + 1, np.sqrt(grid.dt))
+    sw[[0, -1]] *= np.sqrt(0.5)
+    M = sw[:, None] * toeplitz(fou.rho(np.arange(grid.n_steps + 1) * grid.dt / eps, H)) * sw
+    M2 = M @ M
+    kappa, kurt, _ = exact.quadratic_form_kurtosis(lam, 100)
+    assert kurt == pytest.approx(12.0 * np.sum(M2 * M2) / np.sum(M * M) ** 2, rel=1e-10)
+    assert kappa[3] == pytest.approx(8.0 * np.trace(M2 @ M), rel=1e-10)
+
+
+def test_one_eigenvalue_gives_the_chi_square_central_moments():
+    # u = e^2 - 1: E u^n = sum_j C(n, j) (-1)^{n-j} (2j - 1)!!
+    kappa, kurt, _ = exact.quadratic_form_kurtosis([1.0], 100)
+    closed = [sum(math.comb(n, j) * (-1) ** (n - j) * math.prod(range(1, 2 * j, 2))
+                  for j in range(n + 1)) for n in range(9)]
+    np.testing.assert_allclose(exact._central_moments(kappa), closed, rtol=1e-14)
+    assert closed[:5] == [1, 0, 2, 8, 60] and kurt == pytest.approx(12.0, rel=1e-14)
+
+
+def test_kurtosis_se_of_many_equal_eigenvalues_tends_to_the_gaussian_one():
+    # N equal terms: excess kurtosis 12 / N, and the SE tends to sqrt(24 / n)
+    for n in (100, 10_000):
+        _, kurt, se = exact.quadratic_form_kurtosis(np.full(10**6, 0.3), n)
+        assert kurt == pytest.approx(12e-6, rel=1e-9)
+        assert se == pytest.approx(math.sqrt(24.0 / n), rel=1e-4)
+
+
+def test_kurtosis_se_is_the_expected_square_of_the_influence_function():
+    # IF = u^4 - mu_4 - 4 mu_3 u - 2 mu_4 (u^2 - 1) at unit variance: E[IF^2]
+    # as the moments of the squared polynomial
+    lam = 1.0 / np.arange(1, 21)
+    kappa, _, se = exact.quadratic_form_kurtosis(lam, 1)
+    mu = exact._central_moments(kappa / kappa[2] ** (np.arange(9) / 2.0))
+    IF = np.array([mu[4], -4.0 * mu[3], -2.0 * mu[4], 0.0, 1.0])
+    IF_sq = np.polynomial.polynomial.polymul(IF, IF)
+    assert se == pytest.approx(math.sqrt(IF_sq @ mu), rel=1e-12)
+
+
+def test_kurtosis_se_matches_the_spread_of_sample_kurtoses():
+    # excess kurtosis 0.96, as criterion 6's integrals have at n = 2500: the
+    # asymptotic SE is at most slightly wide there (the sd of 400 estimates
+    # read 0.84-0.97 of it at three seeds)
+    lam = 1.0 / np.sqrt(np.arange(1, 51))
+    n = 2500
+    rng = np.random.default_rng(12)
+    kurts = [harness.excess_kurtosis_with_se((e * e - 1.0) @ lam)[0]
+             for e in (rng.standard_normal((n, len(lam))) for _ in range(400))]
+    _, kurt_exact, se = exact.quadratic_form_kurtosis(lam, n)
+    assert 0.75 * se < np.std(kurts) < 1.1 * se
+    assert abs(np.mean(kurts) - kurt_exact) < 4.0 * se / math.sqrt(len(kurts))
 
 
 def test_trapezoid_variance_refuses_a_grid_beyond_the_embedding_cap(monkeypatch):

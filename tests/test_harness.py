@@ -104,6 +104,41 @@ def test_joint_covariance_wiener_hermite_cross():
     assert pairs[(0, 0)]["predicted"] is None
 
 
+def test_variance_scan_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
+    ratios = []
+    samples = harness._fou_endpoint_samples
+
+    def spy(*args):
+        ratios.append(args[7])
+        return samples(*args)
+
+    monkeypatch.setattr(harness, "_fou_endpoint_samples", spy)
+    eps_list = [0.1, 0.05, 0.02]
+    for H, t in ((0.85, 1.0), (0.05, 0.1)):
+        scan = harness.variance_scan(H2, H, t, eps_list, 40, 2)
+        resolution, var = exact.resolve_dt_ratio(H2, H, t, eps_list, 40)
+        assert ratios[-3:] == [resolution["dt_ratio"]] * 3
+        assert scan.meta["resolution"]["dt_ratio"] == resolution["dt_ratio"]
+        assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, var)
+    assert ratios == [10.0] * 3 + [400.0] * 3
+
+
+def test_joint_check_takes_the_finest_rung_its_functions_need(monkeypatch):
+    steps = []
+    make_sampler = fou.path_sampler
+
+    def spy(grid, H, eps):
+        steps.append(grid.dt)
+        return make_sampler(grid, H, eps)
+
+    monkeypatch.setattr(fou, "path_sampler", spy)
+    # He_1 and He_2 at H 0.3 over [0, 0.2], eps 0.05, 40 replicas: 10 and 20
+    rungs = [exact.resolve_dt_ratio(G, 0.3, 0.2, [0.05], 40)[0]["dt_ratio"] for G in (H1, H2)]
+    report = harness.joint_covariance_check([H1, H2], 0.3, 0.2, 0.1, 0.05, 40, 3)
+    assert rungs == [10.0, 20.0] and report["dt_ratio"] == 20.0
+    assert steps == [TimeGrid.with_step(0.2, 0.05 / 20.0).dt]
+
+
 def test_l2_convergence_requires_long_range():
     with pytest.raises(ValueError, match="long-range"):
         harness.l2_convergence_hermite(H2, 0.6, 1.0, [0.2, 0.1, 0.05], 100)

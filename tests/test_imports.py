@@ -17,6 +17,9 @@ or ``bench``: reads from tests alone do not keep an export alive.
 The replica-to-stream policy lives in one place: inside ``src/foulim``
 only ``harness.run_replicated``, which hands every chunk its keys, calls
 ``streams.keys``, so every Monte Carlo draw goes through ``run_replicated``.
+So does the grid policy of the sampled integrals of G(y^eps): no call in
+``src/foulim`` hands one of their samplers, or ``exact.trapezoid_variance``,
+a literal ratio eps/dt; each ratio comes from ``exact.resolve_dt_ratio``.
 
 The CLI also keeps an import budget: a fresh interpreter that imports
 ``foulim.cli`` and runs a subcommand that computes no statistic loads
@@ -25,6 +28,7 @@ acceptance suite.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -32,6 +36,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from foulim import exact, harness, solvers
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -272,3 +278,48 @@ def test_keys_scanner_flags_a_closure_that_derives_its_keys():
 def test_only_run_replicated_derives_keys():
     found = {p.name: callers(p.read_text(), "keys") for p in PACKAGE_FILES}
     assert {name: f for name, f in found.items() if f} == KEYS_CALLERS
+
+
+# the functions that sample, or take the exact variance or spectrum of, a
+# trapezoid integral of G(y^eps) on the grid of step eps / dt_ratio
+RATIO_TAKERS = {f.__name__: f for f in (
+    harness.variance_scan, harness.joint_covariance_check, harness._fou_endpoint_samples,
+    solvers.homogenize, solvers._slow_fast_endpoints, exact.trapezoid_variance,
+    exact.he2_trapezoid_spectrum, exact.resolve_dt_ratio)}
+
+
+def literal_ratio_calls(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each call of a RATIO_TAKERS function whose dt_ratio,
+    by position or keyword, is a numeric literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in RATIO_TAKERS:
+            continue
+        bound = dict(zip(inspect.signature(RATIO_TAKERS[name]).parameters, node.args))
+        bound.update((kw.arg, kw.value) for kw in node.keywords)
+        ratio = bound.get("dt_ratio")
+        if (isinstance(ratio, ast.Constant) and isinstance(ratio.value, (int, float))
+                and not isinstance(ratio.value, bool)):
+            found.append((name, node.lineno))
+    return found
+
+
+def test_ratio_scanner_flags_only_literal_ratios():
+    src = (
+        "def crit(seed, ratio, alpha):\n"
+        "    harness._fou_endpoint_samples(H2, 0.6, 1.0, 0.01, 10, seed, 'a', 100.0, alpha)\n"
+        "    harness.variance_scan(H2, 0.6, 1.0, [0.1, 0.05, 0.02], 10, seed, ratio)\n"
+        "    exact.trapezoid_variance(H2, 0.6, 1.0, 0.1, dt_ratio=50)\n"
+        "    solvers.homogenize(H2, 0.6, 0.02, f, None, None, 10, seed, dt_ratio=None)\n"
+        "    return TimeGrid.with_step(1.0, 0.1 / 50.0)\n"
+    )
+    assert literal_ratio_calls(src) == [("_fou_endpoint_samples", 2),
+                                        ("trapezoid_variance", 4)]
+
+
+def test_no_sampled_integral_takes_a_literal_ratio():
+    found = {p.name: literal_ratio_calls(p.read_text()) for p in PACKAGE_FILES}
+    assert {name: f for name, f in found.items() if f} == {}

@@ -447,8 +447,7 @@ def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
     monkeypatch.setattr(solvers, "_slow_fast_endpoints", spy)
     solvers.homogenize(H2, 0.85, 0.02, _sin2, None, None, 40, 2)
     solvers.homogenize(H2, 0.05, 0.02, _sin2, None, None, 40, 2, t=0.1)
-    assert ratios == [10.0, exact.coarsest_dt_ratio(H2, 0.05, 0.1, [0.02],
-                                                    exact.bias_budget(40))[0]]
+    assert ratios == [10.0, exact.resolve_dt_ratio(H2, 0.05, 0.1, [0.02], 40)[0]["dt_ratio"]]
     assert ratios[1] > 10.0
 
 
@@ -459,12 +458,12 @@ def test_heun_error_with_drift_at_the_auto_ratio_fits_the_bias_budget(monkeypatc
     # driver is piecewise linear, so the substep solve is the same driver
     # solved more accurately.  At 600 replicas the relative variance gap
     # (1.0e-3 to 1.2e-3 at H 0.6, 1.8e-4 to 2.1e-4 at 0.85) plus the exact
-    # trapezoid bias of the grid fits bias_budget(600) = 5.8e-3; the gap alone
+    # trapezoid bias of the grid fits the budget of 600 replicas, 5.8e-3; the gap alone
     # would exceed the budget beyond about 13,000 replicas at H 0.6 and
     # 470,000 at H 0.85
     eps, n = 0.02, 600
-    budget = exact.bias_budget(n)
-    ratio, _, bias, _ = exact.coarsest_dt_ratio(H2, H, 1.0, [eps], budget)
+    resolution, _ = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)
+    ratio, bias, budget = (resolution[k] for k in ("dt_ratio", "trapezoid_bias", "bias_budget"))
     assert ratio == 10.0
     heun, fine = solvers.solve_limit_stratonovich, []
 
