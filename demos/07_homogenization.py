@@ -9,7 +9,9 @@ are the flow of f: the limit's at the driver endpoint, the slow/fast
 system's at the trapezoid integral of alpha G(y^eps).  With a drift
 h(x) g(y) both sides are solved by one Heun scheme, dx = f(x) dU + h(x) dV.
 The fOU is sampled on the coarsest grid whose exact trapezoid bias fits
-the run's replica count (``exact.resolve_dt_ratio``): dt = eps/10 here.
+the run's replica count (``exact.resolve_dt_ratio``): dt = eps/5 at H 0.6
+and eps/2 at H 0.85 here.  A drift would step Heun on that grid, which
+must then resolve the fast scale, dt <= eps/10.
 """
 
 import numpy as np

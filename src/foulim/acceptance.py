@@ -335,8 +335,8 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # Var u = V_eps = 3.876 at eps 0.02 and 3.968 at 0.01, against the limit
     # c^2 = 4.239).  So at each eps the driver u = phi^{-1}(x_1) is checked
     # against its exact mean and variance on the grid of
-    # ``exact.resolve_dt_ratio`` (eps/10 throughout); the limit-law KS
-    # p-values are reported.
+    # ``exact.resolve_dt_ratio`` (eps/5 or eps/6 at H 0.6, eps/2 at 0.85);
+    # the limit-law KS p-values are reported.
     n_rep = 2000 if suite == "full" else 600
     f = lambda x: np.sin(x) + 2.0
     details = {"c_short_range": chaos.c_constant(H2, 0.6),

@@ -89,7 +89,8 @@ def _dt_ratio_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
 
 
-_DT_RATIO_HELP = ("eps/dt, or auto: the coarsest of 10, 20, 50, 100, 200, 400 whose exact "
+_DT_RATIO_HELP = ("eps/dt, or auto: the coarsest of "
+                  f"{', '.join(f'{r:g}' for r in exact.DT_RATIO_LADDER)} whose exact "
                   "trapezoid bias is within a tenth of the variance's relative SE")
 
 
@@ -311,7 +312,7 @@ def _cmd_homogenize(args) -> int:
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
     resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas,
-                                           _dt_ratio(args))
+                                           _dt_ratio(args), stepped=None not in (h, g))
     endpoints, limit = solvers.homogenize(
         G, args.H, args.eps, _F_PRESETS[args.f], h, g, args.replicas, args.seed,
         args.t, args.x0, resolution["dt_ratio"], args.threads,
@@ -453,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", choices=sorted(_F_PRESETS), default="sin2")
     sp.add_argument("--hfun", choices=sorted(_F_PRESETS), default="zero")
     sp.add_argument("--gfun", choices=sorted(_G_PRESETS), default="zero")
-    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
+    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=(
+        f"{_DT_RATIO_HELP}; with a drift, at least {fou.MIN_STEPS_PER_EPS:g}"))
 
     # the gate runs from the pinned suite seed unless explicitly overridden
     sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED, hurst=False)

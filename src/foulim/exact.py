@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 # the ratios eps/dt that resolve_dt_ratio tries, coarsest first
-DT_RATIO_LADDER = (10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
+DT_RATIO_LADDER = (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
 
 
 def _chaos_covariance(G, r: np.ndarray) -> np.ndarray:
@@ -105,18 +105,20 @@ def continuous_variance(G, H, t: float, eps: float) -> float:
 
 
 def resolve_dt_ratio(G, H, t: float, eps_list, n_replicas: int,
-                     dt_ratio: float | None = None) -> tuple[dict, np.ndarray]:
+                     dt_ratio: float | None = None,
+                     stepped: bool = False) -> tuple[dict, np.ndarray]:
     """The ratio eps/dt of n_replicas sampled integrals of G(y^eps), and its exact variances.
 
     None takes the first rung of DT_RATIO_LADDER whose trapezoid variance is
     within the bias budget of ``continuous_variance`` at every eps of
-    ``as_eps_list(eps_list)``, and whose grids all resolve the fast scale
-    (dt <= eps / fou.MIN_STEPS_PER_EPS, which rounding the step count can
-    break at 10); failing that, the last.  A positive finite number is taken
-    as it is.  The dict holds dt_ratio, trapezoid_bias (one relative bias per
-    eps, 0 where the variance is 0), bias_budget and bias_budget_met.  The
-    budget counts G's trapezoid bias alone, not the error of a solver
-    stepped on the same grid (``homogenize`` with a drift).
+    ``as_eps_list(eps_list)``; failing that, the last.  The sampler is exact
+    in law at any step, so that bias is the whole rule, unless a solver is
+    ``stepped`` on the grid (``homogenize`` with a drift): its grids must also
+    resolve the fast scale, dt <= eps / fou.MIN_STEPS_PER_EPS, which rounding
+    the step count can break at 10, and the budget does not count its error.
+    A positive finite number is taken as it is.  The dict holds dt_ratio,
+    trapezoid_bias (one relative bias per eps, 0 where the variance is 0),
+    bias_budget and bias_budget_met.
     """
     if dt_ratio is not None and not 0.0 < dt_ratio < np.inf:
         raise ValueError(f"--dt-ratio must be positive and finite, got {dt_ratio}")
@@ -127,12 +129,15 @@ def resolve_dt_ratio(G, H, t: float, eps_list, n_replicas: int,
     budget = 0.1 * float(np.sqrt(2.0 / (n_replicas - 1)))
     eps_arr = as_eps_list(eps_list)
     target = np.array([continuous_variance(G, H, t, e) for e in eps_arr])
-    for ratio in DT_RATIO_LADDER if dt_ratio is None else (dt_ratio,):
+    rungs = (dt_ratio,) if dt_ratio is not None else [
+        r for r in DT_RATIO_LADDER
+        if not stepped or all(fou._resolves(TimeGrid.with_step(t, e / r).dt, e) for e in eps_arr)]
+    for ratio in rungs:
         var = np.array([trapezoid_variance(G, H, t, e, ratio) for e in eps_arr])
         # a variance that underflows to 0 (a horizon such as 1e-300) has no bias
         bias = np.divide(var, target, out=np.ones_like(var), where=target != 0.0) - 1.0
         met = bool(np.max(np.abs(bias)) <= budget)
-        if met and all(fou._resolves(TimeGrid.with_step(t, e / ratio).dt, e) for e in eps_arr):
+        if met:
             break
     return {"dt_ratio": ratio, "trapezoid_bias": bias, "bias_budget": budget,
             "bias_budget_met": met}, var

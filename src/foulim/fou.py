@@ -44,7 +44,7 @@ __all__ = [
     "path_sampler",
 ]
 
-# resolve the relaxation time: dt <= eps / MIN_STEPS_PER_EPS
+# a solver stepped on a sampled grid needs dt <= eps / MIN_STEPS_PER_EPS
 MIN_STEPS_PER_EPS = 10.0
 
 # rho switches from its closed form to the asymptotic series at this lag
@@ -209,14 +209,13 @@ def path_sampler(grid: TimeGrid, H, eps) -> fgn.StationarySampler:
     """The sampler of stationary fOU paths of (H, eps) on the grid, its embedding computed once.
 
     Its rows are stationary Gaussian sequences of n_steps + 1 values
-    with autocovariance rho(k dt/eps), exact in law, one per row of a
-    ``streams.keys`` array: ``blocks(keys)`` hands them over in row
-    blocks, for callers that reduce each block before taking the next,
-    and ``batch(keys)`` in one matrix.  Requires grid.dt <= eps/10,
-    which the Riemann sums downstream rely on.
+    with autocovariance rho(k dt/eps), exact in law at any step, one per
+    row of a ``streams.keys`` array: ``blocks(keys)`` hands them over in
+    row blocks, for callers that reduce each block before taking the next,
+    and ``batch(keys)`` in one matrix.  A solver stepped on the grid checks
+    its resolution itself (``_check_resolution``).
     """
     h, eps = as_hurst(H), as_eps(eps)
-    _check_resolution(grid.dt, eps)
     step = grid.dt / eps
     return fgn.StationarySampler(lambda k: rho(k * step, h), grid.n_steps)
 

@@ -15,11 +15,11 @@ Hermite process, H* > 1/2) in the long-range one, and dV = g_bar dt.
 ``homogenize`` is the one place that samples both sides, every replica's
 driver drawn from its own keyed stream inside a ``run_replicated`` chunk;
 without the drift h(x) g(y) both sides take the exact flow of f at
-the driver's endpoint instead.  The kinetic scan reduces its fGN row
-block by row block, like ``harness``'s scans, on grids of
-eps/fou.MIN_STEPS_PER_EPS, the package's one resolution rule: the exact
-covariance of its chain (``exact.kinetic_chain_autocovariance``) shows
-that a finer grid moves the slope it fits by less than 3e-4.
+the driver's endpoint instead.  The drift path and the kinetic scan step
+a solver on the sampled grid, so both keep dt <= eps/fou.MIN_STEPS_PER_EPS.
+The kinetic scan reduces its fGN row block by row block, like ``harness``'s
+scans; the exact covariance of its chain (``exact.kinetic_chain_autocovariance``)
+shows that a finer grid moves the slope it fits by less than 3e-4.
 
 Scalar state only: in one dimension the rough-driver solution obeys the
 classical chain rule (the symmetric second-order lift carries no extra
@@ -129,7 +129,8 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
     The system is dx = f(x) dU + h(x) dV with U = alpha int G(y^eps) and
     V = int g(y^eps), whose trapezoid increments on the grid are written
     time-major, row block by row block of the sampler, into one chunk's
-    (n_steps, rows) arrays; ``solve_limit_stratonovich`` steps them.
+    (n_steps, rows) arrays; ``solve_limit_stratonovich`` steps them, on a
+    grid that must resolve the fast scale (``fou._check_resolution``).
     With h None the drift is absent and x_t is the flow of f at U_t, the
     trapezoid integral ``harness._fou_endpoint_samples`` reduces each
     row block to.
@@ -139,6 +140,7 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
         return flow_map_1d(f, x0, harness._fou_endpoint_samples(
             G, H, t, eps, n, seed, "slowfast", dt_ratio, alpha, threads))
     grid = TimeGrid.with_step(t, eps / dt_ratio)
+    fou._check_resolution(grid.dt, eps)
     sampler = fou.path_sampler(grid, H, eps)
 
     def solve_chunk(chunk_keys):
@@ -206,20 +208,21 @@ def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float =
     The system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is
     solved at dt = eps / dt_ratio from streams (master_seed, "slowfast", i)
     by ``_slow_fast_endpoints``.  dt_ratio None takes the coarsest unbiased
-    ratio of ``exact.resolve_dt_ratio`` for G and n_replicas (eps/10 for He_2
-    at H 0.6 and 0.85, eps 0.02 and up to 2,000 replicas); with a drift,
-    Heun's own error is not in its budget, and alone exceeds it beyond about
-    13,000 replicas at H 0.6.  The limit dx = f(x) dU + g_bar h(x) dt,
-    g_bar = E g(N(0, 1)), is sampled by ``_limit_endpoints`` from
-    master_seed + 1.  With the drift h(x) g(y) both sides are stepped by
+    ratio of ``exact.resolve_dt_ratio`` for G and n_replicas (eps/5 for He_2
+    at H 0.6 and eps/2 at 0.85, eps 0.02, 600 replicas); with a drift, the
+    coarsest of at least fou.MIN_STEPS_PER_EPS, where Heun's own error, not
+    in the budget, alone exceeds it beyond about 13,000 replicas at H 0.6.
+    The limit dx = f(x) dU + g_bar h(x) dt, g_bar = E g(N(0, 1)), is
+    sampled by ``_limit_endpoints`` from master_seed + 1.  With the drift h(x) g(y) both sides are stepped by
     ``solve_limit_stratonovich``; h or g None means it is absent, and both
     sides take the flow of f.
     """
     eps = as_eps(eps)
-    if dt_ratio is None:
-        dt_ratio = exact.resolve_dt_ratio(G, H, t, [eps], n_replicas)[0]["dt_ratio"]
     if h is None or g is None:
         h = g = None
+    if dt_ratio is None:
+        dt_ratio = exact.resolve_dt_ratio(G, H, t, [eps], n_replicas,
+                                          stepped=h is not None)[0]["dt_ratio"]
     x_eps = _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n_replicas, master_seed,
                                  dt_ratio, threads)
     g_bar = 0.0 if g is None else chaos.gaussian_expectation(g)

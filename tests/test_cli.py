@@ -480,7 +480,7 @@ def test_clt_scan_json_summary(tmp_path):
     assert doc["expected_slope"] == -1.0
     assert "slope_ci" in doc and len(doc["slope_ci"]) == 2
     # --dt-ratio auto: the coarsest rung, its exact bias within budget
-    assert doc["dt_ratio"] == 10.0 and doc["bias_budget_met"] is True
+    assert doc["dt_ratio"] == 4.0 and doc["bias_budget_met"] is True
     assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 399))
     assert len(doc["trapezoid_bias"]) == 3
     assert max(map(abs, doc["trapezoid_bias"])) <= doc["bias_budget"]
@@ -538,7 +538,7 @@ def test_homogenize_auto_dt_ratio_takes_the_coarsest_rung(tmp_path):
     assert run(["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "600",
                 "--seed", "3", "--format", "json", "--out", str(out)]) in (0, 2)
     doc = json.loads((tmp_path / "hom.json").read_text())
-    assert doc["dt_ratio"] == 10.0 and doc["bias_budget_met"] is True
+    assert doc["dt_ratio"] == 5.0 and doc["bias_budget_met"] is True
     assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 599))
     assert len(doc["trapezoid_bias"]) == 1
     assert 0.0 < doc["trapezoid_bias"][0] <= doc["bias_budget"]
@@ -555,6 +555,37 @@ def test_homogenize_explicit_dt_ratio_keeps_its_meaning(tmp_path):
     doc = json.loads((tmp_path / "hom.json").read_text())
     assert [r[1] for r in doc["table"]["rows"]] == [output.fmt(v) for v in x]
     assert doc["dt_ratio"] == 50.0
+
+
+def test_clt_scan_explicit_coarse_dt_ratio_reports_its_bias(tmp_path):
+    # dt = eps/2 is sampled exactly in law; its trapezoid bias, 2.5e-2 to
+    # 2.8e-2, misses the budget of 1200 replicas, and the summary says so
+    out = tmp_path / "scan"
+    assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "1200",
+                "--dt-ratio", "2", "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "scan.json").read_text())
+    assert doc["dt_ratio"] == 2.0 and doc["bias_budget_met"] is False
+    assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 1199))
+    assert all(0.025 < b < 0.028 for b in doc["trapezoid_bias"])
+
+
+def test_homogenize_explicit_coarse_dt_ratio_without_drift_runs(tmp_path):
+    out = tmp_path / "hom"
+    assert run(["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "40",
+                "--seed", "6", "--dt-ratio", "5", "--format", "json",
+                "--out", str(out)]) in (0, 2)
+    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert doc["dt_ratio"] == 5.0 and len(doc["table"]["rows"]) == 40
+    assert doc["bias_budget_met"] is True and len(doc["trapezoid_bias"]) == 1
+
+
+def test_homogenize_explicit_coarse_dt_ratio_with_drift_exits_2(tmp_path, capsys):
+    # Heun is stepped on the sampled grid, which must resolve the fast scale
+    argv = ["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--hfun", "one", "--gfun", "cos",
+            "--replicas", "40", "--dt-ratio", "5", "--out", str(tmp_path / "hom")]
+    assert run(argv) == 2
+    assert "under-resolved fast scale" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_homogenize_dt_ratio_that_is_no_number_is_a_usage_error(tmp_path, capsys):

@@ -98,15 +98,29 @@ MC_PAIRS = [(He2, 0.6), (He2, 0.75), (He1, 0.8), (He2, 0.85),
             (ChaosFunction([0, 0, 0, 1]), 0.7)]
 
 
+# the coarsest rung whose exact bias fits the budget of 1,200 replicas
+AUTO_RATIO_1200 = {0.6: 5.0, 0.75: 2.0, 0.8: 2.0, 0.85: 2.0, 0.7: 4.0}
+
+
 @pytest.mark.parametrize("eps_list", [[0.1, 0.05, 0.02], [0.05, 0.02, 0.01]])
 @pytest.mark.parametrize("G, H", MC_PAIRS, ids=["He2-0.6", "He2-0.75", "He1-0.8",
                                                 "He2-0.85", "He3-0.7"])
 def test_auto_ratio_is_ten_where_paths_are_smooth(G, H, eps_list):
+    # the budget alone picks the rung: it fits there and misses one rung
+    # coarser; a solver stepped on the grid takes ten, the coarsest that
+    # resolves the fast scale
     resolution, var = exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200)
-    assert resolution["dt_ratio"] == 10.0 and resolution["bias_budget_met"]
-    assert np.max(np.abs(resolution["trapezoid_bias"])) < 1e-3
-    assert var == pytest.approx([exact.trapezoid_variance(G, H, 1.0, e, 10.0)
+    ratio = resolution["dt_ratio"]
+    assert ratio == AUTO_RATIO_1200[H] and resolution["bias_budget_met"]
+    rung = exact.DT_RATIO_LADDER.index(ratio)
+    if rung > 0:
+        coarser = exact.DT_RATIO_LADDER[rung - 1]
+        assert not exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200, coarser)[0][
+            "bias_budget_met"]
+    assert var == pytest.approx([exact.trapezoid_variance(G, H, 1.0, e, ratio)
                                  for e in eps_list], rel=1e-15)
+    stepped = exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200, stepped=True)[0]
+    assert stepped["dt_ratio"] == fou.MIN_STEPS_PER_EPS and stepped["bias_budget_met"]
 
 
 def test_auto_ratio_refines_for_rough_paths_and_caps_at_400():
@@ -122,10 +136,29 @@ def test_auto_ratio_refines_for_rough_paths_and_caps_at_400():
 
 
 def test_auto_ratio_skips_a_grid_that_rounding_leaves_unresolved():
-    # 1 / (0.03 / 10) = 333.3 rounds to 333 steps, dt = 0.003003 > eps / 10
+    # 1 / (0.03 / 10) = 333.3 rounds to 333 steps, dt = 0.003003 > eps / 10:
+    # a stepped solver skips that rung; the sampled integral alone takes 2
     assert not fou._resolves(TimeGrid.with_step(1.0, 0.003).dt, 0.03)
-    res = exact.resolve_dt_ratio(He1, 0.8, 1.0, [0.1, 0.03, 0.01], 1200)[0]
+    eps_list = [0.1, 0.03, 0.01]
+    res = exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200, stepped=True)[0]
     assert res["dt_ratio"] == 20.0 and res["bias_budget_met"]
+    assert exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200)[0]["dt_ratio"] == 2.0
+
+
+@pytest.mark.parametrize("H", [0.6, 0.85])
+def test_he2_kurtosis_at_the_resolved_rung_is_that_of_a_fine_grid(H):
+    # criterion 6's forms at eps 0.02 and 2,500 replicas: the exact excess
+    # kurtosis on the auto grid (eps/6 at H 0.6, eps/2 at 0.85) is within a
+    # tenth of a sample's SE of the one at eps/50 (1.092 against 1.095 and
+    # 9.073 against 9.077, SE 0.42 and 3.2)
+    n, eps = 2500, 0.02
+    def kurtosis(ratio):
+        return exact.quadratic_form_kurtosis(exact.he2_trapezoid_spectrum(H, 1.0, eps, ratio), n)
+
+    ratio = exact.resolve_dt_ratio(He2, H, 1.0, [eps], n)[0]["dt_ratio"]
+    (_, kurt, _), (_, fine, se) = kurtosis(ratio), kurtosis(50.0)
+    assert ratio < fou.MIN_STEPS_PER_EPS
+    assert abs(kurt - fine) <= 0.1 * se
 
 
 def test_resolved_ratio_reports_the_exact_bias_of_the_number_given():

@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -272,9 +274,12 @@ def test_sample_fou_holder_diagnostic():
 
 
 def test_sample_fou_under_resolved_raises():
-    grid = TimeGrid(1.0, 50)  # dt = 0.02 > eps/10
+    # dt = 0.02 > eps/10: the sampler draws the exact law there, and the
+    # refusal is that of a solver stepped on the grid (test_solvers.py)
+    grid = TimeGrid(1.0, 50)
+    assert fou.path_sampler(grid, 0.7, 0.1).batch(keys(5, "coarse", 0, 2)).shape == (2, 51)
     with pytest.raises(ValueError, match="under-resolved"):
-        fou.path_sampler(grid, 0.7, 0.1)
+        fou._check_resolution(grid.dt, 0.1)
 
 
 def test_fou_config_validation():
@@ -296,7 +301,9 @@ def implied_autocovariance(H, step, n):
 
 
 @pytest.mark.parametrize("H, step, n, padded", [
+    (0.3, 1 / 2, 1000, False),
     (0.3, 1 / 10, 1000, False),
+    (0.85, 1 / 2, 500, False),
     (0.7, 1 / 50, 2000, False),
     (0.85, 1 / 50, 100, True),
     (0.85, 1 / 50, 500, True),
@@ -321,7 +328,7 @@ def test_fou_sampler_covariance_is_exact(H, step):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(H=st.floats(0.01, 0.99), inv_step=st.floats(10.0, 200.0), n=st.integers(1, 5000))
+@given(H=st.floats(0.01, 0.99), inv_step=st.floats(2.0, 200.0), n=st.integers(1, 5000))
 def test_fou_embedding_reproduces_rho_property(H, inv_step, n):
     step = 1.0 / inv_step
     _, acov = implied_autocovariance(H, step, n)
@@ -342,10 +349,9 @@ def test_sample_fou_rows_do_not_depend_on_batching():
 
 
 def test_sample_fou_centred_he2_at_coarse_resolution():
-    # dt = eps/10, the coarsest resolution the sampler accepts
+    # dt = eps/10, and eps/2, the coarsest rung of exact.DT_RATIO_LADDER
     eps = 0.1
-    grid = TimeGrid(0.1, 10)
-    for H in (0.3, 0.85):
+    for grid, H in itertools.product((TimeGrid(0.1, 10), TimeGrid(0.1, 2)), (0.3, 0.85)):
         y = fou.path_sampler(grid, H, eps).batch(keys(41, "he2", 0, 8000))
         he2 = y[:, -1] ** 2 - 1.0
         se = he2.std(ddof=1) / np.sqrt(len(he2))

@@ -120,7 +120,7 @@ def test_variance_scan_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
         assert ratios[-3:] == [resolution["dt_ratio"]] * 3
         assert scan.meta["resolution"]["dt_ratio"] == resolution["dt_ratio"]
         assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, var)
-    assert ratios == [10.0] * 3 + [400.0] * 3
+    assert ratios == [2.0] * 3 + [400.0] * 3
 
 
 def test_joint_check_takes_the_finest_rung_its_functions_need(monkeypatch):
@@ -132,10 +132,10 @@ def test_joint_check_takes_the_finest_rung_its_functions_need(monkeypatch):
         return make_sampler(grid, H, eps)
 
     monkeypatch.setattr(fou, "path_sampler", spy)
-    # He_1 and He_2 at H 0.3 over [0, 0.2], eps 0.05, 40 replicas: 10 and 20
+    # He_1 and He_2 at H 0.3 over [0, 0.2], eps 0.05, 40 replicas: 8 and 20
     rungs = [exact.resolve_dt_ratio(G, 0.3, 0.2, [0.05], 40)[0]["dt_ratio"] for G in (H1, H2)]
     report = harness.joint_covariance_check([H1, H2], 0.3, 0.2, 0.1, 0.05, 40, 3)
-    assert rungs == [10.0, 20.0] and report["dt_ratio"] == 20.0
+    assert rungs == [8.0, 20.0] and report["dt_ratio"] == 20.0
     assert steps == [TimeGrid.with_step(0.2, 0.05 / 20.0).dt]
 
 

@@ -337,9 +337,12 @@ def test_flow_path_builds_no_chunk_path_matrix():
 
 
 def test_multiscale_config_validation():
-    for h, g in ((None, None), (_zero, _zero)):
-        with pytest.raises(ValueError, match="resolve the fast scale"):
-            solvers.homogenize(H1, 0.7, 0.01, _zero, h, g, 1, 0, dt_ratio=5.0)
+    # dt = eps/5: the drift path steps Heun on the grid and refuses it; the
+    # flow path takes the trapezoid integral there, whose law is exact
+    with pytest.raises(ValueError, match="resolve the fast scale"):
+        solvers.homogenize(H1, 0.7, 0.01, _zero, _zero, _zero, 1, 0, dt_ratio=5.0)
+    x, _ = solvers.homogenize(H1, 0.7, 0.01, _zero, None, None, 2, 0, dt_ratio=5.0)
+    np.testing.assert_array_equal(x, 0.0)
 
 
 def test_slow_fast_reduces_to_functional_integral():
@@ -447,7 +450,10 @@ def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
     monkeypatch.setattr(solvers, "_slow_fast_endpoints", spy)
     solvers.homogenize(H2, 0.85, 0.02, _sin2, None, None, 40, 2)
     solvers.homogenize(H2, 0.05, 0.02, _sin2, None, None, 40, 2, t=0.1)
-    assert ratios == [10.0, exact.resolve_dt_ratio(H2, 0.05, 0.1, [0.02], 40)[0]["dt_ratio"]]
+    # a drift steps Heun on the grid: the coarsest unbiased rung that resolves eps
+    solvers.homogenize(H2, 0.85, 0.02, _sin2, _one, np.cos, 40, 2)
+    assert ratios == [2.0, exact.resolve_dt_ratio(H2, 0.05, 0.1, [0.02], 40)[0]["dt_ratio"],
+                      fou.MIN_STEPS_PER_EPS]
     assert ratios[1] > 10.0
 
 
@@ -456,15 +462,16 @@ def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
 def test_heun_error_with_drift_at_the_auto_ratio_fits_the_bias_budget(monkeypatch, H, hfun):
     # each trapezoid step stepped as it is and again on 8 equal substeps: the
     # driver is piecewise linear, so the substep solve is the same driver
-    # solved more accurately.  At 600 replicas the relative variance gap
+    # solved more accurately.  At the drift path's auto ratio (eps/10) and
+    # 600 replicas the relative variance gap
     # (1.0e-3 to 1.2e-3 at H 0.6, 1.8e-4 to 2.1e-4 at 0.85) plus the exact
     # trapezoid bias of the grid fits the budget of 600 replicas, 5.8e-3; the gap alone
     # would exceed the budget beyond about 13,000 replicas at H 0.6 and
     # 470,000 at H 0.85
     eps, n = 0.02, 600
-    resolution, _ = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)
+    resolution, _ = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n, stepped=True)
     ratio, bias, budget = (resolution[k] for k in ("dt_ratio", "trapezoid_bias", "bias_budget"))
-    assert ratio == 10.0
+    assert ratio == fou.MIN_STEPS_PER_EPS
     heun, fine = solvers.solve_limit_stratonovich, []
 
     def both(x0, f, h, dU, dV):
