@@ -272,6 +272,9 @@ def _cmd_l2_hermite(args) -> int:
         "monotone_decreasing": scan.meta["monotone_decreasing"],
         "limit_coefficient": scan.meta["limit_coefficient"],
         "h_star": scan.meta["h_star"],
+        # rank of the far field's noise and the part of its Gram's trace dropped
+        "far_rank": scan.meta["far_rank"],
+        "far_gram_dropped": scan.meta["far_gram_dropped"],
         "pass": bool(scan.meta["monotone_decreasing"]
                      and scan.values[-1] < 0.5 * scan.values[0]),
     }

@@ -394,12 +394,14 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     kernels = [hermite._kernel(fine, hs, m)]
     kernels += [hermite._fou_kernel(fine, h, eps, r) for eps, r in zip(eps_arr, strides)]
     var_lim = kernels[0].variances()
+    far = np.concatenate([kern.far for kern in kernels])
+    far_factor, far_dropped = hermite._far_factor(far @ far.T)
     K = chaos.K_normalizer(hs, m)
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
 
     def make_chunk(chunk_keys):
         out = np.empty((len(chunk_keys), len(eps_arr)))
-        for start, (u, *ys) in hermite._projections(chunk_keys, kernels):
+        for start, (u, *ys) in hermite._projections(chunk_keys, kernels, far_factor):
             Z_t = hermite._wick_power(u, var_lim, m).sum(axis=1) * fine.dt * K / math.factorial(m)
             for i, (y, eps, r) in enumerate(zip(ys, eps_arr, strides)):
                 X = functional_values(G, y, fine.horizon / (n_fine // r), eps ** (hs - 1.0))
@@ -412,5 +414,6 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     monotone = bool(np.all(np.diff(dists) < 0))
     return ScanResult(
         eps_arr, dists, se, n_replicas,
-        meta={"monotone_decreasing": monotone, "limit_coefficient": lam, "h_star": hs},
+        meta={"monotone_decreasing": monotone, "limit_coefficient": lam, "h_star": hs,
+              "far_rank": far_factor.shape[1], "far_gram_dropped": far_dropped},
     )

@@ -15,11 +15,14 @@ sqrt(width), as the Wick form ||a_s||^m He_m(u_s/||a_s||), u_s = a_s . N,
 of the multiple integral of a_s^{(x)m}.  A kernel is held dense on the
 uniform cells, and on the far cells, where it is smooth in the row time,
 at 20 Chebyshev rows that a barycentric matrix interpolates to every
-row.  The covariance is exact in one line, m! ds^2 sum_{s<j, s'<k}
-gram_{ss'}^m (``exact_covariance``), and a replica costs
-O(n_s * 2n + 20 * n_far) for every m.  A ``HermiteEngine`` holds all
+row.  The far cells' projections on those rows are Gaussian with the
+far Gram as covariance, of rank r (5 to 7), so they are drawn as r
+normals times a factor of it (``_far_factor``) rather than from the
+n_far cells.  The covariance is exact in one line, m! ds^2 sum_{s<j, s'<k}
+gram_{ss'}^m (``exact_covariance``), and a replica draws r + 2n normals
+and costs O(n_s * 2n + 20 r) for every m.  A ``HermiteEngine`` holds all
 this for one (grid, H, m), built once per operation and handed to every
-chunk; ``hermite_ensemble`` draws one row of cell noise per Philox key,
+chunk; ``hermite_ensemble`` draws one row of noise per Philox key,
 a block of rows at a time, and ensembles take their keys chunk by chunk
 from ``harness.run_replicated``.
 
@@ -61,6 +64,8 @@ _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
 # Chebyshev rows of a far block: 16 leave a gram error of 1.6e-13, 20 (as 24) 3e-15
 _FAR_NODES = 20
+# the far Gram's factor keeps the eigenvalues above this fraction of the largest
+_FAR_RANK_TOL = 1e-15
 
 
 def _cell_edges(grid: TimeGrid) -> np.ndarray:
@@ -141,6 +146,21 @@ def _kernel(grid: TimeGrid, H: float, m: int) -> _CellKernel:
     return _CellKernel(near, _cell_average(u, np.diff(edges[: n_far + 1]), p), P)
 
 
+def _far_factor(far_gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """L (nodes x r) with L L^T = far_gram, and the fraction of its trace dropped.
+
+    far_gram is far far^T for the stacked far blocks of one noise; its
+    projections of the far cells' unit normals have the law of L z for r
+    unit normals z.  L is V sqrt(w) over numpy's ``eigh`` pairs (w, V)
+    whose w exceeds _FAR_RANK_TOL of the largest; r is 5 to 7 where the
+    far cells number 1,463 to 1,477.
+    """
+    w, V = np.linalg.eigh(far_gram)
+    keep = w > _FAR_RANK_TOL * w[-1]
+    dropped = float(np.abs(w[~keep]).sum() / np.trace(far_gram))
+    return V[:, keep] * np.sqrt(w[keep]), dropped
+
+
 class HermiteEngine:
     """Kernel, step variances, per-time scale and raw covariance of Z^{H,m} on a grid.
 
@@ -149,19 +169,24 @@ class HermiteEngine:
     and var its diagonal.  C is the exact covariance of the cumulative
     Wick series (``_series_covariance``), and scale[k] = t_k^H /
     sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H}, absorbing the
-    discretization loss that plain K/m! scaling would leave.  The arrays
-    are read-only, so concurrent chunks share them.
+    discretization loss that plain K/m! scaling would leave.  far_factor
+    is ``_far_factor`` of far far^T, its rank far_rank and the fraction of
+    the trace it drops far_gram_dropped.  The arrays are read-only, so
+    concurrent chunks share them.
     """
 
     def __init__(self, grid: TimeGrid, H: float, m: int):
         self.grid, self.H, self.m = grid, H, m
         self.kernel = near, far, P = _kernel(grid, H, m)
-        gram = near @ near.T + P @ (far @ far.T) @ P.T
+        far_gram = far @ far.T
+        self.far_factor, self.far_gram_dropped = _far_factor(far_gram)
+        self.far_rank = self.far_factor.shape[1]
+        gram = near @ near.T + P @ far_gram @ P.T
         self.var = np.diag(gram).copy()
         self.C = _series_covariance(gram, m, grid.dt)
         self.scale = np.zeros(grid.n_steps + 1)
         self.scale[1:] = grid.times()[1:] ** H / np.sqrt(np.diag(self.C)[1:])
-        for arr in (*self.kernel, self.var, self.C, self.scale):
+        for arr in (*self.kernel, self.far_factor, self.var, self.C, self.scale):
             arr.flags.writeable = False
 
 
@@ -191,20 +216,23 @@ def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
     return cur
 
 
-def _projections(keys: np.ndarray, kernels: list[_CellKernel]):
-    """(start, [N M^T for each kernel M]), N the cell noise of keys[start :
-    start + len(N)], drawn BLOCK_BYTES at a time into one buffer.  The far
-    cells of N are projected once, on the stacked node rows of all kernels."""
-    n_far = kernels[0].far.shape[1]
-    n_cells = n_far + kernels[0].near.shape[1]
-    far = np.concatenate([kern.far for kern in kernels])
+def _projections(keys: np.ndarray, kernels: list[_CellKernel], far_factor: np.ndarray):
+    """(start, [u for each kernel]) for a block of the replicas keys[start :
+    start + len(u)] at a time.  A replica's noise is r + 2n normals N: N[r:]
+    are the uniform cells, and the far projections on the stacked node rows
+    of all kernels are N[:r] L^T, L = far_factor (``_far_factor`` of the
+    stacked far Gram), so u = N[r:] near^T + (N[:r] L^T) P^T.  A block's
+    noise and projections fit in about BLOCK_BYTES, its noise drawn into
+    one buffer."""
+    r, n_near = far_factor.shape[1], kernels[0].near.shape[1]
     cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
-    rows = max(1, min(len(keys), BLOCK_BYTES // (8 * n_cells)))
-    buf = np.empty((rows, n_cells))
+    row_bytes = 8 * (r + n_near + len(far_factor) + sum(len(kern.near) for kern in kernels))
+    rows = max(1, min(len(keys), BLOCK_BYTES // row_bytes))
+    buf = np.empty((rows, r + n_near))
     for start in range(0, len(keys), rows):
         N = normals(keys[start : start + rows], buf[: min(rows, len(keys) - start)])
-        far_proj = N[:, :n_far] @ far.T
-        yield start, [N[:, n_far:] @ kern.near.T + far_proj[:, a:b] @ kern.P.T
+        far_proj = N[:, :r] @ far_factor.T
+        yield start, [N[:, r:] @ kern.near.T + far_proj[:, a:b] @ kern.P.T
                       for kern, a, b in zip(kernels, cuts, cuts[1:])]
 
 
@@ -225,7 +253,7 @@ def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
         report_idx = np.array([engine.grid.n_steps])
     report_idx = np.asarray(report_idx, dtype=int)
     out = np.empty((len(keys), len(report_idx)))
-    for start, (u,) in _projections(keys, [engine.kernel]):
+    for start, (u,) in _projections(keys, [engine.kernel], engine.far_factor):
         series = _wick_power(u, engine.var, engine.m) * engine.grid.dt
         cum = np.cumsum(np.pad(series, ((0, 0), (1, 0))), axis=1)  # Z at t_0 = 0 is 0
         out[start : start + len(u)] = cum[:, report_idx] * engine.scale[report_idx]

@@ -59,9 +59,13 @@ def normals(key_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         return out
     bitgen = np.random.Philox(key=key_rows[0])
     gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter 0, empty buffer
-    for key, row in zip(key_rows, out):
-        state["state"]["key"] = key
+    # counter 0 and an empty buffer, as Python ints: setting the state
+    # converts them faster than uint64 arrays
+    inner = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key, row in zip(key_rows.tolist(), out):
+        inner["key"] = key
         bitgen.state = state
         gen.standard_normal(out=row)
     return out

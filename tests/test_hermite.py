@@ -10,6 +10,7 @@ from scipy import integrate, stats
 
 from conftest import stream
 from foulim import fgn, fou, harness, hermite, streams
+from foulim.chaos import ChaosFunction
 from foulim.hermite import HermiteEngine
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -221,8 +222,9 @@ def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
     # the near block, windows of one lag profile, against the whole-array
     # difference form of the cell averages; the far block of an fOU kernel
     # at its node rows against ghat there, bit for bit; and projections of
-    # the cell noise a block of rows at a time (one row at 8 kB) against
-    # one product with the whole kernel
+    # the noise, r normals for the far field's factor and 2n for the uniform
+    # cells, a block of rows at a time (one row at 8 kB) against one product
+    # with the whole factored kernel
     monkeypatch.setattr(hermite, "BLOCK_BYTES", block_bytes)
     grid = TimeGrid(1.0, 200)
     edges = hermite._cell_edges(grid)
@@ -236,9 +238,10 @@ def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
     far = hermite.ghat((x[:, None] - far_mid) / 0.1, 0.8) * np.sqrt(np.diff(edges) / 0.1)[:n_far]
     np.testing.assert_array_equal(hermite._fou_kernel(grid, 0.8, 0.1, 2).far, far)
     key_rows = keys(4, "blocks", 0, 9)
-    N = streams.normals(key_rows, np.empty((9, len(edges) - 1)))
-    whole = N @ np.hstack([kernel.P @ kernel.far, kernel.near]).T
-    blocks = [u for _, (u,) in hermite._projections(key_rows, [kernel])]
+    far_factor, _ = hermite._far_factor(kernel.far @ kernel.far.T)
+    N = streams.normals(key_rows, np.empty((9, far_factor.shape[1] + 2 * grid.n_steps)))
+    whole = N @ np.hstack([kernel.P @ far_factor, kernel.near]).T
+    blocks = [u for _, (u,) in hermite._projections(key_rows, [kernel], far_factor)]
     assert len(blocks) == (9 if block_bytes == 8_000 else 1)
     np.testing.assert_allclose(np.concatenate(blocks), whole, rtol=0, atol=1e-13)
 
@@ -279,10 +282,61 @@ def test_far_field_interpolation_matches_dense_kernels(n):
         np.testing.assert_allclose(kernel.P @ kernel.far, dense, rtol=1e-12, atol=0)
 
 
+def _recording_draws(monkeypatch) -> list[int]:
+    """The number of normals each replica of hermite's ``normals`` calls draws."""
+    widths = []
+    draw = hermite.normals
+
+    def spy(key_rows, out):
+        widths.append(out.shape[1])
+        return draw(key_rows, out)
+
+    monkeypatch.setattr(hermite, "normals", spy)
+    return widths
+
+
+@pytest.mark.parametrize("n, H, m", [(200, 0.7, 2), (400, 0.8, 1), (400, 0.75, 3)])
+def test_engine_far_factor_is_a_rank_r_factor_of_the_far_gram(n, H, m, monkeypatch):
+    # L L^T against far far^T within 1e-13 of its trace, on r < 20 columns
+    # (5 to 7 measured), and each replica draws r + 2n normals
+    engine = HermiteEngine(TimeGrid(1.0, n), H, m)
+    L, far = engine.far_factor, engine.kernel.far
+    gram = far @ far.T
+    assert np.abs(L @ L.T - gram).max() <= 1e-13 * np.trace(gram)
+    assert engine.far_rank == L.shape[1] < hermite._FAR_NODES
+    assert 0.0 <= engine.far_gram_dropped < 1e-13
+    assert not L.flags.writeable
+    widths = _recording_draws(monkeypatch)
+    hermite.hermite_ensemble(engine, keys(2, "rank", 0, 3))
+    assert widths == [engine.far_rank + 2 * n]
+
+
+def test_l2_far_factor_is_a_rank_r_factor_of_the_stacked_far_gram(monkeypatch):
+    # one factor per call, of the stacked far blocks of the Hermite kernel
+    # and the three fOU kernels, reported in meta; each replica draws r + 2n
+    seen = []
+    factor = hermite._far_factor
+
+    def spy(gram):
+        seen.append((gram, factor(gram)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hermite, "_far_factor", spy)
+    widths = _recording_draws(monkeypatch)
+    scan = harness.l2_convergence_hermite(ChaosFunction([0, 1.0]), 0.8, 1.0, [0.2, 0.1, 0.05],
+                                          20, 3)
+    ((gram, (L, dropped)),) = seen
+    assert gram.shape == (4 * hermite._FAR_NODES,) * 2
+    assert np.abs(L @ L.T - gram).max() <= 1e-13 * np.trace(gram)
+    assert (scan.meta["far_rank"], scan.meta["far_gram_dropped"]) == (L.shape[1], dropped)
+    assert set(widths) == {L.shape[1] + 2 * 400}  # the fine grid: 0.05 / 20
+
+
 def test_engine_and_ensemble_memory_is_the_near_block_and_one_noise_block():
     # at 400 steps the near block is 400 x 800 (2.6 MB), gram and C 1.3 MB
-    # each, and a 57-row noise block (1 MiB) with its projections while
-    # 600 replicas are drawn brings the peak to 6.7 MB.  The dense
+    # each, and a 106-row block, whose 806 normals and 420 projections a row
+    # fit in 1 MiB, while 600 replicas are drawn brings the peak to 7.0 MB
+    # (6.7 MB with 57-row blocks of all 2,277 cells' normals).  The dense
     # 400 x 2277 kernel alone was 7.3 MB, and with the whole (600, 2277)
     # noise matrix these calls traced 27.3 MB
     hermite.hermite_ensemble(HermiteEngine(TimeGrid(1.0, 20), 0.7, 2),
@@ -324,7 +378,11 @@ def test_chaos_orthogonality_across_orders():
     e2 = HermiteEngine(grid, 0.7, 2)
     e1 = HermiteEngine(grid, 0.8, 1)
     # row k of the noise is stream (15, "orth", k), projected on both kernels
-    for i, (u2, u1) in hermite._projections(keys(15, "orth", 0, n), [e2.kernel, e1.kernel]):
+    # through the factor of their stacked far Gram
+    far = np.concatenate([e2.kernel.far, e1.kernel.far])
+    far_factor, _ = hermite._far_factor(far @ far.T)
+    for i, (u2, u1) in hermite._projections(keys(15, "orth", 0, n), [e2.kernel, e1.kernel],
+                                            far_factor):
         ser2 = hermite._wick_power(u2, e2.var, 2)
         ser1 = hermite._wick_power(u1, e1.var, 1)
         z2[i : i + len(u2)] = ser2.sum(axis=1) * grid.dt * e2.scale[-1]

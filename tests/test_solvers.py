@@ -29,8 +29,10 @@ def _sin2(u):
 
 
 def _slow_fast(G, H, eps, f, h, g, n, seed, x0=0.0, t=1.0, dt_ratio=50.0, threads=1):
-    """Slow/fast endpoints at dt = eps / dt_ratio; h None takes the flow path."""
-    return solvers._slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio, threads)
+    """Slow/fast endpoints at dt = eps / dt_ratio; h None takes the flow of f
+    at the driver, as ``homogenize`` does."""
+    x = solvers._slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio, threads)
+    return x if h is not None else solvers.flow_map_1d(f, x0, x)
 
 
 def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
@@ -201,13 +203,12 @@ def _hermite_limit_args(n, seed=23):
     return (G, 0.85, 1.0, 0.0, _sin2, None, 0.0, n, seed)
 
 
-def test_limit_endpoint_samples_agree_with_one_hermite_call(monkeypatch):
-    # 300 replicas, a full chunk and a partial one: with the flow map
-    # replaced by the identity the samples are sign(a_2) c Z_t, and each
-    # chunk's rows agree with one call over all replicas to rounding
+def test_limit_endpoint_samples_agree_with_one_hermite_call():
+    # 300 replicas, a full chunk and a partial one: without a drift the
+    # samples are the driver sign(a_2) c Z_t, and each chunk's rows agree
+    # with one call over all replicas to rounding
     from foulim import hermite
 
-    monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
     G, H, t, *_, n, seed = _hermite_limit_args(300)
     regime = chaos.classify_regime(2, H)
     engine = hermite.HermiteEngine(TimeGrid(t, 400), regime.h_star, 2)
@@ -238,11 +239,10 @@ def test_limit_endpoint_samples_memory_is_chunked():
 
 
 @pytest.mark.parametrize("H", [0.6, 0.75])
-def test_short_range_limit_reads_one_keyed_stream_per_replica(H, monkeypatch):
-    # short range and boundary without drift: with the flow map replaced by
-    # the identity, row i is c sqrt(t) times the first normal of stream
-    # (seed, "limit-endpoint", i), whatever the worker count
-    monkeypatch.setattr(solvers, "flow_map_1d", lambda f, x0, u: u)
+def test_short_range_limit_reads_one_keyed_stream_per_replica(H):
+    # short range and boundary without drift: row i of the driver is c
+    # sqrt(t) times the first normal of stream (seed, "limit-endpoint", i),
+    # whatever the worker count
     t, n, seed = 0.7, 300, 29
     out = [solvers._limit_endpoints(H2, H, t, 0.0, _sin2, None, 0.0, n, seed, threads)
            for threads in (1, 2)]
@@ -334,6 +334,28 @@ def test_flow_path_builds_no_chunk_path_matrix():
     _slow_fast(H2, 0.6, 0.01, _sin2, None, None, 2, 4)  # warm the imports
     assert _peak_traced_mb(_slow_fast, H2, 0.6, 0.01, _sin2, None, None, 250, 4) \
         < 0.5 * 8 * 5_001 * 250 / 1e6
+
+
+def test_drift_free_homogenize_takes_one_flow_of_both_drivers(monkeypatch):
+    # the slow/fast and limit drivers go through one flow_map_1d call, and
+    # each side agrees with the flow of its own driver to the solver's tolerance
+    calls = []
+    flow = solvers.flow_map_1d
+
+    def spy(f, x0, u):
+        calls.append(np.array(u))
+        return flow(f, x0, u)
+
+    monkeypatch.setattr(solvers, "flow_map_1d", spy)
+    H, eps, n, seed, x0 = 0.85, 0.02, 40, 6, 0.3
+    x, lim = solvers.homogenize(H2, H, eps, _sin2, None, None, n, seed, x0=x0)
+    assert len(calls) == 1
+    ratio = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)[0]["dt_ratio"]
+    u_eps = solvers._slow_fast_endpoints(H2, H, 1.0, eps, x0, _sin2, None, None, n, seed, ratio)
+    u_lim = solvers._limit_endpoints(H2, H, 1.0, x0, _sin2, None, 0.0, n, seed + 1)
+    np.testing.assert_array_equal(calls[0], np.concatenate([u_eps, u_lim]))
+    np.testing.assert_allclose(x, flow(_sin2, x0, u_eps), rtol=1e-8, atol=0)
+    np.testing.assert_allclose(lim, flow(_sin2, x0, u_lim), rtol=1e-8, atol=0)
 
 
 def test_multiscale_config_validation():
@@ -688,18 +710,24 @@ def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
     assert peak < 12.0
 
 
+def _broadcast_holder_seminorms(d, times, gam):
+    """Each replica's Hoelder seminorm over all ordered pairs and the
+    diagonal, by one (replicas, n_report, n_report) broadcast, as a reference."""
+    lag = np.abs(times[:, None] - times[None, :])
+    np.fill_diagonal(lag, np.inf)
+    return np.max(np.abs(d[:, :, None] - d[:, None, :]) / lag**gam, axis=(1, 2))
+
+
 def _pairwise_statistics(data, times, h):
     """sup pair L2 error and mean Hoelder seminorm per eps, from the full
     (replicas, n_report, n_report) pairwise arrays, as a reference."""
-    lag = np.abs(times[:, None] - times[None, :])
-    np.fill_diagonal(lag, np.inf)
-    lag_gam = lag ** (solvers.HOLDER_GAMMA_FACTOR * h)
     sup, holder = [], []
     for i in range(data.shape[1]):
         d = data[:, i, 0, :]
         pair = d[:, :, None] - d[:, None, :]
         sup.append(np.sqrt(np.max(np.mean(pair**2, axis=0))))
-        holder.append(np.mean(np.max(np.abs(pair) / lag_gam, axis=(1, 2))))
+        holder.append(np.mean(_broadcast_holder_seminorms(
+            d, times, solvers.HOLDER_GAMMA_FACTOR * h)))
     return np.array(sup), np.array(holder)
 
 
@@ -718,6 +746,34 @@ def test_kinetic_scan_statistics_match_the_pairwise_formula(H, monkeypatch):
     sup, holder = _pairwise_statistics(captured[0], grid.times(), H)
     np.testing.assert_allclose(scan.values, sup, rtol=1e-10, atol=0)
     np.testing.assert_allclose(scan.meta["holder_seminorm"], holder, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("H, n_report", [(0.3, 50), (0.7, 1), (0.7, 7)])
+def test_kinetic_holder_seminorms_equal_the_broadcast_form(H, n_report, monkeypatch):
+    # each pair j < k once, lag by lag, against every ordered pair and the
+    # diagonal at once, bit for bit: on the scan's readings and its mean,
+    # and on a non-uniform grid
+    grid = TimeGrid(1.0, n_report)
+    captured = []
+    run = solvers.run_replicated
+
+    def spy(*args, **kwargs):
+        captured.append(run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(solvers, "run_replicated", spy)
+    scan = solvers.kinetic_error_scan(H, [0.1, 0.05], grid, 300, 6)
+    gam = scan.meta["holder_gamma"]
+    for i in range(2):
+        d = np.ascontiguousarray(captured[0][:, i, 0, :])
+        ref = _broadcast_holder_seminorms(d, grid.times(), gam)
+        np.testing.assert_array_equal(solvers._holder_seminorms(d, grid.times(), gam), ref)
+        assert scan.meta["holder_seminorm"][i] == harness.fsum_mean(ref)
+    rng = np.random.default_rng(n_report)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_report))])
+    d = rng.standard_normal((50, n_report + 1))
+    np.testing.assert_array_equal(solvers._holder_seminorms(d, times, gam),
+                                  _broadcast_holder_seminorms(d, times, gam))
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])

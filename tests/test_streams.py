@@ -85,6 +85,17 @@ def test_rows_drawn_from_keys_equal_their_streams():
         np.testing.assert_array_equal(row, stream(2**40 + 3, "rows", 10 + i).standard_normal(333))
 
 
+def test_rows_of_keys_beyond_two_to_the_63_equal_their_streams():
+    # tags at and above 2**63 and indices above 2**32 re-key the generator
+    # through Python ints exactly as a fresh Philox takes them
+    k = np.array([[2**63, 2**32], [2**64 - 1, 2**32 + 5], [2**63 + 12345, 2**64 - 1]],
+                 dtype=np.uint64)
+    out = streams.normals(k, np.empty((3, 257)))
+    for key, row in zip(k, out):
+        expect = np.random.Generator(np.random.Philox(key=key)).standard_normal(257)
+        np.testing.assert_array_equal(row, expect)
+
+
 def test_normals_needs_one_key_per_row():
     with pytest.raises(ValueError, match="3 keys for 2 rows"):
         streams.normals(streams.keys(0, "x", 0, 3), np.empty((2, 4)))
