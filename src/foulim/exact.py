@@ -24,7 +24,8 @@ at H = 1/2 and tends to H Gamma(2H) rho(L r) as r -> 0.  Read at the
 reporting times by the scan's linear interpolation, it gives every
 pairwise second moment behind ``solvers.kinetic_error_scan``'s statistic
 exactly (up to the e^{-10} remainder of the scan's burn-in), and so the
-sup over pairs that the scan's sample sup estimates.
+sup over pairs that the scan's sample sup estimates; ``sup_over_pairs``
+takes both sups a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = [
     "loglog_slope",
     "reading_weights",
     "kinetic_chain_autocovariance",
-    "kinetic_reading_covariance",
+    "sup_over_pairs",
     "kinetic_sup_errors",
 ]
 
@@ -225,28 +226,42 @@ def kinetic_chain_autocovariance(H, r: float, n_lags: int) -> np.ndarray:
     return r ** (2.0 * h) / -np.expm1(-2.0 * r) * conv[2 * reach : 2 * reach + n_lags]
 
 
-def kinetic_reading_covariance(H, eps: float, times, dt_ratio: float) -> np.ndarray:
-    """Cov of sigma * y read at ``times`` on the grid of step eps/dt_ratio, y the
-    stationary chain of ``kinetic_chain_autocovariance`` with gain eps^H.
+def sup_over_pairs(m: np.ndarray, rows) -> tuple[float, tuple[int, int]]:
+    """max(0, max over j < k of m_j + m_k - 2 M_jk), the largest E(d_j - d_k)^2 of d with
+    second moments M, m = diag(M), and the first pair (j, k) where it falls.  ``rows(J)``
+    returns M[J, :] for a block of indices J under fgn.BLOCK_BYTES: no len(m)^2 array."""
+    n = len(m)
+    step = max(1, fgn.BLOCK_BYTES // (8 * n))
+    best, pair = 0.0, (0, 1)
+    for start in range(0, n - 1, step):
+        J = np.arange(start, min(start + step, n - 1))
+        sq = np.triu(m[J, None] + m[None, :] - 2.0 * rows(J), start + 1)  # k > j only
+        flat = int(np.argmax(sq))
+        if sq.flat[flat] > best:
+            best, pair = float(sq.flat[flat]), (start + flat // n, flat % n)
+    return best, pair
 
-    These are the scan's eps v readings; its error X - sigma B is minus
-    their increment from t = 0.
-    """
+
+def _kinetic_reading_covariance(H, eps: float, times, dt_ratio: float):
+    """(j, k) -> Cov of sigma ((1 - w) y[lo] + w y[lo + 1]) read at times[j] and times[k],
+    for broadcast index arrays, y the chain of ``kinetic_chain_autocovariance`` with gain
+    eps^H on the grid of step eps/dt_ratio: the scan's eps v readings, whose increment
+    from t = 0 is -(X - sigma B)."""
     e = as_eps(eps)
     lo, w = reading_weights(times, e / dt_ratio)
-    points = np.concatenate([lo, lo + 1])
-    R = kinetic_chain_autocovariance(H, 1.0 / dt_ratio, int(points.max()) + 1)
-    read = np.hstack([np.diag(1.0 - w), np.diag(w)])
-    scale = fou.stationary_sigma(H) ** 2 * e ** (2.0 * H)
-    return scale * (read @ R[np.abs(points[:, None] - points[None, :])] @ read.T)
+    R = kinetic_chain_autocovariance(H, 1.0 / dt_ratio, int(lo.max()) + 2)
+    R *= fou.stationary_sigma(H) ** 2 * e ** (2.0 * H)
+
+    def cov(j, k):
+        lag = lo[j] - lo[k]
+        return ((1.0 - w[j]) * ((1.0 - w[k]) * R[np.abs(lag)] + w[k] * R[np.abs(lag - 1)])
+                + w[j] * ((1.0 - w[k]) * R[np.abs(lag + 1)] + w[k] * R[np.abs(lag)]))
+    return cov
 
 
 def kinetic_sup_errors(H, eps_list, times, dt_ratio: float) -> np.ndarray:
     """sup over pairs j, k of sqrt(E(d_j - d_k)^2), d the readings of X - sigma B,
     one per eps of ``as_eps_list(eps_list)``: the target of the kinetic scan."""
-    out = []
-    for e in as_eps_list(eps_list):
-        C = kinetic_reading_covariance(H, e, times, dt_ratio)
-        d = np.diag(C)
-        out.append(np.sqrt(np.max(d[:, None] + d[None, :] - 2.0 * C)))
-    return np.array(out)
+    idx = np.arange(len(times))
+    covs = [_kinetic_reading_covariance(H, e, times, dt_ratio) for e in as_eps_list(eps_list)]
+    return np.sqrt([sup_over_pairs(c(idx, idx), lambda J: c(J[:, None], idx))[0] for c in covs])

@@ -51,10 +51,8 @@ __all__ = [
 ]
 
 BLOWUP_GUARD = 1e8
-# kinetic_error_scan: the Hoelder seminorm is taken at gamma = HOLDER_GAMMA_FACTOR * H,
-# and each (n_report + 1)^2 array of its pairwise reduction must fit in PAIRWISE_BYTES
+# kinetic_error_scan takes the Hoelder seminorm at gamma = HOLDER_GAMMA_FACTOR * H
 HOLDER_GAMMA_FACTOR = 0.5
-PAIRWISE_BYTES = 2**24
 
 
 class BlowUpError(FoulimError, FloatingPointError):
@@ -281,7 +279,8 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     a factor that moves the slope by under 3e-4 for H in [0.05, 0.95].  meta
     carries those exact values and their least-squares slope, the max identity
     defect, taken from the origin t = 0 where X - sigma B and its readings
-    are zero, and the Hoelder-seminorm slope at gamma = HOLDER_GAMMA_FACTOR*H.
+    are zero, and the mean Hoelder seminorm at gamma = HOLDER_GAMMA_FACTOR*H
+    with its least-squares slope (``exact.loglog_slope``).
 
     The fGN comes from one ``fgn.StationarySampler`` built per scan (at
     its fast 5-smooth length).  Within each replica chunk its row blocks
@@ -293,22 +292,15 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     one cumulative sum C of y follow; y, C and B are read on the
     reporting grid first and scaled by sigma after.  So no chunk-sized fGN
     matrix is built, and every row is the same as from a whole-chunk draw.  The
-    pairwise second moments come from one Gram matrix of the readings,
-    and the Hoelder seminorms (``_holder_seminorms``) from each pair j < k
-    once, lag by lag, so no (replicas, n_report + 1, n_report + 1) array is
-    built either.  A reporting grid whose
-    (n_report + 1)^2 pairwise arrays would exceed PAIRWISE_BYTES each
-    raises ValueError before anything is drawn.
+    sup over pairs takes the sample second moments d[:, J].T @ d / n a block of
+    rows J at a time (``exact.sup_over_pairs``), and the Hoelder seminorms each
+    pair j < k once, lag by lag, so no (n_report + 1)^2 array is built.
     """
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
-    T = grid.horizon
+    if len(eps_arr) < 2:
+        raise ValueError("kinetic scan needs at least 2 distinct eps values")
     report_times = grid.times()
-    n_rep = len(report_times)
-    if 8 * n_rep**2 > PAIRWISE_BYTES:
-        raise ValueError(f"{n_rep} reporting times need {8 * n_rep**2:,} bytes per "
-                         f"pairwise array, over the budget of {PAIRWISE_BYTES:,}; "
-                         "report at fewer times")
     sigma = fou.stationary_sigma(h)
     # master spacing: finest dt refined until every eps grid sits on it
     dt_min = eps_arr[-1] / fou.MIN_STEPS_PER_EPS
@@ -323,10 +315,9 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
             "the finest grid; choose commensurate scales"
         )
     blocks = [int(round(r)) for r in ratios]
-    burn = 10.0 * eps_arr[0]
-    n_burn_m = int(round(burn / dt_master))
+    n_burn_m = int(round(10.0 * eps_arr[0] / dt_master))
     # main length: at least ceil(N / b) whole blocks on every eps grid
-    n_steps = int(round(T / dt_master))
+    n_steps = int(round(grid.horizon / dt_master))
     n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
     n_total = n_burn_m + n_main_m
     sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h), n_total)
@@ -365,26 +356,20 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     # X_0 = B_0 = 0, so a reading taken from a shifted origin shows
     defect = np.max(np.abs(diff + (epsv - epsv[:, :, :1])))
 
-    sup_err = np.empty(len(eps_arr))
-    sup_se = np.empty(len(eps_arr))
-    holder = np.empty(len(eps_arr))
+    sup_err, sup_se, holder = np.empty((3, len(eps_arr)))
     gam = HOLDER_GAMMA_FACTOR * h
     for i in range(len(eps_arr)):
         d = np.ascontiguousarray(diff[:, i, :])
-        # pairwise second moments E d_j^2 + E d_k^2 - 2 E[d_j d_k] from one Gram matrix
-        gram = d.T @ d / n_replicas
-        sq = np.diag(gram)
-        pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
-        k_flat = np.argmax(pair_sq)
-        sup_err[i] = np.sqrt(pair_sq.ravel()[k_flat])
+        sq_max, (j, k) = exact.sup_over_pairs(np.einsum("ij,ij->j", d, d) / n_replicas,
+                                              lambda J: d[:, J].T @ d / n_replicas)
+        sup_err[i] = np.sqrt(sq_max)
         if not sup_err[i] > 0.0:
             raise FoulimError(f"kinetic error vanishes at H={h}, eps={eps_arr[i]}: "
                               "no rate can be fitted to it")
-        worst = (d[:, k_flat // n_rep] - d[:, k_flat % n_rep]) ** 2
+        worst = (d[:, j] - d[:, k]) ** 2
         sup_se[i] = 0.5 * np.std(worst, ddof=1) / np.sqrt(len(worst)) / sup_err[i]
         holder[i] = fsum_mean(_holder_seminorms(d, report_times, gam))
     slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, sup_se)
-    h_slope, _ = fit_loglog_slope(1.0 / eps_arr, holder, np.maximum(1e-3 * holder, 1e-12))
     exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times, fou.MIN_STEPS_PER_EPS)
     return ScanResult(
         eps_arr, sup_err, sup_se, n_replicas, slope, ci,
@@ -394,6 +379,6 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
             "identity_defect_max": float(defect),
             "holder_seminorm": holder,
             "holder_gamma": gam,
-            "holder_slope": h_slope,
+            "holder_slope": exact.loglog_slope(eps_arr, holder),
         },
     )

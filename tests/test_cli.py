@@ -237,13 +237,14 @@ def test_a_request_larger_than_memory_exits_2(argv, patch, monkeypatch, tmp_path
     assert not list(tmp_path.iterdir())
 
 
-def test_kinetic_scan_refuses_too_many_reporting_times_before_drawing(monkeypatch,
-                                                                       tmp_path, capsys):
-    # 100,001 reporting times would need 80 GB per pairwise array
+@pytest.mark.parametrize("eps_list", ["0.1", "0.1,0.1"])
+def test_kinetic_scan_refuses_a_single_eps_before_drawing(eps_list, monkeypatch,
+                                                          tmp_path, capsys):
+    # one distinct eps has no slope: it wrote NaN slopes and a NaN CI and exited 0
     monkeypatch.setattr(fgn, "StationarySampler", None)
-    assert run(["kinetic-scan", "--H", "0.7", "--n-report", "100000", "--replicas", "2",
+    assert run(["kinetic-scan", "--H", "0.7", "--eps-list", eps_list, "--replicas", "2",
                 "--out", str(tmp_path / "x")]) == 2
-    assert ("error: 100001 reporting times need 80,001,600,008 bytes per pairwise array"
+    assert ("error: kinetic scan needs at least 2 distinct eps values"
             in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
 

@@ -285,3 +285,62 @@ def test_kinetic_exact_slope_is_the_same_at_ten_and_a_hundred_steps_per_eps(H):
     slopes = [exact.loglog_slope(eps_list, e) for e in errs]
     assert abs(slopes[0] - slopes[1]) <= 1e-3
     assert np.all((errs[0] / errs[1] > 1.0) & (errs[0] / errs[1] < 1.05))
+
+
+def _dense_reading_covariance(H, eps, times, dt_ratio):
+    """Cov of the scan's eps v readings from one (2n)^2 gather of R between
+    (n, 2n) reading matrices, as a reference."""
+    lo, w = exact.reading_weights(times, eps / dt_ratio)
+    points = np.concatenate([lo, lo + 1])
+    R = exact.kinetic_chain_autocovariance(H, 1.0 / dt_ratio, int(points.max()) + 1)
+    read = np.hstack([np.diag(1.0 - w), np.diag(w)])
+    scale = fou.stationary_sigma(H) ** 2 * eps ** (2.0 * H)
+    return scale * (read @ R[np.abs(points[:, None] - points[None, :])] @ read.T)
+
+
+def _dense_kinetic_sup_errors(H, eps_list, times, dt_ratio):
+    """The exact sup over all pairs from the dense covariance, as a reference."""
+    out = []
+    for e in eps_list:
+        C = _dense_reading_covariance(H, e, times, dt_ratio)
+        d = np.diag(C)
+        out.append(np.sqrt(np.max(d[:, None] + d[None, :] - 2.0 * C)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 51])
+@pytest.mark.parametrize("rows_per_block", [1, 3, 1000])
+def test_sup_over_pairs_is_the_dense_max_and_its_first_pair(n, rows_per_block, monkeypatch):
+    # one block, several, and a partial last one; the last two columns are
+    # equal, so the maximum falls on tied pairs (j, n - 2) and (j, n - 1)
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", 8 * n * rows_per_block)
+    d = np.random.default_rng(n).standard_normal((40, n))
+    d[:, -1] += 10.0
+    if n > 2:
+        d[:, -2] = d[:, -1]
+    M = d.T @ d / len(d)
+    m = np.diag(M).copy()
+    sq = m[:, None] + m[None, :] - 2.0 * M
+    sq[np.tril_indices(n)] = -np.inf
+    best, pair = exact.sup_over_pairs(m, lambda J: M[J])
+    assert best == sq.max()
+    assert pair == np.unravel_index(np.argmax(sq), sq.shape)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+@pytest.mark.parametrize("n_report, eps_list", [
+    (1, [0.1, 0.05, 0.02, 0.01]), (7, [0.1, 0.05, 0.02, 0.01]),
+    (50, [0.1, 0.05, 0.02, 0.01]), (50, [0.07, 0.05, 0.03])])
+def test_kinetic_sup_errors_equal_the_dense_form(H, n_report, eps_list, monkeypatch):
+    # three rows a block: several blocks and, but at n_report 1, a partial last one
+    times = TimeGrid(1.0, n_report).times()
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", 8 * 3 * len(times))
+    idx = np.arange(len(times))
+    for e in eps_list:
+        cov = exact._kinetic_reading_covariance(H, e, times, 10.0)
+        np.testing.assert_allclose(cov(idx[:, None], idx),
+                                   _dense_reading_covariance(H, e, times, 10.0),
+                                   rtol=1e-12, atol=0)
+    np.testing.assert_allclose(exact.kinetic_sup_errors(H, eps_list, times, 10.0),
+                               _dense_kinetic_sup_errors(H, eps_list, times, 10.0),
+                               rtol=1e-12, atol=0)

@@ -748,6 +748,41 @@ def test_kinetic_scan_statistics_match_the_pairwise_formula(H, monkeypatch):
     np.testing.assert_allclose(scan.meta["holder_seminorm"], holder, rtol=1e-10, atol=0)
 
 
+def _gram_sup_pairs(data):
+    """sup pair L2 error and its SE per eps from one (n_report + 1)^2 Gram matrix
+    of the readings and its flat argmax, as a reference."""
+    sup, se = [], []
+    for i in range(data.shape[1]):
+        d = np.ascontiguousarray(data[:, i, 0, :])
+        gram = d.T @ d / len(d)
+        sq = np.diag(gram)
+        pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
+        j, k = np.unravel_index(np.argmax(pair_sq), pair_sq.shape)
+        sup.append(np.sqrt(pair_sq[j, k]))
+        worst = (d[:, j] - d[:, k]) ** 2
+        se.append(0.5 * np.std(worst, ddof=1) / np.sqrt(len(worst)) / sup[-1])
+    return np.array(sup), np.array(se)
+
+
+@pytest.mark.parametrize("n_report, eps_list", [
+    (1, [0.1, 0.05]), (7, [0.1, 0.05]), (50, [0.1, 0.05, 0.02]), (50, [0.07, 0.05, 0.03])])
+def test_kinetic_scan_blocked_sup_equals_the_gram_form(n_report, eps_list, monkeypatch):
+    # three rows a block: several blocks and, but at n_report 1, a partial last one
+    monkeypatch.setattr(fgn, "BLOCK_BYTES", 8 * 3 * (n_report + 1))
+    captured = []
+    run = solvers.run_replicated
+
+    def spy(*args, **kwargs):
+        captured.append(run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(solvers, "run_replicated", spy)
+    scan = solvers.kinetic_error_scan(0.7, eps_list, TimeGrid(1.0, n_report), 60, 8)
+    sup, se = _gram_sup_pairs(captured[0])
+    np.testing.assert_allclose(scan.values, sup, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(scan.stderrs, se, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("H, n_report", [(0.3, 50), (0.7, 1), (0.7, 7)])
 def test_kinetic_holder_seminorms_equal_the_broadcast_form(H, n_report, monkeypatch):
     # each pair j < k once, lag by lag, against every ordered pair and the
@@ -779,7 +814,7 @@ def test_kinetic_holder_seminorms_equal_the_broadcast_form(H, n_report, monkeypa
 @pytest.mark.parametrize("H", [0.3, 0.7])
 def test_kinetic_scan_readings_have_the_exact_chain_covariance(H, monkeypatch):
     # every second moment of the eps v readings, a mean of products whose SE
-    # comes from those products, against exact.kinetic_reading_covariance
+    # comes from those products, against their exact covariance
     grid, eps_list = TimeGrid(1.0, 10), [0.1, 0.05, 0.02, 0.01]
     captured = []
     run = solvers.run_replicated
@@ -794,20 +829,37 @@ def test_kinetic_scan_readings_have_the_exact_chain_covariance(H, monkeypatch):
         v = captured[0][:, i, 1, :]
         prod = v[:, :, None] * v[:, None, :]
         se = prod.std(axis=0, ddof=1) / np.sqrt(len(v))
-        cov = exact.kinetic_reading_covariance(H, eps, grid.times(), fou.MIN_STEPS_PER_EPS)
+        idx = np.arange(grid.n_steps + 1)
+        cov = exact._kinetic_reading_covariance(H, eps, grid.times(),
+                                                fou.MIN_STEPS_PER_EPS)(idx[:, None], idx)
         assert np.max(np.abs(prod.mean(axis=0) - cov) / se) < 4.0, eps
     np.testing.assert_allclose(
         scan.meta["exact_values"],
         exact.kinetic_sup_errors(H, eps_list, grid.times(), fou.MIN_STEPS_PER_EPS), rtol=0)
     assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, scan.meta["exact_values"])
+    assert scan.meta["holder_slope"] == exact.loglog_slope(eps_list,
+                                                           scan.meta["holder_seminorm"])
 
 
-def test_kinetic_scan_refuses_a_reporting_grid_over_the_pairwise_budget(monkeypatch):
-    # the (n_report + 1)^2 arrays are checked before the sampler is built
+def test_kinetic_scan_refuses_fewer_than_two_distinct_scales(monkeypatch):
+    # one eps has no slope (its fit divided by zero and wrote NaN); checked before drawing
     monkeypatch.setattr(fgn, "StationarySampler", None)
-    n_report = int(np.sqrt(solvers.PAIRWISE_BYTES / 8))  # 1448 at 16 MiB
-    with pytest.raises(ValueError, match="1449 reporting times need 16,796,808 bytes"):
-        solvers.kinetic_error_scan(0.7, [0.1], TimeGrid(1.0, n_report), 2, 0)
+    for eps_list in ([0.1], [0.1, 0.1]):
+        with pytest.raises(ValueError, match="at least 2 distinct eps"):
+            solvers.kinetic_error_scan(0.7, eps_list, TimeGrid(1.0, 10), 2, 0)
+
+
+def test_kinetic_scan_memory_above_the_old_reporting_cap():
+    # 1,501 reporting times, over the 1,449 that a 16 MiB pairwise array
+    # allowed: the sample and exact sups take the second moments in blocks
+    # (8.7 MB traced; the dense exact form alone took 185 MB at 1,448 times)
+    tracemalloc.start()
+    try:
+        solvers.kinetic_error_scan(0.7, [0.1, 0.05], TimeGrid(1.0, 1500), 20, 5)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 20.0
 
 
 def test_kinetic_scan_reduction_memory_does_not_grow_with_replicas():
