@@ -15,7 +15,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import chaos, exact, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
@@ -110,9 +109,9 @@ def crit_4_scaling_regimes(seed, suite, threads=1) -> CriterionResult:
                                        ("boundary", H2, 0.75))):
         scan = harness.variance_scan(G, H, 1.0, eps_list, n_rep, seed + k, threads=threads)
         # the slope's z against the exact finite-eps one, with the CI's
-        # half-width / 1.96 as its SE: reported, not gated
+        # half-width / ndtri(0.975) as its SE: reported, not gated
         lo, hi = scan.slope_ci
-        z = (scan.slope - scan.meta["exact_slope"]) * 2.0 * stats.norm.ppf(0.975) / (hi - lo)
+        z = (scan.slope - scan.meta["exact_slope"]) * 2.0 * 1.959963984540054 / (hi - lo)
         details.update({f"{label}_slope": scan.slope, f"{label}_ci": scan.slope_ci,
                         f"{label}_exact_slope": scan.meta["exact_slope"],
                         f"{label}_exact_slope_z": z,
@@ -205,6 +204,7 @@ def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
 
 
 def crit_7_hermite_sampler(seed, suite, threads=1) -> CriterionResult:
+    from scipy import stats
     n_rep = 10_000 if suite == "full" else 2500
     H = 0.7
     grid = TimeGrid(1.0, 200)
@@ -330,6 +330,7 @@ def _driver_moment_zscores(x, H, eps, trapezoid_var) -> dict:
 
 
 def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
+    from scipy import stats
     # The theorem is a limit in law as eps -> 0 and promises nothing at a
     # fixed eps, where N = 2000 resolves the finite-eps gap (long range:
     # Var u = V_eps = 3.876 at eps 0.02 and 3.968 at 0.01, against the limit

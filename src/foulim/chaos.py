@@ -14,10 +14,11 @@ limit, and with which normalization alpha(eps).
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import fou
 from .paths import FoulimError, as_eps, as_hurst
@@ -40,14 +41,26 @@ RANK_TOL = 1e-12
 GAUSS_HERMITE_NODES = 200
 
 
-def gaussian_expectation(G) -> float:
-    """E[G(X)] for X ~ N(0,1) by the probabilists' Gauss-Hermite rule.
-
-    scipy's rule stays stable at large node counts; its weights are
-    normalized to the Gaussian measure.
-    """
+@functools.cache
+def _gauss_hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and Gaussian-normalized weights of the rule, built once and read-only."""
+    from scipy import special  # 0.3 s to import: only once an expectation is taken
     x, w = special.roots_hermitenorm(GAUSS_HERMITE_NODES)
-    return float((w / np.sqrt(2.0 * np.pi)) @ np.asarray(G(x), dtype=float))
+    w = w / np.sqrt(2.0 * np.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _factorials(n: int) -> np.ndarray:
+    """0!, 1!, ..., (n-1)! in floats, inf from 171! on rather than an OverflowError."""
+    with np.errstate(over="ignore"):
+        return np.cumprod(np.maximum(np.arange(n), 1.0))
+
+
+def gaussian_expectation(G) -> float:
+    """E[G(X)] for X ~ N(0,1) by scipy's probabilists' Gauss-Hermite rule, stable at many nodes."""
+    x, w = _gauss_hermite_rule()
+    return float(w @ np.asarray(G(x), dtype=float))
 
 
 def h_star(m: int, H) -> float:
@@ -116,7 +129,7 @@ class ChaosFunction:
             raise ValueError(f"Hermite coefficients must be finite, got {c.tolist()}")
         if abs(c[0]) > RANK_TOL:
             raise ValueError(f"not centred: c_0 = {c[0]:.3g} exceeds tol {RANK_TOL:.3g}")
-        energy = np.abs(c) * np.sqrt(special.factorial(np.arange(len(c))))
+        energy = np.abs(c) * np.sqrt(_factorials(len(c)))
         nz = np.nonzero(energy[1:] > RANK_TOL)[0]
         if len(nz) == 0:
             raise ValueError("zero function: all Hermite coefficients below tol")
@@ -171,20 +184,17 @@ def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, 
     h = as_hurst(H)
     q0 = max(Gi.hermite_rank, Gj.hermite_rank)
     K = min(Gi.truncation_order, Gj.truncation_order)
-    ci = Gi.coefficients
-    cj = Gj.coefficients
-    total = 0.0
-    last_term = 0.0
+    ci, cj = Gi.coefficients, Gj.coefficients
+    fact = _factorials(K + 1)
+    total = last_term = 0.0
     for q in range(q0, K + 1):
-        a = ci[q] if q < len(ci) else 0.0
-        b = cj[q] if q < len(cj) else 0.0
-        if a == 0.0 or b == 0.0:
+        if ci[q] == 0.0 or cj[q] == 0.0:
             continue
         if h_star(q, h) >= 0.5 - BOUNDARY_TIE_TOL:
             raise ValueError(
                 f"not a CLT component: chaos order q={q} has H*(q) >= 1/2 at H={h}"
             )
-        term = a * b * special.factorial(q) * fou.rho_power_integral(q, h)
+        term = ci[q] * cj[q] * fact[q] * fou.rho_power_integral(q, h)
         total += term
         last_term = abs(term)
     # crude geometric bound on the dropped orders, reported not asserted
@@ -207,7 +217,7 @@ def _check_hermite_target(H: float, m: int) -> None:
 
 def _kernel_pair_integral(b: float) -> float:
     """J(b) = int_0^inf u^b (1+u)^b du = Beta(b+1, -2b-1), for -1 < b < -1/2."""
-    return float(special.beta(b + 1.0, -2.0 * b - 1.0))
+    return math.gamma(b + 1.0) * math.gamma(-2.0 * b - 1.0) / math.gamma(-b)
 
 
 def K_normalizer(H_target: float, m: int) -> float:
@@ -226,7 +236,7 @@ def K_normalizer(H_target: float, m: int) -> float:
     e = m * (2.0 * b + 1.0)  # = 2H - 2 > -1
     double_int = 2.0 * (1.0 / (e + 1.0) - 1.0 / (e + 2.0))
     norm_sq = J**m * double_int
-    return float(np.sqrt(special.factorial(m) / norm_sq))
+    return float(np.sqrt(math.factorial(m) / norm_sq))
 
 
 def c_constant(G: ChaosFunction, H) -> float:
@@ -244,10 +254,10 @@ def c_constant(G: ChaosFunction, H) -> float:
     if regime.kind is Regime.LONG_RANGE:
         K = K_normalizer(regime.h_star, m)
         return float(
-            abs(cm) * special.factorial(m) / K * fou.kernel_amplitude(h) ** m
+            abs(cm) * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
         )
     if regime.kind is Regime.BOUNDARY:
-        return float(np.sqrt(2.0 * special.factorial(m) * cm**2))
+        return float(np.sqrt(2.0 * _factorials(m + 1)[m] * cm**2))
     A, _ = limit_covariance_A(G, G, h)
     if A < -1e-12:  # A = 0 exactly for He_1 at H < 1/2, where it can round below 0
         raise FoulimError(f"limit covariance A = {A:g} is negative beyond rounding at H={h}")

@@ -33,9 +33,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
-from . import fgn, fou
+from . import chaos, fgn, fou
 from .paths import TimeGrid, as_eps, as_eps_list, as_horizon, as_hurst
 
 __all__ = [
@@ -60,7 +59,7 @@ DT_RATIO_LADDER = (2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 20.0, 50.0, 100.0, 200.0,
 def _chaos_covariance(G, r: np.ndarray) -> np.ndarray:
     """C(r) = sum_k c_k^2 k! r^k, by Horner's rule."""
     c = G.coefficients
-    return np.polynomial.polynomial.polyval(r, c**2 * special.factorial(np.arange(len(c))))
+    return np.polynomial.polynomial.polyval(r, c**2 * chaos._factorials(len(c)))
 
 
 def trapezoid_lag_weights(n_steps: int) -> np.ndarray:

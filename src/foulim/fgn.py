@@ -27,8 +27,9 @@ the moving-average representation is evaluated in closed form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
 
 from .paths import FoulimError, as_hurst
 from .streams import normals
@@ -212,6 +213,4 @@ def mvn_normalizer(H) -> float:
     (Mandelbrot & Van Ness 1968).
     """
     h = as_hurst(H)
-    return float(
-        special.gamma(h + 0.5) / np.sqrt(special.gamma(2.0 * h + 1.0) * np.sin(np.pi * h))
-    )
+    return math.gamma(h + 0.5) / math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h))

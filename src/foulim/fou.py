@@ -29,8 +29,9 @@ independent cross-checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
 
 from . import fgn
 from .paths import TimeGrid, as_eps, as_hurst
@@ -58,11 +59,11 @@ _HEAD_PANELS = 60
 def stationary_sigma(H) -> float:
     """Noise amplitude giving the unit-rate fOU stationary variance 1.
 
-    Var(int_{-inf}^t e^{-(t-s)} dB^H_s) = H*Gamma(2H), so
-    sigma = 1/sqrt(H*Gamma(2H)).  (H = 1/2 gives the classical sqrt(2).)
+    Var(int_{-inf}^t e^{-(t-s)} dB^H_s) = H*Gamma(2H) = Gamma(2H+1)/2, so sigma =
+    sqrt(2/Gamma(2H+1)): sqrt(2) at H = 1/2 and as H -> 0, where H*Gamma(2H) is H*inf.
     """
     h = as_hurst(H)
-    return float(1.0 / np.sqrt(h * special.gamma(2.0 * h)))
+    return math.sqrt(2.0 / math.gamma(2.0 * h + 1.0))
 
 
 def kernel_amplitude(H) -> float:
@@ -101,11 +102,11 @@ def _rho_closed_form(s: np.ndarray, h: float) -> np.ndarray:
     terms are of size s^{2H-1} rather than s^{2H}, so the cancellation
     toward rho ~ s^{2H-2} costs one power of s less.
     """
-    g = special.gamma(2.0 * h + 1.0)
+    from scipy import special  # 0.3 s to import: only once rho is evaluated
     return 0.5 * (
         np.exp(-s)
         + np.exp(s) * special.gammaincc(2.0 * h, s)
-        - s ** (2.0 * h) / g * special.hyp1f1(1.0, 2.0 * h + 1.0, -s)
+        - s ** (2.0 * h) / math.gamma(2.0 * h + 1.0) * special.hyp1f1(1.0, 2.0 * h + 1.0, -s)
     )
 
 
@@ -118,7 +119,7 @@ def _rho_series(s: np.ndarray, h: float) -> np.ndarray:
     k = np.arange(1, _RHO_SERIES_TERMS + 1)
     falling = np.cumprod(2.0 * h - np.arange(2 * _RHO_SERIES_TERMS))[2 * k - 1]
     powers = s[None, :] ** (2.0 * h - 2.0 * k[:, None])
-    return falling @ powers / special.gamma(2.0 * h + 1.0)
+    return falling @ powers / math.gamma(2.0 * h + 1.0)
 
 
 def rho(s, H):
@@ -156,19 +157,14 @@ def _panel_rule(s_max: float) -> tuple[np.ndarray, np.ndarray]:
     return lo + half * (1.0 + _GL_X), half * _GL_W
 
 
-def _rho_power_head(h: float, m: int, s_max: float) -> float:
-    """int_0^{s_max} rho(s)^m ds on the panels of ``_panel_rule``."""
-    s, w = _panel_rule(s_max)
-    return float(np.sum(w * rho(s, h) ** m))
-
-
 def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
     """int_0^infinity rho(s)^m ds (finite only when H*(m) < 1/2).
 
-    Quadrature on [0, s_max] plus the closed-form power-law tail from the
-    first two terms of the asymptotic series, rho(s) ~ D s^{2H-2}
-    (1 + (2H-2)(2H-3) s^{-2}).  Raises for H*(m) >= 1/2, where the
-    integral diverges (that regime belongs to the non-Gaussian limit).
+    Quadrature on the panels of ``_panel_rule`` over [0, s_max] plus the
+    closed-form power-law tail from the first two terms of the asymptotic
+    series, rho(s) ~ D s^{2H-2} (1 + (2H-2)(2H-3) s^{-2}).  Raises for
+    H*(m) >= 1/2, where the integral diverges (that regime belongs to the
+    non-Gaussian limit).
     """
     h = as_hurst(H)
     if m < 1:
@@ -182,7 +178,8 @@ def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
         raise ValueError(
             f"divergent integral: H*(m) = {hs:.4f} >= 1/2 for m={m}, H={h}"
         )
-    head = _rho_power_head(h, m, s_max)
+    s, w = _panel_rule(s_max)
+    head = float(np.sum(w * rho(s, h) ** m))
     D = rho_asymptote_constant(h)
     tail_exp = m * (2.0 * h - 2.0) + 1.0  # = 2 H*(m) - 1 < 0
     second = m * (2.0 * h - 2.0) * (2.0 * h - 3.0)

@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import chaos, exact, fou, hermite
 from .chaos import ChaosFunction, Regime
@@ -167,7 +166,7 @@ def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray,
     ym = np.average(y, weights=w)
     D = np.sum(w * (x - xm) ** 2)
     slope = float(np.sum(w * (x - xm) * (y - ym)) / D)
-    half = float(special.ndtri(0.975) / np.sqrt(D))
+    half = float(1.959963984540054 / np.sqrt(D))  # ndtri(0.975)
     return slope, (slope - half, slope + half)
 
 

@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from . import chaos, fou
 from .fgn import BLOCK_BYTES
@@ -315,6 +314,7 @@ def ghat(v, H) -> np.ndarray | float:
     Horner's rule in place.  Both stay within about 1e-14 of a 40-digit
     evaluation for all H in (1/2, 1).  Requires H > 1/2.
     """
+    from scipy import special  # 0.3 s to import: only once ghat is evaluated
     h = as_hurst(H)
     amp = fou.kernel_amplitude(h)  # raises for H <= 1/2
     v_arr = np.clip(np.asarray(v, dtype=float), 0.0, None)

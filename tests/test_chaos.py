@@ -246,3 +246,60 @@ def test_gaussian_expectation():
     assert chaos.gaussian_expectation(np.cos) == pytest.approx(
         np.exp(-0.5), rel=1e-10
     )
+
+
+def test_gauss_hermite_rule_is_built_once_and_read_only(monkeypatch):
+    built, build = [], special.roots_hermitenorm
+
+    def roots(n):
+        built.append(n)
+        return build(n)
+
+    chaos._gauss_hermite_rule.cache_clear()
+    monkeypatch.setattr(special, "roots_hermitenorm", roots)
+    first = chaos.gaussian_expectation(np.cos)
+    assert chaos.gaussian_expectation(np.cos) == first
+    assert built == [chaos.GAUSS_HERMITE_NODES]
+    x, w = chaos._gauss_hermite_rule()
+    assert not x.flags.writeable and not w.flags.writeable
+    chaos._gauss_hermite_rule.cache_clear()
+
+
+# H over (0.001, 0.999), where the scalar swaps of math for scipy.special are checked
+SWAP_H = np.linspace(0.001, 0.999, 999)
+
+
+def test_factorials_match_scipy_and_overflow_to_inf():
+    got, ref = chaos._factorials(200), special.factorial(np.arange(200))
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(got), finite) and finite.sum() == 171
+    assert np.max(np.abs(got[finite] / ref[finite] - 1.0)) <= 4e-15
+    # a coefficient past order 170 has an infinite energy rather than an OverflowError
+    assert ChaosFunction([0.0] * 171 + [1.0]).hermite_rank == 171
+
+
+def _K_by_scipy(H, m):
+    b = (H - 1.0) / m - 0.5
+    e = m * (2.0 * b + 1.0)
+    double_int = 2.0 * (1.0 / (e + 1.0) - 1.0 / (e + 2.0))
+    return np.sqrt(special.factorial(m) / (special.beta(b + 1.0, -2.0 * b - 1.0) ** m * double_int))
+
+
+def test_kernel_pair_integral_and_K_normalizer_match_scipy_beta():
+    for m in (1, 2, 3):
+        for H in SWAP_H[SWAP_H > 0.5]:
+            b = (H - 1.0) / m - 0.5
+            J = special.beta(b + 1.0, -2.0 * b - 1.0)
+            assert abs(chaos._kernel_pair_integral(b) / J - 1.0) <= 4e-15
+            assert abs(chaos.K_normalizer(H, m) / _K_by_scipy(H, m) - 1.0) <= 4e-15
+
+
+def test_long_range_c_constant_matches_scipy():
+    for m in (1, 2, 3):
+        G = ChaosFunction([0.0] * m + [1.0])
+        for H in SWAP_H[m * (SWAP_H - 1.0) + 1.0 > 0.5 + 1e-9]:
+            sigma = 1.0 / np.sqrt(H * special.gamma(2.0 * H))
+            c1 = special.gamma(H + 0.5) / np.sqrt(special.gamma(2.0 * H + 1.0) * np.sin(np.pi * H))
+            amp = sigma * (H - 0.5) / c1
+            ref = special.factorial(m) / _K_by_scipy(m * (H - 1.0) + 1.0, m) * amp**m
+            assert abs(chaos.c_constant(G, H) / ref - 1.0) <= 4e-15

@@ -848,13 +848,27 @@ def test_json_run_rerun_from_its_config_alone_writes_json(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
 
-def test_kinetic_scan_at_a_tiny_hurst_parameter_exits_2(tmp_path, capsys):
-    # at H = 5e-324 the kinetic error comes out 0; dividing by it warned
-    # "invalid value encountered in scalar divide" before the fit failed
-    argv = ["kinetic-scan", "--H", "5e-324", "--replicas", "4", "--out", str(tmp_path / "x")]
+def test_kinetic_scan_at_a_tiny_hurst_parameter_runs(tmp_path, capsys):
+    # sigma = sqrt(2 / Gamma(2H + 1)) tends to sqrt(2) as H -> 0; taken as
+    # 1 / sqrt(H Gamma(2H)) it was H * inf = 0 at H = 5e-324, and so was
+    # the kinetic error
+    argv = ["kinetic-scan", "--H", "5e-324", "--replicas", "4", "--format", "json",
+            "--out", str(tmp_path / "x")]
+    assert run(argv) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    doc = json.loads((tmp_path / "x.json").read_text(), parse_constant=pytest.fail)
+    rows = np.array(doc["table"]["rows"], dtype=float)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 1] > 0.0)
+
+
+def test_kinetic_scan_exits_2_when_the_kinetic_error_vanishes(tmp_path, capsys, monkeypatch):
+    # dividing by a zero error warned "invalid value encountered in scalar
+    # divide" before the fit failed
+    monkeypatch.setattr(fou, "stationary_sigma", lambda H: 0.0)
+    argv = ["kinetic-scan", "--H", "0.7", "--replicas", "4", "--out", str(tmp_path / "x")]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert "error: kinetic error vanishes at H=5e-324, eps=0.1" in err
+    assert "error: kinetic error vanishes at H=0.7, eps=0.1" in err
     assert "RuntimeWarning" not in err
     assert not list(tmp_path.iterdir())
 

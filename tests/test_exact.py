@@ -20,6 +20,18 @@ def _chaos_covariance_by_loop(G, r):
     return sum(c**2 * math.factorial(k) * r**k for k, c in enumerate(G.coefficients))
 
 
+def test_chaos_covariance_weights_match_scipy_factorials():
+    from scipy import special
+
+    weights = special.factorial(np.arange(30))
+    c = 1.0 / np.sqrt(weights)
+    c[0] = 0.0
+    r = np.linspace(0.1, 1.0, 10)
+    ref = np.polynomial.polynomial.polyval(r, c**2 * weights)
+    got = exact._chaos_covariance(ChaosFunction(c), r)
+    assert np.max(np.abs(got / ref - 1.0)) <= 4e-15
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
 def test_lag_weights_are_the_autocorrelation_of_the_trapezoid_weights(n):
     w = np.ones(n + 1)

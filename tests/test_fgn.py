@@ -206,6 +206,15 @@ def _mvn_normalizer_oracle(H):
         return float(mp.sqrt(tail + 1 / (2 * mp.mpf(H))))
 
 
+def test_mvn_normalizer_matches_scipy_gamma():
+    from scipy import special
+
+    H = np.linspace(0.001, 0.999, 999)
+    ref = special.gamma(H + 0.5) / np.sqrt(special.gamma(2.0 * H + 1.0) * np.sin(np.pi * H))
+    c1 = np.array([fgn.mvn_normalizer(h) for h in H])
+    assert np.max(np.abs(c1 / ref - 1.0)) <= 4e-15
+
+
 def test_mvn_normalizer_closed_form():
     from scipy import special
 

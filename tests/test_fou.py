@@ -115,6 +115,18 @@ def test_stationary_sigma_classical_case():
     assert fou.stationary_sigma(0.5) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
+def test_stationary_sigma_matches_scipy_and_stays_finite_as_h_vanishes():
+    from scipy import special
+
+    H = np.linspace(0.001, 0.999, 999)
+    sigma = np.array([fou.stationary_sigma(h) for h in H])
+    assert np.max(np.abs(sigma * np.sqrt(H * special.gamma(2.0 * H)) - 1.0)) <= 4e-15
+    assert fou.stationary_sigma(0.5) == np.sqrt(2.0)
+    # H Gamma(2H) overflows to H * inf below H ~ 2.8e-309; sigma tends to sqrt(2)
+    for h in (1e-300, 1e-309, 5e-324):
+        assert fou.stationary_sigma(h) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
 def test_stationary_sigma_against_quadrature_oracle():
     assert fou.stationary_sigma(0.75) == pytest.approx(SIGMA_075, rel=1e-12)
     for H in (0.6, 0.75, 0.9):

@@ -353,6 +353,18 @@ SLOPE_POINTS = (np.array([0.1, 0.05, 0.02, 0.01]), np.array([0.31, 0.22, 0.12, 0
                 np.array([0.02, 0.01, 0.015, 0.006]))
 
 
+def test_fit_loglog_slope_quantile_is_scipy_ndtri_bit_for_bit():
+    from scipy import special
+
+    # x = log(1/eps) = -1, -1, 1, 1 with weights 1/4: D = 1 and slope 0,
+    # so the CI is (-q, q) with q the quantile itself
+    inv_eps = np.exp([-1.0, -1.0, 1.0, 1.0])
+    values = np.full(4, 3.0)
+    slope, (lo, hi) = harness.fit_loglog_slope(inv_eps, values, 2.0 * values)
+    assert slope == 0.0 and lo == -hi
+    assert hi == special.ndtri(0.975)
+
+
 def test_fit_loglog_slope_ci_is_the_normal_interval_of_the_wls_slope():
     eps, values, stderrs = SLOPE_POINTS
     slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, stderrs)

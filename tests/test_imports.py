@@ -21,11 +21,15 @@ So does the grid policy of the sampled integrals of G(y^eps): no call in
 ``src/foulim`` hands one of their samplers, or ``exact.trapezoid_variance``,
 a literal ratio eps/dt; each ratio comes from ``exact.resolve_dt_ratio``.
 
-The CLI also keeps an import budget: a fresh interpreter that imports
-``foulim.cli`` and runs the constants, the samplers, ``clt-scan`` and
-``l2-hermite`` loads numpy and ``scipy.special`` but none of the heavier
-SciPy modules or the acceptance suite; the Hermite far field's factor,
-for one, comes from ``numpy.linalg``.
+The CLI also keeps an import budget.  No module of ``src/foulim`` imports
+SciPy at module level, so a fresh interpreter that imports ``foulim.cli``
+and prints its help, fails on a usage or a domain error, samples fBM or a
+Hermite process, or classifies and takes the constants of a long-range
+G loads numpy but no SciPy module at all.  Running the constants, the
+samplers, ``clt-scan`` and ``l2-hermite`` loads ``scipy.special``, on the
+first evaluation of rho, ghat or a Gaussian expectation, but none of the
+heavier SciPy modules or the acceptance suite; the Hermite far field's
+factor, for one, comes from ``numpy.linalg``.
 """
 
 import ast
@@ -213,6 +217,78 @@ def test_every_export_is_read_outside_tests():
     assert {name: names for name, names in unread.items() if names} == KNOWN_UNREAD_EXPORTS
 
 
+def module_level_imports(source: str, package: str) -> list[int]:
+    """Lines of the imports of ``package`` that run when the module is imported:
+    any outside a function body, at the top, in a class or under an if or try."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                visit(child)
+                continue
+            if any(n == package or n.startswith(package + ".") for n in names):
+                found.append(child.lineno)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_import_scanner_flags_only_module_level_imports():
+    src = (
+        "import scipy.special\nfrom scipy import stats\nimport scipyx\n"
+        "try:\n    from scipy.signal import lfilter\nexcept ImportError:\n    pass\n"
+        "class A:\n    import scipy as sp\n"
+        "def f():\n    from scipy import special\n    return lambda: special\n"
+        "from . import scipy\n"
+    )
+    assert module_level_imports(src, "scipy") == [1, 2, 5, 9]
+
+
+def test_no_module_imports_scipy_at_module_level():
+    found = {p.name: module_level_imports(p.read_text(), "scipy") for p in PACKAGE_FILES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from foulim import cli
+out = sys.argv[1]
+codes = [cli.main(["--help"]),
+         cli.main(["rho", "--no-such-option"]),
+         cli.main(["constants", "--H", "1.5", "--coeffs", "0,1", "--out", out + "/bad"]),
+         cli.main(["sample-fbm", "--H", "0.3", "--n-steps", "16", "--replicas", "2",
+                   "--out", out + "/fbm"]),
+         cli.main(["hermite-sample", "--H", "0.7", "--m", "2", "--replicas", "2",
+                   "--out", out + "/hermite"]),
+         cli.main(["chaos", "--H", "0.85", "--coeffs", "0,0,1", "--out", out + "/chaos"]),
+         cli.main(["constants", "--H", "0.85", "--coeffs", "0,0,1", "--out", out + "/c"])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def _fresh_cli_run(script: str, tmp_path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_without_special_functions_loads_no_scipy(tmp_path):
+    report = _fresh_cli_run(NO_SCIPY_SCRIPT, tmp_path)
+    assert report["codes"] == [0, 1, 2, 0, 0, 0, 0]
+    assert {"numpy", "foulim.cli"} <= set(report["modules"])
+    assert [m for m in report["modules"] if m == "scipy" or m.startswith("scipy.")] == []
+
+
 # modules the subcommands of BUDGET_SCRIPT must not load
 OVER_BUDGET = ["scipy.fft", "scipy.stats", "scipy.signal", "scipy.linalg", "scipy.integrate",
                "scipy.optimize", "foulim.acceptance"]
@@ -240,12 +316,7 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 
 
 def test_cli_loads_no_heavy_scipy_module(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", BUDGET_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, check=True)
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = _fresh_cli_run(BUDGET_SCRIPT, tmp_path)
     assert report["codes"] == [0] * 9
     loaded = set(report["modules"])
     assert {"numpy", "numpy.linalg", "scipy.special", "foulim.cli"} <= loaded
