@@ -113,9 +113,10 @@ class ChaosFunction:
     """A centred L2(mu) function given by its Hermite coefficients.
 
     coefficients[k] is c_k in G = sum c_k He_k.  They must be finite and
-    non-empty, with c_0 within RANK_TOL of zero (centred function).  The
-    Hermite rank is the smallest k >= 1 with |c_k| sqrt(k!) above
-    RANK_TOL, and the orders below it are set to zero.
+    non-empty, with c_0 within RANK_TOL of zero (centred function) and no
+    order above 170, whose weight k! overflows a float.  The Hermite rank
+    is the smallest k >= 1 with |c_k| sqrt(k!) above RANK_TOL, and the
+    orders below it are set to zero.
     """
 
     coefficients: np.ndarray
@@ -127,6 +128,8 @@ class ChaosFunction:
             raise ValueError("need at least one Hermite coefficient")
         if not np.all(np.isfinite(c)):
             raise ValueError(f"Hermite coefficients must be finite, got {c.tolist()}")
+        if c.size > 171:  # 171! overflows a float
+            raise ValueError(f"Hermite orders above 170 are refused, got order {c.size - 1}")
         if abs(c[0]) > RANK_TOL:
             raise ValueError(f"not centred: c_0 = {c[0]:.3g} exceeds tol {RANK_TOL:.3g}")
         energy = np.abs(c) * np.sqrt(_factorials(len(c)))

@@ -3,22 +3,20 @@
 Everything here is replica-parallel with a fixed chunking policy, owned
 by ``run_replicated``: replica i of an ensemble named ``name`` always
 draws from stream (master_seed, name, i), and chunks have a fixed size,
-so results are bit-identical for any worker count.  ``run_replicated``
-derives the Philox keys of every replica with one ``streams.keys`` call
-and hands each chunk its slice; a chunk function is a pure function of
-those keys and passes them on to the samplers.  Within a chunk, the fOU
-scans take their paths block by block from one ``fou.path_sampler`` per
-scale, built before the chunks, and reduce each block to its per-replica
-scalars before the next is drawn, so no chunk-sized path matrix is ever
-built.  The trapezoid integral of G(y) is the row sum less half the two
-end values, with no array of interval averages.  Scalar aggregation goes
-through math.fsum (compensated), keeping reduction reassociation out of
-the reported statistics.
+so results are bit-identical for any worker count.  Within a chunk, the
+fOU scans take their paths block by block from one ``fou.path_sampler``
+per grid, built before the chunks, and reduce each block to its
+per-replica scalars before the next is drawn, so no chunk-sized path
+matrix is ever built.  The trapezoid integral of G(y) over any prefix of
+a path is its sum less half the two end values, so one path of the
+unit-rate fOU Y_{s/eps} = y^eps_s serves every eps of a scan that shares
+its spacing.  Scalar aggregation goes through math.fsum (compensated),
+keeping reduction reassociation out of the reported statistics.
 
 Slopes of log statistic against log(1/eps) are fitted by
 inverse-variance-weighted least squares, with the closed-form normal
-confidence interval of that fit; acceptance checks consume the CI, not
-the point estimate.
+confidence interval of that fit under the estimates' joint covariance;
+acceptance checks consume the CI, not the point estimate.
 """
 
 from __future__ import annotations
@@ -125,49 +123,52 @@ def variance_stderr(x) -> float:
 
 
 def functional_values(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) -> np.ndarray:
-    """Endpoint alpha * int_0^T G(y) for each replica row of y_matrix.
-
-    The trapezoid rule as the row sum less half of its two end values.
-    """
-    gy = np.asarray(G(y_matrix), dtype=float)
-    return alpha * dt * (gy.sum(axis=1) - 0.5 * (gy[:, 0] + gy[:, -1]))
+    """Endpoint alpha * int_0^T G(y) for each replica row of y_matrix."""
+    return _prefix_integrals([G], y_matrix, [(y_matrix.shape[1] - 1, alpha * dt)])[:, 0]
 
 
-def _functional_cumulative(G, y_matrix: np.ndarray, dt: float, alpha: float = 1.0) -> np.ndarray:
-    """Paths t -> alpha * int_0^t G(y_s) ds per replica row (cumulative trapezoid)."""
-    gy = np.asarray(G(y_matrix), dtype=float)
-    inner = 0.5 * (gy[:, 1:] + gy[:, :-1])
-    out = np.empty_like(gy)
-    out[:, 0] = 0.0
-    np.cumsum(inner, axis=1, out=out[:, 1:])
-    return alpha * dt * out
+def _prefix_integrals(funcs, y: np.ndarray, prefixes) -> np.ndarray:
+    """Trapezoid integrals w (sum - half the two ends) of G(y) over the first n + 1 points
+    of each row of y, for each G of funcs and (n, w) of prefixes; no G(y) outlives the call."""
+    gys = (np.asarray(G(y), dtype=float) for G in funcs)
+    return np.stack([w * (gy[:, : n + 1].sum(axis=1) - 0.5 * (gy[:, 0] + gy[:, n]))
+                     for gy in gys for n, w in prefixes], axis=1)
 
 
 def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray,
-                     stderrs: np.ndarray) -> tuple[float, tuple[float, float]]:
+                     cov: np.ndarray) -> tuple[float, tuple[float, float]]:
     """Weighted LSQ slope of log(values) vs log(inv_eps), with its 95% CI.
 
-    Weights w are the inverse variances of log(values).  The slope is
-    linear in log(values), so under their normal error model it is
-    N(slope, 1/D), D = sum w (x - x_w)^2, and the CI is
-    slope -+ ndtri(0.975) / sqrt(D): what a parametric bootstrap of the
-    fit estimates by sampling.
+    cov is the covariance of the values, and C = cov / (v v^T) that of their
+    logs (delta method); the weights are w = 1 / C_ii.  The slope is c^T log(v),
+    c = w (x - x_w) / D, D = sum w (x - x_w)^2, so under a normal error model
+    the CI is slope -+ ndtri(0.975) sqrt(c^T C c) (1/D for independent values):
+    what a parametric bootstrap of the fit estimates by sampling.  No BLAS call.
     """
     x = np.log(np.asarray(inv_eps, dtype=float))
     v = np.asarray(values, dtype=float)
-    se = np.asarray(stderrs, dtype=float)
     if np.any(v <= 0):
         raise ValueError("log-log fit requires positive statistics")
     y = np.log(v)
-    sig = np.clip(se / v, 1e-12, None)  # delta method
+    C = np.asarray(cov, dtype=float) / np.outer(v, v)
+    sig = np.clip(np.sqrt(np.diag(cov)) / v, 1e-12, None)  # delta method
     w = 1.0 / sig**2
-
     xm = np.average(x, weights=w)
     ym = np.average(y, weights=w)
     D = np.sum(w * (x - xm) ** 2)
     slope = float(np.sum(w * (x - xm) * (y - ym)) / D)
-    half = float(1.959963984540054 / np.sqrt(D))  # ndtri(0.975)
+    c = w * (x - xm) / D
+    half = float(1.959963984540054 * np.sqrt(np.sum(c[:, None] * C * c)))  # ndtri(0.975)
     return slope, (slope - half, slope + half)
+
+
+def _mean_covariance(rows, se) -> np.ndarray:
+    """Covariance of the means of rows (k, n): cov(rows[i], rows[j]) / n, ddof 1, off
+    the diagonal and each mean's own SE se squared on it, with no BLAS call."""
+    dev = [r - r.mean() for r in rows]
+    cov = np.array([[np.sum(a * b) for b in dev] for a in dev]) / (len(dev[0]) - 1) / len(dev[0])
+    np.fill_diagonal(cov, np.square(se))
+    return cov
 
 
 def slope_ci_hits(ci, target: float) -> bool:
@@ -176,18 +177,21 @@ def slope_ci_hits(ci, target: float) -> bool:
     return bool(lo <= target + SLOPE_CI_TOL and hi >= target - SLOPE_CI_TOL)
 
 
+def _fou_prefix_samples(funcs, h: float, grid: TimeGrid, eps: float, prefixes, n_replicas: int,
+                        master_seed: int, name: str, threads: int = 1) -> np.ndarray:
+    """(n_replicas, len(funcs) * len(prefixes)) ``_prefix_integrals`` of G(y^eps) on the grid."""
+    sampler = fou.path_sampler(grid, h, eps)
+    return run_replicated(n_replicas, master_seed, name, lambda k: np.concatenate(
+        [_prefix_integrals(funcs, y, prefixes) for y in sampler.blocks(k)]), threads)
+
+
 def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
                           master_seed: int, name: str, dt_ratio: float,
                           alpha: float, threads: int = 1) -> np.ndarray:
     """Replica samples of alpha * int_0^t G(y^eps) ds."""
     grid = TimeGrid.with_step(t, eps / dt_ratio)
-    sampler = fou.path_sampler(grid, h, eps)
-
-    def make_chunk(chunk_keys):
-        return np.concatenate([functional_values(G, y, grid.dt, alpha)
-                               for y in sampler.blocks(chunk_keys)])
-
-    return run_replicated(n_replicas, master_seed, name, make_chunk, threads)
+    return _fou_prefix_samples([G], h, grid, eps, [(grid.n_steps, alpha * grid.dt)],
+                               n_replicas, master_seed, name, threads)[:, 0]
 
 
 def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
@@ -195,18 +199,18 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
                   threads: int = 1) -> ScanResult:
     """Variance of the time integral of G(y^eps) across scales.
 
-    For each eps the statistic is Var(int_0^t G(y^eps) ds), reported both
-    raw ("unscaled", the slope source: expected log-log slope against
-    log(1/eps) is -1 in the short-range regime and 2H*(m)-2 in the
-    long-range one) and multiplied by alpha(eps)^2, which must stabilize
-    in every regime.  Each standard error is ``variance_stderr`` of that
-    eps's replicas, which holds for heavy-tailed integrals too.
-    Each eps is sampled at the ratio eps/dt that ``exact.resolve_dt_ratio``
-    resolves dt_ratio to (None: the coarsest unbiased rung); meta["resolution"]
-    is its report, meta["exact_slope"] the slope of its exact variances.
-    meta["finest_samples"] holds the raw integrals at
-    the finest eps, so callers can run diagnostics on them without
-    drawing that scale again.
+    For each eps the statistic is Var(int_0^t G(y^eps) ds), raw (the slope
+    source: its log-log slope against log(1/eps) tends to -1 short range and
+    2H*(m)-2 long range) and times alpha(eps)^2, which must stabilize in every
+    regime; its SE, ``variance_stderr``, holds for heavy tails.  The ratio
+    eps/dt is ``exact.resolve_dt_ratio``'s (None: the coarsest unbiased
+    rung), reported in meta["resolution"]; meta["exact_slope"] is the slope
+    of the exact variances.  As y^eps_s = Y_{s/eps}, Y the unit-rate fOU,
+    the eps whose grids share the spacing dt/eps (to 1e-12) form a group:
+    each replica draws one path, on its finest member's grid from that eps's
+    stream "vscan-eps{i}", and each member integrates its first n + 1 points.
+    The slope CI takes the covariance of a group's variances; groups are
+    independent.  meta["finest_samples"] holds the integrals at the finest eps.
     """
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
@@ -214,28 +218,31 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
         raise ValueError("variance scan needs at least 3 eps values")
     resolution, exact_var = exact.resolve_dt_ratio(G, h, t, eps_arr, n_replicas, dt_ratio)
     regime = chaos.classify_regime(G.hermite_rank, h)
-    var_raw, se_raw = np.empty(len(eps_arr)), np.empty(len(eps_arr))
-    for i, eps in enumerate(eps_arr):
-        x = _fou_endpoint_samples(G, h, t, eps, n_replicas, master_seed, f"vscan-eps{i}",
-                                  resolution["dt_ratio"], 1.0, threads)
-        var_raw[i], se_raw[i] = fsum_variance(x), variance_stderr(x)
-    slope, ci = fit_loglog_slope(1.0 / eps_arr, var_raw, se_raw)
+    grids = [TimeGrid.with_step(t, eps / resolution["dt_ratio"]) for eps in eps_arr]
+    # each eps joins the first eps of its unit-rate spacing dt/eps, to 1e-12 relative
+    steps = np.array([grid.dt / eps for grid, eps in zip(grids, eps_arr)])
+    first = [int(np.argmax(np.abs(steps - s) <= 1e-12 * s)) for s in steps]
+    groups = [[i for i, f in enumerate(first) if f == j] for j in sorted(set(first))]
+    # eps decreases, so a group's finest member is its last; x is built after the draws
+    x = np.hstack([_fou_prefix_samples([G], h, grids[g[-1]], eps_arr[g[-1]],
+                                       [(grids[i].n_steps, grids[i].dt) for i in g], n_replicas,
+                                       master_seed, f"vscan-eps{g[-1]}", threads)
+                   for g in groups]).T[np.argsort(sum(groups, []))]
+    cov = np.zeros((len(eps_arr), len(eps_arr)))
+    for g in groups:
+        cov[np.ix_(g, g)] = _mean_covariance([(x[i] - fsum_mean(x[i])) ** 2 for i in g],
+                                             [variance_stderr(x[i]) for i in g])
+    var_raw = np.array([fsum_variance(row) for row in x])
+    slope, ci = fit_loglog_slope(1.0 / eps_arr, var_raw, cov)
     var_scaled = var_raw * np.array([regime.alpha(eps) ** 2 for eps in eps_arr])
     flatness, sd_flatness = (float(np.max(np.abs(v / v.mean() - 1.0)))
                              for v in (var_scaled, np.sqrt(var_scaled)))
-    return ScanResult(
-        eps_arr, var_raw, se_raw, n_replicas, slope, ci,
-        meta={
-            "scaled_variance": var_scaled,
-            "scaled_flatness": flatness,
-            "scaled_sd_flatness": sd_flatness,
-            "regime": regime.kind.value,
-            "h_star": regime.h_star,
-            "resolution": resolution,
-            "exact_slope": exact.loglog_slope(eps_arr, exact_var),
-            "finest_samples": x,
-        },
-    )
+    return ScanResult(eps_arr, var_raw, np.sqrt(np.diag(cov)), n_replicas, slope, ci,
+                      meta={"scaled_variance": var_scaled, "scaled_flatness": flatness,
+                            "scaled_sd_flatness": sd_flatness, "regime": regime.kind.value,
+                            "h_star": regime.h_star, "resolution": resolution,
+                            "exact_slope": exact.loglog_slope(eps_arr, exact_var),
+                            "finest_samples": x[-1]})
 
 
 def excess_kurtosis_with_se(samples) -> tuple[float, float]:
@@ -308,23 +315,10 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     dt_ratio = max(exact.resolve_dt_ratio(G, h, horizon, [eps], n_replicas, dt_ratio)[0][
         "dt_ratio"] for G in G_list)
     grid = TimeGrid.with_step(horizon, eps / dt_ratio)
-    sampler = fou.path_sampler(grid, h, eps)
-    it = int(round(t / grid.dt))
-    i_s = int(round(s / grid.dt))
     regimes = [chaos.classify_regime(G.hermite_rank, h) for G in G_list]
-    alphas = [r.alpha(eps) for r in regimes]
-
-    def block_columns(y):
-        cols = []
-        for G, a in zip(G_list, alphas):
-            X = _functional_cumulative(G, y, grid.dt, a)
-            cols.append(X[:, it])
-            cols.append(X[:, i_s])
-        return np.stack(cols, axis=1)
-
-    data = run_replicated(
-        n_replicas, master_seed, "joint-cov",
-        lambda k: np.concatenate([block_columns(y) for y in sampler.blocks(k)]), threads)
+    ends = [(int(round(u / grid.dt)), grid.dt) for u in (t, s)]  # X^k_t, X^k_s of each G_k
+    data = np.repeat([r.alpha(eps) for r in regimes], 2) * _fou_prefix_samples(
+        G_list, h, grid, eps, ends, n_replicas, master_seed, "joint-cov", threads)
     n_g = len(G_list)
     report = {"eps": eps, "t": t, "s": s, "n": n_replicas, "dt_ratio": dt_ratio, "pairs": []}
     for i in range(n_g):

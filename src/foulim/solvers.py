@@ -357,6 +357,7 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     defect = np.max(np.abs(diff + (epsv - epsv[:, :, :1])))
 
     sup_err, sup_se, holder = np.empty((3, len(eps_arr)))
+    worst = np.empty((len(eps_arr), n_replicas))
     gam = HOLDER_GAMMA_FACTOR * h
     for i in range(len(eps_arr)):
         d = np.ascontiguousarray(diff[:, i, :])
@@ -366,10 +367,12 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         if not sup_err[i] > 0.0:
             raise FoulimError(f"kinetic error vanishes at H={h}, eps={eps_arr[i]}: "
                               "no rate can be fitted to it")
-        worst = (d[:, j] - d[:, k]) ** 2
-        sup_se[i] = 0.5 * np.std(worst, ddof=1) / np.sqrt(len(worst)) / sup_err[i]
+        worst[i] = (d[:, j] - d[:, k]) ** 2
+        sup_se[i] = 0.5 * np.std(worst[i], ddof=1) / np.sqrt(n_replicas) / sup_err[i]
         holder[i] = fsum_mean(_holder_seminorms(d, report_times, gam))
-    slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, sup_se)
+    # all eps read one fGN: the sup errors sqrt(mean(worst)) covary (delta method)
+    cov = harness._mean_covariance(worst / (2.0 * sup_err[:, None]), sup_se)
+    slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, cov)
     exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times, fou.MIN_STEPS_PER_EPS)
     return ScanResult(
         eps_arr, sup_err, sup_se, n_replicas, slope, ci,

@@ -274,8 +274,10 @@ def test_factorials_match_scipy_and_overflow_to_inf():
     finite = np.isfinite(ref)
     assert np.array_equal(np.isfinite(got), finite) and finite.sum() == 171
     assert np.max(np.abs(got[finite] / ref[finite] - 1.0)) <= 4e-15
-    # a coefficient past order 170 has an infinite energy rather than an OverflowError
-    assert ChaosFunction([0.0] * 171 + [1.0]).hermite_rank == 171
+    # order 170 is the last whose k! a float holds; past it the list is refused
+    assert ChaosFunction([0.0] * 170 + [1.0]).hermite_rank == 170
+    with pytest.raises(ValueError, match="Hermite orders above 170 are refused"):
+        ChaosFunction([0.0] * 171 + [1.0])
 
 
 def _K_by_scipy(H, m):

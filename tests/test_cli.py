@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -369,7 +370,8 @@ def test_bad_threads_environment_is_a_usage_error(value, tmp_path, monkeypatch, 
     ("", "need at least one Hermite coefficient"),
     ("0,nan", "Hermite coefficients must be finite"),
     ("0,inf,1", "Hermite coefficients must be finite"),
-], ids=["empty", "nan", "inf"])
+    (",".join(["0", "1"] + ["0"] * 169 + ["1e-300"]), "Hermite orders above 170 are refused"),
+], ids=["empty", "nan", "inf", "order-171"])
 def test_bad_coefficients_exit_2(command, coeffs, message, tmp_path, capsys):
     argv = [command, *REQUIRED_ARGS[command], "--coeffs", coeffs, *_two_replicas(command),
             "--out", str(tmp_path / "x")]
@@ -378,6 +380,22 @@ def test_bad_coefficients_exit_2(command, coeffs, message, tmp_path, capsys):
     assert any(line.startswith("error:") and message in line
                for line in err.splitlines()), err
     assert not list(tmp_path.iterdir())
+
+
+def test_constants_refuse_order_171_and_take_order_170(tmp_path, capsys):
+    # 171! overflows a float: an order-171 term made the constants NaN
+    # (not JSON) with exit 0; order 170 is the last that k! holds
+    head = ["constants", "--H", "0.3", "--format", "json", "--coeffs"]
+    order_171 = ",".join(["0", "1"] + ["0"] * 169 + ["1e-300"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*head, order_171, "--out", str(tmp_path / "x")]) == 2
+        assert "error: Hermite orders above 170" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert run([*head, order_171.rsplit(",", 2)[0] + ",1e-300",
+                    "--out", str(tmp_path / "y")]) == 0
+    summary = json.loads((tmp_path / "y.json").read_text(), parse_constant=pytest.fail)
+    assert np.isfinite(summary["A_self"]) and np.isfinite(summary["c"])
 
 
 def test_numerical_failures_exit_2(monkeypatch, capsys):
@@ -671,8 +689,9 @@ def test_clt_scan_diagnostics_reuse_the_finest_scan_samples(tmp_path, monkeypatc
     assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
                 "--replicas", "1000", "--seed", "8", "--format", "json",
                 "--out", str(out)]) == 0
-    # every (eps, replica) stream is drawn once: no extra pass at the finest eps
-    assert sum(rows) == 1000 * 3
+    # the three eps share one spacing, so each replica draws one path, on
+    # the finest grid: no extra pass at the finest eps
+    assert sum(rows) == 1000
     monkeypatch.setattr(fou, "path_sampler", make_sampler)
     G = ChaosFunction([0, 0, 1])
     alpha = chaos.classify_regime(2, 0.6).alpha(0.05)

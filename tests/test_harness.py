@@ -27,7 +27,7 @@ def test_functional_values_match_the_interval_trapezoid(G):
 def test_functional_integral_constant_path():
     grid = TimeGrid(2.0, 40)
     y = np.full((1, 41), 3.0)
-    X = harness._functional_cumulative(H1, y, grid.dt, alpha=5.0)
+    X = harness._prefix_integrals([H1], y, [(k, 5.0 * grid.dt) for k in range(41)])
     np.testing.assert_allclose(X[0], 5.0 * 3.0 * grid.times(), rtol=1e-14)
 
 
@@ -104,39 +104,110 @@ def test_joint_covariance_wiener_hermite_cross():
     assert pairs[(0, 0)]["predicted"] is None
 
 
-def test_variance_scan_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
-    ratios = []
-    samples = harness._fou_endpoint_samples
-
-    def spy(*args):
-        ratios.append(args[7])
-        return samples(*args)
-
-    monkeypatch.setattr(harness, "_fou_endpoint_samples", spy)
-    eps_list = [0.1, 0.05, 0.02]
-    for H, t in ((0.85, 1.0), (0.05, 0.1)):
-        scan = harness.variance_scan(H2, H, t, eps_list, 40, 2)
-        resolution, var = exact.resolve_dt_ratio(H2, H, t, eps_list, 40)
-        assert ratios[-3:] == [resolution["dt_ratio"]] * 3
-        assert scan.meta["resolution"]["dt_ratio"] == resolution["dt_ratio"]
-        assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, var)
-    assert ratios == [2.0] * 3 + [400.0] * 3
-
-
-def test_joint_check_takes_the_finest_rung_its_functions_need(monkeypatch):
-    steps = []
+def _spy_path_samplers(monkeypatch):
+    """A list that receives (grid, eps) for every fOU path sampler built."""
+    built = []
     make_sampler = fou.path_sampler
 
     def spy(grid, H, eps):
-        steps.append(grid.dt)
+        built.append((grid, eps))
         return make_sampler(grid, H, eps)
 
     monkeypatch.setattr(fou, "path_sampler", spy)
+    return built
+
+
+def test_variance_scan_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
+    built = _spy_path_samplers(monkeypatch)
+    eps_list = [0.1, 0.05, 0.02]
+    ratios = []
+    for H, t in ((0.85, 1.0), (0.05, 0.1)):
+        scan = harness.variance_scan(H2, H, t, eps_list, 40, 2)
+        resolution, var = exact.resolve_dt_ratio(H2, H, t, eps_list, 40)
+        ratios.append(resolution["dt_ratio"])
+        # one spacing group: the finest eps's grid at the resolved ratio
+        assert built[-1] == (TimeGrid.with_step(t, 0.02 / ratios[-1]), 0.02)
+        assert scan.meta["resolution"]["dt_ratio"] == resolution["dt_ratio"]
+        assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, var)
+    assert ratios == [2.0, 400.0] and len(built) == 2
+
+
+def _old_slope_ci(eps, values, stderrs):
+    """The independence-only CI: slope -+ ndtri(0.975) / sqrt(D), D = sum w (x - x_w)^2."""
+    x, w = np.log(1 / eps), (values / stderrs) ** 2
+    D = np.sum(w * (x - np.average(x, weights=w)) ** 2)
+    return 1.959963984540054 / np.sqrt(D)
+
+
+def test_variance_scan_reads_every_eps_of_a_group_off_the_finest_path(monkeypatch):
+    # t 0.5 at eps/dt 20: 100, 200 and 400 steps of one unit-rate spacing 0.05
+    built = _spy_path_samplers(monkeypatch)
+    eps_list, n, seed = [0.1, 0.05, 0.025], 300, 9
+    scan = harness.variance_scan(H2, 0.7, 0.5, eps_list, n, seed, dt_ratio=20.0)
+    finest = TimeGrid.with_step(0.5, 0.025 / 20.0)
+    assert built == [(finest, 0.025)]
+    # the finest column is the one an independent draw from its stream gives
+    x = harness._fou_endpoint_samples(H2, 0.7, 0.5, 0.025, n, seed, "vscan-eps2", 20.0, 1.0)
+    np.testing.assert_array_equal(scan.meta["finest_samples"], x)
+    assert scan.values[-1] == harness.fsum_variance(x)
+    assert scan.stderrs[-1] == harness.variance_stderr(x)
+    # each coarser column is the trapezoid integral over its prefix of those paths
+    y = fou.path_sampler(finest, 0.7, 0.025).batch(keys(seed, "vscan-eps2", 0, n))
+    cols = []
+    for i, eps in enumerate(eps_list):
+        grid = TimeGrid.with_step(0.5, eps / 20.0)
+        cols.append(harness.functional_values(H2, y[:, : grid.n_steps + 1], grid.dt))
+        assert scan.values[i] == harness.fsum_variance(cols[-1])
+        assert scan.stderrs[i] == harness.variance_stderr(cols[-1])
+    # the CI takes the covariance of the three variances, ddof 1
+    sq = np.array([(c - c.mean()) ** 2 for c in cols])
+    cov = np.cov(sq) / n
+    np.fill_diagonal(cov, scan.stderrs**2)
+    assert scan.slope_ci == pytest.approx(harness.fit_loglog_slope(1 / np.array(eps_list),
+                                                                    scan.values, cov)[1],
+                                          rel=0, abs=1e-12)
+
+
+def test_variance_scan_draws_eps_of_different_spacings_apart(monkeypatch):
+    # at eps/dt 5, eps 0.1, 0.07 and 0.03 take 50, 71 and 167 steps, of
+    # unit-rate spacings 0.2, 0.2012 and 0.1996: three groups of one, each
+    # drawn from its own stream on its own grid, as independent estimates
+    built = _spy_path_samplers(monkeypatch)
+    eps, n, seed = np.array([0.1, 0.07, 0.03]), 400, 4
+    scan = harness.variance_scan(H2, 0.6, 1.0, eps, n, seed, dt_ratio=5.0)
+    assert [grid.n_steps for grid, _ in built] == [50, 71, 167]
+    xs = [harness._fou_endpoint_samples(H2, 0.6, 1.0, e, n, seed, f"vscan-eps{i}", 5.0, 1.0)
+          for i, e in enumerate(eps)]
+    np.testing.assert_array_equal(scan.values, [harness.fsum_variance(x) for x in xs])
+    np.testing.assert_array_equal(scan.stderrs, [harness.variance_stderr(x) for x in xs])
+    half = _old_slope_ci(eps, scan.values, scan.stderrs)
+    np.testing.assert_allclose(scan.slope_ci, [scan.slope - half, scan.slope + half],
+                               rtol=0, atol=1e-12)
+
+
+# the eps lists and (coefficients, H) pairs of the benchmark's clt-scan
+# operations, at its 1200 replicas and the default --t 1 and --dt-ratio auto
+BENCH_SCANS = [(coeffs, H, eps) for coeffs, H in (((0, 0, 1), 0.6), ((0, 0, 1), 0.75),
+                                                  ((0, 1), 0.8), ((0, 0, 1), 0.85),
+                                                  ((0, 0, 0, 1), 0.7))
+               for eps in ((0.1, 0.05, 0.02), (0.05, 0.02, 0.01))]
+
+
+@pytest.mark.parametrize("coeffs, H, eps_list", BENCH_SCANS)
+def test_variance_scan_builds_one_sampler_per_spacing_group(coeffs, H, eps_list, monkeypatch):
+    built = _spy_path_samplers(monkeypatch)
+    scan = harness.variance_scan(ChaosFunction(coeffs), H, 1.0, eps_list, 1200, 1)
+    ratio = scan.meta["resolution"]["dt_ratio"]
+    assert built == [(TimeGrid.with_step(1.0, eps_list[-1] / ratio), eps_list[-1])]
+
+
+def test_joint_check_takes_the_finest_rung_its_functions_need(monkeypatch):
+    built = _spy_path_samplers(monkeypatch)
     # He_1 and He_2 at H 0.3 over [0, 0.2], eps 0.05, 40 replicas: 8 and 20
     rungs = [exact.resolve_dt_ratio(G, 0.3, 0.2, [0.05], 40)[0]["dt_ratio"] for G in (H1, H2)]
     report = harness.joint_covariance_check([H1, H2], 0.3, 0.2, 0.1, 0.05, 40, 3)
     assert rungs == [8.0, 20.0] and report["dt_ratio"] == 20.0
-    assert steps == [TimeGrid.with_step(0.2, 0.05 / 20.0).dt]
+    assert [grid.dt for grid, _ in built] == [TimeGrid.with_step(0.2, 0.05 / 20.0).dt]
 
 
 def test_l2_convergence_requires_long_range():
@@ -239,9 +310,10 @@ def test_each_embedding_is_computed_once_per_scale(monkeypatch):
         return compute(acov, n)
 
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", spy)
-    # 600 replicas: three chunks per scale
+    # 600 replicas: three chunks; the four scales share the unit-rate
+    # spacing 0.1, so one embedding of the finest grid serves them all
     harness.variance_scan(H2, 0.7, 0.2, [0.2, 0.1, 0.05, 0.025], 600, 3, dt_ratio=10.0)
-    assert calls == [10, 20, 40, 80]
+    assert calls == [80]
     calls.clear()
     harness.joint_covariance_check([H1, H2], 0.7, 0.2, 0.1, 0.05, 600, 3, dt_ratio=10.0)
     assert calls == [40]
@@ -285,9 +357,10 @@ def test_holder_moment_diagnostic():
     eps, H = 0.05, 0.8
     grid = TimeGrid(1.0, 400)
     y = fou.path_sampler(grid, H, eps).batch(keys(19, "hm", 0, 1500))
-    X = harness._functional_cumulative(H1, y, grid.dt, eps ** (H - 1.0))
     lags = np.array([20, 40, 80, 160])
-    mom = [np.mean((X[:, 200 + k] - X[:, 200]) ** 2) for k in lags]
+    X = harness._prefix_integrals([H1], y, [(k, grid.dt * eps ** (H - 1.0))
+                                            for k in (200, *(200 + lags))])
+    mom = [np.mean((X[:, 1 + i] - X[:, 0]) ** 2) for i in range(len(lags))]
     slope = np.polyfit(np.log(lags * grid.dt), np.log(mom), 1)[0]
     assert slope == pytest.approx(2 * H, abs=0.35)
 
@@ -344,13 +417,17 @@ def test_scan_result_requires_decreasing_eps():
 def test_fit_loglog_slope_recovers_power_law():
     eps = np.array([0.2, 0.1, 0.05, 0.02])
     values = 3.0 * eps**1.5
-    slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, 0.01 * values)
+    slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, np.diag((0.01 * values) ** 2))
     assert slope == pytest.approx(-1.5, abs=0.02)
     assert lo < -1.5 < hi
 
 
 SLOPE_POINTS = (np.array([0.1, 0.05, 0.02, 0.01]), np.array([0.31, 0.22, 0.12, 0.09]),
                 np.array([0.02, 0.01, 0.015, 0.006]))
+# correlations of the SLOPE_POINTS estimates when the first three share
+# their paths and the last is drawn apart
+SLOPE_CORRELATION = np.array([[1.0, 0.7, 0.4, 0.0], [0.7, 1.0, 0.6, 0.0],
+                              [0.4, 0.6, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 def test_fit_loglog_slope_quantile_is_scipy_ndtri_bit_for_bit():
@@ -360,33 +437,54 @@ def test_fit_loglog_slope_quantile_is_scipy_ndtri_bit_for_bit():
     # so the CI is (-q, q) with q the quantile itself
     inv_eps = np.exp([-1.0, -1.0, 1.0, 1.0])
     values = np.full(4, 3.0)
-    slope, (lo, hi) = harness.fit_loglog_slope(inv_eps, values, 2.0 * values)
+    slope, (lo, hi) = harness.fit_loglog_slope(inv_eps, values, np.diag((2.0 * values) ** 2))
     assert slope == 0.0 and lo == -hi
     assert hi == special.ndtri(0.975)
 
 
 def test_fit_loglog_slope_ci_is_the_normal_interval_of_the_wls_slope():
+    # a diagonal covariance, independent estimates: the CI of 1 / sqrt(D)
     eps, values, stderrs = SLOPE_POINTS
-    slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, stderrs)
+    slope, (lo, hi) = harness.fit_loglog_slope(1 / eps, values, np.diag(stderrs**2))
     # the slope of a weighted line through the points, by least squares
     x, y = np.log(1 / eps), np.log(values)
     w = (values / stderrs) ** 2
     assert slope == pytest.approx(np.polyfit(x, y, 1, w=np.sqrt(w))[0], rel=1e-10)
-    D = np.sum(w * (x - np.average(x, weights=w)) ** 2)
-    half = 1.959963984540054 / np.sqrt(D)
+    half = _old_slope_ci(eps, values, stderrs)
     np.testing.assert_allclose([lo, hi], [slope - half, slope + half], rtol=0, atol=1e-12)
+
+
+def test_fit_loglog_slope_takes_only_its_weights_from_the_diagonal():
+    # correlations move the CI, not the weighted slope
+    eps, values, stderrs = SLOPE_POINTS
+    cov = SLOPE_CORRELATION * np.outer(stderrs, stderrs)
+    slope, ci = harness.fit_loglog_slope(1 / eps, values, cov)
+    assert slope == harness.fit_loglog_slope(1 / eps, values, np.diag(stderrs**2))[0]
+    assert ci[1] - slope != pytest.approx(_old_slope_ci(eps, values, stderrs), rel=0.01)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_fit_loglog_slope_ci_matches_a_parametric_bootstrap(seed):
+    _check_against_a_parametric_bootstrap(seed, np.eye(len(SLOPE_POINTS[0])))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_fit_loglog_slope_ci_matches_a_correlated_parametric_bootstrap(seed):
+    _check_against_a_parametric_bootstrap(seed, SLOPE_CORRELATION)
+
+
+def _check_against_a_parametric_bootstrap(seed, corr):
     # the oracle the closed form replaces: refit log-points redrawn from
-    # N(log v, (se / v)^2), 200,000 times, and take the 2.5/97.5 percentiles
+    # N(log v, C), C = cov / (v v^T), 200,000 times, and take the 2.5/97.5
+    # percentiles; the weights stay the inverse variances diag(C)^-1
     eps, values, stderrs = SLOPE_POINTS
-    slope, ci = harness.fit_loglog_slope(1 / eps, values, stderrs)
+    cov = corr * np.outer(stderrs, stderrs)
+    slope, ci = harness.fit_loglog_slope(1 / eps, values, cov)
     x, y, sig = np.log(1 / eps), np.log(values), stderrs / values
     w = 1.0 / sig**2
     xc = x - np.average(x, weights=w)
-    y_draws = y + sig * np.random.default_rng(seed).standard_normal((200_000, len(y)))
+    L = np.linalg.cholesky(corr * np.outer(sig, sig))
+    y_draws = y + np.random.default_rng(seed).standard_normal((200_000, len(y))) @ L.T
     y_draws -= np.average(y_draws, axis=1, weights=w)[:, None]
     draws = y_draws @ (w * xc) / np.sum(w * xc**2)
     sd = (ci[1] - slope) / 1.959963984540054

@@ -128,8 +128,12 @@ def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
     with pytest.MonkeyPatch.context() as mp:
         _chunked(mp, harness, chunk)
         got = harness.variance_scan(*args, dt_ratio=20.0, threads=threads)
+    # every column reads the shared path of its group, so the values,
+    # their SEs and the covariance-aware CI are all bit-identical
     np.testing.assert_array_equal(got.values, ref.values)
+    np.testing.assert_array_equal(got.stderrs, ref.stderrs)
     np.testing.assert_array_equal(got.meta["finest_samples"], ref.meta["finest_samples"])
+    assert got.slope == ref.slope and got.slope_ci == ref.slope_ci
 
 
 @PROPERTY
