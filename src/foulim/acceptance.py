@@ -104,60 +104,53 @@ def crit_4_scaling_regimes(seed, suite, threads=1) -> CriterionResult:
     else:
         n_rep, eps_list = 2000, [0.1, 0.05, 0.02]
     details = {}
-    scans = []
+    passed = True
     for k, (label, G, H) in enumerate((("short_range", H2, 0.6), ("long_range", H1, 0.8),
                                        ("boundary", H2, 0.75))):
         scan = harness.variance_scan(G, H, 1.0, eps_list, n_rep, seed + k, threads=threads)
-        # the slope's z against the exact finite-eps one, with the CI's
-        # half-width / ndtri(0.975) as its SE: reported, not gated
-        lo, hi = scan.slope_ci
-        z = (scan.slope - scan.meta["exact_slope"]) * 2.0 * 1.959963984540054 / (hi - lo)
         details.update({f"{label}_slope": scan.slope, f"{label}_ci": scan.slope_ci,
                         f"{label}_exact_slope": scan.meta["exact_slope"],
-                        f"{label}_exact_slope_z": z,
+                        f"{label}_exact_slope_z": scan.meta["slope_z"],
                         f"{label}_dt_ratio": scan.meta["resolution"]["dt_ratio"]})
-        scans.append(scan)
-    sr, lr, bd = scans
-    ok_sr = harness.slope_ci_hits(sr.slope_ci, -1.0)
-    ok_lr = harness.slope_ci_hits(lr.slope_ci, 2 * 0.8 - 2.0)
-    # flatness asserted on the scale the integral lemma bounds (the square
-    # root of the double correlation integral); the variance-scale ratio
-    # carries a genuine ~2/|ln eps| sub-leading term that puts it right at
-    # the 15% line over these scales, so it is reported, not asserted
-    details["boundary_flatness_sd"] = bd.meta["scaled_sd_flatness"]
-    details["boundary_flatness_var"] = bd.meta["scaled_flatness"]
-    ok_bd = bd.meta["scaled_sd_flatness"] <= 0.15
-    passed = ok_sr and ok_lr and ok_bd
+        passed &= abs(scan.meta["slope_z"]) <= 3.0
+    # the boundary's (the last scan's) flatness asserted on the scale the integral
+    # lemma bounds (the square root of the double correlation integral); the
+    # variance-scale ratio carries a genuine ~2/|ln eps| sub-leading term that puts
+    # it right at the 15% line over these scales, so it is reported, not asserted
+    details["boundary_flatness_sd"] = scan.meta["scaled_sd_flatness"]
+    details["boundary_flatness_var"] = scan.meta["scaled_flatness"]
+    passed &= scan.meta["scaled_sd_flatness"] <= 0.15
     return CriterionResult(4, "variance scaling regimes", passed, details)
 
 
-def _short_range_samples(seed, suite, threads, ctx) -> tuple[np.ndarray, float, float]:
-    """The integrals of alpha He_2(y^eps) at H 0.6 of criteria 5 and 6, their eps and ratio."""
+def _short_range_samples(seed, suite, threads, ctx) -> tuple[np.ndarray, float, float, float]:
+    """Criteria 5 and 6's integrals of alpha He_2(y^eps) at H 0.6: eps, ratio and V_eps too."""
     key = ("sr_samples", suite)
     if key not in ctx:
         n_rep = 10_000 if suite == "full" else 2500
         eps = 0.005 if suite == "full" else 0.01
-        ratio = exact.resolve_dt_ratio(H2, 0.6, 1.0, [eps], n_rep)[0]["dt_ratio"]
-        alpha = chaos.classify_regime(2, 0.6).alpha(eps)
+        resolution, var = exact.resolve_dt_ratio(H2, 0.6, 1.0, [eps], n_rep)
+        ratio, alpha = resolution["dt_ratio"], chaos.classify_regime(2, 0.6).alpha(eps)
         x = harness._fou_endpoint_samples(H2, 0.6, 1.0, eps, n_rep, seed, "acc5", ratio, alpha,
                                           threads)
-        ctx[key] = x, eps, ratio
+        ctx[key] = x, eps, ratio, alpha**2 * var[0]
     return ctx[key]
 
 
 def crit_5_limit_covariance(seed, suite, threads=1, ctx=None) -> CriterionResult:
     ctx = {} if ctx is None else ctx
-    x, eps, ratio = _short_range_samples(seed, suite, threads, ctx)
+    x, eps, ratio, v_eps = _short_range_samples(seed, suite, threads, ctx)
     A, _ = chaos.limit_covariance_A(H2, H2, 0.6)
     var = harness.fsum_variance(x)
-    details = {"var_X": var, "2A": 2 * A, "ratio": var / (2 * A), "eps": eps, "dt_ratio": ratio}
+    details = {"var_X": var, "2A": 2 * A, "ratio": var / (2 * A), "eps": eps, "dt_ratio": ratio,
+               "V_eps": v_eps, "var_z_exact": (var - v_eps) / harness.variance_stderr(x)}
     passed = abs(var / (2 * A) - 1.0) <= 0.10
     return CriterionResult(5, "Wiener limit covariance 2A", passed, details)
 
 
 def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
     ctx = {} if ctx is None else ctx
-    x, eps_sr, ratio = _short_range_samples(seed, suite, threads, ctx)
+    x, eps_sr, ratio, _ = _short_range_samples(seed, suite, threads, ctx)
     kurt, se_infl = harness.excess_kurtosis_with_se(x)
     # the limit is Gaussian, but at a fixed eps the integral is a quadratic form
     # with an exact excess kurtosis (0.584 at eps 0.01, 0.308 at 0.005) and SE of
@@ -278,13 +271,12 @@ def crit_9_kinetic_rate(seed, suite, threads=1) -> CriterionResult:
         scan = solvers.kinetic_error_scan(H, eps_list, grid, n_rep, seed,
                                           threads=threads)
         lo, hi = scan.slope_ci
-        slope_vs_logeps = -scan.slope
-        ci = (-hi, -lo)
-        details[f"H{H}_slope"] = slope_vs_logeps
-        details[f"H{H}_ci"] = ci
+        details[f"H{H}_slope"] = -scan.slope
+        details[f"H{H}_ci"] = (-hi, -lo)
         details[f"H{H}_exact_slope_vs_log_eps"] = -scan.meta["exact_slope"]
+        details[f"H{H}_exact_slope_z"] = -scan.meta["slope_z"]
         details[f"H{H}_identity_defect"] = scan.meta["identity_defect_max"]
-        passed &= harness.slope_ci_hits(ci, H)
+        passed &= abs(scan.meta["slope_z"]) <= 3.0
         passed &= scan.meta["identity_defect_max"] < 1e-6
     return CriterionResult(9, "kinetic coupling rate eps^H and on-grid identity",
                            passed, details)

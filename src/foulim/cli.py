@@ -254,7 +254,8 @@ def _cmd_clt_scan(args) -> int:
         "expected_slope": expected,
         # the slope of the exact variances, which the scan estimates (not -1 at the boundary)
         "exact_slope": scan.meta["exact_slope"],
-        "slope_pass": harness.slope_ci_hits(scan.slope_ci, scan.meta["exact_slope"]),
+        "slope_z": scan.meta["slope_z"],
+        "slope_pass": abs(scan.meta["slope_z"]) <= 3.0,
         "scaled_flatness": scan.meta["scaled_flatness"],
         "diagnostics_at_finest_eps": diag,
     }
@@ -294,9 +295,10 @@ def _cmd_kinetic_scan(args) -> int:
         "slope_vs_log_eps": -scan.slope,
         "slope_ci_vs_log_eps": [-hi, -lo],
         "expected_slope": args.H,
-        # the slope the exact chain covariance gives on these grids (not gated)
+        # the slope the exact chain covariance gives on these grids, and the z against it
         "exact_slope_vs_log_eps": -scan.meta["exact_slope"],
-        "slope_pass": harness.slope_ci_hits((-hi, -lo), args.H),
+        "slope_z": -scan.meta["slope_z"],
+        "slope_pass": abs(scan.meta["slope_z"]) <= 3.0,
         "identity_defect_max": scan.meta["identity_defect_max"],
         "holder_slope_vs_log_eps": -scan.meta["holder_slope"],
         "holder_gamma": scan.meta["holder_gamma"],

@@ -16,7 +16,7 @@ keeping reduction reassociation out of the reported statistics.
 Slopes of log statistic against log(1/eps) are fitted by
 inverse-variance-weighted least squares, with the closed-form normal
 confidence interval of that fit under the estimates' joint covariance;
-acceptance checks consume the CI, not the point estimate.
+a slope passes within 3 SE, the CI's half-width / 1.96, of its exact slope (``slope_z``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "variance_stderr",
     "functional_values",
     "fit_loglog_slope",
-    "slope_ci_hits",
+    "slope_z",
     "variance_scan",
     "clt_diagnostics",
     "joint_covariance_check",
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 250
-# a slope passes when its 95% CI comes within this of the expected slope
-SLOPE_CI_TOL = 0.1
+_Z975 = 1.959963984540054  # ndtri(0.975): a 95% CI's half-width in standard errors
 # l2_convergence_hermite's finest fOU grid has dt = min(eps) / L2_DT_RATIO
 L2_DT_RATIO = 20.0
 
@@ -59,7 +58,7 @@ class ScanResult:
     """Statistic vs eps with standard errors and a fitted log-log slope.
 
     slope is with respect to log(1/eps); slope_ci is its 95% normal
-    interval.  meta carries scan-specific extras.
+    interval.  meta carries scan-specific extras, and "slope_z" beside any "exact_slope".
     """
 
     eps_values: np.ndarray
@@ -74,6 +73,8 @@ class ScanResult:
         self.eps_values = np.asarray(self.eps_values, dtype=float)
         if len(self.eps_values) and np.any(np.diff(self.eps_values) >= 0):
             raise ValueError("eps_values must be strictly decreasing")
+        if "exact_slope" in self.meta:
+            self.meta["slope_z"] = slope_z(self.slope, self.slope_ci, self.meta["exact_slope"])
 
 
 def run_replicated(n_replicas: int, master_seed: int, name: str, make_chunk,
@@ -158,7 +159,7 @@ def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray,
     D = np.sum(w * (x - xm) ** 2)
     slope = float(np.sum(w * (x - xm) * (y - ym)) / D)
     c = w * (x - xm) / D
-    half = float(1.959963984540054 * np.sqrt(np.sum(c[:, None] * C * c)))  # ndtri(0.975)
+    half = float(_Z975 * np.sqrt(np.sum(c[:, None] * C * c)))
     return slope, (slope - half, slope + half)
 
 
@@ -171,10 +172,11 @@ def _mean_covariance(rows, se) -> np.ndarray:
     return cov
 
 
-def slope_ci_hits(ci, target: float) -> bool:
-    """Whether a slope CI (lo, hi) comes within SLOPE_CI_TOL of the target slope."""
-    lo, hi = ci
-    return bool(lo <= target + SLOPE_CI_TOL and hi >= target - SLOPE_CI_TOL)
+def slope_z(slope: float, ci, target: float) -> float:
+    """(slope - target) / SE, SE the 95% CI's half-width / ndtri(0.975); always finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.float64(slope - target) * 2.0 * _Z975 / (ci[1] - ci[0])
+    return float(np.nan_to_num(z, nan=0.0))
 
 
 def _fou_prefix_samples(funcs, h: float, grid: TimeGrid, eps: float, prefixes, n_replicas: int,
@@ -205,8 +207,9 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
     regime; its SE, ``variance_stderr``, holds for heavy tails.  The ratio
     eps/dt is ``exact.resolve_dt_ratio``'s (None: the coarsest unbiased
     rung), reported in meta["resolution"]; meta["exact_slope"] is the slope
-    of the exact variances.  As y^eps_s = Y_{s/eps}, Y the unit-rate fOU,
-    the eps whose grids share the spacing dt/eps (to 1e-12) form a group:
+    of the exact variances, and meta["slope_z"] the fit's z against it.  As
+    y^eps_s = Y_{s/eps}, Y the unit-rate fOU, the eps whose grids share the
+    spacing dt/eps (to 1e-12) form a group:
     each replica draws one path, on its finest member's grid from that eps's
     stream "vscan-eps{i}", and each member integrates its first n + 1 points.
     The slope CI takes the covariance of a group's variances; groups are
@@ -381,10 +384,10 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     eps_arr = as_eps_list(eps_list)
     fine = TimeGrid.with_step(t, eps_arr[-1] / L2_DT_RATIO)
     n_fine, hs = fine.n_steps, regime.h_star
-    strides = [max((k for k in range(1, n_fine + 1)
-                    if n_fine % k == 0 and k * fine.dt <= eps / L2_DT_RATIO * (1.0 + 1e-12)),
-                   default=1) for eps in eps_arr]
-    kernels = [hermite._kernel(fine, hs, m)]
+    kernels = [hermite._kernel(fine, hs, m)]  # a fine grid too large to hold fails here
+    strides = [next((k for k in range(min(n_fine, int(b / fine.dt) + 1), 0, -1)
+                     if n_fine % k == 0 and k * fine.dt <= b), 1)
+               for b in eps_arr / L2_DT_RATIO * (1.0 + 1e-12)]
     kernels += [hermite._fou_kernel(fine, h, eps, r) for eps, r in zip(eps_arr, strides)]
     var_lim = kernels[0].variances()
     far = np.concatenate([kern.far for kern in kernels])

@@ -72,11 +72,13 @@ def _cell_edges(grid: TimeGrid) -> np.ndarray:
 
     The last 2n cells have width dt and edges k dt, k = -n..n; below
     them the widths are dt 1.05^k, k = 1, 2, ..., until the first edge
-    at or beyond -1e30.  A step whose square underflows (C holds dt^2) is refused.
+    at or beyond -1e30.  A horizon T >= 1e30, or a step whose dt^2 (in C) underflows, is refused.
     """
     n, dt = grid.n_steps, grid.dt
     if not dt * dt >= np.finfo(float).tiny:
         raise FoulimError(f"time step {dt:g} is too small for the Hermite engine")
+    if not grid.horizon < _FAR_EDGE:
+        raise FoulimError(f"horizon {grid.horizon:g} reaches the Hermite far edge {_FAR_EDGE:g}")
     near = dt * np.arange(-n, n + 1)
     g = _CELL_GROWTH
     n_far = math.ceil(math.log1p((_FAR_EDGE + near[0]) * (g - 1.0) / (dt * g))

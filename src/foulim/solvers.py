@@ -277,10 +277,10 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     against log(1/eps) is H.  Its exact value on these grids,
     ``exact.kinetic_sup_errors``, is 3-5% above that at 100 steps per eps,
     a factor that moves the slope by under 3e-4 for H in [0.05, 0.95].  meta
-    carries those exact values and their least-squares slope, the max identity
-    defect, taken from the origin t = 0 where X - sigma B and its readings
-    are zero, and the mean Hoelder seminorm at gamma = HOLDER_GAMMA_FACTOR*H
-    with its least-squares slope (``exact.loglog_slope``).
+    carries those exact values, their least-squares slope and the fit's z against
+    it (``harness.slope_z``), the max identity defect, taken from the origin t = 0
+    where X - sigma B and its readings are zero, and the mean Hoelder seminorm at
+    gamma = HOLDER_GAMMA_FACTOR*H with its least-squares slope (``exact.loglog_slope``).
 
     The fGN comes from one ``fgn.StationarySampler`` built per scan (at
     its fast 5-smooth length).  Within each replica chunk its row blocks

@@ -57,6 +57,34 @@ def fbm_paths(grid, H, keys):
     return np.concatenate([np.zeros((len(incs), 1)), np.cumsum(incs, axis=1)], axis=1)
 
 
+# the positions of H and of the eps list in the calls that give each scan its exact values
+_EXACT_ARGS = {"resolve_dt_ratio": (1, 3), "kinetic_sup_errors": (0, 1)}
+
+
+def tilt_exact_slopes(monkeypatch, name, tilts):
+    """Raise the exact slope of every scan at an H of ``tilts`` by tilts[H]: the values
+    ``exact.<name>`` returns, times (1/eps)^tilt, have a log-log slope tilt higher."""
+    from foulim import exact
+    from foulim.paths import as_eps_list
+
+    make = getattr(exact, name)
+    h_at, eps_at = _EXACT_ARGS[name]
+
+    def tilted(*args, **kwargs):
+        got = make(*args, **kwargs)
+        w = as_eps_list(args[eps_at]) ** -tilts.get(args[h_at], 0.0)
+        return (got[0], got[1] * w) if isinstance(got, tuple) else got * w
+
+    monkeypatch.setattr(exact, name, tilted)
+
+
+def slope_se(ci):
+    """A slope's SE, its 95% CI's half-width / ndtri(0.975)."""
+    from scipy import special
+
+    return (ci[1] - ci[0]) / (2.0 * special.ndtri(0.975))
+
+
 @pytest.fixture(scope="session")
 def threads():
     return max(1, int(os.environ.get("FOULIM_THREADS", "1")))

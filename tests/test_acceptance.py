@@ -15,10 +15,16 @@ short-range branch gates the excess kurtosis estimate on its exact
 finite-eps value (0.308 at the pinned eps = 0.005) within 3 exact
 delta-method SE; both are discussed in the README's verification
 section.
+
+The slope gates of criteria 4 and 9 are also run, on the quick suite,
+against exact slopes moved by 5 SE, which each must refuse.
 """
 
 import os
 
+import pytest
+
+from conftest import slope_se, tilt_exact_slopes
 from foulim import acceptance
 
 SEED = acceptance.MASTER_SEED
@@ -91,3 +97,24 @@ def test_criterion_11_solver_oracles():
 def test_criterion_12_determinism():
     res = _report(acceptance.crit_12_determinism(SEED, "full", THREADS))
     assert res.passed, res.details
+
+
+@pytest.mark.parametrize("crit, name, zs", [
+    (acceptance.crit_4_scaling_regimes, "resolve_dt_ratio",
+     {0.6: "short_range", 0.8: "long_range", 0.75: "boundary"}),
+    (acceptance.crit_9_kinetic_rate, "kinetic_sup_errors", {0.3: "H0.3", 0.7: "H0.7"}),
+], ids=["crit4", "crit9"])
+@pytest.mark.parametrize("shift", [5.0, -5.0])
+def test_slope_gates_refuse_an_exact_slope_moved_by_5_se(crit, name, zs, shift, monkeypatch):
+    res = crit(SEED, "quick", THREADS)
+    assert res.passed, res.details
+    for H, label in zs.items():
+        z, ci = res.details[f"{label}_exact_slope_z"], res.details[f"{label}_ci"]
+        with monkeypatch.context() as m:
+            tilt_exact_slopes(m, name, {H: shift * slope_se(ci)})
+            moved = crit(SEED, "quick", THREADS)
+        assert not moved.passed
+        # criterion 9 reports against log eps, where the move changes sign
+        sign = -1.0 if label.startswith("H") else 1.0
+        assert moved.details[f"{label}_exact_slope_z"] == pytest.approx(z - sign * shift,
+                                                                         abs=1e-9)

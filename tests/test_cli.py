@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fbm_paths
+from conftest import fbm_paths, slope_se, tilt_exact_slopes
 from foulim import acceptance, chaos, cli, fgn, fou, harness, output, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
@@ -187,6 +187,14 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["hermite-sample", "--m", "2", "--horizon", "1e-300"], "too small for the Hermite engine"),
     (["l2-hermite", "--t", "1e-300"], "too small for the Hermite engine"),
     (["homogenize", "--H", "0.85", "--t", "1e-300"], "too small for the Hermite engine"),
+    # a horizon past the noise cells' far edge, and fine grids refused at their
+    # first allocation (beyond int64, and 291 TiB), before any stride search
+    (["hermite-sample", "--horizon", "1e31"],
+     "horizon 1e+31 reaches the Hermite far edge 1e+30"),
+    (["l2-hermite", "--t", "1e31"],
+     "horizon 1e+31 reaches the Hermite far edge 1e+30"),
+    (["l2-hermite", "--t", "1e29"], "Maximum allowed size exceeded"),
+    (["l2-hermite", "--eps-list", "0.2,0.1,1e-12"], "Unable to allocate"),
     # a step count that is not finite, or beyond the circulant embedding cap
     (["clt-scan", "--dt-ratio", "1e308"], "gives no finite step count"),
     (["homogenize", "--dt-ratio", "1e308"], "gives no finite step count"),
@@ -198,8 +206,9 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "homogenize-horizon-nan", "sample-fou-horizon-nan", "kinetic-horizon-nan",
         "hermite-horizon-nan", "l2-horizon-inf", "rho-s-max-nan", "rho-s-max-negative",
         "homogenize-x0-nan", "homogenize-x0-inf", "hermite-tiny-horizon", "l2-tiny-horizon",
-        "homogenize-tiny-horizon", "clt-dt-ratio-huge", "homogenize-dt-ratio-huge",
-        "sample-fou-eps-tiny"])
+        "homogenize-tiny-horizon", "hermite-horizon-past-far-edge", "l2-horizon-past-far-edge",
+        "l2-fine-grid-beyond-int64", "l2-fine-grid-291-tib", "clt-dt-ratio-huge",
+        "homogenize-dt-ratio-huge", "sample-fou-eps-tiny"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], *_two_replicas(command),
@@ -503,7 +512,7 @@ def test_clt_scan_json_summary(tmp_path):
     assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 399))
     assert len(doc["trapezoid_bias"]) == 3
     assert max(map(abs, doc["trapezoid_bias"])) <= doc["bias_budget"]
-    assert doc["slope_pass"] == harness.slope_ci_hits(doc["slope_ci"], doc["exact_slope"])
+    _check_slope_verdict(doc)
     lines = (tmp_path / "scan.csv").read_text().splitlines()
     assert lines[0] == "eps,statistic,stderr,n"
     assert len(lines) == 4
@@ -519,7 +528,65 @@ def test_clt_scan_judges_the_boundary_slope_against_the_exact_one(tmp_path):
     doc = json.loads((tmp_path / "scan.json").read_text())
     assert doc["regime"] == "boundary" and doc["expected_slope"] == -1.0
     assert doc["exact_slope"] == pytest.approx(-0.8177, abs=5e-4)
-    assert doc["slope_pass"] == harness.slope_ci_hits(doc["slope_ci"], doc["exact_slope"])
+    _check_slope_verdict(doc)
+
+
+# a variance scan and a kinetic scan, and the function that gives each its exact values
+SLOPE_SCANS = {
+    "clt-scan": (["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
+                  "--replicas", "400", "--seed", "12"], "resolve_dt_ratio"),
+    "kinetic-scan": (["kinetic-scan", "--H", "0.7", "--eps-list", "0.1,0.05,0.02",
+                      "--replicas", "100", "--seed", "3"], "kinetic_sup_errors"),
+}
+
+
+def _slopes(doc):
+    """A scan summary's fitted and exact slopes against log(1/eps), the SE and the z."""
+    if "slope_vs_log_eps" in doc:  # kinetic-scan reports against log eps
+        lo, hi = doc["slope_ci_vs_log_eps"]
+        return (-doc["slope_vs_log_eps"], -doc["exact_slope_vs_log_eps"], slope_se((lo, hi)),
+                -doc["slope_z"])
+    return (doc["slope_vs_log_inv_eps"], doc["exact_slope"], slope_se(doc["slope_ci"]),
+            doc["slope_z"])
+
+
+def _check_slope_verdict(doc):
+    """slope_z is (slope - exact slope) / SE, and slope_pass is |slope_z| <= 3."""
+    slope, exact_slope, se, z = _slopes(doc)
+    assert z == pytest.approx((slope - exact_slope) / se, rel=1e-12)
+    assert doc["slope_pass"] == (abs(z) <= 3.0)
+
+
+@pytest.mark.parametrize("command", sorted(SLOPE_SCANS))
+@pytest.mark.parametrize("z, passed", [(2.99, True), (-2.99, True), (3.01, False),
+                                       (-3.01, False), (5.0, False), (-5.0, False)])
+def test_slope_pass_is_a_slope_within_3_se_of_the_exact_one(command, z, passed,
+                                                           monkeypatch, tmp_path):
+    argv, name = SLOPE_SCANS[command]
+    assert run([*argv, "--format", "json", "--out", str(tmp_path / "a")]) == 0
+    doc = json.loads((tmp_path / "a.json").read_text())
+    _check_slope_verdict(doc)
+    assert doc["slope_pass"]
+    slope, exact_slope, se, _ = _slopes(doc)
+    # the same draws, judged against an exact slope z SE below the fitted one
+    tilt_exact_slopes(monkeypatch, name, {float(argv[2]): slope - z * se - exact_slope})
+    assert run([*argv, "--format", "json", "--out", str(tmp_path / "b")]) == 0
+    moved = json.loads((tmp_path / "b.json").read_text())
+    assert _slopes(moved)[0] == slope and _slopes(moved)[2] == se
+    assert _slopes(moved)[3] == pytest.approx(z, abs=1e-9)
+    assert moved["slope_pass"] is passed
+
+
+@pytest.mark.parametrize("argv", [["clt-scan", "--H", "0.6", "--coeffs", "0,0,1"],
+                                  ["clt-scan", "--H", "0.8", "--coeffs", "0,1"],
+                                  ["kinetic-scan", "--H", "0.7"]], ids=["sr", "lr", "kinetic"])
+def test_a_two_replica_scan_writes_a_finite_slope_z(argv, tmp_path):
+    # two replicas give two equal squared deviations: a variance SE, and a slope CI,
+    # of about 0; the z stays finite, as JSON requires
+    assert run([*argv, "--replicas", "2", "--format", "json", "--out", str(tmp_path / "x")]) == 0
+    doc = json.loads((tmp_path / "x.json").read_text(), parse_constant=pytest.fail)
+    assert np.isfinite(doc["slope_z"])
+    assert doc["slope_pass"] == (abs(doc["slope_z"]) <= 3.0)
 
 
 def test_clt_scan_reports_an_unmet_bias_budget_without_failing(tmp_path):

@@ -557,7 +557,24 @@ def test_time_grid_with_step_rejects_a_step_count_that_is_not_finite(step):
         TimeGrid.with_step(1.0, step)
 
 
-def test_slope_ci_hits_within_its_tolerance():
-    assert harness.slope_ci_hits((-1.09, -1.05), -1.0)
-    assert not harness.slope_ci_hits((-1.3, -1.11), -1.0)
-    assert not harness.slope_ci_hits((-0.89, -0.5), -1.0)
+def test_slope_z_is_the_distance_in_ci_standard_errors():
+    from scipy import special
+
+    se = 0.05 / special.ndtri(0.975)
+    assert harness.slope_z(-0.9, (-0.95, -0.85), -1.0) == pytest.approx(0.1 / se, rel=1e-15)
+    assert harness.slope_z(-0.9, (-0.95, -0.85), -0.8) == pytest.approx(-0.1 / se, rel=1e-15)
+    assert harness.slope_z(-0.9, (-0.95, -0.85), -0.9) == 0.0
+
+
+@pytest.mark.parametrize("slope, target, z", [(1.05, -0.95, np.finfo(float).max),
+                                              (1.05, 3.0, -np.finfo(float).max),
+                                              (1.05, 1.05, 0.0)])
+def test_slope_z_of_a_zero_width_ci_is_finite(slope, target, z):
+    # two replicas give equal squared deviations: the variances' SEs, and the CI, vanish
+    assert harness.slope_z(slope, (slope, slope), target) == z
+
+
+def test_variance_scan_reports_the_slope_z_against_its_exact_slope():
+    scan = harness.variance_scan(H2, 0.6, 1.0, [0.2, 0.1, 0.05], 200, 3)
+    assert scan.meta["slope_z"] == harness.slope_z(scan.slope, scan.slope_ci,
+                                                   scan.meta["exact_slope"])
