@@ -1,8 +1,9 @@
 """Command-line surface for reproducible experiments.
 
 Every run is fully determined by (subcommand, parameters, --seed) and
-emits a config echo that can be re-ingested with --config to reproduce
-it bit-exactly.  Exit codes: 0 success, 1 usage error, 2 numerical or
+emits a config echo, an argparse args file: ``foulim @PREFIX.config``
+reproduces the run bit-exactly, and a flag after the file overrides the
+file's value.  Exit codes: 0 success, 1 usage error, 2 numerical or
 acceptance failure (with a machine-readable report where applicable).
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -20,8 +20,6 @@ from .chaos import ChaosFunction, Regime
 from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
 
 __all__ = ["main"]
-
-THREADS_ENV = "FOULIM_THREADS"
 
 _F_PRESETS = {
     "sin2": lambda x: np.sin(x) + 2.0,
@@ -68,17 +66,6 @@ def _chaos_from_args(args) -> ChaosFunction:
     return ChaosFunction(_parse_floats(args.coeffs))
 
 
-def _default_threads() -> int:
-    text = os.environ.get(THREADS_ENV, "1")
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise UsageError(f"${THREADS_ENV} must be a positive integer, got {text!r}")
-    return value
-
-
 def _dt_ratio_arg(text: str):
     """--dt-ratio: "auto" or a number (its range is checked by exact.resolve_dt_ratio)."""
     if text == "auto":
@@ -100,9 +87,9 @@ def _dt_ratio(args):
 
 
 # what the config echo leaves out of the parsed namespace: the subcommand,
-# which names the echo's section, and the options that say only where the
+# which is the echo's first line, and the options that say only where the
 # output goes or how many workers make it, never what it holds
-_NOT_ECHOED = {"command", "func", "out", "config", "threads"}
+_NOT_ECHOED = {"command", "func", "out", "threads"}
 
 
 def _emit(args, header, rows, summary=None) -> None:
@@ -385,10 +372,7 @@ def _add_parser(sub, command: str, func, samples: bool = False, seed_default: in
     sp.add_argument("--out", type=str, default=None,
                     help="output path prefix (writes <out>.csv/.json/.config)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.add_argument("--config", type=str, default=None,
-                    help="read parameters from a config echo file")
-    sp.add_argument("--threads", type=_positive_int, default=None,
-                    help=f"worker threads (default ${THREADS_ENV} or 1)")
+    sp.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
     if hurst:
         sp.add_argument("--H", type=float, required=True)
     return sp
@@ -406,6 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="foulim",
         description="Sampling and Monte Carlo verification for fractional "
                     "Ornstein-Uhlenbeck scaling limits",
+        # @PREFIX.config reads a run's echo back as arguments
+        fromfile_prefix_chars="@",
     )
     sub = p.add_subparsers(dest="command")
 
@@ -469,46 +455,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config requires a file argument")
-    command, params = output.read_config(argv[i + 1])
-    rest = argv[:i] + argv[i + 2 :]
-    if rest and not rest[0].startswith("-"):
-        if rest[0] != command:
-            raise UsageError(
-                f"config file is for {command!r} but {rest[0]!r} was requested"
-            )
-        rest = rest[1:]
-    merged = [command]
-    for key, val in params.items():
-        opt = "--" + key.replace("_", "-")
-        if opt not in rest:
-            # joined, so that a value such as -1e-05 is not read as an option
-            merged.append(f"{opt}={val}")
-    merged.extend(rest)
-    return merged
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config(argv)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return 0 if exc.code == 0 else 1
-        if getattr(args, "command", None) is None:
-            parser.print_help()
-            return 1
+        args = parser.parse_args(argv)  # None: sys.argv[1:]
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 1
+    if args.command is None:
+        parser.print_help()
+        return 1
+    try:
         if args.command in _STATISTICS_COMMANDS and args.replicas < 2:
             raise UsageError(f"--replicas: {args.command} needs at least 2")
-        if args.threads is None:
-            args.threads = _default_threads()
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -73,12 +73,11 @@ def fbm_covariance(t, s, H) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def fgn_autocovariance(lags, H, dt: float = 1.0) -> np.ndarray:
-    """gamma(k) = 0.5*(|k+1|^{2H} + |k-1|^{2H} - 2|k|^{2H}) * dt^{2H}."""
+def fgn_autocovariance(lags, H) -> np.ndarray:
+    """gamma(k) = 0.5*(|k+1|^{2H} + |k-1|^{2H} - 2|k|^{2H})."""
     h = as_hurst(H)
     k = np.abs(np.asarray(lags, dtype=float))
-    g = 0.5 * ((k + 1) ** (2 * h) + np.abs(k - 1) ** (2 * h) - 2 * k ** (2 * h))
-    return g * dt ** (2 * h)
+    return 0.5 * ((k + 1) ** (2 * h) + np.abs(k - 1) ** (2 * h) - 2 * k ** (2 * h))
 
 
 def _smooth_length(n: int) -> int:

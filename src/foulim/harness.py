@@ -120,6 +120,9 @@ def variance_stderr(x) -> float:
     heavy-tailed integrals of He_3.
     """
     x = np.asarray(x, dtype=float)
+    if len(x) < 3:
+        raise ValueError(f"a variance SE needs at least 3 samples, got {len(x)} "
+                         "(with 2 the squared deviations are equal and the SE is 0)")
     return float(np.std((x - fsum_mean(x)) ** 2, ddof=1) / np.sqrt(len(x)))
 
 
@@ -382,6 +385,8 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             f"H*(m) = {regime.h_star:.3f}"
         )
     eps_arr = as_eps_list(eps_list)
+    if len(eps_arr) < 2:
+        raise ValueError("L2 Hermite scan needs at least 2 distinct eps values")
     fine = TimeGrid.with_step(t, eps_arr[-1] / L2_DT_RATIO)
     n_fine, hs = fine.n_steps, regime.h_star
     kernels = [hermite._kernel(fine, hs, m)]  # a fine grid too large to hold fails here

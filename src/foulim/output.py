@@ -1,15 +1,16 @@
 """CSV/JSON emission and config echo for reproducible runs.
 
-All floats are written with 17 significant digits so that re-ingesting
-an emitted file reproduces the run bit-exactly.  CSV files have a fixed
-header row and column order per schema; JSON summaries carry a
-schema-version field.  Every writer takes a path or an open text stream,
-so a file and standard output get the same bytes.
+All floats are written with 17 significant digits so that re-running
+from an emitted echo reproduces the run bit-exactly.  CSV files have a
+fixed header row and column order per schema; JSON summaries carry a
+schema-version field.  The config echo is an argparse args file, which
+the CLI reads back as ``foulim @PREFIX.config``.  Every writer takes a
+path or an open text stream, so a file and standard output get the same
+bytes.
 """
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import csv
 import json
@@ -24,7 +25,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_config",
-    "read_config",
 ]
 
 
@@ -72,25 +72,11 @@ def write_json(target, payload: dict) -> None:
         fh.write("\n")
 
 
-def _parser() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
-    cp.optionxform = str  # option names are case-sensitive (--H vs --horizon)
-    return cp
-
-
 def write_config(target, command: str, params: dict) -> None:
-    """Key-value echo of a run, re-ingestible through --config."""
-    cp = _parser()
-    cp["run"] = {"command": command}
-    cp[command] = {k: fmt(v) for k, v in sorted(params.items()) if v is not None}
+    """Echo of a run as an argparse args file: the subcommand, then one
+    ``--key=value`` line per option, sorted (joined, so that a value such
+    as -1e-05 is not read as an option)."""
+    lines = [command] + [f"--{k.replace('_', '-')}={fmt(v)}"
+                         for k, v in sorted(params.items()) if v is not None]
     with _opened(target) as fh:
-        cp.write(fh)
-
-
-def read_config(path) -> tuple[str, dict]:
-    cp = _parser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    command = cp["run"]["command"]
-    params = dict(cp[command]) if cp.has_section(command) else {}
-    return command, params
+        fh.write("\n".join(lines) + "\n")

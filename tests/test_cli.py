@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fbm_paths, slope_se, tilt_exact_slopes
-from foulim import acceptance, chaos, cli, fgn, fou, harness, output, solvers
+from foulim import acceptance, chaos, cli, fgn, fou, harness, hermite, output, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -56,9 +56,9 @@ def test_sample_fbm_deterministic_and_config_round_trip(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert (tmp_path / "runa.csv").read_bytes() == (tmp_path / "runb.csv").read_bytes()
-    # config echo re-ingestion reproduces the run bit-exactly
+    # re-running from the config echo reproduces the run bit-exactly
     c = tmp_path / "runc"
-    assert run(["--config", str(tmp_path / "runa.config"), "--out", str(c)]) == 0
+    assert run(["@" + str(tmp_path / "runa.config"), "--out", str(c)]) == 0
     assert (tmp_path / "runc.csv").read_bytes() == (tmp_path / "runa.csv").read_bytes()
 
 
@@ -98,7 +98,7 @@ def test_sample_fou_csv(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
-def test_hermite_sample_runs(tmp_path):
+def test_hermite_sample_runs(tmp_path, capsys):
     out = tmp_path / "herm"
     assert run(["hermite-sample", "--H", "0.7", "--m", "2", "--n-steps", "50",
                 "--replicas", "2", "--seed", "4", "--out", str(out)]) == 0
@@ -109,8 +109,11 @@ def test_hermite_sample_runs(tmp_path):
     echo = (tmp_path / "herm.config").read_text()
     assert "xi" not in echo
     old = tmp_path / "old.config"
-    old.write_text(echo.rstrip("\n") + "\nxi_window = 40.0\nn_xi = 2000\n")
-    assert run(["hermite-sample", "--config", str(old)]) == 1
+    old.write_text(echo + "--xi-window=40.0\n--n-xi=2000\n")
+    assert run(["@" + str(old), "--out", str(tmp_path / "old")]) == 1
+    assert ("unrecognized arguments: --xi-window=40.0 --n-xi=2000"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "old.csv").exists()
 
 
 def test_hermite_sample_bytes_independent_of_threads(tmp_path):
@@ -250,13 +253,17 @@ def test_a_request_larger_than_memory_exits_2(argv, patch, monkeypatch, tmp_path
 @pytest.mark.parametrize("eps_list", ["0.1", "0.1,0.1"])
 def test_kinetic_scan_refuses_a_single_eps_before_drawing(eps_list, monkeypatch,
                                                           tmp_path, capsys):
-    # one distinct eps has no slope: it wrote NaN slopes and a NaN CI and exited 0
+    # one distinct eps has no slope: the kinetic scan wrote NaN slopes and a NaN
+    # CI, and l2-hermite called one distance "monotone_decreasing", both with exit 0
     monkeypatch.setattr(fgn, "StationarySampler", None)
-    assert run(["kinetic-scan", "--H", "0.7", "--eps-list", eps_list, "--replicas", "2",
-                "--out", str(tmp_path / "x")]) == 2
-    assert ("error: kinetic scan needs at least 2 distinct eps values"
-            in capsys.readouterr().err)
-    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(hermite, "_kernel", None)
+    for argv, scan in [(["kinetic-scan", "--H", "0.7"], "kinetic scan"),
+                       (["l2-hermite", "--H", "0.8", "--coeffs", "0,1"], "L2 Hermite scan")]:
+        assert run([*argv, "--eps-list", eps_list, "--replicas", "2",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert (f"error: {scan} needs at least 2 distinct eps values"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
 
 # the required arguments of every subcommand but verify
@@ -300,10 +307,12 @@ def test_successive_calls_share_one_parser_and_leak_no_options(tmp_path):
     assert run(["kinetic-scan", "--H", "0.3", "--replicas", "3",
                 "--eps-list", "0.1,0.05", "--out", str(third)]) == 0
     assert cli._build_parser.cache_info().currsize == 1
-    echoes = [output.read_config(f"{p}.config") for p in (first, second, third)]
-    assert echoes[1] == ("rho", {"H": "0.5", "format": "csv", "n_points": "3",
-                                 "s_max": "2", "seed": "0"})
-    assert echoes[2][1] == {**echoes[0][1], "format": "csv", "n_report": "50", "seed": "0"}
+    echoes = [p.with_suffix(".config").read_text().splitlines() for p in (first, second, third)]
+    assert echoes[1] == ["rho", "--H=0.5", "--format=csv", "--n-points=3", "--s-max=2",
+                         "--seed=0"]
+    first_opts, third_opts = (dict(line.split("=", 1) for line in e[1:]) for e in echoes[::2])
+    assert echoes[2][0] == "kinetic-scan"
+    assert third_opts == {**first_opts, "--format": "csv", "--n-report": "50", "--seed": "0"}
 
 
 @pytest.mark.parametrize("command", sorted(SAMPLING))
@@ -360,17 +369,6 @@ def test_non_positive_threads_is_a_usage_error(threads, tmp_path, capsys):
     assert run(argv) == 1
     assert "--threads: must be a positive integer" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_bad_threads_environment_is_a_usage_error(value, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV, value)
-    assert run(["rho", "--H", "0.6", "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert f"usage error: $FOULIM_THREADS must be a positive integer, got {value!r}" in err
-    assert not list(tmp_path.iterdir())
-    # an explicit --threads does not read the variable
-    assert run(["rho", "--H", "0.6", "--threads", "1", "--out", str(tmp_path / "x")]) == 0
 
 
 @pytest.mark.parametrize("command", ["constants", "chaos", "clt-scan", "l2-hermite",
@@ -580,10 +578,19 @@ def test_slope_pass_is_a_slope_within_3_se_of_the_exact_one(command, z, passed,
 @pytest.mark.parametrize("argv", [["clt-scan", "--H", "0.6", "--coeffs", "0,0,1"],
                                   ["clt-scan", "--H", "0.8", "--coeffs", "0,1"],
                                   ["kinetic-scan", "--H", "0.7"]], ids=["sr", "lr", "kinetic"])
-def test_a_two_replica_scan_writes_a_finite_slope_z(argv, tmp_path):
-    # two replicas give two equal squared deviations: a variance SE, and a slope CI,
-    # of about 0; the z stays finite, as JSON requires
-    assert run([*argv, "--replicas", "2", "--format", "json", "--out", str(tmp_path / "x")]) == 0
+def test_a_two_replica_scan_writes_a_finite_slope_z(argv, tmp_path, capsys):
+    # two replicas give two equal squared deviations, so a variance SE of 0: a
+    # variance scan refuses them (it wrote a CI 5e-16 wide and a z of 1.8e16),
+    # and from 3 on its z is finite, as JSON requires; the kinetic scan's is at 2
+    replicas = "2"
+    if argv[0] == "clt-scan":
+        assert run([*argv, "--replicas", "2", "--out", str(tmp_path / "x")]) == 2
+        assert ("error: a variance SE needs at least 3 samples, got 2"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+        replicas = "3"
+    assert run([*argv, "--replicas", replicas, "--format", "json",
+                "--out", str(tmp_path / "x")]) == 0
     doc = json.loads((tmp_path / "x.json").read_text(), parse_constant=pytest.fail)
     assert np.isfinite(doc["slope_z"])
     assert doc["slope_pass"] == (abs(doc["slope_z"]) <= 3.0)
@@ -628,7 +635,7 @@ def test_homogenize_auto_dt_ratio_takes_the_coarsest_rung(tmp_path):
     assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 599))
     assert len(doc["trapezoid_bias"]) == 1
     assert 0.0 < doc["trapezoid_bias"][0] <= doc["bias_budget"]
-    assert "dt_ratio = auto" in (tmp_path / "hom.config").read_text()
+    assert "--dt-ratio=auto" in (tmp_path / "hom.config").read_text().splitlines()
 
 
 def test_homogenize_explicit_dt_ratio_keeps_its_meaning(tmp_path):
@@ -686,9 +693,11 @@ def test_config_echo_contents(tmp_path):
     out = tmp_path / "echo"
     assert run(["rho", "--H", "0.6", "--s-max", "1.0", "--n-points", "3",
                 "--out", str(out)]) == 0
-    text = (tmp_path / "echo.config").read_text()
-    assert "[run]" in text and "command = rho" in text
-    assert "s_max" in text
+    # an argparse args file: the subcommand, then the options, sorted and
+    # joined to their values; neither --out nor --threads is echoed
+    assert (tmp_path / "echo.config").read_text().splitlines() == [
+        "rho", "--H=0.59999999999999998", "--format=csv", "--n-points=3", "--s-max=1",
+        "--seed=0"]
 
 
 @pytest.mark.parametrize("H", ["0.6", "0.85"])
@@ -794,8 +803,68 @@ def test_config_round_trip_writes_the_same_bytes(command, tmp_path):
               "--out", str(first)])
     assert (tmp_path / "first.config").exists()
     again = tmp_path / "again"
-    assert run(["--config", f"{first}.config", "--out", str(again)]) == rc
+    assert run([f"@{first}.config", "--out", str(again)]) == rc
     for ext in ("csv", "json"):
+        assert (tmp_path / f"again.{ext}").read_bytes() == (tmp_path / f"first.{ext}").read_bytes()
+
+
+def test_a_flag_after_the_config_file_overrides_it(tmp_path):
+    first, again, reseeded = (tmp_path / name for name in ("first", "again", "reseeded"))
+    argv = ["sample-fbm", "--H", "0.4", "--n-steps", "8", "--replicas", "2", "--seed", "7"]
+    assert run([*argv, "--out", str(first)]) == 0
+    assert run([f"@{first}.config", "--out", str(again)]) == 0
+    assert run([f"@{first}.config", "--seed", "8", "--out", str(reseeded)]) == 0
+    assert again.with_suffix(".csv").read_bytes() == first.with_suffix(".csv").read_bytes()
+    assert reseeded.with_suffix(".csv").read_bytes() != first.with_suffix(".csv").read_bytes()
+    echo = reseeded.with_suffix(".config").read_text().splitlines()
+    assert "--seed=8" in echo and "--seed=7" not in echo
+    assert run([*argv[:-1], "8", "--out", str(tmp_path / "direct")]) == 0
+    assert (tmp_path / "direct.csv").read_bytes() == reseeded.with_suffix(".csv").read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+                         ids=["config", "config-joined", "conf"])
+def test_the_removed_config_option_fails_loudly(option, tmp_path, capsys):
+    # an echo is read back as @PREFIX.config; --config, and its abbreviation,
+    # ran on the defaults when not a separate token, and are now unknown
+    argv = ["sample-fbm", "--H", "0.3", "--n-steps", "8", "--out", str(tmp_path / "first")]
+    assert run(argv) == 0
+    echo = str(tmp_path / "first.config")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["sample-fbm", "--H", "0.3", *(o.format(echo) for o in option),
+                "--out", str(out / "x")]) == 1
+    assert "unrecognized arguments: --conf" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_an_ini_echo_is_not_an_args_file(tmp_path, capsys):
+    # the INI echo written before the args file is refused, not run on defaults
+    old = tmp_path / "old.config"
+    old.write_text("[run]\ncommand = rho\n\n[rho]\nH = 0.6\nn_points = 3\n")
+    assert run([f"@{old}", "--out", str(tmp_path / "x")]) == 1
+    assert "invalid choice: '[run]'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_verify_reruns_from_its_config(tmp_path, monkeypatch):
+    # a stub report stands in for the suite, whose report carries timings
+    calls = []
+
+    def run_all(**kw):
+        calls.append(kw)
+        return {"suite": kw["suite"], "seed": kw["seed"], "passed": True, "seconds": 0.5,
+                "criteria": [{"number": 1, "name": "stub", "passed": True, "seconds": 0.5}]}
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(["verify", "--suite", "full", "--seed", "3", "--format", "json",
+                "--out", str(first)]) == 0
+    assert first.with_suffix(".config").read_text().splitlines() == [
+        "verify", "--format=json", "--seed=3", "--suite=full"]
+    assert run([f"@{first}.config", "--out", str(again)]) == 0
+    assert calls[0] == calls[1] == {"suite": "full", "seed": 3, "threads": 1}
+    for ext in ("json", "config"):
         assert (tmp_path / f"again.{ext}").read_bytes() == (tmp_path / f"first.{ext}").read_bytes()
 
 
@@ -831,8 +900,9 @@ CONFIG_SPACES = {
     "constants": {"--H": _H, "--coeffs": _COEFFS},
     "hermite-sample": {"--H": _H_LONG, "--m": st.integers(1, 3),
                        "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 20)},
-    "clt-scan": {"--H": _H, "--coeffs": _COEFFS, "--t": _float(0.1, 0.3),
-                 "--eps-list": _eps_list(0.1, 1, 3),
+    # a variance scan's SE needs 3 replicas
+    "clt-scan": {"--replicas": st.integers(3, 4), "--H": _H, "--coeffs": _COEFFS,
+                 "--t": _float(0.1, 0.3), "--eps-list": _eps_list(0.1, 1, 3),
                  "--dt-ratio": st.one_of(st.just("auto"), _float(20, 40))},
     "l2-hermite": {"--H": _H_LONG, "--coeffs": _COEFF.filter(bool).map(
                        lambda c: _text([0.0, c])),
@@ -858,13 +928,13 @@ def test_config_round_trip_over_random_configurations(command, data):
     # the same CSV, JSON and .config bytes, floats and --format included
     assert set(CONFIG_SPACES) == set(CONFIG_RUNS)
     common = _SAMPLING_COMMON if command in SAMPLING else _COMMON
-    opts = data.draw(st.fixed_dictionaries({**CONFIG_SPACES[command], **common}))
+    opts = data.draw(st.fixed_dictionaries({**common, **CONFIG_SPACES[command]}))
     argv = [command] + [f"{opt}={val}" for opt, val in opts.items()]
     with tempfile.TemporaryDirectory() as tmp:
         first, again = f"{tmp}/first", f"{tmp}/again"
         rc = run(argv + ["--out", first])
         assert rc in (0, 2) and os.path.exists(f"{first}.json"), argv
-        assert run(["--config", f"{first}.config", "--out", again]) == rc
+        assert run([f"@{first}.config", "--out", again]) == rc
         for ext in ("csv", "json", "config"):
             assert os.path.exists(f"{first}.{ext}") == os.path.exists(f"{again}.{ext}")
             if os.path.exists(f"{first}.{ext}"):
@@ -878,7 +948,7 @@ def test_json_to_stdout_is_the_json_file(tmp_path, capsys):
     assert run(argv) == 0
     printed = capsys.readouterr()
     assert json.loads(printed.out)["schema_version"] == output.SCHEMA_VERSION
-    assert "format = json" in printed.err
+    assert "--format=json" in printed.err.splitlines()
     assert run(argv + ["--out", str(tmp_path / "rho")]) == 0
     assert printed.out == (tmp_path / "rho.json").read_text()
 
@@ -928,8 +998,8 @@ def test_json_run_rerun_from_its_config_alone_writes_json(tmp_path):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run(["rho", "--H", "0.6", "--n-points", "4", "--format", "json",
                 "--out", str(first)]) == 0
-    assert "format = json" in (tmp_path / "first.config").read_text()
-    assert run(["--config", f"{first}.config", "--out", str(again)]) == 0
+    assert "--format=json" in (tmp_path / "first.config").read_text().splitlines()
+    assert run([f"@{first}.config", "--out", str(again)]) == 0
     assert not (tmp_path / "again.csv").exists()
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
 
@@ -960,11 +1030,11 @@ def test_kinetic_scan_exits_2_when_the_kinetic_error_vanishes(tmp_path, capsys, 
 
 
 def test_config_echo_of_a_negative_exponent_value_is_read_back(tmp_path):
-    # the echo writes x0 = -1.0000000000000001e-05, which argparse took for
-    # an option when passed as a separate token
+    # the echo joins x0 to its value, -1.0000000000000001e-05, which argparse
+    # takes for an option when it is a separate token
     first, again = tmp_path / "first", tmp_path / "again"
     assert run(["homogenize", *REQUIRED_ARGS["homogenize"], "--x0=-1e-05", "--eps", "0.1",
                 "--replicas", "2", "--out", str(first)]) in (0, 2)
-    assert "x0 = -1.0000000000000001e-05" in (tmp_path / "first.config").read_text()
-    assert run(["--config", f"{first}.config", "--out", str(again)]) in (0, 2)
+    assert "--x0=-1.0000000000000001e-05" in (tmp_path / "first.config").read_text().splitlines()
+    assert run([f"@{first}.config", "--out", str(again)]) in (0, 2)
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()

@@ -120,7 +120,7 @@ def _chunked(monkeypatch, module, chunk_size):
 
 
 @PROPERTY
-@given(n=st.integers(2, 40), chunk=st.integers(1, 40), threads=st.sampled_from([1, 2]))
+@given(n=st.integers(3, 40), chunk=st.integers(1, 40), threads=st.sampled_from([1, 2]))
 def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
     G = ChaosFunction([0, 0, 1])
     args = (G, 0.6, 0.5, [0.2, 0.1, 0.05], n, 17)
