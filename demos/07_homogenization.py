@@ -5,23 +5,23 @@ As eps -> 0 the endpoint law approaches the limit equation's endpoint:
 a Stratonovich SDE driven by c W in the short-range regime, a Young
 equation driven by the (non-Gaussian) Rosenblatt process above the
 boundary.  For scalar states with no drift (h = g = None) both sides
-are the flow of f: the limit's at the driver endpoint, the slow/fast
-system's at the trapezoid integral of alpha G(y^eps).  With a drift
-h(x) g(y) both sides are solved by one Heun scheme, dx = f(x) dU + h(x) dV.
+are the closed-form flow of f (``solvers.FLOWS["sin2"]``): the limit's
+at the driver endpoint, the slow/fast system's at the trapezoid integral
+of alpha G(y^eps).  With a drift h(x) g(y) both sides of
+dx = f(x) dU + h(x) dV are solved by one Heun scheme in f's flow coordinates.
 The fOU is sampled on the coarsest grid whose exact trapezoid bias fits
 the run's replica count (``exact.resolve_dt_ratio``): dt = eps/5 at H 0.6
 and eps/2 at H 0.85 here.  A drift would step Heun on that grid, which
 must then resolve the fast scale, dt <= eps/10.
 """
 
-import numpy as np
 from scipy import stats
 
 from foulim import chaos, solvers
 from foulim.chaos import ChaosFunction
 
 H2 = ChaosFunction([0, 0, 1.0])
-f = lambda x: np.sin(x) + 2.0
+f = solvers.FLOWS["sin2"]
 N = 800
 eps = 0.02
 

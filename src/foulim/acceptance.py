@@ -19,7 +19,6 @@ import numpy as np
 from . import chaos, exact, fgn, fou, harness, hermite, solvers
 from .chaos import ChaosFunction
 from .paths import MASTER_SEED, TimeGrid
-from .streams import normals
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -282,22 +281,6 @@ def crit_9_kinetic_rate(seed, suite, threads=1) -> CriterionResult:
                            passed, details)
 
 
-def _inverse_flow_sin2(x) -> np.ndarray:
-    """Driver value u = phi^{-1}(x) = int_0^x dz / (2 + sin z) of the flow of sin + 2.
-
-    On r in [-pi, pi] the antiderivative is
-    (2/sqrt 3)(arctan((2 tan(r/2) + 1)/sqrt 3) - pi/6); each full period
-    adds 2 pi/sqrt 3.
-    """
-    x = np.asarray(x, dtype=float)
-    periods = np.round(x / (2.0 * np.pi))
-    r = x - 2.0 * np.pi * periods
-    s3 = np.sqrt(3.0)
-    return (2.0 * np.pi / s3) * periods + (2.0 / s3) * (
-        np.arctan((2.0 * np.tan(r / 2.0) + 1.0) / s3) - np.pi / 6.0
-    )
-
-
 def _driver_moment_zscores(x, H, eps, trapezoid_var) -> dict:
     """z-scores of the driver u = phi^{-1}(x_1) against its exact finite-eps moments.
 
@@ -306,7 +289,7 @@ def _driver_moment_zscores(x, H, eps, trapezoid_var) -> dict:
     at every eps: this checks the sampler and the flow.  The variance is in units of
     its influence-function standard error.
     """
-    u = _inverse_flow_sin2(x)
+    u = solvers.FLOWS["sin2"].coordinate(x)
     n = len(u)
     mean = harness.fsum_mean(u)
     var = harness.fsum_variance(u)
@@ -331,7 +314,7 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # ``exact.resolve_dt_ratio`` (eps/5 or eps/6 at H 0.6, eps/2 at 0.85);
     # the limit-law KS p-values are reported.
     n_rep = 2000 if suite == "full" else 600
-    f = lambda x: np.sin(x) + 2.0
+    f = solvers.FLOWS["sin2"]
     details = {"c_short_range": chaos.c_constant(H2, 0.6),
                "c_long_range": chaos.c_constant(H2, 0.85)}
     passed = True
@@ -355,15 +338,16 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
 
 def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     details = {}
-    # Heun solver, smooth driver Z_t = t^2: dx = x dZ => x_T = x0 e^{T^2}.
+    flows = solvers.FLOWS
+    # Heun on ds = s dV, smooth V_t = t^2 (f = 0, h(x) = x): s_T = s0 e^{T^2}.
     # A second-order scheme whose finite-dt dyadic orders approach 2 from
     # below; "observed order >= 2" is asserted on the dyadic order within
     # 0.01 plus its Aitken limit within 1e-3.
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: 0.0 * u,
-                                             np.diff(grid.times() ** 2), 0.0)
+        x = solvers.solve_limit_stratonovich(flows["zero"], 1.0, flows["linear"].f,
+                                             np.zeros(n), np.diff(grid.times() ** 2))
         errs.append(abs(x - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     d1, d2 = orders[1] - orders[0], orders[2] - orders[1]
@@ -372,25 +356,18 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     details["heun_smooth_order_aitken_limit"] = order_limit
     ok_smooth = orders[-1] >= 1.99 and order_limit >= 2.0 - 1e-3
 
-    # Heun-Stratonovich exponential: Var(log x_1) = c^2 t
+    # the Brownian limit with a drift, f = 1, h(x) = x, g_bar = e^{-1/2}:
+    # x_1 = c int_0^1 e^{g_bar (1 - s)} dW_s, Var x_1 = c^2 (e^{2 g_bar} - 1) / (2 g_bar)
     n_rep = 4000 if suite == "full" else 1500
-    c, t = 0.8, 1.0
-    grid = TimeGrid(t, 2000)
-
-    def heun_chunk(chunk_keys):
-        dW = normals(chunk_keys, np.empty((len(chunk_keys), grid.n_steps)))
-        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: 0.0 * u,
-                                             (c * np.sqrt(grid.dt) * dW).T, 0.0)
-        return np.log(x)
-
-    logs = harness.run_replicated(n_rep, seed, "acc11", heun_chunk, threads)
-    lv = harness.fsum_variance(logs)
-    se_lv = harness.variance_stderr(logs)
-    details["heun_log_variance"] = lv
-    details["heun_log_variance_se"] = se_lv
-    details["c_sq_t"] = c * c * t
-    ok_heun = abs(lv - c * c * t) <= 3.0 * se_lv
-    return CriterionResult(11, "solver closed-form oracles", ok_smooth and ok_heun,
+    c, g_bar = chaos.c_constant(H2, 0.6), np.exp(-0.5)
+    x = solvers._limit_endpoints(H2, 0.6, 1.0, 0.0, flows["one"], flows["linear"].f,
+                                 g_bar, n_rep, seed, threads)
+    var, target = harness.fsum_variance(x), c * c * np.expm1(2.0 * g_bar) / (2.0 * g_bar)
+    details["linear_limit_variance"] = var
+    details["linear_limit_variance_exact"] = target
+    details["linear_limit_variance_z"] = (var - target) / harness.variance_stderr(x)
+    ok_limit = abs(details["linear_limit_variance_z"]) <= 3.0
+    return CriterionResult(11, "solver closed-form oracles", ok_smooth and ok_limit,
                            details)
 
 

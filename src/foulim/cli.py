@@ -21,12 +21,6 @@ from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
 
 __all__ = ["main"]
 
-_F_PRESETS = {
-    "sin2": lambda x: np.sin(x) + 2.0,
-    "linear": lambda x: x,
-    "one": lambda x: np.ones_like(np.asarray(x, dtype=float)),
-    "zero": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-}
 _G_PRESETS = {
     "zero": lambda y: np.zeros_like(np.asarray(y, dtype=float)),
     "one": lambda y: np.ones_like(np.asarray(y, dtype=float)),
@@ -299,14 +293,14 @@ def _cmd_homogenize(args) -> int:
 
     G = _chaos_from_args(args)
     # a zero factor passes None: the drift h(x) g(y) is then absent
-    h = None if args.hfun == "zero" else _F_PRESETS[args.hfun]
+    h = None if args.hfun == "zero" else solvers.FLOWS[args.hfun].f
     g = None if args.gfun == "zero" else _G_PRESETS[args.gfun]
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
     resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas,
                                            _dt_ratio(args), stepped=None not in (h, g))
     endpoints, limit = solvers.homogenize(
-        G, args.H, args.eps, _F_PRESETS[args.f], h, g, args.replicas, args.seed,
+        G, args.H, args.eps, solvers.FLOWS[args.f], h, g, args.replicas, args.seed,
         args.t, args.x0, resolution["dt_ratio"], args.threads,
     )
     ks = _stats.ks_2samp(endpoints, limit)
@@ -442,8 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.02)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--f", choices=sorted(_F_PRESETS), default="sin2")
-    sp.add_argument("--hfun", choices=sorted(_F_PRESETS), default="zero")
+    sp.add_argument("--f", choices=sorted(solvers.FLOWS), default="sin2")
+    sp.add_argument("--hfun", choices=sorted(solvers.FLOWS), default="zero")
     sp.add_argument("--gfun", choices=sorted(_G_PRESETS), default="zero")
     sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=(
         f"{_DT_RATIO_HELP}; with a drift, at least {fou.MIN_STEPS_PER_EPS:g}"))

@@ -61,6 +61,9 @@ _WATSON_TERMS = 10
 # noise cells below -T grow by this ratio until they reach this distance
 _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
+# a kernel's near block is n x 2n doubles and its build O(n^2): 1.6 GB a kernel
+# at this many steps, and a scan holds one per eps beside the limit's
+_MAX_STEPS = 10_000
 # Chebyshev rows of a far block: 16 leave a gram error of 1.6e-13, 20 (as 24) 3e-15
 _FAR_NODES = 20
 # the far Gram's factor keeps the eigenvalues above this fraction of the largest
@@ -72,13 +75,16 @@ def _cell_edges(grid: TimeGrid) -> np.ndarray:
 
     The last 2n cells have width dt and edges k dt, k = -n..n; below
     them the widths are dt 1.05^k, k = 1, 2, ..., until the first edge
-    at or beyond -1e30.  A horizon T >= 1e30, or a step whose dt^2 (in C) underflows, is refused.
+    at or beyond -1e30.  A horizon T >= 1e30, more than _MAX_STEPS steps, or
+    a step whose dt^2 (in C) underflows, is refused.
     """
     n, dt = grid.n_steps, grid.dt
     if not dt * dt >= np.finfo(float).tiny:
         raise FoulimError(f"time step {dt:g} is too small for the Hermite engine")
     if not grid.horizon < _FAR_EDGE:
         raise FoulimError(f"horizon {grid.horizon:g} reaches the Hermite far edge {_FAR_EDGE:g}")
+    if n > _MAX_STEPS:
+        raise FoulimError(f"{n} steps exceed the Hermite engine's cap of {_MAX_STEPS}")
     near = dt * np.arange(-n, n + 1)
     g = _CELL_GROWTH
     n_far = math.ceil(math.log1p((_FAR_EDGE + near[0]) * (g - 1.0) / (dt * g))

@@ -1,38 +1,34 @@
 """Path-wise solvers for the slow/fast system and its limit equations.
 
 Both sides of the homogenization limit are the one equation
-
-    dx = f(x) dU + h(x) dV,
-
-and one batched Heun (midpoint-predictor) scheme, ``solve_limit_stratonovich``,
-solves it from time-major increments of U and V, stepping every replica
-at once and keeping only the endpoints.  On the slow/fast side,
-dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt, the increments are
-the trapezoid integrals U = alpha int G(y^eps) and V = int g(y^eps) on the
+dx = f(x) dU + h(x) dV.  In one dimension the flow of f turns it into an
+ODE along the driver (Doss, Ann. IHP 13 (1977); Sussmann, Ann. Probab. 6
+(1978) 19-41): x_t = phi(U_t, s_t) with ds = h(x) / d_s phi(U_t, s) dV,
+where each ``Flow`` of ``FLOWS``, one per ``--f`` preset, carries phi,
+d_s phi and the coordinate s0 of x0 in closed form.  So
+``solve_limit_stratonovich`` steps s alone, by one batched Heun scheme
+along U's grid values, and with no drift takes no step.  The chain rule
+behind it gives the Stratonovich solution for a Brownian driver and the
+Young one for a driver of Hoelder regularity > 1/2; vector states with
+H < 1/2 would need Levy-area simulation and are out of scope.
+On the slow/fast side, dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt,
+U = alpha int G(y^eps) and V = int g(y^eps) are trapezoid integrals on the
 solver's own grid, built row block by row block from the fOU sampler.
 On the limit side dU = c dW in the short-range regime and c dZ^{H*,m} (a
 Hermite process, H* > 1/2) in the long-range one, and dV = g_bar dt.
 ``homogenize`` is the one place that samples both sides, every replica's
-driver drawn from its own keyed stream inside a ``run_replicated`` chunk;
-without the drift h(x) g(y) both sides take the exact flow of f at
-their drivers' endpoints instead, in one ``flow_map_1d`` call.  The
-drift path and the kinetic scan step a solver on the sampled grid, so
-both keep dt <= eps/fou.MIN_STEPS_PER_EPS.
-The kinetic scan reduces its fGN row block by row block, like ``harness``'s
-scans; the exact covariance of its chain (``exact.kinetic_chain_autocovariance``)
-shows that a finer grid moves the slope it fits by less than 3e-4.
-
-Scalar state only: in one dimension the rough-driver solution obeys the
-classical chain rule (the symmetric second-order lift carries no extra
-information), so Heun converges to the Stratonovich solution for a
-Brownian driver and to the Young solution for a driver of Hoelder
-regularity > 1/2.  Vector states with H < 1/2 would need genuine
-Levy-area simulation and are out of scope.
+driver drawn from its own keyed stream inside a ``run_replicated`` chunk.
+The drift path and the kinetic scan step on the sampled grid, so both
+keep dt <= eps/fou.MIN_STEPS_PER_EPS.  The kinetic scan reduces its fGN
+row block by row block, like ``harness``'s scans; the exact covariance of
+its chain (``exact.kinetic_chain_autocovariance``) shows that a finer
+grid moves the slope it fits by less than 3e-4.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,9 +40,10 @@ from .streams import normals
 
 __all__ = [
     "BlowUpError",
+    "Flow",
+    "FLOWS",
     "homogenize",
     "solve_limit_stratonovich",
-    "flow_map_1d",
     "kinetic_error_scan",
 ]
 
@@ -59,85 +56,120 @@ class BlowUpError(FoulimError, FloatingPointError):
     """The solution of a slow/fast or limit equation exceeded BLOWUP_GUARD."""
 
 
-def solve_limit_stratonovich(x0, f, h, dU, dV) -> np.ndarray:
-    """Endpoints of dx = f(x) dU + h(x) dV by the Heun (midpoint-predictor) scheme.
+class Flow(NamedTuple):
+    """A field f and its flow in Doss-Sussmann coordinates, in closed form.
 
-    dU holds the driver's increments time-major, shape (n_steps,) or
-    (n_steps, n_replicas), and dV the drift's, broadcast to dU's shape
-    (a scalar g_bar * dt for the limit equation); every replica is
-    stepped at once and x at the last point comes back in the replica
-    shape.  Strong order 1/2 for a Brownian U; the predictor-corrector
-    average makes the scheme consistent with the Stratonovich integral
-    (no Ito correction), and in one dimension it converges to the Young
-    solution for a driver of Hoelder regularity > 1/2, at order 2 for a
-    smooth one.  Raises BlowUpError once |x| exceeds BLOWUP_GUARD or x is NaN.
+    phi(u, s) is the point the flow of f reaches in time u from phi(0, s),
+    dphi_ds(u, x) is d_s phi(u, s) at the point x = phi(u, s), and
+    coordinate(x0) is the s0 with phi(0, s0) = x0.
     """
-    dU = np.asarray(dU, dtype=float)
-    dV = np.broadcast_to(dV, dU.shape)
-    x = np.full(dU.shape[1:], float(x0))
-    for k, (du, dv) in enumerate(zip(dU, dV)):
-        f_k, h_k = f(x), h(x)
-        pred = x + f_k * du + h_k * dv
-        x = x + 0.5 * (f_k + f(pred)) * du + 0.5 * (h_k + h(pred)) * dv
-        if not np.abs(x).max() <= BLOWUP_GUARD:  # a NaN fails it too
-            raise BlowUpError(f"x exceeded {BLOWUP_GUARD:g} or became NaN at step {k + 1}; "
-                              "the system blew up")
+
+    f: Callable
+    phi: Callable
+    dphi_ds: Callable
+    coordinate: Callable
+
+
+_S3 = math.sqrt(3.0)
+
+
+def _sin2_coordinate(x) -> np.ndarray:
+    """s = int_0^x dz / (2 + sin z), the time the flow of sin + 2 takes from 0 to x.
+
+    On r in [-pi, pi] the antiderivative is
+    (2/sqrt 3)(arctan((2 tan(r/2) + 1)/sqrt 3) - pi/6); each full period
+    adds 2 pi/sqrt 3.
+    """
+    x = np.asarray(x, dtype=float)
+    periods = np.round(x / (2.0 * np.pi))
+    r = x - 2.0 * np.pi * periods
+    return (2.0 * np.pi / _S3) * periods + (2.0 / _S3) * (
+        np.arctan((2.0 * np.tan(r / 2.0) + 1.0) / _S3) - np.pi / 6.0
+    )
+
+
+def _sin2_phi(u, s) -> np.ndarray:
+    """The flow of sin + 2 from 0 for time u + s, inverting ``_sin2_coordinate``:
+    ((sqrt 3/2)(u + s) + pi/6) / pi = p + a/pi with a = arctan((2 tan(r/2) + 1)/sqrt 3)
+    in [-pi/2, pi/2] and p whole, and x = r + 2 pi p."""
+    tau = (0.5 * _S3 / np.pi) * (u + s) + 1.0 / 6.0
+    p = np.rint(tau)
+    return 2.0 * (np.pi * p + np.arctan((0.5 * _S3) * np.tan(np.pi * (tau - p)) - 0.5))
+
+
+def _linear_phi(u, s) -> np.ndarray:
+    """s e^u, inf past the float range for the guard to refuse; 0 from s = 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = s * np.exp(u)
+    return np.where(s == 0.0, 0.0, x)
+
+
+# the --f presets; sin + 2 has phi(u, s) = phi_0(u + s) and d_s phi = f(phi)
+FLOWS = {
+    "sin2": Flow(lambda x: np.sin(x) + 2.0, _sin2_phi, lambda u, x: np.sin(x) + 2.0,
+                 _sin2_coordinate),
+    "one": Flow(lambda x: np.ones_like(x, dtype=float), lambda u, s: s + u,
+                lambda u, x: 1.0, np.asarray),
+    "linear": Flow(np.asarray, _linear_phi, lambda u, x: np.exp(u), np.asarray),
+    "zero": Flow(lambda x: np.zeros_like(x, dtype=float), lambda u, s: s,
+                 lambda u, x: 1.0, np.asarray),
+}
+
+
+def _guarded(x: np.ndarray, step: int) -> np.ndarray:
+    if not np.abs(x).max(initial=0.0) <= BLOWUP_GUARD:  # a NaN fails it too
+        raise BlowUpError(f"x exceeded {BLOWUP_GUARD:g} or became NaN at step {step}; "
+                          "the system blew up")
     return x
 
 
-def flow_map_1d(f, x0: float, u_values) -> np.ndarray:
-    """Endpoints of dphi/du = f(phi), phi(0) = x0, evaluated at u_values.
+def solve_limit_stratonovich(flow: Flow, x0, h, dU, dV) -> np.ndarray:
+    """Endpoints of dx = f(x) dU + h(x) dV, f the field of ``flow``, in its coordinates.
 
-    In one dimension the Young and Stratonovich solutions of
-    dx = f(x) dU (no drift) are the flow of f evaluated at the driver
-    increment, so this is the exact solution map for driver endpoints.
-    Raises BlowUpError if f is not finite, |phi| reaches BLOWUP_GUARD or a step fails.
+    dU holds the driver's increments time-major, shape (n_steps,) or
+    (n_steps, n_replicas), and dV the drift's, broadcast to dU's shape
+    (a scalar g_bar * dt for the limit equation); x at the last point
+    comes back in the replica shape.  x_t = phi(U_t, s_t), and the Heun
+    (midpoint-predictor) scheme steps ds = h(x) / d_s phi(U_t, s) dV at
+    U's grid values, every replica at once: the error is that of an ODE
+    in s along U's path, order 2 for a smooth one.  h None is no drift:
+    x_T = phi(U_T, s0) with no step.  Raises BlowUpError once |x| exceeds
+    BLOWUP_GUARD or x is NaN.
     """
-    from scipy.integrate import solve_ivp
-
-    def rhs(_, x):
-        dx = np.atleast_1d(f(x[0]))
-        if not np.all(np.isfinite(dx)):
-            raise BlowUpError(f"the flow blew up: f({x[0]:g}) is not finite")
-        return dx
-
-    def guard(_, x):
-        return abs(x[0]) - BLOWUP_GUARD
-    guard.terminal = True
-
-    u = np.asarray(u_values, dtype=float)
-    out = np.empty(u.shape)
-    for end, mask in ((float(u.max(initial=0.0)), u >= 0),
-                      (float(u.min(initial=0.0)), u < 0)):
-        if not np.any(mask):
-            continue
-        sol = solve_ivp(rhs, (0.0, end if end != 0.0 else 1e-12), [x0], events=guard,
-                        dense_output=True, rtol=1e-10, atol=1e-12)
-        if sol.status != 0:  # 1: |phi| reached BLOWUP_GUARD at sol.t[-1]; -1: a step failed
-            raise BlowUpError(f"the flow blew up at u = {sol.t[-1]:g} of {end:g}: {sol.message}")
-        out[mask] = sol.sol(u[mask])[0]
-    return out
+    dU = np.asarray(dU, dtype=float)
+    dV = np.broadcast_to(dV, dU.shape)
+    s = np.full(dU.shape[1:], flow.coordinate(float(x0)))
+    if h is None:
+        return _guarded(flow.phi(dU.sum(axis=0), s), len(dU))
+    u, x = 0.0, np.full(dU.shape[1:], float(x0))
+    with np.errstate(over="ignore"):  # a flow that overflows to inf fails the guard
+        for k, (du, dv) in enumerate(zip(dU, dV), 1):
+            b = h(x) / flow.dphi_ds(u, x)
+            u = u + du
+            pred = flow.phi(u, s + b * dv)
+            s = s + 0.5 * (b + h(pred) / flow.dphi_ds(u, pred)) * dv
+            x = _guarded(flow.phi(u, s), k)
+    return x
 
 
 def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
                          threads=1) -> np.ndarray:
     """Endpoints x^eps_t of dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
 
-    n replicas from streams (seed, "slowfast", i), at dt = eps / dt_ratio
-    (``homogenize`` passes the ratio of ``exact.resolve_dt_ratio``).
-    The system is dx = f(x) dU + h(x) dV with U = alpha int G(y^eps) and
-    V = int g(y^eps), whose trapezoid increments on the grid are written
-    time-major, row block by row block of the sampler, into one chunk's
-    (n_steps, rows) arrays; ``solve_limit_stratonovich`` steps them, on a
+    f is a ``Flow``; n replicas from streams (seed, "slowfast", i), at
+    dt = eps / dt_ratio.  The system is dx = f(x) dU + h(x) dV with
+    U = alpha int G(y^eps) and V = int g(y^eps), whose trapezoid increments
+    are written time-major, row block by row block of the sampler, into one
+    chunk's (n_steps, rows) arrays for ``solve_limit_stratonovich``, on a
     grid that must resolve the fast scale (``fou._check_resolution``).
-    With h None the drift is absent and the driver U_t, the trapezoid
-    integral ``harness._fou_endpoint_samples`` reduces each row block to,
-    comes back in place of x_t, for ``homogenize`` to take the flow of f at.
+    With h None x_t = phi(U_t, s0) at the trapezoid integral U_t that
+    ``harness._fou_endpoint_samples`` reduces each row block to, on any grid.
     """
     alpha = chaos.classify_regime(G.hermite_rank, H).alpha(eps)
     if h is None:
-        return harness._fou_endpoint_samples(G, H, t, eps, n, seed, "slowfast", dt_ratio,
-                                             alpha, threads)
+        u = harness._fou_endpoint_samples(G, H, t, eps, n, seed, "slowfast", dt_ratio,
+                                          alpha, threads)
+        return solve_limit_stratonovich(f, x0, None, u[None], 0.0)
     grid = TimeGrid.with_step(t, eps / dt_ratio)
     fou._check_resolution(grid.dt, eps)
     sampler = fou.path_sampler(grid, H, eps)
@@ -151,7 +183,7 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
                 d[:, start : start + len(y)] = ((0.5 * scale * grid.dt)
                                                 * (v[:, :-1] + v[:, 1:])).T
             start += len(y)
-        return solve_limit_stratonovich(x0, f, h, dU, dV)
+        return solve_limit_stratonovich(f, x0, h, dU, dV)
 
     return run_replicated(n, seed, "slowfast", solve_chunk, threads)
 
@@ -159,19 +191,14 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
 def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray:
     """Endpoints x_t of dx = f(x) dU + h(x) g_bar dt, n replicas from ``seed``.
 
-    U = c W in the short-range and boundary regimes, W from stream
-    (seed, "limit-endpoint", i); U = sign(a_m) c Z^{H*,m} in the long-range
-    regime, the 400-step Hermite path of (seed, "limit-endpoint-z", i).
+    f is a ``Flow``.  U = c W in the short-range and boundary regimes, W
+    from stream (seed, "limit-endpoint", i); U = sign(a_m) c Z^{H*,m} in the
+    long-range regime, the 400-step Hermite path of (seed, "limit-endpoint-z", i).
     Each ``run_replicated`` chunk is solved before the next is drawn.  With
-    h None the scalar chain rule makes x_t the flow of f at U_t, so U_t
-    itself comes back (W takes one step) and ``homogenize`` takes the flow.
-    Otherwise the Heun solver steps U's increments (W takes 4000 steps),
-    converging to the Stratonovich solution for Brownian U and to the Young
-    one for the Hermite U (H* > 1/2).  For He_2 with f = sin + 2, h = 1 or
-    sin + 2 and g = cos, the 4000 steps leave the endpoint variance
-    3.0e-4 to 3.1e-4 (H 0.6) and 6.8e-4 to 7.1e-4 (H 0.7) below that of a
-    16,000-step solve on the same refined Brownian paths (20,000 replicas);
-    1,000 steps leave 1.5e-3 (H 0.6) and 3.3e-3 to 3.4e-3 (H 0.7).
+    h None x_t = phi(U_t, s0), so W takes one step and Z gives its endpoint.
+    Otherwise W takes 100 steps: for He_2, f = sin + 2, h = 1 and g = cos
+    they leave Var x_1 within 3.0e-6 (H 0.6) and 7.7e-6 (H 0.7) relative of
+    a 3,200-step solve on the same paths (20,000 replicas).
     """
     regime = chaos.classify_regime(G.hermite_rank, H)
     c = chaos.c_constant(G, H)
@@ -187,7 +214,7 @@ def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray
             path = hermite.hermite_ensemble(engine, chunk_keys, np.arange(grid.n_steps + 1))
             return np.diff(path, axis=1)
     else:
-        name, grid = "limit-endpoint", TimeGrid(t, 1 if h is None else 4000)
+        name, grid = "limit-endpoint", TimeGrid(t, 1 if h is None else 100)
         scale = c * np.sqrt(grid.dt)
 
         def increments(chunk_keys):
@@ -196,30 +223,27 @@ def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray
     def solve_chunk(chunk_keys):
         dU = increments(chunk_keys)
         dU *= scale
-        if h is None:
-            return dU[:, 0]  # one step: U_t itself
-        return solve_limit_stratonovich(x0, f, h, np.ascontiguousarray(dU.T), g_bar * grid.dt)
+        return solve_limit_stratonovich(f, x0, h, np.ascontiguousarray(dU.T), g_bar * grid.dt)
 
     return run_replicated(n, seed, name, solve_chunk, threads)
 
 
-def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float = 1.0,
+def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: float = 1.0,
                x0: float = 0.0, dt_ratio: float | None = None,
                threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints x^eps_t of the slow/fast system and x_t of its limit equation.
 
-    The system dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is
-    solved at dt = eps / dt_ratio from streams (master_seed, "slowfast", i)
-    by ``_slow_fast_endpoints``.  dt_ratio None takes the coarsest unbiased
+    f is a ``Flow`` (one of ``FLOWS``), h and g plain fields.  The system
+    dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is solved at
+    dt = eps / dt_ratio from streams (master_seed, "slowfast", i) by
+    ``_slow_fast_endpoints``.  dt_ratio None takes the coarsest unbiased
     ratio of ``exact.resolve_dt_ratio`` for G and n_replicas (eps/5 for He_2
     at H 0.6 and eps/2 at 0.85, eps 0.02, 600 replicas); with a drift, the
-    coarsest of at least fou.MIN_STEPS_PER_EPS, where Heun's own error, not
-    in the budget, alone exceeds it beyond about 13,000 replicas at H 0.6.
-    The limit dx = f(x) dU + g_bar h(x) dt, g_bar = E g(N(0, 1)), is
-    sampled by ``_limit_endpoints`` from master_seed + 1.  With the drift h(x) g(y) both sides are stepped by
-    ``solve_limit_stratonovich``; h or g None means it is absent, and both
-    sides take the flow of f at their drivers' endpoints, one
-    ``flow_map_1d`` call on the two sides' drivers together.
+    coarsest of at least fou.MIN_STEPS_PER_EPS, where Heun's own error is
+    2e-6 relative at H 0.6.  The limit dx = f(x) dU + g_bar h(x) dt,
+    g_bar = E g(N(0, 1)), is sampled by ``_limit_endpoints`` from
+    master_seed + 1.  Both sides are solved in f's flow coordinates; h or g
+    None means no drift, and each side is phi(U_t, s0) at its driver.
     """
     eps = as_eps(eps)
     if h is None or g is None:
@@ -231,9 +255,6 @@ def homogenize(G, H, eps, f, h, g, n_replicas: int, master_seed: int, t: float =
                                  dt_ratio, threads)
     g_bar = 0.0 if g is None else chaos.gaussian_expectation(g)
     x_lim = _limit_endpoints(G, H, t, x0, f, h, g_bar, n_replicas, master_seed + 1, threads)
-    if h is None:  # both are drivers, and one flow of f serves both
-        x_eps, x_lim = np.split(flow_map_1d(f, x0, np.concatenate([x_eps, x_lim])),
-                                [len(x_eps)])
     return x_eps, x_lim
 
 

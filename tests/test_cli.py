@@ -190,14 +190,17 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["hermite-sample", "--m", "2", "--horizon", "1e-300"], "too small for the Hermite engine"),
     (["l2-hermite", "--t", "1e-300"], "too small for the Hermite engine"),
     (["homogenize", "--H", "0.85", "--t", "1e-300"], "too small for the Hermite engine"),
-    # a horizon past the noise cells' far edge, and fine grids refused at their
-    # first allocation (beyond int64, and 291 TiB), before any stride search
+    # a horizon past the noise cells' far edge, and fine grids beyond the
+    # engine's step cap (a count beyond int64, and 291 TiB of cells), refused
+    # before any array is built or any stride searched
     (["hermite-sample", "--horizon", "1e31"],
      "horizon 1e+31 reaches the Hermite far edge 1e+30"),
     (["l2-hermite", "--t", "1e31"],
      "horizon 1e+31 reaches the Hermite far edge 1e+30"),
-    (["l2-hermite", "--t", "1e29"], "Maximum allowed size exceeded"),
-    (["l2-hermite", "--eps-list", "0.2,0.1,1e-12"], "Unable to allocate"),
+    (["l2-hermite", "--t", "1e29"],
+     "39999999999999994039985552490496 steps exceed the Hermite engine's cap of 10000"),
+    (["l2-hermite", "--eps-list", "0.2,0.1,1e-12"],
+     "20000000000000 steps exceed the Hermite engine's cap of 10000"),
     # a step count that is not finite, or beyond the circulant embedding cap
     (["clt-scan", "--dt-ratio", "1e308"], "gives no finite step count"),
     (["homogenize", "--dt-ratio", "1e308"], "gives no finite step count"),
@@ -643,7 +646,7 @@ def test_homogenize_explicit_dt_ratio_keeps_its_meaning(tmp_path):
     assert run(["homogenize", "--H", "0.85", "--coeffs", "0,0,1", "--replicas", "40",
                 "--seed", "6", "--dt-ratio", "50", "--format", "json",
                 "--out", str(out)]) in (0, 2)
-    x, _ = solvers.homogenize(ChaosFunction([0, 0, 1]), 0.85, 0.02, cli._F_PRESETS["sin2"],
+    x, _ = solvers.homogenize(ChaosFunction([0, 0, 1]), 0.85, 0.02, solvers.FLOWS["sin2"],
                               None, None, 40, 6, dt_ratio=50)
     doc = json.loads((tmp_path / "hom.json").read_text())
     assert [r[1] for r in doc["table"]["rows"]] == [output.fmt(v) for v in x]
@@ -678,6 +681,19 @@ def test_homogenize_explicit_coarse_dt_ratio_with_drift_exits_2(tmp_path, capsys
             "--replicas", "40", "--dt-ratio", "5", "--out", str(tmp_path / "hom")]
     assert run(argv) == 2
     assert "under-resolved fast scale" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("hfun", ["zero", "one"])
+def test_homogenize_linear_flow_overflow_exits_2(tmp_path, capsys, hfun):
+    # x0 e^u at a driver of 1000 He_2 (|u| in the thousands) overflows to inf
+    # without a warning, and the guard refuses it, with or without a drift
+    argv = ["homogenize", "--H", "0.6", "--coeffs", "0,0,1000", "--f", "linear", "--x0", "1",
+            "--hfun", hfun, "--gfun", "cos", "--replicas", "20", "--out", str(tmp_path / "x")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert "or became NaN at step 1; the system blew up" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -913,8 +929,8 @@ CONFIG_SPACES = {
                      "--n-report": st.integers(2, 8)},
     "homogenize": {"--H": _H, "--coeffs": _COEFFS, "--eps": _float(0.05, 0.2),
                    "--t": _float(0.1, 0.3), "--x0": _float(-1, 1),
-                   "--f": st.sampled_from(sorted(cli._F_PRESETS)),
-                   "--hfun": st.sampled_from(sorted(cli._F_PRESETS)),
+                   "--f": st.sampled_from(sorted(solvers.FLOWS)),
+                   "--hfun": st.sampled_from(sorted(solvers.FLOWS)),
                    "--gfun": st.sampled_from(sorted(cli._G_PRESETS)),
                    "--dt-ratio": st.one_of(st.just("auto"), _float(20, 40))},
 }

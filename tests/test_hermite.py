@@ -12,7 +12,7 @@ from conftest import stream
 from foulim import fgn, fou, harness, hermite, streams
 from foulim.chaos import ChaosFunction
 from foulim.hermite import HermiteEngine
-from foulim.paths import TimeGrid
+from foulim.paths import FoulimError, TimeGrid
 from foulim.streams import keys
 
 
@@ -208,6 +208,10 @@ def test_graded_cells():
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(w[:-2 * n][:-1] / w[:-2 * n][1:], 1.05, rtol=1e-9)
         assert edges[0] <= -1e30 < edges[1]
+    # the step cap is checked before any edge is built
+    assert len(hermite._cell_edges(TimeGrid(1.0, hermite._MAX_STEPS))) > 2 * hermite._MAX_STEPS
+    with pytest.raises(FoulimError, match="10001 steps exceed the Hermite engine's cap of 10000"):
+        hermite._cell_edges(TimeGrid(1.0, hermite._MAX_STEPS + 1))
 
 
 def _difference_form(s, edges, p):

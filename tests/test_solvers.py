@@ -7,13 +7,14 @@ import pytest
 from scipy.signal import lfilter
 
 from conftest import fbm_paths, stream
-from foulim import acceptance, chaos, exact, fgn, fou, harness, solvers
+from foulim import chaos, exact, fgn, fou, harness, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import FoulimError, TimeGrid
-from foulim.streams import keys
+from foulim.streams import keys, normals
 
 H1 = ChaosFunction([0, 1.0])
 H2 = ChaosFunction([0, 0, 1.0])
+SIN2, ONE, LINEAR, ZERO = (solvers.FLOWS[k] for k in ("sin2", "one", "linear", "zero"))
 
 
 def _zero(x):
@@ -28,11 +29,64 @@ def _sin2(u):
     return np.sin(u) + 2.0
 
 
+def _identity(x):
+    return np.asarray(x, dtype=float)
+
+
 def _slow_fast(G, H, eps, f, h, g, n, seed, x0=0.0, t=1.0, dt_ratio=50.0, threads=1):
-    """Slow/fast endpoints at dt = eps / dt_ratio; h None takes the flow of f
-    at the driver, as ``homogenize`` does."""
-    x = solvers._slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio, threads)
-    return x if h is not None else solvers.flow_map_1d(f, x0, x)
+    """Slow/fast endpoints of the flow f at dt = eps / dt_ratio."""
+    return solvers._slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio, threads)
+
+
+@pytest.mark.parametrize("name", sorted(solvers.FLOWS))
+def test_flows_are_groups_with_their_derivative(name):
+    # phi(u + v; x0) = phi(v; phi(u; x0)), phi(u; x0) = phi(u, coordinate(x0)),
+    # and d_s phi against central differences
+    flow = solvers.FLOWS[name]
+    u, v = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-2.0, 2.0, 9))
+    for x0 in (-2.5, 0.0, 0.7):
+        x_u = flow.phi(u, flow.coordinate(x0))
+        np.testing.assert_allclose(flow.phi(u + v, flow.coordinate(x0)),
+                                   flow.phi(v, flow.coordinate(x_u)), rtol=1e-13, atol=1e-13)
+        s, d = flow.coordinate(x0), 1e-6
+        central = (flow.phi(u, s + d) - flow.phi(u, s - d)) / (2.0 * d)
+        np.testing.assert_allclose(flow.dphi_ds(u, x_u) + 0.0 * u, central,
+                                   rtol=1e-8, atol=1e-8)
+
+
+def test_sin2_coordinate_round_trips_its_flow():
+    # F(phi(u, s0)) - F(x0) = u for F the coordinate map, across many periods;
+    # criterion 10 maps endpoints back to the driver this way
+    u = np.linspace(-20.0, 20.0, 4001)
+    for x0 in (0.0, 0.3, -2.0, 7.5):
+        s0 = SIN2.coordinate(x0)
+        assert abs(SIN2.phi(0.0, s0) - x0) <= 1e-15 * max(1.0, abs(x0))
+        np.testing.assert_allclose(SIN2.coordinate(SIN2.phi(u, s0)) - s0, u, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sin2", "one", "linear"])
+def test_flows_match_an_ode_solve(name):
+    # each closed form against scipy's integration of dphi/du = f(phi) at rtol 1e-12
+    from scipy.integrate import solve_ivp
+
+    flow = solvers.FLOWS[name]
+    for x0 in (0.3, -1.2):
+        for end in (20.0, -20.0):
+            u = np.linspace(0.0, end, 81)
+            sol = solve_ivp(lambda _, x: flow.f(x), (0.0, end), [x0], method="DOP853",
+                            t_eval=u, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(flow.phi(u, flow.coordinate(x0)), sol.y[0],
+                                       rtol=1e-10, atol=1e-11)
+
+
+def test_linear_flow_overflows_without_a_warning():
+    # e^800 overflows: to inf from x0 = 1, which the guard refuses, while
+    # from x0 = 0 the flow stays at 0
+    u = np.array([800.0, 1.0])
+    np.testing.assert_array_equal(LINEAR.phi(u, 1.0), [np.inf, np.e])
+    np.testing.assert_array_equal(LINEAR.phi(u, 0.0), [0.0, 0.0])
+    with pytest.raises(solvers.BlowUpError, match="at step 1;"):
+        solvers.solve_limit_stratonovich(LINEAR, 1.0, None, u[None], 0.0)
 
 
 def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
@@ -44,23 +98,24 @@ def test_slow_fast_endpoints_compute_the_embedding_once(monkeypatch):
         return compute(acov, n)
 
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", spy)
-    _slow_fast(H1, 0.7, 0.1, _one, _zero, _zero, 600, 3, t=0.2, dt_ratio=10.0)  # three chunks
+    _slow_fast(H1, 0.7, 0.1, ONE, _zero, _zero, 600, 3, t=0.2, dt_ratio=10.0)  # three chunks
     assert calls == [20]
 
 
 def test_young_additive_case():
     grid = TimeGrid(1.0, 100)
     Z = np.sin(grid.times())
-    x = solvers.solve_limit_stratonovich(2.0, _one, _zero, np.diff(Z), 0.0)
+    x = solvers.solve_limit_stratonovich(ONE, 2.0, _zero, np.diff(Z), 0.0)
     assert x == pytest.approx(2.0 + Z[-1] - Z[0], rel=1e-14)
 
 
 def test_young_smooth_driver_exponential_order():
+    # Heun on ds = s dV (f = 0, h(x) = x) along V_t = t^2: s_1 = e
     errs = []
     for n in (200, 400, 800, 1600):
         grid = TimeGrid(1.0, n)
-        x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero,
-                                             np.diff(grid.times() ** 2), 0.0)
+        x = solvers.solve_limit_stratonovich(ZERO, 1.0, _identity, np.zeros(n),
+                                             np.diff(grid.times() ** 2))
         errs.append(abs(x - np.exp(1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     # Heun is second order: dyadic orders increase toward 2
@@ -73,58 +128,63 @@ def test_young_smooth_driver_exponential_order():
 
 
 def test_young_fbm_driver_matches_chain_rule():
+    # Heun on ds = s dV along an fBM V (H 0.8): the Young solution e^{V_1}
     grid = TimeGrid(1.0, 4000)
     Z = fbm_paths(grid, 0.8, keys(1, "yfbm", 0, 20))
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, np.diff(Z).T, 0.0)
+    dZ = np.diff(Z).T
+    x = solvers.solve_limit_stratonovich(ZERO, 1.0, _identity, np.zeros_like(dZ), dZ)
     exact = np.exp(Z[:, -1] - Z[:, 0])
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
 
 def test_limit_young_drift_only_is_ode_flow():
     grid = TimeGrid(1.0, 2000)
-    x = solvers.solve_limit_stratonovich(1.0, _zero, lambda u: u, np.zeros(2000),
-                                         0.7 * grid.dt)
+    x = solvers.solve_limit_stratonovich(ZERO, 1.0, _identity, np.zeros(2000), 0.7 * grid.dt)
     assert x == pytest.approx(np.exp(0.7), rel=1e-3)
 
 
 def test_limit_young_exponential_closed_form():
     grid = TimeGrid(1.0, 4000)
     Z = fbm_paths(grid, 0.8, keys(2, "ly", 0, 20))
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, _zero, np.diff(Z).T, 0.0)
+    dZ = np.diff(Z).T
+    x = solvers.solve_limit_stratonovich(ZERO, 1.0, _identity, np.zeros_like(dZ), dZ)
     exact = np.exp(Z[:, -1])
     assert np.max(np.abs(x - exact)) < 0.02 * np.max(exact)
 
 
 def test_limit_young_degenerate_constants():
     dU = np.zeros(100)  # c = 0 folded into the driver
-    x = solvers.solve_limit_stratonovich(0.3, lambda u: u, lambda u: u, dU, 0.0)
+    x = solvers.solve_limit_stratonovich(LINEAR, 0.3, _identity, dU, 0.0)
     assert x == 0.3
 
 
 def test_limit_solvers_reject_driver_off_grid():
     # the drift's increments must lie on the driver's grid
     with pytest.raises(ValueError, match="broadcast"):
-        solvers.solve_limit_stratonovich(0.0, _zero, _zero, np.zeros((100, 3)),
+        solvers.solve_limit_stratonovich(ZERO, 0.0, _zero, np.zeros((100, 3)),
                                          np.zeros((101, 3)))
     with pytest.raises(ValueError, match="broadcast"):
-        solvers.solve_limit_stratonovich(0.0, _zero, _zero, np.zeros(100), np.zeros(102))
+        solvers.solve_limit_stratonovich(ZERO, 0.0, _zero, np.zeros(100), np.zeros(102))
 
 
 def test_limit_solver_blows_up_on_a_smooth_driver():
-    # dx = (1 + x^2) dU, U_t = t: x = tan(t) passes the guard near t = pi/2
+    # dx = (1 + x^2) dV, V_t = t: x = tan(t) passes the guard near t = pi/2
     with pytest.raises(solvers.BlowUpError, match="blew up") as info:
-        solvers.solve_limit_stratonovich(0.0, lambda u: 1.0 + u**2, _zero,
-                                         np.full(400, 0.01), 0.0)
+        solvers.solve_limit_stratonovich(ZERO, 0.0, lambda u: 1.0 + u**2, np.zeros(400),
+                                         np.full(400, 0.01))
     step = int(str(info.value).split("at step ")[1].split(";")[0])
     assert 157 <= step <= 170
 
 
-def _heun_loop(x0, f, h, dU, dV):
-    """Heun's scheme for dx = f(x) dU + h(x) dV, one scalar step at a time."""
-    x = x0
+def _heun_loop(flow, x0, h, dU, dV):
+    """Heun's scheme for ds = h(x) / d_s phi dV, x = phi(U, s), one scalar step at a time."""
+    u, s, x = 0.0, flow.coordinate(x0), x0
     for du, dv in zip(dU, dV):
-        pred = x + f(x) * du + h(x) * dv
-        x = x + 0.5 * (f(x) + f(pred)) * du + 0.5 * (h(x) + h(pred)) * dv
+        b = h(x) / flow.dphi_ds(u, x)
+        u += du
+        pred = flow.phi(u, s + b * dv)
+        s = s + 0.5 * (b + h(pred) / flow.dphi_ds(u, pred)) * dv
+        x = flow.phi(u, s)
     return x
 
 
@@ -132,26 +192,66 @@ def test_batched_limit_solvers_match_one_row_calls():
     grid = TimeGrid(1.0, 500)
     dU = np.diff(0.8 * fbm_paths(grid, 0.7, keys(7, "batch", 0, 5))).T
     dV = 0.6 * grid.dt
-    f = lambda u: np.sin(u) + 2.0
-    h = lambda u: np.cos(u)
-    heun = solvers.solve_limit_stratonovich(0.4, f, h, dU, dV)
+    f, h = SIN2, lambda u: np.cos(u)
+    heun = solvers.solve_limit_stratonovich(f, 0.4, h, dU, dV)
     assert heun.shape == (5,)
     for r in range(5):
         np.testing.assert_allclose(
-            heun[r : r + 1], solvers.solve_limit_stratonovich(0.4, f, h, dU[:, r : r + 1], dV),
+            heun[r : r + 1], solvers.solve_limit_stratonovich(f, 0.4, h, dU[:, r : r + 1], dV),
             rtol=0, atol=1e-14)
         # a single path is the one-row case
         np.testing.assert_allclose(
-            heun[r], solvers.solve_limit_stratonovich(0.4, f, h, dU[:, r], dV),
+            heun[r], solvers.solve_limit_stratonovich(f, 0.4, h, dU[:, r], dV),
             rtol=0, atol=1e-14)
         # the scalar per-replica loop is the reference
-        np.testing.assert_allclose(heun[r], _heun_loop(0.4, f, h, dU[:, r], np.full(500, dV)),
+        np.testing.assert_allclose(heun[r], _heun_loop(f, 0.4, h, dU[:, r], np.full(500, dV)),
                                    rtol=0, atol=1e-14)
+
+
+def test_drift_along_the_field_is_exact_at_any_step_count():
+    # h = f = sin + 2 makes ds = dV, so three steps give phi(U_T, s0 + V_T)
+    # to rounding; without a drift no step is taken and x_T = phi(U_T, s0)
+    dU = 0.9 * stream(3, "exact-drift").standard_normal((3, 50))
+    dV = np.array([0.2, -0.1, 0.4])[:, None]
+    s0 = SIN2.coordinate(0.4)
+    np.testing.assert_allclose(solvers.solve_limit_stratonovich(SIN2, 0.4, _sin2, dU, dV),
+                               SIN2.phi(dU.sum(axis=0), s0 + 0.5), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(solvers.solve_limit_stratonovich(SIN2, 0.4, None, dU, dV),
+                                  SIN2.phi(dU.sum(axis=0), s0))
+
+
+@pytest.mark.parametrize("H", [0.6, 0.7])
+def test_brownian_limit_steps_are_within_1e_4_of_a_fine_solve(H, monkeypatch):
+    # the 100 steps of the Brownian limit (He_2, f = sin + 2, h = 1, g = cos)
+    # against 400 on the same paths, 20,000 of them: the relative Var x_1
+    # gap reads 8.9e-6 (H 0.6) and -2.6e-6 (H 0.7); at 3,200 steps the
+    # 100-step gap is -3.0e-6 and 7.7e-6
+    steps = []
+    solve = solvers.solve_limit_stratonovich
+
+    def spy(flow, x0, h, dU, dV):
+        steps.append(len(dU))
+        return solve(flow, x0, h, dU, dV)
+
+    monkeypatch.setattr(solvers, "solve_limit_stratonovich", spy)
+    solvers._limit_endpoints(H2, H, 1.0, 0.0, SIN2, _one, 0.6, 3, 0)
+    assert steps == [100]
+
+    c, g_bar, fine = chaos.c_constant(H2, H), np.exp(-0.5), 400
+    coarse_x, fine_x = [], []
+    for i in range(4):
+        dW = normals(keys(44, "bias-paths", 5000 * i, 5000), np.empty((5000, fine))).T
+        dW *= c / np.sqrt(fine)
+        fine_x.append(solve(SIN2, 0.0, _one, dW, g_bar / fine))
+        coarse_x.append(solve(SIN2, 0.0, _one, dW.reshape(100, -1, 5000).sum(axis=1),
+                              g_bar / 100))
+    gap = np.var(np.concatenate(coarse_x)) / np.var(np.concatenate(fine_x)) - 1.0
+    assert abs(gap) < 1e-4
 
 
 def test_stratonovich_deterministic_when_c_zero():
     grid = TimeGrid(1.0, 1000)
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, np.zeros(1000),
+    x = solvers.solve_limit_stratonovich(LINEAR, 1.0, _identity, np.zeros(1000),
                                          0.5 * grid.dt)
     assert x == pytest.approx(np.exp(0.5), rel=1e-4)
 
@@ -162,7 +262,7 @@ def test_stratonovich_additive_matches_quadrature():
     grid = TimeGrid(1.0, 2000)
     dW = stream(4, "wa").standard_normal(2000) * np.sqrt(grid.dt)
     c, g_bar = 0.7, 0.3
-    x = solvers.solve_limit_stratonovich(0.2, _one, lambda u: u, c * dW, g_bar * grid.dt)
+    x = solvers.solve_limit_stratonovich(ONE, 0.2, _identity, c * dW, g_bar * grid.dt)
     mid = grid.times()[:-1] + 0.5 * grid.dt
     expect = np.exp(g_bar) * 0.2 + c * np.sum(np.exp(g_bar * (1.0 - mid)) * dW)
     assert abs(x - expect) < 1e-3
@@ -175,8 +275,7 @@ def test_stratonovich_no_ito_correction():
     c, g_bar = 0.8, 0.4
     dW = np.stack([stream(5, "strat", i).standard_normal(2000) for i in range(200)], axis=1)
     dW *= np.sqrt(grid.dt)
-    x = solvers.solve_limit_stratonovich(1.0, lambda u: u, lambda u: u, c * dW,
-                                         g_bar * grid.dt)
+    x = solvers.solve_limit_stratonovich(LINEAR, 1.0, _identity, c * dW, g_bar * grid.dt)
     resid = np.log(x) - c * dW.sum(axis=0) - g_bar
     assert abs(resid.mean()) < 0.01
     assert abs(resid.mean()) < 0.1 * c**2 / 2
@@ -184,13 +283,13 @@ def test_stratonovich_no_ito_correction():
 
 @pytest.mark.parametrize("a2", [1.0, -1.0])
 def test_long_range_limit_is_driven_by_the_hermite_path(a2):
-    # additive noise and constant drift: Heun is exact, so the limit endpoint
+    # additive noise and constant drift: the s step is exact, so the limit endpoint
     # is x0 + g_bar t + sign(a_2) c Z_t with Z the Hermite path itself
     from foulim import hermite
 
     H, t, x0, seed, n = 0.85, 1.0, 0.3, 17, 6
     G = ChaosFunction([0, 0, a2])
-    x = solvers._limit_endpoints(G, H, t, x0, _one, _one, 1.0, n, seed)
+    x = solvers._limit_endpoints(G, H, t, x0, ONE, _one, 1.0, n, seed)
     regime = chaos.classify_regime(2, H)
     engine = hermite.HermiteEngine(TimeGrid(t, 400), regime.h_star, 2)
     z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
@@ -200,13 +299,13 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
 
 def _hermite_limit_args(n, seed=23):
     G = ChaosFunction([0, 0, -1.0])
-    return (G, 0.85, 1.0, 0.0, _sin2, None, 0.0, n, seed)
+    return (G, 0.85, 1.0, 0.0, ONE, None, 0.0, n, seed)
 
 
 def test_limit_endpoint_samples_agree_with_one_hermite_call():
-    # 300 replicas, a full chunk and a partial one: without a drift the
-    # samples are the driver sign(a_2) c Z_t, and each chunk's rows agree
-    # with one call over all replicas to rounding
+    # 300 replicas, a full chunk and a partial one: without a drift and with
+    # f = 1 the samples are the driver sign(a_2) c Z_t, and each chunk's rows
+    # agree with one call over all replicas to rounding
     from foulim import hermite
 
     G, H, t, *_, n, seed = _hermite_limit_args(300)
@@ -240,11 +339,11 @@ def test_limit_endpoint_samples_memory_is_chunked():
 
 @pytest.mark.parametrize("H", [0.6, 0.75])
 def test_short_range_limit_reads_one_keyed_stream_per_replica(H):
-    # short range and boundary without drift: row i of the driver is c
-    # sqrt(t) times the first normal of stream (seed, "limit-endpoint", i),
+    # short range and boundary without drift, f = 1: row i of the driver is
+    # c sqrt(t) times the first normal of stream (seed, "limit-endpoint", i),
     # whatever the worker count
     t, n, seed = 0.7, 300, 29
-    out = [solvers._limit_endpoints(H2, H, t, 0.0, _sin2, None, 0.0, n, seed, threads)
+    out = [solvers._limit_endpoints(H2, H, t, 0.0, ONE, None, 0.0, n, seed, threads)
            for threads in (1, 2)]
     np.testing.assert_array_equal(out[0], out[1])
     first = np.array([stream(seed, "limit-endpoint", i).standard_normal() for i in range(n)])
@@ -252,48 +351,21 @@ def test_short_range_limit_reads_one_keyed_stream_per_replica(H):
 
 
 def test_brownian_limit_with_drift_holds_one_chunk():
-    # with drift every replica's 4000-step W is solved by Heun; drawn as one
-    # (600, 4000) matrix it took 77 MB traced.  In 250-replica chunks one
-    # chunk's increments and their time-major copy (8 MB each) are held at a
-    # time, 16 MB traced
-    args = (H2, 0.6, 1.0, 0.0, _sin2, np.cos, 0.5)
+    # with drift every replica's 100-step W is solved in flow coordinates;
+    # in 250-replica chunks one chunk's increments (0.2 MB) and the stepper's
+    # replica-sized arrays are held at a time, 0.25 MB traced
+    args = (H2, 0.6, 1.0, 0.0, SIN2, np.cos, 0.5)
     solvers._limit_endpoints(*args, 2, 3)  # warm the imports only
-    assert _peak_traced_mb(solvers._limit_endpoints, *args, 600, 3) < 30.0
-
-
-def test_flow_map_exponential():
-    u = np.array([-1.0, 0.0, 0.5, 2.0])
-    out = solvers.flow_map_1d(lambda x: x, 1.5, u)
-    np.testing.assert_allclose(out, 1.5 * np.exp(u), rtol=1e-8)
-
-
-def test_flow_map_raises_at_a_finite_u_blow_up():
-    # phi = tan(50 u + arctan 5) passes 1e8 near u = 0.0039; before the
-    # guard the map returned [6.7, 21.1, 5.7e66] here without an error
-    f = lambda x: 50.0 * (1.0 + x**2)
-    with pytest.raises(solvers.BlowUpError, match="blew up"):
-        solvers.flow_map_1d(f, 5.0, [0.001, 0.003, 0.01])
-    np.testing.assert_allclose(solvers.flow_map_1d(f, 5.0, [0.001, 0.003, -0.01]),
-                               np.tan(50.0 * np.array([0.001, 0.003, -0.01]) + np.arctan(5.0)),
-                               rtol=1e-7)
-
-
-def test_flow_map_raises_at_once_on_a_non_finite_f():
-    # f = NaN did not return within 60 s before the right-hand side was checked
-    start = time.perf_counter()
-    with pytest.raises(solvers.BlowUpError, match="blew up"):
-        solvers.flow_map_1d(lambda x: np.nan, 0.0, [0.5, -0.5])
-    assert time.perf_counter() - start < 1.0
+    assert _peak_traced_mb(solvers._limit_endpoints, *args, 600, 3) < 1.0
 
 
 @pytest.mark.parametrize("eps", [0.02, 0.01])
 @pytest.mark.parametrize("H, tol", [(0.6, 2e-3), (0.85, 5e-4)])
 def test_flow_path_agrees_with_heun_on_the_same_keys(H, tol, eps):
-    # the exact flow at the trapezoid u against second-order Heun with zero h
-    # and g callables on the same increments: max |difference| 4.0e-4 to
-    # 8.9e-4 (H 0.6) and 3.7e-5 to 2.0e-4 (H 0.85) at an endpoint sd of about 3
-    flow = _slow_fast(H2, H, eps, _sin2, None, None, 300, 5)
-    heun = _slow_fast(H2, H, eps, _sin2, _zero, _zero, 300, 5)
+    # the flow at the trapezoid u against the stepper with zero h and g
+    # callables on the same increments, whose s stays at s0 step by step
+    flow = _slow_fast(H2, H, eps, SIN2, None, None, 300, 5)
+    heun = _slow_fast(H2, H, eps, SIN2, _zero, _zero, 300, 5)
     assert flow.std() > 2.5
     assert np.max(np.abs(flow - heun)) <= tol
 
@@ -302,10 +374,10 @@ def test_flow_path_is_the_flow_map_of_the_trapezoid_driver(monkeypatch):
     # bit for bit, and whatever the sampler's row blocks
     H, eps, n, seed = 0.85, 0.02, 30, 7
     alpha = chaos.classify_regime(2, H).alpha(eps)
-    ends = _slow_fast(H2, H, eps, _sin2, None, None, n, seed)
+    ends = _slow_fast(H2, H, eps, SIN2, None, None, n, seed)
     monkeypatch.setattr(fgn, "BLOCK_BYTES", 1)  # one row per block
     u = harness._fou_endpoint_samples(H2, H, 1.0, eps, n, seed, "slowfast", 50.0, alpha)
-    np.testing.assert_array_equal(ends, solvers.flow_map_1d(_sin2, 0.0, u))
+    np.testing.assert_array_equal(ends, SIN2.phi(u, SIN2.coordinate(0.0)))
 
 
 def test_homogenize_without_drift_is_byte_identical_across_threads(tmp_path):
@@ -320,50 +392,52 @@ def test_homogenize_without_drift_is_byte_identical_across_threads(tmp_path):
         assert (tmp_path / f"t1.{ext}").read_bytes() == (tmp_path / f"t2.{ext}").read_bytes()
 
 
-@pytest.mark.parametrize("f", [lambda u: 50.0 * (1.0 + u**2), lambda u: np.nan * u])
-def test_flow_path_blows_up_within_a_second(f):
+@pytest.mark.parametrize("phi", [lambda u, s: LINEAR.phi(u, s), lambda u, s: np.nan * u])
+def test_flow_path_blows_up_within_a_second(phi):
+    # x0 e^u past the guard (the driver -100 He_1 reaches u = 163 in one of
+    # its 3 replicas), and a flow that gives NaN
+    flow = solvers.Flow(_identity, phi, LINEAR.dphi_ds, LINEAR.coordinate)
     start = time.perf_counter()
     with pytest.raises(solvers.BlowUpError, match="blew up"):
-        _slow_fast(H1, 0.7, 0.1, f, None, None, 3, 0, x0=5.0)
+        _slow_fast(ChaosFunction([0, -100.0]), 0.7, 0.1, flow, None, None, 3, 0, x0=5.0)
     assert time.perf_counter() - start < 1.0
 
 
 def test_flow_path_builds_no_chunk_path_matrix():
     # a 250-replica chunk at eps 0.01 has 5,001 x 250 paths, 10 MB; the flow
     # path reduces each row block of the sampler as it is drawn (2.7 MB traced)
-    _slow_fast(H2, 0.6, 0.01, _sin2, None, None, 2, 4)  # warm the imports
-    assert _peak_traced_mb(_slow_fast, H2, 0.6, 0.01, _sin2, None, None, 250, 4) \
+    _slow_fast(H2, 0.6, 0.01, SIN2, None, None, 2, 4)  # warm the imports
+    assert _peak_traced_mb(_slow_fast, H2, 0.6, 0.01, SIN2, None, None, 250, 4) \
         < 0.5 * 8 * 5_001 * 250 / 1e6
 
 
-def test_drift_free_homogenize_takes_one_flow_of_both_drivers(monkeypatch):
-    # the slow/fast and limit drivers go through one flow_map_1d call, and
-    # each side agrees with the flow of its own driver to the solver's tolerance
-    calls = []
-    flow = solvers.flow_map_1d
+def test_drift_free_homogenize_is_the_flow_of_both_drivers(monkeypatch):
+    # each side is phi(U_t, s0) at its own driver, with no step taken
+    steps = []
+    solve = solvers.solve_limit_stratonovich
 
-    def spy(f, x0, u):
-        calls.append(np.array(u))
-        return flow(f, x0, u)
+    def spy(flow, x0, h, dU, dV):
+        steps.append((h, len(dU)))
+        return solve(flow, x0, h, dU, dV)
 
-    monkeypatch.setattr(solvers, "flow_map_1d", spy)
+    monkeypatch.setattr(solvers, "solve_limit_stratonovich", spy)
     H, eps, n, seed, x0 = 0.85, 0.02, 40, 6, 0.3
-    x, lim = solvers.homogenize(H2, H, eps, _sin2, None, None, n, seed, x0=x0)
-    assert len(calls) == 1
+    x, lim = solvers.homogenize(H2, H, eps, SIN2, None, None, n, seed, x0=x0)
+    assert set(steps) == {(None, 1)}
     ratio = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)[0]["dt_ratio"]
-    u_eps = solvers._slow_fast_endpoints(H2, H, 1.0, eps, x0, _sin2, None, None, n, seed, ratio)
-    u_lim = solvers._limit_endpoints(H2, H, 1.0, x0, _sin2, None, 0.0, n, seed + 1)
-    np.testing.assert_array_equal(calls[0], np.concatenate([u_eps, u_lim]))
-    np.testing.assert_allclose(x, flow(_sin2, x0, u_eps), rtol=1e-8, atol=0)
-    np.testing.assert_allclose(lim, flow(_sin2, x0, u_lim), rtol=1e-8, atol=0)
+    u_eps = solvers._slow_fast_endpoints(H2, H, 1.0, eps, 0.0, ONE, None, None, n, seed, ratio)
+    u_lim = solvers._limit_endpoints(H2, H, 1.0, 0.0, ONE, None, 0.0, n, seed + 1)
+    s0 = SIN2.coordinate(x0)
+    np.testing.assert_array_equal(x, SIN2.phi(u_eps, s0))
+    np.testing.assert_array_equal(lim, SIN2.phi(u_lim, s0))
 
 
 def test_multiscale_config_validation():
     # dt = eps/5: the drift path steps Heun on the grid and refuses it; the
     # flow path takes the trapezoid integral there, whose law is exact
     with pytest.raises(ValueError, match="resolve the fast scale"):
-        solvers.homogenize(H1, 0.7, 0.01, _zero, _zero, _zero, 1, 0, dt_ratio=5.0)
-    x, _ = solvers.homogenize(H1, 0.7, 0.01, _zero, None, None, 2, 0, dt_ratio=5.0)
+        solvers.homogenize(H1, 0.7, 0.01, ZERO, _zero, _zero, 1, 0, dt_ratio=5.0)
+    x, _ = solvers.homogenize(H1, 0.7, 0.01, ZERO, None, None, 2, 0, dt_ratio=5.0)
     np.testing.assert_array_equal(x, 0.0)
 
 
@@ -373,7 +447,7 @@ def test_slow_fast_reduces_to_functional_integral():
     grid = TimeGrid.with_step(1.0, eps / 20.0)
     alpha = chaos.classify_regime(1, H).alpha(eps)
     y = fou.path_sampler(grid, H, eps).batch(keys(33, "slowfast", 0, 50))
-    x = _slow_fast(H1, H, eps, _one, _zero, _zero, 50, 33, dt_ratio=20.0)
+    x = _slow_fast(H1, H, eps, ONE, _zero, _zero, 50, 33, dt_ratio=20.0)
     np.testing.assert_allclose(x, harness.functional_values(H1, y, grid.dt, alpha),
                                rtol=0, atol=1e-12)
 
@@ -383,7 +457,7 @@ def test_slow_fast_drift_only_is_the_trapezoid_integral_of_g():
     eps, H = 0.05, 0.7
     grid = TimeGrid.with_step(1.0, eps / 20.0)
     y = fou.path_sampler(grid, H, eps).batch(keys(34, "slowfast", 0, 50))
-    x = _slow_fast(H2, H, eps, _zero, _one, np.cos, 50, 34, x0=0.4, dt_ratio=20.0)
+    x = _slow_fast(H2, H, eps, ZERO, _one, np.cos, 50, 34, x0=0.4, dt_ratio=20.0)
     np.testing.assert_allclose(x, 0.4 + harness.functional_values(np.cos, y, grid.dt),
                                rtol=0, atol=1e-12)
 
@@ -394,14 +468,15 @@ def test_slow_fast_ergodic_drift_only():
     g_bar = chaos.gaussian_expectation(g)
     ends = []
     for eps, seed in ((0.05, 35), (0.01, 36)):
-        end = _slow_fast(H1, 0.7, eps, _zero, _one, g, 400, seed, dt_ratio=20.0)
+        end = _slow_fast(H1, 0.7, eps, ZERO, _one, g, 400, seed, dt_ratio=20.0)
         assert end.mean() == pytest.approx(g_bar, abs=0.03)
         ends.append(end.std())
     assert ends[1] < ends[0]
 
 
-def _blowup(f=lambda u: 50.0 * (1.0 + u**2), n=1, seed=0):
-    return _slow_fast(H1, 0.7, 0.1, f, _zero, _zero, n, seed, x0=5.0, dt_ratio=10.0)
+def _blowup(h=lambda x: 50.0 * (1.0 + x**2), n=1, seed=0):
+    # f = 0, g = 1: dx = h(x) dt, which for this h passes the guard near t = 0.004
+    return _slow_fast(H1, 0.7, 0.1, ZERO, h, _one, n, seed, x0=5.0, dt_ratio=10.0)
 
 
 def test_slow_fast_blowup_guard():
@@ -411,9 +486,9 @@ def test_slow_fast_blowup_guard():
 
 def test_slow_fast_blowup_guard_catches_nan():
     # NaN compares False with the guard, so only an all-finite check sees it
-    nan_f = lambda u: np.full_like(np.asarray(u, dtype=float), np.nan)
+    nan_h = lambda u: np.full_like(np.asarray(u, dtype=float), np.nan)
     with pytest.raises(solvers.BlowUpError, match="at step 1;"):
-        _blowup(nan_f, 3)
+        _blowup(nan_h, 3)
 
 
 def test_slow_fast_errors_are_foulim_errors():
@@ -426,7 +501,7 @@ def test_slow_fast_errors_are_foulim_errors():
 def test_slow_fast_endpoints_ignore_row_blocks_and_threads(monkeypatch):
     # 260 replicas, a full chunk and a partial one; the increments of 1-row
     # sampler blocks land in the same columns as those of whole blocks
-    args = (H2, 0.85, 0.02, _sin2, _sin2, np.cos, 260, 9)
+    args = (H2, 0.85, 0.02, SIN2, _one, np.cos, 260, 9)
     ref = _slow_fast(*args, dt_ratio=25.0)
     monkeypatch.setattr(fgn, "BLOCK_BYTES", 1)  # one row per block
     for threads in (1, 2):
@@ -437,8 +512,8 @@ def test_slow_fast_chunk_memory_stays_near_its_paths():
     # one 250-replica chunk at eps 0.01 holds the 5,000 x 250 time-major
     # increments of U and V, 20 MB, and the sampler's row blocks (23.7 MB
     # traced), never the chunk's paths
-    _slow_fast(H2, 0.6, 0.01, _sin2, _zero, _zero, 2, 4)  # warm the imports
-    peak = _peak_traced_mb(_slow_fast, H2, 0.6, 0.01, _sin2, _zero, _zero, 250, 4)
+    _slow_fast(H2, 0.6, 0.01, SIN2, _zero, _zero, 2, 4)  # warm the imports
+    peak = _peak_traced_mb(_slow_fast, H2, 0.6, 0.01, SIN2, _zero, _zero, 250, 4)
     assert peak < 1.5 * 2 * 8 * 5_000 * 250 / 1e6
 
 
@@ -453,12 +528,12 @@ def test_slow_fast_solver_matches_per_stage_evaluation(hfun, gfun):
     alpha = chaos.classify_regime(2, H).alpha(eps)
     grid = TimeGrid.with_step(t, eps / ratio)
     y = fou.path_sampler(grid, H, eps).batch(keys(12, "slowfast", 0, n))
-    ends = _slow_fast(H2, H, eps, _sin2, hfun, gfun, n, 12, t=t, dt_ratio=ratio)
+    ends = _slow_fast(H2, H, eps, SIN2, hfun, gfun, n, 12, t=t, dt_ratio=ratio)
     for r in range(n):
         Gy, gy = H2(y[r]), gfun(y[r])
         dU = [0.5 * alpha * grid.dt * (Gy[k] + Gy[k + 1]) for k in range(grid.n_steps)]
         dV = [0.5 * grid.dt * (gy[k] + gy[k + 1]) for k in range(grid.n_steps)]
-        assert ends[r] == pytest.approx(_heun_loop(0.0, _sin2, hfun, dU, dV), rel=0, abs=1e-14)
+        assert ends[r] == pytest.approx(_heun_loop(SIN2, 0.0, hfun, dU, dV), rel=0, abs=1e-14)
 
 
 def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
@@ -470,10 +545,10 @@ def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
         return slow_fast(*args)
 
     monkeypatch.setattr(solvers, "_slow_fast_endpoints", spy)
-    solvers.homogenize(H2, 0.85, 0.02, _sin2, None, None, 40, 2)
-    solvers.homogenize(H2, 0.05, 0.02, _sin2, None, None, 40, 2, t=0.1)
+    solvers.homogenize(H2, 0.85, 0.02, SIN2, None, None, 40, 2)
+    solvers.homogenize(H2, 0.05, 0.02, SIN2, None, None, 40, 2, t=0.1)
     # a drift steps Heun on the grid: the coarsest unbiased rung that resolves eps
-    solvers.homogenize(H2, 0.85, 0.02, _sin2, _one, np.cos, 40, 2)
+    solvers.homogenize(H2, 0.85, 0.02, SIN2, _one, np.cos, 40, 2)
     assert ratios == [2.0, exact.resolve_dt_ratio(H2, 0.05, 0.1, [0.02], 40)[0]["dt_ratio"],
                       fou.MIN_STEPS_PER_EPS]
     assert ratios[1] > 10.0
@@ -485,29 +560,28 @@ def test_heun_error_with_drift_at_the_auto_ratio_fits_the_bias_budget(monkeypatc
     # each trapezoid step stepped as it is and again on 8 equal substeps: the
     # driver is piecewise linear, so the substep solve is the same driver
     # solved more accurately.  At the drift path's auto ratio (eps/10) and
-    # 600 replicas the relative variance gap
-    # (1.0e-3 to 1.2e-3 at H 0.6, 1.8e-4 to 2.1e-4 at 0.85) plus the exact
-    # trapezoid bias of the grid fits the budget of 600 replicas, 5.8e-3; the gap alone
-    # would exceed the budget beyond about 13,000 replicas at H 0.6 and
-    # 470,000 at H 0.85
+    # 600 replicas the relative variance gap (-1.9e-6 at H 0.6 and -7.9e-7
+    # at 0.85 for h = 1, 0 to rounding for h = f) plus the exact trapezoid
+    # bias of the grid fits the budget of 600 replicas, 5.8e-3
     eps, n = 0.02, 600
     resolution, _ = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n, stepped=True)
     ratio, bias, budget = (resolution[k] for k in ("dt_ratio", "trapezoid_bias", "bias_budget"))
     assert ratio == fou.MIN_STEPS_PER_EPS
     heun, fine = solvers.solve_limit_stratonovich, []
 
-    def both(x0, f, h, dU, dV):
-        fine.append(heun(x0, f, h, np.repeat(dU / 8, 8, axis=0), np.repeat(dV / 8, 8, axis=0)))
-        return heun(x0, f, h, dU, dV)
+    def both(flow, x0, h, dU, dV):
+        fine.append(heun(flow, x0, h, np.repeat(dU / 8, 8, axis=0),
+                         np.repeat(dV / 8, 8, axis=0)))
+        return heun(flow, x0, h, dU, dV)
 
     monkeypatch.setattr(solvers, "solve_limit_stratonovich", both)
-    coarse = _slow_fast(H2, H, eps, _sin2, hfun, np.cos, n, 41, dt_ratio=ratio)
+    coarse = _slow_fast(H2, H, eps, SIN2, hfun, np.cos, n, 41, dt_ratio=ratio)
     gap = abs(np.var(coarse) / np.var(np.concatenate(fine)) - 1.0)
     assert gap + abs(bias[0]) <= budget
 
 
 def test_grid_refinement_stability():
-    ends = [_slow_fast(H2, 0.6, 0.05, _sin2, _zero, _zero, 300, 37, dt_ratio=ratio)
+    ends = [_slow_fast(H2, 0.6, 0.05, SIN2, _zero, _zero, 300, 37, dt_ratio=ratio)
             for ratio in (10.0, 20.0)]
     # the standard error of a difference of two means
     se = np.hypot(ends[0].std(), ends[1].std()) / np.sqrt(len(ends[0]))
@@ -542,13 +616,6 @@ def test_kinetic_incommensurate_scales_rejected():
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError, match="common refinement"):
         solvers.kinetic_error_scan(0.5, [0.1, 0.1 / np.pi], grid, 10, 0)
-
-
-def test_inverse_flow_of_sin2_round_trips_flow_map():
-    # criterion 10 maps endpoints back to the driver u = phi^{-1}(x)
-    u = np.linspace(-12.0, 12.0, 49)
-    x = solvers.flow_map_1d(lambda z: np.sin(z) + 2.0, 0.0, u)
-    assert acceptance._inverse_flow_sin2(x) == pytest.approx(u, abs=1e-8)
 
 
 def test_kinetic_read_interpolates_between_grid_points():
