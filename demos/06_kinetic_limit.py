@@ -4,6 +4,9 @@ X^eps_t = eps^{H-1} int_0^t y^eps ds, driven by the same fBM as y^eps.
 On the grid the coupling identity
     X_{s,t} - sigma B_{s,t} = -eps (v_t - v_s),   v = eps^{H-1} y,
 holds to floating point, and the sup-pair L2 error scales as eps^H.
+By self-similarity every eps is read off one unit-rate chain per replica,
+each eps on its own window of it.  The Hoelder seminorm is sampled on the
+dyadic index lags 1, 2, 4, ... of the reporting grid.
 """
 
 from foulim import solvers

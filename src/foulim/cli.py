@@ -283,6 +283,8 @@ def _cmd_kinetic_scan(args) -> int:
         "identity_defect_max": scan.meta["identity_defect_max"],
         "holder_slope_vs_log_eps": -scan.meta["holder_slope"],
         "holder_gamma": scan.meta["holder_gamma"],
+        # the seminorm is sampled on the index lags 1, 2, 4, ... <= n_report only
+        "holder_lags": "dyadic",
     }
     _emit(args, *_scan_table(scan), summary)
     return 0

@@ -7,8 +7,8 @@ ODE along the driver (Doss, Ann. IHP 13 (1977); Sussmann, Ann. Probab. 6
 where each ``Flow`` of ``FLOWS``, one per ``--f`` preset, carries phi,
 d_s phi and the coordinate s0 of x0 in closed form.  So
 ``solve_limit_stratonovich`` steps s alone, by one batched Heun scheme
-along U's grid values, and with no drift takes no step.  The chain rule
-behind it gives the Stratonovich solution for a Brownian driver and the
+along U's grid values, and with no drift, or the drift h = f, takes no
+step.  The chain rule behind it gives the Stratonovich solution for a Brownian driver and the
 Young one for a driver of Hoelder regularity > 1/2; vector states with
 H < 1/2 would need Levy-area simulation and are out of scope.
 On the slow/fast side, dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt,
@@ -19,10 +19,11 @@ Hermite process, H* > 1/2) in the long-range one, and dV = g_bar dt.
 ``homogenize`` is the one place that samples both sides, every replica's
 driver drawn from its own keyed stream inside a ``run_replicated`` chunk.
 The drift path and the kinetic scan step on the sampled grid, so both
-keep dt <= eps/fou.MIN_STEPS_PER_EPS.  The kinetic scan reduces its fGN
-row block by row block, like ``harness``'s scans; the exact covariance of
-its chain (``exact.kinetic_chain_autocovariance``) shows that a finer
-grid moves the slope it fits by less than 3e-4.
+keep dt <= eps/fou.MIN_STEPS_PER_EPS.  The kinetic scan reads every eps
+off one unit-rate chain per replica (self-similarity), row block by row
+block like ``harness``'s scans; the exact covariance of its chain
+(``exact.kinetic_chain_autocovariance``) shows that a finer grid moves
+the slope it fits by less than 3e-4.
 """
 
 from __future__ import annotations
@@ -133,14 +134,16 @@ def solve_limit_stratonovich(flow: Flow, x0, h, dU, dV) -> np.ndarray:
     (midpoint-predictor) scheme steps ds = h(x) / d_s phi(U_t, s) dV at
     U's grid values, every replica at once: the error is that of an ODE
     in s along U's path, order 2 for a smooth one.  h None is no drift:
-    x_T = phi(U_T, s0) with no step.  Raises BlowUpError once |x| exceeds
-    BLOWUP_GUARD or x is NaN.
+    x_T = phi(U_T, s0) with no step.  h the flow's own field f commutes
+    with it, dx = f(x) d(U + V): x_T = phi(U_T + V_T, s0), again with no
+    step.  Raises BlowUpError once |x| exceeds BLOWUP_GUARD or x is NaN,
+    at the endpoint when no step is taken.
     """
     dU = np.asarray(dU, dtype=float)
     dV = np.broadcast_to(dV, dU.shape)
     s = np.full(dU.shape[1:], flow.coordinate(float(x0)))
-    if h is None:
-        return _guarded(flow.phi(dU.sum(axis=0), s), len(dU))
+    if h is None or h is flow.f:
+        return _guarded(flow.phi((dU if h is None else dU + dV).sum(axis=0), s), len(dU))
     u, x = 0.0, np.full(dU.shape[1:], float(x0))
     with np.errstate(over="ignore"):  # a flow that overflows to inf fails the guard
         for k, (du, dv) in enumerate(zip(dU, dV), 1):
@@ -267,13 +270,16 @@ def _grid_reader(times: np.ndarray, dt: float):
 
 
 def _holder_seminorms(d: np.ndarray, times: np.ndarray, gam: float) -> np.ndarray:
-    """max over j < k of |d[:, k] - d[:, j]| / |t_k - t_j|^gam, row by row.
+    """max over k and the dyadic index lags L = 1, 2, 4, ... <= len(times) - 1 of
+    |d[:, k] - d[:, k - L]| / |t_k - t_{k-L}|^gam, row by row.
 
-    Each pair is taken once, one index lag k - j at a time, so no array
-    larger than d is formed.
+    A sampled seminorm on the dyadic lags alone: O(rows n log n) for n
+    times, where every pair j < k costs O(rows n^2).  On a uniform grid a
+    lag is a sum of at most log2 n dyadic ones, so the seminorm over every
+    pair is at most 1 / (1 - 2^-gam) times this one.
     """
     semi = np.zeros(len(d))
-    for lag in range(1, len(times)):
+    for lag in (1 << j for j in range((len(times) - 1).bit_length())):
         quot = np.abs(d[:, lag:] - d[:, :-lag])
         quot /= np.abs(times[lag:] - times[:-lag]) ** gam
         np.maximum(semi, quot.max(axis=1), out=semi)
@@ -284,87 +290,78 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
                        master_seed: int = 0, threads: int = 1) -> ScanResult:
     """Convergence rate of X^eps = eps^{H-1} int_0^t y^eps ds toward sigma B^H.
 
-    Couples every eps to the same underlying fBM per replica (increments
-    aggregated from one master grid of spacing min(eps)/fou.MIN_STEPS_PER_EPS,
-    so that each eps grid has dt = eps/MIN_STEPS_PER_EPS).
-    The integral uses the exponential left-point rule, under which
+    Each eps runs the exponential-Euler chain on dt = eps/fou.MIN_STEPS_PER_EPS,
+    under whose left-point rule
 
         X_{s,t} - sigma B_{s,t} = -eps (v_t - v_s),   v = eps^{H-1} y,
 
-    holds on the grid to floating-point accuracy.  Each eps grid is read
-    at the reporting times by linear interpolation, under which the
-    identity still holds.  The reported statistic is the sup over
-    reporting-grid pairs of the replica-L2 error, whose log-log slope
-    against log(1/eps) is H.  Its exact value on these grids,
-    ``exact.kinetic_sup_errors``, is 3-5% above that at 100 steps per eps,
-    a factor that moves the slope by under 3e-4 for H in [0.05, 0.95].  meta
-    carries those exact values, their least-squares slope and the fit's z against
-    it (``harness.slope_z``), the max identity defect, taken from the origin t = 0
-    where X - sigma B and its readings are zero, and the mean Hoelder seminorm at
-    gamma = HOLDER_GAMMA_FACTOR*H with its least-squares slope (``exact.loglog_slope``).
+    holds on the grid to floating-point accuracy.  By self-similarity its
+    readings at t are sigma eps^H times those of the unit-rate (eps = 1)
+    chain on step 1/MIN_STEPS_PER_EPS at t/eps, so one unit-rate chain per
+    replica serves every eps, each with its own law.  After 10 units of
+    burn-in (a memory of e^{-10}), eps i, largest first, reads its own
+    window of t/eps_i units from starts[i] by linear interpolation, under
+    which the identity still holds, and takes X - sigma B from the window's
+    origin.  The windows do not overlap: on a shared one the eps of a
+    commensurate list read the same pairs of the chain, and at H < 1/2,
+    whose sup lies inside the window, their sample sups can come from one
+    pair, exactly proportional, and leave the slope's CI zero wide.
+
+    The reported statistic is the sup over reporting-grid pairs of the
+    replica-L2 error, whose log-log slope against log(1/eps) is H.  Its
+    exact value on these grids, ``exact.kinetic_sup_errors``, is 3-5% above
+    that at 100 steps per eps, a factor that moves the slope by under 3e-4
+    for H in [0.05, 0.95].  meta carries those exact values, their
+    least-squares slope and the fit's z against it (``harness.slope_z``),
+    the max identity defect, taken from the origin t = 0 where X - sigma B
+    and its readings are zero, and the mean Hoelder seminorm at
+    gamma = HOLDER_GAMMA_FACTOR*H on the dyadic lags of ``_holder_seminorms``
+    with its least-squares slope (``exact.loglog_slope``).
 
     The fGN comes from one ``fgn.StationarySampler`` built per scan (at
     its fast 5-smooth length).  Within each replica chunk its row blocks
     are reduced, one after the other, to their (rows, n_eps, 2, n_report)
-    readings.  A block becomes one prefix sum S of B on the master grid;
-    each eps takes its block increments as the differences of the strided
-    view S[lead::b], and B on its main grid is that view itself, so no
-    block sums or scaled copies are formed.  The recursion (unit gain) and
-    one cumulative sum C of y follow; y, C and B are read on the
-    reporting grid first and scaled by sigma after.  So no chunk-sized fGN
-    matrix is built, and every row is the same as from a whole-chunk draw.  The
-    sup over pairs takes the sample second moments d[:, J].T @ d / n a block of
-    rows J at a time (``exact.sup_over_pairs``), and the Hoelder seminorms each
-    pair j < k once, lag by lag, so no (n_report + 1)^2 array is built.
+    readings: one recursion and one cumulative sum of the increments of
+    X - sigma B per block, read by every eps and scaled by sigma eps^H.  So
+    no chunk-sized fGN matrix is built, and every row is the same as from
+    a whole-chunk draw.  The sup over pairs takes the sample second moments
+    d[:, J].T @ d / n a block of rows J at a time (``exact.sup_over_pairs``),
+    so no (n_report + 1)^2 array is built.
     """
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
     if len(eps_arr) < 2:
         raise ValueError("kinetic scan needs at least 2 distinct eps values")
     report_times = grid.times()
-    sigma = fou.stationary_sigma(h)
-    # master spacing: finest dt refined until every eps grid sits on it
-    dt_min = eps_arr[-1] / fou.MIN_STEPS_PER_EPS
-    for k in range(1, 101):
-        dt_master = dt_min / k
-        ratios = eps_arr / fou.MIN_STEPS_PER_EPS / dt_master
-        if np.all(np.abs(ratios - np.round(ratios)) < 1e-9):
-            break
-    else:
-        raise ValueError(
-            f"eps values {eps_arr} have no common refinement within 100x of "
-            "the finest grid; choose commensurate scales"
-        )
-    blocks = [int(round(r)) for r in ratios]
-    n_burn_m = int(round(10.0 * eps_arr[0] / dt_master))
-    # main length: at least ceil(N / b) whole blocks on every eps grid
-    n_steps = int(round(grid.horizon / dt_master))
-    n_main_m = max(b * math.ceil(n_steps / b) for b in blocks)
-    n_total = n_burn_m + n_main_m
+    dt = 1.0 / fou.MIN_STEPS_PER_EPS
+    n_burn = int(round(10.0 / dt))
+    # eps i reads t/eps units of the chain from main point starts[i], after the
+    # burn-in and the windows of the larger eps
+    n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
+    starts = np.cumsum([0] + n_main[:-1])
+    n_total = n_burn + sum(n_main)
     sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h), n_total)
-    reads = [_grid_reader(report_times, b * dt_master) for b in blocks]
+    reads = [_grid_reader(p * dt + report_times / eps, dt) for p, eps in zip(starts, eps_arr)]
+    gains = [fou.stationary_sigma(h) * eps**h for eps in eps_arr]
+    a = math.exp(-dt)
     from scipy.signal import lfilter  # 0.6 s to import: only once the scan is accepted
 
     def readings(dB):
         """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from
-        unit-spacing fGN rows, through the prefix sums S of B on the master grid."""
-        S = np.zeros((len(dB), n_total + 1))
-        np.cumsum(dB[:, :n_total], axis=1, out=S[:, 1:])
-        S *= dt_master**h
-        out = np.empty((len(S), len(eps_arr), 2, len(report_times)))
-        for i, (eps, b, read) in enumerate(zip(eps_arr, blocks, reads)):
-            n_burn = n_burn_m // b
-            a = np.exp(-b * dt_master / eps)
-            # blocks from master point n_burn_m % b, so that main-grid point 0
-            # (master point n_burn_m) is a block edge; y is y^eps / (sigma
-            # eps^-H), y_k the state after the k-th block, and C its left-point
-            # sums on main-grid points 0..n_main
-            y = lfilter([1.0], [1.0, -a], np.diff(S[:, n_burn_m % b :: b]), axis=1)
-            C = np.zeros((len(S), y.shape[1] - n_burn + 1))
-            np.cumsum(y[:, n_burn - 1 : -1], axis=1, out=C[:, 1:])
-            B = read(S[:, n_burn_m::b]) - S[:, n_burn_m, None]
-            out[:, i, 0, :] = sigma * ((1.0 - a) * read(C) - B)
-            out[:, i, 1, :] = sigma * read(y[:, n_burn - 1 :])
+        unit-spacing fGN rows, through the unit-rate chain."""
+        y = lfilter([dt**h], [1.0, -a], dB[:, :n_total], axis=1)
+        # y[:, k] is the chain after step k + 1 and the main grid starts after
+        # n_burn steps; on its points, Y[:, 0] sums the left-point increments
+        # (1 - a) y - dB of X - sigma B and Y[:, 1] is y
+        Y = np.zeros((len(y), 2, n_total - n_burn + 1))
+        np.cumsum((1.0 - a) * y[:, n_burn - 1 : -1] - dt**h * dB[:, n_burn:n_total],
+                  axis=1, out=Y[:, 0, 1:])
+        Y[:, 1] = y[:, n_burn - 1 :]
+        out = np.empty((len(y), len(eps_arr), 2, len(report_times)))
+        for i, (p, gain, read) in enumerate(zip(starts, gains, reads)):
+            r = read(Y)
+            r[:, 0] -= Y[:, 0, p, None]  # X - sigma B from the window's origin
+            out[:, i] = gain * r
         return out
 
     data = run_replicated(

@@ -454,7 +454,7 @@ def test_constants_at_the_boundary_report_c_without_A(tmp_path, H, coeffs, c):
 
 @pytest.mark.parametrize("H", [0.3, 0.7])
 def test_kinetic_scan_non_commensurate_block_lengths(tmp_path, H):
-    # eps grids of 10, 3 and 1 master steps: lengths must split into whole blocks
+    # eps 0.03 reads its window between the unit-rate chain's grid points
     out = tmp_path / "kin"
     assert run(["kinetic-scan", "--H", str(H), "--eps-list", "0.1,0.03,0.01",
                 "--replicas", "50", "--format", "json", "--out", str(out)]) == 0
@@ -464,8 +464,8 @@ def test_kinetic_scan_non_commensurate_block_lengths(tmp_path, H):
 
 
 def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
-    # blocks of 19, 17, 13, 11, 7 and 1 master steps: the lengths stay near
-    # T / dt_master instead of growing to a common multiple of the blocks
+    # six eps with no common grid: one unit-rate chain holds every window,
+    # with no common multiple of their steps
     lengths = []
 
     class Spy(fgn.StationarySampler):
@@ -478,8 +478,8 @@ def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
     assert run(["kinetic-scan", "--H", "0.3", "--eps-list",
                 "0.19,0.17,0.13,0.11,0.07,0.01", "--replicas", "20",
                 "--format", "json", "--out", str(out)]) == 0
-    # 10 * 0.19 of burn-in plus T rounded up to whole 19-step blocks, dt = 1e-3
-    assert set(lengths) == {1900 + 1007}
+    # 10 units of burn-in, then a window of T / eps units per eps, at step 0.1
+    assert set(lengths) == {100 + 53 + 59 + 77 + 91 + 143 + 1000}
     doc = json.loads((tmp_path / "kin.json").read_text())
     assert doc["identity_defect_max"] < 1e-6
     assert len(doc["table"]["rows"]) == 6
@@ -906,8 +906,8 @@ _H_LONG = st.floats(0.55, 0.95)
 _COMMON = {"--seed": st.integers(0, 2**31 - 1), "--format": st.sampled_from(["csv", "json"])}
 _SAMPLING_COMMON = {**_COMMON, "--replicas": st.integers(2, 3)}
 # tiny valid configurations over the benchmark's H range: every fast
-# scale resolved (dt_ratio >= 20 or auto), kinetic lists commensurate, l2-hermite
-# and hermite-sample long range
+# scale resolved (dt_ratio >= 20 or auto), l2-hermite and hermite-sample long
+# range
 CONFIG_SPACES = {
     "sample-fbm": {"--H": _H, "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 16)},
     "sample-fou": {"--H": _H, "--eps": _float(0.05, 1), "--horizon": _float(0.05, 0.3)},
@@ -924,8 +924,7 @@ CONFIG_SPACES = {
                        lambda c: _text([0.0, c])),
                    "--t": _float(0.1, 0.5), "--eps-list": _eps_list(0.1, 0.5, 2)},
     "kinetic-scan": {"--H": _H, "--t": _float(0.1, 0.5),
-                     "--eps-list": st.sampled_from(["0.2,0.1,0.05", "0.1,0.04,0.02",
-                                                    "0.1,0.03,0.02"]),
+                     "--eps-list": _eps_list(0.02, 0.2, 3),
                      "--n-report": st.integers(2, 8)},
     "homogenize": {"--H": _H, "--coeffs": _COEFFS, "--eps": _float(0.05, 0.2),
                    "--t": _float(0.1, 0.3), "--x0": _float(-1, 1),

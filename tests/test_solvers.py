@@ -220,6 +220,25 @@ def test_drift_along_the_field_is_exact_at_any_step_count():
                                   SIN2.phi(dU.sum(axis=0), s0))
 
 
+@pytest.mark.parametrize("name", sorted(solvers.FLOWS))
+def test_drift_along_the_flows_own_field_takes_no_step(name):
+    # h is f: dx = f(x) d(U + V), so x_T = phi(U_T + V_T, s0) with no step;
+    # Heun on 4,000 steps, handed a copy of f, reaches it to its own error
+    flow, n = solvers.FLOWS[name], 4000
+    dU = 0.8 * stream(9, f"commuting-{name}").standard_normal((n, 3)) / np.sqrt(n)
+    closed = solvers.solve_limit_stratonovich(flow, 0.4, flow.f, dU, 0.6 / n)
+    np.testing.assert_array_equal(
+        closed, flow.phi((dU + 0.6 / n).sum(axis=0), flow.coordinate(0.4)))
+    heun = solvers.solve_limit_stratonovich(flow, 0.4, lambda x: flow.f(x), dU, 0.6 / n)
+    np.testing.assert_allclose(closed, heun, rtol=1e-8, atol=1e-12)
+
+
+def test_drift_along_the_field_still_refuses_an_overflow():
+    # x0 e^{U + V} past the float range: with no step, the endpoint guard refuses it
+    with pytest.raises(solvers.BlowUpError, match="at step 10;"):
+        solvers.solve_limit_stratonovich(LINEAR, 1.0, LINEAR.f, np.full((10, 2), 80.0), 0.5)
+
+
 @pytest.mark.parametrize("H", [0.6, 0.7])
 def test_brownian_limit_steps_are_within_1e_4_of_a_fine_solve(H, monkeypatch):
     # the 100 steps of the Brownian limit (He_2, f = sin + 2, h = 1, g = cos)
@@ -612,10 +631,21 @@ def test_kinetic_identity_defect_sees_a_shifted_origin(monkeypatch):
     assert scan.meta["identity_defect_max"] > 1e-6
 
 
-def test_kinetic_incommensurate_scales_rejected():
-    grid = TimeGrid(1.0, 10)
-    with pytest.raises(ValueError, match="common refinement"):
-        solvers.kinetic_error_scan(0.5, [0.1, 0.1 / np.pi], grid, 10, 0)
+def test_kinetic_incommensurate_scales_run():
+    # 0.1 and 0.1 / pi have no common grid; both read one unit-rate chain
+    scan = solvers.kinetic_error_scan(0.5, [0.1, 0.1 / np.pi], TimeGrid(1.0, 10), 200, 0)
+    assert scan.meta["identity_defect_max"] <= 1e-12
+    assert abs(scan.meta["slope_z"]) <= 3.0
+
+
+@pytest.mark.parametrize("seed", [4, 18, 20, 48])
+def test_kinetic_eps_windows_share_no_pair(seed):
+    # at H 0.3 the sup sits inside the window; had 0.1 and 0.05 shared one
+    # window, these seeds' sample sups would come from one pair of the chain,
+    # exactly proportional, with a CI of zero (or NaN) width
+    scan = solvers.kinetic_error_scan(0.3, [0.1, 0.05], TimeGrid(1.0, 50), 150, seed)
+    assert scan.slope_ci[1] - scan.slope_ci[0] > 0.05
+    assert abs(scan.meta["slope_z"]) <= 3.0
 
 
 def test_kinetic_read_interpolates_between_grid_points():
@@ -632,66 +662,58 @@ def test_kinetic_read_interpolates_between_grid_points():
     assert np.array_equal(solvers._grid_reader(on, 1.0 / 200)(vals), vals[:, ::10])
 
 
-def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="prefix"):
+def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="unit"):
     """Readings of kinetic_error_scan drawn the whole-chunk way, as a reference.
 
     Each 250-replica chunk samples its whole fGN matrix in one batch and
     reduces it eps by eps; returns the (replicas, n_eps, 2, n_report)
-    array of X - sigma B and eps v.  ``reduction="prefix"`` reads every
-    eps grid off one prefix sum of B, as the scan does; ``"blocks"`` is
-    the independent long way: block sums of the scaled increments by
-    reshape, B and X by their own cumulative sums, scaled before they
-    are read.
+    array of X - sigma B and eps v.  ``reduction="unit"`` reads every eps
+    off its window of one unit-rate chain at times / eps, as the scan does;
+    ``"own"`` is the independent long way: each eps runs its own chain, with
+    gain sigma / eps^H on its own grid of step eps / MIN_STEPS_PER_EPS up to
+    the end of its window, and its own B and X from the window's start by
+    cumulative sums, read at the reporting times.
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     sigma = fou.stationary_sigma(H)
-    dt_ratio = fou.MIN_STEPS_PER_EPS
-    dt_min = eps_arr[-1] / dt_ratio
-    for k in range(1, 101):
-        dt_master = dt_min / k
-        ratios = eps_arr / dt_ratio / dt_master
-        if np.all(np.abs(ratios - np.round(ratios)) < 1e-9):
-            break
-    blocks = [int(round(r)) for r in ratios]
-    n_burn_m = int(round(10.0 * eps_arr[0] / dt_master))
-    n_steps = int(round(grid.horizon / dt_master))
-    n_total = n_burn_m + max(b * math.ceil(n_steps / b) for b in blocks)
+    dt = 1.0 / fou.MIN_STEPS_PER_EPS
+    n_burn = int(round(10.0 / dt))
+    n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
+    starts = np.cumsum([0] + n_main[:-1])
+    n_total = n_burn + sum(n_main)
     sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, H), n_total)
-    times = grid.times()
+    times, a = grid.times(), np.exp(-dt)
 
-    def prefix(dB, eps, b, a, dt, n_burn):
-        S = np.concatenate([np.zeros((len(dB), 1)), np.cumsum(dB, axis=1)], axis=1)
-        S *= dt_master**H
-        y = lfilter([1.0], [1.0, -a], np.diff(S[:, n_burn_m % b :: b]), axis=1)
-        C = np.concatenate([np.zeros((len(S), 1)),
-                            np.cumsum(y[:, n_burn - 1 : -1], axis=1)], axis=1)
-        read = solvers._grid_reader(times, dt)
-        B = read(S[:, n_burn_m::b]) - S[:, n_burn_m, None]
-        return (sigma * ((1.0 - a) * read(C) - B), sigma * read(y[:, n_burn - 1 :]))
+    def unit(dB, eps, p, n):
+        y = lfilter([dt**H], [1.0, -a], dB, axis=1)
+        Y = np.zeros((len(dB), 2, n_total - n_burn + 1))
+        np.cumsum((1.0 - a) * y[:, n_burn - 1 : -1] - dt**H * dB[:, n_burn:],
+                  axis=1, out=Y[:, 0, 1:])
+        Y[:, 1] = y[:, n_burn - 1 :]
+        r = solvers._grid_reader(p * dt + times / eps, dt)(Y)
+        r[:, 0] -= Y[:, 0, p, None]
+        out = sigma * eps**H * r
+        return out[:, 0], out[:, 1]
 
-    def block_sums(dB, eps, b, a, dt, n_burn):
-        lead = n_burn_m % b
-        n_blocks = (n_total - lead) // b
-        agg = (dB[:, lead : lead + b * n_blocks] * dt_master**H).reshape(
-            len(dB), -1, b).sum(axis=2)
-        y = lfilter([sigma / eps**H], [1.0, -a], agg, axis=1)
-        y_main = y[:, n_burn - 1 :]
+    def own(dB, eps, p, n):
+        dB_eps = dB * (eps * dt) ** H
+        first = n_burn + p  # the window's first step
+        y = lfilter([sigma / eps**H], [1.0, -a], dB_eps[:, : first + n], axis=1)
+        y_main = y[:, first - 1 :]
         B_main = np.concatenate(
-            [np.zeros((len(dB), 1)), np.cumsum(agg[:, n_burn:], axis=1)], axis=1)
+            [np.zeros((len(dB), 1)), np.cumsum(dB_eps[:, first : first + n], axis=1)], axis=1)
         X = eps**H * (1.0 - a) * np.concatenate(
             [np.zeros((len(dB), 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1)
-        read = solvers._grid_reader(times, dt)
+        read = solvers._grid_reader(times, eps * dt)
         return read(X - sigma * B_main), read(eps**H * y_main)
 
-    read = {"prefix": prefix, "blocks": block_sums}[reduction]
+    read = {"unit": unit, "own": own}[reduction]
 
     def make_chunk(chunk_keys):
         dB = sampler.batch(chunk_keys)[:, :n_total]
         out = np.empty((len(dB), len(eps_arr), 2, len(times)))
-        for i, (eps, b) in enumerate(zip(eps_arr, blocks)):
-            dt = b * dt_master
-            out[:, i, 0, :], out[:, i, 1, :] = read(dB, eps, b, np.exp(-dt / eps), dt,
-                                                    n_burn_m // b)
+        for i, (eps, p, n) in enumerate(zip(eps_arr, starts, n_main)):
+            out[:, i, 0, :], out[:, i, 1, :] = read(dB, eps, p, n)
         return out
 
     return harness.run_replicated(n_replicas, seed, "kinetic", make_chunk)
@@ -699,8 +721,8 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="pr
 
 KINETIC_EPS_LISTS = [
     [0.1, 0.05, 0.02, 0.01],   # the CLI default
-    [0.1, 0.03, 0.01],         # blocks of 10, 3 and 1 master steps
-    [0.07, 0.05, 0.03],        # coprime blocks of 7, 5 and 3
+    [0.1, 0.03, 0.01],         # eps 0.03 reads between unit-rate grid points
+    [0.07, 0.05, 0.03],        # and so do 0.07 and 0.03, with no common grid
 ]
 
 
@@ -727,7 +749,8 @@ def test_streamed_kinetic_scan_matches_whole_chunk_reference(eps_list, monkeypat
 
 
 def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
-    # the scan and its whole-chunk reference both take dt = eps / MIN_STEPS_PER_EPS
+    # the scan and its whole-chunk reference both run the unit-rate chain on
+    # step 1 / MIN_STEPS_PER_EPS, which is dt = eps / MIN_STEPS_PER_EPS for every eps
     monkeypatch.setattr(fou, "MIN_STEPS_PER_EPS", 20.0)
     lengths, captured = [], []
     sampler, run = fgn.StationarySampler, solvers.run_replicated
@@ -746,17 +769,18 @@ def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
     grid, eps_list = TimeGrid(1.0, 20), [0.1, 0.05]
     ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 20, 45)
     solvers.kinetic_error_scan(0.7, eps_list, grid, 20, 45)
-    # 10 * 0.1 of burn-in and a unit horizon at dt = 0.05 / 20
+    # 10 units of burn-in and windows of 1 / 0.1 and 1 / 0.05 units at step 1 / 20
     assert lengths == [800, 800]
     np.testing.assert_array_equal(captured[0], ref)
 
 
 @pytest.mark.parametrize("eps_list", KINETIC_EPS_LISTS)
 def test_prefix_sum_readings_match_block_sums(eps_list):
-    # the scan's prefix-sum readings against block sums by reshape, on the
-    # same draws: equal to rounding, with the on-grid identity intact
+    # the scan's readings off one unit-rate chain against each eps's own
+    # chain on its own grid, on the same draws: equal to rounding (self-
+    # similarity), with the on-grid identity intact
     grid = TimeGrid(1.0, 20)
-    ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 30, 43, reduction="blocks")
+    ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 30, 43, reduction="own")
     new = _whole_chunk_kinetic_data(0.7, eps_list, grid, 30, 43)
     np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12 * np.max(np.abs(new)))
     scan = solvers.kinetic_error_scan(0.7, eps_list, grid, 30, 43)
@@ -764,10 +788,10 @@ def test_prefix_sum_readings_match_block_sums(eps_list):
 
 
 def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
-    # one 250-replica chunk of 2,000-step fGN is 4 MB, and the whole-chunk
+    # one 250-replica chunk of 1,900-step fGN is 3.8 MB, and the whole-chunk
     # reduction held about a dozen arrays of that size (221 MB traced at
     # 400 replicas on the 20,000-step grid of 100 steps per eps); streamed,
-    # only row blocks are held (5.3 MB traced)
+    # only row blocks are held (5.8 MB traced)
     tracemalloc.start()
     try:
         solvers.kinetic_error_scan(0.7, [0.1, 0.05, 0.02, 0.01], TimeGrid(1.0, 50), 400, 3)
@@ -778,16 +802,19 @@ def test_kinetic_scan_memory_stays_below_a_chunk_matrix():
 
 
 def _broadcast_holder_seminorms(d, times, gam):
-    """Each replica's Hoelder seminorm over all ordered pairs and the
-    diagonal, by one (replicas, n_report, n_report) broadcast, as a reference."""
-    lag = np.abs(times[:, None] - times[None, :])
-    np.fill_diagonal(lag, np.inf)
-    return np.max(np.abs(d[:, :, None] - d[:, None, :]) / lag**gam, axis=(1, 2))
+    """Each replica's Hoelder seminorm over the ordered pairs at dyadic index
+    lags 1, 2, 4, ..., by one (replicas, n_report, n_report) broadcast with
+    every other pair masked out, as a reference."""
+    idx = np.arange(len(times))
+    lag = np.abs(idx[:, None] - idx[None, :])
+    span = np.where((lag > 0) & (lag & (lag - 1) == 0),
+                    np.abs(times[:, None] - times[None, :]), np.inf)
+    return np.max(np.abs(d[:, :, None] - d[:, None, :]) / span**gam, axis=(1, 2))
 
 
 def _pairwise_statistics(data, times, h):
-    """sup pair L2 error and mean Hoelder seminorm per eps, from the full
-    (replicas, n_report, n_report) pairwise arrays, as a reference."""
+    """sup pair L2 error and mean dyadic-lag Hoelder seminorm per eps, from
+    the full (replicas, n_report, n_report) pairwise arrays, as a reference."""
     sup, holder = [], []
     for i in range(data.shape[1]):
         d = data[:, i, 0, :]
@@ -852,9 +879,8 @@ def test_kinetic_scan_blocked_sup_equals_the_gram_form(n_report, eps_list, monke
 
 @pytest.mark.parametrize("H, n_report", [(0.3, 50), (0.7, 1), (0.7, 7)])
 def test_kinetic_holder_seminorms_equal_the_broadcast_form(H, n_report, monkeypatch):
-    # each pair j < k once, lag by lag, against every ordered pair and the
-    # diagonal at once, bit for bit: on the scan's readings and its mean,
-    # and on a non-uniform grid
+    # each dyadic lag once, against the masked pairs all at once, bit for
+    # bit: on the scan's readings and its mean, and on a non-uniform grid
     grid = TimeGrid(1.0, n_report)
     captured = []
     run = solvers.run_replicated
