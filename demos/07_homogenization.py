@@ -11,8 +11,7 @@ of alpha G(y^eps).  With a drift h(x) g(y) both sides of
 dx = f(x) dU + h(x) dV are solved by one Heun scheme in f's flow coordinates.
 The fOU is sampled on the coarsest grid whose exact trapezoid bias fits
 the run's replica count (``exact.resolve_dt_ratio``): dt = eps/5 at H 0.6
-and eps/2 at H 0.85 here.  A drift would step Heun on that grid, which
-must then resolve the fast scale, dt <= eps/10.
+and eps/2 at H 0.85 here.  A drift would step Heun on the same grid.
 """
 
 from scipy import stats

@@ -252,6 +252,9 @@ def crit_8_l2_coupled(seed, suite, threads=1) -> CriterionResult:
         "distances": scan.values,
         "monotone": scan.meta["monotone_decreasing"],
         "halving": scan.values[-1] < 0.5 * scan.values[0],
+        # the exact coupled distances of He_1 and each sampled one's z, not gated
+        "exact_values": scan.meta["exact_values"],
+        "exact_z": scan.meta["exact_z"],
     }
     passed = bool(details["monotone"] and details["halving"])
     return CriterionResult(8, "coupled L2 convergence to the Hermite limit",

@@ -257,6 +257,9 @@ def _cmd_l2_hermite(args) -> int:
         # rank of the far field's noise and the part of its Gram's trace dropped
         "far_rank": scan.meta["far_rank"],
         "far_gram_dropped": scan.meta["far_gram_dropped"],
+        # for linear G: the exact distances and each sampled one's z (not gated)
+        "exact_values": scan.meta.get("exact_values"),
+        "exact_z": scan.meta.get("exact_z"),
         "pass": bool(scan.meta["monotone_decreasing"]
                      and scan.values[-1] < 0.5 * scan.values[0]),
     }
@@ -300,7 +303,7 @@ def _cmd_homogenize(args) -> int:
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
     resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas,
-                                           _dt_ratio(args), stepped=None not in (h, g))
+                                           _dt_ratio(args))
     endpoints, limit = solvers.homogenize(
         G, args.H, args.eps, solvers.FLOWS[args.f], h, g, args.replicas, args.seed,
         args.t, args.x0, resolution["dt_ratio"], args.threads,
@@ -441,8 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", choices=sorted(solvers.FLOWS), default="sin2")
     sp.add_argument("--hfun", choices=sorted(solvers.FLOWS), default="zero")
     sp.add_argument("--gfun", choices=sorted(_G_PRESETS), default="zero")
-    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=(
-        f"{_DT_RATIO_HELP}; with a drift, at least {fou.MIN_STEPS_PER_EPS:g}"))
+    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
 
     # the gate runs from the pinned suite seed unless explicitly overridden
     sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED, hurst=False)

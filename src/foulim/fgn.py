@@ -116,16 +116,19 @@ def _embedding_eigenvalues(acov, n: int) -> tuple[int, np.ndarray]:
 
 
 class StationarySampler:
-    """Stationary Gaussian sequences of n + 1 values from one circulant embedding.
+    """Stationary Gaussian sequences from one circulant embedding of at least n lags.
 
-    ``acov`` maps an integer lag array 0..m to the autocovariance there;
-    it is read on lags 0..n, and beyond when the embedding is doubled.
-    The embedding is computed, and its errors raised, once on
-    construction; every call of ``blocks`` or ``batch`` then draws one
-    row per Philox key in the (rows, 2) array ``keys`` and in its order,
-    exact in law.  Each row consumes exactly 2m standard normals from its
-    own stream (m the embedding half-length, which depends on acov and n
-    only), so results are independent of batching and blocking.
+    ``acov`` maps an integer lag array 0..m to the autocovariance there, m
+    the embedding half-length, which covers max(n, length / 2) lags.  A row
+    is the first ``length`` values (default n + 1) of one period of 2m, in
+    which any m + 1 consecutive values have the exact Toeplitz covariance
+    (Dietrich & Newsam, SIAM J. Sci. Comput. 18 (1997)): every n + 1
+    consecutive values of a row are exact in law.  The embedding is
+    computed, and its errors raised, once on construction; every call of
+    ``blocks`` or ``batch`` then draws one row per Philox key in the
+    (rows, 2) array ``keys`` and in its order.  Each row consumes exactly
+    2m standard normals from its own stream (m depends on acov, n and
+    length only), so results are independent of batching and blocking.
 
     Of the Hermitian spectrum W of length 2m only W[0..m] is assembled,
     and its real-output FFT is taken: ``np.fft.hfft(W, n=2m)``, which
@@ -134,14 +137,14 @@ class StationarySampler:
     assembled in place and transformed directly, bit for bit as hfft.
     """
 
-    def __init__(self, acov, n: int):
+    def __init__(self, acov, n: int, length: int | None = None):
         if n < 1:
             raise ValueError("need n >= 1 lags")
-        self.n = n
-        self.m, self.lam = _embedding_eigenvalues(acov, n)
+        self.length = n + 1 if length is None else length
+        self.m, self.lam = _embedding_eigenvalues(acov, max(n, (self.length + 1) // 2))
 
     def blocks(self, keys):
-        """An iterator of (rows, n + 1) blocks, BLOCK_BYTES of normals each.
+        """An iterator of (rows, length) blocks, BLOCK_BYTES of normals each.
 
         Rows are drawn as it is consumed, through two buffers (normals,
         half spectrum) of its own, so concurrent calls share only lam.
@@ -157,7 +160,7 @@ class StationarySampler:
             yield self._rows_from_normals(normals(block, raw[:k]), W_conj[:k])
 
     def _rows_from_normals(self, raw: np.ndarray, W_conj: np.ndarray) -> np.ndarray:
-        """The engine's linear map: (k, 2m) standard normals to (k, n + 1) rows.
+        """The engine's linear map: (k, 2m) standard normals to (k, length) rows.
 
         W_conj is a (k, m + 1) complex buffer that receives conj(W); the
         FFT then writes over ``raw`` (twice as fast at m = 20000 as into a
@@ -171,11 +174,11 @@ class StationarySampler:
         W_conj.imag[:, [0, m]] = 0.0
         np.multiply(half, raw[:, 2 : m + 1], out=W_conj.real[:, 1:m])
         np.multiply(-half, raw[:, m + 1 : size], out=W_conj.imag[:, 1:m])
-        return np.fft.irfft(W_conj, n=size, axis=1, norm="forward", out=raw)[:, : self.n + 1]
+        return np.fft.irfft(W_conj, n=size, axis=1, norm="forward", out=raw)[:, : self.length]
 
     def batch(self, keys) -> np.ndarray:
-        """All rows of ``blocks(keys)`` in one (len(keys), n + 1) array."""
-        out = np.empty((len(keys), self.n + 1))
+        """All rows of ``blocks(keys)`` in one (len(keys), length) array."""
+        out = np.empty((len(keys), self.length))
         start = 0
         for block in self.blocks(keys):
             out[start : start + len(block)] = block

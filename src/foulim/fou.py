@@ -45,7 +45,7 @@ __all__ = [
     "path_sampler",
 ]
 
-# a solver stepped on a sampled grid needs dt <= eps / MIN_STEPS_PER_EPS
+# the kinetic scan's exponential-Euler chain takes this many steps per unit of eps
 MIN_STEPS_PER_EPS = 10.0
 
 # rho switches from its closed form to the asymptotic series at this lag
@@ -189,19 +189,6 @@ def rho_power_integral(m: int, H, s_max: float = 1000.0) -> float:
     return head + tail
 
 
-def _resolves(dt: float, eps: float) -> bool:
-    """Whether a step dt resolves the relaxation time: dt <= eps / MIN_STEPS_PER_EPS."""
-    return dt <= eps / MIN_STEPS_PER_EPS * (1.0 + 1e-12)
-
-
-def _check_resolution(dt: float, eps: float):
-    if not _resolves(dt, eps):
-        raise ValueError(
-            f"under-resolved fast scale: dt={dt:.3g} > eps/{MIN_STEPS_PER_EPS:.0f}"
-            f"={eps / MIN_STEPS_PER_EPS:.3g}, too coarse to resolve the fast scale"
-        )
-
-
 def path_sampler(grid: TimeGrid, H, eps) -> fgn.StationarySampler:
     """The sampler of stationary fOU paths of (H, eps) on the grid, its embedding computed once.
 
@@ -209,8 +196,7 @@ def path_sampler(grid: TimeGrid, H, eps) -> fgn.StationarySampler:
     with autocovariance rho(k dt/eps), exact in law at any step, one per
     row of a ``streams.keys`` array: ``blocks(keys)`` hands them over in
     row blocks, for callers that reduce each block before taking the next,
-    and ``batch(keys)`` in one matrix.  A solver stepped on the grid checks
-    its resolution itself (``_check_resolution``).
+    and ``batch(keys)`` in one matrix.
     """
     h, eps = as_hurst(H), as_eps(eps)
     step = grid.dt / eps

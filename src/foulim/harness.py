@@ -147,7 +147,9 @@ def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray,
     logs (delta method); the weights are w = 1 / C_ii.  The slope is c^T log(v),
     c = w (x - x_w) / D, D = sum w (x - x_w)^2, so under a normal error model
     the CI is slope -+ ndtri(0.975) sqrt(c^T C c) (1/D for independent values):
-    what a parametric bootstrap of the fit estimates by sampling.  No BLAS call.
+    what a parametric bootstrap of the fit estimates by sampling.  c^T C c is
+    clipped at 0, where rounding can take it for exactly proportional values:
+    their CI has zero width.  No BLAS call.
     """
     x = np.log(np.asarray(inv_eps, dtype=float))
     v = np.asarray(values, dtype=float)
@@ -162,7 +164,7 @@ def fit_loglog_slope(inv_eps: np.ndarray, values: np.ndarray,
     D = np.sum(w * (x - xm) ** 2)
     slope = float(np.sum(w * (x - xm) * (y - ym)) / D)
     c = w * (x - xm) / D
-    half = float(_Z975 * np.sqrt(np.sum(c[:, None] * C * c)))
+    half = float(_Z975 * np.sqrt(max(0.0, np.sum(c[:, None] * C * c))))
     return slope, (slope - half, slope + half)
 
 
@@ -375,6 +377,15 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     cell is cut off, so every fOU row has unit variance to the midpoint
     rule's accuracy.  The kernels are projected together a block of noise
     rows at a time (``hermite._projections``) and freed on return.
+
+    A kernel whose rows are read only through a weighted sum is contracted
+    to that one row as soon as it is built (``_CellKernel.contract``): the
+    limit's when m = 1, Z_t = dt K sum_s u_s, and each fOU kernel when
+    G = c_1 He_1, X^eps its trapezoid sum times c_1 eps^{H*-1}.  For such
+    a G, X^eps - lambda Z_t is one linear functional of the noise, whose
+    norm (its far part on the stacked far factor's r normals) is the exact
+    distance: meta["exact_values"], with each sampled distance's z against
+    it in meta["exact_z"].
     """
     h = as_hurst(H)
     m = G.hermite_rank
@@ -389,32 +400,46 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
         raise ValueError("L2 Hermite scan needs at least 2 distinct eps values")
     fine = TimeGrid.with_step(t, eps_arr[-1] / L2_DT_RATIO)
     n_fine, hs = fine.n_steps, regime.h_star
+    K = chaos.K_normalizer(hs, m)
+    z_scale = fine.dt * K / math.factorial(m)
     kernels = [hermite._kernel(fine, hs, m)]  # a fine grid too large to hold fails here
+    if m == 1:  # Z_t = dt K sum_s u_s reads the sum of the limit's rows alone
+        kernels[0] = kernels[0].contract(np.ones(n_fine))
+    linear = m == 1 and not np.any(G.coefficients[2:])
     strides = [next((k for k in range(min(n_fine, int(b / fine.dt) + 1), 0, -1)
                      if n_fine % k == 0 and k * fine.dt <= b), 1)
                for b in eps_arr / L2_DT_RATIO * (1.0 + 1e-12)]
-    kernels += [hermite._fou_kernel(fine, h, eps, r) for eps, r in zip(eps_arr, strides)]
+    for eps, r in zip(eps_arr, strides):
+        kernels.append(hermite._fou_kernel(fine, h, eps, r))
+        if linear:  # X^eps is the trapezoid sum of the rows times c_1 and eps^{H*-1}
+            w = np.full(n_fine // r + 1, G.coefficients[1] * fine.horizon / (n_fine // r)
+                        * eps ** (hs - 1.0))
+            w[[0, -1]] *= 0.5
+            kernels[-1] = kernels[-1].contract(w)
     var_lim = kernels[0].variances()
     far = np.concatenate([kern.far for kern in kernels])
     far_factor, far_dropped = hermite._far_factor(far @ far.T)
-    K = chaos.K_normalizer(hs, m)
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
 
     def make_chunk(chunk_keys):
         out = np.empty((len(chunk_keys), len(eps_arr)))
         for start, (u, *ys) in hermite._projections(chunk_keys, kernels, far_factor):
-            Z_t = hermite._wick_power(u, var_lim, m).sum(axis=1) * fine.dt * K / math.factorial(m)
+            Z_t = hermite._wick_power(u, var_lim, m).sum(axis=1) * z_scale
             for i, (y, eps, r) in enumerate(zip(ys, eps_arr, strides)):
-                X = functional_values(G, y, fine.horizon / (n_fine // r), eps ** (hs - 1.0))
+                X = y[:, 0] if linear else functional_values(
+                    G, y, fine.horizon / (n_fine // r), eps ** (hs - 1.0))
                 out[start : start + len(u), i] = (X - lam * Z_t) ** 2
         return out
 
     sq = run_replicated(n_replicas, master_seed, "l2-noise", make_chunk, threads)
     dists = np.array([np.sqrt(fsum_mean(col)) for col in sq.T])
     se = 0.5 * np.std(sq, axis=0, ddof=1) / np.sqrt(n_replicas) / dists
-    monotone = bool(np.all(np.diff(dists) < 0))
-    return ScanResult(
-        eps_arr, dists, se, n_replicas,
-        meta={"monotone_decreasing": monotone, "limit_coefficient": lam, "h_star": hs,
-              "far_rank": far_factor.shape[1], "far_gram_dropped": far_dropped},
-    )
+    meta = {"monotone_decreasing": bool(np.all(np.diff(dists) < 0)), "limit_coefficient": lam,
+            "h_star": hs, "far_rank": far_factor.shape[1], "far_gram_dropped": far_dropped}
+    if linear:
+        cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
+        v = [np.concatenate([kern.near[0], kern.P[0] @ far_factor[a:b]])
+             for kern, a, b in zip(kernels, cuts, cuts[1:])]
+        exact_dists = np.array([np.linalg.norm(v_eps - lam * z_scale * v[0]) for v_eps in v[1:]])
+        meta.update(exact_values=exact_dists, exact_z=(dists - exact_dists) / se)
+    return ScanResult(eps_arr, dists, se, n_replicas, meta=meta)

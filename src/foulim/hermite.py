@@ -107,6 +107,11 @@ class _CellKernel(NamedTuple):
         PG = self.P @ (self.far @ self.far.T)
         return np.einsum("ij,ij->i", self.near, self.near) + np.einsum("ij,ij->i", PG, self.P)
 
+    def contract(self, w: np.ndarray) -> "_CellKernel":
+        """The one-row kernel w M, whose projection is the w-weighted sum of M's
+        rows' projections: (w near, far, w P)."""
+        return _CellKernel((w @ self.near)[None], self.far, (w @ self.P)[None])
+
 
 def _far_nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x, the ``_FAR_NODES`` Chebyshev points of the second kind on

@@ -17,13 +17,13 @@ solver's own grid, built row block by row block from the fOU sampler.
 On the limit side dU = c dW in the short-range regime and c dZ^{H*,m} (a
 Hermite process, H* > 1/2) in the long-range one, and dV = g_bar dt.
 ``homogenize`` is the one place that samples both sides, every replica's
-driver drawn from its own keyed stream inside a ``run_replicated`` chunk.
-The drift path and the kinetic scan step on the sampled grid, so both
-keep dt <= eps/fou.MIN_STEPS_PER_EPS.  The kinetic scan reads every eps
-off one unit-rate chain per replica (self-similarity), row block by row
-block like ``harness``'s scans; the exact covariance of its chain
-(``exact.kinetic_chain_autocovariance``) shows that a finer grid moves
-the slope it fits by less than 3e-4.
+driver drawn from its own keyed stream inside a ``run_replicated`` chunk,
+on the grid of ``exact.resolve_dt_ratio`` with or without a drift.  The
+kinetic scan steps its chain at dt = eps/fou.MIN_STEPS_PER_EPS and reads
+every eps off one unit-rate chain per replica (self-similarity), row
+block by row block like ``harness``'s scans; the exact covariance of its
+chain (``exact.kinetic_chain_autocovariance``) shows that a finer grid
+moves the slope it fits by less than 3e-4.
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
     dt = eps / dt_ratio.  The system is dx = f(x) dU + h(x) dV with
     U = alpha int G(y^eps) and V = int g(y^eps), whose trapezoid increments
     are written time-major, row block by row block of the sampler, into one
-    chunk's (n_steps, rows) arrays for ``solve_limit_stratonovich``, on a
-    grid that must resolve the fast scale (``fou._check_resolution``).
+    chunk's (n_steps, rows) arrays for ``solve_limit_stratonovich``.
     With h None x_t = phi(U_t, s0) at the trapezoid integral U_t that
     ``harness._fou_endpoint_samples`` reduces each row block to, on any grid.
     """
@@ -174,7 +173,6 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
                                           alpha, threads)
         return solve_limit_stratonovich(f, x0, None, u[None], 0.0)
     grid = TimeGrid.with_step(t, eps / dt_ratio)
-    fou._check_resolution(grid.dt, eps)
     sampler = fou.path_sampler(grid, H, eps)
 
     def solve_chunk(chunk_keys):
@@ -241,9 +239,9 @@ def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: f
     dt = eps / dt_ratio from streams (master_seed, "slowfast", i) by
     ``_slow_fast_endpoints``.  dt_ratio None takes the coarsest unbiased
     ratio of ``exact.resolve_dt_ratio`` for G and n_replicas (eps/5 for He_2
-    at H 0.6 and eps/2 at 0.85, eps 0.02, 600 replicas); with a drift, the
-    coarsest of at least fou.MIN_STEPS_PER_EPS, where Heun's own error is
-    2e-6 relative at H 0.6.  The limit dx = f(x) dU + g_bar h(x) dt,
+    at H 0.6 and eps/2 at 0.85, eps 0.02, 600 replicas), with a drift too:
+    Heun stepped on that grid's trapezoid increments moves the variance by
+    under 1e-5 relative there, far inside the budget.  The limit dx = f(x) dU + g_bar h(x) dt,
     g_bar = E g(N(0, 1)), is sampled by ``_limit_endpoints`` from
     master_seed + 1.  Both sides are solved in f's flow coordinates; h or g
     None means no drift, and each side is phi(U_t, s0) at its driver.
@@ -252,8 +250,7 @@ def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: f
     if h is None or g is None:
         h = g = None
     if dt_ratio is None:
-        dt_ratio = exact.resolve_dt_ratio(G, H, t, [eps], n_replicas,
-                                          stepped=h is not None)[0]["dt_ratio"]
+        dt_ratio = exact.resolve_dt_ratio(G, H, t, [eps], n_replicas)[0]["dt_ratio"]
     x_eps = _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n_replicas, master_seed,
                                  dt_ratio, threads)
     g_bar = 0.0 if g is None else chaos.gaussian_expectation(g)
@@ -318,8 +315,13 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     gamma = HOLDER_GAMMA_FACTOR*H on the dyadic lags of ``_holder_seminorms``
     with its least-squares slope (``exact.loglog_slope``).
 
-    The fGN comes from one ``fgn.StationarySampler`` built per scan (at
-    its fast 5-smooth length).  Within each replica chunk its row blocks
+    The fGN comes from one ``fgn.StationarySampler`` built per scan, whose
+    embedding covers only the longest window with the burn-in before it
+    (at its fast 5-smooth length); each row, the burn-in and every window,
+    is read off one circulant period (2,250 normals for the default list,
+    not 3,840), so each window is exact in law with its burn-in, and the
+    slope CI's empirical covariance takes in how the windows covary.
+    Within each replica chunk its row blocks
     are reduced, one after the other, to their (rows, n_eps, 2, n_report)
     readings: one recursion and one cumulative sum of the increments of
     X - sigma B per block, read by every eps and scaled by sigma eps^H.  So
@@ -340,7 +342,9 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
     starts = np.cumsum([0] + n_main[:-1])
     n_total = n_burn + sum(n_main)
-    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h), n_total)
+    # a window and the burn-in before it are exact in law on one row of a shorter period
+    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h),
+                                    n_burn + max(n_main) - 1, n_total)
     reads = [_grid_reader(p * dt + report_times / eps, dt) for p, eps in zip(starts, eps_arr)]
     gains = [fou.stationary_sigma(h) * eps**h for eps in eps_arr]
     a = math.exp(-dt)
@@ -349,12 +353,12 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     def readings(dB):
         """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from
         unit-spacing fGN rows, through the unit-rate chain."""
-        y = lfilter([dt**h], [1.0, -a], dB[:, :n_total], axis=1)
+        y = lfilter([dt**h], [1.0, -a], dB, axis=1)
         # y[:, k] is the chain after step k + 1 and the main grid starts after
         # n_burn steps; on its points, Y[:, 0] sums the left-point increments
         # (1 - a) y - dB of X - sigma B and Y[:, 1] is y
         Y = np.zeros((len(y), 2, n_total - n_burn + 1))
-        np.cumsum((1.0 - a) * y[:, n_burn - 1 : -1] - dt**h * dB[:, n_burn:n_total],
+        np.cumsum((1.0 - a) * y[:, n_burn - 1 : -1] - dt**h * dB[:, n_burn:],
                   axis=1, out=Y[:, 0, 1:])
         Y[:, 1] = y[:, n_burn - 1 :]
         out = np.empty((len(y), len(eps_arr), 2, len(report_times)))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 
-def engine_covariance(acov, n):
-    """Exact covariance of fgn.StationarySampler(acov, n) output.
+def engine_covariance(acov, n, length=None):
+    """Exact covariance of fgn.StationarySampler(acov, n, length) output.
 
     The engine maps each row's 2m standard normals linearly to its
     values; applied to the identity block, that map returns its own
@@ -13,7 +13,7 @@ def engine_covariance(acov, n):
     """
     from foulim import fgn
 
-    sampler = fgn.StationarySampler(acov, n)
+    sampler = fgn.StationarySampler(acov, n, length)
     size = 2 * sampler.m
     A = sampler._rows_from_normals(np.eye(size), np.empty((size, sampler.m + 1), dtype=complex))
     return A.T @ A

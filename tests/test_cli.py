@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fbm_paths, slope_se, tilt_exact_slopes
-from foulim import acceptance, chaos, cli, fgn, fou, harness, hermite, output, solvers
+from foulim import acceptance, chaos, cli, exact, fgn, fou, harness, hermite, output, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -469,17 +469,18 @@ def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
     lengths = []
 
     class Spy(fgn.StationarySampler):
-        def __init__(self, acov, n):
-            lengths.append(n)
-            super().__init__(acov, n)
+        def __init__(self, acov, n, length):
+            lengths.append((n, length))
+            super().__init__(acov, n, length)
 
     monkeypatch.setattr(fgn, "StationarySampler", Spy)
     out = tmp_path / "kin"
     assert run(["kinetic-scan", "--H", "0.3", "--eps-list",
                 "0.19,0.17,0.13,0.11,0.07,0.01", "--replicas", "20",
                 "--format", "json", "--out", str(out)]) == 0
-    # 10 units of burn-in, then a window of T / eps units per eps, at step 0.1
-    assert set(lengths) == {100 + 53 + 59 + 77 + 91 + 143 + 1000}
+    # 10 units of burn-in, then a window of T / eps units per eps, at step 0.1;
+    # each window is exact with the burn-in before it, 100 + 1000 values
+    assert set(lengths) == {(100 + 1000 - 1, 100 + 53 + 59 + 77 + 91 + 143 + 1000)}
     doc = json.loads((tmp_path / "kin.json").read_text())
     assert doc["identity_defect_max"] < 1e-6
     assert len(doc["table"]["rows"]) == 6
@@ -675,13 +676,20 @@ def test_homogenize_explicit_coarse_dt_ratio_without_drift_runs(tmp_path):
     assert doc["bias_budget_met"] is True and len(doc["trapezoid_bias"]) == 1
 
 
-def test_homogenize_explicit_coarse_dt_ratio_with_drift_exits_2(tmp_path, capsys):
-    # Heun is stepped on the sampled grid, which must resolve the fast scale
+def test_homogenize_explicit_coarse_dt_ratio_with_drift_runs(tmp_path):
+    # Heun steps the trapezoid increments of any sampled grid: an explicit
+    # eps/2 with a drift runs and reports its bias as without one; exit 2 is
+    # the KS verdict's alone
     argv = ["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--hfun", "one", "--gfun", "cos",
-            "--replicas", "40", "--dt-ratio", "5", "--out", str(tmp_path / "hom")]
-    assert run(argv) == 2
-    assert "under-resolved fast scale" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+            "--replicas", "40", "--dt-ratio", "2", "--format", "json",
+            "--out", str(tmp_path / "hom")]
+    rc = run(argv)
+    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert rc == (0 if doc["pass"] else 2)
+    assert doc["dt_ratio"] == 2.0 and len(doc["table"]["rows"]) == 40
+    bias = exact.resolve_dt_ratio(ChaosFunction([0, 0, 1]), 0.6, 1.0, [0.02], 40, 2.0)[0]
+    assert doc["trapezoid_bias"] == [bias["trapezoid_bias"][0]]
+    assert doc["bias_budget_met"] is bias["bias_budget_met"]
 
 
 @pytest.mark.parametrize("hfun", ["zero", "one"])

@@ -118,9 +118,9 @@ AUTO_RATIO_1200 = {0.6: 5.0, 0.75: 2.0, 0.8: 2.0, 0.85: 2.0, 0.7: 4.0}
 @pytest.mark.parametrize("G, H", MC_PAIRS, ids=["He2-0.6", "He2-0.75", "He1-0.8",
                                                 "He2-0.85", "He3-0.7"])
 def test_auto_ratio_is_ten_where_paths_are_smooth(G, H, eps_list):
-    # the budget alone picks the rung: it fits there and misses one rung
-    # coarser; a solver stepped on the grid takes ten, the coarsest that
-    # resolves the fast scale
+    # the budget alone picks the rung, ten or coarser: it fits there and
+    # misses one rung coarser, and eps/10 fits too; a drift takes the same
+    # rung, as Heun stepped on it adds no error the budget sees
     resolution, var = exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200)
     ratio = resolution["dt_ratio"]
     assert ratio == AUTO_RATIO_1200[H] and resolution["bias_budget_met"]
@@ -131,8 +131,8 @@ def test_auto_ratio_is_ten_where_paths_are_smooth(G, H, eps_list):
             "bias_budget_met"]
     assert var == pytest.approx([exact.trapezoid_variance(G, H, 1.0, e, ratio)
                                  for e in eps_list], rel=1e-15)
-    stepped = exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200, stepped=True)[0]
-    assert stepped["dt_ratio"] == fou.MIN_STEPS_PER_EPS and stepped["bias_budget_met"]
+    assert ratio <= 10.0
+    assert exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200, 10.0)[0]["bias_budget_met"]
 
 
 def test_auto_ratio_refines_for_rough_paths_and_caps_at_400():
@@ -147,13 +147,17 @@ def test_auto_ratio_refines_for_rough_paths_and_caps_at_400():
     assert np.min(res["trapezoid_bias"]) > budget
 
 
-def test_auto_ratio_skips_a_grid_that_rounding_leaves_unresolved():
+def test_auto_ratio_reports_the_bias_of_a_rounded_grid():
     # 1 / (0.03 / 10) = 333.3 rounds to 333 steps, dt = 0.003003 > eps / 10:
-    # a stepped solver skips that rung; the sampled integral alone takes 2
-    assert not fou._resolves(TimeGrid.with_step(1.0, 0.003).dt, 0.03)
+    # the rung is the grid as rounded, and its bias is that grid's exact one;
+    # every rung is a candidate, with or without a drift, and the first is 2
+    assert TimeGrid.with_step(1.0, 0.003).dt > 0.03 / 10.0
     eps_list = [0.1, 0.03, 0.01]
-    res = exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200, stepped=True)[0]
-    assert res["dt_ratio"] == 20.0 and res["bias_budget_met"]
+    res = exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200, 10.0)[0]
+    assert res["bias_budget_met"]
+    assert res["trapezoid_bias"][1] == pytest.approx(
+        exact.trapezoid_variance(He1, 0.8, 1.0, 0.03, 10.0)
+        / exact.continuous_variance(He1, 0.8, 1.0, 0.03) - 1.0, rel=1e-12)
     assert exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200)[0]["dt_ratio"] == 2.0
 
 

@@ -153,6 +153,24 @@ def test_fgn_sampler_covariance_is_exact(H, n):
     np.testing.assert_allclose(cov, linalg.toeplitz(gamma), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("acov, n", [
+    (lambda k: fgn.fgn_autocovariance(k, 0.3), 67),
+    (lambda k: fgn.fgn_autocovariance(k, 0.7), 67),
+    (lambda k: fou.rho(k * 0.02, 0.85), 100),
+], ids=["fgn-0.3", "fgn-0.7", "fou-0.85"])
+def test_every_n_plus_one_values_of_a_whole_period_are_exact(acov, n):
+    # a row of length 2m is one whole period of the circulant, on the same
+    # embedding as the n + 1 default; each of its runs of n + 1 consecutive
+    # values has the Toeplitz covariance of acov (Dietrich & Newsam 1997)
+    m = fgn.StationarySampler(acov, n).m
+    cov = engine_covariance(acov, n, 2 * m)
+    assert cov.shape == (2 * m, 2 * m)
+    exact = linalg.toeplitz(acov(np.arange(n + 1)))
+    for start in range(2 * m - n):
+        np.testing.assert_allclose(cov[start : start + n + 1, start : start + n + 1], exact,
+                                   rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("H", [0.001, 0.2, 0.5, 0.8, 0.999])
 def test_fgn_embedding_is_never_doubled(H):
     # m is the smallest 5-smooth length >= n, a fast FFT length, and no more

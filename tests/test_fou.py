@@ -285,13 +285,14 @@ def test_sample_fou_holder_diagnostic():
     assert slope == pytest.approx(H, abs=0.1)
 
 
-def test_sample_fou_under_resolved_raises():
-    # dt = 0.02 > eps/10: the sampler draws the exact law there, and the
-    # refusal is that of a solver stepped on the grid (test_solvers.py)
+def test_sample_fou_draws_a_coarse_grid():
+    # dt = 0.02 > eps/10: the sampler draws the exact law there, rho at lags
+    # of dt / eps = 0.2; no grid is refused for its resolution
     grid = TimeGrid(1.0, 50)
     assert fou.path_sampler(grid, 0.7, 0.1).batch(keys(5, "coarse", 0, 2)).shape == (2, 51)
-    with pytest.raises(ValueError, match="under-resolved"):
-        fou._check_resolution(grid.dt, 0.1)
+    cov = engine_covariance(lambda k: fou.rho(k * 0.2, 0.7), 50)
+    lags = np.abs(np.subtract.outer(np.arange(51), np.arange(51)))
+    np.testing.assert_allclose(cov, fou.rho(lags * 0.2, 0.7), rtol=0, atol=1e-12)
 
 
 def test_fou_config_validation():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath
@@ -293,6 +294,62 @@ def test_lag_profile_kernels_match_dense_construction(eps_list, n_steps, monkeyp
     assert np.all(A[:, :n_far + 400] > 0.0)
 
 
+def _projected_l2_squares(G, H, eps_list, strides, n_replicas, seed):
+    """(X^eps - lambda Z_t)^2 per replica and eps of l2-hermite's noise on a
+    400-step fine grid, every row of every kernel projected, as a reference."""
+    m = G.hermite_rank
+    hs = chaos.classify_regime(m, H).h_star
+    fine = TimeGrid(1.0, 400)
+    kernels = [hermite._kernel(fine, hs, m)] + [
+        hermite._fou_kernel(fine, H, eps, r) for eps, r in zip(eps_list, strides)]
+    far = np.concatenate([kern.far for kern in kernels])
+    far_factor, _ = hermite._far_factor(far @ far.T)
+    K = chaos.K_normalizer(hs, m)
+    lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(H) ** m
+    var = kernels[0].variances()
+    blocks = []
+    for _, (u, *ys) in hermite._projections(keys(seed, "l2-noise", 0, n_replicas), kernels,
+                                           far_factor):
+        Z = hermite._wick_power(u, var, m).sum(axis=1) * fine.dt * K / math.factorial(m)
+        blocks.append(np.stack([(harness.functional_values(G, y, r * fine.dt, eps ** (hs - 1.0))
+                                 - lam * Z) ** 2 for y, eps, r in zip(ys, eps_list, strides)],
+                               axis=1))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("G", [H1, ChaosFunction([0, 1.0, 0.5])], ids=["He1", "He1+He2"])
+def test_contracted_l2_matches_every_row_projected(G, monkeypatch):
+    # He_1 reads a weighted sum of each kernel's rows, contracted to one row
+    # before it is projected; with He_2 beside it only the limit's is
+    captured = []
+    run = harness.run_replicated
+
+    def spy(*args, **kwargs):
+        captured.append(run(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(harness, "run_replicated", spy)
+    built = _spy_fou_kernels(monkeypatch)
+    harness.l2_convergence_hermite(G, 0.8, 1.0, [0.2, 0.1, 0.05], 200, 17)
+    assert [stride for stride, _ in built] == [4, 2, 1]
+    ref = _projected_l2_squares(G, 0.8, [0.2, 0.1, 0.05], [4, 2, 1], 200, 17)
+    np.testing.assert_allclose(captured[0], ref, rtol=0, atol=1e-13)
+
+
+def test_l2_exact_coupled_distances_of_a_linear_functional():
+    # for He_1, X^eps - lambda Z_t is one linear functional of the noise, whose
+    # norm is the exact distance; the 2,000-replica distances sit within 3 SE
+    scan = harness.l2_convergence_hermite(H1, 0.8, 1.0, [0.2, 0.1, 0.05], 2000, 11)
+    exact_values = scan.meta["exact_values"]
+    np.testing.assert_allclose(exact_values, [0.310823, 0.191497, 0.114702], rtol=0, atol=1e-5)
+    np.testing.assert_allclose(scan.meta["exact_z"], (scan.values - exact_values) / scan.stderrs,
+                               rtol=1e-12)
+    assert np.all(np.abs(scan.meta["exact_z"]) <= 3.0)
+    # the scan reports exact distances for linear G only
+    assert "exact_values" not in harness.l2_convergence_hermite(H2, 0.85, 1.0, [0.2, 0.1],
+                                                                 4, 11).meta
+
+
 def test_l2_convergence_bit_identical_across_threads():
     # 300 replicas: two chunks of 250 and 50
     runs = [harness.l2_convergence_hermite(H2, 0.85, 1.0, [0.3, 0.13, 0.05], 300, 4,
@@ -461,6 +518,21 @@ def test_fit_loglog_slope_takes_only_its_weights_from_the_diagonal():
     slope, ci = harness.fit_loglog_slope(1 / eps, values, cov)
     assert slope == harness.fit_loglog_slope(1 / eps, values, np.diag(stderrs**2))[0]
     assert ci[1] - slope != pytest.approx(_old_slope_ci(eps, values, stderrs), rel=0.01)
+
+
+def test_fit_loglog_slope_of_exactly_proportional_estimates_has_a_zero_width_ci():
+    # estimates that are one sample times constants carry no information about
+    # their slope: c'Cc is 0, and rounding takes it below 0 at seeds 3 to 7
+    # (a NaN CI, which slope_z read as z = 0, a pass); clipped, the CI has
+    # zero width and its z fails unless the slope sits on the target
+    inv_eps = np.array([10.0, 20.0, 50.0])
+    for seed in range(10):
+        x = np.random.default_rng(seed).standard_normal(50) ** 2 + 1.0
+        rows = [k * x for k in (1.0, 0.6, 0.3)]
+        cov = harness._mean_covariance(rows, [np.std(r, ddof=1) / np.sqrt(50) for r in rows])
+        slope, ci = harness.fit_loglog_slope(inv_eps, [r.mean() for r in rows], cov)
+        assert np.all(np.isfinite(ci)) and 0.0 <= ci[1] - ci[0] <= 1e-6
+        assert abs(harness.slope_z(slope, ci, slope + 1e-3)) > 3.0
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])

@@ -452,12 +452,14 @@ def test_drift_free_homogenize_is_the_flow_of_both_drivers(monkeypatch):
 
 
 def test_multiscale_config_validation():
-    # dt = eps/5: the drift path steps Heun on the grid and refuses it; the
-    # flow path takes the trapezoid integral there, whose law is exact
-    with pytest.raises(ValueError, match="resolve the fast scale"):
-        solvers.homogenize(H1, 0.7, 0.01, ZERO, _zero, _zero, 1, 0, dt_ratio=5.0)
-    x, _ = solvers.homogenize(H1, 0.7, 0.01, ZERO, None, None, 2, 0, dt_ratio=5.0)
-    np.testing.assert_array_equal(x, 0.0)
+    # dt = eps/5: the drift path steps Heun on the trapezoid increments of the
+    # grid and the flow path takes their sum, both on a law that is exact;
+    # a ratio with no finite step count is refused
+    for h in (_zero, None):
+        x, _ = solvers.homogenize(H1, 0.7, 0.01, ZERO, h, h, 2, 0, dt_ratio=5.0)
+        np.testing.assert_array_equal(x, 0.0)
+    with pytest.raises(ValueError, match="no finite step count"):
+        solvers.homogenize(H1, 0.7, 0.01, ZERO, _zero, _zero, 1, 0, dt_ratio=np.inf)
 
 
 def test_slow_fast_reduces_to_functional_integral():
@@ -566,10 +568,10 @@ def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
     monkeypatch.setattr(solvers, "_slow_fast_endpoints", spy)
     solvers.homogenize(H2, 0.85, 0.02, SIN2, None, None, 40, 2)
     solvers.homogenize(H2, 0.05, 0.02, SIN2, None, None, 40, 2, t=0.1)
-    # a drift steps Heun on the grid: the coarsest unbiased rung that resolves eps
+    # a drift steps Heun on the same coarsest unbiased rung
     solvers.homogenize(H2, 0.85, 0.02, SIN2, _one, np.cos, 40, 2)
     assert ratios == [2.0, exact.resolve_dt_ratio(H2, 0.05, 0.1, [0.02], 40)[0]["dt_ratio"],
-                      fou.MIN_STEPS_PER_EPS]
+                      2.0]
     assert ratios[1] > 10.0
 
 
@@ -578,14 +580,14 @@ def test_homogenize_defaults_to_the_coarsest_unbiased_grid(monkeypatch):
 def test_heun_error_with_drift_at_the_auto_ratio_fits_the_bias_budget(monkeypatch, H, hfun):
     # each trapezoid step stepped as it is and again on 8 equal substeps: the
     # driver is piecewise linear, so the substep solve is the same driver
-    # solved more accurately.  At the drift path's auto ratio (eps/10) and
-    # 600 replicas the relative variance gap (-1.9e-6 at H 0.6 and -7.9e-7
-    # at 0.85 for h = 1, 0 to rounding for h = f) plus the exact trapezoid
-    # bias of the grid fits the budget of 600 replicas, 5.8e-3
+    # solved more accurately.  At the auto ratio (eps/5 at H 0.6, eps/2 at
+    # 0.85) and 600 replicas the relative variance gap (6.1e-6 and 8.5e-6
+    # for h = 1, 0 to rounding for h = f) plus the exact trapezoid bias of
+    # the grid fits the budget of 600 replicas, 5.8e-3
     eps, n = 0.02, 600
-    resolution, _ = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n, stepped=True)
+    resolution, _ = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)
     ratio, bias, budget = (resolution[k] for k in ("dt_ratio", "trapezoid_bias", "bias_budget"))
-    assert ratio == fou.MIN_STEPS_PER_EPS
+    assert ratio == {0.6: 5.0, 0.85: 2.0}[H]
     heun, fine = solvers.solve_limit_stratonovich, []
 
     def both(flow, x0, h, dU, dV):
@@ -597,6 +599,53 @@ def test_heun_error_with_drift_at_the_auto_ratio_fits_the_bias_budget(monkeypatc
     coarse = _slow_fast(H2, H, eps, SIN2, hfun, np.cos, n, 41, dt_ratio=ratio)
     gap = abs(np.var(coarse) / np.var(np.concatenate(fine)) - 1.0)
     assert gap + abs(bias[0]) <= budget
+
+
+def _relative_variance_gap(a, b):
+    """var(a) / var(b) - 1 and its influence function, one value per sample."""
+    va, vb = np.var(a), np.var(b)
+    infl = ((a - a.mean()) ** 2 - va) / vb - va / vb**2 * ((b - b.mean()) ** 2 - vb)
+    return va / vb - 1.0, infl
+
+
+@pytest.mark.parametrize("H", [0.6, 0.85])
+def test_drift_at_the_auto_rung_matches_a_fine_solve_on_the_same_paths(H):
+    # He_2 at eps 0.02, f = sin + 2, g = cos, x0 = 0.7: Heun on the auto rung's
+    # own trapezoid increments (eps/3 and eps/5 for 40 and 600 replicas at
+    # H 0.6, eps/2 at 0.85), read off eps/30 paths, against Heun on all of
+    # them, 2,000 coupled replicas.  The relative variance gap of x is taken
+    # with the driver's exact trapezoid gap between the two grids as a
+    # control variate, and is within 3 of its SEs of the bias budget of the
+    # rung's replicas, as a scan's gates are (H 0.6 with h = x reads 4e-3 to
+    # 6e-3, SE 1.7e-3, against 5.8e-3); the mean gap is within a tenth of
+    # the SE of a mean of the rung's replicas
+    eps, ref, N, x0 = 0.02, 30.0, 2000, 0.7
+    fine = TimeGrid.with_step(1.0, eps / ref)
+    y = fou.path_sampler(fine, H, eps).batch(keys(51, "coupled-drift", 0, N))
+    alpha = chaos.classify_regime(2, H).alpha(eps)
+
+    def increments(path, dt):
+        return [(0.5 * scale * dt * (v[:, :-1] + v[:, 1:])).T
+                for v, scale in ((H2(path), alpha), (np.cos(path), 1.0))]
+
+    dU_fine, dV_fine = increments(y, fine.dt)
+    x_fine = {h: solvers.solve_limit_stratonovich(SIN2, x0, h, dU_fine, dV_fine)
+              for h in (_one, _identity)}
+    for n in (40, 600):
+        resolution = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)[0]
+        ratio, budget = resolution["dt_ratio"], resolution["bias_budget"]
+        assert ratio < fou.MIN_STEPS_PER_EPS and ref % ratio == 0.0
+        k = int(ref / ratio)
+        dU, dV = increments(y[:, ::k], k * fine.dt)
+        u_gap, u_infl = _relative_variance_gap(dU.sum(axis=0), dU_fine.sum(axis=0))
+        u_exact = (exact.trapezoid_variance(H2, H, 1.0, eps, ratio)
+                   / exact.trapezoid_variance(H2, H, 1.0, eps, ref) - 1.0)
+        for h, xf in x_fine.items():
+            x = solvers.solve_limit_stratonovich(SIN2, x0, h, dU, dV)
+            x_gap, x_infl = _relative_variance_gap(x, xf)
+            gap, se = x_gap - u_gap + u_exact, np.std(x_infl - u_infl) / np.sqrt(N)
+            assert abs(gap) <= budget + 3.0 * se
+            assert abs(x.mean() - xf.mean()) <= 0.1 * xf.std() / np.sqrt(n)
 
 
 def test_grid_refinement_stability():
@@ -665,8 +714,9 @@ def test_kinetic_read_interpolates_between_grid_points():
 def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="unit"):
     """Readings of kinetic_error_scan drawn the whole-chunk way, as a reference.
 
-    Each 250-replica chunk samples its whole fGN matrix in one batch and
-    reduces it eps by eps; returns the (replicas, n_eps, 2, n_report)
+    Each 250-replica chunk samples its whole fGN matrix in one batch, rows
+    of the scan's layout (each window exact with the burn-in before it),
+    and reduces it eps by eps; returns the (replicas, n_eps, 2, n_report)
     array of X - sigma B and eps v.  ``reduction="unit"`` reads every eps
     off its window of one unit-rate chain at times / eps, as the scan does;
     ``"own"`` is the independent long way: each eps runs its own chain, with
@@ -681,7 +731,8 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="un
     n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
     starts = np.cumsum([0] + n_main[:-1])
     n_total = n_burn + sum(n_main)
-    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, H), n_total)
+    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, H),
+                                    n_burn + max(n_main) - 1, n_total)
     times, a = grid.times(), np.exp(-dt)
 
     def unit(dB, eps, p, n):
@@ -710,7 +761,7 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="un
     read = {"unit": unit, "own": own}[reduction]
 
     def make_chunk(chunk_keys):
-        dB = sampler.batch(chunk_keys)[:, :n_total]
+        dB = sampler.batch(chunk_keys)
         out = np.empty((len(dB), len(eps_arr), 2, len(times)))
         for i, (eps, p, n) in enumerate(zip(eps_arr, starts, n_main)):
             out[:, i, 0, :], out[:, i, 1, :] = read(dB, eps, p, n)
@@ -756,9 +807,9 @@ def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
     sampler, run = fgn.StationarySampler, solvers.run_replicated
 
     class Spy(sampler):
-        def __init__(self, acov, n):
-            lengths.append(n)
-            super().__init__(acov, n)
+        def __init__(self, acov, n, length):
+            lengths.append((n, length))
+            super().__init__(acov, n, length)
 
     def spy(*args, **kwargs):
         captured.append(run(*args, **kwargs))
@@ -769,8 +820,9 @@ def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
     grid, eps_list = TimeGrid(1.0, 20), [0.1, 0.05]
     ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 20, 45)
     solvers.kinetic_error_scan(0.7, eps_list, grid, 20, 45)
-    # 10 units of burn-in and windows of 1 / 0.1 and 1 / 0.05 units at step 1 / 20
-    assert lengths == [800, 800]
+    # 10 units of burn-in and windows of 1 / 0.1 and 1 / 0.05 units at step 1 / 20,
+    # the longer window exact with the burn-in before it
+    assert lengths == [(200 + 400 - 1, 800), (200 + 400 - 1, 800)]
     np.testing.assert_array_equal(captured[0], ref)
 
 
