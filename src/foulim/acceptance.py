@@ -11,6 +11,7 @@ CLI `verify` subcommand runs the same functions and exits 2 on failure.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass
 
@@ -122,23 +123,25 @@ def crit_4_scaling_regimes(seed, suite, threads=1) -> CriterionResult:
     return CriterionResult(4, "variance scaling regimes", passed, details)
 
 
-def _short_range_samples(seed, suite, threads, ctx) -> tuple[np.ndarray, float, float, float]:
-    """Criteria 5 and 6's integrals of alpha He_2(y^eps) at H 0.6: eps, ratio and V_eps too."""
-    key = ("sr_samples", suite)
-    if key not in ctx:
-        n_rep = 10_000 if suite == "full" else 2500
-        eps = 0.005 if suite == "full" else 0.01
-        resolution, var = exact.resolve_dt_ratio(H2, 0.6, 1.0, [eps], n_rep)
-        ratio, alpha = resolution["dt_ratio"], chaos.classify_regime(2, 0.6).alpha(eps)
-        x = harness._fou_endpoint_samples(H2, 0.6, 1.0, eps, n_rep, seed, "acc5", ratio, alpha,
-                                          threads)
-        ctx[key] = x, eps, ratio, alpha**2 * var[0]
-    return ctx[key]
+@functools.lru_cache(maxsize=1)
+def _short_range_samples(seed, suite, threads) -> tuple[np.ndarray, float, float, float]:
+    """Criteria 5 and 6's integrals of alpha He_2(y^eps) at H 0.6: eps, ratio and V_eps too.
+
+    One entry is kept, so criterion 6 reads the samples criterion 5 drew.
+    The samples array is read-only, as every caller shares it.
+    """
+    n_rep = 10_000 if suite == "full" else 2500
+    eps = 0.005 if suite == "full" else 0.01
+    resolution, var = exact.resolve_dt_ratio(H2, 0.6, 1.0, [eps], n_rep)
+    ratio, alpha = resolution["dt_ratio"], chaos.classify_regime(2, 0.6).alpha(eps)
+    x = harness._fou_endpoint_samples(H2, 0.6, 1.0, eps, n_rep, seed, "acc5", ratio, alpha,
+                                      threads)
+    x.flags.writeable = False
+    return x, eps, ratio, alpha**2 * var[0]
 
 
-def crit_5_limit_covariance(seed, suite, threads=1, ctx=None) -> CriterionResult:
-    ctx = {} if ctx is None else ctx
-    x, eps, ratio, v_eps = _short_range_samples(seed, suite, threads, ctx)
+def crit_5_limit_covariance(seed, suite, threads=1) -> CriterionResult:
+    x, eps, ratio, v_eps = _short_range_samples(seed, suite, threads)
     A, _ = chaos.limit_covariance_A(H2, H2, 0.6)
     var = harness.fsum_variance(x)
     details = {"var_X": var, "2A": 2 * A, "ratio": var / (2 * A), "eps": eps, "dt_ratio": ratio,
@@ -147,9 +150,8 @@ def crit_5_limit_covariance(seed, suite, threads=1, ctx=None) -> CriterionResult
     return CriterionResult(5, "Wiener limit covariance 2A", passed, details)
 
 
-def crit_6_limit_kurtosis(seed, suite, threads=1, ctx=None) -> CriterionResult:
-    ctx = {} if ctx is None else ctx
-    x, eps_sr, ratio, _ = _short_range_samples(seed, suite, threads, ctx)
+def crit_6_limit_kurtosis(seed, suite, threads=1) -> CriterionResult:
+    x, eps_sr, ratio, _ = _short_range_samples(seed, suite, threads)
     kurt, se_infl = harness.excess_kurtosis_with_se(x)
     # the limit is Gaussian, but at a fixed eps the integral is a quadratic form
     # with an exact excess kurtosis (0.584 at eps 0.01, 0.308 at 0.005) and SE of
@@ -432,15 +434,11 @@ CRITERIA = [
 def run_all(suite: str = "full", seed: int = MASTER_SEED, threads: int = 1) -> dict:
     if suite not in ("full", "quick"):
         raise ValueError("suite must be 'full' or 'quick'")
-    ctx: dict = {}
     results = []
     t_start = time.time()
     for func in CRITERIA:
         t0 = time.time()
-        kwargs = {"threads": threads}
-        if func in (crit_5_limit_covariance, crit_6_limit_kurtosis):
-            kwargs["ctx"] = ctx
-        res = func(seed, suite, **kwargs)
+        res = func(seed, suite, threads=threads)
         res.seconds = time.time() - t0
         results.append(res)
     return {

@@ -60,26 +60,6 @@ def _chaos_from_args(args) -> ChaosFunction:
     return ChaosFunction(_parse_floats(args.coeffs))
 
 
-def _dt_ratio_arg(text: str):
-    """--dt-ratio: "auto" or a number (its range is checked by exact.resolve_dt_ratio)."""
-    if text == "auto":
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
-
-
-_DT_RATIO_HELP = ("eps/dt, or auto: the coarsest of "
-                  f"{', '.join(f'{r:g}' for r in exact.DT_RATIO_LADDER)} whose exact "
-                  "trapezoid bias is within a tenth of the variance's relative SE")
-
-
-def _dt_ratio(args):
-    """--dt-ratio as ``exact.resolve_dt_ratio`` takes it: None for auto."""
-    return None if args.dt_ratio == "auto" else args.dt_ratio
-
-
 # what the config echo leaves out of the parsed namespace: the subcommand,
 # which is the echo's first line, and the options that say only where the
 # output goes or how many workers make it, never what it holds
@@ -216,7 +196,7 @@ def _cmd_hermite_sample(args) -> int:
 def _cmd_clt_scan(args) -> int:
     G = _chaos_from_args(args)
     scan = harness.variance_scan(G, args.H, args.t, _parse_floats(args.eps_list), args.replicas,
-                                 args.seed, dt_ratio=_dt_ratio(args), threads=args.threads)
+                                 args.seed, threads=args.threads)
     if args.replicas >= 1000:
         # the scan's own raw integrals at the finest eps, scaled by alpha there
         alpha = chaos.classify_regime(G.hermite_rank, args.H).alpha(scan.eps_values[-1])
@@ -297,13 +277,12 @@ def _cmd_homogenize(args) -> int:
     from scipy import stats as _stats
 
     G = _chaos_from_args(args)
-    # a zero factor passes None: the drift h(x) g(y) is then absent
+    # a zero factor passes None for both: the drift h(x) g(y) is then absent
     h = None if args.hfun == "zero" else solvers.FLOWS[args.hfun].f
-    g = None if args.gfun == "zero" else _G_PRESETS[args.gfun]
+    g = None if args.gfun == "zero" or h is None else _G_PRESETS[args.gfun]
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
-    resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas,
-                                           _dt_ratio(args))
+    resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas)
     endpoints, limit = solvers.homogenize(
         G, args.H, args.eps, solvers.FLOWS[args.f], h, g, args.replicas, args.seed,
         args.t, args.x0, resolution["dt_ratio"], args.threads,
@@ -312,7 +291,8 @@ def _cmd_homogenize(args) -> int:
     summary = {
         "regime": chaos.classify_regime(G.hermite_rank, args.H).kind.value,
         "c": chaos.c_constant(G, args.H),
-        "g_bar": chaos.gaussian_expectation(_G_PRESETS[args.gfun]),
+        # the limit's drift is g_bar h(x) dt: 0 without a drift
+        "g_bar": 0.0 if g is None else chaos.gaussian_expectation(g),
         **resolution,
         "ks_statistic": float(ks.statistic),
         "ks_pvalue": float(ks.pvalue),
@@ -424,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02")
-    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
 
     sp = _add_parser(sub, "l2-hermite", _cmd_l2_hermite, samples=True)
     sp.add_argument("--coeffs", type=str, required=True)
@@ -444,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", choices=sorted(solvers.FLOWS), default="sin2")
     sp.add_argument("--hfun", choices=sorted(solvers.FLOWS), default="zero")
     sp.add_argument("--gfun", choices=sorted(_G_PRESETS), default="zero")
-    sp.add_argument("--dt-ratio", type=_dt_ratio_arg, default="auto", help=_DT_RATIO_HELP)
 
     # the gate runs from the pinned suite seed unless explicitly overridden
     sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED, hurst=False)

@@ -104,31 +104,29 @@ def continuous_variance(G, H, t: float, eps: float) -> float:
     return float(2.0 * e * np.sum(w * (T - e * u) * _chaos_covariance(G, fou.rho(u, H))))
 
 
-def resolve_dt_ratio(G, H, t: float, eps_list, n_replicas: int,
-                     dt_ratio: float | None = None) -> tuple[dict, np.ndarray]:
+def resolve_dt_ratio(G, H, t: float, eps_list, n_replicas: int) -> tuple[dict, np.ndarray]:
     """The ratio eps/dt of n_replicas sampled integrals of G(y^eps), and its exact variances.
 
-    None takes the first rung of DT_RATIO_LADDER whose trapezoid variance is
-    within the bias budget of ``continuous_variance`` at every eps of
-    ``as_eps_list(eps_list)``; failing that, the last.  The sampler is exact
-    in law at any step, so that bias is the whole rule, for ``homogenize``
-    with a drift too: Heun's own error on the trapezoid increments of that
-    grid moves the variance by under 1e-5 relative (He_2 at eps 0.02, H 0.6
-    and 0.85).  A positive finite number is taken as it is.  The dict holds dt_ratio,
-    trapezoid_bias (one relative bias per eps, 0 where the variance is 0),
-    bias_budget and bias_budget_met.
+    The ratio is the first rung of DT_RATIO_LADDER whose trapezoid variance
+    is within the bias budget of ``continuous_variance`` at every eps of
+    ``as_eps_list(eps_list)``; failing that, the last.  This is the one grid
+    rule of every sampled integral of G(y^eps): the sampler is exact in law
+    at any step, so that bias is the whole rule, for ``homogenize`` with a
+    drift too: Heun's own error on the trapezoid increments of that grid
+    moves the variance by under 1e-5 relative (He_2 at eps 0.02, H 0.6 and
+    0.85).  The dict holds dt_ratio, trapezoid_bias (one relative bias per
+    eps, 0 where the variance is 0), bias_budget and bias_budget_met.
     """
-    if dt_ratio is not None and not 0.0 < dt_ratio < np.inf:
-        raise ValueError(f"--dt-ratio must be positive and finite, got {dt_ratio}")
     if n_replicas < 2:
         raise ValueError(f"a sample variance needs at least 2 replicas, got {n_replicas}")
     # a tenth of sqrt(2 / (n - 1)), the Gaussian relative SE of a sample
     # variance: heavy tails only widen that SE, so the budget is conservative
     budget = 0.1 * float(np.sqrt(2.0 / (n_replicas - 1)))
     eps_arr = as_eps_list(eps_list)
-    target = np.array([continuous_variance(G, H, t, e) for e in eps_arr])
-    for ratio in (dt_ratio,) if dt_ratio is not None else DT_RATIO_LADDER:
+    for k, ratio in enumerate(DT_RATIO_LADDER):
         var = np.array([trapezoid_variance(G, H, t, e, ratio) for e in eps_arr])
+        if k == 0:  # a grid that has no finite step count is refused before the quadrature
+            target = np.array([continuous_variance(G, H, t, e) for e in eps_arr])
         # a variance that underflows to 0 (a horizon such as 1e-300) has no bias
         bias = np.divide(var, target, out=np.ones_like(var), where=target != 0.0) - 1.0
         met = bool(np.max(np.abs(bias)) <= budget)

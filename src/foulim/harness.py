@@ -202,17 +202,16 @@ def _fou_endpoint_samples(G, h: float, t: float, eps: float, n_replicas: int,
 
 
 def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
-                  master_seed: int = 0, dt_ratio: float | None = None,
-                  threads: int = 1) -> ScanResult:
+                  master_seed: int = 0, threads: int = 1) -> ScanResult:
     """Variance of the time integral of G(y^eps) across scales.
 
     For each eps the statistic is Var(int_0^t G(y^eps) ds), raw (the slope
     source: its log-log slope against log(1/eps) tends to -1 short range and
     2H*(m)-2 long range) and times alpha(eps)^2, which must stabilize in every
     regime; its SE, ``variance_stderr``, holds for heavy tails.  The ratio
-    eps/dt is ``exact.resolve_dt_ratio``'s (None: the coarsest unbiased
-    rung), reported in meta["resolution"]; meta["exact_slope"] is the slope
-    of the exact variances, and meta["slope_z"] the fit's z against it.  As
+    eps/dt is the rung ``exact.resolve_dt_ratio`` picks for these eps and
+    n_replicas, reported in meta["resolution"]; meta["exact_slope"] is the
+    slope of the exact variances, and meta["slope_z"] the fit's z against it.  As
     y^eps_s = Y_{s/eps}, Y the unit-rate fOU, the eps whose grids share the
     spacing dt/eps (to 1e-12) form a group:
     each replica draws one path, on its finest member's grid from that eps's
@@ -224,7 +223,7 @@ def variance_scan(G: ChaosFunction, H, t: float, eps_list, n_replicas: int,
     eps_arr = as_eps_list(eps_list)
     if len(eps_arr) < 3:
         raise ValueError("variance scan needs at least 3 eps values")
-    resolution, exact_var = exact.resolve_dt_ratio(G, h, t, eps_arr, n_replicas, dt_ratio)
+    resolution, exact_var = exact.resolve_dt_ratio(G, h, t, eps_arr, n_replicas)
     regime = chaos.classify_regime(G.hermite_rank, h)
     grids = [TimeGrid.with_step(t, eps / resolution["dt_ratio"]) for eps in eps_arr]
     # each eps joins the first eps of its unit-rate spacing dt/eps, to 1e-12 relative
@@ -309,8 +308,7 @@ def clt_diagnostics(samples) -> dict:
 
 
 def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
-                           n_replicas: int, master_seed: int = 0,
-                           dt_ratio: float | None = None, threads: int = 1) -> dict:
+                           n_replicas: int, master_seed: int = 0, threads: int = 1) -> dict:
     """Empirical covariance matrix of (X^{k,eps}_t, X^{k,eps}_s) vs theory.
 
     Wiener-Wiener pairs must match 2(t^s)A^{ij}; Wiener-Hermite cross
@@ -320,8 +318,8 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
     """
     h = as_hurst(H)
     horizon = max(t, s)
-    dt_ratio = max(exact.resolve_dt_ratio(G, h, horizon, [eps], n_replicas, dt_ratio)[0][
-        "dt_ratio"] for G in G_list)
+    dt_ratio = max(exact.resolve_dt_ratio(G, h, horizon, [eps], n_replicas)[0]["dt_ratio"]
+                   for G in G_list)
     grid = TimeGrid.with_step(horizon, eps / dt_ratio)
     regimes = [chaos.classify_regime(G.hermite_rank, h) for G in G_list]
     ends = [(int(round(u / grid.dt)), grid.dt) for u in (t, s)]  # X^k_t, X^k_s of each G_k

@@ -182,8 +182,7 @@ class HermiteEngine:
     Wick series (``_series_covariance``), and scale[k] = t_k^H /
     sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H}, absorbing the
     discretization loss that plain K/m! scaling would leave.  far_factor
-    is ``_far_factor`` of far far^T, its rank far_rank and the fraction of
-    the trace it drops far_gram_dropped.  The arrays are read-only, so
+    is ``_far_factor``'s factor of far far^T.  The arrays are read-only, so
     concurrent chunks share them.
     """
 
@@ -191,8 +190,7 @@ class HermiteEngine:
         self.grid, self.H, self.m = grid, H, m
         self.kernel = near, far, P = _kernel(grid, H, m)
         far_gram = far @ far.T
-        self.far_factor, self.far_gram_dropped = _far_factor(far_gram)
-        self.far_rank = self.far_factor.shape[1]
+        self.far_factor = _far_factor(far_gram)[0]
         gram = near @ near.T + P @ far_gram @ P.T
         self.var = np.diag(gram).copy()
         self.C = _series_covariance(gram, m, grid.dt)

@@ -237,11 +237,12 @@ def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: f
     f is a ``Flow`` (one of ``FLOWS``), h and g plain fields.  The system
     dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is solved at
     dt = eps / dt_ratio from streams (master_seed, "slowfast", i) by
-    ``_slow_fast_endpoints``.  dt_ratio None takes the coarsest unbiased
-    ratio of ``exact.resolve_dt_ratio`` for G and n_replicas (eps/5 for He_2
-    at H 0.6 and eps/2 at 0.85, eps 0.02, 600 replicas), with a drift too:
-    Heun stepped on that grid's trapezoid increments moves the variance by
-    under 1e-5 relative there, far inside the budget.  The limit dx = f(x) dU + g_bar h(x) dt,
+    ``_slow_fast_endpoints``.  The ratio is the rung ``exact.resolve_dt_ratio``
+    picks for G, eps and n_replicas (eps/5 for He_2 at H 0.6 and eps/2 at
+    0.85, eps 0.02, 600 replicas), with a drift too: Heun stepped on that
+    grid's trapezoid increments moves the variance by under 1e-5 relative
+    there, far inside the budget.  dt_ratio None resolves it here; a caller
+    that has resolved it for its own report passes that rung.  The limit dx = f(x) dU + g_bar h(x) dt,
     g_bar = E g(N(0, 1)), is sampled by ``_limit_endpoints`` from
     master_seed + 1.  Both sides are solved in f's flow coordinates; h or g
     None means no drift, and each side is phi(U_t, s0) at its driver.

@@ -30,9 +30,6 @@ from foulim import acceptance
 SEED = acceptance.MASTER_SEED
 THREADS = max(1, int(os.environ.get("FOULIM_THREADS", "1")))
 
-_ctx: dict = {}
-
-
 def _report(res):
     status = "PASS" if res.passed else "FAIL"
     print(f"[{status}] criterion {res.number:2d} {res.name}: {res.details}")
@@ -60,12 +57,12 @@ def test_criterion_04_scaling_regimes():
 
 
 def test_criterion_05_limit_covariance():
-    res = _report(acceptance.crit_5_limit_covariance(SEED, "full", THREADS, ctx=_ctx))
+    res = _report(acceptance.crit_5_limit_covariance(SEED, "full", THREADS))
     assert res.passed, res.details
 
 
 def test_criterion_06_limit_kurtosis():
-    res = _report(acceptance.crit_6_limit_kurtosis(SEED, "full", THREADS, ctx=_ctx))
+    res = _report(acceptance.crit_6_limit_kurtosis(SEED, "full", THREADS))
     assert res.passed, res.details
 
 

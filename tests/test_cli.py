@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fbm_paths, slope_se, tilt_exact_slopes
-from foulim import acceptance, chaos, cli, exact, fgn, fou, harness, hermite, output, solvers
+from foulim import acceptance, chaos, cli, fgn, fou, harness, hermite, output, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -169,10 +169,6 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["kinetic-scan", "--eps-list", "0,0.1,0.2"], "eps must lie in (0, 1]"),
     (["homogenize", "--eps", "0"], "eps must lie in (0, 1]"),
     (["homogenize", "--eps", "nan"], "eps must lie in (0, 1]"),
-    (["homogenize", "--dt-ratio", "0"], "--dt-ratio must be positive and finite, got 0.0"),
-    (["clt-scan", "--dt-ratio", "nan"], "--dt-ratio must be positive and finite, got nan"),
-    (["clt-scan", "--dt-ratio", "inf"], "--dt-ratio must be positive and finite, got inf"),
-    (["clt-scan", "--dt-ratio", "-5"], "--dt-ratio must be positive and finite, got -5.0"),
     (["sample-fou", "--eps", "0"], "eps must lie in (0, 1]"),
     # a non-finite horizon is rejected before it becomes a step count
     (["clt-scan", "--t", "inf"], "horizon must be positive and finite, got inf"),
@@ -201,20 +197,20 @@ def test_domain_errors_exit_2(tmp_path, capsys):
      "39999999999999994039985552490496 steps exceed the Hermite engine's cap of 10000"),
     (["l2-hermite", "--eps-list", "0.2,0.1,1e-12"],
      "20000000000000 steps exceed the Hermite engine's cap of 10000"),
-    # a step count that is not finite, or beyond the circulant embedding cap
-    (["clt-scan", "--dt-ratio", "1e308"], "gives no finite step count"),
-    (["homogenize", "--dt-ratio", "1e308"], "gives no finite step count"),
+    # a step count that is not finite, refused before the exact variances'
+    # quadrature, or beyond the circulant embedding cap
+    (["clt-scan", "--t", "1e308"], "gives no finite step count"),
+    (["homogenize", "--t", "1e308"], "gives no finite step count"),
     (["sample-fou", "--eps", "1e-300"], "exceed the circulant embedding cap"),
 ], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
         "kinetic-above-one", "kinetic-zero", "homogenize-eps-zero", "homogenize-eps-nan",
-        "homogenize-dt-ratio-zero", "clt-dt-ratio-nan", "clt-dt-ratio-inf",
-        "clt-dt-ratio-negative", "sample-fou-eps-zero", "clt-horizon-inf",
+        "sample-fou-eps-zero", "clt-horizon-inf",
         "homogenize-horizon-nan", "sample-fou-horizon-nan", "kinetic-horizon-nan",
         "hermite-horizon-nan", "l2-horizon-inf", "rho-s-max-nan", "rho-s-max-negative",
         "homogenize-x0-nan", "homogenize-x0-inf", "hermite-tiny-horizon", "l2-tiny-horizon",
         "homogenize-tiny-horizon", "hermite-horizon-past-far-edge", "l2-horizon-past-far-edge",
-        "l2-fine-grid-beyond-int64", "l2-fine-grid-291-tib", "clt-dt-ratio-huge",
-        "homogenize-dt-ratio-huge", "sample-fou-eps-tiny"])
+        "l2-fine-grid-beyond-int64", "l2-fine-grid-291-tib", "clt-horizon-huge",
+        "homogenize-horizon-huge", "sample-fou-eps-tiny"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], *_two_replicas(command),
@@ -227,12 +223,14 @@ def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
 
 
 def test_clt_scan_grid_beyond_the_embedding_cap_exits_2(monkeypatch, tmp_path, capsys):
-    # a cap of 1000 lags stands in for the real one, so --dt-ratio 1e4 (100,000
-    # steps at eps 0.1) is refused as 1e8 is at the real cap, before any sampling
+    # a cap of 1000 lags stands in for the real one, so eps 0.001 (2,000 steps
+    # on the coarsest grid, eps/2) is refused as eps 1e-6 is at the real cap,
+    # before any quadrature or sampling
     monkeypatch.setattr(fgn, "MAX_EMBEDDING_LAGS", 1000)
     assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "4",
-                "--dt-ratio", "1e4", "--out", str(tmp_path / "x")]) == 2
-    assert "steps exceed the circulant embedding cap of 1000 lags" in capsys.readouterr().err
+                "--eps-list", "0.1,0.01,0.001", "--out", str(tmp_path / "x")]) == 2
+    assert ("2000 steps exceed the circulant embedding cap of 1000 lags"
+            in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
 
 
@@ -509,7 +507,7 @@ def test_clt_scan_json_summary(tmp_path):
     assert doc["regime"] == "short_range"
     assert doc["expected_slope"] == -1.0
     assert "slope_ci" in doc and len(doc["slope_ci"]) == 2
-    # --dt-ratio auto: the coarsest rung, its exact bias within budget
+    # the coarsest rung whose exact bias is within budget
     assert doc["dt_ratio"] == 4.0 and doc["bias_budget_met"] is True
     assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 399))
     assert len(doc["trapezoid_bias"]) == 3
@@ -518,6 +516,9 @@ def test_clt_scan_json_summary(tmp_path):
     lines = (tmp_path / "scan.csv").read_text().splitlines()
     assert lines[0] == "eps,statistic,stderr,n"
     assert len(lines) == 4
+    # the library scan resolves the same grid from the same inputs
+    scan = harness.variance_scan(ChaosFunction([0, 0, 1]), 0.6, 1.0, [0.2, 0.1, 0.05], 400, 12)
+    assert [r.split(",")[1] for r in lines[1:]] == [output.fmt(v) for v in scan.values]
 
 
 def test_clt_scan_judges_the_boundary_slope_against_the_exact_one(tmp_path):
@@ -610,26 +611,6 @@ def test_clt_scan_reports_an_unmet_bias_budget_without_failing(tmp_path):
     assert min(doc["trapezoid_bias"]) > doc["bias_budget"]
 
 
-def test_clt_scan_explicit_dt_ratio_keeps_its_meaning(tmp_path):
-    out = tmp_path / "scan"
-    argv = ["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--eps-list", "0.2,0.1,0.05",
-            "--replicas", "50", "--seed", "6", "--out", str(out)]
-    assert run(argv + ["--dt-ratio", "50"]) == 0
-    G = ChaosFunction([0, 0, 1])
-    scan = harness.variance_scan(G, 0.6, 1.0, [0.2, 0.1, 0.05], 50, 6, dt_ratio=50)
-    rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[1] for r in rows] == [output.fmt(v) for v in scan.values]
-    assert json.loads((tmp_path / "scan.json").read_text())["dt_ratio"] == 50.0
-
-
-def test_clt_scan_dt_ratio_that_is_no_number_is_a_usage_error(tmp_path, capsys):
-    argv = ["clt-scan", *REQUIRED_ARGS["clt-scan"], "--replicas", "2", "--dt-ratio", "bogus",
-            "--out", str(tmp_path / "x")]
-    assert run(argv) == 1
-    assert "expected 'auto' or a number, got 'bogus'" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
 def test_homogenize_auto_dt_ratio_takes_the_coarsest_rung(tmp_path):
     out = tmp_path / "hom"
     assert run(["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "600",
@@ -639,57 +620,12 @@ def test_homogenize_auto_dt_ratio_takes_the_coarsest_rung(tmp_path):
     assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 599))
     assert len(doc["trapezoid_bias"]) == 1
     assert 0.0 < doc["trapezoid_bias"][0] <= doc["bias_budget"]
-    assert "--dt-ratio=auto" in (tmp_path / "hom.config").read_text().splitlines()
-
-
-def test_homogenize_explicit_dt_ratio_keeps_its_meaning(tmp_path):
-    out = tmp_path / "hom"
-    assert run(["homogenize", "--H", "0.85", "--coeffs", "0,0,1", "--replicas", "40",
-                "--seed", "6", "--dt-ratio", "50", "--format", "json",
-                "--out", str(out)]) in (0, 2)
-    x, _ = solvers.homogenize(ChaosFunction([0, 0, 1]), 0.85, 0.02, solvers.FLOWS["sin2"],
-                              None, None, 40, 6, dt_ratio=50)
-    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert not any(line.startswith("--dt-ratio")
+                   for line in (tmp_path / "hom.config").read_text().splitlines())
+    # solvers.homogenize resolves the same grid from the same inputs
+    x, _ = solvers.homogenize(ChaosFunction([0, 0, 1]), 0.6, 0.02, solvers.FLOWS["sin2"],
+                              None, None, 600, 3)
     assert [r[1] for r in doc["table"]["rows"]] == [output.fmt(v) for v in x]
-    assert doc["dt_ratio"] == 50.0
-
-
-def test_clt_scan_explicit_coarse_dt_ratio_reports_its_bias(tmp_path):
-    # dt = eps/2 is sampled exactly in law; its trapezoid bias, 2.5e-2 to
-    # 2.8e-2, misses the budget of 1200 replicas, and the summary says so
-    out = tmp_path / "scan"
-    assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "1200",
-                "--dt-ratio", "2", "--format", "json", "--out", str(out)]) == 0
-    doc = json.loads((tmp_path / "scan.json").read_text())
-    assert doc["dt_ratio"] == 2.0 and doc["bias_budget_met"] is False
-    assert doc["bias_budget"] == pytest.approx(0.1 * np.sqrt(2 / 1199))
-    assert all(0.025 < b < 0.028 for b in doc["trapezoid_bias"])
-
-
-def test_homogenize_explicit_coarse_dt_ratio_without_drift_runs(tmp_path):
-    out = tmp_path / "hom"
-    assert run(["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "40",
-                "--seed", "6", "--dt-ratio", "5", "--format", "json",
-                "--out", str(out)]) in (0, 2)
-    doc = json.loads((tmp_path / "hom.json").read_text())
-    assert doc["dt_ratio"] == 5.0 and len(doc["table"]["rows"]) == 40
-    assert doc["bias_budget_met"] is True and len(doc["trapezoid_bias"]) == 1
-
-
-def test_homogenize_explicit_coarse_dt_ratio_with_drift_runs(tmp_path):
-    # Heun steps the trapezoid increments of any sampled grid: an explicit
-    # eps/2 with a drift runs and reports its bias as without one; exit 2 is
-    # the KS verdict's alone
-    argv = ["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--hfun", "one", "--gfun", "cos",
-            "--replicas", "40", "--dt-ratio", "2", "--format", "json",
-            "--out", str(tmp_path / "hom")]
-    rc = run(argv)
-    doc = json.loads((tmp_path / "hom.json").read_text())
-    assert rc == (0 if doc["pass"] else 2)
-    assert doc["dt_ratio"] == 2.0 and len(doc["table"]["rows"]) == 40
-    bias = exact.resolve_dt_ratio(ChaosFunction([0, 0, 1]), 0.6, 1.0, [0.02], 40, 2.0)[0]
-    assert doc["trapezoid_bias"] == [bias["trapezoid_bias"][0]]
-    assert doc["bias_budget_met"] is bias["bias_budget_met"]
 
 
 @pytest.mark.parametrize("hfun", ["zero", "one"])
@@ -702,14 +638,6 @@ def test_homogenize_linear_flow_overflow_exits_2(tmp_path, capsys, hfun):
         warnings.simplefilter("error")
         assert run(argv) == 2
     assert "or became NaN at step 1; the system blew up" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
-
-
-def test_homogenize_dt_ratio_that_is_no_number_is_a_usage_error(tmp_path, capsys):
-    argv = ["homogenize", *REQUIRED_ARGS["homogenize"], "--replicas", "2", "--dt-ratio",
-            "bogus", "--out", str(tmp_path / "x")]
-    assert run(argv) == 1
-    assert "expected 'auto' or a number, got 'bogus'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -737,6 +665,19 @@ def test_homogenize_with_drift_runs_the_limit_solver(tmp_path, H):
     assert 0.0 <= doc["ks_pvalue"] <= 1.0
     assert np.isfinite(doc["endpoint_mean"]) and np.isfinite(doc["endpoint_variance"])
     assert rc == (0 if doc["pass"] else 2)
+
+
+def test_homogenize_without_h_reports_the_g_bar_its_limit_used(tmp_path):
+    # with --hfun zero there is no drift h(x) g(y), whatever --gfun: the run, and
+    # its g_bar of 0, are those of --gfun zero (--gfun cos reported e^{-1/2})
+    docs = []
+    for gfun in ("zero", "cos"):
+        assert run(["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--gfun", gfun,
+                    "--replicas", "40", "--seed", "5", "--format", "json",
+                    "--out", str(tmp_path / gfun)]) in (0, 2)
+        docs.append(json.loads((tmp_path / f"{gfun}.json").read_text()))
+    assert docs[0]["g_bar"] == docs[1]["g_bar"] == 0.0
+    assert docs[0]["table"] == docs[1]["table"]
 
 
 @pytest.mark.parametrize("hfun, gfun", [pytest.param("zero", "zero", id="zero"),
@@ -846,19 +787,24 @@ def test_a_flag_after_the_config_file_overrides_it(tmp_path):
     assert (tmp_path / "direct.csv").read_bytes() == reseeded.with_suffix(".csv").read_bytes()
 
 
-@pytest.mark.parametrize("option", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
-                         ids=["config", "config-joined", "conf"])
-def test_the_removed_config_option_fails_loudly(option, tmp_path, capsys):
+_FBM = ["sample-fbm", "--H", "0.3", "--n-steps", "8"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (_FBM, ["--config", "{}"]), (_FBM, ["--config={}"]), (_FBM, ["--conf", "{}"]),
+    (["clt-scan", *REQUIRED_ARGS["clt-scan"], "--replicas", "3"], ["--dt-ratio", "5"]),
+    (["homogenize", *REQUIRED_ARGS["homogenize"], "--replicas", "2"], ["--dt-ratio", "5"]),
+], ids=["config", "config-joined", "conf", "clt-dt-ratio", "homogenize-dt-ratio"])
+def test_the_removed_config_option_fails_loudly(argv, option, tmp_path, capsys):
     # an echo is read back as @PREFIX.config; --config, and its abbreviation,
-    # ran on the defaults when not a separate token, and are now unknown
-    argv = ["sample-fbm", "--H", "0.3", "--n-steps", "8", "--out", str(tmp_path / "first")]
-    assert run(argv) == 0
+    # ran on the defaults when not a separate token, and are now unknown; so
+    # is --dt-ratio, as every grid is the one exact.resolve_dt_ratio picks
+    assert run([*argv, "--out", str(tmp_path / "first")]) == 0
     echo = str(tmp_path / "first.config")
     out = tmp_path / "out"
     out.mkdir()
-    assert run(["sample-fbm", "--H", "0.3", *(o.format(echo) for o in option),
-                "--out", str(out / "x")]) == 1
-    assert "unrecognized arguments: --conf" in capsys.readouterr().err
+    assert run([*argv, *(o.format(echo) for o in option), "--out", str(out / "x")]) == 1
+    assert f"unrecognized arguments: {option[0][:6]}" in capsys.readouterr().err
     assert not list(out.iterdir())
 
 
@@ -913,9 +859,8 @@ _H = st.floats(0.05, 0.95)
 _H_LONG = st.floats(0.55, 0.95)
 _COMMON = {"--seed": st.integers(0, 2**31 - 1), "--format": st.sampled_from(["csv", "json"])}
 _SAMPLING_COMMON = {**_COMMON, "--replicas": st.integers(2, 3)}
-# tiny valid configurations over the benchmark's H range: every fast
-# scale resolved (dt_ratio >= 20 or auto), l2-hermite and hermite-sample long
-# range
+# tiny valid configurations over the benchmark's H range, l2-hermite and
+# hermite-sample long range
 CONFIG_SPACES = {
     "sample-fbm": {"--H": _H, "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 16)},
     "sample-fou": {"--H": _H, "--eps": _float(0.05, 1), "--horizon": _float(0.05, 0.3)},
@@ -926,8 +871,7 @@ CONFIG_SPACES = {
                        "--horizon": _float(0.1, 2), "--n-steps": st.integers(1, 20)},
     # a variance scan's SE needs 3 replicas
     "clt-scan": {"--replicas": st.integers(3, 4), "--H": _H, "--coeffs": _COEFFS,
-                 "--t": _float(0.1, 0.3), "--eps-list": _eps_list(0.1, 1, 3),
-                 "--dt-ratio": st.one_of(st.just("auto"), _float(20, 40))},
+                 "--t": _float(0.1, 0.3), "--eps-list": _eps_list(0.1, 1, 3)},
     "l2-hermite": {"--H": _H_LONG, "--coeffs": _COEFF.filter(bool).map(
                        lambda c: _text([0.0, c])),
                    "--t": _float(0.1, 0.5), "--eps-list": _eps_list(0.1, 0.5, 2)},
@@ -938,8 +882,7 @@ CONFIG_SPACES = {
                    "--t": _float(0.1, 0.3), "--x0": _float(-1, 1),
                    "--f": st.sampled_from(sorted(solvers.FLOWS)),
                    "--hfun": st.sampled_from(sorted(solvers.FLOWS)),
-                   "--gfun": st.sampled_from(sorted(cli._G_PRESETS)),
-                   "--dt-ratio": st.one_of(st.just("auto"), _float(20, 40))},
+                   "--gfun": st.sampled_from(sorted(cli._G_PRESETS))},
 }
 
 

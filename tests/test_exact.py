@@ -112,6 +112,13 @@ MC_PAIRS = [(He2, 0.6), (He2, 0.75), (He1, 0.8), (He2, 0.85),
 
 # the coarsest rung whose exact bias fits the budget of 1,200 replicas
 AUTO_RATIO_1200 = {0.6: 5.0, 0.75: 2.0, 0.8: 2.0, 0.85: 2.0, 0.7: 4.0}
+BUDGET_1200 = 0.1 * math.sqrt(2 / 1199)
+
+
+def _relative_biases(G, H, eps_list, ratio):
+    """Exact relative bias of the trapezoid variance on the grid of step eps/ratio, per eps."""
+    return np.array([exact.trapezoid_variance(G, H, 1.0, e, ratio)
+                     / exact.continuous_variance(G, H, 1.0, e) - 1.0 for e in eps_list])
 
 
 @pytest.mark.parametrize("eps_list", [[0.1, 0.05, 0.02], [0.05, 0.02, 0.01]])
@@ -127,38 +134,42 @@ def test_auto_ratio_is_ten_where_paths_are_smooth(G, H, eps_list):
     rung = exact.DT_RATIO_LADDER.index(ratio)
     if rung > 0:
         coarser = exact.DT_RATIO_LADDER[rung - 1]
-        assert not exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200, coarser)[0][
-            "bias_budget_met"]
+        assert np.max(np.abs(_relative_biases(G, H, eps_list, coarser))) > BUDGET_1200
     assert var == pytest.approx([exact.trapezoid_variance(G, H, 1.0, e, ratio)
                                  for e in eps_list], rel=1e-15)
     assert ratio <= 10.0
-    assert exact.resolve_dt_ratio(G, H, 1.0, eps_list, 1200, 10.0)[0]["bias_budget_met"]
+    assert np.max(np.abs(_relative_biases(G, H, eps_list, 10.0))) <= BUDGET_1200
 
 
 def test_auto_ratio_refines_for_rough_paths_and_caps_at_400():
-    eps_list, budget = [0.1, 0.05, 0.02], 0.1 * math.sqrt(2 / 1199)
+    eps_list, budget = [0.1, 0.05, 0.02], BUDGET_1200
     res = exact.resolve_dt_ratio(He2, 0.3, 1.0, eps_list, 1200)[0]
     assert res["dt_ratio"] == 50.0 and res["bias_budget_met"]
     assert np.all(res["trapezoid_bias"] > 0) and res["bias_budget"] == pytest.approx(budget)
-    below = exact.resolve_dt_ratio(He2, 0.3, 1.0, eps_list, 1200, 20.0)[0]
-    assert not below["bias_budget_met"] and np.max(below["trapezoid_bias"]) > budget
+    assert np.max(_relative_biases(He2, 0.3, eps_list, 20.0)) > budget
     res = exact.resolve_dt_ratio(He2, 0.05, 1.0, eps_list, 1200)[0]
     assert res["dt_ratio"] == 400.0 and not res["bias_budget_met"]
     assert np.min(res["trapezoid_bias"]) > budget
 
 
 def test_auto_ratio_reports_the_bias_of_a_rounded_grid():
-    # 1 / (0.03 / 10) = 333.3 rounds to 333 steps, dt = 0.003003 > eps / 10:
-    # the rung is the grid as rounded, and its bias is that grid's exact one;
-    # every rung is a candidate, with or without a drift, and the first is 2
-    assert TimeGrid.with_step(1.0, 0.003).dt > 0.03 / 10.0
+    # 1 / (0.03 / 2) = 66.7 rounds to 67 steps, dt = 0.014925 < eps / 2: the
+    # rung is the grid as rounded, and its variances and biases are that
+    # grid's exact ones; every rung is a candidate, with or without a drift,
+    # and the first is 2
+    assert TimeGrid.with_step(1.0, 0.015).dt < 0.03 / 2.0
     eps_list = [0.1, 0.03, 0.01]
-    res = exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200, 10.0)[0]
-    assert res["bias_budget_met"]
-    assert res["trapezoid_bias"][1] == pytest.approx(
-        exact.trapezoid_variance(He1, 0.8, 1.0, 0.03, 10.0)
-        / exact.continuous_variance(He1, 0.8, 1.0, 0.03) - 1.0, rel=1e-12)
-    assert exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200)[0]["dt_ratio"] == 2.0
+    resolution, var = exact.resolve_dt_ratio(He1, 0.8, 1.0, eps_list, 1200)
+    trapezoid = [exact.trapezoid_variance(He1, 0.8, 1.0, e, 2.0) for e in eps_list]
+    continuous = [exact.continuous_variance(He1, 0.8, 1.0, e) for e in eps_list]
+    np.testing.assert_array_equal(var, trapezoid)
+    assert resolution == {"dt_ratio": 2.0,
+                          "trapezoid_bias": pytest.approx(np.divide(trapezoid, continuous) - 1,
+                                                          rel=1e-15),
+                          "bias_budget": pytest.approx(BUDGET_1200, rel=1e-15),
+                          "bias_budget_met": True}
+    with pytest.raises(ValueError, match="at least 2 replicas, got 1"):
+        exact.resolve_dt_ratio(He2, 0.6, 1.0, [0.1], 1)
 
 
 @pytest.mark.parametrize("H", [0.6, 0.85])
@@ -175,20 +186,6 @@ def test_he2_kurtosis_at_the_resolved_rung_is_that_of_a_fine_grid(H):
     (_, kurt, _), (_, fine, se) = kurtosis(ratio), kurtosis(50.0)
     assert ratio < fou.MIN_STEPS_PER_EPS
     assert abs(kurt - fine) <= 0.1 * se
-
-
-def test_resolved_ratio_reports_the_exact_bias_of_the_number_given():
-    resolution, var = exact.resolve_dt_ratio(He2, 0.6, 1.0, [0.1, 0.05], 1200, 37.0)
-    trapezoid = [exact.trapezoid_variance(He2, 0.6, 1.0, e, 37.0) for e in (0.1, 0.05)]
-    continuous = [exact.continuous_variance(He2, 0.6, 1.0, e) for e in (0.1, 0.05)]
-    np.testing.assert_array_equal(var, trapezoid)
-    assert resolution == {"dt_ratio": 37.0,
-                          "trapezoid_bias": pytest.approx(np.divide(trapezoid, continuous) - 1,
-                                                          rel=1e-15),
-                          "bias_budget": pytest.approx(0.1 * math.sqrt(2 / 1199), rel=1e-15),
-                          "bias_budget_met": True}
-    with pytest.raises(ValueError, match="at least 2 replicas, got 1"):
-        exact.resolve_dt_ratio(He2, 0.6, 1.0, [0.1], 1)
 
 
 @pytest.mark.parametrize("H, eps, ratio", [(0.6, 0.05, 10.0), (0.85, 0.1, 23.5),

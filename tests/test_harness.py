@@ -62,7 +62,7 @@ def test_variance_scan_stderr_is_the_influence_function_se():
     # the integral of He_3 is heavy-tailed at these scales: its variance's
     # SE is 2-4x the Gaussian v sqrt(2 / (n - 1))
     He3 = ChaosFunction([0, 0, 0, 1.0])
-    scan = harness.variance_scan(He3, 0.7, 1.0, [0.2, 0.1, 0.05], 600, 5, dt_ratio=10.0)
+    scan = harness.variance_scan(He3, 0.7, 1.0, [0.2, 0.1, 0.05], 600, 5)
     assert scan.stderrs[-1] == harness.variance_stderr(scan.meta["finest_samples"])
     assert np.all(scan.stderrs > 1.5 * scan.values * np.sqrt(2 / 599))
 
@@ -141,14 +141,15 @@ def _old_slope_ci(eps, values, stderrs):
 
 
 def test_variance_scan_reads_every_eps_of_a_group_off_the_finest_path(monkeypatch):
-    # t 0.5 at eps/dt 20: 100, 200 and 400 steps of one unit-rate spacing 0.05
+    # t 0.5 at any whole eps/dt r: 5r, 10r and 20r steps of one unit-rate spacing 1/r
     built = _spy_path_samplers(monkeypatch)
     eps_list, n, seed = [0.1, 0.05, 0.025], 300, 9
-    scan = harness.variance_scan(H2, 0.7, 0.5, eps_list, n, seed, dt_ratio=20.0)
-    finest = TimeGrid.with_step(0.5, 0.025 / 20.0)
+    scan = harness.variance_scan(H2, 0.7, 0.5, eps_list, n, seed)
+    ratio = scan.meta["resolution"]["dt_ratio"]
+    finest = TimeGrid.with_step(0.5, 0.025 / ratio)
     assert built == [(finest, 0.025)]
     # the finest column is the one an independent draw from its stream gives
-    x = harness._fou_endpoint_samples(H2, 0.7, 0.5, 0.025, n, seed, "vscan-eps2", 20.0, 1.0)
+    x = harness._fou_endpoint_samples(H2, 0.7, 0.5, 0.025, n, seed, "vscan-eps2", ratio, 1.0)
     np.testing.assert_array_equal(scan.meta["finest_samples"], x)
     assert scan.values[-1] == harness.fsum_variance(x)
     assert scan.stderrs[-1] == harness.variance_stderr(x)
@@ -156,7 +157,7 @@ def test_variance_scan_reads_every_eps_of_a_group_off_the_finest_path(monkeypatc
     y = fou.path_sampler(finest, 0.7, 0.025).batch(keys(seed, "vscan-eps2", 0, n))
     cols = []
     for i, eps in enumerate(eps_list):
-        grid = TimeGrid.with_step(0.5, eps / 20.0)
+        grid = TimeGrid.with_step(0.5, eps / ratio)
         cols.append(harness.functional_values(H2, y[:, : grid.n_steps + 1], grid.dt))
         assert scan.values[i] == harness.fsum_variance(cols[-1])
         assert scan.stderrs[i] == harness.variance_stderr(cols[-1])
@@ -170,12 +171,14 @@ def test_variance_scan_reads_every_eps_of_a_group_off_the_finest_path(monkeypatc
 
 
 def test_variance_scan_draws_eps_of_different_spacings_apart(monkeypatch):
-    # at eps/dt 5, eps 0.1, 0.07 and 0.03 take 50, 71 and 167 steps, of
-    # unit-rate spacings 0.2, 0.2012 and 0.1996: three groups of one, each
-    # drawn from its own stream on its own grid, as independent estimates
+    # at eps/dt 5, the rung of 1,200 replicas, eps 0.1, 0.07 and 0.03 take 50,
+    # 71 and 167 steps, of unit-rate spacings 0.2, 0.2012 and 0.1996: three
+    # groups of one, each drawn from its own stream on its own grid, as
+    # independent estimates
     built = _spy_path_samplers(monkeypatch)
-    eps, n, seed = np.array([0.1, 0.07, 0.03]), 400, 4
-    scan = harness.variance_scan(H2, 0.6, 1.0, eps, n, seed, dt_ratio=5.0)
+    eps, n, seed = np.array([0.1, 0.07, 0.03]), 1200, 4
+    scan = harness.variance_scan(H2, 0.6, 1.0, eps, n, seed)
+    assert scan.meta["resolution"]["dt_ratio"] == 5.0
     assert [grid.n_steps for grid, _ in built] == [50, 71, 167]
     xs = [harness._fou_endpoint_samples(H2, 0.6, 1.0, e, n, seed, f"vscan-eps{i}", 5.0, 1.0)
           for i, e in enumerate(eps)]
@@ -187,7 +190,7 @@ def test_variance_scan_draws_eps_of_different_spacings_apart(monkeypatch):
 
 
 # the eps lists and (coefficients, H) pairs of the benchmark's clt-scan
-# operations, at its 1200 replicas and the default --t 1 and --dt-ratio auto
+# operations, at its 1200 replicas and the default --t 1
 BENCH_SCANS = [(coeffs, H, eps) for coeffs, H in (((0, 0, 1), 0.6), ((0, 0, 1), 0.75),
                                                   ((0, 1), 0.8), ((0, 0, 1), 0.85),
                                                   ((0, 0, 0, 1), 0.7))
@@ -368,12 +371,12 @@ def test_each_embedding_is_computed_once_per_scale(monkeypatch):
 
     monkeypatch.setattr(fgn, "_embedding_eigenvalues", spy)
     # 600 replicas: three chunks; the four scales share the unit-rate
-    # spacing 0.1, so one embedding of the finest grid serves them all
-    harness.variance_scan(H2, 0.7, 0.2, [0.2, 0.1, 0.05, 0.025], 600, 3, dt_ratio=10.0)
-    assert calls == [80]
+    # spacing 1/6 of their rung, so one embedding of the finest grid serves them all
+    scan = harness.variance_scan(H2, 0.7, 0.2, [0.2, 0.1, 0.05, 0.025], 600, 3)
+    assert scan.meta["resolution"]["dt_ratio"] == 6.0 and calls == [48]
     calls.clear()
-    harness.joint_covariance_check([H1, H2], 0.7, 0.2, 0.1, 0.05, 600, 3, dt_ratio=10.0)
-    assert calls == [40]
+    report = harness.joint_covariance_check([H1, H2], 0.7, 0.2, 0.1, 0.05, 600, 3)
+    assert report["dt_ratio"] == 2.0 and calls == [8]
 
 
 def test_gaussian_moment_constant_for_linear_functional():

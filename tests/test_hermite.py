@@ -307,12 +307,12 @@ def test_engine_far_factor_is_a_rank_r_factor_of_the_far_gram(n, H, m, monkeypat
     L, far = engine.far_factor, engine.kernel.far
     gram = far @ far.T
     assert np.abs(L @ L.T - gram).max() <= 1e-13 * np.trace(gram)
-    assert engine.far_rank == L.shape[1] < hermite._FAR_NODES
-    assert 0.0 <= engine.far_gram_dropped < 1e-13
+    assert L.shape[1] < hermite._FAR_NODES
+    assert 0.0 <= hermite._far_factor(gram)[1] < 1e-13
     assert not L.flags.writeable
     widths = _recording_draws(monkeypatch)
     hermite.hermite_ensemble(engine, keys(2, "rank", 0, 3))
-    assert widths == [engine.far_rank + 2 * n]
+    assert widths == [L.shape[1] + 2 * n]
 
 
 def test_l2_far_factor_is_a_rank_r_factor_of_the_stacked_far_gram(monkeypatch):

@@ -366,9 +366,8 @@ def test_only_run_replicated_derives_keys():
 # the functions that sample, or take the exact variance or spectrum of, a
 # trapezoid integral of G(y^eps) on the grid of step eps / dt_ratio
 RATIO_TAKERS = {f.__name__: f for f in (
-    harness.variance_scan, harness.joint_covariance_check, harness._fou_endpoint_samples,
-    solvers.homogenize, solvers._slow_fast_endpoints, exact.trapezoid_variance,
-    exact.he2_trapezoid_spectrum, exact.resolve_dt_ratio)}
+    harness._fou_endpoint_samples, solvers.homogenize, solvers._slow_fast_endpoints,
+    exact.trapezoid_variance, exact.he2_trapezoid_spectrum)}
 
 
 def literal_ratio_calls(source: str) -> list[tuple[str, int]]:
@@ -394,7 +393,7 @@ def test_ratio_scanner_flags_only_literal_ratios():
     src = (
         "def crit(seed, ratio, alpha):\n"
         "    harness._fou_endpoint_samples(H2, 0.6, 1.0, 0.01, 10, seed, 'a', 100.0, alpha)\n"
-        "    harness.variance_scan(H2, 0.6, 1.0, [0.1, 0.05, 0.02], 10, seed, ratio)\n"
+        "    exact.he2_trapezoid_spectrum(0.6, 1.0, 0.01, ratio)\n"
         "    exact.trapezoid_variance(H2, 0.6, 1.0, 0.1, dt_ratio=50)\n"
         "    solvers.homogenize(H2, 0.6, 0.02, f, None, None, 10, seed, dt_ratio=None)\n"
         "    return TimeGrid.with_step(1.0, 0.1 / 50.0)\n"

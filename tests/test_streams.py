@@ -124,10 +124,10 @@ def _chunked(monkeypatch, module, chunk_size):
 def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
     G = ChaosFunction([0, 0, 1])
     args = (G, 0.6, 0.5, [0.2, 0.1, 0.05], n, 17)
-    ref = harness.variance_scan(*args, dt_ratio=20.0)
+    ref = harness.variance_scan(*args)
     with pytest.MonkeyPatch.context() as mp:
         _chunked(mp, harness, chunk)
-        got = harness.variance_scan(*args, dt_ratio=20.0, threads=threads)
+        got = harness.variance_scan(*args, threads=threads)
     # every column reads the shared path of its group, so the values,
     # their SEs and the covariance-aware CI are all bit-identical
     np.testing.assert_array_equal(got.values, ref.values)
