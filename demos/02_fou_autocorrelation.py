@@ -20,8 +20,8 @@ for H in (0.4, 0.6, 0.75, 0.9):
           f"(theory {2 * H - 2:+.3f})")
 
 # the degenerate constant: int_0^inf rho vanishes for H < 1/2
-print("\nint_0^inf rho(s) ds at H=0.4:", f"{fou.rho_power_integral(1, 0.4):.2e}")
-print("int_0^inf rho(s)^2 ds at H=0.6:", f"{fou.rho_power_integral(2, 0.6):.6f}")
+print("\nint_0^inf rho(s) ds at H=0.4:", f"{fou.rho_power_integral([1], 0.4)[0]:.2e}")
+print("int_0^inf rho(s)^2 ds at H=0.6:", f"{fou.rho_power_integral([2], 0.6)[0]:.6f}")
 
 # sampled paths: stationarity of the marginal
 grid = TimeGrid(0.1, 200)

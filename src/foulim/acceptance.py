@@ -88,8 +88,8 @@ def crit_2_fou_stationarity_decay(seed, suite, threads=1) -> CriterionResult:
 
 
 def crit_3_degenerate_constant(seed, suite, threads=1) -> CriterionResult:
-    i1 = fou.rho_power_integral(1, 0.4)
-    vals = {S: fou.rho_power_integral(2, 0.6, s_max=S) for S in (500.0, 1000.0, 2000.0)}
+    (i1,) = fou.rho_power_integral([1], 0.4)
+    vals = {S: fou.rho_power_integral([2], 0.6, s_max=S)[0] for S in (500.0, 1000.0, 2000.0)}
     ref = vals[1000.0]
     spread = max(abs(v - ref) / ref for v in vals.values())
     details = {"int_rho_H04": i1, "int_rho2_H06": ref, "tail_split_spread": spread}
@@ -329,8 +329,8 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
         for label, H, offset in (("short_range", 0.6, 0), ("long_range", 0.85, 1)):
             resolution, var = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n_rep)
             ratio = resolution["dt_ratio"]
-            x, lim = solvers.homogenize(H2, H, eps, f, None, None, n_rep, s + offset,
-                                        dt_ratio=ratio, threads=threads)
+            x, lim, _ = solvers.homogenize(H2, H, eps, f, None, None, n_rep, s + offset,
+                                           dt_ratio=ratio, threads=threads)
             details[f"{label}_dt_ratio_eps{eps}"] = ratio
             details[f"{label}_ks_pvalue_eps{eps}"] = float(stats.ks_2samp(x, lim).pvalue)
             for key, val in _driver_moment_zscores(x, H, eps, var[0]).items():
@@ -365,7 +365,7 @@ def crit_11_solver_oracles(seed, suite, threads=1) -> CriterionResult:
     # x_1 = c int_0^1 e^{g_bar (1 - s)} dW_s, Var x_1 = c^2 (e^{2 g_bar} - 1) / (2 g_bar)
     n_rep = 4000 if suite == "full" else 1500
     c, g_bar = chaos.c_constant(H2, 0.6), np.exp(-0.5)
-    x = solvers._limit_endpoints(H2, 0.6, 1.0, 0.0, flows["one"], flows["linear"].f,
+    x = solvers._limit_endpoints(H2, 0.6, c, 1.0, 0.0, flows["one"], flows["linear"].f,
                                  g_bar, n_rep, seed, threads)
     var, target = harness.fsum_variance(x), c * c * np.expm1(2.0 * g_bar) / (2.0 * g_bar)
     details["linear_limit_variance"] = var

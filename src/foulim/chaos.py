@@ -8,7 +8,9 @@ c_k != 0 is its Hermite rank m.
 
 The exponent H*(m) = m(H-1) + 1 against 1/2 decides whether the scaled
 time integral of G along the fast fOU has a Wiener or a Hermite-process
-limit, and with which normalization alpha(eps).
+limit, and with which normalization alpha(eps).  It is the exponent of
+rho^m's tail, rho^m(s) ~ D^m s^{2H*(m)-2} with D = ``fou.rho_asymptote_constant``;
+at H = 1/2, where rho = e^{-s} and D = 0, every order is short range.
 """
 
 from __future__ import annotations
@@ -98,8 +100,11 @@ class ScalingRegime:
 
 
 def classify_regime(m: int, H) -> ScalingRegime:
+    """The regime of order m at H: by H*(m) against 1/2, all short range at H = 1/2."""
     hs = h_star(m, H)
-    if abs(hs - 0.5) <= BOUNDARY_TIE_TOL:
+    if as_hurst(H) == 0.5:  # rho = e^{-s} has no power-law tail
+        kind = Regime.SHORT_RANGE
+    elif abs(hs - 0.5) <= BOUNDARY_TIE_TOL:
         kind = Regime.BOUNDARY
     elif hs < 0.5:
         kind = Regime.SHORT_RANGE
@@ -179,7 +184,8 @@ def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, 
 
     A^{ij} = int_0^inf E(G_i(y_s) G_j(y_0)) ds
            = sum_q c_{i,q} c_{j,q} q! int_0^inf rho(r)^q dr,
-    summed over q >= max(rank_i, rank_j) up to the lower truncation order.
+    summed over q >= max(rank_i, rank_j) up to the lower truncation order,
+    with every integral taken in one ``fou.rho_power_integral`` pass.
     Returns (value, truncation_tail_bound).  Every contributing order
     must lie in the short-range regime; otherwise this is not a CLT
     component and the call raises.
@@ -188,21 +194,37 @@ def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, 
     q0 = max(Gi.hermite_rank, Gj.hermite_rank)
     K = min(Gi.truncation_order, Gj.truncation_order)
     ci, cj = Gi.coefficients, Gj.coefficients
-    fact = _factorials(K + 1)
-    total = last_term = 0.0
-    for q in range(q0, K + 1):
-        if ci[q] == 0.0 or cj[q] == 0.0:
-            continue
-        if h_star(q, h) >= 0.5 - BOUNDARY_TIE_TOL:
+    orders = [q for q in range(q0, K + 1) if ci[q] != 0.0 and cj[q] != 0.0]
+    for q in orders:
+        if classify_regime(q, h).kind is not Regime.SHORT_RANGE:
             raise ValueError(
                 f"not a CLT component: chaos order q={q} has H*(q) >= 1/2 at H={h}"
             )
-        term = ci[q] * cj[q] * fact[q] * fou.rho_power_integral(q, h)
+    fact = _factorials(K + 1)
+    integrals = fou.rho_power_integral(orders, h) if orders else []  # disjoint: no pass
+    total = last_term = 0.0
+    for q, integral in zip(orders, integrals):
+        term = ci[q] * cj[q] * fact[q] * integral
         total += term
         last_term = abs(term)
     # crude geometric bound on the dropped orders, reported not asserted
     tail_bound = last_term
     return float(total), float(tail_bound)
+
+
+def _boundary_covariance(Gi: ChaosFunction, Gj: ChaosFunction, H) -> float:
+    """m! c_{i,m} c_{j,m} D^m, m the lower rank, which must have H*(m) = 1/2.
+
+    There rho^m(s) ~ D^m / s, so Cov(int_0^t G_i(y^eps), int_0^s G_j(y^eps))
+    grows like 2 min(t, s) m! c_{i,m} c_{j,m} D^m eps |ln eps|, and the
+    orders above m, all short range, add only O(eps).
+    """
+    h = as_hurst(H)
+    m = min(Gi.hermite_rank, Gj.hermite_rank)
+    if classify_regime(m, h).kind is not Regime.BOUNDARY:
+        raise ValueError(f"order m={m} is not at the boundary H*(m) = 1/2 at H={h}")
+    return float(_factorials(m + 1)[m] * Gi.coefficients[m] * Gj.coefficients[m]
+                 * fou.rho_asymptote_constant(h) ** m)
 
 
 MAX_HERMITE_ORDER = 3
@@ -242,26 +264,30 @@ def K_normalizer(H_target: float, m: int) -> float:
     return float(np.sqrt(math.factorial(m) / norm_sq))
 
 
+def _c_from_A(A: float, H) -> float:
+    """c = sqrt(2A) of the short range, 0 for a rounding-size A < 0."""
+    if A < -1e-12:  # A = 0 exactly for He_1 at H < 1/2, where it can round below 0
+        raise FoulimError(f"limit covariance A = {A:g} is negative beyond rounding at H={H}")
+    return float(np.sqrt(2.0 * max(A, 0.0)))
+
+
 def c_constant(G: ChaosFunction, H) -> float:
     """Homogenization constant c >= 0 for the limit equation.
 
-    short range:  c^2 = 2 sum_k c_k^2 k! int_0^inf rho^k, 0 for a rounding-size A < 0
-    boundary:     c^2 = 2 m! c_m^2
+    short range:  c^2 = 2 A = 2 sum_k c_k^2 k! int_0^inf rho^k, 0 for a rounding-size A < 0
+    boundary:     c^2 = 2 m! c_m^2 D^m, D = ``fou.rho_asymptote_constant(H)``,
+                  the limit of alpha(eps)^2 Var int_0^1 G(y^eps) ds
     long range:   c = |c_m| (m!/K(H*(m), m)) C(H)^m, the coefficient of
                   the unit-variance Hermite process in the limit.
     """
     h = as_hurst(H)
     m = G.hermite_rank
     regime = classify_regime(m, h)
-    cm = G.coefficients[m]
     if regime.kind is Regime.LONG_RANGE:
         K = K_normalizer(regime.h_star, m)
         return float(
-            abs(cm) * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
+            abs(G.coefficients[m]) * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
         )
     if regime.kind is Regime.BOUNDARY:
-        return float(np.sqrt(2.0 * _factorials(m + 1)[m] * cm**2))
-    A, _ = limit_covariance_A(G, G, h)
-    if A < -1e-12:  # A = 0 exactly for He_1 at H < 1/2, where it can round below 0
-        raise FoulimError(f"limit covariance A = {A:g} is negative beyond rounding at H={h}")
-    return float(np.sqrt(2.0 * max(A, 0.0)))
+        return float(np.sqrt(2.0 * _boundary_covariance(G, G, h)))
+    return _c_from_A(limit_covariance_A(G, G, h)[0], h)

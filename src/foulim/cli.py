@@ -32,10 +32,6 @@ class UsageError(Exception):
     pass
 
 
-# subcommands that report a sample variance or standard error
-_STATISTICS_COMMANDS = {"clt-scan", "l2-hermite", "kinetic-scan", "homogenize"}
-
-
 # domain and numerical failures exit 2 with an "error:" line (FoulimError is
 # the base of the package's own, such as the slow/fast blow-up guard), as
 # does a request larger than memory; anything else, such as a TypeError, is
@@ -162,21 +158,24 @@ def _cmd_chaos(args) -> int:
 def _cmd_constants(args) -> int:
     G = _chaos_from_args(args)
     regime = chaos.classify_regime(G.hermite_rank, args.H)
+    extra = {}
+    if regime.kind is Regime.SHORT_RANGE:  # c from the A it reports: one rho pass
+        A, tail = chaos.limit_covariance_A(G, G, args.H)
+        c, extra = chaos._c_from_A(A, args.H), {"A_self": A, "A_truncation_tail": tail}
+    else:
+        c = chaos.c_constant(G, args.H)
+        if regime.kind is Regime.LONG_RANGE:
+            extra = {"K_normalizer": chaos.K_normalizer(regime.h_star, G.hermite_rank),
+                     "kernel_amplitude": fou.kernel_amplitude(args.H)}
     summary = {
         "H": args.H,
         "hermite_rank": G.hermite_rank,
         "h_star": regime.h_star,
         "regime": regime.kind.value,
         "sigma": fou.stationary_sigma(args.H),
-        "c": chaos.c_constant(G, args.H),
+        "c": c,
+        **extra,
     }
-    if regime.kind is Regime.LONG_RANGE:
-        summary["K_normalizer"] = chaos.K_normalizer(regime.h_star, G.hermite_rank)
-        summary["kernel_amplitude"] = fou.kernel_amplitude(args.H)
-    elif regime.kind is Regime.SHORT_RANGE:
-        A, tail = chaos.limit_covariance_A(G, G, args.H)
-        summary["A_self"] = A
-        summary["A_truncation_tail"] = tail
     rows = [(k, v) for k, v in summary.items() if isinstance(v, (int, float))]
     _emit(args, ["constant", "value"], rows, summary)
     return 0
@@ -283,14 +282,14 @@ def _cmd_homogenize(args) -> int:
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
     resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas)
-    endpoints, limit = solvers.homogenize(
+    endpoints, limit, c = solvers.homogenize(
         G, args.H, args.eps, solvers.FLOWS[args.f], h, g, args.replicas, args.seed,
         args.t, args.x0, resolution["dt_ratio"], args.threads,
     )
     ks = _stats.ks_2samp(endpoints, limit)
     summary = {
         "regime": chaos.classify_regime(G.hermite_rank, args.H).kind.value,
-        "c": chaos.c_constant(G, args.H),
+        "c": c,
         # the limit's drift is g_bar h(x) dt: 0 without a drift
         "g_bar": 0.0 if g is None else chaos.gaussian_expectation(g),
         **resolution,
@@ -327,27 +326,39 @@ def _cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _at_least(minimum: int):
+    """The argparse type of an integer option whose least value is ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
 
 
-def _add_parser(sub, command: str, func, samples: bool = False, seed_default: int = 0,
-                hurst: bool = True) -> argparse.ArgumentParser:
+_positive_int = _at_least(1)
+
+
+def _add_parser(sub, command: str, func, replicas: tuple[int, int] | None = None,
+                seed_default: int = 0, hurst: bool = True) -> argparse.ArgumentParser:
     """A subcommand parser carrying its own copy of the common options.
 
     argparse parent parsers share their Action objects between children,
     so a per-subcommand default set through a parent would leak into
     every other subcommand; each subcommand builds its own instead.  Only
-    the subcommands that draw samples take --replicas; all but verify take --H.
+    the subcommands that draw samples take --replicas, as replicas =
+    (least count, default): a subcommand that reports a sample variance
+    needs 2, and one that reports the SE of one 3; all but verify take --H.
     """
     sp = sub.add_parser(command)
     sp.set_defaults(func=func)
     sp.add_argument("--seed", type=int, default=seed_default, help="master seed")
-    if samples:
-        sp.add_argument("--replicas", type=_positive_int, default=1)
+    if replicas is not None:
+        minimum, default = replicas
+        sp.add_argument("--replicas", type=_at_least(minimum), default=default,
+                        help=f"Monte Carlo replicas (at least {minimum})")
     sp.add_argument("--out", type=str, default=None,
                     help="output path prefix (writes <out>.csv/.json/.config)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -374,11 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command")
 
-    sp = _add_parser(sub, "sample-fbm", _cmd_fbm_paths, samples=True)
+    sp = _add_parser(sub, "sample-fbm", _cmd_fbm_paths, replicas=(1, 1))
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=_positive_int, default=256)
 
-    sp = _add_parser(sub, "sample-fou", _cmd_sample_fou, samples=True)
+    sp = _add_parser(sub, "sample-fou", _cmd_sample_fou, replicas=(1, 1))
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=_positive_int, default=None)
@@ -395,27 +406,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = _add_parser(sub, "constants", _cmd_constants)
     sp.add_argument("--coeffs", type=str, required=True)
 
-    sp = _add_parser(sub, "hermite-sample", _cmd_hermite_sample, samples=True)
+    sp = _add_parser(sub, "hermite-sample", _cmd_hermite_sample, replicas=(1, 1))
     sp.add_argument("--m", type=_positive_int, default=2)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--n-steps", type=_positive_int, default=200)
 
-    sp = _add_parser(sub, "clt-scan", _cmd_clt_scan, samples=True)
+    sp = _add_parser(sub, "clt-scan", _cmd_clt_scan, replicas=(3, 2000))
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02")
 
-    sp = _add_parser(sub, "l2-hermite", _cmd_l2_hermite, samples=True)
+    sp = _add_parser(sub, "l2-hermite", _cmd_l2_hermite, replicas=(2, 500))
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.2,0.1,0.05")
 
-    sp = _add_parser(sub, "kinetic-scan", _cmd_kinetic_scan, samples=True)
+    sp = _add_parser(sub, "kinetic-scan", _cmd_kinetic_scan, replicas=(2, 200))
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--eps-list", type=str, default="0.1,0.05,0.02,0.01")
     sp.add_argument("--n-report", type=_positive_int, default=50)
 
-    sp = _add_parser(sub, "homogenize", _cmd_homogenize, samples=True)
+    sp = _add_parser(sub, "homogenize", _cmd_homogenize, replicas=(2, 1000))
     sp.add_argument("--coeffs", type=str, required=True)
     sp.add_argument("--eps", type=float, default=0.02)
     sp.add_argument("--t", type=float, default=1.0)
@@ -441,8 +452,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        if args.command in _STATISTICS_COMMANDS and args.replicas < 2:
-            raise UsageError(f"--replicas: {args.command} needs at least 2")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

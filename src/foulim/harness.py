@@ -277,9 +277,10 @@ def clt_diagnostics(samples) -> dict:
     Mean, variance, skewness and excess kurtosis with standard errors
     (variance and kurtosis by their influence-function estimates, mean
     and skewness normal-theory), plus the KS statistic against
-    N(0, sample variance).
+    N(0, sample variance), from the sorted samples as ``scipy.stats.kstest``
+    takes it, with its exact p-value ``kstwo.sf``.
     """
-    from scipy import stats
+    from scipy import special, stats
 
     x = np.asarray(samples, dtype=float)
     n = len(x)
@@ -291,7 +292,8 @@ def clt_diagnostics(samples) -> dict:
     z = (x - mu) / sd
     skew = fsum_mean(z**3)
     kurt, kurt_se = excess_kurtosis_with_se(x)
-    ks = stats.kstest(x, "norm", args=(0.0, sd))
+    cdf = special.ndtr(np.sort(x) / sd)
+    ks_stat = max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n))
     return {
         "n": n,
         "mean": mu,
@@ -302,8 +304,8 @@ def clt_diagnostics(samples) -> dict:
         "se_skewness": np.sqrt(6.0 / n),
         "excess_kurtosis": kurt,
         "se_excess_kurtosis": kurt_se,
-        "ks_statistic": float(ks.statistic),
-        "ks_pvalue": float(ks.pvalue),
+        "ks_statistic": float(ks_stat),
+        "ks_pvalue": float(np.clip(stats.kstwo.sf(ks_stat, n), 0.0, 1.0)),
     }
 
 
@@ -311,8 +313,9 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
                            n_replicas: int, master_seed: int = 0, threads: int = 1) -> dict:
     """Empirical covariance matrix of (X^{k,eps}_t, X^{k,eps}_s) vs theory.
 
-    Wiener-Wiener pairs must match 2(t^s)A^{ij}; Wiener-Hermite cross
-    pairs and Hermite-Hermite pairs of different rank must vanish.  All
+    Wiener-Wiener pairs must match 2(t^s)A^{ij}, and at the boundary
+    2(t^s) m! c_{i,m} c_{j,m} D^m (``chaos._boundary_covariance``); Wiener-Hermite
+    cross pairs and Hermite-Hermite pairs of different rank must vanish.  All
     components ride on the same fOU replicas, at the finest ratio eps/dt
     that ``exact.resolve_dt_ratio`` gives any G over [0, max(t, s)].
     """
@@ -337,12 +340,13 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
             ri, rj = regimes[i], regimes[j]
             if ri.kind is not Regime.LONG_RANGE and rj.kind is not Regime.LONG_RANGE:
                 if Regime.BOUNDARY in (ri.kind, rj.kind):
-                    # the A-series diverges at the boundary; no prediction
-                    pred, kind = None, "wiener-wiener-boundary"
+                    # the A series diverges: alpha^2 keeps the coefficient of its log
+                    A = chaos._boundary_covariance(G_list[i], G_list[j], h)
+                    kind = "wiener-wiener-boundary"
                 else:
                     A, _ = chaos.limit_covariance_A(G_list[i], G_list[j], h)
-                    pred = 2.0 * min(t, s) * A
                     kind = "wiener-wiener"
+                pred = 2.0 * min(t, s) * A
             elif ri.kind is Regime.LONG_RANGE and rj.kind is Regime.LONG_RANGE:
                 if G_list[i].hermite_rank != G_list[j].hermite_rank:
                     pred, kind = 0.0, "hermite-hermite-distinct"

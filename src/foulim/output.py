@@ -2,8 +2,9 @@
 
 All floats are written with 17 significant digits so that re-running
 from an emitted echo reproduces the run bit-exactly.  CSV files have a
-fixed header row and column order per schema; JSON summaries carry a
-schema-version field.  The config echo is an argparse args file, which
+fixed header row and column order per schema, with the bytes of
+``csv.writer`` under QUOTE_MINIMAL and "\n" line ends; JSON summaries
+carry a schema-version field.  The config echo is an argparse args file, which
 the CLI reads back as ``foulim @PREFIX.config``.  Every writer takes a
 path or an open text stream, so a file and standard output get the same
 bytes.
@@ -12,7 +13,6 @@ bytes.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 
 import numpy as np
@@ -46,13 +46,36 @@ def _opened(target):
     return open(target, "w", newline="")
 
 
+# printf specs of the cell types a numeric row holds, each writing what ``fmt`` does
+_NUMBER_SPECS = {float: "%.17g", np.float64: "%.17g", int: "%d", np.int64: "%d"}
+
+
+def _text_line(cells: list[str]) -> str:
+    """A CSV line of text cells as QUOTE_MINIMAL writes it: a cell holding a comma, a
+    quote or a newline in quotes, its quotes doubled, and a lone empty cell as ""."""
+    quoted = ['"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\n') else c
+              for c in cells]
+    return '""' if quoted == [""] else ",".join(quoted)
+
+
 def write_csv(target, header: list[str], rows) -> None:
-    """RFC-style CSV with a fixed header and column order."""
+    """RFC-style CSV with a fixed header and column order, written row by row.
+
+    A row of floats and ints is formatted by one printf template per
+    sequence of cell types; any other row goes cell by cell through ``fmt``.
+    """
+    templates = {}
     with _opened(target) as fh:
-        w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        w.writerow(header)
+        fh.write(_text_line(header) + "\n")
         for row in rows:
-            w.writerow([fmt(v) for v in row])
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                specs = [_NUMBER_SPECS.get(k) for k in kinds]
+                templates[kinds] = None if None in specs else ",".join(specs) + "\n"
+            template = templates[kinds]
+            fh.write(template % row if template is not None
+                     else _text_line([fmt(v) for v in row]) + "\n")
 
 
 def _numpy_to_json(obj):
@@ -67,9 +90,9 @@ def _numpy_to_json(obj):
 def write_json(target, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(payload)
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json)
     with _opened(target) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_numpy_to_json)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_config(target, command: str, params: dict) -> None:

@@ -189,12 +189,13 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
     return run_replicated(n, seed, "slowfast", solve_chunk, threads)
 
 
-def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray:
+def _limit_endpoints(G, H, c, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray:
     """Endpoints x_t of dx = f(x) dU + h(x) g_bar dt, n replicas from ``seed``.
 
-    f is a ``Flow``.  U = c W in the short-range and boundary regimes, W
-    from stream (seed, "limit-endpoint", i); U = sign(a_m) c Z^{H*,m} in the
-    long-range regime, the 400-step Hermite path of (seed, "limit-endpoint-z", i).
+    f is a ``Flow`` and c = ``chaos.c_constant(G, H)``.  U = c W in the
+    short-range and boundary regimes, W from stream (seed, "limit-endpoint", i);
+    U = sign(a_m) c Z^{H*,m} in the long-range regime, the 400-step Hermite
+    path of (seed, "limit-endpoint-z", i).
     Each ``run_replicated`` chunk is solved before the next is drawn.  With
     h None x_t = phi(U_t, s0), so W takes one step and Z gives its endpoint.
     Otherwise W takes 100 steps: for He_2, f = sin + 2, h = 1 and g = cos
@@ -202,7 +203,6 @@ def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray
     a 3,200-step solve on the same paths (20,000 replicas).
     """
     regime = chaos.classify_regime(G.hermite_rank, H)
-    c = chaos.c_constant(G, H)
     if regime.kind is Regime.LONG_RANGE:
         m = G.hermite_rank
         name, grid = "limit-endpoint-z", TimeGrid(t, 400)
@@ -231,8 +231,9 @@ def _limit_endpoints(G, H, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndarray
 
 def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: float = 1.0,
                x0: float = 0.0, dt_ratio: float | None = None,
-               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints x^eps_t of the slow/fast system and x_t of its limit equation.
+               threads: int = 1) -> tuple[np.ndarray, np.ndarray, float]:
+    """Endpoints x^eps_t of the slow/fast system and x_t of its limit equation, and
+    the limit's constant c = ``chaos.c_constant(G, H)``, taken once.
 
     f is a ``Flow`` (one of ``FLOWS``), h and g plain fields.  The system
     dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is solved at
@@ -255,8 +256,10 @@ def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: f
     x_eps = _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n_replicas, master_seed,
                                  dt_ratio, threads)
     g_bar = 0.0 if g is None else chaos.gaussian_expectation(g)
-    x_lim = _limit_endpoints(G, H, t, x0, f, h, g_bar, n_replicas, master_seed + 1, threads)
-    return x_eps, x_lim
+    c = chaos.c_constant(G, H)
+    x_lim = _limit_endpoints(G, H, c, t, x0, f, h, g_bar, n_replicas, master_seed + 1,
+                             threads)
+    return x_eps, x_lim, c
 
 
 def _grid_reader(times: np.ndarray, dt: float):

@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from foulim import chaos, fou
+from foulim import chaos, exact, fou
 from foulim.chaos import ChaosFunction, Regime
 from foulim.paths import FoulimError
 
@@ -124,13 +125,26 @@ def test_limit_covariance_examples():
     assert A == 0.0
     # pure H2 self-covariance: 2! * int rho^2
     A, _ = chaos.limit_covariance_A(H2, H2, 0.6)
-    assert A == pytest.approx(2.0 * fou.rho_power_integral(2, 0.6), rel=1e-10)
+    assert A == pytest.approx(2.0 * fou.rho_power_integral([2], 0.6)[0], rel=1e-10)
 
 
 def test_limit_covariance_divergent_regime_raises():
     H1 = ChaosFunction([0, 1.0])
     with pytest.raises(ValueError, match="not a CLT component"):
         chaos.limit_covariance_A(H1, H1, 0.8)
+    with pytest.raises(ValueError, match="not a CLT component"):
+        chaos.limit_covariance_A(ChaosFunction([0, 0, 1.0]), ChaosFunction([0, 0, 1.0]), 0.75)
+
+
+def test_every_order_is_short_range_at_half():
+    # rho = e^{-s} at H = 1/2 has no power-law tail: H*(1) = 1/2 is not a boundary
+    for m in (1, 2, 3):
+        assert chaos.classify_regime(m, 0.5).kind is Regime.SHORT_RANGE
+    assert chaos.classify_regime(1, 0.5).alpha(0.01) == pytest.approx(10.0)
+    G = ChaosFunction([0, 1.0, 0.5])
+    A, _ = chaos.limit_covariance_A(G, G, 0.5)
+    assert A == 1.25  # int e^{-s} + 0.5^2 2! int e^{-2s}
+    assert chaos.c_constant(G, 0.5) == np.sqrt(2.5)
 
 
 def test_c_constant_long_range_m1_equals_sigma():
@@ -145,9 +159,37 @@ def test_c_constant_long_range_m1_equals_sigma():
 def test_c_constant_short_range_and_boundary():
     H2 = ChaosFunction([0, 0, 1.0])
     c = chaos.c_constant(H2, 0.6)
-    assert c**2 == pytest.approx(4.0 * fou.rho_power_integral(2, 0.6), rel=1e-10)
-    c = chaos.c_constant(H2, 0.75)
-    assert c**2 == pytest.approx(4.0, rel=1e-12)
+    assert c**2 == pytest.approx(4.0 * fou.rho_power_integral([2], 0.6)[0], rel=1e-10)
+    # at H*(m) = 1/2, rho^m ~ D^m / s: c^2 = 2 m! c_m^2 D^m, not 2 m! c_m^2
+    for H, coeffs, m in ((0.75, [0, 0, 1.0], 2), (5.0 / 6.0, [0, 0, 0, -0.5, 1.0], 3)):
+        D = fou.rho_asymptote_constant(H)
+        c = chaos.c_constant(ChaosFunction(coeffs), H)
+        assert c**2 == pytest.approx(2.0 * math.factorial(m) * coeffs[m] ** 2 * D**m, rel=1e-14)
+    assert chaos.c_constant(H2, 0.75) ** 2 == pytest.approx(1.27324, abs=1e-5)
+
+
+# the (H, m) plane of the three regimes, and its boundary points
+PLANE_H = (0.1, 0.3, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
+
+
+def test_limit_constants_over_the_h_m_plane():
+    # alpha(eps)^2 Var int_0^1 He_m(y^eps) / c^2 -> 1, exactly computed at eps 1e-7; He_1
+    # below H = 1/2 has c = 0 (the degenerate CLT) and is left out
+    for H, m in [(H, m) for H in PLANE_H for m in (1, 2, 3) if m > 1 or H > 0.5] + [(0.5, 1)]:
+        G = ChaosFunction([0.0] * m + [1.0])
+        alpha = chaos.classify_regime(m, H).alpha(1e-7)
+        ratio = alpha**2 * exact.continuous_variance(G, H, 1.0, 1e-7) / chaos.c_constant(G, H) ** 2
+        assert 0.965 <= ratio <= 1.0 + 1e-9, (H, m, ratio)
+    # at H*(m) = 1/2 the approach is like 1/|ln eps|: fit a + b/|ln eps| + d/|ln eps|^2
+    eps = np.array([1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12])
+    inv_log = 1.0 / np.abs(np.log(eps))
+    for H, m in ((0.75, 2), (5.0 / 6.0, 3)):
+        G = ChaosFunction([0.0] * m + [1.0])
+        regime = chaos.classify_regime(m, H)
+        assert regime.kind is Regime.BOUNDARY
+        v = [regime.alpha(e) ** 2 * exact.continuous_variance(G, H, 1.0, e) for e in eps]
+        a = np.linalg.lstsq(np.vander(inv_log, 3, increasing=True), v, rcond=None)[0][0]
+        assert a == pytest.approx(chaos.c_constant(G, H) ** 2, rel=1e-3)
 
 
 def test_c_constant_is_zero_for_a_rounding_size_negative_A(monkeypatch):

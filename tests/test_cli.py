@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -75,6 +76,44 @@ def test_csv_schema_and_float_format(tmp_path):
     # 17-significant-digit round trip
     val = float(lines[3].split(",")[1])
     assert f"{val:.17g}" == lines[3].split(",")[1]
+
+
+def _csv_writer_bytes(header, rows) -> str:
+    """What csv.writer, QUOTE_MINIMAL with "\n" line ends, writes for the ``fmt`` of each cell."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([output.fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_CELLS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.text(st.sampled_from(["a", "b", " ", ",", '"', "\n", "\r", "'", "é"]), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(st.text(st.sampled_from(["x", ",", '"', "\n"]), max_size=3),
+                       min_size=1, max_size=3),
+       rows=st.lists(st.one_of(st.lists(_CELLS, max_size=4),
+                               st.lists(_FLOATS, min_size=1, max_size=3).map(tuple)),
+                     max_size=6))
+def test_write_csv_writes_the_bytes_of_csv_writer(header, rows):
+    # numeric rows by their printf template and text cells by hand, as csv.writer
+    # writes the fmt of every cell: floats, numpy scalars, ints, bools, nan/inf,
+    # text with commas, quotes and newlines, and a lone empty cell
+    import io
+
+    buf = io.StringIO()
+    output.write_csv(buf, header, rows)
+    assert buf.getvalue() == _csv_writer_bytes(header, rows)
 
 
 def test_constants_command_m1_limit_is_sigma(tmp_path):
@@ -213,7 +252,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "homogenize-horizon-huge", "sample-fou-eps-tiny"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
-    args = [command, *REQUIRED_ARGS[command], *argv[1:], *_two_replicas(command),
+    args = [command, *REQUIRED_ARGS[command], *argv[1:], *_few_replicas(command),
             "--out", str(tmp_path / "x")]
     assert run(args) == 2
     err = capsys.readouterr().err
@@ -281,8 +320,11 @@ SAMPLING = {"sample-fbm", "sample-fou", "hermite-sample", "clt-scan", "l2-hermit
             "kinetic-scan", "homogenize"}
 
 
-def _two_replicas(command):
-    return ["--replicas", "2"] if command in SAMPLING else []
+def _few_replicas(command):
+    """A small --replicas each sampling subcommand takes: 3 for clt-scan's variance SE, else 2."""
+    if command not in SAMPLING:
+        return []
+    return ["--replicas", "3" if command == "clt-scan" else "2"]
 
 
 def test_seed_defaults_per_subcommand():
@@ -381,7 +423,7 @@ def test_non_positive_threads_is_a_usage_error(threads, tmp_path, capsys):
     (",".join(["0", "1"] + ["0"] * 169 + ["1e-300"]), "Hermite orders above 170 are refused"),
 ], ids=["empty", "nan", "inf", "order-171"])
 def test_bad_coefficients_exit_2(command, coeffs, message, tmp_path, capsys):
-    argv = [command, *REQUIRED_ARGS[command], "--coeffs", coeffs, *_two_replicas(command),
+    argv = [command, *REQUIRED_ARGS[command], "--coeffs", coeffs, *_few_replicas(command),
             "--out", str(tmp_path / "x")]
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -436,18 +478,46 @@ def test_constants_degenerate_wiener_constant(tmp_path, H):
     assert doc["c"] == np.sqrt(2.0 * max(doc["A_self"], 0.0))
 
 
-@pytest.mark.parametrize("H, coeffs, c", [(0.75, "0,0,1", 2.0), (0.5, "0,1,0.5", np.sqrt(2.0))])
-def test_constants_at_the_boundary_report_c_without_A(tmp_path, H, coeffs, c):
-    # H*(rank) = 1/2: the A series diverges, and c = sqrt(2 m!) |c_m|; this
-    # exited 2 ("not a CLT component") when A was computed in every regime
-    # but the long-range one
+@pytest.mark.parametrize("H, coeffs", [(0.75, "0,0,1"), (5.0 / 6.0, "0,0,0,1,0.5")],
+                         ids=["m2", "m3"])
+def test_constants_at_the_boundary_report_c_without_A(tmp_path, H, coeffs):
+    # H*(rank) = 1/2: the A series diverges, and c = sqrt(2 m! D^m) |c_m| with
+    # rho ~ D s^{2H-2} (1.128 for He_2 at H 0.75, where sqrt(2 m!) |c_m| = 2 was
+    # reported); this exited 2 ("not a CLT component") when A was computed in
+    # every regime but the long-range one
     out = tmp_path / "const"
     assert run(["constants", "--H", str(H), "--coeffs", coeffs, "--format", "json",
                 "--out", str(out)]) == 0
     doc = json.loads((tmp_path / "const.json").read_text())
     assert doc["regime"] == "boundary"
-    assert doc["c"] == pytest.approx(c, rel=1e-15)
+    m, D = doc["hermite_rank"], fou.rho_asymptote_constant(H)
+    assert doc["c"] == pytest.approx(np.sqrt(2.0 * math.factorial(m) * D**m), rel=1e-14)
     assert "A_self" not in doc
+
+
+def test_constants_at_half_are_short_range(tmp_path):
+    # rho = e^{-s} at H = 1/2: He_1 is short range, not a boundary, and
+    # A = int e^{-s} + 0.5^2 2! int e^{-2s} = 1.25 (c was sqrt(2), the boundary's)
+    out = tmp_path / "const"
+    assert run(["constants", "--H", "0.5", "--coeffs", "0,1,0.5", "--format", "json",
+                "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "const.json").read_text())
+    assert doc["regime"] == "short_range"
+    assert doc["A_self"] == 1.25 and doc["c"] == np.sqrt(2.5)
+
+
+def test_constants_evaluate_rho_on_the_panel_nodes_once(tmp_path, monkeypatch):
+    # orders 1 and 3 of a short-range G, for A and for the c derived from it:
+    # one rho pass over the quadrature nodes, where c and A each took one per order
+    lags = []
+    rho = fou.rho
+    monkeypatch.setattr(fou, "rho", lambda s, H: lags.append(np.size(s)) or rho(s, H))
+    assert run(["constants", "--H", "0.4", "--coeffs", "0,1,0,0.5", "--format", "json",
+                "--out", str(tmp_path / "const")]) == 0
+    assert lags == [fou._panel_rule(1000.0)[0].size]
+    doc = json.loads((tmp_path / "const.json").read_text())
+    assert doc["regime"] == "short_range"
+    assert doc["c"] == np.sqrt(2.0 * max(doc["A_self"], 0.0))
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])
@@ -585,13 +655,13 @@ def test_slope_pass_is_a_slope_within_3_se_of_the_exact_one(command, z, passed,
                                   ["kinetic-scan", "--H", "0.7"]], ids=["sr", "lr", "kinetic"])
 def test_a_two_replica_scan_writes_a_finite_slope_z(argv, tmp_path, capsys):
     # two replicas give two equal squared deviations, so a variance SE of 0: a
-    # variance scan refuses them (it wrote a CI 5e-16 wide and a z of 1.8e16),
-    # and from 3 on its z is finite, as JSON requires; the kinetic scan's is at 2
+    # variance scan refuses them when it parses them (it wrote a CI 5e-16 wide and
+    # a z of 1.8e16), and from 3 on its z is finite, as JSON requires; the kinetic
+    # scan's is at 2
     replicas = "2"
     if argv[0] == "clt-scan":
-        assert run([*argv, "--replicas", "2", "--out", str(tmp_path / "x")]) == 2
-        assert ("error: a variance SE needs at least 3 samples, got 2"
-                in capsys.readouterr().err)
+        assert run([*argv, "--replicas", "2", "--out", str(tmp_path / "x")]) == 1
+        assert "--replicas: must be at least 3, got 2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
         replicas = "3"
     assert run([*argv, "--replicas", replicas, "--format", "json",
@@ -623,8 +693,8 @@ def test_homogenize_auto_dt_ratio_takes_the_coarsest_rung(tmp_path):
     assert not any(line.startswith("--dt-ratio")
                    for line in (tmp_path / "hom.config").read_text().splitlines())
     # solvers.homogenize resolves the same grid from the same inputs
-    x, _ = solvers.homogenize(ChaosFunction([0, 0, 1]), 0.6, 0.02, solvers.FLOWS["sin2"],
-                              None, None, 600, 3)
+    x, *_ = solvers.homogenize(ChaosFunction([0, 0, 1]), 0.6, 0.02, solvers.FLOWS["sin2"],
+                               None, None, 600, 3)
     assert [r[1] for r in doc["table"]["rows"]] == [output.fmt(v) for v in x]
 
 
@@ -700,12 +770,16 @@ def test_long_range_homogenize_is_thread_invariant(tmp_path, hfun, gfun):
 @pytest.mark.parametrize("command", ["clt-scan", "homogenize", "kinetic-scan", "l2-hermite"])
 @pytest.mark.parametrize("replicas", [None, "1"])
 def test_statistics_commands_need_two_replicas(command, replicas, tmp_path, capsys):
-    # --replicas defaults to 1, which leaves no sample variance to report
+    # one replica leaves no sample variance to report: it is refused when parsed
+    # (exit 1), below each subcommand's own least count (3 for clt-scan's variance
+    # SE), and each default reaches that count; it was 1, refused by all four
     argv = [command, *REQUIRED_ARGS[command], "--out", str(tmp_path / "x")]
-    if replicas is not None:
-        argv += ["--replicas", replicas]
-    assert run(argv) == 1
-    assert f"--replicas: {command} needs at least 2" in capsys.readouterr().err
+    least = 3 if command == "clt-scan" else 2
+    if replicas is None:
+        assert cli._build_parser().parse_args(argv).replicas >= least
+        return
+    assert run([*argv, "--replicas", replicas]) == 1
+    assert f"--replicas: must be at least {least}, got 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

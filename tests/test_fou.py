@@ -171,6 +171,27 @@ def test_rho_against_mpmath_closed_form(H):
         np.testing.assert_array_equal(fou.rho(s, H), np.exp(-s))
 
 
+@pytest.mark.parametrize("H", [0.01, 0.05, 0.2, 0.3, 0.49, 0.51, 0.7, 0.8, 0.95, 0.99])
+def test_rho_small_lag_series_against_mpmath(H):
+    # lags on both sides of the switch from the small-lag series to the closed form at
+    # s = 1: the series is within 1e-15 up to it, the closed form within 7e-15 beyond
+    below = np.concatenate([[1e-12, 1e-6], np.geomspace(1e-4, 0.9, 25),
+                            np.linspace(0.9, 1.0, 11)[:-1], [np.nextafter(1.0, 0.0)]])
+    above = np.concatenate([[1.0, np.nextafter(1.0, 2.0)], np.linspace(1.01, 1.1, 10),
+                            np.geomspace(1.1, 3.0, 10)])
+    for s, tol in ((below, 1e-15), (above, 1e-14)):
+        ref = np.array([float(rho_mpmath(v, H)) for v in s])
+        assert np.max(np.abs(fou.rho(s, H) - ref)) <= tol
+
+
+def test_rho_keeps_zero_nan_and_infinite_lags():
+    for H in (0.05, 0.3, 0.5, 0.7, 0.95):
+        assert fou.rho(0.0, H) == 1.0
+        out = fou.rho(np.array([np.nan, np.inf, -np.inf, 0.0]), H)
+        assert np.isnan(out[0])
+        np.testing.assert_array_equal(out[1:], [0.0, 0.0, 1.0])
+
+
 def test_rho_decay_slope():
     s = np.geomspace(10.0, 100.0, 15)
     r = fou.rho(s, 0.75)
@@ -189,13 +210,13 @@ def test_rho_bounded_by_power_envelope():
 
 
 def test_rho_power_integral_degenerate_H04():
-    assert abs(fou.rho_power_integral(1, 0.4)) < 0.01
+    assert abs(fou.rho_power_integral([1], 0.4)[0]) < 0.01
 
 
 def test_rho_power_integral_m2_oracle_and_stability():
     # independent oracle: Simpson rule on a different grid + asymptotic tail
     H, m = 0.6, 2
-    val = fou.rho_power_integral(m, H)
+    (val,) = fou.rho_power_integral([m], H)
     assert val > 0
     grid = np.concatenate([np.linspace(0, 20, 1601), np.geomspace(20, 800, 401)[1:]])
     vals = fou.rho(grid, H) ** m
@@ -204,12 +225,12 @@ def test_rho_power_integral_m2_oracle_and_stability():
     tail = D**m * 800.0 ** (m * (2 * H - 2) + 1) / -(m * (2 * H - 2) + 1)
     assert val == pytest.approx(head + tail, rel=0.01)
     for s_max in (500.0, 2000.0):
-        assert fou.rho_power_integral(m, H, s_max) == pytest.approx(val, rel=0.01)
+        assert fou.rho_power_integral([m], H, s_max)[0] == pytest.approx(val, rel=0.01)
 
 
 @pytest.mark.parametrize("m, H", [(2, 0.6), (3, 0.7)])
 def test_rho_power_integral_against_mpmath(m, H):
-    assert fou.rho_power_integral(m, H) == pytest.approx(
+    assert fou.rho_power_integral([m], H)[0] == pytest.approx(
         rho_power_integral_mpmath(m, H), rel=1e-8
     )
 
@@ -217,19 +238,34 @@ def test_rho_power_integral_against_mpmath(m, H):
 def test_rho_integral_vanishes_below_half():
     # the spectral density |x|^{1-2H}/(1+x^2) vanishes at 0 for H < 1/2
     for H in np.linspace(0.05, 0.45, 9):
-        assert abs(fou.rho_power_integral(1, H)) <= 1e-6
+        assert abs(fou.rho_power_integral([1], H)[0]) <= 1e-6
 
 
 def test_rho_power_integral_needs_the_series_range():
     with pytest.raises(ValueError, match="s_max"):
-        fou.rho_power_integral(2, 0.6, s_max=10.0)
+        fou.rho_power_integral([2], 0.6, s_max=10.0)
 
 
 def test_rho_power_integral_divergent_regime_raises():
     with pytest.raises(ValueError, match="divergent"):
-        fou.rho_power_integral(3, 0.9)
+        fou.rho_power_integral([3], 0.9)
     with pytest.raises(ValueError, match="divergent"):
-        fou.rho_power_integral(2, 0.75)  # H*(2) = 1/2 exactly
+        fou.rho_power_integral([2], 0.75)  # H*(2) = 1/2 exactly
+    with pytest.raises(ValueError, match="divergent"):
+        fou.rho_power_integral([4, 2], 0.75)  # one divergent order refuses the batch
+
+
+def test_rho_power_integral_takes_every_order_from_one_rho_pass(monkeypatch):
+    # orders 1 and 3 at H 0.4: each integral as the order alone gives it, bit for bit
+    alone = [fou.rho_power_integral([m], 0.4)[0] for m in (1, 3)]
+    calls = []
+    rho = fou.rho
+    monkeypatch.setattr(fou, "rho", lambda s, H: calls.append(np.size(s)) or rho(s, H))
+    np.testing.assert_array_equal(fou.rho_power_integral([1, 3], 0.4), alone)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(fou.rho_power_integral([1, 2, 3], 0.5), [1.0, 0.5, 1.0 / 3.0])
+    with pytest.raises(ValueError, match=">= 1"):
+        fou.rho_power_integral([0, 1], 0.4)
 
 
 def test_double_integral_rescaling_identity():

@@ -78,6 +78,20 @@ def test_clt_diagnostics_gaussian_calibration():
         harness.clt_diagnostics(np.zeros(10))
 
 
+@pytest.mark.parametrize("law", ["normal", "student3", "shifted"])
+def test_clt_diagnostics_ks_is_scipy_kstest_bit_for_bit(law):
+    # the statistic from the sorted samples and ndtr, the p-value from kstwo.sf:
+    # what kstest(x, "norm", args=(0, sd)) returns, to the bit
+    from scipy import stats
+
+    rng = np.random.default_rng(11)
+    x = {"normal": rng.standard_normal(1200), "student3": rng.standard_t(3, 1500),
+         "shifted": rng.standard_normal(1000) + 0.2}[law]
+    d = harness.clt_diagnostics(x)
+    ks = stats.kstest(x, "norm", args=(0.0, np.sqrt(d["variance"])))
+    assert (d["ks_statistic"], d["ks_pvalue"]) == (float(ks.statistic), float(ks.pvalue))
+
+
 def test_joint_covariance_check_pairs():
     report = harness.joint_covariance_check(
         [H2, H3], 0.6, t=1.0, s=0.5, eps=0.05, n_replicas=4000, master_seed=7,
@@ -101,8 +115,13 @@ def test_joint_covariance_wiener_hermite_cross():
     pairs = {(p["i"], p["j"]): p for p in report["pairs"]}
     assert pairs[(0, 1)]["kind"] == "wiener-hermite-cross"
     assert abs(pairs[(0, 1)]["z"]) < 3.5
+    # He_2 at H*(2) = 1/2: alpha^2 Cov -> 2 (t^s) 2! D^2, D = rho's tail constant;
+    # this pair had no prediction.  The approach is like 1/|ln eps| (2.20 against
+    # 1.27 here), so its z is reported and not gated
     assert pairs[(0, 0)]["kind"] == "wiener-wiener-boundary"
-    assert pairs[(0, 0)]["predicted"] is None
+    assert pairs[(0, 0)]["predicted"] == pytest.approx(
+        4.0 * fou.rho_asymptote_constant(0.75) ** 2, rel=1e-14)
+    assert np.isfinite(pairs[(0, 0)]["z"])
 
 
 def _spy_path_samplers(monkeypatch):

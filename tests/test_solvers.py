@@ -253,7 +253,7 @@ def test_brownian_limit_steps_are_within_1e_4_of_a_fine_solve(H, monkeypatch):
         return solve(flow, x0, h, dU, dV)
 
     monkeypatch.setattr(solvers, "solve_limit_stratonovich", spy)
-    solvers._limit_endpoints(H2, H, 1.0, 0.0, SIN2, _one, 0.6, 3, 0)
+    solvers._limit_endpoints(H2, H, chaos.c_constant(H2, H), 1.0, 0.0, SIN2, _one, 0.6, 3, 0)
     assert steps == [100]
 
     c, g_bar, fine = chaos.c_constant(H2, H), np.exp(-0.5), 400
@@ -308,17 +308,18 @@ def test_long_range_limit_is_driven_by_the_hermite_path(a2):
 
     H, t, x0, seed, n = 0.85, 1.0, 0.3, 17, 6
     G = ChaosFunction([0, 0, a2])
-    x = solvers._limit_endpoints(G, H, t, x0, ONE, _one, 1.0, n, seed)
+    c = chaos.c_constant(G, H)
+    x = solvers._limit_endpoints(G, H, c, t, x0, ONE, _one, 1.0, n, seed)
     regime = chaos.classify_regime(2, H)
     engine = hermite.HermiteEngine(TimeGrid(t, 400), regime.h_star, 2)
     z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
-    expect = x0 + t + np.sign(a2) * chaos.c_constant(G, H) * z
+    expect = x0 + t + np.sign(a2) * c * z
     np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12)
 
 
 def _hermite_limit_args(n, seed=23):
     G = ChaosFunction([0, 0, -1.0])
-    return (G, 0.85, 1.0, 0.0, ONE, None, 0.0, n, seed)
+    return (G, 0.85, chaos.c_constant(G, 0.85), 1.0, 0.0, ONE, None, 0.0, n, seed)
 
 
 def test_limit_endpoint_samples_agree_with_one_hermite_call():
@@ -327,11 +328,11 @@ def test_limit_endpoint_samples_agree_with_one_hermite_call():
     # agree with one call over all replicas to rounding
     from foulim import hermite
 
-    G, H, t, *_, n, seed = _hermite_limit_args(300)
+    G, H, c, t, *_, n, seed = _hermite_limit_args(300)
     regime = chaos.classify_regime(2, H)
     engine = hermite.HermiteEngine(TimeGrid(t, 400), regime.h_star, 2)
     z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
-    expect = -chaos.c_constant(G, H) * z
+    expect = -c * z
     for threads in (1, 2):
         u = solvers._limit_endpoints(*_hermite_limit_args(300), threads)
         np.testing.assert_allclose(u, expect, rtol=0, atol=1e-13)
@@ -362,18 +363,19 @@ def test_short_range_limit_reads_one_keyed_stream_per_replica(H):
     # c sqrt(t) times the first normal of stream (seed, "limit-endpoint", i),
     # whatever the worker count
     t, n, seed = 0.7, 300, 29
-    out = [solvers._limit_endpoints(H2, H, t, 0.0, ONE, None, 0.0, n, seed, threads)
+    c = chaos.c_constant(H2, H)
+    out = [solvers._limit_endpoints(H2, H, c, t, 0.0, ONE, None, 0.0, n, seed, threads)
            for threads in (1, 2)]
     np.testing.assert_array_equal(out[0], out[1])
     first = np.array([stream(seed, "limit-endpoint", i).standard_normal() for i in range(n)])
-    np.testing.assert_array_equal(out[0], chaos.c_constant(H2, H) * np.sqrt(t) * first)
+    np.testing.assert_array_equal(out[0], c * np.sqrt(t) * first)
 
 
 def test_brownian_limit_with_drift_holds_one_chunk():
     # with drift every replica's 100-step W is solved in flow coordinates;
     # in 250-replica chunks one chunk's increments (0.2 MB) and the stepper's
     # replica-sized arrays are held at a time, 0.25 MB traced
-    args = (H2, 0.6, 1.0, 0.0, SIN2, np.cos, 0.5)
+    args = (H2, 0.6, chaos.c_constant(H2, 0.6), 1.0, 0.0, SIN2, np.cos, 0.5)
     solvers._limit_endpoints(*args, 2, 3)  # warm the imports only
     assert _peak_traced_mb(solvers._limit_endpoints, *args, 600, 3) < 1.0
 
@@ -441,11 +443,12 @@ def test_drift_free_homogenize_is_the_flow_of_both_drivers(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_limit_stratonovich", spy)
     H, eps, n, seed, x0 = 0.85, 0.02, 40, 6, 0.3
-    x, lim = solvers.homogenize(H2, H, eps, SIN2, None, None, n, seed, x0=x0)
+    x, lim, c = solvers.homogenize(H2, H, eps, SIN2, None, None, n, seed, x0=x0)
     assert set(steps) == {(None, 1)}
     ratio = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)[0]["dt_ratio"]
     u_eps = solvers._slow_fast_endpoints(H2, H, 1.0, eps, 0.0, ONE, None, None, n, seed, ratio)
-    u_lim = solvers._limit_endpoints(H2, H, 1.0, 0.0, ONE, None, 0.0, n, seed + 1)
+    assert c == chaos.c_constant(H2, H)
+    u_lim = solvers._limit_endpoints(H2, H, c, 1.0, 0.0, ONE, None, 0.0, n, seed + 1)
     s0 = SIN2.coordinate(x0)
     np.testing.assert_array_equal(x, SIN2.phi(u_eps, s0))
     np.testing.assert_array_equal(lim, SIN2.phi(u_lim, s0))
@@ -456,7 +459,7 @@ def test_multiscale_config_validation():
     # grid and the flow path takes their sum, both on a law that is exact;
     # a ratio with no finite step count is refused
     for h in (_zero, None):
-        x, _ = solvers.homogenize(H1, 0.7, 0.01, ZERO, h, h, 2, 0, dt_ratio=5.0)
+        x, *_ = solvers.homogenize(H1, 0.7, 0.01, ZERO, h, h, 2, 0, dt_ratio=5.0)
         np.testing.assert_array_equal(x, 0.0)
     with pytest.raises(ValueError, match="no finite step count"):
         solvers.homogenize(H1, 0.7, 0.01, ZERO, _zero, _zero, 1, 0, dt_ratio=np.inf)
