@@ -11,6 +11,10 @@ time integral of G along the fast fOU has a Wiener or a Hermite-process
 limit, and with which normalization alpha(eps).  It is the exponent of
 rho^m's tail, rho^m(s) ~ D^m s^{2H*(m)-2} with D = ``fou.rho_asymptote_constant``;
 at H = 1/2, where rho = e^{-s} and D = 0, every order is short range.
+
+Every limit covariance (``limit_covariance``) reads the fOU only through
+int rho^q in the short range and D elsewhere (Taqqu, Z. Wahrsch. verw.
+Geb. 50 (1979) 53-83); ``K_normalizer`` serves the Hermite engine alone.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "h_star",
     "classify_regime",
     "limit_covariance_A",
+    "limit_covariance",
     "c_constant",
     "K_normalizer",
     "gaussian_expectation",
@@ -212,19 +217,38 @@ def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, 
     return float(total), float(tail_bound)
 
 
-def _boundary_covariance(Gi: ChaosFunction, Gj: ChaosFunction, H) -> float:
-    """m! c_{i,m} c_{j,m} D^m, m the lower rank, which must have H*(m) = 1/2.
+def limit_covariance(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, float]:
+    """Sigma^{ij} = lim alpha_i alpha_j Cov(int_0^1 G_i(y^eps), int_0^1 G_j(y^eps)) as eps -> 0.
 
-    There rho^m(s) ~ D^m / s, so Cov(int_0^t G_i(y^eps), int_0^s G_j(y^eps))
-    grows like 2 min(t, s) m! c_{i,m} c_{j,m} D^m eps |ln eps|, and the
-    orders above m, all short range, add only O(eps).
+    With m the lower rank and D = ``fou.rho_asymptote_constant(H)``, so that
+    rho^m(s) ~ D^m s^{2H*(m)-2}:
+
+    short range:  2 A^{ij} (``limit_covariance_A``)
+    boundary:     2 m! c_{i,m} c_{j,m} D^m, the coefficient of eps |ln eps|
+                  that rho^m ~ D^m / s gives the variance
+    long range:   m! c_{i,m} c_{j,m} D^m / (H*(2H* - 1)), as
+                  2 int_0^1 (1-u) u^{2H*-2} du = 1/(H*(2H* - 1))
+
+    and 0 for a pair of different ranks outside the short range.  Returns
+    (Sigma^{ij}, the short-range series' truncation tail, 0 elsewhere).  A
+    self pair (Gi is Gj) is a variance, and one negative beyond rounding raises.
     """
     h = as_hurst(H)
     m = min(Gi.hermite_rank, Gj.hermite_rank)
-    if classify_regime(m, h).kind is not Regime.BOUNDARY:
-        raise ValueError(f"order m={m} is not at the boundary H*(m) = 1/2 at H={h}")
-    return float(_factorials(m + 1)[m] * Gi.coefficients[m] * Gj.coefficients[m]
-                 * fou.rho_asymptote_constant(h) ** m)
+    regime = classify_regime(m, h)
+    if regime.kind is Regime.SHORT_RANGE:
+        A, tail = limit_covariance_A(Gi, Gj, h)
+        if Gi is Gj and A < -1e-12:  # A = 0 exactly for He_1 at H < 1/2 can round below 0
+            raise FoulimError(f"limit covariance A = {A:g} is negative beyond rounding at H={h}")
+        return 2.0 * A, 2.0 * tail
+    if Gi.hermite_rank != Gj.hermite_rank:
+        return 0.0, 0.0
+    sigma = float(_factorials(m + 1)[m] * Gi.coefficients[m] * Gj.coefficients[m]
+                  * fou.rho_asymptote_constant(h) ** m)
+    if regime.kind is Regime.BOUNDARY:
+        return 2.0 * sigma, 0.0
+    hs = regime.h_star
+    return sigma / (hs * (2.0 * hs - 1.0)), 0.0
 
 
 MAX_HERMITE_ORDER = 3
@@ -264,30 +288,11 @@ def K_normalizer(H_target: float, m: int) -> float:
     return float(np.sqrt(math.factorial(m) / norm_sq))
 
 
-def _c_from_A(A: float, H) -> float:
-    """c = sqrt(2A) of the short range, 0 for a rounding-size A < 0."""
-    if A < -1e-12:  # A = 0 exactly for He_1 at H < 1/2, where it can round below 0
-        raise FoulimError(f"limit covariance A = {A:g} is negative beyond rounding at H={H}")
-    return float(np.sqrt(2.0 * max(A, 0.0)))
-
-
 def c_constant(G: ChaosFunction, H) -> float:
-    """Homogenization constant c >= 0 for the limit equation.
+    """Homogenization constant c = sqrt(Sigma^{GG}) >= 0 of the limit equation.
 
-    short range:  c^2 = 2 A = 2 sum_k c_k^2 k! int_0^inf rho^k, 0 for a rounding-size A < 0
-    boundary:     c^2 = 2 m! c_m^2 D^m, D = ``fou.rho_asymptote_constant(H)``,
-                  the limit of alpha(eps)^2 Var int_0^1 G(y^eps) ds
-    long range:   c = |c_m| (m!/K(H*(m), m)) C(H)^m, the coefficient of
-                  the unit-variance Hermite process in the limit.
+    Sigma^{GG} is ``limit_covariance(G, G, H)``: alpha(eps)^2 Var int_0^1 G(y^eps)
+    in the limit, and in the long range the squared coefficient of the
+    unit-variance Hermite process.  A rounding-size negative Sigma gives 0.
     """
-    h = as_hurst(H)
-    m = G.hermite_rank
-    regime = classify_regime(m, h)
-    if regime.kind is Regime.LONG_RANGE:
-        K = K_normalizer(regime.h_star, m)
-        return float(
-            abs(G.coefficients[m]) * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
-        )
-    if regime.kind is Regime.BOUNDARY:
-        return float(np.sqrt(2.0 * _boundary_covariance(G, G, h)))
-    return _c_from_A(limit_covariance_A(G, G, h)[0], h)
+    return float(np.sqrt(max(limit_covariance(G, G, H)[0], 0.0)))

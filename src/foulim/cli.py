@@ -157,23 +157,22 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_constants(args) -> int:
     G = _chaos_from_args(args)
-    regime = chaos.classify_regime(G.hermite_rank, args.H)
+    m = G.hermite_rank
+    regime = chaos.classify_regime(m, args.H)
+    sigma, tail = chaos.limit_covariance(G, G, args.H)  # c and A from one rho pass
     extra = {}
-    if regime.kind is Regime.SHORT_RANGE:  # c from the A it reports: one rho pass
-        A, tail = chaos.limit_covariance_A(G, G, args.H)
-        c, extra = chaos._c_from_A(A, args.H), {"A_self": A, "A_truncation_tail": tail}
-    else:
-        c = chaos.c_constant(G, args.H)
-        if regime.kind is Regime.LONG_RANGE:
-            extra = {"K_normalizer": chaos.K_normalizer(regime.h_star, G.hermite_rank),
-                     "kernel_amplitude": fou.kernel_amplitude(args.H)}
+    if regime.kind is Regime.SHORT_RANGE:
+        extra = {"A_self": sigma / 2.0, "A_truncation_tail": tail / 2.0}
+    elif regime.kind is Regime.LONG_RANGE and m <= chaos.MAX_HERMITE_ORDER:
+        extra = {"K_normalizer": chaos.K_normalizer(regime.h_star, m),  # the engine's orders
+                 "kernel_amplitude": fou.kernel_amplitude(args.H)}
     summary = {
         "H": args.H,
         "hermite_rank": G.hermite_rank,
         "h_star": regime.h_star,
         "regime": regime.kind.value,
         "sigma": fou.stationary_sigma(args.H),
-        "c": c,
+        "c": float(np.sqrt(max(sigma, 0.0))),
         **extra,
     }
     rows = [(k, v) for k, v in summary.items() if isinstance(v, (int, float))]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chaos, exact, fou, hermite
+from . import chaos, exact, fgn, fou, hermite
 from .chaos import ChaosFunction, Regime
 from .paths import TimeGrid, as_eps_list, as_hurst
 from .streams import keys
@@ -313,9 +313,10 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
                            n_replicas: int, master_seed: int = 0, threads: int = 1) -> dict:
     """Empirical covariance matrix of (X^{k,eps}_t, X^{k,eps}_s) vs theory.
 
-    Wiener-Wiener pairs must match 2(t^s)A^{ij}, and at the boundary
-    2(t^s) m! c_{i,m} c_{j,m} D^m (``chaos._boundary_covariance``); Wiener-Hermite
-    cross pairs and Hermite-Hermite pairs of different rank must vanish.  All
+    Every prediction is Sigma^{ij} = ``chaos.limit_covariance`` times the
+    limit's time covariance: (t^s) for a Wiener pair, R_{H*}(t, s) of fBM for a
+    Hermite pair of one rank H*(m) = H*.  Wiener-Hermite cross pairs and
+    Hermite-Hermite pairs of different rank have Sigma^{ij} = 0.  All
     components ride on the same fOU replicas, at the finest ratio eps/dt
     that ``exact.resolve_dt_ratio`` gives any G over [0, max(t, s)].
     """
@@ -337,28 +338,19 @@ def joint_covariance_check(G_list, H, t: float, s: float, eps: float,
             prod = xi * xj - xi.mean() * xj.mean()
             emp = float(xi @ xj / len(xi) - xi.mean() * xj.mean())
             se = float(np.std(prod, ddof=1) / np.sqrt(len(xi)))
-            ri, rj = regimes[i], regimes[j]
-            if ri.kind is not Regime.LONG_RANGE and rj.kind is not Regime.LONG_RANGE:
-                if Regime.BOUNDARY in (ri.kind, rj.kind):
-                    # the A series diverges: alpha^2 keeps the coefficient of its log
-                    A = chaos._boundary_covariance(G_list[i], G_list[j], h)
-                    kind = "wiener-wiener-boundary"
-                else:
-                    A, _ = chaos.limit_covariance_A(G_list[i], G_list[j], h)
-                    kind = "wiener-wiener"
-                pred = 2.0 * min(t, s) * A
-            elif ri.kind is Regime.LONG_RANGE and rj.kind is Regime.LONG_RANGE:
-                if G_list[i].hermite_rank != G_list[j].hermite_rank:
-                    pred, kind = 0.0, "hermite-hermite-distinct"
-                else:
-                    pred, kind = None, "hermite-hermite-same-rank"
-            else:
-                pred, kind = 0.0, "wiener-hermite-cross"
-            entry = {"i": i, "j": j, "kind": kind, "empirical": emp, "stderr": se,
-                     "predicted": pred}
-            if pred is not None:
-                entry["z"] = (emp - pred) / se if se > 0 else np.inf
-            report["pairs"].append(entry)
+            sigma = chaos.limit_covariance(G_list[i], G_list[j], h)[0]
+            kinds = {regimes[i].kind, regimes[j].kind}
+            if kinds == {Regime.LONG_RANGE}:  # Z^{H*,m} has the covariance of fBM
+                same = G_list[i].hermite_rank == G_list[j].hermite_rank
+                kind = "hermite-hermite-same-rank" if same else "hermite-hermite-distinct"
+                pred = sigma * fgn.fbm_covariance(t, s, regimes[i].h_star)
+            else:  # a Wiener limit; sigma = 0 for a Wiener-Hermite pair
+                kind = ("wiener-hermite-cross" if Regime.LONG_RANGE in kinds else
+                        "wiener-wiener-boundary" if Regime.BOUNDARY in kinds else "wiener-wiener")
+                pred = sigma * min(t, s)
+            report["pairs"].append({"i": i, "j": j, "kind": kind, "empirical": emp,
+                                    "stderr": se, "predicted": pred,
+                                    "z": (emp - pred) / se if se > 0 else np.inf})
     return report
 
 
@@ -369,12 +361,12 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
 
     Every replica owns one white noise on the cells of the Hermite
     engine (``hermite._kernel``) for the fine grid of n_fine =
-    round(t / (min eps / L2_DT_RATIO)) steps.  The limit c_m (m!/K) C^m
-    Z^{H*(m),m} is the engine's Wick series on the fine grid, scaled by
-    K/m!, and for each eps the fOU is built from the same noise through
-    its Wiener kernel ghat at the cell midpoints (``hermite._fou_kernel``)
-    on every r-th fine point, r the largest divisor of n_fine with r dt
-    <= eps/L2_DT_RATIO, so the distance ||X^eps_t - limit_t||_{L2(Omega)}
+    round(t / (min eps / L2_DT_RATIO)) steps.  The limit is lambda Z^{H*(m),m},
+    lambda = sign(c_m) ``chaos.c_constant``, with Z the engine's Wick series
+    on the fine grid scaled by K/m!, and for each eps the fOU is built from
+    the same noise through its Wiener kernel ghat at the cell midpoints
+    (``hermite._fou_kernel``) on every r-th fine point, r the largest divisor
+    of n_fine with r dt <= eps/L2_DT_RATIO, so the distance ||X^eps_t - limit_t||_{L2(Omega)}
     is measured on coupled samples and must decrease as eps -> 0.  No
     cell is cut off, so every fOU row has unit variance to the midpoint
     rule's accuracy.  The kernels are projected together a block of noise
@@ -421,7 +413,7 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     var_lim = kernels[0].variances()
     far = np.concatenate([kern.far for kern in kernels])
     far_factor, far_dropped = hermite._far_factor(far @ far.T)
-    lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(h) ** m
+    lam = math.copysign(chaos.c_constant(G, h), G.coefficients[m])
 
     def make_chunk(chunk_keys):
         out = np.empty((len(chunk_keys), len(eps_arr)))

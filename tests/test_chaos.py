@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -175,7 +176,9 @@ PLANE_H = (0.1, 0.3, 0.45, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95)
 def test_limit_constants_over_the_h_m_plane():
     # alpha(eps)^2 Var int_0^1 He_m(y^eps) / c^2 -> 1, exactly computed at eps 1e-7; He_1
     # below H = 1/2 has c = 0 (the degenerate CLT) and is left out
-    for H, m in [(H, m) for H in PLANE_H for m in (1, 2, 3) if m > 1 or H > 0.5] + [(0.5, 1)]:
+    # ranks 4 and 5 at H 0.9 and 0.95 are long range, above the Hermite engine's orders
+    for H, m in ([(H, m) for H in PLANE_H for m in (1, 2, 3) if m > 1 or H > 0.5]
+                 + [(0.5, 1), (0.9, 4), (0.95, 4), (0.95, 5)]):
         G = ChaosFunction([0.0] * m + [1.0])
         alpha = chaos.classify_regime(m, H).alpha(1e-7)
         ratio = alpha**2 * exact.continuous_variance(G, H, 1.0, 1e-7) / chaos.c_constant(G, H) ** 2
@@ -183,13 +186,39 @@ def test_limit_constants_over_the_h_m_plane():
     # at H*(m) = 1/2 the approach is like 1/|ln eps|: fit a + b/|ln eps| + d/|ln eps|^2
     eps = np.array([1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12])
     inv_log = 1.0 / np.abs(np.log(eps))
-    for H, m in ((0.75, 2), (5.0 / 6.0, 3)):
+    for H, m in ((0.75, 2), (5.0 / 6.0, 3), (0.9, 5)):
         G = ChaosFunction([0.0] * m + [1.0])
         regime = chaos.classify_regime(m, H)
         assert regime.kind is Regime.BOUNDARY
         v = [regime.alpha(e) ** 2 * exact.continuous_variance(G, H, 1.0, e) for e in eps]
         a = np.linalg.lstsq(np.vander(inv_log, 3, increasing=True), v, rcond=None)[0][0]
         assert a == pytest.approx(chaos.c_constant(G, H) ** 2, rel=1e-3)
+
+
+def _chaos_sum(ci, cj, sign):
+    c = np.zeros(max(len(ci), len(cj)))
+    c[: len(ci)] += ci
+    c[: len(cj)] += sign * np.asarray(cj)
+    return ChaosFunction(c)
+
+
+@pytest.mark.parametrize("H, ci, cj, rel", [
+    (0.6, [0, 0, 1.0], [0, 0, 0.5, 0, 0.3], 1e-6),   # short range: 2 A^{ij}
+    (0.85, [0, 0, 1.0], [0, 0, 0.5, 0.3], 1e-4),     # long range, rank 2
+    (0.9, [0, 1.0], [0, 0.7, 0.2], 1e-14),           # long range, rank 1
+], ids=["short", "long-m2", "long-m1"])
+def test_limit_covariance_of_a_cross_pair_by_polarization(H, ci, cj, rel):
+    # alpha_i alpha_j Cov(int G_i, int G_j) = alpha_i alpha_j (V(G_i + G_j) - V(G_i - G_j)) / 4
+    # at eps 1e-10, with V the exact variance of the integral over [0, 1]
+    eps = 1e-10
+    Gi, Gj = ChaosFunction(ci), ChaosFunction(cj)
+    alphas = [chaos.classify_regime(G.hermite_rank, H).alpha(eps) for G in (Gi, Gj)]
+    cov = (exact.continuous_variance(_chaos_sum(ci, cj, 1.0), H, 1.0, eps)
+           - exact.continuous_variance(_chaos_sum(ci, cj, -1.0), H, 1.0, eps)) / 4.0
+    sigma, _ = chaos.limit_covariance(Gi, Gj, H)
+    assert alphas[0] * alphas[1] * cov == pytest.approx(sigma, rel=rel)
+    # a pair of different ranks outside the short range has no limit covariance
+    assert chaos.limit_covariance(Gi, ChaosFunction([0, 0, 0, 1.0]), 0.9) == (0.0, 0.0)
 
 
 def test_c_constant_is_zero_for_a_rounding_size_negative_A(monkeypatch):
@@ -338,12 +367,22 @@ def test_kernel_pair_integral_and_K_normalizer_match_scipy_beta():
             assert abs(chaos.K_normalizer(H, m) / _K_by_scipy(H, m) - 1.0) <= 4e-15
 
 
-def test_long_range_c_constant_matches_scipy():
-    for m in (1, 2, 3):
+def _c_by_mpmath(H, m):
+    """m!/K(H*, m) C(H)^m, the Hermite engine's long-range c, at 40 digits."""
+    with mpmath.workdps(40):
+        h, half = mpmath.mpf(float(H)), mpmath.mpf(1) / 2
+        hs = m * (h - 1) + 1
+        sigma = mpmath.sqrt(2 / mpmath.gamma(2 * h + 1))
+        c1 = mpmath.gamma(h + half) / mpmath.sqrt(mpmath.gamma(2 * h + 1) * mpmath.sinpi(h))
+        J = mpmath.beta(h - half, 2 - 2 * h)  # J(b), b = (H* - 1)/m - 1/2 = H - 3/2
+        K = mpmath.sqrt(mpmath.factorial(m) * hs * (2 * hs - 1) / J**m)
+        return mpmath.factorial(m) / K * (sigma * (h - half) / c1) ** m
+
+
+def test_long_range_c_constant_matches_mpmath():
+    # the tail form sqrt(m! D^m / (H*(2H* - 1))) against the Beta form; the
+    # K C^m product in floats was off by up to 4.1e-14 at H 0.998
+    for m in (1, 2, 3, 4, 5):
         G = ChaosFunction([0.0] * m + [1.0])
         for H in SWAP_H[m * (SWAP_H - 1.0) + 1.0 > 0.5 + 1e-9]:
-            sigma = 1.0 / np.sqrt(H * special.gamma(2.0 * H))
-            c1 = special.gamma(H + 0.5) / np.sqrt(special.gamma(2.0 * H + 1.0) * np.sin(np.pi * H))
-            amp = sigma * (H - 0.5) / c1
-            ref = special.factorial(m) / _K_by_scipy(m * (H - 1.0) + 1.0, m) * amp**m
-            assert abs(chaos.c_constant(G, H) / ref - 1.0) <= 4e-15
+            assert abs(chaos.c_constant(G, H) / _c_by_mpmath(H, m) - 1.0) <= 2e-15, (m, H)

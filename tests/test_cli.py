@@ -506,6 +506,26 @@ def test_constants_at_half_are_short_range(tmp_path):
     assert doc["A_self"] == 1.25 and doc["c"] == np.sqrt(2.5)
 
 
+def test_constants_take_long_range_ranks_above_the_hermite_engine(tmp_path, capsys):
+    # c^2 = m! c_m^2 D^m / (H*(2H* - 1)) from rho's tail has no cap on m: rank 4
+    # exited 2 ("order not supported: m=4 exceeds cap 3"), the Hermite engine's
+    # cap, through K(H*, m); K and C(H) are reported for the engine's orders only
+    docs = {}
+    for coeffs in ("0,0,0,1", "0,0,0,0,1"):
+        out = tmp_path / f"const{len(coeffs)}"
+        assert run(["constants", "--H", "0.9", "--coeffs", coeffs, "--format", "json",
+                    "--out", str(out)]) == 0
+        docs[coeffs.count(",")] = json.loads(out.with_suffix(".json").read_text())
+    assert docs[3]["regime"] == docs[4]["regime"] == "long_range"
+    assert {"K_normalizer", "kernel_amplitude"} <= set(docs[3])
+    assert not {"K_normalizer", "kernel_amplitude"} & set(docs[4])
+    assert docs[4]["c"] == pytest.approx(10.43368303944916, rel=1e-14)
+    # the samplers of Z^{H*,4} still refuse it
+    assert run(["homogenize", "--H", "0.9", "--coeffs", "0,0,0,0,1", "--replicas", "50",
+                "--out", str(tmp_path / "hom")]) == 2
+    assert "order not supported: m=4" in capsys.readouterr().err
+
+
 def test_constants_evaluate_rho_on_the_panel_nodes_once(tmp_path, monkeypatch):
     # orders 1 and 3 of a short-range G, for A and for the c derived from it:
     # one rho pass over the quadrature nodes, where c and A each took one per order

@@ -106,6 +106,23 @@ def test_joint_covariance_check_pairs():
     A, _ = chaos.limit_covariance_A(H2, H2, 0.6)
     assert diag["predicted"] == pytest.approx(2 * 0.5 * A)
     assert abs(diag["z"]) < 4.0
+    # long range: a same-rank pair predicts Sigma R_{H*}(t, s), which was None
+    report = harness.joint_covariance_check(
+        [H1, H2], 0.9, t=1.0, s=0.5, eps=0.05, n_replicas=1000, master_seed=7,
+    )
+    pairs = {(p["i"], p["j"]): p for p in report["pairs"]}
+    assert [pairs[ij]["kind"] for ij in sorted(pairs)] == [
+        "hermite-hermite-same-rank", "hermite-hermite-distinct",
+        "hermite-hermite-distinct", "hermite-hermite-same-rank"]
+    for k, G in enumerate([H1, H2]):
+        hs = chaos.h_star(G.hermite_rank, 0.9)
+        sigma, _ = chaos.limit_covariance(G, G, 0.9)
+        assert pairs[(k, k)]["predicted"] == pytest.approx(
+            sigma * fgn.fbm_covariance(1.0, 0.5, hs), rel=1e-15)
+        assert np.isfinite(pairs[(k, k)]["z"])
+    assert pairs[(0, 1)]["predicted"] == 0.0
+    # He_1's integral is Gaussian and near its fBM limit already at eps 0.05
+    assert abs(pairs[(0, 0)]["z"]) < 3.0
 
 
 def test_joint_covariance_wiener_hermite_cross():
