@@ -286,27 +286,20 @@ def crit_9_kinetic_rate(seed, suite, threads=1) -> CriterionResult:
                            passed, details)
 
 
-def _driver_moment_zscores(x, H, eps, trapezoid_var) -> dict:
-    """z-scores of the driver u = phi^{-1}(x_1) against its exact finite-eps moments.
+def _driver_moment_zscores(run, H, eps) -> dict:
+    """z-scores of the driver u = phi^{-1}(x_1) of a drift-free ``homogenize`` run
+    against its exact finite-eps moments.
 
     With h = 0 the slow equation is solved by x_t = phi(u_t), u_t the trapezoid sum of
-    alpha He_2(y^eps), so E u_1 = 0 and Var u_1 = V_eps = alpha^2 ``trapezoid_var`` exactly
-    at every eps: this checks the sampler and the flow.  The variance is in units of
-    its influence-function standard error.
+    alpha He_2(y^eps), so E u_1 = 0 and Var u_1 = V_eps = alpha^2 times the run's exact
+    trapezoid variance at every eps: this checks the sampler and the flow.  The
+    variance is in units of its influence-function standard error.
     """
-    u = solvers.FLOWS["sin2"].coordinate(x)
-    n = len(u)
-    mean = harness.fsum_mean(u)
+    u = solvers.FLOWS["sin2"].coordinate(run.x_eps)
     var = harness.fsum_variance(u)
-    se_var = harness.variance_stderr(u)
-    alpha = chaos.classify_regime(2, H).alpha(eps)
-    v_eps = alpha**2 * trapezoid_var
-    return {
-        "mean_z": float(mean / np.sqrt(var / n)),
-        "var": var,
-        "V_eps": v_eps,
-        "var_z": (var - v_eps) / se_var,
-    }
+    v_eps = chaos.classify_regime(2, H).alpha(eps) ** 2 * run.variance
+    return {"mean_z": float(harness.fsum_mean(u) / np.sqrt(var / len(u))), "var": var,
+            "V_eps": v_eps, "var_z": (var - v_eps) / harness.variance_stderr(u)}
 
 
 def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
@@ -315,8 +308,8 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     # fixed eps, where N = 2000 resolves the finite-eps gap (long range:
     # Var u = V_eps = 3.876 at eps 0.02 and 3.968 at 0.01, against the limit
     # c^2 = 4.239).  So at each eps the driver u = phi^{-1}(x_1) is checked
-    # against its exact mean and variance on the grid of
-    # ``exact.resolve_dt_ratio`` (eps/5 or eps/6 at H 0.6, eps/2 at 0.85);
+    # against its exact mean and variance on the grid that ``homogenize``
+    # resolves and returns (eps/5 or eps/6 at H 0.6, eps/2 at 0.85);
     # the limit-law KS p-values are reported.
     n_rep = 2000 if suite == "full" else 600
     f = solvers.FLOWS["sin2"]
@@ -327,13 +320,12 @@ def crit_10_homogenization(seed, suite, threads=1) -> CriterionResult:
     for k, eps in enumerate((0.02, 0.01)):
         s = seed + 10 * k
         for label, H, offset in (("short_range", 0.6, 0), ("long_range", 0.85, 1)):
-            resolution, var = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n_rep)
-            ratio = resolution["dt_ratio"]
-            x, lim, _ = solvers.homogenize(H2, H, eps, f, None, None, n_rep, s + offset,
-                                           dt_ratio=ratio, threads=threads)
-            details[f"{label}_dt_ratio_eps{eps}"] = ratio
-            details[f"{label}_ks_pvalue_eps{eps}"] = float(stats.ks_2samp(x, lim).pvalue)
-            for key, val in _driver_moment_zscores(x, H, eps, var[0]).items():
+            run = solvers.homogenize(H2, H, eps, f, None, None, n_rep, s + offset,
+                                     threads=threads)
+            ks = stats.ks_2samp(run.x_eps, run.x_lim)
+            details[f"{label}_dt_ratio_eps{eps}"] = run.resolution["dt_ratio"]
+            details[f"{label}_ks_pvalue_eps{eps}"] = float(ks.pvalue)
+            for key, val in _driver_moment_zscores(run, H, eps).items():
                 details[f"{label}_{key}_eps{eps}"] = val
             passed &= (abs(details[f"{label}_mean_z_eps{eps}"]) <= 3.0
                        and abs(details[f"{label}_var_z_eps{eps}"]) <= 3.0)

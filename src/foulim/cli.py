@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import chaos, exact, fgn, fou, harness, hermite, output, solvers
+from . import chaos, fgn, fou, harness, hermite, output, solvers
 from .chaos import ChaosFunction, Regime
 from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
 
@@ -280,25 +280,23 @@ def _cmd_homogenize(args) -> int:
     g = None if args.gfun == "zero" or h is None else _G_PRESETS[args.gfun]
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
-    resolution, _ = exact.resolve_dt_ratio(G, args.H, args.t, [args.eps], args.replicas)
-    endpoints, limit, c = solvers.homogenize(
-        G, args.H, args.eps, solvers.FLOWS[args.f], h, g, args.replicas, args.seed,
-        args.t, args.x0, resolution["dt_ratio"], args.threads,
-    )
-    ks = _stats.ks_2samp(endpoints, limit)
+    run = solvers.homogenize(G, args.H, args.eps, solvers.FLOWS[args.f], h, g, args.replicas,
+                             args.seed, args.t, args.x0, args.threads)
+    ks = _stats.ks_2samp(run.x_eps, run.x_lim)
     summary = {
         "regime": chaos.classify_regime(G.hermite_rank, args.H).kind.value,
-        "c": c,
+        "c": run.c,
         # the limit's drift is g_bar h(x) dt: 0 without a drift
-        "g_bar": 0.0 if g is None else chaos.gaussian_expectation(g),
-        **resolution,
+        "g_bar": run.g_bar,
+        **run.resolution,
+        **run.steps,
         "ks_statistic": float(ks.statistic),
         "ks_pvalue": float(ks.pvalue),
         "pass": bool(ks.pvalue > 0.01),
-        "endpoint_mean": harness.fsum_mean(endpoints),
-        "endpoint_variance": harness.fsum_variance(endpoints),
+        "endpoint_mean": harness.fsum_mean(run.x_eps),
+        "endpoint_variance": harness.fsum_variance(run.x_eps),
     }
-    _emit(args, ["replica", "endpoint"], enumerate(endpoints), summary)
+    _emit(args, ["replica", "endpoint"], enumerate(run.x_eps), summary)
     return 0 if summary["pass"] else 2
 
 

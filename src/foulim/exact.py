@@ -234,26 +234,30 @@ def sup_over_pairs(m: np.ndarray, rows) -> tuple[float, tuple[int, int]]:
     return best, pair
 
 
-def _kinetic_reading_covariance(H, eps: float, times, dt_ratio: float):
-    """(j, k) -> Cov of sigma ((1 - w) y[lo] + w y[lo + 1]) read at times[j] and times[k],
-    for broadcast index arrays, y the chain of ``kinetic_chain_autocovariance`` with gain
-    eps^H on the grid of step eps/dt_ratio: the scan's eps v readings, whose increment
-    from t = 0 is -(X - sigma B)."""
-    e = as_eps(eps)
-    lo, w = reading_weights(times, e / dt_ratio)
-    R = kinetic_chain_autocovariance(H, 1.0 / dt_ratio, int(lo.max()) + 2)
-    R *= fou.stationary_sigma(H) ** 2 * e ** (2.0 * H)
+def _kinetic_reading_covariances(H, eps_list, times, dt_ratio: float) -> list:
+    """For each eps of ``as_eps_list(eps_list)``, (j, k) -> Cov of sigma ((1 - w) y[lo]
+    + w y[lo + 1]) read at times[j] and times[k], for broadcast index arrays, y the chain
+    of ``kinetic_chain_autocovariance`` with gain eps^H on the grid of step eps/dt_ratio:
+    the scan's eps v readings, whose increment from t = 0 is -(X - sigma B).  The chain's
+    R depends on H and dt_ratio alone: one R, out to the finest eps's lags, serves all."""
+    eps_arr = as_eps_list(eps_list)
+    reads = [reading_weights(times, e / dt_ratio) for e in eps_arr]
+    R = kinetic_chain_autocovariance(H, 1.0 / dt_ratio, int(reads[-1][0].max()) + 2)
 
-    def cov(j, k):
-        lag = lo[j] - lo[k]
-        return ((1.0 - w[j]) * ((1.0 - w[k]) * R[np.abs(lag)] + w[k] * R[np.abs(lag - 1)])
-                + w[j] * ((1.0 - w[k]) * R[np.abs(lag + 1)] + w[k] * R[np.abs(lag)]))
-    return cov
+    def covariance(e, lo, w):
+        Re = R * (fou.stationary_sigma(H) ** 2 * e ** (2.0 * H))
+
+        def cov(j, k):
+            lag = lo[j] - lo[k]
+            return ((1.0 - w[j]) * ((1.0 - w[k]) * Re[np.abs(lag)] + w[k] * Re[np.abs(lag - 1)])
+                    + w[j] * ((1.0 - w[k]) * Re[np.abs(lag + 1)] + w[k] * Re[np.abs(lag)]))
+        return cov
+    return [covariance(e, lo, w) for e, (lo, w) in zip(eps_arr, reads)]
 
 
 def kinetic_sup_errors(H, eps_list, times, dt_ratio: float) -> np.ndarray:
     """sup over pairs j, k of sqrt(E(d_j - d_k)^2), d the readings of X - sigma B,
     one per eps of ``as_eps_list(eps_list)``: the target of the kinetic scan."""
     idx = np.arange(len(times))
-    covs = [_kinetic_reading_covariance(H, e, times, dt_ratio) for e in as_eps_list(eps_list)]
+    covs = _kinetic_reading_covariances(H, eps_list, times, dt_ratio)
     return np.sqrt([sup_over_pairs(c(idx, idx), lambda J: c(J[:, None], idx))[0] for c in covs])

@@ -7,28 +7,28 @@ ODE along the driver (Doss, Ann. IHP 13 (1977); Sussmann, Ann. Probab. 6
 where each ``Flow`` of ``FLOWS``, one per ``--f`` preset, carries phi,
 d_s phi and the coordinate s0 of x0 in closed form.  So
 ``solve_limit_stratonovich`` steps s alone, by one batched Heun scheme
-along U's grid values, and with no drift, or the drift h = f, takes no
-step.  The chain rule behind it gives the Stratonovich solution for a Brownian driver and the
-Young one for a driver of Hoelder regularity > 1/2; vector states with
-H < 1/2 would need Levy-area simulation and are out of scope.
-On the slow/fast side, dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt,
-U = alpha int G(y^eps) and V = int g(y^eps) are trapezoid integrals on the
-solver's own grid, built row block by row block from the fOU sampler.
-On the limit side dU = c dW in the short-range regime and c dZ^{H*,m} (a
-Hermite process, H* > 1/2) in the long-range one, and dV = g_bar dt.
-``homogenize`` is the one place that samples both sides, every replica's
-driver drawn from its own keyed stream inside a ``run_replicated`` chunk,
-on the grid of ``exact.resolve_dt_ratio`` with or without a drift.  The
-kinetic scan steps its chain at dt = eps/fou.MIN_STEPS_PER_EPS and reads
-every eps off one unit-rate chain per replica (self-similarity), row
-block by row block like ``harness``'s scans; the exact covariance of its
-chain (``exact.kinetic_chain_autocovariance``) shows that a finer grid
-moves the slope it fits by less than 3e-4.
+along U's grid values: the Stratonovich solution for a Brownian driver,
+the Young one for a driver of Hoelder regularity > 1/2 (vector states
+with H < 1/2 would need Levy-area simulation and are out of scope).  One
+rule, ``_stepped``, holds on both sides: Heun steps only when h is neither
+None nor f's own field; otherwise x_t = phi(U_t + V_t, s0) at the drivers'
+endpoints.  On the slow/fast side, dx = alpha(eps) f(x) G(y^eps) dt +
+h(x) g(y^eps) dt, U = alpha int G(y^eps) and V = int g(y^eps) are
+trapezoid integrals on the grid of ``exact.resolve_dt_ratio``, built row
+block by row block from the fOU sampler.  On the limit side dU = c dW in
+the short-range regime and c dZ^{H*,m} (a Hermite process, H* > 1/2) in
+the long-range one, and dV = g_bar dt.  The kinetic scan steps its chain
+at dt = eps/fou.MIN_STEPS_PER_EPS and reads every eps off one unit-rate
+chain per replica (self-similarity), row block by row block like
+``harness``'s scans; the exact covariance of its chain
+(``exact.kinetic_chain_autocovariance``) shows that a finer grid moves
+the slope it fits by less than 3e-4.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,12 +43,15 @@ __all__ = [
     "BlowUpError",
     "Flow",
     "FLOWS",
+    "Homogenization",
     "homogenize",
     "solve_limit_stratonovich",
     "kinetic_error_scan",
 ]
 
 BLOWUP_GUARD = 1e8
+# a stepping limit takes LIMIT_STEPS Heun steps; the Hermite path has HERMITE_STEPS
+LIMIT_STEPS, HERMITE_STEPS = 100, 400
 # kinetic_error_scan takes the Hoelder seminorm at gamma = HOLDER_GAMMA_FACTOR * H
 HOLDER_GAMMA_FACTOR = 0.5
 
@@ -124,6 +127,11 @@ def _guarded(x: np.ndarray, step: int) -> np.ndarray:
     return x
 
 
+def _stepped(flow: Flow, h) -> bool:
+    """Whether dx = f(x) dU + h(x) dV needs Heun steps: h neither None nor f's own field."""
+    return h is not None and h is not flow.f
+
+
 def solve_limit_stratonovich(flow: Flow, x0, h, dU, dV) -> np.ndarray:
     """Endpoints of dx = f(x) dU + h(x) dV, f the field of ``flow``, in its coordinates.
 
@@ -142,7 +150,7 @@ def solve_limit_stratonovich(flow: Flow, x0, h, dU, dV) -> np.ndarray:
     dU = np.asarray(dU, dtype=float)
     dV = np.broadcast_to(dV, dU.shape)
     s = np.full(dU.shape[1:], flow.coordinate(float(x0)))
-    if h is None or h is flow.f:
+    if not _stepped(flow, h):
         return _guarded(flow.phi((dU if h is None else dU + dV).sum(axis=0), s), len(dU))
     u, x = 0.0, np.full(dU.shape[1:], float(x0))
     with np.errstate(over="ignore"):  # a flow that overflows to inf fails the guard
@@ -160,16 +168,17 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
     """Endpoints x^eps_t of dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
 
     f is a ``Flow``; n replicas from streams (seed, "slowfast", i), at
-    dt = eps / dt_ratio.  The system is dx = f(x) dU + h(x) dV with
-    U = alpha int G(y^eps) and V = int g(y^eps), whose trapezoid increments
-    are written time-major, row block by row block of the sampler, into one
-    chunk's (n_steps, rows) arrays for ``solve_limit_stratonovich``.
-    With h None x_t = phi(U_t, s0) at the trapezoid integral U_t that
-    ``harness._fou_endpoint_samples`` reduces each row block to, on any grid.
+    dt = eps / dt_ratio.  The system is dx = f(x) dU + h(x) dV with the
+    trapezoid integrals U = alpha int G(y^eps) and V = int g(y^eps).
+    Unstepped, x_t = phi(U_t + V_t, s0) at the one integral of G + g / alpha
+    (G without a drift) that ``harness._fou_endpoint_samples`` reduces each
+    row block to; stepped, their increments go time-major, row block by row
+    block, into one chunk's (n_steps, rows) arrays for Heun.
     """
     alpha = chaos.classify_regime(G.hermite_rank, H).alpha(eps)
-    if h is None:
-        u = harness._fou_endpoint_samples(G, H, t, eps, n, seed, "slowfast", dt_ratio,
+    if not _stepped(f, h):
+        F = G if h is None else (lambda y: G(y) + g(y) / alpha)
+        u = harness._fou_endpoint_samples(F, H, t, eps, n, seed, "slowfast", dt_ratio,
                                           alpha, threads)
         return solve_limit_stratonovich(f, x0, None, u[None], 0.0)
     grid = TimeGrid.with_step(t, eps / dt_ratio)
@@ -194,72 +203,69 @@ def _limit_endpoints(G, H, c, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndar
 
     f is a ``Flow`` and c = ``chaos.c_constant(G, H)``.  U = c W in the
     short-range and boundary regimes, W from stream (seed, "limit-endpoint", i);
-    U = sign(a_m) c Z^{H*,m} in the long-range regime, the 400-step Hermite
-    path of (seed, "limit-endpoint-z", i).
-    Each ``run_replicated`` chunk is solved before the next is drawn.  With
-    h None x_t = phi(U_t, s0), so W takes one step and Z gives its endpoint.
-    Otherwise W takes 100 steps: for He_2, f = sin + 2, h = 1 and g = cos
-    they leave Var x_1 within 3.0e-6 (H 0.6) and 7.7e-6 (H 0.7) relative of
-    a 3,200-step solve on the same paths (20,000 replicas).
+    U = sign(a_m) c Z^{H*,m} in the long-range regime, Z on HERMITE_STEPS
+    steps from (seed, "limit-endpoint-z", i).  Unstepped, x_t =
+    phi(U_t + g_bar t, s0) at W_t, one normal, or at Z_t.  Stepped, Heun
+    takes LIMIT_STEPS steps in both regimes, on W's increments or on Z's at
+    every fourth point: for He_2, f = sin + 2, h = 1 and g = cos, Var x_1 is
+    within 3.0e-6 (H 0.6) and 7.7e-6 (H 0.7) relative of 3,200 steps on the
+    same W (20,000 replicas), and 1.7e-5 (H 0.85, five seeds of 4,000) of all
+    400 on the same Z.  Each ``run_replicated`` chunk is solved before the next.
     """
     regime = chaos.classify_regime(G.hermite_rank, H)
+    steps = LIMIT_STEPS if _stepped(f, h) else 1
     if regime.kind is Regime.LONG_RANGE:
         m = G.hermite_rank
-        name, grid = "limit-endpoint-z", TimeGrid(t, 400)
-        scale = np.sign(G.coefficients[m]) * c
-        engine = hermite.HermiteEngine(grid, regime.h_star, m)
+        engine = hermite.HermiteEngine(TimeGrid(t, HERMITE_STEPS), regime.h_star, m)
+        idx = np.arange(0, HERMITE_STEPS + 1, HERMITE_STEPS // steps)  # Z_0 = 0, ..., Z_t
+        name, scale = "limit-endpoint-z", np.sign(G.coefficients[m]) * c
 
         def increments(chunk_keys):
-            if h is None:
-                return hermite.hermite_ensemble(engine, chunk_keys)  # Z_t alone
-            path = hermite.hermite_ensemble(engine, chunk_keys, np.arange(grid.n_steps + 1))
-            return np.diff(path, axis=1)
+            return np.diff(hermite.hermite_ensemble(engine, chunk_keys, idx), axis=1)
     else:
-        name, grid = "limit-endpoint", TimeGrid(t, 1 if h is None else 100)
-        scale = c * np.sqrt(grid.dt)
+        name, scale = "limit-endpoint", c * np.sqrt(t / steps)
 
         def increments(chunk_keys):
-            return normals(chunk_keys, np.empty((len(chunk_keys), grid.n_steps)))
+            return normals(chunk_keys, np.empty((len(chunk_keys), steps)))
 
     def solve_chunk(chunk_keys):
-        dU = increments(chunk_keys)
-        dU *= scale
-        return solve_limit_stratonovich(f, x0, h, np.ascontiguousarray(dU.T), g_bar * grid.dt)
+        dU = np.ascontiguousarray(increments(chunk_keys).T) * scale
+        return solve_limit_stratonovich(f, x0, h, dU, g_bar * (t / steps))
 
     return run_replicated(n, seed, name, solve_chunk, threads)
 
 
-def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: float = 1.0,
-               x0: float = 0.0, dt_ratio: float | None = None,
-               threads: int = 1) -> tuple[np.ndarray, np.ndarray, float]:
-    """Endpoints x^eps_t of the slow/fast system and x_t of its limit equation, and
-    the limit's constant c = ``chaos.c_constant(G, H)``, taken once.
+# ``homogenize``'s endpoints, c, g_bar, grid rung with its exact variance, and limit steps
+Homogenization = namedtuple("Homogenization", "x_eps x_lim c g_bar resolution variance steps")
 
-    f is a ``Flow`` (one of ``FLOWS``), h and g plain fields.  The system
-    dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt is solved at
-    dt = eps / dt_ratio from streams (master_seed, "slowfast", i) by
-    ``_slow_fast_endpoints``.  The ratio is the rung ``exact.resolve_dt_ratio``
-    picks for G, eps and n_replicas (eps/5 for He_2 at H 0.6 and eps/2 at
-    0.85, eps 0.02, 600 replicas), with a drift too: Heun stepped on that
-    grid's trapezoid increments moves the variance by under 1e-5 relative
-    there, far inside the budget.  dt_ratio None resolves it here; a caller
-    that has resolved it for its own report passes that rung.  The limit dx = f(x) dU + g_bar h(x) dt,
-    g_bar = E g(N(0, 1)), is sampled by ``_limit_endpoints`` from
-    master_seed + 1.  Both sides are solved in f's flow coordinates; h or g
-    None means no drift, and each side is phi(U_t, s0) at its driver.
+
+def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: float = 1.0,
+               x0: float = 0.0, threads: int = 1) -> Homogenization:
+    """Endpoints x^eps_t of the slow/fast system and x_t of its limit equation.
+
+    f is a ``Flow`` (one of ``FLOWS``), h and g plain fields; h or g None
+    is no drift.  ``_slow_fast_endpoints`` solves dx = alpha(eps) f(x)
+    G(y^eps) dt + h(x) g(y^eps) dt from streams (master_seed, "slowfast", i)
+    on the rung of one ``exact.resolve_dt_ratio`` call (eps/5 for He_2 at
+    H 0.6, eps/2 at 0.85, eps 0.02 and 600 replicas, where Heun with a drift
+    moves the variance by under 1e-5 relative), and ``_limit_endpoints`` the
+    limit dx = f(x) dU + g_bar h(x) dt, g_bar = E g(N(0, 1)), from
+    master_seed + 1; both by the rule of ``_stepped``.
     """
     eps = as_eps(eps)
     if h is None or g is None:
         h = g = None
-    if dt_ratio is None:
-        dt_ratio = exact.resolve_dt_ratio(G, H, t, [eps], n_replicas)[0]["dt_ratio"]
+    resolution, var = exact.resolve_dt_ratio(G, H, t, [eps], n_replicas)
     x_eps = _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n_replicas, master_seed,
-                                 dt_ratio, threads)
+                                 resolution["dt_ratio"], threads)
     g_bar = 0.0 if g is None else chaos.gaussian_expectation(g)
     c = chaos.c_constant(G, H)
     x_lim = _limit_endpoints(G, H, c, t, x0, f, h, g_bar, n_replicas, master_seed + 1,
                              threads)
-    return x_eps, x_lim, c
+    steps = {"limit_steps": LIMIT_STEPS if _stepped(f, h) else 1}
+    if chaos.classify_regime(G.hermite_rank, H).kind is Regime.LONG_RANGE:
+        steps["hermite_steps"] = HERMITE_STEPS
+    return Homogenization(x_eps, x_lim, c, g_bar, resolution, float(var[0]), steps)
 
 
 def _grid_reader(times: np.ndarray, dt: float):

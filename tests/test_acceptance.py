@@ -86,6 +86,23 @@ def test_criterion_10_homogenization():
     assert res.passed, res.details
 
 
+def test_criterion_10_resolves_one_grid_per_homogenize_run(monkeypatch):
+    # two eps in two regimes: four runs, each resolving its grid once, inside homogenize
+    calls = []
+    resolve = acceptance.solvers.exact.resolve_dt_ratio
+
+    def spy(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(acceptance.solvers.exact, "resolve_dt_ratio", spy)
+    details = acceptance.crit_10_homogenization(SEED, "quick", THREADS).details
+    assert len(calls) == 4
+    assert [details[f"{label}_dt_ratio_eps{eps}"] for eps in (0.02, 0.01)
+            for label in ("short_range", "long_range")] == [resolve(*a)[0]["dt_ratio"]
+                                                           for a in calls]
+
+
 def test_criterion_11_solver_oracles():
     res = _report(acceptance.crit_11_solver_oracles(SEED, "full", THREADS))
     assert res.passed, res.details

@@ -757,6 +757,29 @@ def test_homogenize_with_drift_runs_the_limit_solver(tmp_path, H):
     assert rc == (0 if doc["pass"] else 2)
 
 
+@pytest.mark.parametrize("H, hfun, steps", [
+    ("0.6", "zero", {"limit_steps": 1}), ("0.6", "one", {"limit_steps": 100}),
+    ("0.85", "sin2", {"limit_steps": 1, "hermite_steps": 400}),
+    ("0.85", "one", {"limit_steps": 100, "hermite_steps": 400})])
+def test_homogenize_reports_its_one_grid_and_its_limit_steps(tmp_path, monkeypatch, H, hfun,
+                                                             steps):
+    # one resolution per run; the limit steps only with a drift h that is not
+    # f (sin + 2), and reads the 400-step Hermite path in the long range
+    calls = []
+    resolve = solvers.exact.resolve_dt_ratio
+
+    def spy(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(solvers.exact, "resolve_dt_ratio", spy)
+    assert run(["homogenize", "--H", H, "--coeffs", "0,0,1", "--hfun", hfun, "--gfun", "cos",
+                "--replicas", "20", "--format", "json", "--out", str(tmp_path / "hom")]) in (0, 2)
+    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert len(calls) == 1 and doc["dt_ratio"] == resolve(*calls[0])[0]["dt_ratio"]
+    assert {k: doc[k] for k in ("limit_steps", "hermite_steps") if k in doc} == steps
+
+
 def test_homogenize_without_h_reports_the_g_bar_its_limit_used(tmp_path):
     # with --hfun zero there is no drift h(x) g(y), whatever --gfun: the run, and
     # its g_bar of 0, are those of --gfun zero (--gfun cos reported e^{-1/2})

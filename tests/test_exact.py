@@ -341,6 +341,27 @@ def test_sup_over_pairs_is_the_dense_max_and_its_first_pair(n, rows_per_block, m
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])
+@pytest.mark.parametrize("eps_list", [[0.1, 0.05, 0.02, 0.01], [0.1, 0.05, 0.02],
+                                      [0.1, 0.03, 0.01]])
+def test_kinetic_sup_errors_take_one_chain_covariance_for_every_eps(H, eps_list, monkeypatch):
+    # the kinetic-scan lists of the limit_eqs benchmark on the scan's grid: one
+    # R, out to the finest eps's lags, against one R per eps (each eps alone)
+    lags = []
+    chain = exact.kinetic_chain_autocovariance
+
+    def spy(H, r, n_lags):
+        lags.append(n_lags)
+        return chain(H, r, n_lags)
+
+    monkeypatch.setattr(exact, "kinetic_chain_autocovariance", spy)
+    times = TimeGrid(1.0, 50).times()
+    shared = exact.kinetic_sup_errors(H, eps_list, times, fou.MIN_STEPS_PER_EPS)
+    assert lags == [int(round(fou.MIN_STEPS_PER_EPS / eps_list[-1])) + 2]
+    each = [exact.kinetic_sup_errors(H, [e], times, fou.MIN_STEPS_PER_EPS)[0] for e in eps_list]
+    np.testing.assert_allclose(shared, each, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
 @pytest.mark.parametrize("n_report, eps_list", [
     (1, [0.1, 0.05, 0.02, 0.01]), (7, [0.1, 0.05, 0.02, 0.01]),
     (50, [0.1, 0.05, 0.02, 0.01]), (50, [0.07, 0.05, 0.03])])
@@ -349,8 +370,7 @@ def test_kinetic_sup_errors_equal_the_dense_form(H, n_report, eps_list, monkeypa
     times = TimeGrid(1.0, n_report).times()
     monkeypatch.setattr(fgn, "BLOCK_BYTES", 8 * 3 * len(times))
     idx = np.arange(len(times))
-    for e in eps_list:
-        cov = exact._kinetic_reading_covariance(H, e, times, 10.0)
+    for e, cov in zip(eps_list, exact._kinetic_reading_covariances(H, eps_list, times, 10.0)):
         np.testing.assert_allclose(cov(idx[:, None], idx),
                                    _dense_reading_covariance(H, e, times, 10.0),
                                    rtol=1e-12, atol=0)

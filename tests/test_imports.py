@@ -25,7 +25,8 @@ The CLI also keeps an import budget.  No module of ``src/foulim`` imports
 SciPy at module level, so a fresh interpreter that imports ``foulim.cli``
 and prints its help, fails on a usage or a domain error, samples fBM or a
 Hermite process, or classifies and takes the constants of a long-range
-G loads numpy but no SciPy module at all.  Running the constants, the
+G loads numpy but no SciPy module at all, nor ``concurrent.futures``,
+which ``harness.run_replicated`` imports only for workers.  Running the constants, the
 samplers, ``clt-scan`` and ``l2-hermite`` loads ``scipy.special``, on the
 first evaluation of rho, ghat or a Gaussian expectation, but none of the
 heavier SciPy modules or the acceptance suite; the Hermite far field's
@@ -288,6 +289,8 @@ def test_cli_without_special_functions_loads_no_scipy(tmp_path):
     assert report["codes"] == [0, 1, 2, 0, 0, 0, 0, 0]
     assert {"numpy", "foulim.cli"} <= set(report["modules"])
     assert [m for m in report["modules"] if m == "scipy" or m.startswith("scipy.")] == []
+    # run_replicated imports its thread pool only when it has workers
+    assert "concurrent.futures" not in report["modules"]
 
 
 # modules the subcommands of BUDGET_SCRIPT must not load
@@ -367,7 +370,7 @@ def test_only_run_replicated_derives_keys():
 # the functions that sample, or take the exact variance or spectrum of, a
 # trapezoid integral of G(y^eps) on the grid of step eps / dt_ratio
 RATIO_TAKERS = {f.__name__: f for f in (
-    harness._fou_endpoint_samples, solvers.homogenize, solvers._slow_fast_endpoints,
+    harness._fou_endpoint_samples, solvers._slow_fast_endpoints,
     exact.trapezoid_variance, exact.he2_trapezoid_spectrum)}
 
 
@@ -396,7 +399,8 @@ def test_ratio_scanner_flags_only_literal_ratios():
         "    harness._fou_endpoint_samples(H2, 0.6, 1.0, 0.01, 10, seed, 'a', 100.0, alpha)\n"
         "    exact.he2_trapezoid_spectrum(0.6, 1.0, 0.01, ratio)\n"
         "    exact.trapezoid_variance(H2, 0.6, 1.0, 0.1, dt_ratio=50)\n"
-        "    solvers.homogenize(H2, 0.6, 0.02, f, None, None, 10, seed, dt_ratio=None)\n"
+        "    solvers._slow_fast_endpoints(H2, 0.6, 1.0, 0.02, 0.0, f, None, None, 10, seed,\n"
+        "                                 dt_ratio=None)\n"
         "    return TimeGrid.with_step(1.0, 0.1 / 50.0)\n"
     )
     assert literal_ratio_calls(src) == [("_fou_endpoint_samples", 2),

@@ -268,6 +268,54 @@ def test_brownian_limit_steps_are_within_1e_4_of_a_fine_solve(H, monkeypatch):
     assert abs(gap) < 1e-4
 
 
+def test_hermite_limit_steps_are_within_2e_5_of_the_whole_path(monkeypatch):
+    # the 100 steps of the long-range limit (He_2 at H 0.85, f = sin + 2,
+    # h = 1, g = cos), Z at every fourth point of its 400-step path, against
+    # all 400 steps of the same 4,000 paths: the relative Var x_1 gap reads
+    # 7.4e-6, near the 7.7e-6 the Brownian 100 steps were accepted with
+    from foulim import hermite
+
+    H, n, seed = 0.85, 4000, 45
+    c, g_bar = chaos.c_constant(H2, H), np.exp(-0.5)
+    steps, solve = [], solvers.solve_limit_stratonovich
+
+    def spy(flow, x0, h, dU, dV):
+        steps.append(len(dU))
+        return solve(flow, x0, h, dU, dV)
+
+    monkeypatch.setattr(solvers, "solve_limit_stratonovich", spy)
+    coarse = solvers._limit_endpoints(H2, H, c, 1.0, 0.0, SIN2, _one, g_bar, n, seed)
+    assert set(steps) == {100}
+    engine = hermite.HermiteEngine(TimeGrid(1.0, 400), chaos.classify_regime(2, H).h_star, 2)
+    k, fine = keys(seed, "limit-endpoint-z", 0, n), []
+    for a in range(0, n, 250):  # the run's chunks, whose GEMM rounding the paths share
+        path = hermite.hermite_ensemble(engine, k[a : a + 250], np.arange(401))
+        fine.append(solve(SIN2, 0.0, _one, np.ascontiguousarray(c * np.diff(path).T), g_bar / 400))
+    gap = np.var(coarse) / np.var(np.concatenate(fine)) - 1.0
+    assert abs(gap) < 2e-5
+
+
+@pytest.mark.parametrize("H", [0.6, 0.85])
+def test_drift_free_limit_is_the_flow_at_its_drivers_endpoint(H):
+    # no drift: phi(c W_t, s0), W_t = sqrt(t) times the first normal of each
+    # replica's stream, or phi(sign(a_2) c Z_t, s0), Z_t alone from the
+    # 400-step engine in the run's 250-replica chunks; bit for bit
+    from foulim import hermite
+
+    G, t, x0, n, seed = ChaosFunction([0, 0, -1.0]), 0.9, 0.3, 300, 31
+    c = chaos.c_constant(G, H)
+    x = solvers._limit_endpoints(G, H, c, t, x0, SIN2, None, 0.0, n, seed)
+    if H == 0.6:
+        w = np.array([stream(seed, "limit-endpoint", i).standard_normal() for i in range(n)])
+        drive = w * (c * np.sqrt(t))
+    else:
+        engine = hermite.HermiteEngine(TimeGrid(t, 400), chaos.classify_regime(2, H).h_star, 2)
+        k = keys(seed, "limit-endpoint-z", 0, n)
+        drive = -c * np.concatenate([hermite.hermite_ensemble(engine, k[a : a + 250])
+                                     for a in (0, 250)])[:, 0]
+    np.testing.assert_array_equal(x, SIN2.phi(drive, SIN2.coordinate(x0)))
+
+
 def test_stratonovich_deterministic_when_c_zero():
     grid = TimeGrid(1.0, 1000)
     x = solvers.solve_limit_stratonovich(LINEAR, 1.0, _identity, np.zeros(1000),
@@ -443,15 +491,45 @@ def test_drift_free_homogenize_is_the_flow_of_both_drivers(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_limit_stratonovich", spy)
     H, eps, n, seed, x0 = 0.85, 0.02, 40, 6, 0.3
-    x, lim, c = solvers.homogenize(H2, H, eps, SIN2, None, None, n, seed, x0=x0)
+    run = solvers.homogenize(H2, H, eps, SIN2, None, None, n, seed, x0=x0)
     assert set(steps) == {(None, 1)}
-    ratio = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)[0]["dt_ratio"]
-    u_eps = solvers._slow_fast_endpoints(H2, H, 1.0, eps, 0.0, ONE, None, None, n, seed, ratio)
-    assert c == chaos.c_constant(H2, H)
-    u_lim = solvers._limit_endpoints(H2, H, c, 1.0, 0.0, ONE, None, 0.0, n, seed + 1)
+    resolution, var = exact.resolve_dt_ratio(H2, H, 1.0, [eps], n)
+    assert run.resolution["dt_ratio"] == resolution["dt_ratio"] and run.variance == var[0]
+    assert run.steps == {"limit_steps": 1, "hermite_steps": 400} and run.g_bar == 0.0
+    u_eps = solvers._slow_fast_endpoints(H2, H, 1.0, eps, 0.0, ONE, None, None, n, seed,
+                                         resolution["dt_ratio"])
+    assert run.c == chaos.c_constant(H2, H)
+    u_lim = solvers._limit_endpoints(H2, H, run.c, 1.0, 0.0, ONE, None, 0.0, n, seed + 1)
     s0 = SIN2.coordinate(x0)
-    np.testing.assert_array_equal(x, SIN2.phi(u_eps, s0))
-    np.testing.assert_array_equal(lim, SIN2.phi(u_lim, s0))
+    np.testing.assert_array_equal(run.x_eps, SIN2.phi(u_eps, s0))
+    np.testing.assert_array_equal(run.x_lim, SIN2.phi(u_lim, s0))
+
+
+@pytest.mark.parametrize("H", [0.6, 0.85])
+def test_commuting_drift_is_the_flow_at_both_drivers_endpoints(H):
+    # h = f: each side is phi(U_t + V_t, s0) with no step, the slow/fast side
+    # at the trapezoid integrals of alpha He_2 and cos, the limit at
+    # c W_t (one normal) or sign(a_2) c Z_t, plus g_bar t
+    from foulim import hermite
+
+    eps, n, seed, x0, t = 0.02, 300, 14, 0.4, 0.8
+    run = solvers.homogenize(H2, H, eps, SIN2, SIN2.f, np.cos, n, seed, t=t, x0=x0)
+    assert run.steps["limit_steps"] == 1
+    ratio, s0 = run.resolution["dt_ratio"], SIN2.coordinate(x0)
+    alpha = chaos.classify_regime(2, H).alpha(eps)
+    u, v = (harness._fou_endpoint_samples(G, H, t, eps, n, seed, "slowfast", ratio, a)
+            for G, a in ((H2, alpha), (np.cos, 1.0)))
+    np.testing.assert_allclose(run.x_eps, SIN2.phi(u + v, s0), rtol=0, atol=1e-14)
+    if H == 0.6:
+        w = np.array([stream(seed + 1, "limit-endpoint", i).standard_normal() for i in range(n)])
+        drive = run.c * np.sqrt(t) * w
+    else:
+        # Z_t in the run's 250-replica chunks, whose GEMM rounding it shares
+        engine = hermite.HermiteEngine(TimeGrid(t, 400), chaos.classify_regime(2, H).h_star, 2)
+        k = keys(seed + 1, "limit-endpoint-z", 0, n)
+        drive = run.c * np.concatenate([hermite.hermite_ensemble(engine, k[a : a + 250])[:, 0]
+                                        for a in (0, 250)])
+    np.testing.assert_allclose(run.x_lim, SIN2.phi(drive + run.g_bar * t, s0), rtol=0, atol=1e-14)
 
 
 def test_multiscale_config_validation():
@@ -459,10 +537,10 @@ def test_multiscale_config_validation():
     # grid and the flow path takes their sum, both on a law that is exact;
     # a ratio with no finite step count is refused
     for h in (_zero, None):
-        x, *_ = solvers.homogenize(H1, 0.7, 0.01, ZERO, h, h, 2, 0, dt_ratio=5.0)
+        x = solvers._slow_fast_endpoints(H1, 0.7, 1.0, 0.01, 0.0, ZERO, h, h, 2, 0, 5.0)
         np.testing.assert_array_equal(x, 0.0)
     with pytest.raises(ValueError, match="no finite step count"):
-        solvers.homogenize(H1, 0.7, 0.01, ZERO, _zero, _zero, 1, 0, dt_ratio=np.inf)
+        solvers._slow_fast_endpoints(H1, 0.7, 1.0, 0.01, 0.0, ZERO, _zero, _zero, 1, 0, np.inf)
 
 
 def test_slow_fast_reduces_to_functional_integral():
@@ -973,13 +1051,13 @@ def test_kinetic_scan_readings_have_the_exact_chain_covariance(H, monkeypatch):
 
     monkeypatch.setattr(solvers, "run_replicated", spy)
     scan = solvers.kinetic_error_scan(H, eps_list, grid, 1000, 6)
+    covs = exact._kinetic_reading_covariances(H, eps_list, grid.times(), fou.MIN_STEPS_PER_EPS)
     for i, eps in enumerate(eps_list):
         v = captured[0][:, i, 1, :]
         prod = v[:, :, None] * v[:, None, :]
         se = prod.std(axis=0, ddof=1) / np.sqrt(len(v))
         idx = np.arange(grid.n_steps + 1)
-        cov = exact._kinetic_reading_covariance(H, eps, grid.times(),
-                                                fou.MIN_STEPS_PER_EPS)(idx[:, None], idx)
+        cov = covs[i](idx[:, None], idx)
         assert np.max(np.abs(prod.mean(axis=0) - cov) / se) < 4.0, eps
     np.testing.assert_allclose(
         scan.meta["exact_values"],
