@@ -21,8 +21,8 @@ from .paths import MASTER_SEED, FoulimError, TimeGrid, as_eps
 
 __all__ = ["main"]
 
+# --gfun zero is no drift at all (g = None), so it has no field here
 _G_PRESETS = {
-    "zero": lambda y: np.zeros_like(np.asarray(y, dtype=float)),
     "one": lambda y: np.ones_like(np.asarray(y, dtype=float)),
     "cos": np.cos,
 }
@@ -275,9 +275,9 @@ def _cmd_homogenize(args) -> int:
     from scipy import stats as _stats
 
     G = _chaos_from_args(args)
-    # a zero factor passes None for both: the drift h(x) g(y) is then absent
+    # a zero factor passes None, and homogenize then drops the drift h(x) g(y)
     h = None if args.hfun == "zero" else solvers.FLOWS[args.hfun].f
-    g = None if args.gfun == "zero" or h is None else _G_PRESETS[args.gfun]
+    g = None if args.gfun == "zero" else _G_PRESETS[args.gfun]
     if not np.isfinite(args.x0):
         raise ValueError(f"--x0 must be finite, got {args.x0}")
     run = solvers.homogenize(G, args.H, args.eps, solvers.FLOWS[args.f], h, g, args.replicas,
@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", type=float, default=0.0)
     sp.add_argument("--f", choices=sorted(solvers.FLOWS), default="sin2")
     sp.add_argument("--hfun", choices=sorted(solvers.FLOWS), default="zero")
-    sp.add_argument("--gfun", choices=sorted(_G_PRESETS), default="zero")
+    sp.add_argument("--gfun", choices=sorted([*_G_PRESETS, "zero"]), default="zero")
 
     # the gate runs from the pinned suite seed unless explicitly overridden
     sp = _add_parser(sub, "verify", _cmd_verify, seed_default=MASTER_SEED, hurst=False)

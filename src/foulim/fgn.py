@@ -49,10 +49,11 @@ __all__ = [
 NEGATIVE_EIG_TOL = 1e-13
 # the embedding is doubled up to this many lags (a circulant of twice that)
 MAX_EMBEDDING_LAGS = 2**20
-# rows go through the engine in blocks of this many bytes of normals (13
-# rows at m = 5000): with the half spectrum, the FFT output and the caller's
-# reduction the block stays within a few MB, near the size of an L2 cache
-BLOCK_BYTES = 2**20
+# rows go through the engine in blocks of this many bytes of normals (3 rows
+# at m = 5000, 16 at m = 1000): with the half spectrum, the FFT output and the
+# caller's reduction a block holds about 1 MB; with 1 MiB blocks a 200-replica
+# kinetic-scan grew the process's resident peak by 3.7-4.7 MB, with these by 0-1
+BLOCK_BYTES = 2**18
 
 
 class SamplerInfeasibleError(FoulimError, RuntimeError):

@@ -12,19 +12,24 @@ aligned with the time grid, then n_far growing x1.05 out to -1e30, so
 no noise window is cut off (1,863 cells at 200 steps, 2,277 at 400).
 Step s enters through a_s, its kernel's exact cell averages times
 sqrt(width), as the Wick form ||a_s||^m He_m(u_s/||a_s||), u_s = a_s . N,
-of the multiple integral of a_s^{(x)m}.  A kernel is held dense on the
-uniform cells, and on the far cells, where it is smooth in the row time,
-at 20 Chebyshev rows that a barycentric matrix interpolates to every
-row.  The far cells' projections on those rows are Gaussian with the
-far Gram as covariance, of rank r (5 to 7), so they are drawn as r
-normals times a factor of it (``_far_factor``) rather than from the
-n_far cells.  The covariance is exact in one line, m! ds^2 sum_{s<j, s'<k}
-gram_{ss'}^m (``exact_covariance``), and a replica draws r + 2n normals
-and costs O(n_s * 2n + 20 r) for every m.  A ``HermiteEngine`` holds all
-this for one (grid, H, m), built once per operation and handed to every
-chunk; ``hermite_ensemble`` draws one row of noise per Philox key,
-a block of rows at a time, and ensembles take their keys chunk by chunk
-from ``harness.run_replicated``.
+of the multiple integral of a_s^{(x)m}.  On the uniform cells an entry
+of a kernel depends only on the lag, so a kernel is held there as one lag
+profile of 3n values, each row a window of it; on the far cells, where it
+is smooth in the row time, at 20 Chebyshev rows that a barycentric matrix
+interpolates to every row.  The far cells' projections on those rows are
+Gaussian with the far Gram as covariance, of rank r (5 to 7), so they are
+drawn as r normals times a factor of it (``_far_factor``) rather than from
+the n_far cells.  The covariance is exact, m! ds^2 sum_{s<j, s'<k}
+gram_{ss'}^m, and one pass over the Gram's lags (``_gram_lags``) gives its
+diagonal in O(n^2) time and O(n) memory; ``exact_covariance`` builds it at
+the times asked for.  A replica draws r + 2n normals and costs
+O(n_s * 2n + 20 r) for every m.  A ``HermiteEngine`` holds all this for
+one (grid, H, m), built once per operation and handed to every chunk;
+``hermite_ensemble`` draws one row of noise per Philox key, a block of
+rows at a time, multiplies it by the kernel's windows a block of rows at
+a time, and ensembles take their keys chunk by chunk from
+``harness.run_replicated``.  No n x 2n, n x n or (n + 1)^2 array is built
+outside ``exact_covariance``.
 
 ``ghat`` is the moving-average kernel of the fast fOU, y^eps_t =
 eps^{-1/2} int ghat((t-s)/eps) dW_s, in closed form: ghat(v) = C(H)
@@ -44,7 +49,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import chaos, fou
-from .fgn import BLOCK_BYTES
 from .paths import FoulimError, TimeGrid, as_hurst
 from .streams import normals
 
@@ -61,9 +65,15 @@ _WATSON_TERMS = 10
 # noise cells below -T grow by this ratio until they reach this distance
 _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
-# a kernel's near block is n x 2n doubles and its build O(n^2): 1.6 GB a kernel
-# at this many steps, and a scan holds one per eps beside the limit's
+# a kernel is held as a lag profile of 3n doubles, its far block and P; the
+# engine's build is O(n^2) time in O(n) memory (2.5 s and 4.7 MB traced at this
+# many steps), and a replica's projection O(n^2) flops
 _MAX_STEPS = 10_000
+# noise rows are projected a block at a time, whose normals and projections fit in
+# about this many bytes (108 rows at 400 steps: smaller GEMMs ran slower); a
+# kernel's rows are copied into a buffer of an eighth of it, and the engine's
+# Gram is built in lag blocks of a quarter of it
+BLOCK_BYTES = 2**20
 # Chebyshev rows of a far block: 16 leave a gram error of 1.6e-13, 20 (as 24) 3e-15
 _FAR_NODES = 20
 # the far Gram's factor keeps the eigenvalues above this fraction of the largest
@@ -94,23 +104,46 @@ def _cell_edges(grid: TimeGrid) -> np.ndarray:
 
 
 class _CellKernel(NamedTuple):
-    """A kernel M on the noise cells: near (rows x 2n) is M on the uniform
-    cells; M's far block, smooth in the row time, is P far, with far
-    (nodes x n_far) at the nodes of ``_far_nodes`` and P (rows x nodes)."""
+    """A kernel M on the noise cells.  On the 2n uniform cells row r is the
+    window of the lag profile that starts at first - r step: the profile ends
+    where row 0's window does, and the last row's starts at first mod step.  M's
+    far block, smooth in the row time, is P far, with far (nodes x n_far) at the
+    nodes of ``_far_nodes`` and P (rows x nodes)."""
 
-    near: np.ndarray
+    profile: np.ndarray
+    first: int
+    step: int
     far: np.ndarray
     P: np.ndarray
 
+    @property
+    def near(self) -> np.ndarray:
+        """M on the uniform cells, rows x 2n: a view of the profile, no copy."""
+        width = len(self.profile) - self.first
+        return sliding_window_view(self.profile, width)[self.first :: -self.step]
+
+    def starts(self) -> np.ndarray:
+        """The profile index where each row's window starts."""
+        return self.first - self.step * np.arange(len(self.P))
+
     def variances(self) -> np.ndarray:
-        """||M[r]||^2 for every row r."""
+        """||M[r]||^2 for every row r, the uniform part a difference of the
+        profile's tail sums of squares (exact where the profile is zero past
+        the window, as it is for every kernel built here)."""
+        starts = self.starts()
+        tail = np.append(np.cumsum(self.profile[::-1] ** 2)[::-1], 0.0)
         PG = self.P @ (self.far @ self.far.T)
-        return np.einsum("ij,ij->i", self.near, self.near) + np.einsum("ij,ij->i", PG, self.P)
+        width = len(self.profile) - self.first
+        return tail[starts] - tail[starts + width] + np.einsum("ij,ij->i", PG, self.P)
 
     def contract(self, w: np.ndarray) -> "_CellKernel":
         """The one-row kernel w M, whose projection is the w-weighted sum of M's
-        rows' projections: (w near, far, w P)."""
-        return _CellKernel((w @ self.near)[None], self.far, (w @ self.P)[None])
+        rows' projections: its profile sum_r w_r (row r's window), one
+        correlation of the profile with w placed at the rows' starts."""
+        placed = np.zeros(self.first + 1)
+        placed[self.starts()] = w
+        return _CellKernel(np.correlate(self.profile, placed, "valid"), 0, 1, self.far,
+                           (w @ self.P)[None])
 
 
 def _far_nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +174,9 @@ def _kernel(grid: TimeGrid, H: float, m: int) -> _CellKernel:
     """The kernel of Z^{H,m}, H in (1/2, 1) and 1 <= m <= MAX_HERMITE_ORDER:
     M[s, i] is sqrt(width) times the exact average over cell i of the kernel
     at step s's midpoint (so its singularity needs no quadrature) and u_s =
-    M[s] . N has variance ||M[s]||^2; near is windows of one lag profile, an
-    entry there depends only on the lag."""
+    M[s] . N has variance ||M[s]||^2.  On the uniform cells an entry depends
+    only on the lag: row s is the profile's window from n - 1 - s, and the
+    profile is zero from 2n on, past the cell that holds the midpoint."""
     chaos._check_hermite_target(H, m)
     edges = _cell_edges(grid)
     b = (H - 1.0) / m - 0.5  # the power on each factor (s - xi)_+
@@ -152,10 +186,9 @@ def _kernel(grid: TimeGrid, H: float, m: int) -> _CellKernel:
     # entry n - 1 - r + j; the cell holding the midpoint is half covered, later ones 0
     profile = np.concatenate([_cell_average((2 * n - 1.5 - np.arange(2 * n - 1)) * dt, dt, p),
                               [(0.5 * dt) ** p / (p * math.sqrt(dt))], np.zeros(n - 1)])
-    near = sliding_window_view(profile, 2 * n)[n - 1 - np.arange(n)]
     nodes, P = _far_nodes(grid.times()[:-1] + 0.5 * dt)
     u = np.subtract.outer(nodes, edges[1 : n_far + 1])
-    return _CellKernel(near, _cell_average(u, np.diff(edges[: n_far + 1]), p), P)
+    return _CellKernel(profile, n - 1, 1, _cell_average(u, np.diff(edges[: n_far + 1]), p), P)
 
 
 def _far_factor(far_gram: np.ndarray) -> tuple[np.ndarray, float]:
@@ -174,44 +207,64 @@ def _far_factor(far_gram: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class HermiteEngine:
-    """Kernel, step variances, per-time scale and raw covariance of Z^{H,m} on a grid.
+    """Kernel, step variances and per-time scale of Z^{H,m} on a grid.
 
     Built once per operation by the caller and handed to every chunk.
-    ``kernel`` is ``_kernel``, with gram near near^T + P (far far^T) P^T
-    and var its diagonal.  C is the exact covariance of the cumulative
-    Wick series (``_series_covariance``), and scale[k] = t_k^H /
-    sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H}, absorbing the
-    discretization loss that plain K/m! scaling would leave.  far_factor
-    is ``_far_factor``'s factor of far far^T.  The arrays are read-only, so
-    concurrent chunks share them.
+    ``kernel`` is ``_kernel`` and far_factor ``_far_factor``'s factor L of
+    its far far^T; u_s has the Gram near near^T + (P L)(P L)^T
+    (``_gram_lags``) and var is its diagonal.  The cumulative Wick series
+    has the exact covariance C[j, k] = m! ds^2 sum_{s<j, s'<k} gram[s, s']^m,
+    and scale[k] = t_k^H / sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H},
+    absorbing the discretization loss that plain K/m! scaling would leave.
+    One pass over the Gram's lag blocks gives var and the diagonal of C;
+    neither the Gram nor C is held (``exact_covariance`` builds C at the
+    times it is asked for).  The arrays are read-only, so concurrent chunks
+    share them.
     """
 
     def __init__(self, grid: TimeGrid, H: float, m: int):
         self.grid, self.H, self.m = grid, H, m
-        self.kernel = near, far, P = _kernel(grid, H, m)
-        far_gram = far @ far.T
-        self.far_factor = _far_factor(far_gram)[0]
-        gram = near @ near.T + P @ far_gram @ P.T
-        self.var = np.diag(gram).copy()
-        self.C = _series_covariance(gram, m, grid.dt)
+        self.kernel = _kernel(grid, H, m)
+        self.far_factor = _far_factor(self.kernel.far @ self.kernel.far.T)[0]
+        row_sums = np.zeros(grid.n_steps)  # sum_{s' < s} 2 gram[s, s']^m + gram[s, s]^m
+        for d0, g in _gram_lags(self.kernel, self.far_factor):
+            if d0 == 0:
+                self.var = g[:, 0].copy()
+            np.power(g, m, out=g)
+            row_sums += g @ np.where(d0 + np.arange(g.shape[1]) == 0, 1.0, 2.0)
+        series_var = math.factorial(m) * grid.dt * grid.dt * np.cumsum(row_sums)
         self.scale = np.zeros(grid.n_steps + 1)
-        self.scale[1:] = grid.times()[1:] ** H / np.sqrt(np.diag(self.C)[1:])
-        for arr in (*self.kernel, self.far_factor, self.var, self.C, self.scale):
+        self.scale[1:] = grid.times()[1:] ** H / np.sqrt(series_var)
+        for arr in (self.kernel.profile, self.kernel.far, self.kernel.P, self.far_factor,
+                    self.var, self.scale):
             arr.flags.writeable = False
 
 
-def _series_covariance(gram: np.ndarray, m: int, ds: float) -> np.ndarray:
-    """Covariance of the cumulative series sum_{s<k} ds :u_s^m: at k = 0..n.
+def _gram_lags(kernel: _CellKernel, far_factor: np.ndarray):
+    """The Gram of the engine's u_s, near near^T + (P L)(P L)^T with L =
+    far_factor, a block of k lags at a time: (d0, g) with g[s, j] the entry
+    at rows s and s - d0 - j, and 0 where s < d0 + j.
 
-    With gram[s, s'] = E[u_s u_s'] the step terms have E[:u_s^m: :u_s'^m:]
-    = m! gram[s, s']^m, so C[j, k] = m! ds^2 sum_{s<j, s'<k} gram[s, s']^m,
-    built in place in C.
+    Row s's window starts at profile index n - 1 - s and the profile is zero
+    from 2n on, so the near entry at lag d is sum_{i >= n-1-s} p_i p_{i+d}:
+    the lags' sums over i >= n, then a cumulative sum down the rows.  The far
+    entry is the row product of P L with itself shifted by d.  O(n^2) time;
+    g is n x k doubles, k from a quarter of BLOCK_BYTES.
     """
-    n = gram.shape[0]
-    C = np.zeros((n + 1, n + 1))
-    np.power(gram, m, out=C[1:, 1:])
-    C *= math.factorial(m) * ds * ds
-    return C.cumsum(0, out=C).cumsum(1, out=C)
+    p, n = kernel.profile, len(kernel.P)
+    Q = kernel.P @ far_factor
+    Qz = np.concatenate([np.zeros_like(Q), Q])  # Qz[n + s] = Q[s], zero above row 0
+    lags = max(1, BLOCK_BYTES // 4 // (8 * n))
+    for d0 in range(0, n, lags):
+        k = min(lags, n - d0)
+        windows = sliding_window_view(p, k)  # windows[i, j] = p[i + j]
+        g = p[n - 1 :: -1, None] * windows[d0 : d0 + n][::-1]
+        g[0] += p[n : 2 * n] @ windows[n + d0 : 2 * n + d0]
+        np.cumsum(g, axis=0, out=g)
+        shifted = sliding_window_view(Qz, k, axis=0)[n - d0 - k + 1 : 2 * n - d0 - k + 1, :, ::-1]
+        g += (Q[:, None, :] @ shifted)[:, 0]
+        g[: d0 + k] = np.tril(g[: d0 + k], -d0)
+        yield d0, g
 
 
 def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
@@ -220,30 +273,47 @@ def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
     By the recurrence :u^{k+1}: = u :u^k: - k var :u^{k-1}:, so m = 1
     returns u itself.
     """
-    prev, cur = np.ones_like(u), u
+    prev, cur = None, u
     for k in range(1, m):
-        prev, cur = cur, u * cur - k * var * prev
+        nxt = u * cur
+        nxt -= var if prev is None else k * var * prev  # :u^0: = 1
+        prev, cur = cur, nxt
     return cur
 
 
 def _projections(keys: np.ndarray, kernels: list[_CellKernel], far_factor: np.ndarray):
     """(start, [u for each kernel]) for a block of the replicas keys[start :
-    start + len(u)] at a time.  A replica's noise is r + 2n normals N: N[r:]
-    are the uniform cells, and the far projections on the stacked node rows
-    of all kernels are N[:r] L^T, L = far_factor (``_far_factor`` of the
-    stacked far Gram), so u = N[r:] near^T + (N[:r] L^T) P^T.  A block's
-    noise and projections fit in about BLOCK_BYTES, its noise drawn into
-    one buffer."""
-    r, n_near = far_factor.shape[1], kernels[0].near.shape[1]
+    start + len(u)] at a time.  A replica's noise is r + 2n normals N: N[:r]
+    project the far cells on the stacked node rows of all kernels as N[:r]
+    L^T, L = far_factor (``_far_factor`` of the stacked far Gram), and N[r:]
+    are the uniform cells, so u = N [P L, near]^T.  A block's noise and
+    projections fit in about BLOCK_BYTES, its noise drawn into one buffer.
+    Each kernel's rows of [P L, near] are copied into one buffer of an
+    eighth of that, a block of rows at a time, with the windows cut where
+    the profile's zero tail begins, and multiplied with the noise block."""
+    r, width = far_factor.shape[1], len(kernels[0].near[0])
     cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
-    row_bytes = 8 * (r + n_near + len(far_factor) + sum(len(kern.near) for kern in kernels))
+    PLs = [kern.P @ far_factor[a:b] for kern, a, b in zip(kernels, cuts, cuts[1:])]
+    row_bytes = 8 * (r + width + sum(len(PL) for PL in PLs))
     rows = max(1, min(len(keys), BLOCK_BYTES // row_bytes))
-    buf = np.empty((rows, r + n_near))
+    buf = np.empty((rows, r + width))
+    kbuf = np.empty((max(1, min(max(map(len, PLs)), BLOCK_BYTES // 8 // (8 * (r + width)))),
+                     r + width))
+    ends = [len(np.trim_zeros(kern.profile, "b")) for kern in kernels]
     for start in range(0, len(keys), rows):
         N = normals(keys[start : start + rows], buf[: min(rows, len(keys) - start)])
-        far_proj = N[:, :r] @ far_factor.T
-        yield start, [N[:, r:] @ kern.near.T + far_proj[:, a:b] @ kern.P.T
-                      for kern, a, b in zip(kernels, cuts, cuts[1:])]
+        us = []
+        for kern, PL, end in zip(kernels, PLs, ends):
+            u = np.empty((len(N), len(PL)))
+            starts, near = kern.starts(), kern.near
+            for i in range(0, len(PL), len(kbuf)):
+                block = kbuf[: min(len(kbuf), len(PL) - i)]
+                cols = r + min(width, max(0, end - starts[i + len(block) - 1]))
+                block[:, :r] = PL[i : i + len(block)]
+                block[:, r:cols] = near[i : i + len(block), : cols - r]
+                np.matmul(N[:, :cols], block[:, :cols].T, out=u[:, i : i + len(block)])
+            us.append(u)
+        yield start, us
 
 
 def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
@@ -264,9 +334,11 @@ def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
     report_idx = np.asarray(report_idx, dtype=int)
     out = np.empty((len(keys), len(report_idx)))
     for start, (u,) in _projections(keys, [engine.kernel], engine.far_factor):
-        series = _wick_power(u, engine.var, engine.m) * engine.grid.dt
-        cum = np.cumsum(np.pad(series, ((0, 0), (1, 0))), axis=1)  # Z at t_0 = 0 is 0
-        out[start : start + len(u)] = cum[:, report_idx] * engine.scale[report_idx]
+        series = _wick_power(u, engine.var, engine.m)
+        series *= engine.grid.dt
+        cum = np.cumsum(series, axis=1, out=series)  # Z at t_1, ..., t_n; Z at t_0 = 0 is 0
+        Z = np.where(report_idx > 0, cum[:, report_idx - 1], 0.0)
+        out[start : start + len(u)] = Z * engine.scale[report_idx]
     return out
 
 
@@ -274,15 +346,31 @@ def exact_covariance(engine: HermiteEngine, times) -> np.ndarray:
     """Exact covariance matrix of ``hermite_ensemble``'s values at grid times.
 
     Its diagonal is t^{2H}; its off-diagonal departure from the fBM
-    covariance is the sampler's own correlation-shape error.
+    covariance is the sampler's own correlation-shape error.  C is built
+    at the asked times only, from one pass over the Gram's lag blocks
+    (``_gram_lags``): for each row s, the sums of gram[s, s']^m over s' <= s
+    and below each time, then their cumulative sums over s.
     """
-    grid = engine.grid
+    grid, m = engine.grid, engine.m
     t = np.atleast_1d(np.asarray(times, dtype=float))
     idx = np.rint(t / grid.dt).astype(int)
     if np.any(idx < 0) or np.any(idx > grid.n_steps) \
             or not np.allclose(idx * grid.dt, t, rtol=0.0, atol=1e-9 * grid.dt):
         raise ValueError("times must be points of the grid")
-    return engine.scale[idx, None] * engine.C[np.ix_(idx, idx)] * engine.scale[idx]
+    rows = np.arange(grid.n_steps)[:, None]
+    lower = np.zeros((grid.n_steps, len(idx)))  # sum over s' <= s, s' < idx of gram[s, s']^m
+    for d0, g in _gram_lags(engine.kernel, engine.far_factor):
+        np.power(g, m, out=g)
+        if d0 == 0:
+            diag = g[:, 0].copy()
+        k = g.shape[1]
+        tails = np.zeros((len(g), k + 1))  # tails[s, j] = sum_{j' >= j} g[s, j']
+        tails[:, :k] = np.cumsum(g[:, ::-1], axis=1)[:, ::-1]
+        lower += np.take_along_axis(tails, np.clip(rows - d0 - idx + 1, 0, k), axis=1)
+    L = np.concatenate([np.zeros((1, len(idx))), np.cumsum(lower, axis=0)])[idx]
+    D = np.concatenate([[0.0], np.cumsum(diag)])[np.minimum.outer(idx, idx)]
+    C = math.factorial(m) * grid.dt * grid.dt * (L + L.T - D)
+    return engine.scale[idx, None] * C * engine.scale[idx]
 
 
 # ----------------------------------------------------------------- fOU kernel
@@ -308,7 +396,7 @@ def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> _CellKerne
     # uniform cell j's midpoint lies (r + n - j - 1/2) dt before fine point r:
     # profile entry n - r + j
     profile = ghat((2 * n - 0.5 - np.arange(3 * n)) * (dt / eps), H) * math.sqrt(dt / eps)
-    return _CellKernel(sliding_window_view(profile, 2 * n)[n - rows], far, P)
+    return _CellKernel(profile, n, stride, far, P)
 
 
 def ghat(v, H) -> np.ndarray | float:

@@ -793,6 +793,17 @@ def test_homogenize_without_h_reports_the_g_bar_its_limit_used(tmp_path):
     assert docs[0]["table"] == docs[1]["table"]
 
 
+def test_homogenize_gfun_zero_is_no_drift_whatever_hfun(tmp_path):
+    # --gfun zero has no field behind it: with --hfun sin2 the drift h(x) g(y)
+    # is still absent, so the limit takes no steps and g_bar is 0
+    assert run(["homogenize", "--H", "0.6", "--coeffs", "0,0,1", "--hfun", "sin2",
+                "--gfun", "zero", "--replicas", "20", "--seed", "5", "--format", "json",
+                "--out", str(tmp_path / "hom")]) in (0, 2)
+    doc = json.loads((tmp_path / "hom.json").read_text())
+    assert (doc["g_bar"], doc["limit_steps"]) == (0.0, 1)
+    assert "zero" not in cli._G_PRESETS
+
+
 @pytest.mark.parametrize("hfun, gfun", [pytest.param("zero", "zero", id="zero"),
                                         pytest.param("one", "cos", id="one")])
 def test_long_range_homogenize_is_thread_invariant(tmp_path, hfun, gfun):
@@ -999,7 +1010,7 @@ CONFIG_SPACES = {
                    "--t": _float(0.1, 0.3), "--x0": _float(-1, 1),
                    "--f": st.sampled_from(sorted(solvers.FLOWS)),
                    "--hfun": st.sampled_from(sorted(solvers.FLOWS)),
-                   "--gfun": st.sampled_from(sorted(cli._G_PRESETS))},
+                   "--gfun": st.sampled_from(sorted([*cli._G_PRESETS, "zero"]))},
 }
 
 

@@ -389,6 +389,34 @@ def test_l2_exact_coupled_distances_of_a_linear_functional():
                                                                  4, 11).meta
 
 
+def test_l2_exact_values_match_the_dense_kernels(monkeypatch):
+    # meta["exact_values"] against the dense formula: each kernel as built,
+    # before it is contracted, made dense on every cell (P far on the far
+    # cells, its windows on the uniform ones), weighted, and differenced
+    built = []
+    for name in ("_kernel", "_fou_kernel"):
+        def spy(*args, build=getattr(hermite, name)):
+            built.append((args, build(*args)))
+            return built[-1][1]
+        monkeypatch.setattr(hermite, name, spy)
+    H, eps_list = 0.8, [0.2, 0.1, 0.05]
+    scan = harness.l2_convergence_hermite(H1, H, 1.0, eps_list, 4, 3)
+    ((fine, hs, m), limit), *fou_kernels = built
+    n = fine.n_steps
+
+    def dense_sum(w, kernel):
+        return np.concatenate([w @ kernel.P @ kernel.far, w @ np.array(kernel.near)])
+
+    lam_z = chaos.c_constant(H1, H) * fine.dt * chaos.K_normalizer(hs, m)
+    v_lim = dense_sum(np.full(n, lam_z), limit)
+    exact = []
+    for ((_, _, eps, r), kernel) in fou_kernels:
+        w = np.full(n // r + 1, fine.horizon / (n // r) * eps ** (hs - 1.0))
+        w[[0, -1]] *= 0.5
+        exact.append(np.linalg.norm(dense_sum(w, kernel) - v_lim))
+    np.testing.assert_allclose(scan.meta["exact_values"], exact, rtol=1e-13, atol=0)
+
+
 def test_l2_convergence_bit_identical_across_threads():
     # 300 replicas: two chunks of 250 and 50
     runs = [harness.l2_convergence_hermite(H2, 0.85, 1.0, [0.3, 0.13, 0.05], 300, 4,
@@ -624,30 +652,43 @@ def test_endpoint_samples_memory_does_not_grow_with_replicas():
     assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
 
 
-def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
-    # at eps 0.1, 0.05, 0.02 the fine grid has 1000 steps and 3495 noise
-    # cells, 1495 of them far; the kernels are the 1000-row limit kernel and
-    # the fOU kernels at strides 5, 2 and 1 (201 + 501 + 1001 rows): their
-    # near blocks on the 2000 uniform cells and their interpolation
-    # matrices, 43.7 MB, and four far blocks at 20 node rows, 1.0 MB.  The
-    # kernel build and a 250-replica chunk, drawn in 37-row noise blocks,
-    # add 3.9 MB to them, bounded here at that plus 25% (the dense kernels
-    # took 75.6 MB, and a whole-chunk noise matrix added 16.1 MB to them);
-    # the engine cache kept the limit kernel after the call
-    fine = TimeGrid(1.0, 1000)
-    n_far = len(hermite._cell_edges(fine)) - 1 - 2000
-    rows = 1000 + 201 + 501 + 1001
-    kernels_mb = 8 * (rows * (2000 + hermite._FAR_NODES) + 4 * hermite._FAR_NODES * n_far) / 1e6
+def _l2_scan_traced_mb(G) -> tuple[float, float]:
+    """(peak, retained) MB traced by an l2 scan at eps 0.1, 0.05, 0.02 and
+    250 replicas, over the memory traced when it starts."""
     harness.l2_convergence_hermite(H1, 0.8, 1.0, [0.2, 0.1], 2, 9)  # imports only
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        harness.l2_convergence_hermite(H1, 0.8, 1.0, [0.1, 0.05, 0.02], 250, 9)
+        harness.l2_convergence_hermite(G, 0.8, 1.0, [0.1, 0.05, 0.02], 250, 9)
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (peak - before) / 1e6 < kernels_mb + 1.25 * 3.9
-    assert (after - before) / 1e6 < 1.0
+    return (peak - before) / 1e6, (after - before) / 1e6
+
+
+def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
+    # at eps 0.1, 0.05, 0.02 the fine grid has 1000 steps and 3495 noise
+    # cells, 1495 of them far; the kernels are the 1000-row limit kernel and
+    # the fOU kernels at strides 5, 2 and 1 (201 + 501 + 1001 rows), each a
+    # lag profile of 3000 values (0.1 MB in all), a far block at 20 node rows
+    # (1.0 MB in all) and its interpolation matrix (0.4 MB in all).  He_1
+    # contracts each kernel to one row as it is built; with the build and a
+    # 250-replica chunk, drawn in 65-row noise blocks, the call traces
+    # 3.1 MB, bounded here at that plus 25% (the transient dense near block
+    # of the finest fOU kernel took it to 17.3 MB)
+    peak, retained = _l2_scan_traced_mb(H1)
+    assert peak < 4.0
+    assert retained < 1.0
+
+
+def test_l2_scan_memory_with_every_kernel_row_held():
+    # He_2 keeps every row of every kernel: noise blocks of 27 rows, 2,703
+    # projections a row, multiplied by 8 kernel rows at a time, trace 4.4 MB
+    # in all, bounded at that plus 25%; with the near blocks held dense it
+    # traced 47.7 MB
+    peak, retained = _l2_scan_traced_mb(H2)
+    assert peak < 5.5
+    assert retained < 1.0
 
 
 @pytest.mark.parametrize("horizon, step, n", [(1.0, 0.02 / 50, 2500), (0.1, 0.05 / 100, 200),

@@ -140,6 +140,27 @@ def test_hermite_m2_variance_and_covariance():
     assert np.max(np.abs(emp - thr) / se) < 5.0
 
 
+def _series_covariance(gram: np.ndarray, m: int, ds: float) -> np.ndarray:
+    """Covariance of the cumulative series sum_{s<k} ds :u_s^m: at k = 0..n,
+    dense: C[j, k] = m! ds^2 sum_{s<j, s'<k} gram[s, s']^m, the reference
+    for the engine's one pass over the Gram's lags."""
+    C = np.zeros((len(gram) + 1,) * 2)
+    C[1:, 1:] = math.factorial(m) * ds * ds * gram**m
+    return C.cumsum(0).cumsum(1)
+
+
+def _dense_engine(grid, H, m):
+    """(kernel, var, C, scale) of ``HermiteEngine`` from the dense Gram
+    near near^T + P (far far^T) P^T and ``_series_covariance``."""
+    kernel = hermite._kernel(grid, H, m)
+    near = np.array(kernel.near)
+    gram = near @ near.T + kernel.P @ (kernel.far @ kernel.far.T) @ kernel.P.T
+    C = _series_covariance(gram, m, grid.dt)
+    scale = np.zeros(grid.n_steps + 1)
+    scale[1:] = grid.times()[1:] ** H / np.sqrt(np.diag(C)[1:])
+    return kernel, np.diag(gram), C, scale
+
+
 def _wick_tensor_series(A, m, ds, N):
     """sum_s ds I_m(A[s]^{(x)m}) by enumerating every index tuple.
 
@@ -168,7 +189,7 @@ def test_exact_variance_identities_brute_force():
         for N in rng.normal(size=(3, n_xi)):
             series = hermite._wick_power(A @ N, var, m).sum() * ds
             assert series == pytest.approx(_wick_tensor_series(A, m, ds, N), rel=1e-10)
-        C = hermite._series_covariance(A @ A.T, m, ds)
+        C = _series_covariance(A @ A.T, m, ds)
         tensors = [np.zeros((n_xi,) * m)]
         for s in range(n_s):
             t = A[s]
@@ -178,6 +199,47 @@ def test_exact_variance_identities_brute_force():
         brute = np.array([[math.factorial(m) * np.sum(Tj * Tk) for Tk in tensors]
                           for Tj in tensors])
         np.testing.assert_allclose(C, brute, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 20, 400])
+def test_engine_matches_the_dense_gram_and_series_covariance(n, m):
+    # the engine's one pass over the Gram's lags against the dense formula:
+    # var, scale, the exact covariance at every grid time, and the values
+    # hermite_ensemble draws from five fixed keys (relative to the largest)
+    grid = TimeGrid(1.0, n)
+    engine = HermiteEngine(grid, 0.7, m)
+    kernel, var, C, scale = _dense_engine(grid, 0.7, m)
+    np.testing.assert_allclose(engine.var, var, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(engine.scale, scale, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(hermite.exact_covariance(engine, grid.times()),
+                               scale[:, None] * C * scale, rtol=1e-13, atol=0)
+    key_rows = keys(7, "oracle", 0, 5)
+    L = engine.far_factor
+    N = streams.normals(key_rows, np.empty((5, L.shape[1] + 2 * n)))
+    u = N @ np.hstack([kernel.P @ L, kernel.near]).T
+    series = np.pad(hermite._wick_power(u, var, m) * grid.dt, ((0, 0), (1, 0)))
+    ref = np.cumsum(series, axis=1) * scale
+    got = hermite.hermite_ensemble(engine, key_rows, np.arange(n + 1))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 400])
+def test_fou_kernel_contract_and_variances_match_the_dense_kernel(n):
+    # a kernel held as a lag profile against its windows made dense
+    rng = np.random.default_rng(n)
+    for stride in (1, 2, 5):
+        kernel = hermite._fou_kernel(TimeGrid(1.0, n), 0.8, 0.1, stride)
+        near = np.array(kernel.near)
+        assert near.shape == (n // stride + 1, 2 * n)
+        PG = kernel.P @ kernel.far @ kernel.far.T
+        dense = np.einsum("ij,ij->i", near, near) + np.einsum("ij,ij->i", PG, kernel.P)
+        np.testing.assert_allclose(kernel.variances(), dense, rtol=1e-13, atol=0)
+        w = rng.uniform(0.5, 1.5, len(near))
+        one = kernel.contract(w)
+        np.testing.assert_allclose(one.near, (w @ near)[None], rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(one.P, (w @ kernel.P)[None])
+        assert one.far is kernel.far
 
 
 def test_exact_covariance_diagonal_and_shape():
@@ -336,24 +398,36 @@ def test_l2_far_factor_is_a_rank_r_factor_of_the_stacked_far_gram(monkeypatch):
     assert set(widths) == {L.shape[1] + 2 * 400}  # the fine grid: 0.05 / 20
 
 
-def test_engine_and_ensemble_memory_is_the_near_block_and_one_noise_block():
-    # at 400 steps the near block is 400 x 800 (2.6 MB), gram and C 1.3 MB
-    # each, and a 106-row block, whose 806 normals and 420 projections a row
-    # fit in 1 MiB, while 600 replicas are drawn brings the peak to 7.0 MB
-    # (6.7 MB with 57-row blocks of all 2,277 cells' normals).  The dense
-    # 400 x 2277 kernel alone was 7.3 MB, and with the whole (600, 2277)
-    # noise matrix these calls traced 27.3 MB
-    hermite.hermite_ensemble(HermiteEngine(TimeGrid(1.0, 20), 0.7, 2),
-                             keys(1, "warm", 0, 3))  # imports only
+def _traced_growth_mb(fn) -> float:
+    """The traced peak of fn() over the memory traced when it starts, in MB,
+    after a 20-step engine and ensemble have paid for the imports."""
+    hermite.hermite_ensemble(HermiteEngine(TimeGrid(1.0, 20), 0.7, 2), keys(1, "warm", 0, 3))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        engine = HermiteEngine(TimeGrid(1.0, 400), 0.7, 2)
-        hermite.hermite_ensemble(engine, keys(3, "mem", 0, 600))
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e6
     finally:
         tracemalloc.stop()
-    assert (peak - before) / 1e6 < 8.0
+
+
+def test_engine_and_ensemble_memory_is_one_noise_block():
+    # at 400 steps a kernel is a 1,199-entry lag profile and its far block
+    # (20 x 1,477); the build's lag blocks are 400 x 81, and the ensemble
+    # draws 108-row noise blocks, 806 normals and 400 projections a row
+    # within 1 MiB, with a 20-row window buffer.  600 replicas trace 2.3 MB,
+    # bounded at 3.0; the near block held dense, with its Gram and C, traced
+    # 7.0 MB, and the whole (600, 2277) noise matrix 27.3 MB
+    assert _traced_growth_mb(lambda: hermite.hermite_ensemble(
+        HermiteEngine(TimeGrid(1.0, 400), 0.7, 2), keys(3, "mem", 0, 600))) < 3.0
+
+
+def test_engine_memory_at_2000_steps_is_linear_in_the_steps():
+    # the engine at 2,000 steps and 100 replicas trace 2.7 MB, bounded at
+    # 3.5: no n x 2n, n x n or (n + 1)^2 array (the dense near block, Gram
+    # and C traced 129 MB here)
+    assert _traced_growth_mb(lambda: hermite.hermite_ensemble(
+        HermiteEngine(TimeGrid(1.0, 2000), 0.7, 2), keys(3, "mem", 0, 100))) < 3.5
 
 
 def test_hermite_self_similarity_and_stationary_increments():
