@@ -35,7 +35,6 @@ __all__ = [
     "ChaosFunction",
     "h_star",
     "classify_regime",
-    "limit_covariance_A",
     "limit_covariance",
     "c_constant",
     "K_normalizer",
@@ -184,63 +183,45 @@ class ChaosFunction:
     def truncation_order(self) -> int:
         return len(self.coefficients) - 1
 
-def limit_covariance_A(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, float]:
-    """Limit covariance constant A^{ij} of the Wiener components.
-
-    A^{ij} = int_0^inf E(G_i(y_s) G_j(y_0)) ds
-           = sum_q c_{i,q} c_{j,q} q! int_0^inf rho(r)^q dr,
-    summed over q >= max(rank_i, rank_j) up to the lower truncation order,
-    with every integral taken in one ``fou.rho_power_integral`` pass.
-    Returns (value, truncation_tail_bound).  Every contributing order
-    must lie in the short-range regime; otherwise this is not a CLT
-    component and the call raises.
-    """
-    h = as_hurst(H)
-    q0 = max(Gi.hermite_rank, Gj.hermite_rank)
-    K = min(Gi.truncation_order, Gj.truncation_order)
-    ci, cj = Gi.coefficients, Gj.coefficients
-    orders = [q for q in range(q0, K + 1) if ci[q] != 0.0 and cj[q] != 0.0]
-    for q in orders:
-        if classify_regime(q, h).kind is not Regime.SHORT_RANGE:
-            raise ValueError(
-                f"not a CLT component: chaos order q={q} has H*(q) >= 1/2 at H={h}"
-            )
-    fact = _factorials(K + 1)
-    integrals = fou.rho_power_integral(orders, h) if orders else []  # disjoint: no pass
-    total = last_term = 0.0
-    for q, integral in zip(orders, integrals):
-        term = ci[q] * cj[q] * fact[q] * integral
-        total += term
-        last_term = abs(term)
-    # crude geometric bound on the dropped orders, reported not asserted
-    tail_bound = last_term
-    return float(total), float(tail_bound)
-
-
 def limit_covariance(Gi: ChaosFunction, Gj: ChaosFunction, H) -> tuple[float, float]:
     """Sigma^{ij} = lim alpha_i alpha_j Cov(int_0^1 G_i(y^eps), int_0^1 G_j(y^eps)) as eps -> 0.
 
     With m the lower rank and D = ``fou.rho_asymptote_constant(H)``, so that
     rho^m(s) ~ D^m s^{2H*(m)-2}:
 
-    short range:  2 A^{ij} (``limit_covariance_A``)
+    short range:  2 A^{ij}, A^{ij} = int_0^inf E(G_i(y_s) G_j(y_0)) ds
+                  = sum_q c_{i,q} c_{j,q} q! int_0^inf rho(r)^q dr over the
+                  orders q >= both ranks up to the lower truncation order,
+                  every integral in one ``fou.rho_power_integral`` pass;
+                  each such q > m is short range too, as H*(q) < H*(m)
     boundary:     2 m! c_{i,m} c_{j,m} D^m, the coefficient of eps |ln eps|
                   that rho^m ~ D^m / s gives the variance
     long range:   m! c_{i,m} c_{j,m} D^m / (H*(2H* - 1)), as
                   2 int_0^1 (1-u) u^{2H*-2} du = 1/(H*(2H* - 1))
 
     and 0 for a pair of different ranks outside the short range.  Returns
-    (Sigma^{ij}, the short-range series' truncation tail, 0 elsewhere).  A
-    self pair (Gi is Gj) is a variance, and one negative beyond rounding raises.
+    (Sigma^{ij}, twice the short-range series' last term, a crude bound on
+    its truncation tail reported not asserted, 0 elsewhere).  A self pair
+    (Gi is Gj) is a variance, and one negative beyond rounding raises.
     """
     h = as_hurst(H)
     m = min(Gi.hermite_rank, Gj.hermite_rank)
     regime = classify_regime(m, h)
     if regime.kind is Regime.SHORT_RANGE:
-        A, tail = limit_covariance_A(Gi, Gj, h)
+        K = min(Gi.truncation_order, Gj.truncation_order)
+        ci, cj = Gi.coefficients, Gj.coefficients
+        orders = [q for q in range(max(Gi.hermite_rank, Gj.hermite_rank), K + 1)
+                  if ci[q] != 0.0 and cj[q] != 0.0]
+        fact = _factorials(K + 1)
+        integrals = fou.rho_power_integral(orders, h) if orders else []  # disjoint: no pass
+        A = last_term = 0.0
+        for q, integral in zip(orders, integrals):
+            term = ci[q] * cj[q] * fact[q] * integral
+            A += term
+            last_term = abs(term)
         if Gi is Gj and A < -1e-12:  # A = 0 exactly for He_1 at H < 1/2 can round below 0
             raise FoulimError(f"limit covariance A = {A:g} is negative beyond rounding at H={h}")
-        return 2.0 * A, 2.0 * tail
+        return 2.0 * float(A), 2.0 * float(last_term)
     if Gi.hermite_rank != Gj.hermite_rank:
         return 0.0, 0.0
     sigma = float(_factorials(m + 1)[m] * Gi.coefficients[m] * Gj.coefficients[m]

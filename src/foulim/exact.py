@@ -20,12 +20,13 @@ stationary autocovariance in eps units is the Toeplitz sum
     R(L) = r^{2H} / (1 - a^2) sum_m a^{|m|} gamma_H(L + m)
 
 over the unit-spacing fGN autocovariance gamma_H.  It is r a^L / (1 - a^2)
-at H = 1/2 and tends to H Gamma(2H) rho(L r) as r -> 0.  Read at the
-reporting times by the scan's linear interpolation, it gives every
+at H = 1/2 and tends to H Gamma(2H) rho(L r) as r -> 0.  It is also
+the autocovariance the scan draws its chains from, so read at the
+reporting times by the scan's linear interpolation it gives every
 pairwise second moment behind ``solvers.kinetic_error_scan``'s statistic
-exactly (up to the e^{-10} remainder of the scan's burn-in), and so the
-sup over pairs that the scan's sample sup estimates; ``sup_over_pairs``
-takes both sups a block of rows at a time.
+exactly, and so the sup over pairs and the pair where it falls, at which
+the scan reads its sample error; ``sup_over_pairs`` takes the sup a block
+of rows at a time.
 """
 
 from __future__ import annotations
@@ -255,9 +256,11 @@ def _kinetic_reading_covariances(H, eps_list, times, dt_ratio: float) -> list:
     return [covariance(e, lo, w) for e, (lo, w) in zip(eps_arr, reads)]
 
 
-def kinetic_sup_errors(H, eps_list, times, dt_ratio: float) -> np.ndarray:
-    """sup over pairs j, k of sqrt(E(d_j - d_k)^2), d the readings of X - sigma B,
-    one per eps of ``as_eps_list(eps_list)``: the target of the kinetic scan."""
+def kinetic_sup_errors(H, eps_list, times, dt_ratio: float) -> tuple[list, np.ndarray]:
+    """The pairs (j, k) where sqrt(E(d_j - d_k)^2) is largest, d the readings of
+    X - sigma B, and that sup, one each per eps of ``as_eps_list(eps_list)``: the
+    kinetic scan reads its sample error at the pairs and targets the sups."""
     idx = np.arange(len(times))
     covs = _kinetic_reading_covariances(H, eps_list, times, dt_ratio)
-    return np.sqrt([sup_over_pairs(c(idx, idx), lambda J: c(J[:, None], idx))[0] for c in covs])
+    sq, pairs = zip(*(sup_over_pairs(c(idx, idx), lambda J: c(J[:, None], idx)) for c in covs))
+    return list(pairs), np.sqrt(sq)

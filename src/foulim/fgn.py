@@ -16,8 +16,10 @@ per call is O(block * m) however many rows are drawn, and ``batch``
 collects the blocks into one array.  Each row is addressed by its
 Philox key (a row of ``streams.keys``), and a block's normals are drawn
 from its keys by ``streams.normals``, so no Generator is built per row.
-fGN is one caller, the stationary fOU of ``fou`` the other.  Exactness
-matters here because everything downstream reads rates off exponents.
+Its callers are fGN, the stationary fOU of ``fou`` and the kinetic
+scan's exponential-Euler chain (``solvers.kinetic_error_scan``).
+Exactness matters here because everything downstream reads rates off
+exponents.
 
 The fBM is normalised so that B_0 = 0 and Var(B_1) = 1, with covariance
 0.5*(t^{2H} + s^{2H} - |t-s|^{2H}); a path is the cumulative sum of a

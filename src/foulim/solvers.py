@@ -17,12 +17,13 @@ h(x) g(y^eps) dt, U = alpha int G(y^eps) and V = int g(y^eps) are
 trapezoid integrals on the grid of ``exact.resolve_dt_ratio``, built row
 block by row block from the fOU sampler.  On the limit side dU = c dW in
 the short-range regime and c dZ^{H*,m} (a Hermite process, H* > 1/2) in
-the long-range one, and dV = g_bar dt.  The kinetic scan steps its chain
-at dt = eps/fou.MIN_STEPS_PER_EPS and reads every eps off one unit-rate
-chain per replica (self-similarity), row block by row block like
-``harness``'s scans; the exact covariance of its chain
-(``exact.kinetic_chain_autocovariance``) shows that a finer grid moves
-the slope it fits by less than 3e-4.
+the long-range one, and dV = g_bar dt.  The kinetic scan reads every eps
+off one unit-rate exponential-Euler chain per replica (self-similarity),
+at dt = eps/fou.MIN_STEPS_PER_EPS, drawn row block by row block like
+``harness``'s scans from the engine on the chain's exact covariance
+(``exact.kinetic_chain_autocovariance``).  That covariance names the pair
+of reporting times where the scan reads its error and shows that a finer
+grid moves the slope it fits by less than 3e-4.
 """
 
 from __future__ import annotations
@@ -304,41 +305,41 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
 
     holds on the grid to floating-point accuracy.  By self-similarity its
     readings at t are sigma eps^H times those of the unit-rate (eps = 1)
-    chain on step 1/MIN_STEPS_PER_EPS at t/eps, so one unit-rate chain per
-    replica serves every eps, each with its own law.  After 10 units of
-    burn-in (a memory of e^{-10}), eps i, largest first, reads its own
-    window of t/eps_i units from starts[i] by linear interpolation, under
-    which the identity still holds, and takes X - sigma B from the window's
-    origin.  The windows do not overlap: on a shared one the eps of a
-    commensurate list read the same pairs of the chain, and at H < 1/2,
-    whose sup lies inside the window, their sample sups can come from one
-    pair, exactly proportional, and leave the slope's CI zero wide.
+    chain y_k = a y_{k-1} + dt^H dB_k on step dt = 1/MIN_STEPS_PER_EPS at
+    t/eps, so one unit-rate chain per replica serves every eps, each with
+    its own law.  Eps i, largest first, reads its own window of t/eps_i
+    units from starts[i] by linear interpolation, under which the identity
+    still holds, and takes X - sigma B from the window's origin, summed
+    from its left-point increments (1 - a) y_{k-1} - dt^H dB_k with
+    dt^H dB_k = y_k - a y_{k-1}.  The windows do not overlap: on a shared
+    one the eps of a commensurate list read the same pairs of the chain,
+    and at H < 1/2, whose sup lies inside the window, their errors can come
+    from one pair, exactly proportional, and leave the slope's CI zero wide.
 
-    The reported statistic is the sup over reporting-grid pairs of the
-    replica-L2 error, whose log-log slope against log(1/eps) is H.  Its
-    exact value on these grids, ``exact.kinetic_sup_errors``, is 3-5% above
-    that at 100 steps per eps, a factor that moves the slope by under 3e-4
-    for H in [0.05, 0.95].  meta carries those exact values, their
-    least-squares slope and the fit's z against it (``harness.slope_z``),
-    the max identity defect, taken from the origin t = 0 where X - sigma B
-    and its readings are zero, and the mean Hoelder seminorm at
-    gamma = HOLDER_GAMMA_FACTOR*H on the dyadic lags of ``_holder_seminorms``
-    with its least-squares slope (``exact.loglog_slope``).
+    The chain comes straight from ``fgn.StationarySampler`` on its exact
+    stationary autocovariance ``exact.kinetic_chain_autocovariance``,
+    embedded for the longest window at its fast 5-smooth length (never
+    doubled for H in [0.01, 0.99] from 201 steps up); each row holds every
+    window, read off one circulant period (2,000 normals for the default
+    list), so each window is exact in law, and the slope CI's empirical
+    covariance takes in how the windows covary.  Within each replica chunk
+    its row blocks are reduced, one after the other, to their (rows, n_eps,
+    2, n_report) readings of X - sigma B and eps v, so no chunk-sized
+    matrix is built.
 
-    The fGN comes from one ``fgn.StationarySampler`` built per scan, whose
-    embedding covers only the longest window with the burn-in before it
-    (at its fast 5-smooth length); each row, the burn-in and every window,
-    is read off one circulant period (2,250 normals for the default list,
-    not 3,840), so each window is exact in law with its burn-in, and the
-    slope CI's empirical covariance takes in how the windows covary.
-    Within each replica chunk its row blocks
-    are reduced, one after the other, to their (rows, n_eps, 2, n_report)
-    readings: one recursion and one cumulative sum of the increments of
-    X - sigma B per block, read by every eps and scaled by sigma eps^H.  So
-    no chunk-sized fGN matrix is built, and every row is the same as from
-    a whole-chunk draw.  The sup over pairs takes the sample second moments
-    d[:, J].T @ d / n a block of rows J at a time (``exact.sup_over_pairs``),
-    so no (n_report + 1)^2 array is built.
+    The exact covariance of the readings (``exact.kinetic_sup_errors``)
+    names each eps's pair (j, k) of reporting times where the L2 error
+    of X - sigma B is largest.  The reported statistic is the replica-L2
+    error sqrt(mean (d_j - d_k)^2) at that pair, unbiased in its square
+    for the exact sup, whose log-log slope against log(1/eps) is H.  That
+    exact sup is 3-5% above that at 100 steps per eps, a factor that moves
+    the slope by under 3e-4 for H in [0.05, 0.95].  meta carries the exact
+    sups, their least-squares slope and the fit's z against it
+    (``harness.slope_z``), the max identity defect, taken from the origin
+    t = 0 where X - sigma B and its readings are zero, and the mean
+    Hoelder seminorm at gamma = HOLDER_GAMMA_FACTOR*H on the dyadic lags
+    of ``_holder_seminorms`` with its least-squares slope
+    (``exact.loglog_slope``).
     """
     h = as_hurst(H)
     eps_arr = as_eps_list(eps_list)
@@ -346,31 +347,25 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         raise ValueError("kinetic scan needs at least 2 distinct eps values")
     report_times = grid.times()
     dt = 1.0 / fou.MIN_STEPS_PER_EPS
-    n_burn = int(round(10.0 / dt))
-    # eps i reads t/eps units of the chain from main point starts[i], after the
-    # burn-in and the windows of the larger eps
+    # eps i reads t/eps units of the chain from point starts[i], after the
+    # windows of the larger eps
     n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
     starts = np.cumsum([0] + n_main[:-1])
-    n_total = n_burn + sum(n_main)
-    # a window and the burn-in before it are exact in law on one row of a shorter period
-    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, h),
-                                    n_burn + max(n_main) - 1, n_total)
+    sampler = fgn.StationarySampler(lambda k: exact.kinetic_chain_autocovariance(h, dt, len(k)),
+                                    max(n_main), sum(n_main) + 1)
     reads = [_grid_reader(p * dt + report_times / eps, dt) for p, eps in zip(starts, eps_arr)]
     gains = [fou.stationary_sigma(h) * eps**h for eps in eps_arr]
     a = math.exp(-dt)
-    from scipy.signal import lfilter  # 0.6 s to import: only once the scan is accepted
 
-    def readings(dB):
+    def readings(y):
         """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from
-        unit-spacing fGN rows, through the unit-rate chain."""
-        y = lfilter([dt**h], [1.0, -a], dB, axis=1)
-        # y[:, k] is the chain after step k + 1 and the main grid starts after
-        # n_burn steps; on its points, Y[:, 0] sums the left-point increments
-        # (1 - a) y - dB of X - sigma B and Y[:, 1] is y
-        Y = np.zeros((len(y), 2, n_total - n_burn + 1))
-        np.cumsum((1.0 - a) * y[:, n_burn - 1 : -1] - dt**h * dB[:, n_burn:],
-                  axis=1, out=Y[:, 0, 1:])
-        Y[:, 1] = y[:, n_burn - 1 :]
+        rows of the unit-rate chain."""
+        # on the chain's points, Y[:, 0] sums the left-point increments of
+        # X - sigma B and Y[:, 1] is y
+        Y = np.zeros((len(y), 2, y.shape[1]))
+        np.cumsum((1.0 - a) * y[:, :-1] - (y[:, 1:] - a * y[:, :-1]), axis=1,
+                  out=Y[:, 0, 1:])
+        Y[:, 1] = y
         out = np.empty((len(y), len(eps_arr), 2, len(report_times)))
         for i, (p, gain, read) in enumerate(zip(starts, gains, reads)):
             r = read(Y)
@@ -388,24 +383,23 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     # X_0 = B_0 = 0, so a reading taken from a shifted origin shows
     defect = np.max(np.abs(diff + (epsv - epsv[:, :, :1])))
 
+    pairs, exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times,
+                                                fou.MIN_STEPS_PER_EPS)
     sup_err, sup_se, holder = np.empty((3, len(eps_arr)))
     worst = np.empty((len(eps_arr), n_replicas))
     gam = HOLDER_GAMMA_FACTOR * h
-    for i in range(len(eps_arr)):
+    for i, (j, k) in enumerate(pairs):
         d = np.ascontiguousarray(diff[:, i, :])
-        sq_max, (j, k) = exact.sup_over_pairs(np.einsum("ij,ij->j", d, d) / n_replicas,
-                                              lambda J: d[:, J].T @ d / n_replicas)
-        sup_err[i] = np.sqrt(sq_max)
+        worst[i] = (d[:, j] - d[:, k]) ** 2
+        sup_err[i] = np.sqrt(np.mean(worst[i]))
         if not sup_err[i] > 0.0:
             raise FoulimError(f"kinetic error vanishes at H={h}, eps={eps_arr[i]}: "
                               "no rate can be fitted to it")
-        worst[i] = (d[:, j] - d[:, k]) ** 2
         sup_se[i] = 0.5 * np.std(worst[i], ddof=1) / np.sqrt(n_replicas) / sup_err[i]
         holder[i] = fsum_mean(_holder_seminorms(d, report_times, gam))
-    # all eps read one fGN: the sup errors sqrt(mean(worst)) covary (delta method)
+    # all eps read one chain: the errors sqrt(mean(worst)) covary (delta method)
     cov = harness._mean_covariance(worst / (2.0 * sup_err[:, None]), sup_se)
     slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, cov)
-    exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times, fou.MIN_STEPS_PER_EPS)
     return ScanResult(
         eps_arr, sup_err, sup_se, n_replicas, slope, ci,
         meta={

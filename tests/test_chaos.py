@@ -118,23 +118,33 @@ def test_limit_covariance_examples():
     H1 = ChaosFunction([0, 1.0])
     H2 = ChaosFunction([0, 0, 1.0])
     H3 = ChaosFunction([0, 0, 0, 1.0])
-    # degenerate Brownian limit at H < 1/2, m = 1
-    A, _ = chaos.limit_covariance_A(H1, H1, 0.4)
-    assert abs(A) < 0.01
+    # degenerate Brownian limit at H < 1/2, m = 1: 2A = 2 int rho
+    sigma, _ = chaos.limit_covariance(H1, H1, 0.4)
+    assert abs(sigma) < 0.02
     # disjoint chaos orders: no common term
-    A, _ = chaos.limit_covariance_A(H2, H3, 0.6)
-    assert A == 0.0
-    # pure H2 self-covariance: 2! * int rho^2
-    A, _ = chaos.limit_covariance_A(H2, H2, 0.6)
-    assert A == pytest.approx(2.0 * fou.rho_power_integral([2], 0.6)[0], rel=1e-10)
+    assert chaos.limit_covariance(H2, H3, 0.6) == (0.0, 0.0)
+    # pure H2 self-covariance: 2A = 2 * 2! * int rho^2, the tail its one term
+    sigma, tail = chaos.limit_covariance(H2, H2, 0.6)
+    assert sigma == pytest.approx(4.0 * fou.rho_power_integral([2], 0.6)[0], rel=1e-10)
+    assert tail == sigma
 
 
-def test_limit_covariance_divergent_regime_raises():
-    H1 = ChaosFunction([0, 1.0])
-    with pytest.raises(ValueError, match="not a CLT component"):
-        chaos.limit_covariance_A(H1, H1, 0.8)
-    with pytest.raises(ValueError, match="not a CLT component"):
-        chaos.limit_covariance_A(ChaosFunction([0, 0, 1.0]), ChaosFunction([0, 0, 1.0]), 0.75)
+def test_limit_covariance_takes_its_series_in_the_short_range_alone(monkeypatch):
+    # every order q above a short-range rank m is short range too, H*(q) < H*(m),
+    # so the series of int rho^q never meets a divergent order
+    for H in np.linspace(0.01, 0.99, 99):
+        for m in (1, 2, 3):
+            if chaos.classify_regime(m, H).kind is Regime.SHORT_RANGE:
+                assert all(chaos.classify_regime(q, H).kind is Regime.SHORT_RANGE
+                           for q in range(m, 9))
+    # outside the short range (He_1 at H 0.8, He_2 at 0.75) the constant reads D alone
+    monkeypatch.setattr(fou, "rho_power_integral", lambda *a: pytest.fail("series taken"))
+    D = fou.rho_asymptote_constant
+    H1, H2 = ChaosFunction([0, 1.0]), ChaosFunction([0, 0, 1.0])
+    assert chaos.limit_covariance(H1, H1, 0.8)[0] == pytest.approx(D(0.8) / (0.8 * 0.6),
+                                                                   rel=1e-14)
+    assert chaos.limit_covariance(H2, H2, 0.75)[0] == pytest.approx(4.0 * D(0.75) ** 2,
+                                                                    rel=1e-14)
 
 
 def test_every_order_is_short_range_at_half():
@@ -143,8 +153,8 @@ def test_every_order_is_short_range_at_half():
         assert chaos.classify_regime(m, 0.5).kind is Regime.SHORT_RANGE
     assert chaos.classify_regime(1, 0.5).alpha(0.01) == pytest.approx(10.0)
     G = ChaosFunction([0, 1.0, 0.5])
-    A, _ = chaos.limit_covariance_A(G, G, 0.5)
-    assert A == 1.25  # int e^{-s} + 0.5^2 2! int e^{-2s}
+    # 2A, A = int e^{-s} + 0.5^2 2! int e^{-2s}
+    assert chaos.limit_covariance(G, G, 0.5)[0] == 2.5
     assert chaos.c_constant(G, 0.5) == np.sqrt(2.5)
 
 
@@ -225,11 +235,11 @@ def test_c_constant_is_zero_for_a_rounding_size_negative_A(monkeypatch):
     # He_1 at H = 0.001: A = int rho = 0 exactly, computed as -4.8e-15; the
     # square root of 2A was NaN with a RuntimeWarning
     H1 = ChaosFunction([0, 1.0])
-    assert chaos.limit_covariance_A(H1, H1, 0.001)[0] < 0.0
+    assert chaos.limit_covariance(H1, H1, 0.001)[0] < 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert chaos.c_constant(H1, 0.001) == 0.0
-    monkeypatch.setattr(chaos, "limit_covariance_A", lambda *a: (-1e-9, 0.0))
+    monkeypatch.setattr(fou, "rho_power_integral", lambda orders, H: [-1e-9])
     with pytest.raises(FoulimError, match="negative beyond rounding"):
         chaos.c_constant(H1, 0.3)
 

@@ -566,9 +566,9 @@ def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
     assert run(["kinetic-scan", "--H", "0.3", "--eps-list",
                 "0.19,0.17,0.13,0.11,0.07,0.01", "--replicas", "20",
                 "--format", "json", "--out", str(out)]) == 0
-    # 10 units of burn-in, then a window of T / eps units per eps, at step 0.1;
-    # each window is exact with the burn-in before it, 100 + 1000 values
-    assert set(lengths) == {(100 + 1000 - 1, 100 + 53 + 59 + 77 + 91 + 143 + 1000)}
+    # a window of T / eps units per eps, at step 0.1; each window is exact in
+    # law, the longest of 1000 steps
+    assert set(lengths) == {(1000, 1 + 53 + 59 + 77 + 91 + 143 + 1000)}
     doc = json.loads((tmp_path / "kin.json").read_text())
     assert doc["identity_defect_max"] < 1e-6
     assert len(doc["table"]["rows"]) == 6

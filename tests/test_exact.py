@@ -278,6 +278,21 @@ def test_chain_autocovariance_is_the_filtered_fgn_covariance(H):
     np.testing.assert_allclose(cov[-1, -1 : -101 : -1], R, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("H", [0.01, 0.3, 0.5, 0.7, 0.99])
+def test_chain_increments_have_the_fgn_covariance(H):
+    # the kinetic scan draws its unit-rate chain y from R and takes its fGN as
+    # dt^H dB_k = y_k - a y_{k-1}, whose covariance (1 + a^2) R(L) - a (R(L - 1)
+    # + R(L + 1)) must be dt^{2H} gamma_H(L) (1.1e-15 to 1.4e-13 of the variance)
+    dt = 1.0 / fou.MIN_STEPS_PER_EPS
+    a = math.exp(-dt)
+    L = np.arange(2001)
+    R = exact.kinetic_chain_autocovariance(H, dt, len(L) + 1)
+    below = np.concatenate([[R[1]], R[:-2]])  # R(L - 1), R(-1) = R(1)
+    inc = (1.0 + a * a) * R[:-1] - a * (below + R[1:])
+    ref = dt ** (2 * H) * fgn.fgn_autocovariance(L, H)
+    np.testing.assert_allclose(inc, ref, rtol=0, atol=1e-12 * ref[0])
+
+
 @pytest.mark.parametrize("H", [0.05, 0.3, 0.7, 0.95])
 def test_chain_autocovariance_tends_to_the_fou_covariance(H):
     # as r -> 0 the chain is the fOU of unit gain, whose variance is H Gamma(2H):
@@ -294,7 +309,7 @@ def test_kinetic_exact_slope_is_the_same_at_ten_and_a_hundred_steps_per_eps(H):
     # the finer grid raises the level by a nearly constant factor, not the slope
     eps_list = [0.1, 0.05, 0.02, 0.01]
     times = TimeGrid(1.0, 50).times()
-    errs = [exact.kinetic_sup_errors(H, eps_list, times, ratio) for ratio in (10.0, 100.0)]
+    errs = [exact.kinetic_sup_errors(H, eps_list, times, ratio)[1] for ratio in (10.0, 100.0)]
     slopes = [exact.loglog_slope(eps_list, e) for e in errs]
     assert abs(slopes[0] - slopes[1]) <= 1e-3
     assert np.all((errs[0] / errs[1] > 1.0) & (errs[0] / errs[1] < 1.05))
@@ -311,14 +326,15 @@ def _dense_reading_covariance(H, eps, times, dt_ratio):
     return scale * (read @ R[np.abs(points[:, None] - points[None, :])] @ read.T)
 
 
-def _dense_kinetic_sup_errors(H, eps_list, times, dt_ratio):
-    """The exact sup over all pairs from the dense covariance, as a reference."""
+def _dense_pair_errors(H, eps_list, times, dt_ratio):
+    """sqrt(E(d_j - d_k)^2) over all pairs (j, k), one matrix per eps, from the
+    dense covariance, as a reference."""
     out = []
     for e in eps_list:
         C = _dense_reading_covariance(H, e, times, dt_ratio)
         d = np.diag(C)
-        out.append(np.sqrt(np.max(d[:, None] + d[None, :] - 2.0 * C)))
-    return np.array(out)
+        out.append(np.sqrt(np.maximum(d[:, None] + d[None, :] - 2.0 * C, 0.0)))
+    return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 51])
@@ -355,10 +371,11 @@ def test_kinetic_sup_errors_take_one_chain_covariance_for_every_eps(H, eps_list,
 
     monkeypatch.setattr(exact, "kinetic_chain_autocovariance", spy)
     times = TimeGrid(1.0, 50).times()
-    shared = exact.kinetic_sup_errors(H, eps_list, times, fou.MIN_STEPS_PER_EPS)
+    pairs, shared = exact.kinetic_sup_errors(H, eps_list, times, fou.MIN_STEPS_PER_EPS)
     assert lags == [int(round(fou.MIN_STEPS_PER_EPS / eps_list[-1])) + 2]
-    each = [exact.kinetic_sup_errors(H, [e], times, fou.MIN_STEPS_PER_EPS)[0] for e in eps_list]
-    np.testing.assert_allclose(shared, each, rtol=1e-14, atol=0)
+    each = [exact.kinetic_sup_errors(H, [e], times, fou.MIN_STEPS_PER_EPS) for e in eps_list]
+    np.testing.assert_allclose(shared, [err[0] for _, err in each], rtol=1e-14, atol=0)
+    assert pairs == [pair[0] for pair, _ in each]
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])
@@ -374,6 +391,10 @@ def test_kinetic_sup_errors_equal_the_dense_form(H, n_report, eps_list, monkeypa
         np.testing.assert_allclose(cov(idx[:, None], idx),
                                    _dense_reading_covariance(H, e, times, 10.0),
                                    rtol=1e-12, atol=0)
-    np.testing.assert_allclose(exact.kinetic_sup_errors(H, eps_list, times, 10.0),
-                               _dense_kinetic_sup_errors(H, eps_list, times, 10.0),
+    pairs, errs = exact.kinetic_sup_errors(H, eps_list, times, 10.0)
+    dense = _dense_pair_errors(H, eps_list, times, 10.0)
+    np.testing.assert_allclose(errs, [e.max() for e in dense], rtol=1e-12, atol=0)
+    # each pair is one where the dense errors reach their max
+    assert all(j < k for j, k in pairs)
+    np.testing.assert_allclose([e[pair] for e, pair in zip(dense, pairs)], errs,
                                rtol=1e-12, atol=0)

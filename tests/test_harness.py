@@ -103,8 +103,8 @@ def test_joint_covariance_check_pairs():
     assert abs(cross["z"]) < 3.0
     # diagonal H2 matches 2*min(t,s)*A within sampling error
     diag = pairs[(0, 0)]
-    A, _ = chaos.limit_covariance_A(H2, H2, 0.6)
-    assert diag["predicted"] == pytest.approx(2 * 0.5 * A)
+    two_A, _ = chaos.limit_covariance(H2, H2, 0.6)
+    assert diag["predicted"] == pytest.approx(0.5 * two_A)
     assert abs(diag["z"]) < 4.0
     # long range: a same-rank pair predicts Sigma R_{H*}(t, s), which was None
     report = harness.joint_covariance_check(
@@ -645,7 +645,9 @@ def _traced_peak_mb(fn):
 def test_endpoint_samples_memory_does_not_grow_with_replicas():
     # eps = 0.01, dt = eps/50: 5001-point paths, a 10,000-point embedding;
     # each block of paths is reduced before the next is drawn, so neither the
-    # 250-replica chunk nor four of them ever hold a chunk-sized path matrix
+    # 250-replica chunk nor four of them ever hold a chunk-sized path matrix;
+    # an untraced first call pays the one-time allocations, as in _l2_scan_traced_mb
+    harness._fou_endpoint_samples(H2, 0.6, 1.0, 0.01, 2, 3, "mem", 50.0, 1.0)
     peaks = [_traced_peak_mb(lambda n=n: harness._fou_endpoint_samples(
         H2, 0.6, 1.0, 0.01, n, 3, "mem", 50.0, 1.0)) for n in (250, 1000)]
     assert max(peaks) < 10.0

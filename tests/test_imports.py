@@ -270,7 +270,8 @@ codes = [cli.main(["--help"]),
                    "--out", out + "/hermite"]),
          cli.main(["chaos", "--H", "0.85", "--coeffs", "0,0,1", "--out", out + "/chaos"]),
          cli.main(["constants", "--H", "0.85", "--coeffs", "0,0,1", "--out", out + "/c"]),
-         cli.main(["constants", "--H", "0.9", "--coeffs", "0,0,0,0,1", "--out", out + "/c4"])]
+         cli.main(["constants", "--H", "0.9", "--coeffs", "0,0,0,0,1", "--out", out + "/c4"]),
+         cli.main(["kinetic-scan", "--H", "0.7", "--replicas", "20", "--out", out + "/kin"])]
 print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
@@ -286,7 +287,7 @@ def _fresh_cli_run(script: str, tmp_path) -> dict:
 
 def test_cli_without_special_functions_loads_no_scipy(tmp_path):
     report = _fresh_cli_run(NO_SCIPY_SCRIPT, tmp_path)
-    assert report["codes"] == [0, 1, 2, 0, 0, 0, 0, 0]
+    assert report["codes"] == [0, 1, 2, 0, 0, 0, 0, 0, 0]
     assert {"numpy", "foulim.cli"} <= set(report["modules"])
     assert [m for m in report["modules"] if m == "scipy" or m.startswith("scipy.")] == []
     # run_replicated imports its thread pool only when it has workers

@@ -771,8 +771,8 @@ def test_kinetic_incommensurate_scales_run():
 @pytest.mark.parametrize("seed", [4, 18, 20, 48])
 def test_kinetic_eps_windows_share_no_pair(seed):
     # at H 0.3 the sup sits inside the window; had 0.1 and 0.05 shared one
-    # window, these seeds' sample sups would come from one pair of the chain,
-    # exactly proportional, with a CI of zero (or NaN) width
+    # window, their errors could be read off one pair of the chain, exactly
+    # proportional, with a CI of zero (or NaN) width
     scan = solvers.kinetic_error_scan(0.3, [0.1, 0.05], TimeGrid(1.0, 50), 150, seed)
     assert scan.slope_ci[1] - scan.slope_ci[0] > 0.05
     assert abs(scan.meta["slope_z"]) <= 3.0
@@ -795,57 +795,55 @@ def test_kinetic_read_interpolates_between_grid_points():
 def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="unit"):
     """Readings of kinetic_error_scan drawn the whole-chunk way, as a reference.
 
-    Each 250-replica chunk samples its whole fGN matrix in one batch, rows
-    of the scan's layout (each window exact with the burn-in before it),
+    Each 250-replica chunk samples its whole matrix of unit-rate chain rows
+    in one batch, rows of the scan's layout (every window exact in law),
     and reduces it eps by eps; returns the (replicas, n_eps, 2, n_report)
     array of X - sigma B and eps v.  ``reduction="unit"`` reads every eps
-    off its window of one unit-rate chain at times / eps, as the scan does;
-    ``"own"`` is the independent long way: each eps runs its own chain, with
-    gain sigma / eps^H on its own grid of step eps / MIN_STEPS_PER_EPS up to
-    the end of its window, and its own B and X from the window's start by
+    off its window of the unit-rate chain at times / eps, as the scan does;
+    ``"own"`` is the independent long way: from the row's fGN,
+    dt^H dB_k = y_k - a y_{k-1}, each eps runs its own chain by ``lfilter``,
+    with gain sigma / eps^H on its own grid of step eps / MIN_STEPS_PER_EPS,
+    started at the window's origin, and its own B and X from there by
     cumulative sums, read at the reporting times.
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     sigma = fou.stationary_sigma(H)
     dt = 1.0 / fou.MIN_STEPS_PER_EPS
-    n_burn = int(round(10.0 / dt))
     n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
     starts = np.cumsum([0] + n_main[:-1])
-    n_total = n_burn + sum(n_main)
-    sampler = fgn.StationarySampler(lambda k: fgn.fgn_autocovariance(k, H),
-                                    n_burn + max(n_main) - 1, n_total)
+    sampler = fgn.StationarySampler(lambda k: exact.kinetic_chain_autocovariance(H, dt, len(k)),
+                                    max(n_main), sum(n_main) + 1)
     times, a = grid.times(), np.exp(-dt)
 
-    def unit(dB, eps, p, n):
-        y = lfilter([dt**H], [1.0, -a], dB, axis=1)
-        Y = np.zeros((len(dB), 2, n_total - n_burn + 1))
-        np.cumsum((1.0 - a) * y[:, n_burn - 1 : -1] - dt**H * dB[:, n_burn:],
-                  axis=1, out=Y[:, 0, 1:])
-        Y[:, 1] = y[:, n_burn - 1 :]
+    def unit(y, eps, p, n):
+        Y = np.zeros((len(y), 2, y.shape[1]))
+        np.cumsum((1.0 - a) * y[:, :-1] - (y[:, 1:] - a * y[:, :-1]), axis=1,
+                  out=Y[:, 0, 1:])
+        Y[:, 1] = y
         r = solvers._grid_reader(p * dt + times / eps, dt)(Y)
         r[:, 0] -= Y[:, 0, p, None]
         out = sigma * eps**H * r
         return out[:, 0], out[:, 1]
 
-    def own(dB, eps, p, n):
+    def own(y, eps, p, n):
+        dB = (y[:, p + 1 : p + n + 1] - a * y[:, p : p + n]) / dt**H  # unit-spacing fGN
         dB_eps = dB * (eps * dt) ** H
-        first = n_burn + p  # the window's first step
-        y = lfilter([sigma / eps**H], [1.0, -a], dB_eps[:, : first + n], axis=1)
-        y_main = y[:, first - 1 :]
-        B_main = np.concatenate(
-            [np.zeros((len(dB), 1)), np.cumsum(dB_eps[:, first : first + n], axis=1)], axis=1)
+        origin = sigma * y[:, p, None]
+        y_main = np.concatenate([origin, lfilter([sigma / eps**H], [1.0, -a], dB_eps,
+                                                 axis=1, zi=a * origin)[0]], axis=1)
+        B_main = np.concatenate([np.zeros((len(y), 1)), np.cumsum(dB_eps, axis=1)], axis=1)
         X = eps**H * (1.0 - a) * np.concatenate(
-            [np.zeros((len(dB), 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1)
+            [np.zeros((len(y), 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1)
         read = solvers._grid_reader(times, eps * dt)
         return read(X - sigma * B_main), read(eps**H * y_main)
 
     read = {"unit": unit, "own": own}[reduction]
 
     def make_chunk(chunk_keys):
-        dB = sampler.batch(chunk_keys)
-        out = np.empty((len(dB), len(eps_arr), 2, len(times)))
+        y = sampler.batch(chunk_keys)
+        out = np.empty((len(y), len(eps_arr), 2, len(times)))
         for i, (eps, p, n) in enumerate(zip(eps_arr, starts, n_main)):
-            out[:, i, 0, :], out[:, i, 1, :] = read(dB, eps, p, n)
+            out[:, i, 0, :], out[:, i, 1, :] = read(y, eps, p, n)
         return out
 
     return harness.run_replicated(n_replicas, seed, "kinetic", make_chunk)
@@ -901,9 +899,8 @@ def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
     grid, eps_list = TimeGrid(1.0, 20), [0.1, 0.05]
     ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 20, 45)
     solvers.kinetic_error_scan(0.7, eps_list, grid, 20, 45)
-    # 10 units of burn-in and windows of 1 / 0.1 and 1 / 0.05 units at step 1 / 20,
-    # the longer window exact with the burn-in before it
-    assert lengths == [(200 + 400 - 1, 800), (200 + 400 - 1, 800)]
+    # windows of 1 / 0.1 and 1 / 0.05 units at step 1 / 20, each exact in law
+    assert lengths == [(400, 601), (400, 601)]
     np.testing.assert_array_equal(captured[0], ref)
 
 
@@ -945,22 +942,39 @@ def _broadcast_holder_seminorms(d, times, gam):
     return np.max(np.abs(d[:, :, None] - d[:, None, :]) / span**gam, axis=(1, 2))
 
 
-def _pairwise_statistics(data, times, h):
-    """sup pair L2 error and mean dyadic-lag Hoelder seminorm per eps, from
-    the full (replicas, n_report, n_report) pairwise arrays, as a reference."""
-    sup, holder = [], []
-    for i in range(data.shape[1]):
+def _pairwise_statistics(data, times, h, pairs):
+    """L2 error and its SE at each eps's pair (j, k), and the mean dyadic-lag
+    Hoelder seminorm, per eps, from the full (replicas, n_report, n_report)
+    pairwise arrays, as a reference."""
+    err, se, holder = [], [], []
+    for i, (j, k) in enumerate(pairs):
         d = data[:, i, 0, :]
-        pair = d[:, :, None] - d[:, None, :]
-        sup.append(np.sqrt(np.max(np.mean(pair**2, axis=0))))
+        pair = (d[:, :, None] - d[:, None, :])[:, j, k] ** 2
+        err.append(np.sqrt(np.mean(pair)))
+        se.append(0.5 * np.std(pair, ddof=1) / np.sqrt(len(pair)) / err[-1])
         holder.append(np.mean(_broadcast_holder_seminorms(
             d, times, solvers.HOLDER_GAMMA_FACTOR * h)))
-    return np.array(sup), np.array(holder)
+    return np.array(err), np.array(se), np.array(holder)
+
+
+def _dense_worst_pairs(H, eps_list, times):
+    """Each eps's first pair j < k of largest exact E(d_j - d_k)^2, from the
+    dense covariance of its readings, as a reference."""
+    idx = np.arange(len(times))
+    pairs = []
+    for cov in exact._kinetic_reading_covariances(H, eps_list, times, fou.MIN_STEPS_PER_EPS):
+        C = cov(idx[:, None], idx)
+        sq = np.diag(C)[:, None] + np.diag(C)[None, :] - 2.0 * C
+        sq[np.tril_indices(len(idx))] = -np.inf
+        pairs.append(np.unravel_index(np.argmax(sq), sq.shape))
+    return pairs
 
 
 @pytest.mark.parametrize("H", [0.3, 0.7])
 def test_kinetic_scan_statistics_match_the_pairwise_formula(H, monkeypatch):
-    grid = TimeGrid(1.0, 50)
+    # the error is read at the exact worst pair of the dense covariance, and
+    # its SE is that pair's
+    grid, eps_list = TimeGrid(1.0, 50), [0.1, 0.05, 0.02, 0.01]
     captured = []
     run = solvers.run_replicated
 
@@ -969,45 +983,42 @@ def test_kinetic_scan_statistics_match_the_pairwise_formula(H, monkeypatch):
         return captured[-1]
 
     monkeypatch.setattr(solvers, "run_replicated", spy)
-    scan = solvers.kinetic_error_scan(H, [0.1, 0.05, 0.02, 0.01], grid, 300, 6)
-    sup, holder = _pairwise_statistics(captured[0], grid.times(), H)
-    np.testing.assert_allclose(scan.values, sup, rtol=1e-10, atol=0)
+    scan = solvers.kinetic_error_scan(H, eps_list, grid, 300, 6)
+    pairs = _dense_worst_pairs(H, eps_list, grid.times())
+    err, se, holder = _pairwise_statistics(captured[0], grid.times(), H, pairs)
+    np.testing.assert_allclose(scan.values, err, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(scan.stderrs, se, rtol=1e-10, atol=0)
     np.testing.assert_allclose(scan.meta["holder_seminorm"], holder, rtol=1e-10, atol=0)
 
 
-def _gram_sup_pairs(data):
-    """sup pair L2 error and its SE per eps from one (n_report + 1)^2 Gram matrix
-    of the readings and its flat argmax, as a reference."""
-    sup, se = [], []
-    for i in range(data.shape[1]):
-        d = np.ascontiguousarray(data[:, i, 0, :])
-        gram = d.T @ d / len(d)
-        sq = np.diag(gram)
-        pair_sq = sq[:, None] + sq[None, :] - 2.0 * gram
-        j, k = np.unravel_index(np.argmax(pair_sq), pair_sq.shape)
-        sup.append(np.sqrt(pair_sq[j, k]))
-        worst = (d[:, j] - d[:, k]) ** 2
-        se.append(0.5 * np.std(worst, ddof=1) / np.sqrt(len(worst)) / sup[-1])
-    return np.array(sup), np.array(se)
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_kinetic_statistic_squared_is_unbiased_for_the_exact_sup(H):
+    # at the exact worst pair, mean (d_j - d_k)^2 estimates the exact sup
+    # squared without bias: at 4,000 replicas it lies within 3 of its SEs
+    # std((d_j - d_k)^2) / sqrt(n) = 2 err SE(err) of it
+    scan = solvers.kinetic_error_scan(H, [0.1, 0.05], TimeGrid(1.0, 50), 4000, 12)
+    err, exact_err = scan.values[0], scan.meta["exact_values"][0]
+    assert abs(err**2 - exact_err**2) <= 3.0 * 2.0 * err * scan.stderrs[0]
 
 
-@pytest.mark.parametrize("n_report, eps_list", [
-    (1, [0.1, 0.05]), (7, [0.1, 0.05]), (50, [0.1, 0.05, 0.02]), (50, [0.07, 0.05, 0.03])])
-def test_kinetic_scan_blocked_sup_equals_the_gram_form(n_report, eps_list, monkeypatch):
-    # three rows a block: several blocks and, but at n_report 1, a partial last one
-    monkeypatch.setattr(fgn, "BLOCK_BYTES", 8 * 3 * (n_report + 1))
-    captured = []
-    run = solvers.run_replicated
+@pytest.mark.parametrize("eps_list, m", [([0.1, 0.05, 0.02, 0.01], 1000),
+                                         ([0.1, 0.05, 0.02], 500), ([0.1, 0.03, 0.01], 1000)])
+@pytest.mark.parametrize("H", [0.01, 0.3, 0.5, 0.7, 0.99])
+def test_kinetic_scan_chain_takes_its_minimal_embedding(eps_list, m, H, monkeypatch):
+    # the limit_eqs benchmark's lists: the chain's covariance embeds at the
+    # smallest 5-smooth half-length, with every eigenvalue positive, never doubled
+    made = []
 
-    def spy(*args, **kwargs):
-        captured.append(run(*args, **kwargs))
-        return captured[-1]
+    class Spy(fgn.StationarySampler):
+        def __init__(self, acov, n, length):
+            super().__init__(acov, n, length)
+            made.append((n, length, self))
 
-    monkeypatch.setattr(solvers, "run_replicated", spy)
-    scan = solvers.kinetic_error_scan(0.7, eps_list, TimeGrid(1.0, n_report), 60, 8)
-    sup, se = _gram_sup_pairs(captured[0])
-    np.testing.assert_allclose(scan.values, sup, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(scan.stderrs, se, rtol=1e-12, atol=0)
+    monkeypatch.setattr(fgn, "StationarySampler", Spy)
+    solvers.kinetic_error_scan(H, eps_list, TimeGrid(1.0, 10), 2, 0)
+    [(n, length, sampler)] = made
+    assert sampler.m == fgn._smooth_length(max(n, (length + 1) // 2)) == m
+    assert sampler.lam.min() > 0.0
 
 
 @pytest.mark.parametrize("H, n_report", [(0.3, 50), (0.7, 1), (0.7, 7)])
@@ -1061,7 +1072,7 @@ def test_kinetic_scan_readings_have_the_exact_chain_covariance(H, monkeypatch):
         assert np.max(np.abs(prod.mean(axis=0) - cov) / se) < 4.0, eps
     np.testing.assert_allclose(
         scan.meta["exact_values"],
-        exact.kinetic_sup_errors(H, eps_list, grid.times(), fou.MIN_STEPS_PER_EPS), rtol=0)
+        exact.kinetic_sup_errors(H, eps_list, grid.times(), fou.MIN_STEPS_PER_EPS)[1], rtol=0)
     assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, scan.meta["exact_values"])
     assert scan.meta["holder_slope"] == exact.loglog_slope(eps_list,
                                                            scan.meta["holder_seminorm"])
@@ -1077,8 +1088,9 @@ def test_kinetic_scan_refuses_fewer_than_two_distinct_scales(monkeypatch):
 
 def test_kinetic_scan_memory_above_the_old_reporting_cap():
     # 1,501 reporting times, over the 1,449 that a 16 MiB pairwise array
-    # allowed: the sample and exact sups take the second moments in blocks
-    # (8.7 MB traced; the dense exact form alone took 185 MB at 1,448 times)
+    # allowed: the exact sup takes its second moments in blocks and the
+    # sample error is read at its one pair (3.2 MB traced; the dense exact
+    # form alone took 185 MB at 1,448 times)
     tracemalloc.start()
     try:
         solvers.kinetic_error_scan(0.7, [0.1, 0.05], TimeGrid(1.0, 1500), 20, 5)
