@@ -5,8 +5,8 @@ On the grid the coupling identity
     X_{s,t} - sigma B_{s,t} = -eps (v_t - v_s),   v = eps^{H-1} y,
 holds to floating point, and the L2 error at the worst pair of reporting
 times, the pair the chain's exact covariance names, scales as eps^H.
-By self-similarity every eps is read off one unit-rate chain per replica,
-drawn from that covariance, each eps on its own window of it.  The
+By self-similarity each eps is read off its own unit-rate chain, drawn
+from that covariance only on the lattice of points its readings touch.  The
 Hoelder seminorm is sampled on the dyadic index lags 1, 2, 4, ... of the
 reporting grid.
 """

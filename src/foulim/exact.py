@@ -21,7 +21,8 @@ stationary autocovariance in eps units is the Toeplitz sum
 
 over the unit-spacing fGN autocovariance gamma_H.  It is r a^L / (1 - a^2)
 at H = 1/2 and tends to H Gamma(2H) rho(L r) as r -> 0.  It is also
-the autocovariance the scan draws its chains from, so read at the
+the autocovariance the scan draws its chains from, R(s k) for the
+lattice of stride s that an eps's readings touch, so read at the
 reporting times by the scan's linear interpolation it gives every
 pairwise second moment behind ``solvers.kinetic_error_scan``'s statistic
 exactly, and so the sup over pairs and the pair where it falls, at which

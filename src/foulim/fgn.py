@@ -17,7 +17,8 @@ collects the blocks into one array.  Each row is addressed by its
 Philox key (a row of ``streams.keys``), and a block's normals are drawn
 from its keys by ``streams.normals``, so no Generator is built per row.
 Its callers are fGN, the stationary fOU of ``fou`` and the kinetic
-scan's exponential-Euler chain (``solvers.kinetic_error_scan``).
+scan's exponential-Euler chain (``solvers.kinetic_error_scan``), each
+eps's on the lattice of every s-th step, with autocovariance R(s k).
 Exactness matters here because everything downstream reads rates off
 exponents.
 

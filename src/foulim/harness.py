@@ -367,10 +367,12 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     the same noise through its Wiener kernel ghat at the cell midpoints
     (``hermite._fou_kernel``) on every r-th fine point, r the largest divisor
     of n_fine with r dt <= eps/L2_DT_RATIO, so the distance ||X^eps_t - limit_t||_{L2(Omega)}
-    is measured on coupled samples and must decrease as eps -> 0.  No
-    cell is cut off, so every fOU row has unit variance to the midpoint
-    rule's accuracy.  The kernels are projected together a block of noise
-    rows at a time (``hermite._projections``) and freed on return.
+    is measured on coupled samples and must decrease as eps -> 0.  The
+    cells stop at ``hermite._FAR_EDGE``, so an fOU row misses the kernel's
+    tail beyond it: on the default 400-step fine grid a row's variance
+    reads 1.0001 at H 0.9, 0.9993 at 0.95, 0.988 at 0.97 and 0.766-0.773
+    at 0.99 (ROADMAP item 19).  The kernels are projected together a block
+    of noise rows at a time (``hermite._projections``) and freed on return.
 
     A kernel whose rows are read only through a weighted sum is contracted
     to that one row as soon as it is built (``_CellKernel.contract``): the

@@ -17,11 +17,12 @@ h(x) g(y^eps) dt, U = alpha int G(y^eps) and V = int g(y^eps) are
 trapezoid integrals on the grid of ``exact.resolve_dt_ratio``, built row
 block by row block from the fOU sampler.  On the limit side dU = c dW in
 the short-range regime and c dZ^{H*,m} (a Hermite process, H* > 1/2) in
-the long-range one, and dV = g_bar dt.  The kinetic scan reads every eps
-off one unit-rate exponential-Euler chain per replica (self-similarity),
-at dt = eps/fou.MIN_STEPS_PER_EPS, drawn row block by row block like
-``harness``'s scans from the engine on the chain's exact covariance
-(``exact.kinetic_chain_autocovariance``).  That covariance names the pair
+the long-range one, and dV = g_bar dt.  The kinetic scan reads each eps
+off its own unit-rate exponential-Euler chain (self-similarity), at
+dt = eps/fou.MIN_STEPS_PER_EPS, drawn only on the lattice its readings
+touch, row block by row block like ``harness``'s scans, from the engine
+on the chain's exact covariance (``exact.kinetic_chain_autocovariance``)
+read every s steps.  That covariance names the pair
 of reporting times where the scan reads its error and shows that a finer
 grid moves the slope it fits by less than 3e-4.
 """
@@ -294,6 +295,17 @@ def _holder_seminorms(d: np.ndarray, times: np.ndarray, gam: float) -> np.ndarra
     return semi
 
 
+def _kinetic_statistics(r: np.ndarray, pair, times: np.ndarray, gam: float) -> np.ndarray:
+    """(rows, 3): for each row of the (rows, 2, n_report) readings r of d = X - sigma B
+    and eps v, the squared error (d_j - d_k)^2 at pair = (j, k), the Hoelder seminorm
+    of d at gam (``_holder_seminorms``) and the identity defect max |d + eps (v - v_0)|,
+    zero on-grid where X_0 = B_0 = 0, so a reading taken from a shifted origin shows."""
+    d, epsv = r[:, 0], r[:, 1]
+    j, k = pair
+    return np.column_stack([(d[:, j] - d[:, k]) ** 2, _holder_seminorms(d, times, gam),
+                            np.max(np.abs(d + (epsv - epsv[:, :1])), axis=1)])
+
+
 def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
                        master_seed: int = 0, threads: int = 1) -> ScanResult:
     """Convergence rate of X^eps = eps^{H-1} int_0^t y^eps ds toward sigma B^H.
@@ -306,26 +318,25 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     holds on the grid to floating-point accuracy.  By self-similarity its
     readings at t are sigma eps^H times those of the unit-rate (eps = 1)
     chain y_k = a y_{k-1} + dt^H dB_k on step dt = 1/MIN_STEPS_PER_EPS at
-    t/eps, so one unit-rate chain per replica serves every eps, each with
-    its own law.  Eps i, largest first, reads its own window of t/eps_i
-    units from starts[i] by linear interpolation, under which the identity
-    still holds, and takes X - sigma B from the window's origin, summed
-    from its left-point increments (1 - a) y_{k-1} - dt^H dB_k with
-    dt^H dB_k = y_k - a y_{k-1}.  The windows do not overlap: on a shared
-    one the eps of a commensurate list read the same pairs of the chain,
-    and at H < 1/2, whose sup lies inside the window, their errors can come
-    from one pair, exactly proportional, and leave the slope's CI zero wide.
-
-    The chain comes straight from ``fgn.StationarySampler`` on its exact
-    stationary autocovariance ``exact.kinetic_chain_autocovariance``,
-    embedded for the longest window at its fast 5-smooth length (never
-    doubled for H in [0.01, 0.99] from 201 steps up); each row holds every
-    window, read off one circulant period (2,000 normals for the default
-    list), so each window is exact in law, and the slope CI's empirical
-    covariance takes in how the windows covary.  Within each replica chunk
-    its row blocks are reduced, one after the other, to their (rows, n_eps,
-    2, n_report) readings of X - sigma B and eps v, so no chunk-sized
-    matrix is built.
+    t/eps, read by linear interpolation, under which the identity still
+    holds.  Each eps draws its own chain, on the lattice of every s-th
+    point: s is the largest step whose multiples hold every point that its
+    readings touch (lo, and lo + 1 where w > 0, of ``exact.reading_weights``).
+    Read every s steps, a stationary sequence with autocovariance R is
+    stationary with R(s k); the chain's exact R
+    (``exact.kinetic_chain_autocovariance``) is computed once, out to the
+    longest window, and each lattice comes straight from
+    ``fgn.StationarySampler`` on R(s k): 400 normals per replica for
+    the default list, where one step-dt chain holding every window took
+    2,000.  Each eps is its own ensemble, stream "kinetic-eps{i}", so the
+    windows are independent; the slope CI takes the errors' covariance
+    from the replicas all the same.  X - sigma B over one lattice step is
+    the sum of its s left-point increments (1 - a) y_{k-1} - dt^H dB_k,
+    dt^H dB_k = y_k - a y_{k-1}, which telescopes to y_{(k-1)s} - y_{ks};
+    it is summed from the window's origin, and each row block is reduced
+    to its per-replica ``_kinetic_statistics`` before the next is drawn,
+    so no replica's readings outlive their block.  A window longer than
+    ``fgn.MAX_EMBEDDING_LAGS`` steps is refused before R is built.
 
     The exact covariance of the readings (``exact.kinetic_sup_errors``)
     names each eps's pair (j, k) of reporting times where the L2 error
@@ -347,57 +358,50 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         raise ValueError("kinetic scan needs at least 2 distinct eps values")
     report_times = grid.times()
     dt = 1.0 / fou.MIN_STEPS_PER_EPS
-    # eps i reads t/eps units of the chain from point starts[i], after the
-    # windows of the larger eps
-    n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
-    starts = np.cumsum([0] + n_main[:-1])
-    sampler = fgn.StationarySampler(lambda k: exact.kinetic_chain_autocovariance(h, dt, len(k)),
-                                    max(n_main), sum(n_main) + 1)
-    reads = [_grid_reader(p * dt + report_times / eps, dt) for p, eps in zip(starts, eps_arr)]
-    gains = [fou.stationary_sigma(h) * eps**h for eps in eps_arr]
-    a = math.exp(-dt)
-
-    def readings(y):
-        """(rows, n_eps, 2, n_report) readings of X - sigma B and eps v from
-        rows of the unit-rate chain."""
-        # on the chain's points, Y[:, 0] sums the left-point increments of
-        # X - sigma B and Y[:, 1] is y
-        Y = np.zeros((len(y), 2, y.shape[1]))
-        np.cumsum((1.0 - a) * y[:, :-1] - (y[:, 1:] - a * y[:, :-1]), axis=1,
-                  out=Y[:, 0, 1:])
-        Y[:, 1] = y
-        out = np.empty((len(y), len(eps_arr), 2, len(report_times)))
-        for i, (p, gain, read) in enumerate(zip(starts, gains, reads)):
-            r = read(Y)
-            r[:, 0] -= Y[:, 0, p, None]  # X - sigma B from the window's origin
-            out[:, i] = gain * r
-        return out
-
-    data = run_replicated(
-        n_replicas, master_seed, "kinetic",
-        lambda k: np.concatenate([readings(block) for block in sampler.blocks(k)]), threads)
-    diff = data[:, :, 0, :]   # X - sigma*B at reporting times
-    epsv = data[:, :, 1, :]   # eps * v at reporting times
-
-    # identity defect: X_t - sigma B_t + eps(v_t - v_0) == 0 on-grid, with
-    # X_0 = B_0 = 0, so a reading taken from a shifted origin shows
-    defect = np.max(np.abs(diff + (epsv - epsv[:, :, :1])))
-
+    longest = grid.horizon / float(eps_arr[-1]) / dt - 1e-9  # the finest eps's window
+    if not longest <= fgn.MAX_EMBEDDING_LAGS:
+        size = math.ceil(longest) if longest < 1e9 else f"~{longest:.0e}"
+        raise fgn.SamplerInfeasibleError(
+            f"{size} lags exceed the circulant embedding cap of {fgn.MAX_EMBEDDING_LAGS} lags")
+    R = exact.kinetic_chain_autocovariance(h, dt, math.ceil(longest) + 1)
     pairs, exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times,
                                                 fou.MIN_STEPS_PER_EPS)
-    sup_err, sup_se, holder = np.empty((3, len(eps_arr)))
-    worst = np.empty((len(eps_arr), n_replicas))
     gam = HOLDER_GAMMA_FACTOR * h
-    for i, (j, k) in enumerate(pairs):
-        d = np.ascontiguousarray(diff[:, i, :])
-        worst[i] = (d[:, j] - d[:, k]) ** 2
-        sup_err[i] = np.sqrt(np.mean(worst[i]))
-        if not sup_err[i] > 0.0:
-            raise FoulimError(f"kinetic error vanishes at H={h}, eps={eps_arr[i]}: "
+
+    def draw(i, eps):
+        """The (3, n_replicas) ``_kinetic_statistics`` of eps i, read at its pair."""
+        lo, w = exact.reading_weights(report_times / eps, dt)
+        touched = np.concatenate([lo, lo[w > 0] + 1])
+        s = int(np.gcd.reduce(touched)) or 1
+        # R(s k); a doubled embedding can ask for lags past the longest window
+        sampler = fgn.StationarySampler(
+            lambda k: (R if s * k[-1] < len(R)
+                       else exact.kinetic_chain_autocovariance(h, dt, s * k[-1] + 1))[s * k],
+            int(touched.max()) // s)
+        read = _grid_reader(report_times / eps, s * dt)
+        gain = fou.stationary_sigma(h) * eps**h
+
+        def readings(y):
+            # on the lattice, Y[:, 0] sums X - sigma B's telescoped increments and Y[:, 1] is y
+            Y = np.empty((len(y), 2, y.shape[1]))
+            Y[:, 0, 0] = 0.0
+            np.cumsum(y[:, :-1] - y[:, 1:], axis=1, out=Y[:, 0, 1:])
+            Y[:, 1] = y
+            return gain * read(Y)
+
+        return run_replicated(n_replicas, master_seed, f"kinetic-eps{i}", lambda k: np.concatenate(
+            [_kinetic_statistics(readings(block), pairs[i], report_times, gam)
+             for block in sampler.blocks(k)]), threads).T
+
+    worst, holders, defects = np.stack([draw(i, eps) for i, eps in enumerate(eps_arr)], axis=1)
+    sup_err = np.sqrt(np.mean(worst, axis=1))
+    for eps, err in zip(eps_arr, sup_err):
+        if not err > 0.0:
+            raise FoulimError(f"kinetic error vanishes at H={h}, eps={eps}: "
                               "no rate can be fitted to it")
-        sup_se[i] = 0.5 * np.std(worst[i], ddof=1) / np.sqrt(n_replicas) / sup_err[i]
-        holder[i] = fsum_mean(_holder_seminorms(d, report_times, gam))
-    # all eps read one chain: the errors sqrt(mean(worst)) covary (delta method)
+    sup_se = 0.5 * np.std(worst, axis=1, ddof=1) / np.sqrt(n_replicas) / sup_err
+    holder = np.array([fsum_mean(row) for row in holders])
+    # the errors sqrt(mean(worst)) covary as the replicas say (delta method)
     cov = harness._mean_covariance(worst / (2.0 * sup_err[:, None]), sup_se)
     slope, ci = fit_loglog_slope(1.0 / eps_arr, sup_err, cov)
     return ScanResult(
@@ -405,7 +409,7 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         meta={
             "exact_values": exact_err,
             "exact_slope": exact.loglog_slope(eps_arr, exact_err),
-            "identity_defect_max": float(defect),
+            "identity_defect_max": float(defects.max()),
             "holder_seminorm": holder,
             "holder_gamma": gam,
             "holder_slope": exact.loglog_slope(eps_arr, holder),

