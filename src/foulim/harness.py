@@ -373,6 +373,10 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     reads 1.0001 at H 0.9, 0.9993 at 0.95, 0.988 at 0.97 and 0.766-0.773
     at 0.99 (ROADMAP item 19).  The kernels are projected together a block
     of noise rows at a time (``hermite._projections``) and freed on return.
+    Their far blocks are moved, one at a time, into the stacked far block
+    (4 x 20 node rows of 1,477 far cells, 0.95 MB, at the default eps),
+    which is dropped once its Gram is factored: past that the kernels are
+    read through P and the factor only.
 
     A kernel whose rows are read only through a weighted sum is contracted
     to that one row as soon as it is built (``_CellKernel.contract``): the
@@ -413,8 +417,13 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
             w[[0, -1]] *= 0.5
             kernels[-1] = kernels[-1].contract(w)
     var_lim = kernels[0].variances()
-    far = np.concatenate([kern.far for kern in kernels])
+    cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
+    far = np.empty((cuts[-1], kernels[0].far.shape[1]))  # each kernel's far block moves in
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        far[a:b] = kernels[i].far
+        kernels[i] = kernels[i]._replace(far=None)
     far_factor, far_dropped = hermite._far_factor(far @ far.T)
+    del far
     lam = math.copysign(chaos.c_constant(G, h), G.coefficients[m])
 
     def make_chunk(chunk_keys):
@@ -433,7 +442,6 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     meta = {"monotone_decreasing": bool(np.all(np.diff(dists) < 0)), "limit_coefficient": lam,
             "h_star": hs, "far_rank": far_factor.shape[1], "far_gram_dropped": far_dropped}
     if linear:
-        cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
         v = [np.concatenate([kern.near[0], kern.P[0] @ far_factor[a:b]])
              for kern, a, b in zip(kernels, cuts, cuts[1:])]
         exact_dists = np.array([np.linalg.norm(v_eps - lam * z_scale * v[0]) for v_eps in v[1:]])

@@ -29,7 +29,12 @@ one (grid, H, m), built once per operation and handed to every chunk;
 rows at a time, multiplies it by the kernel's windows a block of rows at
 a time, and ensembles take their keys chunk by chunk from
 ``harness.run_replicated``.  No n x 2n, n x n or (n + 1)^2 array is built
-outside ``exact_covariance``.
+outside ``exact_covariance``, and each large array is held once, only
+while something reads it: a block's projections are dropped before the
+next block's are allocated, the Wick power is written over u, the far
+blocks' cell averages and ghat values are computed in one work array,
+and ``harness.l2_convergence_hermite`` moves the kernels' far blocks into
+one stacked block, which it drops once its Gram is factored.
 
 ``ghat`` is the moving-average kernel of the fast fOU, y^eps_t =
 eps^{-1/2} int ghat((t-s)/eps) dW_s, in closed form: ghat(v) = C(H)
@@ -108,12 +113,14 @@ class _CellKernel(NamedTuple):
     window of the lag profile that starts at first - r step: the profile ends
     where row 0's window does, and the last row's starts at first mod step.  M's
     far block, smooth in the row time, is P far, with far (nodes x n_far) at the
-    nodes of ``_far_nodes`` and P (rows x nodes)."""
+    nodes of ``_far_nodes`` and P (rows x nodes).  far is None once it has gone
+    into a stacked far factor (``harness.l2_convergence_hermite``):
+    ``_projections`` reads P and the factor only."""
 
     profile: np.ndarray
     first: int
     step: int
-    far: np.ndarray
+    far: np.ndarray | None
     P: np.ndarray
 
     @property
@@ -166,8 +173,18 @@ def _far_nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cell_average(u, w, p: float):
     """sqrt(w) times the average of (s - xi)^{p-1} over a cell of width w
     ending u > 0 before s, u^p ((1 + w/u)^p - 1) / (p sqrt(w)), by log1p and
-    expm1, free of the antiderivative difference's cancellation (to 3e-12)."""
-    return u**p * np.expm1(p * np.log1p(w / u)) / (p * np.sqrt(w))
+    expm1, free of the antiderivative difference's cancellation (to 3e-12).
+    w / u is the one work array: log1p, the scaling by p and expm1 are taken
+    in place, then it is multiplied by u^p (the only other array of its
+    shape) and divided by p sqrt(w), the operations of the one-line form in
+    its order, so the bits are the same."""
+    work = w / u
+    np.log1p(work, out=work)
+    work *= p
+    np.expm1(work, out=work)
+    work *= u**p
+    work /= p * np.sqrt(w)
+    return work
 
 
 def _kernel(grid: TimeGrid, H: float, m: int) -> _CellKernel:
@@ -270,13 +287,22 @@ def _gram_lags(kernel: _CellKernel, far_factor: np.ndarray):
 def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
     """The Wick power :u^m: = var^{m/2} He_m(u / sqrt(var)) of u ~ N(0, var).
 
-    By the recurrence :u^{k+1}: = u :u^k: - k var :u^{k-1}:, so m = 1
-    returns u itself.
+    By the recurrence :u^{k+1}: = u :u^k: - k var :u^{k-1}:, whose last
+    step writes over its operands: m = 1 returns u itself, m = 2 writes
+    :u^2: over u and returns u, and m >= 3 writes :u^m: over :u^{m-1}:
+    and (m - 1) var :u^{m-2}: over :u^{m-2}:, which is u when m = 3.  So
+    u is consumed: callers drop it.  The values are those of the
+    out-of-place recurrence, bit for bit.
     """
     prev, cur = None, u
     for k in range(1, m):
-        nxt = u * cur
-        nxt -= var if prev is None else k * var * prev  # :u^0: = 1
+        last = k == m - 1
+        if prev is None:  # :u^0: = 1
+            nxt = np.multiply(u, cur, out=u if last else None)
+            nxt -= var
+        else:
+            nxt = np.multiply(u, cur, out=cur if last else None)
+            nxt -= np.multiply(k * var, prev, out=prev if last else None)
         prev, cur = cur, nxt
     return cur
 
@@ -290,9 +316,12 @@ def _projections(keys: np.ndarray, kernels: list[_CellKernel], far_factor: np.nd
     projections fit in about BLOCK_BYTES, its noise drawn into one buffer.
     Each kernel's rows of [P L, near] are copied into one buffer of an
     eighth of that, a block of rows at a time, with the windows cut where
-    the profile's zero tail begins, and multiplied with the noise block."""
+    the profile's zero tail begins, and multiplied with the noise block.
+    The projections are new arrays for every block, dropped here before the
+    next block's are allocated; the caller drops them too (``_wick_power``
+    writes over them)."""
     r, width = far_factor.shape[1], len(kernels[0].near[0])
-    cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
+    cuts = np.cumsum([0] + [kern.P.shape[1] for kern in kernels])
     PLs = [kern.P @ far_factor[a:b] for kern, a, b in zip(kernels, cuts, cuts[1:])]
     row_bytes = 8 * (r + width + sum(len(PL) for PL in PLs))
     rows = max(1, min(len(keys), BLOCK_BYTES // row_bytes))
@@ -314,6 +343,7 @@ def _projections(keys: np.ndarray, kernels: list[_CellKernel], far_factor: np.nd
                 np.matmul(N[:, :cols], block[:, :cols].T, out=u[:, i : i + len(block)])
             us.append(u)
         yield start, us
+        del u, us  # so the block is freed, once the caller drops it, before the next one
 
 
 def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
@@ -339,6 +369,7 @@ def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
         cum = np.cumsum(series, axis=1, out=series)  # Z at t_1, ..., t_n; Z at t_0 = 0 is 0
         Z = np.where(report_idx > 0, cum[:, report_idx - 1], 0.0)
         out[start : start + len(u)] = Z * engine.scale[report_idx]
+        del u, series, cum  # before the next block's projections are allocated
     return out
 
 
@@ -392,7 +423,8 @@ def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> _CellKerne
     rows = stride * np.arange(n // stride + 1)
     nodes, P = _far_nodes(rows * dt)
     far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
-    far = ghat((nodes[:, None] - far_mid) / eps, H) * np.sqrt(np.diff(edges[: n_far + 1]) / eps)
+    far = ghat((nodes[:, None] - far_mid) / eps, H)
+    far *= np.sqrt(np.diff(edges[: n_far + 1]) / eps)
     # uniform cell j's midpoint lies (r + n - j - 1/2) dt before fine point r:
     # profile entry n - r + j
     profile = ghat((2 * n - 0.5 - np.arange(3 * n)) * (dt / eps), H) * math.sqrt(dt / eps)
@@ -416,21 +448,21 @@ def ghat(v, H) -> np.ndarray | float:
     from scipy import special  # 0.3 s to import: only once ghat is evaluated
     h = as_hurst(H)
     amp = fou.kernel_amplitude(h)  # raises for H <= 1/2
-    v_arr = np.clip(np.asarray(v, dtype=float), 0.0, None)
     q = h - 0.5
-    flat = v_arr.ravel()
+    flat = np.ravel(np.clip(np.asarray(v, dtype=float), 0.0, None))  # the result's buffer
     near = flat <= _KUMMER_MAX_V
     vn = flat[near]
-    out = np.empty_like(flat)
-    out[near] = vn**q / q * np.exp(-vn) * special.hyp1f1(q, q + 1.0, vn)
+    x = flat[~near]
+    np.reciprocal(x, out=x)
+    flat[near] = vn**q / q * np.exp(-vn) * special.hyp1f1(q, q + 1.0, vn)
     poch = np.cumprod(1.0 - q + np.arange(_WATSON_TERMS - 1))  # (1-q)_k, k = 1..9
-    x = np.reciprocal(flat[~near])
     series = poch[-1] * x
     for coef in poch[-2::-1]:
         series += coef
         series *= x
     series += 1.0
     series *= np.power(x, 1.0 - q, out=x)
-    out[~near] = series
-    out = amp * out.reshape(v_arr.shape)
+    flat[~near] = series
+    flat *= amp
+    out = flat.reshape(np.shape(v))
     return float(out) if out.ndim == 0 else out

@@ -676,20 +676,23 @@ def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
     # (1.0 MB in all) and its interpolation matrix (0.4 MB in all).  He_1
     # contracts each kernel to one row as it is built; with the build and a
     # 250-replica chunk, drawn in 65-row noise blocks, the call traces
-    # 3.1 MB, bounded here at that plus 25% (the transient dense near block
-    # of the finest fOU kernel took it to 17.3 MB)
+    # 2.0 MB, bounded here at that plus 25%.  The far blocks held twice
+    # while stacked, the stacked block held to return, and ghat's and the
+    # cell averages' temporaries traced 3.1 MB (the transient dense near
+    # block of the finest fOU kernel took it to 17.3 MB)
     peak, retained = _l2_scan_traced_mb(H1)
-    assert peak < 4.0
+    assert peak < 2.5
     assert retained < 1.0
 
 
 def test_l2_scan_memory_with_every_kernel_row_held():
     # He_2 keeps every row of every kernel: noise blocks of 27 rows, 2,703
-    # projections a row, multiplied by 8 kernel rows at a time, trace 4.4 MB
-    # in all, bounded at that plus 25%; with the near blocks held dense it
-    # traced 47.7 MB
+    # projections a row, multiplied by 8 kernel rows at a time, trace 2.5 MB
+    # in all, bounded at that plus 25%; with the stacked far block held to
+    # return and :u^2: beside u it traced 4.4 MB, with the near blocks held
+    # dense 47.7 MB
     peak, retained = _l2_scan_traced_mb(H2)
-    assert peak < 5.5
+    assert peak < 3.1
     assert retained < 1.0
 
 

@@ -202,6 +202,43 @@ def test_exact_variance_identities_brute_force():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
+def test_wick_power_is_the_recurrence_written_over_u(m):
+    # the out-of-place recurrence :u^{k+1}: = u :u^k: - k var :u^{k-1}:, bit
+    # for bit; m = 1 and 2 return u itself, holding :u^m:, and m = 3 leaves
+    # 2 var u in u
+    rng = np.random.default_rng(11)
+    u = 3.0 * rng.normal(size=(6, 5))
+    var = rng.uniform(0.5, 2.0, size=5)
+    prev, cur = np.ones_like(u), u
+    for k in range(1, m):
+        prev, cur = cur, u * cur - k * var * prev
+    work = u.copy()
+    got = hermite._wick_power(work, var, m)
+    np.testing.assert_array_equal(got, cur)
+    if m <= 2:
+        assert got is work
+    else:
+        np.testing.assert_array_equal(work, 2 * var * u)
+
+
+def test_cell_average_and_ghat_in_place_keep_the_one_line_bits():
+    # _cell_average's one work array against its one-line form, on a far
+    # block's shape and on the near profile's scalar width; ghat computes in
+    # a copy of its argument, which it leaves as it was
+    rng = np.random.default_rng(12)
+    u = rng.uniform(1e-3, 1e3, size=(4, 50))
+    for w, p in ((rng.uniform(1e-4, 10.0, size=50), 0.35), (0.01, 0.6)):
+        np.testing.assert_array_equal(
+            hermite._cell_average(u, w, p),
+            u**p * np.expm1(p * np.log1p(w / u)) / (p * np.sqrt(w)))
+    v = np.concatenate([[-1.0, 0.0], np.geomspace(1e-3, 1e6, 48)]).reshape(5, 10)
+    before = v.copy()
+    np.testing.assert_array_equal(hermite.ghat(v, 0.8).ravel(),
+                                  [hermite.ghat(x, 0.8) for x in v.ravel()])
+    np.testing.assert_array_equal(v, before)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 20, 400])
 def test_engine_matches_the_dense_gram_and_series_covariance(n, m):
     # the engine's one pass over the Gram's lags against the dense formula:
@@ -415,15 +452,16 @@ def test_engine_and_ensemble_memory_is_one_noise_block():
     # at 400 steps a kernel is a 1,199-entry lag profile and its far block
     # (20 x 1,477); the build's lag blocks are 400 x 81, and the ensemble
     # draws 108-row noise blocks, 806 normals and 400 projections a row
-    # within 1 MiB, with a 20-row window buffer.  600 replicas trace 2.3 MB,
-    # bounded at 3.0; the near block held dense, with its Gram and C, traced
-    # 7.0 MB, and the whole (600, 2277) noise matrix 27.3 MB
+    # within 1 MiB, with a 20-row window buffer.  600 replicas trace 1.6 MB,
+    # bounded at 2.0; with :u^2: beside u and two blocks' projections held
+    # at once they traced 2.3 MB, the near block held dense, with its Gram
+    # and C, 7.0 MB, and the whole (600, 2277) noise matrix 27.3 MB
     assert _traced_growth_mb(lambda: hermite.hermite_ensemble(
-        HermiteEngine(TimeGrid(1.0, 400), 0.7, 2), keys(3, "mem", 0, 600))) < 3.0
+        HermiteEngine(TimeGrid(1.0, 400), 0.7, 2), keys(3, "mem", 0, 600))) < 2.0
 
 
 def test_engine_memory_at_2000_steps_is_linear_in_the_steps():
-    # the engine at 2,000 steps and 100 replicas trace 2.7 MB, bounded at
+    # the engine at 2,000 steps and 100 replicas trace 2.0 MB, bounded at
     # 3.5: no n x 2n, n x n or (n + 1)^2 array (the dense near block, Gram
     # and C traced 129 MB here)
     assert _traced_growth_mb(lambda: hermite.hermite_ensemble(
