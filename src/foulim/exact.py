@@ -50,6 +50,7 @@ __all__ = [
     "loglog_slope",
     "reading_weights",
     "kinetic_chain_autocovariance",
+    "kinetic_reading_lags",
     "sup_over_pairs",
     "kinetic_sup_errors",
 ]
@@ -236,15 +237,24 @@ def sup_over_pairs(m: np.ndarray, rows) -> tuple[float, tuple[int, int]]:
     return best, pair
 
 
-def _kinetic_reading_covariances(H, eps_list, times, dt_ratio: float) -> list:
+def kinetic_reading_lags(eps_list, times, dt_ratio: float) -> int:
+    """The lags of the chain's R that the readings at times need: the finest eps's
+    last grid index of ``reading_weights`` on step eps/dt_ratio, plus 2."""
+    return int(reading_weights(times, as_eps_list(eps_list)[-1] / dt_ratio)[0].max()) + 2
+
+
+def _kinetic_reading_covariances(H, eps_list, times, dt_ratio: float, R=None) -> list:
     """For each eps of ``as_eps_list(eps_list)``, (j, k) -> Cov of sigma ((1 - w) y[lo]
     + w y[lo + 1]) read at times[j] and times[k], for broadcast index arrays, y the chain
     of ``kinetic_chain_autocovariance`` with gain eps^H on the grid of step eps/dt_ratio:
     the scan's eps v readings, whose increment from t = 0 is -(X - sigma B).  The chain's
-    R depends on H and dt_ratio alone: one R, out to the finest eps's lags, serves all."""
+    R depends on H and dt_ratio alone: one R, out to ``kinetic_reading_lags``, serves
+    all; a caller that has built it hands it over, else it is built here."""
     eps_arr = as_eps_list(eps_list)
     reads = [reading_weights(times, e / dt_ratio) for e in eps_arr]
-    R = kinetic_chain_autocovariance(H, 1.0 / dt_ratio, int(reads[-1][0].max()) + 2)
+    if R is None:
+        R = kinetic_chain_autocovariance(H, 1.0 / dt_ratio,
+                                         kinetic_reading_lags(eps_arr, times, dt_ratio))
 
     def covariance(e, lo, w):
         Re = R * (fou.stationary_sigma(H) ** 2 * e ** (2.0 * H))
@@ -257,11 +267,14 @@ def _kinetic_reading_covariances(H, eps_list, times, dt_ratio: float) -> list:
     return [covariance(e, lo, w) for e, (lo, w) in zip(eps_arr, reads)]
 
 
-def kinetic_sup_errors(H, eps_list, times, dt_ratio: float) -> tuple[list, np.ndarray]:
+def kinetic_sup_errors(H, eps_list, times, dt_ratio: float,
+                       R=None) -> tuple[list, np.ndarray]:
     """The pairs (j, k) where sqrt(E(d_j - d_k)^2) is largest, d the readings of
     X - sigma B, and that sup, one each per eps of ``as_eps_list(eps_list)``: the
-    kinetic scan reads its sample error at the pairs and targets the sups."""
+    kinetic scan reads its sample error at the pairs and targets the sups.  R is
+    the chain's ``kinetic_chain_autocovariance`` out to at least
+    ``kinetic_reading_lags``, as the scan hands over its own; None builds it."""
     idx = np.arange(len(times))
-    covs = _kinetic_reading_covariances(H, eps_list, times, dt_ratio)
+    covs = _kinetic_reading_covariances(H, eps_list, times, dt_ratio, R)
     sq, pairs = zip(*(sup_over_pairs(c(idx, idx), lambda J: c(J[:, None], idx)) for c in covs))
     return list(pairs), np.sqrt(sq)

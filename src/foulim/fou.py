@@ -20,8 +20,8 @@ keys that ``harness.run_replicated`` hands each replica chunk, so any
 range of replicas is drawn on its own and batching never changes a row.
 
 rho is evaluated in three regimes, each on either side of H = 1/2: a
-convergent power series below s = 1, the closed form through the
-incomplete gamma and Kummer functions on [1, 30), and the asymptotic
+convergent power series below s = 2, the closed form through the
+incomplete gamma and Kummer functions on [2, 30), and the asymptotic
 series of Cheridito, Kawaguchi & Maejima from s = 30 on.  The spectral
 cosine integral and the double-integral covariance formula (H > 1/2
 only) are kept in the test suite as independent cross-checks.
@@ -50,7 +50,7 @@ MIN_STEPS_PER_EPS = 10.0
 
 # rho takes its small-lag series below the first lag, its closed form up to the
 # second and its asymptotic series from there on
-_RHO_SMALL_UNTIL = 1.0
+_RHO_SMALL_UNTIL = 2.0
 _RHO_SMALL_TERMS = 12
 _RHO_SERIES_FROM = 30.0
 _RHO_SERIES_TERMS = 12
@@ -101,8 +101,9 @@ def _rho_small(s: np.ndarray, h: float) -> np.ndarray:
         rho(s) = cosh s - s^{2H}/Gamma(2H+1) sum_{k>=0} s^{2k} / (2H+1)_{2k},
 
     the odd terms of the two Kummer series cancelling.  Twelve terms leave
-    an error below 1e-15 on [0, 1] for H in [0.01, 0.99] (against 40-digit
-    mpmath), and rho(0) = 1 exactly.
+    an error below 1.5e-15 on [0, 2] for H in [0.01, 0.99] (against 40-digit
+    mpmath), where the closed form is off by up to 6.4e-15 (at H 0.99), and
+    rho(0) = 1 exactly.
     """
     pochhammer = np.cumprod(2.0 * h + 1.0 + np.arange(2 * _RHO_SMALL_TERMS - 1))
     coef = 1.0 / np.concatenate([[1.0], pochhammer[1::2]])
@@ -137,17 +138,24 @@ def _rho_series(s: np.ndarray, h: float) -> np.ndarray:
 
     Cheridito, Kawaguchi & Maejima (2003), Theorem 2.3; from s = 30 on,
     twelve terms leave an error of the size of the dropped e^{-s} part.
+    Summed by Horner's rule in s^{-2} and multiplied by s^{2H-2} (0 at an
+    infinite lag): elementwise, so a lag's value does not depend on the
+    array it is evaluated in.
     """
     k = np.arange(1, _RHO_SERIES_TERMS + 1)
-    falling = np.cumprod(2.0 * h - np.arange(2 * _RHO_SERIES_TERMS))[2 * k - 1]
-    powers = s[None, :] ** (2.0 * h - 2.0 * k[:, None])
-    return falling @ powers / math.gamma(2.0 * h + 1.0)
+    coef = np.cumprod(2.0 * h - np.arange(2 * _RHO_SERIES_TERMS))[2 * k - 1]
+    x = 1.0 / (s * s)
+    total = np.full_like(s, coef[-1])
+    for c in coef[-2::-1]:
+        total *= x
+        total += c
+    return total * s ** (2.0 * h - 2.0) / math.gamma(2.0 * h + 1.0)
 
 
 def rho(s, H):
     """Autocorrelation of the stationary unit-rate fOU at lag |s|.
 
-    The small-lag series below s = 1, the closed form below s = 30 and the
+    The small-lag series below s = 2, the closed form below s = 30 and the
     asymptotic series beyond (which also takes NaN lags, to NaN, and
     infinite ones, to 0), all within about 1e-13 of a high-precision
     evaluation; exactly exp(-|s|) at H = 1/2.  Even in s, rho(0) = 1.

@@ -371,12 +371,11 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     cells stop at ``hermite._FAR_EDGE``, so an fOU row misses the kernel's
     tail beyond it: on the default 400-step fine grid a row's variance
     reads 1.0001 at H 0.9, 0.9993 at 0.95, 0.988 at 0.97 and 0.766-0.773
-    at 0.99 (ROADMAP item 19).  The kernels are projected together a block
-    of noise rows at a time (``hermite._projections``) and freed on return.
-    Their far blocks are moved, one at a time, into the stacked far block
-    (4 x 20 node rows of 1,477 far cells, 0.95 MB, at the default eps),
-    which is dropped once its Gram is factored: past that the kernels are
-    read through P and the factor only.
+    at 0.99 (ROADMAP item 19).  The kernels' stacked node Gram
+    (``hermite._far_gram``, 4 x 20 node rows at the default eps) is summed
+    over chunks of far cells and factored, so no far block is held, and the
+    kernels are projected together a block of noise rows at a time
+    (``hermite._projections``) and freed on return.
 
     A kernel whose rows are read only through a weighted sum is contracted
     to that one row as soon as it is built (``_CellKernel.contract``): the
@@ -416,14 +415,10 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
                         * eps ** (hs - 1.0))
             w[[0, -1]] *= 0.5
             kernels[-1] = kernels[-1].contract(w)
-    var_lim = kernels[0].variances()
-    cuts = np.cumsum([0] + [len(kern.far) for kern in kernels])
-    far = np.empty((cuts[-1], kernels[0].far.shape[1]))  # each kernel's far block moves in
-    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
-        far[a:b] = kernels[i].far
-        kernels[i] = kernels[i]._replace(far=None)
-    far_factor, far_dropped = hermite._far_factor(far @ far.T)
-    del far
+    gram = hermite._far_gram(kernels)
+    nodes = kernels[0].P.shape[1]
+    var_lim = kernels[0].variances(gram[:nodes, :nodes])
+    far_factor, far_dropped = hermite._far_factor(gram)
     lam = math.copysign(chaos.c_constant(G, h), G.coefficients[m])
 
     def make_chunk(chunk_keys):
@@ -442,8 +437,8 @@ def l2_convergence_hermite(G: ChaosFunction, H, t: float, eps_list,
     meta = {"monotone_decreasing": bool(np.all(np.diff(dists) < 0)), "limit_coefficient": lam,
             "h_star": hs, "far_rank": far_factor.shape[1], "far_gram_dropped": far_dropped}
     if linear:
-        v = [np.concatenate([kern.near[0], kern.P[0] @ far_factor[a:b]])
-             for kern, a, b in zip(kernels, cuts, cuts[1:])]
+        v = [np.concatenate([kern.near[0], PL[0]])
+             for kern, PL in zip(kernels, hermite._far_rows(kernels, far_factor))]
         exact_dists = np.array([np.linalg.norm(v_eps - lam * z_scale * v[0]) for v_eps in v[1:]])
         meta.update(exact_values=exact_dists, exact_z=(dists - exact_dists) / se)
     return ScanResult(eps_arr, dists, se, n_replicas, meta=meta)

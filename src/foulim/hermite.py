@@ -16,25 +16,30 @@ of the multiple integral of a_s^{(x)m}.  On the uniform cells an entry
 of a kernel depends only on the lag, so a kernel is held there as one lag
 profile of 3n values, each row a window of it; on the far cells, where it
 is smooth in the row time, at 20 Chebyshev rows that a barycentric matrix
-interpolates to every row.  The far cells' projections on those rows are
-Gaussian with the far Gram as covariance, of rank r (5 to 7), so they are
-drawn as r normals times a factor of it (``_far_factor``) rather than from
-the n_far cells.  The covariance is exact, m! ds^2 sum_{s<j, s'<k}
-gram_{ss'}^m, and one pass over the Gram's lags (``_gram_lags``) gives its
-diagonal in O(n^2) time and O(n) memory; ``exact_covariance`` builds it at
-the times asked for.  A replica draws r + 2n normals and costs
-O(n_s * 2n + 20 r) for every m.  A ``HermiteEngine`` holds all this for
-one (grid, H, m), built once per operation and handed to every chunk;
+interpolates to every row.  Those node rows are never held whole: each
+kernel evaluates them on a range of far cells, and ``_far_gram`` sums
+their Gram over chunks of cells.  The far cells' projections on the node
+rows are Gaussian with that Gram as covariance, of rank r (5 to 7), so
+they are drawn as r normals times a factor of it (``_far_factor``) rather
+than from the n_far cells.  The covariance is exact, m! ds^2 sum_{s<j,
+s'<k} gram_{ss'}^m, and one pass over the Gram's lags (``_gram_lags``)
+gives its diagonal in O(n^2) time and O(n) memory; ``exact_covariance``
+builds it at the times asked for.  A replica draws r + 2n normals and
+costs O(2n log n + 20 r) for every m.  A ``HermiteEngine`` holds all this
+for one (grid, H, m), built once per operation and handed to every chunk;
 ``hermite_ensemble`` draws one row of noise per Philox key, a block of
-rows at a time, multiplies it by the kernel's windows a block of rows at
-a time, and ensembles take their keys chunk by chunk from
-``harness.run_replicated``.  No n x 2n, n x n or (n + 1)^2 array is built
-outside ``exact_covariance``, and each large array is held once, only
-while something reads it: a block's projections are dropped before the
-next block's are allocated, the Wick power is written over u, the far
-blocks' cell averages and ghat values are computed in one work array,
-and ``harness.l2_convergence_hermite`` moves the kernels' far blocks into
-one stacked block, which it drops once its Gram is factored.
+rows at a time, and ensembles take their keys chunk by chunk from
+``harness.run_replicated``.  A kernel of many rows is a Toeplitz matrix
+on the uniform cells, so a block's projections on it are one correlation
+of the noise with the lag profile, by FFT on a circulant of 5-smooth
+length (as ``fgn`` embeds; Dietrich and Newsam, SIAM J. Sci. Comput. 18
+(1997) 1088-1107), read at the rows' starts: no kernel row is copied, and
+a replica's projections do not depend on the block it is drawn in.  No
+n x 2n, n x n or (n + 1)^2 array is built outside ``exact_covariance``,
+and each large array is held once, only while something reads it: a
+block's projections are dropped before the next block's are allocated,
+the Wick power is written over u, and the far cell averages and ghat
+values are computed a chunk of cells at a time, in one work array.
 
 ``ghat`` is the moving-average kernel of the fast fOU, y^eps_t =
 eps^{-1/2} int ghat((t-s)/eps) dW_s, in closed form: ghat(v) = C(H)
@@ -48,12 +53,12 @@ Hermite limit from one white noise on the engine's cells, which makes L2
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import chaos, fou
+from . import chaos, fgn, fou
 from .paths import FoulimError, TimeGrid, as_hurst
 from .streams import normals
 
@@ -70,15 +75,15 @@ _WATSON_TERMS = 10
 # noise cells below -T grow by this ratio until they reach this distance
 _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
-# a kernel is held as a lag profile of 3n doubles, its far block and P; the
-# engine's build is O(n^2) time in O(n) memory (2.5 s and 4.7 MB traced at this
-# many steps), and a replica's projection O(n^2) flops
+# a kernel is held as a lag profile of 3n doubles and P; the engine's build is
+# O(n^2) time in O(n) memory (2.5 s and 4.7 MB traced at this many steps), and
+# a replica's projection O(n log n) flops
 _MAX_STEPS = 10_000
-# noise rows are projected a block at a time, whose normals and projections fit in
-# about this many bytes (108 rows at 400 steps: smaller GEMMs ran slower); a
-# kernel's rows are copied into a buffer of an eighth of it, and the engine's
-# Gram is built in lag blocks of a quarter of it
-BLOCK_BYTES = 2**20
+# noise rows are projected a block at a time, whose normals, their spectrum, the
+# correlation's buffers and the projections fit in about this many bytes (6 rows
+# at 400 steps); the engine's Gram is built in lag blocks of this size, and a
+# far Gram whose stacked node rows do not fit in it from chunks of a quarter of it
+BLOCK_BYTES = 2**18
 # Chebyshev rows of a far block: 16 leave a gram error of 1.6e-13, 20 (as 24) 3e-15
 _FAR_NODES = 20
 # the far Gram's factor keeps the eigenvalues above this fraction of the largest
@@ -112,15 +117,16 @@ class _CellKernel(NamedTuple):
     """A kernel M on the noise cells.  On the 2n uniform cells row r is the
     window of the lag profile that starts at first - r step: the profile ends
     where row 0's window does, and the last row's starts at first mod step.  M's
-    far block, smooth in the row time, is P far, with far (nodes x n_far) at the
-    nodes of ``_far_nodes`` and P (rows x nodes).  far is None once it has gone
-    into a stacked far factor (``harness.l2_convergence_hermite``):
-    ``_projections`` reads P and the factor only."""
+    far block, smooth in the row time, is P F, F (nodes x n_far) its values at
+    the nodes of ``_far_nodes`` and P (rows x nodes).  F is never held whole:
+    far(a, b) evaluates its far cells a to b - 1, and ``_far_gram`` sums its
+    Gram over chunks of cells."""
 
     profile: np.ndarray
     first: int
     step: int
-    far: np.ndarray | None
+    far: Callable[[int, int], np.ndarray]
+    n_far: int
     P: np.ndarray
 
     @property
@@ -133,15 +139,15 @@ class _CellKernel(NamedTuple):
         """The profile index where each row's window starts."""
         return self.first - self.step * np.arange(len(self.P))
 
-    def variances(self) -> np.ndarray:
-        """||M[r]||^2 for every row r, the uniform part a difference of the
-        profile's tail sums of squares (exact where the profile is zero past
-        the window, as it is for every kernel built here)."""
+    def variances(self, gram: np.ndarray) -> np.ndarray:
+        """||M[r]||^2 for every row r, gram its node Gram F F^T (its block of
+        ``_far_gram``), the uniform part a difference of the profile's tail
+        sums of squares (exact where the profile is zero past the window, as
+        it is for every kernel built here)."""
         starts = self.starts()
         tail = np.append(np.cumsum(self.profile[::-1] ** 2)[::-1], 0.0)
-        PG = self.P @ (self.far @ self.far.T)
         width = len(self.profile) - self.first
-        return tail[starts] - tail[starts + width] + np.einsum("ij,ij->i", PG, self.P)
+        return tail[starts] - tail[starts + width] + np.einsum("ij,ij->i", self.P @ gram, self.P)
 
     def contract(self, w: np.ndarray) -> "_CellKernel":
         """The one-row kernel w M, whose projection is the w-weighted sum of M's
@@ -150,7 +156,7 @@ class _CellKernel(NamedTuple):
         placed = np.zeros(self.first + 1)
         placed[self.starts()] = w
         return _CellKernel(np.correlate(self.profile, placed, "valid"), 0, 1, self.far,
-                           (w @ self.P)[None])
+                           self.n_far, (w @ self.P)[None])
 
 
 def _far_nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,14 +210,17 @@ def _kernel(grid: TimeGrid, H: float, m: int) -> _CellKernel:
     profile = np.concatenate([_cell_average((2 * n - 1.5 - np.arange(2 * n - 1)) * dt, dt, p),
                               [(0.5 * dt) ** p / (p * math.sqrt(dt))], np.zeros(n - 1)])
     nodes, P = _far_nodes(grid.times()[:-1] + 0.5 * dt)
-    u = np.subtract.outer(nodes, edges[1 : n_far + 1])
-    return _CellKernel(profile, n - 1, 1, _cell_average(u, np.diff(edges[: n_far + 1]), p), P)
+    widths = np.diff(edges[: n_far + 1])
+
+    def far(a: int, b: int) -> np.ndarray:
+        return _cell_average(np.subtract.outer(nodes, edges[a + 1 : b + 1]), widths[a:b], p)
+    return _CellKernel(profile, n - 1, 1, far, n_far, P)
 
 
 def _far_factor(far_gram: np.ndarray) -> tuple[np.ndarray, float]:
     """L (nodes x r) with L L^T = far_gram, and the fraction of its trace dropped.
 
-    far_gram is far far^T for the stacked far blocks of one noise; its
+    far_gram is ``_far_gram`` of the kernels of one noise; their node rows'
     projections of the far cells' unit normals have the law of L z for r
     unit normals z.  L is V sqrt(w) over numpy's ``eigh`` pairs (w, V)
     whose w exceeds _FAR_RANK_TOL of the largest; r is 5 to 7 where the
@@ -223,26 +232,57 @@ def _far_factor(far_gram: np.ndarray) -> tuple[np.ndarray, float]:
     return V[:, keep] * np.sqrt(w[keep]), dropped
 
 
+def _far_gram(kernels: list[_CellKernel]) -> np.ndarray:
+    """F F^T for F the kernels' node rows on the far cells, stacked in order.
+
+    An F that fits in BLOCK_BYTES is evaluated whole and its Gram is one
+    product: the engine's 20 x 1,477 node rows, whose Gram and factor are
+    then those of the dense far block, bit for bit.  A larger F, such as
+    l2-hermite's 4 x 20 node rows, is evaluated a chunk of far cells at a
+    time, each chunk within a quarter of BLOCK_BYTES (102 cells), and the
+    chunks' Grams are summed, so it is never held whole.
+    """
+    rows = sum(kern.P.shape[1] for kern in kernels)
+    n_far = kernels[0].n_far
+    whole = 8 * rows * n_far <= BLOCK_BYTES
+    cells = n_far if whole else max(1, BLOCK_BYTES // 4 // (8 * rows))
+    F = np.empty((rows, cells))
+    gram = np.zeros((rows, rows))
+    for a in range(0, n_far, cells):
+        chunk = F[:, : min(cells, n_far - a)]
+        np.concatenate([kern.far(a, a + chunk.shape[1]) for kern in kernels], out=chunk)
+        gram += chunk @ chunk.T
+    return gram
+
+
+def _far_rows(kernels: list[_CellKernel], far_factor: np.ndarray) -> list[np.ndarray]:
+    """P L for each kernel, L its node rows of far_factor (``_far_factor`` of
+    ``_far_gram(kernels)``): the rows' projections of the far cells are N[:r]
+    (P L)^T for the replica's first r normals."""
+    cuts = np.cumsum([kern.P.shape[1] for kern in kernels])[:-1]
+    return [kern.P @ L for kern, L in zip(kernels, np.split(far_factor, cuts))]
+
+
 class HermiteEngine:
     """Kernel, step variances and per-time scale of Z^{H,m} on a grid.
 
     Built once per operation by the caller and handed to every chunk.
     ``kernel`` is ``_kernel`` and far_factor ``_far_factor``'s factor L of
-    its far far^T; u_s has the Gram near near^T + (P L)(P L)^T
-    (``_gram_lags``) and var is its diagonal.  The cumulative Wick series
-    has the exact covariance C[j, k] = m! ds^2 sum_{s<j, s'<k} gram[s, s']^m,
-    and scale[k] = t_k^H / sqrt(C[k, k]) maps it to Var(Z_t) = t^{2H},
-    absorbing the discretization loss that plain K/m! scaling would leave.
-    One pass over the Gram's lag blocks gives var and the diagonal of C;
-    neither the Gram nor C is held (``exact_covariance`` builds C at the
-    times it is asked for).  The arrays are read-only, so concurrent chunks
-    share them.
+    its node Gram (``_far_gram``), which is not held; u_s has the Gram
+    near near^T + (P L)(P L)^T (``_gram_lags``) and var is its diagonal.
+    The cumulative Wick series has the exact covariance C[j, k] = m! ds^2
+    sum_{s<j, s'<k} gram[s, s']^m, and scale[k] = t_k^H / sqrt(C[k, k])
+    maps it to Var(Z_t) = t^{2H}, absorbing the discretization loss that
+    plain K/m! scaling would leave.  One pass over the Gram's lag blocks
+    gives var and the diagonal of C; neither the Gram nor C is held
+    (``exact_covariance`` builds C at the times it is asked for).  The
+    arrays are read-only, so concurrent chunks share them.
     """
 
     def __init__(self, grid: TimeGrid, H: float, m: int):
         self.grid, self.H, self.m = grid, H, m
         self.kernel = _kernel(grid, H, m)
-        self.far_factor = _far_factor(self.kernel.far @ self.kernel.far.T)[0]
+        self.far_factor = _far_factor(_far_gram([self.kernel]))[0]
         row_sums = np.zeros(grid.n_steps)  # sum_{s' < s} 2 gram[s, s']^m + gram[s, s]^m
         for d0, g in _gram_lags(self.kernel, self.far_factor):
             if d0 == 0:
@@ -252,8 +292,7 @@ class HermiteEngine:
         series_var = math.factorial(m) * grid.dt * grid.dt * np.cumsum(row_sums)
         self.scale = np.zeros(grid.n_steps + 1)
         self.scale[1:] = grid.times()[1:] ** H / np.sqrt(series_var)
-        for arr in (self.kernel.profile, self.kernel.far, self.kernel.P, self.far_factor,
-                    self.var, self.scale):
+        for arr in (self.kernel.profile, self.kernel.P, self.far_factor, self.var, self.scale):
             arr.flags.writeable = False
 
 
@@ -266,12 +305,12 @@ def _gram_lags(kernel: _CellKernel, far_factor: np.ndarray):
     from 2n on, so the near entry at lag d is sum_{i >= n-1-s} p_i p_{i+d}:
     the lags' sums over i >= n, then a cumulative sum down the rows.  The far
     entry is the row product of P L with itself shifted by d.  O(n^2) time;
-    g is n x k doubles, k from a quarter of BLOCK_BYTES.
+    g is n x k doubles, k from BLOCK_BYTES.
     """
     p, n = kernel.profile, len(kernel.P)
     Q = kernel.P @ far_factor
     Qz = np.concatenate([np.zeros_like(Q), Q])  # Qz[n + s] = Q[s], zero above row 0
-    lags = max(1, BLOCK_BYTES // 4 // (8 * n))
+    lags = max(1, BLOCK_BYTES // (8 * n))
     for d0 in range(0, n, lags):
         k = min(lags, n - d0)
         windows = sliding_window_view(p, k)  # windows[i, j] = p[i + j]
@@ -311,36 +350,53 @@ def _projections(keys: np.ndarray, kernels: list[_CellKernel], far_factor: np.nd
     """(start, [u for each kernel]) for a block of the replicas keys[start :
     start + len(u)] at a time.  A replica's noise is r + 2n normals N: N[:r]
     project the far cells on the stacked node rows of all kernels as N[:r]
-    L^T, L = far_factor (``_far_factor`` of the stacked far Gram), and N[r:]
-    are the uniform cells, so u = N [P L, near]^T.  A block's noise and
-    projections fit in about BLOCK_BYTES, its noise drawn into one buffer.
-    Each kernel's rows of [P L, near] are copied into one buffer of an
-    eighth of that, a block of rows at a time, with the windows cut where
-    the profile's zero tail begins, and multiplied with the noise block.
-    The projections are new arrays for every block, dropped here before the
-    next block's are allocated; the caller drops them too (``_wick_power``
-    writes over them)."""
-    r, width = far_factor.shape[1], len(kernels[0].near[0])
-    cuts = np.cumsum([0] + [kern.P.shape[1] for kern in kernels])
-    PLs = [kern.P @ far_factor[a:b] for kern, a, b in zip(kernels, cuts, cuts[1:])]
-    row_bytes = 8 * (r + width + sum(len(PL) for PL in PLs))
+    L^T, L = far_factor (``_far_factor`` of ``_far_gram(kernels)``), and N[r:]
+    are the uniform cells, so u = N [P L, near]^T.
+
+    A kernel of one row (``_CellKernel.contract``) is that plain product.  A
+    kernel of many rows takes its near part from the correlation of N[r:]
+    with its profile, sum_j N[r + j] profile[i + j] at each row's start i:
+    one rfft of the block's noise serves every kernel, and each kernel takes
+    one multiply by its profile's spectrum and one irfft on a 5-smooth length
+    no shorter than the profile, where the circular correlation has no
+    wrapped terms at the starts, and its far part is N[:r] (P L)^T.  The
+    products are einsums, not BLAS, whose rounding would depend on the
+    block's row count: a row's projections are the same in a block of any
+    size.  The block's noise, spectrum and correlation buffers are
+    allocated once per call and fit in about BLOCK_BYTES with the
+    projections, which are new arrays for every block, dropped here before
+    the next block's are allocated; the caller drops them too
+    (``_wick_power`` writes over them)."""
+    r, width = far_factor.shape[1], len(kernels[0].profile) - kernels[0].first
+    PLs = _far_rows(kernels, far_factor)
+    size = fgn._smooth_length(max(len(kern.profile) for kern in kernels))
+    # a many-row kernel's profile spectrum, or a one-row kernel's [P L, near]
+    spectra = [np.fft.rfft(kern.profile, size) if len(PL) > 1 else None
+               for kern, PL in zip(kernels, PLs)]
+    plain = [np.hstack([PL, kern.near]) if len(PL) == 1 else None
+             for kern, PL in zip(kernels, PLs)]
+    many = any(len(PL) > 1 for PL in PLs)
+    row_bytes = 8 * (r + width + many * (3 * size + 4) + sum(len(PL) for PL in PLs))
     rows = max(1, min(len(keys), BLOCK_BYTES // row_bytes))
     buf = np.empty((rows, r + width))
-    kbuf = np.empty((max(1, min(max(map(len, PLs)), BLOCK_BYTES // 8 // (8 * (r + width)))),
-                     r + width))
-    ends = [len(np.trim_zeros(kern.profile, "b")) for kern in kernels]
+    if many:
+        spec, prod = (np.empty((rows, size // 2 + 1), complex) for _ in range(2))
+        corr = np.empty((rows, size))
     for start in range(0, len(keys), rows):
-        N = normals(keys[start : start + rows], buf[: min(rows, len(keys) - start)])
+        count = min(rows, len(keys) - start)
+        N = normals(keys[start : start + count], buf[:count])
+        if many:
+            S = np.fft.rfft(N[:, r:], size, out=spec[:count])
+            np.conjugate(S, out=S)
         us = []
-        for kern, PL, end in zip(kernels, PLs, ends):
-            u = np.empty((len(N), len(PL)))
-            starts, near = kern.starts(), kern.near
-            for i in range(0, len(PL), len(kbuf)):
-                block = kbuf[: min(len(kbuf), len(PL) - i)]
-                cols = r + min(width, max(0, end - starts[i + len(block) - 1]))
-                block[:, :r] = PL[i : i + len(block)]
-                block[:, r:cols] = near[i : i + len(block), : cols - r]
-                np.matmul(N[:, :cols], block[:, :cols].T, out=u[:, i : i + len(block)])
+        for kern, PL, spectrum, row in zip(kernels, PLs, spectra, plain):
+            if spectrum is None:
+                u = np.einsum("bk,jk->bj", N, row)
+            else:
+                u = np.einsum("bk,jk->bj", N[:, :r], PL)
+                c = np.fft.irfft(np.multiply(S, spectrum, out=prod[:count]), size,
+                                 out=corr[:count])
+                u += c[:, kern.first :: -kern.step]
             us.append(u)
         yield start, us
         del u, us  # so the block is freed, once the caller drops it, before the next one
@@ -352,12 +408,9 @@ def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
 
     Row i is driven by the noise of the stream whose Philox key is
     keys[i]; report_idx selects grid indices (default: the endpoint
-    only).  A row is reproducible for a fixed chunking, but not
-    bit-identical across chunkings: the projections are matrix products
-    over a ``_projections`` block, whose rounding depends on its row
-    count, so the same replica drawn in chunks of different sizes moves
-    in the last few ulps.  Callers that promise bit-identical output fix
-    the chunk size, as ``harness.run_replicated`` does.
+    only).  A row depends on its key alone, bit for bit, whatever the
+    chunk it is drawn in: ``_projections`` takes each row's projections
+    on its own, by FFT and einsum.
     """
     if report_idx is None:
         report_idx = np.array([engine.grid.n_steps])
@@ -415,7 +468,8 @@ def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> _CellKerne
     y^eps_{t_k} = M[k] . N for the unit normals N of the cells.  On the
     uniform cells an entry depends only on the lag t_k - c_i, so that
     block is a set of windows of one lag profile; on the geometric cells
-    ghat is evaluated at the node rows of ``_far_nodes`` only.
+    ghat is evaluated at the node rows of ``_far_nodes`` only, a range of
+    cells at a time.
     """
     edges = _cell_edges(fine)
     n, dt = fine.n_steps, fine.dt
@@ -423,12 +477,18 @@ def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> _CellKerne
     rows = stride * np.arange(n // stride + 1)
     nodes, P = _far_nodes(rows * dt)
     far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
-    far = ghat((nodes[:, None] - far_mid) / eps, H)
-    far *= np.sqrt(np.diff(edges[: n_far + 1]) / eps)
+    scale = np.sqrt(np.diff(edges[: n_far + 1]) / eps)
+
+    def far(a: int, b: int) -> np.ndarray:
+        v = np.subtract.outer(nodes, far_mid[a:b])
+        v /= eps
+        values = ghat(v, H)
+        values *= scale[a:b]
+        return values
     # uniform cell j's midpoint lies (r + n - j - 1/2) dt before fine point r:
     # profile entry n - r + j
     profile = ghat((2 * n - 0.5 - np.arange(3 * n)) * (dt / eps), H) * math.sqrt(dt / eps)
-    return _CellKernel(profile, n, stride, far, P)
+    return _CellKernel(profile, n, stride, far, n_far, P)
 
 
 def ghat(v, H) -> np.ndarray | float:

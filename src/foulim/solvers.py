@@ -325,7 +325,9 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
     Read every s steps, a stationary sequence with autocovariance R is
     stationary with R(s k); the chain's exact R
     (``exact.kinetic_chain_autocovariance``) is computed once, out to the
-    longest window, and each lattice comes straight from
+    longest window or to the exact side's reading lags
+    (``exact.kinetic_reading_lags``), whichever is longer; it serves both
+    sides, and each lattice comes straight from
     ``fgn.StationarySampler`` on R(s k): 400 normals per replica for
     the default list, where one step-dt chain holding every window took
     2,000.  Each eps is its own ensemble, stream "kinetic-eps{i}", so the
@@ -363,9 +365,11 @@ def kinetic_error_scan(H, eps_list, grid: TimeGrid, n_replicas: int,
         size = math.ceil(longest) if longest < 1e9 else f"~{longest:.0e}"
         raise fgn.SamplerInfeasibleError(
             f"{size} lags exceed the circulant embedding cap of {fgn.MAX_EMBEDDING_LAGS} lags")
-    R = exact.kinetic_chain_autocovariance(h, dt, math.ceil(longest) + 1)
+    R = exact.kinetic_chain_autocovariance(h, dt, max(
+        math.ceil(longest) + 1,
+        exact.kinetic_reading_lags(eps_arr, report_times, fou.MIN_STEPS_PER_EPS)))
     pairs, exact_err = exact.kinetic_sup_errors(h, eps_arr, report_times,
-                                                fou.MIN_STEPS_PER_EPS)
+                                                fou.MIN_STEPS_PER_EPS, R)
     gam = HOLDER_GAMMA_FACTOR * h
 
     def draw(i, eps):

@@ -174,14 +174,28 @@ def test_rho_against_mpmath_closed_form(H):
 @pytest.mark.parametrize("H", [0.01, 0.05, 0.2, 0.3, 0.49, 0.51, 0.7, 0.8, 0.95, 0.99])
 def test_rho_small_lag_series_against_mpmath(H):
     # lags on both sides of the switch from the small-lag series to the closed form at
-    # s = 1: the series is within 1e-15 up to it, the closed form within 7e-15 beyond
+    # s = 2: the series is within 1e-15 below s = 1 and 2e-15 (1.4e-15 measured) on
+    # [1, 2), where the closed form is off by up to 6.4e-15; beyond, within 7e-15
     below = np.concatenate([[1e-12, 1e-6], np.geomspace(1e-4, 0.9, 25),
                             np.linspace(0.9, 1.0, 11)[:-1], [np.nextafter(1.0, 0.0)]])
-    above = np.concatenate([[1.0, np.nextafter(1.0, 2.0)], np.linspace(1.01, 1.1, 10),
-                            np.geomspace(1.1, 3.0, 10)])
-    for s, tol in ((below, 1e-15), (above, 1e-14)):
+    series = np.concatenate([[1.0, np.nextafter(1.0, 2.0)], np.linspace(1.01, 1.1, 10),
+                             np.geomspace(1.1, 1.99, 15), [np.nextafter(2.0, 0.0)]])
+    above = np.concatenate([[2.0, np.nextafter(2.0, 3.0)], np.linspace(2.01, 2.1, 5),
+                            np.geomspace(2.1, 3.0, 8)])
+    for s, tol in ((below, 1e-15), (series, 2e-15), (above, 1e-14)):
         ref = np.array([float(rho_mpmath(v, H)) for v in s])
         assert np.max(np.abs(fou.rho(s, H) - ref)) <= tol
+
+
+@pytest.mark.parametrize("H", [0.3, 0.7, 0.85])
+def test_rho_values_do_not_depend_on_the_batch(H):
+    # the asymptotic series is summed elementwise, so a lag reads the same bits
+    # in any array: rho of a concatenation is the concatenation of the rhos
+    rng = np.random.default_rng(int(100 * H))
+    for _ in range(50):
+        a, b = (rng.uniform(30.0, 400.0, rng.integers(1, 300)) for _ in range(2))
+        np.testing.assert_array_equal(fou.rho(np.concatenate([a, b]), H),
+                                      np.concatenate([fou.rho(a, H), fou.rho(b, H)]))
 
 
 def test_rho_keeps_zero_nan_and_infinite_lags():

@@ -272,7 +272,7 @@ def test_l2_fou_kernel_rows_have_unit_variance(H, monkeypatch):
     harness.l2_convergence_hermite(H1, H, 1.0, [0.2, 0.1, 0.05, 0.025], 2, 0)
     assert len(built) == 4
     for _, kernel in built:
-        assert np.max(np.abs(kernel.variances() - 1.0)) < 2e-3
+        assert np.max(np.abs(kernel.variances(hermite._far_gram([kernel])) - 1.0)) < 2e-3
 
 
 def _spy_fou_kernels(monkeypatch):
@@ -290,7 +290,7 @@ def _spy_fou_kernels(monkeypatch):
 
 def _dense(kernel):
     """The whole kernel matrix, its far block interpolated from the node rows."""
-    return np.hstack([kernel.P @ kernel.far, kernel.near])
+    return np.hstack([kernel.P @ kernel.far(0, kernel.n_far), kernel.near])
 
 
 @pytest.mark.parametrize("eps_list, n_steps", [
@@ -341,11 +341,12 @@ def _projected_l2_squares(G, H, eps_list, strides, n_replicas, seed):
     fine = TimeGrid(1.0, 400)
     kernels = [hermite._kernel(fine, hs, m)] + [
         hermite._fou_kernel(fine, H, eps, r) for eps, r in zip(eps_list, strides)]
-    far = np.concatenate([kern.far for kern in kernels])
-    far_factor, _ = hermite._far_factor(far @ far.T)
+    gram = hermite._far_gram(kernels)
+    far_factor, _ = hermite._far_factor(gram)
     K = chaos.K_normalizer(hs, m)
     lam = G.coefficients[m] * math.factorial(m) / K * fou.kernel_amplitude(H) ** m
-    var = kernels[0].variances()
+    nodes = kernels[0].P.shape[1]
+    var = kernels[0].variances(gram[:nodes, :nodes])
     blocks = []
     for _, (u, *ys) in hermite._projections(keys(seed, "l2-noise", 0, n_replicas), kernels,
                                            far_factor):
@@ -405,7 +406,8 @@ def test_l2_exact_values_match_the_dense_kernels(monkeypatch):
     n = fine.n_steps
 
     def dense_sum(w, kernel):
-        return np.concatenate([w @ kernel.P @ kernel.far, w @ np.array(kernel.near)])
+        return np.concatenate([w @ kernel.P @ kernel.far(0, kernel.n_far),
+                               w @ np.array(kernel.near)])
 
     lam_z = chaos.c_constant(H1, H) * fine.dt * chaos.K_normalizer(hs, m)
     v_lim = dense_sum(np.full(n, lam_z), limit)
@@ -672,27 +674,29 @@ def test_l2_scan_memory_is_its_kernels_and_is_freed_on_return():
     # at eps 0.1, 0.05, 0.02 the fine grid has 1000 steps and 3495 noise
     # cells, 1495 of them far; the kernels are the 1000-row limit kernel and
     # the fOU kernels at strides 5, 2 and 1 (201 + 501 + 1001 rows), each a
-    # lag profile of 3000 values (0.1 MB in all), a far block at 20 node rows
-    # (1.0 MB in all) and its interpolation matrix (0.4 MB in all).  He_1
-    # contracts each kernel to one row as it is built; with the build and a
-    # 250-replica chunk, drawn in 65-row noise blocks, the call traces
-    # 2.0 MB, bounded here at that plus 25%.  The far blocks held twice
-    # while stacked, the stacked block held to return, and ghat's and the
-    # cell averages' temporaries traced 3.1 MB (the transient dense near
-    # block of the finest fOU kernel took it to 17.3 MB)
+    # lag profile of 3000 values (0.1 MB in all) and an interpolation matrix
+    # (0.4 MB in all); their node rows on the far cells are evaluated in
+    # 102-cell chunks of the stacked Gram (80 x 102 doubles), never whole.
+    # He_1 contracts each kernel to one row as it is built; with the build
+    # and a 250-replica chunk, drawn in 16-row noise blocks, the call traces
+    # 0.61 MB, bounded here at 0.8.  With the kernels' far blocks (1.0 MB in
+    # all) moved into a stacked block it traced 2.0 MB, held twice while
+    # stacked and to return 3.1 MB (the transient dense near block of the
+    # finest fOU kernel took it to 17.3 MB)
     peak, retained = _l2_scan_traced_mb(H1)
-    assert peak < 2.5
+    assert peak < 0.8
     assert retained < 1.0
 
 
 def test_l2_scan_memory_with_every_kernel_row_held():
-    # He_2 keeps every row of every kernel: noise blocks of 27 rows, 2,703
-    # projections a row, multiplied by 8 kernel rows at a time, trace 2.5 MB
-    # in all, bounded at that plus 25%; with the stacked far block held to
-    # return and :u^2: beside u it traced 4.4 MB, with the near blocks held
-    # dense 47.7 MB
+    # He_2 keeps every row of every kernel: noise blocks of 2 rows, each with
+    # a 3,000-point spectrum and correlation and 2,703 projections, trace
+    # 1.29 MB in all, bounded at 1.6; with the far blocks stacked and every
+    # noise block multiplied by 8 kernel rows at a time it traced 2.5 MB,
+    # with the stacked far block held to return and :u^2: beside u 4.4 MB,
+    # with the near blocks held dense 47.7 MB
     peak, retained = _l2_scan_traced_mb(H2)
-    assert peak < 3.1
+    assert peak < 1.6
     assert retained < 1.0
 
 

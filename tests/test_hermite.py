@@ -149,12 +149,18 @@ def _series_covariance(gram: np.ndarray, m: int, ds: float) -> np.ndarray:
     return C.cumsum(0).cumsum(1)
 
 
+def _dense_far(kernel):
+    """A kernel's node rows on every far cell, from its far evaluator in one call."""
+    return kernel.far(0, kernel.n_far)
+
+
 def _dense_engine(grid, H, m):
     """(kernel, var, C, scale) of ``HermiteEngine`` from the dense Gram
     near near^T + P (far far^T) P^T and ``_series_covariance``."""
     kernel = hermite._kernel(grid, H, m)
     near = np.array(kernel.near)
-    gram = near @ near.T + kernel.P @ (kernel.far @ kernel.far.T) @ kernel.P.T
+    far = _dense_far(kernel)
+    gram = near @ near.T + kernel.P @ (far @ far.T) @ kernel.P.T
     C = _series_covariance(gram, m, grid.dt)
     scale = np.zeros(grid.n_steps + 1)
     scale[1:] = grid.times()[1:] ** H / np.sqrt(np.diag(C)[1:])
@@ -269,9 +275,11 @@ def test_fou_kernel_contract_and_variances_match_the_dense_kernel(n):
         kernel = hermite._fou_kernel(TimeGrid(1.0, n), 0.8, 0.1, stride)
         near = np.array(kernel.near)
         assert near.shape == (n // stride + 1, 2 * n)
-        PG = kernel.P @ kernel.far @ kernel.far.T
+        far = _dense_far(kernel)
+        PG = kernel.P @ far @ far.T
         dense = np.einsum("ij,ij->i", near, near) + np.einsum("ij,ij->i", PG, kernel.P)
-        np.testing.assert_allclose(kernel.variances(), dense, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(kernel.variances(hermite._far_gram([kernel])), dense,
+                                   rtol=1e-13, atol=0)
         w = rng.uniform(0.5, 1.5, len(near))
         one = kernel.contract(w)
         np.testing.assert_allclose(one.near, (w @ near)[None], rtol=1e-13, atol=0)
@@ -324,10 +332,11 @@ def _difference_form(s, edges, p):
 def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
     # the near block, windows of one lag profile, against the whole-array
     # difference form of the cell averages; the far block of an fOU kernel
-    # at its node rows against ghat there, bit for bit; and projections of
-    # the noise, r normals for the far field's factor and 2n for the uniform
-    # cells, a block of rows at a time (one row at 8 kB) against one product
-    # with the whole factored kernel
+    # at its node rows against ghat there, bit for bit, evaluated whole and a
+    # chunk of cells at a time; and projections of the noise, r normals for
+    # the far field's factor and 2n for the uniform cells, a block of rows at
+    # a time (one row at 8 kB) against one product with the whole factored
+    # kernel
     monkeypatch.setattr(hermite, "BLOCK_BYTES", block_bytes)
     grid = TimeGrid(1.0, 200)
     edges = hermite._cell_edges(grid)
@@ -339,9 +348,12 @@ def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
     x, _ = hermite._far_nodes(grid.times()[::2])
     far_mid = 0.5 * (edges[:n_far] + edges[1 : n_far + 1])
     far = hermite.ghat((x[:, None] - far_mid) / 0.1, 0.8) * np.sqrt(np.diff(edges) / 0.1)[:n_far]
-    np.testing.assert_array_equal(hermite._fou_kernel(grid, 0.8, 0.1, 2).far, far)
+    fou_kernel = hermite._fou_kernel(grid, 0.8, 0.1, 2)
+    np.testing.assert_array_equal(_dense_far(fou_kernel), far)
+    np.testing.assert_array_equal(np.hstack([fou_kernel.far(a, min(a + 100, n_far))
+                                             for a in range(0, n_far, 100)]), far)
     key_rows = keys(4, "blocks", 0, 9)
-    far_factor, _ = hermite._far_factor(kernel.far @ kernel.far.T)
+    far_factor, _ = hermite._far_factor(hermite._far_gram([kernel]))
     N = streams.normals(key_rows, np.empty((9, far_factor.shape[1] + 2 * grid.n_steps)))
     whole = N @ np.hstack([kernel.P @ far_factor, kernel.near]).T
     blocks = [u for _, (u,) in hermite._projections(key_rows, [kernel], far_factor)]
@@ -366,7 +378,7 @@ def test_far_field_interpolation_matches_dense_kernels(n):
         kernel = hermite._kernel(grid, H, m)
         if n <= hermite._FAR_NODES:
             np.testing.assert_array_equal(kernel.P, np.eye(n))
-        far = kernel.P @ kernel.far
+        far = kernel.P @ _dense_far(kernel)
         p = (H - 1.0) / m + 0.5
         u = s[:, None] - edges[1 : n_far + 1]
         exact = u**p * np.expm1(p * np.log1p(w / u)) / (p * np.sqrt(w))
@@ -382,7 +394,7 @@ def test_far_field_interpolation_matches_dense_kernels(n):
         if len(rows) <= hermite._FAR_NODES:
             np.testing.assert_array_equal(kernel.P, np.eye(len(rows)))
         dense = hermite.ghat((rows[:, None] - mids) / eps, H) * np.sqrt(w / eps)
-        np.testing.assert_allclose(kernel.P @ kernel.far, dense, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(kernel.P @ _dense_far(kernel), dense, rtol=1e-12, atol=0)
 
 
 def _recording_draws(monkeypatch) -> list[int]:
@@ -403,7 +415,7 @@ def test_engine_far_factor_is_a_rank_r_factor_of_the_far_gram(n, H, m, monkeypat
     # L L^T against far far^T within 1e-13 of its trace, on r < 20 columns
     # (5 to 7 measured), and each replica draws r + 2n normals
     engine = HermiteEngine(TimeGrid(1.0, n), H, m)
-    L, far = engine.far_factor, engine.kernel.far
+    L, far = engine.far_factor, _dense_far(engine.kernel)
     gram = far @ far.T
     assert np.abs(L @ L.T - gram).max() <= 1e-13 * np.trace(gram)
     assert L.shape[1] < hermite._FAR_NODES
@@ -435,6 +447,47 @@ def test_l2_far_factor_is_a_rank_r_factor_of_the_stacked_far_gram(monkeypatch):
     assert set(widths) == {L.shape[1] + 2 * 400}  # the fine grid: 0.05 / 20
 
 
+@pytest.mark.parametrize("block_bytes", [hermite.BLOCK_BYTES, 8_000])
+def test_chunked_far_gram_equals_the_dense_far_product(block_bytes, monkeypatch):
+    # the node Gram summed over chunks of far cells against F F^T of the far
+    # block made dense from each kernel's evaluator: one kernel's 20 node rows
+    # (one chunk within the default budget, the product itself, bit for bit)
+    # and l2-hermite's stack of the limit kernel and strided fOU kernels
+    # (4 x 20 rows, 102-cell chunks; 8 kB takes chunks of 12 and 3 cells),
+    # within 1e-13
+    monkeypatch.setattr(hermite, "BLOCK_BYTES", block_bytes)
+    grid = TimeGrid(1.0, 400)
+    limit = hermite._kernel(grid, 0.7, 2)
+    stacks = [[limit], [limit] + [hermite._fou_kernel(grid, 0.85, eps, stride)
+                                  for eps, stride in ((0.2, 4), (0.1, 2), (0.05, 1))]]
+    for kernels in stacks:
+        F = np.concatenate([_dense_far(kern) for kern in kernels])
+        dense = F @ F.T
+        gram = hermite._far_gram(kernels)
+        if len(kernels) == 1 and block_bytes > 8_000:
+            np.testing.assert_array_equal(gram, dense)
+        np.testing.assert_allclose(gram, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+
+def test_fft_projections_equal_the_dense_product():
+    # a many-row kernel's projections by FFT correlation against the dense
+    # product N [P L, near]^T, within 1e-14 of its largest entry: the engine's
+    # 400 rows, a stride-3 fOU kernel's 134 beside it on the same noise, and a
+    # contracted one-row kernel, a plain product
+    grid = TimeGrid(1.0, 400)
+    kernels = [hermite._kernel(grid, 0.7, 2), hermite._fou_kernel(grid, 0.85, 0.1, 3)]
+    kernels.append(kernels[1].contract(np.linspace(0.5, 1.5, len(kernels[1].P))))
+    far_factor, _ = hermite._far_factor(hermite._far_gram(kernels))
+    key_rows = keys(9, "fft", 0, 40)
+    N = streams.normals(key_rows, np.empty((40, far_factor.shape[1] + 2 * grid.n_steps)))
+    got = [np.concatenate(blocks) for blocks in zip(*(us for _, us in hermite._projections(
+        key_rows, kernels, far_factor)))]
+    for kern, PL, u in zip(kernels, hermite._far_rows(kernels, far_factor), got):
+        dense = N @ np.hstack([PL, np.array(kern.near)]).T
+        assert u.shape == dense.shape
+        np.testing.assert_allclose(u, dense, rtol=0, atol=1e-14 * np.abs(dense).max())
+
+
 def _traced_growth_mb(fn) -> float:
     """The traced peak of fn() over the memory traced when it starts, in MB,
     after a 20-step engine and ensemble have paid for the imports."""
@@ -449,19 +502,21 @@ def _traced_growth_mb(fn) -> float:
 
 
 def test_engine_and_ensemble_memory_is_one_noise_block():
-    # at 400 steps a kernel is a 1,199-entry lag profile and its far block
-    # (20 x 1,477); the build's lag blocks are 400 x 81, and the ensemble
-    # draws 108-row noise blocks, 806 normals and 400 projections a row
-    # within 1 MiB, with a 20-row window buffer.  600 replicas trace 1.6 MB,
-    # bounded at 2.0; with :u^2: beside u and two blocks' projections held
-    # at once they traced 2.3 MB, the near block held dense, with its Gram
-    # and C, 7.0 MB, and the whole (600, 2277) noise matrix 27.3 MB
+    # at 400 steps a kernel is a 1,199-entry lag profile and P (400 x 20); the
+    # build's far Gram takes the 20 x 1,477 node rows whole, its lag
+    # blocks are 400 x 81, and the ensemble draws 6-row noise blocks, 807
+    # normals, a 601-point spectrum and a 1,200-point correlation a row within
+    # 256 KiB.  600 replicas trace 1.06 MB, bounded at 1.3; with the far block
+    # held, 108-row GEMM blocks and the kernel's rows copied 20 at a time they
+    # traced 1.6 MB, with :u^2: beside u and two blocks' projections held at
+    # once 2.3 MB, the near block held dense, with its Gram and C, 7.0 MB, and
+    # the whole (600, 2277) noise matrix 27.3 MB
     assert _traced_growth_mb(lambda: hermite.hermite_ensemble(
-        HermiteEngine(TimeGrid(1.0, 400), 0.7, 2), keys(3, "mem", 0, 600))) < 2.0
+        HermiteEngine(TimeGrid(1.0, 400), 0.7, 2), keys(3, "mem", 0, 600))) < 1.3
 
 
 def test_engine_memory_at_2000_steps_is_linear_in_the_steps():
-    # the engine at 2,000 steps and 100 replicas trace 2.0 MB, bounded at
+    # the engine at 2,000 steps and 100 replicas trace 1.6 MB, bounded at
     # 3.5: no n x 2n, n x n or (n + 1)^2 array (the dense near block, Gram
     # and C traced 129 MB here)
     assert _traced_growth_mb(lambda: hermite.hermite_ensemble(
@@ -495,8 +550,7 @@ def test_chaos_orthogonality_across_orders():
     e1 = HermiteEngine(grid, 0.8, 1)
     # row k of the noise is stream (15, "orth", k), projected on both kernels
     # through the factor of their stacked far Gram
-    far = np.concatenate([e2.kernel.far, e1.kernel.far])
-    far_factor, _ = hermite._far_factor(far @ far.T)
+    far_factor, _ = hermite._far_factor(hermite._far_gram([e2.kernel, e1.kernel]))
     for i, (u2, u1) in hermite._projections(keys(15, "orth", 0, n), [e2.kernel, e1.kernel],
                                             far_factor):
         ser2 = hermite._wick_power(u2, e2.var, 2)
@@ -542,20 +596,16 @@ def test_hermite_values_deterministic_in_noise():
 
 
 def test_hermite_ensemble_rows_agree_across_chunkings():
-    # each row is a matrix product over the chunk, so its rounding moves
-    # with the chunk size; the values agree to a few ulps, not bit for bit
+    # a row's projections are an FFT correlation and an einsum row by row, so
+    # the same replica reads the same bits in chunks of 1, 7 and 250 rows
     grid = TimeGrid(1.0, 100)
     every_step = np.arange(grid.n_steps + 1)
+    key_rows = keys(6, "chunks", 0, 250)
     for m in (1, 2, 3):
         engine = HermiteEngine(grid, 0.8, m)
-        whole = hermite.hermite_ensemble(engine, keys(6, "chunks", 0, 5), every_step)
-        rows = np.concatenate([
-            hermite.hermite_ensemble(engine, keys(6, "chunks", r), every_step)
-            for r in range(5)
-        ])
-        split = np.concatenate([
-            hermite.hermite_ensemble(engine, keys(6, "chunks", 0, 2), every_step),
-            hermite.hermite_ensemble(engine, keys(6, "chunks", 2, 3), every_step),
-        ])
-        np.testing.assert_allclose(rows, whole, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(split, whole, rtol=0, atol=1e-13)
+        whole = hermite.hermite_ensemble(engine, key_rows, every_step)
+        for size in (1, 7):
+            split = np.concatenate([hermite.hermite_ensemble(engine, key_rows[a : a + size],
+                                                             every_step)
+                                    for a in range(0, len(key_rows), size)])
+            np.testing.assert_array_equal(split, whole)

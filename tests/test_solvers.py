@@ -807,8 +807,9 @@ def _whole_chunk_kinetic_data(H, eps_list, grid, n_replicas, seed, reduction="un
     eps_arr = np.asarray(eps_list, dtype=float)
     dt = 1.0 / fou.MIN_STEPS_PER_EPS
     times = grid.times()
-    R = exact.kinetic_chain_autocovariance(H, dt, math.ceil(grid.horizon / eps_arr[-1] / dt
-                                                            - 1e-9) + 1)
+    R = exact.kinetic_chain_autocovariance(H, dt, max(
+        math.ceil(grid.horizon / eps_arr[-1] / dt - 1e-9) + 1,
+        exact.kinetic_reading_lags(eps_arr, times, fou.MIN_STEPS_PER_EPS)))
     out = np.empty((n_replicas, len(eps_arr), 2, len(times)))
     for i, eps in enumerate(eps_arr):
         lo, w = exact.reading_weights(times / eps, dt)
@@ -893,7 +894,8 @@ def test_streamed_kinetic_scan_matches_whole_chunk_reference(eps_list, monkeypat
 def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
     # the scan and its whole-chunk reference both run the unit-rate chain on
     # step 1 / MIN_STEPS_PER_EPS, which is dt = eps / MIN_STEPS_PER_EPS for every
-    # eps, and compute its covariance once, out to the longest window
+    # eps, and compute its covariance once, out to the longest window or the
+    # exact side's reading lags
     monkeypatch.setattr(fou, "MIN_STEPS_PER_EPS", 20.0)
     chain_steps = []
     chain_acov = exact.kinetic_chain_autocovariance
@@ -913,8 +915,8 @@ def test_kinetic_scan_grid_follows_the_resolution_rule(monkeypatch):
     # read every 10 and 20 steps: 21 lattice points each, 42 normals per eps
     assert [(n, length) for n, length, _ in made] == [(20, 21), (20, 21)]
     assert [2 * sampler.m for *_, sampler in made] == [40, 40]
-    # the scan's R, then the exact side's
-    assert chain_steps == [(0.05, 401), (0.05, 402)]
+    # one R for the scan and the exact side, out to the exact side's 402 lags
+    assert chain_steps == [(0.05, 402)]
     np.testing.assert_array_equal(readings(2), ref)
 
 
@@ -1014,7 +1016,8 @@ def test_kinetic_statistic_squared_is_unbiased_for_the_exact_sup(H):
 @pytest.mark.parametrize("H", [0.01, 0.3, 0.5, 0.7, 0.99])
 def test_kinetic_scan_chain_takes_its_minimal_embedding(eps_list, m, H, monkeypatch):
     # the limit_eqs benchmark's lists at 50 reporting intervals: the chain's R
-    # is computed once, out to the longest window of m steps, and each eps's
+    # is computed once, out to the longest window of m steps or the exact
+    # side's readings, m + 1 lags, whichever is longer, and each eps's
     # lattice embeds R(s k) at its smallest 5-smooth half-length with every
     # eigenvalue positive.  The one exception is eps 0.1's stride-2 lattice at
     # H 0.99, doubled once, from 50 to 100
@@ -1028,7 +1031,7 @@ def test_kinetic_scan_chain_takes_its_minimal_embedding(eps_list, m, H, monkeypa
     monkeypatch.setattr(exact, "kinetic_chain_autocovariance", spy)
     made = _spy_samplers(monkeypatch)
     solvers.kinetic_error_scan(H, eps_list, TimeGrid(1.0, 50), 2, 0)
-    assert lags == [m + 1, m + 2]  # the scan's R, then the exact side's
+    assert lags == [m + 2]  # one R for the scan and the exact side
     minimal = [fgn._smooth_length(max(n, (length + 1) // 2)) for n, length, _ in made]
     if H == 0.99:
         minimal[0] *= 2

@@ -18,12 +18,21 @@ after one 300 x 900 GEMM: OpenBLAS's own buffers (4.3 MB here) are touched
 once per process, by whichever operation multiplies matrices first.
 ``sequence`` runs the whole operation list of one set of a workload, in
 the benchmark's order and with its ``--seed`` values, in one interpreter
-after the same imports and GEMM, collecting the heap before each
-operation as the benchmark's worker does.  It reports ru_maxrss after
-each operation and names the one that sets the process's peak, the
+set up as ``bench/worker.py`` sets up its own: it imports bench's
+``checks`` and ``speed`` (mpmath and SciPy with them) and ``foulim.cli``,
+collects and freezes the heap, runs ``speed.warm_up()``, times the
+reference kernel after it and again once ``speed.EVERY_S`` seconds have
+passed, and runs each operation on a collected heap, its output silenced,
+then checks its outputs with ``checks.check_outputs`` and deletes them.
+The import state moves the high-water mark by several MB; with this
+setup the peak reads within 0.5 MB of the benchmark's ``peak_rss_mb``
+(limit_eqs 112.7-112.9 MB here against the benchmark's 113.1).  It
+reports ru_maxrss after the setup and after each operation, each
+operation's rise over the mark before it (``checks_ok`` for those that
+exit 0), and names the operation that sets the process's peak, the
 last to raise it: what ``ops`` cannot show, since an operation's growth
-there starts from a fresh process.  Every child runs with BLAS pinned to
-one thread and ``--threads 1``.
+there starts from a fresh process.  Nothing under ``bench/`` is written.
+Every child runs with BLAS pinned to one thread and ``--threads 1``.
 """
 
 from __future__ import annotations
@@ -76,17 +85,46 @@ print(json.dumps({"argv": argv, "rc": rc, "post_import_mb": base / 1024,
                   "maxrss_growth_mb": grown / 1024}))
 """
 
-_SEQUENCE_CHILD = _WARM_UP + """
-ops, out = json.loads(sys.argv[1]), sys.argv[2]
-rows = []
+# bench/worker.py's setup and per-operation loop, its outputs checked and deleted
+_SEQUENCE_CHILD = """
+import contextlib, gc, io, json, resource, sys, time
+from pathlib import Path
+sys.dont_write_bytecode = True  # leave nothing behind under bench/
+sys.path.append(sys.argv[3])  # after SRC, which holds foulim
+import checks, speed
+from foulim import cli
+
+
+def maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+gc.collect()
+gc.freeze()
+speed.warm_up()
+speed.reference_seconds()
+ref_at, base = time.perf_counter(), maxrss_mb()
+ops, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+rows, mark = [], base
 for i, op in enumerate(ops):
+    if time.perf_counter() - ref_at >= speed.EVERY_S:
+        speed.reference_seconds()
+        ref_at = time.perf_counter()
+    prefix = out / f"op{i}"
     gc.collect()
-    rc = foulim.cli.main(op + ["--threads", "1", "--out", f"{out}/op{i}"])
-    rows.append({"op": " ".join(op), "rc": rc,
-                 "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024})
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(op + ["--threads", "1", "--out", str(prefix)])
+    ok = rc == 0 and checks.check_outputs(op, prefix).ok
+    for f in out.glob(prefix.name + ".*"):
+        f.unlink()
+    rows.append({"op": " ".join(op), "rc": rc, "checks_ok": ok, "maxrss_mb": maxrss_mb(),
+                 "rise_mb": maxrss_mb() - mark})
+    mark = rows[-1]["maxrss_mb"]
 peak = max(range(len(rows)), key=lambda i: (rows[i]["maxrss_mb"], -i))  # the last to raise it
-print(json.dumps({"post_import_mb": base / 1024, "peak_mb": rows[peak]["maxrss_mb"],
-                  "peak_index": peak, "peak_op": rows[peak]["op"], "ops": rows}))
+print(json.dumps({"post_setup_mb": base, "peak_mb": rows[peak]["maxrss_mb"],
+                  "peak_index": peak, "peak_op": rows[peak]["op"],
+                  "rises": [(i, row["op"], row["rise_mb"]) for i, row in enumerate(rows)
+                            if row["rise_mb"] > 0], "ops": rows}))
 """
 
 
@@ -126,7 +164,8 @@ def ops_table(src: str, workload: str, seed: int) -> list[dict]:
 
 def sequence_table(src: str, workload: str, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        return _child(src, _SEQUENCE_CHILD, json.dumps(_operations(workload, seed)), tmp)
+        return _child(src, _SEQUENCE_CHILD, json.dumps(_operations(workload, seed)), tmp,
+                      str(ROOT / "bench"))
 
 
 def main() -> None:
