@@ -3,8 +3,8 @@ functionals of the fractional Ornstein-Uhlenbeck process.
 
 Subpackages by responsibility:
 
-- streams: named Philox streams, their keys in one vectorized pass and
-  their normals drawn row by row from those keys
+- streams: named Philox streams, their keys in one vectorized pass, and
+  one stream per key array, read a run of normals per row
 - fgn: the circulant-embedding engine for stationary Gaussian sequences,
   exact fractional Gaussian noise / fBM on it
 - fou: the stationary rescaled fOU, its autocorrelation and scale integrals
@@ -13,8 +13,8 @@ Subpackages by responsibility:
   kernel of the fOU
 - exact: the exact finite-eps variance and law of the time integral of
   G(y^eps), and the one grid rule of its samplers (loaded by ``harness``)
-- harness: replica ensembles, the only caller of ``streams.keys``;
-  variance scans, log-log slopes, distributional diagnostics
+- harness: replica ensembles, one stream per chunk of CHUNK_SIZE replicas,
+  the only caller of ``streams.keys``; scans, slopes, diagnostics
 - solvers: one Heun solver for the slow/fast system and its limit equation,
   the kinetic (second-order) coupling
 - cli: reproducible experiment runner (`foulim ...`)

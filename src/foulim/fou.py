@@ -16,8 +16,8 @@ burn-in.  ``path_sampler`` builds the engine for one (grid, scale) once;
 its ``blocks`` hand the paths over in row blocks, for callers that
 reduce each block before drawing the next, and its ``batch`` collects
 them into one matrix.  The sampler takes one Philox key per row, the
-keys that ``harness.run_replicated`` hands each replica chunk, so any
-range of replicas is drawn on its own and batching never changes a row.
+keys that ``harness.run_replicated`` hands each replica chunk, read as
+the one stream of the first, so blocking never changes a row.
 
 rho is evaluated in three regimes, each on either side of H = 1/2: a
 convergent power series below s = 2, the closed form through the

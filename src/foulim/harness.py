@@ -1,17 +1,21 @@
 """Monte Carlo verification harness for the scaling-limit claims.
 
 Everything here is replica-parallel with a fixed chunking policy, owned
-by ``run_replicated``: replica i of an ensemble named ``name`` always
-draws from stream (master_seed, name, i), and chunks have a fixed size,
-so results are bit-identical for any worker count.  Within a chunk, the
-fOU scans take their paths block by block from one ``fou.path_sampler``
-per grid, built before the chunks, and reduce each block to its
-per-replica scalars before the next is drawn, so no chunk-sized path
-matrix is ever built.  The trapezoid integral of G(y) over any prefix of
-a path is its sum less half the two end values, so one path of the
-unit-rate fOU Y_{s/eps} = y^eps_s serves every eps of a scan that shares
-its spacing.  Scalar aggregation goes through math.fsum (compensated),
-keeping reduction reassociation out of the reported statistics.
+by ``run_replicated``: replica i of an ensemble named ``name`` reads run
+i - c of stream (master_seed, name, c), c = CHUNK_SIZE floor(i /
+CHUNK_SIZE) its chunk's first replica, so CHUNK_SIZE is part of the
+contract.  Results are bit-identical for any worker count and block
+size, and the first k replicas of an ensemble are the k-replica
+ensemble.  A new per-replica draw takes a stream name of its own, so
+existing draws keep their values.  Within a chunk, the fOU scans take
+their paths block by block from one ``fou.path_sampler`` per grid, built
+before the chunks, and reduce each block to its per-replica scalars
+before the next is drawn, so no chunk-sized path matrix is ever built.
+The trapezoid integral of G(y) over any prefix of a path is its sum less
+half the two end values, so one path of the unit-rate fOU Y_{s/eps} =
+y^eps_s serves every eps of a scan that shares its spacing.  Scalar
+aggregation goes through math.fsum (compensated), keeping reduction
+reassociation out of the reported statistics.
 
 Slopes of log statistic against log(1/eps) are fitted by
 inverse-variance-weighted least squares, with the closed-form normal
@@ -46,7 +50,7 @@ __all__ = [
     "l2_convergence_hermite",
 ]
 
-CHUNK_SIZE = 250
+CHUNK_SIZE = 250  # replicas per chunk and per stream: changing it changes every sampled output
 _Z975 = 1.959963984540054  # ndtri(0.975): a 95% CI's half-width in standard errors
 # l2_convergence_hermite's finest fOU grid has dt = min(eps) / L2_DT_RATIO
 L2_DT_RATIO = 20.0
@@ -77,17 +81,15 @@ class ScanResult:
 
 
 def run_replicated(n_replicas: int, master_seed: int, name: str, make_chunk,
-                   threads: int = 1, chunk_size: int = CHUNK_SIZE) -> np.ndarray:
-    """Concatenate make_chunk(chunk_keys) over fixed-size replica chunks.
+                   threads: int = 1) -> np.ndarray:
+    """Concatenate make_chunk(chunk_keys) over chunks of CHUNK_SIZE replicas.
 
-    Replica i of the ensemble reads stream (master_seed, name, i): the
-    keys of all replicas come from one ``streams.keys`` call, and each
-    chunk gets its (count, 2) slice.  make_chunk must be a pure function
-    of its keys; the chunking is independent of the worker count, so the
-    output is too.
+    Each chunk gets its (count, 2) slice of one ``streams.keys`` call, read
+    as the one stream of its first row (``streams.normals``), the layout of
+    the module docstring.  make_chunk must be a pure function of its keys.
     """
     replica_keys = keys(master_seed, name, 0, n_replicas)
-    chunks = [replica_keys[a : a + chunk_size] for a in range(0, n_replicas, chunk_size)]
+    chunks = [replica_keys[a : a + CHUNK_SIZE] for a in range(0, n_replicas, CHUNK_SIZE)]
     if threads <= 1:
         parts = [make_chunk(k) for k in chunks]
     else:

@@ -27,8 +27,8 @@ gives its diagonal in O(n^2) time and O(n) memory; ``exact_covariance``
 builds it at the times asked for.  A replica draws r + 2n normals and
 costs O(2n log n + 20 r) for every m.  A ``HermiteEngine`` holds all this
 for one (grid, H, m), built once per operation and handed to every chunk;
-``hermite_ensemble`` draws one row of noise per Philox key, a block of
-rows at a time, and ensembles take their keys chunk by chunk from
+``hermite_ensemble`` draws a row of noise per key from the stream of
+the first, a block at a time; ensembles take their keys by chunk from
 ``harness.run_replicated``.  A kernel of many rows is a Toeplitz matrix
 on the uniform cells, so a block's projections on it are one correlation
 of the noise with the lag profile, by FFT on a circulant of 5-smooth
@@ -72,6 +72,7 @@ __all__ = [
 # ghat: Kummer's transformed form (it holds e^v) up to this v, Watson's series beyond
 _KUMMER_MAX_V = 700.0
 _WATSON_TERMS = 10
+_GHAT_CONSTANTS: dict = {}  # H -> ghat's (C(H), q, Watson coefficients)
 # noise cells below -T grow by this ratio until they reach this distance
 _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
@@ -348,10 +349,11 @@ def _wick_power(u: np.ndarray, var: np.ndarray, m: int) -> np.ndarray:
 
 def _projections(keys: np.ndarray, kernels: list[_CellKernel], far_factor: np.ndarray):
     """(start, [u for each kernel]) for a block of the replicas keys[start :
-    start + len(u)] at a time.  A replica's noise is r + 2n normals N: N[:r]
-    project the far cells on the stacked node rows of all kernels as N[:r]
-    L^T, L = far_factor (``_far_factor`` of ``_far_gram(kernels)``), and N[r:]
-    are the uniform cells, so u = N [P L, near]^T.
+    start + len(u)] at a time.  Replica i's noise N is run i of r + 2n normals
+    of keys[0]'s stream: N[:r] project the far cells on the stacked node rows
+    of all kernels as N[:r] L^T, L = far_factor (``_far_factor`` of
+    ``_far_gram(kernels)``), and N[r:] are the uniform cells, so u = N [P L,
+    near]^T.
 
     A kernel of one row (``_CellKernel.contract``) is that plain product.  A
     kernel of many rows takes its near part from the correlation of N[r:]
@@ -382,9 +384,8 @@ def _projections(keys: np.ndarray, kernels: list[_CellKernel], far_factor: np.nd
     if many:
         spec, prod = (np.empty((rows, size // 2 + 1), complex) for _ in range(2))
         corr = np.empty((rows, size))
-    for start in range(0, len(keys), rows):
-        count = min(rows, len(keys) - start)
-        N = normals(keys[start : start + count], buf[:count])
+    for start, N in zip(range(0, len(keys), rows), normals(keys, buf)):
+        count = len(N)
         if many:
             S = np.fft.rfft(N[:, r:], size, out=spec[:count])
             np.conjugate(S, out=S)
@@ -406,11 +407,11 @@ def hermite_ensemble(engine: HermiteEngine, keys: np.ndarray,
                      report_idx=None) -> np.ndarray:
     """Replica matrix of Z^{H,m} values on the engine's grid.
 
-    Row i is driven by the noise of the stream whose Philox key is
-    keys[i]; report_idx selects grid indices (default: the endpoint
-    only).  A row depends on its key alone, bit for bit, whatever the
-    chunk it is drawn in: ``_projections`` takes each row's projections
-    on its own, by FFT and einsum.
+    Row i is driven by run i of the noise of the stream of keys[0];
+    report_idx selects grid indices (default: the endpoint only).  A row
+    is the same, bit for bit, in a block of any size, and the first k rows
+    are those of the first k keys: ``_projections`` takes each row's
+    projections on its own, by FFT and einsum.
     """
     if report_idx is None:
         report_idx = np.array([engine.grid.n_steps])
@@ -503,19 +504,23 @@ def ghat(v, H) -> np.ndarray | float:
     beyond, where e^v overflows, by ten terms of Watson's series
     v^{q-1} sum_k (1-q)_k v^{-k} (the dropped ones are below 1e-21), by
     Horner's rule in place.  Both stay within about 1e-14 of a 40-digit
-    evaluation for all H in (1/2, 1).  Requires H > 1/2.
+    evaluation for all H in (1/2, 1).  Requires H > 1/2.  C(H), q and the
+    Watson coefficients are computed on an H's first call only: a kernel's
+    far rows call ghat once per chunk of far cells.
     """
     from scipy import special  # 0.3 s to import: only once ghat is evaluated
     h = as_hurst(H)
-    amp = fou.kernel_amplitude(h)  # raises for H <= 1/2
-    q = h - 0.5
+    if h not in _GHAT_CONSTANTS:  # kernel_amplitude raises for H <= 1/2
+        q = h - 0.5
+        poch = np.cumprod(1.0 - q + np.arange(_WATSON_TERMS - 1))  # (1-q)_k, k = 1..9
+        _GHAT_CONSTANTS[h] = fou.kernel_amplitude(h), q, poch
+    amp, q, poch = _GHAT_CONSTANTS[h]
     flat = np.ravel(np.clip(np.asarray(v, dtype=float), 0.0, None))  # the result's buffer
     near = flat <= _KUMMER_MAX_V
     vn = flat[near]
     x = flat[~near]
     np.reciprocal(x, out=x)
     flat[near] = vn**q / q * np.exp(-vn) * special.hyp1f1(q, q + 1.0, vn)
-    poch = np.cumprod(1.0 - q + np.arange(_WATSON_TERMS - 1))  # (1-q)_k, k = 1..9
     series = poch[-1] * x
     for coef in poch[-2::-1]:
         series += coef

@@ -169,7 +169,7 @@ def _slow_fast_endpoints(G, H, t, eps, x0, f, h, g, n, seed, dt_ratio,
                          threads=1) -> np.ndarray:
     """Endpoints x^eps_t of dx = alpha(eps) f(x) G(y^eps) dt + h(x) g(y^eps) dt.
 
-    f is a ``Flow``; n replicas from streams (seed, "slowfast", i), at
+    f is a ``Flow``; n replicas of the ensemble (seed, "slowfast"), at
     dt = eps / dt_ratio.  The system is dx = f(x) dU + h(x) dV with the
     trapezoid integrals U = alpha int G(y^eps) and V = int g(y^eps).
     Unstepped, x_t = phi(U_t + V_t, s0) at the one integral of G + g / alpha
@@ -204,9 +204,9 @@ def _limit_endpoints(G, H, c, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndar
     """Endpoints x_t of dx = f(x) dU + h(x) g_bar dt, n replicas from ``seed``.
 
     f is a ``Flow`` and c = ``chaos.c_constant(G, H)``.  U = c W in the
-    short-range and boundary regimes, W from stream (seed, "limit-endpoint", i);
+    short-range and boundary regimes, W from the ensemble (seed, "limit-endpoint");
     U = sign(a_m) c Z^{H*,m} in the long-range regime, Z on HERMITE_STEPS
-    steps from (seed, "limit-endpoint-z", i).  Unstepped, x_t =
+    steps from (seed, "limit-endpoint-z").  Unstepped, x_t =
     phi(U_t + g_bar t, s0) at W_t, one normal, or at Z_t.  Stepped, Heun
     takes LIMIT_STEPS steps in both regimes, on W's increments or on Z's at
     every fourth point: for He_2, f = sin + 2, h = 1 and g = cos, Var x_1 is
@@ -228,7 +228,7 @@ def _limit_endpoints(G, H, c, t, x0, f, h, g_bar, n, seed, threads=1) -> np.ndar
         name, scale = "limit-endpoint", c * np.sqrt(t / steps)
 
         def increments(chunk_keys):
-            return normals(chunk_keys, np.empty((len(chunk_keys), steps)))
+            return next(normals(chunk_keys, np.empty((len(chunk_keys), steps))))
 
     def solve_chunk(chunk_keys):
         dU = np.ascontiguousarray(increments(chunk_keys).T) * scale
@@ -247,7 +247,7 @@ def homogenize(G, H, eps, f: Flow, h, g, n_replicas: int, master_seed: int, t: f
 
     f is a ``Flow`` (one of ``FLOWS``), h and g plain fields; h or g None
     is no drift.  ``_slow_fast_endpoints`` solves dx = alpha(eps) f(x)
-    G(y^eps) dt + h(x) g(y^eps) dt from streams (master_seed, "slowfast", i)
+    G(y^eps) dt + h(x) g(y^eps) dt from the ensemble (master_seed, "slowfast")
     on the rung of one ``exact.resolve_dt_ratio`` call (eps/5 for He_2 at
     H 0.6, eps/2 at 0.85, eps 0.02 and 600 replicas, where Heun with a drift
     moves the variance by under 1e-5 relative), and ``_limit_endpoints`` the

@@ -10,8 +10,12 @@ A Philox stream is set by its 128-bit key and a zero counter, and
 distinct keys give independent streams (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).  Stream i's key is the uint64
 pair ``(tag, i)``, tag a 64-bit blake2b digest of seed and name.
-``keys`` builds a range of them at once; ``normals`` fills a block with
-one row per key through one generator re-keyed for each row.
+``keys`` builds a range of them at once.  A key array stands for the
+stream of its first row: ``normals`` reads one run of k normals per row
+from that one stream, in row order, so a block of rows is one
+``standard_normal`` call.  ``harness.run_replicated`` hands each chunk of
+``CHUNK_SIZE`` replicas the keys of its rows, so replica i reads run
+i - c of stream (master_seed, name, c), c its chunk's first replica.
 """
 
 from __future__ import annotations
@@ -45,27 +49,16 @@ def keys(master_seed: int, name: str, offset: int = 0, count: int = 1) -> np.nda
     return out
 
 
-def normals(key_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill row i of ``out`` with the first standard normals of key_rows[i]'s stream.
+def normals(key_rows: np.ndarray, out: np.ndarray):
+    """Row blocks of standard normals, run i of out.shape[1] in row i of key_rows.
 
-    One Philox and one Generator serve every row: the bit generator's
-    state is reset to the row's key and a zero counter before the row is
-    drawn, so row i equals
-    ``Generator(Philox(key=key_rows[i])).standard_normal(out.shape[1])``.
+    Every run comes from the one stream of key_rows[0], drawn in order
+    through one Generator: a block of len(out) rows at a time, each by one
+    ``standard_normal`` call into ``out``.  Yields out[:k] for each block of
+    k rows, valid until the next; the runs do not depend on len(out).
     """
-    if len(key_rows) != len(out):
-        raise ValueError(f"{len(key_rows)} keys for {len(out)} rows")
-    if not len(out):
-        return out
-    bitgen = np.random.Philox(key=key_rows[0])
-    gen = np.random.Generator(bitgen)
-    # counter 0 and an empty buffer, as Python ints: setting the state
-    # converts them faster than uint64 arrays
-    inner = {"counter": [0, 0, 0, 0], "key": None}
-    state = {"bit_generator": "Philox", "state": inner, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key, row in zip(key_rows.tolist(), out):
-        inner["key"] = key
-        bitgen.state = state
-        gen.standard_normal(out=row)
-    return out
+    if not len(key_rows):
+        return
+    gen = np.random.Generator(np.random.Philox(key=key_rows[0]))
+    for start in range(0, len(key_rows), len(out)):
+        yield gen.standard_normal(out=out[: min(len(out), len(key_rows) - start)])

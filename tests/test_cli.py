@@ -35,8 +35,8 @@ def test_chaos_subcommand_boundary_classification(tmp_path):
 
 
 def test_sample_fbm_bytes_match_per_replica_paths(tmp_path):
-    # one batched fGN call over the per-replica streams writes the same
-    # bytes as sampling each replica's fBM path on its own
+    # replica r's fBM path is the last row of the (r + 1)-replica run: its
+    # run r of the one stream (seed, "cli-fbm", 0) that its chunk reads
     H, n_steps, seed = 0.35, 100, 123
     rc = run(["sample-fbm", "--H", str(H), "--n-steps", str(n_steps),
               "--replicas", "4", "--seed", str(seed), "--out", str(tmp_path / "b")])
@@ -44,7 +44,7 @@ def test_sample_fbm_bytes_match_per_replica_paths(tmp_path):
     grid = TimeGrid(1.0, n_steps)
     rows = [(r, t, v) for r in range(4)
             for t, v in zip(grid.times(),
-                            fbm_paths(grid, H, keys(seed, "cli-fbm", r))[0])]
+                            fbm_paths(grid, H, keys(seed, "cli-fbm", 0, r + 1))[r])]
     output.write_csv(str(tmp_path / "ref.csv"), ["replica", "t", "value"], rows)
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 

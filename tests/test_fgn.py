@@ -92,12 +92,16 @@ def test_fbm_empirical_covariance_matrix():
 
 
 def test_batch_matches_single_stream_draws():
+    # a key array is the one stream of its first row: the rows read its runs
+    # in order, whatever the later keys, and the first k rows are the k-key call
     n, dt, H = 64, 0.1, 0.6
     batch = fgn.sample_fgn_batch(n, dt, H, keys(2, "b", 0, 3))
-    singles = np.concatenate([
-        fgn.sample_fgn_batch(n, dt, H, keys(2, "b", i)) for i in range(3)
-    ])
-    np.testing.assert_array_equal(batch, singles)
+    np.testing.assert_array_equal(
+        fgn.sample_fgn_batch(n, dt, H, np.repeat(keys(2, "b", 0), 3, axis=0)), batch)
+    for k in (1, 2):
+        np.testing.assert_array_equal(fgn.sample_fgn_batch(n, dt, H, keys(2, "b", 0, k)),
+                                      batch[:k])
+    assert not np.array_equal(fgn.sample_fgn_batch(n, dt, H, keys(2, "b", 1)), batch[1:2])
 
 
 # (label, acov, n, embedding half-length): fGN, and the fOU on TimeGrid(1, 500)
@@ -117,9 +121,9 @@ def test_half_spectrum_engine_matches_full_spectrum_reference(label, acov, n, m)
     batch = fgn.StationarySampler(acov, n).batch(keys(4, label, 0, 5))
     ref = full_spectrum_reference(acov, n, keys(4, label, 0, 5))
     np.testing.assert_allclose(batch, ref, rtol=0, atol=1e-13)
-    singles = np.concatenate([fgn.StationarySampler(acov, n).batch(keys(4, label, i))
-                              for i in range(5)])
-    np.testing.assert_array_equal(batch, singles)
+    for k in (1, 4):
+        np.testing.assert_array_equal(
+            fgn.StationarySampler(acov, n).batch(keys(4, label, 0, k)), batch[:k])
 
 
 # (label, acov, n): fGN at H 0.3, and the fOU at H 0.85, eps 0.1, dt = eps/50,
@@ -131,17 +135,24 @@ BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("label, acov, n", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES])
-def test_blocked_engine_rows_equal_one_row_calls(label, acov, n):
+def test_blocked_engine_rows_equal_one_row_calls(label, acov, n, monkeypatch):
+    # the rows of blocks of the default budget equal those drawn a row at a
+    # time (a budget below one row) and all in one block, bit for bit, and
+    # the first k rows of a call are the k-key call
     sampler = fgn.StationarySampler(acov, n)  # one embedding serves every call
     block = fgn.BLOCK_BYTES // (8 * 2 * sampler.m)
     assert block > 1
-    singles = np.concatenate([sampler.batch(keys(6, label, i))
-                              for i in range(3 * block + 2)])
+    every = keys(6, label, 0, 3 * block + 2)
+    whole = sampler.batch(every)
+    for budget, size in ((1, 1), (2**30, len(every))):
+        with monkeypatch.context() as mp:
+            mp.setattr(fgn, "BLOCK_BYTES", budget)
+            assert {len(b) for b in sampler.blocks(every)} == {size}
+            np.testing.assert_array_equal(sampler.batch(every), whole)
     for rows in (1, block - 1, block, block + 1, 3 * block + 2):
         sizes = [len(b) for b in sampler.blocks(keys(6, label, 0, rows))]
         assert sizes == [block] * (rows // block) + ([rows % block] if rows % block else [])
-        batch = sampler.batch(keys(6, label, 0, rows))
-        np.testing.assert_array_equal(batch, singles[:rows])
+        np.testing.assert_array_equal(sampler.batch(keys(6, label, 0, rows)), whole[:rows])
 
 
 # n = 67 is not 5-smooth: its embedding is padded to m = 72

@@ -398,17 +398,20 @@ def test_fou_embedding_reproduces_rho_property(H, inv_step, n):
     np.testing.assert_allclose(acov, fou.rho(np.arange(n + 1) * step, H), rtol=0, atol=1e-12)
 
 
-def test_sample_fou_rows_do_not_depend_on_batching():
+def test_sample_fou_rows_do_not_depend_on_batching(monkeypatch):
+    # a call's rows are the runs of its first key's stream in order: the same
+    # in blocks of one row and of every row, the first k rows are the k-key
+    # call, and run_replicated's one chunk gives them on 1 and 2 workers
     sampler = fou.path_sampler(TimeGrid(0.02, 100), 0.85, 0.01)  # a padded embedding
     whole = sampler.batch(keys(3, "batch", 0, 5))
-    parts = [sampler.batch(keys(3, "batch", 0, 2)), sampler.batch(keys(3, "batch", 2, 3))]
-    np.testing.assert_array_equal(whole, np.concatenate(parts))
-    single = sampler.batch(keys(3, "batch", 4))
-    np.testing.assert_array_equal(whole[4:], single)
-    # the same rows in run_replicated's chunks of 2, on 1 and 2 workers
+    for budget in (1, 2**30):
+        with monkeypatch.context() as mp:
+            mp.setattr(fgn, "BLOCK_BYTES", budget)
+            np.testing.assert_array_equal(sampler.batch(keys(3, "batch", 0, 5)), whole)
+    np.testing.assert_array_equal(sampler.batch(keys(3, "batch", 0, 2)), whole[:2])
     for threads in (1, 2):
         np.testing.assert_array_equal(
-            harness.run_replicated(5, 3, "batch", sampler.batch, threads, chunk_size=2), whole)
+            harness.run_replicated(5, 3, "batch", sampler.batch, threads), whole)
 
 
 def test_sample_fou_centred_he2_at_coarse_resolution():

@@ -190,7 +190,7 @@ def test_variance_scan_reads_every_eps_of_a_group_off_the_finest_path(monkeypatc
     assert scan.values[-1] == harness.fsum_variance(x)
     assert scan.stderrs[-1] == harness.variance_stderr(x)
     # each coarser column is the trapezoid integral over its prefix of those paths
-    y = fou.path_sampler(finest, 0.7, 0.025).batch(keys(seed, "vscan-eps2", 0, n))
+    y = harness.run_replicated(n, seed, "vscan-eps2", fou.path_sampler(finest, 0.7, 0.025).batch)
     cols = []
     for i, eps in enumerate(eps_list):
         grid = TimeGrid.with_step(0.5, eps / ratio)
@@ -508,15 +508,17 @@ def test_threaded_run_matches_serial():
     np.testing.assert_array_equal(serial, threaded)
 
 
-def test_run_replicated_hands_each_chunk_the_keys_of_its_replicas():
-    # replica i reads stream (seed, name, i), whatever the chunk it lands in
+def test_run_replicated_hands_each_chunk_the_keys_of_its_replicas(monkeypatch):
+    # chunks of CHUNK_SIZE replicas, each handed the keys (seed, name, i) of
+    # its replicas i, whose first names the chunk's stream
     chunks = []
 
     def record(chunk_keys):
         chunks.append(chunk_keys)
         return chunk_keys
 
-    got = harness.run_replicated(7, 11, "keyed", record, chunk_size=3)
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 3)
+    got = harness.run_replicated(7, 11, "keyed", record)
     assert [len(k) for k in chunks] == [3, 3, 1]
     np.testing.assert_array_equal(got, keys(11, "keyed", 0, 7))
 

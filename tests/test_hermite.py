@@ -58,6 +58,30 @@ def test_ghat_requires_long_memory_H():
         hermite.ghat(1.0, 0.4)
 
 
+@pytest.mark.parametrize("H", [0.500001, 0.7, 0.99])
+def test_fou_kernel_sets_ghat_up_once_and_its_chunks_equal_one_call(H, monkeypatch):
+    # C(H), q and the Watson coefficients are computed on an H's first ghat
+    # call, not in each chunk of far cells, and the far rows evaluated in
+    # chunks of 1, 7 and 102 cells equal one ghat call over every far cell,
+    # bit for bit
+    amplitudes = []
+    amplitude = fou.kernel_amplitude
+    monkeypatch.setattr(fou, "kernel_amplitude", lambda h: amplitudes.append(h) or amplitude(h))
+    monkeypatch.setattr(hermite, "_GHAT_CONSTANTS", {})
+    grid, eps, stride = TimeGrid(1.0, 60), 0.1, 3
+    kernel = hermite._fou_kernel(grid, H, eps, stride)
+    for size in (1, 7, 102):
+        chunks = [kernel.far(a, min(a + size, kernel.n_far)) for a in range(0, kernel.n_far, size)]
+        np.testing.assert_array_equal(np.hstack(chunks), _dense_far(kernel))
+    edges = hermite._cell_edges(grid)
+    nodes, _ = hermite._far_nodes(stride * grid.dt * np.arange(grid.n_steps // stride + 1))
+    mid = 0.5 * (edges[: kernel.n_far] + edges[1 : kernel.n_far + 1])
+    one_call = hermite.ghat(np.subtract.outer(nodes, mid) / eps, H)
+    np.testing.assert_array_equal(
+        _dense_far(kernel), one_call * np.sqrt(np.diff(edges[: kernel.n_far + 1]) / eps))
+    assert amplitudes == [H]
+
+
 def test_h_eps_kernel_zero_for_future_and_isometry():
     # h_eps(t, s) = eps^{-1/2} ghat((t - s)/eps) vanishes for s > t, and
     # int_R h_eps(t, s)^2 ds = int_0^inf ghat^2 = 1 at any eps
@@ -259,7 +283,7 @@ def test_engine_matches_the_dense_gram_and_series_covariance(n, m):
                                scale[:, None] * C * scale, rtol=1e-13, atol=0)
     key_rows = keys(7, "oracle", 0, 5)
     L = engine.far_factor
-    N = streams.normals(key_rows, np.empty((5, L.shape[1] + 2 * n)))
+    N = next(streams.normals(key_rows, np.empty((5, L.shape[1] + 2 * n))))
     u = N @ np.hstack([kernel.P @ L, kernel.near]).T
     series = np.pad(hermite._wick_power(u, var, m) * grid.dt, ((0, 0), (1, 0)))
     ref = np.cumsum(series, axis=1) * scale
@@ -354,7 +378,7 @@ def test_blocked_kernels_equal_whole_array_forms(block_bytes, monkeypatch):
                                              for a in range(0, n_far, 100)]), far)
     key_rows = keys(4, "blocks", 0, 9)
     far_factor, _ = hermite._far_factor(hermite._far_gram([kernel]))
-    N = streams.normals(key_rows, np.empty((9, far_factor.shape[1] + 2 * grid.n_steps)))
+    N = next(streams.normals(key_rows, np.empty((9, far_factor.shape[1] + 2 * grid.n_steps))))
     whole = N @ np.hstack([kernel.P @ far_factor, kernel.near]).T
     blocks = [u for _, (u,) in hermite._projections(key_rows, [kernel], far_factor)]
     assert len(blocks) == (9 if block_bytes == 8_000 else 1)
@@ -479,7 +503,7 @@ def test_fft_projections_equal_the_dense_product():
     kernels.append(kernels[1].contract(np.linspace(0.5, 1.5, len(kernels[1].P))))
     far_factor, _ = hermite._far_factor(hermite._far_gram(kernels))
     key_rows = keys(9, "fft", 0, 40)
-    N = streams.normals(key_rows, np.empty((40, far_factor.shape[1] + 2 * grid.n_steps)))
+    N = next(streams.normals(key_rows, np.empty((40, far_factor.shape[1] + 2 * grid.n_steps))))
     got = [np.concatenate(blocks) for blocks in zip(*(us for _, us in hermite._projections(
         key_rows, kernels, far_factor)))]
     for kern, PL, u in zip(kernels, hermite._far_rows(kernels, far_factor), got):
@@ -595,17 +619,23 @@ def test_hermite_values_deterministic_in_noise():
     assert a[0, 0] == 0.0
 
 
-def test_hermite_ensemble_rows_agree_across_chunkings():
-    # a row's projections are an FFT correlation and an einsum row by row, so
-    # the same replica reads the same bits in chunks of 1, 7 and 250 rows
+def test_hermite_ensemble_rows_agree_across_chunkings(monkeypatch):
+    # a row's projections are an FFT correlation and an einsum row by row, and
+    # its noise is its run of the one stream of the call, drawn in order: the
+    # same replica reads the same bits in blocks of one row, of the default
+    # budget's rows and of all 250 rows, and the first k rows of a call are
+    # the k-key call
     grid = TimeGrid(1.0, 100)
     every_step = np.arange(grid.n_steps + 1)
     key_rows = keys(6, "chunks", 0, 250)
     for m in (1, 2, 3):
         engine = HermiteEngine(grid, 0.8, m)
         whole = hermite.hermite_ensemble(engine, key_rows, every_step)
-        for size in (1, 7):
-            split = np.concatenate([hermite.hermite_ensemble(engine, key_rows[a : a + size],
-                                                             every_step)
-                                    for a in range(0, len(key_rows), size)])
-            np.testing.assert_array_equal(split, whole)
+        for budget in (1, 2**30):
+            with monkeypatch.context() as mp:
+                mp.setattr(hermite, "BLOCK_BYTES", budget)
+                np.testing.assert_array_equal(
+                    hermite.hermite_ensemble(engine, key_rows, every_step), whole)
+        for k in (1, 7, 249):
+            np.testing.assert_array_equal(
+                hermite.hermite_ensemble(engine, key_rows[:k], every_step), whole[:k])

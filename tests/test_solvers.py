@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fbm_paths, stream
+from conftest import chunk_normals, fbm_paths, stream
 from foulim import chaos, exact, fgn, fou, harness, solvers
 from foulim.chaos import ChaosFunction
 from foulim.paths import FoulimError, TimeGrid
@@ -241,9 +241,10 @@ def test_drift_along_the_field_still_refuses_an_overflow():
 @pytest.mark.parametrize("H", [0.6, 0.7])
 def test_brownian_limit_steps_are_within_1e_4_of_a_fine_solve(H, monkeypatch):
     # the 100 steps of the Brownian limit (He_2, f = sin + 2, h = 1, g = cos)
-    # against 400 on the same paths, 20,000 of them: the relative Var x_1
-    # gap reads 8.9e-6 (H 0.6) and -2.6e-6 (H 0.7); at 3,200 steps the
-    # 100-step gap is -3.0e-6 and 7.7e-6
+    # against 400 on the same paths, 20,000 of them in four streams: the
+    # relative Var x_1 gap reads 3.1e-5 (H 0.6) and 9.0e-6 (H 0.7); on
+    # per-replica streams it read 8.9e-6 and -2.6e-6, and at 3,200 steps the
+    # 100-step gap -3.0e-6 and 7.7e-6
     steps = []
     solve = solvers.solve_limit_stratonovich
 
@@ -258,7 +259,7 @@ def test_brownian_limit_steps_are_within_1e_4_of_a_fine_solve(H, monkeypatch):
     c, g_bar, fine = chaos.c_constant(H2, H), np.exp(-0.5), 400
     coarse_x, fine_x = [], []
     for i in range(4):
-        dW = normals(keys(44, "bias-paths", 5000 * i, 5000), np.empty((5000, fine))).T
+        dW = next(normals(keys(44, "bias-paths", 5000 * i, 5000), np.empty((5000, fine)))).T
         dW *= c / np.sqrt(fine)
         fine_x.append(solve(SIN2, 0.0, _one, dW, g_bar / fine))
         coarse_x.append(solve(SIN2, 0.0, _one, dW.reshape(100, -1, 5000).sum(axis=1),
@@ -296,17 +297,17 @@ def test_hermite_limit_steps_are_within_2e_5_of_the_whole_path(monkeypatch):
 
 @pytest.mark.parametrize("H", [0.6, 0.85])
 def test_drift_free_limit_is_the_flow_at_its_drivers_endpoint(H):
-    # no drift: phi(c W_t, s0), W_t = sqrt(t) times the first normal of each
-    # replica's stream, or phi(sign(a_2) c Z_t, s0), Z_t alone from the
-    # 400-step engine in the run's 250-replica chunks; bit for bit
+    # no drift: phi(c W_t, s0), W_t = sqrt(t) times replica i's one normal,
+    # normal i - c of its chunk's stream (seed, "limit-endpoint", c), or
+    # phi(sign(a_2) c Z_t, s0), Z_t alone from the 400-step engine in the
+    # run's 250-replica chunks; bit for bit
     from foulim import hermite
 
     G, t, x0, n, seed = ChaosFunction([0, 0, -1.0]), 0.9, 0.3, 300, 31
     c = chaos.c_constant(G, H)
     x = solvers._limit_endpoints(G, H, c, t, x0, SIN2, None, 0.0, n, seed)
     if H == 0.6:
-        w = np.array([stream(seed, "limit-endpoint", i).standard_normal() for i in range(n)])
-        drive = w * (c * np.sqrt(t))
+        drive = chunk_normals(seed, "limit-endpoint", n, 1)[:, 0] * (c * np.sqrt(t))
     else:
         engine = hermite.HermiteEngine(TimeGrid(t, 400), chaos.classify_regime(2, H).h_star, 2)
         k = keys(seed, "limit-endpoint-z", 0, n)
@@ -372,17 +373,17 @@ def _hermite_limit_args(n, seed=23):
 def test_limit_endpoint_samples_agree_with_one_hermite_call():
     # 300 replicas, a full chunk and a partial one: without a drift and with
     # f = 1 the samples are the driver sign(a_2) c Z_t, and each chunk's rows
-    # agree with one call over all replicas to rounding
+    # are one hermite_ensemble call on its keys, bit for bit, on 1 and 2 workers
     from foulim import hermite
 
     G, H, c, t, *_, n, seed = _hermite_limit_args(300)
     regime = chaos.classify_regime(2, H)
     engine = hermite.HermiteEngine(TimeGrid(t, 400), regime.h_star, 2)
-    z = hermite.hermite_ensemble(engine, keys(seed, "limit-endpoint-z", 0, n))[:, 0]
-    expect = -c * z
+    k = keys(seed, "limit-endpoint-z", 0, n)
+    z = np.concatenate([hermite.hermite_ensemble(engine, k[a : a + 250]) for a in (0, 250)])
     for threads in (1, 2):
         u = solvers._limit_endpoints(*_hermite_limit_args(300), threads)
-        np.testing.assert_allclose(u, expect, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(u, -c * z[:, 0])
 
 
 def _peak_traced_mb(func, *args) -> float:
@@ -407,15 +408,18 @@ def test_limit_endpoint_samples_memory_is_chunked():
 @pytest.mark.parametrize("H", [0.6, 0.75])
 def test_short_range_limit_reads_one_keyed_stream_per_replica(H):
     # short range and boundary without drift, f = 1: row i of the driver is
-    # c sqrt(t) times the first normal of stream (seed, "limit-endpoint", i),
-    # whatever the worker count
+    # c sqrt(t) times one normal of one keyed stream, normal i - c of stream
+    # (seed, "limit-endpoint", c), c its 250-replica chunk's first replica,
+    # whatever the worker count; the first 40 replicas are the 40-replica run
     t, n, seed = 0.7, 300, 29
     c = chaos.c_constant(H2, H)
     out = [solvers._limit_endpoints(H2, H, c, t, 0.0, ONE, None, 0.0, n, seed, threads)
            for threads in (1, 2)]
     np.testing.assert_array_equal(out[0], out[1])
-    first = np.array([stream(seed, "limit-endpoint", i).standard_normal() for i in range(n)])
+    first = chunk_normals(seed, "limit-endpoint", n, 1)[:, 0]
     np.testing.assert_array_equal(out[0], c * np.sqrt(t) * first)
+    np.testing.assert_array_equal(
+        solvers._limit_endpoints(H2, H, c, t, 0.0, ONE, None, 0.0, 40, seed), out[0][:40])
 
 
 def test_brownian_limit_with_drift_holds_one_chunk():
@@ -518,10 +522,11 @@ def test_commuting_drift_is_the_flow_at_both_drivers_endpoints(H):
     alpha = chaos.classify_regime(2, H).alpha(eps)
     u, v = (harness._fou_endpoint_samples(G, H, t, eps, n, seed, "slowfast", ratio, a)
             for G, a in ((H2, alpha), (np.cos, 1.0)))
-    np.testing.assert_allclose(run.x_eps, SIN2.phi(u + v, s0), rtol=0, atol=1e-14)
+    # one integral of He_2 + cos / alpha against the sum of two: a few ulps of
+    # x, 5 (8.6e-16 relative) at x 20.65 (H 0.85, replica 67)
+    np.testing.assert_allclose(run.x_eps, SIN2.phi(u + v, s0), rtol=1e-15, atol=1e-14)
     if H == 0.6:
-        w = np.array([stream(seed + 1, "limit-endpoint", i).standard_normal() for i in range(n)])
-        drive = run.c * np.sqrt(t) * w
+        drive = run.c * np.sqrt(t) * chunk_normals(seed + 1, "limit-endpoint", n, 1)[:, 0]
     else:
         # Z_t in the run's 250-replica chunks, whose GEMM rounding it shares
         engine = hermite.HermiteEngine(TimeGrid(t, 400), chaos.classify_regime(2, H).h_star, 2)
@@ -1036,7 +1041,7 @@ def test_kinetic_scan_chain_takes_its_minimal_embedding(eps_list, m, H, monkeypa
     if H == 0.99:
         minimal[0] *= 2
     assert [sampler.m for *_, sampler in made] == minimal
-    assert all(sampler.lam.min() > 0.0 for *_, sampler in made)
+    assert all(sampler.scale[::2].min() > 0.0 for *_, sampler in made)  # sqrt(lam / 4m)
     # normals per replica: 2,000, 1,000 and 2,000 for one step-0.1 chain holding every window
     normals = {4: 400, 3: 300 if eps_list[1] == 0.05 else 920}[len(eps_list)]
     assert sum(2 * sampler.m for *_, sampler in made) == normals + (100 if H == 0.99 else 0)

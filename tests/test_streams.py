@@ -1,9 +1,9 @@
-"""Keyed streams: the (tag, index) key layout, rows drawn from keys, and
-chunk, offset and thread invariance of the ensemble APIs built on them."""
+"""Keyed streams: the (tag, index) key layout, one stream per key array
+read a run per row, and the block, prefix and thread invariance of the
+ensemble APIs built on them."""
 
 import hashlib
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stream
-from foulim import cli, fou, harness, hermite, solvers, streams
+from foulim import cli, fgn, fou, harness, hermite, solvers, streams
 from foulim.chaos import ChaosFunction
 from foulim.paths import TimeGrid
 
@@ -79,26 +79,31 @@ def test_keys_reject_an_index_range_beyond_two_to_the_64():
 
 
 def test_rows_drawn_from_keys_equal_their_streams():
+    # a key array is the stream of its first row, read in order: row i is
+    # run i of it, however many rows a block holds
     k = streams.keys(2**40 + 3, "rows", 10, 6)
-    out = streams.normals(k, np.empty((6, 333)))
-    for i, row in enumerate(out):
-        np.testing.assert_array_equal(row, stream(2**40 + 3, "rows", 10 + i).standard_normal(333))
+    expect = stream(2**40 + 3, "rows", 10).standard_normal((6, 333))
+    for rows in (1, 4, 6, 9):
+        out = np.concatenate([b.copy() for b in streams.normals(k, np.empty((rows, 333)))])
+        np.testing.assert_array_equal(out, expect)
 
 
 def test_rows_of_keys_beyond_two_to_the_63_equal_their_streams():
-    # tags at and above 2**63 and indices above 2**32 re-key the generator
-    # through Python ints exactly as a fresh Philox takes them
+    # tags at and above 2**63 and indices above 2**32 key the generator
+    # exactly as a fresh Philox takes them
     k = np.array([[2**63, 2**32], [2**64 - 1, 2**32 + 5], [2**63 + 12345, 2**64 - 1]],
                  dtype=np.uint64)
-    out = streams.normals(k, np.empty((3, 257)))
-    for key, row in zip(k, out):
+    for i, key in enumerate(k):
+        (row,) = next(streams.normals(k[i:], np.empty((1, 257))))
         expect = np.random.Generator(np.random.Philox(key=key)).standard_normal(257)
         np.testing.assert_array_equal(row, expect)
 
 
 def test_normals_needs_one_key_per_row():
-    with pytest.raises(ValueError, match="3 keys for 2 rows"):
-        streams.normals(streams.keys(0, "x", 0, 3), np.empty((2, 4)))
+    # one row per key, a block of the buffer's rows at a time, and none for no keys
+    blocks = streams.normals(streams.keys(0, "x", 0, 3), np.empty((2, 4)))
+    assert [len(b) for b in blocks] == [2, 1]
+    assert list(streams.normals(streams.keys(0, "x", 0, 0), np.empty((2, 4)))) == []
 
 
 def test_cli_maps_a_stream_domain_error_to_exit_2(tmp_path, capsys):
@@ -111,25 +116,20 @@ def test_cli_maps_a_stream_domain_error_to_exit_2(tmp_path, capsys):
 # ------------------------------------------------------ ensemble invariance
 
 
-def _chunked(monkeypatch, module, chunk_size):
-    """Make ``module.run_replicated`` chunk by chunk_size."""
-    run = harness.run_replicated
-    monkeypatch.setattr(
-        module, "run_replicated",
-        lambda n, seed, name, make, threads=1: run(n, seed, name, make, threads, chunk_size))
-
-
 @PROPERTY
-@given(n=st.integers(3, 40), chunk=st.integers(1, 40), threads=st.sampled_from([1, 2]))
-def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
+@given(n=st.integers(3, 40), chunk=st.integers(1, 40), budget=st.sampled_from([1, 2**12, 2**30]),
+       threads=st.sampled_from([1, 2]))
+def test_variance_scan_block_and_thread_invariance(n, chunk, budget, threads):
+    # at any chunk size, the engine's block budget and the worker count leave
+    # every column bit-identical: each reads the shared path of its group, so
+    # the values, their SEs and the covariance-aware CI are too
     G = ChaosFunction([0, 0, 1])
     args = (G, 0.6, 0.5, [0.2, 0.1, 0.05], n, 17)
-    ref = harness.variance_scan(*args)
     with pytest.MonkeyPatch.context() as mp:
-        _chunked(mp, harness, chunk)
+        mp.setattr(harness, "CHUNK_SIZE", chunk)
+        ref = harness.variance_scan(*args)
+        mp.setattr(fgn, "BLOCK_BYTES", budget)
         got = harness.variance_scan(*args, threads=threads)
-    # every column reads the shared path of its group, so the values,
-    # their SEs and the covariance-aware CI are all bit-identical
     np.testing.assert_array_equal(got.values, ref.values)
     np.testing.assert_array_equal(got.stderrs, ref.stderrs)
     np.testing.assert_array_equal(got.meta["finest_samples"], ref.meta["finest_samples"])
@@ -137,52 +137,63 @@ def test_variance_scan_chunk_and_thread_invariance(n, chunk, threads):
 
 
 @PROPERTY
-@given(n=st.integers(1, 30), offset=st.integers(0, 2**64 - 30), cut=st.integers(0, 30))
-def test_path_sampler_batch_offset_chunk_and_thread_invariance(n, offset, cut):
+@given(n=st.integers(1, 30), chunk=st.integers(1, 30), cut=st.integers(1, 30),
+       budget=st.sampled_from([1, 2**12, 2**30]))
+def test_path_sampler_batch_block_prefix_and_thread_invariance(n, chunk, cut, budget):
+    # a batch is its first key's stream read in order: its first cut rows are
+    # the cut-key batch, and any block budget gives the same rows; ensembles
+    # in chunks of any size give the same rows on 1 and 2 workers, and the
+    # first cut replicas of n are the cut-replica ensemble
     sampler = fou.path_sampler(TimeGrid(0.02, 100), 0.85, 0.01)  # a doubled embedding
-    whole = sampler.batch(streams.keys(3, "inv", offset, n))
+    whole = sampler.batch(streams.keys(3, "inv", 0, n))
     cut = min(cut, n)
-    parts = [sampler.batch(streams.keys(3, "inv", offset, cut)),
-             sampler.batch(streams.keys(3, "inv", offset + cut, n - cut))]
-    np.testing.assert_array_equal(np.concatenate(parts), whole)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        rows = list(pool.map(lambda i: sampler.batch(streams.keys(3, "inv", offset + i)),
-                             range(n)))
-    np.testing.assert_array_equal(np.concatenate(rows), whole)
+    np.testing.assert_array_equal(sampler.batch(streams.keys(3, "inv", 0, cut)), whole[:cut])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fgn, "BLOCK_BYTES", budget)
+        np.testing.assert_array_equal(sampler.batch(streams.keys(3, "inv", 0, n)), whole)
+        mp.setattr(harness, "CHUNK_SIZE", chunk)
+        runs = [harness.run_replicated(k, 3, "inv", sampler.batch, t)
+                for k, t in ((n, 1), (n, 2), (cut, 2))]
+    np.testing.assert_array_equal(runs[0], runs[1])
+    np.testing.assert_array_equal(runs[2], runs[0][:cut])
+    if n <= chunk:  # one chunk: the batch itself
+        np.testing.assert_array_equal(runs[0], whole)
 
 
 @PROPERTY
-@given(n=st.integers(1, 12), offset=st.integers(0, 1000), cut=st.integers(0, 12),
-       threads=st.sampled_from([1, 2]))
-def test_hermite_ensemble_offset_chunk_and_thread_invariance(n, offset, cut, threads):
+@given(n=st.integers(1, 12), chunk=st.integers(1, 12), cut=st.integers(1, 12),
+       budget=st.sampled_from([1, 2**12, 2**30]), threads=st.sampled_from([1, 2]))
+def test_hermite_ensemble_block_prefix_and_thread_invariance(n, chunk, cut, budget, threads):
     engine = hermite.HermiteEngine(TimeGrid(1.0, 40), 0.7, 2)
     idx = np.arange(0, 41, 10)
-    whole = hermite.hermite_ensemble(engine, streams.keys(9, "inv", offset, n), idx)
+    whole = hermite.hermite_ensemble(engine, streams.keys(9, "inv", 0, n), idx)
     cut = min(cut, n)
-    parts = np.concatenate([
-        hermite.hermite_ensemble(engine, streams.keys(9, "inv", offset, cut), idx),
-        hermite.hermite_ensemble(engine, streams.keys(9, "inv", offset + cut, n - cut), idx)])
-    # the projections are one matrix product per call, whose rounding
-    # depends on its row count
-    np.testing.assert_allclose(parts, whole, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(
+        hermite.hermite_ensemble(engine, streams.keys(9, "inv", 0, cut), idx), whole[:cut])
 
     def make_chunk(chunk_keys):
         return hermite.hermite_ensemble(engine, chunk_keys, idx)
 
-    runs = [harness.run_replicated(n, 9, "inv", make_chunk, t, 5) for t in (threads, 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermite, "BLOCK_BYTES", budget)
+        np.testing.assert_array_equal(
+            hermite.hermite_ensemble(engine, streams.keys(9, "inv", 0, n), idx), whole)
+        mp.setattr(harness, "CHUNK_SIZE", chunk)
+        runs = [harness.run_replicated(k, 9, "inv", make_chunk, t)
+                for k, t in ((n, threads), (n, 1), (cut, threads))]
     np.testing.assert_array_equal(runs[0], runs[1])
-    # run_replicated's chunks read replicas 0..n-1 of the stream family
-    np.testing.assert_allclose(runs[0], hermite.hermite_ensemble(
-        engine, streams.keys(9, "inv", 0, n), idx), rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(runs[2], runs[0][:cut])
 
 
 @PROPERTY
-@given(n=st.integers(2, 30), chunk=st.integers(1, 30), threads=st.sampled_from([1, 2]))
-def test_kinetic_error_scan_chunk_and_thread_invariance(n, chunk, threads):
+@given(n=st.integers(2, 30), chunk=st.integers(1, 30), budget=st.sampled_from([1, 2**12, 2**30]),
+       threads=st.sampled_from([1, 2]))
+def test_kinetic_error_scan_block_and_thread_invariance(n, chunk, budget, threads):
     args = (0.7, [0.1, 0.05, 0.02], TimeGrid(0.5, 10), n, 23)
-    ref = solvers.kinetic_error_scan(*args)
     with pytest.MonkeyPatch.context() as mp:
-        _chunked(mp, solvers, chunk)
+        mp.setattr(harness, "CHUNK_SIZE", chunk)
+        ref = solvers.kinetic_error_scan(*args)
+        mp.setattr(fgn, "BLOCK_BYTES", budget)
         got = solvers.kinetic_error_scan(*args, threads=threads)
     np.testing.assert_array_equal(got.values, ref.values)
     np.testing.assert_array_equal(got.meta["holder_seminorm"], ref.meta["holder_seminorm"])
