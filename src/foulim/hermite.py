@@ -52,6 +52,7 @@ Hermite limit from one white noise on the engine's cells, which makes L2
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -72,7 +73,6 @@ __all__ = [
 # ghat: Kummer's transformed form (it holds e^v) up to this v, Watson's series beyond
 _KUMMER_MAX_V = 700.0
 _WATSON_TERMS = 10
-_GHAT_CONSTANTS: dict = {}  # H -> ghat's (C(H), q, Watson coefficients)
 # noise cells below -T grow by this ratio until they reach this distance
 _CELL_GROWTH = 1.05
 _FAR_EDGE = 1e30
@@ -492,6 +492,13 @@ def _fou_kernel(fine: TimeGrid, H: float, eps: float, stride: int) -> _CellKerne
     return _CellKernel(profile, n, stride, far, n_far, P)
 
 
+@functools.lru_cache(maxsize=16)
+def _ghat_constants(h: float) -> tuple:
+    """ghat's C(H), q and Watson coefficients (1-q)_k, k = 1..9, for one H."""
+    q = h - 0.5
+    return fou.kernel_amplitude(h), q, np.cumprod(1.0 - q + np.arange(_WATSON_TERMS - 1))
+
+
 def ghat(v, H) -> np.ndarray | float:
     """Moving-average kernel of the unit-rate stationary fOU, in closed form.
 
@@ -505,16 +512,12 @@ def ghat(v, H) -> np.ndarray | float:
     v^{q-1} sum_k (1-q)_k v^{-k} (the dropped ones are below 1e-21), by
     Horner's rule in place.  Both stay within about 1e-14 of a 40-digit
     evaluation for all H in (1/2, 1).  Requires H > 1/2.  C(H), q and the
-    Watson coefficients are computed on an H's first call only: a kernel's
-    far rows call ghat once per chunk of far cells.
+    Watson coefficients are cached for recent H (``_ghat_constants``): a
+    kernel's far rows call ghat once per chunk of far cells.
     """
     from scipy import special  # 0.3 s to import: only once ghat is evaluated
     h = as_hurst(H)
-    if h not in _GHAT_CONSTANTS:  # kernel_amplitude raises for H <= 1/2
-        q = h - 0.5
-        poch = np.cumprod(1.0 - q + np.arange(_WATSON_TERMS - 1))  # (1-q)_k, k = 1..9
-        _GHAT_CONSTANTS[h] = fou.kernel_amplitude(h), q, poch
-    amp, q, poch = _GHAT_CONSTANTS[h]
+    amp, q, poch = _ghat_constants(h)  # raises for H <= 1/2
     flat = np.ravel(np.clip(np.asarray(v, dtype=float), 0.0, None))  # the result's buffer
     near = flat <= _KUMMER_MAX_V
     vn = flat[near]

@@ -11,9 +11,9 @@ distinct keys give independent streams (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).  Stream i's key is the uint64
 pair ``(tag, i)``, tag a 64-bit blake2b digest of seed and name.
 ``keys`` builds a range of them at once.  A key array stands for the
-stream of its first row: ``normals`` reads one run of k normals per row
-from that one stream, in row order, so a block of rows is one
-``standard_normal`` call.  ``harness.run_replicated`` hands each chunk of
+stream of its first row, the later rows only counting runs (their keys
+are not read): ``normals`` reads one run of k normals per row from that
+stream, in row order, so a block of rows is one ``standard_normal`` call.  ``harness.run_replicated`` hands each chunk of
 ``CHUNK_SIZE`` replicas the keys of its rows, so replica i reads run
 i - c of stream (master_seed, name, c), c its chunk's first replica.
 """
@@ -32,7 +32,7 @@ def keys(master_seed: int, name: str, offset: int = 0, count: int = 1) -> np.nda
 
     Returns a (count, 2) uint64 array whose row i is ``(tag, offset + i)``,
     tag the little-endian 64-bit blake2b digest of ``f"{master_seed}/{name}"``.
-    Indices must lie below 2**64, the range of the second word.
+    Indices must lie below 2**64.  ``normals`` reads stream offset's alone.
     """
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
@@ -52,8 +52,8 @@ def keys(master_seed: int, name: str, offset: int = 0, count: int = 1) -> np.nda
 def normals(key_rows: np.ndarray, out: np.ndarray):
     """Row blocks of standard normals, run i of out.shape[1] in row i of key_rows.
 
-    Every run comes from the one stream of key_rows[0], drawn in order
-    through one Generator: a block of len(out) rows at a time, each by one
+    Every run comes from the one stream of key_rows[0] (the keys of later
+    rows are ignored), drawn in order through one Generator: a block of len(out) rows at a time, each by one
     ``standard_normal`` call into ``out``.  Yields out[:k] for each block of
     k rows, valid until the next; the runs do not depend on len(out).
     """

@@ -60,14 +60,13 @@ def test_ghat_requires_long_memory_H():
 
 @pytest.mark.parametrize("H", [0.500001, 0.7, 0.99])
 def test_fou_kernel_sets_ghat_up_once_and_its_chunks_equal_one_call(H, monkeypatch):
-    # C(H), q and the Watson coefficients are computed on an H's first ghat
-    # call, not in each chunk of far cells, and the far rows evaluated in
-    # chunks of 1, 7 and 102 cells equal one ghat call over every far cell,
-    # bit for bit
+    # C(H), q and the Watson coefficients are computed once for the kernel,
+    # not in each chunk of far cells, and the far rows evaluated in chunks of
+    # 1, 7 and 102 cells equal one ghat call over every far cell, bit for bit
     amplitudes = []
     amplitude = fou.kernel_amplitude
     monkeypatch.setattr(fou, "kernel_amplitude", lambda h: amplitudes.append(h) or amplitude(h))
-    monkeypatch.setattr(hermite, "_GHAT_CONSTANTS", {})
+    hermite._ghat_constants.cache_clear()
     grid, eps, stride = TimeGrid(1.0, 60), 0.1, 3
     kernel = hermite._fou_kernel(grid, H, eps, stride)
     for size in (1, 7, 102):

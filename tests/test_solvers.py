@@ -522,9 +522,11 @@ def test_commuting_drift_is_the_flow_at_both_drivers_endpoints(H):
     alpha = chaos.classify_regime(2, H).alpha(eps)
     u, v = (harness._fou_endpoint_samples(G, H, t, eps, n, seed, "slowfast", ratio, a)
             for G, a in ((H2, alpha), (np.cos, 1.0)))
-    # one integral of He_2 + cos / alpha against the sum of two: a few ulps of
-    # x, 5 (8.6e-16 relative) at x 20.65 (H 0.85, replica 67)
-    np.testing.assert_allclose(run.x_eps, SIN2.phi(u + v, s0), rtol=1e-15, atol=1e-14)
+    # the solver's one integral of He_2 + cos / alpha is the sum of the two
+    w = harness._fou_endpoint_samples(lambda y: H2(y) + np.cos(y) / alpha, H, t, eps, n, seed,
+                                      "slowfast", ratio, alpha)
+    np.testing.assert_allclose(w, u + v, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(run.x_eps, SIN2.phi(w, s0), rtol=0, atol=1e-14)
     if H == 0.6:
         drive = run.c * np.sqrt(t) * chunk_normals(seed + 1, "limit-endpoint", n, 1)[:, 0]
     else:
